@@ -508,3 +508,170 @@ mod tests {
         );
     }
 }
+
+/// The indexed MaxAge sweep against the full-scan one it replaced: two
+/// harnesses, identical but for which sweep their instances run, are
+/// driven through the same random script and compared after each step.
+#[cfg(test)]
+mod sweep_equivalence {
+    use super::*;
+    use crate::instance::Stats;
+    use crate::lsa::Lsa;
+    use crate::types::{FwAddr, Prefix};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRunner;
+    use std::cell::Cell;
+
+    /// One step of a script. Router and wire indices wrap around the
+    /// harness's size; injecting an installed lie re-injects it, and
+    /// retracting somebody else's is an (ignored) error. `Run` delivers
+    /// updates and acks and polls timers for `ms` milliseconds.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Inject { at: usize, fake: u32 },
+        Retract { at: usize, fake: u32 },
+        Announce { at: usize, net: u8 },
+        Withdraw { at: usize, net: u8 },
+        Wire { i: usize, up: bool },
+        Run { ms: u64 },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..6, 0u32..3).prop_map(|(at, fake)| Op::Inject { at, fake }),
+            (0usize..6, 0u32..3).prop_map(|(at, fake)| Op::Retract { at, fake }),
+            (0usize..6, 1u8..4).prop_map(|(at, net)| Op::Announce { at, net }),
+            (0usize..6, 1u8..4).prop_map(|(at, net)| Op::Withdraw { at, net }),
+            (0usize..8, any::<bool>()).prop_map(|(i, up)| Op::Wire { i, up }),
+            (1u64..1500).prop_map(|ms| Op::Run { ms }),
+            (1u64..1500).prop_map(|ms| Op::Run { ms }),
+        ]
+    }
+
+    /// A ring of `n` routers with one chord, lossy so retransmit lists
+    /// stay populated while purges are in flight.
+    fn build(n: usize, loss: f64, seed: u64, full_scan: bool) -> Harness {
+        let mut h = Harness::new();
+        let ids: Vec<RouterId> = (1..=n as u32).map(RouterId).collect();
+        for &id in &ids {
+            h.add_router(id);
+            if full_scan {
+                h.instance_mut(id).use_full_scan_sweep();
+            }
+        }
+        for i in 0..n {
+            h.connect(ids[i], ids[(i + 1) % n], Metric(1), Dur::from_millis(1));
+        }
+        h.connect(ids[0], ids[n / 2], Metric(3), Dur::from_millis(2));
+        h.instance_mut(ids[n - 1])
+            .announce(Prefix::net24(1), Metric(0));
+        h.set_loss(loss, seed);
+        h.start_all();
+        h
+    }
+
+    fn apply(h: &mut Harness, op: &Op) {
+        let ids = h.routers();
+        let router = |at: usize| ids[at % ids.len()];
+        match *op {
+            Op::Inject { at, fake } => {
+                let attach = router(at + 1);
+                let _ = h.instance_mut(router(at)).inject_fake(
+                    RouterId::fake(fake),
+                    attach,
+                    Metric(1),
+                    Prefix::net24(1),
+                    Metric(1),
+                    FwAddr::primary(router(at + 2)),
+                );
+            }
+            Op::Retract { at, fake } => {
+                let _ = h
+                    .instance_mut(router(at))
+                    .retract_fake(RouterId::fake(fake));
+            }
+            Op::Announce { at, net } => {
+                h.instance_mut(router(at))
+                    .announce(Prefix::net24(net), Metric(0));
+            }
+            Op::Withdraw { at, net } => h.instance_mut(router(at)).withdraw(Prefix::net24(net)),
+            Op::Wire { i, up } => {
+                let w = &h.wires[i % h.wires.len()];
+                let (a, b) = (w.a.0, w.b.0);
+                h.set_wire_up(a, b, up);
+            }
+            Op::Run { ms } => {
+                let t = h.now() + Dur::from_millis(ms);
+                h.run_until(t);
+            }
+        }
+        // Host-side mutations emit immediately; `run_until` collects
+        // only after its own events.
+        h.collect_outputs();
+    }
+
+    /// Everything an observer can see of one harness.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Per instance: LSDB contents, pending SPF deadline, counters.
+        instances: Vec<(RouterId, Vec<Lsa>, Option<Timestamp>, Stats)>,
+        /// Drained `Send` outputs, as the packets still in flight.
+        in_flight: Vec<(Timestamp, u64, RouterId, IfaceId, Bytes)>,
+        /// Drained `FibUpdate` outputs.
+        fibs: BTreeMap<RouterId, RouteTable>,
+        delivered: u64,
+        dropped: u64,
+    }
+
+    fn observe(h: &Harness) -> Observed {
+        let mut in_flight: Vec<_> = h
+            .pkts
+            .iter()
+            .map(|p| (p.at, p.seq, p.to, p.iface, p.data.clone()))
+            .collect();
+        in_flight.sort_by_key(|p| (p.0, p.1));
+        Observed {
+            instances: h
+                .instances
+                .iter()
+                .map(|(id, i)| (*id, i.lsdb().iter().cloned().collect(), i.spf_at(), i.stats))
+                .collect(),
+            in_flight,
+            fibs: h.fibs.clone(),
+            delivered: h.delivered,
+            dropped: h.dropped,
+        }
+    }
+
+    #[test]
+    fn indexed_sweep_matches_full_scan() {
+        let script = (
+            3usize..=6,
+            prop_oneof![Just(0.0), Just(0.15), Just(0.3)],
+            any::<u64>(),
+            proptest::collection::vec(arb_op(), 1..40),
+        );
+        let sweep_visits = Cell::new(0);
+        TestRunner::new(ProptestConfig::with_cases(48)).run(&script, |(n, loss, seed, ops)| {
+            let mut indexed = build(n, loss, seed, false);
+            let mut reference = build(n, loss, seed, true);
+            prop_assert_eq!(observe(&indexed), observe(&reference));
+            for (step, op) in ops.iter().enumerate() {
+                apply(&mut indexed, op);
+                apply(&mut reference, op);
+                prop_assert!(
+                    observe(&indexed) == observe(&reference),
+                    "diverged at step {step} ({op:?}):\n indexed: {:?}\n full scan: {:?}",
+                    observe(&indexed),
+                    observe(&reference)
+                );
+            }
+            let visits: u64 = indexed.instances.values().map(|i| i.sweep_visits()).sum();
+            sweep_visits.set(sweep_visits.get() + visits);
+            Ok(())
+        });
+        // The scripts must have put purges through the sweep, not
+        // skirted it.
+        assert!(sweep_visits.get() > 100, "{} visits", sweep_visits.get());
+    }
+}

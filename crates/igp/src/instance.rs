@@ -28,6 +28,7 @@ use crate::types::{FwAddr, IfaceId, Metric, Prefix, RouterId, SeqNum};
 use crate::wire::{self, Dbd, Hello, LsAck, LsRequest, LsUpdate, Packet};
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Maximum LSA headers per DBD packet.
 const MAX_DBD_HEADERS: usize = 64;
@@ -130,7 +131,8 @@ struct NeighborSm {
     req_list: Vec<LsaKey>,
     last_req_at: Timestamp,
     // --- flooding ---
-    rxmt: BTreeMap<LsaKey, Lsa>,
+    /// Unacked LSAs, sharing the flooded instance with the LSDB.
+    rxmt: BTreeMap<LsaKey, Arc<Lsa>>,
     last_rxmt_at: Timestamp,
 }
 
@@ -200,6 +202,12 @@ pub struct Instance {
     dd_seq_counter: u32,
     out: VecDeque<Output>,
     started: bool,
+    /// MaxAge LSDB entries examined by `try_sweep` so far (a cost
+    /// tripwire for tests, not a protocol counter).
+    sweep_visits: u64,
+    /// Sweep by scanning the whole LSDB (see `try_sweep_full_scan`).
+    #[cfg(test)]
+    full_scan_sweep: bool,
     /// Observable counters.
     pub stats: Stats,
 }
@@ -233,6 +241,9 @@ impl Instance {
             dd_seq_counter: 1,
             out: VecDeque::new(),
             started: false,
+            sweep_visits: 0,
+            #[cfg(test)]
+            full_scan_sweep: false,
             stats: Stats::default(),
         }
     }
@@ -258,6 +269,13 @@ impl Instance {
     /// scenarios can assert it.
     pub fn spf_run_counts(&self) -> (u64, u64) {
         (self.spf.full_runs, self.spf.partial_runs)
+    }
+
+    /// LSDB entries the MaxAge sweep has examined since creation. Test
+    /// tripwire: it must grow with purges, not with packets received.
+    #[doc(hidden)]
+    pub fn sweep_visits(&self) -> u64 {
+        self.sweep_visits
     }
 
     /// Add a point-to-point interface with the given cost.
@@ -546,8 +564,9 @@ impl Instance {
             let n = self.ifaces.get_mut(&id).unwrap().neighbor.as_mut().unwrap();
             if now >= n.last_rxmt_at + self.cfg.rxmt_interval {
                 n.last_rxmt_at = now;
-                let lsas: Vec<Lsa> = n.rxmt.values().take(MAX_UPD_LSAS).cloned().collect();
-                self.send_packet(id, Packet::LsUpdate(LsUpdate { lsas }));
+                let lsas = n.rxmt.values().take(MAX_UPD_LSAS).map(|l| &**l);
+                let data = wire::encode_ls_update(lsas, self.cfg.router_id);
+                self.push_send(id, data);
             }
         }
     }
@@ -583,9 +602,9 @@ impl Instance {
         Ok(())
     }
 
-    /// Drain all pending outputs.
-    pub fn drain_output(&mut self) -> Vec<Output> {
-        self.out.drain(..).collect()
+    /// Drain all pending outputs, oldest first.
+    pub fn drain_output(&mut self) -> impl Iterator<Item = Output> + '_ {
+        self.out.drain(..)
     }
 
     // ------------------------------------------------------------------
@@ -914,16 +933,12 @@ impl Instance {
         if !known {
             return;
         }
-        let lsas: Vec<Lsa> = r
-            .keys
-            .iter()
-            .filter_map(|k| self.lsdb.get(k).cloned())
+        let lsas: Vec<&Lsa> = r.keys.iter().filter_map(|k| self.lsdb.get(k)).collect();
+        let updates: Vec<Bytes> = lsas
+            .chunks(MAX_UPD_LSAS)
+            .map(|batch| wire::encode_ls_update(batch.iter().copied(), my_id))
             .collect();
-        for batch in lsas.chunks(MAX_UPD_LSAS) {
-            let pkt = Packet::LsUpdate(LsUpdate {
-                lsas: batch.to_vec(),
-            });
-            let data = wire::encode(&pkt, my_id);
+        for data in updates {
             self.push_send(iface_id, data);
         }
     }
@@ -945,6 +960,7 @@ impl Instance {
         }
         let mut acks: Vec<LsaHeader> = Vec::new();
         for lsa in u.lsas {
+            let lsa = Arc::new(lsa);
             let hdr = lsa.header();
             // Implicit ack: if this instance (or newer) sits on the
             // sender's retransmit list, it is now acknowledged.
@@ -975,10 +991,10 @@ impl Instance {
                 }
             }
 
-            match self.lsdb.install(lsa.clone()) {
+            match self.lsdb.install(Arc::clone(&lsa)) {
                 Install::New | Install::Updated => {
                     acks.push(hdr);
-                    self.flood(lsa, Some(iface_id), now);
+                    self.flood(&lsa, Some(iface_id), now);
                     self.schedule_spf(now);
                 }
                 Install::Duplicate | Install::PurgeUnknown => {
@@ -986,9 +1002,8 @@ impl Instance {
                 }
                 Install::Stale => {
                     // Send our fresher copy straight back.
-                    if let Some(ours) = self.lsdb.get(&hdr.key).cloned() {
-                        let pkt = Packet::LsUpdate(LsUpdate { lsas: vec![ours] });
-                        let data = wire::encode(&pkt, my_id);
+                    if let Some(ours) = self.lsdb.get(&hdr.key) {
+                        let data = wire::encode_ls_update(std::iter::once(ours), my_id);
                         self.push_send(iface_id, data);
                     }
                 }
@@ -1159,69 +1174,82 @@ impl Instance {
     }
 
     fn install_and_flood(&mut self, lsa: Lsa) {
-        let outcome = self.lsdb.install(lsa.clone());
+        let lsa = Arc::new(lsa);
+        let outcome = self.lsdb.install(Arc::clone(&lsa));
         if matches!(outcome, Install::New | Install::Updated) {
             self.schedule_spf_now();
         }
-        self.flood(lsa, None, Timestamp::ZERO);
+        self.flood(&lsa, None, Timestamp::ZERO);
         self.try_sweep();
     }
 
     /// Flood an LSA to every sufficiently adjacent neighbor except the
-    /// one it came from, placing it on retransmit lists.
-    fn flood(&mut self, lsa: Lsa, except: Option<IfaceId>, now: Timestamp) {
-        let my_id = self.cfg.router_id;
-        let targets: Vec<IfaceId> = self
-            .ifaces
-            .values()
-            .filter(|i| i.enabled && Some(i.id) != except)
-            .filter(|i| {
-                i.neighbor
-                    .as_ref()
-                    .map(|n| n.state >= NbrState::Exchange)
-                    .unwrap_or(false)
-            })
-            .map(|i| i.id)
-            .collect();
-        for t in targets {
-            let n = self
-                .ifaces
-                .get_mut(&t)
-                .and_then(|i| i.neighbor.as_mut())
-                .expect("filtered above");
+    /// one it came from, placing it on retransmit lists. The LS Update
+    /// is encoded once; every neighbor's datagram and retransmit entry
+    /// share it and the LSA.
+    fn flood(&mut self, lsa: &Arc<Lsa>, except: Option<IfaceId>, now: Timestamp) {
+        let mut update: Option<Bytes> = None;
+        for iface in self.ifaces.values_mut() {
+            if !iface.enabled || Some(iface.id) == except {
+                continue;
+            }
+            let Some(n) = iface
+                .neighbor
+                .as_mut()
+                .filter(|n| n.state >= NbrState::Exchange)
+            else {
+                continue;
+            };
             if n.rxmt.is_empty() {
                 n.last_rxmt_at = now;
             }
-            n.rxmt.insert(lsa.key, lsa.clone());
+            n.rxmt.insert(lsa.key, Arc::clone(lsa));
             self.stats.lsas_flooded += 1;
-            let pkt = Packet::LsUpdate(LsUpdate {
-                lsas: vec![lsa.clone()],
+            let data = update
+                .get_or_insert_with(|| {
+                    wire::encode_ls_update(std::iter::once(&**lsa), self.cfg.router_id)
+                })
+                .clone();
+            self.stats.pkts_sent += 1;
+            self.stats.bytes_sent += data.len() as u64;
+            self.out.push_back(Output::Send {
+                iface: iface.id,
+                data,
             });
-            let data = wire::encode(&pkt, my_id);
-            self.push_send(t, data);
         }
     }
 
-    /// Sweep MaxAge LSAs once no neighbor still owes an ack for them.
-    fn try_sweep(&mut self) {
-        let pending: Vec<LsaKey> = self
-            .ifaces
+    /// `true` while some neighbor still owes an ack for `key`.
+    fn awaits_ack(&self, key: &LsaKey) -> bool {
+        self.ifaces
             .values()
             .filter_map(|i| i.neighbor.as_ref())
-            .flat_map(|n| n.rxmt.keys().copied())
-            .collect();
+            .any(|n| n.rxmt.contains_key(key))
+    }
+
+    /// Sweep MaxAge LSAs once no neighbor still owes an ack for them.
+    /// Costs nothing while the LSDB holds no MaxAge instance (almost
+    /// always), and otherwise looks only at those instances.
+    fn try_sweep(&mut self) {
+        #[cfg(test)]
+        if self.full_scan_sweep {
+            return self.try_sweep_full_scan();
+        }
+        if self.lsdb.max_age_count() == 0 {
+            return;
+        }
+        let mut visits = 0;
         let dead: Vec<LsaKey> = self
             .lsdb
-            .iter()
-            .filter(|l| l.is_max_age() && !pending.contains(&l.key))
-            .map(|l| l.key)
+            .max_age_keys()
+            .inspect(|_| visits += 1)
+            .filter(|k| !self.awaits_ack(k))
             .collect();
+        self.sweep_visits += visits;
         for k in dead {
+            // The `originated` seq record is kept so a future
+            // re-injection continues above the purged instance.
             self.lsdb.remove(&k);
-            if self.originated.contains_key(&k) {
-                // Keep the seq record so a future re-injection
-                // continues above the purged instance.
-            }
             self.schedule_spf_now();
         }
     }
@@ -1312,6 +1340,40 @@ impl Instance {
     }
 }
 
+/// The sweep as it was before the LSDB indexed its MaxAge entries:
+/// every call gathers every neighbor's retransmit keys and walks the
+/// whole database. Kept as the reference the indexed sweep is
+/// property-tested against (`harness::sweep_equivalence`).
+#[cfg(test)]
+impl Instance {
+    pub(crate) fn use_full_scan_sweep(&mut self) {
+        self.full_scan_sweep = true;
+    }
+
+    pub(crate) fn spf_at(&self) -> Option<Timestamp> {
+        self.spf_at
+    }
+
+    fn try_sweep_full_scan(&mut self) {
+        let pending: Vec<LsaKey> = self
+            .ifaces
+            .values()
+            .filter_map(|i| i.neighbor.as_ref())
+            .flat_map(|n| n.rxmt.keys().copied())
+            .collect();
+        let dead: Vec<LsaKey> = self
+            .lsdb
+            .iter()
+            .filter(|l| l.is_max_age() && !pending.contains(&l.key))
+            .map(|l| l.key)
+            .collect();
+        for k in dead {
+            self.lsdb.remove(&k);
+            self.schedule_spf_now();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1322,7 +1384,7 @@ mod tests {
         inst.add_iface(IfaceId(0), Metric(10));
         inst.start(Timestamp::ZERO);
         inst.poll_timers(Timestamp::ZERO);
-        let out = inst.drain_output();
+        let out: Vec<Output> = inst.drain_output().collect();
         let hellos = out
             .iter()
             .filter(|o| matches!(o, Output::Send { .. }))
@@ -1407,6 +1469,67 @@ mod tests {
         .unwrap();
         let s2 = inst.lsdb().get(&key).unwrap().seq;
         assert!(s2 > s1);
+    }
+
+    #[test]
+    fn flood_encodes_once_and_shares_the_datagram() {
+        use crate::harness::Harness;
+        // A hub with three spokes, converged; then the hub lies.
+        let hub = RouterId(1);
+        let mut h = Harness::new();
+        for i in 1..=4 {
+            h.add_router(RouterId(i));
+        }
+        for i in 2..=4 {
+            h.connect(hub, RouterId(i), Metric(1), Dur::from_millis(1));
+        }
+        h.start_all();
+        assert!(h.run_until_converged(Timestamp::from_secs(30)));
+        let fake = RouterId::fake(0);
+        let inst = h.instance_mut(hub);
+        inst.inject_fake(
+            fake,
+            RouterId(2),
+            Metric(1),
+            Prefix::net24(1),
+            Metric(1),
+            FwAddr::primary(hub),
+        )
+        .unwrap();
+        let sends: Vec<(IfaceId, Bytes)> = inst
+            .drain_output()
+            .filter_map(|o| match o {
+                Output::Send { iface, data } => Some((iface, data)),
+                _ => None,
+            })
+            .collect();
+        let ifaces: Vec<IfaceId> = sends.iter().map(|(i, _)| *i).collect();
+        assert_eq!(ifaces, [IfaceId(0), IfaceId(1), IfaceId(2)]);
+        let flooded = inst
+            .lsdb()
+            .iter()
+            .find(|l| l.key.origin == fake)
+            .expect("the lie is installed")
+            .clone();
+        for (_, data) in &sends {
+            // One encoding, one allocation, handed to every neighbor.
+            assert_eq!(data.as_ptr(), sends[0].1.as_ptr());
+            assert_eq!(data.len(), sends[0].1.len());
+            let (sender, pkt) = wire::decode(data.clone()).expect("decodes");
+            assert_eq!(sender, hub);
+            assert_eq!(
+                pkt,
+                Packet::LsUpdate(LsUpdate {
+                    lsas: vec![flooded.clone()]
+                })
+            );
+        }
+        // Retransmit lists share the LSDB's instance, not copies of it.
+        let stored = inst.lsdb.get(&flooded.key).unwrap();
+        for iface in inst.ifaces.values() {
+            let pending = &iface.neighbor.as_ref().unwrap().rxmt[&flooded.key];
+            assert!(std::ptr::eq(&**pending, stored));
+        }
     }
 
     #[test]

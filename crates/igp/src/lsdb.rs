@@ -12,7 +12,8 @@
 use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, MAX_AGE};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::RouterId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Outcome of trying to install an LSA instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +37,16 @@ pub enum Install {
 pub struct DbVersion(pub u64);
 
 /// The link-state database.
+///
+/// Instances are stored behind [`Arc`] so the flooding machinery can
+/// put the stored LSA on retransmit lists without copying its body.
 #[derive(Debug, Clone, Default)]
 pub struct Lsdb {
-    entries: BTreeMap<LsaKey, Lsa>,
+    entries: BTreeMap<LsaKey, Arc<Lsa>>,
+    /// Keys of the stored MaxAge instances: exactly
+    /// `entries.values().filter(|l| l.is_max_age())`, kept in step by
+    /// every mutation so purge sweeps never scan the live entries.
+    max_age: BTreeSet<LsaKey>,
     version: u64,
     real_version: u64,
 }
@@ -80,9 +88,31 @@ impl Lsdb {
         self.entries.is_empty()
     }
 
+    /// Number of stored MaxAge LSAs (purges not yet swept).
+    pub fn max_age_count(&self) -> usize {
+        self.max_age.len()
+    }
+
+    /// Keys of the stored MaxAge LSAs, in key order.
+    pub fn max_age_keys(&self) -> impl Iterator<Item = LsaKey> + '_ {
+        self.max_age.iter().copied()
+    }
+
     /// Look up the stored instance for a key.
     pub fn get(&self, key: &LsaKey) -> Option<&Lsa> {
-        self.entries.get(key)
+        self.entries.get(key).map(|l| &**l)
+    }
+
+    /// Store `lsa`, keeping the MaxAge index in step.
+    fn store(&mut self, lsa: Arc<Lsa>) {
+        let key = lsa.key;
+        if lsa.is_max_age() {
+            self.max_age.insert(key);
+        } else {
+            self.max_age.remove(&key);
+        }
+        self.entries.insert(key, lsa);
+        self.bump(&key);
     }
 
     /// Freshness of a candidate header against the stored instance.
@@ -96,8 +126,10 @@ impl Lsdb {
 
     /// Try to install an LSA instance, enforcing freshness rules.
     ///
-    /// Content-changing outcomes bump the database version.
-    pub fn install(&mut self, lsa: Lsa) -> Install {
+    /// Content-changing outcomes bump the database version. Accepts an
+    /// owned [`Lsa`] or an already shared `Arc<Lsa>`.
+    pub fn install(&mut self, lsa: impl Into<Arc<Lsa>>) -> Install {
+        let lsa: Arc<Lsa> = lsa.into();
         match self.entries.get(&lsa.key) {
             None => {
                 if lsa.is_max_age() {
@@ -105,16 +137,12 @@ impl Lsdb {
                     // do not create state (RFC 2328 §13 step 5 nuance).
                     return Install::PurgeUnknown;
                 }
-                let key = lsa.key;
-                self.entries.insert(key, lsa);
-                self.bump(&key);
+                self.store(lsa);
                 Install::New
             }
             Some(stored) => match lsa.freshness_vs(stored) {
                 Freshness::Newer => {
-                    let key = lsa.key;
-                    self.entries.insert(key, lsa);
-                    self.bump(&key);
+                    self.store(lsa);
                     Install::Updated
                 }
                 Freshness::Same => Install::Duplicate,
@@ -127,12 +155,7 @@ impl Lsdb {
     /// does this once the purge has been acked everywhere; the instance
     /// layer calls it when retransmit lists drain.
     pub fn sweep(&mut self) -> Vec<LsaHeader> {
-        let dead: Vec<LsaKey> = self
-            .entries
-            .iter()
-            .filter(|(_, l)| l.is_max_age())
-            .map(|(k, _)| *k)
-            .collect();
+        let dead = std::mem::take(&mut self.max_age);
         let mut headers = Vec::with_capacity(dead.len());
         for k in dead {
             if let Some(l) = self.entries.remove(&k) {
@@ -145,9 +168,10 @@ impl Lsdb {
 
     /// Remove one LSA by key regardless of age (used when the
     /// originator re-learns a self-originated LSA it no longer wants).
-    pub fn remove(&mut self, key: &LsaKey) -> Option<Lsa> {
+    pub fn remove(&mut self, key: &LsaKey) -> Option<Arc<Lsa>> {
         let removed = self.entries.remove(key);
         if removed.is_some() {
+            self.max_age.remove(key);
             self.bump(key);
         }
         removed
@@ -166,8 +190,9 @@ impl Lsdb {
             if new_age == MAX_AGE {
                 expired.push(*k);
             }
-            l.age = new_age;
+            Arc::make_mut(l).age = new_age;
         }
+        self.max_age.extend(expired.iter().copied());
         if !expired.is_empty() {
             self.version += 1;
             if expired
@@ -182,7 +207,7 @@ impl Lsdb {
 
     /// Iterate over all stored LSAs in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Lsa> {
-        self.entries.values()
+        self.entries.values().map(|l| &**l)
     }
 
     /// Headers of all stored LSAs (for database description packets).
@@ -436,5 +461,87 @@ mod tests {
         let topo = db.to_topology();
         assert!(!topo.contains(RouterId(2)));
         assert!(!topo.has_link(RouterId(1), RouterId(2)));
+    }
+
+    mod max_age_index {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `Install` puts in an instance of key `k`, MaxAge if `purge`
+        /// (so a purge of an unknown key, MaxAge replacing MaxAge and a
+        /// live instance replacing a purge all occur).
+        #[derive(Debug, Clone)]
+        enum Op {
+            Install { k: u32, seq: i32, purge: bool },
+            Remove { k: u32 },
+            Sweep,
+            Age { secs: u16 },
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u32..6, 1i32..8, any::<bool>()).prop_map(|(k, seq, purge)| Op::Install {
+                    k,
+                    seq,
+                    purge
+                }),
+                (0u32..6, 1i32..8, any::<bool>()).prop_map(|(k, seq, purge)| Op::Install {
+                    k,
+                    seq,
+                    purge
+                }),
+                (0u32..8).prop_map(|k| Op::Remove { k }),
+                Just(Op::Sweep),
+                prop_oneof![Just(1u16), Just(MAX_AGE / 2), Just(MAX_AGE)]
+                    .prop_map(|secs| Op::Age { secs }),
+            ]
+        }
+
+        /// Keys 0..3 are router LSAs, 3..6 prefix LSAs of router 9.
+        fn lsa_of(k: u32, seq: i32, purge: bool) -> Lsa {
+            let mut l = if k < 3 {
+                router_lsa(k + 1, seq, &[])
+            } else {
+                Lsa::prefix(
+                    RouterId(9),
+                    k,
+                    SeqNum(seq),
+                    Prefix::net24(k as u8),
+                    Metric(0),
+                )
+            };
+            if purge {
+                l.age = MAX_AGE;
+            }
+            l
+        }
+
+        proptest! {
+            #[test]
+            fn count_and_keys_match_a_scan(ops in proptest::collection::vec(arb_op(), 0..60)) {
+                let mut db = Lsdb::new();
+                for op in ops {
+                    match op {
+                        Op::Install { k, seq, purge } => {
+                            db.install(lsa_of(k, seq, purge));
+                        }
+                        Op::Remove { k } => {
+                            db.remove(&lsa_of(k, 1, false).key);
+                        }
+                        Op::Sweep => {
+                            let swept = db.sweep();
+                            prop_assert!(swept.iter().all(|h| h.age >= MAX_AGE));
+                        }
+                        Op::Age { secs } => {
+                            db.age_all(secs);
+                        }
+                    }
+                    let scanned: Vec<LsaKey> =
+                        db.iter().filter(|l| l.is_max_age()).map(|l| l.key).collect();
+                    prop_assert_eq!(db.max_age_count(), scanned.len());
+                    prop_assert_eq!(db.max_age_keys().collect::<Vec<_>>(), scanned);
+                }
+            }
+        }
     }
 }

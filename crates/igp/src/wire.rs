@@ -24,6 +24,9 @@ pub const HEADER_LEN: usize = 12;
 /// Encoded length of an LSA header.
 pub const LSA_HEADER_LEN: usize = 15;
 
+/// Wire discriminant of an LS Update packet.
+const TYPE_LS_UPDATE: u8 = 4;
+
 /// A decoded protocol packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Packet {
@@ -93,7 +96,7 @@ impl Packet {
             Packet::Hello(_) => 1,
             Packet::Dbd(_) => 2,
             Packet::LsRequest(_) => 3,
-            Packet::LsUpdate(_) => 4,
+            Packet::LsUpdate(_) => TYPE_LS_UPDATE,
             Packet::LsAck(_) => 5,
         }
     }
@@ -166,26 +169,20 @@ fn get_lsa_header(buf: &mut Bytes) -> Result<LsaHeader, WireError> {
 
 /// Encode a full LSA (header + length-prefixed body).
 pub fn encode_lsa(lsa: &Lsa, buf: &mut BytesMut) {
-    put_lsa_header(
-        buf,
-        &LsaHeader {
-            key: lsa.key,
-            seq: lsa.seq,
-            age: lsa.age,
-        },
-    );
-    let mut body = BytesMut::new();
+    put_lsa_header(buf, &lsa.header());
+    let len_at = buf.len();
+    buf.put_u16(0); // body length, patched below
     match &lsa.body {
         LsaBody::Router { links } => {
-            body.put_u16(links.len() as u16);
+            buf.put_u16(links.len() as u16);
             for l in links {
-                body.put_u32(l.to.0);
-                body.put_u32(l.metric.0);
+                buf.put_u32(l.to.0);
+                buf.put_u32(l.metric.0);
             }
         }
         LsaBody::Prefix { prefix, metric } => {
-            put_prefix(&mut body, *prefix);
-            body.put_u32(metric.0);
+            put_prefix(buf, *prefix);
+            buf.put_u32(metric.0);
         }
         LsaBody::Fake {
             attach,
@@ -194,16 +191,16 @@ pub fn encode_lsa(lsa: &Lsa, buf: &mut BytesMut) {
             prefix_metric,
             fw,
         } => {
-            body.put_u32(attach.0);
-            body.put_u32(attach_metric.0);
-            put_prefix(&mut body, *prefix);
-            body.put_u32(prefix_metric.0);
-            body.put_u32(fw.router.0);
-            body.put_u16(fw.addr);
+            buf.put_u32(attach.0);
+            buf.put_u32(attach_metric.0);
+            put_prefix(buf, *prefix);
+            buf.put_u32(prefix_metric.0);
+            buf.put_u32(fw.router.0);
+            buf.put_u16(fw.addr);
         }
     }
-    buf.put_u16(body.len() as u16);
-    buf.extend_from_slice(&body);
+    let body_len = (buf.len() - len_at - 2) as u16;
+    buf[len_at..len_at + 2].copy_from_slice(&body_len.to_be_bytes());
 }
 
 /// Decode a full LSA; validates the body length and kind consistency.
@@ -273,16 +270,54 @@ pub fn decode_lsa(buf: &mut Bytes) -> Result<Lsa, WireError> {
     })
 }
 
+/// Start a packet: the fixed header with the length and checksum
+/// fields still zero ([`finish`] patches both once the body is in).
+fn begin(ptype: u8, sender: RouterId) -> BytesMut {
+    let mut out = BytesMut::with_capacity(128);
+    out.put_u8(VERSION);
+    out.put_u8(ptype);
+    out.put_u16(0); // total length
+    out.put_u32(sender.0);
+    out.put_u16(0); // checksum
+    out.put_u16(0); // reserved
+    out
+}
+
+/// Patch the total length, then the checksum (computed over the whole
+/// packet with its own field zero), and freeze.
+fn finish(mut out: BytesMut) -> Bytes {
+    let total = out.len() as u16;
+    out[2..4].copy_from_slice(&total.to_be_bytes());
+    let ck = fletcher16(&out);
+    out[8..10].copy_from_slice(&ck.to_be_bytes());
+    out.freeze()
+}
+
+/// Encode an LS Update carrying `lsas` — byte for byte what [`encode`]
+/// produces for `Packet::LsUpdate`, without first collecting owned
+/// copies of the LSAs into a packet.
+pub fn encode_ls_update<'a>(
+    lsas: impl ExactSizeIterator<Item = &'a Lsa>,
+    sender: RouterId,
+) -> Bytes {
+    let mut out = begin(TYPE_LS_UPDATE, sender);
+    out.put_u16(lsas.len() as u16);
+    for l in lsas {
+        encode_lsa(l, &mut out);
+    }
+    finish(out)
+}
+
 /// Encode a packet (header + body + checksum) ready for transmission.
 pub fn encode(packet: &Packet, sender: RouterId) -> Bytes {
-    let mut body = BytesMut::new();
+    let mut out = begin(packet.type_byte(), sender);
     match packet {
         Packet::Hello(h) => {
-            body.put_u16(h.hello_interval);
-            body.put_u16(h.dead_interval);
-            body.put_u16(h.seen.len() as u16);
+            out.put_u16(h.hello_interval);
+            out.put_u16(h.dead_interval);
+            out.put_u16(h.seen.len() as u16);
             for r in &h.seen {
-                body.put_u32(r.0);
+                out.put_u32(r.0);
             }
         }
         Packet::Dbd(d) => {
@@ -296,48 +331,30 @@ pub fn encode(packet: &Packet, sender: RouterId) -> Bytes {
             if d.master {
                 flags |= 0x4;
             }
-            body.put_u8(flags);
-            body.put_u32(d.dd_seq);
-            body.put_u16(d.headers.len() as u16);
+            out.put_u8(flags);
+            out.put_u32(d.dd_seq);
+            out.put_u16(d.headers.len() as u16);
             for h in &d.headers {
-                put_lsa_header(&mut body, h);
+                put_lsa_header(&mut out, h);
             }
         }
         Packet::LsRequest(r) => {
-            body.put_u16(r.keys.len() as u16);
+            out.put_u16(r.keys.len() as u16);
             for k in &r.keys {
-                body.put_u32(k.origin.0);
-                body.put_u8(k.kind as u8);
-                body.put_u32(k.id);
+                out.put_u32(k.origin.0);
+                out.put_u8(k.kind as u8);
+                out.put_u32(k.id);
             }
         }
-        Packet::LsUpdate(u) => {
-            body.put_u16(u.lsas.len() as u16);
-            for l in &u.lsas {
-                encode_lsa(l, &mut body);
-            }
-        }
+        Packet::LsUpdate(u) => return encode_ls_update(u.lsas.iter(), sender),
         Packet::LsAck(a) => {
-            body.put_u16(a.headers.len() as u16);
+            out.put_u16(a.headers.len() as u16);
             for h in &a.headers {
-                put_lsa_header(&mut body, h);
+                put_lsa_header(&mut out, h);
             }
         }
     }
-
-    let total = HEADER_LEN + body.len();
-    let mut out = BytesMut::with_capacity(total);
-    out.put_u8(VERSION);
-    out.put_u8(packet.type_byte());
-    out.put_u16(total as u16);
-    out.put_u32(sender.0);
-    out.put_u16(0); // checksum placeholder
-    out.put_u16(0); // reserved
-    out.extend_from_slice(&body);
-    let ck = fletcher16(&out);
-    out[8] = (ck >> 8) as u8;
-    out[9] = (ck & 0xff) as u8;
-    out.freeze()
+    finish(out)
 }
 
 /// Decode and validate a packet; returns the sender and the payload.
@@ -422,7 +439,7 @@ pub fn decode(mut buf: Bytes) -> Result<(RouterId, Packet), WireError> {
             }
             Packet::LsRequest(LsRequest { keys })
         }
-        4 => {
+        TYPE_LS_UPDATE => {
             need(&buf, 2)?;
             let n = buf.get_u16() as usize;
             let mut lsas = Vec::with_capacity(n.min(4096));

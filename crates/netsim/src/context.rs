@@ -89,11 +89,8 @@ impl SimContext<'_> {
 
     /// The SNMP ifIndex of the interface on `from` facing `to`.
     pub fn ifindex_for(&self, from: RouterId, to: RouterId) -> Option<u32> {
-        self.core
-            .iface_to_link
-            .iter()
-            .find(|((r, _), &ix)| *r == from && self.core.link_recs[ix as usize].state.key.to == to)
-            .map(|((_, i), _)| u32::from(i.0) + 1)
+        let slot = *self.core.router_slot.get(&from)?;
+        self.core.iface_facing(slot, to).map(|i| u32::from(i.0) + 1)
     }
 
     /// Inject a lie through `speaker`'s protocol instance.

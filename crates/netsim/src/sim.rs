@@ -54,7 +54,7 @@ pub use fib_sim_kernel::TieBreak;
 use fib_sim_kernel::{ComponentId, DeadlineHeap, EventId, EventQueue, Registry};
 use fib_telemetry::counters::{CounterWidth, IfaceCounters};
 use fib_telemetry::mib::Agent;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 pub use crate::context::SimContext;
 
@@ -234,7 +234,9 @@ pub(crate) enum Ev {
     },
     Tick(ComponentId),
     Sample,
-    User(Event),
+    /// Boxed: public events are rare and larger than a packet event,
+    /// and the queue moves whole entries on every sift.
+    User(Box<Event>),
 }
 
 /// Everything except the components (so components can borrow the
@@ -252,14 +254,19 @@ pub(crate) struct Core {
     pub(crate) fibs: BTreeMap<RouterId, Fib>,
     pub(crate) deadlines: DeadlineHeap<Timestamp>,
     due_scratch: Vec<u32>,
-    /// Instance slots touched since the last output collection.
-    touched: BTreeSet<u32>,
+    /// Instance slots touched since the last output collection, each
+    /// once (`is_touched[slot]` says whether it is already listed).
+    touched: Vec<u32>,
+    is_touched: Vec<bool>,
     // Link arena: directed records in creation order (the two
     // directions of one symmetric link are adjacent: sibling = ix ^ 1)
     // plus the key-ordered index for lookups and stable iteration.
     pub(crate) link_recs: Vec<LinkRec>,
     pub(crate) link_idx: BTreeMap<LinkKey, u32>,
-    pub(crate) iface_to_link: BTreeMap<(RouterId, IfaceId), u32>,
+    /// Per router slot, indexed by `IfaceId` (interfaces are issued
+    /// densely per router): the link record the interface transmits
+    /// on; its receive direction is the sibling record.
+    pub(crate) iface_links: Vec<Vec<u32>>,
     pub(crate) prefix_owners: Vec<(Prefix, RouterId)>,
     // Flow arena indexed by `FlowId.0` (ids are dense, counter-issued).
     pub(crate) flow_recs: Vec<Option<Flow>>,
@@ -317,10 +324,11 @@ impl Core {
             fibs: BTreeMap::new(),
             deadlines: DeadlineHeap::new(),
             due_scratch: Vec::new(),
-            touched: BTreeSet::new(),
+            touched: Vec::new(),
+            is_touched: Vec::new(),
             link_recs: Vec::new(),
             link_idx: BTreeMap::new(),
-            iface_to_link: BTreeMap::new(),
+            iface_links: Vec::new(),
             prefix_owners: Vec::new(),
             flow_recs: Vec::new(),
             live_flows: 0,
@@ -350,7 +358,9 @@ impl Core {
     /// earliest deadline. Every `&mut Instance` access goes through
     /// here (or is followed by it).
     pub(crate) fn touch(&mut self, slot: u32) {
-        self.touched.insert(slot);
+        if !std::mem::replace(&mut self.is_touched[slot as usize], true) {
+            self.touched.push(slot);
+        }
         let next = self.instances[slot as usize].next_timer();
         self.deadlines.set(slot, next);
     }
@@ -362,13 +372,21 @@ impl Core {
         }
     }
 
-    fn next_iface(&self, r: RouterId) -> IfaceId {
-        let n = self
-            .iface_to_link
-            .keys()
-            .filter(|(rid, _)| *rid == r)
-            .count();
-        IfaceId(n as u16)
+    /// The interface on router `slot` that faces `peer`, if any (the
+    /// lowest-numbered one when links are parallel).
+    pub(crate) fn iface_facing(&self, slot: u32, peer: RouterId) -> Option<IfaceId> {
+        self.iface_links[slot as usize]
+            .iter()
+            .position(|&ix| self.link_recs[ix as usize].state.key.to == peer)
+            .map(|i| IfaceId(i as u16))
+    }
+
+    /// Issue router `slot`'s next interface id, transmitting on link
+    /// record `ix`.
+    fn add_iface(&mut self, slot: u32, ix: u32) -> IfaceId {
+        let links = &mut self.iface_links[slot as usize];
+        links.push(ix);
+        IfaceId((links.len() - 1) as u16)
     }
 
     pub(crate) fn add_router_inner(&mut self, id: RouterId, compute_routes: bool) {
@@ -386,24 +404,22 @@ impl Core {
         self.router_ids.push(id);
         self.instances.push(Instance::new(cfg));
         self.agents.push(Agent::new(format!("{id}")));
+        self.iface_links.push(Vec::new());
+        self.is_touched.push(false);
         self.fibs.insert(id, Fib::new());
         let heap_slot = self.deadlines.push_slot();
         debug_assert_eq!(heap_slot, slot);
     }
 
     pub(crate) fn add_link_inner(&mut self, spec: LinkSpec) {
-        let ia = self.next_iface(spec.a);
-        // Register a's iface before computing b's (self-loops are not
-        // supported; asserted here).
         assert_ne!(spec.a, spec.b, "self-loop links are not supported");
         let a_slot = *self.router_slot.get(&spec.a).expect("add routers first");
         let b_slot = *self.router_slot.get(&spec.b).expect("add routers first");
         let kab = LinkKey::new(spec.a, spec.b);
-        let ix_ab = self.link_recs.len() as u32;
-        self.iface_to_link.insert((spec.a, ia), ix_ab);
-        let ib = self.next_iface(spec.b);
         let kba = LinkKey::new(spec.b, spec.a);
-        self.iface_to_link.insert((spec.b, ib), ix_ab + 1);
+        let ix_ab = self.link_recs.len() as u32;
+        let ia = self.add_iface(a_slot, ix_ab);
+        let ib = self.add_iface(b_slot, ix_ab + 1);
 
         self.instances[a_slot as usize].add_iface(ia, spec.cost);
         self.instances[b_slot as usize].add_iface(ib, spec.cost);
@@ -506,9 +522,8 @@ impl Core {
                 data,
             } => {
                 let len = data.len() as u64;
-                let to = self.router_ids[to_slot as usize];
                 // Account received control bytes; drop on a down link.
-                if let Some(&ix) = self.iface_to_link.get(&(to, iface)) {
+                if let Some(&ix) = self.iface_links[to_slot as usize].get(usize::from(iface.0)) {
                     let rx = (ix ^ 1) as usize;
                     if !self.link_recs[rx].state.up {
                         self.stats.ctrl_dropped += 1;
@@ -543,7 +558,7 @@ impl Core {
                 self.queue
                     .push(self.now + self.cfg.sample_interval, Ev::Sample);
             }
-            Ev::User(ev) => self.apply_event(ev),
+            Ev::User(ev) => self.apply_event(*ev),
         }
     }
 
@@ -575,7 +590,7 @@ impl Core {
 
     /// Schedule a public event; one path for every kind.
     pub(crate) fn schedule_event(&mut self, at: Timestamp, ev: Event) -> EventId {
-        self.queue.push(at, Ev::User(ev))
+        self.queue.push(at, Ev::User(Box::new(ev)))
     }
 
     pub(crate) fn start_flow_with_id(&mut self, id: FlowId, spec: FlowSpec) {
@@ -677,14 +692,10 @@ impl Core {
         if found && self.cfg.carrier_detect {
             let pairs = [(a, b), (b, a)];
             for (r, peer) in pairs {
-                let iface = self
-                    .iface_to_link
-                    .iter()
-                    .find(|((rid, _), &ix)| {
-                        *rid == r && self.link_recs[ix as usize].state.key.to == peer
-                    })
-                    .map(|((_, i), _)| *i);
-                if let (Some(iface), Some(&slot)) = (iface, self.router_slot.get(&r)) {
+                let Some(&slot) = self.router_slot.get(&r) else {
+                    continue;
+                };
+                if let Some(iface) = self.iface_facing(slot, peer) {
                     let now = self.now;
                     let _ = self.instances[slot as usize].set_iface_enabled(iface, up, now);
                     self.touch(slot);
@@ -740,79 +751,69 @@ impl Core {
         // Drain touched instances in RouterId order — the exact
         // iteration (and hence packet push) order of the old
         // scan-everyone collector; untouched instances have nothing.
-        let mut order: Vec<u32> = self.touched.iter().copied().collect();
-        self.touched.clear();
-        order.sort_by_key(|&s| self.router_ids[s as usize]);
-        let mut sends: Vec<(u32, IfaceId, Bytes)> = Vec::new();
+        // Packets go onto the queue as they are drained: nothing else
+        // pushes in between, so their sequence numbers are unchanged.
+        let mut order = std::mem::take(&mut self.touched);
+        order.sort_unstable_by_key(|&s| self.router_ids[s as usize]);
+        let Core {
+            now,
+            queue,
+            router_ids,
+            instances,
+            agents,
+            fibs,
+            is_touched,
+            link_recs,
+            iface_links,
+            flow_recs,
+            flow_index,
+            dirty,
+            stats,
+            ..
+        } = self;
         for &slot in &order {
-            let id = self.router_ids[slot as usize];
-            for out in self.instances[slot as usize].drain_output() {
+            is_touched[slot as usize] = false;
+            let id = router_ids[slot as usize];
+            for out in instances[slot as usize].drain_output() {
                 match out {
-                    Output::Send { iface, data } => sends.push((slot, iface, data)),
+                    Output::Send { iface, data } => {
+                        let rec = iface_links[slot as usize]
+                            .get(usize::from(iface.0))
+                            .map(|&ix| &link_recs[ix as usize]);
+                        let Some(rec) = rec.filter(|rec| rec.state.up) else {
+                            stats.ctrl_dropped += 1;
+                            continue;
+                        };
+                        // Account transmitted control bytes.
+                        let idx = u32::from(rec.tx_iface.0) + 1;
+                        if let Some(c) = agents[slot as usize].counters_mut(idx) {
+                            c.count_tx(data.len() as u64);
+                        }
+                        queue.push(
+                            *now + rec.state.delay,
+                            Ev::Pkt {
+                                to_slot: rec.to_slot,
+                                iface: rec.rx_iface,
+                                data,
+                            },
+                        );
+                    }
                     Output::FibUpdate(table) => {
                         let _span = fib_trace::span(fib_trace::Phase::FibInstall);
-                        let changed = self.fibs.entry(id).or_default().install_diff(&table);
+                        let changed = fibs.entry(id).or_default().install_diff(&table);
                         // The instance only emits on route-table change,
                         // so settle the allocation either way (pinned
                         // realloc instants); re-resolve exactly the
                         // flows this download can reroute.
-                        self.dirty.mark_realloc();
-                        self.invalidate_fib_change(id, &changed);
+                        dirty.mark_realloc();
+                        invalidate_fib_change(dirty, flow_index, flow_recs, id, &changed);
                     }
                     Output::NeighborChange { .. } => {}
                 }
             }
         }
-        for (from_slot, iface, data) in sends {
-            let from = self.router_ids[from_slot as usize];
-            let Some(&ix) = self.iface_to_link.get(&(from, iface)) else {
-                self.stats.ctrl_dropped += 1;
-                continue;
-            };
-            let rec = &self.link_recs[ix as usize];
-            if !rec.state.up {
-                self.stats.ctrl_dropped += 1;
-                continue;
-            }
-            // Account transmitted control bytes.
-            let idx = u32::from(rec.tx_iface.0) + 1;
-            let len = data.len() as u64;
-            let (to_slot, rx_iface, delay) = (rec.to_slot, rec.rx_iface, rec.state.delay);
-            if let Some(c) = self.agents[from_slot as usize].counters_mut(idx) {
-                c.count_tx(len);
-            }
-            self.queue.push(
-                self.now + delay,
-                Ev::Pkt {
-                    to_slot,
-                    iface: rx_iface,
-                    data,
-                },
-            );
-        }
-    }
-
-    /// Mark the flows a FIB download at `router` can actually reroute:
-    /// destined to a changed prefix (via the reverse index) *and*
-    /// either currently stranded or passing through `router` — a walk
-    /// that never visits the router cannot change when only that
-    /// router's table did.
-    fn invalidate_fib_change(&mut self, router: RouterId, changed: &[Prefix]) {
-        let dirty = &mut self.dirty;
-        for p in changed {
-            for id in self.flow_index.affected_by(*p) {
-                let Some(f) = self.flow_recs.get(id.0 as usize).and_then(|o| o.as_ref()) else {
-                    continue;
-                };
-                let touched = match &f.path {
-                    None => true,
-                    Some(path) => f.key.src == router || path.iter().any(|l| l.to == router),
-                };
-                if touched {
-                    dirty.mark_flow(id);
-                }
-            }
-        }
+        order.clear();
+        self.touched = order;
     }
 
     /// Settle the data plane: re-resolve exactly the dirty flows'
@@ -927,6 +928,33 @@ impl Core {
         }
         if found_any {
             self.stats.fwd_loop_settles += 1;
+        }
+    }
+}
+
+/// Mark the flows a FIB download at `router` can actually reroute:
+/// destined to a changed prefix (via the reverse index) *and* either
+/// currently stranded or passing through `router` — a walk that never
+/// visits the router cannot change when only that router's table did.
+fn invalidate_fib_change(
+    dirty: &mut DirtySet,
+    flow_index: &FlowIndex,
+    flow_recs: &[Option<Flow>],
+    router: RouterId,
+    changed: &[Prefix],
+) {
+    for p in changed {
+        for id in flow_index.affected_by(*p) {
+            let Some(f) = flow_recs.get(id.0 as usize).and_then(|o| o.as_ref()) else {
+                continue;
+            };
+            let touched = match &f.path {
+                None => true,
+                Some(path) => f.key.src == router || path.iter().any(|l| l.to == router),
+            };
+            if touched {
+                dirty.mark_flow(id);
+            }
         }
     }
 }

@@ -90,11 +90,16 @@ impl<T: Ord, E> Ord for Entry<T, E> {
 /// O(1) cancellation.
 pub struct EventQueue<T, E> {
     heap: BinaryHeap<Entry<T, E>>,
-    /// `pending[seq]` — true while the event with that sequence number
-    /// is scheduled and not yet fired or cancelled. One byte per event
-    /// ever pushed; the backstop for O(1) cancel and exact
-    /// double-cancel / cancel-after-fire semantics.
-    pending: Vec<bool>,
+    /// `pending[seq - base]` — true while the event with that sequence
+    /// number is scheduled and not yet fired or cancelled; the backstop
+    /// for O(1) cancel and exact double-cancel / cancel-after-fire
+    /// semantics. A window, not a history: the settled (all-`false`)
+    /// prefix is dropped as it forms, so the structure is as long as
+    /// the span of sequence numbers from the oldest still-pending event
+    /// to the newest, not the number of events ever pushed.
+    pending: VecDeque<bool>,
+    /// Sequence number of `pending[0]`; everything below has settled.
+    base: u64,
     live: usize,
     /// The armed tie-break strategy, if any (`None` = stock FIFO).
     hook: Option<Box<dyn TieBreak<T>>>,
@@ -109,7 +114,8 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: Vec::new(),
+            pending: VecDeque::new(),
+            base: 0,
             live: 0,
             hook: None,
             batch: VecDeque::new(),
@@ -132,8 +138,8 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
 
     /// Schedule `ev` at time `at`; returns its cancellation handle.
     pub fn push(&mut self, at: T, ev: E) -> EventId {
-        let seq = self.pending.len() as u64;
-        self.pending.push(true);
+        let seq = self.base + self.pending.len() as u64;
+        self.pending.push_back(true);
         self.live += 1;
         self.heap.push(Entry { at, seq, ev });
         EventId(seq)
@@ -143,13 +149,31 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     /// still pending (it will not fire); `false` if it already fired,
     /// was already cancelled, or was never scheduled here.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.pending.get_mut(id.0 as usize) {
-            Some(p) if *p => {
-                *p = false;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        if !self.is_pending(id.0) {
+            return false;
+        }
+        self.settle(id.0);
+        true
+    }
+
+    /// `true` while the event with sequence number `seq` is scheduled.
+    /// Anything below the window has fired or been cancelled; anything
+    /// above it was never pushed here.
+    fn is_pending(&self, seq: u64) -> bool {
+        seq.checked_sub(self.base)
+            .and_then(|i| self.pending.get(i as usize))
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// Mark a pending event fired or cancelled and drop the settled
+    /// prefix of the window.
+    fn settle(&mut self, seq: u64) {
+        self.pending[(seq - self.base) as usize] = false;
+        self.live -= 1;
+        while self.pending.front() == Some(&false) {
+            self.pending.pop_front();
+            self.base += 1;
         }
     }
 
@@ -176,11 +200,8 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         // Stock FIFO fast path: two branches above are the whole cost
         // of the unarmed hook.
         while let Some(e) = self.heap.pop() {
-            let p = &mut self.pending[e.seq as usize];
-            if *p {
-                *p = false;
-                self.live -= 1;
-                return Some((e.at, e.ev));
+            if self.is_pending(e.seq) {
+                return Some(self.serve(e));
             }
         }
         None
@@ -191,7 +212,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     fn peek_heap_time(&mut self) -> Option<T> {
         loop {
             let top = self.heap.peek()?;
-            if self.pending[top.seq as usize] {
+            if self.is_pending(top.seq) {
                 return Some(top.at);
             }
             self.heap.pop();
@@ -201,7 +222,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     /// Drop cancelled entries off the front of the buffered batch.
     fn purge_batch_front(&mut self) {
         while let Some(front) = self.batch.front() {
-            if self.pending[front.seq as usize] {
+            if self.is_pending(front.seq) {
                 break;
             }
             self.batch.pop_front();
@@ -210,8 +231,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
 
     /// Serve an entry, clearing its pending bit.
     fn serve(&mut self, e: Entry<T, E>) -> (T, E) {
-        self.pending[e.seq as usize] = false;
-        self.live -= 1;
+        self.settle(e.seq);
         (e.at, e.ev)
     }
 
@@ -248,7 +268,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
                 break;
             }
             let e = self.heap.pop().expect("peeked entry present");
-            if self.pending[e.seq as usize] {
+            if self.is_pending(e.seq) {
                 drained.push(e);
             }
         }
@@ -418,6 +438,56 @@ mod tests {
         q.cancel(b);
         assert_eq!(q.peek_time(), Some(3));
         assert_eq!(q.pop_due(3), Some((3, "c")));
+    }
+
+    #[test]
+    fn pending_window_does_not_grow_with_events_ever_pushed() {
+        // Hold model at depth 1 000: pop the earliest, push it back a
+        // little later, five million times, cancelling now and then.
+        let mut q: EventQueue<u64, u64> = EventQueue::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % 1_000
+        };
+        for i in 0..1_000 {
+            q.push(next(), i);
+        }
+        for i in 0..5_000_000u64 {
+            let (t, ev) = q.pop().expect("held queue is never empty");
+            let id = q.push(t + 1 + next(), ev);
+            if i % 1_000 == 0 {
+                assert!(q.cancel(id));
+                assert!(!q.cancel(id), "double cancel");
+                q.push(t + 1 + next(), ev);
+            }
+        }
+        assert_eq!(q.len(), 1_000);
+        let bytes = q.pending.capacity() * std::mem::size_of::<bool>()
+            + q.heap.capacity() * std::mem::size_of::<Entry<u64, u64>>();
+        assert!(bytes < 64 * 1024, "queue holds {bytes} bytes at depth 1000");
+        // Ids from before the window are settled, not forgotten.
+        assert!(!q.cancel(EventId(0)));
+    }
+
+    #[test]
+    fn cancel_below_and_above_the_window_is_false() {
+        let mut q = EventQueue::new();
+        let a = q.push(1u64, "a");
+        let b = q.push(2, "b");
+        assert_eq!(q.pop(), Some((1, "a")));
+        // `a` fired and fell out of the window; `b` is its new front.
+        assert!(!q.cancel(a));
+        assert!(!q.cancel(EventId(b.raw() + 1)), "never pushed");
+        assert!(q.cancel(b));
+        assert!(q.is_empty());
+        // The window is empty; new ids continue above the old ones.
+        let c = q.push(3, "c");
+        assert!(c.raw() > b.raw());
+        assert!(!q.cancel(b));
+        assert!(q.cancel(c));
     }
 
     /// Reverses every same-time batch.
