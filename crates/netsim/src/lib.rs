@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::fluid::{max_min_allocation, max_min_keyed, Allocation, Allocator, FluidFlow};
     pub use crate::handler::{AppEvent, EventHandler};
     pub use crate::link::{LinkInfo, LinkKey, LinkSpec, LinkState};
-    pub use crate::sim::{SettleMode, Sim, SimConfig, SimStats};
+    pub use crate::sim::{Sim, SimConfig, SimStats};
     pub use crate::trace::Recorder;
     pub use fib_igp::time::{Dur, Timestamp};
     pub use fib_sim_kernel::ComponentId;

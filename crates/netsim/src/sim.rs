@@ -28,14 +28,13 @@
 //! an invariant, asserted against pre-port reference traces in
 //! `tests/kernel_pin.rs`.
 //!
-//! Settling is *incremental* (see [`crate::dirty`]) and its schedule
-//! is configurable ([`SettleMode`]): `Eager` reproduces the historical
-//! settle-twice-per-batch schedule (and therefore the historical
-//! machinery counters, which pinned sweep artifacts embed); `Lazy`
-//! defers settlement to the next observation point — time advancing
-//! over unsettled state, components about to run, or the end of a
-//! `run_until` — producing byte-identical traces with fewer
-//! allocator passes (asserted in tests).
+//! Settling is *incremental* (see [`crate::dirty`]) and follows one
+//! rule: nobody observes unsettled state. Dirt is settled at the next
+//! observation point — time about to advance (rate integration reads
+//! the rates), components about to run in a batch, or the end of
+//! `start`/`run_until` (host code reads next). A mutation therefore
+//! takes effect from its own instant, whether an event, a component
+//! or host code between two `run_until` calls made it.
 
 use crate::dirty::{DirtySet, FlowIndex};
 use crate::ecmp::FlowKey;
@@ -58,45 +57,14 @@ use std::collections::BTreeMap;
 
 pub use crate::context::SimContext;
 
-/// When the fluid allocation settles after changes dirty the world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SettleMode {
-    /// Settle up to twice per event batch (before and after component
-    /// dispatch), exactly like the pre-kernel simulator. This keeps
-    /// the machinery counters (`reallocs`, `paths_resolved`,
-    /// `alloc_fills`, …) byte-identical to historical runs — pinned
-    /// sweep artifacts embed them — and is the default.
-    #[default]
-    Eager,
-    /// Settle only at observation points: when time is about to
-    /// advance over unsettled state (rate integration is itself an
-    /// observer), when components are about to run in a batch, and at
-    /// the end of `run_until`. Traces, flow deliveries, counters, and
-    /// every rate any observer can read are byte-identical to `Eager`
-    /// (asserted in tests); only the machinery counters differ —
-    /// within-batch double settles collapse into one.
-    Lazy,
-}
+/// Trace sampling period.
+const SAMPLE_INTERVAL: Dur = Dur::from_millis(100);
+/// SNMP counter width exposed by agents.
+const COUNTER_WIDTH: CounterWidth = CounterWidth::C64;
 
 /// Simulator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
-    /// IGP hello interval.
-    pub hello_interval: Dur,
-    /// IGP dead interval.
-    pub dead_interval: Dur,
-    /// IGP retransmit interval.
-    pub rxmt_interval: Dur,
-    /// IGP SPF delay.
-    pub spf_delay: Dur,
-    /// Trace sampling period.
-    pub sample_interval: Dur,
-    /// SNMP counter width exposed by agents.
-    pub counter_width: CounterWidth,
-    /// Immediate carrier-loss detection on link-down events.
-    pub carrier_detect: bool,
-    /// Settlement schedule (see [`SettleMode`]).
-    pub settle: SettleMode,
     /// Run the forwarding loop-freedom probe at every settle point
     /// (see [`Sim::loop_violations`]). Off by default: the probe is a
     /// safety-invariant check for adversarial exploration, not part of
@@ -106,24 +74,8 @@ pub struct SimConfig {
     pub check_loops: bool,
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            hello_interval: Dur::from_secs(1),
-            dead_interval: Dur::from_secs(4),
-            rxmt_interval: Dur::from_secs(1),
-            spf_delay: Dur::from_millis(50),
-            sample_interval: Dur::from_millis(100),
-            counter_width: CounterWidth::C64,
-            carrier_detect: true,
-            settle: SettleMode::Eager,
-            check_loops: false,
-        }
-    }
-}
-
 /// Aggregate world statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimStats {
     /// Control-plane packets delivered.
     pub ctrl_pkts: u64,
@@ -162,8 +114,8 @@ pub struct SimStats {
     pub unroutable_flow_secs: f64,
     /// Settle points at which the loop-freedom probe found at least
     /// one forwarding cycle (0 unless [`SimConfig::check_loops`] is
-    /// on). Deliberately *not* part of [`SimStats::rollup`]: pinned
-    /// sweep artifacts embed the rollup key set.
+    /// on). Deliberately *not* part of [`SimStats::counters`]: pinned
+    /// sweep artifacts embed that key set.
     pub fwd_loop_settles: u64,
 }
 
@@ -182,27 +134,50 @@ pub struct LoopViolation {
 }
 
 impl SimStats {
-    /// The integer machinery counters as a named
-    /// [`fib_telemetry::rollup::Rollup`], so multi-run harnesses (the
-    /// sweep engine) can merge per-run snapshots into fleet totals.
-    /// `unroutable_flow_secs` is a float metric, not a counter, and is
-    /// deliberately excluded.
-    pub fn rollup(&self) -> fib_telemetry::rollup::Rollup {
-        let mut r = fib_telemetry::rollup::Rollup::new();
-        r.add("alloc_fills", self.alloc_fills);
-        r.add("alloc_skips", self.alloc_skips);
-        r.add("ctrl_bytes", self.ctrl_bytes);
-        r.add("ctrl_dropped", self.ctrl_dropped);
-        r.add("ctrl_pkts", self.ctrl_pkts);
-        r.add("events", self.events);
-        r.add("paths_resolved", self.paths_resolved);
-        r.add("paths_skipped", self.paths_skipped);
-        r.add("reallocs", self.reallocs);
-        r.add("snmp_ops", self.snmp_ops);
-        r.add("spf_full_runs", self.spf_full_runs);
-        r.add("spf_partial_runs", self.spf_partial_runs);
-        r.add("unroutable_resolutions", self.unroutable);
-        r
+    /// The thirteen integer machinery counters by name, in key order —
+    /// the one list the sweep's CSV and JSON writers print from.
+    /// `unroutable_flow_secs` is a float metric, not a counter, and
+    /// `fwd_loop_settles` is a probe result; neither is listed (pinned
+    /// sweep artifacts embed this key set).
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
+        [
+            ("alloc_fills", self.alloc_fills),
+            ("alloc_skips", self.alloc_skips),
+            ("ctrl_bytes", self.ctrl_bytes),
+            ("ctrl_dropped", self.ctrl_dropped),
+            ("ctrl_pkts", self.ctrl_pkts),
+            ("events", self.events),
+            ("paths_resolved", self.paths_resolved),
+            ("paths_skipped", self.paths_skipped),
+            ("reallocs", self.reallocs),
+            ("snmp_ops", self.snmp_ops),
+            ("spf_full_runs", self.spf_full_runs),
+            ("spf_partial_runs", self.spf_partial_runs),
+            ("unroutable_resolutions", self.unroutable),
+        ]
+    }
+}
+
+/// Fold another run's statistics into this one (the sweep's per-group
+/// and whole-sweep totals). Saturating: a silent wraparound in a CI
+/// artifact would be worse than a pinned ceiling.
+impl std::ops::AddAssign for SimStats {
+    fn add_assign(&mut self, o: SimStats) {
+        self.ctrl_pkts = self.ctrl_pkts.saturating_add(o.ctrl_pkts);
+        self.ctrl_bytes = self.ctrl_bytes.saturating_add(o.ctrl_bytes);
+        self.ctrl_dropped = self.ctrl_dropped.saturating_add(o.ctrl_dropped);
+        self.reallocs = self.reallocs.saturating_add(o.reallocs);
+        self.events = self.events.saturating_add(o.events);
+        self.paths_resolved = self.paths_resolved.saturating_add(o.paths_resolved);
+        self.paths_skipped = self.paths_skipped.saturating_add(o.paths_skipped);
+        self.alloc_fills = self.alloc_fills.saturating_add(o.alloc_fills);
+        self.alloc_skips = self.alloc_skips.saturating_add(o.alloc_skips);
+        self.spf_full_runs = self.spf_full_runs.saturating_add(o.spf_full_runs);
+        self.spf_partial_runs = self.spf_partial_runs.saturating_add(o.spf_partial_runs);
+        self.snmp_ops = self.snmp_ops.saturating_add(o.snmp_ops);
+        self.unroutable = self.unroutable.saturating_add(o.unroutable);
+        self.fwd_loop_settles = self.fwd_loop_settles.saturating_add(o.fwd_loop_settles);
+        self.unroutable_flow_secs += o.unroutable_flow_secs;
     }
 }
 
@@ -280,13 +255,6 @@ pub(crate) struct Core {
     last_accrue: Timestamp,
     pub(crate) dirty: DirtySet,
     pub(crate) started: bool,
-    /// Entry dirt: the world was mutated outside any batch (host code
-    /// between `run_until` calls). Such dirt settles after the next
-    /// batch's output collection — the historical schedule — never at
-    /// accrual, so rate integration over the gap keeps the stale rates
-    /// the pre-kernel simulator used.
-    needs_batch_settle: bool,
-    in_batch: bool,
     pub(crate) pending_flow_events: Vec<(bool, FlowInfo)>, // (started?, info)
     pub(crate) pending_ticks: Vec<ComponentId>,
     pub(crate) recorder: Recorder,
@@ -339,8 +307,6 @@ impl Core {
             last_accrue: Timestamp::ZERO,
             dirty: DirtySet::new(),
             started: false,
-            needs_batch_settle: false,
-            in_batch: false,
             pending_flow_events: Vec::new(),
             pending_ticks: Vec::new(),
             recorder: Recorder::new(),
@@ -365,13 +331,6 @@ impl Core {
         self.deadlines.set(slot, next);
     }
 
-    /// Mark that a world mutation happened outside any batch.
-    fn note_mutation(&mut self) {
-        if self.started && !self.in_batch {
-            self.needs_batch_settle = true;
-        }
-    }
-
     /// The interface on router `slot` that faces `peer`, if any (the
     /// lowest-numbered one when links are parallel).
     pub(crate) fn iface_facing(&self, slot: u32, peer: RouterId) -> Option<IfaceId> {
@@ -391,10 +350,6 @@ impl Core {
 
     pub(crate) fn add_router_inner(&mut self, id: RouterId, compute_routes: bool) {
         let mut cfg = IgpConfig::new(id);
-        cfg.hello_interval = self.cfg.hello_interval;
-        cfg.dead_interval = self.cfg.dead_interval;
-        cfg.rxmt_interval = self.cfg.rxmt_interval;
-        cfg.spf_delay = self.cfg.spf_delay;
         cfg.compute_routes = compute_routes;
         let slot = self.instances.len() as u32;
         assert!(
@@ -453,9 +408,9 @@ impl Core {
         self.link_idx.insert(kba, ix_ab + 1);
 
         // SNMP: one ifTable row per interface (ifIndex = iface + 1).
-        let width = self.cfg.counter_width;
-        self.agents[a_slot as usize].add_iface(u32::from(ia.0) + 1, IfaceCounters::new(width));
-        self.agents[b_slot as usize].add_iface(u32::from(ib.0) + 1, IfaceCounters::new(width));
+        let counters = || IfaceCounters::new(COUNTER_WIDTH);
+        self.agents[a_slot as usize].add_iface(u32::from(ia.0) + 1, counters());
+        self.agents[b_slot as usize].add_iface(u32::from(ib.0) + 1, counters());
     }
 
     /// Integrate rates into counters/deliveries from `last_accrue` to `t`.
@@ -463,17 +418,9 @@ impl Core {
         if t <= self.last_accrue {
             return;
         }
-        // Lazy settling: time is about to advance over unsettled state
-        // — rate integration observes the rates, so settle first.
-        // Entry dirt is exempt: it settles on the historical schedule
-        // (after the next batch's output collection), preserving the
-        // stale-rate integration over the gap.
-        if self.cfg.settle == SettleMode::Lazy
-            && !self.needs_batch_settle
-            && self.dirty.needs_realloc()
-        {
-            self.reallocate();
-        }
+        // Time is about to advance over the rates: integration
+        // observes them.
+        self.settle();
         let dt = (t - self.last_accrue).as_secs_f64();
         self.last_accrue = t;
         // Link counters: dense sweep, direct agent-slot indexing, no
@@ -555,8 +502,7 @@ impl Core {
                     let name = &self.sampled[i].0;
                     self.recorder.record(name, now, rate);
                 }
-                self.queue
-                    .push(self.now + self.cfg.sample_interval, Ev::Sample);
+                self.queue.push(self.now + SAMPLE_INTERVAL, Ev::Sample);
             }
             Ev::User(ev) => self.apply_event(*ev),
         }
@@ -628,7 +574,6 @@ impl Core {
         self.stranded += 1;
         self.dirty.mark_flow(id);
         self.pending_flow_events.push((true, info));
-        self.note_mutation();
     }
 
     pub(crate) fn stop_flow_inner(&mut self, id: FlowId) -> bool {
@@ -643,7 +588,6 @@ impl Core {
         self.dirty.forget_flow(id);
         self.dirty.mark_realloc();
         self.pending_flow_events.push((false, f.info()));
-        self.note_mutation();
         true
     }
 
@@ -658,7 +602,6 @@ impl Core {
                     f.cap = cap;
                     // A cap moves rates, never paths: no re-resolution.
                     self.dirty.mark_realloc();
-                    self.note_mutation();
                 }
                 true
             }
@@ -689,9 +632,9 @@ impl Core {
                 }
             }
         }
-        if found && self.cfg.carrier_detect {
-            let pairs = [(a, b), (b, a)];
-            for (r, peer) in pairs {
+        if found {
+            // Carrier detect: both ends see the interface change now.
+            for (r, peer) in [(a, b), (b, a)] {
                 let Some(&slot) = self.router_slot.get(&r) else {
                     continue;
                 };
@@ -701,9 +644,6 @@ impl Core {
                     self.touch(slot);
                 }
             }
-        }
-        if found {
-            self.note_mutation();
         }
         found
     }
@@ -725,7 +665,6 @@ impl Core {
                     rec.state.capacity = capacity;
                     // Capacity moves rates, never paths.
                     self.dirty.mark_realloc();
-                    self.note_mutation();
                 }
                 found = true;
             }
@@ -814,6 +753,14 @@ impl Core {
         }
         order.clear();
         self.touched = order;
+    }
+
+    /// The one settle rule, called wherever state is about to be
+    /// observed: settle iff something is dirty.
+    fn settle(&mut self) {
+        if self.dirty.needs_realloc() {
+            self.reallocate();
+        }
     }
 
     /// Settle the data plane: re-resolve exactly the dirty flows'
@@ -1107,7 +1054,6 @@ impl Sim {
     pub fn start(&mut self) {
         assert!(!self.core.started, "start() called twice");
         self.core.started = true;
-        self.core.in_batch = true;
         for slot in 0..self.core.instances.len() as u32 {
             let now = self.core.now;
             self.core.instances[slot as usize].start(now);
@@ -1131,17 +1077,12 @@ impl Sim {
             }
         }
         self.core.collect_outputs();
-        if self.core.dirty.needs_realloc() {
-            self.core.reallocate();
-        }
-        self.core.needs_batch_settle = false;
-        self.core.in_batch = false;
+        self.core.settle();
     }
 
     /// Run the world until `until` (inclusive of events at `until`).
     pub fn run_until(&mut self, until: Timestamp) {
         assert!(self.core.started, "call start() first");
-        let lazy = self.core.cfg.settle == SettleMode::Lazy;
         loop {
             let next_pkt = self.core.queue.peek_time();
             let next_timer = self.core.deadlines.peek_min();
@@ -1155,7 +1096,6 @@ impl Sim {
                 break;
             }
             let t = next.max(self.core.now);
-            self.core.in_batch = true;
             self.core.accrue_to(t);
             self.core.now = t;
             if fib_trace::enabled() {
@@ -1167,47 +1107,21 @@ impl Sim {
             }
             self.core.poll_due(t);
             self.core.collect_outputs();
-            if lazy {
-                // Settle only if components are about to observe the
-                // world in this batch, or entry dirt is on its
-                // historical schedule; otherwise defer to the next
-                // observation point (accrual, or the end of the run).
-                let apps_pending = !self.core.pending_ticks.is_empty()
-                    || !self.core.pending_flow_events.is_empty();
-                if self.core.dirty.needs_realloc() && (self.core.needs_batch_settle || apps_pending)
-                {
-                    self.core.reallocate();
-                    self.core.needs_batch_settle = false;
-                }
-                self.dispatch_apps();
-            } else {
-                // Settle the fluid allocation before components
-                // observe the world: a capacity change or FIB download
-                // in this batch must not be visible as stale rates
-                // against new provisioning. Components may dirty the
-                // world again (new flows, lies), so settle once more
-                // afterwards.
-                if self.core.dirty.needs_realloc() {
-                    self.core.reallocate();
-                }
-                self.core.needs_batch_settle = false;
-                self.dispatch_apps();
-                if self.core.dirty.needs_realloc() {
-                    self.core.reallocate();
-                }
+            // Components observe the world: a capacity change or FIB
+            // download in this batch must not be visible as stale rates
+            // against new provisioning. What they dirty in turn settles
+            // at the next observation point.
+            if !self.core.pending_ticks.is_empty() || !self.core.pending_flow_events.is_empty() {
+                self.core.settle();
             }
-            self.core.in_batch = false;
+            self.dispatch_apps();
         }
         if until > self.core.now {
-            self.core.in_batch = true;
             self.core.accrue_to(until);
             self.core.now = until;
-            self.core.in_batch = false;
         }
-        if lazy && !self.core.needs_batch_settle && self.core.dirty.needs_realloc() {
-            // End-of-run observation point: host code reads next.
-            self.core.reallocate();
-        }
+        // Host code reads next.
+        self.core.settle();
     }
 
     fn dispatch_apps(&mut self) {
@@ -1653,84 +1567,43 @@ mod tests {
         assert!(!sim.cancel(stop), "cancel after fire window reports false");
     }
 
-    /// Lazy settling produces byte-identical traces and deliveries;
-    /// only the machinery counters (reallocs, resolution counts) may
-    /// differ.
+    /// A mutation host code makes between two `run_until` calls counts
+    /// from its own instant: the gap up to the next event is
+    /// integrated at the rates the changed network allows, not at the
+    /// stale ones.
     #[test]
-    fn lazy_settle_trace_identical_to_eager() {
-        let run = |settle: SettleMode| {
-            let mut sim = Sim::new(SimConfig {
-                settle,
-                ..SimConfig::default()
-            });
-            for i in 1..=3 {
-                sim.add_router(r(i));
-            }
-            sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
-            sim.add_link(LinkSpec::new(r(2), r(3), Metric(1), 1e6));
-            sim.announce_prefix(r(3), Prefix::net24(1));
-            sim.sample_link("r1-r2", r(1), r(2));
-            let mut ids = Vec::new();
-            for i in 0..6 {
-                ids.push(sched_flow(
-                    &mut sim,
-                    Timestamp::from_millis(8_000 + 1_700 * i),
-                    FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5 + 3e4 * i as f64),
-                ));
-            }
-            sim.schedule(Timestamp::from_secs(14), Event::FlowStop { id: ids[1] });
-            sim.schedule(
-                Timestamp::from_secs(16),
-                Event::LinkCapacity {
-                    a: r(1),
-                    b: r(2),
-                    capacity: 4e5,
-                },
-            );
-            sim.schedule(
-                Timestamp::from_secs(18),
-                Event::LinkAdmin {
-                    a: r(2),
-                    b: r(3),
-                    up: false,
-                },
-            );
-            sim.schedule(
-                Timestamp::from_secs(22),
-                Event::LinkAdmin {
-                    a: r(2),
-                    b: r(3),
-                    up: true,
-                },
+    fn host_mutation_takes_effect_from_its_instant() {
+        let before = Timestamp::from_millis(13_010);
+        let after = Timestamp::from_millis(13_060);
+        let run_to_mutation = || {
+            let mut sim = line_sim();
+            let f = sched_flow(
+                &mut sim,
+                Timestamp::from_secs(10),
+                FlowSpec::new(r(1), Prefix::net24(1)),
             );
             sim.start();
-            sim.run_until(Timestamp::from_secs(13));
-            // Mutate between runs: entry dirt must follow the
-            // historical settle schedule in both modes.
-            sim.ctx().set_link_capacity(r(2), r(3), 8e5);
-            sim.run_until(Timestamp::from_secs(30));
-            let delivered: Vec<(FlowId, Option<f64>)> = ids
-                .iter()
-                .map(|&id| (id, sim.ctx().flow_delivered(id)))
-                .collect();
-            let stats = sim.stats();
-            (sim.recorder().to_csv(), delivered, stats)
+            sim.run_until(before);
+            assert!((sim.ctx().flow_rate(f).unwrap() - 1e6).abs() < 1.0);
+            let delivered = sim.ctx().flow_delivered(f).unwrap();
+            (sim, f, delivered)
         };
-        let (csv_e, del_e, st_e) = run(SettleMode::Eager);
-        let (csv_l, del_l, st_l) = run(SettleMode::Lazy);
-        assert_eq!(csv_e, csv_l, "recorded traces must match");
-        assert_eq!(del_e, del_l, "flow deliveries must match");
-        // Observable statistics match; machinery counters may not.
-        assert_eq!(st_e.events, st_l.events);
-        assert_eq!(st_e.ctrl_pkts, st_l.ctrl_pkts);
-        assert_eq!(st_e.ctrl_bytes, st_l.ctrl_bytes);
-        assert_eq!(st_e.unroutable_flow_secs, st_l.unroutable_flow_secs);
-        assert!(
-            st_l.reallocs <= st_e.reallocs,
-            "lazy settles at most as often: {} vs {}",
-            st_l.reallocs,
-            st_e.reallocs
-        );
+
+        // Brown-out: 50 ms over a link that now carries 4e5/s.
+        let (mut sim, f, delivered) = run_to_mutation();
+        assert!(sim.ctx().set_link_capacity(r(2), r(3), 4e5));
+        sim.run_until(after);
+        let credited = sim.ctx().flow_delivered(f).unwrap() - delivered;
+        assert!((credited - 20_000.0).abs() <= 1.0, "credited {credited}");
+        let rate = sim.link_rate(r(2), r(3)).unwrap();
+        assert!(rate <= 4e5, "link rate {rate} exceeds its capacity");
+
+        // Failure: nothing crosses a link that is down.
+        let (mut sim, f, delivered) = run_to_mutation();
+        assert!(sim.ctx().fail_link(r(2), r(3)));
+        sim.run_until(after);
+        assert_eq!(sim.ctx().flow_delivered(f).unwrap(), delivered);
+        assert_eq!(sim.link_rate(r(2), r(3)), Some(0.0));
     }
 
     #[test]
@@ -1754,10 +1627,7 @@ mod tests {
     #[test]
     fn loop_probe_is_silent_on_a_healthy_world_and_changes_nothing() {
         let run = |check_loops: bool| {
-            let mut sim = Sim::new(SimConfig {
-                check_loops,
-                ..SimConfig::default()
-            });
+            let mut sim = Sim::new(SimConfig { check_loops });
             for i in 1..=3 {
                 sim.add_router(r(i));
             }

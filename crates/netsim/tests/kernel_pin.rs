@@ -35,16 +35,11 @@ fn r(n: u32) -> RouterId {
     RouterId(n)
 }
 
-/// Run the pin scenario; returns the full fixture-format output plus
-/// the observable-only subset (everything a consumer can see — used to
-/// compare settle modes, whose machinery counters legitimately differ).
-fn run_pin(seed: u64, settle: SettleMode) -> (String, String) {
+/// Run the pin scenario; returns the fixture-format output.
+fn run_pin(seed: u64) -> String {
     let mut st = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xD1B5;
 
-    let mut sim = Sim::new(SimConfig {
-        settle,
-        ..SimConfig::default()
-    });
+    let mut sim = Sim::new(SimConfig::default());
     for i in 1..=8 {
         sim.add_router(r(i));
     }
@@ -150,7 +145,7 @@ fn run_pin(seed: u64, settle: SettleMode) -> (String, String) {
     }
     sim.run_until(Timestamp::from_secs(25));
     sim.ctx().retract_fake(r(100), RouterId::fake(0)).unwrap();
-    // An unscheduled (between-runs) mutation: entry-dirt settling.
+    // An unscheduled (between-runs) mutation.
     sim.ctx().set_link_capacity(r(5), r(6), 4e5);
     sim.run_until(Timestamp::from_secs(40));
 
@@ -165,16 +160,7 @@ fn run_pin(seed: u64, settle: SettleMode) -> (String, String) {
         ));
     }
     let s = sim.stats();
-    let observable = format!(
-        "{out}stats,{},{},{},{},{:.6}\n{}",
-        s.events,
-        s.ctrl_pkts,
-        s.ctrl_bytes,
-        s.ctrl_dropped,
-        s.unroutable_flow_secs,
-        sim.recorder().to_csv()
-    );
-    let full = format!(
+    format!(
         "{out}stats,{},{},{},{},{},{},{},{},{},{:.6}\n{}",
         s.events,
         s.ctrl_pkts,
@@ -187,8 +173,7 @@ fn run_pin(seed: u64, settle: SettleMode) -> (String, String) {
         s.unroutable,
         s.unroutable_flow_secs,
         sim.recorder().to_csv()
-    );
-    (full, observable)
+    )
 }
 
 /// Every seed's kernel-driven run is byte-identical to the pre-port
@@ -196,24 +181,11 @@ fn run_pin(seed: u64, settle: SettleMode) -> (String, String) {
 #[test]
 fn kernel_matches_preport_reference_traces() {
     for (seed, fixture) in FIXTURES.iter().enumerate() {
-        let (full, _) = run_pin(seed as u64, SettleMode::Eager);
+        let full = run_pin(seed as u64);
         assert_eq!(
             &full, *fixture,
             "seed {seed}: kernel output diverged from pre-port reference"
         );
-    }
-}
-
-/// Lazy settling changes nothing any consumer can observe: rates,
-/// deliveries, paths, control-plane totals, blackout seconds, and the
-/// full recorder trace all match the reference; only within-batch
-/// settle counts may collapse.
-#[test]
-fn lazy_settle_observables_match_reference() {
-    for seed in 0..FIXTURES.len() as u64 {
-        let (_, eager) = run_pin(seed, SettleMode::Eager);
-        let (_, lazy) = run_pin(seed, SettleMode::Lazy);
-        assert_eq!(eager, lazy, "seed {seed}: lazy observables diverged");
     }
 }
 
@@ -224,7 +196,7 @@ proptest! {
     /// the kernel reproduces its pre-port reference byte-for-byte.
     #[test]
     fn kernel_run_is_byte_identical_to_reference(seed in 0u64..8) {
-        let (full, _) = run_pin(seed, SettleMode::Eager);
+        let full = run_pin(seed);
         prop_assert_eq!(&full, FIXTURES[seed as usize]);
     }
 }

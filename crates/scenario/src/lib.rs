@@ -72,7 +72,7 @@ pub use runner::RunOptions;
 /// Convenient re-exports of the most used items.
 pub mod prelude {
     pub use crate::report::ScenarioReport;
-    pub use crate::runner::{build, run, RunOptions, ScenarioRun, CONTROLLER_ID};
+    pub use crate::runner::{build, run, RunOptions, ScenarioRun, SettleMode, CONTROLLER_ID};
     pub use crate::spec::{
         ControllerSpec, EventKind, EventSpec, ExpectSpec, ScenarioSpec, SpecError, TopologySpec,
         WorkloadSpec,
@@ -86,5 +86,4 @@ pub mod prelude {
         SweepSpec, SweepSummary,
     };
     pub use crate::topo::build_topology;
-    pub use fib_netsim::sim::SettleMode;
 }

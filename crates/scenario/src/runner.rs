@@ -32,7 +32,7 @@ use fib_igp::types::{Prefix, RouterId};
 use fib_netsim::events::Event;
 use fib_netsim::handler::{AppEvent, EventHandler};
 use fib_netsim::link::LinkSpec;
-use fib_netsim::sim::{SettleMode, Sim, SimConfig, SimContext};
+use fib_netsim::sim::{Sim, SimConfig, SimContext};
 use fib_video::prelude::{
     batch_starts, diurnal_starts, poisson_starts, summarize, GroupedSource, QoeHandle,
     SessionGroup, VideoWorkload,
@@ -43,6 +43,18 @@ use rand::SeedableRng;
 /// Router id of the scenario's controller speaker (outside the id
 /// range any generator produces).
 pub const CONTROLLER_ID: RouterId = RouterId(10_000);
+
+/// Residue of a deleted option: the simulator has one settle rule
+/// (see `fib_netsim::sim`), so there is nothing left to select. The
+/// type and [`RunOptions::settle`] stay only because `bench/`, which
+/// changes in `benchmark` PRs alone, names `SettleMode::Lazy`; both go
+/// in the next one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SettleMode {
+    /// The one settle rule.
+    #[default]
+    Lazy,
+}
 
 /// Options overriding spec defaults at run time (CLI flags, sweep
 /// cells).
@@ -57,12 +69,7 @@ pub struct RunOptions {
     /// topology, workload draws — stays identical, so a report delta
     /// against the controller-on twin isolates the controller).
     pub disable_controller: bool,
-    /// Fluid settlement mode. [`SettleMode::Eager`] (the default)
-    /// reproduces the pre-kernel machinery counters byte-for-byte —
-    /// keep it for anything whose artifacts are pinned. Perf-oriented
-    /// runs (the `sim_scale` sweep) opt into [`SettleMode::Lazy`],
-    /// which collapses within-batch double settles; every observable
-    /// (traces, rates, deliveries, QoE) is unchanged.
+    /// Inert: read by nothing (see [`SettleMode`]).
     pub settle: SettleMode,
     /// Arm the per-settle forwarding-loop probe (read-only — it never
     /// changes run artifacts, only fills `fwd_loop_settles` and the
@@ -220,9 +227,7 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
     // World: routers in ascending id order, links as sorted symmetric
     // pairs, uniform capacity.
     let mut sim = Sim::new(SimConfig {
-        settle: opts.settle,
         check_loops: opts.check_loops || spec.expect.is_some(),
-        ..SimConfig::default()
     });
     for r in topo.routers() {
         if r == CONTROLLER_ID {

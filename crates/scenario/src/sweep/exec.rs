@@ -36,7 +36,7 @@ use crate::report::ScenarioReport;
 use crate::runner::{build, RunOptions};
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::suite::load_scenario;
-use fib_telemetry::rollup::Rollup;
+use fib_netsim::sim::SimStats;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,10 +69,9 @@ pub struct CellMetrics {
     /// (emptied) — a sweep keeps hundreds of these alive at once and
     /// only the condensed metrics feed the distributions.
     pub report: ScenarioReport,
-    /// The run's machinery counters (events, SPF runs, …) as a named
-    /// rollup, merged into per-group and sweep totals by the stats
-    /// layer.
-    pub rollup: Rollup,
+    /// The run's machinery counters (events, SPF runs, …), summed
+    /// into per-group and sweep totals by the stats layer.
+    pub stats: SimStats,
     /// Per-phase attribution of the cell's wall clock (each worker
     /// thread runs its cells under a thread-local
     /// [`fib_trace::AggSink`]); span counts are deterministic, wall
@@ -137,12 +136,12 @@ fn run_one(spec: &ScenarioSpec, opts: RunOptions) -> Result<CellMetrics, CellFai
         let mut run = build(spec, opts)?;
         let horizon = run.horizon_secs();
         run.run_until_secs(horizon);
-        let rollup = run.sim.stats().rollup();
+        let stats = run.sim.stats();
         let mut report = run.finish();
         report.trace_csv = String::new();
         Ok(CellMetrics {
             report,
-            rollup,
+            stats,
             phases: Vec::new(),
         })
     }));

@@ -20,8 +20,8 @@
 //! * [`stats`] — the distribution layer: p5/p50/p95 quantiles over
 //!   QoE, peak utilization, reaction latency and unroutable-flow-secs
 //!   tails, paired controller-on vs baseline QoE deltas, and
-//!   per-cell machinery-counter rollups (via
-//!   [`fib_telemetry::rollup::Rollup`]).
+//!   per-cell machinery counters ([`fib_netsim::sim::SimStats`])
+//!   summed per group and per sweep.
 //!
 //! Sweep grids ship under `sweeps/` at the workspace root;
 //! `cargo run --release -p fib-bench --bin sweep -- sweeps/smoke.toml`

@@ -17,7 +17,7 @@
 //! the rendered bytes are identical at any worker count.
 
 use super::exec::{CellOutcome, SweepRun};
-use fib_telemetry::rollup::Rollup;
+use fib_netsim::sim::SimStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -100,8 +100,9 @@ pub struct GroupDist {
     pub reaction: Option<Dist>,
     /// Controller-on cells in which at least one lie was installed.
     pub reacted: usize,
-    /// Machinery counters summed over every cell of the group.
-    pub rollup: Rollup,
+    /// Machinery counters summed over every successful cell of the
+    /// group.
+    pub stats: SimStats,
 }
 
 /// The whole sweep, condensed.
@@ -120,7 +121,7 @@ pub struct SweepSummary {
     /// Failures as `(cell index, label, error)`, in cell order.
     pub failures: Vec<(usize, String, String)>,
     /// Machinery counters summed over the whole sweep.
-    pub rollup: Rollup,
+    pub stats: SimStats,
     /// Per-phase wall-clock attribution merged over every successful
     /// cell (span counts deterministic, percentages masked in diffs).
     pub phases: Vec<fib_trace::PhaseAttribution>,
@@ -155,7 +156,7 @@ impl SweepSummary {
             buckets.entry(key).or_default().push(o);
         }
         let mut groups = Vec::with_capacity(order.len());
-        let mut total_rollup = Rollup::new();
+        let mut total_stats = SimStats::default();
         let mut total_phases = fib_trace::AggSink::new();
         for o in &run.outcomes {
             if let Ok(m) = &o.result {
@@ -182,7 +183,7 @@ impl SweepSummary {
                 unroutable: None,
                 reaction: None,
                 reacted: 0,
-                rollup: Rollup::new(),
+                stats: SimStats::default(),
             };
             let mut qoe = Vec::new();
             let mut base_qoe: BTreeMap<u64, f64> = BTreeMap::new();
@@ -194,7 +195,7 @@ impl SweepSummary {
                 match &o.result {
                     Err(_) => g.failed += 1,
                     Ok(m) => {
-                        g.rollup.merge(&m.rollup);
+                        g.stats += m.stats;
                         let r = &m.report;
                         if o.cell.baseline {
                             base_qoe.insert(o.cell.seed, r.qoe.mean_score);
@@ -225,7 +226,7 @@ impl SweepSummary {
             g.max_util = Dist::from_samples(&max_util);
             g.unroutable = Dist::from_samples(&unroutable);
             g.reaction = Dist::from_samples(&reaction);
-            total_rollup.merge(&g.rollup);
+            total_stats += g.stats;
             groups.push(g);
         }
         SweepSummary {
@@ -235,7 +236,7 @@ impl SweepSummary {
             failed: run.failures().len(),
             groups,
             failures: run.failures(),
-            rollup: total_rollup,
+            stats: total_stats,
             phases: total_phases.attribution(),
         }
     }
@@ -314,11 +315,11 @@ pub fn cells_csv(run: &SweepRun) -> String {
                     num(r.unroutable_flow_secs),
                     r.qoe.stalls,
                     num(r.qoe.mean_score),
-                    m.rollup.get("events"),
-                    m.rollup.get("spf_full_runs"),
-                    m.rollup.get("spf_partial_runs"),
-                    m.rollup.get("paths_resolved"),
-                    m.rollup.get("alloc_fills"),
+                    m.stats.events,
+                    m.stats.spf_full_runs,
+                    m.stats.spf_partial_runs,
+                    m.stats.paths_resolved,
+                    m.stats.alloc_fills,
                 );
             }
             Err(e) => {
@@ -371,8 +372,17 @@ fn dist_json(d: &Option<Dist>) -> String {
     }
 }
 
-fn rollup_json(r: &Rollup) -> String {
-    let body: Vec<String> = r.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+/// The `"rollup"` object: the named counters summed over `ok`
+/// successful cells — `{}` when there was none to sum.
+fn rollup_json(stats: &SimStats, ok: usize) -> String {
+    if ok == 0 {
+        return "{}".into();
+    }
+    let body: Vec<String> = stats
+        .counters()
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
     format!("{{{}}}", body.join(", "))
 }
 
@@ -428,7 +438,7 @@ pub fn to_json(run: &SweepRun, summary: &SweepSummary, baseline: Option<(usize, 
             dist_json(&g.max_util),
             dist_json(&g.unroutable),
             dist_json(&g.reaction),
-            rollup_json(&g.rollup),
+            rollup_json(&g.stats, g.cells - g.failed),
             if i + 1 < summary.groups.len() {
                 ","
             } else {
@@ -475,7 +485,11 @@ pub fn to_json(run: &SweepRun, summary: &SweepSummary, baseline: Option<(usize, 
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"rollup\": {}", rollup_json(&summary.rollup));
+    let _ = writeln!(
+        json,
+        "  \"rollup\": {}",
+        rollup_json(&summary.stats, summary.cells - summary.failed)
+    );
     json.push_str("}\n");
     json
 }
@@ -540,6 +554,27 @@ mod tests {
         // Deterministic metrics whose names merely contain `secs`
         // stay in the comparison.
         assert!(masked.contains("\"unroutable_flow_secs\": {\"n\": 1}"));
+    }
+
+    #[test]
+    fn rollup_sums_saturating_and_is_empty_without_a_successful_cell() {
+        let mut total = SimStats {
+            events: u64::MAX - 1,
+            reallocs: 2,
+            ..SimStats::default()
+        };
+        total += SimStats {
+            events: 5,
+            reallocs: 3,
+            ..SimStats::default()
+        };
+        let json = rollup_json(&total, 2);
+        assert!(json.starts_with("{\"alloc_fills\": 0, \"alloc_skips\": 0, "));
+        assert!(json.contains(&format!("\"events\": {}, ", u64::MAX)));
+        assert!(json.contains("\"reallocs\": 5, "));
+        assert!(json.ends_with("\"unroutable_resolutions\": 0}"));
+        assert_eq!(json.matches(": ").count(), 13);
+        assert_eq!(rollup_json(&total, 0), "{}");
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn distributions_aggregate_on_and_baseline_cells() {
             delta.p50 >= 0.0,
             "controller should not hurt the median seed: {delta:?}"
         );
-        assert!(g.rollup.get("events") > 0, "rollups merged");
+        assert!(g.stats.events > 0, "counters summed");
     }
     // The overload is real: the baseline saturates where the
     // controller spreads.

@@ -9,13 +9,12 @@
 //! * [`DeadlineHeap`] — `O(log n)`-per-change tracking of the earliest
 //!   internal timer across components that own timer wheels;
 //! * [`ComponentId`] / [`Registry`] — a flat arena of components
-//!   (dense `u32` handles on hot paths, names kept for tracing only);
-//! * [`Simulation`] / [`SimContext`] / [`EventHandler`] — a seeded,
-//!   clock-owning driver dispatching typed events to components.
+//!   (dense `u32` handles on hot paths, names kept for tracing only).
 //!
-//! Domain simulators with batch semantics between events (rate
-//! accrual, settlement) compose the primitives around their own loop;
-//! see the "Event kernel" section of the repository ARCHITECTURE.md.
+//! There is no driver here: the one event loop is
+//! `fib_netsim::sim::Sim::run_until`, which composes these primitives
+//! around its batch semantics (rate accrual, settlement); see the
+//! "Event kernel" section of the repository ARCHITECTURE.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,9 +22,7 @@
 pub mod component;
 pub mod deadline;
 pub mod queue;
-pub mod sim;
 
 pub use component::{ComponentId, Registry};
 pub use deadline::DeadlineHeap;
 pub use queue::{EventId, EventQueue, TieBreak};
-pub use sim::{EventHandler, SimContext, Simulation};

@@ -11,9 +11,7 @@
 //! * [`rate`] — counter-delta rate estimation with EWMA smoothing
 //!   (wrap-transparent);
 //! * [`alarm`] — utilization thresholds with hysteresis and hold-down;
-//! * [`monitor`] — the composed pipeline: samples in, alarm edges out;
-//! * [`rollup`] — named-counter rollups merging per-run snapshots
-//!   into fleet totals (the sweep engine's aggregate counter view).
+//! * [`monitor`] — the composed pipeline: samples in, alarm edges out.
 //!
 //! Everything is deterministic (seeded jitter) and free of IO: the
 //! simulator delivers counter samples and timestamps.
@@ -27,7 +25,6 @@ pub mod mib;
 pub mod monitor;
 pub mod poller;
 pub mod rate;
-pub mod rollup;
 
 /// Convenient re-exports of the most used items.
 pub mod prelude {
@@ -37,5 +34,4 @@ pub mod prelude {
     pub use crate::monitor::{LoadEvent, LoadMonitor};
     pub use crate::poller::Poller;
     pub use crate::rate::RateEstimator;
-    pub use crate::rollup::Rollup;
 }
