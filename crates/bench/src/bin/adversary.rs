@@ -12,7 +12,7 @@
 //!   is checked for forwarding loops, blackout spikes, and stuck
 //!   lies; **any violation exits nonzero**. The distinct-schedule
 //!   digest is deterministic for a seed — CI double-runs the binary
-//!   and byte-compares the JSON (wall-time keys masked).
+//!   and `cmp`s the JSON's deterministic view.
 //! * `adversary fuzz --scenario paper_demo --iters 32` — seeded
 //!   mutation campaign over the scenario spec; finds are minimized
 //!   by mutation-reversal and, with `--archive DIR`, serialized as
@@ -21,13 +21,14 @@
 //!
 //! Shared flags: `--seed N`, `--horizon SECS` (shrink for faster
 //! campaigns). Artifacts land in `results/BENCH_adversary.json`;
-//! `wall_secs`/`per_sec` are the only non-deterministic keys.
+//! `wall_secs`/`per_sec` are the only non-deterministic values, absent
+//! from the `BENCH_adversary.det.json` written next to it.
 
 use fib_adversary::prelude::*;
 use fib_bench::cli::Cli;
 use fib_bench::results_dir;
 use fib_scenario::prelude::*;
-use std::fmt::Write as _;
+use fib_trace::artifact::{save, volatile, Value};
 use std::time::Instant;
 
 fn parse_window(s: &str) -> (f64, f64) {
@@ -53,9 +54,13 @@ fn load(cli: &Cli) -> ScenarioSpec {
     })
 }
 
-fn write_json(body: String) {
+/// Save the record, closing it with the campaign's wall time and
+/// simulator runs per wall second.
+fn write_json(mut doc: Vec<(&'static str, Value)>, runs: usize, wall_secs: f64) {
+    doc.push(("wall_secs", volatile(wall_secs)));
+    doc.push(("per_sec", volatile(runs as f64 / wall_secs.max(1e-9))));
     let path = results_dir().join("BENCH_adversary.json");
-    std::fs::write(&path, body).expect("write BENCH json");
+    save(&path, &Value::Obj(doc)).expect("write BENCH json");
     println!("[saved {}]", path.display());
 }
 
@@ -101,55 +106,39 @@ fn run_explore(cli: &Cli) {
         out.digest
     );
 
-    let mut json = String::from("{\n  \"bench\": \"adversary\",\n  \"mode\": \"explore\",\n");
-    let _ = writeln!(json, "  \"scenario\": \"{}\",", out.scenario);
-    let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(
-        json,
-        "  \"window\": [{:?}, {:?}],",
-        out.window.0, out.window.1
-    );
-    let _ = writeln!(json, "  \"depth\": {},", cfg.max_depth);
-    let _ = writeln!(json, "  \"perm_cap\": {},", cfg.perm_cap);
-    let _ = writeln!(json, "  \"runs\": {},", out.runs);
-    let _ = writeln!(json, "  \"exhaustive_runs\": {},", out.exhaustive_runs);
-    let _ = writeln!(json, "  \"walk_runs\": {},", out.walk_runs);
-    let _ = writeln!(json, "  \"distinct\": {},", out.distinct);
-    let _ = writeln!(json, "  \"max_decisions\": {},", out.max_decisions);
-    let _ = writeln!(json, "  \"max_batch\": {},", out.max_batch);
-    let _ = writeln!(json, "  \"digest\": \"{:016x}\",", out.digest);
-    let _ = writeln!(
-        json,
-        "  \"baseline_unroutable_flow_secs\": {:.6},",
-        out.baseline.unroutable_flow_secs
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline_final_lies\": {},",
-        out.baseline.final_lies
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline_fwd_loop_settles\": {},",
-        out.baseline.fwd_loop_settles
-    );
-    let viols: Vec<String> = out
-        .violations
-        .iter()
-        .map(|v| format!("    \"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    if viols.is_empty() {
-        let _ = writeln!(json, "  \"violations\": [],");
-    } else {
-        let _ = writeln!(json, "  \"violations\": [\n{}\n  ],", viols.join(",\n"));
-    }
-    let _ = writeln!(json, "  \"wall_secs\": {wall_secs:.6},");
-    let _ = writeln!(
-        json,
-        "  \"per_sec\": {:.3}\n}}",
-        out.runs as f64 / wall_secs.max(1e-9)
-    );
-    write_json(json);
+    let doc = vec![
+        ("bench", "adversary".into()),
+        ("mode", "explore".into()),
+        ("scenario", out.scenario.clone().into()),
+        ("seed", cfg.seed.into()),
+        (
+            "window",
+            Value::Arr(vec![out.window.0.into(), out.window.1.into()]),
+        ),
+        ("depth", cfg.max_depth.into()),
+        ("perm_cap", cfg.perm_cap.into()),
+        ("runs", out.runs.into()),
+        ("exhaustive_runs", out.exhaustive_runs.into()),
+        ("walk_runs", out.walk_runs.into()),
+        ("distinct", out.distinct.into()),
+        ("max_decisions", out.max_decisions.into()),
+        ("max_batch", out.max_batch.into()),
+        ("digest", format!("{:016x}", out.digest).into()),
+        (
+            "baseline_unroutable_flow_secs",
+            out.baseline.unroutable_flow_secs.into(),
+        ),
+        ("baseline_final_lies", out.baseline.final_lies.into()),
+        (
+            "baseline_fwd_loop_settles",
+            out.baseline.fwd_loop_settles.into(),
+        ),
+        (
+            "violations",
+            Value::Arr(out.violations.iter().map(|v| v.clone().into()).collect()),
+        ),
+    ];
+    write_json(doc, out.runs, wall_secs);
 
     if !out.violations.is_empty() {
         eprintln!(
@@ -226,43 +215,33 @@ fn run_fuzz(cli: &Cli) {
         }
     }
 
-    let mut json = String::from("{\n  \"bench\": \"adversary\",\n  \"mode\": \"fuzz\",\n");
-    let _ = writeln!(json, "  \"scenario\": \"{}\",", out.scenario);
-    let _ = writeln!(json, "  \"seed\": {},", out.seed);
-    let _ = writeln!(json, "  \"iters\": {},", out.iters);
-    let _ = writeln!(json, "  \"runs\": {},", out.runs);
-    let _ = writeln!(json, "  \"baseline_qoe\": {:.6},", out.baseline_qoe);
-    let finds: Vec<String> = out
+    let finds = out
         .finds
         .iter()
         .map(|f| {
-            format!(
-                "    {{\"iter\": {}, \"signal\": \"{}\", \"mutations\": {}, \
-                 \"mean_qoe\": {:.6}, \"unroutable_flow_secs\": {:.6}, \
-                 \"fwd_loop_settles\": {}, \"final_lies\": {}}}",
-                f.iter,
-                f.signal,
-                f.mutations.len(),
-                f.mean_qoe,
-                f.unroutable_flow_secs,
-                f.fwd_loop_settles,
-                f.final_lies
-            )
+            Value::Obj(vec![
+                ("iter", f.iter.into()),
+                ("signal", f.signal.clone().into()),
+                ("mutations", f.mutations.len().into()),
+                ("mean_qoe", f.mean_qoe.into()),
+                ("unroutable_flow_secs", f.unroutable_flow_secs.into()),
+                ("fwd_loop_settles", f.fwd_loop_settles.into()),
+                ("final_lies", f.final_lies.into()),
+            ])
         })
         .collect();
-    if finds.is_empty() {
-        let _ = writeln!(json, "  \"finds\": [],");
-    } else {
-        let _ = writeln!(json, "  \"finds\": [\n{}\n  ],", finds.join(",\n"));
-    }
-    let _ = writeln!(json, "  \"archived\": {},", archived.len());
-    let _ = writeln!(json, "  \"wall_secs\": {wall_secs:.6},");
-    let _ = writeln!(
-        json,
-        "  \"per_sec\": {:.3}\n}}",
-        out.runs as f64 / wall_secs.max(1e-9)
-    );
-    write_json(json);
+    let doc = vec![
+        ("bench", "adversary".into()),
+        ("mode", "fuzz".into()),
+        ("scenario", out.scenario.clone().into()),
+        ("seed", out.seed.into()),
+        ("iters", out.iters.into()),
+        ("runs", out.runs.into()),
+        ("baseline_qoe", out.baseline_qoe.into()),
+        ("finds", Value::Arr(finds)),
+        ("archived", archived.len().into()),
+    ];
+    write_json(doc, out.runs, wall_secs);
 }
 
 fn main() {

@@ -24,7 +24,9 @@
 //! kernel dispatch, SPF, fluid settlement, controller optimization,
 //! and the lie-lifecycle audit instants — one shared timeline across
 //! the suite's scenarios, each wrapped in a `scenario.run` span; open
-//! in Perfetto or `chrome://tracing`, see `docs/OBSERVABILITY.md`).
+//! in Perfetto or `chrome://tracing`, see `docs/OBSERVABILITY.md`; its
+//! deterministic view, without `ts`/`dur`, lands next to it as
+//! `<PATH minus extension>.det.json`).
 //!
 //! When `paper_demo` runs at a horizon covering both waves, the binary
 //! additionally asserts the paper's pinned control-plane milestones —
@@ -35,6 +37,7 @@
 use fib_bench::cli::Cli;
 use fib_bench::{f, results_dir, Table};
 use fib_scenario::prelude::*;
+use fib_scenario::sweep::panic_message;
 use fibbing::demo::{A, B, BLUE, R1, R2, R3};
 use fibbing::prelude::RouterId;
 
@@ -77,17 +80,6 @@ fn check_paper_milestones(run: &mut ScenarioRun) -> Result<(), String> {
     }
     println!("[paper_demo] pinned t=15 single-lie and t=35 two-lie plans reproduced");
     Ok(())
-}
-
-/// Extract a readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Per-suite Chrome event budget (the cap cuts the deterministic
@@ -281,7 +273,8 @@ fn main() {
     }
     table.emit("scenario_suite");
     if let (Some(out), Some(master)) = (&trace_out, &master_sink) {
-        std::fs::write(out, master.to_json()).unwrap_or_else(|e| panic!("--trace-out {out}: {e}"));
+        fib_trace::artifact::save(std::path::Path::new(out), &master.doc())
+            .unwrap_or_else(|e| panic!("--trace-out {out}: {e}"));
         println!(
             "[saved {out}: {} trace events ({} audit records), {} dropped]",
             master.event_count(),

@@ -5,8 +5,9 @@
 //! it into cells, shards them across a worker pool, and writes:
 //!
 //! * `results/BENCH_sweep.json` — distributions, per-cell rollups,
-//!   failures, and wall-clock timing (the only non-deterministic
-//!   keys; CI masks them);
+//!   failures, and wall-clock timing (with the worker counts, the only
+//!   non-deterministic values; `BENCH_sweep.det.json` next to it is
+//!   the same record without them);
 //! * `results/sweep_<name>_cells.csv` — one row per run;
 //! * `results/sweep_<name>_dist.csv` — per-group QoE/utilization/
 //!   reaction/unroutable distributions with controller-on vs baseline
@@ -38,11 +39,13 @@
 use fib_bench::cli::Cli;
 use fib_bench::{f, results_dir, Table};
 use fib_scenario::prelude::*;
-use fib_scenario::sweep::stats::{cells_csv, mask_timing, to_json};
+use fib_scenario::sweep::stats::{cells_csv, to_doc};
 use fib_scenario::sweep::SweepRun;
+use fib_trace::artifact::{save, volatile, Value, View};
+use std::path::Path;
 
 /// Everything deterministic one run produces, concatenated: the two
-/// CSVs plus the JSON with its wall-clock/worker-count keys masked.
+/// CSVs plus the deterministic view of the JSON record.
 /// The `--baseline-jobs` identity check compares *this*, so
 /// cross-jobs nondeterminism anywhere in the artifacts — per-cell
 /// rollup counters included — fails the run, not just the columns the
@@ -52,49 +55,50 @@ fn deterministic_artifacts(run: &SweepRun, summary: &SweepSummary) -> String {
         "{}\n{}\n{}",
         cells_csv(run),
         summary.dist_csv(),
-        mask_timing(&to_json(run, summary, None))
+        to_doc(run, summary, None).render(View::Deterministic)
     )
 }
 
-/// Render the sweep's cell-scheduling timeline as Chrome trace-event
-/// JSON: one complete (`"X"`) span per cell, named by its label, with
-/// cells packed greedily into non-overlapping lanes (`tid`). Start
-/// offsets and durations are wall-clock measurements, so this artifact
-/// is a visualization aid, not a pinned byte-comparable one.
-fn cell_timeline_json(run: &SweepRun) -> String {
-    use std::fmt::Write as _;
+/// The sweep's cell-scheduling timeline as a Chrome trace-event
+/// document: one complete (`"X"`) span per cell, named by its label,
+/// with cells packed greedily into non-overlapping lanes (`tid`). Start
+/// offsets, durations and therefore lanes are wall-clock measurements:
+/// a visualization aid whose deterministic view is just the cell list.
+fn cell_timeline(run: &SweepRun) -> Value {
     let mut lane_end: Vec<f64> = Vec::new();
-    let mut out =
-        String::from("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":0},\"traceEvents\":[");
-    for (i, o) in run.outcomes.iter().enumerate() {
-        let lane = match lane_end.iter().position(|end| *end <= o.start_secs + 1e-12) {
-            Some(l) => l,
-            None => {
-                lane_end.push(0.0);
-                lane_end.len() - 1
-            }
-        };
-        lane_end[lane] = o.start_secs + o.wall_secs;
-        let status = match &o.result {
-            Ok(_) => "ok",
-            Err(_) => "failed",
-        };
-        let _ = write!(
-            out,
-            "{}\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{},\"dur\":{},\"args\":{{\"seed\":{},\"variant\":\"{}\",\
-             \"status\":\"{status}\"}}}}",
-            if i > 0 { "," } else { "" },
-            o.cell.label(),
-            lane + 1,
-            (o.start_secs * 1e6) as u64,
-            (o.wall_secs * 1e6) as u64,
-            o.cell.seed,
-            if o.cell.baseline { "base" } else { "on" },
-        );
-    }
-    out.push_str("\n]}\n");
-    out
+    let events = run
+        .outcomes
+        .iter()
+        .map(|o| {
+            let lane = match lane_end.iter().position(|end| *end <= o.start_secs + 1e-12) {
+                Some(l) => l,
+                None => {
+                    lane_end.push(0.0);
+                    lane_end.len() - 1
+                }
+            };
+            lane_end[lane] = o.start_secs + o.wall_secs;
+            fib_trace::trace_event(
+                o.cell.label(),
+                "X",
+                volatile(lane + 1),
+                (o.start_secs * 1e6) as u64,
+                Some((o.wall_secs * 1e6) as u64),
+                vec![
+                    ("seed", o.cell.seed.into()),
+                    (
+                        "variant",
+                        if o.cell.baseline { "base" } else { "on" }.into(),
+                    ),
+                    (
+                        "status",
+                        if o.result.is_ok() { "ok" } else { "failed" }.into(),
+                    ),
+                ],
+            )
+        })
+        .collect();
+    fib_trace::trace_doc(0, events)
 }
 
 fn main() {
@@ -172,15 +176,15 @@ fn main() {
         );
     }
 
-    let json = to_json(&run, &summary, baseline.as_ref().map(|(j, w, _)| (*j, *w)));
+    let doc = to_doc(&run, &summary, baseline.as_ref().map(|(j, w, _)| (*j, *w)));
     let json_path = results_dir().join("BENCH_sweep.json");
-    std::fs::write(&json_path, json).expect("write BENCH json");
+    save(&json_path, &doc).expect("write BENCH json");
     let cells_path = results_dir().join(format!("sweep_{}_cells.csv", spec.name));
     std::fs::write(&cells_path, &per_cell).expect("write cells csv");
     let dist_path = results_dir().join(format!("sweep_{}_dist.csv", spec.name));
     std::fs::write(&dist_path, summary.dist_csv()).expect("write dist csv");
     if let Some(out) = cli.get("trace-out") {
-        std::fs::write(out, cell_timeline_json(&run))
+        save(Path::new(out), &cell_timeline(&run))
             .unwrap_or_else(|e| panic!("--trace-out {out}: {e}"));
         println!("[saved {out}: {} cell spans]", run.outcomes.len());
     }

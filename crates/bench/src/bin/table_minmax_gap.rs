@@ -12,17 +12,18 @@
 //! table stays well-formed). Besides the table CSV, every run writes
 //! `results/BENCH_table_minmax_gap.json` with per-case, per-phase wall
 //! times so the perf trajectory of the optimizer hot paths is tracked
-//! run over run.
+//! run over run (and `BENCH_table_minmax_gap.det.json`: the same
+//! record without the wall times, byte-identical across runs).
 
 use fib_bench::cli::Cli;
 use fib_bench::{f, results_dir, Table};
 use fib_te::prelude::*;
+use fib_trace::artifact::{save, volatile, Value};
 use fibbing::demo::{paper_capacities, paper_topology, A, B, BLUE};
 use fibbing::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Case {
@@ -114,13 +115,6 @@ fn measure(case: &Case) -> Measured {
         _ => None,
     };
     m
-}
-
-fn json_num(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.6}"),
-        _ => "null".to_string(),
-    }
 }
 
 fn main() {
@@ -243,48 +237,37 @@ fn main() {
     println!("of the fractional optimum θ*, matching the paper's claim.");
 
     // Machine-readable perf record: values + wall time per phase per
-    // case. Timing keys all end in `_secs` so a determinism diff can
-    // strip them with one filter.
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"table_minmax_gap\",");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"cases\": [");
-    for (i, (case, m)) in cases.iter().zip(&measured).enumerate() {
-        let comma = if i + 1 < cases.len() { "," } else { "" };
-        if m.skipped {
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"skipped\": true}}{comma}",
-                case.name
-            );
-            continue;
-        }
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"even\": {}, \"best\": {}, \"fibbing\": {}, \
-             \"theta_star\": {}, \"gap_pct\": {}, \"even_secs\": {:.6}, \
-             \"best_secs\": {:.6}, \"fibbing_secs\": {:.6}, \"theta_secs\": {:.6}}}{comma}",
-            case.name,
-            json_num(m.even),
-            json_num(m.best),
-            json_num(m.fib),
-            json_num(m.theta),
-            json_num(m.gap),
-            m.secs_even,
-            m.secs_best,
-            m.secs_fib,
-            m.secs_theta,
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"total_secs\": {:.6}",
-        started.elapsed().as_secs_f64()
-    );
-    json.push_str("}\n");
+    // case.
+    let json_cases = cases
+        .iter()
+        .zip(&measured)
+        .map(|(case, m)| {
+            let mut fields = vec![("name", case.name.clone().into())];
+            if m.skipped {
+                fields.push(("skipped", Value::Bool(true)));
+            } else {
+                fields.extend([
+                    ("even", m.even.into()),
+                    ("best", m.best.into()),
+                    ("fibbing", m.fib.into()),
+                    ("theta_star", m.theta.into()),
+                    ("gap_pct", m.gap.into()),
+                    ("even_secs", volatile(m.secs_even)),
+                    ("best_secs", volatile(m.secs_best)),
+                    ("fibbing_secs", volatile(m.secs_fib)),
+                    ("theta_secs", volatile(m.secs_theta)),
+                ]);
+            }
+            Value::Obj(fields)
+        })
+        .collect();
+    let doc = Value::Obj(vec![
+        ("bench", "table_minmax_gap".into()),
+        ("seed", seed.into()),
+        ("cases", Value::Arr(json_cases)),
+        ("total_secs", volatile(started.elapsed().as_secs_f64())),
+    ]);
     let path = results_dir().join("BENCH_table_minmax_gap.json");
-    std::fs::write(&path, json).expect("write bench json");
+    save(&path, &doc).expect("write bench json");
     println!("[saved {}]", path.display());
 }

@@ -23,8 +23,8 @@
 //! * the collector files outcomes by index, so the final vector is in
 //!   cell order regardless of completion order.
 //!
-//! Wall-clock fields (`wall_secs`) are the one exception and are
-//! masked in CI's byte diffs.
+//! Wall-clock fields (`wall_secs`) are the one exception; the stats
+//! layer keeps them out of the JSON record's deterministic view.
 //!
 //! Panics inside a cell are caught (`catch_unwind`) and recorded as
 //! that cell's failure, so one diverging simulation cannot take down
@@ -75,7 +75,7 @@ pub struct CellMetrics {
     /// Per-phase attribution of the cell's wall clock (each worker
     /// thread runs its cells under a thread-local
     /// [`fib_trace::AggSink`]); span counts are deterministic, wall
-    /// percentages are masked in CI byte diffs. The stats layer merges
+    /// percentages are not. The stats layer merges
     /// these into the sweep-level `phase_attribution` section.
     pub phases: Vec<fib_trace::PhaseAttribution>,
 }
@@ -87,8 +87,7 @@ pub struct CellOutcome {
     pub cell: SweepCell,
     /// Metrics, or why there are none.
     pub result: Result<CellMetrics, CellFailure>,
-    /// Wall-clock seconds the cell took (not deterministic; masked in
-    /// CI diffs).
+    /// Wall-clock seconds the cell took (not deterministic).
     pub wall_secs: f64,
     /// Wall-clock seconds from sweep start to this cell starting (not
     /// deterministic; only consumed by `--trace-out` timeline export,
@@ -159,7 +158,8 @@ fn run_one(spec: &ScenarioSpec, opts: RunOptions) -> Result<CellMetrics, CellFai
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extract a readable message from a caught panic payload.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

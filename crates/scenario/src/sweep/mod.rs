@@ -32,6 +32,8 @@ pub mod exec;
 pub mod spec;
 pub mod stats;
 
-pub use exec::{run_sweep, run_sweep_with, CellFailure, CellMetrics, CellOutcome, SweepRun};
+pub use exec::{
+    panic_message, run_sweep, run_sweep_with, CellFailure, CellMetrics, CellOutcome, SweepRun,
+};
 pub use spec::{load_sweep, sweeps_dir, GridEntry, SweepCell, SweepSpec};
 pub use stats::{Dist, GroupDist, SweepSummary};

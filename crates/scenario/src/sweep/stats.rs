@@ -10,14 +10,16 @@
 //!   controller-on vs baseline QoE deltas, utilization and
 //!   unroutable-flow-secs and reaction-latency tails);
 //! * the `BENCH_sweep.json` record (both of the above plus wall-clock
-//!   timing, which is the only non-deterministic content and is
-//!   masked in CI's byte diffs).
+//!   timing and worker counts, the only non-deterministic content —
+//!   marked `volatile`, so absent from the record's deterministic
+//!   view).
 //!
 //! Everything here is pure folding over an already-ordered input, so
 //! the rendered bytes are identical at any worker count.
 
 use super::exec::{CellOutcome, SweepRun};
 use fib_netsim::sim::SimStats;
+use fib_trace::artifact::{volatile, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -123,11 +125,11 @@ pub struct SweepSummary {
     /// Machinery counters summed over the whole sweep.
     pub stats: SimStats,
     /// Per-phase wall-clock attribution merged over every successful
-    /// cell (span counts deterministic, percentages masked in diffs).
+    /// cell (span counts deterministic, percentages wall-derived).
     pub phases: Vec<fib_trace::PhaseAttribution>,
 }
 
-/// Fixed-precision float rendering shared by every CSV/JSON cell.
+/// Fixed-precision float rendering shared by every CSV cell.
 fn num(v: f64) -> String {
     format!("{v:.6}")
 }
@@ -337,224 +339,124 @@ pub fn cells_csv(run: &SweepRun) -> String {
     out
 }
 
-/// Minimal JSON string escaping for names and error messages.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn dist_json(d: &Option<Dist>) -> String {
+fn dist_value(d: &Option<Dist>) -> Value {
     match d {
-        None => "null".into(),
-        Some(d) => format!(
-            "{{\"n\": {}, \"mean\": {}, \"p5\": {}, \"p50\": {}, \"p95\": {}}}",
-            d.n,
-            num(d.mean),
-            num(d.p5),
-            num(d.p50),
-            num(d.p95)
-        ),
+        None => Value::Null,
+        Some(d) => Value::Obj(vec![
+            ("n", d.n.into()),
+            ("mean", d.mean.into()),
+            ("p5", d.p5.into()),
+            ("p50", d.p50.into()),
+            ("p95", d.p95.into()),
+        ]),
     }
 }
 
 /// The `"rollup"` object: the named counters summed over `ok`
 /// successful cells — `{}` when there was none to sum.
-fn rollup_json(stats: &SimStats, ok: usize) -> String {
-    if ok == 0 {
-        return "{}".into();
-    }
-    let body: Vec<String> = stats
-        .counters()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
+fn rollup_value(stats: &SimStats, ok: usize) -> Value {
+    let counters = if ok == 0 {
+        Vec::new()
+    } else {
+        stats
+            .counters()
+            .into_iter()
+            .map(|(k, v)| (k, v.into()))
+            .collect()
+    };
+    Value::Obj(counters)
 }
 
-/// Render the `BENCH_sweep.json` record. `baseline` is the optional
+/// Build the `BENCH_sweep.json` record. `baseline` is the optional
 /// reference run used for the speedup measurement: `(jobs,
 /// wall_secs)` of a prior run of the *same grid* at another worker
-/// count. Wall-clock keys (`wall_secs`, `cells_per_sec`,
-/// `baseline_wall_secs`, `speedup_vs_baseline`) and the `jobs` counts
-/// are the only non-deterministic content; CI masks exactly those.
-pub fn to_json(run: &SweepRun, summary: &SweepSummary, baseline: Option<(usize, f64)>) -> String {
-    let mut json = String::from("{\n  \"bench\": \"sweep\",\n");
-    let _ = writeln!(json, "  \"sweep\": {},", jstr(&summary.name));
-    let _ = writeln!(json, "  \"description\": {},", jstr(&summary.description));
-    let _ = writeln!(json, "  \"cells\": {},", summary.cells);
-    let _ = writeln!(json, "  \"failed\": {},", summary.failed);
-    let _ = writeln!(json, "  \"jobs\": {},", run.jobs);
-    let _ = writeln!(json, "  \"wall_secs\": {},", num(run.wall_secs));
-    let _ = writeln!(
-        json,
-        "  \"cells_per_sec\": {},",
-        num(summary.cells as f64 / run.wall_secs.max(1e-9))
-    );
-    if let Some((jobs, wall)) = baseline {
-        let _ = writeln!(json, "  \"baseline_jobs\": {jobs},");
-        let _ = writeln!(json, "  \"baseline_wall_secs\": {},", num(wall));
-        let _ = writeln!(
-            json,
-            "  \"speedup_vs_baseline\": {},",
-            num(wall / run.wall_secs.max(1e-9))
-        );
-    }
-    json.push_str("  \"groups\": [\n");
-    for (i, g) in summary.groups.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"group\": {}, \"scenario\": {}, \"capacity_scale\": {}, \
-             \"crowd_scale\": {}, \"cells\": {}, \"failed\": {}, \"sessions\": {}, \
-             \"stalls\": {}, \"reacted\": {}, \"qoe\": {}, \"baseline_qoe\": {}, \
-             \"qoe_delta\": {}, \"max_util\": {}, \"unroutable_flow_secs\": {}, \
-             \"reaction_secs\": {}, \"rollup\": {}}}{}",
-            jstr(&g.label),
-            jstr(&g.scenario),
-            num(g.capacity_scale),
-            num(g.crowd_scale),
-            g.cells,
-            g.failed,
-            g.sessions,
-            g.stalls,
-            g.reacted,
-            dist_json(&g.qoe),
-            dist_json(&g.baseline_qoe),
-            dist_json(&g.qoe_delta),
-            dist_json(&g.max_util),
-            dist_json(&g.unroutable),
-            dist_json(&g.reaction),
-            rollup_json(&g.stats, g.cells - g.failed),
-            if i + 1 < summary.groups.len() {
-                ","
-            } else {
-                ""
-            },
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"failures\": [\n");
-    for (i, (cell, label, error)) in summary.failures.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"cell\": {cell}, \"label\": {}, \"error\": {}}}{}",
-            jstr(label),
-            jstr(error),
-            if i + 1 < summary.failures.len() {
-                ","
-            } else {
-                ""
-            },
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"phase_attribution\": [\n");
-    for (i, a) in summary.phases.iter().enumerate() {
-        // `pct` is wall-derived, so it sits alone on its line where
-        // both `mask_timing` and CI's sed mask can blank it; `spans`
-        // is deterministic and stays in the byte comparison.
-        let _ = writeln!(
-            json,
-            "    {{\"phase\": {}, \"spans\": {},",
-            jstr(a.phase),
-            a.spans
-        );
-        let _ = writeln!(json, "      \"pct\": {}", num(a.pct));
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < summary.phases.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"rollup\": {}",
-        rollup_json(&summary.stats, summary.cells - summary.failed)
-    );
-    json.push_str("}\n");
-    json
-}
-
-/// Mask the non-deterministic keys of a rendered `BENCH_sweep.json`:
-/// the wall-clock fields and the worker counts. The `sweep` binary's
-/// in-process cross-jobs identity check and the workspace tests both
-/// compare through this, so the mask lives next to the renderer and
-/// cannot drift out of sync with it. (CI's shell-level `sed` mask
-/// names the same keys.)
-pub fn mask_timing(json: &str) -> String {
-    const MASKED: &[&str] = &[
-        "jobs",
-        "baseline_jobs",
-        "wall_secs",
-        "baseline_wall_secs",
-        "cells_per_sec",
-        "speedup_vs_baseline",
-        "pct",
+/// count. Wall-clock values (`wall_secs`, `cells_per_sec`,
+/// `baseline_wall_secs`, `speedup_vs_baseline`, each phase's `pct`)
+/// and the worker counts are the only non-deterministic content, and
+/// are marked [`volatile`] here, where they are computed.
+pub fn to_doc(run: &SweepRun, summary: &SweepSummary, baseline: Option<(usize, f64)>) -> Value {
+    let mut doc = vec![
+        ("bench", "sweep".into()),
+        ("sweep", summary.name.clone().into()),
+        ("description", summary.description.clone().into()),
+        ("cells", summary.cells.into()),
+        ("failed", summary.failed.into()),
+        ("jobs", volatile(run.jobs)),
+        ("wall_secs", volatile(run.wall_secs)),
+        (
+            "cells_per_sec",
+            volatile(summary.cells as f64 / run.wall_secs.max(1e-9)),
+        ),
     ];
-    let mut out = String::with_capacity(json.len());
-    for line in json.lines() {
-        let trimmed = line.trim_start();
-        let masked = MASKED.iter().any(|k| {
-            trimmed
-                .strip_prefix(&format!("\"{k}\": "))
-                .is_some_and(|rest| rest.trim_end_matches(',').parse::<f64>().is_ok())
-        });
-        if masked {
-            let key = trimmed.split(':').next().unwrap_or("");
-            let indent = &line[..line.len() - trimmed.len()];
-            let comma = if line.trim_end().ends_with(',') {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("{indent}{key}: X{comma}\n"));
-        } else {
-            out.push_str(line);
-            out.push('\n');
-        }
+    if let Some((jobs, wall)) = baseline {
+        doc.push(("baseline_jobs", volatile(jobs)));
+        doc.push(("baseline_wall_secs", volatile(wall)));
+        doc.push((
+            "speedup_vs_baseline",
+            volatile(wall / run.wall_secs.max(1e-9)),
+        ));
     }
-    out
+    let groups = summary
+        .groups
+        .iter()
+        .map(|g| {
+            Value::Obj(vec![
+                ("group", g.label.clone().into()),
+                ("scenario", g.scenario.clone().into()),
+                ("capacity_scale", g.capacity_scale.into()),
+                ("crowd_scale", g.crowd_scale.into()),
+                ("cells", g.cells.into()),
+                ("failed", g.failed.into()),
+                ("sessions", g.sessions.into()),
+                ("stalls", g.stalls.into()),
+                ("reacted", g.reacted.into()),
+                ("qoe", dist_value(&g.qoe)),
+                ("baseline_qoe", dist_value(&g.baseline_qoe)),
+                ("qoe_delta", dist_value(&g.qoe_delta)),
+                ("max_util", dist_value(&g.max_util)),
+                ("unroutable_flow_secs", dist_value(&g.unroutable)),
+                ("reaction_secs", dist_value(&g.reaction)),
+                ("rollup", rollup_value(&g.stats, g.cells - g.failed)),
+            ])
+        })
+        .collect();
+    let failures = summary
+        .failures
+        .iter()
+        .map(|(cell, label, error)| {
+            Value::Obj(vec![
+                ("cell", (*cell).into()),
+                ("label", label.clone().into()),
+                ("error", error.clone().into()),
+            ])
+        })
+        .collect();
+    // `spans` is deterministic and stays in the comparison; `pct` is
+    // wall-derived.
+    let phases = summary
+        .phases
+        .iter()
+        .map(|a| {
+            Value::Obj(vec![
+                ("phase", a.phase.into()),
+                ("spans", a.spans.into()),
+                ("pct", volatile(a.pct)),
+            ])
+        })
+        .collect();
+    doc.push(("groups", Value::Arr(groups)));
+    doc.push(("failures", Value::Arr(failures)));
+    doc.push(("phase_attribution", Value::Arr(phases)));
+    doc.push((
+        "rollup",
+        rollup_value(&summary.stats, summary.cells - summary.failed),
+    ));
+    Value::Obj(doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mask_timing_hits_exactly_the_wall_clock_keys() {
-        let json = "{\n  \"cells\": 3,\n  \"jobs\": 4,\n  \"wall_secs\": 1.234567,\n  \
-                    \"cells_per_sec\": 2.431000,\n  \"speedup_vs_baseline\": 3.100000,\n      \
-                    \"pct\": 41.200000\n  \"unroutable_flow_secs\": {\"n\": 1}\n}\n";
-        let masked = mask_timing(json);
-        assert!(masked.contains("\"pct\": X\n"), "{masked}");
-        assert!(masked.contains("\"cells\": 3"), "{masked}");
-        assert!(masked.contains("\"jobs\": X"), "{masked}");
-        assert!(masked.contains("\"wall_secs\": X,"), "{masked}");
-        assert!(masked.contains("\"cells_per_sec\": X,"), "{masked}");
-        assert!(masked.contains("\"speedup_vs_baseline\": X,"), "{masked}");
-        // Deterministic metrics whose names merely contain `secs`
-        // stay in the comparison.
-        assert!(masked.contains("\"unroutable_flow_secs\": {\"n\": 1}"));
-    }
 
     #[test]
     fn rollup_sums_saturating_and_is_empty_without_a_successful_cell() {
@@ -568,13 +470,15 @@ mod tests {
             reallocs: 3,
             ..SimStats::default()
         };
-        let json = rollup_json(&total, 2);
-        assert!(json.starts_with("{\"alloc_fills\": 0, \"alloc_skips\": 0, "));
-        assert!(json.contains(&format!("\"events\": {}, ", u64::MAX)));
-        assert!(json.contains("\"reallocs\": 5, "));
-        assert!(json.ends_with("\"unroutable_resolutions\": 0}"));
-        assert_eq!(json.matches(": ").count(), 13);
-        assert_eq!(rollup_json(&total, 0), "{}");
+        let Value::Obj(fields) = rollup_value(&total, 2) else {
+            panic!("rollup is an object");
+        };
+        assert_eq!(fields.len(), 13);
+        assert_eq!(fields[0], ("alloc_fills", Value::Int(0)));
+        assert!(fields.contains(&("events", Value::Int(u64::MAX))));
+        assert!(fields.contains(&("reallocs", Value::Int(5))));
+        assert_eq!(fields[12], ("unroutable_resolutions", Value::Int(0)));
+        assert_eq!(rollup_value(&total, 0), Value::Obj(Vec::new()));
     }
 
     #[test]
@@ -594,13 +498,6 @@ mod tests {
         assert_eq!(d.n, 3);
         assert_eq!(d.p50, 2.0);
         assert!((d.mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(jstr("plain"), "\"plain\"");
-        assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(jstr("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! isolation.
 
 use fib_scenario::prelude::*;
-use fib_scenario::sweep::stats::{cells_csv, mask_timing, to_json};
+use fib_scenario::sweep::stats::{cells_csv, to_doc};
 use fib_scenario::sweep::{run_sweep_with, CellFailure};
+use fib_trace::artifact::View;
 
 /// A small in-memory scenario: ring with a detour, one overloading
 /// batch, controller on. Fast enough to fan out in debug tests.
@@ -87,15 +88,30 @@ fn merged_output_is_byte_identical_at_any_jobs() {
             ref_dist,
             "distribution CSV must be byte-identical at jobs={jobs}"
         );
-        // The JSON differs only in its wall-clock/jobs keys; compare
-        // through the shared mask (the same one the sweep binary's
-        // --baseline-jobs check uses).
+        // The JSON differs only in its wall-clock/jobs values; compare
+        // its deterministic view (what the sweep binary's
+        // --baseline-jobs check and CI's `cmp` compare).
         assert_eq!(
-            mask_timing(&to_json(&run, &summary, None)),
-            mask_timing(&to_json(&reference, &ref_summary, None)),
-            "masked JSON must match at jobs={jobs}"
+            to_doc(&run, &summary, None).render(View::Deterministic),
+            to_doc(&reference, &ref_summary, None).render(View::Deterministic),
+            "deterministic JSON view must match at jobs={jobs}"
+        );
+        assert_ne!(
+            to_doc(&run, &summary, None).render(View::Full),
+            to_doc(&reference, &ref_summary, None).render(View::Full),
+            "the full views carry the differing worker counts"
         );
     }
+    // The deterministic view carries every per-cell counter, the ones
+    // no CSV column prints included: one realloc more in one cell and
+    // the comparison fails.
+    let mut drifted = reference.clone();
+    drifted.outcomes[0].result.as_mut().unwrap().stats.reallocs += 1;
+    assert_eq!(cells_csv(&drifted), ref_cells);
+    assert_ne!(
+        to_doc(&drifted, &SweepSummary::from_run(&drifted), None).render(View::Deterministic),
+        to_doc(&reference, &ref_summary, None).render(View::Deterministic),
+    );
 }
 
 #[test]
@@ -165,7 +181,9 @@ baseline = false
     assert_eq!(summary.failed, 1);
     let csv = cells_csv(&run);
     assert!(csv.contains("pinned#s6,pinned,6,on,failed"), "{csv}");
-    assert!(to_json(&run, &summary, None).contains("pins seed"));
+    assert!(to_doc(&run, &summary, None)
+        .render(View::Full)
+        .contains("pins seed"));
 }
 
 #[test]

@@ -2,16 +2,16 @@
 //!
 //! Spans become `"X"` complete events, gauges and observations become
 //! `"C"` counter tracks, audit records become `"i"` instants. The
-//! only non-deterministic bytes in the output are the wall-derived
-//! `"ts"` and `"dur"` fields; [`mask_wall_fields`] blanks exactly
-//! those, so two runs of the same seed compare byte-identical after
-//! masking (asserted in the workspace tests and diffed in CI).
+//! only non-deterministic values in the output are the wall-derived
+//! `"ts"` and `"dur"`; they are marked [`volatile`], so the
+//! deterministic view of two exports of the same seeded run is
+//! byte-identical (asserted in the workspace tests, `cmp`-ed in CI).
 
+use crate::artifact::{volatile, Value, View};
 use crate::audit::{AuditRecord, OrderRecord};
-use crate::sink::{AggSink, PhaseAttribution, SpanWall, TraceSink};
+use crate::sink::{SpanWall, TraceSink};
 use crate::Phase;
 use std::any::Any;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 enum Event {
@@ -21,17 +21,12 @@ enum Event {
         ts_us: u64,
         dur_us: u64,
     },
+    /// A gauge sample (float) or a histogram observation (integer).
     Counter {
         name: &'static str,
         sim_ns: u64,
         ts_us: u64,
-        value: f64,
-    },
-    Observe {
-        name: &'static str,
-        sim_ns: u64,
-        ts_us: u64,
-        value: u64,
+        value: Value,
     },
     Audit {
         record: AuditRecord,
@@ -43,18 +38,58 @@ enum Event {
     },
 }
 
+/// One trace-event object: `name`/`ph`/`pid`/`tid`/`ts`, then `dur`
+/// (complete events) or the thread scope `s` (instants), then `args`.
+/// `ts_us` and `dur_us` are wall-clock microseconds, hence [`volatile`].
+pub fn trace_event(
+    name: impl Into<Value>,
+    ph: &'static str,
+    tid: impl Into<Value>,
+    ts_us: u64,
+    dur_us: Option<u64>,
+    args: Vec<(&'static str, Value)>,
+) -> Value {
+    let mut fields = vec![
+        ("name", name.into()),
+        ("ph", ph.into()),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+        ("ts", volatile(ts_us)),
+    ];
+    if let Some(dur_us) = dur_us {
+        fields.push(("dur", volatile(dur_us)));
+    }
+    if ph == "i" {
+        fields.push(("s", "t".into()));
+    }
+    fields.push(("args", Value::Obj(args)));
+    Value::Obj(fields)
+}
+
+/// The trace-event document Perfetto loads: `events` (one per line
+/// when rendered) and the count a capped recorder `dropped`.
+pub fn trace_doc(dropped: u64, events: Vec<Value>) -> Value {
+    Value::Obj(vec![
+        ("displayTimeUnit", "ms".into()),
+        ("otherData", Value::Obj(vec![("dropped", dropped.into())])),
+        ("traceEvents", Value::Arr(events)),
+    ])
+}
+
+/// The one thread lane a simulation's events are drawn on.
+const TID: u64 = 1;
+
 /// A bounded Chrome trace-event recorder.
 ///
 /// Events beyond the cap are counted in `dropped` (the cap is on the
 /// deterministic event sequence, so the kept prefix is identical
-/// across runs). The sink embeds an [`AggSink`], so per-phase
-/// attribution stays available alongside the exported trace.
+/// across runs). The audit log is kept whole, outside the cap.
 pub struct ChromeSink {
     epoch: Instant,
     cap: usize,
     dropped: u64,
     events: Vec<Event>,
-    agg: AggSink,
+    audits: Vec<AuditRecord>,
 }
 
 impl ChromeSink {
@@ -65,20 +100,15 @@ impl ChromeSink {
     }
 
     /// Like [`ChromeSink::new`] with an explicit epoch, so several
-    /// sinks (one per bench case) share one timeline.
+    /// sinks (one per scenario) share one timeline.
     pub fn with_epoch(cap: usize, epoch: Instant) -> ChromeSink {
         ChromeSink {
             epoch,
             cap,
             dropped: 0,
             events: Vec::new(),
-            agg: AggSink::new(),
+            audits: Vec::new(),
         }
-    }
-
-    /// The sink's epoch.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// Events currently held.
@@ -91,29 +121,19 @@ impl ChromeSink {
         self.dropped
     }
 
-    /// Per-phase attribution (from the embedded [`AggSink`]).
-    pub fn attribution(&self) -> Vec<PhaseAttribution> {
-        self.agg.attribution()
-    }
-
-    /// The audit log.
+    /// The audit log, in emission order.
     pub fn audits(&self) -> &[AuditRecord] {
-        self.agg.audits()
-    }
-
-    /// The explored-ordering log.
-    pub fn orders(&self) -> &[OrderRecord] {
-        self.agg.orders()
+        &self.audits
     }
 
     /// Append another sink's events to this one (same epoch assumed;
-    /// used to merge per-case sinks into one trace file).
+    /// used to merge per-scenario sinks into one trace file).
     pub fn absorb(&mut self, other: ChromeSink) {
         self.dropped += other.dropped;
         for ev in other.events {
             self.push(ev);
         }
-        self.agg.merge(&other.agg);
+        self.audits.extend(other.audits);
     }
 
     fn push(&mut self, ev: Event) {
@@ -128,93 +148,80 @@ impl ChromeSink {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Render the full Chrome trace-event JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        let _ = write!(out, "\"dropped\":{}", self.dropped);
-        out.push_str("},\"traceEvents\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            match ev {
+    /// The Chrome trace-event document (one event per line when
+    /// rendered); hand it to [`crate::artifact::save`].
+    pub fn doc(&self) -> Value {
+        let events = self
+            .events
+            .iter()
+            .map(|ev| match ev {
                 Event::Span {
                     phase,
                     sim_ns,
                     ts_us,
                     dur_us,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\
-                         \"ts\":{ts_us},\"dur\":{dur_us},\"args\":{{\"sim_ns\":{sim_ns}}}}}",
-                        phase.name()
-                    );
-                }
+                } => trace_event(
+                    phase.name(),
+                    "X",
+                    TID,
+                    *ts_us,
+                    Some(*dur_us),
+                    vec![("sim_ns", (*sim_ns).into())],
+                ),
                 Event::Counter {
                     name,
                     sim_ns,
                     ts_us,
                     value,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\
-                         \"ts\":{ts_us},\"args\":{{\"value\":{value:.6},\"sim_ns\":{sim_ns}}}}}",
-                    );
-                }
-                Event::Observe {
-                    name,
-                    sim_ns,
-                    ts_us,
-                    value,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\
-                         \"ts\":{ts_us},\"args\":{{\"value\":{value},\"sim_ns\":{sim_ns}}}}}",
-                    );
-                }
-                Event::Audit { record, ts_us } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"lie.{}\",\"ph\":\"i\",\"pid\":1,\"tid\":1,\
-                         \"ts\":{ts_us},\"s\":\"t\",\"args\":{{\"sim_ns\":{},\
-                         \"prefix\":{},\"lie\":{},\"trigger\":{},\"candidates\":{},\
-                         \"predicted_max_util\":{:.6},\"measured_max_util\":{:.6}}}}}",
-                        record.action.name(),
-                        record.sim_ns,
-                        jstr(&record.prefix),
-                        jstr(&record.lie),
-                        jstr(&record.trigger),
-                        record.candidates,
-                        record.predicted_max_util,
-                        record.measured_max_util,
-                    );
-                }
-                Event::Order { record, ts_us } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"sched.order\",\"ph\":\"i\",\"pid\":1,\"tid\":1,\
-                         \"ts\":{ts_us},\"s\":\"t\",\"args\":{{\"sim_ns\":{},\
-                         \"batch\":{},\"perm\":{}}}}}",
-                        record.sim_ns,
-                        record.batch,
-                        jstr(&record.render()),
-                    );
-                }
-            }
-        }
-        out.push_str("\n]}\n");
-        out
+                } => trace_event(
+                    *name,
+                    "C",
+                    TID,
+                    *ts_us,
+                    None,
+                    vec![("value", value.clone()), ("sim_ns", (*sim_ns).into())],
+                ),
+                Event::Audit { record, ts_us } => trace_event(
+                    format!("lie.{}", record.action.name()),
+                    "i",
+                    TID,
+                    *ts_us,
+                    None,
+                    vec![
+                        ("sim_ns", record.sim_ns.into()),
+                        ("prefix", record.prefix.clone().into()),
+                        ("lie", record.lie.clone().into()),
+                        ("trigger", record.trigger.clone().into()),
+                        ("candidates", record.candidates.into()),
+                        ("predicted_max_util", record.predicted_max_util.into()),
+                        ("measured_max_util", record.measured_max_util.into()),
+                    ],
+                ),
+                Event::Order { record, ts_us } => trace_event(
+                    "sched.order",
+                    "i",
+                    TID,
+                    *ts_us,
+                    None,
+                    vec![
+                        ("sim_ns", record.sim_ns.into()),
+                        ("batch", u64::from(record.batch).into()),
+                        ("perm", record.render().into()),
+                    ],
+                ),
+            })
+            .collect();
+        trace_doc(self.dropped, events)
+    }
+
+    /// Render the document in `view`.
+    pub fn to_json(&self, view: View) -> String {
+        self.doc().render(view)
     }
 }
 
 impl TraceSink for ChromeSink {
     fn span(&mut self, phase: Phase, sim_ns: u64, wall: SpanWall) {
-        self.agg.span(phase, sim_ns, wall);
         let ts_us = wall.start.saturating_duration_since(self.epoch).as_micros() as u64;
         let dur_us = wall.total_ns / 1_000;
         self.push(Event::Span {
@@ -231,23 +238,22 @@ impl TraceSink for ChromeSink {
             name,
             sim_ns,
             ts_us,
-            value,
+            value: value.into(),
         });
     }
 
     fn observe(&mut self, name: &'static str, sim_ns: u64, value: u64) {
-        self.agg.observe(name, sim_ns, value);
         let ts_us = self.now_us();
-        self.push(Event::Observe {
+        self.push(Event::Counter {
             name,
             sim_ns,
             ts_us,
-            value,
+            value: value.into(),
         });
     }
 
     fn audit(&mut self, record: &AuditRecord) {
-        self.agg.audit(record);
+        self.audits.push(record.clone());
         let ts_us = self.now_us();
         self.push(Event::Audit {
             record: record.clone(),
@@ -256,7 +262,6 @@ impl TraceSink for ChromeSink {
     }
 
     fn order(&mut self, record: &OrderRecord) {
-        self.agg.order(record);
         let ts_us = self.now_us();
         self.push(Event::Order {
             record: record.clone(),
@@ -273,62 +278,6 @@ impl TraceSink for ChromeSink {
     }
 }
 
-/// JSON string literal with minimal escaping.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Blank the wall-derived `"ts"` and `"dur"` values of a Chrome trace
-/// JSON document: after masking, two exports of the same seeded run
-/// are byte-identical. (CI applies the equivalent `sed` expression.)
-pub fn mask_wall_fields(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let bytes = json.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let rest = &json[i..];
-        let key = if rest.starts_with("\"ts\":") {
-            Some(5)
-        } else if rest.starts_with("\"dur\":") {
-            Some(6)
-        } else {
-            None
-        };
-        match key {
-            Some(len) => {
-                out.push_str(&rest[..len]);
-                i += len;
-                out.push('X');
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-            }
-            None => {
-                let c = rest.chars().next().expect("in bounds");
-                out.push(c);
-                i += c.len_utf8();
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,13 +291,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_has_all_event_kinds() {
-        let mut sink = ChromeSink::new(16);
-        sink.span(Phase::SpfFull, 100, wall(2_000));
-        sink.counter("queue.depth", 100, 3.0);
-        sink.observe("settle.dirty_flows", 100, 9);
-        sink.audit(&AuditRecord {
+    fn inject() -> AuditRecord {
+        AuditRecord {
             sim_ns: 100,
             action: AuditAction::Inject,
             prefix: "p1".into(),
@@ -357,14 +301,24 @@ mod tests {
             candidates: 3,
             predicted_max_util: 0.66,
             measured_max_util: 0.91,
-        });
-        let json = sink.to_json();
-        assert!(json.contains("\"name\":\"spf.full\",\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"queue.depth\",\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"settle.dirty_flows\",\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"lie.inject\",\"ph\":\"i\""));
-        assert!(json.contains("\"candidates\":3"));
-        assert!(json.contains("\"dropped\":0"));
+        }
+    }
+
+    #[test]
+    fn json_has_all_event_kinds() {
+        let mut sink = ChromeSink::new(16);
+        sink.span(Phase::SpfFull, 100, wall(2_000));
+        sink.counter("queue.depth", 100, 3.0);
+        sink.observe("settle.dirty_flows", 100, 9);
+        sink.audit(&inject());
+        let json = sink.to_json(View::Full);
+        assert!(json.contains("\"name\": \"spf.full\", \"ph\": \"X\""));
+        assert!(json.contains("\"name\": \"queue.depth\", \"ph\": \"C\""));
+        assert!(json.contains("\"name\": \"settle.dirty_flows\", \"ph\": \"C\""));
+        assert!(json.contains("\"name\": \"lie.inject\", \"ph\": \"i\""));
+        assert!(json.contains("\"candidates\": 3"));
+        assert!(json.contains("\"otherData\": {\"dropped\": 0}"));
+        assert_eq!(json.lines().count(), 4 + 4 + 2, "one event per line");
     }
 
     #[test]
@@ -373,39 +327,34 @@ mod tests {
         for i in 0..5 {
             sink.span(Phase::Settle, i, wall(10));
         }
+        sink.audit(&inject());
         assert_eq!(sink.event_count(), 2);
-        assert_eq!(sink.dropped(), 3);
-        assert!(sink.to_json().contains("\"dropped\":3"));
-        // Aggregation is not capped.
-        assert_eq!(sink.attribution()[0].spans, 5);
+        assert_eq!(sink.dropped(), 4);
+        assert!(sink.to_json(View::Full).contains("\"dropped\": 4"));
+        assert_eq!(sink.audits().len(), 1, "the audit log is not capped");
     }
 
     #[test]
-    fn masking_blanks_exactly_ts_and_dur() {
+    fn deterministic_view_blanks_exactly_ts_and_dur() {
         let mut sink = ChromeSink::new(16);
         sink.span(Phase::FibInstall, 42, wall(1_234_000));
-        let masked = mask_wall_fields(&sink.to_json());
-        assert!(masked.contains("\"ts\":X"));
-        assert!(masked.contains("\"dur\":X"));
-        assert!(masked.contains("\"sim_ns\":42"), "sim time survives");
-        let again = mask_wall_fields(&ChromeSink::new(16).to_json());
-        assert_eq!(again, mask_wall_fields(&ChromeSink::new(16).to_json()));
+        assert!(sink.to_json(View::Full).contains("\"dur\": 1234, "));
+        assert!(sink.to_json(View::Deterministic).contains(
+            "{\"name\": \"fib.install\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \
+             \"ts\": null, \"dur\": null, \"args\": {\"sim_ns\": 42}}"
+        ));
     }
 
     #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(jstr("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn absorb_merges_events_and_attribution() {
+    fn absorb_merges_events_and_audits() {
         let epoch = Instant::now();
         let mut a = ChromeSink::with_epoch(16, epoch);
         let mut b = ChromeSink::with_epoch(16, epoch);
         a.span(Phase::SpfFull, 0, wall(10));
         b.span(Phase::Settle, 0, wall(30));
+        b.audit(&inject());
         a.absorb(b);
-        assert_eq!(a.event_count(), 2);
-        assert_eq!(a.attribution().len(), 2);
+        assert_eq!(a.event_count(), 3);
+        assert_eq!(a.audits().len(), 1);
     }
 }

@@ -24,8 +24,9 @@
 //! * Span timestamps carry the *simulated* clock too: the event loop
 //!   publishes it via [`set_sim_now`], and every span/counter records
 //!   the value current at its start. Sim time is deterministic; wall
-//!   time is not — exporters keep them in separate fields so byte
-//!   diffs can mask exactly the wall-derived ones.
+//!   time is not — exporters keep them in separate fields and mark
+//!   the wall-derived ones [`artifact::volatile`], so they stay out of
+//!   an artifact's deterministic view.
 //! * [`audit`] feeds the structured lie-lifecycle log: one record per
 //!   injection/retraction with trigger provenance and predicted vs.
 //!   measured max-utilization.
@@ -34,18 +35,24 @@
 //! `phase_attribution` bench sections) and [`ChromeSink`] (Chrome
 //! trace-event JSON for Perfetto / `chrome://tracing`).
 //!
+//! [`artifact`] is the workspace's one JSON writer: every `BENCH_*.json`
+//! and trace export is an [`artifact::Value`] written by
+//! [`artifact::save`], which also writes the deterministic view that
+//! run-twice comparisons `cmp`.
+//!
 //! Sinks must not call back into this crate (the thread-local state is
 //! borrowed while a sink runs), and [`take`] must not be called while
 //! span guards are live.
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 mod audit;
 mod chrome;
 mod sink;
 
 pub use audit::{AuditAction, AuditRecord, OrderRecord};
-pub use chrome::{mask_wall_fields, ChromeSink};
+pub use chrome::{trace_doc, trace_event, ChromeSink};
 pub use sink::{AggSink, HistSummary, PhaseAttribution, SpanWall, TraceSink};
 
 use std::cell::{Cell, RefCell};
@@ -427,7 +434,9 @@ mod tests {
         }
         let sink = take().unwrap();
         let chrome = sink.as_any().downcast_ref::<ChromeSink>().unwrap();
-        assert!(chrome.to_json().contains("\"sim_ns\":1500"));
+        assert!(chrome
+            .to_json(artifact::View::Full)
+            .contains("\"sim_ns\": 1500"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Wall-clock measurements of one closed span. Wall values are **not**
-/// deterministic; exporters must keep them in maskable fields.
+/// deterministic; exporters mark them [`crate::artifact::volatile`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpanWall {
     /// When the span opened (monotonic).
@@ -49,7 +49,7 @@ pub struct PhaseAttribution {
     pub phase: &'static str,
     /// Spans closed (deterministic across runs of the same seed).
     pub spans: u64,
-    /// Self wall nanoseconds (wall-derived; masked in byte diffs).
+    /// Self wall nanoseconds (wall-derived).
     pub self_ns: u64,
     /// Percentage of the total traced self time (wall-derived).
     pub pct: f64,

@@ -92,8 +92,8 @@ fn dirty_set_counters_prove_incrementality() {
     // every reallocation (`paths_resolved + paths_skipped` is exactly
     // that count, so a regression to global recompute lands at ratio
     // 1). This deliberately lie-churn-heavy scenario still skips over
-    // half the work (observed ~2.7x; the 16-28x headline ratios are
-    // tracked by the `sim_scale` bench on the larger sweeps).
+    // half the work (observed ~2.7x; the 14-170x ratios of the larger
+    // workloads are the ledger's `netsim.resolve_ratio`, in `bench/`).
     let naive = stats.paths_resolved + stats.paths_skipped;
     assert!(
         stats.paths_resolved * 2 <= naive,
