@@ -106,10 +106,11 @@ fn main() {
                 let name = ALL_SCENARIOS
                     .iter()
                     .copied()
+                    .chain([PREDICTIVE_PIN])
                     .find(|n| *n == name)
                     .unwrap_or_else(|| {
                         eprintln!(
-                            "unknown scenario `{name}` (have: {})",
+                            "unknown scenario `{name}` (have: {}, {PREDICTIVE_PIN})",
                             ALL_SCENARIOS.join(", ")
                         );
                         std::process::exit(2);

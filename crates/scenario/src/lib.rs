@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use crate::suite::{
         find_suite, found_dir, found_scenarios, load_found, load_scenario, scenarios_dir, Suite,
-        ALL_SCENARIOS, SUITES,
+        ALL_SCENARIOS, PREDICTIVE_PIN, SUITES,
     };
     pub use crate::sweep::{
         load_sweep, run_sweep, sweeps_dir, CellFailure, CellOutcome, SweepCell, SweepRun,

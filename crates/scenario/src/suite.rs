@@ -72,10 +72,125 @@ pub fn scenarios_dir() -> PathBuf {
         .join("scenarios")
 }
 
-/// Load and validate `scenarios/<name>.toml`.
+/// Load and validate `scenarios/<name>.toml` (or the compiled-in
+/// [`PREDICTIVE_PIN`]).
 pub fn load_scenario(name: &str) -> Result<ScenarioSpec, SpecError> {
+    if name == PREDICTIVE_PIN {
+        return ScenarioSpec::from_toml_str(PREDICTIVE_PIN_TOML);
+    }
     load_from(scenarios_dir().join(format!("{name}.toml")), name)
 }
+
+/// Name of the one scenario that is compiled in instead of shipped as
+/// a file: a small cut of the ledger's `predictive_storm`. It belongs
+/// to no suite; `tests/predictive_pin.rs` pins its artifacts and lie
+/// audit byte for byte, `tests/observability.rs` budgets its spans,
+/// and `scenario_suite --scenario predictive_pin` runs it by name.
+pub const PREDICTIVE_PIN: &str = "predictive_pin";
+
+/// Twenty routers, three prefixes at the best-connected ones, and a
+/// predictive controller re-planning on every viewer start and stop
+/// through six crowds cycling over the prefixes. Each crowd alone
+/// fills one link (13 viewers x 8 Mb/s on 100 Mb/s links), so shortest
+/// paths saturate and the controller has to lie; one of the third
+/// sink's uplinks fails under the third crowd and comes back under the
+/// fifth, so the real graph moves while lies for all three prefixes
+/// are installed.
+const PREDICTIVE_PIN_TOML: &str = r#"
+name = "predictive_pin"
+description = "pinned cut of predictive_storm: six crowds over three prefixes, one uplink failure"
+horizon_secs = 56.0
+seed = 2016
+# Sinks, ingresses and the failed link are routers of this seed's graph.
+pin_seed = true
+capacity = 1.25e7
+sinks = [7, 20, 16]
+
+[topology]
+kind = "waxman"
+n = 20
+alpha = 0.5
+beta = 0.3
+max_metric = 6
+
+[controller]
+attach = 7
+target_util = 0.6
+predictive = true
+use_snmp = true
+
+[[event]]
+at = 6.0
+action = "flash_crowd"
+src = 1
+n = 13
+mean_gap_secs = 0.1
+rate = 1e6
+video_secs = 12.0
+dst = 0
+
+[[event]]
+at = 12.25
+action = "flash_crowd"
+src = 19
+n = 13
+mean_gap_secs = 0.1
+rate = 1e6
+video_secs = 12.0
+dst = 1
+
+[[event]]
+at = 18.5
+action = "flash_crowd"
+src = 1
+n = 13
+mean_gap_secs = 0.1
+rate = 1e6
+video_secs = 12.0
+dst = 2
+
+[[event]]
+at = 20.0
+action = "fail_link"
+a = 20
+b = 16
+
+[[event]]
+at = 24.75
+action = "flash_crowd"
+src = 4
+n = 13
+mean_gap_secs = 0.1
+rate = 1e6
+video_secs = 12.0
+dst = 0
+
+[[event]]
+at = 31.0
+action = "flash_crowd"
+src = 8
+n = 13
+mean_gap_secs = 0.1
+rate = 1e6
+video_secs = 12.0
+dst = 1
+
+[[event]]
+at = 32.0
+action = "restore_link"
+a = 20
+b = 16
+
+[[event]]
+at = 37.25
+action = "flash_crowd"
+src = 4
+n = 13
+mean_gap_secs = 0.1
+rate = 1e6
+video_secs = 12.0
+dst = 2
+"#;
 
 /// The `scenarios/found/` directory: the adversarial fuzzer's archived
 /// regression corpus (see `docs/ADVERSARY.md`). Unlike the shipped
@@ -148,6 +263,14 @@ mod tests {
             let spec = load_scenario(name).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(&spec.name, name);
         }
+    }
+
+    #[test]
+    fn compiled_in_scenario_parses_under_its_name() {
+        let spec = load_scenario(PREDICTIVE_PIN).expect("compiled-in spec parses");
+        assert_eq!(spec.name, PREDICTIVE_PIN);
+        assert!(spec.pin_seed && spec.sinks.len() == 3);
+        assert!(!ALL_SCENARIOS.contains(&PREDICTIVE_PIN), "in no suite");
     }
 
     #[test]

@@ -1,0 +1,104 @@
+//! Byte pin of a multi-prefix predictive controller run.
+//!
+//! The shipped pins (`tests/determinism.rs`, the CSVs under
+//! `crates/netsim/tests/data`) all drive one prefix. Here the
+//! controller plans three prefixes on every viewer start and stop, so
+//! the fake ids and `#addr` secondary addresses its [`LieAllocator`]
+//! hands out — including those of plans the augmentation fixpoint or
+//! the reducer threw away — show in every audit record. A change that
+//! plans differently, plans in another order, or allocates one id more
+//! or fewer moves a digest below; a change that only makes planning
+//! cheaper must not.
+//!
+//! [`LieAllocator`]: fibbing::core::lie::LieAllocator
+
+use fib_trace::{AggSink, AuditRecord};
+use fibbing::scenario::runner::{build, RunOptions};
+use fibbing::scenario::suite::{load_scenario, PREDICTIVE_PIN};
+use std::fmt::Write as _;
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// One audit record per line, every field.
+fn render(audits: &[AuditRecord]) -> String {
+    let mut out = String::new();
+    for a in audits {
+        let _ = writeln!(
+            out,
+            "{} {} {} | {} | {} | candidates {} predicted {:?} measured {:?}",
+            a.sim_ns,
+            a.action.name(),
+            a.prefix,
+            a.lie,
+            a.trigger,
+            a.candidates,
+            a.predicted_max_util,
+            a.measured_max_util
+        );
+    }
+    out
+}
+
+#[test]
+fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
+    let spec = load_scenario(PREDICTIVE_PIN).expect("compiled-in spec");
+    fib_trace::install(Box::new(AggSink::new()));
+    let report = build(&spec, RunOptions::default())
+        .expect("predictive_pin builds")
+        .finish();
+    let sink = fib_trace::take()
+        .expect("sink still installed")
+        .into_any()
+        .downcast::<AggSink>()
+        .expect("the sink that was installed");
+    let audit = render(sink.audits());
+
+    // The run does what the pin is for: lies for all three prefixes,
+    // planned over a real graph that moves twice.
+    assert_eq!(
+        (report.reactions, report.injections, report.retractions),
+        (222, 84, 84)
+    );
+    assert_eq!((report.peak_lies, report.final_lies), (20, 0));
+    for prefix in ["10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"] {
+        assert!(
+            sink.audits().iter().any(|a| a.prefix == prefix),
+            "no lie for {prefix}"
+        );
+    }
+    // Readable anchors: the first lie, and the fourteenth — by then 55
+    // ids are spent, most on plans that were recomputed or reduced
+    // away, and r1 is on its fifteenth secondary address of r14.
+    let line = |n: usize| audit.lines().nth(n).unwrap_or("").to_string();
+    assert_eq!(
+        line(0),
+        "7400000000 inject 10.0.1.0/24 | lie fake0@r1: 10.0.1.0/24 cost 4 via r10#1 | \
+         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.1280157325"
+    );
+    assert_eq!(
+        line(13),
+        "19500000000 inject 10.0.3.0/24 | lie fake54@r1: 10.0.3.0/24 cost 6 via r14#15 | \
+         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.7903170809197998"
+    );
+
+    let digests = (
+        fnv1a(report.summary_csv().as_bytes()),
+        fnv1a(report.trace_csv.as_bytes()),
+        fnv1a(audit.as_bytes()),
+    );
+    assert_eq!(
+        digests,
+        (
+            0xb8c0_f9f2_b721_7999,
+            0x898b_73a7_05c7_29b7,
+            0xe9b3_a39c_5aab_e4a1
+        ),
+        "summary / trace / audit digests moved: {digests:#018x?}\nfirst audit lines:\n{}",
+        audit.lines().take(12).collect::<Vec<_>>().join("\n")
+    );
+}
