@@ -39,12 +39,13 @@
 //! requirements should prefer downstream next-hops or constrain the
 //! full path as the Simple algorithm does.
 
-use crate::lie::{apply_all, Lie, LieAllocator};
+use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator};
 use crate::requirements::WeightedDag;
-use crate::verify::{check_preserving, VerifyReport};
+use crate::verify::{actual_fractions, check_against, VerifyReport};
+use fib_igp::rib::Route;
 use fib_igp::spf::compute_routes;
 use fib_igp::topology::Topology;
-use fib_igp::types::{Metric, RouterId};
+use fib_igp::types::{Metric, Prefix, RouterId};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -68,6 +69,14 @@ pub enum AugmentError {
     NoFixpoint,
     /// The final plan failed verification (internal bug guard).
     VerificationFailed(Box<VerifyReport>),
+    /// A router ran out of secondary addresses of one neighbor.
+    AddressesExhausted(AddrExhausted),
+}
+
+impl From<AddrExhausted> for AugmentError {
+    fn from(e: AddrExhausted) -> Self {
+        AugmentError::AddressesExhausted(e)
+    }
 }
 
 impl fmt::Display for AugmentError {
@@ -88,6 +97,7 @@ impl fmt::Display for AugmentError {
             AugmentError::VerificationFailed(rep) => {
                 write!(f, "verification failed: {rep}")
             }
+            AugmentError::AddressesExhausted(e) => write!(f, "{e}"),
         }
     }
 }
@@ -117,30 +127,26 @@ impl Plan {
     }
 }
 
-/// Natural (IGP) next-hop routers of `r` toward the prefix on `topo`,
-/// with slot counts.
-fn natural_hops(
-    topo: &Topology,
-    r: RouterId,
-    prefix: fib_igp::types::Prefix,
-) -> Vec<(RouterId, u32)> {
-    let table = compute_routes(topo, r);
-    match table.route(prefix) {
-        Some(route) if !route.local => {
-            let mut counts: BTreeMap<RouterId, u32> = BTreeMap::new();
-            for h in &route.nexthops {
-                *counts.entry(h.router).or_insert(0) += 1;
-            }
-            counts.into_iter().collect()
-        }
-        _ => Vec::new(),
+/// Next-hop routers of a route with their slot counts (none for a
+/// locally delivered prefix).
+fn hops_of(route: &Route) -> Vec<(RouterId, u32)> {
+    if route.local {
+        return Vec::new();
     }
+    let mut counts: BTreeMap<RouterId, u32> = BTreeMap::new();
+    for h in &route.nexthops {
+        *counts.entry(h.router).or_insert(0) += 1;
+    }
+    counts.into_iter().collect()
 }
 
-fn natural_dist(topo: &Topology, r: RouterId, prefix: fib_igp::types::Prefix) -> Option<Metric> {
+/// Natural (IGP) next-hop routers of `r` toward the prefix on `topo`,
+/// with slot counts.
+fn natural_hops(topo: &Topology, r: RouterId, prefix: Prefix) -> Vec<(RouterId, u32)> {
     compute_routes(topo, r)
         .route(prefix)
-        .map(|route| route.dist)
+        .map(hops_of)
+        .unwrap_or_default()
 }
 
 /// Plan lies for one router on `base` (the topology augmented with
@@ -149,7 +155,7 @@ fn plan_for_router(
     base: &Topology,
     r: RouterId,
     desired: &[(RouterId, u32)],
-    prefix: fib_igp::types::Prefix,
+    prefix: Prefix,
     alloc: &mut LieAllocator,
 ) -> Result<(Vec<Lie>, bool), AugmentError> {
     // Validate adjacency (forwarding addresses must be neighbors).
@@ -161,11 +167,14 @@ fn plan_for_router(
             });
         }
     }
-    let dist = natural_dist(base, r, prefix).ok_or(AugmentError::Unreachable(r))?;
+    // One forward SPF gives both the distance and the natural hops.
+    let table = compute_routes(base, r);
+    let route = table.route(prefix).ok_or(AugmentError::Unreachable(r))?;
+    let dist = route.dist;
     if !dist.is_finite() {
         return Err(AugmentError::Unreachable(r));
     }
-    let natural = natural_hops(base, r, prefix);
+    let natural = hops_of(route);
     let natural_routers: Vec<RouterId> = natural.iter().map(|(n, _)| *n).collect();
     let desired_map: BTreeMap<RouterId, u32> = desired.iter().copied().collect();
 
@@ -187,7 +196,7 @@ fn plan_for_router(
         for (nh, w) in desired {
             let free = u32::from(natural_routers.contains(nh));
             for _ in free..*w {
-                lies.push(alloc.make(r, *nh, prefix, dist));
+                lies.push(alloc.make(r, *nh, prefix, dist)?);
             }
         }
         return Ok((lies, false));
@@ -201,7 +210,7 @@ fn plan_for_router(
     let mut lies = Vec::new();
     for (nh, w) in desired {
         for _ in 0..*w {
-            lies.push(alloc.make(r, *nh, prefix, cost));
+            lies.push(alloc.make(r, *nh, prefix, cost)?);
         }
     }
     Ok((lies, true))
@@ -234,7 +243,7 @@ pub fn augment(
     let mut lies_by_router: BTreeMap<RouterId, Vec<Lie>> = BTreeMap::new();
 
     // Baseline fractions for side-effect detection.
-    let baseline = crate::verify::actual_fractions(topo, prefix);
+    let baseline = actual_fractions(topo, prefix);
 
     let max_iter = topo.router_count() + 2;
     let mut stable = false;
@@ -263,7 +272,7 @@ pub fn augment(
         // Detect disturbed unconstrained routers and pin them.
         let all_lies: Vec<Lie> = lies_by_router.values().flatten().copied().collect();
         let augmented = apply_all(topo, &all_lies);
-        let actual = crate::verify::actual_fractions(&augmented, prefix);
+        let actual = actual_fractions(&augmented, prefix);
         for (u, base_fr) in &baseline {
             if working.hops(*u).is_some() {
                 continue;
@@ -296,7 +305,7 @@ pub fn augment(
 
     let lies: Vec<Lie> = lies_by_router.values().flatten().copied().collect();
     let augmented = apply_all(topo, &lies);
-    let report = check_preserving(topo, &augmented, &working);
+    let report = check_against(&baseline, &augmented, &working);
     if !report.ok() {
         return Err(AugmentError::VerificationFailed(Box::new(report)));
     }
@@ -330,7 +339,7 @@ pub fn augment_simple(
                 });
             }
             for _ in 0..*w {
-                lies.push(alloc.make(r, *nh, dag.prefix, Metric(1)));
+                lies.push(alloc.make(r, *nh, dag.prefix, Metric(1))?);
             }
         }
     }
@@ -345,12 +354,13 @@ pub fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
     for l in lies {
         groups.entry(l.attach).or_default().push(*l);
     }
+    let baseline = actual_fractions(topo, dag.prefix);
     let attaches: Vec<RouterId> = groups.keys().copied().collect();
     for attach in attaches {
         let removed = groups.remove(&attach).expect("group exists");
         let candidate: Vec<Lie> = groups.values().flatten().copied().collect();
         let augmented = apply_all(topo, &candidate);
-        let report = check_preserving(topo, &augmented, dag);
+        let report = check_against(&baseline, &augmented, dag);
         if !report.ok() {
             groups.insert(attach, removed); // keep the group
         }
@@ -361,7 +371,7 @@ pub fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fib_igp::types::Prefix;
+    use crate::verify::check_preserving;
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -546,7 +556,7 @@ mod tests {
             // Pick a router with a route and a neighbor to add.
             let candidates: Vec<RouterId> = topo.routers().filter(|x| *x != sink).collect();
             let r0 = candidates[rng.gen_range(0..candidates.len())];
-            let dist = natural_dist(&topo, r0, prefix).unwrap();
+            let dist = compute_routes(&topo, r0).route(prefix).unwrap().dist;
             if !dist.is_finite() || dist.0 < 1 {
                 continue;
             }
@@ -558,7 +568,7 @@ mod tests {
                 .collect();
             let nh = nbrs[rng.gen_range(0..nbrs.len())];
             let mut alloc = LieAllocator::new();
-            let lie = alloc.make(r0, nh, prefix, dist);
+            let lie = alloc.make(r0, nh, prefix, dist).unwrap();
             let before = crate::verify::actual_fractions(&topo, prefix);
             let aug = apply_all(&topo, &[lie]);
             let after = crate::verify::actual_fractions(&aug, prefix);

@@ -20,11 +20,22 @@
 //! retract obsolete ones). When demand subsides so the *natural*
 //! (lie-free) routing would stay below the low watermark, every lie is
 //! retracted and the network falls back to its original state.
+//!
+//! The loop runs once per viewer start and stop, and nine reactions in
+//! ten ask for the plan that is already installed, so an evaluation is
+//! made to cost what changed since the last one: the two topologies it
+//! reads and their per-prefix forwarding state are kept until the
+//! speaker's LSDB version moves (`Derived`), and a reaction whose
+//! planned DAG and real topology equal the previous one's is answered
+//! from a memo (`Reaction`). Neither changes a decision: the code a
+//! miss runs is the whole computation.
 
-use crate::augmentation::{augment, reduce};
-use crate::lie::{Lie, LieAllocator};
-use fib_igp::loadmodel::{max_utilization, spread, Demand};
+use crate::augmentation::{augment, reduce, AugmentError};
+use crate::lie::{Lie, LieAllocator, LieRequest};
+use crate::requirements::WeightedDag;
+use fib_igp::loadmodel::{max_utilization, Forwarding, LinkLoads, LoadModelError};
 use fib_igp::time::Dur;
+use fib_igp::topology::Topology;
 use fib_igp::types::{Prefix, RouterId};
 use fib_netsim::flow::{FlowId, FlowInfo};
 use fib_netsim::handler::{AppEvent, EventHandler};
@@ -112,6 +123,14 @@ pub struct ControllerStats {
     pub evaluations: u64,
     /// Plans that failed (optimizer or augmentation error).
     pub failures: u64,
+    /// Evaluations cut short because the demand could not be spread
+    /// over the speaker's view of the network (a demand's ingress
+    /// without a route, or a forwarding loop: convergence in
+    /// progress).
+    pub spread_failures: u64,
+    /// Reactions (counted in `reactions` too) answered from the memo
+    /// of the previous reaction for the prefix.
+    pub replayed: u64,
 }
 
 /// A live view of the controller, published through
@@ -139,12 +158,135 @@ pub struct FibbingController {
     book: BTreeMap<FlowId, FlowInfo>,
     installed: BTreeMap<Prefix, Vec<Lie>>,
     alloc: LieAllocator,
+    /// The speaker's view of the network, lies included.
+    view: Option<Derived>,
+    /// The view without the lies: what planning works on.
+    real: Option<Derived>,
+    /// The last reaction per prefix, all computed on `real`.
+    memo: BTreeMap<Prefix, Reaction>,
     watch: Option<ControllerHandle>,
     /// Most recent alarm edge seen this run, rendered for the audit
     /// log (cross-reference into the `alarm.*` trace series).
     last_alarm: Option<String>,
+    /// The most recent plan failure not yet reported: the next audited
+    /// action names it in its trigger text. Only rendered when a trace
+    /// sink is installed.
+    last_failure: Option<String>,
     /// Observable counters.
     pub stats: ControllerStats,
+}
+
+/// Demands as the controller books them: per prefix, `(ingress, rate)`
+/// in ingress order.
+type DemandBook = BTreeMap<Prefix, Vec<(RouterId, f64)>>;
+
+/// A topology derived from the speaker's LSDB, with the per-prefix
+/// forwarding state worked out on it so far. Good for as long as the
+/// LSDB version it was derived at stands.
+struct Derived {
+    version: u64,
+    topo: Topology,
+    forwarding: BTreeMap<Prefix, Forwarding>,
+}
+
+impl Derived {
+    fn new(version: u64, topo: Topology) -> Derived {
+        Derived {
+            version,
+            topo,
+            forwarding: BTreeMap::new(),
+        }
+    }
+
+    /// [`fib_igp::loadmodel::spread`] of `book` over the topology,
+    /// working out only the forwarding state no earlier call has.
+    fn spread(&mut self, book: &DemandBook) -> Result<LinkLoads, LoadModelError> {
+        let mut loads = LinkLoads::new();
+        for (prefix, demands) in book {
+            self.forwarding
+                .entry(*prefix)
+                .or_insert_with(|| Forwarding::new(&self.topo, *prefix))
+                .push(demands, &mut loads)?;
+        }
+        Ok(loads)
+    }
+}
+
+/// What realizing a DAG came to: the size of the candidate lie set the
+/// reducer chose from, and the lies to install, in injection order.
+type Realized = Result<(usize, Vec<Lie>), AugmentError>;
+
+/// [`augment`] then (if asked) [`reduce`].
+fn realize_from_scratch(
+    real: &Topology,
+    dag: &WeightedDag,
+    reduce_lies: bool,
+    alloc: &mut LieAllocator,
+) -> Realized {
+    let aug = augment(real, dag, alloc)?;
+    let candidates = aug.lies.len();
+    let lies = if reduce_lies {
+        reduce(real, dag, &aug.lies)
+    } else {
+        aug.lies
+    };
+    Ok((candidates, lies))
+}
+
+/// One run of [`realize_from_scratch`], remembered without its ids.
+///
+/// Which lies come out is a function of the real topology and the DAG
+/// alone. Their fake ids and secondary addresses are not: every lie
+/// the computation asks the allocator for spends one of each — also
+/// those of per-router plans the fixpoint recomputed and of groups the
+/// reducer dropped — and both are visible (`fake54`, `via r14#15` in
+/// the audit log; the address orders a router's ECMP slots). So the
+/// memo keeps the requests, in order, and which of them survived;
+/// [`replay`](Self::replay) spends them again and picks the survivors.
+struct Reaction {
+    dag: WeightedDag,
+    requests: Vec<LieRequest>,
+    /// On success the candidate count and the surviving requests'
+    /// indexes, in the reducer's output order.
+    outcome: Result<(usize, Vec<usize>), AugmentError>,
+}
+
+impl Reaction {
+    /// Run the computation, keeping what [`replay`](Self::replay)
+    /// needs.
+    fn compute(
+        real: &Topology,
+        dag: &WeightedDag,
+        reduce_lies: bool,
+        alloc: &mut LieAllocator,
+    ) -> (Reaction, Realized) {
+        // A granted request spends exactly one fake id, so the n-th
+        // one is the lie whose id is n past the first.
+        let first = alloc.next_fake_index();
+        alloc.record();
+        let realized = realize_from_scratch(real, dag, reduce_lies, alloc);
+        let index_of = |lie: &Lie| {
+            let id = lie.fake_id.fake_index().expect("lies carry fake ids");
+            (id - first) as usize
+        };
+        let reaction = Reaction {
+            dag: dag.clone(),
+            requests: alloc.take_recorded(),
+            outcome: match &realized {
+                Ok((candidates, lies)) => Ok((*candidates, lies.iter().map(index_of).collect())),
+                Err(e) => Err(e.clone()),
+            },
+        };
+        (reaction, realized)
+    }
+
+    /// What the computation would return if run now, leaving `alloc`
+    /// where the computation would.
+    fn replay(&self, alloc: &mut LieAllocator) -> Realized {
+        let made = alloc.replay(&self.requests)?;
+        let (candidates, kept) = self.outcome.clone()?;
+        Ok((candidates, kept.into_iter().map(|i| made[i]).collect()))
+    }
 }
 
 /// Decision context threaded into reconcile/retract so every audited
@@ -172,8 +314,12 @@ impl FibbingController {
             book: BTreeMap::new(),
             installed: BTreeMap::new(),
             alloc: LieAllocator::new(),
+            view: None,
+            real: None,
+            memo: BTreeMap::new(),
             watch: None,
             last_alarm: None,
+            last_failure: None,
             stats: ControllerStats::default(),
         }
     }
@@ -214,7 +360,7 @@ impl FibbingController {
         self.installed.values().map(|v| v.len()).sum()
     }
 
-    fn demands_by_prefix(&self) -> BTreeMap<Prefix, Vec<(RouterId, f64)>> {
+    fn demands_by_prefix(&self) -> DemandBook {
         let mut agg: BTreeMap<Prefix, BTreeMap<RouterId, f64>> = BTreeMap::new();
         for info in self.book.values() {
             let rate = info.cap.unwrap_or(self.cfg.default_flow_rate);
@@ -225,16 +371,6 @@ impl FibbingController {
         }
         agg.into_iter()
             .map(|(p, m)| (p, m.into_iter().collect()))
-            .collect()
-    }
-
-    fn all_demands(&self) -> Vec<Demand> {
-        self.demands_by_prefix()
-            .into_iter()
-            .flat_map(|(prefix, v)| {
-                v.into_iter()
-                    .map(move |(src, rate)| Demand { src, prefix, rate })
-            })
             .collect()
     }
 
@@ -284,20 +420,39 @@ impl FibbingController {
 
     /// Emit one lie-lifecycle audit record (free when tracing is off;
     /// the formatting only happens with a sink installed).
-    fn audit(api: &SimContext<'_>, action: AuditAction, prefix: Prefix, lie: &Lie, ctx: &AuditCtx) {
+    fn audit(
+        &mut self,
+        api: &SimContext<'_>,
+        action: AuditAction,
+        prefix: Prefix,
+        lie: &Lie,
+        ctx: &AuditCtx,
+    ) {
         if !fib_trace::enabled() {
             return;
         }
+        let trigger = match self.last_failure.take() {
+            Some(failure) => format!("{}; after {failure}", ctx.trigger),
+            None => ctx.trigger.clone(),
+        };
         fib_trace::audit(AuditRecord {
             sim_ns: api.now().0,
             action,
             prefix: prefix.to_string(),
             lie: lie.to_string(),
-            trigger: ctx.trigger.clone(),
+            trigger,
             candidates: ctx.candidates,
             predicted_max_util: ctx.predicted_max_util,
             measured_max_util: ctx.measured_max_util,
         });
+    }
+
+    /// Count a failed plan and keep why, for the next audit record.
+    fn plan_failed(&mut self, prefix: Prefix, why: &dyn std::fmt::Display) {
+        self.stats.failures += 1;
+        if fib_trace::enabled() {
+            self.last_failure = Some(format!("failed plan for {prefix}: {why}"));
+        }
     }
 
     fn reconcile(
@@ -328,7 +483,7 @@ impl FibbingController {
             for l in leftovers {
                 if api.retract_fake(self.cfg.speaker, l.fake_id).is_ok() {
                     self.stats.retractions += 1;
-                    Self::audit(api, AuditAction::Retract, prefix, &l, actx);
+                    self.audit(api, AuditAction::Retract, prefix, &l, actx);
                 }
             }
         }
@@ -346,7 +501,7 @@ impl FibbingController {
                 .is_ok()
             {
                 self.stats.injections += 1;
-                Self::audit(api, AuditAction::Inject, prefix, l, actx);
+                self.audit(api, AuditAction::Inject, prefix, l, actx);
             }
         }
         if !final_set.is_empty() {
@@ -359,7 +514,7 @@ impl FibbingController {
             for l in lies {
                 if api.retract_fake(self.cfg.speaker, l.fake_id).is_ok() {
                     self.stats.retractions += 1;
-                    Self::audit(api, AuditAction::Retract, prefix, &l, actx);
+                    self.audit(api, AuditAction::Retract, prefix, &l, actx);
                 }
             }
         }
@@ -375,20 +530,85 @@ impl FibbingController {
         self.publish(api);
     }
 
+    /// Bring `view` and `real` up to the speaker's LSDB. `false` if
+    /// the speaker is gone.
+    fn refresh_topologies(&mut self, api: &SimContext<'_>) -> bool {
+        let Some((all, lie_free)) = api.lsdb_versions(self.cfg.speaker) else {
+            return false;
+        };
+        if self.view.as_ref().is_some_and(|v| v.version == all.0) {
+            // The lie-free version cannot move without this one.
+            return true;
+        }
+        let Some(view) = api.topology_view(self.cfg.speaker) else {
+            return false;
+        };
+        if !self.real.as_ref().is_some_and(|r| r.version == lie_free) {
+            self.real = Some(Derived::new(lie_free, view.without_fakes()));
+            self.memo.clear();
+        }
+        self.view = Some(Derived::new(all.0, view));
+        true
+    }
+
+    /// The lies realizing `dag` on the real topology: from the memo
+    /// when the prefix's previous reaction was for this DAG (the memo
+    /// never outlives the real topology it was computed on), else
+    /// computed and remembered.
+    fn realize(&mut self, dag: &WeightedDag) -> Realized {
+        let real = &self.real.as_ref().expect("refreshed by the caller").topo;
+        let reduce_lies = self.cfg.reduce_lies;
+        if let Some(reaction) = self.memo.get(&dag.prefix).filter(|m| m.dag == *dag) {
+            self.stats.replayed += 1;
+            // Debug builds check every hit against the computation it
+            // stands for. Not under a trace sink: a trace shows, span
+            // for span, what a release build does.
+            let oracle = (cfg!(debug_assertions) && !fib_trace::enabled()).then(|| {
+                let mut alloc = self.alloc.clone();
+                let realized = realize_from_scratch(real, dag, reduce_lies, &mut alloc);
+                (realized, alloc)
+            });
+            let realized = reaction.replay(&mut self.alloc);
+            if let Some((expected, alloc)) = oracle {
+                assert_eq!(realized, expected, "memoised reaction for {dag}");
+                assert_eq!(self.alloc, alloc, "allocator after a memoised reaction");
+            }
+            return realized;
+        }
+        let (reaction, realized) = Reaction::compute(real, dag, reduce_lies, &mut self.alloc);
+        self.memo.insert(dag.prefix, reaction);
+        realized
+    }
+
     fn evaluate_inner(&mut self, api: &mut SimContext<'_>) {
         self.stats.evaluations += 1;
-        let Some(view) = api.topology_view(self.cfg.speaker) else {
+        if !self.refresh_topologies(api) {
+            return;
+        }
+        let by_prefix = self.demands_by_prefix();
+        let (Some(view), Some(real)) = (&mut self.view, &mut self.real) else {
             return;
         };
-        let real = view.without_fakes();
-        let demands = self.all_demands();
-        let by_prefix = self.demands_by_prefix();
 
         // Predicted utilization on the *current* forwarding state (the
         // controller's LSDB already contains its own lies).
-        let predicted = match spread(&view, &demands) {
+        let predicted = match view.spread(&by_prefix) {
             Ok(loads) => max_utilization(&loads, &self.caps),
-            Err(_) => return, // transient (convergence in progress)
+            Err(_) => {
+                // Transient (convergence in progress).
+                self.stats.spread_failures += 1;
+                return;
+            }
+        };
+        // Natural (lie-free) utilization decides retraction. It does
+        // not depend on the prefix under consideration, so compute it
+        // once per pass, not once per prefix.
+        let natural = match real.spread(&by_prefix) {
+            Ok(loads) => max_utilization(&loads, &self.caps),
+            Err(_) => {
+                self.stats.spread_failures += 1;
+                return;
+            }
         };
         let measured = if self.cfg.use_snmp {
             self.monitor.max_utilization()
@@ -428,16 +648,7 @@ impl FibbingController {
             v
         };
 
-        // Natural (lie-free) utilization decides retraction. It does
-        // not depend on the prefix under consideration, so compute it
-        // once per pass, not once per prefix.
-        let natural = match spread(&real, &demands) {
-            Ok(loads) => Some(max_utilization(&loads, &self.caps)),
-            Err(_) => None,
-        };
         for prefix in prefixes {
-            let dem = by_prefix.get(&prefix).cloned().unwrap_or_default();
-            let Some(natural) = natural else { continue };
             if self.installed.contains_key(&prefix) && natural <= self.cfg.util_lo {
                 let actx = AuditCtx {
                     trigger: if fib_trace::enabled() {
@@ -452,45 +663,39 @@ impl FibbingController {
                 self.retract_all(api, prefix, &actx);
                 continue;
             }
-            if !congested || dem.is_empty() {
+            let Some(dem) = by_prefix.get(&prefix).filter(|_| congested) else {
                 continue;
-            }
+            };
             self.stats.reactions += 1;
+            let real = &self.real.as_ref().expect("refreshed above").topo;
             let plan = match crate::optimizer::plan_paths(
-                &real,
+                real,
                 prefix,
-                &dem,
+                dem,
                 &self.caps,
                 self.cfg.target_util,
                 self.cfg.slot_budget,
             ) {
                 Ok(p) => p,
-                Err(_) => {
-                    self.stats.failures += 1;
-                    continue;
-                }
-            };
-            let aug = match augment(&real, &plan.dag, &mut self.alloc) {
-                Ok(a) => a,
-                Err(_) => {
-                    self.stats.failures += 1;
+                Err(e) => {
+                    self.plan_failed(prefix, &e);
                     continue;
                 }
             };
             // The augmentation's full lie set is the candidate set the
             // reducer chooses from; the plan's own load map gives the
             // predicted post-action max-utilization.
-            let candidates = aug.lies.len();
-            let plan_predicted = max_utilization(&plan.loads, &self.caps);
-            let lies = if self.cfg.reduce_lies {
-                reduce(&real, &plan.dag, &aug.lies)
-            } else {
-                aug.lies
+            let (candidates, lies) = match self.realize(&plan.dag) {
+                Ok(r) => r,
+                Err(e) => {
+                    self.plan_failed(prefix, &e);
+                    continue;
+                }
             };
             let actx = AuditCtx {
                 trigger: trigger.clone(),
                 candidates,
-                predicted_max_util: plan_predicted,
+                predicted_max_util: max_utilization(&plan.loads, &self.caps),
                 measured_max_util: measured,
             };
             self.reconcile(api, prefix, lies, &actx);
@@ -785,6 +990,336 @@ mod tests {
         assert!(
             sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len() >= 2,
             "SNMP path must eventually react"
+        );
+    }
+
+    // ---- the caches: what is kept, and what drops it ----
+
+    const P1: Prefix = Prefix::net24(1);
+    const P2: Prefix = Prefix::net24(2);
+
+    /// A controller driven by hand. The simulator runs the IGP, so the
+    /// speaker's LSDB is the real thing, floods and all; but the
+    /// controller is not one of its apps, so a test chooses when it
+    /// evaluates and can read what it keeps.
+    struct ByHand {
+        sim: Sim,
+        ctl: FibbingController,
+        next_flow: u64,
+    }
+
+    impl ByHand {
+        /// The triangle plus a spur (2-4 and 4-3 at metric 5, on no
+        /// shortest path and in no plan — there to be failed), both
+        /// prefixes at r3, speaker on r2; converged.
+        fn new() -> ByHand {
+            let mut cfg = ControllerConfig::new(r(100));
+            cfg.use_snmp = false;
+            let mut sim = Sim::new(SimConfig::default());
+            for i in 1..=4 {
+                sim.add_router(r(i));
+            }
+            sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
+            sim.add_link(LinkSpec::new(r(2), r(3), Metric(1), 1e6));
+            sim.add_link(LinkSpec::new(r(1), r(3), Metric(5), 1e6));
+            sim.add_link(LinkSpec::new(r(2), r(4), Metric(5), 1e6));
+            sim.add_link(LinkSpec::new(r(4), r(3), Metric(5), 1e6));
+            sim.announce_prefix(r(3), P1);
+            sim.announce_prefix(r(3), P2);
+            sim.add_controller_speaker(r(100), r(2));
+            sim.start();
+            sim.run_until(Timestamp::from_secs(5));
+            let mut ctl = FibbingController::new(cfg);
+            ctl.on_start(&mut sim.ctx());
+            ByHand {
+                sim,
+                ctl,
+                next_flow: 0,
+            }
+        }
+
+        /// Book `n` viewers of 100 kB/s at r1 for `dst`.
+        fn book(&mut self, n: u64, dst: Prefix) {
+            for _ in 0..n {
+                let id = FlowId(self.next_flow);
+                self.next_flow += 1;
+                self.ctl.book.insert(
+                    id,
+                    FlowInfo {
+                        id,
+                        src: r(1),
+                        dst,
+                        cap: Some(1e5),
+                        tag: 0,
+                    },
+                );
+            }
+        }
+
+        /// The crowd every test starts from: 1.2 MB/s for P1 (more
+        /// than the shortest path carries) and 0.3 MB/s for P2.
+        fn crowded() -> ByHand {
+            let mut h = ByHand::new();
+            h.book(12, P1);
+            h.book(3, P2);
+            h
+        }
+
+        /// Let the IGP settle for two seconds, then evaluate once;
+        /// returns `(reactions computed, reactions replayed)` of that
+        /// evaluation.
+        fn evaluate(&mut self) -> (u64, u64) {
+            let until = self.sim.now() + Dur::from_secs(2);
+            self.sim.run_until(until);
+            let before = self.ctl.stats;
+            self.ctl.evaluate(&mut self.sim.ctx());
+            let reactions = self.ctl.stats.reactions - before.reactions;
+            let replayed = self.ctl.stats.replayed - before.replayed;
+            (reactions - replayed, replayed)
+        }
+
+        /// `(view, real)` versions the kept topologies were derived at.
+        fn versions(&self) -> (u64, u64) {
+            (
+                self.ctl.view.as_ref().expect("evaluated").version,
+                self.ctl.real.as_ref().expect("evaluated").version,
+            )
+        }
+    }
+
+    #[test]
+    fn own_lies_rebuild_the_view_and_keep_the_real_side() {
+        let mut h = ByHand::crowded();
+        // First pass: nothing kept yet, both prefixes are computed, P1
+        // gets its lies.
+        assert_eq!(h.evaluate(), (2, 0));
+        assert!(h.ctl.stats.injections >= 1);
+        let (view0, real0) = h.versions();
+        // The lies are in the speaker's LSDB now: the view is stale,
+        // the lie-free topology and the reactions computed on it are
+        // not. P2's demand still rides the shortest path next to P1's
+        // share, so the pass is congested and re-plans both.
+        assert_eq!(h.evaluate(), (0, 2));
+        let (view1, real1) = h.versions();
+        assert_ne!(view1, view0, "injecting moved the LSDB version");
+        assert_eq!(real1, real0, "lies are not part of the lie-free topology");
+        assert!(!h.ctl.real.as_ref().unwrap().forwarding.is_empty());
+        // Nothing was injected this time: nothing at all is rebuilt.
+        assert_eq!(h.evaluate(), (0, 2));
+        assert_eq!(h.versions(), (view1, real1));
+        assert_eq!(h.ctl.stats.failures + h.ctl.stats.spread_failures, 0);
+    }
+
+    #[test]
+    fn a_prefix_announcement_alone_drops_the_real_side() {
+        let mut h = ByHand::crowded();
+        h.evaluate();
+        assert_eq!(h.evaluate(), (0, 2));
+        let lsdb = |h: &ByHand| {
+            let db = h.sim.instance(r(100)).expect("speaker").lsdb();
+            (db.real_version(), db.lie_free_version())
+        };
+        let (routers0, lie_free0) = lsdb(&h);
+        // r4 starts announcing a third prefix. No router LSA changes —
+        // the router-only version would call the real topology
+        // unchanged — but the lie-free topology did change.
+        h.sim.announce_prefix(r(4), Prefix::net24(3));
+        assert_eq!(h.evaluate(), (2, 0));
+        let (routers1, lie_free1) = lsdb(&h);
+        assert_eq!(routers1, routers0);
+        assert_ne!(lie_free1, lie_free0);
+        assert_eq!(h.versions().1, lie_free1);
+        assert_eq!(h.evaluate(), (0, 2));
+    }
+
+    #[test]
+    fn a_link_failure_drops_the_real_side() {
+        let mut h = ByHand::crowded();
+        h.evaluate();
+        assert_eq!(h.evaluate(), (0, 2));
+        let real0 = h.versions().1;
+        assert!(h.sim.ctx().fail_link(r(2), r(4)));
+        assert_eq!(h.evaluate(), (2, 0));
+        assert_ne!(h.versions().1, real0);
+        assert_eq!(h.evaluate(), (0, 2));
+        // No lie moved: the plans are the ones already installed.
+        assert_eq!(h.ctl.stats.retractions, 0);
+    }
+
+    #[test]
+    fn capacity_matters_only_through_the_dag() {
+        let mut h = ByHand::crowded();
+        h.evaluate();
+        assert_eq!(h.evaluate(), (0, 2));
+        // The spur carries nothing in either plan: halving it changes
+        // no DAG, so both reactions are still the remembered ones.
+        for k in [(r(2), r(4)), (r(4), r(2))] {
+            *h.ctl.caps.get_mut(&k).expect("data link") = 5e5;
+        }
+        assert_eq!(h.evaluate(), (0, 2));
+        // The shortest path's first link does: P1's split changes.
+        *h.ctl.caps.get_mut(&(r(1), r(2))).expect("data link") = 8e5;
+        assert_eq!(h.evaluate(), (1, 1));
+    }
+
+    #[test]
+    fn a_retracted_plan_comes_back_from_the_memo_with_fresh_ids() {
+        let mut h = ByHand::crowded();
+        h.evaluate();
+        let first: Vec<Lie> = h.ctl.installed_lies(P1).to_vec();
+        assert!(!first.is_empty());
+        let book = std::mem::take(&mut h.ctl.book);
+        // Everyone left: natural utilization is 0, every lie goes.
+        assert_eq!(h.evaluate(), (0, 0));
+        assert_eq!(h.ctl.installed_count(), 0);
+        assert_eq!(h.ctl.stats.retractions, first.len() as u64);
+        // Everyone is back: the same DAG on the same real topology.
+        h.ctl.book = book;
+        let spent = h.ctl.alloc.next_fake_index();
+        assert_eq!(h.evaluate(), (0, 2));
+        let again = h.ctl.installed_lies(P1);
+        assert_eq!(again.len(), first.len());
+        assert_eq!(h.ctl.stats.injections, 2 * first.len() as u64);
+        for (a, b) in again.iter().zip(&first) {
+            assert_eq!(FibbingController::sig(a), FibbingController::sig(b));
+            assert!(a.fake_id.fake_index().unwrap() >= spent, "{a} reuses an id");
+            assert!(a.fw.addr > b.fw.addr, "{a} reuses an address of {b}");
+        }
+    }
+
+    #[test]
+    fn a_demand_that_cannot_be_spread_is_counted() {
+        let mut h = ByHand::new();
+        // A viewer of a prefix nobody announces, next to the crowd: no
+        // route for it, so the pass cannot even predict.
+        h.book(12, P1);
+        h.book(1, Prefix::net24(77));
+        assert_eq!(h.evaluate(), (0, 0));
+        assert_eq!(h.ctl.stats.spread_failures, 1);
+        assert_eq!((h.ctl.stats.failures, h.ctl.stats.injections), (0, 0));
+        // The viewer leaves: the next pass works.
+        h.ctl.book.retain(|_, info| info.dst == P1);
+        assert_eq!(h.evaluate(), (1, 0));
+        assert_eq!(h.ctl.stats.spread_failures, 1);
+        assert!(h.ctl.stats.injections >= 1);
+    }
+
+    #[test]
+    fn a_failed_plan_is_named_by_the_next_audit_record_only() {
+        let mut h = ByHand::crowded();
+        // Without a sink the failure is counted and nothing is kept.
+        h.ctl.plan_failed(P2, &"boom");
+        assert_eq!(h.ctl.stats.failures, 1);
+        assert_eq!(h.ctl.last_failure, None);
+
+        fib_trace::install(Box::new(fib_trace::AggSink::new()));
+        h.ctl.plan_failed(P2, &AugmentError::NoFixpoint);
+        h.evaluate();
+        let sink = fib_trace::take()
+            .expect("installed above")
+            .into_any()
+            .downcast::<fib_trace::AggSink>()
+            .expect("the sink that was installed");
+        let triggers: Vec<&str> = sink.audits().iter().map(|a| a.trigger.as_str()).collect();
+        assert!(triggers.len() >= 2, "{triggers:?}");
+        assert_eq!(
+            triggers[0],
+            "predicted 1.500 >= hi 0.800; after failed plan for 10.0.2.0/24: \
+             pin cascade did not stabilize"
+        );
+        assert_eq!(triggers[1], "predicted 1.500 >= hi 0.800");
+        assert_eq!(h.ctl.stats.failures, 2);
+    }
+
+    #[test]
+    fn a_memoised_failure_spends_what_the_failed_computation_spent() {
+        // Line 1 - 2 - 3 - 4, prefix at 4; r2 is also to use r1, whose
+        // own path returns through r2. The augmentation allocates r2's
+        // lies and only then finds the composed loop.
+        let mut topo = Topology::new();
+        for i in 1..=4 {
+            topo.add_router(r(i));
+        }
+        for i in 1..=3 {
+            topo.add_link_sym(r(i), r(i + 1), Metric(1)).unwrap();
+        }
+        topo.announce_prefix(r(4), P1, Metric::ZERO).unwrap();
+        let mut dag = WeightedDag::new(P1);
+        dag.require(r(2), &[(r(3), 1), (r(1), 1)]);
+
+        let mut ctl = FibbingController::new(ControllerConfig::new(r(100)));
+        ctl.real = Some(Derived::new(0, topo));
+        let computed = ctl.realize(&dag);
+        assert!(matches!(computed, Err(AugmentError::VerificationFailed(_))));
+        let spent = ctl.alloc.next_fake_index();
+        assert!(spent >= 1, "the failed computation allocated lies");
+        let replayed = ctl.realize(&dag);
+        assert_eq!(replayed, computed);
+        assert_eq!(ctl.stats.replayed, 1);
+        assert_eq!(ctl.alloc.next_fake_index(), 2 * spent);
+    }
+
+    #[test]
+    fn memoised_reactions_match_the_computation_on_random_graphs() {
+        // Random Waxman graphs, two prefixes, viewers starting and
+        // stopping at random ingresses; after each the controller
+        // re-plans every prefix with demand, as a congested pass does.
+        // Whatever `realize` answers — computed or replayed, plan or
+        // failure — must equal augment + reduce run from scratch on a
+        // copy of the allocator, and leave the allocator where that
+        // run leaves the copy. (Debug builds repeat the comparison
+        // inside `realize`, for every test that drives a controller.)
+        use fib_igp::builders::waxman;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2016);
+        let (mut reactions, mut replayed, mut failed) = (0u64, 0u64, 0u64);
+        for _case in 0..10 {
+            let n = rng.gen_range(10..=16u32);
+            let mut topo = waxman(&mut rng, n, 0.5, 0.3, 6);
+            let prefixes = [P1, P2];
+            for p in prefixes {
+                let sink = RouterId(rng.gen_range(1..=n));
+                topo.announce_prefix(sink, p, Metric::ZERO).unwrap();
+            }
+            let caps: BTreeMap<(RouterId, RouterId), f64> =
+                topo.all_links().map(|(a, b, _)| ((a, b), 1e6)).collect();
+            let mut ctl = FibbingController::new(ControllerConfig::new(r(100)));
+            ctl.real = Some(Derived::new(0, topo.clone()));
+            let mut viewers: Vec<(Prefix, RouterId)> = Vec::new();
+            for _step in 0..40 {
+                if viewers.is_empty() || rng.gen_bool(0.6) {
+                    let dst = prefixes[rng.gen_range(0..2usize)];
+                    viewers.push((dst, RouterId(rng.gen_range(1..=n))));
+                } else {
+                    viewers.swap_remove(rng.gen_range(0..viewers.len()));
+                }
+                for prefix in prefixes {
+                    let mut dem: BTreeMap<RouterId, f64> = BTreeMap::new();
+                    for (_, src) in viewers.iter().filter(|(dst, _)| *dst == prefix) {
+                        *dem.entry(*src).or_insert(0.0) += 2.5e5;
+                    }
+                    let dem: Vec<(RouterId, f64)> = dem.into_iter().collect();
+                    let Ok(plan) = crate::optimizer::plan_paths(&topo, prefix, &dem, &caps, 0.6, 8)
+                    else {
+                        continue;
+                    };
+                    let mut scratch = ctl.alloc.clone();
+                    let expected = realize_from_scratch(&topo, &plan.dag, true, &mut scratch);
+                    let got = ctl.realize(&plan.dag);
+                    assert_eq!(got, expected, "{}", plan.dag);
+                    assert_eq!(ctl.alloc, scratch, "allocator after {}", plan.dag);
+                    reactions += 1;
+                    failed += u64::from(got.is_err());
+                }
+            }
+            replayed += ctl.stats.replayed;
+        }
+        println!("{reactions} reactions, {replayed} replayed, {failed} failed");
+        assert!(reactions >= 400, "{reactions} reactions");
+        assert!(
+            replayed * 4 >= reactions && replayed < reactions,
+            "{replayed} of {reactions} replayed: both paths must be exercised"
         );
     }
 }

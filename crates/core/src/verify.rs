@@ -113,9 +113,19 @@ fn dag_of(prefix: Prefix, routes: &BTreeMap<RouterId, Route>) -> ForwardingDag {
 /// Verify `augmented` realizes `dag`, with every unconstrained router
 /// keeping the fractions it has on `real`.
 pub fn check_preserving(real: &Topology, augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
+    check_against(&actual_fractions(real, dag.prefix), augmented, dag)
+}
+
+/// [`check_preserving`] for a caller that checks several candidates
+/// against one real topology and already holds its fractions
+/// (`baseline = actual_fractions(real, dag.prefix)`).
+pub(crate) fn check_against(
+    baseline: &BTreeMap<RouterId, BTreeMap<RouterId, f64>>,
+    augmented: &Topology,
+    dag: &WeightedDag,
+) -> VerifyReport {
     let aug_routes = prefix_routes(augmented, dag.prefix);
     let actual = fractions_of(&aug_routes);
-    let baseline = actual_fractions(real, dag.prefix);
     let mut mismatches = Vec::new();
 
     // Constrained routers must match the requirement.
@@ -131,7 +141,7 @@ pub fn check_preserving(real: &Topology, augmented: &Topology, dag: &WeightedDag
         }
     }
     // Unconstrained routers must be undisturbed.
-    for (r, expected) in &baseline {
+    for (r, expected) in baseline {
         if dag.hops(*r).is_some() {
             continue;
         }

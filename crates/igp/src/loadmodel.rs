@@ -13,7 +13,7 @@ use crate::rib::ForwardingDag;
 use crate::spf::prefix_routes;
 use crate::topology::Topology;
 use crate::types::{Prefix, RouterId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A demand: `rate` units of traffic entering at `src` toward `prefix`.
@@ -47,53 +47,51 @@ impl fmt::Display for LoadModelError {
 
 impl std::error::Error for LoadModelError {}
 
-/// Spread `demands` over the ECMP forwarding state of `topo`.
-///
-/// Returns per-directed-link loads keyed `(from, to)`. Links carrying
-/// no traffic are absent.
-pub fn spread(
-    topo: &Topology,
-    demands: &[Demand],
-) -> Result<BTreeMap<(RouterId, RouterId), f64>, LoadModelError> {
-    let mut loads: BTreeMap<(RouterId, RouterId), f64> = BTreeMap::new();
+/// Per-directed-link loads keyed `(from, to)`.
+pub type LinkLoads = BTreeMap<(RouterId, RouterId), f64>;
 
-    // Group demands by prefix.
-    let mut by_prefix: BTreeMap<Prefix, Vec<(RouterId, f64)>> = BTreeMap::new();
-    for d in demands {
-        by_prefix.entry(d.prefix).or_default().push((d.src, d.rate));
-    }
+/// One prefix's ECMP forwarding state on a topology, worked out once
+/// so that any number of demand sets can be pushed through it: the
+/// state depends on the topology alone, the loads on the demands too.
+/// [`spread`] is the two steps back to back; a caller that spreads
+/// again and again over a topology that has not changed (the Fibbing
+/// controller, once per viewer start and stop) keeps the first.
+#[derive(Debug, Clone)]
+pub struct Forwarding {
+    prefix: Prefix,
+    /// Whether the forwarding graph contains a loop.
+    looped: bool,
+    /// Routers in topological order of the forwarding graph, each with
+    /// the share of its traffic every next-hop router gets (slot
+    /// weighted; empty where the prefix is delivered locally).
+    order: Vec<(RouterId, Vec<(RouterId, f64)>)>,
+    /// Routers that have a route toward the prefix.
+    routed: BTreeSet<RouterId>,
+}
 
-    for (prefix, dems) in by_prefix {
-        // Only the demanded prefixes' forwarding state matters: the
+impl Forwarding {
+    /// Work out `prefix`'s forwarding state on `topo`.
+    pub fn new(topo: &Topology, prefix: Prefix) -> Forwarding {
+        // Only this prefix's forwarding state matters: the
         // single-prefix reverse SPF sidesteps a full per-router SPF.
         let dag = ForwardingDag::from_prefix_routes(prefix, &prefix_routes(topo, prefix));
-        for (src, _) in &dems {
-            let known = dag
-                .nexthops
-                .get(src)
-                .map(|h| !h.is_empty() || dag.sinks().contains(src))
-                .unwrap_or(false);
-            if !known {
-                return Err(LoadModelError::NoRoute(*src, prefix));
-            }
-        }
-        if dag.find_loop().is_some() {
-            return Err(LoadModelError::ForwardingLoop(prefix));
+        let mut fwd = Forwarding {
+            prefix,
+            looped: dag.find_loop().is_some(),
+            order: Vec::new(),
+            routed: dag.nexthops.keys().copied().collect(),
+        };
+        if fwd.looped {
+            return fwd;
         }
 
-        // Per-router split fractions (slot-weighted, by next-hop router).
-        let fractions = dag.edge_fractions();
         // Kahn topological order over the per-prefix forwarding graph.
         let mut indeg: BTreeMap<RouterId, usize> = BTreeMap::new();
         for r in dag.nexthops.keys() {
             indeg.entry(*r).or_insert(0);
         }
-        for (_, to) in fractions.keys() {
+        for (_, to) in dag.edge_fractions().keys() {
             *indeg.entry(*to).or_insert(0) += 1;
-        }
-        let mut inflow: BTreeMap<RouterId, f64> = BTreeMap::new();
-        for (src, rate) in &dems {
-            *inflow.entry(*src).or_insert(0.0) += rate;
         }
         let mut ready: Vec<RouterId> = indeg
             .iter()
@@ -101,49 +99,75 @@ pub fn spread(
             .map(|(r, _)| *r)
             .collect();
         ready.sort();
-        let mut order = Vec::with_capacity(indeg.len());
-        let mut indeg_mut = indeg.clone();
         while let Some(r) = ready.pop() {
-            order.push(r);
+            // Split by slot shares, aggregated per next-hop router.
+            let mut shares: BTreeMap<RouterId, f64> = BTreeMap::new();
             if let Some(hops) = dag.nexthops.get(&r) {
-                let mut next_routers: Vec<RouterId> = hops.iter().map(|h| h.router).collect();
-                next_routers.sort();
-                next_routers.dedup();
-                for nh in next_routers {
-                    if let Some(d) = indeg_mut.get_mut(&nh) {
-                        *d -= 1;
-                        if *d == 0 {
-                            ready.push(nh);
-                            ready.sort();
-                        }
+                let per_slot = 1.0 / hops.len() as f64;
+                for h in hops {
+                    *shares.entry(h.router).or_insert(0.0) += per_slot;
+                }
+            }
+            for nh in shares.keys() {
+                if let Some(d) = indeg.get_mut(nh) {
+                    *d -= 1;
+                    if *d == 0 {
+                        ready.push(*nh);
+                        ready.sort();
                     }
                 }
             }
+            fwd.order.push((r, shares.into_iter().collect()));
         }
+        fwd
+    }
 
-        for r in order {
-            let flow_in = inflow.get(&r).copied().unwrap_or(0.0);
+    /// Add to `loads` what `demands` (ingress, rate) put on every link
+    /// on their way to the prefix.
+    pub fn push(
+        &self,
+        demands: &[(RouterId, f64)],
+        loads: &mut LinkLoads,
+    ) -> Result<(), LoadModelError> {
+        for (src, _) in demands {
+            if !self.routed.contains(src) {
+                return Err(LoadModelError::NoRoute(*src, self.prefix));
+            }
+        }
+        if self.looped {
+            return Err(LoadModelError::ForwardingLoop(self.prefix));
+        }
+        let mut inflow: BTreeMap<RouterId, f64> = BTreeMap::new();
+        for (src, rate) in demands {
+            *inflow.entry(*src).or_insert(0.0) += rate;
+        }
+        for (r, shares) in &self.order {
+            let flow_in = inflow.get(r).copied().unwrap_or(0.0);
             if flow_in <= 0.0 {
                 continue;
             }
-            let Some(hops) = dag.nexthops.get(&r) else {
-                continue;
-            };
-            if hops.is_empty() {
-                continue; // delivered locally
-            }
-            // Split by slot shares, aggregated per next-hop router.
-            let mut shares: BTreeMap<RouterId, f64> = BTreeMap::new();
-            let per_slot = 1.0 / hops.len() as f64;
-            for h in hops {
-                *shares.entry(h.router).or_insert(0.0) += per_slot;
-            }
             for (nh, share) in shares {
                 let amount = flow_in * share;
-                *loads.entry((r, nh)).or_insert(0.0) += amount;
-                *inflow.entry(nh).or_insert(0.0) += amount;
+                *loads.entry((*r, *nh)).or_insert(0.0) += amount;
+                *inflow.entry(*nh).or_insert(0.0) += amount;
             }
         }
+        Ok(())
+    }
+}
+
+/// Spread `demands` over the ECMP forwarding state of `topo`.
+///
+/// Returns per-directed-link loads keyed `(from, to)`. Links carrying
+/// no traffic are absent.
+pub fn spread(topo: &Topology, demands: &[Demand]) -> Result<LinkLoads, LoadModelError> {
+    let mut by_prefix: BTreeMap<Prefix, Vec<(RouterId, f64)>> = BTreeMap::new();
+    for d in demands {
+        by_prefix.entry(d.prefix).or_default().push((d.src, d.rate));
+    }
+    let mut loads = LinkLoads::new();
+    for (prefix, dems) in by_prefix {
+        Forwarding::new(topo, prefix).push(&dems, &mut loads)?;
     }
     Ok(loads)
 }

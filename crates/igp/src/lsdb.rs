@@ -9,7 +9,7 @@
 //! check to real links and trusting fake-node LSAs as complete
 //! descriptions of lies.
 
-use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, MAX_AGE};
+use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, MAX_AGE};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::RouterId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,6 +49,7 @@ pub struct Lsdb {
     max_age: BTreeSet<LsaKey>,
     version: u64,
     real_version: u64,
+    lie_free_version: u64,
 }
 
 impl Lsdb {
@@ -71,11 +72,30 @@ impl Lsdb {
         self.real_version
     }
 
-    fn bump(&mut self, key: &LsaKey) {
+    /// Version of everything but the lies: bumped when a router *or
+    /// prefix* LSA changes or ages out, untouched by fake-node churn.
+    /// [`to_topology`](Self::to_topology)`.without_fakes()` is a
+    /// function of exactly that content, so whoever derives something
+    /// from the lie-free topology — the Fibbing controller plans on it
+    /// — can keep the result until this moves. [`real_version`]
+    /// (router LSAs only) is not enough for that: the lie-free
+    /// topology still says who announces which prefix at what metric.
+    ///
+    /// [`real_version`]: Self::real_version
+    pub fn lie_free_version(&self) -> u64 {
+        self.lie_free_version
+    }
+
+    /// One content change: to a router LSA (`router`), to anything
+    /// other than lies (`lie_free`), or to lies only.
+    fn bump_versions(&mut self, router: bool, lie_free: bool) {
         self.version += 1;
-        if key.kind == crate::lsa::LsaKind::Router {
-            self.real_version += 1;
-        }
+        self.real_version += u64::from(router);
+        self.lie_free_version += u64::from(lie_free);
+    }
+
+    fn bump(&mut self, key: &LsaKey) {
+        self.bump_versions(key.kind == LsaKind::Router, key.kind != LsaKind::Fake);
     }
 
     /// Number of stored LSAs (including MaxAge ones not yet swept).
@@ -194,13 +214,10 @@ impl Lsdb {
         }
         self.max_age.extend(expired.iter().copied());
         if !expired.is_empty() {
-            self.version += 1;
-            if expired
-                .iter()
-                .any(|k| k.kind == crate::lsa::LsaKind::Router)
-            {
-                self.real_version += 1;
-            }
+            self.bump_versions(
+                expired.iter().any(|k| k.kind == LsaKind::Router),
+                expired.iter().any(|k| k.kind != LsaKind::Fake),
+            );
         }
         expired
     }
@@ -240,7 +257,7 @@ impl Lsdb {
         let reports = |from: RouterId, to: RouterId| -> Option<crate::types::Metric> {
             let key = LsaKey {
                 origin: from,
-                kind: crate::lsa::LsaKind::Router,
+                kind: LsaKind::Router,
                 id: 0,
             };
             let lsa = self.entries.get(&key)?;
@@ -318,7 +335,7 @@ impl Lsdb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsa::{LsaKind, LsaLink};
+    use crate::lsa::LsaLink;
     use crate::types::{FwAddr, Metric, Prefix, SeqNum};
 
     fn router_lsa(origin: u32, seq: i32, neighbors: &[(u32, u32)]) -> Lsa {
@@ -387,6 +404,59 @@ mod tests {
         assert!(db.get(&expired[0]).unwrap().is_max_age());
         // Aging an already-MaxAge LSA does not re-report it.
         assert!(db.age_all(5).is_empty());
+    }
+
+    #[test]
+    fn lie_free_version_follows_everything_but_lies() {
+        let mut db = Lsdb::new();
+        let p = Prefix::net24(7);
+        let versions = |db: &Lsdb| (db.version().0, db.real_version(), db.lie_free_version());
+        db.install(router_lsa(1, 1, &[(2, 1)]));
+        db.install(router_lsa(2, 1, &[(1, 1)]));
+        assert_eq!(versions(&db), (2, 2, 2));
+        // A prefix announcement changes the lie-free topology but no
+        // router LSA.
+        db.install(Lsa::prefix(RouterId(2), 0, SeqNum(1), p, Metric(0)));
+        assert_eq!(versions(&db), (3, 2, 3));
+        let without_lie = db.to_topology();
+        // A lie, its purge and its sweep touch neither.
+        let lie = Lsa::fake(
+            RouterId::fake(0),
+            SeqNum(1),
+            RouterId(1),
+            Metric(1),
+            p,
+            Metric(1),
+            FwAddr::secondary(RouterId(2), 1),
+        );
+        db.install(lie.clone());
+        assert_eq!(versions(&db), (4, 2, 3));
+        assert_eq!(
+            db.to_topology().without_fakes().all_announcements().count(),
+            without_lie.all_announcements().count()
+        );
+        db.install(lie.to_purge());
+        db.sweep();
+        assert_eq!(versions(&db), (6, 2, 3));
+        // The prefix aging out moves it again, still without a router
+        // LSA changing; so does sweeping the aged-out instance.
+        let prefix_key = LsaKey {
+            origin: RouterId(2),
+            kind: LsaKind::Prefix,
+            id: 0,
+        };
+        let withdrawn = db.get(&prefix_key).unwrap().to_purge();
+        db.install(withdrawn);
+        assert_eq!(versions(&db), (7, 2, 4));
+        db.sweep();
+        assert_eq!(versions(&db), (8, 2, 5));
+        // Aging: only an expiry counts, and it counts by kind.
+        db.install(Lsa::prefix(RouterId(2), 0, SeqNum(3), p, Metric(0)));
+        assert_eq!(versions(&db), (9, 2, 6));
+        assert!(db.age_all(MAX_AGE - 1).is_empty());
+        assert_eq!(versions(&db), (9, 2, 6));
+        assert_eq!(db.age_all(1).len(), 3);
+        assert_eq!(versions(&db), (10, 3, 7));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::link::{LinkInfo, LinkKey};
 use crate::sim::Core;
 use fib_igp::error::InstanceError;
+use fib_igp::lsdb::DbVersion;
 use fib_igp::time::Timestamp;
 use fib_igp::topology::Topology;
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
@@ -68,6 +69,17 @@ impl SimContext<'_> {
     pub fn topology_view(&self, speaker: RouterId) -> Option<Topology> {
         let slot = *self.core.router_slot.get(&speaker)?;
         Some(self.core.instances[slot as usize].lsdb().to_topology())
+    }
+
+    /// Versions of `speaker`'s LSDB: of its whole content, and of
+    /// everything in it but the lies
+    /// ([`fib_igp::lsdb::Lsdb::lie_free_version`]).
+    /// [`topology_view`](Self::topology_view) changes only when the
+    /// first moves, its `without_fakes()` only when the second does.
+    pub fn lsdb_versions(&self, speaker: RouterId) -> Option<(DbVersion, u64)> {
+        let slot = *self.core.router_slot.get(&speaker)?;
+        let lsdb = self.core.instances[slot as usize].lsdb();
+        Some((lsdb.version(), lsdb.lie_free_version()))
     }
 
     /// SNMP GET against a router's agent (counts as management

@@ -164,3 +164,25 @@ fn scenario_paper_demo_reproduces_plans_deterministically() {
     );
     assert!(r1.max_util > 0.0 && r1.qoe.sessions == 62);
 }
+
+/// The three-prefix predictive scenario without a trace sink. Besides
+/// the same-seed byte identity, this is the run in which debug builds
+/// recompute every reaction the controller answers from its memo and
+/// compare lies and allocator state (the check stands down under a
+/// sink, so the traced pin in `tests/predictive_pin.rs` does not get
+/// it): 222 reactions, most of them memo hits.
+#[test]
+fn predictive_pin_untraced_is_deterministic() {
+    let spec = load_scenario(fibbing::scenario::suite::PREDICTIVE_PIN).expect("compiled-in spec");
+    let run = || {
+        let mut run = build_scenario(&spec, RunOptions::default()).expect("predictive_pin builds");
+        run.run_until_secs(spec.horizon_secs);
+        let replayed = run.ctrl.as_ref().expect("controller").lock().stats.replayed;
+        (run.finish(), replayed)
+    };
+    let ((a, replayed), (b, _)) = (run(), run());
+    assert_eq!((a.reactions, a.injections, a.peak_lies), (222, 84, 20));
+    assert_eq!(replayed, 173, "of 222 reactions answered from the memo");
+    assert_eq!(a.summary_csv(), b.summary_csv());
+    assert_eq!(a.trace_csv, b.trace_csv);
+}

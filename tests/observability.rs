@@ -1,6 +1,6 @@
 //! Workspace tests for the tracing spine (`fib-trace`).
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! * **Determinism modulo wall time** — exporting a Chrome trace of
 //!   the same seeded scenario twice yields byte-identical
@@ -16,11 +16,15 @@
 //!   dispatched event. What the spine costs per span is a wall-clock
 //!   number and lives in the ledger (`bench/`); how many spans it arms
 //!   is deterministic, so it is gated here, with a count.
+//! * **No re-derivation** — a controller evaluation on the pinned
+//!   three-prefix scenario opens at most four `spf.prefix_routes` spans
+//!   on average: the evaluation loop reuses what it derived from an
+//!   LSDB that has not changed. Also a count.
 
 use fib_trace::artifact::View;
 use fib_trace::{AggSink, ChromeSink, Phase, TraceSink};
 use fibbing::scenario::runner::{build, RunOptions};
-use fibbing::scenario::suite::load_scenario;
+use fibbing::scenario::suite::{load_scenario, PREDICTIVE_PIN};
 
 /// Run `metro_edge` to `horizon` seconds with `sink` installed and
 /// hand back the sink and the events the run dispatched. The scenario
@@ -144,5 +148,40 @@ fn noop_default_arms_zero_spans() {
         fib_trace::spans_started(),
         before,
         "a sink-less run must not arm a single span"
+    );
+}
+
+#[test]
+fn controller_evaluations_do_not_rederive_what_stands() {
+    // `predictive_pin` re-evaluates on every viewer start and stop;
+    // most evaluations change nothing the controller reads. Each one
+    // used to cost 11.8 single-prefix SPFs (two `spread`s over three
+    // prefixes, then augment and reduce for each prefix from scratch).
+    // With the topologies, their forwarding state and the last
+    // reaction per prefix kept while the LSDB stands, it is 2.07. Lose
+    // either half and this count says so; no clock is involved.
+    let spec = load_scenario(PREDICTIVE_PIN).expect("compiled-in scenario");
+    fib_trace::install(Box::new(AggSink::new()));
+    let _ = build(&spec, RunOptions::default())
+        .expect("build predictive_pin")
+        .finish();
+    let sink = fib_trace::take()
+        .expect("sink still installed")
+        .into_any()
+        .downcast::<AggSink>()
+        .expect("the sink that was installed");
+    let spans = |phase: Phase| {
+        let name = phase.name();
+        sink.attribution()
+            .iter()
+            .find(|a| a.phase == name)
+            .map_or(0, |a| a.spans)
+    };
+    let evaluations = spans(Phase::CtrlOptimize);
+    let prefix_spfs = spans(Phase::PrefixRoutes);
+    assert!(evaluations >= 200, "{evaluations} evaluations");
+    assert!(
+        prefix_spfs <= 4 * evaluations,
+        "{prefix_spfs} spf.prefix_routes spans for {evaluations} controller evaluations"
     );
 }
