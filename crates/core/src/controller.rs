@@ -284,8 +284,10 @@ impl Reaction {
     /// where the computation would.
     fn replay(&self, alloc: &mut LieAllocator) -> Realized {
         let made = alloc.replay(&self.requests)?;
-        let (candidates, kept) = self.outcome.clone()?;
-        Ok((candidates, kept.into_iter().map(|i| made[i]).collect()))
+        match &self.outcome {
+            Ok((candidates, kept)) => Ok((*candidates, kept.iter().map(|i| made[*i]).collect())),
+            Err(e) => Err(e.clone()),
+        }
     }
 }
 

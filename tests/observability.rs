@@ -26,12 +26,10 @@ use fib_trace::{AggSink, ChromeSink, Phase, TraceSink};
 use fibbing::scenario::runner::{build, RunOptions};
 use fibbing::scenario::suite::{load_scenario, PREDICTIVE_PIN};
 
-/// Run `metro_edge` to `horizon` seconds with `sink` installed and
-/// hand back the sink and the events the run dispatched. The scenario
-/// reacts (injects lies) within the first 10 simulated seconds, so the
-/// trace exercises every layer.
-fn traced_metro_edge<S: TraceSink + 'static>(horizon: f64, sink: S) -> (S, u64) {
-    let spec = load_scenario("metro_edge").expect("shipped scenario");
+/// Run `scenario` to `horizon` seconds with `sink` installed and hand
+/// back the sink and the events the run dispatched.
+fn traced<S: TraceSink + 'static>(scenario: &str, horizon: f64, sink: S) -> (S, u64) {
+    let spec = load_scenario(scenario).expect("shipped scenario");
     fib_trace::install(Box::new(sink));
     let mut run = build(
         &spec,
@@ -40,7 +38,7 @@ fn traced_metro_edge<S: TraceSink + 'static>(horizon: f64, sink: S) -> (S, u64) 
             ..RunOptions::default()
         },
     )
-    .expect("build metro_edge");
+    .expect("scenario builds");
     run.run_until_secs(horizon);
     let events = run.sim.stats().events;
     let _ = run.finish();
@@ -50,6 +48,12 @@ fn traced_metro_edge<S: TraceSink + 'static>(horizon: f64, sink: S) -> (S, u64) 
         .downcast::<S>()
         .expect("the sink that was installed");
     (*sink, events)
+}
+
+/// `metro_edge` reacts (injects lies) within the first 10 simulated
+/// seconds, so its trace exercises every layer.
+fn traced_metro_edge<S: TraceSink + 'static>(horizon: f64, sink: S) -> (S, u64) {
+    traced("metro_edge", horizon, sink)
 }
 
 #[test]
@@ -160,16 +164,7 @@ fn controller_evaluations_do_not_rederive_what_stands() {
     // With the topologies, their forwarding state and the last
     // reaction per prefix kept while the LSDB stands, it is 2.07. Lose
     // either half and this count says so; no clock is involved.
-    let spec = load_scenario(PREDICTIVE_PIN).expect("compiled-in scenario");
-    fib_trace::install(Box::new(AggSink::new()));
-    let _ = build(&spec, RunOptions::default())
-        .expect("build predictive_pin")
-        .finish();
-    let sink = fib_trace::take()
-        .expect("sink still installed")
-        .into_any()
-        .downcast::<AggSink>()
-        .expect("the sink that was installed");
+    let (sink, _) = traced(PREDICTIVE_PIN, 56.0, AggSink::new());
     let spans = |phase: Phase| {
         let name = phase.name();
         sink.attribution()
