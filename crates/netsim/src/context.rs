@@ -170,7 +170,7 @@ impl SimContext<'_> {
 
     /// Iterate all live flows in id order (no snapshot allocation).
     pub fn flows(&self) -> impl Iterator<Item = &Flow> + '_ {
-        self.core.flow_recs.iter().flatten()
+        self.core.flows()
     }
 
     /// Current allocated rate of a flow (bytes/s).

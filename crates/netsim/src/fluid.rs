@@ -23,7 +23,9 @@
 //!   the cached result without touching the fill at all, and the fill
 //!   itself keeps *active* flow/link sets so bottleneck groups that
 //!   froze in an earlier round are skipped in later rounds instead of
-//!   rescanned.
+//!   rescanned. The simulator stages it by link position
+//!   ([`Allocator::allocate_indexed`]): a settle copies each flow's
+//!   kept positions and probes no map.
 //!
 //! Why no finer-grained reuse (refilling only the connected component
 //! a change touched): progressive filling interleaves growth steps
@@ -215,22 +217,32 @@ pub fn max_min_keyed<K: Ord + Clone>(
 
 /// The simulator's reusable max-min allocator (see module docs).
 ///
-/// Call [`Allocator::allocate`] with the full current input (up-link
-/// capacities and routed flows). The allocator compares the input
-/// against the previous call: when nothing changed it returns the
-/// cached result (a *skip*, counted in [`Allocator::skips`]); when
-/// anything changed it re-runs progressive filling with buffer reuse
-/// and active-set bookkeeping (a *fill*, counted in
-/// [`Allocator::fills`]). Output is bit-identical to
+/// Every call hands over the full current input — the link universe
+/// (each link's capacity, present iff the link is up) and the routed
+/// flows. The allocator compares it against the previous call: when
+/// nothing changed it returns the cached result (a *skip*, counted in
+/// [`Allocator::skips`]); when anything changed it re-runs progressive
+/// filling with buffer reuse and active-set bookkeeping (a *fill*,
+/// counted in [`Allocator::fills`]). Output is bit-identical to
 /// [`max_min_allocation`] on the same input.
+///
+/// There are two ways in and one staging, memo and fill behind them:
+/// [`Allocator::allocate_indexed`] for a caller that already names
+/// links by their position in a fixed universe (the simulator), and
+/// [`Allocator::allocate`] for a caller that names them by key, which
+/// only translates keys to positions.
 #[derive(Debug, Default)]
 pub struct Allocator<K: Ord + Clone> {
-    // --- previous input (the memo key) ---
+    // --- the keyed entry point's translation (unused by index callers) ---
     keys: Vec<K>,
-    index: BTreeMap<K, usize>,
-    caps: Vec<f64>,
+    index: BTreeMap<K, u32>,
+    // --- previous input (the memo key) ---
+    /// Per link of the universe: its capacity iff it is up. Up/down is
+    /// part of the key: a link that fails is a different input even if
+    /// no flow crossed it, a capacity change on a down link is not.
+    caps: Vec<Option<f64>>,
     flow_offsets: Vec<usize>,
-    flow_links: Vec<usize>,
+    flow_links: Vec<u32>,
     flow_caps: Vec<Option<f64>>,
     valid: bool,
     // --- cached output ---
@@ -238,18 +250,22 @@ pub struct Allocator<K: Ord + Clone> {
     loads: Vec<f64>,
     // --- scratch for input staging and the fill ---
     new_offsets: Vec<usize>,
-    new_links: Vec<usize>,
+    new_links: Vec<u32>,
     new_caps: Vec<Option<f64>>,
     residual: Vec<f64>,
     link_active: Vec<usize>,
     fixed: Vec<bool>,
     active_flows: Vec<usize>,
     active_links: Vec<usize>,
-    newly_fixed: Vec<usize>,
     /// Fill passes actually executed.
     pub fills: u64,
     /// Calls answered from the cache (inputs unchanged).
     pub skips: u64,
+}
+
+/// Same presence and, if present, same bits.
+fn same_bits(a: Option<f64>, b: Option<f64>) -> bool {
+    a.map(f64::to_bits) == b.map(f64::to_bits)
 }
 
 impl<K: Ord + Clone> Allocator<K> {
@@ -273,13 +289,13 @@ impl<K: Ord + Clone> Allocator<K> {
             fixed: Vec::new(),
             active_flows: Vec::new(),
             active_links: Vec::new(),
-            newly_fixed: Vec::new(),
             fills: 0,
             skips: 0,
         }
     }
 
-    /// Compute (or reuse) the max-min allocation.
+    /// Compute (or reuse) the max-min allocation over links named by
+    /// key: `capacities` holds the up links, and is the link universe.
     ///
     /// `flows` yields each routed flow's crossed links and cap, in a
     /// stable order (the caller's flow-id order); per-flow rates come
@@ -290,42 +306,96 @@ impl<K: Ord + Clone> Allocator<K> {
         K: 'a,
         I: IntoIterator<Item = (&'a [K], Option<f64>)>,
     {
-        // Stage the link universe; rebuild the index only on change.
-        let links_unchanged = self.valid
-            && self.keys.len() == capacities.len()
-            && self
-                .keys
-                .iter()
-                .zip(self.caps.iter())
-                .zip(capacities.iter())
-                .all(|((k, c), (nk, nc))| k == nk && c.to_bits() == nc.to_bits());
-        if !links_unchanged {
+        // A key that comes or goes renumbers the universe: nothing
+        // kept from the previous call is comparable.
+        if !self.keys.iter().eq(capacities.keys()) {
             self.keys.clear();
-            self.caps.clear();
             self.keys.extend(capacities.keys().cloned());
-            self.caps.extend(capacities.values().copied());
-            self.index = self
-                .keys
-                .iter()
-                .enumerate()
+            self.index = (0u32..)
+                .zip(&self.keys)
                 .map(|(i, k)| (k.clone(), i))
                 .collect();
+            self.valid = false;
         }
-
-        // Stage the flows into scratch CSR form.
-        self.new_offsets.clear();
-        self.new_links.clear();
-        self.new_caps.clear();
-        self.new_offsets.push(0);
+        let links_unchanged = self.stage_links(capacities.values().map(|c| Some(*c)));
         for (links, cap) in flows {
             for k in links {
                 let idx = *self.index.get(k).expect("flow references unknown link key");
                 self.new_links.push(idx);
             }
-            self.new_offsets.push(self.new_links.len());
-            self.new_caps.push(cap);
+            self.stage_flow_end(cap);
         }
+        self.commit(links_unchanged);
+    }
 
+    /// Compute (or reuse) the max-min allocation over links named by
+    /// position: `links` yields the whole universe in a fixed order,
+    /// one entry per link, its capacity iff the link is up; `flows`
+    /// yields each routed flow's crossed links as positions in that
+    /// order (up links only) and its cap, in a stable order. Rates come
+    /// back via [`Allocator::rates`], loads via [`Allocator::loads`].
+    ///
+    /// No probe, no translation: what a flow crosses is copied as is.
+    /// The order of the universe cannot move a bit of the result — the
+    /// growth step is a `min` over links, each link's residual sees the
+    /// same subtractions in the same (flow) order, and loads accumulate
+    /// flow-major.
+    pub fn allocate_indexed<'a, L, I>(&mut self, links: L, flows: I)
+    where
+        L: IntoIterator<Item = Option<f64>>,
+        I: IntoIterator<Item = (&'a [u32], Option<f64>)>,
+    {
+        let links_unchanged = self.stage_links(links);
+        for (links, cap) in flows {
+            debug_assert!(
+                links.iter().all(|l| self.caps[*l as usize].is_some()),
+                "flow crosses a down link"
+            );
+            self.new_links.extend_from_slice(links);
+            self.stage_flow_end(cap);
+        }
+        self.commit(links_unchanged);
+    }
+
+    /// Overwrite the kept link universe with `links` and open an empty
+    /// flow staging; `true` iff the universe is as it was.
+    fn stage_links(&mut self, links: impl IntoIterator<Item = Option<f64>>) -> bool {
+        let mut unchanged = self.valid;
+        let mut n = 0;
+        for cap in links {
+            match self.caps.get_mut(n) {
+                Some(kept) if same_bits(*kept, cap) => {}
+                Some(kept) => {
+                    *kept = cap;
+                    unchanged = false;
+                }
+                None => {
+                    self.caps.push(cap);
+                    unchanged = false;
+                }
+            }
+            n += 1;
+        }
+        if n < self.caps.len() {
+            self.caps.truncate(n);
+            unchanged = false;
+        }
+        self.new_offsets.clear();
+        self.new_offsets.push(0);
+        self.new_links.clear();
+        self.new_caps.clear();
+        unchanged
+    }
+
+    /// Close the flow whose links were just pushed onto `new_links`.
+    fn stage_flow_end(&mut self, cap: Option<f64>) {
+        self.new_offsets.push(self.new_links.len());
+        self.new_caps.push(cap);
+    }
+
+    /// Skip if the staged input equals the kept one, else keep it and
+    /// fill.
+    fn commit(&mut self, links_unchanged: bool) {
         let flows_unchanged = self.valid
             && self.new_offsets == self.flow_offsets
             && self.new_links == self.flow_links
@@ -334,17 +404,11 @@ impl<K: Ord + Clone> Allocator<K> {
                 .new_caps
                 .iter()
                 .zip(self.flow_caps.iter())
-                .all(|(a, b)| match (a, b) {
-                    (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
-                    (None, None) => true,
-                    _ => false,
-                });
+                .all(|(a, b)| same_bits(*a, *b));
         if links_unchanged && flows_unchanged {
             self.skips += 1;
             return;
         }
-
-        // Commit the staged input and run the fill.
         std::mem::swap(&mut self.flow_offsets, &mut self.new_offsets);
         std::mem::swap(&mut self.flow_links, &mut self.new_links);
         std::mem::swap(&mut self.flow_caps, &mut self.new_caps);
@@ -358,13 +422,31 @@ impl<K: Ord + Clone> Allocator<K> {
         &self.rates
     }
 
-    /// Load of one link after the last call (0.0 for unknown keys).
-    pub fn load(&self, key: &K) -> f64 {
-        self.index.get(key).map(|i| self.loads[*i]).unwrap_or(0.0)
+    /// Per-link loads after the last call, in universe order (0.0 on a
+    /// down link).
+    pub fn loads(&self) -> &[f64] {
+        &self.loads
     }
 
-    fn flow_links_of(&self, i: usize) -> &[usize] {
+    /// Load of one link after the last call (0.0 for unknown keys).
+    pub fn load(&self, key: &K) -> f64 {
+        self.index
+            .get(key)
+            .map(|i| self.loads[*i as usize])
+            .unwrap_or(0.0)
+    }
+
+    fn flow_links_of(&self, i: usize) -> &[u32] {
         &self.flow_links[self.flow_offsets[i]..self.flow_offsets[i + 1]]
+    }
+
+    /// Freeze flow `i` at its current rate: it stops counting on every
+    /// link it crosses.
+    fn freeze(&mut self, i: usize) {
+        self.fixed[i] = true;
+        for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
+            self.link_active[self.flow_links[l] as usize] -= 1;
+        }
     }
 
     /// Progressive filling, arithmetic identical to
@@ -373,14 +455,17 @@ impl<K: Ord + Clone> Allocator<K> {
     /// rounds — entire exhausted bottleneck groups — are skipped, not
     /// rescanned, in later rounds.
     fn fill(&mut self) {
-        let nl = self.keys.len();
+        let nl = self.caps.len();
         let nf = self.flow_caps.len();
         self.rates.clear();
         self.rates.resize(nf, 0.0);
         self.fixed.clear();
         self.fixed.resize(nf, false);
+        // A down link carries nothing: no flow crosses it, so it never
+        // becomes active and its residual is never read.
         self.residual.clear();
-        self.residual.extend_from_slice(&self.caps);
+        self.residual
+            .extend(self.caps.iter().map(|c| c.unwrap_or(0.0)));
         self.link_active.clear();
         self.link_active.resize(nl, 0);
 
@@ -396,7 +481,7 @@ impl<K: Ord + Clone> Allocator<K> {
                 continue;
             }
             for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                self.link_active[self.flow_links[l]] += 1;
+                self.link_active[self.flow_links[l] as usize] += 1;
             }
         }
         self.active_flows.clear();
@@ -406,9 +491,8 @@ impl<K: Ord + Clone> Allocator<K> {
         self.active_links
             .extend((0..nl).filter(|l| self.link_active[*l] > 0));
 
-        let mut remaining = self.active_flows.len();
         let mut guard = 0usize;
-        while remaining > 0 {
+        while !self.active_flows.is_empty() {
             guard += 1;
             assert!(
                 guard <= nf + nl + 2,
@@ -437,18 +521,22 @@ impl<K: Ord + Clone> Allocator<K> {
             for &i in &self.active_flows {
                 self.rates[i] += delta;
                 for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                    self.residual[self.flow_links[l]] -= delta;
+                    self.residual[self.flow_links[l] as usize] -= delta;
                 }
             }
 
-            // Freeze flows at caps, then flows on saturated links —
-            // same scan order as the reference so the fallback below
-            // picks the same flow.
-            self.newly_fixed.clear();
-            for &i in &self.active_flows {
+            // Freeze flows at caps, then flows on saturated links. The
+            // reference collects them in a list first; only membership
+            // matters, and `fixed` is that membership: every flow in
+            // `active_flows` was unfixed when the round began, so a set
+            // flag means "already frozen this round".
+            let mut froze_any = false;
+            for fi in 0..self.active_flows.len() {
+                let i = self.active_flows[fi];
                 if let Some(cap) = self.flow_caps[i] {
                     if self.rates[i] >= cap - 1e-9 {
-                        self.newly_fixed.push(i);
+                        self.freeze(i);
+                        froze_any = true;
                     }
                 }
             }
@@ -458,26 +546,17 @@ impl<K: Ord + Clone> Allocator<K> {
                 if self.residual[l] <= EPS {
                     for fi in 0..self.active_flows.len() {
                         let i = self.active_flows[fi];
-                        if self.flow_links_of(i).contains(&l) && !self.newly_fixed.contains(&i) {
-                            self.newly_fixed.push(i);
+                        if !self.fixed[i] && self.flow_links_of(i).contains(&(l as u32)) {
+                            self.freeze(i);
+                            froze_any = true;
                         }
                     }
                 }
             }
-            if self.newly_fixed.is_empty() {
+            if !froze_any {
                 // Numerical corner: force the most constrained flow
                 // fixed (first active flow — lists stay ascending).
-                self.newly_fixed.push(self.active_flows[0]);
-            }
-            for ni in 0..self.newly_fixed.len() {
-                let i = self.newly_fixed[ni];
-                if !self.fixed[i] {
-                    self.fixed[i] = true;
-                    remaining -= 1;
-                    for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                        self.link_active[self.flow_links[l]] -= 1;
-                    }
-                }
+                self.freeze(self.active_flows[0]);
             }
             let fixed = &self.fixed;
             self.active_flows.retain(|i| !fixed[*i]);
@@ -490,7 +569,7 @@ impl<K: Ord + Clone> Allocator<K> {
         self.loads.resize(nl, 0.0);
         for i in 0..nf {
             for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                self.loads[self.flow_links[l]] += self.rates[i];
+                self.loads[self.flow_links[l] as usize] += self.rates[i];
             }
         }
     }
@@ -638,7 +717,158 @@ mod tests {
         assert!(alloc.rates().is_empty());
     }
 
+    /// One link saturates in the very round in which hundreds of flows
+    /// reach their cap, so the flows it freezes are tested against a
+    /// long list of flows already frozen that round: the outcome must
+    /// not depend on how that membership is kept.
+    #[test]
+    fn link_saturating_with_a_mass_cap_freeze_matches_the_reference() {
+        // 300 flows capped at 10 and 50 uncapped ones share link 0,
+        // which 350 x 10 exhausts exactly. Every seventh capped flow
+        // and the uncapped ones go on over link 1 or 2; those have
+        // room left after that round and settle 40 more flows in later
+        // ones.
+        let caps: BTreeMap<usize, f64> = BTreeMap::from([(0, 3500.0), (1, 900.0), (2, 600.0)]);
+        let mut flows: Vec<(Vec<usize>, Option<f64>)> = Vec::new();
+        for i in 0..300 {
+            let links = if i % 7 == 0 { vec![0, 1] } else { vec![0] };
+            flows.push((links, Some(10.0)));
+            if i % 6 == 0 {
+                flows.push((vec![0, 1 + (i / 6) % 2], None));
+            }
+        }
+        flows.extend((0..40).map(|i| (vec![1 + i % 2], (i % 3 == 0).then_some(25.0))));
+
+        let (ref_rates, ref_loads) = max_min_keyed(&caps, &flows);
+        assert_eq!(ref_loads[&0], 3500.0, "link 0 is exactly full");
+        let frozen_at_cap = flows
+            .iter()
+            .zip(&ref_rates)
+            .filter(|((_, cap), rate)| *cap == Some(**rate))
+            .count();
+        assert!(frozen_at_cap >= 300, "{frozen_at_cap} flows at their cap");
+        assert_eq!(flows[1].1, None);
+        assert_eq!(ref_rates[1], 10.0, "the full link froze an uncapped flow");
+
+        let mut keyed = Allocator::new();
+        keyed.allocate(&caps, flows.iter().map(|(l, c)| (l.as_slice(), *c)));
+        let positions: Vec<Vec<u32>> = flows
+            .iter()
+            .map(|(l, _)| l.iter().map(|l| *l as u32).collect())
+            .collect();
+        let mut indexed: Allocator<usize> = Allocator::new();
+        indexed.allocate_indexed(
+            caps.values().map(|c| Some(*c)),
+            positions
+                .iter()
+                .zip(&flows)
+                .map(|(l, (_, c))| (l.as_slice(), *c)),
+        );
+        for (i, want) in ref_rates.iter().enumerate() {
+            assert_eq!(keyed.rates()[i].to_bits(), want.to_bits(), "flow {i}");
+            assert_eq!(indexed.rates()[i].to_bits(), want.to_bits(), "flow {i}");
+        }
+        for (l, want) in &ref_loads {
+            assert_eq!(keyed.load(l).to_bits(), want.to_bits(), "link {l}");
+            assert_eq!(indexed.loads()[*l].to_bits(), want.to_bits(), "link {l}");
+        }
+    }
+
+    /// A capacity: often one of two round values, so that two links
+    /// (or one link before and after a change) coincide.
+    fn capacity() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(100.0), Just(250.0), 1.0f64..1000.0]
+    }
+
     proptest! {
+        /// The entry point that stages by position over a fixed link
+        /// universe — capacity present iff the link is up — is the
+        /// keyed allocator fed only the up links: same rates, same
+        /// loads and the same fill/skip decisions, call after call,
+        /// through capacity changes (on down links too), links going
+        /// down and up, and flow sets that change or stay. Both are
+        /// bit-identical to the reference. The simulator's pinned
+        /// `alloc_fills` / `alloc_skips` rest on the decisions being
+        /// the same.
+        #[test]
+        fn prop_indexed_staging_equals_keyed_over_up_links(
+            caps in proptest::collection::vec(capacity(), 1..7),
+            steps in proptest::collection::vec(
+                (
+                    // (link, what, capacity): 0 = down, 1 = up, else set capacity.
+                    proptest::collection::vec((0usize..8, 0u8..4, capacity()), 0..3),
+                    // `None` keeps the previous step's flows.
+                    proptest::option::of(proptest::collection::vec(
+                        (
+                            proptest::collection::vec(0usize..8, 0..4),
+                            proptest::option::of(prop_oneof![Just(50.0), 1.0f64..500.0]),
+                        ),
+                        0..12,
+                    )),
+                ),
+                1..10
+            )
+        ) {
+            let nl = caps.len();
+            let mut caps = caps;
+            let mut up = vec![true; nl];
+            let mut flows: Vec<(Vec<usize>, Option<f64>)> = Vec::new();
+            let mut indexed: Allocator<usize> = Allocator::new();
+            let mut keyed: Allocator<usize> = Allocator::new();
+            for (link_ops, new_flows) in &steps {
+                for (l, what, cap) in link_ops {
+                    match what {
+                        0 => up[l % nl] = false,
+                        1 => up[l % nl] = true,
+                        _ => caps[l % nl] = *cap,
+                    }
+                }
+                if let Some(raw) = new_flows {
+                    flows = raw
+                        .iter()
+                        .map(|(ls, cap)| {
+                            let mut links: Vec<usize> = ls.iter().map(|l| l % nl).collect();
+                            links.sort();
+                            links.dedup();
+                            (links, *cap)
+                        })
+                        .collect();
+                }
+                // A flow that would cross a down link is not routed.
+                let routed: Vec<(Vec<usize>, Option<f64>)> = flows
+                    .iter()
+                    .filter(|(links, _)| links.iter().all(|l| up[*l]))
+                    .cloned()
+                    .collect();
+                let positions: Vec<Vec<u32>> = routed
+                    .iter()
+                    .map(|(links, _)| links.iter().map(|l| *l as u32).collect())
+                    .collect();
+                let up_caps: BTreeMap<usize, f64> =
+                    (0..nl).filter(|l| up[*l]).map(|l| (l, caps[l])).collect();
+
+                indexed.allocate_indexed(
+                    (0..nl).map(|l| up[l].then_some(caps[l])),
+                    positions.iter().zip(&routed).map(|(l, (_, c))| (l.as_slice(), *c)),
+                );
+                keyed.allocate(&up_caps, routed.iter().map(|(l, c)| (l.as_slice(), *c)));
+                let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &routed);
+
+                prop_assert_eq!((indexed.fills, indexed.skips), (keyed.fills, keyed.skips));
+                prop_assert_eq!(indexed.rates().len(), ref_rates.len());
+                prop_assert_eq!(keyed.rates().len(), ref_rates.len());
+                for (i, want) in ref_rates.iter().enumerate() {
+                    prop_assert_eq!(indexed.rates()[i].to_bits(), want.to_bits());
+                    prop_assert_eq!(keyed.rates()[i].to_bits(), want.to_bits());
+                }
+                for l in 0..nl {
+                    let want = ref_loads.get(&l).copied().unwrap_or(0.0);
+                    prop_assert_eq!(indexed.loads()[l].to_bits(), want.to_bits());
+                    prop_assert_eq!(keyed.load(&l).to_bits(), want.to_bits());
+                }
+            }
+        }
+
         /// The reusable allocator is BIT-identical to the reference on
         /// arbitrary inputs, including across a sequence of calls that
         /// exercises the memo/refill paths (this is what licenses the

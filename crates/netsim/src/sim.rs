@@ -117,6 +117,13 @@ pub struct SimStats {
     /// on). Deliberately *not* part of [`SimStats::counters`]: pinned
     /// sweep artifacts embed that key set.
     pub fwd_loop_settles: u64,
+    /// Control packets the receiving instance rejected (undecodable,
+    /// or for an interface it does not have). Like
+    /// `fwd_loop_settles`, outside [`SimStats::counters`].
+    pub ctrl_pkt_errors: u64,
+    /// Carrier changes an instance refused (no such interface).
+    /// Outside [`SimStats::counters`].
+    pub iface_admin_errors: u64,
 }
 
 /// One forwarding cycle caught by the loop-freedom probe
@@ -136,9 +143,10 @@ pub struct LoopViolation {
 impl SimStats {
     /// The thirteen integer machinery counters by name, in key order —
     /// the one list the sweep's CSV and JSON writers print from.
-    /// `unroutable_flow_secs` is a float metric, not a counter, and
-    /// `fwd_loop_settles` is a probe result; neither is listed (pinned
-    /// sweep artifacts embed this key set).
+    /// `unroutable_flow_secs` is a float metric, not a counter,
+    /// `fwd_loop_settles` is a probe result, and `ctrl_pkt_errors` and
+    /// `iface_admin_errors` came later; none is listed (pinned sweep
+    /// artifacts embed this key set).
     pub fn counters(&self) -> [(&'static str, u64); 13] {
         [
             ("alloc_fills", self.alloc_fills),
@@ -177,6 +185,8 @@ impl std::ops::AddAssign for SimStats {
         self.snmp_ops = self.snmp_ops.saturating_add(o.snmp_ops);
         self.unroutable = self.unroutable.saturating_add(o.unroutable);
         self.fwd_loop_settles = self.fwd_loop_settles.saturating_add(o.fwd_loop_settles);
+        self.ctrl_pkt_errors = self.ctrl_pkt_errors.saturating_add(o.ctrl_pkt_errors);
+        self.iface_admin_errors = self.iface_admin_errors.saturating_add(o.iface_admin_errors);
         self.unroutable_flow_secs += o.unroutable_flow_secs;
     }
 }
@@ -243,9 +253,13 @@ pub(crate) struct Core {
     /// on; its receive direction is the sibling record.
     pub(crate) iface_links: Vec<Vec<u32>>,
     pub(crate) prefix_owners: Vec<(Prefix, RouterId)>,
-    // Flow arena indexed by `FlowId.0` (ids are dense, counter-issued).
+    // Flow arena indexed by `FlowId.0` (ids are dense, counter-issued):
+    // one slot per flow ever started, empty once it stops.
     pub(crate) flow_recs: Vec<Option<Flow>>,
-    pub(crate) live_flows: usize,
+    /// The occupied slots of `flow_recs`, ascending — what every walk
+    /// over the live flows iterates, so its cost follows concurrency
+    /// and not history.
+    pub(crate) live: Vec<usize>,
     /// Live flows currently without a usable path (incremental form of
     /// the per-batch stranded scan; feeds `unroutable_flow_secs`).
     stranded: usize,
@@ -299,7 +313,7 @@ impl Core {
             iface_links: Vec::new(),
             prefix_owners: Vec::new(),
             flow_recs: Vec::new(),
-            live_flows: 0,
+            live: Vec::new(),
             stranded: 0,
             flow_index: FlowIndex::new(),
             alloc: Allocator::new(),
@@ -318,6 +332,13 @@ impl Core {
 
     pub(crate) fn flow(&self, id: FlowId) -> Option<&Flow> {
         self.flow_recs.get(id.0 as usize).and_then(|o| o.as_ref())
+    }
+
+    /// All live flows in id order.
+    pub(crate) fn flows(&self) -> impl Iterator<Item = &Flow> + '_ {
+        self.live
+            .iter()
+            .map(|&slot| live_flow(&self.flow_recs, slot))
     }
 
     /// Record that `slot`'s instance may have new output and a new
@@ -450,7 +471,8 @@ impl Core {
             }
         }
         // Flow deliveries.
-        for f in self.flow_recs.iter_mut().flatten() {
+        for &slot in &self.live {
+            let f = live_flow_mut(&mut self.flow_recs, slot);
             if f.rate > 0.0 {
                 f.delivered += f.rate * dt;
             }
@@ -481,7 +503,12 @@ impl Core {
                         c.count_rx(len);
                     }
                 }
-                let _ = self.instances[to_slot as usize].handle_packet(iface, data, self.now);
+                if self.instances[to_slot as usize]
+                    .handle_packet(iface, data, self.now)
+                    .is_err()
+                {
+                    self.stats.ctrl_pkt_errors += 1;
+                }
                 self.stats.ctrl_pkts += 1;
                 self.stats.ctrl_bytes += len;
                 self.touch(to_slot);
@@ -553,10 +580,10 @@ impl Core {
             started_at: self.now,
             rate: 0.0,
             path: None,
+            path_ix: Box::default(),
             delivered: 0.0,
         };
         let info = flow.info();
-        self.flow_index.insert(key.dst, id);
         let slot = id.0 as usize;
         if self.flow_recs.len() <= slot {
             self.flow_recs.resize_with(slot + 1, || None);
@@ -564,13 +591,21 @@ impl Core {
         match self.flow_recs[slot].replace(flow) {
             Some(old) => {
                 // Same replace-silently semantics as the old map
-                // insert (reachable only by rescheduling a live id).
+                // insert (reachable only by rescheduling a live id):
+                // the slot is listed already, the old flow's index
+                // entry and stranded count go.
+                self.flow_index.remove(old.key.dst, id);
                 if old.path.is_none() {
                     self.stranded -= 1;
                 }
             }
-            None => self.live_flows += 1,
+            // Ids are issued at schedule time and start in any order.
+            None => {
+                let at = self.live.partition_point(|s| *s < slot);
+                self.live.insert(at, slot);
+            }
         }
+        self.flow_index.insert(key.dst, id);
         self.stranded += 1;
         self.dirty.mark_flow(id);
         self.pending_flow_events.push((true, info));
@@ -580,7 +615,11 @@ impl Core {
         let Some(f) = self.flow_recs.get_mut(id.0 as usize).and_then(|o| o.take()) else {
             return false;
         };
-        self.live_flows -= 1;
+        let at = self
+            .live
+            .binary_search(&(id.0 as usize))
+            .expect("a live flow is listed");
+        self.live.remove(at);
         if f.path.is_none() {
             self.stranded -= 1;
         }
@@ -623,11 +662,11 @@ impl Core {
             // Re-resolve flows whose cached path crosses the link, and
             // — on restore — every stranded flow: its FIB path may now
             // be usable again even before the IGP reacts.
-            let dirty = &mut self.dirty;
-            for f in self.flow_recs.iter().flatten() {
+            for &slot in &self.live {
+                let f = live_flow(&self.flow_recs, slot);
                 match &f.path {
-                    Some(p) if p.iter().any(|l| keys.contains(l)) => dirty.mark_flow(f.id),
-                    None if up => dirty.mark_flow(f.id),
+                    Some(p) if p.iter().any(|l| keys.contains(l)) => self.dirty.mark_flow(f.id),
+                    None if up => self.dirty.mark_flow(f.id),
                     _ => {}
                 }
             }
@@ -640,7 +679,12 @@ impl Core {
                 };
                 if let Some(iface) = self.iface_facing(slot, peer) {
                     let now = self.now;
-                    let _ = self.instances[slot as usize].set_iface_enabled(iface, up, now);
+                    if self.instances[slot as usize]
+                        .set_iface_enabled(iface, up, now)
+                        .is_err()
+                    {
+                        self.stats.iface_admin_errors += 1;
+                    }
                     self.touch(slot);
                 }
             }
@@ -779,65 +823,97 @@ impl Core {
                 continue;
             };
             resolved += 1;
-            let new_path = match resolve_path(&self.fibs, &key) {
-                Ok(path) => {
-                    let usable = path.iter().all(|l| {
-                        self.link_idx
-                            .get(l)
-                            .map(|&ix| self.link_recs[ix as usize].state.up)
-                            .unwrap_or(false)
-                    });
-                    if usable {
-                        Some(path)
-                    } else {
-                        self.stats.unroutable += 1;
-                        None
-                    }
-                }
-                Err(_) => {
-                    self.stats.unroutable += 1;
-                    None
-                }
-            };
+            // A path is usable iff every link of it is up; its link
+            // arena positions are kept with it, so staging below (and
+            // at every later settle) probes no map.
+            let routed = resolve_path(&self.fibs, &key).ok().and_then(|path| {
+                let ixs: Option<Box<[u32]>> = path
+                    .iter()
+                    .map(|l| {
+                        let ix = *self.link_idx.get(l)?;
+                        self.link_recs[ix as usize].state.up.then_some(ix)
+                    })
+                    .collect();
+                Some((path, ixs?))
+            });
+            if routed.is_none() {
+                self.stats.unroutable += 1;
+            }
             let f = self.flow_recs[id.0 as usize].as_mut().expect("known flow");
-            match (&f.path, &new_path) {
+            match (&f.path, &routed) {
                 (None, Some(_)) => self.stranded -= 1,
                 (Some(_), None) => self.stranded += 1,
                 _ => {}
             }
-            f.path = new_path;
+            (f.path, f.path_ix) = routed.map_or((None, Box::default()), |(p, ixs)| (Some(p), ixs));
         }
         self.stats.paths_resolved += resolved;
-        self.stats.paths_skipped += self.live_flows as u64 - resolved;
-        // Allocation over up links only; flow inputs reference the
-        // cached paths directly (no per-realloc clones).
-        let capacities: BTreeMap<LinkKey, f64> = self
-            .link_idx
-            .iter()
-            .filter(|(_, &ix)| self.link_recs[ix as usize].state.up)
-            .map(|(k, &ix)| (*k, self.link_recs[ix as usize].state.capacity))
-            .collect();
-        self.alloc.allocate(
-            &capacities,
-            self.flow_recs
+        self.stats.paths_skipped += self.live.len() as u64 - resolved;
+        self.debug_check_live();
+        // The link universe is the arena in creation order, a capacity
+        // present iff the link is up (so up/down is part of what the
+        // allocator compares); flows hand over their kept positions.
+        let Core {
+            alloc,
+            link_recs,
+            flow_recs,
+            live,
+            ..
+        } = self;
+        alloc.allocate_indexed(
+            link_recs
                 .iter()
-                .flatten()
-                .filter_map(|f| f.path.as_deref().map(|p| (p, f.cap))),
+                .map(|r| r.state.up.then_some(r.state.capacity)),
+            live.iter().filter_map(|&slot| {
+                let f = live_flow(flow_recs, slot);
+                f.path.is_some().then_some((&*f.path_ix, f.cap))
+            }),
         );
-        let rates = self.alloc.rates();
-        let mut next_rate = rates.iter().copied();
-        for f in self.flow_recs.iter_mut().flatten() {
+        let mut next_rate = alloc.rates().iter().copied();
+        for &slot in live.iter() {
+            let f = live_flow_mut(flow_recs, slot);
             f.rate = if f.path.is_some() {
                 next_rate.next().expect("one rate per routed flow")
             } else {
                 0.0
             };
         }
-        for (k, &ix) in self.link_idx.iter() {
-            self.link_recs[ix as usize].state.rate = self.alloc.load(k);
+        for (rec, load) in link_recs.iter_mut().zip(alloc.loads()) {
+            rec.state.rate = *load;
         }
         if self.cfg.check_loops {
             self.check_forwarding_loops();
+        }
+    }
+
+    /// What every walk over `live` and every staging from `path_ix`
+    /// relies on, checked at each settle of a debug build: the list is
+    /// the occupied slots, ascending, and each kept position still
+    /// names the link the path names.
+    fn debug_check_live(&self) {
+        // The walk below is not free: release builds skip it whole.
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        debug_assert!(
+            self.live.windows(2).all(|w| w[0] < w[1]),
+            "live list ascending"
+        );
+        debug_assert_eq!(
+            self.live.len(),
+            self.flow_recs.iter().flatten().count(),
+            "live list covers the occupied slots"
+        );
+        for f in self.flows() {
+            let keys = f.path.as_deref().unwrap_or(&[]);
+            debug_assert!(
+                keys.iter().copied().eq(f
+                    .path_ix
+                    .iter()
+                    .map(|ix| self.link_recs[*ix as usize].state.key)),
+                "{}: kept link positions name the path's links",
+                f.id
+            );
         }
     }
 
@@ -877,6 +953,15 @@ impl Core {
             self.stats.fwd_loop_settles += 1;
         }
     }
+}
+
+/// The flow in a slot the live list names.
+fn live_flow(flow_recs: &[Option<Flow>], slot: usize) -> &Flow {
+    flow_recs[slot].as_ref().expect("listed slot is occupied")
+}
+
+fn live_flow_mut(flow_recs: &mut [Option<Flow>], slot: usize) -> &mut Flow {
+    flow_recs[slot].as_mut().expect("listed slot is occupied")
 }
 
 /// Mark the flows a FIB download at `router` can actually reroute:
@@ -1212,12 +1297,12 @@ impl Sim {
 
     /// Iterate all live flows in id order (no snapshot allocation).
     pub fn flows(&self) -> impl Iterator<Item = &Flow> + '_ {
-        self.core.flow_recs.iter().flatten()
+        self.core.flows()
     }
 
     /// Number of live flows.
     pub fn flow_count(&self) -> usize {
-        self.core.live_flows
+        self.core.live.len()
     }
 
     /// Current rate of a directed link.
@@ -1604,6 +1689,159 @@ mod tests {
         sim.run_until(after);
         assert_eq!(sim.ctx().flow_delivered(f).unwrap(), delivered);
         assert_eq!(sim.link_rate(r(2), r(3)), Some(0.0));
+    }
+
+    /// A packet the receiving instance rejects is counted, not
+    /// swallowed: still delivered and accounted as control traffic,
+    /// and the run goes on.
+    #[test]
+    fn rejected_control_packet_is_counted() {
+        let mut sim = line_sim();
+        sim.start();
+        sim.run_until(Timestamp::from_secs(5));
+        assert_eq!(sim.stats().ctrl_pkt_errors, 0, "a healthy run rejects none");
+        let before = sim.stats().ctrl_pkts;
+        sim.core.queue.push(
+            sim.now(),
+            Ev::Pkt {
+                to_slot: 1,
+                iface: IfaceId(0),
+                data: Bytes::from_static(b"not a protocol packet"),
+            },
+        );
+        sim.run_until(sim.now());
+        let stats = sim.stats();
+        assert_eq!(stats.ctrl_pkt_errors, 1);
+        assert_eq!(stats.ctrl_pkts, before + 1);
+        assert_eq!(sim.instance(r(2)).unwrap().stats.decode_errors, 1);
+        assert_eq!(stats.iface_admin_errors, 0);
+        // Both fold into sweep totals; neither is a pinned counter.
+        let mut total = stats;
+        total += stats;
+        assert_eq!(total.ctrl_pkt_errors, 2);
+        assert!(stats.counters().iter().all(|(k, _)| !k.contains("error")));
+    }
+
+    /// Two starts scheduled under one id: the second replaces the
+    /// first in the arena, and every structure derived from it — the
+    /// live list, the prefix index, the stranded count — follows.
+    #[test]
+    fn rescheduling_a_live_flow_id_replaces_it_everywhere() {
+        let mut sim = line_sim();
+        sim.announce_prefix(r(2), Prefix::net24(2));
+        let id = sim.new_flow_id();
+        let start = |dst| Event::FlowStart {
+            id,
+            spec: FlowSpec::new(r(1), Prefix::net24(dst)),
+        };
+        sim.schedule(Timestamp::from_secs(10), start(1));
+        sim.schedule(Timestamp::from_secs(11), start(2));
+        sim.start();
+        sim.run_until(Timestamp::from_secs(12));
+
+        assert_eq!(sim.flow_count(), 1);
+        assert_eq!(sim.core.live, [id.0 as usize]);
+        let flows: Vec<&Flow> = sim.flows().collect();
+        assert_eq!(flows.len(), 1);
+        assert_eq!(flows[0].key.dst, Prefix::net24(2));
+        assert_eq!(
+            flows[0].path.as_deref(),
+            Some(&[LinkKey::new(r(1), r(2))][..])
+        );
+        let index = &sim.core.flow_index;
+        assert_eq!(
+            index.affected_by(Prefix::net24(1)).count(),
+            0,
+            "stale entry"
+        );
+        assert_eq!(
+            index.affected_by(Prefix::net24(2)).collect::<Vec<_>>(),
+            [id]
+        );
+        assert_eq!(sim.core.stranded, 0);
+
+        // Stopping it leaves nothing behind either.
+        assert!(sim.ctx().stop_flow(id));
+        assert_eq!(sim.flow_count(), 0);
+        assert!(sim.core.live.is_empty());
+        assert_eq!(sim.core.flow_index.affected_by(Prefix::net24(2)).count(), 0);
+        sim.run_until(Timestamp::from_secs(13));
+        assert_eq!(sim.stats().unroutable_flow_secs, 0.0);
+    }
+
+    /// Ids are handed out when a start is scheduled, so flows start in
+    /// any order: the live list stays ascending whatever the order.
+    #[test]
+    fn flows_started_out_of_id_order_are_walked_in_id_order() {
+        let mut sim = line_sim();
+        let ids: Vec<FlowId> = [14u64, 12, 13, 11]
+            .into_iter()
+            .map(|at| {
+                sched_flow(
+                    &mut sim,
+                    Timestamp::from_secs(at),
+                    FlowSpec::new(r(1), Prefix::net24(1)),
+                )
+            })
+            .collect();
+        sim.schedule(Timestamp::from_secs(15), Event::FlowStop { id: ids[2] });
+        sim.start();
+        sim.run_until(Timestamp::from_millis(12_500));
+        let live = |sim: &Sim| sim.flows().map(|f| f.id).collect::<Vec<_>>();
+        assert_eq!(live(&sim), [ids[1], ids[3]]);
+        sim.run_until(Timestamp::from_secs(14));
+        assert_eq!(live(&sim), ids);
+        sim.run_until(Timestamp::from_secs(16));
+        assert_eq!(live(&sim), [ids[0], ids[1], ids[3]]);
+        assert_eq!(sim.flow_count(), 3);
+    }
+
+    /// Whether a link is up is part of what the allocator compares. A
+    /// link failing is new input even when no flow crossed it (a
+    /// fill); a capacity change on a link that is down is not (a
+    /// skip). Both counts are in [`SimStats::counters`] and so in
+    /// every pinned sweep artifact.
+    #[test]
+    fn link_state_is_part_of_the_allocation_memo() {
+        // Square: the flow takes 1-2-4; 1-3-4 carries nothing.
+        let mut sim = Sim::new(SimConfig::default());
+        for i in 1..=4 {
+            sim.add_router(r(i));
+        }
+        sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
+        sim.add_link(LinkSpec::new(r(2), r(4), Metric(1), 1e6));
+        sim.add_link(LinkSpec::new(r(1), r(3), Metric(10), 1e6));
+        sim.add_link(LinkSpec::new(r(3), r(4), Metric(10), 1e6));
+        sim.announce_prefix(r(4), Prefix::net24(1));
+        let f = sched_flow(
+            &mut sim,
+            Timestamp::from_secs(10),
+            FlowSpec::new(r(1), Prefix::net24(1)),
+        );
+        sim.start();
+        sim.run_until(Timestamp::from_secs(12));
+        let decisions = |sim: &Sim| (sim.stats().alloc_fills, sim.stats().alloc_skips);
+        let (fills, skips) = decisions(&sim);
+
+        // The idle link fails: a fill, though no rate moves.
+        assert!(sim.ctx().fail_link(r(3), r(4)));
+        sim.run_until(Timestamp::from_millis(12_001));
+        assert_eq!(decisions(&sim), (fills + 1, skips));
+        assert!((sim.ctx().flow_rate(f).unwrap() - 1e6).abs() < 1.0);
+
+        // Its capacity changes while it is down: a skip.
+        sim.run_until(Timestamp::from_secs(20));
+        let (fills, skips) = decisions(&sim);
+        assert!(sim.ctx().set_link_capacity(r(3), r(4), 5e5));
+        sim.run_until(Timestamp::from_millis(20_001));
+        assert_eq!(decisions(&sim), (fills, skips + 1));
+
+        // It comes back with the new capacity: a fill.
+        sim.run_until(Timestamp::from_secs(30));
+        let (fills, skips) = decisions(&sim);
+        assert!(sim.ctx().restore_link(r(3), r(4)));
+        sim.run_until(Timestamp::from_millis(30_001));
+        assert_eq!(decisions(&sim), (fills + 1, skips));
     }
 
     #[test]

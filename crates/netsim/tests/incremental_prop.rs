@@ -8,8 +8,8 @@
 //! against a from-scratch reference: every flow's path re-resolved
 //! through the current FIBs (`resolve_path`) and the whole allocation
 //! recomputed by the retained reference allocator (`max_min_keyed`).
-//! Paths must match exactly, rates and link loads within 1e-9 (they
-//! are in fact bit-equal), and same-seed runs must be byte-identical.
+//! Paths must match exactly, rates and link loads bit for bit, and
+//! same-seed runs must be byte-identical.
 
 use fib_igp::time::Timestamp;
 use fib_igp::types::{Metric, Prefix, RouterId};
@@ -233,15 +233,17 @@ fn verify_against_reference(sim: &mut Sim) {
     }
     let (ref_rates, ref_loads) = max_min_keyed(&capacities, &routed);
     for (i, (got, want)) in routed_rates.iter().zip(ref_rates.iter()).enumerate() {
-        assert!(
-            (got - want).abs() <= 1e-9,
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
             "rate of routed flow #{i} diverges: {got} vs {want}"
         );
     }
     for (key, want) in &ref_loads {
         let got = sim.ctx().link_rate(*key).unwrap_or(0.0);
-        assert!(
-            (got - want).abs() <= 1e-9,
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
             "load of {key} diverges: {got} vs {want}"
         );
     }
