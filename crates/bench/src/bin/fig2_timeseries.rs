@@ -72,7 +72,7 @@ fn run(controller: bool, tag: &str) {
     }
     t.emit(&format!("fig2_{tag}_phases"));
 
-    let reports: Vec<_> = run.qoe.lock().values().cloned().collect();
+    let reports = run.qoe.reports();
     let s = summarize(&reports);
     println!(
         "QoE: {} sessions, {} stalls, {:.1}s stalled, mean score {:.2}",

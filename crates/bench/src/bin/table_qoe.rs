@@ -14,7 +14,7 @@ fn run(controller: bool) -> (QoeSummary, usize) {
         ..DemoConfig::default()
     };
     let run = demo::run(&cfg, 55);
-    let reports: Vec<QoeReport> = run.qoe.lock().values().cloned().collect();
+    let reports = run.qoe.reports();
     let stalled = reports.iter().filter(|r| r.stalls > 0).count();
     (summarize(&reports), stalled)
 }

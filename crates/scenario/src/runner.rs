@@ -575,7 +575,7 @@ impl ScenarioRun {
             t - stim
         });
         let snap = self.ctrl.as_ref().map(|h| *h.lock());
-        let qoe = summarize(&self.qoe.lock().values().cloned().collect::<Vec<_>>());
+        let qoe = summarize(&self.qoe.reports());
         ScenarioReport {
             name: self.name.clone(),
             seed: self.seed,

@@ -6,8 +6,11 @@
 //! demo's streaming servers do) feeding a [`Player`]'s buffer. The
 //! driver launches sessions on schedule, advances players from
 //! delivered bytes every tick, runs ABR at segment granularity, and
-//! publishes live QoE reports through a shared handle the experiment
-//! harness reads after the run.
+//! shares its sessions with a [`QoeHandle`] through which the
+//! experiment harness reads every session's QoE report, mid-run or
+//! after it. A tick pays nothing for that: a report enters the ordered
+//! map once, when its session finishes, and the reports of sessions
+//! still playing are derived from their players when somebody reads.
 //!
 //! Sessions arrive through a [`SessionSource`]: either an eager,
 //! pre-materialized list (small experiments) or a [`GroupedSource`]
@@ -72,8 +75,50 @@ impl SessionSpec {
     }
 }
 
-/// Shared live QoE map: tag → latest report.
-pub type QoeHandle = Arc<Mutex<BTreeMap<u64, QoeReport>>>;
+/// What the driver shares with its readers.
+#[derive(Default)]
+struct Shared {
+    /// Final reports by tag: one insert per session, when it finishes.
+    finished: BTreeMap<u64, QoeReport>,
+    /// The sessions still playing, in launch order.
+    active: Vec<Session>,
+}
+
+/// Shared live QoE: every launched session's latest report, readable
+/// by host code at any instant, mid-run included. A session becomes
+/// visible at the first tick that advances it.
+#[derive(Clone, Default)]
+pub struct QoeHandle(Arc<Mutex<Shared>>);
+
+impl QoeHandle {
+    /// Every visible session's latest report in ascending tag order
+    /// (the order [`summarize`] adds in), sessions still playing
+    /// included: their players report as of the last tick. The map of
+    /// finished sessions and the tag-sorted playing ones merge straight
+    /// into the `Vec` returned; the map is not copied.
+    ///
+    /// [`summarize`]: crate::qoe::summarize
+    pub fn reports(&self) -> Vec<QoeReport> {
+        let shared = self.0.lock();
+        let mut playing: Vec<(u64, QoeReport)> = shared
+            .active
+            .iter()
+            .filter(|s| s.advanced)
+            .map(|s| (s.spec.tag, s.player.qoe()))
+            .collect();
+        playing.sort_by_key(|(tag, _)| *tag);
+        let mut out = Vec::with_capacity(shared.finished.len() + playing.len());
+        let mut playing = playing.into_iter().peekable();
+        for (tag, report) in &shared.finished {
+            while let Some((_, earlier)) = playing.next_if(|(t, _)| t < tag) {
+                out.push(earlier);
+            }
+            out.push(report.clone());
+        }
+        out.extend(playing.map(|(_, report)| report));
+        out
+    }
+}
 
 /// Where the driver's sessions come from, in launch (time) order.
 ///
@@ -217,74 +262,83 @@ struct Session {
     last_delivered: f64,
     last_advanced: Timestamp,
     thr_ewma: f64,
-    finished: bool,
+    /// A tick has advanced it: readers see its report from then on (a
+    /// session launched at start-up is not visible before the first
+    /// tick).
+    advanced: bool,
 }
 
 /// The workload driver.
 pub struct VideoWorkload {
     source: Box<dyn SessionSource>,
-    active: Vec<Session>,
     tick: Dur,
-    reports: QoeHandle,
+    shared: QoeHandle,
 }
 
 impl VideoWorkload {
     /// Build a driver over an eager session schedule; returns the
-    /// driver and the QoE handle to read after the run.
+    /// driver and the QoE handle to read during or after the run.
     pub fn new(schedule: Vec<SessionSpec>, tick: Dur) -> (VideoWorkload, QoeHandle) {
         Self::from_source(Box::new(EagerSource::new(schedule)), tick)
     }
 
     /// Build a driver over any (possibly lazy) session source.
     pub fn from_source(source: Box<dyn SessionSource>, tick: Dur) -> (VideoWorkload, QoeHandle) {
-        let handle: QoeHandle = Arc::new(Mutex::new(BTreeMap::new()));
+        let shared = QoeHandle::default();
         (
             VideoWorkload {
                 source,
-                active: Vec::new(),
                 tick,
-                reports: Arc::clone(&handle),
+                shared: shared.clone(),
             },
-            handle,
+            shared,
         )
     }
 
-    fn launch_due(&mut self, api: &mut SimContext<'_>) {
-        let now = api.now();
-        while let Some(start) = self.source.peek_start() {
-            if start > now {
-                break;
-            }
-            let spec = self.source.next_session().expect("peeked");
-            let bitrate = spec.video.ladder.rate(match &spec.abr {
-                AbrPolicy::Constant(l) => *l,
-                _ => 0,
-            });
-            let flow = api.start_flow(
-                FlowSpec::new(spec.src, spec.dst)
-                    .with_cap(bitrate)
-                    .with_tag(spec.tag),
-            );
-            let player = Player::new(spec.video.clone(), spec.player, now);
-            self.active.push(Session {
-                spec,
-                flow,
-                player,
-                last_delivered: 0.0,
-                last_advanced: now,
-                thr_ewma: 0.0,
-                finished: false,
-            });
-        }
+    /// Number of sessions not yet finished.
+    pub fn active_count(&self) -> usize {
+        self.shared.0.lock().active.len() + self.source.remaining()
     }
+}
 
+/// Launch every session of `source` that is due, onto the end of
+/// `active`.
+fn launch_due(source: &mut dyn SessionSource, active: &mut Vec<Session>, api: &mut SimContext<'_>) {
+    let now = api.now();
+    while let Some(start) = source.peek_start() {
+        if start > now {
+            break;
+        }
+        let spec = source.next_session().expect("peeked");
+        let bitrate = spec.video.ladder.rate(match &spec.abr {
+            AbrPolicy::Constant(l) => *l,
+            _ => 0,
+        });
+        let flow = api.start_flow(
+            FlowSpec::new(spec.src, spec.dst)
+                .with_cap(bitrate)
+                .with_tag(spec.tag),
+        );
+        let player = Player::new(spec.video.clone(), spec.player, now);
+        active.push(Session {
+            spec,
+            flow,
+            player,
+            last_delivered: 0.0,
+            last_advanced: now,
+            thr_ewma: 0.0,
+            advanced: false,
+        });
+    }
+}
+
+impl Shared {
+    /// Advance every active session to now; a session whose clip ends
+    /// leaves its final report in the map and the active set.
     fn advance_sessions(&mut self, api: &mut SimContext<'_>) {
         let now = api.now();
         let now_secs = now.as_secs_f64();
         for s in self.active.iter_mut() {
-            if s.finished {
-                continue;
-            }
             let delivered = api.flow_delivered(s.flow).unwrap_or(s.last_delivered);
             let bytes = (delivered - s.last_delivered).max(0.0);
             s.last_delivered = delivered;
@@ -294,6 +348,7 @@ impl VideoWorkload {
                 s.thr_ewma = 0.5 * (bytes / dt) + 0.5 * s.thr_ewma;
             }
             s.player.advance(now_secs, dt, bytes);
+            s.advanced = true;
 
             // ABR decision (no-op for Constant policies).
             let level = s.spec.abr.decide(
@@ -318,18 +373,13 @@ impl VideoWorkload {
 
             if s.player.state() == PlayerState::Done {
                 api.stop_flow(s.flow);
-                s.finished = true;
+                self.finished.insert(s.spec.tag, s.player.qoe());
             }
-            self.reports.lock().insert(s.spec.tag, s.player.qoe());
         }
-        // A finished session's final QoE was just published; drop its
-        // player state so memory follows concurrency, not history.
-        self.active.retain(|s| !s.finished);
-    }
-
-    /// Number of sessions not yet finished.
-    pub fn active_count(&self) -> usize {
-        self.active.len() + self.source.remaining()
+        // Drop a finished session's player state, so memory follows
+        // concurrency, not history.
+        self.active
+            .retain(|s| s.player.state() != PlayerState::Done);
     }
 }
 
@@ -344,10 +394,15 @@ impl EventHandler for VideoWorkload {
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
         match ev {
-            AppEvent::Start => self.launch_due(ctx),
+            AppEvent::Start => {
+                launch_due(&mut *self.source, &mut self.shared.0.lock().active, ctx);
+            }
+            // One lock per tick, and no ordered-map operation for a
+            // session that is still playing.
             AppEvent::Tick => {
-                self.launch_due(ctx);
-                self.advance_sessions(ctx);
+                let mut shared = self.shared.0.lock();
+                launch_due(&mut *self.source, &mut shared.active, ctx);
+                shared.advance_sessions(ctx);
             }
             AppEvent::FlowStarted(_) | AppEvent::FlowStopped(_) => {}
         }
@@ -390,8 +445,8 @@ mod tests {
         sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(60));
-        let map = reports.lock();
-        let q = map.get(&1).expect("report for tag 1");
+        let all = reports.reports();
+        let q = all.first().expect("report for tag 1");
         assert!(q.completed, "{q:?}");
         assert_eq!(q.stalls, 0);
         assert!(q.score() > 4.0);
@@ -417,8 +472,7 @@ mod tests {
         sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(80));
-        let map = reports.lock();
-        let stalled: usize = map.values().filter(|q| q.stalls > 0).count();
+        let stalled: usize = reports.reports().iter().filter(|q| q.stalls > 0).count();
         assert!(
             stalled >= 5,
             "expected most sessions to stall, got {stalled}/10"
@@ -492,9 +546,107 @@ mod tests {
         sim.start();
         sim.run_until(Timestamp::from_secs(60));
         // All three finished: reports persist, players are gone.
-        let map = reports.lock();
-        assert_eq!(map.len(), 3);
-        assert!(map.values().all(|q| q.completed));
+        let all = reports.reports();
+        assert_eq!(all.len(), 3);
+        assert!(all.iter().all(|q| q.completed));
+    }
+
+    /// What the handle used to be, kept beside the driver: an ordered
+    /// map into which every session a tick advanced is inserted, every
+    /// tick — from the players for those still playing, and the final
+    /// report for those the tick finished.
+    struct PerTickPublisher {
+        driver: VideoWorkload,
+        map: Arc<Mutex<BTreeMap<u64, QoeReport>>>,
+    }
+
+    impl EventHandler for PerTickPublisher {
+        fn name(&self) -> &str {
+            "per-tick-publisher"
+        }
+
+        fn tick_interval(&self) -> Option<Dur> {
+            self.driver.tick_interval()
+        }
+
+        fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+            let tick = matches!(ev, AppEvent::Tick);
+            self.driver.on_event(ctx, ev);
+            if tick {
+                let shared = self.driver.shared.0.lock();
+                let mut map = self.map.lock();
+                for s in &shared.active {
+                    map.insert(s.spec.tag, s.player.qoe());
+                }
+                for (tag, report) in &shared.finished {
+                    map.insert(*tag, report.clone());
+                }
+            }
+        }
+    }
+
+    /// The handle's contract, read mid-run between ticks: the reader
+    /// yields, tag for tag, what a per-tick publisher would hold — and
+    /// the ordered map holds the finished sessions and nothing else,
+    /// which is what fails if per-tick publishing ever comes back.
+    #[test]
+    fn reader_equals_a_per_tick_publisher_and_only_finished_sessions_are_in_the_map() {
+        // Eight 100 kB/s sessions over 400 kB/s, so some stall. Tags
+        // run against launch order, and each clip has its own length,
+        // so a report names its session.
+        let mut sim = line(4e5);
+        let specs: Vec<SessionSpec> = (0..8u64)
+            .map(|i| {
+                SessionSpec::constant(
+                    Timestamp::from_millis(700 * i),
+                    r(1),
+                    Prefix::net24(1),
+                    1e5,
+                    6.0 + i as f64,
+                    100 - i,
+                )
+            })
+            .collect();
+        let (driver, handle) = VideoWorkload::new(specs, Dur::from_millis(100));
+        let reference = Arc::new(Mutex::new(BTreeMap::new()));
+        sim.add_app(Box::new(PerTickPublisher {
+            driver,
+            map: Arc::clone(&reference),
+        }));
+        sim.start();
+
+        let mut seen_both = false;
+        for at_ms in [50u64, 3_030, 9_570, 14_010, 19_990, 60_000] {
+            sim.run_until(Timestamp::from_millis(at_ms));
+            let got = handle.reports();
+            let want: Vec<QoeReport> = reference.lock().values().cloned().collect();
+            assert_eq!(got, want, "at {at_ms} ms");
+
+            let shared = handle.0.lock();
+            let completed: Vec<u64> = reference
+                .lock()
+                .iter()
+                .filter(|(_, q)| q.completed)
+                .map(|(tag, _)| *tag)
+                .collect();
+            assert_eq!(
+                shared.finished.keys().copied().collect::<Vec<_>>(),
+                completed,
+                "at {at_ms} ms the map holds exactly the finished sessions"
+            );
+            let playing = shared.active.iter().filter(|s| s.advanced).count();
+            assert_eq!(got.len(), shared.finished.len() + playing);
+            seen_both |= !shared.finished.is_empty() && !shared.active.is_empty();
+            match at_ms {
+                // The session due at 0 launched at start-up; no tick
+                // has advanced it yet.
+                50 => assert!(got.is_empty() && shared.active.len() == 1),
+                60_000 => assert!(got.len() == 8 && shared.active.is_empty()),
+                _ => {}
+            }
+        }
+        assert!(seen_both, "some read saw finished and playing sessions");
+        assert!(handle.reports().iter().any(|q| q.stalls > 0));
     }
 
     #[test]
@@ -522,8 +674,8 @@ mod tests {
         sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(10));
-        assert_eq!(reports.lock().len(), 1, "only the first session yet");
+        assert_eq!(reports.reports().len(), 1, "only the first session yet");
         sim.run_until(Timestamp::from_secs(25));
-        assert_eq!(reports.lock().len(), 2);
+        assert_eq!(reports.reports().len(), 2);
     }
 }

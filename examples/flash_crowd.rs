@@ -41,7 +41,7 @@ fn run_once(controller: bool) {
         );
     }
 
-    let reports: Vec<QoeReport> = run.qoe.lock().values().cloned().collect();
+    let reports = run.qoe.reports();
     let summary = summarize(&reports);
     println!(
         "\nQoE over {} sessions: {} smooth, {} stalls ({:.1}s stalled), mean score {:.2}",

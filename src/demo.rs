@@ -131,7 +131,7 @@ impl Default for DemoConfig {
 pub struct Demo {
     /// The co-simulation, ready to run.
     pub sim: Sim,
-    /// Live per-session QoE reports (keyed by session tag).
+    /// Live per-session QoE reports.
     pub qoe: QoeHandle,
 }
 

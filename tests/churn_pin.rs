@@ -146,7 +146,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Every launched session's latest report, in tag order.
 fn reports(qoe: &QoeHandle) -> Vec<QoeReport> {
-    qoe.lock().values().cloned().collect()
+    qoe.reports()
 }
 
 /// One report per line, every field (`{:?}` prints the shortest text

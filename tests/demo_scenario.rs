@@ -71,7 +71,7 @@ fn fig2_with_controller_prevents_congestion() {
 
     // "The video playbacks are smooth when the Fibbing controller is
     // in use": the overwhelming majority of sessions never stall.
-    let reports: Vec<_> = run.qoe.lock().values().cloned().collect();
+    let reports = run.qoe.reports();
     let summary = summarize(&reports);
     assert_eq!(summary.sessions, 62);
     assert!(
@@ -106,7 +106,7 @@ fn fig2_without_controller_congests_and_stutters() {
     assert_eq!(rec.mean_over("B-R3", 45.0, 54.0), Some(0.0));
 
     // Players starve: "stutter when disabled".
-    let reports: Vec<_> = run.qoe.lock().values().cloned().collect();
+    let reports = run.qoe.reports();
     let stalled = reports.iter().filter(|r| r.stalls > 0).count();
     assert!(
         stalled > 20,
