@@ -396,14 +396,14 @@ impl<K: Ord + Clone> Allocator<K> {
     /// Skip if the staged input equals the kept one, else keep it and
     /// fill.
     fn commit(&mut self, links_unchanged: bool) {
+        // Equal offsets mean equally many flows, so `zip` drops none.
         let flows_unchanged = self.valid
             && self.new_offsets == self.flow_offsets
             && self.new_links == self.flow_links
-            && self.new_caps.len() == self.flow_caps.len()
             && self
                 .new_caps
                 .iter()
-                .zip(self.flow_caps.iter())
+                .zip(&self.flow_caps)
                 .all(|(a, b)| same_bits(*a, *b));
         if links_unchanged && flows_unchanged {
             self.skips += 1;

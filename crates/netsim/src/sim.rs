@@ -53,7 +53,7 @@ pub use fib_sim_kernel::TieBreak;
 use fib_sim_kernel::{ComponentId, DeadlineHeap, EventId, EventQueue, Registry};
 use fib_telemetry::counters::{CounterWidth, IfaceCounters};
 use fib_telemetry::mib::Agent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 pub use crate::context::SimContext;
 
@@ -258,8 +258,10 @@ pub(crate) struct Core {
     pub(crate) flow_recs: Vec<Option<Flow>>,
     /// The occupied slots of `flow_recs`, ascending — what every walk
     /// over the live flows iterates, so its cost follows concurrency
-    /// and not history.
-    pub(crate) live: Vec<usize>,
+    /// and not history. A deque, because flows mostly start at its
+    /// high end and stop near its low end: both shift the shorter
+    /// side.
+    pub(crate) live: VecDeque<usize>,
     /// Live flows currently without a usable path (incremental form of
     /// the per-batch stranded scan; feeds `unroutable_flow_secs`).
     stranded: usize,
@@ -313,7 +315,7 @@ impl Core {
             iface_links: Vec::new(),
             prefix_owners: Vec::new(),
             flow_recs: Vec::new(),
-            live: Vec::new(),
+            live: VecDeque::new(),
             stranded: 0,
             flow_index: FlowIndex::new(),
             alloc: Allocator::new(),
@@ -896,7 +898,10 @@ impl Core {
             return;
         }
         debug_assert!(
-            self.live.windows(2).all(|w| w[0] < w[1]),
+            self.live
+                .iter()
+                .zip(self.live.iter().skip(1))
+                .all(|(a, b)| a < b),
             "live list ascending"
         );
         debug_assert_eq!(

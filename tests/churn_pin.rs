@@ -14,7 +14,7 @@
 
 use fibbing::scenario::runner::{build, RunOptions};
 use fibbing::scenario::spec::ScenarioSpec;
-use fibbing::video::prelude::{QoeHandle, QoeReport};
+use fibbing::video::prelude::QoeReport;
 use std::fmt::Write as _;
 
 const SPEC: &str = r#"
@@ -144,11 +144,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every launched session's latest report, in tag order.
-fn reports(qoe: &QoeHandle) -> Vec<QoeReport> {
-    qoe.reports()
-}
-
 /// One report per line, every field (`{:?}` prints the shortest text
 /// that reads back to the same f64).
 fn render(reports: &[QoeReport]) -> String {
@@ -178,13 +173,13 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
     let qoe = run.qoe.clone();
 
     run.run_until_secs(MID_RUN_SECS);
-    let mid = reports(&qoe);
+    let mid = qoe.reports();
     let playing = |rs: &[QoeReport]| rs.iter().filter(|q| !q.completed).count();
     assert_eq!((mid.len(), playing(&mid)), (1084, 1042));
 
     run.run_until_secs(spec.horizon_secs);
     let stats = run.sim.stats();
-    let end = reports(&qoe);
+    let end = qoe.reports();
     let report = run.finish();
 
     // The run does what the pin is for: viewers stall, flows strand,
