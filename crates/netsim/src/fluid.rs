@@ -703,6 +703,17 @@ mod tests {
         assert_eq!((alloc.fills, alloc.skips), (3, 1));
         let (ref3, _) = max_min_keyed(&caps, &flows2);
         assert_eq!(alloc.rates(), ref3.as_slice());
+
+        // So does a key that goes while another comes, even when the
+        // capacities coincide position by position and no flow is
+        // routed: the keys are the up links, and which links are up is
+        // part of the input.
+        let no_flows = std::iter::empty::<(&[&str], Option<f64>)>;
+        alloc.allocate(&BTreeMap::from([("x", 7.0), ("y", 7.0)]), no_flows());
+        alloc.allocate(&BTreeMap::from([("y", 7.0), ("z", 7.0)]), no_flows());
+        assert_eq!((alloc.fills, alloc.skips), (5, 1));
+        alloc.allocate(&BTreeMap::from([("y", 7.0), ("z", 7.0)]), no_flows());
+        assert_eq!((alloc.fills, alloc.skips), (5, 2));
     }
 
     #[test]
