@@ -145,8 +145,8 @@ impl SimStats {
     /// the one list the sweep's CSV and JSON writers print from.
     /// `unroutable_flow_secs` is a float metric, not a counter,
     /// `fwd_loop_settles` is a probe result, and `ctrl_pkt_errors` and
-    /// `iface_admin_errors` came later; none is listed (pinned sweep
-    /// artifacts embed this key set).
+    /// `iface_admin_errors` count errors; none is listed, because
+    /// pinned sweep artifacts embed this key set.
     pub fn counters(&self) -> [(&'static str, u64); 13] {
         [
             ("alloc_fills", self.alloc_fills),
