@@ -1,297 +1,60 @@
 //! Serialize a [`ScenarioSpec`] back into the TOML subset.
 //!
-//! The inverse of [`ScenarioSpec::from_toml_str`]: the emitted text
-//! targets exactly the grammar `crate::toml` parses (floats always
-//! carry a `.` or exponent so they re-parse as floats, strings use
-//! only the `\\ \" \n \t \r` escapes the parser knows) and
-//! round-trips structurally — `parse(emit(spec)) == spec` for every
-//! valid spec, asserted property-style in the tests. The adversarial
-//! fuzzer leans on this to archive minimized finds as replayable
+//! The inverse of [`ScenarioSpec::from_toml_str`] by construction:
+//! the text is written by the same per-table key lists (`fields.rs`)
+//! that read it, so `parse(emit(spec)) == spec` for every valid spec.
+//! The bytes are pinned (`tests/emit_pin.rs`):
+//! the ledger hands the program this text as its input, and the
+//! adversarial fuzzer archives minimized finds with it as replayable
 //! regression files under `scenarios/found/`.
 
-use crate::spec::{
-    ControllerSpec, EventKind, EventSpec, ExpectSpec, ScenarioSpec, TopologySpec, WorkloadSpec,
-};
+use crate::fields::{Blank, Done, Field, Fields, Pass, Presence};
+use crate::spec::ScenarioSpec;
 use std::fmt::Write as _;
 
-/// Render a float so the subset parser reads it back as a float
-/// (`{:?}` is shortest-roundtrip and always includes `.` or an
-/// exponent for finite values).
-fn f(v: f64) -> String {
-    format!("{v:?}")
-}
+/// Appends a table's keys as text, one `key = value` line each.
+struct Write<'a>(&'a mut String);
 
-/// Quote and escape a string with exactly the escapes the parser
-/// understands.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+impl Pass for Write<'_> {
+    fn field<T: Field>(&mut self, key: &'static str, value: &mut T, presence: Presence) -> Done {
+        let omit = match presence {
+            Presence::Required | Presence::Optional => false,
+            Presence::OmitDefault => *value == T::default(),
+            Presence::ReadOnly => true,
+        };
+        if !omit {
+            let _ = write!(self.0, "{key} = ");
+            value.write(self.0);
+            self.0.push('\n');
         }
+        Ok(())
     }
-    out.push('"');
-    out
-}
 
-fn emit_topology(out: &mut String, t: &TopologySpec) {
-    out.push_str("\n[topology]\n");
-    match t {
-        TopologySpec::Paper => {
-            out.push_str("kind = \"paper\"\n");
+    fn table<T: Fields>(&mut self, key: &'static str, value: &mut Option<T>, _: Blank<T>) -> Done {
+        if let Some(t) = value {
+            let _ = writeln!(self.0, "\n[{key}]");
+            t.fields(self)?;
         }
-        TopologySpec::Line { n } => {
-            let _ = writeln!(out, "kind = \"line\"\nn = {n}");
-        }
-        TopologySpec::Ring { n } => {
-            let _ = writeln!(out, "kind = \"ring\"\nn = {n}");
-        }
-        TopologySpec::Grid { rows, cols } => {
-            let _ = writeln!(out, "kind = \"grid\"\nrows = {rows}\ncols = {cols}");
-        }
-        TopologySpec::FullMesh { n } => {
-            let _ = writeln!(out, "kind = \"full_mesh\"\nn = {n}");
-        }
-        TopologySpec::Random {
-            n,
-            extra_edges,
-            max_metric,
-        } => {
-            let _ = writeln!(
-                out,
-                "kind = \"random\"\nn = {n}\nextra_edges = {extra_edges}\nmax_metric = {max_metric}"
-            );
-        }
-        TopologySpec::Waxman {
-            n,
-            alpha,
-            beta,
-            max_metric,
-        } => {
-            let _ = writeln!(
-                out,
-                "kind = \"waxman\"\nn = {n}\nalpha = {}\nbeta = {}\nmax_metric = {max_metric}",
-                f(*alpha),
-                f(*beta)
-            );
-        }
-        TopologySpec::FatTree { k } => {
-            let _ = writeln!(out, "kind = \"fat_tree\"\nk = {k}");
-        }
+        Ok(())
     }
-}
 
-fn emit_controller(out: &mut String, c: &ControllerSpec) {
-    let _ = writeln!(
-        out,
-        "\n[controller]\nattach = {}\ntarget_util = {}\nutil_hi = {}\nutil_lo = {}\n\
-         slot_budget = {}\ndefault_flow_rate = {}\npredictive = {}\nuse_snmp = {}",
-        c.attach,
-        f(c.target_util),
-        f(c.util_hi),
-        f(c.util_lo),
-        c.slot_budget,
-        f(c.default_flow_rate),
-        c.predictive,
-        c.use_snmp
-    );
-}
-
-fn emit_workload(out: &mut String, w: &WorkloadSpec) {
-    out.push_str("\n[[workload]]\n");
-    match w {
-        WorkloadSpec::Paper {
-            src1,
-            src2,
-            rate,
-            video_secs,
-        } => {
-            let _ = writeln!(
-                out,
-                "kind = \"paper\"\nsrc1 = {src1}\nsrc2 = {src2}\nrate = {}\nvideo_secs = {}",
-                f(*rate),
-                f(*video_secs)
-            );
+    fn tables<T: Fields>(&mut self, key: &'static str, values: &mut Vec<T>, _: Blank<T>) -> Done {
+        for t in values {
+            let _ = writeln!(self.0, "\n[[{key}]]");
+            t.fields(self)?;
         }
-        WorkloadSpec::Constant {
-            at,
-            src,
-            n,
-            rate,
-            video_secs,
-            dst,
-        } => {
-            let _ = writeln!(
-                out,
-                "kind = \"constant\"\nat = {}\nsrc = {src}\nn = {n}\nrate = {}\n\
-                 video_secs = {}\ndst = {dst}",
-                f(*at),
-                f(*rate),
-                f(*video_secs)
-            );
-        }
-        WorkloadSpec::Poisson {
-            start,
-            mean_gap_secs,
-            n,
-            src,
-            rate,
-            video_secs,
-            dst,
-        } => {
-            let _ = writeln!(
-                out,
-                "kind = \"poisson\"\nstart = {}\nmean_gap_secs = {}\nn = {n}\nsrc = {src}\n\
-                 rate = {}\nvideo_secs = {}\ndst = {dst}",
-                f(*start),
-                f(*mean_gap_secs),
-                f(*rate),
-                f(*video_secs)
-            );
-        }
-        WorkloadSpec::Diurnal {
-            period_secs,
-            peak_per_sec,
-            trough_per_sec,
-            src,
-            rate,
-            video_secs,
-            dst,
-        } => {
-            let _ = writeln!(
-                out,
-                "kind = \"diurnal\"\nperiod_secs = {}\npeak_per_sec = {}\n\
-                 trough_per_sec = {}\nsrc = {src}\nrate = {}\nvideo_secs = {}\ndst = {dst}",
-                f(*period_secs),
-                f(*peak_per_sec),
-                f(*trough_per_sec),
-                f(*rate),
-                f(*video_secs)
-            );
-        }
+        Ok(())
     }
-}
-
-fn emit_event(out: &mut String, e: &EventSpec) {
-    out.push_str("\n[[event]]\n");
-    let _ = writeln!(out, "at = {}", f(e.at));
-    match &e.kind {
-        EventKind::FailLink { a, b } => {
-            let _ = writeln!(out, "action = \"fail_link\"\na = {a}\nb = {b}");
-        }
-        EventKind::RestoreLink { a, b } => {
-            let _ = writeln!(out, "action = \"restore_link\"\na = {a}\nb = {b}");
-        }
-        EventKind::SetCapacity { a, b, capacity } => {
-            let _ = writeln!(
-                out,
-                "action = \"set_capacity\"\na = {a}\nb = {b}\ncapacity = {}",
-                f(*capacity)
-            );
-        }
-        EventKind::Surge {
-            src,
-            n,
-            rate,
-            video_secs,
-            dst,
-        } => {
-            let _ = writeln!(
-                out,
-                "action = \"surge\"\nsrc = {src}\nn = {n}\nrate = {}\nvideo_secs = {}\ndst = {dst}",
-                f(*rate),
-                f(*video_secs)
-            );
-        }
-        EventKind::FlashCrowd {
-            src,
-            n,
-            mean_gap_secs,
-            rate,
-            video_secs,
-            dst,
-        } => {
-            let _ = writeln!(
-                out,
-                "action = \"flash_crowd\"\nsrc = {src}\nn = {n}\nmean_gap_secs = {}\n\
-                 rate = {}\nvideo_secs = {}\ndst = {dst}",
-                f(*mean_gap_secs),
-                f(*rate),
-                f(*video_secs)
-            );
-        }
-    }
-}
-
-fn emit_expect(out: &mut String, x: &ExpectSpec) {
-    out.push_str("\n[expect]\n");
-    let mut kf = |k: &str, v: Option<f64>| {
-        if let Some(v) = v {
-            let _ = writeln!(out, "{k} = {}", f(v));
-        }
-    };
-    kf("max_unroutable_flow_secs", x.max_unroutable_flow_secs);
-    kf("min_unroutable_flow_secs", x.min_unroutable_flow_secs);
-    kf("max_mean_qoe", x.max_mean_qoe);
-    kf("min_mean_qoe", x.min_mean_qoe);
-    let mut ku = |k: &str, v: Option<u64>| {
-        if let Some(v) = v {
-            let _ = writeln!(out, "{k} = {v}");
-        }
-    };
-    ku("max_stalls", x.max_stalls);
-    ku("min_stalls", x.min_stalls);
-    ku("max_final_lies", x.max_final_lies);
-    ku("min_peak_lies", x.min_peak_lies);
-    ku("max_fwd_loops", x.max_fwd_loops);
-    ku("min_fwd_loops", x.min_fwd_loops);
 }
 
 /// Serialize `spec` into TOML-subset text that parses back to an
 /// equal [`ScenarioSpec`].
 pub fn to_toml_string(spec: &ScenarioSpec) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "name = {}", quote(&spec.name));
-    if !spec.description.is_empty() {
-        let _ = writeln!(out, "description = {}", quote(&spec.description));
-    }
-    let _ = writeln!(out, "horizon_secs = {}", f(spec.horizon_secs));
-    let _ = writeln!(out, "seed = {}", spec.seed);
-    if spec.pin_seed {
-        out.push_str("pin_seed = true\n");
-    }
-    let _ = writeln!(out, "capacity = {}", f(spec.capacity));
-    if !spec.sinks.is_empty() {
-        let items: Vec<String> = spec.sinks.iter().map(|s| s.to_string()).collect();
-        let _ = writeln!(out, "sinks = [{}]", items.join(", "));
-    }
-    if !spec.trace_links.is_empty() {
-        let items: Vec<String> = spec
-            .trace_links
-            .iter()
-            .map(|(a, b)| format!("\"{a}-{b}\""))
-            .collect();
-        let _ = writeln!(out, "trace_links = [{}]", items.join(", "));
-    }
-    emit_topology(&mut out, &spec.topology);
-    if let Some(c) = &spec.controller {
-        emit_controller(&mut out, c);
-    }
-    for w in &spec.workloads {
-        emit_workload(&mut out, w);
-    }
-    for e in &spec.events {
-        emit_event(&mut out, e);
-    }
-    if let Some(x) = &spec.expect {
-        emit_expect(&mut out, x);
-    }
+    // A pass takes the table by `&mut`, since reading fills it in.
+    spec.clone()
+        .fields(&mut Write(&mut out))
+        .expect("writing reads nothing, so nothing fails");
     out
 }
 
@@ -305,6 +68,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ExpectSpec;
 
     fn roundtrip(spec: &ScenarioSpec) {
         let text = to_toml_string(spec);

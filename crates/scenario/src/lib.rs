@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod emit;
+mod fields;
 pub mod report;
 pub mod runner;
 pub mod spec;

@@ -8,7 +8,9 @@
 //! validated strictly: unknown keys, missing fields, and wrong types
 //! are errors naming the offending key.
 
-use crate::toml::{self, Table, Value};
+use crate::fields::Presence::{OmitDefault, Optional, ReadOnly, Required};
+use crate::fields::{default_blank, read_table, Done, Fields, Pass, Tagged};
+use crate::toml;
 use fib_igp::types::RouterId;
 use std::fmt;
 
@@ -26,6 +28,17 @@ impl std::error::Error for SpecError {}
 
 pub(crate) fn fail<T>(msg: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError(msg.into()))
+}
+
+/// Names end up in result file names.
+pub(crate) fn check_slug(what: &str, name: &str) -> Done {
+    let slug = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    if name.is_empty() || !name.chars().all(slug) {
+        return fail(format!(
+            "{what} name `{name}` must be a non-empty [A-Za-z0-9_-]+ slug"
+        ));
+    }
+    Ok(())
 }
 
 /// Which topology the scenario runs on.
@@ -386,571 +399,379 @@ pub struct ScenarioSpec {
     pub expect: Option<ExpectSpec>,
 }
 
-/// Check `table` only contains `allowed` keys.
-pub(crate) fn check_keys(table: &Table, allowed: &[&str], ctx: &str) -> Result<(), SpecError> {
-    for k in table.keys() {
-        if !allowed.contains(&k.as_str()) {
-            return fail(format!(
-                "unknown key `{k}` in {ctx} (allowed: {})",
-                allowed.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn get<'a>(t: &'a Table, key: &str, ctx: &str) -> Result<&'a Value, SpecError> {
-    match t.get(key) {
-        Some(v) => Ok(v),
-        None => fail(format!("missing key `{key}` in {ctx}")),
-    }
-}
-
-pub(crate) fn get_str(t: &Table, key: &str, ctx: &str) -> Result<String, SpecError> {
-    let v = get(t, key, ctx)?;
-    match v.as_str() {
-        Some(s) => Ok(s.to_string()),
-        None => fail(format!(
-            "`{ctx}.{key}` must be a string, got {}",
-            v.type_name()
-        )),
-    }
-}
-
-pub(crate) fn get_f64(t: &Table, key: &str, ctx: &str) -> Result<f64, SpecError> {
-    let v = get(t, key, ctx)?;
-    match v.as_f64() {
-        Some(f) => Ok(f),
-        None => fail(format!(
-            "`{ctx}.{key}` must be a number, got {}",
-            v.type_name()
-        )),
-    }
-}
-
-pub(crate) fn get_u32(t: &Table, key: &str, ctx: &str) -> Result<u32, SpecError> {
-    let v = get(t, key, ctx)?;
-    match v.as_i64() {
-        Some(i) if (0..=u32::MAX as i64).contains(&i) => Ok(i as u32),
-        _ => fail(format!(
-            "`{ctx}.{key}` must be a non-negative integer, got {}",
-            v.type_name()
-        )),
-    }
-}
-
-pub(crate) fn opt_f64(t: &Table, key: &str, ctx: &str, default: f64) -> Result<f64, SpecError> {
-    if t.contains_key(key) {
-        get_f64(t, key, ctx)
-    } else {
-        Ok(default)
-    }
-}
-
-pub(crate) fn opt_u32(t: &Table, key: &str, ctx: &str, default: u32) -> Result<u32, SpecError> {
-    if t.contains_key(key) {
-        get_u32(t, key, ctx)
-    } else {
-        Ok(default)
-    }
-}
-
-pub(crate) fn opt_bool(t: &Table, key: &str, ctx: &str, default: bool) -> Result<bool, SpecError> {
-    match t.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_bool() {
-            Some(b) => Ok(b),
-            None => fail(format!(
-                "`{ctx}.{key}` must be a boolean, got {}",
-                v.type_name()
-            )),
-        },
-    }
-}
-
-/// Which sink index a workload streams to (default: the first sink).
-fn opt_dst(t: &Table, ctx: &str) -> Result<usize, SpecError> {
-    Ok(opt_u32(t, "dst", ctx, 0)? as usize)
-}
-
-fn parse_topology(t: &Table) -> Result<TopologySpec, SpecError> {
-    let ctx = "topology";
-    let kind = get_str(t, "kind", ctx)?;
-    let spec = match kind.as_str() {
-        "paper" => {
-            check_keys(t, &["kind"], ctx)?;
-            TopologySpec::Paper
-        }
-        "line" => {
-            check_keys(t, &["kind", "n"], ctx)?;
-            TopologySpec::Line {
-                n: get_u32(t, "n", ctx)?,
-            }
-        }
-        "ring" => {
-            check_keys(t, &["kind", "n"], ctx)?;
-            TopologySpec::Ring {
-                n: get_u32(t, "n", ctx)?,
-            }
-        }
-        "grid" => {
-            check_keys(t, &["kind", "rows", "cols"], ctx)?;
-            TopologySpec::Grid {
-                rows: get_u32(t, "rows", ctx)?,
-                cols: get_u32(t, "cols", ctx)?,
-            }
-        }
-        "full_mesh" => {
-            check_keys(t, &["kind", "n"], ctx)?;
-            TopologySpec::FullMesh {
-                n: get_u32(t, "n", ctx)?,
-            }
-        }
-        "random" => {
-            check_keys(t, &["kind", "n", "extra_edges", "max_metric"], ctx)?;
+impl Tagged for TopologySpec {
+    const KEY: &'static str = "kind";
+    const WHAT: &'static str = "topology kind";
+    const VARIANTS: &'static [(&'static str, Self)] = &[
+        ("paper", TopologySpec::Paper),
+        ("line", TopologySpec::Line { n: 0 }),
+        ("ring", TopologySpec::Ring { n: 0 }),
+        ("grid", TopologySpec::Grid { rows: 0, cols: 0 }),
+        ("full_mesh", TopologySpec::FullMesh { n: 0 }),
+        (
+            "random",
             TopologySpec::Random {
-                n: get_u32(t, "n", ctx)?,
-                extra_edges: opt_u32(t, "extra_edges", ctx, 4)?,
-                max_metric: opt_u32(t, "max_metric", ctx, 4)?,
-            }
-        }
-        "waxman" => {
-            check_keys(t, &["kind", "n", "alpha", "beta", "max_metric"], ctx)?;
+                n: 0,
+                extra_edges: 4,
+                max_metric: 4,
+            },
+        ),
+        (
+            "waxman",
             TopologySpec::Waxman {
-                n: get_u32(t, "n", ctx)?,
-                alpha: opt_f64(t, "alpha", ctx, 0.6)?,
-                beta: opt_f64(t, "beta", ctx, 0.3)?,
-                max_metric: opt_u32(t, "max_metric", ctx, 4)?,
-            }
-        }
-        "fat_tree" => {
-            check_keys(t, &["kind", "k"], ctx)?;
-            TopologySpec::FatTree {
-                k: get_u32(t, "k", ctx)?,
-            }
-        }
-        other => return fail(format!("unknown topology kind `{other}`")),
-    };
-    Ok(spec)
+                n: 0,
+                alpha: 0.6,
+                beta: 0.3,
+                max_metric: 4,
+            },
+        ),
+        ("fat_tree", TopologySpec::FatTree { k: 0 }),
+    ];
 }
 
-fn parse_controller(t: &Table) -> Result<Option<ControllerSpec>, SpecError> {
-    let ctx = "controller";
-    check_keys(
-        t,
-        &[
-            "enabled",
-            "attach",
-            "target_util",
-            "util_hi",
-            "util_lo",
-            "slot_budget",
-            "default_flow_rate",
-            "predictive",
-            "use_snmp",
-        ],
-        ctx,
-    )?;
-    if !opt_bool(t, "enabled", ctx, true)? {
-        return Ok(None);
+impl Fields for TopologySpec {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        self.tag(p)?;
+        match self {
+            TopologySpec::Paper => Ok(()),
+            TopologySpec::Line { n } | TopologySpec::Ring { n } | TopologySpec::FullMesh { n } => {
+                p.field("n", n, Required)
+            }
+            TopologySpec::Grid { rows, cols } => {
+                p.field("rows", rows, Required)?;
+                p.field("cols", cols, Required)
+            }
+            TopologySpec::Random {
+                n,
+                extra_edges,
+                max_metric,
+            } => {
+                p.field("n", n, Required)?;
+                p.field("extra_edges", extra_edges, Optional)?;
+                p.field("max_metric", max_metric, Optional)
+            }
+            TopologySpec::Waxman {
+                n,
+                alpha,
+                beta,
+                max_metric,
+            } => {
+                p.field("n", n, Required)?;
+                p.field("alpha", alpha, Optional)?;
+                p.field("beta", beta, Optional)?;
+                p.field("max_metric", max_metric, Optional)
+            }
+            TopologySpec::FatTree { k } => p.field("k", k, Required),
+        }
     }
-    let d = ControllerSpec::default();
-    Ok(Some(ControllerSpec {
-        attach: get_u32(t, "attach", ctx)?,
-        target_util: opt_f64(t, "target_util", ctx, d.target_util)?,
-        util_hi: opt_f64(t, "util_hi", ctx, d.util_hi)?,
-        util_lo: opt_f64(t, "util_lo", ctx, d.util_lo)?,
-        slot_budget: opt_u32(t, "slot_budget", ctx, d.slot_budget)?,
-        default_flow_rate: opt_f64(t, "default_flow_rate", ctx, d.default_flow_rate)?,
-        predictive: opt_bool(t, "predictive", ctx, d.predictive)?,
-        use_snmp: opt_bool(t, "use_snmp", ctx, d.use_snmp)?,
-    }))
 }
 
-fn parse_workload(t: &Table, idx: usize) -> Result<WorkloadSpec, SpecError> {
-    let ctx = format!("workload[{idx}]");
-    let ctx = ctx.as_str();
-    let kind = get_str(t, "kind", ctx)?;
-    let w = match kind.as_str() {
-        "paper" => {
-            check_keys(t, &["kind", "src1", "src2", "rate", "video_secs"], ctx)?;
+/// `[controller]`. `None` is a table that says `enabled = false`:
+/// it reads as no controller at all, so it is never written.
+impl Fields for Option<ControllerSpec> {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        let mut enabled = true;
+        p.field("enabled", &mut enabled, ReadOnly)?;
+        if !enabled {
+            *self = None;
+        }
+        let Some(c) = self else { return Ok(()) };
+        p.field("attach", &mut c.attach, Required)?;
+        p.field("target_util", &mut c.target_util, Optional)?;
+        p.field("util_hi", &mut c.util_hi, Optional)?;
+        p.field("util_lo", &mut c.util_lo, Optional)?;
+        p.field("slot_budget", &mut c.slot_budget, Optional)?;
+        p.field("default_flow_rate", &mut c.default_flow_rate, Optional)?;
+        p.field("predictive", &mut c.predictive, Optional)?;
+        p.field("use_snmp", &mut c.use_snmp, Optional)
+    }
+}
+
+/// What every generated session carries: its bitrate (bytes/s), its
+/// clip length, and which sink's prefix it streams to (default: the
+/// first).
+fn stream(p: &mut impl Pass, rate: &mut f64, video_secs: &mut f64, dst: &mut usize) -> Done {
+    p.field("rate", rate, Required)?;
+    p.field("video_secs", video_secs, Required)?;
+    p.field("dst", dst, Optional)
+}
+
+impl Tagged for WorkloadSpec {
+    const KEY: &'static str = "kind";
+    const WHAT: &'static str = "workload kind";
+    const VARIANTS: &'static [(&'static str, Self)] = &[
+        (
+            "paper",
             WorkloadSpec::Paper {
-                src1: get_u32(t, "src1", ctx)?,
-                src2: get_u32(t, "src2", ctx)?,
-                rate: opt_f64(t, "rate", ctx, 125_000.0)?,
-                video_secs: opt_f64(t, "video_secs", ctx, 300.0)?,
-            }
-        }
-        "constant" => {
-            check_keys(
-                t,
-                &["kind", "at", "src", "n", "rate", "video_secs", "dst"],
-                ctx,
-            )?;
+                src1: 0,
+                src2: 0,
+                rate: 125_000.0,
+                video_secs: 300.0,
+            },
+        ),
+        (
+            "constant",
             WorkloadSpec::Constant {
-                at: get_f64(t, "at", ctx)?,
-                src: get_u32(t, "src", ctx)?,
-                n: get_u32(t, "n", ctx)?,
-                rate: get_f64(t, "rate", ctx)?,
-                video_secs: get_f64(t, "video_secs", ctx)?,
-                dst: opt_dst(t, ctx)?,
-            }
-        }
-        "poisson" => {
-            check_keys(
-                t,
-                &[
-                    "kind",
-                    "start",
-                    "mean_gap_secs",
-                    "n",
-                    "src",
-                    "rate",
-                    "video_secs",
-                    "dst",
-                ],
-                ctx,
-            )?;
+                at: 0.0,
+                src: 0,
+                n: 0,
+                rate: 0.0,
+                video_secs: 0.0,
+                dst: 0,
+            },
+        ),
+        (
+            "poisson",
             WorkloadSpec::Poisson {
-                start: get_f64(t, "start", ctx)?,
-                mean_gap_secs: get_f64(t, "mean_gap_secs", ctx)?,
-                n: get_u32(t, "n", ctx)?,
-                src: get_u32(t, "src", ctx)?,
-                rate: get_f64(t, "rate", ctx)?,
-                video_secs: get_f64(t, "video_secs", ctx)?,
-                dst: opt_dst(t, ctx)?,
-            }
-        }
-        "diurnal" => {
-            check_keys(
-                t,
-                &[
-                    "kind",
-                    "period_secs",
-                    "peak_per_sec",
-                    "trough_per_sec",
-                    "src",
-                    "rate",
-                    "video_secs",
-                    "dst",
-                ],
-                ctx,
-            )?;
+                start: 0.0,
+                mean_gap_secs: 0.0,
+                n: 0,
+                src: 0,
+                rate: 0.0,
+                video_secs: 0.0,
+                dst: 0,
+            },
+        ),
+        (
+            "diurnal",
             WorkloadSpec::Diurnal {
-                period_secs: get_f64(t, "period_secs", ctx)?,
-                peak_per_sec: get_f64(t, "peak_per_sec", ctx)?,
-                trough_per_sec: get_f64(t, "trough_per_sec", ctx)?,
-                src: get_u32(t, "src", ctx)?,
-                rate: get_f64(t, "rate", ctx)?,
-                video_secs: get_f64(t, "video_secs", ctx)?,
-                dst: opt_dst(t, ctx)?,
-            }
-        }
-        other => return fail(format!("unknown workload kind `{other}`")),
-    };
-    Ok(w)
+                period_secs: 0.0,
+                peak_per_sec: 0.0,
+                trough_per_sec: 0.0,
+                src: 0,
+                rate: 0.0,
+                video_secs: 0.0,
+                dst: 0,
+            },
+        ),
+    ];
 }
 
-fn parse_event(t: &Table, idx: usize) -> Result<EventSpec, SpecError> {
-    let ctx = format!("event[{idx}]");
-    let ctx = ctx.as_str();
-    let at = get_f64(t, "at", ctx)?;
-    let action = get_str(t, "action", ctx)?;
-    let kind = match action.as_str() {
-        "fail_link" => {
-            check_keys(t, &["at", "action", "a", "b"], ctx)?;
-            EventKind::FailLink {
-                a: get_u32(t, "a", ctx)?,
-                b: get_u32(t, "b", ctx)?,
+impl Fields for WorkloadSpec {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        self.tag(p)?;
+        match self {
+            WorkloadSpec::Paper {
+                src1,
+                src2,
+                rate,
+                video_secs,
+            } => {
+                p.field("src1", src1, Required)?;
+                p.field("src2", src2, Required)?;
+                p.field("rate", rate, Optional)?;
+                p.field("video_secs", video_secs, Optional)
+            }
+            WorkloadSpec::Constant {
+                at,
+                src,
+                n,
+                rate,
+                video_secs,
+                dst,
+            } => {
+                p.field("at", at, Required)?;
+                p.field("src", src, Required)?;
+                p.field("n", n, Required)?;
+                stream(p, rate, video_secs, dst)
+            }
+            WorkloadSpec::Poisson {
+                start,
+                mean_gap_secs,
+                n,
+                src,
+                rate,
+                video_secs,
+                dst,
+            } => {
+                p.field("start", start, Required)?;
+                p.field("mean_gap_secs", mean_gap_secs, Required)?;
+                p.field("n", n, Required)?;
+                p.field("src", src, Required)?;
+                stream(p, rate, video_secs, dst)
+            }
+            WorkloadSpec::Diurnal {
+                period_secs,
+                peak_per_sec,
+                trough_per_sec,
+                src,
+                rate,
+                video_secs,
+                dst,
+            } => {
+                p.field("period_secs", period_secs, Required)?;
+                p.field("peak_per_sec", peak_per_sec, Required)?;
+                p.field("trough_per_sec", trough_per_sec, Required)?;
+                p.field("src", src, Required)?;
+                stream(p, rate, video_secs, dst)
             }
         }
-        "restore_link" => {
-            check_keys(t, &["at", "action", "a", "b"], ctx)?;
-            EventKind::RestoreLink {
-                a: get_u32(t, "a", ctx)?,
-                b: get_u32(t, "b", ctx)?,
-            }
-        }
-        "set_capacity" => {
-            check_keys(t, &["at", "action", "a", "b", "capacity"], ctx)?;
+    }
+}
+
+impl Tagged for EventKind {
+    const KEY: &'static str = "action";
+    const WHAT: &'static str = "event action";
+    const VARIANTS: &'static [(&'static str, Self)] = &[
+        ("fail_link", EventKind::FailLink { a: 0, b: 0 }),
+        ("restore_link", EventKind::RestoreLink { a: 0, b: 0 }),
+        (
+            "set_capacity",
             EventKind::SetCapacity {
-                a: get_u32(t, "a", ctx)?,
-                b: get_u32(t, "b", ctx)?,
-                capacity: get_f64(t, "capacity", ctx)?,
-            }
-        }
-        "surge" => {
-            check_keys(
-                t,
-                &["at", "action", "src", "n", "rate", "video_secs", "dst"],
-                ctx,
-            )?;
+                a: 0,
+                b: 0,
+                capacity: 0.0,
+            },
+        ),
+        (
+            "surge",
             EventKind::Surge {
-                src: get_u32(t, "src", ctx)?,
-                n: get_u32(t, "n", ctx)?,
-                rate: get_f64(t, "rate", ctx)?,
-                video_secs: get_f64(t, "video_secs", ctx)?,
-                dst: opt_dst(t, ctx)?,
-            }
-        }
-        "flash_crowd" => {
-            check_keys(
-                t,
-                &[
-                    "at",
-                    "action",
-                    "src",
-                    "n",
-                    "mean_gap_secs",
-                    "rate",
-                    "video_secs",
-                    "dst",
-                ],
-                ctx,
-            )?;
+                src: 0,
+                n: 0,
+                rate: 0.0,
+                video_secs: 0.0,
+                dst: 0,
+            },
+        ),
+        (
+            "flash_crowd",
             EventKind::FlashCrowd {
-                src: get_u32(t, "src", ctx)?,
-                n: get_u32(t, "n", ctx)?,
-                mean_gap_secs: get_f64(t, "mean_gap_secs", ctx)?,
-                rate: get_f64(t, "rate", ctx)?,
-                video_secs: get_f64(t, "video_secs", ctx)?,
-                dst: opt_dst(t, ctx)?,
+                src: 0,
+                n: 0,
+                mean_gap_secs: 0.0,
+                rate: 0.0,
+                video_secs: 0.0,
+                dst: 0,
+            },
+        ),
+    ];
+}
+
+impl Fields for EventSpec {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        p.field("at", &mut self.at, Required)?;
+        self.kind.tag(p)?;
+        match &mut self.kind {
+            EventKind::FailLink { a, b } | EventKind::RestoreLink { a, b } => {
+                p.field("a", a, Required)?;
+                p.field("b", b, Required)
+            }
+            EventKind::SetCapacity { a, b, capacity } => {
+                p.field("a", a, Required)?;
+                p.field("b", b, Required)?;
+                p.field("capacity", capacity, Required)
+            }
+            EventKind::Surge {
+                src,
+                n,
+                rate,
+                video_secs,
+                dst,
+            } => {
+                p.field("src", src, Required)?;
+                p.field("n", n, Required)?;
+                stream(p, rate, video_secs, dst)
+            }
+            EventKind::FlashCrowd {
+                src,
+                n,
+                mean_gap_secs,
+                rate,
+                video_secs,
+                dst,
+            } => {
+                p.field("src", src, Required)?;
+                p.field("n", n, Required)?;
+                p.field("mean_gap_secs", mean_gap_secs, Required)?;
+                stream(p, rate, video_secs, dst)
             }
         }
-        other => return fail(format!("unknown event action `{other}`")),
-    };
-    Ok(EventSpec { at, kind })
-}
-
-fn opt_f64_none(t: &Table, key: &str, ctx: &str) -> Result<Option<f64>, SpecError> {
-    if t.contains_key(key) {
-        Ok(Some(get_f64(t, key, ctx)?))
-    } else {
-        Ok(None)
     }
 }
 
-fn opt_u64_none(t: &Table, key: &str, ctx: &str) -> Result<Option<u64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => match v.as_i64() {
-            Some(i) if i >= 0 => Ok(Some(i as u64)),
-            _ => fail(format!(
-                "`{ctx}.{key}` must be a non-negative integer, got {}",
-                v.type_name()
-            )),
-        },
-    }
-}
-
-fn parse_expect(t: &Table) -> Result<ExpectSpec, SpecError> {
-    let ctx = "expect";
-    check_keys(
-        t,
-        &[
+impl Fields for ExpectSpec {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        p.field(
             "max_unroutable_flow_secs",
+            &mut self.max_unroutable_flow_secs,
+            OmitDefault,
+        )?;
+        p.field(
             "min_unroutable_flow_secs",
-            "max_mean_qoe",
-            "min_mean_qoe",
-            "max_stalls",
-            "min_stalls",
-            "max_final_lies",
-            "min_peak_lies",
-            "max_fwd_loops",
-            "min_fwd_loops",
-        ],
-        ctx,
-    )?;
-    Ok(ExpectSpec {
-        max_unroutable_flow_secs: opt_f64_none(t, "max_unroutable_flow_secs", ctx)?,
-        min_unroutable_flow_secs: opt_f64_none(t, "min_unroutable_flow_secs", ctx)?,
-        max_mean_qoe: opt_f64_none(t, "max_mean_qoe", ctx)?,
-        min_mean_qoe: opt_f64_none(t, "min_mean_qoe", ctx)?,
-        max_stalls: opt_u64_none(t, "max_stalls", ctx)?,
-        min_stalls: opt_u64_none(t, "min_stalls", ctx)?,
-        max_final_lies: opt_u64_none(t, "max_final_lies", ctx)?,
-        min_peak_lies: opt_u64_none(t, "min_peak_lies", ctx)?,
-        max_fwd_loops: opt_u64_none(t, "max_fwd_loops", ctx)?,
-        min_fwd_loops: opt_u64_none(t, "min_fwd_loops", ctx)?,
-    })
+            &mut self.min_unroutable_flow_secs,
+            OmitDefault,
+        )?;
+        p.field("max_mean_qoe", &mut self.max_mean_qoe, OmitDefault)?;
+        p.field("min_mean_qoe", &mut self.min_mean_qoe, OmitDefault)?;
+        p.field("max_stalls", &mut self.max_stalls, OmitDefault)?;
+        p.field("min_stalls", &mut self.min_stalls, OmitDefault)?;
+        p.field("max_final_lies", &mut self.max_final_lies, OmitDefault)?;
+        p.field("min_peak_lies", &mut self.min_peak_lies, OmitDefault)?;
+        p.field("max_fwd_loops", &mut self.max_fwd_loops, OmitDefault)?;
+        p.field("min_fwd_loops", &mut self.min_fwd_loops, OmitDefault)
+    }
 }
 
-fn parse_trace_links(v: &Value) -> Result<Vec<(u32, u32)>, SpecError> {
-    let Some(items) = v.as_array() else {
-        return fail("`trace_links` must be an array of \"a-b\" strings");
-    };
-    let mut out = Vec::new();
-    for item in items {
-        let Some(s) = item.as_str() else {
-            return fail("`trace_links` entries must be \"a-b\" strings");
-        };
-        let parts: Vec<&str> = s.split('-').collect();
-        let pair = (|| -> Option<(u32, u32)> {
-            let [a, b] = parts.as_slice() else {
-                return None;
-            };
-            Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
-        })();
-        match pair {
-            Some(p) => out.push(p),
-            None => return fail(format!("bad trace link `{s}` (expected \"a-b\")")),
+/// The root table: scalars and arrays, then the sub-tables.
+impl Fields for ScenarioSpec {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        p.field("name", &mut self.name, Required)?;
+        p.field("description", &mut self.description, OmitDefault)?;
+        p.field("horizon_secs", &mut self.horizon_secs, Required)?;
+        // Like the root arrays, the root integer names itself without
+        // its table.
+        p.field("seed", &mut self.seed, Optional)
+            .map_err(|_| SpecError("`seed` must be a non-negative integer".into()))?;
+        p.field("pin_seed", &mut self.pin_seed, OmitDefault)?;
+        p.field("capacity", &mut self.capacity, Required)?;
+        p.field("sinks", &mut self.sinks, OmitDefault)?;
+        p.field("trace_links", &mut self.trace_links, OmitDefault)?;
+        let mut topology = Some(self.topology.clone());
+        p.table("topology", &mut topology, &TopologySpec::select)?;
+        match topology {
+            Some(t) => self.topology = t,
+            None => return fail("missing [topology] table"),
         }
+        let mut controller = self.controller.take().map(Some);
+        p.table("controller", &mut controller, &|_, _| {
+            Ok(Some(ControllerSpec::default()))
+        })?;
+        self.controller = controller.flatten();
+        p.tables("workload", &mut self.workloads, &WorkloadSpec::select)?;
+        p.tables("event", &mut self.events, &|table, ctx| {
+            let kind = EventKind::select(table, ctx)?;
+            Ok(EventSpec { at: 0.0, kind })
+        })?;
+        p.table("expect", &mut self.expect, &default_blank)
     }
-    Ok(out)
 }
 
 impl ScenarioSpec {
     /// Parse and validate a scenario from TOML-subset source.
     pub fn from_toml_str(src: &str) -> Result<ScenarioSpec, SpecError> {
         let root = toml::parse(src).map_err(|e| SpecError(e.to_string()))?;
-        check_keys(
-            &root,
-            &[
-                "name",
-                "description",
-                "horizon_secs",
-                "seed",
-                "pin_seed",
-                "capacity",
-                "topology",
-                "sinks",
-                "controller",
-                "workload",
-                "event",
-                "trace_links",
-                "expect",
-            ],
-            "scenario",
-        )?;
-        let name = get_str(&root, "name", "scenario")?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return fail(format!(
-                "scenario name `{name}` must be a non-empty [A-Za-z0-9_-]+ slug"
-            ));
-        }
-        let topology = match root.get("topology").and_then(|v| v.as_table()) {
-            Some(t) => parse_topology(t)?,
-            None => return fail("missing [topology] table"),
-        };
-        let sinks = match root.get("sinks") {
-            None => Vec::new(),
-            Some(v) => {
-                let Some(items) = v.as_array() else {
-                    return fail("`sinks` must be an array of router ids");
-                };
-                let mut out = Vec::new();
-                for item in items {
-                    match item.as_i64() {
-                        Some(i) if i > 0 => out.push(i as u32),
-                        _ => return fail("`sinks` entries must be positive router ids"),
-                    }
-                }
-                out
-            }
-        };
-        let controller = match root.get("controller") {
-            None => None,
-            Some(Value::Table(t)) => parse_controller(t)?,
-            Some(other) => {
-                return fail(format!(
-                    "`controller` must be a table, got {}",
-                    other.type_name()
-                ))
-            }
-        };
-        let workloads = match root.get("workload") {
-            None => Vec::new(),
-            Some(Value::Array(items)) => {
-                let mut out = Vec::new();
-                for (i, item) in items.iter().enumerate() {
-                    match item.as_table() {
-                        Some(t) => out.push(parse_workload(t, i)?),
-                        None => return fail("`[[workload]]` entries must be tables"),
-                    }
-                }
-                out
-            }
-            Some(other) => {
-                return fail(format!(
-                    "`workload` must be an array of tables, got {}",
-                    other.type_name()
-                ))
-            }
-        };
-        let mut events = match root.get("event") {
-            None => Vec::new(),
-            Some(Value::Array(items)) => {
-                let mut out = Vec::new();
-                for (i, item) in items.iter().enumerate() {
-                    match item.as_table() {
-                        Some(t) => out.push(parse_event(t, i)?),
-                        None => return fail("`[[event]]` entries must be tables"),
-                    }
-                }
-                out
-            }
-            Some(other) => {
-                return fail(format!(
-                    "`event` must be an array of tables, got {}",
-                    other.type_name()
-                ))
-            }
-        };
+        let mut spec = read_table(&root, "scenario", &|_, _| {
+            Ok(ScenarioSpec {
+                name: String::new(),
+                description: String::new(),
+                horizon_secs: 0.0,
+                seed: 0,
+                pin_seed: false,
+                capacity: 0.0,
+                topology: TopologySpec::Paper,
+                sinks: Vec::new(),
+                controller: None,
+                workloads: Vec::new(),
+                events: Vec::new(),
+                trace_links: Vec::new(),
+                expect: None,
+            })
+        })?;
+        check_slug("scenario", &spec.name)?;
         // Time order regardless of file order (stable by original
         // index for ties, which `sort_by` preserves).
-        events.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("event times are finite"));
-        let trace_links = match root.get("trace_links") {
-            None => Vec::new(),
-            Some(v) => parse_trace_links(v)?,
-        };
-        let expect = match root.get("expect") {
-            None => None,
-            Some(Value::Table(t)) => Some(parse_expect(t)?),
-            Some(other) => {
-                return fail(format!(
-                    "`expect` must be a table, got {}",
-                    other.type_name()
-                ))
-            }
-        };
-        let seed = match root.get("seed") {
-            None => 0,
-            Some(v) => match v.as_i64() {
-                Some(i) if i >= 0 => i as u64,
-                _ => return fail("`seed` must be a non-negative integer"),
-            },
-        };
-        let description = match root.get("description") {
-            None => String::new(),
-            Some(v) => match v.as_str() {
-                Some(s) => s.to_string(),
-                None => {
-                    return fail(format!(
-                        "`scenario.description` must be a string, got {}",
-                        v.type_name()
-                    ))
-                }
-            },
-        };
-        let spec = ScenarioSpec {
-            name,
-            description,
-            horizon_secs: get_f64(&root, "horizon_secs", "scenario")?,
-            seed,
-            pin_seed: opt_bool(&root, "pin_seed", "scenario", false)?,
-            capacity: get_f64(&root, "capacity", "scenario")?,
-            topology,
-            sinks,
-            controller,
-            workloads,
-            events,
-            trace_links,
-            expect,
-        };
+        spec.events
+            .sort_by(|a, b| a.at.partial_cmp(&b.at).expect("event times are finite"));
         spec.validate()?;
         Ok(spec)
     }

@@ -17,11 +17,10 @@
 //!
 //! The precedence is applied in [`resolve_cell`] and pinned by tests.
 
-use crate::spec::{
-    check_keys, fail, get_f64, get_str, get_u32, opt_bool, EventKind, ScenarioSpec, SpecError,
-    WorkloadSpec,
-};
-use crate::toml::{self, Table, Value};
+use crate::fields::Presence::{OmitDefault, Optional, ReadOnly, Required};
+use crate::fields::{default_blank, read_table, write_list, Done, Field, Fields, Pass};
+use crate::spec::{check_slug, fail, EventKind, ScenarioSpec, SpecError, WorkloadSpec};
+use crate::toml::{self, Value};
 use crate::RunOptions;
 use std::path::{Path, PathBuf};
 
@@ -104,220 +103,162 @@ impl SweepCell {
     }
 }
 
-fn parse_scales(t: &Table, key: &str, ctx: &str) -> Result<Vec<f64>, SpecError> {
-    let Some(v) = t.get(key) else {
-        return Ok(vec![1.0]);
-    };
+/// A non-empty array without duplicates, each entry passing `ok`.
+fn distinct<T: Field + std::fmt::Display>(
+    v: &Value,
+    (ctx, key): (&str, &str),
+    (array_of, entries): (&str, &str),
+    ok: impl Fn(&T) -> bool,
+) -> Result<Vec<T>, SpecError> {
     let Some(items) = v.as_array() else {
-        return fail(format!(
-            "`{ctx}.{key}` must be an array of positive numbers, got {}",
-            v.type_name()
-        ));
+        return fail(format!("`{ctx}.{key}` must be an array of {array_of}"));
     };
     if items.is_empty() {
         return fail(format!("`{ctx}.{key}` must not be empty"));
     }
-    let mut out: Vec<f64> = Vec::with_capacity(items.len());
+    let mut out: Vec<T> = Vec::with_capacity(items.len());
     for item in items {
-        match item.as_f64() {
-            Some(s) if s.is_finite() && s > 0.0 => {
-                // Duplicate axis points would silently collapse into
-                // one stats group (grouping is by value), doubling
-                // its apparent cell count.
-                if out.iter().any(|prev| prev.to_bits() == s.to_bits()) {
-                    return fail(format!("`{ctx}.{key}` has duplicate entry {s}"));
-                }
-                out.push(s);
+        match T::read(item, ctx, key) {
+            Ok(x) if out.contains(&x) => {
+                return fail(format!("`{ctx}.{key}` has duplicate entry {x}"))
             }
-            _ => {
-                return fail(format!(
-                    "`{ctx}.{key}` entries must be positive finite numbers"
-                ))
-            }
+            Ok(x) if ok(&x) => out.push(x),
+            _ => return fail(format!("`{ctx}.{key}` entries must be {entries}")),
         }
     }
     Ok(out)
 }
 
-fn parse_seeds(t: &Table, ctx: &str) -> Result<Vec<u64>, SpecError> {
-    let explicit = t.get("seeds").is_some();
-    let ranged = t.contains_key("seed_start") || t.contains_key("seed_count");
-    if explicit && ranged {
-        return fail(format!(
-            "`{ctx}` must use either `seeds` or `seed_start`/`seed_count`, not both"
-        ));
+/// A list of seeds. A duplicate would run twice but collapse in the
+/// seed-keyed delta pairing, skewing sample counts.
+impl Field for Vec<u64> {
+    fn read(v: &Value, ctx: &str, key: &str) -> Result<Self, SpecError> {
+        let what = "non-negative integers";
+        distinct(v, (ctx, key), (what, what), |_| true)
     }
-    if explicit {
-        let v = t.get("seeds").expect("checked above");
-        let Some(items) = v.as_array() else {
-            return fail(format!(
-                "`{ctx}.seeds` must be an array of non-negative integers"
-            ));
-        };
-        if items.is_empty() {
-            return fail(format!("`{ctx}.seeds` must not be empty"));
+
+    fn write(&self, out: &mut String) {
+        write_list(self, out, u64::write);
+    }
+}
+
+/// The points of a scale axis. Duplicates would silently collapse
+/// into one stats group (grouping is by value), doubling its apparent
+/// cell count.
+impl Field for Vec<f64> {
+    fn read(v: &Value, ctx: &str, key: &str) -> Result<Self, SpecError> {
+        let array_of = format!("positive numbers, got {}", v.type_name());
+        let entries = "positive finite numbers";
+        distinct(v, (ctx, key), (&array_of, entries), |s: &f64| {
+            s.is_finite() && *s > 0.0
+        })
+    }
+
+    fn write(&self, out: &mut String) {
+        write_list(self, out, f64::write);
+    }
+}
+
+fn positive_horizon(horizon_secs: Option<f64>, ctx: &str) -> Done {
+    match horizon_secs {
+        Some(h) if !(h.is_finite() && h > 0.0) => {
+            fail(format!("`{ctx}.horizon_secs` must be positive"))
         }
-        let mut out: Vec<u64> = Vec::with_capacity(items.len());
-        for item in items {
-            match item.as_i64() {
-                Some(i) if i >= 0 => {
-                    // A duplicate seed would run twice but collapse in
-                    // the seed-keyed delta pairing, skewing sample
-                    // counts.
-                    if out.contains(&(i as u64)) {
-                        return fail(format!("`{ctx}.seeds` has duplicate entry {i}"));
-                    }
-                    out.push(i as u64);
-                }
-                _ => {
+        _ => Ok(()),
+    }
+}
+
+impl Fields for GridEntry {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        p.field("scenario", &mut self.scenario, Required)?;
+        p.field("seeds", &mut self.seeds, OmitDefault)?;
+        let (mut start, mut count) = (None::<u32>, None::<u32>);
+        p.field("seed_start", &mut start, ReadOnly)?;
+        p.field("seed_count", &mut count, ReadOnly)?;
+        p.field("horizon_secs", &mut self.horizon_secs, OmitDefault)?;
+        p.field("capacity_scale", &mut self.capacity_scale, Optional)?;
+        p.field("crowd_scale", &mut self.crowd_scale, Optional)?;
+        p.field("baseline", &mut self.baseline, Optional)?;
+        p.check(|ctx| {
+            // Seeds are listed (read above) or a range, never both.
+            match (self.seeds.is_empty(), start, count) {
+                (false, None, None) => {}
+                (false, ..) => {
                     return fail(format!(
-                        "`{ctx}.seeds` entries must be non-negative integers"
+                        "`{ctx}` must use either `seeds` or `seed_start`/`seed_count`, not both"
                     ))
                 }
+                (true, None, None) => {
+                    return fail(format!(
+                        "`{ctx}` needs seeds: either `seeds = [..]` or `seed_start`/`seed_count`"
+                    ))
+                }
+                (true, None, _) => return fail(format!("missing key `seed_start` in {ctx}")),
+                (true, _, None) => return fail(format!("missing key `seed_count` in {ctx}")),
+                (true, Some(_), Some(0)) => {
+                    return fail(format!("`{ctx}.seed_count` must be at least 1"))
+                }
+                (true, Some(start), Some(count)) => {
+                    let start = u64::from(start);
+                    self.seeds = (start..start + u64::from(count)).collect();
+                }
             }
-        }
-        return Ok(out);
-    }
-    if !ranged {
-        return fail(format!(
-            "`{ctx}` needs seeds: either `seeds = [..]` or `seed_start`/`seed_count`"
-        ));
-    }
-    let start = get_u32(t, "seed_start", ctx)? as u64;
-    let count = get_u32(t, "seed_count", ctx)? as u64;
-    if count == 0 {
-        return fail(format!("`{ctx}.seed_count` must be at least 1"));
-    }
-    Ok((start..start + count).collect())
-}
-
-/// Optional-`f64` accessor that keeps `None` (unlike
-/// [`crate::spec::opt_f64`], which substitutes a default).
-fn maybe_f64(t: &Table, key: &str, ctx: &str) -> Result<Option<f64>, SpecError> {
-    if t.contains_key(key) {
-        Ok(Some(get_f64(t, key, ctx)?))
-    } else {
-        Ok(None)
+            positive_horizon(self.horizon_secs, ctx)
+        })
     }
 }
 
-fn parse_entry(t: &Table, idx: usize, defaults: &Defaults) -> Result<GridEntry, SpecError> {
-    let ctx = format!("grid[{idx}]");
-    let ctx = ctx.as_str();
-    check_keys(
-        t,
-        &[
-            "scenario",
-            "seeds",
-            "seed_start",
-            "seed_count",
-            "horizon_secs",
-            "capacity_scale",
-            "crowd_scale",
-            "baseline",
-        ],
-        ctx,
-    )?;
-    let entry = GridEntry {
-        scenario: get_str(t, "scenario", ctx)?,
-        seeds: parse_seeds(t, ctx)?,
-        horizon_secs: maybe_f64(t, "horizon_secs", ctx)?.or(defaults.horizon_secs),
-        capacity_scale: parse_scales(t, "capacity_scale", ctx)?,
-        crowd_scale: parse_scales(t, "crowd_scale", ctx)?,
-        baseline: opt_bool(t, "baseline", ctx, defaults.baseline)?,
-    };
-    if let Some(h) = entry.horizon_secs {
-        if !(h.is_finite() && h > 0.0) {
-            return fail(format!("`{ctx}.horizon_secs` must be positive"));
-        }
+/// `[defaults]` edits the blank every `[[grid]]` entry starts from.
+struct Defaults(GridEntry);
+
+impl Default for Defaults {
+    fn default() -> Self {
+        Defaults(GridEntry {
+            scenario: String::new(),
+            seeds: Vec::new(),
+            horizon_secs: None,
+            capacity_scale: vec![1.0],
+            crowd_scale: vec![1.0],
+            baseline: true,
+        })
     }
-    Ok(entry)
 }
 
-struct Defaults {
-    horizon_secs: Option<f64>,
-    baseline: bool,
+impl Fields for Defaults {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        p.field("horizon_secs", &mut self.0.horizon_secs, OmitDefault)?;
+        p.field("baseline", &mut self.0.baseline, Optional)?;
+        p.check(|ctx| positive_horizon(self.0.horizon_secs, ctx))
+    }
+}
+
+impl Fields for SweepSpec {
+    fn fields(&mut self, p: &mut impl Pass) -> Done {
+        p.field("name", &mut self.name, Required)?;
+        p.field("description", &mut self.description, OmitDefault)?;
+        let mut defaults = None;
+        p.table("defaults", &mut defaults, &default_blank)?;
+        let Defaults(blank) = defaults.unwrap_or_default();
+        p.tables("grid", &mut self.grid, &|_, _| Ok(blank.clone()))
+    }
 }
 
 impl SweepSpec {
     /// Parse and validate a sweep from TOML-subset source.
     pub fn from_toml_str(src: &str) -> Result<SweepSpec, SpecError> {
         let root = toml::parse(src).map_err(|e| SpecError(e.to_string()))?;
-        check_keys(&root, &["name", "description", "defaults", "grid"], "sweep")?;
-        let name = get_str(&root, "name", "sweep")?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return fail(format!(
-                "sweep name `{name}` must be a non-empty [A-Za-z0-9_-]+ slug"
-            ));
-        }
-        let defaults = match root.get("defaults") {
-            None => Defaults {
-                horizon_secs: None,
-                baseline: true,
-            },
-            Some(Value::Table(t)) => {
-                check_keys(t, &["horizon_secs", "baseline"], "defaults")?;
-                let horizon_secs = maybe_f64(t, "horizon_secs", "defaults")?;
-                if let Some(h) = horizon_secs {
-                    if !(h.is_finite() && h > 0.0) {
-                        return fail("`defaults.horizon_secs` must be positive");
-                    }
-                }
-                Defaults {
-                    horizon_secs,
-                    baseline: opt_bool(t, "baseline", "defaults", true)?,
-                }
-            }
-            Some(other) => {
-                return fail(format!(
-                    "`defaults` must be a table, got {}",
-                    other.type_name()
-                ))
-            }
-        };
-        let grid = match root.get("grid") {
-            None => return fail("sweep has no [[grid]] entries — nothing to run"),
-            Some(Value::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    match item.as_table() {
-                        Some(t) => out.push(parse_entry(t, i, &defaults)?),
-                        None => return fail("`[[grid]]` entries must be tables"),
-                    }
-                }
-                out
-            }
-            Some(other) => {
-                return fail(format!(
-                    "`grid` must be an array of tables, got {}",
-                    other.type_name()
-                ))
-            }
-        };
-        if grid.is_empty() {
+        let spec = read_table(&root, "sweep", &|_, _| {
+            Ok(SweepSpec {
+                name: String::new(),
+                description: String::new(),
+                grid: Vec::new(),
+            })
+        })?;
+        check_slug("sweep", &spec.name)?;
+        if spec.grid.is_empty() {
             return fail("sweep has no [[grid]] entries — nothing to run");
         }
-        let description = match root.get("description") {
-            None => String::new(),
-            Some(v) => match v.as_str() {
-                Some(s) => s.to_string(),
-                None => {
-                    return fail(format!(
-                        "`sweep.description` must be a string, got {}",
-                        v.type_name()
-                    ))
-                }
-            },
-        };
-        Ok(SweepSpec {
-            name,
-            description,
-            grid,
-        })
+        Ok(spec)
     }
 
     /// Expand the grid into cells, in the deterministic order results
@@ -640,5 +581,18 @@ video_secs = 30.0
         let (spec, opts) = resolve_cell(&base, &cell, None);
         assert!(opts.disable_controller);
         assert!(spec.controller.is_some(), "spec untouched");
+    }
+
+    /// The sweep reference lists every key the reader accepts;
+    /// `[defaults]` is documented in its top-level row.
+    #[test]
+    fn sweep_format_page_lists_every_accepted_key() {
+        use crate::fields::{keys_of, tests::assert_documented};
+        let page = include_str!("../../../../docs/SWEEP_FORMAT.md");
+        let mut root = SweepSpec::from_toml_str(SWEEP).unwrap();
+        assert_documented(page, "Top level", &keys_of(&mut root));
+        let mut defaults = Defaults::default();
+        assert_documented(page, "Top level", &keys_of(&mut defaults));
+        assert_documented(page, "`[[grid]]`", &keys_of(&mut defaults.0));
     }
 }

@@ -35,6 +35,13 @@ video_secs = 5.0
         .unwrap_err()
         .to_string();
     assert!(e.contains('m') && e.contains("topology"), "{e}");
+    // A typo leaves its key missing too: the typo is what gets named,
+    // not the key it was meant to be.
+    let typo_only = nested.replace("horizn = 3.0\n", "");
+    let e = ScenarioSpec::from_toml_str(&typo_only)
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("unknown key `m` in topology (allowed: "), "{e}");
 }
 
 #[test]
@@ -68,6 +75,12 @@ fn type_mismatches_name_expected_and_actual() {
         (
             "name = \"t\"\nhorizon_secs = 1.0\ncapacity = 1e6\nsinks = 3",
             "`sinks` must be an array",
+        ),
+        (
+            // Router ids are range-checked like every other integer:
+            // this one is 7 modulo 2^32.
+            "name = \"t\"\nhorizon_secs = 1.0\ncapacity = 1e6\nsinks = [4294967303]",
+            "`sinks` entries must be positive router ids",
         ),
         (
             "name = \"t\"\nhorizon_secs = 1.0\ncapacity = 1e6\ncontroller = 3",
