@@ -24,7 +24,7 @@
 //! use fibbing::demo;
 //!
 //! // Run the paper's experiment for 12 simulated seconds with the
-//! // controller enabled (the full 60 s run lives in the benches).
+//! // controller enabled (the full run is `fig2_timeseries`).
 //! let cfg = demo::DemoConfig::default();
 //! let run = demo::run(&cfg, 12);
 //! // The three links of Fig. 2 are recorded as named series.
