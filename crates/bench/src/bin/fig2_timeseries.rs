@@ -7,25 +7,18 @@
 //! Run: `cargo run --release -p fib-bench --bin fig2_timeseries`
 //!
 //! The horizon defaults to the paper's 55 simulated seconds; pass
-//! `--horizon 20` (or set `FIB_FIG2_SECS=20`) for a reduced run — CI
-//! uses this as a deterministic end-to-end smoke test of the whole
-//! pipeline.
+//! `--horizon 20` for a reduced run — CI uses this as a deterministic
+//! end-to-end smoke test of the whole pipeline.
 
 use fib_bench::cli::Cli;
 use fib_bench::{f, results_dir, Table};
 use fibbing::demo::{self, DemoConfig};
 use fibbing::prelude::summarize;
 
-/// Simulated horizon in seconds (`--horizon`, then `FIB_FIG2_SECS`,
-/// default 55).
+/// Simulated horizon in seconds (`--horizon`, default 55).
 fn horizon_secs() -> u64 {
     Cli::from_env(&["horizon"])
         .u64_flag("horizon")
-        .or_else(|| {
-            std::env::var("FIB_FIG2_SECS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
         .unwrap_or(55)
 }
 
