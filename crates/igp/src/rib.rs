@@ -7,7 +7,7 @@
 //! verification.
 
 use crate::types::{FwAddr, Metric, Prefix, RouterId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One route: cost, ECMP next-hop set (by forwarding address), and
@@ -251,15 +251,6 @@ impl ForwardingDag {
             }
         }
         out
-    }
-
-    /// Routers whose next-hop set is non-empty (transit/forwarding).
-    pub fn forwarding_routers(&self) -> BTreeSet<RouterId> {
-        self.nexthops
-            .iter()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(r, _)| *r)
-            .collect()
     }
 }
 

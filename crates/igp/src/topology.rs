@@ -83,11 +83,6 @@ impl Topology {
         self.nodes.contains_key(&id)
     }
 
-    /// Number of nodes, real and fake.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of real routers.
     pub fn router_count(&self) -> usize {
         self.nodes.keys().filter(|r| r.is_real()).count()

@@ -7,14 +7,14 @@
 //! * [`counters`] — ifTable-style octet/packet counters with 32/64-bit
 //!   wrap semantics;
 //! * [`mib`] — a minimal OID tree per agent with GET / GETNEXT / WALK;
-//! * [`poller`] — jittered, deterministic poll scheduling;
 //! * [`rate`] — counter-delta rate estimation with EWMA smoothing
 //!   (wrap-transparent);
 //! * [`alarm`] — utilization thresholds with hysteresis and hold-down;
 //! * [`monitor`] — the composed pipeline: samples in, alarm edges out.
 //!
-//! Everything is deterministic (seeded jitter) and free of IO: the
-//! simulator delivers counter samples and timestamps.
+//! Everything is deterministic and free of IO: the simulator delivers
+//! counter samples and timestamps, and the controller decides when to
+//! sweep them (`poll_snmp`, on its own tick).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,7 +23,6 @@ pub mod alarm;
 pub mod counters;
 pub mod mib;
 pub mod monitor;
-pub mod poller;
 pub mod rate;
 
 /// Convenient re-exports of the most used items.
@@ -32,6 +31,5 @@ pub mod prelude {
     pub use crate::counters::{counter_delta, Counter, CounterWidth, IfaceCounters};
     pub use crate::mib::{oids, Agent, Oid, Value};
     pub use crate::monitor::{LoadEvent, LoadMonitor};
-    pub use crate::poller::Poller;
     pub use crate::rate::RateEstimator;
 }

@@ -114,11 +114,6 @@ impl Agent {
         self.ifaces.get(&ifindex)
     }
 
-    /// Registered interface indexes.
-    pub fn ifindexes(&self) -> Vec<u32> {
-        self.ifaces.keys().copied().collect()
-    }
-
     /// The agent's full sorted view (materialized for GETNEXT).
     fn view(&self) -> Vec<(Oid, Value)> {
         let mut v: Vec<(Oid, Value)> = Vec::with_capacity(self.ifaces.len() * 5 + 1);

@@ -294,11 +294,6 @@ impl VideoWorkload {
             shared,
         )
     }
-
-    /// Number of sessions not yet finished.
-    pub fn active_count(&self) -> usize {
-        self.shared.0.lock().active.len() + self.source.remaining()
-    }
 }
 
 /// Launch every session of `source` that is due, onto the end of

@@ -12,7 +12,7 @@
 //! |-------|------|
 //! | [`igp`] | link-state IGP substrate: LSAs, flooding, neighbor FSM, ECMP SPF, wire codec |
 //! | [`netsim`] | deterministic co-simulation: capacitated links, ECMP FIBs, max-min fluid flows, SNMP-fed counters |
-//! | [`telemetry`] | SNMP-style monitoring: ifTable counters, pollers, EWMA rates, hysteresis alarms |
+//! | [`telemetry`] | SNMP-style monitoring: ifTable counters, a MIB to walk, EWMA rates, hysteresis alarms |
 //! | [`core`] | Fibbing itself: lies, augmentation, uneven splits, optimizer, verification, the controller |
 //! | [`te`] | baselines: RSVP-TE tunnels, Fortz–Thorup weight search, ECMP optimality bounds |
 //! | [`video`] | the workload: playback buffers, ABR, QoE, flash crowds |
