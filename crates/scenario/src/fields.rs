@@ -260,7 +260,7 @@ pub(crate) trait Tagged: Clone + 'static {
 }
 
 /// Reads from one parsed table; errors name it as `ctx`.
-pub(crate) struct Read<'a> {
+struct Read<'a> {
     table: &'a Table,
     ctx: &'a str,
 }

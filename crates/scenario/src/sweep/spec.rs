@@ -106,8 +106,10 @@ impl SweepCell {
 /// A non-empty array without duplicates, each entry passing `ok`.
 fn distinct<T: Field + std::fmt::Display>(
     v: &Value,
-    (ctx, key): (&str, &str),
-    (array_of, entries): (&str, &str),
+    ctx: &str,
+    key: &str,
+    array_of: &str,
+    entries: &str,
     ok: impl Fn(&T) -> bool,
 ) -> Result<Vec<T>, SpecError> {
     let Some(items) = v.as_array() else {
@@ -134,7 +136,7 @@ fn distinct<T: Field + std::fmt::Display>(
 impl Field for Vec<u64> {
     fn read(v: &Value, ctx: &str, key: &str) -> Result<Self, SpecError> {
         let what = "non-negative integers";
-        distinct(v, (ctx, key), (what, what), |_| true)
+        distinct(v, ctx, key, what, what, |_| true)
     }
 
     fn write(&self, out: &mut String) {
@@ -149,7 +151,7 @@ impl Field for Vec<f64> {
     fn read(v: &Value, ctx: &str, key: &str) -> Result<Self, SpecError> {
         let array_of = format!("positive numbers, got {}", v.type_name());
         let entries = "positive finite numbers";
-        distinct(v, (ctx, key), (&array_of, entries), |s: &f64| {
+        distinct(v, ctx, key, &array_of, entries, |s: &f64| {
             s.is_finite() && *s > 0.0
         })
     }
