@@ -1,0 +1,126 @@
+//! Byte pins of the three session schedules no other pin covers.
+//!
+//! `churn_pin` pins `poisson` workloads and `predictive_pin` pins
+//! `flash_crowd` events; the paper's own three waves — through the
+//! hand-wired demo and through the scenario engine's `paper` workload —
+//! and the `diurnal` generator were only ever compared run against
+//! run. A change to how a schedule is described, ordered, tagged or
+//! launched must move none of the digests below.
+
+use fibbing::demo::{self, DemoConfig};
+use fibbing::scenario::runner::{build, RunOptions};
+use fibbing::scenario::suite::load_scenario;
+use fibbing::video::prelude::QoeReport;
+use std::fmt::Write as _;
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// One report per line, every field (`{:?}` prints the shortest text
+/// that reads back to the same f64).
+fn render(reports: &[QoeReport]) -> String {
+    let mut out = String::new();
+    for q in reports {
+        let _ = writeln!(
+            out,
+            "{:?} {} {:?} {:?} {:?} {} {:?} {:?} {}",
+            q.startup_delay,
+            q.stalls,
+            q.stall_secs,
+            q.mean_bitrate,
+            q.max_bitrate,
+            q.switches,
+            q.played_secs,
+            q.duration,
+            q.completed
+        );
+    }
+    out
+}
+
+/// Recorder CSV and per-session QoE digests of the 55 s demo.
+fn demo_digests(controller: bool) -> [u64; 2] {
+    let cfg = DemoConfig {
+        controller,
+        ..DemoConfig::default()
+    };
+    let run = demo::run(&cfg, 55);
+    let reports = run.qoe.reports();
+    assert_eq!(reports.len(), 62);
+    [
+        fnv1a(run.sim.recorder().to_csv().as_bytes()),
+        fnv1a(render(&reports).as_bytes()),
+    ]
+}
+
+/// Summary CSV, trace CSV and per-session QoE digests of a shipped
+/// scenario that schedules `sessions` viewers.
+fn scenario_digests(name: &str, horizon_secs: Option<f64>, sessions: usize) -> [u64; 3] {
+    let spec = load_scenario(name).expect("shipped spec parses");
+    let opts = RunOptions {
+        horizon_secs,
+        ..RunOptions::default()
+    };
+    let run = build(&spec, opts).expect("shipped spec builds");
+    let qoe = run.qoe.clone();
+    let report = run.finish();
+    assert_eq!(report.sessions, sessions);
+    [
+        fnv1a(report.summary_csv().as_bytes()),
+        fnv1a(report.trace_csv.as_bytes()),
+        fnv1a(render(&qoe.reports()).as_bytes()),
+    ]
+}
+
+#[test]
+fn demo_with_controller_is_pinned_byte_for_byte() {
+    let digests = demo_digests(true);
+    assert_eq!(
+        digests,
+        [0x1a48_b182_ba83_01c8, 0x3e74_e907_0f6b_87ab],
+        "recorder / QoE digests moved: {digests:#018x?}"
+    );
+}
+
+#[test]
+fn demo_without_controller_is_pinned_byte_for_byte() {
+    let digests = demo_digests(false);
+    assert_eq!(
+        digests,
+        [0xded9_41dd_d052_797f, 0xcf82_2251_5bc8_b52d],
+        "recorder / QoE digests moved: {digests:#018x?}"
+    );
+}
+
+#[test]
+fn paper_workload_through_the_scenario_engine_is_pinned_byte_for_byte() {
+    // The QoE digest is the hand-wired demo's: same waves, same tags.
+    let digests = scenario_digests("paper_demo", None, 62);
+    assert_eq!(
+        digests,
+        [
+            0x2b52_754b_24a1_5b52,
+            0xc087_ce43_650c_f138,
+            0x3e74_e907_0f6b_87ab
+        ],
+        "summary / trace / QoE digests moved: {digests:#018x?}"
+    );
+}
+
+#[test]
+fn diurnal_workload_is_pinned_byte_for_byte() {
+    let digests = scenario_digests("diurnal_mix", Some(40.0), 12);
+    assert_eq!(
+        digests,
+        [
+            0x3a25_1bd6_b7b0_89f7,
+            0x8a5f_3044_5184_cd54,
+            0x7039_43ad_a02d_7520
+        ],
+        "summary / trace / QoE digests moved: {digests:#018x?}"
+    );
+}
