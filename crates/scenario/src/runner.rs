@@ -8,19 +8,16 @@
 //! [`ScenarioReport`].
 //!
 //! Sessions are *streamed*, not materialized: each workload entry
-//! becomes one compact [`SessionGroup`] (source, rate, tag base, and
-//! the arrival instants drawn from the seeded RNG), and the driver
-//! builds the actual session objects lazily as their start times
-//! arrive. A 2 000-session flash crowd costs a few dozen bytes per
-//! pending session instead of a full spec each — the difference that
-//! lets `metro_core`-scale scenarios run.
+//! becomes one compact [`Wave`] (server, prefix, asset, and the
+//! arrival instants drawn from the seeded RNG), and the driver builds
+//! a player as its start time arrives. A 2 000-session flash crowd
+//! costs a couple dozen bytes per pending session — the difference
+//! that lets `metro_core`-scale scenarios run.
 //!
 //! Determinism: the only RNG streams are derived from the scenario
 //! seed (one for the topology, one for the workloads), every arrival
-//! instant is drawn before the simulation starts — in spec order, the
-//! same draw sequence the old eager builder used, so same-seed runs
-//! are byte-identical across the refactor — and the simulator itself
-//! is a deterministic discrete-event system.
+//! instant is drawn before the simulation starts, in spec order, and
+//! the simulator itself is a deterministic discrete-event system.
 
 use crate::report::ScenarioReport;
 use crate::spec::{ControllerSpec, EventKind, ScenarioSpec, SpecError, WorkloadSpec};
@@ -34,8 +31,8 @@ use fib_netsim::handler::{AppEvent, EventHandler};
 use fib_netsim::link::LinkSpec;
 use fib_netsim::sim::{Sim, SimConfig, SimContext};
 use fib_video::prelude::{
-    batch_starts, diurnal_starts, poisson_starts, summarize, GroupedSource, QoeHandle,
-    SessionGroup, VideoWorkload,
+    batch_starts, diurnal_starts, paper_schedule, poisson_starts, summarize, QoeHandle,
+    VideoWorkload, Wave,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -269,36 +266,13 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
         }
     };
 
-    // The session schedule, as compact waves: one [`SessionGroup`]
-    // per workload entry / demand event. Arrival instants are drawn
-    // from the workload RNG stream here, in spec order — exactly the
-    // draw sequence the old eager builder used, so same-seed runs are
-    // byte-identical — but the per-session objects are built lazily
-    // by the driver as each start time arrives.
+    // The session schedule: one [`Wave`] per workload entry / demand
+    // event (three for the paper's). Arrival instants are drawn from
+    // the workload RNG stream here, in spec order, before the
+    // simulation starts.
     let mut wl_rng = StdRng::seed_from_u64(workload_seed(seed));
-    let mut groups: Vec<SessionGroup> = Vec::new();
-    let mut session_count: u64 = 0;
+    let mut waves: Vec<Wave> = Vec::new();
     let mut stimuli: Vec<f64> = Vec::new();
-    fn push_group(
-        groups: &mut Vec<SessionGroup>,
-        session_count: &mut u64,
-        src: RouterId,
-        dst: Prefix,
-        rate: f64,
-        video_secs: f64,
-        starts: Vec<Timestamp>,
-    ) {
-        let tag_base = *session_count;
-        *session_count += starts.len() as u64;
-        groups.push(SessionGroup {
-            src,
-            dst,
-            rate,
-            video_secs,
-            tag_base,
-            starts,
-        });
-    }
     for w in &spec.workloads {
         match w {
             WorkloadSpec::Paper {
@@ -309,22 +283,9 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
             } => {
                 let s1 = check_router(&topo, *src1, "workload.src1")?;
                 let s2 = check_router(&topo, *src2, "workload.src2")?;
-                let dst = prefix_of(0)?;
-                // The paper's Sec. 3 waves: 1 at t=0 and 30 at t=15
-                // from the first source, then 31 at t=35 from the
-                // second (same shape as `paper_schedule`).
-                for (src, at, n) in [(s1, 0, 1u32), (s1, 15, 30), (s2, 35, 31)] {
-                    push_group(
-                        &mut groups,
-                        &mut session_count,
-                        src,
-                        dst,
-                        *rate,
-                        *video_secs,
-                        batch_starts(Timestamp::from_secs(at), n),
-                    );
-                }
-                stimuli.extend([0.0, 15.0, 35.0]);
+                let paper = paper_schedule(s1, s2, prefix_of(0)?, *rate, *video_secs);
+                stimuli.extend(paper.iter().map(|w| w.starts[0].as_secs_f64()));
+                waves.extend(paper);
             }
             WorkloadSpec::Constant {
                 at,
@@ -335,15 +296,9 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                 dst,
             } => {
                 let src = check_router(&topo, *src, "workload.src")?;
-                push_group(
-                    &mut groups,
-                    &mut session_count,
-                    src,
-                    prefix_of(*dst)?,
-                    *rate,
-                    *video_secs,
-                    batch_starts(at_secs(*at), *n),
-                );
+                let dst = prefix_of(*dst)?;
+                let starts = batch_starts(at_secs(*at), *n);
+                waves.push(Wave::constant(src, dst, *rate, *video_secs, starts));
                 stimuli.push(*at);
             }
             WorkloadSpec::Poisson {
@@ -356,20 +311,10 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                 dst,
             } => {
                 let src = check_router(&topo, *src, "workload.src")?;
-                push_group(
-                    &mut groups,
-                    &mut session_count,
-                    src,
-                    prefix_of(*dst)?,
-                    *rate,
-                    *video_secs,
-                    poisson_starts(
-                        &mut wl_rng,
-                        at_secs(*start),
-                        Dur::from_secs_f64(*mean_gap_secs),
-                        *n,
-                    ),
-                );
+                let dst = prefix_of(*dst)?;
+                let gap = Dur::from_secs_f64(*mean_gap_secs);
+                let starts = poisson_starts(&mut wl_rng, at_secs(*start), gap, *n);
+                waves.push(Wave::constant(src, dst, *rate, *video_secs, starts));
                 stimuli.push(*start);
             }
             WorkloadSpec::Diurnal {
@@ -382,21 +327,15 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                 dst,
             } => {
                 let src = check_router(&topo, *src, "workload.src")?;
-                push_group(
-                    &mut groups,
-                    &mut session_count,
-                    src,
-                    prefix_of(*dst)?,
-                    *rate,
-                    *video_secs,
-                    diurnal_starts(
-                        &mut wl_rng,
-                        horizon_secs,
-                        *period_secs,
-                        *peak_per_sec,
-                        *trough_per_sec,
-                    ),
+                let dst = prefix_of(*dst)?;
+                let starts = diurnal_starts(
+                    &mut wl_rng,
+                    horizon_secs,
+                    *period_secs,
+                    *peak_per_sec,
+                    *trough_per_sec,
                 );
+                waves.push(Wave::constant(src, dst, *rate, *video_secs, starts));
                 // A continuous process, not a discrete stimulus.
             }
         }
@@ -413,7 +352,6 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                         up: false,
                     },
                 );
-                stimuli.push(e.at);
             }
             EventKind::RestoreLink { a, b } => {
                 check_link(&topo, *a, *b, "restore_link event")?;
@@ -425,7 +363,6 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                         up: true,
                     },
                 );
-                stimuli.push(e.at);
             }
             EventKind::SetCapacity { a, b, capacity } => {
                 check_link(&topo, *a, *b, "set_capacity event")?;
@@ -437,7 +374,6 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                         capacity: *capacity,
                     },
                 );
-                stimuli.push(e.at);
             }
             EventKind::Surge {
                 src,
@@ -447,16 +383,9 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                 dst,
             } => {
                 let src = check_router(&topo, *src, "surge event")?;
-                push_group(
-                    &mut groups,
-                    &mut session_count,
-                    src,
-                    prefix_of(*dst)?,
-                    *rate,
-                    *video_secs,
-                    batch_starts(at_secs(e.at), *n),
-                );
-                stimuli.push(e.at);
+                let dst = prefix_of(*dst)?;
+                let starts = batch_starts(at_secs(e.at), *n);
+                waves.push(Wave::constant(src, dst, *rate, *video_secs, starts));
             }
             EventKind::FlashCrowd {
                 src,
@@ -467,27 +396,17 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
                 dst,
             } => {
                 let src = check_router(&topo, *src, "flash_crowd event")?;
-                push_group(
-                    &mut groups,
-                    &mut session_count,
-                    src,
-                    prefix_of(*dst)?,
-                    *rate,
-                    *video_secs,
-                    poisson_starts(
-                        &mut wl_rng,
-                        at_secs(e.at),
-                        Dur::from_secs_f64(*mean_gap_secs),
-                        *n,
-                    ),
-                );
-                stimuli.push(e.at);
+                let dst = prefix_of(*dst)?;
+                let gap = Dur::from_secs_f64(*mean_gap_secs);
+                let starts = poisson_starts(&mut wl_rng, at_secs(e.at), gap, *n);
+                waves.push(Wave::constant(src, dst, *rate, *video_secs, starts));
             }
         }
+        // Every scripted event is a stimulus.
+        stimuli.push(e.at);
     }
-    let sessions = session_count as usize;
-    let (driver, qoe) =
-        VideoWorkload::from_source(Box::new(GroupedSource::new(groups)), Dur::from_millis(100));
+    let sessions = waves.iter().map(|w| w.starts.len()).sum();
+    let (driver, qoe) = VideoWorkload::new(waves);
     sim.add_app(Box::new(driver));
     sim.add_app(Box::new(UtilProbe {
         exclude: ctrl.as_ref().map(|_| CONTROLLER_ID),

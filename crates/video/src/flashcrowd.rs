@@ -1,82 +1,49 @@
 //! Flash-crowd arrival schedules.
 //!
-//! The demo's exact workload plus generators for extended experiments.
+//! The demo's exact workload, and the arrival processes extended
+//! experiments draw their waves' start times from.
 
-use crate::workload::SessionSpec;
+use crate::workload::Wave;
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{Prefix, RouterId};
 use rand::Rng;
 
 /// The paper's exact schedule (Sec. 3): one flow from `s1` at t=0,
 /// 30 more at t=15, then 31 flows from `s2` at t=35 — all toward the
-/// blue prefix, constant-bitrate videos.
+/// blue prefix, constant-bitrate videos. One [`Wave`] per batch, so
+/// tags run 0, 1–30, 31–61.
 ///
 /// `rate` is the per-video bitrate (bytes/s); `video_secs` the clip
-/// length (long enough to span the experiment). Arrivals within a
-/// batch are spread over one second, as launching 30 players takes a
-/// moment in the real demo too.
+/// length (long enough to span the experiment).
 pub fn paper_schedule(
     s1: RouterId,
     s2: RouterId,
     dst: Prefix,
     rate: f64,
     video_secs: f64,
-) -> Vec<SessionSpec> {
-    let mut specs = batch(Timestamp::from_secs(0), s1, dst, 1, rate, video_secs, 0);
-    specs.extend(batch(
-        Timestamp::from_secs(15),
-        s1,
-        dst,
-        30,
-        rate,
-        video_secs,
-        1,
-    ));
-    specs.extend(batch(
-        Timestamp::from_secs(35),
-        s2,
-        dst,
-        31,
-        rate,
-        video_secs,
-        31,
-    ));
-    specs
+) -> Vec<Wave> {
+    [(s1, 0, 1), (s1, 15, 30), (s2, 35, 31)]
+        .into_iter()
+        .map(|(src, at, n)| {
+            let starts = batch_starts(Timestamp::from_secs(at), n);
+            Wave::constant(src, dst, rate, video_secs, starts)
+        })
+        .collect()
 }
 
-/// Arrival instants of a [`batch`]: `n` starts spread over one second
-/// from `start`. The compact form the scenario engine stores (a
-/// [`crate::workload::SessionGroup`]) instead of materialized specs.
+/// A batch: `n` starts spread over one second from `start` (launching
+/// 30 players takes a moment in the real demo too) — the building
+/// block of [`paper_schedule`] and of the scenario engine's constant
+/// workloads and demand surges.
 pub fn batch_starts(start: Timestamp, n: u32) -> Vec<Timestamp> {
     (0..u64::from(n))
         .map(|i| start + Dur::from_millis(i * 1000 / u64::from(n.max(1))))
         .collect()
 }
 
-/// A batch of `n` constant-bitrate sessions starting at `start`,
-/// spread over one second (launching 30 players takes a moment in the
-/// real demo too) — the building block of [`paper_schedule`] and the
-/// scenario engine's constant workloads and demand surges. Tags run
-/// `tag_base..tag_base + n`.
-pub fn batch(
-    start: Timestamp,
-    src: RouterId,
-    dst: Prefix,
-    n: u32,
-    rate: f64,
-    video_secs: f64,
-    tag_base: u64,
-) -> Vec<SessionSpec> {
-    batch_starts(start, n)
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| SessionSpec::constant(t, src, dst, rate, video_secs, tag_base + i as u64))
-        .collect()
-}
-
-/// Arrival instants of a [`poisson_crowd`]: `n` arrivals at
-/// exponential inter-arrival times of mean `mean_gap` from `start`,
-/// drawn from `rng` in arrival order.
+/// A Poisson flash crowd: `n` arrivals at exponential inter-arrival
+/// times of mean `mean_gap` from `start`, drawn from `rng` in arrival
+/// order.
 pub fn poisson_starts<R: Rng>(
     rng: &mut R,
     start: Timestamp,
@@ -94,27 +61,6 @@ pub fn poisson_starts<R: Rng>(
     starts
 }
 
-/// A Poisson flash crowd: `n` arrivals at exponential inter-arrival
-/// times of mean `mean_gap` starting at `start`.
-#[allow(clippy::too_many_arguments)] // flat schedule parameters; a builder would obscure call sites
-pub fn poisson_crowd<R: Rng>(
-    rng: &mut R,
-    start: Timestamp,
-    mean_gap: Dur,
-    n: u32,
-    src: RouterId,
-    dst: Prefix,
-    rate: f64,
-    video_secs: f64,
-    tag_base: u64,
-) -> Vec<SessionSpec> {
-    poisson_starts(rng, start, mean_gap, n)
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| SessionSpec::constant(t, src, dst, rate, video_secs, tag_base + i as u64))
-        .collect()
-}
-
 /// A diurnal demand mix: session arrivals whose intensity swings
 /// sinusoidally between `trough_per_sec` and `peak_per_sec` with the
 /// given period, over `[0, horizon_secs)` — the "daily cycle"
@@ -122,10 +68,9 @@ pub fn poisson_crowd<R: Rng>(
 ///
 /// Arrival times come from integrating the intensity (deterministic);
 /// the RNG only jitters each arrival inside its integration step, so
-/// the same seed always yields the same schedule.
-/// Arrival instants of a [`diurnal`] mix, in *generation* order (tags
-/// follow generation order; the jitter inside an integration step may
-/// locally reorder start times — launch order sorts stably by start).
+/// the same seed always yields the same schedule. Starts are returned
+/// in *generation* order: the jitter may locally reorder them, and the
+/// driver sorts stably by start when it launches.
 pub fn diurnal_starts<R: Rng>(
     rng: &mut R,
     horizon_secs: f64,
@@ -158,37 +103,6 @@ pub fn diurnal_starts<R: Rng>(
     starts
 }
 
-/// A diurnal demand mix: session arrivals whose intensity swings
-/// sinusoidally between `trough_per_sec` and `peak_per_sec` with the
-/// given period, over `[0, horizon_secs)` — the "daily cycle"
-/// compressed into an experiment horizon.
-///
-/// Arrival times come from integrating the intensity (deterministic);
-/// the RNG only jitters each arrival inside its integration step, so
-/// the same seed always yields the same schedule.
-#[allow(clippy::too_many_arguments)] // flat schedule parameters; a builder would obscure call sites
-pub fn diurnal<R: Rng>(
-    rng: &mut R,
-    horizon_secs: f64,
-    period_secs: f64,
-    peak_per_sec: f64,
-    trough_per_sec: f64,
-    src: RouterId,
-    dst: Prefix,
-    rate: f64,
-    video_secs: f64,
-    tag_base: u64,
-) -> Vec<SessionSpec> {
-    let mut specs: Vec<SessionSpec> =
-        diurnal_starts(rng, horizon_secs, period_secs, peak_per_sec, trough_per_sec)
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| SessionSpec::constant(t, src, dst, rate, video_secs, tag_base + i as u64))
-            .collect();
-    specs.sort_by_key(|s| s.start);
-    specs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,104 +114,78 @@ mod tests {
     }
 
     #[test]
-    fn paper_schedule_counts_and_times() {
-        let specs = paper_schedule(r(2), r(1), Prefix::net24(1), 125_000.0, 120.0);
-        assert_eq!(specs.len(), 62);
-        // Batch boundaries.
-        let at = |secs: f64| -> usize {
-            specs
-                .iter()
-                .filter(|s| s.start.as_secs_f64() < secs)
-                .count()
-        };
-        assert_eq!(at(1.0), 1);
-        assert_eq!(at(14.9), 1);
-        assert_eq!(at(16.1), 31);
-        assert_eq!(at(34.9), 31);
-        assert_eq!(at(36.1), 62);
-        // Sources per batch.
-        assert!(specs[..31].iter().all(|s| s.src == r(2)));
-        assert!(specs[31..].iter().all(|s| s.src == r(1)));
-        // Tags unique.
-        let mut tags: Vec<u64> = specs.iter().map(|s| s.tag).collect();
-        tags.sort();
-        tags.dedup();
-        assert_eq!(tags.len(), 62);
+    fn paper_schedule_is_three_waves_of_1_30_31() {
+        let waves = paper_schedule(r(2), r(1), Prefix::net24(1), 125_000.0, 120.0);
+        let shape: Vec<(RouterId, usize, Timestamp)> = waves
+            .iter()
+            .map(|w| (w.src, w.starts.len(), w.starts[0]))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (r(2), 1, Timestamp::from_secs(0)),
+                (r(2), 30, Timestamp::from_secs(15)),
+                (r(1), 31, Timestamp::from_secs(35)),
+            ]
+        );
+        assert_eq!(waves.iter().map(|w| w.starts.len()).sum::<usize>(), 62);
+        for w in &waves {
+            // Every batch is spread over its first second, in order.
+            assert!(w.starts.windows(2).all(|p| p[0] < p[1]));
+            assert!(*w.starts.last().unwrap() < w.starts[0] + Dur::from_secs(1));
+            assert_eq!(w.dst, Prefix::net24(1));
+            assert_eq!(w.video, crate::catalog::Video::constant(120.0, 125_000.0));
+        }
     }
 
     #[test]
     fn diurnal_mix_swings_and_is_deterministic() {
-        let mk = || {
-            let mut rng = StdRng::seed_from_u64(11);
-            diurnal(
-                &mut rng,
-                120.0,
-                120.0,
-                1.0,
-                0.1,
-                r(1),
-                Prefix::net24(1),
-                1e5,
-                30.0,
-                500,
-            )
-        };
+        let mk = || diurnal_starts(&mut StdRng::seed_from_u64(11), 120.0, 120.0, 1.0, 0.1);
         let a = mk();
         // Mean intensity 0.55/s over 120 s ≈ 66 arrivals.
         assert!((50..=80).contains(&a.len()), "got {}", a.len());
-        for w in a.windows(2) {
-            assert!(w[0].start <= w[1].start);
-        }
         // Peak half (centered on t=60) sees far more arrivals than the
         // trough halves.
         let in_range = |from: f64, to: f64| {
             a.iter()
-                .filter(|s| {
-                    let t = s.start.as_secs_f64();
-                    t >= from && t < to
-                })
+                .filter(|t| (from..to).contains(&t.as_secs_f64()))
                 .count()
         };
         assert!(in_range(30.0, 90.0) > 2 * (in_range(0.0, 30.0) + in_range(90.0, 120.0)));
-        // Same seed ⇒ same schedule; tags unique from the base.
-        let b = mk();
-        assert_eq!(
-            a.iter().map(|s| (s.start, s.tag)).collect::<Vec<_>>(),
-            b.iter().map(|s| (s.start, s.tag)).collect::<Vec<_>>()
-        );
-        let mut tags: Vec<u64> = a.iter().map(|s| s.tag).collect();
-        tags.sort();
-        tags.dedup();
-        assert_eq!(tags.len(), a.len());
-        assert!(tags[0] >= 500);
+        // An arrival is jittered inside its own 0.1 s step, never out
+        // of it: generation order is start order up to one step.
+        assert!(a.windows(2).all(|w| w[1] + Dur::from_millis(100) > w[0]));
+        // Same seed ⇒ same schedule.
+        assert_eq!(a, mk());
     }
 
     #[test]
-    fn poisson_crowd_is_ordered_and_deterministic() {
+    fn poisson_starts_are_ordered_and_deterministic() {
         let mk = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            poisson_crowd(
+            poisson_starts(
                 &mut rng,
                 Timestamp::from_secs(10),
                 Dur::from_millis(500),
                 20,
-                r(1),
-                Prefix::net24(1),
-                1e5,
-                60.0,
-                100,
             )
         };
         let a = mk(3);
-        let b = mk(3);
         assert_eq!(a.len(), 20);
-        for w in a.windows(2) {
-            assert!(w[0].start <= w[1].start);
-        }
+        assert!(a.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(a, mk(3));
+        assert_ne!(a, mk(4));
+        assert!(a[0] >= Timestamp::from_secs(10));
+    }
+
+    #[test]
+    fn batch_starts_spread_over_one_second() {
+        let t0 = Timestamp::from_secs(7);
+        assert_eq!(batch_starts(t0, 0), []);
+        assert_eq!(batch_starts(t0, 1), [t0]);
         assert_eq!(
-            a.iter().map(|s| s.start).collect::<Vec<_>>(),
-            b.iter().map(|s| s.start).collect::<Vec<_>>()
+            batch_starts(t0, 4),
+            [0, 250, 500, 750].map(|ms| t0 + Dur::from_millis(ms))
         );
-        assert!(a[0].start >= Timestamp::from_secs(10));
     }
 }

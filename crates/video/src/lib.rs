@@ -10,11 +10,11 @@
 //!   BBA-style buffer-based);
 //! * [`qoe`] — per-session reports and aggregates (stalls, startup
 //!   delay, mean bitrate, MOS-like score);
-//! * [`workload`] — the netsim application driving sessions:
-//!   server-paced flows feed players, ABR runs at segment
-//!   granularity, QoE is published through a shared handle;
-//! * [`flashcrowd`] — arrival schedules, including the paper's exact
-//!   one (1 flow at t=0, +30 at t=15, +31 from a second source at
+//! * [`workload`] — the netsim application driving a schedule of
+//!   viewer waves: server-paced flows feed players, ABR runs at
+//!   segment granularity, QoE is published through a shared handle;
+//! * [`flashcrowd`] — arrival processes, and the paper's exact
+//!   schedule (1 flow at t=0, +30 at t=15, +31 from a second source at
 //!   t=35).
 
 #![warn(missing_docs)]
@@ -32,12 +32,7 @@ pub mod prelude {
     pub use crate::abr::{AbrInput, AbrPolicy};
     pub use crate::catalog::{Ladder, Video};
     pub use crate::client::{Player, PlayerConfig, PlayerState};
-    pub use crate::flashcrowd::{
-        batch, batch_starts, diurnal, diurnal_starts, paper_schedule, poisson_crowd, poisson_starts,
-    };
+    pub use crate::flashcrowd::{batch_starts, diurnal_starts, paper_schedule, poisson_starts};
     pub use crate::qoe::{summarize, QoeReport, QoeSummary};
-    pub use crate::workload::{
-        EagerSource, GroupedSource, QoeHandle, SessionGroup, SessionSource, SessionSpec,
-        VideoWorkload,
-    };
+    pub use crate::workload::{QoeHandle, VideoWorkload, Wave};
 }

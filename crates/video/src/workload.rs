@@ -12,14 +12,14 @@
 //! map once, when its session finishes, and the reports of sessions
 //! still playing are derived from their players when somebody reads.
 //!
-//! Sessions arrive through a [`SessionSource`]: either an eager,
-//! pre-materialized list (small experiments) or a [`GroupedSource`]
-//! holding only compact per-wave parameters plus arrival instants —
-//! the full [`SessionSpec`] (asset, ladder, player config) is built
-//! lazily at launch time, and finished sessions are dropped from the
-//! active set, so memory tracks the number of *concurrent* viewers,
-//! not the total schedule length. City-scale scenarios (thousands of
-//! sessions) rely on this.
+//! A schedule is a list of [`Wave`]s: what every viewer of a wave
+//! shares (server, prefix, asset, ABR policy, player tuning) is stored
+//! once, next to the wave's arrival instants. A pending session costs
+//! one `(start, wave, tag)` triple, a player is built when its session
+//! launches, and finished sessions are dropped from the active set, so
+//! memory tracks the number of *concurrent* viewers, not the length of
+//! the schedule. City-scale scenarios (thousands of sessions) rely on
+//! this.
 
 use crate::abr::{AbrInput, AbrPolicy};
 use crate::catalog::Video;
@@ -34,43 +34,48 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One scheduled viewing session.
+/// How often the driver advances its players.
+const TICK: Dur = Dur::from_millis(100);
+
+/// One wave of viewers: sessions that differ only in when they start.
+///
+/// Sessions are tagged by position: session `i` of a wave gets the
+/// number of sessions in the waves before it, plus `i`. The tag keys
+/// the session's flow and its QoE report.
 #[derive(Debug, Clone)]
-pub struct SessionSpec {
-    /// When the client presses play.
-    pub start: Timestamp,
+pub struct Wave {
     /// Server-side ingress router.
     pub src: RouterId,
     /// Client-side destination prefix.
     pub dst: Prefix,
-    /// The asset.
+    /// The asset every session of the wave plays.
     pub video: Video,
     /// ABR policy.
     pub abr: AbrPolicy,
     /// Player tuning.
     pub player: PlayerConfig,
-    /// Session tag (unique; keys the QoE report).
-    pub tag: u64,
+    /// When each client presses play, in *generation* order (the order
+    /// a seeded generator drew them, not necessarily ascending).
+    pub starts: Vec<Timestamp>,
 }
 
-impl SessionSpec {
-    /// A constant-bitrate session (the demo's shape).
+impl Wave {
+    /// A wave of constant-bitrate sessions (the demo's shape): `rate`
+    /// bytes/s, clips `secs` long.
     pub fn constant(
-        start: Timestamp,
         src: RouterId,
         dst: Prefix,
         rate: f64,
         secs: f64,
-        tag: u64,
-    ) -> SessionSpec {
-        SessionSpec {
-            start,
+        starts: Vec<Timestamp>,
+    ) -> Wave {
+        Wave {
             src,
             dst,
             video: Video::constant(secs, rate),
             abr: AbrPolicy::Constant(0),
             player: PlayerConfig::default(),
-            tag,
+            starts,
         }
     }
 }
@@ -104,7 +109,7 @@ impl QoeHandle {
             .active
             .iter()
             .filter(|s| s.advanced)
-            .map(|s| (s.spec.tag, s.player.qoe()))
+            .map(|s| (s.tag, s.player.qoe()))
             .collect();
         playing.sort_by_key(|(tag, _)| *tag);
         let mut out = Vec::with_capacity(shared.finished.len() + playing.len());
@@ -120,143 +125,12 @@ impl QoeHandle {
     }
 }
 
-/// Where the driver's sessions come from, in launch (time) order.
-///
-/// Implementations must yield sessions with non-decreasing
-/// [`SessionSpec::start`]; [`SessionSource::peek_start`] lets the
-/// driver stop scanning at the first future arrival.
-pub trait SessionSource {
-    /// Start time of the next session, `None` when exhausted.
-    fn peek_start(&self) -> Option<Timestamp>;
-    /// Materialize and take the next session.
-    fn next_session(&mut self) -> Option<SessionSpec>;
-    /// Sessions not yet launched.
-    fn remaining(&self) -> usize;
-}
-
-/// An eager source: a pre-built schedule, sorted at construction.
-pub struct EagerSource {
-    schedule: Vec<SessionSpec>,
-    cursor: usize,
-}
-
-impl EagerSource {
-    /// Wrap a schedule (sorted here; stable, so equal start times keep
-    /// their original order).
-    pub fn new(mut schedule: Vec<SessionSpec>) -> EagerSource {
-        schedule.sort_by_key(|s| s.start);
-        EagerSource {
-            schedule,
-            cursor: 0,
-        }
-    }
-}
-
-impl SessionSource for EagerSource {
-    fn peek_start(&self) -> Option<Timestamp> {
-        self.schedule.get(self.cursor).map(|s| s.start)
-    }
-
-    fn next_session(&mut self) -> Option<SessionSpec> {
-        let spec = self.schedule.get(self.cursor).cloned();
-        if spec.is_some() {
-            self.cursor += 1;
-        }
-        spec
-    }
-
-    fn remaining(&self) -> usize {
-        self.schedule.len() - self.cursor
-    }
-}
-
-/// One wave of identical constant-bitrate sessions: the compact form
-/// a scenario stores instead of materialized [`SessionSpec`]s.
-///
-/// `starts` lists each session's arrival in *generation* order (the
-/// order the seeded RNG produced them); session `i` gets tag
-/// `tag_base + i`. The source interleaves waves by start time.
-#[derive(Debug, Clone)]
-pub struct SessionGroup {
-    /// Server-side ingress router.
-    pub src: RouterId,
-    /// Client-side destination prefix.
-    pub dst: Prefix,
-    /// Per-video bitrate (bytes/s).
-    pub rate: f64,
-    /// Clip length (seconds).
-    pub video_secs: f64,
-    /// First tag; session `i` of the group is `tag_base + i`.
-    pub tag_base: u64,
-    /// Arrival instants, in generation order.
-    pub starts: Vec<Timestamp>,
-}
-
-/// A lazy source over [`SessionGroup`]s: only `(start, group, index)`
-/// triples are kept per session; the spec (asset, ladder, player) is
-/// built when the session actually launches.
-pub struct GroupedSource {
-    groups: Vec<SessionGroup>,
-    /// (start, group, index-in-group), stably sorted by start — the
-    /// same permutation the old eager global sort produced.
-    order: Vec<(Timestamp, u32, u32)>,
-    cursor: usize,
-}
-
-impl GroupedSource {
-    /// Build the launch order over the given waves.
-    pub fn new(groups: Vec<SessionGroup>) -> GroupedSource {
-        let mut order: Vec<(Timestamp, u32, u32)> = Vec::new();
-        for (g, group) in groups.iter().enumerate() {
-            for (i, t) in group.starts.iter().enumerate() {
-                order.push((*t, g as u32, i as u32));
-            }
-        }
-        order.sort_by_key(|(t, _, _)| *t);
-        GroupedSource {
-            groups,
-            order,
-            cursor: 0,
-        }
-    }
-
-    /// Total sessions across all groups.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// `true` if no sessions are scheduled at all.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
-
-impl SessionSource for GroupedSource {
-    fn peek_start(&self) -> Option<Timestamp> {
-        self.order.get(self.cursor).map(|(t, _, _)| *t)
-    }
-
-    fn next_session(&mut self) -> Option<SessionSpec> {
-        let (start, g, i) = *self.order.get(self.cursor)?;
-        self.cursor += 1;
-        let group = &self.groups[g as usize];
-        Some(SessionSpec::constant(
-            start,
-            group.src,
-            group.dst,
-            group.rate,
-            group.video_secs,
-            group.tag_base + u64::from(i),
-        ))
-    }
-
-    fn remaining(&self) -> usize {
-        self.order.len() - self.cursor
-    }
-}
-
+/// A launched session. What it shares with the rest of its wave stays
+/// in the [`Wave`].
 struct Session {
-    spec: SessionSpec,
+    /// Index of its wave in the driver's list.
+    wave: u32,
+    tag: u64,
     flow: FlowId,
     player: Player,
     last_delivered: f64,
@@ -268,69 +142,70 @@ struct Session {
     advanced: bool,
 }
 
-/// The workload driver.
-pub struct VideoWorkload {
-    source: Box<dyn SessionSource>,
-    tick: Dur,
-    shared: QoeHandle,
-}
-
-impl VideoWorkload {
-    /// Build a driver over an eager session schedule; returns the
-    /// driver and the QoE handle to read during or after the run.
-    pub fn new(schedule: Vec<SessionSpec>, tick: Dur) -> (VideoWorkload, QoeHandle) {
-        Self::from_source(Box::new(EagerSource::new(schedule)), tick)
-    }
-
-    /// Build a driver over any (possibly lazy) session source.
-    pub fn from_source(source: Box<dyn SessionSource>, tick: Dur) -> (VideoWorkload, QoeHandle) {
-        let shared = QoeHandle::default();
-        (
-            VideoWorkload {
-                source,
-                tick,
-                shared: shared.clone(),
-            },
-            shared,
-        )
-    }
-}
-
-/// Launch every session of `source` that is due, onto the end of
-/// `active`.
-fn launch_due(source: &mut dyn SessionSource, active: &mut Vec<Session>, api: &mut SimContext<'_>) {
-    let now = api.now();
-    while let Some(start) = source.peek_start() {
-        if start > now {
-            break;
-        }
-        let spec = source.next_session().expect("peeked");
-        let bitrate = spec.video.ladder.rate(match &spec.abr {
+impl Session {
+    /// Start the flow and the player of session `tag` of `waves[index]`.
+    fn launch(waves: &[Wave], index: u32, tag: u64, api: &mut SimContext<'_>) -> Session {
+        let wave = &waves[index as usize];
+        let bitrate = wave.video.ladder.rate(match &wave.abr {
             AbrPolicy::Constant(l) => *l,
             _ => 0,
         });
         let flow = api.start_flow(
-            FlowSpec::new(spec.src, spec.dst)
+            FlowSpec::new(wave.src, wave.dst)
                 .with_cap(bitrate)
-                .with_tag(spec.tag),
+                .with_tag(tag),
         );
-        let player = Player::new(spec.video.clone(), spec.player, now);
-        active.push(Session {
-            spec,
+        Session {
+            wave: index,
+            tag,
             flow,
-            player,
+            player: Player::new(wave.video.clone(), wave.player, api.now()),
             last_delivered: 0.0,
-            last_advanced: now,
+            last_advanced: api.now(),
             thr_ewma: 0.0,
             advanced: false,
-        });
+        }
+    }
+}
+
+/// The workload driver.
+pub struct VideoWorkload {
+    waves: Vec<Wave>,
+    /// `(start, wave, tag)` of every session, stably sorted by start:
+    /// sessions due at the same instant launch in the order the waves
+    /// list them.
+    order: Vec<(Timestamp, u32, u64)>,
+    /// Sessions launched so far: the next one is `order[cursor]`.
+    cursor: usize,
+    shared: QoeHandle,
+}
+
+impl VideoWorkload {
+    /// Build a driver over a schedule; returns the driver and the QoE
+    /// handle to read during or after the run.
+    pub fn new(waves: Vec<Wave>) -> (VideoWorkload, QoeHandle) {
+        let mut order = Vec::with_capacity(waves.iter().map(|w| w.starts.len()).sum());
+        for (w, wave) in waves.iter().enumerate() {
+            for start in &wave.starts {
+                order.push((*start, w as u32, order.len() as u64));
+            }
+        }
+        order.sort_by_key(|(start, _, _)| *start);
+        let shared = QoeHandle::default();
+        let driver = VideoWorkload {
+            waves,
+            order,
+            cursor: 0,
+            shared: shared.clone(),
+        };
+        (driver, shared)
     }
 }
 
 impl Shared {
     /// Advance every active session to now; a session whose clip ends
     /// leaves its final report in the map and the active set.
-    fn advance_sessions(&mut self, api: &mut SimContext<'_>) {
+    fn advance_sessions(&mut self, waves: &[Wave], api: &mut SimContext<'_>) {
         let now = api.now();
         let now_secs = now.as_secs_f64();
         for s in self.active.iter_mut() {
@@ -346,8 +221,9 @@ impl Shared {
             s.advanced = true;
 
             // ABR decision (no-op for Constant policies).
-            let level = s.spec.abr.decide(
-                &s.spec.video.ladder,
+            let wave = &waves[s.wave as usize];
+            let level = wave.abr.decide(
+                &wave.video.ladder,
                 AbrInput {
                     buffer_secs: s.player.buffer_secs(),
                     throughput: s.thr_ewma,
@@ -368,7 +244,7 @@ impl Shared {
 
             if s.player.state() == PlayerState::Done {
                 api.stop_flow(s.flow);
-                self.finished.insert(s.spec.tag, s.player.qoe());
+                self.finished.insert(s.tag, s.player.qoe());
             }
         }
         // Drop a finished session's player state, so memory follows
@@ -384,22 +260,26 @@ impl EventHandler for VideoWorkload {
     }
 
     fn tick_interval(&self) -> Option<Dur> {
-        Some(self.tick)
+        Some(TICK)
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
-        match ev {
-            AppEvent::Start => {
-                launch_due(&mut *self.source, &mut self.shared.0.lock().active, ctx);
+        if !matches!(ev, AppEvent::Start | AppEvent::Tick) {
+            return;
+        }
+        // One lock per tick, and no ordered-map operation for a
+        // session that is still playing.
+        let mut shared = self.shared.0.lock();
+        while let Some(&(start, wave, tag)) = self.order.get(self.cursor) {
+            if start > ctx.now() {
+                break;
             }
-            // One lock per tick, and no ordered-map operation for a
-            // session that is still playing.
-            AppEvent::Tick => {
-                let mut shared = self.shared.0.lock();
-                launch_due(&mut *self.source, &mut shared.active, ctx);
-                shared.advance_sessions(ctx);
-            }
-            AppEvent::FlowStarted(_) | AppEvent::FlowStopped(_) => {}
+            self.cursor += 1;
+            let session = Session::launch(&self.waves, wave, tag, ctx);
+            shared.active.push(session);
+        }
+        if let AppEvent::Tick = ev {
+            shared.advance_sessions(&self.waves, ctx);
         }
     }
 }
@@ -425,23 +305,21 @@ mod tests {
         sim
     }
 
+    /// A constant-bitrate wave from r1 toward the line's prefix.
+    fn wave(rate: f64, secs: f64, starts: Vec<Timestamp>) -> Wave {
+        Wave::constant(r(1), Prefix::net24(1), rate, secs, starts)
+    }
+
     #[test]
     fn single_session_plays_smoothly() {
         let mut sim = line(1e6);
-        let spec = SessionSpec::constant(
-            Timestamp::from_secs(10),
-            r(1),
-            Prefix::net24(1),
-            125_000.0,
-            20.0,
-            1,
-        );
-        let (driver, reports) = VideoWorkload::new(vec![spec], Dur::from_millis(100));
+        let waves = vec![wave(125_000.0, 20.0, vec![Timestamp::from_secs(10)])];
+        let (driver, reports) = VideoWorkload::new(waves);
         sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(60));
         let all = reports.reports();
-        let q = all.first().expect("report for tag 1");
+        let q = all.first().expect("report for tag 0");
         assert!(q.completed, "{q:?}");
         assert_eq!(q.stalls, 0);
         assert!(q.score() > 4.0);
@@ -451,19 +329,8 @@ mod tests {
     fn oversubscribed_link_causes_stalls() {
         // 10 sessions of 125 kB/s over a 500 kB/s link: starvation.
         let mut sim = line(5e5);
-        let specs: Vec<SessionSpec> = (0..10)
-            .map(|i| {
-                SessionSpec::constant(
-                    Timestamp::from_secs(10),
-                    r(1),
-                    Prefix::net24(1),
-                    125_000.0,
-                    30.0,
-                    i,
-                )
-            })
-            .collect();
-        let (driver, reports) = VideoWorkload::new(specs, Dur::from_millis(100));
+        let waves = vec![wave(125_000.0, 30.0, vec![Timestamp::from_secs(10); 10])];
+        let (driver, reports) = VideoWorkload::new(waves);
         sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(80));
@@ -474,76 +341,75 @@ mod tests {
         );
     }
 
-    #[test]
-    fn grouped_source_matches_eager_schedule() {
-        // Two interleaved waves; the lazy source must launch the same
-        // sessions (start, src, tag) in the same order as the eager
-        // equivalent built from materialized specs.
-        let g1 = SessionGroup {
-            src: r(1),
-            dst: Prefix::net24(1),
-            rate: 1e5,
-            video_secs: 30.0,
-            tag_base: 0,
-            starts: (0..5).map(|i| Timestamp::from_secs(2 * i)).collect(),
-        };
-        let g2 = SessionGroup {
-            src: r(2),
-            dst: Prefix::net24(1),
-            rate: 2e5,
-            video_secs: 60.0,
-            tag_base: 5,
-            starts: (0..5).map(|i| Timestamp::from_secs(2 * i + 1)).collect(),
-        };
-        let eager: Vec<SessionSpec> = g1
-            .starts
+    /// The contract, restated: flatten the waves to `(start, tag)` in
+    /// the order given, tags counting up, and sort stably by start.
+    fn reference_order(waves: &[Wave]) -> Vec<(Timestamp, u64)> {
+        let mut flat: Vec<(Timestamp, u64)> = waves
             .iter()
-            .enumerate()
-            .map(|(i, t)| SessionSpec::constant(*t, g1.src, g1.dst, g1.rate, 30.0, i as u64))
-            .chain(g2.starts.iter().enumerate().map(|(i, t)| {
-                SessionSpec::constant(*t, g2.src, g2.dst, g2.rate, 60.0, 5 + i as u64)
-            }))
+            .flat_map(|w| w.starts.iter().copied())
+            .zip(0u64..)
             .collect();
-        let mut lazy = GroupedSource::new(vec![g1, g2]);
-        let mut reference = EagerSource::new(eager);
-        assert_eq!(lazy.len(), 10);
-        assert_eq!(lazy.remaining(), reference.remaining());
-        while let Some(expect) = reference.next_session() {
-            assert_eq!(lazy.peek_start(), Some(expect.start));
-            let got = lazy.next_session().unwrap();
-            assert_eq!(got.start, expect.start);
-            assert_eq!(got.src, expect.src);
-            assert_eq!(got.tag, expect.tag);
-            assert_eq!(got.video, expect.video);
-        }
-        assert!(lazy.next_session().is_none());
-        assert_eq!(lazy.remaining(), 0);
+        flat.sort_by_key(|(start, _)| *start);
+        flat
+    }
+
+    #[test]
+    fn launch_order_is_a_stable_sort_by_start_and_tags_count_by_position() {
+        let secs = |ts: &[u64]| ts.iter().map(|t| Timestamp::from_secs(*t)).collect();
+        // Two interleaved waves that also share an instant (t = 2):
+        // the wave listed first launches first there.
+        let mut waves = vec![
+            wave(1e5, 300.0, secs(&[0, 2, 4])),
+            Wave::constant(r(2), Prefix::net24(1), 2e5, 300.0, secs(&[1, 2, 3])),
+        ];
+        let (driver, _) = VideoWorkload::new(waves.clone());
+        let tags: Vec<u64> = driver.order.iter().map(|(_, _, tag)| *tag).collect();
+        assert_eq!(tags, [0, 3, 1, 4, 5, 2]);
+
+        // A diurnal-style wave: arrivals jittered inside their
+        // integration step, so starts are locally out of generation
+        // order, and tags follow generation.
+        let jittered = [70u64, 30, 190, 110, 250, 210, 2_000, 1_950, 2_000];
+        waves.push(wave(
+            1e5,
+            300.0,
+            jittered.map(Timestamp::from_millis).to_vec(),
+        ));
+        let want = reference_order(&waves);
+        assert_eq!(want.len(), 15);
+        assert!(want.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(want.windows(2).any(|w| w[0].1 > w[1].1), "tags cross");
+
+        // The driver's list is the reference, and flows start in that
+        // order (flow ids ascend in launch order), each from its own
+        // wave's server.
+        let (driver, _) = VideoWorkload::new(waves.clone());
+        let got: Vec<(Timestamp, u64)> =
+            driver.order.iter().map(|(t, _, tag)| (*t, *tag)).collect();
+        assert_eq!(got, want);
+        let mut sim = line(1e9);
+        sim.add_app(Box::new(driver));
+        sim.start();
+        sim.run_until(Timestamp::from_secs(5));
+        let launched: Vec<(u64, RouterId)> = sim.flows().map(|f| (f.tag, f.key.src)).collect();
+        let src_of = |tag: u64| if (3..6).contains(&tag) { r(2) } else { r(1) };
+        let want: Vec<(u64, RouterId)> = want.iter().map(|(_, tag)| (*tag, src_of(*tag))).collect();
+        assert_eq!(launched, want);
     }
 
     #[test]
     fn finished_sessions_are_dropped_from_the_active_set() {
         let mut sim = line(1e6);
-        let specs: Vec<SessionSpec> = (0..3)
-            .map(|i| {
-                SessionSpec::constant(
-                    Timestamp::from_secs(5),
-                    r(1),
-                    Prefix::net24(1),
-                    1e5,
-                    10.0,
-                    i,
-                )
-            })
-            .collect();
-        let (driver, reports) = VideoWorkload::new(specs, Dur::from_millis(100));
-        let idx = sim.add_app(Box::new(driver));
-        let _ = idx;
+        let waves = vec![wave(1e5, 10.0, vec![Timestamp::from_secs(5); 3])];
+        let (driver, reports) = VideoWorkload::new(waves);
+        sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(60));
         // All three finished: reports persist, players are gone.
         let all = reports.reports();
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|q| q.completed));
+        assert!(reports.0.lock().active.is_empty());
     }
 
     /// What the handle used to be, kept beside the driver: an ordered
@@ -571,7 +437,7 @@ mod tests {
                 let shared = self.driver.shared.0.lock();
                 let mut map = self.map.lock();
                 for s in &shared.active {
-                    map.insert(s.spec.tag, s.player.qoe());
+                    map.insert(s.tag, s.player.qoe());
                 }
                 for (tag, report) in &shared.finished {
                     map.insert(*tag, report.clone());
@@ -586,23 +452,16 @@ mod tests {
     /// which is what fails if per-tick publishing ever comes back.
     #[test]
     fn reader_equals_a_per_tick_publisher_and_only_finished_sessions_are_in_the_map() {
-        // Eight 100 kB/s sessions over 400 kB/s, so some stall. Tags
-        // run against launch order, and each clip has its own length,
-        // so a report names its session.
+        // Eight 100 kB/s sessions over 400 kB/s, so some stall. One
+        // wave each, listed against launch order so that tags run
+        // against it, and each clip has its own length, so a report
+        // names its session.
         let mut sim = line(4e5);
-        let specs: Vec<SessionSpec> = (0..8u64)
-            .map(|i| {
-                SessionSpec::constant(
-                    Timestamp::from_millis(700 * i),
-                    r(1),
-                    Prefix::net24(1),
-                    1e5,
-                    6.0 + i as f64,
-                    100 - i,
-                )
-            })
+        let waves: Vec<Wave> = (0..8u64)
+            .rev()
+            .map(|i| wave(1e5, 6.0 + i as f64, vec![Timestamp::from_millis(700 * i)]))
             .collect();
-        let (driver, handle) = VideoWorkload::new(specs, Dur::from_millis(100));
+        let (driver, handle) = VideoWorkload::new(waves);
         let reference = Arc::new(Mutex::new(BTreeMap::new()));
         sim.add_app(Box::new(PerTickPublisher {
             driver,
@@ -647,30 +506,52 @@ mod tests {
     #[test]
     fn sessions_launch_on_schedule() {
         let mut sim = line(1e6);
-        let specs = vec![
-            SessionSpec::constant(
-                Timestamp::from_secs(5),
-                r(1),
-                Prefix::net24(1),
-                1e5,
-                100.0,
-                1,
-            ),
-            SessionSpec::constant(
-                Timestamp::from_secs(20),
-                r(1),
-                Prefix::net24(1),
-                1e5,
-                100.0,
-                2,
-            ),
-        ];
-        let (driver, reports) = VideoWorkload::new(specs, Dur::from_millis(100));
+        let starts = vec![Timestamp::from_secs(5), Timestamp::from_secs(20)];
+        let (driver, reports) = VideoWorkload::new(vec![wave(1e5, 100.0, starts)]);
         sim.add_app(Box::new(driver));
         sim.start();
         sim.run_until(Timestamp::from_secs(10));
         assert_eq!(reports.reports().len(), 1, "only the first session yet");
         sim.run_until(Timestamp::from_secs(25));
         assert_eq!(reports.reports().len(), 2);
+    }
+
+    /// The driver's ABR block with a policy that can move. A player
+    /// starts on the lowest rung and its server paces at that rung, so
+    /// a rate-based policy climbs only if it bets on more than it has
+    /// measured: `safety` 2.2 climbs one rung at a time (50 → 100 →
+    /// 150 kB/s) until the 130 kB/s link stops it below the top one.
+    #[test]
+    fn adaptive_wave_moves_its_level_and_the_flow_cap_follows() {
+        let mut sim = line(130_000.0);
+        let video = Video::adaptive(120.0);
+        let ladder = video.ladder.clone();
+        let waves = vec![Wave {
+            video,
+            abr: AbrPolicy::RateBased { safety: 2.2 },
+            ..wave(1.0, 1.0, vec![Timestamp::ZERO])
+        }];
+        let (driver, handle) = VideoWorkload::new(waves);
+        sim.add_app(Box::new(driver));
+        sim.start();
+
+        let mut levels = Vec::new();
+        for tick in 1..=400u64 {
+            // Just after a tick: the cap is the one the tick left.
+            sim.run_until(Timestamp::from_millis(100 * tick + 1));
+            let shared = handle.0.lock();
+            let s = &shared.active[0];
+            let flow = sim.flows().next().expect("one live flow");
+            assert_eq!(flow.cap, Some(s.player.bitrate()), "tick {tick}");
+            assert_eq!(s.player.bitrate(), ladder.rate(s.player.level()));
+            if levels.last() != Some(&s.player.level()) {
+                levels.push(s.player.level());
+            }
+        }
+        assert_eq!(levels, [0, 1, 2], "climbs, and never reaches rung 3");
+        let report = &handle.reports()[0];
+        assert_eq!(report.switches, 2);
+        assert_eq!(report.max_bitrate, ladder.max_rate());
+        assert!(report.stalls > 0, "150 kB/s does not fit in 130 kB/s");
     }
 }

@@ -170,7 +170,7 @@ pub fn build(cfg: &DemoConfig) -> Demo {
 
     // S1 streams from B, S2 from A (Fig. 1b/2).
     let schedule = paper_schedule(B, A, BLUE, cfg.video_rate, cfg.video_secs);
-    let (driver, qoe) = VideoWorkload::new(schedule, Dur::from_millis(100));
+    let (driver, qoe) = VideoWorkload::new(schedule);
     sim.add_app(Box::new(driver));
 
     Demo { sim, qoe }
