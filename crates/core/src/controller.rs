@@ -50,14 +50,18 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Tick/poll cadence.
+const POLL_INTERVAL: Dur = Dur::from_secs(1);
+
+/// EWMA weight for SNMP rates.
+const EWMA_ALPHA: f64 = 0.5;
+
 /// Controller tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// The controller's IGP speaker id (added to the simulation via
     /// [`fib_netsim::sim::Sim::add_controller_speaker`]).
     pub speaker: RouterId,
-    /// Tick/poll cadence.
-    pub poll_interval: Dur,
     /// Utilization (predicted or measured) that triggers a reaction.
     pub util_hi: f64,
     /// Natural utilization below which lies are retracted.
@@ -68,12 +72,8 @@ pub struct ControllerConfig {
     pub target_util: f64,
     /// Max ECMP slots per router when rounding splits.
     pub slot_budget: u32,
-    /// EWMA weight for SNMP rates.
-    pub ewma_alpha: f64,
     /// Demand assumed for flows announcing no rate cap.
     pub default_flow_rate: f64,
-    /// Run the Merger-style reduction on computed plans.
-    pub reduce_lies: bool,
     /// React to flow notifications immediately (predictive mode); if
     /// `false` the controller only reacts to SNMP alarms — the
     /// ablation the reaction-time table quantifies.
@@ -92,15 +92,12 @@ impl ControllerConfig {
     pub fn new(speaker: RouterId) -> ControllerConfig {
         ControllerConfig {
             speaker,
-            poll_interval: Dur::from_secs(1),
             util_hi: 0.8,
             util_lo: 0.3,
             hold: Dur::ZERO,
             target_util: 0.7,
             slot_budget: 8,
-            ewma_alpha: 0.5,
             default_flow_rate: 125_000.0, // 1 Mb/s video
-            reduce_lies: true,
             predictive: true,
             use_snmp: true,
             trace_lies: false,
@@ -216,21 +213,10 @@ impl Derived {
 /// reducer chose from, and the lies to install, in injection order.
 type Realized = Result<(usize, Vec<Lie>), AugmentError>;
 
-/// [`augment`] then (if asked) [`reduce`].
-fn realize_from_scratch(
-    real: &Topology,
-    dag: &WeightedDag,
-    reduce_lies: bool,
-    alloc: &mut LieAllocator,
-) -> Realized {
+/// [`augment`] then the Merger-style [`reduce`].
+fn realize_from_scratch(real: &Topology, dag: &WeightedDag, alloc: &mut LieAllocator) -> Realized {
     let aug = augment(real, dag, alloc)?;
-    let candidates = aug.lies.len();
-    let lies = if reduce_lies {
-        reduce(real, dag, &aug.lies)
-    } else {
-        aug.lies
-    };
-    Ok((candidates, lies))
+    Ok((aug.lies.len(), reduce(real, dag, &aug.lies)))
 }
 
 /// One run of [`realize_from_scratch`], remembered without its ids.
@@ -257,14 +243,13 @@ impl Reaction {
     fn compute(
         real: &Topology,
         dag: &WeightedDag,
-        reduce_lies: bool,
         alloc: &mut LieAllocator,
     ) -> (Reaction, Realized) {
         // A granted request spends exactly one fake id, so the n-th
         // one is the lie whose id is n past the first.
         let first = alloc.next_fake_index();
         alloc.record();
-        let realized = realize_from_scratch(real, dag, reduce_lies, alloc);
+        let realized = realize_from_scratch(real, dag, alloc);
         let index_of = |lie: &Lie| {
             let id = lie.fake_id.fake_index().expect("lies carry fake ids");
             (id - first) as usize
@@ -305,7 +290,7 @@ impl FibbingController {
     pub fn new(cfg: ControllerConfig) -> FibbingController {
         let monitor = LoadMonitor::new(
             CounterWidth::C64,
-            cfg.ewma_alpha,
+            EWMA_ALPHA,
             Threshold::new(cfg.util_hi, cfg.util_lo, cfg.hold),
         );
         FibbingController {
@@ -559,7 +544,6 @@ impl FibbingController {
     /// computed and remembered.
     fn realize(&mut self, dag: &WeightedDag) -> Realized {
         let real = &self.real.as_ref().expect("refreshed by the caller").topo;
-        let reduce_lies = self.cfg.reduce_lies;
         if let Some(reaction) = self.memo.get(&dag.prefix).filter(|m| m.dag == *dag) {
             self.stats.replayed += 1;
             // Debug builds check every hit against the computation it
@@ -567,7 +551,7 @@ impl FibbingController {
             // for span, what a release build does.
             let oracle = (cfg!(debug_assertions) && !fib_trace::enabled()).then(|| {
                 let mut alloc = self.alloc.clone();
-                let realized = realize_from_scratch(real, dag, reduce_lies, &mut alloc);
+                let realized = realize_from_scratch(real, dag, &mut alloc);
                 (realized, alloc)
             });
             let realized = reaction.replay(&mut self.alloc);
@@ -577,7 +561,7 @@ impl FibbingController {
             }
             return realized;
         }
-        let (reaction, realized) = Reaction::compute(real, dag, reduce_lies, &mut self.alloc);
+        let (reaction, realized) = Reaction::compute(real, dag, &mut self.alloc);
         self.memo.insert(dag.prefix, reaction);
         realized
     }
@@ -771,7 +755,7 @@ impl EventHandler for FibbingController {
     }
 
     fn tick_interval(&self) -> Option<Dur> {
-        Some(self.cfg.poll_interval)
+        Some(POLL_INTERVAL)
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
@@ -1307,7 +1291,7 @@ mod tests {
                         continue;
                     };
                     let mut scratch = ctl.alloc.clone();
-                    let expected = realize_from_scratch(&topo, &plan.dag, true, &mut scratch);
+                    let expected = realize_from_scratch(&topo, &plan.dag, &mut scratch);
                     let got = ctl.realize(&plan.dag);
                     assert_eq!(got, expected, "{}", plan.dag);
                     assert_eq!(ctl.alloc, scratch, "allocator after {}", plan.dag);

@@ -37,19 +37,21 @@ const MAX_REQ_KEYS: usize = 64;
 /// Maximum LSAs per flooded LS update packet.
 const MAX_UPD_LSAS: usize = 16;
 
+// Fast modern IGP timers.
+/// Hello emission period.
+const HELLO_INTERVAL: Dur = Dur::from_secs(1);
+/// Silence after which a neighbor is declared dead.
+const DEAD_INTERVAL: Dur = Dur::from_secs(4);
+/// Retransmission period for unacked LSAs and DBDs.
+const RXMT_INTERVAL: Dur = Dur::from_secs(1);
+/// Delay between an LSDB change and the SPF run (batching).
+const SPF_DELAY: Dur = Dur::from_millis(50);
+
 /// Static configuration of an instance.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// This speaker's router id.
     pub router_id: RouterId,
-    /// Hello emission period.
-    pub hello_interval: Dur,
-    /// Silence after which a neighbor is declared dead.
-    pub dead_interval: Dur,
-    /// Retransmission period for unacked LSAs and DBDs.
-    pub rxmt_interval: Dur,
-    /// Delay between an LSDB change and the SPF run (batching).
-    pub spf_delay: Dur,
     /// If `false`, the instance computes no routes (controller mode —
     /// the Fibbing controller participates in flooding but needs no
     /// FIB).
@@ -57,15 +59,10 @@ pub struct Config {
 }
 
 impl Config {
-    /// Defaults mirroring fast modern IGP timers: hello 1 s, dead 4 s,
-    /// retransmit 1 s, SPF delay 50 ms.
+    /// A speaker that computes routes.
     pub fn new(router_id: RouterId) -> Config {
         Config {
             router_id,
-            hello_interval: Dur::from_secs(1),
-            dead_interval: Dur::from_secs(4),
-            rxmt_interval: Dur::from_secs(1),
-            spf_delay: Dur::from_millis(50),
             compute_routes: true,
         }
     }
@@ -463,18 +460,18 @@ impl Instance {
                 continue;
             };
             // Dead timer.
-            t = t.min(n.last_heard + self.cfg.dead_interval);
+            t = t.min(n.last_heard + DEAD_INTERVAL);
             // DBD retransmit (master only, mid-exchange).
             if n.last_dbd.is_some() && matches!(n.state, NbrState::ExStart | NbrState::Exchange) {
-                t = t.min(n.last_dbd_at + self.cfg.rxmt_interval);
+                t = t.min(n.last_dbd_at + RXMT_INTERVAL);
             }
             // Request retransmit.
             if n.state == NbrState::Loading && !n.req_list.is_empty() {
-                t = t.min(n.last_req_at + self.cfg.rxmt_interval);
+                t = t.min(n.last_req_at + RXMT_INTERVAL);
             }
             // LSA retransmit.
             if !n.rxmt.is_empty() {
-                t = t.min(n.last_rxmt_at + self.cfg.rxmt_interval);
+                t = t.min(n.last_rxmt_at + RXMT_INTERVAL);
             }
         }
         Some(t)
@@ -488,7 +485,7 @@ impl Instance {
         // Hellos.
         if now >= self.next_hello {
             self.send_hellos(now);
-            self.next_hello = now + self.cfg.hello_interval;
+            self.next_hello = now + HELLO_INTERVAL;
         }
         // SPF.
         if let Some(at) = self.spf_at {
@@ -517,7 +514,7 @@ impl Instance {
             return;
         };
         // Dead timer.
-        if now >= n.last_heard + self.cfg.dead_interval {
+        if now >= n.last_heard + DEAD_INTERVAL {
             let was_full = n.state == NbrState::Full;
             let nid = n.id;
             iface.neighbor = None;
@@ -534,7 +531,7 @@ impl Instance {
         // DBD retransmit.
         if matches!(n.state, NbrState::ExStart | NbrState::Exchange) {
             if let Some(data) = n.last_dbd.clone() {
-                if now >= n.last_dbd_at + self.cfg.rxmt_interval {
+                if now >= n.last_dbd_at + RXMT_INTERVAL {
                     n.last_dbd_at = now;
                     self.push_send(id, data);
                 }
@@ -548,7 +545,7 @@ impl Instance {
             .unwrap_or(false)
         {
             let n = self.ifaces.get_mut(&id).unwrap().neighbor.as_mut().unwrap();
-            if now >= n.last_req_at + self.cfg.rxmt_interval {
+            if now >= n.last_req_at + RXMT_INTERVAL {
                 n.last_req_at = now;
                 let keys: Vec<LsaKey> = n.req_list.iter().take(MAX_REQ_KEYS).copied().collect();
                 self.send_packet(id, Packet::LsRequest(LsRequest { keys }));
@@ -562,7 +559,7 @@ impl Instance {
             .unwrap_or(false)
         {
             let n = self.ifaces.get_mut(&id).unwrap().neighbor.as_mut().unwrap();
-            if now >= n.last_rxmt_at + self.cfg.rxmt_interval {
+            if now >= n.last_rxmt_at + RXMT_INTERVAL {
                 n.last_rxmt_at = now;
                 let lsas = n.rxmt.values().take(MAX_UPD_LSAS).map(|l| &**l);
                 let data = wire::encode_ls_update(lsas, self.cfg.router_id);
@@ -1262,7 +1259,7 @@ impl Instance {
         if !self.cfg.compute_routes {
             return;
         }
-        let at = now + self.cfg.spf_delay;
+        let at = now + SPF_DELAY;
         self.spf_at = Some(match self.spf_at {
             Some(cur) => cur.min(at),
             None => at,
@@ -1306,8 +1303,8 @@ impl Instance {
 
     fn send_hellos(&mut self, _now: Timestamp) {
         let my_id = self.cfg.router_id;
-        let hello_interval = (self.cfg.hello_interval.0 / 1_000_000_000) as u16;
-        let dead_interval = (self.cfg.dead_interval.0 / 1_000_000_000) as u16;
+        let hello_interval = (HELLO_INTERVAL.0 / 1_000_000_000) as u16;
+        let dead_interval = (DEAD_INTERVAL.0 / 1_000_000_000) as u16;
         let targets: Vec<(IfaceId, Vec<RouterId>)> = self
             .ifaces
             .values()
