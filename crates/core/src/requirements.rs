@@ -6,6 +6,7 @@
 //! produces fractional splits and rounds them) and the augmentation
 //! engine (which realizes the DAG with lies).
 
+use fib_igp::rib::find_cycle;
 use fib_igp::types::{Prefix, RouterId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,26 +80,12 @@ impl WeightedDag {
     /// Check the requirement is internally loop-free: following any
     /// weighted edge never returns to a constrained router already on
     /// the walk. Unconstrained routers terminate the walk (their
-    /// behaviour is the IGP's, assumed loop-free).
+    /// behaviour is the IGP's, assumed loop-free). The witness is the
+    /// cycle, its first router repeated at the end.
     pub fn find_internal_loop(&self) -> Option<Vec<RouterId>> {
-        for start in self.entries.keys() {
-            let mut stack = vec![(*start, vec![*start])];
-            while let Some((cur, path)) = stack.pop() {
-                if let Some(hops) = self.entries.get(&cur) {
-                    for (nh, _) in hops {
-                        if path.contains(nh) {
-                            let mut cycle = path.clone();
-                            cycle.push(*nh);
-                            return Some(cycle);
-                        }
-                        let mut next_path = path.clone();
-                        next_path.push(*nh);
-                        stack.push((*nh, next_path));
-                    }
-                }
-            }
-        }
-        None
+        let mut cycle = find_cycle(&self.entries, |(nh, _)| *nh)?;
+        cycle.push(cycle[0]);
+        Some(cycle)
     }
 }
 
@@ -144,12 +131,50 @@ mod tests {
         let mut dag = WeightedDag::new(Prefix::net24(1));
         dag.require(r(1), &[(r(2), 1)]);
         dag.require(r(2), &[(r(1), 1)]);
-        assert!(dag.find_internal_loop().is_some());
+        assert_eq!(dag.find_internal_loop(), Some(vec![r(1), r(2), r(1)]));
 
         let mut ok = WeightedDag::new(Prefix::net24(1));
         ok.require(r(1), &[(r(2), 1), (r(3), 1)]);
         ok.require(r(2), &[(r(3), 1)]);
         assert_eq!(ok.find_internal_loop(), None);
+    }
+
+    /// A two-wide ladder of constrained routers: both routers of a
+    /// layer split over both routers of the next. Loop-free, with
+    /// 2^depth simple paths — which the finder used to enumerate (4 s
+    /// at depth 22).
+    fn ladder(depth: u32) -> WeightedDag {
+        let mut dag = WeightedDag::new(Prefix::net24(1));
+        for layer in 0..depth {
+            for side in 1..=2 {
+                let below = [(r(2 * layer + 3), 1), (r(2 * layer + 4), 1)];
+                dag.require(r(2 * layer + side), &below);
+            }
+        }
+        dag
+    }
+
+    #[test]
+    fn loop_search_is_linear_in_the_requirement() {
+        let mut dag = ladder(64);
+        let started = std::time::Instant::now();
+        assert_eq!(dag.find_internal_loop(), None);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "took {:?}",
+            started.elapsed()
+        );
+
+        // One back edge, from the bottom of the ladder to a router
+        // half way up: the witness is that cycle and nothing else.
+        dag.require(r(129), &[(r(64), 1)]);
+        let cycle = dag.find_internal_loop().expect("back edge closes a cycle");
+        assert_eq!(cycle.first(), cycle.last());
+        assert!(cycle.contains(&r(64)) && cycle.contains(&r(129)));
+        for hop in cycle.windows(2) {
+            let next = dag.hops(hop[0]).expect("cycle routers are constrained");
+            assert!(next.iter().any(|(nh, _)| *nh == hop[1]), "{hop:?}");
+        }
     }
 
     #[test]

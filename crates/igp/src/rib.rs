@@ -176,64 +176,14 @@ impl ForwardingDag {
 
     /// Verify the forwarding graph is loop-free: following next-hop
     /// *routers* from any source must reach a sink without revisiting a
-    /// node. Returns the first loop found as a witness, or `None`.
+    /// node. Returns the first loop found as a witness (its first
+    /// router repeated at the end), or `None`. A next-hop router with
+    /// no entry terminates the walk: the data plane would drop or
+    /// deliver there, not loop.
     pub fn find_loop(&self) -> Option<Vec<RouterId>> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
-        let mut marks: BTreeMap<RouterId, Mark> =
-            self.nexthops.keys().map(|r| (*r, Mark::White)).collect();
-
-        fn visit(
-            dag: &ForwardingDag,
-            node: RouterId,
-            marks: &mut BTreeMap<RouterId, Mark>,
-            stack: &mut Vec<RouterId>,
-        ) -> Option<Vec<RouterId>> {
-            match marks.get(&node) {
-                Some(Mark::Black) => return None,
-                Some(Mark::Grey) => {
-                    // Loop: slice the stack from the first occurrence.
-                    let pos = stack.iter().position(|r| *r == node).unwrap_or(0);
-                    let mut cycle = stack[pos..].to_vec();
-                    cycle.push(node);
-                    return Some(cycle);
-                }
-                Some(Mark::White) => {}
-                // A next-hop router with no entry (e.g. the forwarding
-                // address owner has no route because it is the sink's
-                // neighbor): treat as terminating — the data plane
-                // would drop or deliver there, not loop.
-                None => return None,
-            }
-            marks.insert(node, Mark::Grey);
-            stack.push(node);
-            let hops: Vec<RouterId> = dag
-                .nexthops
-                .get(&node)
-                .map(|v| v.iter().map(|a| a.router).collect())
-                .unwrap_or_default();
-            for nh in hops {
-                if let Some(cycle) = visit(dag, nh, marks, stack) {
-                    return Some(cycle);
-                }
-            }
-            stack.pop();
-            marks.insert(node, Mark::Black);
-            None
-        }
-
-        let sources: Vec<RouterId> = self.nexthops.keys().copied().collect();
-        for s in sources {
-            let mut stack = Vec::new();
-            if let Some(cycle) = visit(self, s, &mut marks, &mut stack) {
-                return Some(cycle);
-            }
-        }
-        None
+        let mut cycle = find_cycle(&self.nexthops, |a| a.router)?;
+        cycle.push(cycle[0]);
+        Some(cycle)
     }
 
     /// The set of directed router edges `(from, to)` used by the DAG,
@@ -267,6 +217,63 @@ impl fmt::Display for ForwardingDag {
         }
         Ok(())
     }
+}
+
+/// Find one cycle in a next-hop multigraph: `edges` maps a router to
+/// its next hops, `router` names the router a hop leads to. An
+/// iterative coloured DFS, linear in the edges and deterministic: roots
+/// visit in key order, neighbours in the order `edges` lists them. A
+/// hop to a router with no entry ends the walk there. Returns the
+/// routers on the cycle in forwarding order, each once.
+pub fn find_cycle<H>(
+    edges: &BTreeMap<RouterId, Vec<H>>,
+    router: impl Fn(&H) -> RouterId,
+) -> Option<Vec<RouterId>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Gray,
+        Black,
+    }
+    let mut color: BTreeMap<RouterId, Color> = edges.keys().map(|r| (*r, Color::White)).collect();
+    for &root in edges.keys() {
+        if color[&root] != Color::White {
+            continue;
+        }
+        // Stack of (node, next neighbor index); `path` mirrors the
+        // gray chain for cycle extraction.
+        let mut stack: Vec<(RouterId, usize)> = vec![(root, 0)];
+        color.insert(root, Color::Gray);
+        let mut path: Vec<RouterId> = vec![root];
+        while let Some((node, idx)) = stack.last_mut() {
+            let node = *node;
+            let hops = edges.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
+            if *idx >= hops.len() {
+                color.insert(node, Color::Black);
+                stack.pop();
+                path.pop();
+                continue;
+            }
+            let next = router(&hops[*idx]);
+            *idx += 1;
+            match color.get(&next).copied() {
+                // Terminal routers (Local entry or no entry) have no
+                // outgoing edges and cannot be on a cycle.
+                None => {}
+                Some(Color::White) => {
+                    color.insert(next, Color::Gray);
+                    stack.push((next, 0));
+                    path.push(next);
+                }
+                Some(Color::Gray) => {
+                    let start = path.iter().position(|r| *r == next).expect("gray on path");
+                    return Some(path[start..].to_vec());
+                }
+                Some(Color::Black) => {}
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -334,8 +341,33 @@ mod tests {
             prefix: p,
             nexthops,
         };
-        let cycle = dag.find_loop().expect("loop expected");
-        assert!(cycle.len() >= 2);
+        assert_eq!(dag.find_loop(), Some(vec![r(1), r(2), r(1)]));
+    }
+
+    #[test]
+    fn find_cycle_detects_and_orders() {
+        let id = |r: &RouterId| *r;
+        let mut edges: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
+        // 1 -> 2 -> 3 -> local (no cycle).
+        edges.insert(r(1), vec![r(2)]);
+        edges.insert(r(2), vec![r(3)]);
+        assert_eq!(find_cycle(&edges, id), None);
+        // Add 3 -> 1: cycle 1 -> 2 -> 3.
+        edges.insert(r(3), vec![r(1)]);
+        assert_eq!(find_cycle(&edges, id), Some(vec![r(1), r(2), r(3)]));
+        // ECMP branch where only one branch loops is still caught, and
+        // the witness leaves out the lead-in.
+        let mut edges: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
+        edges.insert(r(1), vec![r(2), r(4)]);
+        edges.insert(r(4), vec![r(5)]);
+        edges.insert(r(5), vec![r(4)]);
+        assert_eq!(find_cycle(&edges, id), Some(vec![r(4), r(5)]));
+        // Neighbours visit in the order listed, not sorted.
+        let mut edges: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
+        edges.insert(r(1), vec![r(3), r(2)]);
+        edges.insert(r(2), vec![r(1)]);
+        edges.insert(r(3), vec![r(1)]);
+        assert_eq!(find_cycle(&edges, id), Some(vec![r(1), r(3)]));
     }
 
     #[test]

@@ -47,6 +47,7 @@ use crate::link::{LinkKey, LinkSpec, LinkState};
 use crate::trace::Recorder;
 use bytes::Bytes;
 use fib_igp::instance::{Config as IgpConfig, Instance, Output};
+use fib_igp::rib::find_cycle;
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{IfaceId, Metric, Prefix, RouterId};
 pub use fib_sim_kernel::TieBreak;
@@ -943,7 +944,7 @@ impl Core {
                     edges.insert(*r, hops);
                 }
             }
-            if let Some(cycle) = find_cycle(&edges) {
+            if let Some(cycle) = find_cycle(&edges, |r| *r) {
                 found_any = true;
                 if self.loop_log.len() < LOOP_LOG_CAP {
                     self.loop_log.push(LoopViolation {
@@ -994,57 +995,6 @@ fn invalidate_fib_change(
             }
         }
     }
-}
-
-/// Find one cycle in a next-hop multigraph (iterative colored DFS,
-/// deterministic: roots and neighbors visit in sorted order). Returns
-/// the routers on the cycle in forwarding order.
-fn find_cycle(edges: &BTreeMap<RouterId, Vec<RouterId>>) -> Option<Vec<RouterId>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color: BTreeMap<RouterId, Color> = edges.keys().map(|r| (*r, Color::White)).collect();
-    for &root in edges.keys() {
-        if color[&root] != Color::White {
-            continue;
-        }
-        // Stack of (node, next neighbor index); `path` mirrors the
-        // gray chain for cycle extraction.
-        let mut stack: Vec<(RouterId, usize)> = vec![(root, 0)];
-        color.insert(root, Color::Gray);
-        let mut path: Vec<RouterId> = vec![root];
-        while let Some((node, idx)) = stack.last_mut() {
-            let node = *node;
-            let hops = edges.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-            if *idx >= hops.len() {
-                color.insert(node, Color::Black);
-                stack.pop();
-                path.pop();
-                continue;
-            }
-            let next = hops[*idx];
-            *idx += 1;
-            match color.get(&next).copied() {
-                // Terminal routers (Local entry or no entry) have no
-                // outgoing edges and cannot be on a cycle.
-                None => {}
-                Some(Color::White) => {
-                    color.insert(next, Color::Gray);
-                    stack.push((next, 0));
-                    path.push(next);
-                }
-                Some(Color::Gray) => {
-                    let start = path.iter().position(|r| *r == next).expect("gray on path");
-                    return Some(path[start..].to_vec());
-                }
-                Some(Color::Black) => {}
-            }
-        }
-    }
-    None
 }
 
 impl Sim {
@@ -1847,24 +1797,6 @@ mod tests {
         assert!(sim.ctx().restore_link(r(3), r(4)));
         sim.run_until(Timestamp::from_millis(30_001));
         assert_eq!(decisions(&sim), (fills + 1, skips));
-    }
-
-    #[test]
-    fn find_cycle_detects_and_orders() {
-        let mut edges: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
-        // 1 -> 2 -> 3 -> local (no cycle).
-        edges.insert(r(1), vec![r(2)]);
-        edges.insert(r(2), vec![r(3)]);
-        assert_eq!(find_cycle(&edges), None);
-        // Add 3 -> 1: cycle 1 -> 2 -> 3.
-        edges.insert(r(3), vec![r(1)]);
-        assert_eq!(find_cycle(&edges), Some(vec![r(1), r(2), r(3)]));
-        // ECMP branch where only one branch loops is still caught.
-        let mut edges: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
-        edges.insert(r(1), vec![r(2), r(4)]);
-        edges.insert(r(4), vec![r(5)]);
-        edges.insert(r(5), vec![r(4)]);
-        assert_eq!(find_cycle(&edges), Some(vec![r(4), r(5)]));
     }
 
     #[test]
