@@ -23,13 +23,11 @@
 //! Flags: `--jobs N` (worker threads; default: available
 //! parallelism), `--horizon SECS` (override every cell's horizon —
 //! the strongest layer of the spec < grid < CLI precedence chain),
-//! `--baseline-jobs N` (first run the same grid at N workers, verify
-//! the merged artifacts are byte-identical, and record the measured
-//! speedup in the JSON), `--trace-out PATH` (Chrome trace-event
-//! timeline of the sweep's own scheduling: one `"X"` span per cell,
-//! laid out in worker-style lanes from each cell's measured start
-//! offset and duration — unlike the simulator traces this is a
-//! wall-clock *scheduling* visualization and is not deterministic).
+//! `--trace-out PATH` (Chrome trace-event timeline of the sweep's own
+//! scheduling: one `"X"` span per cell, laid out in worker-style lanes
+//! from each cell's measured start offset and duration — unlike the
+//! simulator traces this is a wall-clock *scheduling* visualization
+//! and is not deterministic).
 //!
 //! Exit status: non-zero if any cell failed a spec/`pin_seed` check or
 //! panicked, with a one-line `sweep FAILED:` summary naming **every**
@@ -41,23 +39,8 @@ use fib_bench::{f, results_dir, Table};
 use fib_scenario::prelude::*;
 use fib_scenario::sweep::stats::{cells_csv, to_doc};
 use fib_scenario::sweep::SweepRun;
-use fib_trace::artifact::{save, volatile, Value, View};
+use fib_trace::artifact::{save, volatile, Value};
 use std::path::Path;
-
-/// Everything deterministic one run produces, concatenated: the two
-/// CSVs plus the deterministic view of the JSON record.
-/// The `--baseline-jobs` identity check compares *this*, so
-/// cross-jobs nondeterminism anywhere in the artifacts — per-cell
-/// rollup counters included — fails the run, not just the columns the
-/// cells CSV happens to print.
-fn deterministic_artifacts(run: &SweepRun, summary: &SweepSummary) -> String {
-    format!(
-        "{}\n{}\n{}",
-        cells_csv(run),
-        summary.dist_csv(),
-        to_doc(run, summary, None).render(View::Deterministic)
-    )
-}
 
 /// The sweep's cell-scheduling timeline as a Chrome trace-event
 /// document: one complete (`"X"`) span per cell, named by its label,
@@ -102,10 +85,8 @@ fn cell_timeline(run: &SweepRun) -> Value {
 }
 
 fn main() {
-    let cli = Cli::from_env_with_positionals(
-        &["jobs", "horizon", "baseline-jobs", "trace-out"],
-        &["sweep-spec.toml"],
-    );
+    let cli =
+        Cli::from_env_with_positionals(&["jobs", "horizon", "trace-out"], &["sweep-spec.toml"]);
     let Some(arg) = cli.positionals().first() else {
         eprintln!("error: missing sweep spec (a sweeps/*.toml path or bare name)");
         std::process::exit(2);
@@ -135,20 +116,6 @@ fn main() {
         spec.grid.len()
     );
 
-    // Optional reference run at another worker count: measures the
-    // speedup and doubles as an in-process determinism check (the
-    // merged artifacts must match byte for byte).
-    let baseline = cli.u64_flag("baseline-jobs").map(|j| {
-        let j = (j as usize).max(1);
-        eprintln!("[sweep] reference run at --jobs {j} …");
-        let reference = run_sweep(&spec, j, horizon).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        let fingerprint = deterministic_artifacts(&reference, &SweepSummary::from_run(&reference));
-        (reference.jobs, reference.wall_secs, fingerprint)
-    });
-
     let run = match run_sweep(&spec, jobs, horizon) {
         Ok(r) => r,
         Err(e) => {
@@ -159,24 +126,7 @@ fn main() {
     let summary = SweepSummary::from_run(&run);
     let per_cell = cells_csv(&run);
 
-    let mut speedup_note = String::new();
-    if let Some((bjobs, bwall, bfingerprint)) = &baseline {
-        if *bfingerprint != deterministic_artifacts(&run, &summary) {
-            eprintln!(
-                "sweep FAILED: --jobs {jobs} and --jobs {bjobs} produced different \
-                 artifacts — the determinism guarantee is broken"
-            );
-            std::process::exit(1);
-        }
-        speedup_note = format!(
-            " · speedup vs {bjobs} job(s): {:.2}x ({:.2}s -> {:.2}s)",
-            bwall / run.wall_secs.max(1e-9),
-            bwall,
-            run.wall_secs
-        );
-    }
-
-    let doc = to_doc(&run, &summary, baseline.as_ref().map(|(j, w, _)| (*j, *w)));
+    let doc = to_doc(&run, &summary);
     let json_path = results_dir().join("BENCH_sweep.json");
     save(&json_path, &doc).expect("write BENCH json");
     let cells_path = results_dir().join(format!("sweep_{}_cells.csv", spec.name));
@@ -228,7 +178,7 @@ fn main() {
     }
     table.emit(&format!("sweep_{}", spec.name));
     println!(
-        "[sweep] {} cells in {:.2}s at --jobs {} ({:.1} cells/s){speedup_note}",
+        "[sweep] {} cells in {:.2}s at --jobs {} ({:.1} cells/s)",
         summary.cells,
         run.wall_secs,
         run.jobs,

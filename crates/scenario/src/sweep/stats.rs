@@ -367,14 +367,11 @@ fn rollup_value(stats: &SimStats, ok: usize) -> Value {
     Value::Obj(counters)
 }
 
-/// Build the `BENCH_sweep.json` record. `baseline` is the optional
-/// reference run used for the speedup measurement: `(jobs,
-/// wall_secs)` of a prior run of the *same grid* at another worker
-/// count. Wall-clock values (`wall_secs`, `cells_per_sec`,
-/// `baseline_wall_secs`, `speedup_vs_baseline`, each phase's `pct`)
-/// and the worker counts are the only non-deterministic content, and
-/// are marked [`volatile`] here, where they are computed.
-pub fn to_doc(run: &SweepRun, summary: &SweepSummary, baseline: Option<(usize, f64)>) -> Value {
+/// Build the `BENCH_sweep.json` record. Wall-clock values
+/// (`wall_secs`, `cells_per_sec`, each phase's `pct`) and the worker
+/// count are the only non-deterministic content, and are marked
+/// [`volatile`] here, where they are computed.
+pub fn to_doc(run: &SweepRun, summary: &SweepSummary) -> Value {
     let mut doc = vec![
         ("bench", "sweep".into()),
         ("sweep", summary.name.clone().into()),
@@ -388,14 +385,6 @@ pub fn to_doc(run: &SweepRun, summary: &SweepSummary, baseline: Option<(usize, f
             volatile(summary.cells as f64 / run.wall_secs.max(1e-9)),
         ),
     ];
-    if let Some((jobs, wall)) = baseline {
-        doc.push(("baseline_jobs", volatile(jobs)));
-        doc.push(("baseline_wall_secs", volatile(wall)));
-        doc.push((
-            "speedup_vs_baseline",
-            volatile(wall / run.wall_secs.max(1e-9)),
-        ));
-    }
     let groups = summary
         .groups
         .iter()

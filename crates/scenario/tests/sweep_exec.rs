@@ -89,16 +89,16 @@ fn merged_output_is_byte_identical_at_any_jobs() {
             "distribution CSV must be byte-identical at jobs={jobs}"
         );
         // The JSON differs only in its wall-clock/jobs values; compare
-        // its deterministic view (what the sweep binary's
-        // --baseline-jobs check and CI's `cmp` compare).
+        // its deterministic view (what CI's `cmp` of the
+        // `.det.json` twins compares).
         assert_eq!(
-            to_doc(&run, &summary, None).render(View::Deterministic),
-            to_doc(&reference, &ref_summary, None).render(View::Deterministic),
+            to_doc(&run, &summary).render(View::Deterministic),
+            to_doc(&reference, &ref_summary).render(View::Deterministic),
             "deterministic JSON view must match at jobs={jobs}"
         );
         assert_ne!(
-            to_doc(&run, &summary, None).render(View::Full),
-            to_doc(&reference, &ref_summary, None).render(View::Full),
+            to_doc(&run, &summary).render(View::Full),
+            to_doc(&reference, &ref_summary).render(View::Full),
             "the full views carry the differing worker counts"
         );
     }
@@ -109,8 +109,8 @@ fn merged_output_is_byte_identical_at_any_jobs() {
     drifted.outcomes[0].result.as_mut().unwrap().stats.reallocs += 1;
     assert_eq!(cells_csv(&drifted), ref_cells);
     assert_ne!(
-        to_doc(&drifted, &SweepSummary::from_run(&drifted), None).render(View::Deterministic),
-        to_doc(&reference, &ref_summary, None).render(View::Deterministic),
+        to_doc(&drifted, &SweepSummary::from_run(&drifted)).render(View::Deterministic),
+        to_doc(&reference, &ref_summary).render(View::Deterministic),
     );
 }
 
@@ -181,7 +181,7 @@ baseline = false
     assert_eq!(summary.failed, 1);
     let csv = cells_csv(&run);
     assert!(csv.contains("pinned#s6,pinned,6,on,failed"), "{csv}");
-    assert!(to_doc(&run, &summary, None)
+    assert!(to_doc(&run, &summary)
         .render(View::Full)
         .contains("pins seed"));
 }
