@@ -116,17 +116,6 @@ pub struct Plan {
     pub pinned: Vec<RouterId>,
 }
 
-impl Plan {
-    /// Number of lies per attachment router.
-    pub fn lies_by_router(&self) -> BTreeMap<RouterId, usize> {
-        let mut out = BTreeMap::new();
-        for l in &self.lies {
-            *out.entry(l.attach).or_insert(0) += 1;
-        }
-        out
-    }
-}
-
 /// Next-hop routers of a route with their slot counts (none for a
 /// locally delivered prefix).
 fn hops_of(route: &Route) -> Vec<(RouterId, u32)> {
@@ -316,36 +305,6 @@ pub fn augment(
     })
 }
 
-/// The paper's "Simple" augmentation: pin *every* router in the DAG
-/// with cost-1 lies (each router prefers its own fakes outright). The
-/// DAG must cover every router expected to carry traffic; routers
-/// outside it will forward toward the nearest constrained router.
-pub fn augment_simple(
-    topo: &Topology,
-    dag: &WeightedDag,
-    alloc: &mut LieAllocator,
-) -> Result<Vec<Lie>, AugmentError> {
-    if let Some(cycle) = dag.find_internal_loop() {
-        return Err(AugmentError::RequirementLoop(cycle));
-    }
-    let mut lies = Vec::new();
-    for r in dag.routers() {
-        let desired = dag.hops(r).cloned().unwrap_or_default();
-        for (nh, w) in &desired {
-            if !topo.has_link(r, *nh) {
-                return Err(AugmentError::NotNeighbor {
-                    router: r,
-                    nexthop: *nh,
-                });
-            }
-            for _ in 0..*w {
-                lies.push(alloc.make(r, *nh, dag.prefix, Metric(1))?);
-            }
-        }
-    }
-    Ok(lies)
-}
-
 /// Merger-style greedy reduction: drop per-router lie groups whose
 /// removal keeps (a) the original requirement satisfied and (b) every
 /// other router at its real-topology fractions.
@@ -461,21 +420,6 @@ mod tests {
             augment(&topo, &dag, &mut alloc),
             Err(AugmentError::NotNeighbor { .. })
         ));
-    }
-
-    #[test]
-    fn simple_pins_every_router() {
-        let topo = triangle();
-        let mut dag = WeightedDag::new(Prefix::net24(1));
-        dag.require(r(1), &[(r(2), 1), (r(3), 1)]);
-        dag.require(r(2), &[(r(3), 1)]);
-        let mut alloc = LieAllocator::new();
-        let lies = augment_simple(&topo, &dag, &mut alloc).expect("simple");
-        assert_eq!(lies.len(), 3);
-        assert!(lies.iter().all(|l| l.cost_at_attach() == Metric(1)));
-        let augmented = apply_all(&topo, &lies);
-        let report = crate::verify::check(&augmented, &dag);
-        assert!(report.ok(), "{report}");
     }
 
     #[test]

@@ -63,13 +63,13 @@ pub mod verify;
 
 /// Convenient re-exports of the most used items.
 pub mod prelude {
-    pub use crate::augmentation::{augment, augment_simple, reduce, AugmentError, Plan};
+    pub use crate::augmentation::{augment, reduce, AugmentError, Plan};
     pub use crate::controller::{
         ControllerConfig, ControllerHandle, ControllerSnapshot, ControllerStats, FibbingController,
     };
     pub use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator, LieRequest};
     pub use crate::optimizer::{min_max_theta, plan_paths, MinMaxSolver, OptError, PathPlan};
     pub use crate::requirements::{WeightedDag, WeightedHops};
-    pub use crate::splitting::{apportion, min_slots_for, plan_split, SplitError, SplitPlan};
+    pub use crate::splitting::{apportion, plan_split, SplitError, SplitPlan};
     pub use crate::verify::{actual_fractions, check, check_preserving, Mismatch, VerifyReport};
 }

@@ -55,14 +55,6 @@ impl WeightedDag {
         self.entries.get(&router)
     }
 
-    /// Total desired slots at one router.
-    pub fn total_slots(&self, router: RouterId) -> u32 {
-        self.entries
-            .get(&router)
-            .map(|h| h.iter().map(|(_, w)| *w).sum())
-            .unwrap_or(0)
-    }
-
     /// Desired traffic fraction per next-hop at one router.
     pub fn fractions(&self, router: RouterId) -> BTreeMap<RouterId, f64> {
         let mut out = BTreeMap::new();
@@ -113,7 +105,6 @@ mod tests {
         let mut dag = WeightedDag::new(Prefix::net24(1));
         dag.require(r(1), &[(r(2), 1), (r(3), 2), (r(2), 1)]);
         assert_eq!(dag.hops(r(1)).unwrap(), &vec![(r(2), 2), (r(3), 2)]);
-        assert_eq!(dag.total_slots(r(1)), 4);
     }
 
     #[test]

@@ -160,24 +160,6 @@ pub fn plan_split(fractions: &[f64], budget: u32) -> Result<SplitPlan, SplitErro
     Ok(best.expect("at least one total examined"))
 }
 
-/// Smallest slot total achieving L∞ error ≤ `eps` (searching up to
-/// `max_budget`); `None` if unreachable within the budget.
-pub fn min_slots_for(fractions: &[f64], eps: f64, max_budget: u32) -> Option<SplitPlan> {
-    let n = fractions.len() as u32;
-    for total in n..=max_budget {
-        let weights = apportion(fractions, total);
-        let err = linf_error(fractions, &weights);
-        if err <= eps {
-            return Some(SplitPlan {
-                weights,
-                total,
-                max_error: err,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,21 +202,6 @@ mod tests {
         let large = plan_split(&fr, 32).unwrap();
         assert!(large.max_error <= small.max_error);
         assert!(large.max_error < 0.03);
-    }
-
-    #[test]
-    fn min_slots_monotone_in_eps() {
-        let fr = [0.1, 0.9];
-        let strict = min_slots_for(&fr, 0.01, 64).unwrap();
-        let loose = min_slots_for(&fr, 0.2, 64).unwrap();
-        assert!(loose.total <= strict.total);
-        assert_eq!(strict.weights.iter().sum::<u32>(), strict.total);
-    }
-
-    #[test]
-    fn min_slots_unreachable_returns_none() {
-        // 1/1000 share cannot be approximated within 1e-6 with ≤ 8 slots.
-        assert!(min_slots_for(&[0.001, 0.999], 1e-6, 8).is_none());
     }
 
     proptest! {

@@ -255,11 +255,6 @@ impl Instance {
         &self.lsdb
     }
 
-    /// The most recently computed route table, if any.
-    pub fn route_table(&self) -> Option<&RouteTable> {
-        self.last_table.as_ref()
-    }
-
     /// SPF engine ablation counters: `(full Dijkstra runs, partial
     /// route-phase-only runs)`. Lie-only (type-5-style) churn must
     /// land in the second bucket — the simulator aggregates these so
@@ -286,19 +281,6 @@ impl Instance {
                 neighbor: None,
             },
         );
-    }
-
-    /// Change an interface cost; triggers re-origination if adjacent.
-    pub fn set_iface_cost(&mut self, id: IfaceId, cost: Metric) -> Result<(), InstanceError> {
-        let iface = self
-            .ifaces
-            .get_mut(&id)
-            .ok_or(InstanceError::UnknownIface(id.0))?;
-        iface.cost = cost;
-        if self.started {
-            self.originate_router_lsa();
-        }
-        Ok(())
     }
 
     /// Administratively enable/disable an interface. Disabling kills
@@ -331,25 +313,6 @@ impl Instance {
         }
         let _ = now;
         Ok(())
-    }
-
-    /// Neighbor state on an interface (Down if none).
-    pub fn neighbor_state(&self, id: IfaceId) -> NbrState {
-        self.ifaces
-            .get(&id)
-            .and_then(|i| i.neighbor.as_ref())
-            .map(|n| n.state)
-            .unwrap_or(NbrState::Down)
-    }
-
-    /// Ids of fully adjacent neighbors.
-    pub fn full_neighbors(&self) -> Vec<RouterId> {
-        self.ifaces
-            .values()
-            .filter_map(|i| i.neighbor.as_ref())
-            .filter(|n| n.state == NbrState::Full)
-            .map(|n| n.id)
-            .collect()
     }
 
     /// Announce a prefix at the given metric (originates a prefix LSA

@@ -75,14 +75,6 @@ impl Dur {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Saturating scalar multiplication.
-    // Named like the sibling saturating helpers rather than the `Mul`
-    // operator, which would imply wrapping semantics.
-    #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, k: u64) -> Dur {
-        Dur(self.0.saturating_mul(k))
-    }
 }
 
 impl Add<Dur> for Timestamp {
@@ -147,7 +139,6 @@ mod tests {
         assert_eq!(Timestamp::from_secs(4) - t, Dur::ZERO);
         assert_eq!(Timestamp::NEVER + Dur::from_secs(1), Timestamp::NEVER);
         assert_eq!(t.since(Timestamp::ZERO), Dur::from_secs(10));
-        assert_eq!(Dur::from_secs(1).mul(3), Dur::from_secs(3));
     }
 
     #[test]

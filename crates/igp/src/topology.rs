@@ -380,25 +380,6 @@ impl Topology {
         }
         Ok(())
     }
-
-    /// Render the topology in Graphviz dot format (fake nodes dashed).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("digraph igp {\n");
-        for (&id, node) in &self.nodes {
-            if id.is_fake() {
-                let _ = writeln!(s, "  \"{id}\" [style=dashed];");
-            }
-            for (p, m) in &node.prefixes {
-                let _ = writeln!(s, "  \"{id}\" -> \"{p}\" [label=\"{m}\", style=dotted];");
-            }
-            for l in &node.links {
-                let _ = writeln!(s, "  \"{id}\" -> \"{}\" [label=\"{}\"];", l.to, l.metric);
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -516,15 +497,5 @@ mod tests {
             t.add_fake_node(r(5), attrs),
             Err(TopologyError::KindMismatch(_))
         ));
-    }
-
-    #[test]
-    fn dot_rendering_mentions_every_node() {
-        let mut t = two_routers();
-        t.announce_prefix(r(2), Prefix::net24(1), Metric(0))
-            .unwrap();
-        let dot = t.to_dot();
-        assert!(dot.contains("\"r1\" -> \"r2\""));
-        assert!(dot.contains("10.0.1.0/24"));
     }
 }

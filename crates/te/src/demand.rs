@@ -1,12 +1,10 @@
-//! Traffic matrices and demand generators.
+//! Traffic matrices.
 //!
 //! Traditional TE (the paper's Sec. 1 strawman) pre-computes link
-//! weights for a *predicted* traffic matrix. The generators here
-//! produce the base matrices those schemes are tuned for, plus the
-//! flash-crowd overlays that break them.
+//! weights for a *predicted* traffic matrix: this is the matrix those
+//! schemes are tuned for and evaluated on.
 
 use fib_igp::types::{Prefix, RouterId};
-use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -48,24 +46,9 @@ impl TrafficMatrix {
             .collect()
     }
 
-    /// Demands toward one prefix as `(src, rate)` pairs.
-    pub fn toward(&self, dst: Prefix) -> Vec<(RouterId, f64)> {
-        self.iter()
-            .filter(|(_, d, _)| *d == dst)
-            .map(|(s, _, r)| (s, r))
-            .collect()
-    }
-
     /// Total offered traffic.
     pub fn total(&self) -> f64 {
         self.entries.values().sum()
-    }
-
-    /// Scale every entry by `k`.
-    pub fn scaled(&self, k: f64) -> TrafficMatrix {
-        TrafficMatrix {
-            entries: self.entries.iter().map(|(key, r)| (*key, r * k)).collect(),
-        }
     }
 
     /// Superpose another matrix onto this one.
@@ -95,50 +78,9 @@ impl fmt::Display for TrafficMatrix {
     }
 }
 
-/// Gravity-model matrix: demand(src, dst) ∝ weight(src) × weight(dst),
-/// normalized so the total equals `total_rate`. Weights are drawn
-/// uniformly from `[0.5, 1.5)` with the given RNG (deterministic per
-/// seed).
-pub fn gravity<R: Rng>(
-    rng: &mut R,
-    sources: &[RouterId],
-    sinks: &[(Prefix, RouterId)],
-    total_rate: f64,
-) -> TrafficMatrix {
-    let src_w: Vec<f64> = sources.iter().map(|_| rng.gen_range(0.5..1.5)).collect();
-    let dst_w: Vec<f64> = sinks.iter().map(|_| rng.gen_range(0.5..1.5)).collect();
-    let mut tm = TrafficMatrix::new();
-    let mut raw = Vec::new();
-    let mut sum = 0.0;
-    for (i, s) in sources.iter().enumerate() {
-        for (j, (p, owner)) in sinks.iter().enumerate() {
-            if s == owner {
-                continue;
-            }
-            let w = src_w[i] * dst_w[j];
-            raw.push((*s, *p, w));
-            sum += w;
-        }
-    }
-    for (s, p, w) in raw {
-        tm.add(s, p, total_rate * w / sum);
-    }
-    tm
-}
-
-/// A flash crowd: `n_flows` flows of `flow_rate` each entering at
-/// `src` toward `dst` (the demo's workload shape).
-pub fn flash_crowd(src: RouterId, dst: Prefix, n_flows: u32, flow_rate: f64) -> TrafficMatrix {
-    let mut tm = TrafficMatrix::new();
-    tm.add(src, dst, f64::from(n_flows) * flow_rate);
-    tm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -155,49 +97,15 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_merge() {
+    fn merge_superposes() {
         let mut a = TrafficMatrix::new();
         a.add(r(1), Prefix::net24(1), 10.0);
-        let b = a.scaled(3.0);
-        assert_eq!(b.rate(r(1), Prefix::net24(1)), 30.0);
-        let mut c = a.clone();
-        c.merge(&b);
-        assert_eq!(c.rate(r(1), Prefix::net24(1)), 40.0);
-        assert_eq!(c.total(), 40.0);
-    }
-
-    #[test]
-    fn gravity_is_deterministic_and_normalized() {
-        let sources = vec![r(1), r(2)];
-        let sinks = vec![(Prefix::net24(1), r(3)), (Prefix::net24(2), r(4))];
-        let mk = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            gravity(&mut rng, &sources, &sinks, 1000.0)
-        };
-        let tm1 = mk(5);
-        let tm2 = mk(5);
-        assert_eq!(tm1, tm2);
-        assert!((tm1.total() - 1000.0).abs() < 1e-6);
-        assert_ne!(mk(5), mk(6));
-    }
-
-    #[test]
-    fn gravity_skips_self_demand() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let tm = gravity(
-            &mut rng,
-            &[r(1)],
-            &[(Prefix::net24(1), r(1)), (Prefix::net24(2), r(2))],
-            100.0,
-        );
-        assert_eq!(tm.rate(r(1), Prefix::net24(1)), 0.0);
-        assert!((tm.rate(r(1), Prefix::net24(2)) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn flash_crowd_shape() {
-        let tm = flash_crowd(r(2), Prefix::net24(1), 31, 125_000.0);
-        assert!((tm.total() - 31.0 * 125_000.0).abs() < 1e-6);
-        assert_eq!(tm.toward(Prefix::net24(1)), vec![(r(2), 31.0 * 125_000.0)]);
+        let mut b = TrafficMatrix::new();
+        b.add(r(1), Prefix::net24(1), 30.0);
+        b.add(r(2), Prefix::net24(1), 5.0);
+        a.merge(&b);
+        assert_eq!(a.rate(r(1), Prefix::net24(1)), 40.0);
+        assert_eq!(a.rate(r(2), Prefix::net24(1)), 5.0);
+        assert_eq!(a.total(), 45.0);
     }
 }

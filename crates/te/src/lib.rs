@@ -2,7 +2,7 @@
 //!
 //! The comparators the paper positions Fibbing against (Sec. 2):
 //!
-//! * [`demand`] — traffic matrices (gravity model, flash crowds);
+//! * [`demand`] — traffic matrices;
 //! * [`weights`] — Fortz–Thorup-style IGP weight local search and the
 //!   disruption model of applying a reconfiguration mid-crowd;
 //! * [`rsvp`] — an MPLS RSVP-TE baseline: CSPF, Path/Resv signalling
@@ -27,7 +27,7 @@ pub mod weights;
 
 /// Convenient re-exports of the most used items.
 pub mod prelude {
-    pub use crate::demand::{flash_crowd, gravity, TrafficMatrix};
+    pub use crate::demand::TrafficMatrix;
     pub use crate::minmax::{best_ecmp_weights_max_util, even_ecmp_max_util};
     pub use crate::rsvp::{RsvpError, RsvpStats, RsvpTe, Tunnel, TunnelId, LABEL_BYTES};
     pub use crate::weights::{

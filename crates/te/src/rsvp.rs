@@ -235,11 +235,6 @@ impl RsvpTe {
         Ok(())
     }
 
-    /// Established tunnels.
-    pub fn tunnels(&self) -> impl Iterator<Item = &Tunnel> {
-        self.tunnels.values()
-    }
-
     /// Soft-state entries per router (path + resv state per tunnel
     /// traversing it, head and tail included).
     pub fn state_per_router(&self) -> BTreeMap<RouterId, usize> {
@@ -270,85 +265,6 @@ impl RsvpTe {
     /// payload packets over a depth-1 label stack.
     pub fn encap_overhead_fraction(pkt_bytes: u64) -> f64 {
         LABEL_BYTES as f64 / (pkt_bytes + LABEL_BYTES) as f64
-    }
-
-    /// Greedy demand placement: route `rate` from `ingress` to
-    /// `egress`, splitting over up to `max_tunnels` tunnels when a
-    /// single one does not fit. Returns established tunnel ids.
-    ///
-    /// This is the "stateful uneven load-balancing" of Sec. 2: the
-    /// resulting per-tunnel bandwidths form the ingress's split table.
-    pub fn place_demand(
-        &mut self,
-        ingress: RouterId,
-        egress: RouterId,
-        rate: f64,
-        max_tunnels: u32,
-    ) -> Result<Vec<TunnelId>, RsvpError> {
-        let mut remaining = rate;
-        let mut out = Vec::new();
-        for _ in 0..max_tunnels {
-            if remaining <= 1e-9 {
-                break;
-            }
-            // Try the full remainder first; else the widest path.
-            if let Ok(id) = self.establish(ingress, egress, remaining) {
-                out.push(id);
-                remaining = 0.0;
-                break;
-            }
-            let widest = self.widest_path_bw(ingress, egress);
-            if widest <= 1e-9 {
-                break;
-            }
-            let bw = widest.min(remaining);
-            let id = self.establish(ingress, egress, bw)?;
-            out.push(id);
-            remaining -= bw;
-        }
-        if remaining > 1e-9 {
-            // Roll back everything we placed.
-            for id in &out {
-                let _ = self.teardown(*id);
-            }
-            return Err(RsvpError::NoPath {
-                ingress,
-                egress,
-                bw: remaining,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Max-bottleneck (widest) path residual bandwidth from ingress to
-    /// egress.
-    fn widest_path_bw(&self, ingress: RouterId, egress: RouterId) -> f64 {
-        // Binary search over bandwidth with CSPF feasibility (coarse
-        // but simple and deterministic).
-        let mut caps: Vec<f64> = self
-            .capacities
-            .keys()
-            .map(|k| self.residual(k.0, k.1))
-            .filter(|r| *r > 1e-9)
-            .collect();
-        caps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        caps.dedup();
-        // Feasible bandwidths are bounded by link residuals; test from
-        // the largest down.
-        let mut probe = RsvpTe {
-            topo: self.topo.clone(),
-            capacities: self.capacities.clone(),
-            reserved: self.reserved.clone(),
-            tunnels: BTreeMap::new(),
-            next_id: 0,
-            stats: RsvpStats::default(),
-        };
-        for bw in caps.iter().rev() {
-            if probe.cspf(ingress, egress, *bw).is_some() {
-                return *bw;
-            }
-        }
-        0.0
     }
 }
 
@@ -418,28 +334,6 @@ mod tests {
         te.establish(r(1), r(4), 100.0).unwrap(); // takes the detour
         let err = te.establish(r(1), r(4), 10.0).unwrap_err();
         assert!(matches!(err, RsvpError::NoPath { .. }));
-    }
-
-    #[test]
-    fn place_demand_splits_over_two_tunnels() {
-        let mut te = square();
-        // 160 > any single path (100): requires an uneven 100/60 split.
-        let ids = te.place_demand(r(1), r(4), 160.0, 4).unwrap();
-        assert_eq!(ids.len(), 2);
-        let bws: Vec<f64> = te.tunnels().map(|t| t.bw).collect();
-        let total: f64 = bws.iter().sum();
-        assert!((total - 160.0).abs() < 1e-6);
-        // The split is stateful and uneven — exactly the paper's point.
-        assert!(bws.iter().any(|b| (*b - 100.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn place_demand_rolls_back_on_failure() {
-        let mut te = square();
-        let err = te.place_demand(r(1), r(4), 300.0, 4).unwrap_err();
-        assert!(matches!(err, RsvpError::NoPath { .. }));
-        assert_eq!(te.tunnels().count(), 0);
-        assert!((te.residual(r(1), r(2)) - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub struct RateEstimator {
     alpha: f64,
     last: Option<(Timestamp, u64)>,
     ewma: Option<f64>,
-    instant: Option<f64>,
 }
 
 impl RateEstimator {
@@ -29,7 +28,6 @@ impl RateEstimator {
             alpha,
             last: None,
             ewma: None,
-            instant: None,
         }
     }
 
@@ -44,7 +42,6 @@ impl RateEstimator {
         let dt = (at - t0).as_secs_f64();
         let delta = counter_delta(self.width, c0, counter) as f64;
         let rate = delta / dt;
-        self.instant = Some(rate);
         self.ewma = Some(match self.ewma {
             None => rate,
             Some(prev) => self.alpha * rate + (1.0 - self.alpha) * prev,
@@ -57,16 +54,10 @@ impl RateEstimator {
         self.ewma
     }
 
-    /// The most recent unsmoothed per-interval rate.
-    pub fn instant_rate(&self) -> Option<f64> {
-        self.instant
-    }
-
     /// Forget all history (e.g. after an agent restart is detected).
     pub fn reset(&mut self) {
         self.last = None;
         self.ewma = None;
-        self.instant = None;
     }
 }
 
@@ -111,7 +102,6 @@ mod tests {
         e.observe(t(1), 1000); // ewma = 1000
         let r = e.observe(t(2), 1000).unwrap(); // instant 0 → ewma 500
         assert!((r - 500.0).abs() < 1e-9);
-        assert_eq!(e.instant_rate(), Some(0.0));
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Video {
             ladder: Ladder::standard(),
         }
     }
-
-    /// Total bytes at a given level.
-    pub fn size_at(&self, level: usize) -> f64 {
-        self.duration * self.ladder.rate(level)
-    }
 }
 
 impl fmt::Display for Video {
@@ -132,9 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn video_sizes() {
+    fn video_display_names_the_clip() {
         let v = Video::constant(60.0, 125_000.0);
-        assert_eq!(v.size_at(0), 60.0 * 125_000.0);
         assert!(v.to_string().contains("60s"));
     }
 }
