@@ -11,8 +11,8 @@
 //! becomes one compact [`Wave`] (server, prefix, asset, and the
 //! arrival instants drawn from the seeded RNG), and the driver builds
 //! a player as its start time arrives. A 2 000-session flash crowd
-//! costs a couple dozen bytes per pending session — the difference
-//! that lets `metro_core`-scale scenarios run.
+//! costs sixteen bytes per pending session — the difference that lets
+//! `metro_core`-scale scenarios run.
 //!
 //! Determinism: the only RNG streams are derived from the scenario
 //! seed (one for the topology, one for the workloads), every arrival

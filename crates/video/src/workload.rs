@@ -15,11 +15,11 @@
 //! A schedule is a list of [`Wave`]s: what every viewer of a wave
 //! shares (server, prefix, asset, ABR policy, player tuning) is stored
 //! once, next to the wave's arrival instants. A pending session costs
-//! one `(start, wave, tag)` triple, a player is built when its session
-//! launches, and finished sessions are dropped from the active set, so
-//! memory tracks the number of *concurrent* viewers, not the length of
-//! the schedule. City-scale scenarios (thousands of sessions) rely on
-//! this.
+//! one 16-byte `(start, wave, tag)` triple, a player is built when its
+//! session launches, and finished sessions are dropped from the active
+//! set, so memory tracks the number of *concurrent* viewers, not the
+//! length of the schedule. City-scale scenarios (thousands of
+//! sessions) rely on this.
 
 use crate::abr::{AbrInput, AbrPolicy};
 use crate::catalog::Video;
@@ -173,8 +173,9 @@ pub struct VideoWorkload {
     waves: Vec<Wave>,
     /// `(start, wave, tag)` of every session, stably sorted by start:
     /// sessions due at the same instant launch in the order the waves
-    /// list them.
-    order: Vec<(Timestamp, u32, u64)>,
+    /// list them. Sixteen bytes a session: setting up a 36 000-session
+    /// schedule is mostly sorting this list.
+    order: Vec<(Timestamp, u32, u32)>,
     /// Sessions launched so far: the next one is `order[cursor]`.
     cursor: usize,
     shared: QoeHandle,
@@ -184,10 +185,11 @@ impl VideoWorkload {
     /// Build a driver over a schedule; returns the driver and the QoE
     /// handle to read during or after the run.
     pub fn new(waves: Vec<Wave>) -> (VideoWorkload, QoeHandle) {
-        let mut order = Vec::with_capacity(waves.iter().map(|w| w.starts.len()).sum());
+        let mut order = Vec::new();
         for (w, wave) in waves.iter().enumerate() {
             for start in &wave.starts {
-                order.push((*start, w as u32, order.len() as u64));
+                let tag = u32::try_from(order.len()).expect("fewer than 2^32 sessions");
+                order.push((*start, w as u32, tag));
             }
         }
         order.sort_by_key(|(start, _, _)| *start);
@@ -275,7 +277,7 @@ impl EventHandler for VideoWorkload {
                 break;
             }
             self.cursor += 1;
-            let session = Session::launch(&self.waves, wave, tag, ctx);
+            let session = Session::launch(&self.waves, wave, u64::from(tag), ctx);
             shared.active.push(session);
         }
         if let AppEvent::Tick = ev {
@@ -363,7 +365,11 @@ mod tests {
             Wave::constant(r(2), Prefix::net24(1), 2e5, 300.0, secs(&[1, 2, 3])),
         ];
         let (driver, _) = VideoWorkload::new(waves.clone());
-        let tags: Vec<u64> = driver.order.iter().map(|(_, _, tag)| *tag).collect();
+        let tags: Vec<u64> = driver
+            .order
+            .iter()
+            .map(|(_, _, tag)| u64::from(*tag))
+            .collect();
         assert_eq!(tags, [0, 3, 1, 4, 5, 2]);
 
         // A diurnal-style wave: arrivals jittered inside their
@@ -384,8 +390,11 @@ mod tests {
         // order (flow ids ascend in launch order), each from its own
         // wave's server.
         let (driver, _) = VideoWorkload::new(waves.clone());
-        let got: Vec<(Timestamp, u64)> =
-            driver.order.iter().map(|(t, _, tag)| (*t, *tag)).collect();
+        let got: Vec<(Timestamp, u64)> = driver
+            .order
+            .iter()
+            .map(|(t, _, tag)| (*t, u64::from(*tag)))
+            .collect();
         assert_eq!(got, want);
         let mut sim = line(1e9);
         sim.add_app(Box::new(driver));
