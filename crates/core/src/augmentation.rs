@@ -205,12 +205,9 @@ fn plan_for_router(
     Ok((lies, true))
 }
 
-/// Signature of a lie plan for change detection (ignores fake ids).
+/// Signature of a lie plan for change detection (ignores names).
 fn plan_signature(lies: &[Lie]) -> Vec<(RouterId, RouterId, Metric)> {
-    let mut sig: Vec<(RouterId, RouterId, Metric)> = lies
-        .iter()
-        .map(|l| (l.attach, l.fw.router, l.cost_at_attach()))
-        .collect();
+    let mut sig: Vec<_> = lies.iter().map(Lie::sig).collect();
     sig.sort();
     sig
 }

@@ -15,11 +15,14 @@
 //!
 //! Reaction: compute a path plan (min-cost flow at the utilization
 //! budget, [`crate::optimizer::plan_paths`]), realize it with lies
-//! ([`crate::augmentation::augment`]), optionally reduce the lie set,
-//! and reconcile with what is already installed (inject new lies,
-//! retract obsolete ones). When demand subsides so the *natural*
-//! (lie-free) routing would stay below the low watermark, every lie is
-//! retracted and the network falls back to its original state.
+//! ([`crate::augmentation::augment`]), reduce the lie set, and reconcile
+//! with what is already installed (inject new lies, retract obsolete
+//! ones). A lie gets its name — fake id and gateway address — there,
+//! when it is injected; planning is a function of the real topology
+//! and the DAG alone and spends none. When demand subsides so the
+//! *natural* (lie-free) routing would stay below the low watermark,
+//! every lie is retracted and the network falls back to its original
+//! state.
 //!
 //! The loop runs once per viewer start and stop, and nine reactions in
 //! ten ask for the plan that is already installed, so an evaluation is
@@ -31,7 +34,7 @@
 //! miss runs is the whole computation.
 
 use crate::augmentation::{augment, reduce, AugmentError};
-use crate::lie::{Lie, LieAllocator, LieRequest};
+use crate::lie::{Lie, LieAllocator};
 use crate::requirements::WeightedDag;
 use fib_igp::loadmodel::{max_utilization, Forwarding, LinkLoads, LoadModelError};
 use fib_igp::time::Dur;
@@ -118,7 +121,9 @@ pub struct ControllerStats {
     pub snmp_sweeps: u64,
     /// Evaluations (trigger checks) performed.
     pub evaluations: u64,
-    /// Plans that failed (optimizer or augmentation error).
+    /// Plans that failed (optimizer or augmentation error), plus
+    /// planned lies that could not be named and so were not injected
+    /// (their router is out of secondary addresses of the gateway).
     pub failures: u64,
     /// Evaluations cut short because the demand could not be spread
     /// over the speaker's view of the network (a demand's ingress
@@ -210,70 +215,21 @@ impl Derived {
 }
 
 /// What realizing a DAG came to: the size of the candidate lie set the
-/// reducer chose from, and the lies to install, in injection order.
+/// reducer chose from, and the lies to install, in injection order and
+/// under plan-local names (`reconcile` gives the real ones).
 type Realized = Result<(usize, Vec<Lie>), AugmentError>;
 
-/// [`augment`] then the Merger-style [`reduce`].
-fn realize_from_scratch(real: &Topology, dag: &WeightedDag, alloc: &mut LieAllocator) -> Realized {
-    let aug = augment(real, dag, alloc)?;
+/// [`augment`] then the Merger-style [`reduce`]: a function of the real
+/// topology and the DAG alone.
+fn realize_from_scratch(real: &Topology, dag: &WeightedDag) -> Realized {
+    let aug = augment(real, dag, &mut LieAllocator::new())?;
     Ok((aug.lies.len(), reduce(real, dag, &aug.lies)))
 }
 
-/// One run of [`realize_from_scratch`], remembered without its ids.
-///
-/// Which lies come out is a function of the real topology and the DAG
-/// alone. Their fake ids and secondary addresses are not: every lie
-/// the computation asks the allocator for spends one of each — also
-/// those of per-router plans the fixpoint recomputed and of groups the
-/// reducer dropped — and both are visible (`fake54`, `via r14#15` in
-/// the audit log; the address orders a router's ECMP slots). So the
-/// memo keeps the requests, in order, and which of them survived;
-/// [`replay`](Self::replay) spends them again and picks the survivors.
+/// One run of [`realize_from_scratch`], remembered.
 struct Reaction {
     dag: WeightedDag,
-    requests: Vec<LieRequest>,
-    /// On success the candidate count and the surviving requests'
-    /// indexes, in the reducer's output order.
-    outcome: Result<(usize, Vec<usize>), AugmentError>,
-}
-
-impl Reaction {
-    /// Run the computation, keeping what [`replay`](Self::replay)
-    /// needs.
-    fn compute(
-        real: &Topology,
-        dag: &WeightedDag,
-        alloc: &mut LieAllocator,
-    ) -> (Reaction, Realized) {
-        // A granted request spends exactly one fake id, so the n-th
-        // one is the lie whose id is n past the first.
-        let first = alloc.next_fake_index();
-        alloc.record();
-        let realized = realize_from_scratch(real, dag, alloc);
-        let index_of = |lie: &Lie| {
-            let id = lie.fake_id.fake_index().expect("lies carry fake ids");
-            (id - first) as usize
-        };
-        let reaction = Reaction {
-            dag: dag.clone(),
-            requests: alloc.take_recorded(),
-            outcome: match &realized {
-                Ok((candidates, lies)) => Ok((*candidates, lies.iter().map(index_of).collect())),
-                Err(e) => Err(e.clone()),
-            },
-        };
-        (reaction, realized)
-    }
-
-    /// What the computation would return if run now, leaving `alloc`
-    /// where the computation would.
-    fn replay(&self, alloc: &mut LieAllocator) -> Realized {
-        let made = alloc.replay(&self.requests)?;
-        match &self.outcome {
-            Ok((candidates, kept)) => Ok((*candidates, kept.iter().map(|i| made[*i]).collect())),
-            Err(e) => Err(e.clone()),
-        }
-    }
+    realized: Realized,
 }
 
 /// Decision context threaded into reconcile/retract so every audited
@@ -400,11 +356,6 @@ impl FibbingController {
         }
     }
 
-    /// Signature used to reconcile planned lies with installed ones.
-    fn sig(l: &Lie) -> (RouterId, RouterId, u32) {
-        (l.attach, l.fw.router, l.cost_at_attach().0)
-    }
-
     /// Emit one lie-lifecycle audit record (free when tracing is off;
     /// the formatting only happens with a sink installed).
     fn audit(
@@ -434,7 +385,8 @@ impl FibbingController {
         });
     }
 
-    /// Count a failed plan and keep why, for the next audit record.
+    /// Count a failed plan (or part of one) and keep why, for the next
+    /// audit record.
     fn plan_failed(&mut self, prefix: Prefix, why: &dyn std::fmt::Display) {
         self.stats.failures += 1;
         if fib_trace::enabled() {
@@ -450,19 +402,28 @@ impl FibbingController {
         actx: &AuditCtx,
     ) {
         let old = self.installed.remove(&prefix).unwrap_or_default();
-        let mut old_by_sig: BTreeMap<(RouterId, RouterId, u32), Vec<Lie>> = BTreeMap::new();
+        let mut old_by_sig: BTreeMap<_, Vec<Lie>> = BTreeMap::new();
         for l in old {
-            old_by_sig.entry(Self::sig(&l)).or_default().push(l);
+            old_by_sig.entry(l.sig()).or_default().push(l);
         }
         let mut final_set: Vec<Lie> = Vec::new();
         let mut to_inject: Vec<Lie> = Vec::new();
         for l in new_lies {
-            match old_by_sig.get_mut(&Self::sig(&l)).and_then(|v| v.pop()) {
+            match old_by_sig.get_mut(&l.sig()).and_then(|v| v.pop()) {
                 Some(kept) => final_set.push(kept), // already installed
-                None => {
-                    to_inject.push(l);
-                    final_set.push(l);
-                }
+                // A planned lie becomes one to install: only here is a
+                // name spent. Without an address there is no slot to
+                // buy, so the lie is left out and the next pass asks
+                // again.
+                None => match self.alloc.fw_addr(l.attach, l.fw.router) {
+                    Ok(fw) => {
+                        let fake_id = self.alloc.fake_id();
+                        let named = Lie { fake_id, fw, ..l };
+                        to_inject.push(named);
+                        final_set.push(named);
+                    }
+                    Err(e) => self.plan_failed(prefix, &e),
+                },
             }
         }
         // Whatever remains in old_by_sig is obsolete.
@@ -549,19 +510,17 @@ impl FibbingController {
             // Debug builds check every hit against the computation it
             // stands for. Not under a trace sink: a trace shows, span
             // for span, what a release build does.
-            let oracle = (cfg!(debug_assertions) && !fib_trace::enabled()).then(|| {
-                let mut alloc = self.alloc.clone();
-                let realized = realize_from_scratch(real, dag, &mut alloc);
-                (realized, alloc)
-            });
-            let realized = reaction.replay(&mut self.alloc);
-            if let Some((expected, alloc)) = oracle {
-                assert_eq!(realized, expected, "memoised reaction for {dag}");
-                assert_eq!(self.alloc, alloc, "allocator after a memoised reaction");
+            if cfg!(debug_assertions) && !fib_trace::enabled() {
+                let expected = realize_from_scratch(real, dag);
+                assert_eq!(reaction.realized, expected, "memoised reaction for {dag}");
             }
-            return realized;
+            return reaction.realized.clone();
         }
-        let (reaction, realized) = Reaction::compute(real, dag, &mut self.alloc);
+        let realized = realize_from_scratch(real, dag);
+        let reaction = Reaction {
+            dag: dag.clone(),
+            realized: realized.clone(),
+        };
         self.memo.insert(dag.prefix, reaction);
         realized
     }
@@ -1161,16 +1120,64 @@ mod tests {
         assert_eq!(h.ctl.stats.retractions, first.len() as u64);
         // Everyone is back: the same DAG on the same real topology.
         h.ctl.book = book;
-        let spent = h.ctl.alloc.next_fake_index();
+        let spent = first.iter().map(|l| l.fake_id).max().expect("not empty");
         assert_eq!(h.evaluate(), (0, 2));
         let again = h.ctl.installed_lies(P1);
         assert_eq!(again.len(), first.len());
         assert_eq!(h.ctl.stats.injections, 2 * first.len() as u64);
         for (a, b) in again.iter().zip(&first) {
-            assert_eq!(FibbingController::sig(a), FibbingController::sig(b));
-            assert!(a.fake_id.fake_index().unwrap() >= spent, "{a} reuses an id");
+            assert_eq!(a.sig(), b.sig());
+            assert!(a.fake_id > spent, "{a} reuses an id");
             assert!(a.fw.addr > b.fw.addr, "{a} reuses an address of {b}");
         }
+    }
+
+    #[test]
+    fn replanning_what_is_installed_spends_no_name() {
+        let mut h = ByHand::crowded();
+        h.evaluate();
+        let (alloc, installed) = (h.ctl.alloc.clone(), h.ctl.installed_count());
+        assert!(installed >= 1);
+        for _ in 0..1000 {
+            assert_eq!(h.evaluate(), (0, 2));
+        }
+        assert_eq!(h.ctl.alloc, alloc);
+        assert_eq!(h.ctl.installed_count(), installed);
+        assert_eq!(h.ctl.stats.failures, 0);
+    }
+
+    #[test]
+    fn a_lie_that_cannot_be_named_is_refused_counted_and_asked_for_again() {
+        // The crowd's plan for P1 is six lies at r1, three through r2
+        // and three through r3. Leave r1 two addresses of r3.
+        let mut h = ByHand::crowded();
+        for _ in 0..u16::MAX - 2 {
+            h.ctl.alloc.fw_addr(r(1), r(3)).expect("address left");
+        }
+        fib_trace::install(Box::new(fib_trace::AggSink::new()));
+        h.evaluate();
+        let sink = fib_trace::take()
+            .expect("installed above")
+            .into_any()
+            .downcast::<fib_trace::AggSink>()
+            .expect("the sink that was installed");
+        assert_eq!((h.ctl.stats.injections, h.ctl.stats.failures), (5, 1));
+        assert_eq!(h.ctl.installed_count(), 5, "no phantom in the books");
+        let via_r3 = |l: &&Lie| l.fw.router == r(3);
+        assert_eq!(h.ctl.installed_lies(P1).iter().filter(via_r3).count(), 2);
+        let triggers: Vec<&str> = sink.audits().iter().map(|a| a.trigger.as_str()).collect();
+        assert_eq!(triggers.len(), 5, "{triggers:?}");
+        assert_eq!(
+            triggers[0],
+            "predicted 1.500 >= hi 0.800; after failed plan for 10.0.1.0/24: \
+             r1 has no unused secondary address of r3 left"
+        );
+        assert_eq!(triggers[1], "predicted 1.500 >= hi 0.800");
+        // The next pass finds five of the six installed, asks for the
+        // sixth again and is refused again; nothing else moves.
+        assert_eq!(h.evaluate(), (0, 2));
+        assert_eq!((h.ctl.stats.injections, h.ctl.stats.failures), (5, 2));
+        assert_eq!((h.ctl.stats.retractions, h.ctl.installed_count()), (0, 5));
     }
 
     #[test]
@@ -1218,10 +1225,10 @@ mod tests {
     }
 
     #[test]
-    fn a_memoised_failure_spends_what_the_failed_computation_spent() {
+    fn a_memoised_failure_is_answered_from_the_memo_and_spends_nothing() {
         // Line 1 - 2 - 3 - 4, prefix at 4; r2 is also to use r1, whose
-        // own path returns through r2. The augmentation allocates r2's
-        // lies and only then finds the composed loop.
+        // own path returns through r2. The augmentation makes r2's lies
+        // and only then finds the composed loop.
         let mut topo = Topology::new();
         for i in 1..=4 {
             topo.add_router(r(i));
@@ -1237,12 +1244,10 @@ mod tests {
         ctl.real = Some(Derived::new(0, topo));
         let computed = ctl.realize(&dag);
         assert!(matches!(computed, Err(AugmentError::VerificationFailed(_))));
-        let spent = ctl.alloc.next_fake_index();
-        assert!(spent >= 1, "the failed computation allocated lies");
         let replayed = ctl.realize(&dag);
         assert_eq!(replayed, computed);
         assert_eq!(ctl.stats.replayed, 1);
-        assert_eq!(ctl.alloc.next_fake_index(), 2 * spent);
+        assert_eq!(ctl.alloc, LieAllocator::new());
     }
 
     #[test]
@@ -1251,10 +1256,10 @@ mod tests {
         // stopping at random ingresses; after each the controller
         // re-plans every prefix with demand, as a congested pass does.
         // Whatever `realize` answers — computed or replayed, plan or
-        // failure — must equal augment + reduce run from scratch on a
-        // copy of the allocator, and leave the allocator where that
-        // run leaves the copy. (Debug builds repeat the comparison
-        // inside `realize`, for every test that drives a controller.)
+        // failure — must equal augment + reduce run from scratch, and
+        // must not touch the controller's allocator. (Debug builds
+        // repeat the comparison inside `realize`, for every test that
+        // drives a controller.)
         use fib_igp::builders::waxman;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1290,11 +1295,10 @@ mod tests {
                     else {
                         continue;
                     };
-                    let mut scratch = ctl.alloc.clone();
-                    let expected = realize_from_scratch(&topo, &plan.dag, &mut scratch);
+                    let expected = realize_from_scratch(&topo, &plan.dag);
                     let got = ctl.realize(&plan.dag);
                     assert_eq!(got, expected, "{}", plan.dag);
-                    assert_eq!(ctl.alloc, scratch, "allocator after {}", plan.dag);
+                    assert_eq!(ctl.alloc, LieAllocator::new(), "after {}", plan.dag);
                     reactions += 1;
                     failed += u64::from(got.is_err());
                 }

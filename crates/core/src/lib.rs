@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::controller::{
         ControllerConfig, ControllerHandle, ControllerSnapshot, ControllerStats, FibbingController,
     };
-    pub use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator, LieRequest};
+    pub use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator};
     pub use crate::optimizer::{min_max_theta, plan_paths, MinMaxSolver, OptError, PathPlan};
     pub use crate::requirements::{WeightedDag, WeightedHops};
     pub use crate::splitting::{apportion, plan_split, SplitError, SplitPlan};

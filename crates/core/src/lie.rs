@@ -6,10 +6,14 @@
 //! ([`fib_igp::lsa::LsaBody::Fake`]) and can be applied directly to a
 //! [`Topology`] for offline planning/verification.
 //!
-//! [`LieAllocator`] hands out collision-free fake node ids and
-//! secondary forwarding-address indexes (each lie at a given router
-//! resolving to the same neighbor needs a distinct gateway address to
-//! occupy its own ECMP slot).
+//! What a lie *says* is [`Lie::sig`] and its prefix. Its *name* — the
+//! fake node id, and the secondary address of the gateway that buys it
+//! its own ECMP slot at the attachment router (next-hop sets
+//! deduplicate by gateway address) — comes from a [`LieAllocator`] and
+//! decides nothing but which slot is which. A plan needs names only to
+//! be distinct within itself, so planning draws them from a fresh
+//! allocator; the controller draws the names that reach the network
+//! from its own, one per injected lie.
 
 use fib_igp::topology::{FakeAttrs, Topology};
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
@@ -38,6 +42,13 @@ impl Lie {
     /// attachment router.
     pub fn cost_at_attach(&self) -> Metric {
         self.attach_metric.add(self.prefix_metric)
+    }
+
+    /// The lie minus its name: attachment router, gateway router and
+    /// cost at the attachment router. Two lies for one prefix with the
+    /// same signature are interchangeable.
+    pub fn sig(&self) -> (RouterId, RouterId, Metric) {
+        (self.attach, self.fw.router, self.cost_at_attach())
     }
 
     /// The fake-node attributes to install into a topology.
@@ -80,19 +91,6 @@ pub fn apply_all(topo: &Topology, lies: &[Lie]) -> Topology {
     t
 }
 
-/// The arguments of one [`LieAllocator::make`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LieRequest {
-    /// Real router the lie attaches to.
-    pub attach: RouterId,
-    /// Neighbor the lie's forwarding address belongs to.
-    pub nexthop: RouterId,
-    /// The prefix the lie announces.
-    pub prefix: Prefix,
-    /// Cost of the prefix via the lie, as seen at `attach`.
-    pub total_cost: Metric,
-}
-
 /// `attach` has used up every secondary address of `nexthop`: one more
 /// lie for this pair would have to reuse a gateway, and next-hop sets
 /// deduplicate by gateway, so it would buy no ECMP slot.
@@ -116,43 +114,24 @@ impl fmt::Display for AddrExhausted {
 
 impl std::error::Error for AddrExhausted {}
 
-/// Allocates fake ids and secondary address indexes without collisions.
+/// Hands out names: fake ids, dense from `fake0`, and per (attachment
+/// router, gateway) pair the secondary addresses `#1`, `#2`, … in order.
 ///
-/// Every id and address it hands out is spent, whether or not the lie
-/// is ever injected, and both show in the audit log — so a caller that
-/// skips a computation whose outcome it already knows must still spend
-/// what the computation would have. [`record`](Self::record) keeps the
-/// requests a computation makes and [`replay`](Self::replay) spends the
-/// same sequence again.
+/// Nothing is handed out twice — a retracted lie's address can still be
+/// in routers' tables when the next lie goes in — so a pair is good for
+/// 65 535 lies, after which [`fw_addr`](Self::fw_addr) refuses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LieAllocator {
     next_fake: u32,
     // (attach, fw router) → last secondary address index handed out
     // (0, the primary address, is never handed out).
     last_addr: BTreeMap<(RouterId, RouterId), u16>,
-    // Requests since `record`, while recording.
-    recorded: Option<Vec<LieRequest>>,
 }
 
 impl LieAllocator {
     /// A fresh allocator.
     pub fn new() -> LieAllocator {
         LieAllocator::default()
-    }
-
-    /// An allocator whose fake ids start at `base` (to avoid clashing
-    /// with lies injected by earlier plans still in the network).
-    pub fn starting_at(base: u32) -> LieAllocator {
-        LieAllocator {
-            next_fake: base,
-            ..LieAllocator::default()
-        }
-    }
-
-    /// Index (within the fake range) of the id the next
-    /// [`fake_id`](Self::fake_id) call hands out.
-    pub fn next_fake_index(&self) -> u32 {
-        self.next_fake
     }
 
     /// Next unused fake node id.
@@ -188,14 +167,6 @@ impl LieAllocator {
         prefix: Prefix,
         total_cost: Metric,
     ) -> Result<Lie, AddrExhausted> {
-        if let Some(log) = &mut self.recorded {
-            log.push(LieRequest {
-                attach,
-                nexthop,
-                prefix,
-                total_cost,
-            });
-        }
         let fw = self.fw_addr(attach, nexthop)?;
         // Always 1 on the attach link; the remainder (saturating, so a
         // zero total cost stays well-formed) goes on the announcement.
@@ -209,27 +180,6 @@ impl LieAllocator {
             prefix_metric,
             fw,
         })
-    }
-
-    /// Start keeping the requests [`make`](Self::make) receives
-    /// (dropping any kept so far).
-    pub fn record(&mut self) {
-        self.recorded = Some(Vec::new());
-    }
-
-    /// Stop recording; the requests since [`record`](Self::record), in
-    /// order, a refused one included.
-    pub fn take_recorded(&mut self) -> Vec<LieRequest> {
-        self.recorded.take().unwrap_or_default()
-    }
-
-    /// Make every lie of `requests` in order, stopping at the first
-    /// refusal exactly as the computation that was recorded did.
-    pub fn replay(&mut self, requests: &[LieRequest]) -> Result<Vec<Lie>, AddrExhausted> {
-        requests
-            .iter()
-            .map(|q| self.make(q.attach, q.nexthop, q.prefix, q.total_cost))
-            .collect()
     }
 }
 
@@ -314,41 +264,5 @@ mod tests {
         // Other pairs are unaffected.
         assert_eq!(a.make(r(1), r(3), p, Metric(3)).unwrap().fw.addr, 1);
         assert_eq!(a.make(r(2), r(1), p, Metric(3)).unwrap().fw.addr, 1);
-    }
-
-    #[test]
-    fn replay_spends_what_the_recorded_calls_spent() {
-        let p = Prefix::net24(1);
-        let mut a = LieAllocator::starting_at(40);
-        a.make(r(1), r(2), p, Metric(3)).unwrap(); // before recording
-        a.record();
-        let first = [
-            a.make(r(1), r(2), p, Metric(3)).unwrap(),
-            a.make(r(1), r(3), p, Metric(4)).unwrap(),
-            a.make(r(1), r(2), p, Metric(3)).unwrap(),
-        ];
-        let requests = a.take_recorded();
-        assert_eq!(requests.len(), 3);
-        assert!(a.take_recorded().is_empty(), "recording stopped");
-
-        // The same requests later: fresh ids and addresses, same shape.
-        let mut b = a.clone();
-        let again = b.replay(&requests).unwrap();
-        let by_hand = [
-            a.make(r(1), r(2), p, Metric(3)).unwrap(),
-            a.make(r(1), r(3), p, Metric(4)).unwrap(),
-            a.make(r(1), r(2), p, Metric(3)).unwrap(),
-        ];
-        assert_eq!(again, by_hand);
-        assert_eq!(a, b, "replay leaves the allocator where the calls do");
-        assert_eq!(again[0].fake_id, RouterId::fake(44));
-        assert_eq!(again[0].fw, FwAddr::secondary(r(2), 4));
-        assert_ne!(again[0], first[0]);
-    }
-
-    #[test]
-    fn starting_at_skips_ids() {
-        let mut a = LieAllocator::starting_at(100);
-        assert_eq!(a.fake_id(), RouterId::fake(100));
     }
 }

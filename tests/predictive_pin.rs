@@ -2,15 +2,21 @@
 //!
 //! The shipped pins (`tests/determinism.rs`, the CSVs under
 //! `crates/netsim/tests/data`) all drive one prefix. Here the
-//! controller plans three prefixes on every viewer start and stop, so
-//! the fake ids and `#addr` secondary addresses its [`LieAllocator`]
-//! hands out — including those of plans the augmentation fixpoint or
-//! the reducer threw away — show in every audit record. A change that
-//! plans differently, plans in another order, or allocates one id more
-//! or fewer moves a digest below; a change that only makes planning
-//! cheaper must not. The fourth digest is the same log with every lie's
-//! name (`fake<n>`, `#<n>`) masked: it holds across a change that hands
-//! out other names for the same lies at the same instants.
+//! controller plans three prefixes on every viewer start and stop and
+//! nearly every reaction is answered from its memo. A change that plans
+//! differently, plans in another order, or injects one lie more or
+//! fewer moves a digest below; a change that only makes planning
+//! cheaper must not.
+//!
+//! A lie is named — fake id, `#addr` of its gateway — by the
+//! controller's [`LieAllocator`] when it is injected, so ids are dense
+//! and in injection order. They used to be drawn while planning, also
+//! for plans the augmentation fixpoint or the reducer threw away (the
+//! fourteenth lie was `fake54 … via r14#15`); the audit digest and the
+//! `line(13)` anchor were re-pinned once when that changed. The fourth
+//! digest, the same log with every name (`fake<n>`, `#<n>`) masked, was
+//! pinned before the change and held across it: the same lies at the
+//! same instants for the same reasons.
 //!
 //! [`LieAllocator`]: fibbing::core::lie::LieAllocator
 
@@ -92,9 +98,7 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
             "no lie for {prefix}"
         );
     }
-    // Readable anchors: the first lie, and the fourteenth — by then 55
-    // ids are spent, most on plans that were recomputed or reduced
-    // away, and r1 is on its fifteenth secondary address of r14.
+    // Readable anchors: the first lie, and the fourteenth.
     let line = |n: usize| audit.lines().nth(n).unwrap_or("").to_string();
     assert_eq!(
         line(0),
@@ -103,9 +107,23 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     );
     assert_eq!(
         line(13),
-        "19500000000 inject 10.0.3.0/24 | lie fake54@r1: 10.0.3.0/24 cost 6 via r14#15 | \
+        "19500000000 inject 10.0.3.0/24 | lie fake13@r1: 10.0.3.0/24 cost 6 via r14#4 | \
          predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.7903170809197998"
     );
+    // Names are spent by injections, nothing else.
+    let highest = sink
+        .audits()
+        .iter()
+        .filter_map(|a| {
+            a.lie
+                .strip_prefix("lie fake")?
+                .split('@')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .max();
+    assert_eq!(highest, Some(report.injections - 1));
 
     let digests = (
         fnv1a(report.summary_csv().as_bytes()),
@@ -118,7 +136,7 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
         (
             0xb8c0_f9f2_b721_7999,
             0x898b_73a7_05c7_29b7,
-            0xe9b3_a39c_5aab_e4a1,
+            0x383f_e9d9_b169_51fd,
             0xd252_533e_8d0a_4a07
         ),
         "summary / trace / audit / masked audit digests moved: {digests:#018x?}\nfirst audit lines:\n{}",
