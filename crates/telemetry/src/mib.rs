@@ -3,8 +3,8 @@
 //! The Fibbing controller of the demo monitors link loads over SNMP.
 //! We model the part of SNMP that matters for that loop: an agent per
 //! router exposing interface counters under the standard ifTable OIDs,
-//! with exact GET and lexicographic GETNEXT semantics (WALK = iterated
-//! GETNEXT under a prefix).
+//! with exact GET and lexicographic GETNEXT semantics (WALK = what
+//! iterated GETNEXT under a prefix returns).
 
 use crate::counters::IfaceCounters;
 use std::collections::BTreeMap;
@@ -155,18 +155,13 @@ impl Agent {
         self.view().into_iter().find(|(o, _)| o > oid)
     }
 
-    /// SNMP WALK: every object under `prefix`.
+    /// SNMP WALK: every object under `prefix`, in order — what iterating
+    /// GETNEXT from `prefix` until it leaves the subtree yields (so an
+    /// exact leaf has nothing under it), from one view.
     pub fn walk(&self, prefix: &Oid) -> Vec<(Oid, Value)> {
-        let mut out = Vec::new();
-        let mut cur = prefix.clone();
-        while let Some((oid, val)) = self.get_next(&cur) {
-            if !prefix.is_prefix_of(&oid) {
-                break;
-            }
-            cur = oid.clone();
-            out.push((oid, val));
-        }
-        out
+        let mut view = self.view();
+        view.retain(|(oid, _)| oid > prefix && prefix.is_prefix_of(oid));
+        view
     }
 }
 
@@ -222,6 +217,40 @@ mod tests {
         assert_eq!(col[1].1, Value::Counter(0));
         // Walking an exact leaf yields nothing below it.
         assert!(a.walk(&oids::sys_name()).is_empty());
+    }
+
+    #[test]
+    fn walk_equals_iterated_get_next() {
+        let mut a = Agent::new("r7");
+        for idx in 1..=12 {
+            let mut c = IfaceCounters::new(CounterWidth::C64);
+            c.count_tx(100 * u64::from(idx));
+            a.add_iface(idx, c);
+        }
+        let by_get_next = |prefix: &Oid| {
+            let mut out = Vec::new();
+            let mut cur = prefix.clone();
+            while let Some((oid, val)) = a.get_next(&cur) {
+                if !prefix.is_prefix_of(&oid) {
+                    break;
+                }
+                cur = oid.clone();
+                out.push((oid, val));
+            }
+            out
+        };
+        let if_table = Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1]);
+        for (prefix, len) in [
+            (oids::if_out_octets(), 12),
+            (if_table, 60),
+            (oids::if_out_octets().child(5), 0), // an exact leaf
+            (oids::sys_name(), 0),
+            (Oid::new(&[1, 3, 6, 1, 4]), 0), // nothing lies under it
+        ] {
+            let walked = a.walk(&prefix);
+            assert_eq!(walked.len(), len, "{prefix}");
+            assert_eq!(walked, by_get_next(&prefix), "{prefix}");
+        }
     }
 
     #[test]
