@@ -41,7 +41,7 @@ fn run(controller: bool, tag: &str) {
     );
     print!(
         "{}",
-        rec.ascii_chart(&["A-R1", "B-R2", "B-R3"], 72, secs as f64, cfg.capacity)
+        rec.ascii_chart(&["A-R1", "B-R2", "B-R3"], 72, secs as f64, demo::CAPACITY)
     );
 
     let mut t = Table::new(&[
@@ -60,7 +60,7 @@ fn run(controller: bool, tag: &str) {
         let a_r1 = rec.mean_over("A-R1", from, to).unwrap_or(0.0);
         let b_r2 = rec.mean_over("B-R2", from, to).unwrap_or(0.0);
         let b_r3 = rec.mean_over("B-R3", from, to).unwrap_or(0.0);
-        let max = [a_r1, b_r2, b_r3].into_iter().fold(0.0f64, f64::max) / cfg.capacity;
+        let max = [a_r1, b_r2, b_r3].into_iter().fold(0.0f64, f64::max) / demo::CAPACITY;
         t.row(&[label.to_string(), f(a_r1), f(b_r2), f(b_r3), f(max)]);
     }
     t.emit(&format!("fig2_{tag}_phases"));

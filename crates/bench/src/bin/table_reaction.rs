@@ -74,9 +74,9 @@ fn main() {
     // local search compute + serial per-device configuration (5 s per
     // device, a conservative CLI/agent latency) + flooding/SPF.
     let topo = paper_topology();
-    let caps_map = paper_capacities(4.0e6);
+    let caps_map = paper_capacities(demo::CAPACITY);
     let mut tm = TrafficMatrix::new();
-    tm.add(B, BLUE, 31.0 * 125_000.0);
+    tm.add(B, BLUE, 31.0 * demo::VIDEO_RATE);
     let started = std::time::Instant::now();
     let res = optimize_weights(&topo, &tm, &caps_map, 4, 8);
     let compute_secs = started.elapsed().as_secs_f64();

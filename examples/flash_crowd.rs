@@ -25,7 +25,7 @@ fn run_once(controller: bool) {
     println!("link throughput over time (x: 0..55 s, y: 0..4 MB/s):");
     print!(
         "{}",
-        rec.ascii_chart(&["A-R1", "B-R2", "B-R3"], 72, 55.0, cfg.capacity)
+        rec.ascii_chart(&["A-R1", "B-R2", "B-R3"], 72, 55.0, demo::CAPACITY)
     );
     for phase in [
         (8.0, 14.0, "t in  8..14s"),

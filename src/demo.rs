@@ -100,17 +100,18 @@ pub fn paper_capacities(capacity: f64) -> BTreeMap<(RouterId, RouterId), f64> {
         .collect()
 }
 
+/// Per-direction link capacity in bytes/s (see Calibration).
+pub const CAPACITY: f64 = 4.0e6;
+/// Per-video bitrate in bytes/s (see Calibration).
+pub const VIDEO_RATE: f64 = 125_000.0;
+/// Video clip length in seconds (long enough to span the run).
+pub const VIDEO_SECS: f64 = 300.0;
+
 /// Demo configuration.
 #[derive(Debug, Clone)]
 pub struct DemoConfig {
     /// Run with the Fibbing controller (the paper's "enabled" run).
     pub controller: bool,
-    /// Per-direction link capacity in bytes/s.
-    pub capacity: f64,
-    /// Per-video bitrate in bytes/s.
-    pub video_rate: f64,
-    /// Video clip length in seconds (long enough to span the run).
-    pub video_secs: f64,
     /// Controller reacts to notifications (predictive) or SNMP only.
     pub predictive: bool,
 }
@@ -119,9 +120,6 @@ impl Default for DemoConfig {
     fn default() -> Self {
         DemoConfig {
             controller: true,
-            capacity: 4.0e6,
-            video_rate: 125_000.0,
-            video_secs: 300.0,
             predictive: true,
         }
     }
@@ -143,7 +141,7 @@ pub fn build(cfg: &DemoConfig) -> Demo {
         sim.add_router(r);
     }
     for (a, b, w) in PAPER_LINKS {
-        sim.add_link(LinkSpec::new(a, b, Metric(w), cfg.capacity));
+        sim.add_link(LinkSpec::new(a, b, Metric(w), CAPACITY));
     }
     sim.announce_prefix(C, BLUE);
 
@@ -163,13 +161,13 @@ pub fn build(cfg: &DemoConfig) -> Demo {
         ctl.util_hi = 0.8;
         ctl.util_lo = 0.3;
         ctl.slot_budget = 8;
-        ctl.default_flow_rate = cfg.video_rate;
+        ctl.default_flow_rate = VIDEO_RATE;
         ctl.predictive = cfg.predictive;
         sim.add_app(Box::new(FibbingController::new(ctl)));
     }
 
     // S1 streams from B, S2 from A (Fig. 1b/2).
-    let schedule = paper_schedule(B, A, BLUE, cfg.video_rate, cfg.video_secs);
+    let schedule = paper_schedule(B, A, BLUE, VIDEO_RATE, VIDEO_SECS);
     let (driver, qoe) = VideoWorkload::new(schedule);
     sim.add_app(Box::new(driver));
 

@@ -20,7 +20,7 @@ fn fig2_with_controller_prevents_congestion() {
     // Phase 1 (t < 15): a single ~125 kB/s flow on B–R2 only.
     let b_r2_p1 = rec.mean_over("B-R2", 8.0, 14.0).unwrap();
     assert!(
-        (b_r2_p1 - cfg.video_rate).abs() < 0.2 * cfg.video_rate,
+        (b_r2_p1 - demo::VIDEO_RATE).abs() < 0.2 * demo::VIDEO_RATE,
         "phase 1 B-R2 ≈ one video, got {b_r2_p1}"
     );
     assert_eq!(rec.mean_over("A-R1", 8.0, 14.0), Some(0.0));
@@ -30,7 +30,7 @@ fn fig2_with_controller_prevents_congestion() {
     // over B–R2 and B–R3; A–R1 still idle.
     let b_r2_p2 = rec.mean_over("B-R2", 25.0, 34.0).unwrap();
     let b_r3_p2 = rec.mean_over("B-R3", 25.0, 34.0).unwrap();
-    let total_p2 = 31.0 * cfg.video_rate;
+    let total_p2 = 31.0 * demo::VIDEO_RATE;
     assert!(
         (b_r2_p2 + b_r3_p2 - total_p2).abs() < 0.1 * total_p2,
         "phase 2 total: {b_r2_p2} + {b_r3_p2} vs {total_p2}"
@@ -44,7 +44,7 @@ fn fig2_with_controller_prevents_congestion() {
     // Phase 3 (t > 35): 62 flows; A–R1 carries ~2/3 of S2's traffic;
     // nothing exceeds capacity.
     let a_r1_p3 = rec.mean_over("A-R1", 45.0, 54.0).unwrap();
-    let s2_total = 31.0 * cfg.video_rate;
+    let s2_total = 31.0 * demo::VIDEO_RATE;
     assert!(
         (a_r1_p3 - 2.0 / 3.0 * s2_total).abs() < 0.25 * s2_total,
         "phase 3 A-R1 ≈ 2/3 of S2 ({}), got {a_r1_p3}",
@@ -53,7 +53,7 @@ fn fig2_with_controller_prevents_congestion() {
     for series in ["A-R1", "B-R2", "B-R3", "R2-C", "R3-C", "R4-C"] {
         let max = rec.max(series).unwrap_or(0.0);
         assert!(
-            max <= cfg.capacity + 1.0,
+            max <= demo::CAPACITY + 1.0,
             "{series} exceeded capacity: {max}"
         );
     }
@@ -99,7 +99,7 @@ fn fig2_without_controller_congests_and_stutters() {
     // All traffic squeezes onto B–R2–C; the link saturates.
     let b_r2 = rec.mean_over("B-R2", 45.0, 54.0).unwrap();
     assert!(
-        b_r2 > 0.97 * cfg.capacity,
+        b_r2 > 0.97 * demo::CAPACITY,
         "B-R2 should saturate, got {b_r2}"
     );
     assert_eq!(rec.mean_over("A-R1", 45.0, 54.0), Some(0.0));
