@@ -268,19 +268,6 @@ pub fn fat_tree(k: u32) -> Topology {
     t
 }
 
-/// Attach one distinct /24 prefix (`Prefix::net24(i)`) to each of the
-/// given routers at metric 0. Returns the prefixes in order.
-pub fn attach_prefixes(t: &mut Topology, routers: &[RouterId]) -> Vec<Prefix> {
-    let mut out = Vec::with_capacity(routers.len());
-    for (i, r) in routers.iter().enumerate() {
-        let p = Prefix::net24((i + 1) as u8);
-        t.announce_prefix(*r, p, Metric::ZERO)
-            .expect("attach prefix");
-        out.push(p);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,13 +384,5 @@ mod tests {
         let sp_e = shortest_paths(&t, edge_pod0);
         let edge_pod3 = RouterId(1 + 4 + 3 * 4 + 2);
         assert_eq!(sp_e.dist_to(edge_pod3), Metric(4));
-    }
-
-    #[test]
-    fn prefix_attachment_helper() {
-        let mut t = line(3);
-        let ps = attach_prefixes(&mut t, &[RouterId(1), RouterId(3)]);
-        assert_eq!(ps.len(), 2);
-        assert_eq!(t.prefixes_at(RouterId(3)), &[(ps[1], Metric::ZERO)]);
     }
 }

@@ -506,12 +506,6 @@ impl SpfEngine {
         let (_, sp) = self.cache.get(&source).expect("just inserted");
         route_table_from(topo, sp)
     }
-
-    /// Drop all cached state.
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-        self.seen_real.clear();
-    }
 }
 
 /// Enumerate complete equal-cost shortest paths from `source` to
@@ -813,10 +807,6 @@ mod tests {
         t.set_metric(r(1), r(3), Metric(5)).unwrap();
         let _ = eng.compute_versioned(&t, r(1), 2);
         assert_eq!((eng.full_runs, eng.partial_runs), (2, 2));
-        // A stale version after invalidate() recomputes from scratch.
-        eng.invalidate();
-        let _ = eng.compute_versioned(&t, r(1), 2);
-        assert_eq!((eng.full_runs, eng.partial_runs), (3, 2));
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl Timestamp {
         Timestamp(ms * 1_000_000)
     }
 
-    /// Whole seconds since the epoch (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Seconds since the epoch as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -59,11 +54,6 @@ impl Dur {
     /// Construct from milliseconds.
     pub const fn from_millis(ms: u64) -> Dur {
         Dur(ms * 1_000_000)
-    }
-
-    /// Construct from microseconds.
-    pub const fn from_micros(us: u64) -> Dur {
-        Dur(us * 1_000)
     }
 
     /// Construct from a float number of seconds (clamped at 0).
@@ -123,10 +113,8 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         assert_eq!(Timestamp::from_secs(2).0, 2_000_000_000);
-        assert_eq!(Timestamp::from_millis(1500).as_secs(), 1);
         assert!((Timestamp::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
         assert_eq!(Dur::from_secs(1), Dur::from_millis(1000));
-        assert_eq!(Dur::from_millis(1), Dur::from_micros(1000));
         assert_eq!(Dur::from_secs_f64(0.25), Dur(250_000_000));
         assert_eq!(Dur::from_secs_f64(-3.0), Dur::ZERO);
     }

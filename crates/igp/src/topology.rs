@@ -230,16 +230,6 @@ impl Topology {
         Ok(())
     }
 
-    /// Withdraw a prefix announcement; returns whether it existed.
-    pub fn withdraw_prefix(&mut self, router: RouterId, prefix: Prefix) -> bool {
-        if let Some(node) = self.nodes.get_mut(&router) {
-            let before = node.prefixes.len();
-            node.prefixes.retain(|(p, _)| *p != prefix);
-            return node.prefixes.len() != before;
-        }
-        false
-    }
-
     /// Prefix announcements of one node.
     pub fn prefixes_at(&self, router: RouterId) -> &[(Prefix, Metric)] {
         self.nodes
@@ -300,22 +290,6 @@ impl Topology {
         });
         attach_node.links.sort_by_key(|l| l.to);
         Ok(())
-    }
-
-    /// Remove a fake node and its attachment link; returns whether it
-    /// existed.
-    pub fn remove_fake_node(&mut self, id: RouterId) -> bool {
-        let Some(node) = self.nodes.get(&id) else {
-            return false;
-        };
-        let Some(attrs) = node.fake else {
-            return false;
-        };
-        self.nodes.remove(&id);
-        if let Some(attach) = self.nodes.get_mut(&attrs.attach) {
-            attach.links.retain(|l| l.to != id);
-        }
-        true
     }
 
     /// Attributes of a fake node, if `id` is one.
@@ -426,15 +400,12 @@ mod tests {
     }
 
     #[test]
-    fn prefix_announcements_replace_and_withdraw() {
+    fn prefix_announcements_replace() {
         let mut t = two_routers();
         let p = Prefix::net24(1);
         t.announce_prefix(r(2), p, Metric(0)).unwrap();
         t.announce_prefix(r(2), p, Metric(5)).unwrap();
         assert_eq!(t.prefixes_at(r(2)), &[(p, Metric(5))]);
-        assert!(t.withdraw_prefix(r(2), p));
-        assert!(!t.withdraw_prefix(r(2), p));
-        assert!(t.all_prefixes().is_empty());
     }
 
     #[test]
@@ -459,11 +430,6 @@ mod tests {
         assert_eq!(stripped.fake_count(), 0);
         assert!(!stripped.has_link(r(1), f));
         stripped.validate().unwrap();
-
-        assert!(t.remove_fake_node(f));
-        assert!(!t.remove_fake_node(f));
-        assert!(!t.has_link(r(1), f));
-        t.validate().unwrap();
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         self.hook = hook;
     }
 
-    /// `true` while a [`TieBreak`] hook is armed.
-    pub fn tie_break_armed(&self) -> bool {
-        self.hook.is_some()
-    }
-
     /// Schedule `ev` at time `at`; returns its cancellation handle.
     pub fn push(&mut self, at: T, ev: E) -> EventId {
         let seq = self.base + self.pending.len() as u64;
@@ -597,7 +592,6 @@ mod tests {
         q.push(1, "c");
         assert_eq!(q.pop(), Some((1, "c")));
         q.set_tie_break(None);
-        assert!(!q.tie_break_armed());
         assert_eq!(q.pop(), Some((1, "b")));
         assert_eq!(q.pop(), Some((1, "a")));
         // Future batches are FIFO again.
