@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark/figure-regeneration harness.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/`
-//! (see DESIGN.md's experiment index); they print human-readable
-//! tables and drop CSV files under `results/`.
+//! (see the crate map in docs/ARCHITECTURE.md); they print
+//! human-readable tables and drop CSV files under `results/`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

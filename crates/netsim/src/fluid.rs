@@ -5,7 +5,8 @@
 //! reports per-link throughput of 31–62 concurrent video flows; a
 //! fluid model reproduces those equilibria deterministically and
 //! without packet-level noise — the standard substitution for a
-//! Mininet data plane (see DESIGN.md).
+//! Mininet data plane (see docs/ARCHITECTURE.md, "Incremental
+//! recompute").
 //!
 //! The allocator implements progressive filling with per-flow rate
 //! caps: all unfixed flows grow at the same rate; a step ends when a
