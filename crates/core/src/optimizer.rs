@@ -913,6 +913,25 @@ mod tests {
         assert!(!solver.is_feasible(theta - 1e-3));
     }
 
+    /// θ* to the bit: `min_max_theta` and the θ and peak utilization
+    /// `plan_paths` settles on below an infeasible-leaning budget, over
+    /// 400 seeded problems of 4–15 routers, folded into one digest. Any
+    /// change to how probes are answered has to leave it alone.
+    #[test]
+    fn theta_star_bits_are_pinned_over_400_seeded_problems() {
+        use fib_trace::artifact::{fnv1a, FNV_OFFSET};
+        let mut digest = FNV_OFFSET;
+        for seed in 0..400u64 {
+            let (topo, prefix, demands, caps) = equivalence::scenario(seed, 4 + (seed % 12) as u32);
+            let theta = min_max_theta(&topo, prefix, &demands, &caps).expect("solvable");
+            let plan = plan_paths(&topo, prefix, &demands, &caps, 0.5, 8).expect("plannable");
+            for x in [theta, plan.theta_used, plan.max_util] {
+                digest = fnv1a(digest, &x.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(digest, 0x81fd_fdaa_2568_def9, "digest {digest:#018x}");
+    }
+
     /// The pre-solver implementation, kept verbatim as the oracle the
     /// rescaling solver is pinned against: a fresh Dinic network per
     /// bisection probe, doubling from θ = 1, 60 blind halvings of
@@ -978,7 +997,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        type Scenario = (
+        pub(super) type Scenario = (
             Topology,
             Prefix,
             Vec<(RouterId, f64)>,
@@ -987,7 +1006,7 @@ mod tests {
 
         /// A seeded random problem: connected topology, one sink,
         /// 1–3 demand sources, heterogeneous capacities.
-        fn scenario(seed: u64, n: u32) -> Scenario {
+        pub(super) fn scenario(seed: u64, n: u32) -> Scenario {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut topo = random_connected(&mut rng, n, n / 2, 4);
             let routers: Vec<RouterId> = topo.routers().collect();

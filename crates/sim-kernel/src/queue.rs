@@ -525,6 +525,67 @@ mod tests {
         assert_eq!(a, s);
     }
 
+    /// The contract every byte pin rests on, against a model: a `Vec`
+    /// kept sorted by `(time, push index)`. Pushes land before, at and
+    /// after the times already queued; `len` and `peek_time` are
+    /// compared after every step.
+    fn run_against_sorted_vec_model(armed: bool) {
+        let mut q: EventQueue<u64, u64> = EventQueue::new();
+        if armed {
+            q.set_tie_break(Some(Box::new(Identity)));
+        }
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut now, mut pushed) = (0u64, 0u64);
+        for _ in 0..300_000 {
+            let r = rand();
+            let served = match r % 8 {
+                0..=3 if model.len() < 96 => {
+                    // Mostly ahead of the clock, in a range narrow
+                    // enough to tie often; now and then behind it.
+                    let t = match (r >> 8) % 16 {
+                        0 => now.saturating_sub((r >> 16) % 4),
+                        _ => now + (r >> 16) % 12,
+                    };
+                    q.push(t, pushed);
+                    model.insert(model.partition_point(|e| *e <= (t, pushed)), (t, pushed));
+                    pushed += 1;
+                    None
+                }
+                4 | 5 => {
+                    let due = now + (r >> 8) % 6;
+                    let want = (model.first().is_some_and(|e| e.0 <= due)).then(|| model.remove(0));
+                    assert_eq!(q.pop_due(due), want);
+                    want
+                }
+                _ => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    assert_eq!(q.pop(), want);
+                    want
+                }
+            };
+            if let Some((t, _)) = served {
+                now = now.max(t);
+            }
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
+            assert_eq!(q.peek_time(), model.first().map(|e| e.0));
+        }
+        assert!(pushed > 100_000, "only {pushed} pushes");
+    }
+
+    #[test]
+    fn interleaved_pushes_and_pops_match_a_sorted_vec_model() {
+        run_against_sorted_vec_model(false);
+        run_against_sorted_vec_model(true);
+    }
+
     /// Records decision points through a shared handle so tests can
     /// inspect them after the boxed hook is owned by the queue.
     struct SharedRecorder(std::sync::Arc<std::sync::Mutex<Vec<(u64, usize)>>>);

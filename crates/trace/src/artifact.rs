@@ -169,6 +169,18 @@ pub fn save(path: &Path, doc: &Value) -> std::io::Result<()> {
     )
 }
 
+/// FNV-1a offset basis: the `state` a digest starts from.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a (64 bit) over `bytes`, continuing from `state`. What the
+/// byte pins fold an artifact's text into; chaining two calls digests
+/// the concatenation.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 impl From<u64> for Value {
     fn from(n: u64) -> Value {
         Value::Int(n)
@@ -296,6 +308,16 @@ mod tests {
         fields[2].1 = volatile(9.0);
         assert_ne!(Value::Obj(fields.clone()).render(View::Full), full);
         assert_eq!(Value::Obj(fields).render(View::Deterministic), det);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_chains() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]
