@@ -8,8 +8,7 @@
 //! `Vec`s ([`routers`](SimContext::routers),
 //! [`links`](SimContext::links), [`flows`](SimContext::flows)) are
 //! iterators over the arenas; scheduling goes through the single typed
-//! [`schedule`](SimContext::schedule) path and returns a cancellable
-//! [`EventId`].
+//! [`schedule`](SimContext::schedule) path.
 
 use crate::events::Event;
 use crate::flow::{Flow, FlowId, FlowSpec};
@@ -20,7 +19,6 @@ use fib_igp::lsdb::DbVersion;
 use fib_igp::time::Timestamp;
 use fib_igp::topology::Topology;
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
-use fib_sim_kernel::EventId;
 use fib_telemetry::mib::{Oid, Value};
 
 /// Everything a component (or host code between runs) may do to the
@@ -244,13 +242,8 @@ impl SimContext<'_> {
         self.core.alloc_flow_id()
     }
 
-    /// Schedule a typed event; returns its cancellable id.
-    pub fn schedule(&mut self, at: Timestamp, ev: Event) -> EventId {
-        self.core.schedule_event(at, ev)
-    }
-
-    /// Cancel a scheduled event (`true` iff it was still pending).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.core.queue.cancel(id)
+    /// Schedule a typed event. It will fire: there is no unscheduling.
+    pub fn schedule(&mut self, at: Timestamp, ev: Event) {
+        self.core.schedule_event(at, ev);
     }
 }

@@ -3,12 +3,10 @@
 //! The old surface had one `schedule_*` method per event kind; the
 //! redesigned API has exactly one scheduling path —
 //! [`crate::sim::Sim::schedule`] / `SimContext::schedule` — over this
-//! enum, returning a cancellable [`EventId`].
+//! enum.
 
 use crate::flow::{FlowId, FlowSpec};
 use fib_igp::types::RouterId;
-
-pub use fib_sim_kernel::EventId;
 
 /// A schedulable world event.
 ///

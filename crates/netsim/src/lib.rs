@@ -2,11 +2,11 @@
 //!
 //! The paper's demo ran on an emulated testbed (Mininet + Quagga).
 //! This crate is its simulation substitute, built on the generic
-//! `fib-sim-kernel` primitives (cancellable event queue, deadline
-//! heap, component registry):
+//! `fib-sim-kernel` primitives (event queue, deadline heap, component
+//! registry):
 //!
 //! * [`events`] — the typed event vocabulary and the one scheduling
-//!   path over it (cancellable via `EventId`);
+//!   path over it;
 //! * [`handler`] — the component trait ([`handler::EventHandler`])
 //!   applications implement, and the [`handler::AppEvent`]s they
 //!   receive;
@@ -48,7 +48,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::context::SimContext;
     pub use crate::ecmp::{slot_for, FlowKey};
-    pub use crate::events::{Event, EventId};
+    pub use crate::events::Event;
     pub use crate::fib::{resolve_path, Fib, FibEntry, PathError};
     pub use crate::flow::{Flow, FlowId, FlowInfo, FlowSpec};
     pub use crate::fluid::{max_min_allocation, max_min_keyed, Allocation, Allocator, FluidFlow};

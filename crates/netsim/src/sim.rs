@@ -3,8 +3,8 @@
 //! [`Sim`] binds everything together in one deterministic event loop
 //! built on the `fib-sim-kernel` primitives:
 //!
-//! * one time-ordered, cancellable [`EventQueue`] with stable FIFO
-//!   tie-breaking carries every event — protocol packets in flight,
+//! * one time-ordered [`EventQueue`] with stable FIFO tie-breaking
+//!   carries every event — protocol packets in flight,
 //!   flow churn, link scripts, component ticks, trace samples;
 //! * an IGP [`Instance`] per router exchanges real (encoded,
 //!   checksummed) protocol packets over the simulated links; their
@@ -51,7 +51,7 @@ use fib_igp::rib::find_cycle;
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{IfaceId, Metric, Prefix, RouterId};
 pub use fib_sim_kernel::TieBreak;
-use fib_sim_kernel::{ComponentId, DeadlineHeap, EventId, EventQueue, Registry};
+use fib_sim_kernel::{ComponentId, DeadlineHeap, EventQueue, Registry};
 use fib_telemetry::counters::{CounterWidth, IfaceCounters};
 use fib_telemetry::mib::Agent;
 use std::collections::{BTreeMap, VecDeque};
@@ -565,8 +565,8 @@ impl Core {
     }
 
     /// Schedule a public event; one path for every kind.
-    pub(crate) fn schedule_event(&mut self, at: Timestamp, ev: Event) -> EventId {
-        self.queue.push(at, Ev::User(Box::new(ev)))
+    pub(crate) fn schedule_event(&mut self, at: Timestamp, ev: Event) {
+        self.queue.push(at, Ev::User(Box::new(ev)));
     }
 
     pub(crate) fn start_flow_with_id(&mut self, id: FlowId, spec: FlowSpec) {
@@ -1063,14 +1063,9 @@ impl Sim {
         self.core.alloc_flow_id()
     }
 
-    /// Schedule a typed event; returns its cancellable id.
-    pub fn schedule(&mut self, at: Timestamp, ev: Event) -> EventId {
-        self.core.schedule_event(at, ev)
-    }
-
-    /// Cancel a scheduled event (`true` iff it was still pending).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.core.queue.cancel(id)
+    /// Schedule a typed event. It will fire: there is no unscheduling.
+    pub fn schedule(&mut self, at: Timestamp, ev: Event) {
+        self.core.schedule_event(at, ev);
     }
 
     /// Arm (or disarm with `None`) the kernel queue's same-time
@@ -1576,35 +1571,6 @@ mod tests {
             vec![FwAddr::primary(r(2)), FwAddr::secondary(r(3), 1)],
             "lie should add an ECMP slot at r1"
         );
-    }
-
-    /// Scheduled events are cancellable until they fire.
-    #[test]
-    fn cancelled_events_never_apply() {
-        let mut sim = line_sim();
-        let f = sched_flow(
-            &mut sim,
-            Timestamp::from_secs(10),
-            FlowSpec::new(r(1), Prefix::net24(1)),
-        );
-        let stop = sim.schedule(Timestamp::from_secs(20), Event::FlowStop { id: f });
-        let fail = sim.schedule(
-            Timestamp::from_secs(20),
-            Event::LinkAdmin {
-                a: r(1),
-                b: r(2),
-                up: false,
-            },
-        );
-        assert!(sim.cancel(stop));
-        assert!(sim.cancel(fail));
-        assert!(!sim.cancel(stop), "double cancel reports false");
-        sim.start();
-        sim.run_until(Timestamp::from_secs(25));
-        // Neither the stop nor the failure happened.
-        assert_eq!(sim.flow_count(), 1);
-        assert!((sim.ctx().flow_rate(f).unwrap() - 1e6).abs() < 1.0);
-        assert!(!sim.cancel(stop), "cancel after fire window reports false");
     }
 
     /// A mutation host code makes between two `run_until` calls counts

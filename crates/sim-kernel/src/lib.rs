@@ -5,7 +5,7 @@
 //! the hot paths.
 //!
 //! * [`EventQueue`] — one time-ordered queue with stable FIFO
-//!   tie-breaking and O(1) cancellable [`EventId`]s;
+//!   tie-breaking, and the [`TieBreak`] hook an adversary drives it by;
 //! * [`DeadlineHeap`] — `O(log n)`-per-change tracking of the earliest
 //!   internal timer across components that own timer wheels;
 //! * [`ComponentId`] / [`Registry`] — a flat arena of components
@@ -25,4 +25,4 @@ pub mod queue;
 
 pub use component::{ComponentId, Registry};
 pub use deadline::DeadlineHeap;
-pub use queue::{EventId, EventQueue, TieBreak};
+pub use queue::{EventQueue, TieBreak};

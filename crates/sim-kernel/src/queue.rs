@@ -1,11 +1,11 @@
-//! The time-ordered, cancellable event queue.
+//! The time-ordered event queue.
 //!
-//! One queue per simulation: entries are ordered by `(time, sequence)`
-//! so simultaneous events pop in exactly the order they were pushed
-//! (stable FIFO tie-break), which is what makes whole-run determinism
-//! an invariant rather than an accident. Every push returns an
-//! [`EventId`]; cancellation is O(1) (tombstone) and cancelled entries
-//! are skipped lazily on pop, so neither path disturbs the heap.
+//! One queue per simulation: a binary heap of entries ordered by
+//! `(time, push sequence)`, so simultaneous events pop in exactly the
+//! order they were pushed (stable FIFO tie-break), which is what makes
+//! whole-run determinism an invariant rather than an accident. A
+//! pushed event fires: nothing in the workspace ever took one back, so
+//! the queue keeps no per-event state beside the heap entry.
 //!
 //! ## Controlled nondeterminism
 //!
@@ -18,8 +18,8 @@
 //! earliest timestamp, chooses the serving permutation. Unarmed
 //! (default), the hook costs one branch per pop and the queue is
 //! byte-identical to the stock FIFO behaviour; armed, an adversarial
-//! explorer can enumerate or sample interleavings while cancellation,
-//! `len`, and `peek_time` semantics stay exact.
+//! explorer can enumerate or sample interleavings while `len` and
+//! `peek_time` stay exact.
 
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 /// A controlled-nondeterminism hook over same-time event batches.
 ///
 /// When armed via [`EventQueue::set_tie_break`], the queue calls
-/// [`TieBreak::permute`] once per batch of `n >= 2` pending events
+/// [`TieBreak::permute`] once per batch of `n >= 2` queued events
 /// sharing the earliest time. The hook writes a permutation of
 /// `0..n` into `out` (index `0` = the event FIFO order would serve
 /// first); leaving `out` empty selects the identity permutation, i.e.
@@ -41,21 +41,6 @@ pub trait TieBreak<T>: Send {
     /// it with a permutation of `0..n`. Anything else is a programming
     /// error and panics deterministically.
     fn permute(&mut self, at: T, n: usize, out: &mut Vec<u32>);
-}
-
-/// Handle to a scheduled event, returned by [`EventQueue::push`].
-///
-/// Ids are unique for the lifetime of the queue (they are the push
-/// sequence number) and stay valid after the event fires — cancelling
-/// a fired or already-cancelled event is a no-op that returns `false`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    /// The raw sequence number (diagnostics only).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 struct Entry<T, E> {
@@ -86,26 +71,14 @@ impl<T: Ord, E> Ord for Entry<T, E> {
     }
 }
 
-/// A min-heap of `(time, event)` with stable FIFO tie-breaking and
-/// O(1) cancellation.
+/// A min-heap of `(time, event)` with stable FIFO tie-breaking.
 pub struct EventQueue<T, E> {
     heap: BinaryHeap<Entry<T, E>>,
-    /// `pending[seq - base]` — true while the event with that sequence
-    /// number is scheduled and not yet fired or cancelled; the backstop
-    /// for O(1) cancel and exact double-cancel / cancel-after-fire
-    /// semantics. A window, not a history: the settled (all-`false`)
-    /// prefix is dropped as it forms, so the structure is as long as
-    /// the span of sequence numbers from the oldest still-pending event
-    /// to the newest, not the number of events ever pushed.
-    pending: VecDeque<bool>,
-    /// Sequence number of `pending[0]`; everything below has settled.
-    base: u64,
-    live: usize,
+    /// Sequence number the next push gets.
+    seq: u64,
     /// The armed tie-break strategy, if any (`None` = stock FIFO).
     hook: Option<Box<dyn TieBreak<T>>>,
     /// A drained same-time batch, already permuted into serving order.
-    /// Entries here keep their `pending` bit set until actually served,
-    /// so cancellation keeps working on buffered events.
     batch: VecDeque<Entry<T, E>>,
 }
 
@@ -114,9 +87,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            base: 0,
-            live: 0,
+            seq: 0,
             hook: None,
             batch: VecDeque::new(),
         }
@@ -131,141 +102,59 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         self.hook = hook;
     }
 
-    /// Schedule `ev` at time `at`; returns its cancellation handle.
-    pub fn push(&mut self, at: T, ev: E) -> EventId {
-        let seq = self.base + self.pending.len() as u64;
-        self.pending.push_back(true);
-        self.live += 1;
+    /// Schedule `ev` at time `at`.
+    pub fn push(&mut self, at: T, ev: E) {
+        let seq = self.seq;
+        self.seq += 1;
         self.heap.push(Entry { at, seq, ev });
-        EventId(seq)
     }
 
-    /// Cancel a scheduled event. Returns `true` iff the event was
-    /// still pending (it will not fire); `false` if it already fired,
-    /// was already cancelled, or was never scheduled here.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.is_pending(id.0) {
-            return false;
-        }
-        self.settle(id.0);
-        true
-    }
-
-    /// `true` while the event with sequence number `seq` is scheduled.
-    /// Anything below the window has fired or been cancelled; anything
-    /// above it was never pushed here.
-    fn is_pending(&self, seq: u64) -> bool {
-        seq.checked_sub(self.base)
-            .and_then(|i| self.pending.get(i as usize))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Mark a pending event fired or cancelled and drop the settled
-    /// prefix of the window.
-    fn settle(&mut self, seq: u64) {
-        self.pending[(seq - self.base) as usize] = false;
-        self.live -= 1;
-        while self.pending.front() == Some(&false) {
-            self.pending.pop_front();
-            self.base += 1;
+    /// The time of the earliest queued event.
+    pub fn peek_time(&self) -> Option<T> {
+        let heap_at = self.heap.peek().map(|e| e.at);
+        match (self.batch.front().map(|e| e.at), heap_at) {
+            (Some(b), Some(h)) => Some(b.min(h)),
+            (b, h) => b.or(h),
         }
     }
 
-    /// The time of the earliest pending event, purging cancelled
-    /// entries from the top of the heap.
-    pub fn peek_time(&mut self) -> Option<T> {
-        if self.hook.is_some() || !self.batch.is_empty() {
-            self.purge_batch_front();
-            let batch_at = self.batch.front().map(|e| e.at);
-            let heap_at = self.peek_heap_time();
-            return match (batch_at, heap_at) {
-                (Some(b), Some(h)) => Some(if h < b { h } else { b }),
-                (b, h) => b.or(h),
-            };
-        }
-        self.peek_heap_time()
-    }
-
-    /// Pop the earliest pending event.
+    /// Pop the earliest queued event.
     pub fn pop(&mut self) -> Option<(T, E)> {
         if self.hook.is_some() || !self.batch.is_empty() {
             return self.pop_with_batch();
         }
-        // Stock FIFO fast path: two branches above are the whole cost
-        // of the unarmed hook.
-        while let Some(e) = self.heap.pop() {
-            if self.is_pending(e.seq) {
-                return Some(self.serve(e));
-            }
-        }
-        None
-    }
-
-    /// The earliest pending time in the heap alone, purging cancelled
-    /// tops.
-    fn peek_heap_time(&mut self) -> Option<T> {
-        loop {
-            let top = self.heap.peek()?;
-            if self.is_pending(top.seq) {
-                return Some(top.at);
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Drop cancelled entries off the front of the buffered batch.
-    fn purge_batch_front(&mut self) {
-        while let Some(front) = self.batch.front() {
-            if self.is_pending(front.seq) {
-                break;
-            }
-            self.batch.pop_front();
-        }
-    }
-
-    /// Serve an entry, clearing its pending bit.
-    fn serve(&mut self, e: Entry<T, E>) -> (T, E) {
-        self.settle(e.seq);
-        (e.at, e.ev)
+        // Stock FIFO: the two branches above are the whole cost of the
+        // unarmed hook.
+        self.heap.pop().map(|e| (e.at, e.ev))
     }
 
     /// Pop on the armed (or batch-draining) path.
     fn pop_with_batch(&mut self) -> Option<(T, E)> {
-        self.purge_batch_front();
-        if self.batch.is_empty() {
-            self.fill_batch();
-        } else if let Some(h) = self.peek_heap_time() {
+        match self.batch.front() {
+            None => self.fill_batch(),
             // A push landed strictly *before* the buffered batch's
             // time (never happens under a monotone simulation clock,
             // but queue semantics must not depend on that): serve the
             // earlier heap entries stock-FIFO until the batch is
             // earliest again.
-            if h < self.batch.front().expect("batch nonempty").at {
-                let e = self.heap.pop().expect("peeked entry present");
-                return Some(self.serve(e));
+            Some(front) if self.heap.peek().is_some_and(|top| top.at < front.at) => {
+                return self.heap.pop().map(|e| (e.at, e.ev));
             }
+            Some(_) => {}
         }
-        let e = self.batch.pop_front()?;
-        Some(self.serve(e))
+        self.batch.pop_front().map(|e| (e.at, e.ev))
     }
 
-    /// Drain the earliest same-time group of pending events into the
+    /// Drain the earliest same-time group of queued events into the
     /// batch buffer, asking the hook for a serving permutation when
     /// the group has two or more members.
     fn fill_batch(&mut self) {
-        let Some(at) = self.peek_heap_time() else {
+        let Some(at) = self.heap.peek().map(|e| e.at) else {
             return;
         };
         let mut drained: Vec<Entry<T, E>> = Vec::new();
-        while let Some(top) = self.heap.peek() {
-            if top.at != at {
-                break;
-            }
-            let e = self.heap.pop().expect("peeked entry present");
-            if self.is_pending(e.seq) {
-                drained.push(e);
-            }
+        while self.heap.peek().is_some_and(|top| top.at == at) {
+            drained.extend(self.heap.pop());
         }
         if drained.len() >= 2 {
             if let Some(hook) = self.hook.as_mut() {
@@ -304,7 +193,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         self.batch.extend(drained);
     }
 
-    /// Pop the earliest pending event if its time is `<= now`.
+    /// Pop the earliest queued event if its time is `<= now`.
     pub fn pop_due(&mut self, now: T) -> Option<(T, E)> {
         if self.peek_time()? <= now {
             self.pop()
@@ -313,14 +202,14 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         }
     }
 
-    /// Number of pending (live) events.
+    /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() + self.batch.len()
     }
 
-    /// `true` if no events are pending.
+    /// `true` if no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 }
 
@@ -384,105 +273,6 @@ mod tests {
         assert_eq!(q.pop_due(10), Some((10, "a")));
         assert_eq!(q.pop_due(10), None);
         assert_eq!(q.pop_due(99), Some((20, "b")));
-    }
-
-    #[test]
-    fn cancel_before_fire_suppresses_event() {
-        let mut q = EventQueue::new();
-        let a = q.push(10u64, "a");
-        q.push(20, "b");
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(20));
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn double_cancel_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(10u64, ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(10u64, ());
-        assert_eq!(q.pop(), Some((10, ())));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_of_foreign_id_is_false() {
-        let mut q: EventQueue<u64, ()> = EventQueue::new();
-        let mut other = EventQueue::new();
-        let id = other.push(1u64, ());
-        assert!(!q.cancel(id));
-    }
-
-    #[test]
-    fn cancelled_events_do_not_block_peek() {
-        let mut q = EventQueue::new();
-        let a = q.push(1u64, "a");
-        let b = q.push(2, "b");
-        q.push(3, "c");
-        q.cancel(a);
-        q.cancel(b);
-        assert_eq!(q.peek_time(), Some(3));
-        assert_eq!(q.pop_due(3), Some((3, "c")));
-    }
-
-    #[test]
-    fn pending_window_does_not_grow_with_events_ever_pushed() {
-        // Hold model at depth 1 000: pop the earliest, push it back a
-        // little later, five million times, cancelling now and then.
-        let mut q: EventQueue<u64, u64> = EventQueue::new();
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % 1_000
-        };
-        for i in 0..1_000 {
-            q.push(next(), i);
-        }
-        for i in 0..5_000_000u64 {
-            let (t, ev) = q.pop().expect("held queue is never empty");
-            let id = q.push(t + 1 + next(), ev);
-            if i % 1_000 == 0 {
-                assert!(q.cancel(id));
-                assert!(!q.cancel(id), "double cancel");
-                q.push(t + 1 + next(), ev);
-            }
-        }
-        assert_eq!(q.len(), 1_000);
-        let bytes = q.pending.capacity() * std::mem::size_of::<bool>()
-            + q.heap.capacity() * std::mem::size_of::<Entry<u64, u64>>();
-        assert!(bytes < 64 * 1024, "queue holds {bytes} bytes at depth 1000");
-        // Ids from before the window are settled, not forgotten.
-        assert!(!q.cancel(EventId(0)));
-    }
-
-    #[test]
-    fn cancel_below_and_above_the_window_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(1u64, "a");
-        let b = q.push(2, "b");
-        assert_eq!(q.pop(), Some((1, "a")));
-        // `a` fired and fell out of the window; `b` is its new front.
-        assert!(!q.cancel(a));
-        assert!(!q.cancel(EventId(b.raw() + 1)), "never pushed");
-        assert!(q.cancel(b));
-        assert!(q.is_empty());
-        // The window is empty; new ids continue above the old ones.
-        let c = q.push(3, "c");
-        assert!(c.raw() > b.raw());
-        assert!(!q.cancel(b));
-        assert!(q.cancel(c));
     }
 
     /// Reverses every same-time batch.
@@ -609,23 +399,6 @@ mod tests {
         // Only the t=2 pair was a decision point; the t=1 singleton
         // never reached the hook.
         assert_eq!(*log.lock().unwrap(), vec![(2, 2)]);
-    }
-
-    #[test]
-    fn cancellation_works_on_buffered_batch_entries() {
-        let mut q = EventQueue::new();
-        q.set_tie_break(Some(Box::new(Reverse)));
-        q.push(4u64, "a");
-        let b = q.push(4, "b");
-        q.push(4, "c");
-        // First pop drains and reverses the batch: serves "c".
-        assert_eq!(q.pop(), Some((4, "c")));
-        // "b" is buffered in the batch; cancel must still bite.
-        assert!(q.cancel(b));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(4));
-        assert_eq!(q.pop(), Some((4, "a")));
-        assert!(q.is_empty());
     }
 
     #[test]
