@@ -11,15 +11,17 @@
 //!   solution to the min-max link utilization problem") and the
 //!   reference for the optimality-gap table.
 //!
-//! * [`MinMaxSolver`] — the reusable engine behind [`min_max_theta`].
-//!   The flow network is assembled **once** per problem; bisection
-//!   probes rescale arc capacities in place and reuse the flow found
-//!   so far (a feasible flow at θ stays feasible at θ′ > θ; scaling
-//!   down only cancels the overflow on arcs the smaller θ saturates).
-//!   A single max-flow at θ = 1 additionally yields an analytic lower
-//!   bound from its min cut, shrinking the bisection window. Callers
-//!   that need both a feasibility check and θ* (like [`plan_paths`])
-//!   share one solver instead of rebuilding the network per question.
+//! * [`MinMaxSolver`] — the engine behind [`min_max_theta`]. The flow
+//!   network is assembled **once** per problem; a probe at θ sets the
+//!   link arcs to θ × capacity, drops whatever flow the last probe
+//!   routed and runs one max-flow from zero. (Rebuilding the network
+//!   per probe measured 12 % slower on the one workload that bisects;
+//!   carrying the flow from probe to probe measured nothing — see
+//!   "The optimizer hot path" in docs/ARCHITECTURE.md.) A single
+//!   max-flow at θ = 1 additionally yields an analytic lower bound
+//!   from its min cut, shrinking the bisection window. Callers that
+//!   need both a feasibility check and θ* (like [`plan_paths`]) share
+//!   one solver instead of rebuilding the network per question.
 //!
 //! * [`plan_paths`] — a *min-cost flow at a utilization budget*:
 //!   capacities are scaled to `target_util`, arc costs are IGP
@@ -154,8 +156,8 @@ impl Dinic {
     }
 
     /// Augment from the current residual state until no path remains;
-    /// returns the *additional* flow found (so warm starts compose).
-    /// On return, `level` marks the source side of a min cut.
+    /// returns the flow found. On return, `level` marks the source
+    /// side of a min cut.
     fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         let mut flow = 0.0;
         while self.bfs(s, t) {
@@ -169,46 +171,6 @@ impl Dinic {
             }
         }
         flow
-    }
-
-    /// BFS a `from → to` path over forward arcs currently carrying
-    /// flow; returns the arc ids along it (empty when `from == to`).
-    fn flow_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        let n = self.head.len();
-        let mut prev = vec![usize::MAX; n];
-        let mut seen = vec![false; n];
-        seen[from] = true;
-        let mut q = std::collections::VecDeque::new();
-        q.push_back(from);
-        'bfs: while let Some(u) = q.pop_front() {
-            for &e in &self.head[u] {
-                // Even ids are forward arcs; their flow sits on the
-                // paired reverse arc's capacity.
-                if e % 2 == 0 && self.cap[e ^ 1] > EPS && !seen[self.to[e]] {
-                    seen[self.to[e]] = true;
-                    prev[self.to[e]] = e;
-                    if self.to[e] == to {
-                        break 'bfs;
-                    }
-                    q.push_back(self.to[e]);
-                }
-            }
-        }
-        if !seen[to] {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut node = to;
-        while node != from {
-            let e = prev[node];
-            path.push(e);
-            node = self.to[e ^ 1];
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -369,18 +331,14 @@ const FLOW_TOL: f64 = 1e-6;
 /// A reusable min-max utilization solver for one assembled problem.
 ///
 /// The Dinic network (link arcs, source arcs carrying the demands,
-/// infinite sink arcs) is built **once**. Every feasibility probe at a
-/// utilization θ rescales the link-arc capacities in place and keeps
-/// the flow already routed:
+/// infinite sink arcs) is built **once**. A feasibility probe at a
+/// utilization θ writes θ × capacity onto the link arcs, clears the
+/// flow the previous probe left and runs one max-flow from zero: the
+/// answer is a `bool`, and the value of a maximum flow does not depend
+/// on where the augmentation started.
 ///
-/// * scaling **up** only adds residual capacity, so the current flow
-///   stays valid and the max-flow merely continues augmenting;
-/// * scaling **down** keeps the flow wherever it still fits and
-///   cancels just the overflow on arcs the smaller θ saturates,
-///   walking it back to the source/sink along flow-carrying paths.
-///
-/// On top of the warm starts, the min cut of the very first max-flow
-/// (at θ = 1) yields the analytic lower bound
+/// The min cut of the first max-flow in [`Self::theta_star`] (at
+/// θ = 1) yields the analytic lower bound
 /// `(total − cut_source_capacity) / cut_link_capacity ≤ θ*`, which
 /// shrinks the bisection window before it starts. The same solver
 /// answers both plain feasibility questions ([`Self::is_feasible`])
@@ -393,14 +351,10 @@ pub struct MinMaxSolver {
     t: usize,
     /// `(arc id, unscaled capacity)` of every link arc.
     link_arcs: Vec<(usize, f64)>,
-    /// `(arc id, demand)` of every source arc (for flow resets).
+    /// `(arc id, demand)` of every source arc.
     demand_arcs: Vec<(usize, f64)>,
-    /// Arc ids of the sink arcs (for flow resets).
+    /// Arc ids of the sink arcs.
     sink_arcs: Vec<usize>,
-    /// Scale currently applied to the link arcs.
-    theta: f64,
-    /// Value of the flow currently routed.
-    flow: f64,
     /// Memoized optimum.
     theta_star: Option<f64>,
 }
@@ -421,7 +375,7 @@ impl MinMaxSolver {
         let mut net = Dinic::new(n + 2);
         let mut link_arcs = Vec::with_capacity(p.links.len());
         for ((u, v), cap, _) in &p.links {
-            let id = net.add_edge(p.index[u], p.index[v], *cap); // θ = 1
+            let id = net.add_edge(p.index[u], p.index[v], *cap);
             link_arcs.push((id, *cap));
         }
         let mut demand_arcs = Vec::with_capacity(p.demands.len());
@@ -441,8 +395,6 @@ impl MinMaxSolver {
             link_arcs,
             demand_arcs,
             sink_arcs,
-            theta: 1.0,
-            flow: 0.0,
             theta_star: None,
         })
     }
@@ -458,84 +410,21 @@ impl MinMaxSolver {
     }
 
     /// Can all demand be routed with every link at or below `theta`
-    /// utilization? Warm-starts from whatever flow previous probes
-    /// left behind.
+    /// utilization? One max-flow from zero flow on the kept network.
     pub fn is_feasible(&mut self, theta: f64) -> bool {
         let _span = fib_trace::span(fib_trace::Phase::SolverProbe);
         if self.p.total <= EPS {
             return true;
         }
-        self.rescale(theta);
-        self.flow += self.net.max_flow(self.s, self.t);
-        self.flow >= self.p.total - FLOW_TOL
+        self.reset_flow(theta);
+        self.net.max_flow(self.s, self.t) >= self.p.total - FLOW_TOL
     }
 
-    /// Rescale every link arc to `theta` × capacity, preserving the
-    /// routed flow. Arcs whose flow no longer fits get the overflow
-    /// cancelled; everything else keeps its flow and merely has its
-    /// residual recomputed (so repeated rescaling never drifts).
-    fn rescale(&mut self, theta: f64) {
-        // Record θ up front: a reset inside `cancel_overflow` must
-        // restore capacities at the *new* scale, or arcs processed
-        // earlier in this loop would keep stale ones.
-        self.theta = theta;
-        for i in 0..self.link_arcs.len() {
-            let (id, cap) = self.link_arcs[i];
-            let target = theta * cap;
-            let routed = self.net.cap[id ^ 1];
-            if routed > target + EPS {
-                self.cancel_overflow(id, routed - target);
-            }
-            let routed = self.net.cap[id ^ 1];
-            self.net.cap[id] = (target - routed).max(0.0);
-        }
-    }
-
-    /// Remove `excess` units of flow passing through arc `id` by
-    /// walking the overflow back along flow-carrying paths (source →
-    /// arc tail, arc head → sink). Falls back to a full flow reset in
-    /// the pathological case where the flow support contains a cycle
-    /// that hides such paths.
-    fn cancel_overflow(&mut self, id: usize, mut excess: f64) {
-        let (u, v) = (self.net.to[id ^ 1], self.net.to[id]);
-        while excess > EPS {
-            let (p1, p2) = (self.net.flow_path(self.s, u), self.net.flow_path(v, self.t));
-            let (Some(p1), Some(p2)) = (p1, p2) else {
-                // Flow cycle through the arc: no s→u / v→t witness.
-                // Rare enough that rebuilding the flow is fine.
-                self.reset_flow();
-                return;
-            };
-            // An arc may appear on both path halves; the bottleneck
-            // must account for pushing it back twice.
-            let mut uses: BTreeMap<usize, f64> = BTreeMap::new();
-            *uses.entry(id).or_insert(0.0) += 1.0;
-            for e in p1.iter().chain(p2.iter()) {
-                *uses.entry(*e).or_insert(0.0) += 1.0;
-            }
-            let mut push = excess;
-            for (e, times) in &uses {
-                push = push.min(self.net.cap[e ^ 1] / times);
-            }
-            if push <= EPS {
-                self.reset_flow();
-                return;
-            }
-            for (e, times) in &uses {
-                let amount = push * times;
-                self.net.cap[*e] += amount;
-                self.net.cap[e ^ 1] -= amount;
-            }
-            self.flow -= push;
-            excess -= push;
-        }
-    }
-
-    /// Drop all routed flow, restoring nominal capacities at the
-    /// current θ.
-    fn reset_flow(&mut self) {
+    /// Drop all routed flow and set every link arc to `theta` × its
+    /// capacity.
+    fn reset_flow(&mut self, theta: f64) {
         for &(id, cap) in &self.link_arcs {
-            self.net.cap[id] = self.theta * cap;
+            self.net.cap[id] = theta * cap;
             self.net.cap[id ^ 1] = 0.0;
         }
         for &(id, d) in &self.demand_arcs {
@@ -546,7 +435,6 @@ impl MinMaxSolver {
             self.net.cap[id] = f64::INFINITY;
             self.net.cap[id ^ 1] = 0.0;
         }
-        self.flow = 0.0;
     }
 
     /// Source-arc and (unscaled) link-arc capacity crossing the min
@@ -900,7 +788,7 @@ mod tests {
         let caps = caps_all(&t, 100.0);
         let mut solver =
             MinMaxSolver::new(&t, blue, &[(r(1), 100.0), (r(2), 100.0)], &caps).unwrap();
-        // Down, up, down again: exercises both grow and shrink paths.
+        // Down, up, down again: no probe depends on the one before.
         assert!(!solver.is_feasible(0.5));
         assert!(solver.is_feasible(1.0));
         assert!(!solver.is_feasible(0.6));
@@ -933,9 +821,8 @@ mod tests {
     }
 
     /// The pre-solver implementation, kept verbatim as the oracle the
-    /// rescaling solver is pinned against: a fresh Dinic network per
-    /// bisection probe, doubling from θ = 1, 60 blind halvings of
-    /// `[0, hi]`.
+    /// solver is pinned against: a fresh Dinic network per bisection
+    /// probe, doubling from θ = 1, 60 blind halvings of `[0, hi]`.
     mod fresh_reference {
         use super::super::*;
 
@@ -1031,10 +918,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The rescaling solver's θ* matches the fresh-bisection
-            /// oracle within 1e-6 on seeded random topologies.
+            /// The solver's θ* matches the fresh-bisection oracle
+            /// within 1e-6 on seeded random topologies.
             #[test]
-            fn rescaling_solver_matches_fresh_bisection(seed in 0u64..4000, n in 4u32..16) {
+            fn solver_matches_fresh_bisection(seed in 0u64..4000, n in 4u32..16) {
                 let (topo, prefix, demands, caps) = scenario(seed, n);
                 let fresh = fresh_reference::min_max_theta(&topo, prefix, &demands, &caps);
                 let fast = min_max_theta(&topo, prefix, &demands, &caps);
@@ -1048,15 +935,15 @@ mod tests {
                 }
             }
 
-            /// Warm-started probes (including shrink-after-grow) agree
+            /// Probes on the kept network, in any order of θ, agree
             /// with fresh feasibility at unambiguous θ values around θ*.
             #[test]
-            fn warm_probes_match_known_optimum(seed in 0u64..4000, n in 4u32..12) {
+            fn probes_in_any_order_match_known_optimum(seed in 0u64..4000, n in 4u32..12) {
                 let (topo, prefix, demands, caps) = scenario(seed, n);
                 let Ok(star) = fresh_reference::min_max_theta(&topo, prefix, &demands, &caps)
                 else { return Ok(()); };
                 let mut solver = MinMaxSolver::new(&topo, prefix, &demands, &caps).unwrap();
-                // Zig-zag order exercises grow, shrink, and re-grow.
+                // Zig-zag: each probe must forget the flow of the last.
                 for (k, expect) in [
                     (2.0, true), (0.5, false), (1.5, true),
                     (0.8, false), (1.1, true), (0.9, false),
