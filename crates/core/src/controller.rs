@@ -59,6 +59,9 @@ const POLL_INTERVAL: Dur = Dur::from_secs(1);
 /// EWMA weight for SNMP rates.
 const EWMA_ALPHA: f64 = 0.5;
 
+/// Hold-down of the SNMP alarm path: none, an edge counts at once.
+const ALARM_HOLD: Dur = Dur::ZERO;
+
 /// Controller tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
@@ -69,8 +72,6 @@ pub struct ControllerConfig {
     pub util_hi: f64,
     /// Natural utilization below which lies are retracted.
     pub util_lo: f64,
-    /// Hold-down for the SNMP alarm path.
-    pub hold: Dur,
     /// Utilization budget handed to the optimizer.
     pub target_util: f64,
     /// Max ECMP slots per router when rounding splits.
@@ -97,7 +98,6 @@ impl ControllerConfig {
             speaker,
             util_hi: 0.8,
             util_lo: 0.3,
-            hold: Dur::ZERO,
             target_util: 0.7,
             slot_budget: 8,
             default_flow_rate: 125_000.0, // 1 Mb/s video
@@ -123,7 +123,8 @@ pub struct ControllerStats {
     pub evaluations: u64,
     /// Plans that failed (optimizer or augmentation error), plus
     /// planned lies that could not be named and so were not injected
-    /// (their router is out of secondary addresses of the gateway).
+    /// (their router is out of secondary addresses of the gateway),
+    /// plus injections and retractions the speaker refused.
     pub failures: u64,
     /// Evaluations cut short because the demand could not be spread
     /// over the speaker's view of the network (a demand's ingress
@@ -247,7 +248,7 @@ impl FibbingController {
         let monitor = LoadMonitor::new(
             CounterWidth::C64,
             EWMA_ALPHA,
-            Threshold::new(cfg.util_hi, cfg.util_lo, cfg.hold),
+            Threshold::new(cfg.util_hi, cfg.util_lo, ALARM_HOLD),
         );
         FibbingController {
             cfg,
@@ -406,6 +407,8 @@ impl FibbingController {
         for l in old {
             old_by_sig.entry(l.sig()).or_default().push(l);
         }
+        // What `installed` will hold: a lie is in it from the moment
+        // the speaker took it until the speaker took it back.
         let mut final_set: Vec<Lie> = Vec::new();
         let mut to_inject: Vec<Lie> = Vec::new();
         for l in new_lies {
@@ -429,27 +432,29 @@ impl FibbingController {
         // Whatever remains in old_by_sig is obsolete.
         for (_, leftovers) in old_by_sig {
             for l in leftovers {
-                if api.retract_fake(self.cfg.speaker, l.fake_id).is_ok() {
-                    self.stats.retractions += 1;
-                    self.audit(api, AuditAction::Retract, prefix, &l, actx);
+                if !self.retract(api, prefix, &l, actx) {
+                    final_set.push(l);
                 }
             }
         }
         for l in &to_inject {
-            if api
-                .inject_fake(
-                    self.cfg.speaker,
-                    l.fake_id,
-                    l.attach,
-                    l.attach_metric,
-                    l.prefix,
-                    l.prefix_metric,
-                    l.fw,
-                )
-                .is_ok()
-            {
-                self.stats.injections += 1;
-                self.audit(api, AuditAction::Inject, prefix, l, actx);
+            match api.inject_fake(
+                self.cfg.speaker,
+                l.fake_id,
+                l.attach,
+                l.attach_metric,
+                l.prefix,
+                l.prefix_metric,
+                l.fw,
+            ) {
+                Ok(()) => {
+                    self.stats.injections += 1;
+                    self.audit(api, AuditAction::Inject, prefix, l, actx);
+                }
+                Err(e) => {
+                    self.plan_failed(prefix, &format_args!("inject of {l}: {e}"));
+                    final_set.retain(|kept| kept.fake_id != l.fake_id);
+                }
             }
         }
         if !final_set.is_empty() {
@@ -457,14 +462,36 @@ impl FibbingController {
         }
     }
 
-    fn retract_all(&mut self, api: &mut SimContext<'_>, prefix: Prefix, actx: &AuditCtx) {
-        if let Some(lies) = self.installed.remove(&prefix) {
-            for l in lies {
-                if api.retract_fake(self.cfg.speaker, l.fake_id).is_ok() {
-                    self.stats.retractions += 1;
-                    self.audit(api, AuditAction::Retract, prefix, &l, actx);
-                }
+    /// Retract one installed lie. `false` if the speaker refused: the
+    /// lie is then still installed, and the refusal is counted and
+    /// named by the next audit record.
+    fn retract(
+        &mut self,
+        api: &mut SimContext<'_>,
+        prefix: Prefix,
+        l: &Lie,
+        actx: &AuditCtx,
+    ) -> bool {
+        match api.retract_fake(self.cfg.speaker, l.fake_id) {
+            Ok(()) => {
+                self.stats.retractions += 1;
+                self.audit(api, AuditAction::Retract, prefix, l, actx);
+                true
             }
+            Err(e) => {
+                self.plan_failed(prefix, &format_args!("retract of {l}: {e}"));
+                false
+            }
+        }
+    }
+
+    /// Retract every lie of `prefix`; one the speaker refuses to take
+    /// back stays installed, so the next pass tries again.
+    fn retract_all(&mut self, api: &mut SimContext<'_>, prefix: Prefix, actx: &AuditCtx) {
+        let mut lies = self.installed.remove(&prefix).unwrap_or_default();
+        lies.retain(|l| !self.retract(api, prefix, l, actx));
+        if !lies.is_empty() {
+            self.installed.insert(prefix, lies);
         }
     }
 
@@ -918,7 +945,6 @@ mod tests {
     fn snmp_only_controller_reacts_later_but_reacts() {
         let mut cfg = ControllerConfig::new(r(100));
         cfg.predictive = false; // only the SNMP path
-        cfg.hold = Dur::from_secs(2);
         let mut sim = sim_with_controller(cfg);
         for i in 0..12 {
             sched_flow(
@@ -1178,6 +1204,68 @@ mod tests {
         assert_eq!(h.evaluate(), (0, 2));
         assert_eq!((h.ctl.stats.injections, h.ctl.stats.failures), (5, 2));
         assert_eq!((h.ctl.stats.retractions, h.ctl.installed_count()), (0, 5));
+    }
+
+    #[test]
+    fn a_refused_injection_is_counted_and_kept_out_of_the_books() {
+        let mut h = ByHand::crowded();
+        // An evaluation stops at the LSDB it cannot read long before it
+        // injects, so plan P1 the way a pass would and hand the lies to
+        // `reconcile` under a speaker id the simulator does not know.
+        let real = h.sim.ctx().topology_view(r(100)).expect("speaker");
+        let dem = [(r(1), 1.2e6)];
+        let plan = crate::optimizer::plan_paths(&real, P1, &dem, &h.ctl.caps, 0.7, 8).unwrap();
+        let (candidates, lies) = realize_from_scratch(&real, &plan.dag).unwrap();
+        assert!(!lies.is_empty());
+        h.ctl.cfg.speaker = r(101);
+        let actx = AuditCtx {
+            trigger: String::new(),
+            candidates,
+            predicted_max_util: 0.0,
+            measured_max_util: 0.0,
+        };
+        h.ctl.reconcile(&mut h.sim.ctx(), P1, lies.clone(), &actx);
+        assert_eq!(h.ctl.installed_count(), 0, "no lie was told");
+        assert_eq!(h.ctl.stats.failures, lies.len() as u64);
+        assert_eq!(h.ctl.stats.injections, 0);
+    }
+
+    #[test]
+    fn a_refused_retraction_is_counted_named_and_tried_again() {
+        let mut h = ByHand::crowded();
+        h.evaluate();
+        let told = h.ctl.installed_count() as u64;
+        // A lie in the books that the speaker never originated, first
+        // in line; then every viewer leaves and all lies are to go.
+        let phantom = Lie {
+            fake_id: h.ctl.alloc.fake_id(),
+            ..h.ctl.installed_lies(P1)[0]
+        };
+        h.ctl.installed.get_mut(&P1).unwrap().insert(0, phantom);
+        h.ctl.book.clear();
+        fib_trace::install(Box::new(fib_trace::AggSink::new()));
+        assert_eq!(h.evaluate(), (0, 0));
+        let sink = fib_trace::take()
+            .expect("installed above")
+            .into_any()
+            .downcast::<fib_trace::AggSink>()
+            .expect("the sink that was installed");
+        assert_eq!(h.ctl.installed_lies(P1), [phantom], "still in the books");
+        assert_eq!((h.ctl.stats.retractions, h.ctl.stats.failures), (told, 1));
+        let triggers: Vec<&str> = sink.audits().iter().map(|a| a.trigger.as_str()).collect();
+        assert_eq!(
+            triggers[0],
+            format!(
+                "natural 0.000 <= lo 0.300; after failed plan for 10.0.1.0/24: \
+                 retract of {phantom}: not the originator of LSAs from {}",
+                phantom.fake_id
+            )
+        );
+        assert_eq!(triggers[1], "natural 0.000 <= lo 0.300");
+        // The next pass asks again and is refused again.
+        assert_eq!(h.evaluate(), (0, 0));
+        assert_eq!((h.ctl.stats.retractions, h.ctl.stats.failures), (told, 2));
+        assert_eq!(h.ctl.installed_count(), 1);
     }
 
     #[test]
