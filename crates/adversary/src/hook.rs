@@ -11,6 +11,7 @@
 
 use fib_igp::time::Timestamp;
 use fib_sim_kernel::TieBreak;
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use fib_trace::OrderRecord;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -26,23 +27,13 @@ pub fn new_log() -> ScheduleLog {
     Arc::new(Mutex::new(Vec::new()))
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Deterministic FNV-1a fingerprint of a schedule trace. Two runs
 /// that made the same ordering decisions at the same instants share a
 /// fingerprint; the explorer counts *distinct* fingerprints.
 pub fn fingerprint(log: &[OrderRecord]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for r in log {
-        for b in r.render().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h ^= u64::from(b';');
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    log.iter().fold(FNV_OFFSET, |h, r| {
+        fnv1a(fnv1a(h, r.render().as_bytes()), b";")
+    })
 }
 
 /// `n!` with saturation (21! overflows u64; ranks the explorer uses

@@ -9,13 +9,7 @@
 //! omitted at their defaults, `{:?}` floats, plain integers.
 
 use fib_scenario::prelude::*;
-
-/// FNV-1a, 64 bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 
 /// Every shipped and compiled-in scenario, and the archived finds.
 const FILE_PINS: &[(&str, u64)] = &[
@@ -41,7 +35,7 @@ fn shipped_and_found_scenarios_emit_pinned_bytes() {
         let text = load_scenario(name)
             .expect("shipped spec parses")
             .to_toml_string();
-        let digest = fnv1a(text.as_bytes());
+        let digest = fnv1a(FNV_OFFSET, text.as_bytes());
         if pin_of(name) != Some(digest) {
             moved.push(format!("(\"{name}\", {digest:#018x}),\n{text}"));
         }
@@ -50,7 +44,7 @@ fn shipped_and_found_scenarios_emit_pinned_bytes() {
         let text = load_found(&name)
             .expect("archived find parses")
             .to_toml_string();
-        let digest = fnv1a(text.as_bytes());
+        let digest = fnv1a(FNV_OFFSET, text.as_bytes());
         match pin_of(&name) {
             Some(pin) if pin != digest => {
                 moved.push(format!("(\"{name}\", {digest:#018x}),\n{text}"))

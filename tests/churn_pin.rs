@@ -12,6 +12,7 @@
 //! horizon, both with sessions still playing. A change that only makes
 //! a tick or a settle cheaper must move none of the digests below.
 
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use fibbing::scenario::runner::{build, RunOptions};
 use fibbing::scenario::spec::ScenarioSpec;
 use fibbing::video::prelude::QoeReport;
@@ -137,13 +138,6 @@ capacity = 1.5e7
 /// ticks at 13.5 and 13.6.
 const MID_RUN_SECS: f64 = 13.537;
 
-/// FNV-1a, 64 bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 /// One report per line, every field (`{:?}` prints the shortest text
 /// that reads back to the same f64).
 fn render(reports: &[QoeReport]) -> String {
@@ -199,11 +193,11 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
         let _ = writeln!(counters, "{name} {value}");
     }
     let digests = [
-        fnv1a(report.summary_csv().as_bytes()),
-        fnv1a(report.trace_csv.as_bytes()),
-        fnv1a(counters.as_bytes()),
-        fnv1a(render(&mid).as_bytes()),
-        fnv1a(render(&end).as_bytes()),
+        fnv1a(FNV_OFFSET, report.summary_csv().as_bytes()),
+        fnv1a(FNV_OFFSET, report.trace_csv.as_bytes()),
+        fnv1a(FNV_OFFSET, counters.as_bytes()),
+        fnv1a(FNV_OFFSET, render(&mid).as_bytes()),
+        fnv1a(FNV_OFFSET, render(&end).as_bytes()),
     ];
     assert_eq!(
         digests,

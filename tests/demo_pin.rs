@@ -7,18 +7,12 @@
 //! run. A change to how a schedule is described, ordered, tagged or
 //! launched must move none of the digests below.
 
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use fibbing::demo::{self, DemoConfig};
 use fibbing::scenario::runner::{build, RunOptions};
 use fibbing::scenario::suite::load_scenario;
 use fibbing::video::prelude::QoeReport;
 use std::fmt::Write as _;
-
-/// FNV-1a, 64 bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
 
 /// One report per line, every field (`{:?}` prints the shortest text
 /// that reads back to the same f64).
@@ -52,8 +46,8 @@ fn demo_digests(controller: bool) -> [u64; 2] {
     let reports = run.qoe.reports();
     assert_eq!(reports.len(), 62);
     [
-        fnv1a(run.sim.recorder().to_csv().as_bytes()),
-        fnv1a(render(&reports).as_bytes()),
+        fnv1a(FNV_OFFSET, run.sim.recorder().to_csv().as_bytes()),
+        fnv1a(FNV_OFFSET, render(&reports).as_bytes()),
     ]
 }
 
@@ -70,9 +64,9 @@ fn scenario_digests(name: &str, horizon_secs: Option<f64>, sessions: usize) -> [
     let report = run.finish();
     assert_eq!(report.sessions, sessions);
     [
-        fnv1a(report.summary_csv().as_bytes()),
-        fnv1a(report.trace_csv.as_bytes()),
-        fnv1a(render(&qoe.reports()).as_bytes()),
+        fnv1a(FNV_OFFSET, report.summary_csv().as_bytes()),
+        fnv1a(FNV_OFFSET, report.trace_csv.as_bytes()),
+        fnv1a(FNV_OFFSET, render(&qoe.reports()).as_bytes()),
     ]
 }
 

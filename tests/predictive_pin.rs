@@ -20,17 +20,11 @@
 //!
 //! [`LieAllocator`]: fibbing::core::lie::LieAllocator
 
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use fib_trace::{AggSink, AuditRecord};
 use fibbing::scenario::runner::{build, RunOptions};
 use fibbing::scenario::suite::{load_scenario, PREDICTIVE_PIN};
 use std::fmt::Write as _;
-
-/// FNV-1a, 64 bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
 
 /// One audit record per line, every field.
 fn render(audits: &[AuditRecord]) -> String {
@@ -126,10 +120,10 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     assert_eq!(highest, Some(report.injections - 1));
 
     let digests = (
-        fnv1a(report.summary_csv().as_bytes()),
-        fnv1a(report.trace_csv.as_bytes()),
-        fnv1a(audit.as_bytes()),
-        fnv1a(mask_names(&audit).as_bytes()),
+        fnv1a(FNV_OFFSET, report.summary_csv().as_bytes()),
+        fnv1a(FNV_OFFSET, report.trace_csv.as_bytes()),
+        fnv1a(FNV_OFFSET, audit.as_bytes()),
+        fnv1a(FNV_OFFSET, mask_names(&audit).as_bytes()),
     );
     assert_eq!(
         digests,
