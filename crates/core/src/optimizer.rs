@@ -15,7 +15,7 @@
 //!   network is assembled **once** per problem; a probe at θ sets the
 //!   link arcs to θ × capacity, drops whatever flow the last probe
 //!   routed and runs one max-flow from zero. (Rebuilding the network
-//!   per probe measured 12 % slower on the one workload that bisects;
+//!   per probe measured 11 % slower on the one workload that bisects;
 //!   carrying the flow from probe to probe measured nothing — see
 //!   "The optimizer hot path" in docs/ARCHITECTURE.md.) A single
 //!   max-flow at θ = 1 additionally yields an analytic lower bound
