@@ -1216,7 +1216,8 @@ mod tests {
         let dem = [(r(1), 1.2e6)];
         let plan = crate::optimizer::plan_paths(&real, P1, &dem, &h.ctl.caps, 0.7, 8).unwrap();
         let (candidates, lies) = realize_from_scratch(&real, &plan.dag).unwrap();
-        assert!(!lies.is_empty());
+        let planned = lies.len() as u64;
+        assert!(planned > 0);
         h.ctl.cfg.speaker = r(101);
         let actx = AuditCtx {
             trigger: String::new(),
@@ -1224,9 +1225,9 @@ mod tests {
             predicted_max_util: 0.0,
             measured_max_util: 0.0,
         };
-        h.ctl.reconcile(&mut h.sim.ctx(), P1, lies.clone(), &actx);
+        h.ctl.reconcile(&mut h.sim.ctx(), P1, lies, &actx);
         assert_eq!(h.ctl.installed_count(), 0, "no lie was told");
-        assert_eq!(h.ctl.stats.failures, lies.len() as u64);
+        assert_eq!(h.ctl.stats.failures, planned);
         assert_eq!(h.ctl.stats.injections, 0);
     }
 
