@@ -533,6 +533,220 @@ mod tests {
         assert!(!topo.has_link(RouterId(1), RouterId(2)));
     }
 
+    /// `to_topology` as it stood before it was rewritten to build the
+    /// real graph in one pass: one map operation per router, per link
+    /// and per reverse-link lookup. Kept as the oracle of
+    /// `to_topology_matches_the_four_pass_reference`.
+    fn to_topology_reference(db: &Lsdb) -> Topology {
+        let mut topo = Topology::new();
+        // Pass 1: create all real routers that have a live router LSA.
+        for lsa in db.entries.values() {
+            if lsa.is_max_age() {
+                continue;
+            }
+            if let LsaBody::Router { .. } = &lsa.body {
+                if lsa.key.origin.is_real() {
+                    topo.add_router(lsa.key.origin);
+                }
+            }
+        }
+        // Pass 2: two-way-checked links.
+        let reports = |from: RouterId, to: RouterId| -> Option<crate::types::Metric> {
+            let key = LsaKey {
+                origin: from,
+                kind: LsaKind::Router,
+                id: 0,
+            };
+            let lsa = db.entries.get(&key)?;
+            if lsa.is_max_age() {
+                return None;
+            }
+            if let LsaBody::Router { links } = &lsa.body {
+                links.iter().find(|l| l.to == to).map(|l| l.metric)
+            } else {
+                None
+            }
+        };
+        for lsa in db.entries.values() {
+            if lsa.is_max_age() {
+                continue;
+            }
+            let LsaBody::Router { links } = &lsa.body else {
+                continue;
+            };
+            let from = lsa.key.origin;
+            if from.is_fake() {
+                continue;
+            }
+            for l in links {
+                if !topo.contains(l.to) {
+                    continue;
+                }
+                if reports(l.to, from).is_some() {
+                    // Two-way check passed; duplicates impossible since
+                    // router LSAs are unique per origin.
+                    let _ = topo.add_link(from, l.to, l.metric);
+                }
+            }
+        }
+        // Pass 3: prefix announcements on live routers.
+        for lsa in db.entries.values() {
+            if lsa.is_max_age() {
+                continue;
+            }
+            if let LsaBody::Prefix { prefix, metric } = &lsa.body {
+                if topo.contains(lsa.key.origin) {
+                    let _ = topo.announce_prefix(lsa.key.origin, *prefix, *metric);
+                }
+            }
+        }
+        // Pass 4: fake nodes (lies). Invalid lies (dangling attachment
+        // or forwarding address) are skipped, mirroring how a router
+        // ignores a type-5 LSA whose forwarding address is unreachable.
+        for lsa in db.entries.values() {
+            if lsa.is_max_age() {
+                continue;
+            }
+            if let LsaBody::Fake {
+                attach,
+                attach_metric,
+                prefix,
+                prefix_metric,
+                fw,
+            } = &lsa.body
+            {
+                let attrs = FakeAttrs {
+                    attach: *attach,
+                    attach_metric: *attach_metric,
+                    prefix: *prefix,
+                    prefix_metric: *prefix_metric,
+                    fw: *fw,
+                };
+                let _ = topo.add_fake_node(lsa.key.origin, attrs);
+            }
+        }
+        topo
+    }
+
+    /// Seeded random databases with everything `to_topology` has to
+    /// decide about: one-way links, purged routers, links to routers
+    /// that have no LSA, a far end listed twice, a second router LSA
+    /// under another id, a router LSA from the fake range, two prefix
+    /// LSAs for one prefix, lies with a dangling attachment or a
+    /// forwarding address that is no neighbour.
+    #[test]
+    fn to_topology_matches_the_four_pass_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) % n
+        };
+        let metric = |r: u64| Metric(1 + r as u32);
+        let (mut links_kept, mut lies_kept, mut lies_planned) = (0, 0, 0);
+        for _ in 0..3000 {
+            let pool = 2 + rand(9) as u32; // routers 1..=pool may speak
+            let mut adj: Vec<Vec<LsaLink>> = vec![Vec::new(); pool as usize + 1];
+            for a in 1..=pool {
+                for b in a..=pool + 1 {
+                    if rand(3) != 0 {
+                        continue;
+                    }
+                    // Usually both ways, each with its own metric; `b`
+                    // may be `a` itself or a router that never speaks.
+                    for (from, to) in [(a, b), (b, a)] {
+                        if from <= pool && rand(8) != 0 {
+                            adj[from as usize].push(LsaLink {
+                                to: RouterId(to),
+                                metric: metric(rand(20)),
+                            });
+                        }
+                    }
+                }
+            }
+            let mut db = Lsdb::new();
+            let install = |db: &mut Lsdb, lsa: Lsa, purge: bool| {
+                db.install(lsa.clone());
+                if purge {
+                    db.install(lsa.to_purge());
+                }
+            };
+            for r in 1..=pool {
+                let links = &mut adj[r as usize];
+                if !links.is_empty() && rand(4) == 0 {
+                    // The same far end again, at another metric and
+                    // anywhere in the list: the first one counts.
+                    let again = LsaLink {
+                        to: links[rand(links.len() as u64) as usize].to,
+                        metric: metric(20 + rand(20)),
+                    };
+                    links.insert(rand(links.len() as u64 + 1) as usize, again);
+                }
+                for i in (1..links.len()).rev() {
+                    links.swap(i, rand(i as u64 + 1) as usize);
+                }
+                if rand(10) == 0 {
+                    continue; // never heard of
+                }
+                let lsa = Lsa::router(RouterId(r), SeqNum(1), links.clone());
+                if rand(12) == 0 {
+                    let mut second = lsa.clone();
+                    second.key.id = 1;
+                    install(&mut db, second, false);
+                }
+                install(&mut db, lsa, rand(8) == 0);
+            }
+            if rand(6) == 0 {
+                let links = adj[1].clone();
+                install(
+                    &mut db,
+                    Lsa::router(RouterId::fake(9), SeqNum(1), links),
+                    false,
+                );
+            }
+            for id in 0..rand(5) as u32 {
+                let p = Prefix::net24(rand(3) as u8);
+                let origin = RouterId(1 + rand(u64::from(pool) + 1) as u32);
+                let lsa = Lsa::prefix(origin, id, SeqNum(1), p, metric(rand(4)));
+                install(&mut db, lsa, rand(8) == 0);
+            }
+            for k in 0..rand(4) as u32 {
+                let at = 1 + rand(u64::from(pool) + 1) as usize;
+                let attach = match rand(10) {
+                    0 => RouterId::fake(0),
+                    _ => RouterId(at as u32),
+                };
+                // Mostly a far end the attachment reports, else anyone.
+                let fw = match adj.get(at).filter(|l| !l.is_empty()) {
+                    Some(l) if rand(4) != 0 => l[rand(l.len() as u64) as usize].to,
+                    _ => RouterId(1 + rand(u64::from(pool) + 1) as u32),
+                };
+                let lie = Lsa::fake(
+                    RouterId::fake(k),
+                    SeqNum(1),
+                    attach,
+                    metric(rand(3)),
+                    Prefix::net24(rand(3) as u8),
+                    metric(rand(3)),
+                    FwAddr::secondary(fw, 1 + rand(3) as u16),
+                );
+                install(&mut db, lie, rand(8) == 0);
+                lies_planned += 1;
+            }
+            let topo = db.to_topology();
+            assert_eq!(topo, to_topology_reference(&db), "{db:?}");
+            links_kept += topo.all_links().count();
+            lies_kept += topo.fake_count();
+        }
+        // The generator reaches both sides of every decision.
+        assert!(links_kept > 10_000, "only {links_kept} links kept");
+        assert!(
+            lies_kept > 500 && lies_planned - lies_kept > 500,
+            "{lies_kept} of {lies_planned} lies kept"
+        );
+    }
+
     mod max_age_index {
         use super::*;
         use proptest::prelude::*;

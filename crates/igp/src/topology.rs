@@ -53,7 +53,7 @@ impl FakeAttrs {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Node {
     links: Vec<TopoLink>,
     prefixes: Vec<(Prefix, Metric)>,
@@ -61,7 +61,7 @@ struct Node {
 }
 
 /// The shared weighted graph (real + fake parts).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     nodes: BTreeMap<RouterId, Node>,
 }

@@ -596,6 +596,82 @@ mod tests {
         }
     }
 
+    /// What licenses verifying the checksum in place: for one packet of
+    /// each type, the bytes decode back to the packet and no single-bit
+    /// flip anywhere — the checksum and length fields included — does.
+    #[test]
+    fn every_single_bit_flip_of_every_packet_type_is_rejected() {
+        let header = |origin: u32, kind: LsaKind, age: u16| LsaHeader {
+            key: LsaKey {
+                origin: RouterId(origin),
+                kind,
+                id: 2,
+            },
+            seq: SeqNum(0x0102_0304),
+            age,
+        };
+        let link = |to: u32, m: u32| LsaLink {
+            to: RouterId(to),
+            metric: Metric(m),
+        };
+        let packets = [
+            Packet::Hello(Hello {
+                hello_interval: 1,
+                dead_interval: 4,
+                seen: vec![RouterId(1), RouterId(0x00ff_ff00)],
+            }),
+            Packet::Dbd(Dbd {
+                init: false,
+                more: true,
+                master: true,
+                dd_seq: 0xdead_beef,
+                headers: vec![
+                    header(3, LsaKind::Router, 12),
+                    header(4, LsaKind::Fake, 3600),
+                ],
+            }),
+            Packet::LsRequest(LsRequest {
+                keys: vec![
+                    header(1, LsaKind::Prefix, 0).key,
+                    header(9, LsaKind::Router, 0).key,
+                ],
+            }),
+            Packet::LsUpdate(LsUpdate {
+                lsas: vec![
+                    Lsa::router(RouterId(1), SeqNum(3), vec![link(2, 10), link(7, 0xff)]),
+                    Lsa::prefix(RouterId(1), 1, SeqNum(2), Prefix::net24(9), Metric(0)),
+                    Lsa::fake(
+                        RouterId::fake(5),
+                        SeqNum(1),
+                        RouterId(1),
+                        Metric(1),
+                        Prefix::net24(9),
+                        Metric(1),
+                        FwAddr::secondary(RouterId(2), 3),
+                    ),
+                ],
+            }),
+            Packet::LsAck(LsAck {
+                headers: vec![header(6, LsaKind::Fake, 3600)],
+            }),
+        ];
+        for p in &packets {
+            let bytes = encode(p, RouterId(42));
+            assert_eq!(decode(bytes.clone()), Ok((RouterId(42), p.clone())));
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    decode(Bytes::from(flipped)).is_err(),
+                    "type {}: flip of bit {} in byte {} went undetected",
+                    p.type_byte(),
+                    bit % 8,
+                    bit / 8
+                );
+            }
+        }
+    }
+
     #[test]
     fn truncation_is_detected() {
         let bytes = encode(

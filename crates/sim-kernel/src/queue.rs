@@ -376,6 +376,93 @@ mod tests {
         run_against_sorted_vec_model(true);
     }
 
+    /// The same contract under the traffic the simulator produces:
+    /// at most eight live instants, thousands of events on each, and
+    /// pushes onto the instant being drained. The model is the sorted
+    /// `Vec` again (a deque, so serving the front is cheap); with
+    /// `reverse` it also keeps the committed batch the way the queue's
+    /// documentation describes it — the earliest group, reversed, with
+    /// same-time pushes waiting for the next group and earlier pushes
+    /// served first.
+    fn run_tie_heavy(hook: Option<Box<dyn TieBreak<u64>>>, reverse: bool) {
+        let mut q: EventQueue<u64, u64> = EventQueue::new();
+        q.set_tie_break(hook);
+        let mut rest: VecDeque<(u64, u64)> = VecDeque::new();
+        let mut batch: VecDeque<(u64, u64)> = VecDeque::new();
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> 8
+        };
+        // Instants are multiples of 10 from one behind the clock to
+        // six ahead of it: eight at most hold events at any time.
+        let (mut now, mut pushed, mut deepest, mut longest_tie) = (10u64, 0u64, 0, 0);
+        for step in 0..240_000u32 {
+            let r = rand();
+            // Fill for 30 000 steps, drain for 30 000, four times over.
+            let push_odds = if (step / 30_000) % 2 == 0 { 12 } else { 4 };
+            if r % 16 < push_odds {
+                let t = match (r >> 8) % 64 {
+                    0 => now - 10,
+                    1..=16 => now,
+                    k => now + 10 * (1 + k % 6),
+                };
+                q.push(t, pushed);
+                rest.insert(rest.partition_point(|e| e.0 <= t), (t, pushed));
+                pushed += 1;
+            } else {
+                // One pop in four is a `pop_due` at a time the front may
+                // or may not meet; a group is committed only by a pop
+                // that serves.
+                let due = ((r >> 8) % 4 == 0).then(|| now - 10 + 10 * ((r >> 16) % 3));
+                let head = [batch.front(), rest.front()].into_iter().flatten();
+                let head = head.map(|e| e.0).min();
+                let want = if head.is_some_and(|t| due.map_or(true, |d| t <= d)) {
+                    if reverse && batch.is_empty() {
+                        let n = rest.partition_point(|e| e.0 <= rest[0].0);
+                        batch.extend(rest.drain(..n).rev());
+                        longest_tie = longest_tie.max(n);
+                    }
+                    match (batch.front(), rest.front()) {
+                        (Some(b), Some(r)) if r.0 < b.0 => rest.pop_front(),
+                        (Some(_), _) => batch.pop_front(),
+                        (None, _) => rest.pop_front(),
+                    }
+                } else {
+                    None
+                };
+                let got = match due {
+                    Some(d) => q.pop_due(d),
+                    None => q.pop(),
+                };
+                assert_eq!(got, want);
+                if let Some((t, _)) = want {
+                    now = now.max(t);
+                }
+            }
+            assert_eq!(q.len(), rest.len() + batch.len());
+            let times = [batch.front(), rest.front()];
+            assert_eq!(
+                q.peek_time(),
+                times.into_iter().flatten().map(|e| e.0).min()
+            );
+            deepest = deepest.max(q.len());
+        }
+        // Eight instants at most: some instant held thousands.
+        assert!(deepest > 8 * 1024, "depth peaked at {deepest}");
+        assert!(!reverse || longest_tie > 1024, "longest tie {longest_tie}");
+        assert!(now >= 200, "the clock only reached {now}");
+    }
+
+    #[test]
+    fn tie_heavy_traffic_matches_the_model_unarmed_identity_and_reversed() {
+        run_tie_heavy(None, false);
+        run_tie_heavy(Some(Box::new(Identity)), false);
+        run_tie_heavy(Some(Box::new(Reverse)), true);
+    }
+
     /// Records decision points through a shared handle so tests can
     /// inspect them after the boxed hook is owned by the queue.
     struct SharedRecorder(std::sync::Arc<std::sync::Mutex<Vec<(u64, usize)>>>);
