@@ -4,8 +4,8 @@
 //! domain world): deterministic by construction, allocation-light on
 //! the hot paths.
 //!
-//! * [`EventQueue`] — one time-ordered queue with stable FIFO
-//!   tie-breaking, and the [`TieBreak`] hook an adversary drives it by;
+//! * [`EventQueue`] — one time-ordered queue, a FIFO per instant, and
+//!   the [`TieBreak`] hook an adversary drives it by;
 //! * [`DeadlineHeap`] — `O(log n)`-per-change tracking of the earliest
 //!   internal timer across components that own timer wheels;
 //! * [`ComponentId`] / [`Registry`] — a flat arena of components

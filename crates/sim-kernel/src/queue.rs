@@ -1,11 +1,19 @@
 //! The time-ordered event queue.
 //!
-//! One queue per simulation: a binary heap of entries ordered by
-//! `(time, push sequence)`, so simultaneous events pop in exactly the
-//! order they were pushed (stable FIFO tie-break), which is what makes
-//! whole-run determinism an invariant rather than an accident. A
-//! pushed event fires: nothing in the workspace ever took one back, so
-//! the queue keeps no per-event state beside the heap entry.
+//! One queue per simulation: an ordered map from each instant that has
+//! events to the FIFO of those events, so simultaneous events pop in
+//! exactly the order they were pushed (stable FIFO tie-break) by
+//! construction, which is what makes whole-run determinism an
+//! invariant rather than an accident. A pushed event fires: nothing in
+//! the workspace ever took one back, so the queue keeps no per-event
+//! state beside the event itself.
+//!
+//! The container follows the traffic: a simulated network delivers in
+//! bursts (tens to thousands of events per instant), so ordering is
+//! paid once per instant and a pop is a `pop_front`. A FIFO is made of
+//! chunks that go back to a shared spare list as they drain, so the
+//! memory held follows the events still queued (ARCHITECTURE.md,
+//! "Event kernel", has the numbers).
 //!
 //! ## Controlled nondeterminism
 //!
@@ -21,8 +29,7 @@
 //! explorer can enumerate or sample interleavings while `len` and
 //! `peek_time` stay exact.
 
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A controlled-nondeterminism hook over same-time event batches.
 ///
@@ -43,51 +50,35 @@ pub trait TieBreak<T>: Send {
     fn permute(&mut self, at: T, n: usize, out: &mut Vec<u32>);
 }
 
-struct Entry<T, E> {
-    at: T,
-    seq: u64,
-    ev: E,
-}
+/// Most events a chunk holds. Chunks start empty and grow to this: a
+/// lone event on its instant costs a few slots, not a full chunk.
+const CHUNK: usize = 256;
 
-impl<T: Ord, E> PartialEq for Entry<T, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T: Ord, E> Eq for Entry<T, E> {}
-impl<T: Ord, E> PartialOrd for Entry<T, E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T: Ord, E> Ord for Entry<T, E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first,
-        // and among equals the lowest sequence number (push order).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// One instant's events in push order: chunks front to back, none of
+/// them empty, all but the last full.
+type Bucket<E> = VecDeque<VecDeque<E>>;
 
-/// A min-heap of `(time, event)` with stable FIFO tie-breaking.
+/// A min-queue of `(time, event)` with stable FIFO tie-breaking.
 pub struct EventQueue<T, E> {
-    heap: BinaryHeap<Entry<T, E>>,
-    /// Sequence number the next push gets.
-    seq: u64,
+    /// The queued events by instant; an instant with none has no entry.
+    buckets: BTreeMap<T, Bucket<E>>,
+    /// Drained chunks, handed to whichever bucket fills next.
+    spare: Vec<VecDeque<E>>,
+    /// Events in `buckets` and `batch` together.
+    len: usize,
     /// The armed tie-break strategy, if any (`None` = stock FIFO).
     hook: Option<Box<dyn TieBreak<T>>>,
     /// A drained same-time batch, already permuted into serving order.
-    batch: VecDeque<Entry<T, E>>,
+    batch: VecDeque<(T, E)>,
 }
 
 impl<T: Ord + Copy, E> EventQueue<T, E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            buckets: BTreeMap::new(),
+            spare: Vec::new(),
+            len: 0,
             hook: None,
             batch: VecDeque::new(),
         }
@@ -104,17 +95,23 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
 
     /// Schedule `ev` at time `at`.
     pub fn push(&mut self, at: T, ev: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, ev });
+        self.len += 1;
+        let bucket = self.buckets.entry(at).or_default();
+        match bucket.back_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push_back(ev),
+            _ => {
+                let mut chunk = self.spare.pop().unwrap_or_default();
+                chunk.push_back(ev);
+                bucket.push_back(chunk);
+            }
+        }
     }
 
     /// The time of the earliest queued event.
     pub fn peek_time(&self) -> Option<T> {
-        let heap_at = self.heap.peek().map(|e| e.at);
-        match (self.batch.front().map(|e| e.at), heap_at) {
-            (Some(b), Some(h)) => Some(b.min(h)),
-            (b, h) => b.or(h),
+        match (self.batch.front().map(|e| e.0), self.buckets.keys().next()) {
+            (Some(b), Some(h)) => Some(b.min(*h)),
+            (b, h) => b.or(h.copied()),
         }
     }
 
@@ -125,7 +122,25 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         }
         // Stock FIFO: the two branches above are the whole cost of the
         // unarmed hook.
-        self.heap.pop().map(|e| (e.at, e.ev))
+        self.pop_bucket()
+    }
+
+    /// Pop the front of the earliest bucket; its drained chunks go to
+    /// the spare list, and the bucket itself when nothing is left.
+    fn pop_bucket(&mut self) -> Option<(T, E)> {
+        let mut first = self.buckets.first_entry()?;
+        let at = *first.key();
+        let bucket = first.get_mut();
+        let chunk = bucket.front_mut().expect("a bucket holds a chunk");
+        let ev = chunk.pop_front().expect("a queued chunk holds an event");
+        if chunk.is_empty() {
+            self.spare.extend(bucket.pop_front());
+            if bucket.is_empty() {
+                first.remove();
+            }
+        }
+        self.len -= 1;
+        Some((at, ev))
     }
 
     /// Pop on the armed (or batch-draining) path.
@@ -135,62 +150,55 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
             // A push landed strictly *before* the buffered batch's
             // time (never happens under a monotone simulation clock,
             // but queue semantics must not depend on that): serve the
-            // earlier heap entries stock-FIFO until the batch is
-            // earliest again.
-            Some(front) if self.heap.peek().is_some_and(|top| top.at < front.at) => {
-                return self.heap.pop().map(|e| (e.at, e.ev));
+            // earlier buckets stock-FIFO until the batch is earliest
+            // again.
+            Some(front) if self.buckets.keys().next().is_some_and(|at| *at < front.0) => {
+                return self.pop_bucket();
             }
             Some(_) => {}
         }
-        self.batch.pop_front().map(|e| (e.at, e.ev))
+        let served = self.batch.pop_front()?;
+        self.len -= 1;
+        Some(served)
     }
 
-    /// Drain the earliest same-time group of queued events into the
-    /// batch buffer, asking the hook for a serving permutation when
-    /// the group has two or more members.
+    /// Move the earliest bucket — the same-time group the hook decides
+    /// about — into the batch buffer, asking the hook for a serving
+    /// permutation when the group has two or more members. A push onto
+    /// that instant while the batch drains opens a new bucket: the next
+    /// group.
     fn fill_batch(&mut self) {
-        let Some(at) = self.heap.peek().map(|e| e.at) else {
+        let Some((at, bucket)) = self.buckets.pop_first() else {
             return;
         };
-        let mut drained: Vec<Entry<T, E>> = Vec::new();
-        while self.heap.peek().is_some_and(|top| top.at == at) {
-            drained.extend(self.heap.pop());
+        for mut chunk in bucket {
+            self.batch.extend(chunk.drain(..).map(|ev| (at, ev)));
+            self.spare.push(chunk);
         }
-        if drained.len() >= 2 {
-            if let Some(hook) = self.hook.as_mut() {
-                let n = drained.len();
-                let mut perm: Vec<u32> = Vec::new();
-                hook.permute(at, n, &mut perm);
-                if !perm.is_empty() {
-                    assert_eq!(
-                        perm.len(),
-                        n,
-                        "TieBreak::permute wrote {} indices for a batch of {n}",
-                        perm.len()
-                    );
-                    let mut seen = vec![false; n];
-                    for &i in &perm {
-                        let i = i as usize;
-                        assert!(
-                            i < n && !seen[i],
-                            "TieBreak::permute output is not a permutation of 0..{n}"
-                        );
-                        seen[i] = true;
-                    }
-                    // `drained` is FIFO order (the heap pops equal-time
-                    // entries by ascending sequence number); apply the
-                    // chosen serving order on top of it.
-                    let mut slots: Vec<Option<Entry<T, E>>> =
-                        drained.into_iter().map(Some).collect();
-                    for &i in &perm {
-                        let entry = slots[i as usize].take().expect("validated permutation");
-                        self.batch.push_back(entry);
-                    }
-                    return;
-                }
-            }
+        let n = self.batch.len();
+        let Some(hook) = self.hook.as_mut().filter(|_| n >= 2) else {
+            return;
+        };
+        let mut perm: Vec<u32> = Vec::new();
+        hook.permute(at, n, &mut perm);
+        if perm.is_empty() {
+            return;
         }
-        self.batch.extend(drained);
+        assert_eq!(
+            perm.len(),
+            n,
+            "TieBreak::permute wrote {} indices for a batch of {n}",
+            perm.len()
+        );
+        // The batch is in FIFO order (a bucket is push order); apply
+        // the chosen serving order on top of it.
+        let mut slots: Vec<Option<(T, E)>> = self.batch.drain(..).map(Some).collect();
+        for &i in &perm {
+            let entry = slots.get_mut(i as usize).and_then(Option::take);
+            self.batch.push_back(entry.unwrap_or_else(|| {
+                panic!("TieBreak::permute output is not a permutation of 0..{n}")
+            }));
+        }
     }
 
     /// Pop the earliest queued event if its time is `<= now`.
@@ -204,12 +212,12 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.batch.len()
+        self.len
     }
 
     /// `true` if no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -486,6 +494,25 @@ mod tests {
         // Only the t=2 pair was a decision point; the t=1 singleton
         // never reached the hook.
         assert_eq!(*log.lock().unwrap(), vec![(2, 2)]);
+    }
+
+    /// Names an index twice: not a permutation.
+    struct Repeats;
+    impl TieBreak<u64> for Repeats {
+        fn permute(&mut self, _at: u64, n: usize, out: &mut Vec<u32>) {
+            out.extend((0..n as u32).map(|i| i / 2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation of 0..3")]
+    fn a_hook_that_repeats_an_index_panics() {
+        let mut q = EventQueue::new();
+        q.set_tie_break(Some(Box::new(Repeats)));
+        for ev in ["a", "b", "c"] {
+            q.push(1u64, ev);
+        }
+        q.pop();
     }
 
     #[test]
