@@ -9,8 +9,10 @@
 //! check to real links and trusting fake-node LSAs as complete
 //! descriptions of lies.
 
-use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, MAX_AGE};
-use crate::topology::{FakeAttrs, Topology};
+use crate::lsa::{
+    compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE,
+};
+use crate::topology::{FakeAttrs, TopoLink, Topology};
 use crate::types::RouterId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -240,59 +242,55 @@ impl Lsdb {
     /// lie); their attachment link appears as long as the attachment
     /// router exists and the forwarding address is one of its
     /// neighbors. MaxAge LSAs are ignored.
+    ///
+    /// Built from scratch on every call — every SPF run follows a
+    /// version change, so a kept topology would never be reused — with
+    /// one pass and no map work per link for the real graph.
     pub fn to_topology(&self) -> Topology {
-        let mut topo = Topology::new();
-        // Pass 1: create all real routers that have a live router LSA.
-        for lsa in self.entries.values() {
-            if lsa.is_max_age() {
-                continue;
-            }
-            if let LsaBody::Router { .. } = &lsa.body {
-                if lsa.key.origin.is_real() {
-                    topo.add_router(lsa.key.origin);
+        // Live router LSAs of real routers. `entries` yields them in
+        // key order — ascending origin, a router's `(Router, 0)` LSA
+        // before any other it has — so a far end's report is a binary
+        // search away and the rows below come out sorted for the map.
+        let reports: Vec<(LsaKey, &[LsaLink])> = self
+            .entries
+            .values()
+            .filter_map(|lsa| match &lsa.body {
+                LsaBody::Router { links } if !lsa.is_max_age() && lsa.key.origin.is_real() => {
+                    Some((lsa.key, links.as_slice()))
                 }
+                _ => None,
+            })
+            .collect();
+        let mut rows: Vec<(RouterId, Vec<TopoLink>)> = Vec::with_capacity(reports.len());
+        for &(key, links) in &reports {
+            let from = key.origin;
+            if rows.last().map(|row| row.0) != Some(from) {
+                rows.push((from, Vec::with_capacity(links.len())));
             }
+            // Two-way check: the far end's router LSA names us back.
+            let two_way = links.iter().filter(|l| {
+                let far = LsaKey {
+                    origin: l.to,
+                    kind: LsaKind::Router,
+                    id: 0,
+                };
+                reports
+                    .binary_search_by_key(&far, |report| report.0)
+                    .is_ok_and(|i| reports[i].1.iter().any(|back| back.to == from))
+            });
+            let row = &mut rows.last_mut().expect("pushed above").1;
+            row.extend(two_way.map(|l| TopoLink {
+                to: l.to,
+                metric: l.metric,
+            }));
         }
-        // Pass 2: two-way-checked links.
-        let reports = |from: RouterId, to: RouterId| -> Option<crate::types::Metric> {
-            let key = LsaKey {
-                origin: from,
-                kind: LsaKind::Router,
-                id: 0,
-            };
-            let lsa = self.entries.get(&key)?;
-            if lsa.is_max_age() {
-                return None;
-            }
-            if let LsaBody::Router { links } = &lsa.body {
-                links.iter().find(|l| l.to == to).map(|l| l.metric)
-            } else {
-                None
-            }
-        };
-        for lsa in self.entries.values() {
-            if lsa.is_max_age() {
-                continue;
-            }
-            let LsaBody::Router { links } = &lsa.body else {
-                continue;
-            };
-            let from = lsa.key.origin;
-            if from.is_fake() {
-                continue;
-            }
-            for l in links {
-                if !topo.contains(l.to) {
-                    continue;
-                }
-                if reports(l.to, from).is_some() {
-                    // Two-way check passed; duplicates impossible since
-                    // router LSAs are unique per origin.
-                    let _ = topo.add_link(from, l.to, l.metric);
-                }
-            }
+        for (_, row) in &mut rows {
+            // Stable, so of a far end reported twice the first counts.
+            row.sort_by_key(|l| l.to);
+            row.dedup_by_key(|l| l.to);
         }
-        // Pass 3: prefix announcements on live routers.
+        let mut topo = Topology::from_sorted_rows(rows);
+        // Prefix announcements on live routers.
         for lsa in self.entries.values() {
             if lsa.is_max_age() {
                 continue;
@@ -303,8 +301,8 @@ impl Lsdb {
                 }
             }
         }
-        // Pass 4: fake nodes (lies). Invalid lies (dangling attachment
-        // or forwarding address) are skipped, mirroring how a router
+        // Fake nodes (lies). Invalid lies (dangling attachment or
+        // forwarding address) are skipped, mirroring how a router
         // ignores a type-5 LSA whose forwarding address is unreachable.
         for lsa in self.entries.values() {
             if lsa.is_max_age() {
@@ -589,7 +587,7 @@ mod tests {
                 }
             }
         }
-        // Pass 3: prefix announcements on live routers.
+        // Prefix announcements on live routers.
         for lsa in db.entries.values() {
             if lsa.is_max_age() {
                 continue;

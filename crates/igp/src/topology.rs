@@ -72,6 +72,23 @@ impl Topology {
         Topology::default()
     }
 
+    /// The real graph in one go: `rows` in ascending router order, each
+    /// row's links sorted by far end, one per far end, every far end a
+    /// router of `rows` — what `add_link` checks and sorts per link.
+    pub(crate) fn from_sorted_rows(rows: Vec<(RouterId, Vec<TopoLink>)>) -> Topology {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        let node = |links| Node {
+            links,
+            ..Node::default()
+        };
+        Topology {
+            nodes: rows
+                .into_iter()
+                .map(|(id, links)| (id, node(links)))
+                .collect(),
+        }
+    }
+
     /// Add a real router. Idempotent.
     pub fn add_router(&mut self, id: RouterId) {
         assert!(id.is_real(), "use add_fake_node for fake nodes");
