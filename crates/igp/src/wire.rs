@@ -102,10 +102,8 @@ impl Packet {
     }
 }
 
-/// Fletcher-16 checksum (two running sums mod 255) over `data`.
-pub fn fletcher16(data: &[u8]) -> u16 {
-    let mut c0: u32 = 0;
-    let mut c1: u32 = 0;
+/// Carry the two running Fletcher sums (each below 255) over `data`.
+fn fletcher_sums((mut c0, mut c1): (u32, u32), data: &[u8]) -> (u32, u32) {
     for chunk in data.chunks(5802) {
         // 5802 is the largest block for which u32 sums cannot overflow.
         for &b in chunk {
@@ -115,6 +113,23 @@ pub fn fletcher16(data: &[u8]) -> u16 {
         c0 %= 255;
         c1 %= 255;
     }
+    (c0, c1)
+}
+
+/// Fletcher-16 checksum (two running sums mod 255) over `data`.
+pub fn fletcher16(data: &[u8]) -> u16 {
+    let (c0, c1) = fletcher_sums((0, 0), data);
+    ((c1 as u16) << 8) | c0 as u16
+}
+
+/// The checksum `packet` (header included) must carry: Fletcher-16
+/// over all of it with the checksum field (bytes 8–9) read as zero,
+/// whatever it holds — in place, so verifying a datagram copies nothing.
+fn packet_checksum(packet: &[u8]) -> u16 {
+    let (c0, c1) = fletcher_sums((0, 0), &packet[..8]);
+    // Two zero bytes leave `c0` as it is and add it to `c1` twice.
+    let sums = (c0, (c1 + 2 * c0) % 255);
+    let (c0, c1) = fletcher_sums(sums, &packet[10..]);
     ((c1 as u16) << 8) | c0 as u16
 }
 
@@ -288,7 +303,7 @@ fn begin(ptype: u8, sender: RouterId) -> BytesMut {
 fn finish(mut out: BytesMut) -> Bytes {
     let total = out.len() as u16;
     out[2..4].copy_from_slice(&total.to_be_bytes());
-    let ck = fletcher16(&out);
+    let ck = packet_checksum(&out);
     out[8..10].copy_from_slice(&ck.to_be_bytes());
     out.freeze()
 }
@@ -365,12 +380,9 @@ pub fn decode(mut buf: Bytes) -> Result<(RouterId, Packet), WireError> {
             have: buf.remaining(),
         });
     }
-    // Verify checksum over the whole datagram with ck field zeroed.
-    let mut copy = buf.to_vec();
-    let got = (u16::from(copy[8]) << 8) | u16::from(copy[9]);
-    copy[8] = 0;
-    copy[9] = 0;
-    let expect = fletcher16(&copy);
+    let actual = buf.len();
+    let got = u16::from_be_bytes([buf[8], buf[9]]);
+    let expect = packet_checksum(&buf);
     if got != expect {
         return Err(WireError::BadChecksum { expect, got });
     }
@@ -381,11 +393,8 @@ pub fn decode(mut buf: Bytes) -> Result<(RouterId, Packet), WireError> {
     }
     let ptype = buf.get_u8();
     let declared = buf.get_u16() as usize;
-    if declared != copy.len() {
-        return Err(WireError::BadLength {
-            declared,
-            actual: copy.len(),
-        });
+    if declared != actual {
+        return Err(WireError::BadLength { declared, actual });
     }
     let sender = RouterId(buf.get_u32());
     let _ck = buf.get_u16();
