@@ -28,6 +28,7 @@ use crate::types::{FwAddr, IfaceId, Metric, Prefix, RouterId, SeqNum};
 use crate::wire::{self, Dbd, Hello, LsAck, LsRequest, LsUpdate, Packet};
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 /// Maximum LSA headers per DBD packet.
@@ -457,10 +458,13 @@ impl Instance {
                 self.run_spf();
             }
         }
-        // Per-neighbor timers.
-        let iface_ids: Vec<IfaceId> = self.ifaces.keys().copied().collect();
-        for id in iface_ids {
+        // Per-neighbor timers in id order; a cursor, because polling
+        // one interface borrows the whole instance.
+        let mut next = self.ifaces.keys().next().copied();
+        while let Some(id) = next {
             self.poll_neighbor_timers(id, now);
+            let after = (Excluded(id), Unbounded);
+            next = self.ifaces.range(after).next().map(|(id, _)| *id);
         }
         // Opportunistic MaxAge sweep: purge LSAs no longer awaiting acks.
         self.try_sweep();
