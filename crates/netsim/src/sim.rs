@@ -3,13 +3,13 @@
 //! [`Sim`] binds everything together in one deterministic event loop
 //! built on the `fib-sim-kernel` primitives:
 //!
-//! * one time-ordered [`EventQueue`] with stable FIFO tie-breaking
-//!   carries every event — protocol packets in flight,
-//!   flow churn, link scripts, component ticks, trace samples;
+//! * one time-ordered [`EventQueue`] — a FIFO per instant, so ties
+//!   pop in push order — carries every event: protocol packets in
+//!   flight, flow churn, link scripts, component ticks, trace samples;
 //! * an IGP [`Instance`] per router exchanges real (encoded,
 //!   checksummed) protocol packets over the simulated links; their
 //!   internal timer deadlines are tracked in a [`DeadlineHeap`]
-//!   (`O(log n)` per change, not `O(routers)` per batch);
+//!   (`O(log n)` per instance touched in a batch, not `O(routers)`);
 //! * FIB downloads from converged instances into data-plane [`Fib`]s;
 //! * fluid traffic: flows resolve their paths through the FIBs (per
 //!   hop ECMP hashing) and share link capacity max-min fairly; link
@@ -221,7 +221,7 @@ pub(crate) enum Ev {
     Tick(ComponentId),
     Sample,
     /// Boxed: public events are rare and larger than a packet event,
-    /// and the queue moves whole entries on every sift.
+    /// and the largest variant sets the size of every queued event.
     User(Box<Event>),
 }
 
@@ -244,6 +244,10 @@ pub(crate) struct Core {
     /// once (`is_touched[slot]` says whether it is already listed).
     touched: Vec<u32>,
     is_touched: Vec<bool>,
+    /// Instance slots touched since `deadlines` was last read, each
+    /// once: marked where touched, recomputed where read (as `settle`).
+    stale: Vec<u32>,
+    is_stale: Vec<bool>,
     // Link arena: directed records in creation order (the two
     // directions of one symmetric link are adjacent: sibling = ix ^ 1)
     // plus the key-ordered index for lookups and stable iteration.
@@ -311,6 +315,8 @@ impl Core {
             due_scratch: Vec::new(),
             touched: Vec::new(),
             is_touched: Vec::new(),
+            stale: Vec::new(),
+            is_stale: Vec::new(),
             link_recs: Vec::new(),
             link_idx: BTreeMap::new(),
             iface_links: Vec::new(),
@@ -345,14 +351,27 @@ impl Core {
     }
 
     /// Record that `slot`'s instance may have new output and a new
-    /// earliest deadline. Every `&mut Instance` access goes through
-    /// here (or is followed by it).
+    /// earliest deadline; neither is read here. Every `&mut Instance`
+    /// access goes through here (or is followed by it).
     pub(crate) fn touch(&mut self, slot: u32) {
         if !std::mem::replace(&mut self.is_touched[slot as usize], true) {
             self.touched.push(slot);
         }
-        let next = self.instances[slot as usize].next_timer();
-        self.deadlines.set(slot, next);
+        if !std::mem::replace(&mut self.is_stale[slot as usize], true) {
+            self.stale.push(slot);
+        }
+    }
+
+    /// Recompute the deadline of every instance touched since the last
+    /// read — once each, however many packets the instant brought it.
+    /// The heap orders by `(deadline, slot)`: when an entry is written
+    /// changes neither what comes due nor in which order.
+    fn refresh_deadlines(&mut self) {
+        for slot in self.stale.drain(..) {
+            self.is_stale[slot as usize] = false;
+            let next = self.instances[slot as usize].next_timer();
+            self.deadlines.set(slot, next);
+        }
     }
 
     /// The interface on router `slot` that faces `peer`, if any (the
@@ -385,6 +404,7 @@ impl Core {
         self.agents.push(Agent::new(format!("{id}")));
         self.iface_links.push(Vec::new());
         self.is_touched.push(false);
+        self.is_stale.push(false);
         self.fibs.insert(id, Fib::new());
         let heap_slot = self.deadlines.push_slot();
         debug_assert_eq!(heap_slot, slot);
@@ -721,6 +741,7 @@ impl Core {
 
     /// Poll exactly the instances whose earliest deadline is due.
     fn poll_due(&mut self, t: Timestamp) {
+        self.refresh_deadlines();
         let mut due = std::mem::take(&mut self.due_scratch);
         self.deadlines.pop_due(t, &mut due);
         for &slot in &due {
@@ -738,7 +759,7 @@ impl Core {
         // iteration (and hence packet push) order of the old
         // scan-everyone collector; untouched instances have nothing.
         // Packets go onto the queue as they are drained: nothing else
-        // pushes in between, so their sequence numbers are unchanged.
+        // pushes in between, so their push order is unchanged.
         let mut order = std::mem::take(&mut self.touched);
         order.sort_unstable_by_key(|&s| self.router_ids[s as usize]);
         let Core {
@@ -1120,6 +1141,8 @@ impl Sim {
         assert!(self.core.started, "call start() first");
         loop {
             let next_pkt = self.core.queue.peek_time();
+            // Polls, components and host code touch between two reads.
+            self.core.refresh_deadlines();
             let next_timer = self.core.deadlines.peek_min();
             let next = match (next_pkt, next_timer) {
                 (Some(a), Some(b)) => a.min(b),
