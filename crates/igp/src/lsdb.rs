@@ -587,7 +587,7 @@ mod tests {
                 }
             }
         }
-        // Prefix announcements on live routers.
+        // Pass 3: prefix announcements on live routers.
         for lsa in db.entries.values() {
             if lsa.is_max_age() {
                 continue;
