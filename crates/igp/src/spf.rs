@@ -844,11 +844,171 @@ mod tests {
         assert!(sp.dist.is_empty());
     }
 
+    /// `prefix_routes` as it stood before it became one pass: one reverse
+    /// Dijkstra per announcement point over maps rebuilt per call, then a
+    /// per-router merge of every candidate. Moved here verbatim (minus its
+    /// span) as the model the one-pass form is held to.
+    fn prefix_routes_reference(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Route> {
+        // Announcement points relevant to the prefix.
+        let reals: Vec<(RouterId, Metric)> = topo
+            .all_announcements()
+            .filter(|(node, p, _)| *p == prefix && node.is_real())
+            .map(|(node, _, m)| (node, m))
+            .collect();
+        let fakes: Vec<(RouterId, Metric, FwAddr)> = topo
+            .fake_nodes()
+            .filter(|(_, attrs)| attrs.prefix == prefix)
+            .map(|(_, attrs)| (attrs.attach, attrs.cost_at_attach(), attrs.fw))
+            .collect();
+
+        let mut targets: Vec<RouterId> = reals
+            .iter()
+            .map(|(t, _)| *t)
+            .chain(fakes.iter().map(|(t, _, _)| *t))
+            .collect();
+        targets.sort();
+        targets.dedup();
+
+        // Reversed real adjacency: for each node, its in-edges.
+        let mut radj: BTreeMap<RouterId, Vec<(RouterId, Metric)>> = BTreeMap::new();
+        for r in topo.routers() {
+            for link in topo.links(r) {
+                if link.to.is_real() && link.metric.is_finite() {
+                    radj.entry(link.to).or_default().push((r, link.metric));
+                }
+            }
+        }
+
+        // One reverse Dijkstra per announcement point.
+        let mut dist_to: BTreeMap<RouterId, BTreeMap<RouterId, Metric>> = BTreeMap::new();
+        for &t in &targets {
+            let mut dist: BTreeMap<RouterId, Metric> = BTreeMap::new();
+            let mut heap: BinaryHeap<std::cmp::Reverse<(Metric, RouterId)>> = BinaryHeap::new();
+            if topo.contains(t) && t.is_real() {
+                dist.insert(t, Metric::ZERO);
+                heap.push(std::cmp::Reverse((Metric::ZERO, t)));
+            }
+            while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+                if dist.get(&u).copied().unwrap_or(Metric::INF) != d {
+                    continue; // stale heap entry
+                }
+                for &(from, m) in radj.get(&u).map(|v| v.as_slice()).unwrap_or(&[]) {
+                    let nd = m.add(d);
+                    if nd < dist.get(&from).copied().unwrap_or(Metric::INF) {
+                        dist.insert(from, nd);
+                        heap.push(std::cmp::Reverse((nd, from)));
+                    }
+                }
+            }
+            dist_to.insert(t, dist);
+        }
+
+        // Distance-consistent first hops of `r` toward a target with the
+        // given reverse-distance table.
+        let hops_toward = |r: RouterId, dist: &BTreeMap<RouterId, Metric>| -> Vec<FwAddr> {
+            let dr = dist.get(&r).copied().unwrap_or(Metric::INF);
+            if !dr.is_finite() {
+                return Vec::new();
+            }
+            topo.links(r)
+                .iter()
+                .filter(|l| l.to.is_real() && l.metric.is_finite())
+                .filter(|l| {
+                    l.metric
+                        .add(dist.get(&l.to).copied().unwrap_or(Metric::INF))
+                        == dr
+                })
+                .map(|l| FwAddr::primary(l.to))
+                .collect()
+        };
+
+        // Per-router candidate merge, mirroring `route_table_from`.
+        let mut out = BTreeMap::new();
+        for r in topo.routers() {
+            let mut best: Option<(Metric, Vec<FwAddr>, bool)> = None;
+            let mut consider = |cost: Metric, hops: Vec<FwAddr>, local: bool| {
+                if !cost.is_finite() {
+                    return;
+                }
+                match &mut best {
+                    None => best = Some((cost, hops, local)),
+                    Some((bc, bh, bl)) => {
+                        if cost < *bc {
+                            *bc = cost;
+                            *bh = hops;
+                            *bl = local;
+                        } else if cost == *bc {
+                            for h in hops {
+                                if !bh.contains(&h) {
+                                    bh.push(h);
+                                }
+                            }
+                            *bl = *bl || local;
+                        }
+                    }
+                }
+            };
+
+            for &(node, m) in &reals {
+                if node == r {
+                    consider(m, Vec::new(), true);
+                } else {
+                    let dist = &dist_to[&node];
+                    let cost = dist.get(&r).copied().unwrap_or(Metric::INF).add(m);
+                    let hops = hops_toward(r, dist);
+                    if !hops.is_empty() {
+                        consider(cost, hops, false);
+                    }
+                }
+            }
+            for &(attach, via_cost, fw) in &fakes {
+                if attach == r {
+                    consider(via_cost, vec![fw], false);
+                } else {
+                    let dist = &dist_to[&attach];
+                    let cost = dist.get(&r).copied().unwrap_or(Metric::INF).add(via_cost);
+                    let hops = hops_toward(r, dist);
+                    if !hops.is_empty() {
+                        consider(cost, hops, false);
+                    }
+                }
+            }
+
+            if let Some((cost, mut hops, local)) = best {
+                let route = if local {
+                    Route {
+                        dist: cost,
+                        nexthops: Vec::new(),
+                        local: true,
+                    }
+                } else {
+                    hops.sort();
+                    hops.dedup();
+                    Route {
+                        dist: cost,
+                        nexthops: hops,
+                        local: false,
+                    }
+                };
+                out.insert(r, route);
+            }
+        }
+        out
+    }
+
     /// `prefix_routes` must agree bit-for-bit with extracting the
     /// prefix from the per-source forward SPF.
     fn assert_prefix_routes_match(t: &Topology, prefix: Prefix) {
-        let fast = prefix_routes(t, prefix);
-        let full = compute_all_routes(t);
+        assert_extraction_matches(t, &compute_all_routes(t), &prefix_routes(t, prefix), prefix);
+    }
+
+    /// `fast` is `full`'s column for `prefix`, router for router.
+    fn assert_extraction_matches(
+        t: &Topology,
+        full: &BTreeMap<RouterId, RouteTable>,
+        fast: &BTreeMap<RouterId, Route>,
+        prefix: Prefix,
+    ) {
         for r_ in t.routers() {
             let reference = full.get(&r_).and_then(|tab| tab.route(prefix));
             assert_eq!(
@@ -899,10 +1059,18 @@ mod tests {
         assert!(prefix_routes(&t, Prefix::net24(9)).is_empty());
     }
 
-    /// Randomized equivalence over asymmetric topologies with partial
-    /// connectivity, multiple announcers, and seed-scripted lies.
+    /// Model test: the one-pass `prefix_routes` against its per-target
+    /// predecessor on every seeded graph, and against the per-source
+    /// forward SPF wherever real metrics are positive. Asymmetric
+    /// metrics everywhere; every fourth graph draws zero-metric links
+    /// (reference comparison only). Each graph is asked for its
+    /// prefix, for a decoy some lies announce instead, and for a prefix
+    /// nobody announces.
     #[test]
-    fn prefix_routes_matches_forward_spf_randomized() {
+    fn prefix_routes_matches_reference_and_forward_spf_on_seeded_graphs() {
+        const PREFIX: Prefix = Prefix::net24(1);
+        const DECOY: Prefix = Prefix::net24(7);
+        const NOBODY: Prefix = Prefix::net24(9);
         let mut st: u64 = 0x5EED_CAFE;
         let mut next = move || {
             st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -911,8 +1079,21 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        for case in 0..40u32 {
-            let n = 4 + (next() % 9) as u32; // 4..=12 routers
+        // What the generator is there to draw, counted by name.
+        let mut drawn: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut saw = |what: &'static str, yes: bool| {
+            *drawn.entry(what).or_default() += u32::from(yes);
+        };
+        for case in 0..3000u32 {
+            let zero_ok = case % 4 == 3;
+            let n = if case % 12 == 0 {
+                24 + (next() % 37) as u32 // 24..=60 routers
+            } else {
+                4 + (next() % 13) as u32 // 4..=16 routers
+            };
+            let floor = u32::from(!zero_ok);
+            saw("a graph of 24 to 60 routers", n >= 24);
+            saw("zero-metric links", zero_ok);
             let mut t = Topology::new();
             for i in 1..=n {
                 t.add_router(r(i));
@@ -921,64 +1102,177 @@ mod tests {
             // with independent per-direction metrics (asymmetric).
             for i in 1..=n {
                 let j = if i == n { 1 } else { i + 1 };
-                t.add_link(r(i), r(j), Metric(1 + (next() % 4) as u32))
+                t.add_link(r(i), r(j), Metric(floor + (next() % 4) as u32))
                     .unwrap();
-                t.add_link(r(j), r(i), Metric(1 + (next() % 4) as u32))
+                t.add_link(r(j), r(i), Metric(floor + (next() % 4) as u32))
                     .unwrap();
             }
             for _ in 0..n {
                 let a = 1 + (next() as u32 % n);
                 let b = 1 + (next() as u32 % n);
                 if a != b && !t.has_link(r(a), r(b)) {
-                    t.add_link(r(a), r(b), Metric(1 + (next() % 6) as u32))
+                    t.add_link(r(a), r(b), Metric(floor + (next() % 6) as u32))
                         .unwrap();
                 }
             }
-            // Sometimes disconnect a router's out-edges entirely.
+            // An unusable link, a router that reaches nobody, a router
+            // nobody reaches (it keeps its out-edges, so it can lie).
+            if case % 3 == 0 {
+                let v = r(1 + (next() as u32 % n));
+                let to = t.links(v)[next() as usize % t.links(v).len()].to;
+                t.set_metric(v, to, Metric::INF).unwrap();
+                saw("an INF-metric link", true);
+            }
             if case % 5 == 0 {
-                let v = 1 + (next() as u32 % n);
-                let outs: Vec<RouterId> = t.links(r(v)).iter().map(|l| l.to).collect();
+                let v = r(1 + (next() as u32 % n));
+                let outs: Vec<RouterId> = t.links(v).iter().map(|l| l.to).collect();
                 for to in outs {
-                    t.remove_link(r(v), to);
+                    t.remove_link(v, to);
+                }
+                saw("a router without out-edges", true);
+            }
+            let cut = (case % 7 == 0).then(|| r(1 + (next() as u32 % n)));
+            if let Some(w) = cut {
+                for i in 1..=n {
+                    t.remove_link(r(i), w);
                 }
             }
-            let prefix = Prefix::net24(1);
-            // One or two real announcers (possibly tied costs).
-            let owners = 1 + (next() % 2);
-            for _ in 0..owners {
-                let o = 1 + (next() as u32 % n);
-                t.announce_prefix(r(o), prefix, Metric((next() % 3) as u32))
-                    .unwrap();
+            // Zero to three real announcers, at tied or at drawn costs.
+            let tie = (next() % 2 == 0).then(|| Metric((next() % 3) as u32));
+            let mut owners: Vec<RouterId> = Vec::new();
+            for _ in 0..next() % 4 {
+                let o = r(1 + (next() as u32 % n));
+                let m = tie.unwrap_or(Metric((next() % 5) as u32));
+                t.announce_prefix(o, PREFIX, m).unwrap();
+                if !owners.contains(&o) {
+                    owners.push(o);
+                }
             }
-            // A decoy prefix to ensure filtering is exercised.
-            t.announce_prefix(r(1 + (next() as u32 % n)), Prefix::net24(7), Metric::ZERO)
+            let costs: Vec<Metric> = owners.iter().map(|o| t.prefixes_at(*o)[0].1).collect();
+            let tied = costs.windows(2).all(|w| w[0] == w[1]);
+            saw("two announcers, tied", owners.len() == 2 && tied);
+            saw("two announcers, apart", owners.len() == 2 && !tied);
+            saw("three announcers, tied", owners.len() == 3 && tied);
+            saw("three announcers, apart", owners.len() == 3 && !tied);
+            t.announce_prefix(r(1 + (next() as u32 % n)), DECOY, Metric::ZERO)
                 .unwrap();
-            // Seed-scripted lies at random attach points.
-            for k in 0..(next() % 4) as u32 {
-                let attach = 1 + (next() as u32 % n);
+
+            // Up to twelve lies, in groups that share an attachment
+            // router: toward distinct addresses of one neighbour (the
+            // uneven split) or toward different neighbours; priced at,
+            // under and over what the router pays without them.
+            let natural = prefix_routes_reference(&t, PREFIX);
+            let budget = (next() % 13) as u32;
+            saw("twelve lies", budget == 12);
+            let mut k = 0;
+            while k < budget {
+                let attach = match (next() % 4, cut) {
+                    (0, _) if !owners.is_empty() => owners[next() as usize % owners.len()],
+                    (1, Some(w)) => w,
+                    _ => r(1 + (next() as u32 % n)),
+                };
                 let nbrs: Vec<RouterId> = t
-                    .links(r(attach))
+                    .links(attach)
                     .iter()
                     .filter(|l| l.to.is_real())
                     .map(|l| l.to)
                     .collect();
-                let Some(&nbr) = nbrs.get(next() as usize % nbrs.len().max(1)) else {
+                if nbrs.is_empty() {
+                    k += 1; // a router without out-edges cannot lie
                     continue;
-                };
-                t.add_fake_node(
-                    RouterId::fake(k),
-                    FakeAttrs {
-                        attach: r(attach),
-                        attach_metric: Metric(1 + (next() % 3) as u32),
-                        prefix,
-                        prefix_metric: Metric((next() % 3) as u32),
-                        fw: FwAddr::secondary(nbr, 1 + (next() % 3) as u16),
-                    },
-                )
-                .unwrap();
+                }
+                let group = (1 + (next() % 4) as u32).min(budget - k);
+                let one_neighbour = next() % 2 == 0;
+                let first = next() as usize % nbrs.len();
+                saw(
+                    "several lies toward one neighbour",
+                    group > 1 && one_neighbour,
+                );
+                saw(
+                    "several lies toward distinct neighbours",
+                    group > 1 && !one_neighbour && nbrs.len() > 1,
+                );
+                let paid = natural.get(&attach).map(|route| route.dist.0);
+                for g in 0..group {
+                    let lie_prefix = if next() % 8 == 0 { DECOY } else { PREFIX };
+                    let cost = match (paid, next() % 4) {
+                        (Some(d), 0) => d,
+                        (Some(d), 1) if d > 0 => d - 1,
+                        (Some(d), 2) => d + 1,
+                        _ => (next() % 10) as u32,
+                    };
+                    let real = lie_prefix == PREFIX;
+                    saw("a lie for another prefix", !real);
+                    saw("a lie at an announcer", real && owners.contains(&attach));
+                    saw(
+                        "a lie at a router nobody reaches",
+                        real && cut == Some(attach),
+                    );
+                    saw("a lie at the natural cost", real && paid == Some(cost));
+                    saw(
+                        "a lie undercutting it",
+                        real && paid.is_some_and(|d| cost < d),
+                    );
+                    saw(
+                        "a lie dearer than it",
+                        real && paid.is_some_and(|d| cost > d),
+                    );
+                    let attach_metric = (next() % (u64::from(cost) + 1)) as u32;
+                    let nbr = if one_neighbour {
+                        nbrs[first]
+                    } else {
+                        nbrs[(first + g as usize) % nbrs.len()]
+                    };
+                    t.add_fake_node(
+                        RouterId::fake(k),
+                        FakeAttrs {
+                            attach,
+                            attach_metric: Metric(attach_metric),
+                            prefix: lie_prefix,
+                            prefix_metric: Metric(cost - attach_metric),
+                            fw: FwAddr::secondary(nbr, 1 + g as u16),
+                        },
+                    )
+                    .unwrap();
+                    k += 1;
+                }
             }
-            assert_prefix_routes_match(&t, prefix);
-            assert_prefix_routes_match(&t, Prefix::net24(7));
+
+            let full = (!zero_ok).then(|| compute_all_routes(&t));
+            for prefix in [PREFIX, DECOY, NOBODY] {
+                let fast = prefix_routes(&t, prefix);
+                assert_eq!(
+                    fast,
+                    prefix_routes_reference(&t, prefix),
+                    "case {case}: {prefix} diverges from the reference on {t:?}"
+                );
+                if let Some(full) = &full {
+                    assert_extraction_matches(&t, full, &fast, prefix);
+                }
+            }
+            assert!(prefix_routes(&t, NOBODY).is_empty(), "case {case}");
+        }
+        for what in [
+            "two announcers, tied",
+            "two announcers, apart",
+            "three announcers, tied",
+            "three announcers, apart",
+            "several lies toward one neighbour",
+            "several lies toward distinct neighbours",
+            "a lie at the natural cost",
+            "a lie undercutting it",
+            "a lie dearer than it",
+            "a lie at an announcer",
+            "a lie at a router nobody reaches",
+            "a router without out-edges",
+            "an INF-metric link",
+            "zero-metric links",
+            "a lie for another prefix",
+            "a graph of 24 to 60 routers",
+            "twelve lies",
+        ] {
+            let times = drawn.get(what).copied().unwrap_or(0);
+            assert!(times >= 20, "the generator drew {what} {times} times");
         }
     }
 }
