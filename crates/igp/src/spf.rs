@@ -238,172 +238,166 @@ pub fn compute_all_routes(topo: &Topology) -> BTreeMap<RouterId, RouteTable> {
         .collect()
 }
 
-/// Every real router's route toward a single `prefix`, computed with
-/// one *reverse* Dijkstra per announcement point instead of one
-/// forward Dijkstra per router.
+/// Every real router's route toward a single `prefix`, in one pass:
+/// one multi-source Dijkstra over the reversed real graph instead of
+/// one forward Dijkstra per router.
 ///
-/// A destination-side verifier (see `fib_core::verify`) only needs the
-/// per-router ECMP sets toward one prefix, yet [`compute_all_routes`]
-/// pays a full SPF per router — the dominant cost of controller
-/// planning at metro scale. This fast path runs Dijkstra over the
-/// *reversed* real graph from each announcement point t (a real
-/// announcer of `prefix`, or the attachment router of a fake node
-/// announcing it), giving `dist(r → t)` for every router r in one
-/// pass. Router r's equal-cost first hops toward t are then exactly
-/// its real neighbors n with `metric(r→n) + dist(n→t) == dist(r→t)`.
+/// The load model, `fib_core::verify`, `augment` and `reduce` only need
+/// the per-router ECMP sets toward one prefix, yet
+/// [`compute_all_routes`] pays a full SPF per router. An *announcement
+/// point* is a router t with its own way out at `cost(t)`: a real
+/// announcer of `prefix` at its metric, or the attachment router of a
+/// lie at [`FakeAttrs::cost_at_attach`](crate::topology::FakeAttrs).
+/// Seeding every t at `cost(t)` makes the search settle
+/// `D(r) = min over t of dist(r → t) + cost(t)`, the cost of r's route.
 ///
-/// Because [`Metric`] arithmetic is integral, the resulting slot sets
-/// — and therefore every fraction derived from them — are
-/// bit-identical to extracting `prefix` from [`compute_all_routes`],
-/// as long as real link metrics are positive (a zero-metric link can
-/// make the forward merge order-dependent; the IGP never floods one).
-/// Equivalence is asserted property-style in this module's tests.
-/// Routers with no route toward `prefix` are absent from the map.
+/// Router r's next hops are then read off `D`: its real neighbours n
+/// with `metric(r→n) + D(n) == D(r)`, plus the forwarding address of
+/// each of its own lies priced `D(r)`; a real announcement at r priced
+/// `D(r)` makes the route local and empties the set. That is the union,
+/// over the announcement points achieving `D(r)`, of r's
+/// distance-consistent first hops toward each. *(⊆)* If n is a first
+/// hop toward t and `dist(r→t) + cost(t) = D(r)`, then
+/// `D(r) = m(r,n) + dist(n→t) + cost(t) ≥ m(r,n) + D(n) ≥ D(r)`.
+/// *(⊇)* If `m(r,n) + D(n) = D(r)`, take the t achieving `D(n)`:
+/// `dist(r→t) ≤ m(r,n) + dist(n→t)` gives `dist(r→t) + cost(t) ≤ D(r)`,
+/// hence equality, and n is a first hop toward a winning t — unless
+/// that t is r itself, which has no first hop toward itself. Only a
+/// zero-metric link into a zero-cost way back can do that, so only such
+/// a link at a router whose own lie wins is checked for another winner
+/// downstream. [`Metric::add`] saturates and absorbs `INF`; saturating
+/// sums are associative, so summing along the path changes no value
+/// (hop sets of routes priced at the saturation point aside).
+///
+/// The result is bit-identical to the per-target form this replaced on
+/// every input, zero metrics included, and to extracting `prefix` from
+/// [`compute_all_routes`] as long as real link metrics are positive (a
+/// zero-metric link can make the forward merge order-dependent; the IGP
+/// never floods one). Both are asserted over seeded graphs in this
+/// module's tests. Routers with no route toward `prefix` are absent
+/// from the map.
 pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Route> {
     let _span = fib_trace::span(fib_trace::Phase::PrefixRoutes);
-    // Announcement points relevant to the prefix.
-    let reals: Vec<(RouterId, Metric)> = topo
-        .all_announcements()
-        .filter(|(node, p, _)| *p == prefix && node.is_real())
-        .map(|(node, _, m)| (node, m))
-        .collect();
-    let fakes: Vec<(RouterId, Metric, FwAddr)> = topo
+    // Dense positions: `routers()` comes out ascending, and a link
+    // only ever names a node of the topology.
+    let ids: Vec<RouterId> = topo.routers().collect();
+    let n = ids.len();
+    let pos = |r: RouterId| ids.binary_search(&r).expect("a router of the topology");
+
+    // Usable real links, forward (grouped by `from`, as stored) and
+    // reversed, both in CSR form: row i is `[off[i]..off[i + 1]]`.
+    let mut out_off = Vec::with_capacity(n + 1);
+    let mut out_edges: Vec<(usize, Metric)> = Vec::new();
+    let mut in_off = vec![0usize; n + 1];
+    for &r in &ids {
+        out_off.push(out_edges.len());
+        for l in topo.links(r) {
+            if l.to.is_real() && l.metric.is_finite() {
+                let to = pos(l.to);
+                out_edges.push((to, l.metric));
+                in_off[to + 1] += 1;
+            }
+        }
+    }
+    out_off.push(out_edges.len());
+    for i in 0..n {
+        in_off[i + 1] += in_off[i];
+    }
+    let mut in_edges = vec![(0usize, Metric::ZERO); out_edges.len()];
+    let mut fill = in_off.clone();
+    for from in 0..n {
+        for &(to, m) in &out_edges[out_off[from]..out_off[from + 1]] {
+            in_edges[fill[to]] = (from, m);
+            fill[to] += 1;
+        }
+    }
+
+    // Announcement points: what a router pays through its own real
+    // announcement, and through the cheapest of all it has.
+    let mut announced = vec![Metric::INF; n];
+    for (node, p, m) in topo.all_announcements() {
+        if p == prefix && node.is_real() {
+            announced[pos(node)] = m;
+        }
+    }
+    let lies: Vec<(usize, Metric, FwAddr)> = topo
         .fake_nodes()
         .filter(|(_, attrs)| attrs.prefix == prefix)
-        .map(|(_, attrs)| (attrs.attach, attrs.cost_at_attach(), attrs.fw))
+        .map(|(_, attrs)| (pos(attrs.attach), attrs.cost_at_attach(), attrs.fw))
         .collect();
+    let mut own = announced.clone();
+    for &(at, cost, _) in &lies {
+        own[at] = own[at].min(cost);
+    }
 
-    let mut targets: Vec<RouterId> = reals
-        .iter()
-        .map(|(t, _)| *t)
-        .chain(fakes.iter().map(|(t, _, _)| *t))
+    let mut dist = own.clone();
+    let mut heap: BinaryHeap<std::cmp::Reverse<(Metric, usize)>> = (0..n)
+        .filter(|&i| dist[i].is_finite())
+        .map(|i| std::cmp::Reverse((dist[i], i)))
         .collect();
-    targets.sort();
-    targets.dedup();
-
-    // Reversed real adjacency: for each node, its in-edges.
-    let mut radj: BTreeMap<RouterId, Vec<(RouterId, Metric)>> = BTreeMap::new();
-    for r in topo.routers() {
-        for link in topo.links(r) {
-            if link.to.is_real() && link.metric.is_finite() {
-                radj.entry(link.to).or_default().push((r, link.metric));
+    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        if dist[u] != d {
+            continue; // stale heap entry
+        }
+        for &(from, m) in &in_edges[in_off[u]..in_off[u + 1]] {
+            let nd = m.add(d);
+            if nd < dist[from] {
+                dist[from] = nd;
+                heap.push(std::cmp::Reverse((nd, from)));
             }
         }
     }
 
-    // One reverse Dijkstra per announcement point.
-    let mut dist_to: BTreeMap<RouterId, BTreeMap<RouterId, Metric>> = BTreeMap::new();
-    for &t in &targets {
-        let mut dist: BTreeMap<RouterId, Metric> = BTreeMap::new();
-        let mut heap: BinaryHeap<std::cmp::Reverse<(Metric, RouterId)>> = BinaryHeap::new();
-        if topo.contains(t) && t.is_real() {
-            dist.insert(t, Metric::ZERO);
-            heap.push(std::cmp::Reverse((Metric::ZERO, t)));
-        }
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if dist.get(&u).copied().unwrap_or(Metric::INF) != d {
-                continue; // stale heap entry
+    // Does `from` reach, along distance-consistent links, an
+    // announcement point other than `skip` that wins where it stands?
+    let reaches_another = |from: usize, skip: usize| {
+        let mut seen = vec![false; n];
+        let mut stack = vec![from];
+        while let Some(x) = stack.pop() {
+            if std::mem::replace(&mut seen[x], true) {
+                continue;
             }
-            for &(from, m) in radj.get(&u).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let nd = m.add(d);
-                if nd < dist.get(&from).copied().unwrap_or(Metric::INF) {
-                    dist.insert(from, nd);
-                    heap.push(std::cmp::Reverse((nd, from)));
-                }
+            if x != skip && own[x] == dist[x] {
+                return true;
             }
+            let row = &out_edges[out_off[x]..out_off[x + 1]];
+            stack.extend(
+                row.iter()
+                    .filter(|(y, m)| m.add(dist[*y]) == dist[x])
+                    .map(|e| e.0),
+            );
         }
-        dist_to.insert(t, dist);
-    }
-
-    // Distance-consistent first hops of `r` toward a target with the
-    // given reverse-distance table.
-    let hops_toward = |r: RouterId, dist: &BTreeMap<RouterId, Metric>| -> Vec<FwAddr> {
-        let dr = dist.get(&r).copied().unwrap_or(Metric::INF);
-        if !dr.is_finite() {
-            return Vec::new();
-        }
-        topo.links(r)
-            .iter()
-            .filter(|l| l.to.is_real() && l.metric.is_finite())
-            .filter(|l| {
-                l.metric
-                    .add(dist.get(&l.to).copied().unwrap_or(Metric::INF))
-                    == dr
-            })
-            .map(|l| FwAddr::primary(l.to))
-            .collect()
+        false
     };
 
-    // Per-router candidate merge, mirroring `route_table_from`.
     let mut out = BTreeMap::new();
-    for r in topo.routers() {
-        let mut best: Option<(Metric, Vec<FwAddr>, bool)> = None;
-        let mut consider = |cost: Metric, hops: Vec<FwAddr>, local: bool| {
-            if !cost.is_finite() {
-                return;
-            }
-            match &mut best {
-                None => best = Some((cost, hops, local)),
-                Some((bc, bh, bl)) => {
-                    if cost < *bc {
-                        *bc = cost;
-                        *bh = hops;
-                        *bl = local;
-                    } else if cost == *bc {
-                        for h in hops {
-                            if !bh.contains(&h) {
-                                bh.push(h);
-                            }
-                        }
-                        *bl = *bl || local;
-                    }
+    for (i, &r) in ids.iter().enumerate() {
+        let d = dist[i];
+        if !d.is_finite() {
+            continue;
+        }
+        // Local attachment wins within equal cost; a router never
+        // forwards traffic for its own connected prefix.
+        let local = announced[i] == d;
+        let mut nexthops: Vec<FwAddr> = Vec::new();
+        if !local {
+            for &(to, m) in &out_edges[out_off[i]..out_off[i + 1]] {
+                if m.add(dist[to]) == d
+                    && (m != Metric::ZERO || own[i] != d || reaches_another(to, i))
+                {
+                    nexthops.push(FwAddr::primary(ids[to]));
                 }
             }
+            nexthops.extend(lies.iter().filter(|l| l.0 == i && l.1 == d).map(|l| l.2));
+            nexthops.sort();
+            nexthops.dedup();
+        }
+        let route = Route {
+            dist: d,
+            nexthops,
+            local,
         };
-
-        for &(node, m) in &reals {
-            if node == r {
-                consider(m, Vec::new(), true);
-            } else {
-                let dist = &dist_to[&node];
-                let cost = dist.get(&r).copied().unwrap_or(Metric::INF).add(m);
-                let hops = hops_toward(r, dist);
-                if !hops.is_empty() {
-                    consider(cost, hops, false);
-                }
-            }
-        }
-        for &(attach, via_cost, fw) in &fakes {
-            if attach == r {
-                consider(via_cost, vec![fw], false);
-            } else {
-                let dist = &dist_to[&attach];
-                let cost = dist.get(&r).copied().unwrap_or(Metric::INF).add(via_cost);
-                let hops = hops_toward(r, dist);
-                if !hops.is_empty() {
-                    consider(cost, hops, false);
-                }
-            }
-        }
-
-        if let Some((cost, mut hops, local)) = best {
-            let route = if local {
-                Route {
-                    dist: cost,
-                    nexthops: Vec::new(),
-                    local: true,
-                }
-            } else {
-                hops.sort();
-                hops.dedup();
-                Route {
-                    dist: cost,
-                    nexthops: hops,
-                    local: false,
-                }
-            };
-            out.insert(r, route);
-        }
+        out.insert(r, route);
     }
     out
 }
