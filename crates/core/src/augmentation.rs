@@ -41,7 +41,7 @@
 
 use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator};
 use crate::requirements::WeightedDag;
-use crate::verify::{actual_fractions, check_against, VerifyReport};
+use crate::verify::{actual_fractions, check_against, fractions_close, VerifyReport};
 use fib_igp::rib::Route;
 use fib_igp::spf::compute_routes;
 use fib_igp::topology::Topology;
@@ -264,11 +264,7 @@ pub fn augment(
                 continue;
             }
             let now_fr = actual.get(u).cloned().unwrap_or_default();
-            let same = base_fr.len() == now_fr.len()
-                && base_fr
-                    .iter()
-                    .all(|(k, v)| now_fr.get(k).map(|w| (v - w).abs() < 1e-9).unwrap_or(false));
-            if !same {
+            if !fractions_close(base_fr, &now_fr) {
                 // Pin u to its original next-hop routers, one slot each.
                 let hops: Vec<(RouterId, u32)> = natural_hops(topo, *u, prefix);
                 if hops.is_empty() {

@@ -73,7 +73,9 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
+/// The one "same fractions" rule: the verifier's, and the one
+/// `augment`'s fixpoint uses to decide that a router was disturbed.
+pub(crate) fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
     if a.len() != b.len() {
         return false;
     }
