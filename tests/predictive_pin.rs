@@ -22,7 +22,11 @@
 
 use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use fib_trace::{AggSink, AuditRecord};
-use fibbing::scenario::runner::{build, RunOptions};
+use fibbing::igp::lsdb::DbVersion;
+use fibbing::igp::spf::prefix_routes;
+use fibbing::igp::types::{Prefix, RouterId};
+use fibbing::netsim::sim::Sim;
+use fibbing::scenario::runner::{build, RunOptions, CONTROLLER_ID};
 use fibbing::scenario::suite::{load_scenario, PREDICTIVE_PIN};
 use std::fmt::Write as _;
 
@@ -135,5 +139,65 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
         ),
         "summary / trace / audit / masked audit digests moved: {digests:#018x?}\nfirst audit lines:\n{}",
         audit.lines().take(12).collect::<Vec<_>>().join("\n")
+    );
+}
+
+/// Every router's LSDB version, in router order.
+fn lsdb_versions(sim: &Sim, routers: &[RouterId]) -> Vec<DbVersion> {
+    let version = |r: &RouterId| sim.instance(*r).expect("a router").lsdb().version();
+    routers.iter().map(version).collect()
+}
+
+/// "Every router re-runs its own SPF on the augmented topology and
+/// installs exactly the next hops the controller wanted" (PAPER.md):
+/// the controller's model of the network — `prefix_routes` on the
+/// speaker's view, the one question the load model, `augment`, `reduce`
+/// and the verifier ask — against the FIBs the routers installed, at
+/// every whole second that has lies installed and the network at rest
+/// (every LSDB equal to the speaker's, and unmoved for longer than the
+/// 50 ms an SPF run trails the LSA that asked for it).
+#[test]
+fn every_fib_is_what_the_single_prefix_spf_says_on_the_speakers_view() {
+    let spec = load_scenario(PREDICTIVE_PIN).expect("compiled-in spec");
+    let mut run = build(&spec, RunOptions::default()).expect("predictive_pin builds");
+    let prefixes = [Prefix::net24(1), Prefix::net24(2), Prefix::net24(3)];
+    // The spec's twenty routers; the speaker computes no routes.
+    let routers: Vec<RouterId> = (1..=20).map(RouterId).collect();
+    let (mut checked, mut most_lies) = (0u32, 0usize);
+    for second in 1..=run.horizon_secs() as u32 {
+        run.run_until_secs(f64::from(second) - 0.1);
+        let before = lsdb_versions(&run.sim, &routers);
+        run.run_until_secs(f64::from(second));
+        let view = run
+            .sim
+            .ctx()
+            .topology_view(CONTROLLER_ID)
+            .expect("the speaker has an LSDB");
+        let lsdb_of = |r: &RouterId| run.sim.instance(*r).expect("a router").lsdb();
+        if view.fake_count() == 0
+            || lsdb_versions(&run.sim, &routers) != before
+            || routers.iter().any(|r| lsdb_of(r).to_topology() != view)
+        {
+            continue;
+        }
+        for prefix in prefixes {
+            let model = prefix_routes(&view, prefix);
+            for r in &routers {
+                let wanted = model.get(r).map_or(&[][..], |route| &route.nexthops);
+                assert_eq!(
+                    run.sim.ctx().fib_nexthops(*r, prefix),
+                    wanted,
+                    "t = {second} s, {} lies: {r}'s FIB toward {prefix} is not the model's",
+                    view.fake_count()
+                );
+            }
+        }
+        checked += 1;
+        most_lies = most_lies.max(view.fake_count());
+    }
+    println!("checked {checked} whole seconds with lies installed, at most {most_lies} lies");
+    assert!(
+        checked > 0,
+        "no whole second had lies installed and the network at rest"
     );
 }
