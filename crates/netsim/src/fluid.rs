@@ -786,6 +786,197 @@ mod tests {
         }
     }
 
+    /// The simulator's way in, as `Core::reallocate` drives it: links
+    /// named by position in a fixed universe, a capacity present iff
+    /// the link is up.
+    struct SimEntry {
+        alloc: Allocator<usize>,
+    }
+
+    impl SimEntry {
+        fn new() -> SimEntry {
+            SimEntry {
+                alloc: Allocator::new(),
+            }
+        }
+
+        fn settle(&mut self, universe: &[Option<f64>], flows: &[(Vec<u32>, Option<f64>)]) {
+            self.alloc.allocate_indexed(
+                universe.iter().copied(),
+                flows.iter().map(|(l, c)| (l.as_slice(), *c)),
+            );
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(st: &mut u64, n: usize) -> usize {
+        (splitmix(st) % n as u64) as usize
+    }
+
+    /// The differential the simulator's fill is held to: seeded inputs
+    /// shaped like a crowd — a handful of paths, a handful of caps,
+    /// hundreds to thousands of flows, link capacities of the ledger
+    /// workloads — through call sequences that move flows, caps,
+    /// capacities and link state, against [`max_min_keyed`] on the up
+    /// links: every rate and every load bit for bit, and the same
+    /// fill/skip decisions as the keyed entry.
+    ///
+    /// At these sizes the reference's "numerical corner" is traffic:
+    /// thousands of subtractions from 4e8 leave more than the 1e-9 a
+    /// link must be under to count as full, nothing freezes, and the
+    /// lowest-index unfrozen flow is frozen alone. The test asserts
+    /// from outputs that this ran: two flows with equal links and
+    /// equal cap and different rates.
+    #[test]
+    fn simulator_entry_is_the_keyed_reference_bit_for_bit_on_crowd_shaped_inputs() {
+        const CASES: u64 = 300;
+        let mut split_twins = 0usize; // inputs where equal (links, cap) got unequal rates
+        let mut calls = 0usize;
+        let mut skips = 0u64;
+        let mut widest = 0usize;
+        let mut empty_paths = 0usize;
+        for case in 0..CASES {
+            let mut st = case.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xF1B;
+            let st = &mut st;
+            let nl = 2 + below(st, 9);
+            let capacity = |st: &mut u64| match below(st, 5) {
+                0 | 1 => 4e8,
+                2 => 1.25e7 / 3.0,
+                3 => 1e6 + below(st, 1000) as f64 * 0.37,
+                _ => 1.0 + below(st, 400) as f64,
+            };
+            let mut caps: Vec<f64> = (0..nl).map(|_| capacity(st)).collect();
+            let mut up = vec![true; nl];
+            // Up to six paths: distinct links in walk order (not
+            // sorted), some sharing links, now and then an empty one.
+            let paths: Vec<Vec<u32>> = (0..1 + below(st, 6))
+                .map(|_| {
+                    let mut links: Vec<u32> = Vec::new();
+                    for _ in 0..below(st, 5.min(nl + 1)) {
+                        let l = below(st, nl) as u32;
+                        if !links.contains(&l) {
+                            links.push(l);
+                        }
+                    }
+                    links
+                })
+                .collect();
+            let cap = |st: &mut u64| match below(st, 6) {
+                0 | 1 => None,
+                2 => Some(1.0),
+                3 => Some(125_000.0),
+                4 => Some(312_500.0),
+                _ => Some(1.0 + below(st, 500_000) as f64 * 0.75),
+            };
+            // One case in six is as wide as a ledger fill.
+            let most = if case % 6 == 0 { 3000 } else { 250 };
+            let mut flows: Vec<(usize, Option<f64>)> = (0..below(st, most + 1))
+                .map(|_| (below(st, paths.len()), cap(st)))
+                .collect();
+
+            let mut sim = SimEntry::new();
+            let mut keyed: Allocator<usize> = Allocator::new();
+            for step in 0..1 + below(st, 5) {
+                // One call in five repeats its input: a skip on both.
+                if step > 0 && below(st, 5) > 0 {
+                    for _ in 0..1 + below(st, 3) {
+                        let l = below(st, nl);
+                        match below(st, 4) {
+                            0 => up[l] = !up[l],
+                            1 => caps[l] = capacity(st),
+                            2 if !flows.is_empty() => {
+                                // A batch of viewers leaves, another arrives.
+                                let gone = below(st, flows.len().min(40) + 1);
+                                let at = below(st, flows.len() - gone + 1);
+                                flows.drain(at..at + gone);
+                                for _ in 0..below(st, 40) {
+                                    flows.push((below(st, paths.len()), cap(st)));
+                                }
+                            }
+                            _ if !flows.is_empty() => {
+                                let i = below(st, flows.len());
+                                flows[i] = (below(st, paths.len()), cap(st));
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                // A flow that would cross a down link is not routed.
+                let routed: Vec<(Vec<u32>, Option<f64>)> = flows
+                    .iter()
+                    .filter(|(p, _)| paths[*p].iter().all(|l| up[*l as usize]))
+                    .map(|(p, c)| (paths[*p].clone(), *c))
+                    .collect();
+                let universe: Vec<Option<f64>> =
+                    (0..nl).map(|l| up[l].then_some(caps[l])).collect();
+                let up_caps: BTreeMap<usize, f64> =
+                    (0..nl).filter(|l| up[*l]).map(|l| (l, caps[l])).collect();
+                let by_key: Vec<(Vec<usize>, Option<f64>)> = routed
+                    .iter()
+                    .map(|(l, c)| (l.iter().map(|l| *l as usize).collect(), *c))
+                    .collect();
+
+                sim.settle(&universe, &routed);
+                keyed.allocate(&up_caps, by_key.iter().map(|(l, c)| (l.as_slice(), *c)));
+                let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &by_key);
+
+                let at = format!("case {case}, call {step}");
+                assert_eq!(
+                    (sim.alloc.fills, sim.alloc.skips),
+                    (keyed.fills, keyed.skips),
+                    "{at}: fill/skip decisions"
+                );
+                assert_eq!(sim.alloc.rates().len(), ref_rates.len(), "{at}");
+                for (i, want) in ref_rates.iter().enumerate() {
+                    let got = sim.alloc.rates()[i];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at}: rate of flow {i}");
+                    assert_eq!(keyed.rates()[i].to_bits(), want.to_bits(), "{at}: flow {i}");
+                }
+                for l in 0..nl {
+                    let want = ref_loads.get(&l).copied().unwrap_or(0.0);
+                    let got = sim.alloc.loads()[l];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at}: load of link {l}");
+                    assert_eq!(keyed.load(&l).to_bits(), want.to_bits(), "{at}: link {l}");
+                }
+
+                let mut seen: BTreeMap<(&[u32], Option<u64>), u64> = BTreeMap::new();
+                let mut split = false;
+                for ((links, cap), rate) in routed.iter().zip(&ref_rates) {
+                    let first = *seen
+                        .entry((links.as_slice(), cap.map(f64::to_bits)))
+                        .or_insert(rate.to_bits());
+                    split |= first != rate.to_bits();
+                }
+                split_twins += usize::from(split);
+                calls += 1;
+                widest = widest.max(routed.len());
+                empty_paths += usize::from(routed.iter().any(|(l, _)| l.is_empty()));
+            }
+            skips += sim.alloc.skips;
+        }
+        // What the inputs covered, asserted so that a change to the
+        // generator cannot quietly stop exercising it.
+        assert!(calls >= 900, "{calls} calls");
+        assert!(skips >= 100, "{skips} skipped calls");
+        assert!(widest >= 2500, "widest input had {widest} routed flows");
+        assert!(
+            empty_paths >= 300,
+            "{empty_paths} inputs with a linkless flow"
+        );
+        assert!(
+            split_twins >= 100,
+            "the forced freeze of a single flow ran on {split_twins} inputs"
+        );
+    }
+
     /// A capacity: often one of two round values, so that two links
     /// (or one link before and after a change) coincide.
     fn capacity() -> impl Strategy<Value = f64> {
