@@ -80,10 +80,11 @@ pub struct Flow {
     pub rate: f64,
     /// Current path (directed links), `None` while unroutable.
     pub path: Option<Vec<LinkKey>>,
-    /// The same links as positions in the simulator's link arena
-    /// (empty while unroutable), resolved with the path and never
-    /// apart from it: what a settle stages, so that it probes no map.
-    pub(crate) path_ix: Box<[u32]>,
+    /// The same links as positions in the simulator's link arena, by
+    /// their id in its path table (`None` while unroutable), resolved
+    /// with the path and never apart from it: what a settle stages, so
+    /// that it probes no map and copies no list.
+    pub(crate) path_id: Option<u32>,
     /// Total bytes delivered so far (fluid integration).
     pub delivered: f64,
 }
@@ -145,7 +146,7 @@ mod tests {
             started_at: Timestamp::ZERO,
             rate: 0.0,
             path: None,
-            path_ix: Box::default(),
+            path_id: None,
             delivered: 0.0,
         };
         let info = f.info();

@@ -16,30 +16,68 @@
 //! Two implementations exist:
 //!
 //! * [`max_min_allocation`] / [`max_min_keyed`] — the straightforward
-//!   full recompute, allocating fresh buffers per call. Retained as
-//!   the reference the incremental allocator is proptested against
-//!   (bit-for-bit, not just within a tolerance).
-//! * [`Allocator`] — the hot-path version the simulator uses: buffers
-//!   persist across calls, a call whose inputs are unchanged returns
-//!   the cached result without touching the fill at all, and the fill
-//!   itself keeps *active* flow/link sets so bottleneck groups that
-//!   froze in an earlier round are skipped in later rounds instead of
-//!   rescanned. The simulator stages it by link position
-//!   ([`Allocator::allocate_indexed`]): a settle copies each flow's
-//!   kept positions and probes no map.
+//!   full recompute, one flow at a time, allocating fresh buffers per
+//!   call. Retained as the reference the allocator below is tested
+//!   against (bit-for-bit, not just within a tolerance).
+//! * [`Allocator`] — the version the simulator uses: buffers persist
+//!   across calls, a call whose inputs are unchanged returns the cached
+//!   result without filling at all, and the fill works on *classes* —
+//!   the flows of one input that cross the same links under the same
+//!   cap — because a crowd is thousands of flows over a handful of
+//!   forwarding decisions (36 000 sessions over 7 paths and at most 10
+//!   classes on the ledger's `dataplane_churn`). A settle stages one
+//!   interned path id and one cap per flow and probes no map.
 //!
-//! Why no finer-grained reuse (refilling only the connected component
-//! a change touched): progressive filling interleaves growth steps
-//! *across* components — a freeze in one component splits the delta
-//! sequence applied to every other. The final rates are mathematically
-//! identical either way, but f64 addition is not associative, so a
+//! # Why classes give the reference's bits
+//!
+//! Three of the four things a round of progressive filling does are
+//! order-free, so they can be done per class and per link; the fourth
+//! is not, and stays per flow.
+//!
+//! * **One level.** Every unfrozen flow's rate is `0.0` plus the same
+//!   `delta`s in the same order, so all unfrozen flows share one
+//!   `f64`. A flow's rate is written once, when it freezes, and the
+//!   round's cap limit `min (cap - rate).max(0.0)` over unfrozen flows
+//!   is a `min` over unfrozen classes of the same expression.
+//! * **Residuals.** A link's residual loses the round's `delta` once
+//!   per unfrozen flow crossing it: the same value, that many times,
+//!   whichever flows they are. Repeating the subtraction on a local
+//!   gives the reference's bits. `n as f64 * delta` does not — it
+//!   rounds once where the reference rounds `n` times — and that
+//!   difference moves pinned bytes.
+//! * **Freezing.** Whether a flow freezes in a round — at its cap, or
+//!   on a link whose residual fell to `1e-9` — depends on its links and
+//!   its cap only, so a class freezes whole. The exception: when a
+//!   round froze nothing, the reference freezes the lowest-index
+//!   unfrozen flow alone, which splits its class. The fill keeps a
+//!   count of unfrozen members per class and a cursor over the flows
+//!   (everything before it is frozen); the forced flow is the first at
+//!   or after the cursor whose class is unfrozen. This is traffic, not
+//!   a corner: thousands of subtractions from a 4e8 B/s link leave more
+//!   than `1e-9`, and 165 of `dataplane_churn`'s 1 174 fills force at
+//!   least once.
+//! * **Loads are not order-free.** A link's load is the sum, in flow
+//!   order, of rates that differ from class to class, and f64 addition
+//!   is not associative: that one pass stays per flow.
+//!
+//! The memo is as exact as before: path ids are interned by content
+//! and never reused, classes are numbered by first appearance, so two
+//! inputs have equal (class list, per-flow class) iff they have equal
+//! per-flow (links, cap) — the fill/skip decisions every pinned sweep
+//! CSV carries do not move.
+//!
+//! What is still *not* done, for the reason it never was: refilling
+//! only the connected component a change touched. Progressive filling
+//! interleaves growth steps *across* components — a freeze in one
+//! component splits the delta sequence applied to every other. The
+//! final rates are mathematically identical either way, but a
 //! per-component refill lands on different last-ulp bits than the
 //! global fill that produced the previous trace. This repo pins runs
-//! byte-for-byte (determinism tests, CI diffs), and an ulp can
-//! amplify through discrete branches (a player stalling, a controller
-//! threshold), so the allocator only skips work where the result is
-//! provably bit-identical: unchanged inputs, and frozen groups within
-//! one fill.
+//! byte-for-byte (determinism tests, CI diffs), and an ulp can amplify
+//! through discrete branches (a player stalling, a controller
+//! threshold), so the allocator only saves work where the result is
+//! provably bit-identical: unchanged inputs, and the order-free part
+//! of one fill.
 
 use std::collections::BTreeMap;
 
@@ -216,6 +254,60 @@ pub fn max_min_keyed<K: Ord + Clone>(
     (alloc.rates, loads)
 }
 
+/// Link-position lists interned by content: the same links in the same
+/// order always get the same id, and an id never changes its meaning.
+/// That is what lets the allocator compare two inputs id by id, and
+/// group flows by id.
+///
+/// The table only grows: one entry per distinct list ever interned,
+/// never freed. The simulator interns a path where it resolves one, so
+/// its table holds the distinct routed paths a run has seen — 10 / 12 /
+/// 7 / at most 5 on the four ledger workloads — not one entry per
+/// flow.
+#[derive(Debug, Default)]
+pub(crate) struct PathTable {
+    paths: Vec<Box<[u32]>>,
+    ids: BTreeMap<Box<[u32]>, u32>,
+}
+
+impl PathTable {
+    /// The id of `links`, a new one iff the table has not seen them.
+    pub(crate) fn intern(&mut self, links: &[u32]) -> u32 {
+        if let Some(id) = self.ids.get(links) {
+            return *id;
+        }
+        let id = u32::try_from(self.paths.len()).expect("fewer than 2^32 distinct paths");
+        self.paths.push(links.into());
+        self.ids.insert(links.into(), id);
+        id
+    }
+
+    /// The links `id` names.
+    pub(crate) fn links(&self, id: u32) -> &[u32] {
+        &self.paths[id as usize]
+    }
+
+    /// Distinct lists interned so far.
+    pub(crate) fn len(&self) -> usize {
+        self.paths.len()
+    }
+
+    fn clear(&mut self) {
+        self.paths.clear();
+        self.ids.clear();
+    }
+}
+
+/// The flows of one input that cross the same links under the same
+/// cap. Progressive filling cannot tell them apart (module docs), so
+/// the fill works on these.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    path: u32,
+    cap: Option<f64>,
+    members: usize,
+}
+
 /// The simulator's reusable max-min allocator (see module docs).
 ///
 /// Every call hands over the full current input — the link universe
@@ -223,40 +315,54 @@ pub fn max_min_keyed<K: Ord + Clone>(
 /// flows. The allocator compares it against the previous call: when
 /// nothing changed it returns the cached result (a *skip*, counted in
 /// [`Allocator::skips`]); when anything changed it re-runs progressive
-/// filling with buffer reuse and active-set bookkeeping (a *fill*,
-/// counted in [`Allocator::fills`]). Output is bit-identical to
+/// filling over the input's classes (a *fill*, counted in
+/// [`Allocator::fills`]). Output is bit-identical to
 /// [`max_min_allocation`] on the same input.
 ///
 /// There are two ways in and one staging, memo and fill behind them:
-/// [`Allocator::allocate_indexed`] for a caller that already names
-/// links by their position in a fixed universe (the simulator), and
-/// [`Allocator::allocate`] for a caller that names them by key, which
-/// only translates keys to positions.
-#[derive(Debug, Default)]
+/// `allocate_paths` for a caller that names links by their position in
+/// a fixed universe and each flow's links by an interned id (the
+/// simulator), and [`Allocator::allocate`] for a caller that names
+/// links by key, which translates keys to positions and interns each
+/// flow's list in a table of its own.
+#[derive(Debug)]
 pub struct Allocator<K: Ord + Clone> {
-    // --- the keyed entry point's translation (unused by index callers) ---
+    // --- the keyed entry point's translation (unused by the simulator) ---
     keys: Vec<K>,
     index: BTreeMap<K, u32>,
+    key_paths: PathTable,
+    key_links: Vec<u32>,
     // --- previous input (the memo key) ---
     /// Per link of the universe: its capacity iff it is up. Up/down is
     /// part of the key: a link that fails is a different input even if
     /// no flow crossed it, a capacity change on a down link is not.
     caps: Vec<Option<f64>>,
-    flow_offsets: Vec<usize>,
-    flow_links: Vec<u32>,
-    flow_caps: Vec<Option<f64>>,
+    /// The input's classes in order of first appearance, and each
+    /// flow's class: equal iff the per-flow (path id, cap) sequences
+    /// are.
+    classes: Vec<Class>,
+    flow_class: Vec<u32>,
     valid: bool,
     // --- cached output ---
     rates: Vec<f64>,
     loads: Vec<f64>,
-    // --- scratch for input staging and the fill ---
-    new_offsets: Vec<usize>,
-    new_links: Vec<u32>,
-    new_caps: Vec<Option<f64>>,
+    // --- scratch for input staging ---
+    new_classes: Vec<Class>,
+    new_flow_class: Vec<u32>,
+    /// Per path id, the staged classes on it (one per distinct cap;
+    /// empty between calls).
+    by_path: Vec<Vec<u32>>,
+    // --- scratch for the fill ---
     residual: Vec<f64>,
+    /// Per link: unfrozen flows crossing it.
     link_active: Vec<usize>,
-    fixed: Vec<bool>,
-    active_flows: Vec<usize>,
+    /// Per class: members not yet frozen, and the rate the class froze
+    /// at.
+    unfrozen: Vec<usize>,
+    class_rate: Vec<f64>,
+    /// Flows frozen alone, ahead of their class, with their rate.
+    forced: Vec<(usize, f64)>,
+    active_classes: Vec<usize>,
     active_links: Vec<usize>,
     /// Fill passes actually executed.
     pub fills: u64,
@@ -269,26 +375,35 @@ fn same_bits(a: Option<f64>, b: Option<f64>) -> bool {
     a.map(f64::to_bits) == b.map(f64::to_bits)
 }
 
+impl<K: Ord + Clone> Default for Allocator<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K: Ord + Clone> Allocator<K> {
     /// A fresh allocator with empty buffers.
     pub fn new() -> Self {
         Allocator {
             keys: Vec::new(),
             index: BTreeMap::new(),
+            key_paths: PathTable::default(),
+            key_links: Vec::new(),
             caps: Vec::new(),
-            flow_offsets: vec![0],
-            flow_links: Vec::new(),
-            flow_caps: Vec::new(),
+            classes: Vec::new(),
+            flow_class: Vec::new(),
             valid: false,
             rates: Vec::new(),
             loads: Vec::new(),
-            new_offsets: Vec::new(),
-            new_links: Vec::new(),
-            new_caps: Vec::new(),
+            new_classes: Vec::new(),
+            new_flow_class: Vec::new(),
+            by_path: Vec::new(),
             residual: Vec::new(),
             link_active: Vec::new(),
-            fixed: Vec::new(),
-            active_flows: Vec::new(),
+            unfrozen: Vec::new(),
+            class_rate: Vec::new(),
+            forced: Vec::new(),
+            active_classes: Vec::new(),
             active_links: Vec::new(),
             fills: 0,
             skips: 0,
@@ -316,46 +431,46 @@ impl<K: Ord + Clone> Allocator<K> {
                 .zip(&self.keys)
                 .map(|(i, k)| (k.clone(), i))
                 .collect();
+            self.key_paths.clear();
             self.valid = false;
         }
         let links_unchanged = self.stage_links(capacities.values().map(|c| Some(*c)));
+        let mut paths = std::mem::take(&mut self.key_paths);
+        let mut positions = std::mem::take(&mut self.key_links);
         for (links, cap) in flows {
-            for k in links {
-                let idx = *self.index.get(k).expect("flow references unknown link key");
-                self.new_links.push(idx);
-            }
-            self.stage_flow_end(cap);
+            positions.clear();
+            positions.extend(
+                links
+                    .iter()
+                    .map(|k| *self.index.get(k).expect("flow references unknown link key")),
+            );
+            self.stage_flow(paths.intern(&positions), cap);
         }
-        self.commit(links_unchanged);
+        self.commit(&paths, links_unchanged);
+        self.key_paths = paths;
+        self.key_links = positions;
     }
 
     /// Compute (or reuse) the max-min allocation over links named by
     /// position: `links` yields the whole universe in a fixed order,
     /// one entry per link, its capacity iff the link is up; `flows`
-    /// yields each routed flow's crossed links as positions in that
-    /// order (up links only) and its cap, in a stable order. Rates come
-    /// back via [`Allocator::rates`], loads via [`Allocator::loads`].
+    /// yields each routed flow's crossed links as an id of `paths`
+    /// (positions in that order, up links only) and its cap, in a
+    /// stable order. Rates come back via [`Allocator::rates`], loads
+    /// via [`Allocator::loads`].
     ///
-    /// No probe, no translation: what a flow crosses is copied as is.
-    /// The order of the universe cannot move a bit of the result — the
-    /// growth step is a `min` over links, each link's residual sees the
-    /// same subtractions in the same (flow) order, and loads accumulate
-    /// flow-major.
-    pub fn allocate_indexed<'a, L, I>(&mut self, links: L, flows: I)
+    /// `paths` must be the same table from call to call: the memo
+    /// compares ids.
+    pub(crate) fn allocate_paths<L, I>(&mut self, paths: &PathTable, links: L, flows: I)
     where
         L: IntoIterator<Item = Option<f64>>,
-        I: IntoIterator<Item = (&'a [u32], Option<f64>)>,
+        I: IntoIterator<Item = (u32, Option<f64>)>,
     {
         let links_unchanged = self.stage_links(links);
-        for (links, cap) in flows {
-            debug_assert!(
-                links.iter().all(|l| self.caps[*l as usize].is_some()),
-                "flow crosses a down link"
-            );
-            self.new_links.extend_from_slice(links);
-            self.stage_flow_end(cap);
+        for (path, cap) in flows {
+            self.stage_flow(path, cap);
         }
-        self.commit(links_unchanged);
+        self.commit(paths, links_unchanged);
     }
 
     /// Overwrite the kept link universe with `links` and open an empty
@@ -381,39 +496,61 @@ impl<K: Ord + Clone> Allocator<K> {
             self.caps.truncate(n);
             unchanged = false;
         }
-        self.new_offsets.clear();
-        self.new_offsets.push(0);
-        self.new_links.clear();
-        self.new_caps.clear();
+        self.new_classes.clear();
+        self.new_flow_class.clear();
         unchanged
     }
 
-    /// Close the flow whose links were just pushed onto `new_links`.
-    fn stage_flow_end(&mut self, cap: Option<f64>) {
-        self.new_offsets.push(self.new_links.len());
-        self.new_caps.push(cap);
+    /// Stage the next flow: find its class among the few staged on its
+    /// path (one per distinct cap), or open one.
+    fn stage_flow(&mut self, path: u32, cap: Option<f64>) {
+        let p = path as usize;
+        if self.by_path.len() <= p {
+            self.by_path.resize_with(p + 1, Vec::new);
+        }
+        let classes = &mut self.new_classes;
+        let known = self.by_path[p]
+            .iter()
+            .copied()
+            .find(|c| same_bits(classes[*c as usize].cap, cap));
+        let class = known.unwrap_or_else(|| {
+            let class = u32::try_from(classes.len()).expect("fewer than 2^32 classes");
+            classes.push(Class {
+                path,
+                cap,
+                members: 0,
+            });
+            self.by_path[p].push(class);
+            class
+        });
+        classes[class as usize].members += 1;
+        self.new_flow_class.push(class);
     }
 
     /// Skip if the staged input equals the kept one, else keep it and
     /// fill.
-    fn commit(&mut self, links_unchanged: bool) {
-        // Equal offsets mean equally many flows, so `zip` drops none.
+    fn commit(&mut self, paths: &PathTable, links_unchanged: bool) {
+        for c in &self.new_classes {
+            self.by_path[c.path as usize].clear();
+        }
+        // Classes are numbered by first appearance, so equal per-flow
+        // classes over equal (path, cap) lists are equal inputs, and
+        // equal member counts follow.
         let flows_unchanged = self.valid
-            && self.new_offsets == self.flow_offsets
-            && self.new_links == self.flow_links
+            && self.new_flow_class == self.flow_class
+            && self.new_classes.len() == self.classes.len()
             && self
-                .new_caps
+                .new_classes
                 .iter()
-                .zip(&self.flow_caps)
-                .all(|(a, b)| same_bits(*a, *b));
+                .zip(&self.classes)
+                .all(|(a, b)| a.path == b.path && same_bits(a.cap, b.cap));
         if links_unchanged && flows_unchanged {
             self.skips += 1;
             return;
         }
-        std::mem::swap(&mut self.flow_offsets, &mut self.new_offsets);
-        std::mem::swap(&mut self.flow_links, &mut self.new_links);
-        std::mem::swap(&mut self.flow_caps, &mut self.new_caps);
-        self.fill();
+        std::mem::swap(&mut self.classes, &mut self.new_classes);
+        std::mem::swap(&mut self.flow_class, &mut self.new_flow_class);
+        self.fill(paths);
         self.valid = true;
         self.fills += 1;
     }
@@ -437,31 +574,25 @@ impl<K: Ord + Clone> Allocator<K> {
             .unwrap_or(0.0)
     }
 
-    fn flow_links_of(&self, i: usize) -> &[u32] {
-        &self.flow_links[self.flow_offsets[i]..self.flow_offsets[i + 1]]
-    }
-
-    /// Freeze flow `i` at its current rate: it stops counting on every
-    /// link it crosses.
-    fn freeze(&mut self, i: usize) {
-        self.fixed[i] = true;
-        for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-            self.link_active[self.flow_links[l] as usize] -= 1;
+    /// Take `n` flows of class `c` out of the filling: they stop
+    /// counting on every link the class crosses.
+    fn retire(&mut self, paths: &PathTable, c: usize, n: usize) {
+        self.unfrozen[c] -= n;
+        for l in paths.links(self.classes[c].path) {
+            self.link_active[*l as usize] -= n;
         }
     }
 
-    /// Progressive filling, arithmetic identical to
-    /// [`max_min_allocation`] (asserted bit-for-bit in proptests), but
-    /// with active-set bookkeeping: flows and links frozen in earlier
-    /// rounds — entire exhausted bottleneck groups — are skipped, not
-    /// rescanned, in later rounds.
-    fn fill(&mut self) {
+    /// Progressive filling over classes, arithmetic identical to
+    /// [`max_min_allocation`] (module docs say why; asserted bit for
+    /// bit in the tests): one water level, each link's residual
+    /// lowered by the round's `delta` once per unfrozen flow crossing
+    /// it, classes frozen whole — and, when nothing froze, the
+    /// lowest-index unfrozen flow frozen alone.
+    fn fill(&mut self, paths: &PathTable) {
         let nl = self.caps.len();
-        let nf = self.flow_caps.len();
-        self.rates.clear();
-        self.rates.resize(nf, 0.0);
-        self.fixed.clear();
-        self.fixed.resize(nf, false);
+        let nf = self.flow_class.len();
+        let nc = self.classes.len();
         // A down link carries nothing: no flow crosses it, so it never
         // becomes active and its residual is never read.
         self.residual.clear();
@@ -469,31 +600,42 @@ impl<K: Ord + Clone> Allocator<K> {
             .extend(self.caps.iter().map(|c| c.unwrap_or(0.0)));
         self.link_active.clear();
         self.link_active.resize(nl, 0);
-
-        // Degenerate flows (no links) are limited only by their cap.
-        for i in 0..nf {
-            if self.flow_offsets[i] == self.flow_offsets[i + 1] {
-                self.rates[i] = self.flow_caps[i].unwrap_or(0.0);
-                self.fixed[i] = true;
+        self.unfrozen.clear();
+        self.class_rate.clear();
+        for class in &self.classes {
+            let links = paths.links(class.path);
+            debug_assert!(
+                links.iter().all(|l| self.caps[*l as usize].is_some()),
+                "flow crosses a down link"
+            );
+            // Degenerate flows (no links) are limited only by their
+            // cap, and fixed from the start.
+            let (unfrozen, rate) = match links {
+                [] => (0, class.cap.unwrap_or(0.0)),
+                _ => (class.members, 0.0),
+            };
+            self.unfrozen.push(unfrozen);
+            self.class_rate.push(rate);
+            for l in links {
+                self.link_active[*l as usize] += class.members;
             }
         }
-        for i in 0..nf {
-            if self.fixed[i] {
-                continue;
-            }
-            for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                self.link_active[self.flow_links[l] as usize] += 1;
-            }
-        }
-        self.active_flows.clear();
-        self.active_flows
-            .extend((0..nf).filter(|i| !self.fixed[*i]));
+        self.active_classes.clear();
+        self.active_classes
+            .extend((0..nc).filter(|c| self.unfrozen[*c] > 0));
         self.active_links.clear();
         self.active_links
             .extend((0..nl).filter(|l| self.link_active[*l] > 0));
+        self.forced.clear();
 
+        // Every unfrozen flow's rate is 0.0 plus the same deltas in
+        // the same order: one number.
+        let mut level = 0.0f64;
+        // Flows before the cursor are frozen, with their class or
+        // alone.
+        let mut cursor = 0usize;
         let mut guard = 0usize;
-        while !self.active_flows.is_empty() {
+        while !self.active_classes.is_empty() {
             guard += 1;
             assert!(
                 guard <= nf + nl + 2,
@@ -504,10 +646,10 @@ impl<K: Ord + Clone> Allocator<K> {
             for &l in &self.active_links {
                 delta = delta.min((self.residual[l] / self.link_active[l] as f64).max(0.0));
             }
-            // … and by active flows' caps.
-            for &i in &self.active_flows {
-                if let Some(cap) = self.flow_caps[i] {
-                    delta = delta.min((cap - self.rates[i]).max(0.0));
+            // … and by active classes' caps.
+            for &c in &self.active_classes {
+                if let Some(cap) = self.classes[c].cap {
+                    delta = delta.min((cap - level).max(0.0));
                 }
             }
             if !delta.is_finite() {
@@ -517,60 +659,87 @@ impl<K: Ord + Clone> Allocator<K> {
                 break;
             }
 
-            // Apply the increment, in ascending flow order (the
-            // residual subtraction order pins the f64 bits).
-            for &i in &self.active_flows {
-                self.rates[i] += delta;
-                for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                    self.residual[self.flow_links[l] as usize] -= delta;
+            // Apply the increment. A link's residual loses the same
+            // `delta` once per unfrozen flow crossing it, whichever
+            // flows those are — but one subtraction at a time: `n as
+            // f64 * delta` rounds once where this rounds n times.
+            level += delta;
+            for &l in &self.active_links {
+                let mut r = self.residual[l];
+                for _ in 0..self.link_active[l] {
+                    r -= delta;
                 }
+                self.residual[l] = r;
             }
 
-            // Freeze flows at caps, then flows on saturated links. The
-            // reference collects them in a list first; only membership
-            // matters, and `fixed` is that membership: every flow in
-            // `active_flows` was unfixed when the round began, so a set
-            // flag means "already frozen this round".
+            // Freeze classes at their cap, then classes on saturated
+            // links: whether a flow freezes depends on its links and
+            // its cap only. `active_links` is the round's opening
+            // list, as the reference tests the round's opening counts.
             let mut froze_any = false;
-            for fi in 0..self.active_flows.len() {
-                let i = self.active_flows[fi];
-                if let Some(cap) = self.flow_caps[i] {
-                    if self.rates[i] >= cap - 1e-9 {
-                        self.freeze(i);
-                        froze_any = true;
-                    }
+            for ci in 0..self.active_classes.len() {
+                let c = self.active_classes[ci];
+                if self.classes[c].cap.is_some_and(|cap| level >= cap - 1e-9) {
+                    self.class_rate[c] = level;
+                    self.retire(paths, c, self.unfrozen[c]);
+                    froze_any = true;
                 }
             }
             const EPS: f64 = 1e-9;
             for li in 0..self.active_links.len() {
                 let l = self.active_links[li];
-                if self.residual[l] <= EPS {
-                    for fi in 0..self.active_flows.len() {
-                        let i = self.active_flows[fi];
-                        if !self.fixed[i] && self.flow_links_of(i).contains(&(l as u32)) {
-                            self.freeze(i);
-                            froze_any = true;
-                        }
+                if self.residual[l] > EPS {
+                    continue;
+                }
+                for ci in 0..self.active_classes.len() {
+                    let c = self.active_classes[ci];
+                    if self.unfrozen[c] > 0
+                        && paths.links(self.classes[c].path).contains(&(l as u32))
+                    {
+                        self.class_rate[c] = level;
+                        self.retire(paths, c, self.unfrozen[c]);
+                        froze_any = true;
                     }
                 }
             }
             if !froze_any {
-                // Numerical corner: force the most constrained flow
-                // fixed (first active flow — lists stay ascending).
-                self.freeze(self.active_flows[0]);
+                // Rounding left every crossed link a hair above EPS:
+                // the reference fixes the lowest-index unfrozen flow,
+                // alone — which splits its class. With thousands of
+                // flows on a 4e8 B/s link this is traffic, not a
+                // corner.
+                let i = (cursor..nf)
+                    .find(|i| self.unfrozen[self.flow_class[*i] as usize] > 0)
+                    .expect("an active class has an unfrozen member past the cursor");
+                self.forced.push((i, level));
+                self.retire(paths, self.flow_class[i] as usize, 1);
+                cursor = i + 1;
             }
-            let fixed = &self.fixed;
-            self.active_flows.retain(|i| !fixed[*i]);
+            let unfrozen = &self.unfrozen;
+            self.active_classes.retain(|c| unfrozen[*c] > 0);
             let link_active = &self.link_active;
             self.active_links.retain(|l| link_active[*l] > 0);
         }
+        // Whatever is still unfrozen (only after the guarded break)
+        // stays at the level it reached.
+        for &c in &self.active_classes {
+            self.class_rate[c] = level;
+        }
 
-        // Link loads, in the reference's flow-major accumulation order.
+        self.rates.clear();
+        self.rates
+            .extend(self.flow_class.iter().map(|c| self.class_rate[*c as usize]));
+        for &(i, rate) in &self.forced {
+            self.rates[i] = rate;
+        }
+        // Link loads, in the reference's flow-major accumulation
+        // order: a sum of unequal rates is the one thing here whose
+        // bits depend on the order, so this pass stays per flow.
         self.loads.clear();
         self.loads.resize(nl, 0.0);
-        for i in 0..nf {
-            for l in self.flow_offsets[i]..self.flow_offsets[i + 1] {
-                self.loads[self.flow_links[l] as usize] += self.rates[i];
+        for (c, rate) in self.flow_class.iter().zip(&self.rates) {
+            for l in paths.links(self.classes[*c as usize].path) {
+                self.loads[*l as usize] += rate;
             }
         }
     }
@@ -764,47 +933,48 @@ mod tests {
 
         let mut keyed = Allocator::new();
         keyed.allocate(&caps, flows.iter().map(|(l, c)| (l.as_slice(), *c)));
-        let positions: Vec<Vec<u32>> = flows
+        let positions: Vec<(Vec<u32>, Option<f64>)> = flows
             .iter()
-            .map(|(l, _)| l.iter().map(|l| *l as u32).collect())
+            .map(|(l, c)| (l.iter().map(|l| *l as u32).collect(), *c))
             .collect();
-        let mut indexed: Allocator<usize> = Allocator::new();
-        indexed.allocate_indexed(
-            caps.values().map(|c| Some(*c)),
-            positions
-                .iter()
-                .zip(&flows)
-                .map(|(l, (_, c))| (l.as_slice(), *c)),
-        );
+        let universe: Vec<Option<f64>> = caps.values().map(|c| Some(*c)).collect();
+        let mut sim = SimEntry::new();
+        sim.settle(&universe, &positions);
         for (i, want) in ref_rates.iter().enumerate() {
             assert_eq!(keyed.rates()[i].to_bits(), want.to_bits(), "flow {i}");
-            assert_eq!(indexed.rates()[i].to_bits(), want.to_bits(), "flow {i}");
+            assert_eq!(sim.alloc.rates()[i].to_bits(), want.to_bits(), "flow {i}");
         }
         for (l, want) in &ref_loads {
             assert_eq!(keyed.load(l).to_bits(), want.to_bits(), "link {l}");
-            assert_eq!(indexed.loads()[*l].to_bits(), want.to_bits(), "link {l}");
+            assert_eq!(sim.alloc.loads()[*l].to_bits(), want.to_bits(), "link {l}");
         }
     }
 
     /// The simulator's way in, as `Core::reallocate` drives it: links
     /// named by position in a fixed universe, a capacity present iff
     /// the link is up.
+    /// the link is up, each flow's links an id of the path table the
+    /// simulator keeps (interned here where `reallocate` resolves).
     struct SimEntry {
         alloc: Allocator<usize>,
+        paths: PathTable,
     }
 
     impl SimEntry {
         fn new() -> SimEntry {
             SimEntry {
                 alloc: Allocator::new(),
+                paths: PathTable::default(),
             }
         }
 
         fn settle(&mut self, universe: &[Option<f64>], flows: &[(Vec<u32>, Option<f64>)]) {
-            self.alloc.allocate_indexed(
-                universe.iter().copied(),
-                flows.iter().map(|(l, c)| (l.as_slice(), *c)),
-            );
+            let staged: Vec<(u32, Option<f64>)> = flows
+                .iter()
+                .map(|(l, c)| (self.paths.intern(l), *c))
+                .collect();
+            self.alloc
+                .allocate_paths(&self.paths, universe.iter().copied(), staged);
         }
     }
 
@@ -984,7 +1154,7 @@ mod tests {
     }
 
     proptest! {
-        /// The entry point that stages by position over a fixed link
+        /// The entry point that stages path ids over a fixed link
         /// universe — capacity present iff the link is up — is the
         /// keyed allocator fed only the up links: same rates, same
         /// loads and the same fill/skip decisions, call after call,
@@ -994,7 +1164,7 @@ mod tests {
         /// `alloc_fills` / `alloc_skips` rest on the decisions being
         /// the same.
         #[test]
-        fn prop_indexed_staging_equals_keyed_over_up_links(
+        fn prop_path_id_staging_equals_keyed_over_up_links(
             caps in proptest::collection::vec(capacity(), 1..7),
             steps in proptest::collection::vec(
                 (
@@ -1016,7 +1186,7 @@ mod tests {
             let mut caps = caps;
             let mut up = vec![true; nl];
             let mut flows: Vec<(Vec<usize>, Option<f64>)> = Vec::new();
-            let mut indexed: Allocator<usize> = Allocator::new();
+            let mut sim = SimEntry::new();
             let mut keyed: Allocator<usize> = Allocator::new();
             for (link_ops, new_flows) in &steps {
                 for (l, what, cap) in link_ops {
@@ -1043,17 +1213,17 @@ mod tests {
                     .filter(|(links, _)| links.iter().all(|l| up[*l]))
                     .cloned()
                     .collect();
-                let positions: Vec<Vec<u32>> = routed
+                let positions: Vec<(Vec<u32>, Option<f64>)> = routed
                     .iter()
-                    .map(|(links, _)| links.iter().map(|l| *l as u32).collect())
+                    .map(|(links, c)| (links.iter().map(|l| *l as u32).collect(), *c))
                     .collect();
+                let universe: Vec<Option<f64>> =
+                    (0..nl).map(|l| up[l].then_some(caps[l])).collect();
                 let up_caps: BTreeMap<usize, f64> =
                     (0..nl).filter(|l| up[*l]).map(|l| (l, caps[l])).collect();
 
-                indexed.allocate_indexed(
-                    (0..nl).map(|l| up[l].then_some(caps[l])),
-                    positions.iter().zip(&routed).map(|(l, (_, c))| (l.as_slice(), *c)),
-                );
+                sim.settle(&universe, &positions);
+                let indexed = &sim.alloc;
                 keyed.allocate(&up_caps, routed.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &routed);
 

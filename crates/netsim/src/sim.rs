@@ -41,7 +41,7 @@ use crate::ecmp::FlowKey;
 use crate::events::Event;
 use crate::fib::{resolve_path, Fib};
 use crate::flow::{Flow, FlowId, FlowInfo, FlowSpec};
-use crate::fluid::Allocator;
+use crate::fluid::{Allocator, PathTable};
 use crate::handler::{AppEvent, EventHandler};
 use crate::link::{LinkKey, LinkSpec, LinkState};
 use crate::trace::Recorder;
@@ -271,6 +271,11 @@ pub(crate) struct Core {
     /// the per-batch stranded scan; feeds `unroutable_flow_secs`).
     stranded: usize,
     pub(crate) flow_index: FlowIndex,
+    /// Every distinct routed path resolved so far, as link arena
+    /// positions: interned where `reallocate` resolves a flow, named
+    /// by `Flow::path_id`, read by the allocator. It only grows (see
+    /// [`PathTable`]).
+    pub(crate) paths: PathTable,
     pub(crate) alloc: Allocator<LinkKey>,
     pub(crate) next_flow_id: u64,
     last_accrue: Timestamp,
@@ -325,6 +330,7 @@ impl Core {
             live: VecDeque::new(),
             stranded: 0,
             flow_index: FlowIndex::new(),
+            paths: PathTable::default(),
             alloc: Allocator::new(),
             next_flow_id: 0,
             last_accrue: Timestamp::ZERO,
@@ -603,7 +609,7 @@ impl Core {
             started_at: self.now,
             rate: 0.0,
             path: None,
-            path_ix: Box::default(),
+            path_id: None,
             delivered: 0.0,
         };
         let info = flow.info();
@@ -840,6 +846,7 @@ impl Core {
         let dirty_flows = self.dirty.take();
         fib_trace::observe("settle.dirty_flows", dirty_flows.len() as u64);
         let mut resolved = 0u64;
+        let mut ixs: Vec<u32> = Vec::new();
         for id in &dirty_flows {
             // A flow may have been marked and then stopped in the same
             // batch.
@@ -848,17 +855,16 @@ impl Core {
             };
             resolved += 1;
             // A path is usable iff every link of it is up; its link
-            // arena positions are kept with it, so staging below (and
-            // at every later settle) probes no map.
+            // arena positions are interned and their id kept with it,
+            // so staging below (and at every later settle) probes no
+            // map.
             let routed = resolve_path(&self.fibs, &key).ok().and_then(|path| {
-                let ixs: Option<Box<[u32]>> = path
-                    .iter()
-                    .map(|l| {
-                        let ix = *self.link_idx.get(l)?;
-                        self.link_recs[ix as usize].state.up.then_some(ix)
-                    })
-                    .collect();
-                Some((path, ixs?))
+                ixs.clear();
+                for l in &path {
+                    let ix = *self.link_idx.get(l)?;
+                    ixs.push(self.link_recs[ix as usize].state.up.then_some(ix)?);
+                }
+                Some((path, self.paths.intern(&ixs)))
             });
             if routed.is_none() {
                 self.stats.unroutable += 1;
@@ -869,34 +875,36 @@ impl Core {
                 (Some(_), None) => self.stranded += 1,
                 _ => {}
             }
-            (f.path, f.path_ix) = routed.map_or((None, Box::default()), |(p, ixs)| (Some(p), ixs));
+            (f.path, f.path_id) = routed.unzip();
         }
         self.stats.paths_resolved += resolved;
         self.stats.paths_skipped += self.live.len() as u64 - resolved;
         self.debug_check_live();
         // The link universe is the arena in creation order, a capacity
         // present iff the link is up (so up/down is part of what the
-        // allocator compares); flows hand over their kept positions.
+        // allocator compares); flows hand over their path's id.
         let Core {
             alloc,
+            paths,
             link_recs,
             flow_recs,
             live,
             ..
         } = self;
-        alloc.allocate_indexed(
+        alloc.allocate_paths(
+            paths,
             link_recs
                 .iter()
                 .map(|r| r.state.up.then_some(r.state.capacity)),
             live.iter().filter_map(|&slot| {
                 let f = live_flow(flow_recs, slot);
-                f.path.is_some().then_some((&*f.path_ix, f.cap))
+                f.path_id.map(|path| (path, f.cap))
             }),
         );
         let mut next_rate = alloc.rates().iter().copied();
         for &slot in live.iter() {
             let f = live_flow_mut(flow_recs, slot);
-            f.rate = if f.path.is_some() {
+            f.rate = if f.path_id.is_some() {
                 next_rate.next().expect("one rate per routed flow")
             } else {
                 0.0
@@ -910,10 +918,10 @@ impl Core {
         }
     }
 
-    /// What every walk over `live` and every staging from `path_ix`
+    /// What every walk over `live` and every staging from `path_id`
     /// relies on, checked at each settle of a debug build: the list is
-    /// the occupied slots, ascending, and each kept position still
-    /// names the link the path names.
+    /// the occupied slots, ascending, every routed flow's id names
+    /// exactly its path's links, and every unrouted flow has none.
     fn debug_check_live(&self) {
         // The walk below is not free: release builds skip it whole.
         if !cfg!(debug_assertions) {
@@ -932,13 +940,14 @@ impl Core {
             "live list covers the occupied slots"
         );
         for f in self.flows() {
-            let keys = f.path.as_deref().unwrap_or(&[]);
-            debug_assert!(
-                keys.iter().copied().eq(f
-                    .path_ix
-                    .iter()
-                    .map(|ix| self.link_recs[*ix as usize].state.key)),
-                "{}: kept link positions name the path's links",
+            let kept = f.path_id.map(|id| {
+                let ixs = self.paths.links(id).iter();
+                ixs.map(|ix| self.link_recs[*ix as usize].state.key)
+                    .collect::<Vec<_>>()
+            });
+            debug_assert_eq!(
+                kept, f.path,
+                "{}: the kept id names the path's links, or neither is there",
                 f.id
             );
         }
@@ -1276,6 +1285,13 @@ impl Sim {
     /// Number of live flows.
     pub fn flow_count(&self) -> usize {
         self.core.live.len()
+    }
+
+    /// Distinct routed paths resolved since the run began (the path
+    /// table's length: it follows the forwarding state's variety, not
+    /// the number of flows).
+    pub fn distinct_paths(&self) -> usize {
+        self.core.paths.len()
     }
 
     /// Current rate of a directed link.
