@@ -308,6 +308,58 @@ struct Class {
     members: usize,
 }
 
+/// An input's flows on their way in: its classes in order of first
+/// appearance, and each flow's class. Two inputs stage equal pairs iff
+/// their per-flow (path id, cap) sequences are equal.
+#[derive(Debug, Default)]
+struct Staging {
+    classes: Vec<Class>,
+    flow_class: Vec<u32>,
+    /// Per path id, the cap and number of each class staged on it: a
+    /// flow finds its class among these few (one per distinct cap on
+    /// its path). Empty between calls.
+    by_path: Vec<Vec<(Option<f64>, u32)>>,
+}
+
+impl Staging {
+    /// Stage `flows`, an input's routed flows in order, as (path id,
+    /// cap).
+    fn stage(&mut self, flows: impl Iterator<Item = (u32, Option<f64>)>) {
+        let Staging {
+            classes,
+            flow_class,
+            by_path,
+        } = self;
+        classes.clear();
+        flow_class.clear();
+        flow_class.extend(flows.map(|(path, cap)| {
+            let p = path as usize;
+            if by_path.len() <= p {
+                by_path.resize_with(p + 1, Vec::new);
+            }
+            let on_path = &mut by_path[p];
+            let class = match on_path.iter().find(|(c, _)| same_bits(*c, cap)) {
+                Some((_, class)) => *class,
+                None => {
+                    let class = u32::try_from(classes.len()).expect("fewer than 2^32 classes");
+                    classes.push(Class {
+                        path,
+                        cap,
+                        members: 0,
+                    });
+                    on_path.push((cap, class));
+                    class
+                }
+            };
+            classes[class as usize].members += 1;
+            class
+        }));
+        for c in classes.iter() {
+            by_path[c.path as usize].clear();
+        }
+    }
+}
+
 /// The simulator's reusable max-min allocator (see module docs).
 ///
 /// Every call hands over the full current input — the link universe
@@ -325,7 +377,7 @@ struct Class {
 /// simulator), and [`Allocator::allocate`] for a caller that names
 /// links by key, which translates keys to positions and interns each
 /// flow's list in a table of its own.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Allocator<K: Ord + Clone> {
     // --- the keyed entry point's translation (unused by the simulator) ---
     keys: Vec<K>,
@@ -337,9 +389,7 @@ pub struct Allocator<K: Ord + Clone> {
     /// part of the key: a link that fails is a different input even if
     /// no flow crossed it, a capacity change on a down link is not.
     caps: Vec<Option<f64>>,
-    /// The input's classes in order of first appearance, and each
-    /// flow's class: equal iff the per-flow (path id, cap) sequences
-    /// are.
+    /// The flows, as [`Staging`] left them.
     classes: Vec<Class>,
     flow_class: Vec<u32>,
     valid: bool,
@@ -347,11 +397,7 @@ pub struct Allocator<K: Ord + Clone> {
     rates: Vec<f64>,
     loads: Vec<f64>,
     // --- scratch for input staging ---
-    new_classes: Vec<Class>,
-    new_flow_class: Vec<u32>,
-    /// Per path id, the staged classes on it (one per distinct cap;
-    /// empty between calls).
-    by_path: Vec<Vec<u32>>,
+    staged: Staging,
     // --- scratch for the fill ---
     residual: Vec<f64>,
     /// Per link: unfrozen flows crossing it.
@@ -370,15 +416,23 @@ pub struct Allocator<K: Ord + Clone> {
     pub skips: u64,
 }
 
+/// Subtract `delta` `times` times from the residual of each of the
+/// first `W` of `links`: `W` chains, each in a register.
+fn lower<const W: usize>(residual: &mut [f64], links: &[usize], times: usize, delta: f64) {
+    let mut r: [f64; W] = std::array::from_fn(|k| residual[links[k]]);
+    for _ in 0..times {
+        for x in &mut r {
+            *x -= delta;
+        }
+    }
+    for (x, l) in r.iter().zip(links) {
+        residual[*l] = *x;
+    }
+}
+
 /// Same presence and, if present, same bits.
 fn same_bits(a: Option<f64>, b: Option<f64>) -> bool {
     a.map(f64::to_bits) == b.map(f64::to_bits)
-}
-
-impl<K: Ord + Clone> Default for Allocator<K> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<K: Ord + Clone> Allocator<K> {
@@ -395,9 +449,7 @@ impl<K: Ord + Clone> Allocator<K> {
             valid: false,
             rates: Vec::new(),
             loads: Vec::new(),
-            new_classes: Vec::new(),
-            new_flow_class: Vec::new(),
-            by_path: Vec::new(),
+            staged: Staging::default(),
             residual: Vec::new(),
             link_active: Vec::new(),
             unfrozen: Vec::new(),
@@ -435,20 +487,20 @@ impl<K: Ord + Clone> Allocator<K> {
             self.valid = false;
         }
         let links_unchanged = self.stage_links(capacities.values().map(|c| Some(*c)));
-        let mut paths = std::mem::take(&mut self.key_paths);
-        let mut positions = std::mem::take(&mut self.key_links);
-        for (links, cap) in flows {
+        let (index, positions, paths) = (&self.index, &mut self.key_links, &mut self.key_paths);
+        self.staged.stage(flows.into_iter().map(|(links, cap)| {
             positions.clear();
             positions.extend(
                 links
                     .iter()
-                    .map(|k| *self.index.get(k).expect("flow references unknown link key")),
+                    .map(|k| *index.get(k).expect("flow references unknown link key")),
             );
-            self.stage_flow(paths.intern(&positions), cap);
-        }
+            (paths.intern(positions), cap)
+        }));
+        // The table is lent to the fill, which borrows the rest.
+        let paths = std::mem::take(&mut self.key_paths);
         self.commit(&paths, links_unchanged);
         self.key_paths = paths;
-        self.key_links = positions;
     }
 
     /// Compute (or reuse) the max-min allocation over links named by
@@ -467,14 +519,12 @@ impl<K: Ord + Clone> Allocator<K> {
         I: IntoIterator<Item = (u32, Option<f64>)>,
     {
         let links_unchanged = self.stage_links(links);
-        for (path, cap) in flows {
-            self.stage_flow(path, cap);
-        }
+        self.staged.stage(flows.into_iter());
         self.commit(paths, links_unchanged);
     }
 
-    /// Overwrite the kept link universe with `links` and open an empty
-    /// flow staging; `true` iff the universe is as it was.
+    /// Overwrite the kept link universe with `links`; `true` iff the
+    /// universe is as it was.
     fn stage_links(&mut self, links: impl IntoIterator<Item = Option<f64>>) -> bool {
         let mut unchanged = self.valid;
         let mut n = 0;
@@ -496,51 +546,19 @@ impl<K: Ord + Clone> Allocator<K> {
             self.caps.truncate(n);
             unchanged = false;
         }
-        self.new_classes.clear();
-        self.new_flow_class.clear();
         unchanged
-    }
-
-    /// Stage the next flow: find its class among the few staged on its
-    /// path (one per distinct cap), or open one.
-    fn stage_flow(&mut self, path: u32, cap: Option<f64>) {
-        let p = path as usize;
-        if self.by_path.len() <= p {
-            self.by_path.resize_with(p + 1, Vec::new);
-        }
-        let classes = &mut self.new_classes;
-        let known = self.by_path[p]
-            .iter()
-            .copied()
-            .find(|c| same_bits(classes[*c as usize].cap, cap));
-        let class = known.unwrap_or_else(|| {
-            let class = u32::try_from(classes.len()).expect("fewer than 2^32 classes");
-            classes.push(Class {
-                path,
-                cap,
-                members: 0,
-            });
-            self.by_path[p].push(class);
-            class
-        });
-        classes[class as usize].members += 1;
-        self.new_flow_class.push(class);
     }
 
     /// Skip if the staged input equals the kept one, else keep it and
     /// fill.
     fn commit(&mut self, paths: &PathTable, links_unchanged: bool) {
-        for c in &self.new_classes {
-            self.by_path[c.path as usize].clear();
-        }
-        // Classes are numbered by first appearance, so equal per-flow
-        // classes over equal (path, cap) lists are equal inputs, and
-        // equal member counts follow.
+        // Equal member counts follow from the other two.
         let flows_unchanged = self.valid
-            && self.new_flow_class == self.flow_class
-            && self.new_classes.len() == self.classes.len()
+            && self.staged.flow_class == self.flow_class
+            && self.staged.classes.len() == self.classes.len()
             && self
-                .new_classes
+                .staged
+                .classes
                 .iter()
                 .zip(&self.classes)
                 .all(|(a, b)| a.path == b.path && same_bits(a.cap, b.cap));
@@ -548,8 +566,8 @@ impl<K: Ord + Clone> Allocator<K> {
             self.skips += 1;
             return;
         }
-        std::mem::swap(&mut self.classes, &mut self.new_classes);
-        std::mem::swap(&mut self.flow_class, &mut self.new_flow_class);
+        std::mem::swap(&mut self.classes, &mut self.staged.classes);
+        std::mem::swap(&mut self.flow_class, &mut self.staged.flow_class);
         self.fill(paths);
         self.valid = true;
         self.fills += 1;
@@ -664,12 +682,23 @@ impl<K: Ord + Clone> Allocator<K> {
             // flows those are — but one subtraction at a time: `n as
             // f64 * delta` rounds once where this rounds n times.
             level += delta;
-            for &l in &self.active_links {
-                let mut r = self.residual[l];
-                for _ in 0..self.link_active[l] {
-                    r -= delta;
+            // Four links at a time, fullest first, so that four
+            // independent chains of subtractions overlap: lanes
+            // 0..=k go on while link k of the group still has flows to
+            // take. (The order of `active_links` decides nothing: the
+            // limit above is a `min`, the freezes below ask only which
+            // links are full.)
+            let link_active = &self.link_active;
+            self.active_links
+                .sort_unstable_by_key(|l| std::cmp::Reverse(link_active[*l]));
+            for group in self.active_links.chunks(4) {
+                let mut taken = 0;
+                for k in (0..group.len()).rev() {
+                    let times = link_active[group[k]] - taken;
+                    let lower = [lower::<1>, lower::<2>, lower::<3>, lower::<4>][k];
+                    lower(&mut self.residual, group, times, delta);
+                    taken += times;
                 }
-                self.residual[l] = r;
             }
 
             // Freeze classes at their cap, then classes on saturated
@@ -688,17 +717,16 @@ impl<K: Ord + Clone> Allocator<K> {
             const EPS: f64 = 1e-9;
             for li in 0..self.active_links.len() {
                 let l = self.active_links[li];
-                if self.residual[l] > EPS {
-                    continue;
-                }
-                for ci in 0..self.active_classes.len() {
-                    let c = self.active_classes[ci];
-                    if self.unfrozen[c] > 0
-                        && paths.links(self.classes[c].path).contains(&(l as u32))
-                    {
-                        self.class_rate[c] = level;
-                        self.retire(paths, c, self.unfrozen[c]);
-                        froze_any = true;
+                if self.residual[l] <= EPS {
+                    for ci in 0..self.active_classes.len() {
+                        let c = self.active_classes[ci];
+                        if self.unfrozen[c] > 0
+                            && paths.links(self.classes[c].path).contains(&(l as u32))
+                        {
+                            self.class_rate[c] = level;
+                            self.retire(paths, c, self.unfrozen[c]);
+                            froze_any = true;
+                        }
                     }
                 }
             }
