@@ -573,6 +573,11 @@ impl<K: Ord + Clone> Allocator<K> {
         self.fills += 1;
     }
 
+    /// How many classes the last call's flows fell into.
+    pub(crate) fn classes(&self) -> usize {
+        self.classes.len()
+    }
+
     /// Per-flow rates of the last call, in the caller's flow order.
     pub fn rates(&self) -> &[f64] {
         &self.rates

@@ -901,6 +901,7 @@ impl Core {
                 f.path_id.map(|path| (path, f.cap))
             }),
         );
+        fib_trace::observe("settle.classes", alloc.classes() as u64);
         let mut next_rate = alloc.rates().iter().copied();
         for &slot in live.iter() {
             let f = live_flow_mut(flow_recs, slot);
@@ -1802,6 +1803,87 @@ mod tests {
         assert!(sim.ctx().restore_link(r(3), r(4)));
         sim.run_until(Timestamp::from_millis(30_001));
         assert_eq!(decisions(&sim), (fills + 1, skips));
+    }
+
+    /// Path ids are interned by content — what lets the allocator's
+    /// memo compare ids: flows that a failure moved away and a restore
+    /// brought back carry the id they had, and the table grows by the
+    /// detour only.
+    #[test]
+    fn a_restored_link_brings_its_flows_back_to_the_same_path_id() {
+        // Square: 1-2-4 is the short way, 1-3-4 the detour.
+        let mut sim = Sim::new(SimConfig::default());
+        for i in 1..=4 {
+            sim.add_router(r(i));
+        }
+        sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
+        sim.add_link(LinkSpec::new(r(2), r(4), Metric(1), 1e6));
+        sim.add_link(LinkSpec::new(r(1), r(3), Metric(10), 1e6));
+        sim.add_link(LinkSpec::new(r(3), r(4), Metric(10), 1e6));
+        sim.announce_prefix(r(4), Prefix::net24(1));
+        let flows: Vec<FlowId> = (0..3)
+            .map(|_| {
+                sched_flow(
+                    &mut sim,
+                    Timestamp::from_secs(10),
+                    FlowSpec::new(r(1), Prefix::net24(1)),
+                )
+            })
+            .collect();
+        sim.start();
+        sim.run_until(Timestamp::from_secs(12));
+        let ids = |sim: &Sim| -> Vec<Option<u32>> {
+            let id = |f: &FlowId| sim.core.flow(*f).expect("live").path_id;
+            flows.iter().map(id).collect()
+        };
+        let short = ids(&sim);
+        assert_eq!(short, [short[0]; 3], "one path, one id");
+        assert!(short[0].is_some());
+        assert_eq!(sim.distinct_paths(), 1);
+
+        assert!(sim.ctx().fail_link(r(2), r(4)));
+        sim.run_until(Timestamp::from_secs(20));
+        let detour = ids(&sim);
+        assert_eq!(detour, [detour[0]; 3]);
+        assert!(detour[0].is_some() && detour[0] != short[0], "rerouted");
+        assert_eq!(sim.distinct_paths(), 2);
+
+        assert!(sim.ctx().restore_link(r(2), r(4)));
+        sim.run_until(Timestamp::from_secs(40));
+        assert_eq!(ids(&sim), short, "back on the same id");
+        assert_eq!(sim.distinct_paths(), 2, "nothing new was interned");
+    }
+
+    /// The id names the links, not the flow: two flows toward
+    /// different prefixes that resolve to the same links share it.
+    #[test]
+    fn flows_of_different_keys_over_the_same_links_share_a_path_id() {
+        let mut sim = line_sim();
+        sim.announce_prefix(r(3), Prefix::net24(2));
+        let a = sched_flow(
+            &mut sim,
+            Timestamp::from_secs(10),
+            FlowSpec::new(r(1), Prefix::net24(1)),
+        );
+        let b = sched_flow(
+            &mut sim,
+            Timestamp::from_secs(10),
+            FlowSpec::new(r(1), Prefix::net24(2)).with_cap(1e5),
+        );
+        let c = sched_flow(
+            &mut sim,
+            Timestamp::from_secs(10),
+            FlowSpec::new(r(2), Prefix::net24(2)),
+        );
+        sim.start();
+        sim.run_until(Timestamp::from_secs(12));
+        let flow = |f: FlowId| sim.core.flow(f).expect("live");
+        assert_ne!(flow(a).key.dst, flow(b).key.dst);
+        assert_eq!(flow(a).path, flow(b).path);
+        assert!(flow(a).path_id.is_some());
+        assert_eq!(flow(a).path_id, flow(b).path_id);
+        assert_ne!(flow(c).path_id, flow(a).path_id, "r2 enters one link later");
+        assert_eq!(sim.distinct_paths(), 2);
     }
 
     #[test]

@@ -51,6 +51,10 @@ pub struct Player {
     video: Video,
     state: PlayerState,
     level: usize,
+    /// `video.ladder.rate(level)`, kept beside the level: every tick
+    /// reads it twice, and the ladder is a heap list of the session's
+    /// own.
+    bitrate: f64,
     buffer_secs: f64,
     played_secs: f64,
     downloaded_secs: f64,
@@ -68,6 +72,7 @@ impl Player {
     pub fn new(video: Video, cfg: PlayerConfig, now: Timestamp) -> Player {
         Player {
             cfg,
+            bitrate: video.ladder.rate(0),
             video,
             state: PlayerState::Startup,
             level: 0,
@@ -105,7 +110,7 @@ impl Player {
 
     /// Current bitrate (bytes/s).
     pub fn bitrate(&self) -> f64 {
-        self.video.ladder.rate(self.level)
+        self.bitrate
     }
 
     /// Switch the ABR level (QoE counts the switch).
@@ -113,6 +118,7 @@ impl Player {
         let clamped = level.min(self.video.ladder.levels() - 1);
         if clamped != self.level {
             self.level = clamped;
+            self.bitrate = self.video.ladder.rate(clamped);
             self.switches += 1;
         }
     }

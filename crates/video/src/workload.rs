@@ -564,5 +564,10 @@ mod tests {
         assert_eq!(report.switches, 2);
         assert_eq!(report.max_bitrate, ladder.max_rate());
         assert!(report.stalls > 0, "150 kB/s does not fit in 130 kB/s");
+        // Past the top rung the level clamps, and the rate with it.
+        let player = &mut handle.0.lock().active[0].player;
+        player.set_level(99);
+        assert_eq!(player.level(), 3);
+        assert_eq!(player.bitrate(), ladder.rate(player.level()));
     }
 }

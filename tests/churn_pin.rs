@@ -173,6 +173,7 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
 
     run.run_until_secs(spec.horizon_secs);
     let stats = run.sim.stats();
+    let distinct_paths = run.sim.distinct_paths();
     let end = qoe.reports();
     let report = run.finish();
 
@@ -187,6 +188,10 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
         (stats.alloc_fills, stats.alloc_skips, stats.unroutable),
         (216, 5, 130)
     );
+    // The simulator's path table follows the forwarding state's
+    // variety, not the 1 200 sessions: interning per flow would show
+    // here before it showed in a memory graph.
+    assert!(distinct_paths < 64, "{distinct_paths} paths interned");
 
     let mut counters = String::new();
     for (name, value) in stats.counters() {
