@@ -54,8 +54,8 @@
 //!   (everything before it is frozen); the forced flow is the first at
 //!   or after the cursor whose class is unfrozen. This is traffic, not
 //!   a corner: thousands of subtractions from a 4e8 B/s link leave more
-//!   than `1e-9`, and 165 of `dataplane_churn`'s 1 174 fills force at
-//!   least once.
+//!   than `1e-9`, and 116 of `dataplane_churn`'s 1 174 fills force at
+//!   least once (165 flows in all; 115 of 462 on `predictive_storm`).
 //! * **Loads are not order-free.** A link's load is the sum, in flow
 //!   order, of rates that differ from class to class, and f64 addition
 //!   is not associative: that one pass stays per flow.
