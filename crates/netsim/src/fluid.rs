@@ -690,9 +690,8 @@ impl<K: Ord + Clone> Allocator<K> {
             // Four links at a time, fullest first, so that four
             // independent chains of subtractions overlap: lanes
             // 0..=k go on while link k of the group still has flows to
-            // take. (The order of `active_links` decides nothing: the
-            // limit above is a `min`, the freezes below ask only which
-            // links are full.)
+            // take. (The order of `active_links` decides nothing else:
+            // the limit above is a `min`.)
             let link_active = &self.link_active;
             self.active_links
                 .sort_unstable_by_key(|l| std::cmp::Reverse(link_active[*l]));
@@ -706,33 +705,22 @@ impl<K: Ord + Clone> Allocator<K> {
                 }
             }
 
-            // Freeze classes at their cap, then classes on saturated
-            // links: whether a flow freezes depends on its links and
-            // its cap only. `active_links` is the round's opening
-            // list, as the reference tests the round's opening counts.
+            // Freeze what reached its cap or crosses a link that is
+            // now full: a flow's links and its cap decide that, so a
+            // class freezes whole. (Every link an unfrozen class
+            // crosses was active this round, as the reference
+            // requires of a link that freezes flows.)
+            const EPS: f64 = 1e-9;
             let mut froze_any = false;
             for ci in 0..self.active_classes.len() {
                 let c = self.active_classes[ci];
-                if self.classes[c].cap.is_some_and(|cap| level >= cap - 1e-9) {
+                let Class { path, cap, .. } = self.classes[c];
+                let at_cap = cap.is_some_and(|cap| level >= cap - 1e-9);
+                let mut links = paths.links(path).iter();
+                if at_cap || links.any(|l| self.residual[*l as usize] <= EPS) {
                     self.class_rate[c] = level;
                     self.retire(paths, c, self.unfrozen[c]);
                     froze_any = true;
-                }
-            }
-            const EPS: f64 = 1e-9;
-            for li in 0..self.active_links.len() {
-                let l = self.active_links[li];
-                if self.residual[l] <= EPS {
-                    for ci in 0..self.active_classes.len() {
-                        let c = self.active_classes[ci];
-                        if self.unfrozen[c] > 0
-                            && paths.links(self.classes[c].path).contains(&(l as u32))
-                        {
-                            self.class_rate[c] = level;
-                            self.retire(paths, c, self.unfrozen[c]);
-                            froze_any = true;
-                        }
-                    }
                 }
             }
             if !froze_any {
