@@ -291,11 +291,6 @@ impl PathTable {
     pub(crate) fn len(&self) -> usize {
         self.paths.len()
     }
-
-    fn clear(&mut self) {
-        self.paths.clear();
-        self.ids.clear();
-    }
 }
 
 /// The flows of one input that cross the same links under the same
@@ -483,7 +478,7 @@ impl<K: Ord + Clone> Allocator<K> {
                 .zip(&self.keys)
                 .map(|(i, k)| (k.clone(), i))
                 .collect();
-            self.key_paths.clear();
+            self.key_paths = PathTable::default();
             self.valid = false;
         }
         let links_unchanged = self.stage_links(capacities.values().map(|c| Some(*c)));
