@@ -176,15 +176,32 @@ fn run_pin(seed: u64) -> String {
     )
 }
 
+/// A pin's output split in two: everything but the `stats,` line (flow
+/// rates, deliveries, paths and the recorder trace — the data plane),
+/// and that line (event and control-packet counts next to the
+/// allocator's). A change to how the IGP packs its packets may move
+/// the second and never the first.
+fn split_stats(full: &str) -> (String, String) {
+    let (stats, data): (Vec<&str>, Vec<&str>) = full
+        .split_inclusive('\n')
+        .partition(|l| l.starts_with("stats,"));
+    (data.concat(), stats.concat())
+}
+
 /// Every seed's kernel-driven run is byte-identical to the pre-port
 /// reference trace, machinery counters included.
 #[test]
 fn kernel_matches_preport_reference_traces() {
     for (seed, fixture) in FIXTURES.iter().enumerate() {
-        let full = run_pin(seed as u64);
+        let (data, stats) = split_stats(&run_pin(seed as u64));
+        let (want_data, want_stats) = split_stats(fixture);
         assert_eq!(
-            &full, *fixture,
-            "seed {seed}: kernel output diverged from pre-port reference"
+            data, want_data,
+            "seed {seed}: data plane diverged from pre-port reference"
+        );
+        assert_eq!(
+            stats, want_stats,
+            "seed {seed}: machinery counters diverged from pre-port reference"
         );
     }
 }
@@ -196,7 +213,9 @@ proptest! {
     /// the kernel reproduces its pre-port reference byte-for-byte.
     #[test]
     fn kernel_run_is_byte_identical_to_reference(seed in 0u64..8) {
-        let full = run_pin(seed);
-        prop_assert_eq!(&full, FIXTURES[seed as usize]);
+        let (data, stats) = split_stats(&run_pin(seed));
+        let (want_data, want_stats) = split_stats(FIXTURES[seed as usize]);
+        prop_assert_eq!(data, want_data);
+        prop_assert_eq!(stats, want_stats);
     }
 }

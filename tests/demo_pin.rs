@@ -52,8 +52,9 @@ fn demo_digests(controller: bool) -> [u64; 2] {
 }
 
 /// Summary CSV, trace CSV and per-session QoE digests of a shipped
-/// scenario that schedules `sessions` viewers.
-fn scenario_digests(name: &str, horizon_secs: Option<f64>, sessions: usize) -> [u64; 3] {
+/// scenario that schedules `sessions` viewers. The summary also counts
+/// control packets and bytes; the other two are the data plane alone.
+fn scenario_digests(name: &str, horizon_secs: Option<f64>, sessions: usize) -> (u64, [u64; 2]) {
     let spec = load_scenario(name).expect("shipped spec parses");
     let opts = RunOptions {
         horizon_secs,
@@ -63,11 +64,13 @@ fn scenario_digests(name: &str, horizon_secs: Option<f64>, sessions: usize) -> [
     let qoe = run.qoe.clone();
     let report = run.finish();
     assert_eq!(report.sessions, sessions);
-    [
+    (
         fnv1a(FNV_OFFSET, report.summary_csv().as_bytes()),
-        fnv1a(FNV_OFFSET, report.trace_csv.as_bytes()),
-        fnv1a(FNV_OFFSET, render(&qoe.reports()).as_bytes()),
-    ]
+        [
+            fnv1a(FNV_OFFSET, report.trace_csv.as_bytes()),
+            fnv1a(FNV_OFFSET, render(&qoe.reports()).as_bytes()),
+        ],
+    )
 }
 
 #[test]
@@ -93,28 +96,28 @@ fn demo_without_controller_is_pinned_byte_for_byte() {
 #[test]
 fn paper_workload_through_the_scenario_engine_is_pinned_byte_for_byte() {
     // The QoE digest is the hand-wired demo's: same waves, same tags.
-    let digests = scenario_digests("paper_demo", None, 62);
+    let (summary, data_plane) = scenario_digests("paper_demo", None, 62);
     assert_eq!(
-        digests,
-        [
-            0x2b52_754b_24a1_5b52,
-            0xc087_ce43_650c_f138,
-            0x3e74_e907_0f6b_87ab
-        ],
-        "summary / trace / QoE digests moved: {digests:#018x?}"
+        data_plane,
+        [0xc087_ce43_650c_f138, 0x3e74_e907_0f6b_87ab],
+        "trace / QoE digests moved: {data_plane:#018x?}"
+    );
+    assert_eq!(
+        summary, 0x2b52_754b_24a1_5b52,
+        "summary digest moved: {summary:#018x}"
     );
 }
 
 #[test]
 fn diurnal_workload_is_pinned_byte_for_byte() {
-    let digests = scenario_digests("diurnal_mix", Some(40.0), 12);
+    let (summary, data_plane) = scenario_digests("diurnal_mix", Some(40.0), 12);
     assert_eq!(
-        digests,
-        [
-            0x3a25_1bd6_b7b0_89f7,
-            0x8a5f_3044_5184_cd54,
-            0x7039_43ad_a02d_7520
-        ],
-        "summary / trace / QoE digests moved: {digests:#018x?}"
+        data_plane,
+        [0x8a5f_3044_5184_cd54, 0x7039_43ad_a02d_7520],
+        "trace / QoE digests moved: {data_plane:#018x?}"
+    );
+    assert_eq!(
+        summary, 0x3a25_1bd6_b7b0_89f7,
+        "summary digest moved: {summary:#018x}"
     );
 }

@@ -18,6 +18,13 @@
 //! pinned before the change and held across it: the same lies at the
 //! same instants for the same reasons.
 //!
+//! The controller measures links over SNMP, and a router's ifTable
+//! octets count its IGP packets too. So two digests stand apart — the
+//! trace without its `alarm.*` rows and the audit with every `measured`
+//! value masked: a change that moves only control packets and bytes
+//! must leave them alone, while the other four (and the anchors' last
+//! field) may move with the control plane's byte count.
+//!
 //! [`LieAllocator`]: fibbing::core::lie::LieAllocator
 
 use fib_trace::artifact::{fnv1a, FNV_OFFSET};
@@ -67,6 +74,28 @@ fn mask_names(audit: &str) -> String {
         rest = &rest[stem + digits..];
     }
     out + rest
+}
+
+/// `audit` with every `measured` value — the link load the controller
+/// read over SNMP, whose octet counters also count the IGP's own
+/// packets — replaced by `M`.
+fn mask_measured(audit: &str) -> String {
+    audit
+        .lines()
+        .map(|l| match l.rfind(" measured ") {
+            Some(at) => format!("{} measured M\n", &l[..at]),
+            None => format!("{l}\n"),
+        })
+        .collect()
+}
+
+/// The trace CSV without its `alarm.*` rows: those step to the
+/// utilization the controller measured (see [`mask_measured`]).
+fn without_alarms(trace_csv: &str) -> String {
+    trace_csv
+        .split_inclusive('\n')
+        .filter(|l| !l.starts_with("alarm."))
+        .collect()
 }
 
 #[test]
@@ -122,6 +151,19 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
         })
         .max();
     assert_eq!(highest, Some(report.injections - 1));
+
+    // What the run did, apart from what it measured: the data plane's
+    // link series and the lies (what, where, when and why), with the
+    // SNMP readings that count control-plane bytes taken out.
+    let data_plane = (
+        fnv1a(FNV_OFFSET, without_alarms(&report.trace_csv).as_bytes()),
+        fnv1a(FNV_OFFSET, mask_measured(&audit).as_bytes()),
+    );
+    assert_eq!(
+        data_plane,
+        (0x8806_a45c_cb28_b879, 0xd943_8169_02e6_ea93),
+        "trace without alarms / audit without measured digests moved: {data_plane:#018x?}"
+    );
 
     let digests = (
         fnv1a(FNV_OFFSET, report.summary_csv().as_bytes()),
