@@ -17,6 +17,36 @@
 //! ordinary machinery via [`Instance::inject_fake`] /
 //! [`Instance::retract_fake`] — exactly how the original system
 //! piggybacks on OSPF.
+//!
+//! ## Packing
+//!
+//! What an instance sends between two [`Instance::drain_output`] calls
+//! is packed per interface, as OSPF packs it (RFC 2328 §13.3, §13.5):
+//!
+//! * **Updates.** The LSAs [`flood`](Instance::flood) sends onto one
+//!   interface go out in LS Updates of at most [`MAX_UPD_LSAS`], in
+//!   flood order; each update sits at the output position of its first
+//!   LSA. Any other packet on the interface — a DBD, request, hello,
+//!   stale-copy reply or retransmission — closes the open update, so
+//!   per-interface order is otherwise what it was.
+//! * **Acks.** Every header `on_update` owes one interface goes out in
+//!   one LS Ack, at the position of the first. An ack may overtake an
+//!   update on the way (or fall behind one): the receiver's `on_ack`
+//!   and the implicit ack in its `on_update` only ever strike an entry
+//!   from the retransmit list of the neighbor the packets came from,
+//!   each when what it carries is at least as fresh as the entry; an
+//!   update from that neighbor never floods back onto it, and the only
+//!   entries it can add there are our own new originations (a router
+//!   LSA on reaching Full, out-originating a stale copy of ours), newer
+//!   than any instance the neighbor can have acked. So the two orders
+//!   leave the same lists.
+//!
+//! Both are encoded at drain, where `Stats::pkts_sent` counts them.
+//! Nothing waits: a drain happens once per batch of simultaneous
+//! events, so every LSA still leaves at the instant it was flooded and
+//! only packet and byte counts move. The per-LSA steps of `on_update`
+//! (Loading → Full, the MaxAge sweep) still run after each LSA of a
+//! packed update, as they did when each came alone.
 
 use crate::error::InstanceError;
 use crate::lsa::{Freshness, Lsa, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE};
@@ -27,7 +57,7 @@ use crate::time::{Dur, Timestamp};
 use crate::types::{FwAddr, IfaceId, Metric, Prefix, RouterId, SeqNum};
 use crate::wire::{self, Dbd, Hello, LsAck, LsRequest, LsUpdate, Packet};
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
@@ -37,6 +67,9 @@ const MAX_DBD_HEADERS: usize = 64;
 const MAX_REQ_KEYS: usize = 64;
 /// Maximum LSAs per flooded LS update packet.
 const MAX_UPD_LSAS: usize = 16;
+/// Maximum headers per LS Ack: as many as a packet's 16-bit length
+/// field allows.
+const MAX_ACK_HEADERS: usize = (u16::MAX as usize - wire::HEADER_LEN - 2) / wire::LSA_HEADER_LEN;
 
 // Fast modern IGP timers.
 /// Hello emission period.
@@ -163,12 +196,28 @@ struct Iface {
     cost: Metric,
     enabled: bool,
     neighbor: Option<NeighborSm>,
+    /// Output position of the update still taking flooded LSAs on this
+    /// interface, until the next drain (see the module docs).
+    open_update: Option<usize>,
+    /// Output position of the ack still taking headers on this
+    /// interface, until the next drain.
+    open_ack: Option<usize>,
+}
+
+/// One entry of the output queue: ready, or a packet still being
+/// packed for one interface (encoded at drain).
+#[derive(Debug)]
+enum Pending {
+    Ready(Output),
+    Update(IfaceId, Vec<Arc<Lsa>>),
+    Ack(IfaceId, Vec<LsaHeader>),
 }
 
 /// Counters exposed for benchmarks and the overhead tables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Packets sent, by any type.
+    /// Datagrams sent, by any type (counted as they are drained: a
+    /// packed update or ack is one).
     pub pkts_sent: u64,
     /// Packets received and accepted.
     pub pkts_recv: u64,
@@ -198,7 +247,10 @@ pub struct Instance {
     last_table: Option<RouteTable>,
     next_hello: Timestamp,
     dd_seq_counter: u32,
-    out: VecDeque<Output>,
+    out: Vec<Pending>,
+    /// The latest `now` a driver handed in: what a self-originated
+    /// flood stamps its retransmit timer with.
+    clock: Timestamp,
     started: bool,
     /// MaxAge LSDB entries examined by `try_sweep` so far (a cost
     /// tripwire for tests, not a protocol counter).
@@ -237,7 +289,8 @@ impl Instance {
             last_table: None,
             next_hello: Timestamp::ZERO,
             dd_seq_counter: 1,
-            out: VecDeque::new(),
+            out: Vec::new(),
+            clock: Timestamp::ZERO,
             started: false,
             sweep_visits: 0,
             #[cfg(test)]
@@ -280,6 +333,8 @@ impl Instance {
                 cost,
                 enabled: true,
                 neighbor: None,
+                open_update: None,
+                open_ack: None,
             },
         );
     }
@@ -296,6 +351,7 @@ impl Instance {
             .ifaces
             .get_mut(&id)
             .ok_or(InstanceError::UnknownIface(id.0))?;
+        self.clock = now;
         if iface.enabled == enabled {
             return Ok(());
         }
@@ -303,7 +359,7 @@ impl Instance {
         if !enabled {
             if let Some(n) = iface.neighbor.take() {
                 if n.state == NbrState::Full {
-                    self.out.push_back(Output::NeighborChange {
+                    self.push(Output::NeighborChange {
                         iface: id,
                         neighbor: n.id,
                         up: false,
@@ -312,12 +368,12 @@ impl Instance {
                 }
             }
         }
-        let _ = now;
         Ok(())
     }
 
     /// Announce a prefix at the given metric (originates a prefix LSA
-    /// once started).
+    /// once started; its retransmit timer runs from the latest time the
+    /// instance was handed).
     pub fn announce(&mut self, prefix: Prefix, metric: Metric) {
         let id = match self.announced.get(&prefix) {
             Some((id, _)) => *id,
@@ -345,11 +401,13 @@ impl Instance {
         }
     }
 
-    /// Inject a Fibbing lie: a fake node `fake_id` attached to `attach`
-    /// announcing `prefix`, resolving to forwarding address `fw`.
+    /// Inject a Fibbing lie at `now`: a fake node `fake_id` attached to
+    /// `attach` announcing `prefix`, resolving to forwarding address
+    /// `fw`.
     ///
     /// The LSA floods through normal machinery; re-injecting the same
     /// `fake_id` replaces the lie (fresher sequence number).
+    #[allow(clippy::too_many_arguments)]
     pub fn inject_fake(
         &mut self,
         fake_id: RouterId,
@@ -358,6 +416,7 @@ impl Instance {
         prefix: Prefix,
         prefix_metric: Metric,
         fw: FwAddr,
+        now: Timestamp,
     ) -> Result<(), InstanceError> {
         if !fake_id.is_fake() {
             return Err(InstanceError::BadInjection {
@@ -365,6 +424,7 @@ impl Instance {
                 reason: "fake node id must be in the fake range",
             });
         }
+        self.clock = now;
         let key = LsaKey {
             origin: fake_id,
             kind: LsaKind::Fake,
@@ -384,8 +444,9 @@ impl Instance {
         Ok(())
     }
 
-    /// Retract a previously injected lie (floods a MaxAge purge).
-    pub fn retract_fake(&mut self, fake_id: RouterId) -> Result<(), InstanceError> {
+    /// Retract a previously injected lie at `now` (floods a MaxAge
+    /// purge).
+    pub fn retract_fake(&mut self, fake_id: RouterId, now: Timestamp) -> Result<(), InstanceError> {
         let key = LsaKey {
             origin: fake_id,
             kind: LsaKind::Fake,
@@ -394,12 +455,14 @@ impl Instance {
         if !self.originated.contains_key(&key) {
             return Err(InstanceError::NotOriginator { origin: fake_id });
         }
+        self.clock = now;
         self.purge_own(key);
         Ok(())
     }
 
     /// Start the instance: originate own LSAs, arm the hello timer.
     pub fn start(&mut self, now: Timestamp) {
+        self.clock = now;
         self.started = true;
         self.next_hello = now; // fire immediately on first poll
         self.originate_router_lsa();
@@ -446,6 +509,7 @@ impl Instance {
         if !self.started {
             return;
         }
+        self.clock = now;
         // Hellos.
         if now >= self.next_hello {
             self.send_hellos(now);
@@ -486,7 +550,7 @@ impl Instance {
             let nid = n.id;
             iface.neighbor = None;
             if was_full {
-                self.out.push_back(Output::NeighborChange {
+                self.push(Output::NeighborChange {
                     iface: id,
                     neighbor: nid,
                     up: false,
@@ -548,6 +612,7 @@ impl Instance {
         if !self.ifaces[&iface].enabled {
             return Ok(()); // silently dropped, interface is down
         }
+        self.clock = now;
         let (sender, packet) = match wire::decode(data) {
             Ok(x) => x,
             Err(e) => {
@@ -566,9 +631,33 @@ impl Instance {
         Ok(())
     }
 
-    /// Drain all pending outputs, oldest first.
+    /// Drain all pending outputs, oldest first, encoding the packed
+    /// updates and acks; the next packet on any interface starts anew.
     pub fn drain_output(&mut self) -> impl Iterator<Item = Output> + '_ {
-        self.out.drain(..)
+        for iface in self.ifaces.values_mut() {
+            iface.open_update = None;
+            iface.open_ack = None;
+        }
+        let me = self.cfg.router_id;
+        let stats = &mut self.stats;
+        self.out.drain(..).map(move |p| {
+            let out = match p {
+                Pending::Ready(out) => out,
+                Pending::Update(iface, lsas) => Output::Send {
+                    iface,
+                    data: wire::encode_ls_update(lsas.iter().map(|l| &**l), me),
+                },
+                Pending::Ack(iface, headers) => Output::Send {
+                    iface,
+                    data: wire::encode(&Packet::LsAck(LsAck { headers }), me),
+                },
+            };
+            if let Output::Send { data, .. } = &out {
+                stats.pkts_sent += 1;
+                stats.bytes_sent += data.len() as u64;
+            }
+            out
+        })
     }
 
     // ------------------------------------------------------------------
@@ -624,7 +713,7 @@ impl Instance {
             let nid = n.id;
             *n = NeighborSm::new(sender, now);
             if was_full {
-                self.out.push_back(Output::NeighborChange {
+                self.push(Output::NeighborChange {
                     iface: iface_id,
                     neighbor: nid,
                     up: false,
@@ -878,7 +967,7 @@ impl Instance {
     }
 
     fn on_full(&mut self, iface_id: IfaceId, neighbor: RouterId) {
-        self.out.push_back(Output::NeighborChange {
+        self.push(Output::NeighborChange {
             iface: iface_id,
             neighbor,
             up: true,
@@ -908,7 +997,6 @@ impl Instance {
     }
 
     fn on_update(&mut self, iface_id: IfaceId, sender: RouterId, u: LsUpdate, now: Timestamp) {
-        let my_id = self.cfg.router_id;
         {
             let Some(n) = self
                 .ifaces
@@ -924,81 +1012,80 @@ impl Instance {
         }
         let mut acks: Vec<LsaHeader> = Vec::new();
         for lsa in u.lsas {
-            let lsa = Arc::new(lsa);
-            let hdr = lsa.header();
-            // Implicit ack: if this instance (or newer) sits on the
-            // sender's retransmit list, it is now acknowledged.
-            if let Some(n) = self
+            if let Some(hdr) = self.on_update_lsa(iface_id, Arc::new(lsa), now) {
+                acks.push(hdr);
+            }
+            // Loading complete?
+            let became_full = self
                 .ifaces
                 .get_mut(&iface_id)
                 .and_then(|i| i.neighbor.as_mut())
-            {
-                if let Some(pending) = n.rxmt.get(&hdr.key) {
-                    if !matches!(lsa.freshness_vs(pending), Freshness::Older) {
-                        n.rxmt.remove(&hdr.key);
-                    }
-                }
-                // Loading: strike from request list.
-                if n.state == NbrState::Loading {
-                    n.req_list.retain(|k| *k != hdr.key);
+                .filter(|n| n.state == NbrState::Loading && n.req_list.is_empty())
+                .map(|n| {
+                    n.state = NbrState::Full;
+                    n.id
+                });
+            if let Some(nid) = became_full {
+                self.on_full(iface_id, nid);
+            }
+            self.try_sweep();
+        }
+        self.push_acks(iface_id, acks);
+    }
+
+    /// Receive one LSA of an update from the neighbor on `iface_id`;
+    /// returns the header to ack, if any.
+    fn on_update_lsa(
+        &mut self,
+        iface_id: IfaceId,
+        lsa: Arc<Lsa>,
+        now: Timestamp,
+    ) -> Option<LsaHeader> {
+        let hdr = lsa.header();
+        // Implicit ack: if this instance (or newer) sits on the
+        // sender's retransmit list, it is now acknowledged.
+        if let Some(n) = self
+            .ifaces
+            .get_mut(&iface_id)
+            .and_then(|i| i.neighbor.as_mut())
+        {
+            if let Some(pending) = n.rxmt.get(&hdr.key) {
+                if !matches!(lsa.freshness_vs(pending), Freshness::Older) {
+                    n.rxmt.remove(&hdr.key);
                 }
             }
-
-            // Self-originated LSA arriving from elsewhere, fresher than
-            // our record: we must out-originate it (RFC 2328 §13.4).
-            if self.is_self_originated(&hdr.key) {
-                let our_seq = self.originated.get(&hdr.key).copied();
-                if our_seq.map(|s| hdr.seq >= s).unwrap_or(false) && hdr.age < MAX_AGE {
-                    acks.push(hdr);
-                    self.reoriginate_over(hdr);
-                    continue;
-                }
-            }
-
-            match self.lsdb.install(Arc::clone(&lsa)) {
-                Install::New | Install::Updated => {
-                    acks.push(hdr);
-                    self.flood(&lsa, Some(iface_id), now);
-                    self.schedule_spf(now);
-                }
-                Install::Duplicate | Install::PurgeUnknown => {
-                    acks.push(hdr);
-                }
-                Install::Stale => {
-                    // Send our fresher copy straight back.
-                    if let Some(ours) = self.lsdb.get(&hdr.key) {
-                        let data = wire::encode_ls_update(std::iter::once(ours), my_id);
-                        self.push_send(iface_id, data);
-                    }
-                }
+            // Loading: strike from request list.
+            if n.state == NbrState::Loading {
+                n.req_list.retain(|k| *k != hdr.key);
             }
         }
-        // Loading complete?
-        let became_full = {
-            if let Some(n) = self
-                .ifaces
-                .get_mut(&iface_id)
-                .and_then(|i| i.neighbor.as_mut())
-            {
-                if n.state == NbrState::Loading && n.req_list.is_empty() {
-                    n.state = NbrState::Full;
-                    Some(n.id)
-                } else {
-                    None
+
+        // Self-originated LSA arriving from elsewhere, fresher than
+        // our record: we must out-originate it (RFC 2328 §13.4).
+        if self.is_self_originated(&hdr.key) {
+            let our_seq = self.originated.get(&hdr.key).copied();
+            if our_seq.map(|s| hdr.seq >= s).unwrap_or(false) && hdr.age < MAX_AGE {
+                self.reoriginate_over(hdr);
+                return Some(hdr);
+            }
+        }
+
+        match self.lsdb.install(Arc::clone(&lsa)) {
+            Install::New | Install::Updated => {
+                self.flood(&lsa, Some(iface_id), now);
+                self.schedule_spf(now);
+                Some(hdr)
+            }
+            Install::Duplicate | Install::PurgeUnknown => Some(hdr),
+            Install::Stale => {
+                // Send our fresher copy straight back.
+                if let Some(ours) = self.lsdb.get(&hdr.key) {
+                    let data = wire::encode_ls_update(std::iter::once(ours), self.cfg.router_id);
+                    self.push_send(iface_id, data);
                 }
-            } else {
                 None
             }
-        };
-        if let Some(nid) = became_full {
-            self.on_full(iface_id, nid);
         }
-        if !acks.is_empty() {
-            let pkt = Packet::LsAck(LsAck { headers: acks });
-            let data = wire::encode(&pkt, my_id);
-            self.push_send(iface_id, data);
-        }
-        self.try_sweep();
     }
 
     fn on_ack(&mut self, iface_id: IfaceId, sender: RouterId, a: LsAck) {
@@ -1143,16 +1230,17 @@ impl Instance {
         if matches!(outcome, Install::New | Install::Updated) {
             self.schedule_spf_now();
         }
-        self.flood(&lsa, None, Timestamp::ZERO);
+        // Stamped with the present, so the retransmit falls due one
+        // interval after this flood, not at once.
+        self.flood(&lsa, None, self.clock);
         self.try_sweep();
     }
 
     /// Flood an LSA to every sufficiently adjacent neighbor except the
-    /// one it came from, placing it on retransmit lists. The LS Update
-    /// is encoded once; every neighbor's datagram and retransmit entry
-    /// share it and the LSA.
+    /// one it came from, placing it on retransmit lists and into the
+    /// interface's open update (see the module docs). Every neighbor's
+    /// update and retransmit entry share the LSA.
     fn flood(&mut self, lsa: &Arc<Lsa>, except: Option<IfaceId>, now: Timestamp) {
-        let mut update: Option<Bytes> = None;
         for iface in self.ifaces.values_mut() {
             if !iface.enabled || Some(iface.id) == except {
                 continue;
@@ -1169,18 +1257,40 @@ impl Instance {
             }
             n.rxmt.insert(lsa.key, Arc::clone(lsa));
             self.stats.lsas_flooded += 1;
-            let data = update
-                .get_or_insert_with(|| {
-                    wire::encode_ls_update(std::iter::once(&**lsa), self.cfg.router_id)
-                })
-                .clone();
-            self.stats.pkts_sent += 1;
-            self.stats.bytes_sent += data.len() as u64;
-            self.out.push_back(Output::Send {
-                iface: iface.id,
-                data,
+            let at = *iface.open_update.get_or_insert_with(|| {
+                self.out.push(Pending::Update(iface.id, Vec::new()));
+                self.out.len() - 1
             });
+            let Pending::Update(_, lsas) = &mut self.out[at] else {
+                unreachable!("an open update is an update");
+            };
+            lsas.push(Arc::clone(lsa));
+            if lsas.len() == MAX_UPD_LSAS {
+                iface.open_update = None;
+            }
         }
+    }
+
+    /// Owe the neighbor on `iface` acks for `headers`: into the
+    /// interface's open ack, or a new one here (see the module docs).
+    fn push_acks(&mut self, iface: IfaceId, mut headers: Vec<LsaHeader>) {
+        if headers.is_empty() {
+            return;
+        }
+        let Some(open) = self.ifaces.get_mut(&iface).map(|i| &mut i.open_ack) else {
+            return;
+        };
+        if let Some(at) = *open {
+            let Pending::Ack(_, owed) = &mut self.out[at] else {
+                unreachable!("an open ack is an ack");
+            };
+            if owed.len() + headers.len() <= MAX_ACK_HEADERS {
+                owed.append(&mut headers);
+                return;
+            }
+        }
+        *open = Some(self.out.len());
+        self.out.push(Pending::Ack(iface, headers));
     }
 
     /// `true` while some neighbor still owes an ack for `key`.
@@ -1260,7 +1370,7 @@ impl Instance {
         self.stats.spf_runs += 1;
         if self.last_table.as_ref() != Some(&table) {
             self.last_table = Some(table.clone());
-            self.out.push_back(Output::FibUpdate(table));
+            self.push(Output::FibUpdate(table));
         }
     }
 
@@ -1297,10 +1407,16 @@ impl Instance {
         self.push_send(iface, data);
     }
 
+    /// Send a datagram as it is; it closes the interface's open update.
     fn push_send(&mut self, iface: IfaceId, data: Bytes) {
-        self.stats.pkts_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.out.push_back(Output::Send { iface, data });
+        if let Some(i) = self.ifaces.get_mut(&iface) {
+            i.open_update = None;
+        }
+        self.push(Output::Send { iface, data });
+    }
+
+    fn push(&mut self, out: Output) {
+        self.out.push(Pending::Ready(out));
     }
 }
 
@@ -1367,6 +1483,20 @@ mod tests {
             .any(|l| matches!(l.body, crate::lsa::LsaBody::Prefix { .. })));
     }
 
+    /// Inject lie `k` at `at`: fake node `k` behind router 2, toward
+    /// 10.0.1.0/24.
+    fn lie(inst: &mut Instance, k: u32, at: Timestamp) -> Result<(), InstanceError> {
+        inst.inject_fake(
+            RouterId::fake(k),
+            RouterId(2),
+            Metric(1),
+            Prefix::net24(1),
+            Metric(1),
+            FwAddr::primary(RouterId(2)),
+            at,
+        )
+    }
+
     #[test]
     fn inject_fake_requires_fake_id() {
         let mut inst = Instance::new(Config::new(RouterId(1)));
@@ -1378,18 +1508,10 @@ mod tests {
             Prefix::net24(1),
             Metric(1),
             FwAddr::primary(RouterId(2)),
+            Timestamp::ZERO,
         );
         assert!(err.is_err());
-        assert!(inst
-            .inject_fake(
-                RouterId::fake(0),
-                RouterId(1),
-                Metric(1),
-                Prefix::net24(1),
-                Metric(1),
-                FwAddr::primary(RouterId(2)),
-            )
-            .is_ok());
+        assert!(lie(&mut inst, 0, Timestamp::ZERO).is_ok());
     }
 
     #[test]
@@ -1397,7 +1519,7 @@ mod tests {
         let mut inst = Instance::new(Config::new(RouterId(1)));
         inst.start(Timestamp::ZERO);
         assert!(matches!(
-            inst.retract_fake(RouterId::fake(9)),
+            inst.retract_fake(RouterId::fake(9), Timestamp::ZERO),
             Err(InstanceError::NotOriginator { .. })
         ));
     }
@@ -1406,94 +1528,283 @@ mod tests {
     fn reinjection_uses_fresher_sequence() {
         let mut inst = Instance::new(Config::new(RouterId(1)));
         inst.start(Timestamp::ZERO);
-        let f = RouterId::fake(0);
         let key = LsaKey {
-            origin: f,
+            origin: RouterId::fake(0),
             kind: LsaKind::Fake,
             id: 0,
         };
-        inst.inject_fake(
-            f,
-            RouterId(1),
-            Metric(1),
-            Prefix::net24(1),
-            Metric(1),
-            FwAddr::primary(RouterId(2)),
-        )
-        .unwrap();
+        lie(&mut inst, 0, Timestamp::ZERO).unwrap();
         let s1 = inst.lsdb().get(&key).unwrap().seq;
-        inst.inject_fake(
-            f,
-            RouterId(1),
-            Metric(1),
-            Prefix::net24(1),
-            Metric(2),
-            FwAddr::primary(RouterId(2)),
-        )
-        .unwrap();
+        lie(&mut inst, 0, Timestamp::ZERO).unwrap();
         let s2 = inst.lsdb().get(&key).unwrap().seq;
         assert!(s2 > s1);
     }
 
-    #[test]
-    fn flood_encodes_once_and_shares_the_datagram() {
-        use crate::harness::Harness;
-        // A hub with three spokes, converged; then the hub lies.
-        let hub = RouterId(1);
-        let mut h = Harness::new();
+    /// Router 1, the hub, with spokes 2, 3 and 4 on its interfaces 0, 1
+    /// and 2 (each spoke's interface 0 faces the hub), converged, with
+    /// nothing left to drain.
+    fn converged_hub() -> crate::harness::Harness {
+        let mut h = crate::harness::Harness::new();
         for i in 1..=4 {
             h.add_router(RouterId(i));
         }
         for i in 2..=4 {
-            h.connect(hub, RouterId(i), Metric(1), Dur::from_millis(1));
+            h.connect(RouterId(1), RouterId(i), Metric(1), Dur::from_millis(1));
         }
         h.start_all();
         assert!(h.run_until_converged(Timestamp::from_secs(30)));
-        let fake = RouterId::fake(0);
-        let inst = h.instance_mut(hub);
-        inst.inject_fake(
-            fake,
-            RouterId(2),
-            Metric(1),
-            Prefix::net24(1),
-            Metric(1),
-            FwAddr::primary(hub),
-        )
-        .unwrap();
-        let sends: Vec<(IfaceId, Bytes)> = inst
-            .drain_output()
+        h
+    }
+
+    /// Drain `inst`, decoding every datagram it sends.
+    fn sends(inst: &mut Instance) -> Vec<(IfaceId, Packet)> {
+        inst.drain_output()
             .filter_map(|o| match o {
+                Output::Send { iface, data } => {
+                    let (_, pkt) = wire::decode(data).expect("own encoding decodes");
+                    Some((iface, pkt))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The fake node numbers an LS Update carries, in order.
+    fn lies_in(pkt: &Packet) -> Vec<u32> {
+        let Packet::LsUpdate(u) = pkt else {
+            panic!("not an update: {pkt:?}");
+        };
+        u.lsas
+            .iter()
+            .map(|l| l.key.origin.0 - RouterId::fake(0).0)
+            .collect()
+    }
+
+    #[test]
+    fn floods_between_drains_pack_into_updates_of_sixteen_in_flood_order() {
+        for k in [1, 2, 15, 16, 17, 40] {
+            let mut h = converged_hub();
+            let t = h.now();
+            let inst = h.instance_mut(RouterId(1));
+            let before = inst.stats;
+            for i in 0..k {
+                lie(inst, i, t).unwrap();
+            }
+            // Nothing is encoded or counted before the drain.
+            assert_eq!(inst.stats.pkts_sent, before.pkts_sent);
+            let drained: Vec<(IfaceId, Bytes)> = inst
+                .drain_output()
+                .filter_map(|o| match o {
+                    Output::Send { iface, data } => Some((iface, data)),
+                    _ => None,
+                })
+                .collect();
+            let sent: Vec<(IfaceId, Packet)> = drained
+                .iter()
+                .map(|(i, data)| (*i, wire::decode(data.clone()).unwrap().1))
+                .collect();
+            // ⌈k/16⌉ updates per neighbor, each at the position of its
+            // first LSA: the three interfaces in turn, batch by batch.
+            let batches = k.div_ceil(MAX_UPD_LSAS as u32);
+            let order: Vec<IfaceId> = sent.iter().map(|(i, _)| *i).collect();
+            let want: Vec<IfaceId> = (0..batches).flat_map(|_| (0..3).map(IfaceId)).collect();
+            assert_eq!(order, want, "k = {k}");
+            for iface in (0..3).map(IfaceId) {
+                let updates: Vec<Vec<u32>> = sent
+                    .iter()
+                    .filter(|(i, _)| *i == iface)
+                    .map(|(_, p)| lies_in(p))
+                    .collect();
+                assert!(updates.iter().all(|u| u.len() <= MAX_UPD_LSAS));
+                assert_eq!(updates.concat(), (0..k).collect::<Vec<_>>(), "k = {k}");
+            }
+            // One datagram, one count; every LSA is one flood per
+            // neighbor.
+            let stats = inst.stats;
+            assert_eq!(stats.pkts_sent - before.pkts_sent, 3 * u64::from(batches));
+            let bytes: usize = drained.iter().map(|(_, d)| d.len()).sum();
+            assert_eq!(stats.bytes_sent - before.bytes_sent, bytes as u64);
+            assert_eq!(stats.lsas_flooded - before.lsas_flooded, 3 * u64::from(k));
+            // Retransmit lists share the LSDB's instance, not copies.
+            for i in 0..k {
+                let key = LsaKey {
+                    origin: RouterId::fake(i),
+                    kind: LsaKind::Fake,
+                    id: 0,
+                };
+                let stored = inst.lsdb.get(&key).unwrap();
+                for iface in inst.ifaces.values() {
+                    let pending = &iface.neighbor.as_ref().unwrap().rxmt[&key];
+                    assert!(std::ptr::eq(&**pending, stored));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_other_packet_on_the_interface_closes_the_open_update() {
+        let mut h = converged_hub();
+        let t = h.now();
+        let inst = h.instance_mut(RouterId(1));
+        let on = IfaceId(1);
+        lie(inst, 0, t).unwrap();
+        lie(inst, 1, t).unwrap();
+        let dbd = Packet::Dbd(Dbd {
+            init: false,
+            more: false,
+            master: true,
+            dd_seq: 7,
+            headers: vec![],
+        });
+        inst.send_packet(on, dbd.clone());
+        lie(inst, 2, t).unwrap();
+        let req = Packet::LsRequest(LsRequest { keys: vec![] });
+        inst.send_packet(on, req.clone());
+        lie(inst, 3, t).unwrap();
+        // Interface 1's retransmit comes due alone: the others' lists
+        // were stamped later, the next hello is far off.
+        let later = t + RXMT_INTERVAL;
+        for iface in inst.ifaces.values_mut() {
+            let n = iface.neighbor.as_mut().unwrap();
+            if iface.id != on {
+                n.last_rxmt_at = later;
+            }
+            n.last_heard = later;
+        }
+        inst.next_hello = later + HELLO_INTERVAL;
+        inst.poll_timers(later);
+        lie(inst, 4, later).unwrap();
+
+        let sent = sends(inst);
+        let shape: Vec<(u16, String)> = sent
+            .iter()
+            .map(|(i, p)| {
+                let what = match p {
+                    Packet::LsUpdate(_) => format!("update {:?}", lies_in(p)),
+                    other => format!("{other:?}"),
+                };
+                (i.0, what)
+            })
+            .collect();
+        let update = |i: u16, lies: &[u32]| (i, format!("update {lies:?}"));
+        assert_eq!(
+            shape,
+            [
+                update(0, &[0, 1, 2, 3, 4]),
+                update(1, &[0, 1]),
+                update(2, &[0, 1, 2, 3, 4]),
+                (1, format!("{dbd:?}")),
+                update(1, &[2]),
+                (1, format!("{req:?}")),
+                update(1, &[3]),
+                // The retransmission: everything unacked, in key order.
+                update(1, &[0, 1, 2, 3]),
+                update(1, &[4]),
+            ]
+        );
+    }
+
+    #[test]
+    fn acks_owed_one_interface_go_out_in_one_ls_ack() {
+        let mut h = converged_hub();
+        let t = h.now();
+        // Spoke 2 floods two lies, drained apart: two updates.
+        let spoke = h.instance_mut(RouterId(2));
+        let mut updates = Vec::new();
+        for k in 0..2 {
+            lie(spoke, k, t).unwrap();
+            updates.extend(spoke.drain_output().filter_map(|o| match o {
                 Output::Send { iface, data } => Some((iface, data)),
+                _ => None,
+            }));
+        }
+        assert_eq!(updates.len(), 2);
+        let hub = h.instance_mut(RouterId(1));
+        let at = t + Dur::from_millis(1);
+        for (_, data) in updates {
+            hub.handle_packet(IfaceId(0), data, at).unwrap();
+        }
+        let sent = sends(hub);
+        let keys = |k: &[u32]| -> Vec<LsaKey> {
+            k.iter()
+                .map(|&k| LsaKey {
+                    origin: RouterId::fake(k),
+                    kind: LsaKind::Fake,
+                    id: 0,
+                })
+                .collect()
+        };
+        let acks: Vec<(IfaceId, Vec<LsaKey>)> = sent
+            .iter()
+            .filter_map(|(i, p)| match p {
+                Packet::LsAck(a) => Some((*i, a.headers.iter().map(|h| h.key).collect())),
                 _ => None,
             })
             .collect();
-        let ifaces: Vec<IfaceId> = sends.iter().map(|(i, _)| *i).collect();
-        assert_eq!(ifaces, [IfaceId(0), IfaceId(1), IfaceId(2)]);
-        let flooded = inst
-            .lsdb()
+        assert_eq!(acks, [(IfaceId(0), keys(&[0, 1]))]);
+        // Onward, both lies share one update per other spoke, and the
+        // ack sits after them, where the first update's processing
+        // left it.
+        let order: Vec<(u16, bool)> = sent
             .iter()
-            .find(|l| l.key.origin == fake)
-            .expect("the lie is installed")
-            .clone();
-        for (_, data) in &sends {
-            // One encoding, one allocation, handed to every neighbor.
-            assert_eq!(data.as_ptr(), sends[0].1.as_ptr());
-            assert_eq!(data.len(), sends[0].1.len());
-            let (sender, pkt) = wire::decode(data.clone()).expect("decodes");
-            assert_eq!(sender, hub);
-            assert_eq!(
-                pkt,
-                Packet::LsUpdate(LsUpdate {
-                    lsas: vec![flooded.clone()]
-                })
+            .map(|(i, p)| (i.0, matches!(p, Packet::LsAck(_))))
+            .collect();
+        assert_eq!(order, [(1, false), (2, false), (0, true)]);
+        for (_, p) in sent.iter().filter(|(i, _)| i.0 != 0) {
+            assert_eq!(lies_in(p), [0, 1]);
+        }
+    }
+
+    #[test]
+    fn an_origination_acked_in_flight_is_not_retransmitted_within_the_interval() {
+        let mut h = converged_hub();
+        let t = Timestamp::from_secs(5);
+        assert!(h.now() < t, "converged by {:?}", h.now());
+        h.run_until(t);
+        let hub = h.instance_mut(RouterId(1));
+        assert!(sends(hub).is_empty());
+        lie(hub, 0, t).unwrap();
+        let mut sent = sends(hub);
+        assert_eq!(sent.len(), 3, "one flood per spoke: {sent:?}");
+        // The hub is polled at every deadline it names — never in the
+        // past — until the spokes' acks arrive 1 ms later, then until
+        // one retransmit interval after the origination.
+        let acked = t + Dur::from_millis(1);
+        let until = t + RXMT_INTERVAL;
+        let poll_before =
+            |hub: &mut Instance, end: Timestamp, sent: &mut Vec<(IfaceId, Packet)>| {
+                while let Some(d) = hub.next_timer().filter(|d| *d < end) {
+                    hub.poll_timers(d.max(t));
+                    sent.extend(sends(hub));
+                }
+            };
+        poll_before(hub, acked, &mut sent);
+        let key = LsaKey {
+            origin: RouterId::fake(0),
+            kind: LsaKind::Fake,
+            id: 0,
+        };
+        let header = hub.lsdb().get(&key).unwrap().header();
+        for spoke in 2..=4u32 {
+            let ack = wire::encode(
+                &Packet::LsAck(LsAck {
+                    headers: vec![header],
+                }),
+                RouterId(spoke),
             );
+            hub.handle_packet(IfaceId(spoke as u16 - 2), ack, acked)
+                .unwrap();
         }
-        // Retransmit lists share the LSDB's instance, not copies of it.
-        let stored = inst.lsdb.get(&flooded.key).unwrap();
-        for iface in inst.ifaces.values() {
-            let pending = &iface.neighbor.as_ref().unwrap().rxmt[&flooded.key];
-            assert!(std::ptr::eq(&**pending, stored));
-        }
+        poll_before(hub, until, &mut sent);
+        let updates = sent
+            .iter()
+            .filter(|(_, p)| matches!(p, Packet::LsUpdate(_)))
+            .count();
+        assert_eq!(updates, 3, "the lie went out more than once per spoke");
+        assert!(hub
+            .ifaces
+            .values()
+            .all(|i| i.neighbor.as_ref().unwrap().rxmt.is_empty()));
     }
 
     #[test]

@@ -127,6 +127,7 @@ impl SimContext<'_> {
             prefix,
             prefix_metric,
             fw,
+            self.core.now,
         );
         self.core.touch(slot);
         r
@@ -139,7 +140,7 @@ impl SimContext<'_> {
             .router_slot
             .get(&speaker)
             .ok_or(InstanceError::UnknownIface(u16::MAX))?;
-        let r = self.core.instances[slot as usize].retract_fake(fake);
+        let r = self.core.instances[slot as usize].retract_fake(fake, self.core.now);
         self.core.touch(slot);
         r
     }

@@ -1149,6 +1149,10 @@ impl Sim {
     /// Run the world until `until` (inclusive of events at `until`).
     pub fn run_until(&mut self, until: Timestamp) {
         assert!(self.core.started, "call start() first");
+        // What host code made an instance emit between two runs (a lie
+        // injected through `ctx()`, a failed link) leaves at the instant
+        // it was made, not with the next event.
+        self.core.collect_outputs();
         loop {
             let next_pkt = self.core.queue.peek_time();
             // Polls, components and host code touch between two reads.

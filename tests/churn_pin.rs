@@ -219,7 +219,7 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
     ];
     assert_eq!(
         with_control,
-        [0x9579_6a3c_a26f_0339, 0xa7d6_6bc0_b8af_24d5],
+        [0x7dea_894e_ca83_691e, 0xc109_6171_e2a1_a6e7],
         "summary / counters digests moved: {with_control:#018x?}\n{counters}"
     );
 }

@@ -103,7 +103,7 @@ fn paper_workload_through_the_scenario_engine_is_pinned_byte_for_byte() {
         "trace / QoE digests moved: {data_plane:#018x?}"
     );
     assert_eq!(
-        summary, 0x2b52_754b_24a1_5b52,
+        summary, 0xf9b1_b7c4_7f19_6239,
         "summary digest moved: {summary:#018x}"
     );
 }
@@ -117,7 +117,7 @@ fn diurnal_workload_is_pinned_byte_for_byte() {
         "trace / QoE digests moved: {data_plane:#018x?}"
     );
     assert_eq!(
-        summary, 0x3a25_1bd6_b7b0_89f7,
+        summary, 0x792d_eb21_5e54_4ec2,
         "summary digest moved: {summary:#018x}"
     );
 }

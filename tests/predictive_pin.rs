@@ -130,12 +130,12 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     assert_eq!(
         line(0),
         "7400000000 inject 10.0.1.0/24 | lie fake0@r1: 10.0.1.0/24 cost 4 via r10#1 | \
-         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.1280157325"
+         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.1280122675"
     );
     assert_eq!(
         line(13),
         "19500000000 inject 10.0.3.0/24 | lie fake13@r1: 10.0.3.0/24 cost 6 via r14#4 | \
-         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.7903170809197998"
+         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.7903169909588623"
     );
     // Names are spent by injections, nothing else.
     let highest = sink
@@ -174,10 +174,10 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     assert_eq!(
         digests,
         (
-            0xb8c0_f9f2_b721_7999,
-            0x898b_73a7_05c7_29b7,
-            0x383f_e9d9_b169_51fd,
-            0xd252_533e_8d0a_4a07
+            0x0a19_25c4_7312_2f56,
+            0x6844_e721_6c63_4bd2,
+            0xd960_bedd_7353_6e32,
+            0xaf7a_4ea6_ce1c_fbca
         ),
         "summary / trace / audit / masked audit digests moved: {digests:#018x?}\nfirst audit lines:\n{}",
         audit.lines().take(12).collect::<Vec<_>>().join("\n")

@@ -1,12 +1,14 @@
 //! Guard rail for the IGP receive path's MaxAge sweep.
 //!
-//! Every `on_update`, `on_ack`, origination and timer poll ends by
-//! asking whether a purged LSA can leave the LSDB. Answering that by
-//! scanning the database is still *correct* — every functional test and
-//! every pinned artifact would pass — it just costs packets × LSDB
-//! size. So, like `incremental_stats.rs` does for the data plane, this
-//! pins the *counter*: the entries the sweep looks at must grow with
-//! the purges that happened, not with the packets that arrived.
+//! Every LSA an `on_update` takes, every `on_ack`, origination and
+//! timer poll ends by asking whether a purged LSA can leave the LSDB.
+//! Answering that by scanning the database is still *correct* — every
+//! functional test and every pinned artifact would pass — it just costs
+//! attempts × LSDB size. So, like `incremental_stats.rs` does for the
+//! data plane, this pins the *counter*: the entries the sweep looks at
+//! must grow with the purges that happened, not with the packets that
+//! arrived. It also guards the packing of floods: a cold start sends
+//! fewer datagrams than it floods LSAs.
 
 use fibbing::prelude::*;
 use fibbing::scenario::runner::{build, RunOptions};
@@ -66,12 +68,29 @@ fn sweep_cost_follows_purges_not_packets() {
     let (speaker, attach, via) = (RouterId(2), RouterId(3), RouterId(4));
     let prefix = sim.ctx().prefix_owners()[0].0;
 
-    // Cold start: 60 000 packets, an LSDB of 51 LSAs at every router —
+    // Cold start: 15 607 packets, an LSDB of 51 LSAs at every router —
     // and not one purge, so nothing to look at.
     sim.run_until(Timestamp::from_secs(10));
     let cold = sim.stats();
     assert!(cold.ctrl_pkts > 10_000, "cold start: {}", cold.ctrl_pkts);
     assert!(sim.instance(speaker).unwrap().lsdb().len() >= 50);
+    // Floods are packed per neighbor: fewer datagrams than flooded LSAs,
+    // hellos, DBDs, requests and acks included (24 018 LSAs, 0.65
+    // packets each). With one LSA per update and one ack per update it
+    // was 60 378 packets, 2.5 per flooded LSA.
+    let flooded: u64 = routers
+        .iter()
+        .map(|r| sim.instance(*r).unwrap().stats.lsas_flooded)
+        .sum();
+    println!(
+        "cold start: {} packets for {flooded} flooded LSAs",
+        cold.ctrl_pkts
+    );
+    assert!(
+        cold.ctrl_pkts < flooded,
+        "{} control packets for {flooded} flooded LSAs",
+        cold.ctrl_pkts
+    );
     assert_eq!(
         sweep_visits(sim, &routers),
         0,
@@ -108,14 +127,16 @@ fn sweep_cost_follows_purges_not_packets() {
     let purges = routers.len() as u64;
     let visits = sweep_visits(sim, &routers);
     let pkts = sim.stats().ctrl_pkts;
+    println!("retraction: {visits} sweep visits for {purges} purges, {pkts} packets in all");
     assert!(
         visits >= purges,
         "every purge is swept: {visits} of {purges}"
     );
-    // A router attempts the sweep once per packet it handles while it
-    // holds the purge — its neighbours' copies of the purge and their
-    // acks; observed 192 visits for the 50 purges. A scan visits all 51
-    // entries on every packet: over three million on this run.
+    // A router attempts the sweep once per LSA and ack it handles while
+    // it holds the purge — its neighbours' copies of the purge and their
+    // acks; observed 189 visits for the 50 purges (192 before floods
+    // were packed). A scan visits all 51 entries on every attempt:
+    // millions on this run.
     assert!(
         visits <= 8 * purges,
         "sweep visited {visits} LSDB entries for {purges} purges ({pkts} packets handled)"
