@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Separation share of a traced ledger run, next to the floor
 # `bench/src/measure.rs::separation` holds it to (a run under its floor
-# already reports `"correct": false`; this prints the margin).
+# already reports `"correct": false`; this prints the margin), and the
+# IGP packets the run received per LSA it flooded (≈ 2.5 on
+# `metro_core` when every LSA went out in its own LS Update with an ack
+# of its own; ≈ 0.6 since floods and acks are packed per neighbour).
 #
 #   bench/run.sh --workload predictive_storm --seed 2016 --seconds 6 --trace 1 | ci/share.sh
 #
 # Reads the stdout of one or more `--trace 1` runs: the header line
-# names the workload, the `detail:` line carries every phase's span
-# self time. `crowd_grid` has no floor and prints nothing.
+# names the workload, the metric lines carry `igp.rx_pkts` and
+# `igp.lsas_flooded`, the `detail:` line every phase's span self time.
+# `crowd_grid` has no floor and prints its packet ratio only.
 set -euo pipefail
 python3 -c '
 import json, re, sys
@@ -16,15 +20,24 @@ floors = {
     "predictive_storm": (["ctrl.optimize", "ctrl.poll", "solver.probe", "spf.prefix_routes"], 70),
     "dataplane_churn": (["fluid.settle"], 60),
 }
-workload = None
+workload, counts = None, {}
 for line in sys.stdin:
     header = re.match(r"(\w+) seed \d+ trace 1:", line)
     if header:
-        workload = header.group(1)
-    if line.startswith("detail: ") and workload in floors:
+        workload, counts = header.group(1), {}
+    metric = re.match(r"\s+(igp\.rx_pkts|igp\.lsas_flooded)\s+([\d.]+)\s", line)
+    if metric:
+        counts[metric.group(1)] = float(metric.group(2))
+    if not line.startswith("detail: "):
+        continue
+    if workload in floors:
         ms = json.loads(line[len("detail: "):])["phase_self_ms"]
         phases, floor = floors[workload]
         inside, total, names = sum(ms[p] for p in phases), sum(ms.values()), " + ".join(phases)
         print(f"{workload}: {names} = {inside:.1f} of {total:.1f} ms "
               f"= {100 * inside / total:.1f} % of traced span self time (floor {floor} %)")
+    pkts, flooded = counts.get("igp.rx_pkts"), counts.get("igp.lsas_flooded")
+    if pkts is not None and flooded:
+        print(f"{workload}: {pkts:.0f} IGP packets received for {flooded:.0f} flooded LSAs "
+              f"= {pkts / flooded:.2f} per flooded LSA")
 '

@@ -5,7 +5,9 @@
 //! equal-cost paths to a sink S (beyond its single natural path).
 //!
 //! * Fibbing: k lies, injected live into the simulated IGP; we count
-//!   the *measured* marginal control packets/bytes until quiescence.
+//!   the *measured* marginal control packets/bytes until quiescence,
+//!   and the LSA copies flooded (one per neighbour an LSA is sent to,
+//!   however many share a packet).
 //! * RSVP-TE: k+1 tunnels via the real CSPF/signalling module.
 //! * Weight reconfiguration: the k weight changes that equalize the
 //!   paths, with the disruption model (devices, LSAs, full SPFs).
@@ -38,11 +40,12 @@ fn ladder_topology(k: u32) -> Topology {
     t
 }
 
-/// Measured Fibbing cost: marginal control packets/bytes to install k
-/// lies network-wide (hello/keepalive background subtracted via a
-/// twin run without injection), plus added FIB slots.
-fn fibbing_cost(k: u32) -> (u64, u64, usize) {
-    let run = |inject: bool| -> (u64, u64, usize) {
+/// Measured Fibbing cost: marginal control packets/bytes and flooded
+/// LSA copies to install k lies network-wide (hello/keepalive
+/// background subtracted via a twin run without injection), plus added
+/// FIB slots.
+fn fibbing_cost(k: u32) -> (u64, u64, u64, usize) {
+    let run = |inject: bool| -> (u64, u64, u64, usize) {
         let ingress = RouterId(1);
         let mut sim = Sim::new(SimConfig::default());
         let topo = ladder_topology(k);
@@ -60,7 +63,15 @@ fn fibbing_cost(k: u32) -> (u64, u64, usize) {
         sim.add_controller_speaker(RouterId(99), RouterId(2));
         sim.start();
         sim.run_until(Timestamp::from_secs(15));
+        let speakers: Vec<RouterId> = topo.routers().chain([RouterId(99)]).collect();
+        let flooded = |sim: &Sim| -> u64 {
+            speakers
+                .iter()
+                .map(|r| sim.instance(*r).expect("a speaker").stats.lsas_flooded)
+                .sum()
+        };
         let before = sim.stats();
+        let flooded_before = flooded(&sim);
         if inject {
             let mut api = sim.ctx();
             for i in 1..=k {
@@ -82,14 +93,16 @@ fn fibbing_cost(k: u32) -> (u64, u64, usize) {
         (
             after.ctrl_pkts - before.ctrl_pkts,
             after.ctrl_bytes - before.ctrl_bytes,
+            flooded(&sim) - flooded_before,
             slots,
         )
     };
-    let (pkts, bytes, slots) = run(true);
-    let (base_pkts, base_bytes, _) = run(false);
+    let (pkts, bytes, lsas, slots) = run(true);
+    let (base_pkts, base_bytes, base_lsas, _) = run(false);
     (
         pkts.saturating_sub(base_pkts),
         bytes.saturating_sub(base_bytes),
+        lsas.saturating_sub(base_lsas),
         slots,
     )
 }
@@ -100,6 +113,7 @@ fn main() {
         "k",
         "Fibbing pkts",
         "Fibbing bytes",
+        "Fibbing LSAs",
         "RSVP setup msgs",
         "RSVP refresh/s",
         "RSVP labels",
@@ -110,7 +124,7 @@ fn main() {
     for k in 1..=6u32 {
         // Fibbing, measured live (includes flooding acks + periodic
         // hellos during the convergence window).
-        let (pkts, bytes, slots) = fibbing_cost(k);
+        let (pkts, bytes, lsas, slots) = fibbing_cost(k);
         assert_eq!(slots as u32, k + 1, "lies must install k extra slots");
 
         // RSVP-TE: k+1 tunnels over distinct paths.
@@ -141,6 +155,7 @@ fn main() {
             k.to_string(),
             pkts.to_string(),
             bytes.to_string(),
+            lsas.to_string(),
             setup.to_string(),
             f(refresh),
             labels.to_string(),
@@ -150,8 +165,9 @@ fn main() {
         ]);
     }
     t.emit("table1_control_overhead");
-    println!("Reading: Fibbing's cost is one flooded LSA per path (a few");
-    println!("packets per link), stateless afterwards. RSVP pays per-hop");
+    println!("Reading: Fibbing's cost is one flooded LSA per path (a copy");
+    println!("to every neighbour of every router; lies injected together");
+    println!("share packets), stateless afterwards. RSVP pays per-hop");
     println!("signalling plus *continuous* refreshes and per-hop label state.");
     println!("Weight changes touch devices serially and re-run SPF everywhere.");
 }

@@ -324,11 +324,6 @@ mod tests {
         RouterId(n)
     }
 
-    /// Three routers in a line: r1 - r2 - r3, prefix at r3.
-    fn line3() -> Harness {
-        line(3)
-    }
-
     /// `n` routers in a line, r1 - … - rn, prefix at rn.
     fn line(n: u32) -> Harness {
         let mut h = Harness::new();
@@ -344,7 +339,7 @@ mod tests {
 
     #[test]
     fn line_converges_and_routes() {
-        let mut h = line3();
+        let mut h = line(3);
         h.start_all();
         assert!(h.run_until_converged(Timestamp::from_secs(30)));
         let fib1 = h.fibs.get(&r(1)).expect("r1 has a FIB");
@@ -357,7 +352,7 @@ mod tests {
 
     #[test]
     fn fake_lsa_floods_to_every_router() {
-        let mut h = line3();
+        let mut h = line(3);
         h.start_all();
         assert!(h.run_until_converged(Timestamp::from_secs(30)));
         // Controller-style injection at r1: fake node attached to r3.
@@ -386,7 +381,7 @@ mod tests {
 
     #[test]
     fn retraction_purges_everywhere() {
-        let mut h = line3();
+        let mut h = line(3);
         h.start_all();
         assert!(h.run_until_converged(Timestamp::from_secs(30)));
         let t = h.now();
@@ -460,7 +455,7 @@ mod tests {
 
     #[test]
     fn a_lost_multi_lsa_update_is_recovered_by_retransmission() {
-        let mut h = line3();
+        let mut h = line(3);
         h.start_all();
         assert!(h.run_until_converged(Timestamp::from_secs(30)));
         // Three lies at once: r1 floods them to r2 in one LS Update.
@@ -510,7 +505,7 @@ mod tests {
 
     #[test]
     fn lie_injection_survives_packet_loss() {
-        let mut h = line3();
+        let mut h = line(3);
         h.set_loss(0.2, 7);
         h.start_all();
         assert!(h.run_until_converged(Timestamp::from_secs(120)));

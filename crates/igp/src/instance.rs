@@ -23,14 +23,15 @@
 //! What an instance sends between two [`Instance::drain_output`] calls
 //! is packed per interface, as OSPF packs it (RFC 2328 §13.3, §13.5):
 //!
-//! * **Updates.** The LSAs [`flood`](Instance::flood) sends onto one
-//!   interface go out in LS Updates of at most [`MAX_UPD_LSAS`], in
-//!   flood order; each update sits at the output position of its first
-//!   LSA. Any other packet on the interface — a DBD, request, hello,
-//!   stale-copy reply or retransmission — closes the open update, so
-//!   per-interface order is otherwise what it was.
+//! * **Updates.** The LSAs `flood` sends onto one interface go out in
+//!   LS Updates of at most `MAX_UPD_LSAS` (16), in flood order; each
+//!   update sits at the output position of its first LSA. Any other
+//!   packet on the interface — a DBD, request, hello, stale-copy reply
+//!   or retransmission — closes the open update, so per-interface order
+//!   is otherwise what it was.
 //! * **Acks.** Every header `on_update` owes one interface goes out in
-//!   one LS Ack, at the position of the first. An ack may overtake an
+//!   one LS Ack (a second one past the 4 368 headers a 16-bit packet
+//!   length holds), at the position of the first. An ack may overtake an
 //!   update on the way (or fall behind one): the receiver's `on_ack`
 //!   and the implicit ack in its `on_update` only ever strike an entry
 //!   from the retransmit list of the neighbor the packets came from,
@@ -1576,7 +1577,7 @@ mod tests {
         };
         u.lsas
             .iter()
-            .map(|l| l.key.origin.0 - RouterId::fake(0).0)
+            .map(|l| l.key.origin.fake_index().expect("a lie"))
             .collect()
     }
 
@@ -1753,6 +1754,39 @@ mod tests {
         for (_, p) in sent.iter().filter(|(i, _)| i.0 != 0) {
             assert_eq!(lies_in(p), [0, 1]);
         }
+    }
+
+    #[test]
+    fn an_ls_ack_never_outgrows_its_length_field() {
+        let mut h = converged_hub();
+        let t = h.now();
+        // Spoke 2 floods ten lies more than one LS Ack has room for
+        // headers: 274 updates, delivered to the hub at one instant.
+        let n = MAX_ACK_HEADERS as u32 + 10;
+        let spoke = h.instance_mut(RouterId(2));
+        for k in 0..n {
+            lie(spoke, k, t).unwrap();
+        }
+        let updates: Vec<Bytes> = spoke
+            .drain_output()
+            .filter_map(|o| match o {
+                Output::Send { data, .. } => Some(data),
+                _ => None,
+            })
+            .collect();
+        let hub = h.instance_mut(RouterId(1));
+        for data in updates {
+            hub.handle_packet(IfaceId(0), data, t + Dur::from_millis(1))
+                .unwrap();
+        }
+        let acks: Vec<usize> = sends(hub)
+            .iter()
+            .filter_map(|(_, p)| match p {
+                Packet::LsAck(a) => Some(a.headers.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, [MAX_ACK_HEADERS, 10]);
     }
 
     #[test]

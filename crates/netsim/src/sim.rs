@@ -1656,6 +1656,41 @@ mod tests {
         assert_eq!(sim.link_rate(r(2), r(3)), Some(0.0));
     }
 
+    /// So does what host code makes a protocol instance emit: a lie
+    /// injected through `ctx()` between two runs floods from its own
+    /// instant, not with whatever event the run holds next (here the
+    /// hellos, half a second away).
+    #[test]
+    fn host_injection_floods_from_its_instant() {
+        let mut sim = line_sim();
+        sim.add_controller_speaker(r(100), r(2));
+        sim.start();
+        let at = Timestamp::from_millis(10_500);
+        sim.run_until(at);
+        sim.ctx()
+            .inject_fake(
+                r(100),
+                RouterId::fake(0),
+                r(1),
+                Metric(1),
+                Prefix::net24(1),
+                Metric(1),
+                FwAddr::primary(r(2)),
+            )
+            .unwrap();
+        let holds = |sim: &Sim| {
+            sim.instance(r(2))
+                .unwrap()
+                .lsdb()
+                .iter()
+                .any(|l| l.key.origin == RouterId::fake(0))
+        };
+        assert!(!holds(&sim));
+        // One millisecond down the speaker's link.
+        sim.run_until(at + Dur::from_millis(1));
+        assert!(holds(&sim), "the lie waited for the next event");
+    }
+
     /// A packet the receiving instance rejects is counted, not
     /// swallowed: still delivered and accounted as control traffic,
     /// and the run goes on.
