@@ -249,8 +249,8 @@ pub struct Instance {
     next_hello: Timestamp,
     dd_seq_counter: u32,
     out: Vec<Pending>,
-    /// The latest `now` a driver handed in: what a self-originated
-    /// flood stamps its retransmit timer with.
+    /// The latest `now` a driver handed in: what a flood stamps a
+    /// retransmit list it starts with.
     clock: Timestamp,
     started: bool,
     /// MaxAge LSDB entries examined by `try_sweep` so far (a cost
@@ -1073,7 +1073,7 @@ impl Instance {
 
         match self.lsdb.install(Arc::clone(&lsa)) {
             Install::New | Install::Updated => {
-                self.flood(&lsa, Some(iface_id), now);
+                self.flood(&lsa, Some(iface_id));
                 self.schedule_spf(now);
                 Some(hdr)
             }
@@ -1231,17 +1231,18 @@ impl Instance {
         if matches!(outcome, Install::New | Install::Updated) {
             self.schedule_spf_now();
         }
-        // Stamped with the present, so the retransmit falls due one
-        // interval after this flood, not at once.
-        self.flood(&lsa, None, self.clock);
+        self.flood(&lsa, None);
         self.try_sweep();
     }
 
     /// Flood an LSA to every sufficiently adjacent neighbor except the
     /// one it came from, placing it on retransmit lists and into the
     /// interface's open update (see the module docs). Every neighbor's
-    /// update and retransmit entry share the LSA.
-    fn flood(&mut self, lsa: &Arc<Lsa>, except: Option<IfaceId>, now: Timestamp) {
+    /// update and retransmit entry share the LSA. A list it starts
+    /// times its retransmit from the present: one interval after this
+    /// flood, never at once.
+    fn flood(&mut self, lsa: &Arc<Lsa>, except: Option<IfaceId>) {
+        let now = self.clock;
         for iface in self.ifaces.values_mut() {
             if !iface.enabled || Some(iface.id) == except {
                 continue;
