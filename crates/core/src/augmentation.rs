@@ -43,8 +43,8 @@ use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator};
 use crate::requirements::WeightedDag;
 use crate::verify::{actual_fractions, check_against, fractions_close, VerifyReport};
 use fib_igp::rib::Route;
-use fib_igp::spf::compute_routes;
-use fib_igp::topology::Topology;
+use fib_igp::spf::{prefix_route_from, shortest_paths, ShortestPaths};
+use fib_igp::topology::{FakeAttrs, Topology};
 use fib_igp::types::{Metric, Prefix, RouterId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -129,41 +129,38 @@ fn hops_of(route: &Route) -> Vec<(RouterId, u32)> {
     counts.into_iter().collect()
 }
 
-/// Natural (IGP) next-hop routers of `r` toward the prefix on `topo`,
-/// with slot counts.
-fn natural_hops(topo: &Topology, r: RouterId, prefix: Prefix) -> Vec<(RouterId, u32)> {
-    compute_routes(topo, r)
-        .route(prefix)
-        .map(hops_of)
-        .unwrap_or_default()
-}
-
-/// Plan lies for one router on `base` (the topology augmented with
-/// every *other* router's lies). Returns `(lies, used_override)`.
+/// Plan lies for router `sp.source` on the real `topo` against every
+/// *other* router's lies, `others`. Returns `(lies, used_override)`.
+///
+/// `sp` is the router's shortest paths on `topo`, and its route is read
+/// off them with `others` told. That equals a full SPF on `topo` with
+/// `others` applied: lies carry no transit, so they move no real-graph
+/// distance, and one `sp` serves every fixpoint pass of [`augment`].
 fn plan_for_router(
-    base: &Topology,
-    r: RouterId,
+    topo: &Topology,
+    sp: &ShortestPaths,
+    others: impl IntoIterator<Item = FakeAttrs>,
     desired: &[(RouterId, u32)],
     prefix: Prefix,
     alloc: &mut LieAllocator,
 ) -> Result<(Vec<Lie>, bool), AugmentError> {
+    let r = sp.source;
     // Validate adjacency (forwarding addresses must be neighbors).
     for (nh, _) in desired {
-        if !base.has_link(r, *nh) {
+        if !topo.has_link(r, *nh) {
             return Err(AugmentError::NotNeighbor {
                 router: r,
                 nexthop: *nh,
             });
         }
     }
-    // One forward SPF gives both the distance and the natural hops.
-    let table = compute_routes(base, r);
-    let route = table.route(prefix).ok_or(AugmentError::Unreachable(r))?;
+    // One read gives both the distance and the natural hops.
+    let route = prefix_route_from(topo, sp, prefix, others).ok_or(AugmentError::Unreachable(r))?;
     let dist = route.dist;
     if !dist.is_finite() {
         return Err(AugmentError::Unreachable(r));
     }
-    let natural = hops_of(route);
+    let natural = hops_of(&route);
     let natural_routers: Vec<RouterId> = natural.iter().map(|(n, _)| *n).collect();
     let desired_map: BTreeMap<RouterId, u32> = desired.iter().copied().collect();
 
@@ -230,6 +227,9 @@ pub fn augment(
 
     // Baseline fractions for side-effect detection.
     let baseline = actual_fractions(topo, prefix);
+    // Per router, its shortest paths on `topo`, computed on first use:
+    // no lie moves them (see `plan_for_router`).
+    let mut paths: BTreeMap<RouterId, ShortestPaths> = BTreeMap::new();
 
     let max_iter = topo.router_count() + 2;
     let mut stable = false;
@@ -239,14 +239,14 @@ pub fn augment(
         // (Re)plan every constrained router against the others' lies.
         let constrained: Vec<RouterId> = working.routers().collect();
         for r in &constrained {
-            let others: Vec<Lie> = lies_by_router
+            let others = lies_by_router
                 .iter()
                 .filter(|(attach, _)| **attach != *r)
-                .flat_map(|(_, v)| v.iter().copied())
-                .collect();
-            let base = apply_all(topo, &others);
+                .flat_map(|(_, v)| v.iter().map(Lie::attrs));
+            let sp = paths.entry(*r).or_insert_with(|| shortest_paths(topo, *r));
             let desired = working.hops(*r).cloned().unwrap_or_default();
-            let (new_lies, _override_used) = plan_for_router(&base, *r, &desired, prefix, alloc)?;
+            let (new_lies, _override_used) =
+                plan_for_router(topo, sp, others, &desired, prefix, alloc)?;
             let old_sig =
                 plan_signature(lies_by_router.get(r).map(|v| v.as_slice()).unwrap_or(&[]));
             if plan_signature(&new_lies) != old_sig {
@@ -266,7 +266,10 @@ pub fn augment(
             let now_fr = actual.get(u).cloned().unwrap_or_default();
             if !fractions_close(base_fr, &now_fr) {
                 // Pin u to its original next-hop routers, one slot each.
-                let hops: Vec<(RouterId, u32)> = natural_hops(topo, *u, prefix);
+                let sp = paths.entry(*u).or_insert_with(|| shortest_paths(topo, *u));
+                let hops = prefix_route_from(topo, sp, prefix, [])
+                    .map(|route| hops_of(&route))
+                    .unwrap_or_default();
                 if hops.is_empty() {
                     return Err(AugmentError::Unreachable(*u));
                 }
@@ -324,6 +327,7 @@ pub fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
 mod tests {
     use super::*;
     use crate::verify::check_preserving;
+    use fib_igp::spf::{compute_routes, prefix_routes};
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -474,6 +478,92 @@ mod tests {
             augment(&topo, &dag, &mut alloc),
             Err(AugmentError::RequirementLoop(_))
         ));
+    }
+
+    /// Model test: the route `augment` reads off a router's kept
+    /// shortest paths, with lies told beside the real topology, equals a
+    /// full SPF on the topology with those lies applied — what it ran
+    /// per router per fixpoint pass before — in dist and hops. Lie sets
+    /// are drawn at the attachment router's natural cost, under it and
+    /// over it, for another prefix, and at every router; each router is
+    /// read against the others' lies, against all of them and against
+    /// none.
+    #[test]
+    fn route_read_off_kept_paths_matches_a_full_spf_with_the_lies_applied() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(26);
+        let (prefix, decoy) = (Prefix::net24(1), Prefix::net24(2));
+        let mut drawn: BTreeMap<&str, u32> = BTreeMap::new();
+        for case in 0..400 {
+            let n = rng.gen_range(3..=14);
+            let mut topo = fib_igp::builders::random_connected(&mut rng, n, n, 4);
+            for _ in 0..rng.gen_range(1..=3) {
+                let m = Metric(rng.gen_range(0..3));
+                topo.announce_prefix(r(rng.gen_range(1..=n)), prefix, m)
+                    .unwrap();
+            }
+            topo.announce_prefix(r(rng.gen_range(1..=n)), decoy, Metric::ZERO)
+                .unwrap();
+            let natural = prefix_routes(&topo, prefix);
+            let everywhere = case % 4 == 0;
+            let mut alloc = LieAllocator::new();
+            let mut lies = Vec::new();
+            for a in topo.routers() {
+                if !everywhere && rng.gen_range(0..3) != 0 {
+                    continue;
+                }
+                let nbrs: Vec<RouterId> = topo.links(a).iter().map(|l| l.to).collect();
+                for _ in 0..rng.gen_range(1..=2) {
+                    let d = natural.get(&a).map_or(3, |route| route.dist.0);
+                    let (what, cost) = match rng.gen_range(0..4) {
+                        0 => ("a lie at the natural cost", d),
+                        1 if d > 1 => ("a lie undercutting it", d - 1),
+                        2 => ("a lie dearer than it", d + 1),
+                        _ => ("a lie at a drawn cost", rng.gen_range(1..8)),
+                    };
+                    let for_decoy = rng.gen_range(0..6) == 0;
+                    let what = if for_decoy {
+                        "a lie for another prefix"
+                    } else {
+                        what
+                    };
+                    *drawn.entry(what).or_default() += 1;
+                    let p = if for_decoy { decoy } else { prefix };
+                    let nh = nbrs[rng.gen_range(0..nbrs.len())];
+                    lies.push(alloc.make(a, nh, p, Metric(cost)).unwrap());
+                }
+            }
+            for x in topo.routers() {
+                let sp = shortest_paths(&topo, x);
+                let others: Vec<Lie> = lies.iter().filter(|l| l.attach != x).copied().collect();
+                let every_other = topo
+                    .routers()
+                    .all(|a| a == x || others.iter().any(|l| l.attach == a));
+                *drawn
+                    .entry("lies at every router but the one read")
+                    .or_default() += u32::from(every_other);
+                for told in [&others, &lies, &Vec::new()] {
+                    let read = prefix_route_from(&topo, &sp, prefix, told.iter().map(Lie::attrs));
+                    let full = compute_routes(&apply_all(&topo, told), x);
+                    assert_eq!(
+                        read.as_ref(),
+                        full.route(prefix),
+                        "case {case}: {x} with {told:?} on {topo:?}"
+                    );
+                }
+            }
+        }
+        for what in [
+            "a lie at the natural cost",
+            "a lie undercutting it",
+            "a lie dearer than it",
+            "a lie for another prefix",
+            "lies at every router but the one read",
+        ] {
+            let times = drawn.get(what).copied().unwrap_or(0);
+            assert!(times >= 20, "the generator drew {what} {times} times");
+        }
     }
 
     #[test]

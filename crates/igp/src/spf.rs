@@ -20,84 +20,97 @@
 //! addresses of the same neighbor yield two ECMP slots (uneven splits).
 
 use crate::rib::{Route, RouteTable};
-use crate::topology::Topology;
+use crate::topology::{FakeAttrs, Topology};
 use crate::types::{FwAddr, Metric, Prefix, RouterId};
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::hash::{Hash, Hasher};
 
 /// Distances and ECMP first-hop sets from one source over the real
-/// graph.
+/// graph, by dense position: entry i belongs to the topology's i-th
+/// real router in ascending id order.
+///
+/// Only real links enter it and a fake node has no links out, so no lie
+/// can move it: one result stays exact for its source under every set
+/// of lies on the same real graph. [`SpfEngine`] keeps it across lie
+/// churn, and `fib_core`'s `augment` keeps one per router across its
+/// fixpoint passes, for that reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShortestPaths {
     /// The source router.
     pub source: RouterId,
-    /// Distance to every reachable real node.
-    pub dist: BTreeMap<RouterId, Metric>,
-    /// Equal-cost first hops (neighbors of the source) toward every
-    /// reachable real node. The source itself maps to an empty set.
-    pub first_hops: BTreeMap<RouterId, Vec<RouterId>>,
+    ids: Vec<RouterId>,
+    dist: Vec<Metric>,
+    first_hops: Vec<Vec<RouterId>>,
 }
 
 impl ShortestPaths {
+    fn pos(&self, node: RouterId) -> Option<usize> {
+        self.ids.binary_search(&node).ok()
+    }
+
     /// Distance to `node`, or `Metric::INF` if unreachable.
     pub fn dist_to(&self, node: RouterId) -> Metric {
-        self.dist.get(&node).copied().unwrap_or(Metric::INF)
+        self.pos(node).map_or(Metric::INF, |i| self.dist[i])
     }
 
     /// First hops toward `node` (empty if unreachable or the source).
     pub fn first_hops_to(&self, node: RouterId) -> &[RouterId] {
-        self.first_hops
-            .get(&node)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.pos(node).map_or(&[], |i| &self.first_hops[i])
     }
 }
 
 /// Dijkstra over the real part of `topo` from `source`, computing
 /// distances and merged equal-cost first-hop sets.
+///
+/// Positions sort like router ids, so pops, tie-breaks and merges run in
+/// the order of the ordered-map Dijkstra this replaced (kept in the
+/// tests as `shortest_paths_reference`). Every first-hop set stays
+/// sorted and duplicate-free, and one is cloned only for a link that
+/// improves or ties a distance.
 pub fn shortest_paths(topo: &Topology, source: RouterId) -> ShortestPaths {
-    let mut dist: BTreeMap<RouterId, Metric> = BTreeMap::new();
-    let mut fh: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Metric, RouterId)>> = BinaryHeap::new();
-
-    if !topo.contains(source) || source.is_fake() {
-        return ShortestPaths {
-            source,
-            dist,
-            first_hops: fh,
-        };
-    }
-
-    dist.insert(source, Metric::ZERO);
-    fh.insert(source, Vec::new());
-    heap.push(std::cmp::Reverse((Metric::ZERO, source)));
-
-    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-        if dist.get(&u).copied().unwrap_or(Metric::INF) != d {
+    let ids: Vec<RouterId> = topo.routers().collect();
+    let n = ids.len();
+    let mut sp = ShortestPaths {
+        source,
+        ids,
+        dist: vec![Metric::INF; n],
+        first_hops: vec![Vec::new(); n],
+    };
+    let Some(s) = sp.pos(source) else {
+        return sp; // absent or fake: nothing is reachable
+    };
+    sp.dist[s] = Metric::ZERO;
+    let mut heap = BinaryHeap::from([Reverse((Metric::ZERO, s))]);
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if sp.dist[u] != d {
             continue; // stale heap entry
         }
-        for link in topo.links(u) {
-            if link.to.is_fake() {
-                continue; // fakes handled in the route phase
-            }
-            if !link.metric.is_finite() {
+        for link in topo.links(sp.ids[u]) {
+            // Fakes are handled in the route phase.
+            if link.to.is_fake() || !link.metric.is_finite() {
                 continue;
             }
+            let to = sp
+                .pos(link.to)
+                .expect("a link names a router of the topology");
             let nd = d.add(link.metric);
-            let cur = dist.get(&link.to).copied().unwrap_or(Metric::INF);
+            if nd > sp.dist[to] {
+                continue;
+            }
             // First hops propagated to link.to through u.
-            let inherit: Vec<RouterId> = if u == source {
+            let inherit = if u == s {
                 vec![link.to]
             } else {
-                fh.get(&u).cloned().unwrap_or_default()
+                sp.first_hops[u].clone()
             };
-            if nd < cur {
-                dist.insert(link.to, nd);
-                fh.insert(link.to, inherit);
-                heap.push(std::cmp::Reverse((nd, link.to)));
-            } else if nd == cur {
-                let set = fh.entry(link.to).or_default();
+            if nd < sp.dist[to] {
+                sp.dist[to] = nd;
+                sp.first_hops[to] = inherit;
+                heap.push(Reverse((nd, to)));
+            } else {
+                let set = &mut sp.first_hops[to];
                 for h in inherit {
                     if !set.contains(&h) {
                         set.push(h);
@@ -107,29 +120,48 @@ pub fn shortest_paths(topo: &Topology, source: RouterId) -> ShortestPaths {
             }
         }
     }
-    for set in fh.values_mut() {
-        set.sort();
-        set.dedup();
-    }
-    ShortestPaths {
-        source,
-        dist,
-        first_hops: fh,
-    }
+    sp
 }
 
 /// Compute the per-prefix route table for `source`, given precomputed
 /// real-graph shortest paths (the cheap "partial SPF" phase).
 pub fn route_table_from(topo: &Topology, sp: &ShortestPaths) -> RouteTable {
+    let lies = topo.fake_nodes().map(|(_, attrs)| *attrs);
+    RouteTable {
+        source: sp.source,
+        routes: best_routes(topo, sp, lies, |_| true),
+    }
+}
+
+/// `sp.source`'s route toward `prefix` on `topo` with `lies` told: the
+/// one-prefix case of [`route_table_from`], for lies kept beside the
+/// topology rather than in it. Equal to `route_table_from` on `topo`
+/// with `lies` added, since lies cannot move `sp`.
+pub fn prefix_route_from(
+    topo: &Topology,
+    sp: &ShortestPaths,
+    prefix: Prefix,
+    lies: impl IntoIterator<Item = FakeAttrs>,
+) -> Option<Route> {
+    best_routes(topo, sp, lies, |p| p == prefix).remove(&prefix)
+}
+
+/// The fold behind both route reads: per prefix `want` accepts, every
+/// way out `sp.source` has — a real announcement in `topo` (local, or
+/// through the first hops toward its router) and each of `lies` (its
+/// forwarding address at its own attachment router, the first hops
+/// toward that router elsewhere) — merged into the cheapest, equal
+/// costs pooling their next hops. The merge is order-free.
+fn best_routes(
+    topo: &Topology,
+    sp: &ShortestPaths,
+    lies: impl IntoIterator<Item = FakeAttrs>,
+    want: impl Fn(Prefix) -> bool,
+) -> BTreeMap<Prefix, Route> {
     let source = sp.source;
     // For every prefix collect (cost, contributing next-hop addresses).
     let mut best: BTreeMap<Prefix, (Metric, Vec<FwAddr>, bool)> = BTreeMap::new();
-
-    let consider = |prefix: Prefix,
-                    cost: Metric,
-                    hops: Vec<FwAddr>,
-                    local: bool,
-                    best: &mut BTreeMap<Prefix, (Metric, Vec<FwAddr>, bool)>| {
+    let mut consider = |prefix: Prefix, cost: Metric, hops: Vec<FwAddr>, local: bool| {
         if !cost.is_finite() {
             return;
         }
@@ -153,76 +185,67 @@ pub fn route_table_from(topo: &Topology, sp: &ShortestPaths) -> RouteTable {
             }
         }
     };
+    let hops_to = |node: RouterId| -> Vec<FwAddr> {
+        let hops = sp.first_hops_to(node).iter();
+        hops.map(|&n| FwAddr::primary(n)).collect()
+    };
 
     // Real announcements.
     for (node, prefix, m) in topo.all_announcements() {
-        if node.is_fake() {
+        if node.is_fake() || !want(prefix) {
             continue;
         }
         if node == source {
-            consider(prefix, m, Vec::new(), true, &mut best);
+            consider(prefix, m, Vec::new(), true);
             continue;
         }
-        let d = sp.dist_to(node);
-        let cost = d.add(m);
-        let hops: Vec<FwAddr> = sp
-            .first_hops_to(node)
-            .iter()
-            .map(|&n| FwAddr::primary(n))
-            .collect();
+        let hops = hops_to(node);
         if !hops.is_empty() {
-            consider(prefix, cost, hops, false, &mut best);
+            consider(prefix, sp.dist_to(node).add(m), hops, false);
         }
     }
 
     // Lies: fake node f attached at `attach` announcing `prefix`.
-    for (_fid, attrs) in topo.fake_nodes() {
-        let via_cost = attrs.attach_metric.add(attrs.prefix_metric);
+    for attrs in lies {
+        if !want(attrs.prefix) {
+            continue;
+        }
+        let via_cost = attrs.cost_at_attach();
         if attrs.attach == source {
             // The lie targets this very router: the fake next-hop
             // resolves to the lie's forwarding address.
-            consider(attrs.prefix, via_cost, vec![attrs.fw], false, &mut best);
+            consider(attrs.prefix, via_cost, vec![attrs.fw], false);
         } else {
-            let d = sp.dist_to(attrs.attach);
-            let cost = d.add(via_cost);
-            let hops: Vec<FwAddr> = sp
-                .first_hops_to(attrs.attach)
-                .iter()
-                .map(|&n| FwAddr::primary(n))
-                .collect();
+            let hops = hops_to(attrs.attach);
             if !hops.is_empty() {
-                consider(attrs.prefix, cost, hops, false, &mut best);
+                consider(
+                    attrs.prefix,
+                    sp.dist_to(attrs.attach).add(via_cost),
+                    hops,
+                    false,
+                );
             }
         }
     }
 
-    let mut routes = BTreeMap::new();
-    for (prefix, (cost, mut hops, local)) in best {
-        if local {
+    best.into_iter()
+        .map(|(prefix, (dist, mut nexthops, local))| {
             // Local attachment always wins within equal cost; a router
             // never forwards traffic for its own connected prefix.
-            routes.insert(
-                prefix,
-                Route {
-                    dist: cost,
-                    nexthops: Vec::new(),
-                    local: true,
-                },
-            );
-        } else {
-            hops.sort();
-            hops.dedup();
-            routes.insert(
-                prefix,
-                Route {
-                    dist: cost,
-                    nexthops: hops,
-                    local: false,
-                },
-            );
-        }
-    }
-    RouteTable { source, routes }
+            if local {
+                nexthops = Vec::new();
+            } else {
+                nexthops.sort();
+                nexthops.dedup();
+            }
+            let route = Route {
+                dist,
+                nexthops,
+                local,
+            };
+            (prefix, route)
+        })
+        .collect()
 }
 
 /// One-shot convenience: full SPF + route phase for one source.
@@ -331,11 +354,11 @@ pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Rout
     }
 
     let mut dist = own.clone();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Metric, usize)>> = (0..n)
+    let mut heap: BinaryHeap<Reverse<(Metric, usize)>> = (0..n)
         .filter(|&i| dist[i].is_finite())
-        .map(|i| std::cmp::Reverse((dist[i], i)))
+        .map(|i| Reverse((dist[i], i)))
         .collect();
-    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+    while let Some(Reverse((d, u))) = heap.pop() {
         if dist[u] != d {
             continue; // stale heap entry
         }
@@ -343,7 +366,7 @@ pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Rout
             let nd = m.add(d);
             if nd < dist[from] {
                 dist[from] = nd;
-                heap.push(std::cmp::Reverse((nd, from)));
+                heap.push(Reverse((nd, from)));
             }
         }
     }
@@ -832,10 +855,217 @@ mod tests {
     #[test]
     fn spf_from_missing_or_fake_source_is_empty() {
         let t = square();
-        let sp = shortest_paths(&t, r(77));
-        assert!(sp.dist.is_empty());
-        let sp = shortest_paths(&t, RouterId::fake(1));
-        assert!(sp.dist.is_empty());
+        for source in [r(77), RouterId::fake(1)] {
+            let sp = shortest_paths(&t, source);
+            assert!(sp.dist.iter().all(|d| !d.is_finite()));
+            assert!(sp.first_hops.iter().all(Vec::is_empty));
+        }
+    }
+
+    /// `shortest_paths` as it stood before it ran on dense positions:
+    /// ordered maps, and a first-hop set cloned for every scanned link.
+    /// Moved here verbatim as the model the dense form is held to, and
+    /// read through the same accessors.
+    fn shortest_paths_reference(topo: &Topology, source: RouterId) -> MapPaths {
+        let mut dist: BTreeMap<RouterId, Metric> = BTreeMap::new();
+        let mut fh: BTreeMap<RouterId, Vec<RouterId>> = BTreeMap::new();
+        let mut heap: BinaryHeap<std::cmp::Reverse<(Metric, RouterId)>> = BinaryHeap::new();
+
+        if !topo.contains(source) || source.is_fake() {
+            return MapPaths { dist, fh };
+        }
+
+        dist.insert(source, Metric::ZERO);
+        fh.insert(source, Vec::new());
+        heap.push(std::cmp::Reverse((Metric::ZERO, source)));
+
+        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+            if dist.get(&u).copied().unwrap_or(Metric::INF) != d {
+                continue; // stale heap entry
+            }
+            for link in topo.links(u) {
+                if link.to.is_fake() {
+                    continue; // fakes handled in the route phase
+                }
+                if !link.metric.is_finite() {
+                    continue;
+                }
+                let nd = d.add(link.metric);
+                let cur = dist.get(&link.to).copied().unwrap_or(Metric::INF);
+                // First hops propagated to link.to through u.
+                let inherit: Vec<RouterId> = if u == source {
+                    vec![link.to]
+                } else {
+                    fh.get(&u).cloned().unwrap_or_default()
+                };
+                if nd < cur {
+                    dist.insert(link.to, nd);
+                    fh.insert(link.to, inherit);
+                    heap.push(std::cmp::Reverse((nd, link.to)));
+                } else if nd == cur {
+                    let set = fh.entry(link.to).or_default();
+                    for h in inherit {
+                        if !set.contains(&h) {
+                            set.push(h);
+                        }
+                    }
+                    set.sort();
+                }
+            }
+        }
+        for set in fh.values_mut() {
+            set.sort();
+            set.dedup();
+        }
+        MapPaths { dist, fh }
+    }
+
+    /// The reference's result: reachable routers only.
+    struct MapPaths {
+        dist: BTreeMap<RouterId, Metric>,
+        fh: BTreeMap<RouterId, Vec<RouterId>>,
+    }
+
+    impl MapPaths {
+        fn dist_to(&self, node: RouterId) -> Metric {
+            self.dist.get(&node).copied().unwrap_or(Metric::INF)
+        }
+
+        fn first_hops_to(&self, node: RouterId) -> &[RouterId] {
+            self.fh.get(&node).map_or(&[], Vec::as_slice)
+        }
+
+        /// The same paths in the dense form, for `route_table_from`.
+        fn dense(&self, topo: &Topology, source: RouterId) -> ShortestPaths {
+            let ids: Vec<RouterId> = topo.routers().collect();
+            ShortestPaths {
+                source,
+                dist: ids.iter().map(|&x| self.dist_to(x)).collect(),
+                first_hops: ids
+                    .iter()
+                    .map(|&x| self.first_hops_to(x).to_vec())
+                    .collect(),
+                ids,
+            }
+        }
+    }
+
+    /// Model test: the dense `shortest_paths` against the ordered-map
+    /// Dijkstra it replaced, from every router, from an absent and a
+    /// fake source, on 3 000 seeded graphs of up to 60 routers with
+    /// zero-metric links, unusable links, self-loops, disconnected parts
+    /// and lies. Distances and first hops must agree at every router and
+    /// at ids the topology lacks, and so must the route tables built on
+    /// both results.
+    #[test]
+    fn shortest_paths_matches_the_ordered_map_reference_on_seeded_graphs() {
+        let mut st: u64 = 0xD1CE_5EED;
+        let mut next = move || {
+            st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = st;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut drawn: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut saw = |what: &'static str, yes: bool| {
+            *drawn.entry(what).or_default() += u32::from(yes);
+        };
+        for case in 0..3000u32 {
+            let n = if case % 10 == 0 {
+                24 + (next() % 37) as u32 // 24..=60 routers
+            } else {
+                2 + (next() % 15) as u32 // 2..=16 routers
+            };
+            let zero_ok = case % 3 == 0;
+            saw("a graph of 24 to 60 routers", n >= 24);
+            // Ids with gaps, so positions and ids differ.
+            let id = |i: u32| r(3 * i + 1);
+            let mut t = Topology::new();
+            for i in 0..n {
+                t.add_router(id(i));
+            }
+            // Random directed links; a few graphs split in two halves
+            // that no link joins.
+            let split = (case % 9 == 0).then_some(n / 2);
+            saw("disconnected parts", split.is_some());
+            for _ in 0..2 * n {
+                let (a, b) = (
+                    (next() % u64::from(n)) as u32,
+                    (next() % u64::from(n)) as u32,
+                );
+                if split.is_some_and(|h| (a < h) != (b < h)) || t.has_link(id(a), id(b)) {
+                    continue;
+                }
+                let m = match next() % 8 {
+                    0 if zero_ok => Metric::ZERO,
+                    1 if case % 5 == 0 => Metric::INF,
+                    2 if case % 7 == 0 => Metric(u32::MAX - 2),
+                    _ => Metric(1 + (next() % 6) as u32),
+                };
+                saw("zero-metric links", m == Metric::ZERO);
+                saw("INF-metric links", m == Metric::INF);
+                saw("saturating links", m == Metric(u32::MAX - 2));
+                saw("self-loops", a == b);
+                t.add_link(id(a), id(b), m).unwrap();
+            }
+            // Lies at routers with a neighbour to resolve to.
+            for k in 0..(next() % 6) as u32 {
+                let at = id((next() % u64::from(n)) as u32);
+                let Some(nbr) = t.links(at).iter().map(|l| l.to).find(|x| x.is_real()) else {
+                    continue;
+                };
+                saw("lies", true);
+                let attrs = FakeAttrs {
+                    attach: at,
+                    attach_metric: Metric((next() % 3) as u32),
+                    prefix: Prefix::net24((next() % 3) as u8),
+                    prefix_metric: Metric((next() % 4) as u32),
+                    fw: FwAddr::secondary(nbr, 1 + k as u16),
+                };
+                t.add_fake_node(RouterId::fake(k), attrs).unwrap();
+            }
+            for i in 0..n {
+                if next() % 3 == 0 {
+                    let m = Metric((next() % 3) as u32);
+                    t.announce_prefix(id(i), Prefix::net24((next() % 3) as u8), m)
+                        .unwrap();
+                }
+            }
+
+            let probes: Vec<RouterId> = (0..n)
+                .map(id)
+                .chain([r(0), r(3 * n + 5), RouterId::fake(0), RouterId::fake(99)])
+                .collect();
+            for source in probes.iter().copied().chain([r(3 * n + 2)]) {
+                let fast = shortest_paths(&t, source);
+                let model = shortest_paths_reference(&t, source);
+                for &x in &probes {
+                    assert_eq!(
+                        (fast.dist_to(x), fast.first_hops_to(x)),
+                        (model.dist_to(x), model.first_hops_to(x)),
+                        "case {case}: from {source} to {x} on {t:?}"
+                    );
+                }
+                assert_eq!(
+                    route_table_from(&t, &fast),
+                    route_table_from(&t, &model.dense(&t, source)),
+                    "case {case}: route tables from {source} on {t:?}"
+                );
+            }
+        }
+        for what in [
+            "a graph of 24 to 60 routers",
+            "disconnected parts",
+            "zero-metric links",
+            "INF-metric links",
+            "saturating links",
+            "self-loops",
+            "lies",
+        ] {
+            let times = drawn.get(what).copied().unwrap_or(0);
+            assert!(times >= 20, "the generator drew {what} {times} times");
+        }
     }
 
     /// `prefix_routes` as it stood before it became one pass: one reverse

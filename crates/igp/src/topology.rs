@@ -281,6 +281,8 @@ impl Topology {
     /// and announces `attrs.prefix` at `attrs.prefix_metric`. The
     /// forwarding address must identify a physical neighbor of the
     /// attachment router (any address index of that neighbor).
+    /// Re-adding an existing fake node replaces it, attachment link
+    /// included.
     pub fn add_fake_node(&mut self, id: RouterId, attrs: FakeAttrs) -> Result<(), TopologyError> {
         if !id.is_fake() {
             return Err(TopologyError::KindMismatch(id));
@@ -295,12 +297,14 @@ impl Topology {
             });
         }
         let node = self.nodes.entry(id).or_default();
-        node.fake = Some(attrs);
+        let previous = node.fake.replace(attrs);
         node.prefixes = vec![(attrs.prefix, attrs.prefix_metric)];
         // The attach → fake link lives on the attachment router, flagged
         // by the far end being in the fake range.
+        if let Some(previous) = previous {
+            self.remove_link(previous.attach, id);
+        }
         let attach_node = self.nodes.get_mut(&attrs.attach).expect("checked above");
-        attach_node.links.retain(|l| l.to != id);
         attach_node.links.push(TopoLink {
             to: id,
             metric: attrs.attach_metric,
@@ -342,13 +346,17 @@ impl Topology {
     /// Check structural invariants; used by debug assertions and tests.
     ///
     /// Invariants: link endpoints exist; fake nodes have no outgoing
-    /// links, exactly one announcement, and a valid forwarding address;
-    /// real nodes carry no fake attributes.
+    /// links, exactly one announcement, a valid forwarding address, and
+    /// no link in but the one from their attachment router; real nodes
+    /// carry no fake attributes.
     pub fn validate(&self) -> Result<(), TopologyError> {
         for (&id, node) in &self.nodes {
             for l in &node.links {
-                if !self.nodes.contains_key(&l.to) {
+                let Some(to) = self.nodes.get(&l.to) else {
                     return Err(TopologyError::UnknownEndpoint { from: id, to: l.to });
+                };
+                if to.fake.is_some_and(|attrs| attrs.attach != id) {
+                    return Err(TopologyError::KindMismatch(l.to));
                 }
             }
             if id.is_fake() {
@@ -447,6 +455,54 @@ mod tests {
         assert_eq!(stripped.fake_count(), 0);
         assert!(!stripped.has_link(r(1), f));
         stripped.validate().unwrap();
+    }
+
+    fn line3() -> Topology {
+        let mut t = two_routers();
+        t.add_router(r(3));
+        t.add_link_sym(r(2), r(3), Metric(10)).unwrap();
+        t
+    }
+
+    fn lie_at(attach: RouterId, via: RouterId) -> FakeAttrs {
+        FakeAttrs {
+            attach,
+            attach_metric: Metric(1),
+            prefix: Prefix::net24(1),
+            prefix_metric: Metric(1),
+            fw: FwAddr::secondary(via, 1),
+        }
+    }
+
+    #[test]
+    fn re_adding_a_fake_node_moves_its_attachment() {
+        let mut t = line3();
+        let f = RouterId::fake(0);
+        t.add_fake_node(f, lie_at(r(1), r(2))).unwrap();
+        t.add_fake_node(f, lie_at(r(3), r(2))).unwrap();
+        assert!(!t.has_link(r(1), f), "the old attachment keeps no link");
+        assert_eq!(t.link_metric(r(3), f), Some(Metric(1)));
+        assert_eq!(t.fake_attrs(f).unwrap().attach, r(3));
+        t.validate().unwrap();
+        // The same topology built with the fake node in its last place.
+        let mut fresh = line3();
+        fresh.add_fake_node(f, lie_at(r(3), r(2))).unwrap();
+        assert_eq!(t, fresh);
+    }
+
+    #[test]
+    fn a_link_into_a_fake_node_from_elsewhere_is_invalid() {
+        let mut t = line3();
+        let f = RouterId::fake(0);
+        t.add_fake_node(f, lie_at(r(3), r(2))).unwrap();
+        t.validate().unwrap();
+        // What re-adding under a new attachment used to leave behind.
+        let stray = TopoLink {
+            to: f,
+            metric: Metric(1),
+        };
+        t.nodes.get_mut(&r(1)).unwrap().links.push(stray);
+        assert_eq!(t.validate(), Err(TopologyError::KindMismatch(f)));
     }
 
     #[test]
