@@ -118,7 +118,7 @@ pub struct Plan {
 
 /// Next-hop routers of a route with their slot counts (none for a
 /// locally delivered prefix).
-fn hops_of(route: &Route) -> Vec<(RouterId, u32)> {
+fn hops_of(route: Route) -> Vec<(RouterId, u32)> {
     if route.local {
         return Vec::new();
     }
@@ -160,7 +160,7 @@ fn plan_for_router(
     if !dist.is_finite() {
         return Err(AugmentError::Unreachable(r));
     }
-    let natural = hops_of(&route);
+    let natural = hops_of(route);
     let natural_routers: Vec<RouterId> = natural.iter().map(|(n, _)| *n).collect();
     let desired_map: BTreeMap<RouterId, u32> = desired.iter().copied().collect();
 
@@ -267,9 +267,8 @@ pub fn augment(
             if !fractions_close(base_fr, &now_fr) {
                 // Pin u to its original next-hop routers, one slot each.
                 let sp = paths.entry(*u).or_insert_with(|| shortest_paths(topo, *u));
-                let hops = prefix_route_from(topo, sp, prefix, [])
-                    .map(|route| hops_of(&route))
-                    .unwrap_or_default();
+                let natural = prefix_route_from(topo, sp, prefix, []);
+                let hops = natural.map(hops_of).unwrap_or_default();
                 if hops.is_empty() {
                     return Err(AugmentError::Unreachable(*u));
                 }

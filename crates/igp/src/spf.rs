@@ -62,13 +62,11 @@ impl ShortestPaths {
 }
 
 /// Dijkstra over the real part of `topo` from `source`, computing
-/// distances and merged equal-cost first-hop sets.
-///
-/// Positions sort like router ids, so pops, tie-breaks and merges run in
-/// the order of the ordered-map Dijkstra this replaced (kept in the
-/// tests as `shortest_paths_reference`). Every first-hop set stays
-/// sorted and duplicate-free, and one is cloned only for a link that
-/// improves or ties a distance.
+/// distances and merged equal-cost first-hop sets. Positions sort like
+/// ids, so pops, tie-breaks and merges run in the order of the
+/// ordered-map form this replaced (`shortest_paths_reference` in the
+/// tests); a first-hop set, always sorted, is cloned only for a link
+/// that improves or ties a distance.
 pub fn shortest_paths(topo: &Topology, source: RouterId) -> ShortestPaths {
     let ids: Vec<RouterId> = topo.routers().collect();
     let n = ids.len();
@@ -216,14 +214,10 @@ fn best_routes(
             // resolves to the lie's forwarding address.
             consider(attrs.prefix, via_cost, vec![attrs.fw], false);
         } else {
+            let cost = sp.dist_to(attrs.attach).add(via_cost);
             let hops = hops_to(attrs.attach);
             if !hops.is_empty() {
-                consider(
-                    attrs.prefix,
-                    sp.dist_to(attrs.attach).add(via_cost),
-                    hops,
-                    false,
-                );
+                consider(attrs.prefix, cost, hops, false);
             }
         }
     }

@@ -297,11 +297,10 @@ impl Topology {
             });
         }
         let node = self.nodes.entry(id).or_default();
-        let previous = node.fake.replace(attrs);
         node.prefixes = vec![(attrs.prefix, attrs.prefix_metric)];
         // The attach → fake link lives on the attachment router, flagged
         // by the far end being in the fake range.
-        if let Some(previous) = previous {
+        if let Some(previous) = node.fake.replace(attrs) {
             self.remove_link(previous.attach, id);
         }
         let attach_node = self.nodes.get_mut(&attrs.attach).expect("checked above");
