@@ -4,14 +4,19 @@
 # already reports `"correct": false`; this prints the margin), and the
 # IGP packets the run received per LSA it flooded (≈ 2.5 on
 # `metro_core` when every LSA went out in its own LS Update with an ack
-# of its own; ≈ 0.6 since floods and acks are packed per neighbour).
+# of its own; ≈ 0.6 since floods and acks are packed per neighbour),
+# and what one full SPF and one `augment` call cost (`igp.spf_full_us`
+# ≈ 36 µs on `metro_core` and `core.augment_probe_us` ≈ 0.3 ms on
+# `predictive_storm`, since the SPF runs on dense positions and
+# `augment` computes it once per router).
 #
 #   bench/run.sh --workload predictive_storm --seed 2016 --seconds 6 --trace 1 | ci/share.sh
 #
 # Reads the stdout of one or more `--trace 1` runs: the header line
-# names the workload, the metric lines carry `igp.rx_pkts` and
-# `igp.lsas_flooded`, the `detail:` line every phase's span self time.
-# `crowd_grid` has no floor and prints its packet ratio only.
+# names the workload, the metric lines carry `igp.rx_pkts`,
+# `igp.lsas_flooded` and the two costs, the `detail:` line every phase's
+# span self time.
+# `crowd_grid` has no floor and prints its packet ratio and costs only.
 set -euo pipefail
 python3 -c '
 import json, re, sys
@@ -25,7 +30,8 @@ for line in sys.stdin:
     header = re.match(r"(\w+) seed \d+ trace 1:", line)
     if header:
         workload, counts = header.group(1), {}
-    metric = re.match(r"\s+(igp\.rx_pkts|igp\.lsas_flooded)\s+([\d.]+)\s", line)
+    names = r"igp\.rx_pkts|igp\.lsas_flooded|igp\.spf_full_us|core\.augment_probe_us"
+    metric = re.match(rf"\s+({names})\s+([\d.]+)\s", line)
     if metric:
         counts[metric.group(1)] = float(metric.group(2))
     if not line.startswith("detail: "):
@@ -40,4 +46,7 @@ for line in sys.stdin:
     if pkts is not None and flooded:
         print(f"{workload}: {pkts:.0f} IGP packets received for {flooded:.0f} flooded LSAs "
               f"= {pkts / flooded:.2f} per flooded LSA")
+    spf, augment = counts.get("igp.spf_full_us"), counts.get("core.augment_probe_us")
+    if spf is not None and augment is not None:
+        print(f"{workload}: {spf:.1f} us per full SPF, {augment:.1f} us per augment probe")
 '
