@@ -259,6 +259,9 @@ pub struct Instance {
     /// Sweep by scanning the whole LSDB (see `try_sweep_full_scan`).
     #[cfg(test)]
     full_scan_sweep: bool,
+    /// Answer every stale copy (see `use_always_reply_rule`).
+    #[cfg(test)]
+    always_reply_stale: bool,
     /// Observable counters.
     pub stats: Stats,
 }
@@ -296,6 +299,8 @@ impl Instance {
             sweep_visits: 0,
             #[cfg(test)]
             full_scan_sweep: false,
+            #[cfg(test)]
+            always_reply_stale: false,
             stats: Stats::default(),
         }
     }
@@ -303,6 +308,25 @@ impl Instance {
     /// This speaker's router id.
     pub fn router_id(&self) -> RouterId {
         self.cfg.router_id
+    }
+
+    /// `false` for a speaker that floods but computes no routes (see
+    /// [`Config::compute_routes`]).
+    pub fn computes_routes(&self) -> bool {
+        self.cfg.compute_routes
+    }
+
+    /// `true` when nothing is under way: every adjacency is Full (or
+    /// gone), no flooded LSA awaits an ack, no request is outstanding and
+    /// no SPF run is pending. While every instance of a network is at
+    /// rest, nothing in flight can change an LSDB or a FIB.
+    pub fn at_rest(&self) -> bool {
+        self.spf_at.is_none()
+            && self
+                .ifaces
+                .values()
+                .filter_map(|i| i.neighbor.as_ref())
+                .all(|n| n.state == NbrState::Full && n.rxmt.is_empty() && n.req_list.is_empty())
     }
 
     /// Immutable view of the LSDB.
@@ -1422,14 +1446,22 @@ impl Instance {
     }
 }
 
-/// The sweep as it was before the LSDB indexed its MaxAge entries:
-/// every call gathers every neighbor's retransmit keys and walks the
-/// whole database. Kept as the reference the indexed sweep is
-/// property-tested against (`harness::sweep_equivalence`).
+/// Two earlier rules, kept as the references the harness's lockstep
+/// differentials drive the current ones against.
 #[cfg(test)]
 impl Instance {
+    /// The sweep as it was before the LSDB indexed its MaxAge entries:
+    /// every call gathers every neighbor's retransmit keys and walks the
+    /// whole database (`harness::sweep_equivalence`).
     pub(crate) fn use_full_scan_sweep(&mut self) {
         self.full_scan_sweep = true;
+    }
+
+    /// Send our copy back for every stale one received, as before the
+    /// reply was held back for a neighbor whose retransmit list already
+    /// carries it (`harness::stale_reply_equivalence`).
+    pub(crate) fn use_always_reply_rule(&mut self) {
+        self.always_reply_stale = true;
     }
 
     pub(crate) fn spf_at(&self) -> Option<Timestamp> {

@@ -125,6 +125,18 @@ impl Lsdb {
         self.entries.get(key).map(|l| &**l)
     }
 
+    /// `true` when `other` stores exactly the keys this database does,
+    /// each at the same sequence number (ages aside): what every LSDB
+    /// of a converged network agrees on.
+    pub fn same_instances(&self, other: &Lsdb) -> bool {
+        self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|((k, a), (l, b))| k == l && a.seq == b.seq)
+    }
+
     /// Store `lsa`, keeping the MaxAge index in step.
     fn store(&mut self, lsa: Arc<Lsa>) {
         let key = lsa.key;

@@ -19,6 +19,8 @@
 //! * [`fluid`] — max-min fair bandwidth sharing (the first-order model
 //!   of competing TCP flows), with application rate caps;
 //! * [`flow`] — traffic flows and notifications;
+//! * [`oracle`] — absolute checks of a run at rest (every LSDB equal,
+//!   every FIB a from-scratch SPF on it);
 //! * [`trace`] — time-series recording and CSV export for figures;
 //! * [`sim`] — the co-simulation world: real IGP instances exchanging
 //!   encoded packets over the links, FIB downloads, SNMP agents fed by
@@ -41,6 +43,7 @@ pub mod flow;
 pub mod fluid;
 pub mod handler;
 pub mod link;
+pub mod oracle;
 pub mod sim;
 pub mod trace;
 

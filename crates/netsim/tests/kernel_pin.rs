@@ -9,6 +9,7 @@
 
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
+use fib_netsim::oracle;
 use fib_netsim::prelude::*;
 use proptest::prelude::*;
 
@@ -148,6 +149,15 @@ fn run_pin(seed: u64) -> String {
     // An unscheduled (between-runs) mutation.
     sim.ctx().set_link_capacity(r(5), r(6), 4e5);
     sim.run_until(Timestamp::from_secs(40));
+    // Twelve seconds after the last fault the IGP is at rest, every
+    // LSDB agrees and every FIB is a from-scratch SPF on it.
+    assert!(
+        oracle::igp_at_rest(&sim),
+        "seed {seed}: IGP busy at the horizon"
+    );
+    if let Err(fault) = oracle::igp_converged(&sim) {
+        panic!("seed {seed}: not converged at the horizon: {fault}");
+    }
 
     for id in &flows {
         let ctx = sim.ctx();
