@@ -522,6 +522,80 @@ mod tests {
         }
     }
 
+    /// A stale copy crossing a fresher one whose flood was lost: the
+    /// fresher instance sits on the sender's retransmit list, so no
+    /// reply goes out, and retransmission repairs the neighbor one
+    /// interval later. The rule that answered every stale copy repaired
+    /// it at once.
+    #[test]
+    fn a_stale_copy_crossing_a_lost_flood_waits_for_the_retransmission() {
+        let fake0 = crate::lsa::LsaKey {
+            origin: RouterId::fake(0),
+            kind: crate::lsa::LsaKind::Fake,
+            id: 0,
+        };
+        for always_reply in [false, true] {
+            let mut h = line(3);
+            if always_reply {
+                for id in h.routers() {
+                    h.instance_mut(id).use_always_reply_rule();
+                }
+            }
+            h.start_all();
+            assert!(h.run_until_converged(Timestamp::from_secs(30)));
+            // r3 tells fake0 at its first sequence number; r1 tells it
+            // twice at once, so its flood to r2 carries the first two.
+            let t = h.now();
+            let inject = |h: &mut Harness, at: u32| {
+                h.instance_mut(r(at))
+                    .inject_fake(
+                        RouterId::fake(0),
+                        r(2),
+                        Metric(1),
+                        Prefix::net24(1),
+                        Metric(1),
+                        crate::types::FwAddr::primary(r(2)),
+                        t,
+                    )
+                    .unwrap();
+            };
+            inject(&mut h, 3);
+            inject(&mut h, 1);
+            inject(&mut h, 1);
+            let fresh = h.instance(r(1)).lsdb().get(&fake0).unwrap().seq;
+            h.collect_outputs();
+            // r1's flood to r2 is lost; r3's first instance reaches r2 at
+            // 1 ms, and r2's flood of it reaches r1 at 2 ms, stale.
+            let from_r1 = |p: &PendingPkt| {
+                matches!(
+                    crate::wire::decode(p.data.clone()),
+                    Ok((sender, crate::wire::Packet::LsUpdate(_))) if sender == r(1)
+                )
+            };
+            let before = h.pkts.len();
+            h.pkts.retain(|p| !from_r1(p));
+            assert_eq!(h.pkts.len(), before - 1, "r1 floods to r2 in one update");
+            h.run_until(t + Dur::from_millis(2));
+            let replies = h.pkts.iter().filter(|p| from_r1(p)).count();
+            let held_by_r2 = |h: &Harness| h.instance(r(2)).lsdb().get(&fake0).unwrap().seq;
+            if always_reply {
+                assert_eq!(replies, 1, "the reference answers the stale copy");
+                h.run_until(t + Dur::from_millis(3));
+                assert_eq!(held_by_r2(&h), fresh);
+                continue;
+            }
+            assert_eq!(replies, 0, "r1's retransmit list holds its copy for r2");
+            // r1 retransmits one interval (1 s) after the flood.
+            h.run_until(t + Dur::from_millis(999));
+            assert!(
+                held_by_r2(&h) < fresh,
+                "nothing but the retransmission repairs r2"
+            );
+            h.run_until(t + Dur::from_millis(1001));
+            assert_eq!(held_by_r2(&h), fresh, "the retransmission repaired r2");
+        }
+    }
+
     #[test]
     fn lie_injection_survives_packet_loss() {
         let mut h = line(3);
@@ -770,6 +844,7 @@ mod stale_reply_equivalence {
     use crate::lsa::{Lsa, LsaBody, LsaKey};
     use proptest::prelude::*;
     use proptest::test_runner::TestRunner;
+    use std::cell::Cell;
 
     /// What the data plane sees of one harness: per instance its LSDB
     /// and pending SPF deadline, and every FIB download. Packets in
@@ -790,6 +865,13 @@ mod stale_reply_equivalence {
                 .collect(),
             fibs: h.fibs.clone(),
         }
+    }
+
+    /// Packets the always-reply harness sent beyond the other.
+    fn saved_pkts(held: &Harness, always: &Harness) -> i64 {
+        let sent =
+            |h: &Harness| -> i64 { h.instances.values().map(|i| i.stats.pkts_sent as i64).sum() };
+        sent(always) - sent(held)
     }
 
     fn script(
@@ -816,6 +898,7 @@ mod stale_reply_equivalence {
     /// neighbor after it swept a purge and installs the older lie again.
     #[test]
     fn held_back_replies_change_no_lsdb_spf_or_fib_on_lossless_wires() {
+        let saved = Cell::new(0);
         TestRunner::new(ProptestConfig::with_cases(200)).run(&script(3..=6), |(n, seed, ops)| {
             let mut held = build(n, 0.0, seed, |_| {});
             let mut always = build(n, 0.0, seed, Instance::use_always_reply_rule);
@@ -829,8 +912,12 @@ mod stale_reply_equivalence {
                     observe(&always)
                 );
             }
+            saved.set(saved.get() + saved_pkts(&held, &always));
             Ok(())
         });
+        // The scripts must have made stale copies cross fresher ones,
+        // and the rule held replies back.
+        assert!(saved.get() > 1_000, "{} packets saved", saved.get());
     }
 
     /// Run `h` with every wire up and no loss for ten seconds (past a
@@ -870,6 +957,7 @@ mod stale_reply_equivalence {
     #[test]
     fn with_loss_both_rules_settle_to_the_same_lsas() {
         let script = (prop_oneof![Just(0.15), Just(0.3)], script(4..=6));
+        let saved = Cell::new(0);
         TestRunner::new(ProptestConfig::with_cases(48)).run(&script, |(loss, (n, seed, ops))| {
             let ops: Vec<Op> = ops
                 .into_iter()
@@ -894,7 +982,9 @@ mod stale_reply_equivalence {
             };
             prop_assert_eq!(lsas(&held), lsas(&always));
             prop_assert_eq!(&held.fibs, &always.fibs);
+            saved.set(saved.get() + saved_pkts(&held, &always));
             Ok(())
         });
+        assert!(saved.get() > 100, "{} packets saved", saved.get());
     }
 }

@@ -48,6 +48,21 @@
 //! only packet and byte counts move. The per-LSA steps of `on_update`
 //! (Loading → Full, the MaxAge sweep) still run after each LSA of a
 //! packed update, as they did when each came alone.
+//!
+//! ## Stale copies
+//!
+//! An LSA older than the instance we hold is not acked, and our copy is
+//! sent back to the neighbor it came from (RFC 2328 §13 step (8), which
+//! rate-limits that reply by MinLSArrival) — unless the neighbor's
+//! retransmit list already holds that very instance. Then the flood
+//! that put it there left earlier on the same FIFO link, ahead of any
+//! reply, or, if it was lost, the retransmit timer sends it again within
+//! `RXMT_INTERVAL`; a reply would land as a duplicate, and holding it
+//! back also leaves the interface's open update open. A neighbor whose
+//! list lacks our instance (it is still loading, or it acked and then
+//! swept a purge) still gets exactly one one-LSA LS Update. On a cold
+//! start nearly every stale copy crosses our flood of the fresher one:
+//! they were three quarters of `metro_core`'s IGP packets.
 
 use crate::error::InstanceError;
 use crate::lsa::{Freshness, Lsa, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE};
@@ -1103,8 +1118,17 @@ impl Instance {
             }
             Install::Duplicate | Install::PurgeUnknown => Some(hdr),
             Install::Stale => {
-                // Send our fresher copy straight back.
-                if let Some(ours) = self.lsdb.get(&hdr.key) {
+                // Send our fresher copy straight back, unless the
+                // sender's retransmit list holds that very instance (see
+                // the module docs).
+                let ours = self.lsdb.get(&hdr.key)?;
+                let pending = self.ifaces[&iface_id]
+                    .neighbor
+                    .as_ref()
+                    .and_then(|n| n.rxmt.get(&hdr.key));
+                #[cfg(test)]
+                let pending = pending.filter(|_| !self.always_reply_stale);
+                if !pending.is_some_and(|p| p.freshness_vs(ours) == Freshness::Same) {
                     let data = wire::encode_ls_update(std::iter::once(ours), self.cfg.router_id);
                     self.push_send(iface_id, data);
                 }
@@ -1820,6 +1844,49 @@ mod tests {
             })
             .collect();
         assert_eq!(acks, [MAX_ACK_HEADERS, 10]);
+    }
+
+    #[test]
+    fn a_stale_copy_is_answered_only_while_the_neighbor_lacks_ours() {
+        let mut h = converged_hub();
+        let t = h.now();
+        let hub = h.instance_mut(RouterId(1));
+        lie(hub, 0, t).unwrap();
+        let key = LsaKey {
+            origin: RouterId::fake(0),
+            kind: LsaKind::Fake,
+            id: 0,
+        };
+        let stale = hub.lsdb().get(&key).unwrap().clone();
+        lie(hub, 0, t).unwrap();
+        let ours = hub.lsdb().get(&key).unwrap().clone();
+        let from_spoke =
+            |spoke: u32| wire::encode_ls_update(std::iter::once(&stale), RouterId(spoke));
+        // Spoke 3's retransmit entry is the instance just flooded to it:
+        // nothing goes back but that flood.
+        hub.handle_packet(IfaceId(1), from_spoke(3), t).unwrap();
+        let to_spoke3: Vec<Vec<u32>> = sends(hub)
+            .iter()
+            .filter(|(i, _)| *i == IfaceId(1))
+            .map(|(_, p)| lies_in(p))
+            .collect();
+        assert_eq!(to_spoke3, [[0, 0]], "the flood alone, both instances");
+        // Once every spoke has acked it (the drained flood never left:
+        // retransmission delivers it), spoke 2's stale copy is answered
+        // by exactly one LS Update carrying our one instance.
+        assert!(h.run_until_converged(t + Dur::from_secs(30)));
+        let now = h.now();
+        let hub = h.instance_mut(RouterId(1));
+        assert!(hub
+            .ifaces
+            .values()
+            .all(|i| i.neighbor.as_ref().unwrap().rxmt.is_empty()));
+        hub.handle_packet(IfaceId(0), from_spoke(2), now).unwrap();
+        let sent = sends(hub);
+        let [(IfaceId(0), Packet::LsUpdate(reply))] = &sent[..] else {
+            panic!("not one update to spoke 2: {sent:?}");
+        };
+        assert_eq!(reply.lsas, [ours]);
     }
 
     #[test]
