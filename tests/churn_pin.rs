@@ -219,7 +219,7 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
     ];
     assert_eq!(
         with_control,
-        [0x7dea_894e_ca83_691e, 0xc109_6171_e2a1_a6e7],
+        [0xa6ef_b149_e32a_9e9d, 0x4775_e637_b415_6a00],
         "summary / counters digests moved: {with_control:#018x?}\n{counters}"
     );
 }

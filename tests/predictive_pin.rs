@@ -130,12 +130,12 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     assert_eq!(
         line(0),
         "7400000000 inject 10.0.1.0/24 | lie fake0@r1: 10.0.1.0/24 cost 4 via r10#1 | \
-         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.1280122675"
+         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.12800821"
     );
     assert_eq!(
         line(13),
         "19500000000 inject 10.0.3.0/24 | lie fake13@r1: 10.0.3.0/24 cost 6 via r14#4 | \
-         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.7903169909588623"
+         predicted 0.800 >= hi 0.800 | candidates 4 predicted 0.6 measured 0.790316990032959"
     );
     // Names are spent by injections, nothing else.
     let highest = sink
@@ -174,10 +174,10 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     assert_eq!(
         digests,
         (
-            0x0a19_25c4_7312_2f56,
-            0x6844_e721_6c63_4bd2,
-            0xd960_bedd_7353_6e32,
-            0xaf7a_4ea6_ce1c_fbca
+            0x1220_f93e_0e95_3a67,
+            0xb04d_e643_464f_7bfe,
+            0x292d_0e9d_3789_f274,
+            0x9086_e0c0_e0cf_a146
         ),
         "summary / trace / audit / masked audit digests moved: {digests:#018x?}\nfirst audit lines:\n{}",
         audit.lines().take(12).collect::<Vec<_>>().join("\n")
