@@ -113,7 +113,10 @@ fn armed_run_stays_inside_the_span_budget() {
     let before = fib_trace::spans_started();
     let (agg, events) = traced_metro_edge(15.0, AggSink::new());
     let spans = fib_trace::spans_started() - before;
-    assert!(events > 10_000, "metro_edge dispatches real work: {events}");
+    // 7 132 events, 8 261 spans: 15 s of a 50-router network's IGP and
+    // a crowd (12 613 before stale copies were answered only when the
+    // neighbor lacked ours).
+    assert!(events > 5_000, "metro_edge dispatches real work: {events}");
     assert!(
         spans as f64 <= 1.25 * events as f64,
         "{spans} spans armed for {events} dispatched events: more than 1.25 per event \
