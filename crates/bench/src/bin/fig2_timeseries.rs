@@ -1,8 +1,11 @@
 //! Regenerates Fig. 2: per-link throughput over time during the flash
 //! crowd, with the controller enabled and disabled.
 //!
-//! Emits `results/fig2_fibbing.csv` and `results/fig2_baseline.csv`
-//! in long format (`series,time,value`) plus phase summaries.
+//! Runs `scenarios/paper_demo.toml`, once as shipped and once with the
+//! controller disabled. Emits `results/fig2_fibbing.csv` and
+//! `results/fig2_baseline.csv` in long format (`series,time,value`;
+//! A-R1, B-R2 and B-R3 are the spec's `r1-r3`, `r2-r4` and `r2-r5`)
+//! plus phase summaries.
 //!
 //! Run: `cargo run --release -p fib-bench --bin fig2_timeseries`
 //!
@@ -12,8 +15,12 @@
 
 use fib_bench::cli::Cli;
 use fib_bench::{f, results_dir, Table};
-use fibbing::demo::{self, DemoConfig};
+use fibbing::demo;
 use fibbing::prelude::summarize;
+use fibbing::scenario::prelude::{build, load_scenario, RunOptions};
+
+/// The links Fig. 2 plots, A-R1, B-R2 and B-R3, as the spec names them.
+const SERIES: [&str; 3] = ["r1-r3", "r2-r4", "r2-r5"];
 
 /// Simulated horizon in seconds (`--horizon`, default 55).
 fn horizon_secs() -> u64 {
@@ -23,12 +30,15 @@ fn horizon_secs() -> u64 {
 }
 
 fn run(controller: bool, tag: &str) {
-    let cfg = DemoConfig {
-        controller,
-        ..DemoConfig::default()
-    };
     let secs = horizon_secs();
-    let run = demo::run(&cfg, secs);
+    let spec = load_scenario("paper_demo").expect("shipped spec parses");
+    let opts = RunOptions {
+        horizon_secs: Some(secs as f64),
+        disable_controller: !controller,
+        ..RunOptions::default()
+    };
+    let mut run = build(&spec, opts).expect("paper_demo builds");
+    run.run_until_secs(secs as f64);
     let rec = run.sim.recorder();
 
     let path = results_dir().join(format!("fig2_{tag}.csv"));
@@ -41,7 +51,7 @@ fn run(controller: bool, tag: &str) {
     );
     print!(
         "{}",
-        rec.ascii_chart(&["A-R1", "B-R2", "B-R3"], 72, secs as f64, demo::CAPACITY)
+        rec.ascii_chart(&SERIES, 72, secs as f64, demo::CAPACITY)
     );
 
     let mut t = Table::new(&[
@@ -57,9 +67,7 @@ fn run(controller: bool, tag: &str) {
         (45.0, 54.0, "62 flows (t in 45..54s)"),
     ];
     for (from, to, label) in phases.into_iter().filter(|(_, to, _)| *to <= secs as f64) {
-        let a_r1 = rec.mean_over("A-R1", from, to).unwrap_or(0.0);
-        let b_r2 = rec.mean_over("B-R2", from, to).unwrap_or(0.0);
-        let b_r3 = rec.mean_over("B-R3", from, to).unwrap_or(0.0);
+        let [a_r1, b_r2, b_r3] = SERIES.map(|s| rec.mean_over(s, from, to).unwrap_or(0.0));
         let max = [a_r1, b_r2, b_r3].into_iter().fold(0.0f64, f64::max) / demo::CAPACITY;
         t.row(&[label.to_string(), f(a_r1), f(b_r2), f(b_r3), f(max)]);
     }

@@ -32,55 +32,13 @@
 //! additionally asserts the paper's pinned control-plane milestones —
 //! the t=15 single-lie plan (B splits evenly over R2 and R3) and the
 //! t=35 two-lie plan (A gets three ECMP slots, two via R1) — and
-//! exits nonzero if the reproduction drifts.
+//! exits nonzero if the reproduction drifts
+//! (`fib_scenario::suite::check_paper_milestones`).
 
 use fib_bench::cli::Cli;
 use fib_bench::{f, results_dir, Table};
 use fib_scenario::prelude::*;
 use fib_scenario::sweep::panic_message;
-use fibbing::demo::{A, B, BLUE, R1, R2, R3};
-use fibbing::prelude::RouterId;
-
-/// Sorted next-hop routers toward the blue prefix.
-fn hops(run: &mut ScenarioRun, router: RouterId) -> Vec<RouterId> {
-    let mut v: Vec<RouterId> = run
-        .sim
-        .ctx()
-        .fib_nexthops(router, BLUE)
-        .iter()
-        .map(|h| h.router)
-        .collect();
-    v.sort();
-    v
-}
-
-/// Drive `paper_demo` through both waves, asserting the pinned plans.
-fn check_paper_milestones(run: &mut ScenarioRun) -> Result<(), String> {
-    run.run_until_secs(25.0);
-    let b = hops(run, B);
-    if !(b.contains(&R2) && b.contains(&R3)) {
-        return Err(format!("t=25: B must spread over R2 and R3, got {b:?}"));
-    }
-    if hops(run, A) != vec![B] {
-        return Err("t=25: A must still forward only via B".into());
-    }
-    run.run_until_secs(45.0);
-    if hops(run, B) != vec![R2, R3] {
-        return Err(format!(
-            "t=45: B's settled single-lie plan must be [R2, R3], got {:?}",
-            hops(run, B)
-        ));
-    }
-    let a = hops(run, A);
-    let via_r1 = a.iter().filter(|r| **r == R1).count();
-    if a.len() != 3 || via_r1 != 2 || !a.contains(&B) {
-        return Err(format!(
-            "t=45: A's two-lie plan must be 3 slots, 2 via R1, 1 via B; got {a:?}"
-        ));
-    }
-    println!("[paper_demo] pinned t=15 single-lie and t=35 two-lie plans reproduced");
-    Ok(())
-}
 
 /// Per-suite Chrome event budget (the cap cuts the deterministic
 /// event sequence, so the kept prefix is identical across runs; the
@@ -189,15 +147,11 @@ fn main() {
                 let _span = fib_trace::span(fib_trace::Phase::ScenarioRun);
                 let mut run = build(&spec, opts)
                     .map_err(|e| (name.to_string(), format!("build error: {e}")))?;
-                let mut milestone_failure = None;
                 // The pinned-plan gate, whenever the run covers both
                 // waves.
-                if name == "paper_demo" && run.horizon_secs() >= 45.0 {
-                    if let Err(msg) = check_paper_milestones(&mut run) {
-                        milestone_failure = Some((name.to_string(), format!("milestone: {msg}")));
-                    }
-                }
-                Ok((run.finish(), milestone_failure))
+                let milestones = (name == "paper_demo" && run.horizon_secs() >= 45.0)
+                    .then(|| check_paper_milestones(&mut run));
+                Ok((run.finish(), milestones))
             },
         ));
         // The sink comes off the thread even when the scenario
@@ -211,10 +165,16 @@ fn main() {
             }
         }
         let report = match guarded {
-            Ok(Ok((report, milestone_failure))) => {
-                if let Some((n, msg)) = milestone_failure {
-                    eprintln!("[paper_demo] MILESTONE FAILURE: {msg}");
-                    failures.push((n, msg));
+            Ok(Ok((report, milestones))) => {
+                match milestones {
+                    Some(Ok(())) => println!(
+                        "[paper_demo] pinned t=15 single-lie and t=35 two-lie plans reproduced"
+                    ),
+                    Some(Err(msg)) => {
+                        eprintln!("[paper_demo] MILESTONE FAILURE: milestone: {msg}");
+                        failures.push((name.to_string(), format!("milestone: {msg}")));
+                    }
+                    None => {}
                 }
                 report
             }

@@ -1,19 +1,21 @@
 //! QoE table — "the video playbacks are smooth when the Fibbing
 //! controller is in use and stutter when disabled" (Sec. 3),
-//! quantified per session.
+//! quantified per session: `scenarios/paper_demo.toml` as shipped and
+//! with the controller disabled.
 //!
 //! Run: `cargo run --release -p fib-bench --bin table_qoe`
 
 use fib_bench::{f, Table};
-use fibbing::demo::{self, DemoConfig};
 use fibbing::prelude::*;
 
 fn run(controller: bool) -> (QoeSummary, usize) {
-    let cfg = DemoConfig {
-        controller,
-        ..DemoConfig::default()
+    let spec = load_scenario("paper_demo").expect("shipped spec parses");
+    let opts = RunOptions {
+        disable_controller: !controller,
+        ..RunOptions::default()
     };
-    let run = demo::run(&cfg, 55);
+    let mut run = build(&spec, opts).expect("paper_demo builds");
+    run.run_until_secs(spec.horizon_secs);
     let reports = run.qoe.reports();
     let stalled = reports.iter().filter(|r| r.stalls > 0).count();
     (summarize(&reports), stalled)

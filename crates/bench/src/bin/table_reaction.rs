@@ -3,13 +3,15 @@
 //! event" argument against weight reconfiguration, quantified).
 //!
 //! The surge is the paper's t = 15 s batch (30 extra videos at B).
-//! Reaction time = first moment the B–R3 detour carries traffic.
+//! Reaction time = first moment the B–R3 detour carries traffic. The
+//! Fibbing rows run `scenarios/paper_demo.toml`, the SNMP-only one
+//! with `controller.predictive = false`.
 //!
 //! Run: `cargo run --release -p fib-bench --bin table_reaction`
 
 use fib_bench::{f, Table};
 use fib_te::prelude::*;
-use fibbing::demo::{self, paper_capacities, paper_topology, DemoConfig, B, BLUE};
+use fibbing::demo::{self, paper_capacities, paper_topology, B, BLUE};
 use fibbing::prelude::*;
 
 /// Time (s) at which a recorded series first exceeds `level`, after
@@ -22,17 +24,15 @@ fn first_crossing(rec: &Recorder, series: &str, level: f64, after_secs: f64) -> 
 }
 
 fn controller_run(predictive: bool) -> (Option<f64>, u64, u64) {
-    let cfg = DemoConfig {
-        predictive,
-        ..DemoConfig::default()
-    };
-    let mut run = demo::build(&cfg);
-    run.sim.start();
-    run.sim.run_until(Timestamp::from_secs(14));
+    let mut spec = load_scenario("paper_demo").expect("shipped spec parses");
+    spec.controller.as_mut().expect("controller on").predictive = predictive;
+    let mut run = build(&spec, RunOptions::default()).expect("paper_demo builds");
+    run.run_until_secs(14.0);
     let before = run.sim.stats();
-    run.sim.run_until(Timestamp::from_secs(33));
+    run.run_until_secs(33.0);
     let after = run.sim.stats();
-    let t = first_crossing(run.sim.recorder(), "B-R3", 1e4, 14.9).map(|t| t - 15.0);
+    // B-R3 is the spec's `r2-r5`.
+    let t = first_crossing(run.sim.recorder(), "r2-r5", 1e4, 14.9).map(|t| t - 15.0);
     (
         t,
         after.ctrl_pkts - before.ctrl_pkts,

@@ -84,10 +84,6 @@ pub struct ControllerConfig {
     pub predictive: bool,
     /// Poll SNMP counters (can be disabled for pure-predictive runs).
     pub use_snmp: bool,
-    /// Record the installed-lie count as the `ctrl.lies` trace series
-    /// after every evaluation (consumed by the scenario engine; off by
-    /// default so figure traces stay unchanged).
-    pub trace_lies: bool,
 }
 
 impl ControllerConfig {
@@ -103,7 +99,6 @@ impl ControllerConfig {
             default_flow_rate: 125_000.0, // 1 Mb/s video
             predictive: true,
             use_snmp: true,
-            trace_lies: false,
         }
     }
 }
@@ -286,9 +281,7 @@ impl FibbingController {
                 installed_lies: self.installed_count(),
             };
         }
-        if self.cfg.trace_lies {
-            api.record("ctrl.lies", self.installed_count() as f64);
-        }
+        api.record("ctrl.lies", self.installed_count() as f64);
     }
 
     /// Lies currently installed for a prefix.
@@ -854,8 +847,7 @@ mod tests {
 
     #[test]
     fn watch_handle_tracks_reactions_and_lies() {
-        let mut cfg = ControllerConfig::new(r(100));
-        cfg.trace_lies = true;
+        let cfg = ControllerConfig::new(r(100));
         let mut ctl = FibbingController::new(cfg.clone());
         let watch = ctl.watch();
         let mut sim = Sim::new(SimConfig::default());

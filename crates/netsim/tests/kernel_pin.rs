@@ -3,25 +3,52 @@
 //! byte-for-byte — flow rates, deliveries, paths, machinery counters,
 //! and the full recorder trace.
 //!
-//! The fixtures under `tests/data/pin_<seed>.csv` were generated by
-//! the pre-kernel simulator (map-based arenas, `SimApi` object, one
-//! `schedule_*` method per event kind) running the exact script below.
+//! The references were generated by the pre-kernel simulator
+//! (map-based arenas, `SimApi` object, one `schedule_*` method per
+//! event kind) running the exact script below. Seed 0's output is kept
+//! in full, readable, as `tests/data/pin_0.csv`; seeds 1–7 are kept as
+//! a digest of their data plane and their `stats,` line verbatim.
 
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
 use fib_netsim::oracle;
 use fib_netsim::prelude::*;
-use proptest::prelude::*;
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 
-const FIXTURES: [&str; 8] = [
-    include_str!("data/pin_0.csv"),
-    include_str!("data/pin_1.csv"),
-    include_str!("data/pin_2.csv"),
-    include_str!("data/pin_3.csv"),
-    include_str!("data/pin_4.csv"),
-    include_str!("data/pin_5.csv"),
-    include_str!("data/pin_6.csv"),
-    include_str!("data/pin_7.csv"),
+/// Seed 0's reference output, in full.
+const PIN_0: &str = include_str!("data/pin_0.csv");
+
+/// Seeds 1–7: the FNV-1a digest of everything but the `stats,` line,
+/// and that line.
+const DIGESTS: [(u64, &str); 7] = [
+    (
+        0xbd02_f0cb_06f9_4379,
+        "stats,1695,1274,48404,0,31,21,197,25,1,0.051000",
+    ),
+    (
+        0xda35_090b_a223_e6c2,
+        "stats,1697,1274,48404,0,34,25,213,29,1,0.051000",
+    ),
+    (
+        0x55ef_e99d_3fd7_123e,
+        "stats,1694,1274,48404,0,32,27,210,26,2,0.002000",
+    ),
+    (
+        0x7389_5cce_2f56_33d4,
+        "stats,1696,1274,48404,0,34,27,224,27,0,0.000000",
+    ),
+    (
+        0xe987_9f5c_0619_c9b4,
+        "stats,1697,1274,48404,0,34,20,214,25,0,0.000000",
+    ),
+    (
+        0x312c_837a_4ab2_c121,
+        "stats,1692,1274,48404,0,29,17,207,21,0,0.000000",
+    ),
+    (
+        0xe79a_e14c_5c65_828b,
+        "stats,1697,1274,48404,0,31,14,191,24,0,0.000000",
+    ),
 ];
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -198,13 +225,38 @@ fn split_stats(full: &str) -> (String, String) {
     (data.concat(), stats.concat())
 }
 
+/// Seed `seed`'s run as its reference is kept: the data plane (in full
+/// for seed 0, as a digest otherwise) and the `stats,` line.
+fn observed(seed: u64) -> (String, String) {
+    let (data, stats) = split_stats(&run_pin(seed));
+    if seed == 0 {
+        (data, stats)
+    } else {
+        (
+            format!("{:#018x}", fnv1a(FNV_OFFSET, data.as_bytes())),
+            stats,
+        )
+    }
+}
+
+/// The pre-port reference for `seed`, in the form [`observed`] returns.
+fn expected(seed: u64) -> (String, String) {
+    match seed {
+        0 => split_stats(PIN_0),
+        _ => {
+            let (digest, stats) = DIGESTS[seed as usize - 1];
+            (format!("{digest:#018x}"), format!("{stats}\n"))
+        }
+    }
+}
+
 /// Every seed's kernel-driven run is byte-identical to the pre-port
 /// reference trace, machinery counters included.
 #[test]
 fn kernel_matches_preport_reference_traces() {
-    for (seed, fixture) in FIXTURES.iter().enumerate() {
-        let (data, stats) = split_stats(&run_pin(seed as u64));
-        let (want_data, want_stats) = split_stats(fixture);
+    for seed in 0..8 {
+        let (data, stats) = observed(seed);
+        let (want_data, want_stats) = expected(seed);
         assert_eq!(
             data, want_data,
             "seed {seed}: data plane diverged from pre-port reference"
@@ -213,19 +265,5 @@ fn kernel_matches_preport_reference_traces() {
             stats, want_stats,
             "seed {seed}: machinery counters diverged from pre-port reference"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Property form of the pin: any scripted seed replayed through
-    /// the kernel reproduces its pre-port reference byte-for-byte.
-    #[test]
-    fn kernel_run_is_byte_identical_to_reference(seed in 0u64..8) {
-        let (data, stats) = split_stats(&run_pin(seed));
-        let (want_data, want_stats) = split_stats(FIXTURES[seed as usize]);
-        prop_assert_eq!(data, want_data);
-        prop_assert_eq!(stats, want_stats);
     }
 }

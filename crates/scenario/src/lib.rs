@@ -79,8 +79,8 @@ pub mod prelude {
         WorkloadSpec,
     };
     pub use crate::suite::{
-        find_suite, found_dir, found_scenarios, load_found, load_scenario, scenarios_dir, Suite,
-        ALL_SCENARIOS, PREDICTIVE_PIN, SUITES,
+        check_paper_milestones, find_suite, found_dir, found_scenarios, load_found, load_scenario,
+        scenarios_dir, Suite, ALL_SCENARIOS, PREDICTIVE_PIN, SUITES,
     };
     pub use crate::sweep::{
         load_sweep, run_sweep, sweeps_dir, CellFailure, CellOutcome, SweepCell, SweepRun,

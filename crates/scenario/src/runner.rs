@@ -247,8 +247,8 @@ pub fn build(spec: &ScenarioSpec, opts: RunOptions) -> Result<ScenarioRun, SpecE
         sim.sample_link(&format!("r{a}-r{b}"), RouterId(*a), RouterId(*b));
     }
 
-    // Controller (before the workload driver, mirroring the demo's
-    // app order so notifications reach it in the same relative order).
+    // Controller (before the workload driver: apps hear a flow
+    // notification in the order they were added).
     let controller = if opts.disable_controller {
         None
     } else {
@@ -439,7 +439,6 @@ fn controller_config(c: &ControllerSpec) -> ControllerConfig {
     cfg.default_flow_rate = c.default_flow_rate;
     cfg.predictive = c.predictive;
     cfg.use_snmp = c.use_snmp;
-    cfg.trace_lies = true;
     cfg
 }
 

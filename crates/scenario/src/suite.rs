@@ -5,7 +5,9 @@
 //! `smoke` trims the horizon so CI can run the pipeline twice and
 //! byte-diff the outputs in seconds.
 
+use crate::runner::ScenarioRun;
 use crate::spec::{ScenarioSpec, SpecError};
+use fib_igp::types::{Prefix, RouterId};
 use std::path::PathBuf;
 
 /// A named, ordered collection of scenarios.
@@ -191,6 +193,50 @@ rate = 1e6
 video_secs = 12.0
 dst = 2
 "#;
+
+/// The paper's pinned control-plane milestones on a `paper_demo` run
+/// (routers numbered as in `fib_igp::builders::paper_fig1`, blue is
+/// the first sink's prefix). Past the t=15 wave B spreads over R2 and
+/// R3 while A still forwards only via B; past the t=35 wave B holds
+/// the single-lie plan (one slot each via R2 and R3) and A the two-lie
+/// plan (one slot via B, two via R1 — the 1/3–2/3 split). Advances
+/// `run` to 25 s, then to 45 s.
+pub fn check_paper_milestones(run: &mut ScenarioRun) -> Result<(), String> {
+    let [a, b, r1, r2, r3] = [1, 2, 3, 4, 5].map(RouterId);
+    // Sorted next hops of `router` toward blue at `secs`.
+    let mut hops = |secs: f64, router: RouterId| {
+        run.run_until_secs(secs);
+        let fib = run.sim.ctx().fib_nexthops(router, Prefix::net24(1));
+        let mut v: Vec<RouterId> = fib.iter().map(|h| h.router).collect();
+        v.sort();
+        v
+    };
+    let (b_wave, a_idle) = (hops(25.0, b), hops(25.0, a));
+    let (b_settled, a_settled) = (hops(45.0, b), hops(45.0, a));
+    let spread = b_wave.contains(&r2) && b_wave.contains(&r3);
+    let checks = [
+        (spread, "t=25: B must spread over R2 and R3", b_wave),
+        (
+            a_idle == [b],
+            "t=25: A must still forward only via B",
+            a_idle,
+        ),
+        (
+            b_settled == [r2, r3],
+            "t=45: B's single-lie plan must be [R2, R3]",
+            b_settled,
+        ),
+        (
+            a_settled == [b, r1, r1],
+            "t=45: A's two-lie plan must be 1 slot via B, 2 via R1",
+            a_settled,
+        ),
+    ];
+    match checks.into_iter().find(|(held, ..)| !held) {
+        Some((_, what, got)) => Err(format!("{what}; got {got:?}")),
+        None => Ok(()),
+    }
+}
 
 /// The `scenarios/found/` directory: the adversarial fuzzer's archived
 /// regression corpus (see `docs/ADVERSARY.md`). Unlike the shipped

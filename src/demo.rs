@@ -1,11 +1,15 @@
-//! The paper's demo scenario, end to end.
+//! The paper's demo network: names and calibration.
 //!
-//! This module pins down everything Sec. 3 of the paper describes:
-//! the Fig. 1a topology (weights included), the video servers S1/S2 at
-//! B and A, the blue destination prefix behind C, the Fibbing
-//! controller attached to R3, and the exact flow schedule of Fig. 2
-//! (1 flow at t = 0 s, +30 at t = 15 s, +31 from the second source at
-//! t = 35 s).
+//! Sec. 3 of the paper runs one experiment: the Fig. 1a topology
+//! (weights included), the video servers S1/S2 at B and A, the blue
+//! destination prefix behind C, the Fibbing controller attached to R3,
+//! and the flow schedule of Fig. 2 (1 flow at t = 0 s, +30 at
+//! t = 15 s, +31 from the second source at t = 35 s). That experiment
+//! is `scenarios/paper_demo.toml`, run by the scenario engine
+//! (`fib_scenario::runner::build`); `no_controller_baseline.toml`, or
+//! `RunOptions::disable_controller`, is its controller-off twin. This
+//! module names the routers, links and constants the static figures
+//! and tables read, and its tests hold them to that file.
 //!
 //! ## Calibration
 //!
@@ -23,11 +27,7 @@
 //! node at B (cost 2 via R3) at t = 15, plus two fake nodes at A
 //! (cost 3 via R1) at t = 35.
 
-use fib_core::prelude::{ControllerConfig, FibbingController};
 use fib_igp::prelude::*;
-use fib_netsim::link::LinkSpec;
-use fib_netsim::sim::{Sim, SimConfig};
-use fib_video::prelude::{paper_schedule, QoeHandle, VideoWorkload};
 use std::collections::BTreeMap;
 
 /// Router A (hosts video source S2).
@@ -44,8 +44,6 @@ pub const R3: RouterId = RouterId(5);
 pub const R4: RouterId = RouterId(6);
 /// Router C (announces the blue prefix; clients D1/D2 sit behind it).
 pub const C: RouterId = RouterId(7);
-/// The Fibbing controller's speaker id.
-pub const CTRL: RouterId = RouterId(100);
 
 /// The blue destination prefix of Fig. 1.
 pub const BLUE: Prefix = Prefix::net24(1);
@@ -60,7 +58,6 @@ pub fn name(r: RouterId) -> &'static str {
         R3 => "R3",
         R4 => "R4",
         C => "C",
-        CTRL => "ctrl",
         _ => "?",
     }
 }
@@ -107,82 +104,6 @@ pub const VIDEO_RATE: f64 = 125_000.0;
 /// Video clip length in seconds (long enough to span the run).
 pub const VIDEO_SECS: f64 = 300.0;
 
-/// Demo configuration.
-#[derive(Debug, Clone)]
-pub struct DemoConfig {
-    /// Run with the Fibbing controller (the paper's "enabled" run).
-    pub controller: bool,
-    /// Controller reacts to notifications (predictive) or SNMP only.
-    pub predictive: bool,
-}
-
-impl Default for DemoConfig {
-    fn default() -> Self {
-        DemoConfig {
-            controller: true,
-            predictive: true,
-        }
-    }
-}
-
-/// A built demo: the simulator plus the live QoE handle.
-pub struct Demo {
-    /// The co-simulation, ready to run.
-    pub sim: Sim,
-    /// Live per-session QoE reports.
-    pub qoe: QoeHandle,
-}
-
-/// Build the full demo simulation. Sampled trace series are named
-/// `A-R1`, `B-R2`, `B-R3` — the links Fig. 2 plots.
-pub fn build(cfg: &DemoConfig) -> Demo {
-    let mut sim = Sim::new(SimConfig::default());
-    for r in [A, B, R1, R2, R3, R4, C] {
-        sim.add_router(r);
-    }
-    for (a, b, w) in PAPER_LINKS {
-        sim.add_link(LinkSpec::new(a, b, Metric(w), CAPACITY));
-    }
-    sim.announce_prefix(C, BLUE);
-
-    // The links Fig. 2 plots (direction: toward the clients).
-    sim.sample_link("A-R1", A, R1);
-    sim.sample_link("B-R2", B, R2);
-    sim.sample_link("B-R3", B, R3);
-    sim.sample_link("A-B", A, B);
-    sim.sample_link("R2-C", R2, C);
-    sim.sample_link("R3-C", R3, C);
-    sim.sample_link("R4-C", R4, C);
-
-    if cfg.controller {
-        sim.add_controller_speaker(CTRL, R3); // "connected to R3"
-        let mut ctl = ControllerConfig::new(CTRL);
-        ctl.target_util = 0.5;
-        ctl.util_hi = 0.8;
-        ctl.util_lo = 0.3;
-        ctl.slot_budget = 8;
-        ctl.default_flow_rate = VIDEO_RATE;
-        ctl.predictive = cfg.predictive;
-        sim.add_app(Box::new(FibbingController::new(ctl)));
-    }
-
-    // S1 streams from B, S2 from A (Fig. 1b/2).
-    let schedule = paper_schedule(B, A, BLUE, VIDEO_RATE, VIDEO_SECS);
-    let (driver, qoe) = VideoWorkload::new(schedule);
-    sim.add_app(Box::new(driver));
-
-    Demo { sim, qoe }
-}
-
-/// Build, start, and run the demo for `secs` seconds of simulated
-/// time.
-pub fn run(cfg: &DemoConfig, secs: u64) -> Demo {
-    let mut demo = build(cfg);
-    demo.sim.start();
-    demo.sim.run_until(Timestamp::from_secs(secs));
-    demo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +145,27 @@ mod tests {
             assert_eq!(t.link_metric(a, b), Some(Metric(w)), "{a}-{b}");
             assert_eq!(t.link_metric(b, a), Some(Metric(w)), "{b}-{a}");
         }
+    }
+
+    #[test]
+    fn constants_match_the_paper_demo_spec() {
+        use fib_scenario::spec::WorkloadSpec::Paper;
+        let spec = fib_scenario::suite::load_scenario("paper_demo").expect("shipped spec");
+        let ctl = spec.controller.as_ref().expect("controller on");
+        let [Paper {
+            src1,
+            src2,
+            rate,
+            video_secs,
+        }] = spec.workloads.as_slice()
+        else {
+            panic!("paper_demo runs the paper workload alone");
+        };
+        assert_eq!(
+            (spec.capacity, *rate, *video_secs, ctl.default_flow_rate),
+            (CAPACITY, VIDEO_RATE, VIDEO_SECS, VIDEO_RATE)
+        );
+        assert_eq!([*src1, *src2, ctl.attach].map(RouterId), [B, A, R3]);
     }
 
     #[test]

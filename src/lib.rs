@@ -5,8 +5,9 @@
 //! Vanbever, Rexford — SIGCOMM 2016 demo), built on the Fibbing system
 //! of Vissicchio et al. (SIGCOMM 2015).
 //!
-//! This facade crate re-exports the whole stack and ships the paper's
-//! demo scenario ([`demo`]):
+//! This facade crate re-exports the whole stack and names the paper's
+//! demo network ([`demo`]); the experiment itself is
+//! `scenarios/paper_demo.toml`, run by the scenario engine:
 //!
 //! | crate | role |
 //! |-------|------|
@@ -21,15 +22,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fibbing::demo;
+//! use fibbing::scenario::prelude::*;
 //!
 //! // Run the paper's experiment for 12 simulated seconds with the
 //! // controller enabled (the full run is `fig2_timeseries`).
-//! let cfg = demo::DemoConfig::default();
-//! let run = demo::run(&cfg, 12);
-//! // The three links of Fig. 2 are recorded as named series.
-//! let recorder = run.sim.recorder();
-//! assert!(recorder.max("B-R2").unwrap() > 0.0);
+//! let spec = load_scenario("paper_demo").unwrap();
+//! let mut run = build(&spec, RunOptions::default()).unwrap();
+//! run.run_until_secs(12.0);
+//! // The three links of Fig. 2 are recorded as named series; B-R2 is
+//! // `r2-r4`.
+//! assert!(run.sim.recorder().max("r2-r4").unwrap() > 0.0);
 //! ```
 
 #![warn(missing_docs)]

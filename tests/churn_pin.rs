@@ -12,6 +12,9 @@
 //! horizon, both with sessions still playing. A change that only makes
 //! a tick or a settle cheaper must move none of the digests below.
 
+mod common;
+
+use common::render;
 use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use fibbing::scenario::runner::{build, RunOptions};
 use fibbing::scenario::spec::ScenarioSpec;
@@ -137,28 +140,6 @@ capacity = 1.5e7
 /// Simulated second of the first read: mid brown-out, between the
 /// ticks at 13.5 and 13.6.
 const MID_RUN_SECS: f64 = 13.537;
-
-/// One report per line, every field (`{:?}` prints the shortest text
-/// that reads back to the same f64).
-fn render(reports: &[QoeReport]) -> String {
-    let mut out = String::new();
-    for q in reports {
-        let _ = writeln!(
-            out,
-            "{:?} {} {:?} {:?} {:?} {} {:?} {:?} {}",
-            q.startup_delay,
-            q.stalls,
-            q.stall_secs,
-            q.mean_bitrate,
-            q.max_bitrate,
-            q.switches,
-            q.played_secs,
-            q.duration,
-            q.completed
-        );
-    }
-    out
-}
 
 #[test]
 fn no_controller_churn_run_is_pinned_byte_for_byte() {

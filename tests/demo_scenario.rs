@@ -1,35 +1,49 @@
 //! End-to-end reproduction of the demo experiment (Fig. 2).
 //!
-//! Runs the full co-simulation — real IGP convergence, controller
-//! reacting to server notifications and SNMP, video players — and
-//! asserts the shape of the paper's Fig. 2: additional paths appear
-//! as load increases, the maximum link load stays below capacity with
-//! the controller, and playback only stutters without it.
+//! Runs `scenarios/paper_demo.toml` through the full co-simulation —
+//! real IGP convergence, controller reacting to server notifications
+//! and SNMP, video players — and asserts the shape of the paper's
+//! Fig. 2: additional paths appear as load increases, the maximum link
+//! load stays below capacity with the controller, and playback only
+//! stutters without it. Routers are numbered as in `fibbing::demo`
+//! (A = 1, B = 2, R1 = 3, R2 = 4, R3 = 5, R4 = 6, C = 7), so A-R1,
+//! B-R2 and B-R3 are the series `r1-r3`, `r2-r4` and `r2-r5`.
 
-use fibbing::demo::{self, DemoConfig, A, B, BLUE, R1, R2, R3};
+use fibbing::demo::{self, A, B, BLUE, R1, R2, R3};
 use fibbing::prelude::*;
+
+/// The shipped spec `name`, run to `secs` with the controller's
+/// `predictive` flag set and `extra` links sampled as well.
+fn paper_run(name: &str, predictive: bool, extra: &[(u32, u32)], secs: f64) -> ScenarioRun {
+    let mut spec = load_scenario(name).expect("shipped spec parses");
+    if let Some(ctl) = spec.controller.as_mut() {
+        ctl.predictive = predictive;
+    }
+    spec.trace_links.extend_from_slice(extra);
+    let mut run = build(&spec, RunOptions::default()).expect("shipped spec builds");
+    run.run_until_secs(secs);
+    run
+}
 
 #[test]
 fn fig2_with_controller_prevents_congestion() {
-    let cfg = DemoConfig::default();
-    let mut run = demo::build(&cfg);
-    run.sim.start();
-    run.sim.run_until(Timestamp::from_secs(55));
+    // R2-C, R3-C and R4-C too: nothing may exceed capacity.
+    let mut run = paper_run("paper_demo", true, &[(4, 7), (5, 7), (6, 7)], 55.0);
     let rec = run.sim.recorder();
 
     // Phase 1 (t < 15): a single ~125 kB/s flow on B–R2 only.
-    let b_r2_p1 = rec.mean_over("B-R2", 8.0, 14.0).unwrap();
+    let b_r2_p1 = rec.mean_over("r2-r4", 8.0, 14.0).unwrap();
     assert!(
         (b_r2_p1 - demo::VIDEO_RATE).abs() < 0.2 * demo::VIDEO_RATE,
         "phase 1 B-R2 ≈ one video, got {b_r2_p1}"
     );
-    assert_eq!(rec.mean_over("A-R1", 8.0, 14.0), Some(0.0));
-    assert_eq!(rec.mean_over("B-R3", 8.0, 14.0), Some(0.0));
+    assert_eq!(rec.mean_over("r1-r3", 8.0, 14.0), Some(0.0));
+    assert_eq!(rec.mean_over("r2-r5", 8.0, 14.0), Some(0.0));
 
     // Phase 2 (15 < t < 35): 31 flows, fB splits B's traffic evenly
     // over B–R2 and B–R3; A–R1 still idle.
-    let b_r2_p2 = rec.mean_over("B-R2", 25.0, 34.0).unwrap();
-    let b_r3_p2 = rec.mean_over("B-R3", 25.0, 34.0).unwrap();
+    let b_r2_p2 = rec.mean_over("r2-r4", 25.0, 34.0).unwrap();
+    let b_r3_p2 = rec.mean_over("r2-r5", 25.0, 34.0).unwrap();
     let total_p2 = 31.0 * demo::VIDEO_RATE;
     assert!(
         (b_r2_p2 + b_r3_p2 - total_p2).abs() < 0.1 * total_p2,
@@ -39,18 +53,18 @@ fn fig2_with_controller_prevents_congestion() {
         (b_r2_p2 - b_r3_p2).abs() < 0.25 * total_p2,
         "phase 2 split should be roughly even: {b_r2_p2} vs {b_r3_p2}"
     );
-    assert!(rec.mean_over("A-R1", 25.0, 34.0).unwrap() < 1e3);
+    assert!(rec.mean_over("r1-r3", 25.0, 34.0).unwrap() < 1e3);
 
     // Phase 3 (t > 35): 62 flows; A–R1 carries ~2/3 of S2's traffic;
     // nothing exceeds capacity.
-    let a_r1_p3 = rec.mean_over("A-R1", 45.0, 54.0).unwrap();
+    let a_r1_p3 = rec.mean_over("r1-r3", 45.0, 54.0).unwrap();
     let s2_total = 31.0 * demo::VIDEO_RATE;
     assert!(
         (a_r1_p3 - 2.0 / 3.0 * s2_total).abs() < 0.25 * s2_total,
         "phase 3 A-R1 ≈ 2/3 of S2 ({}), got {a_r1_p3}",
         2.0 / 3.0 * s2_total
     );
-    for series in ["A-R1", "B-R2", "B-R3", "R2-C", "R3-C", "R4-C"] {
+    for series in ["r1-r3", "r2-r4", "r2-r5", "r4-r7", "r5-r7", "r6-r7"] {
         let max = rec.max(series).unwrap_or(0.0);
         assert!(
             max <= demo::CAPACITY + 1.0,
@@ -87,23 +101,17 @@ fn fig2_with_controller_prevents_congestion() {
 
 #[test]
 fn fig2_without_controller_congests_and_stutters() {
-    let cfg = DemoConfig {
-        controller: false,
-        ..DemoConfig::default()
-    };
-    let mut run = demo::build(&cfg);
-    run.sim.start();
-    run.sim.run_until(Timestamp::from_secs(55));
+    let run = paper_run("no_controller_baseline", true, &[], 55.0);
     let rec = run.sim.recorder();
 
     // All traffic squeezes onto B–R2–C; the link saturates.
-    let b_r2 = rec.mean_over("B-R2", 45.0, 54.0).unwrap();
+    let b_r2 = rec.mean_over("r2-r4", 45.0, 54.0).unwrap();
     assert!(
         b_r2 > 0.97 * demo::CAPACITY,
         "B-R2 should saturate, got {b_r2}"
     );
-    assert_eq!(rec.mean_over("A-R1", 45.0, 54.0), Some(0.0));
-    assert_eq!(rec.mean_over("B-R3", 45.0, 54.0), Some(0.0));
+    assert_eq!(rec.mean_over("r1-r3", 45.0, 54.0), Some(0.0));
+    assert_eq!(rec.mean_over("r2-r5", 45.0, 54.0), Some(0.0));
 
     // Players starve: "stutter when disabled".
     let reports = run.qoe.reports();
@@ -114,11 +122,30 @@ fn fig2_without_controller_congests_and_stutters() {
     );
 }
 
+/// `table_reaction`'s two Fibbing rows, end to end: the seconds from
+/// the t=15 surge until B-R3 carries traffic, and the control packets
+/// and bytes sent over 14–33 s. Without notifications the controller
+/// reacts only once the polled SNMP counters raise an alarm.
 #[test]
-fn demo_is_deterministic() {
-    let run_csv = || {
-        let run = demo::run(&DemoConfig::default(), 40);
-        run.sim.recorder().to_csv()
+fn reaction_to_the_surge_is_pinned_with_and_without_notifications() {
+    let row = |predictive: bool| {
+        let mut run = paper_run("paper_demo", predictive, &[], 14.0);
+        let before = run.sim.stats();
+        run.run_until_secs(33.0);
+        let after = run.sim.stats();
+        let reaction = run
+            .sim
+            .recorder()
+            .series("r2-r5")
+            .iter()
+            .find(|(t, v)| *t >= 14.9 && *v > 1e4)
+            .map(|(t, _)| format!("{:.3}", t - 15.0));
+        (
+            reaction,
+            after.ctrl_pkts - before.ctrl_pkts,
+            after.ctrl_bytes - before.ctrl_bytes,
+        )
     };
-    assert_eq!(run_csv(), run_csv());
+    assert_eq!(row(true), (Some("0.900".into()), 364, 12_067));
+    assert_eq!(row(false), (Some("4.100".into()), 364, 8_437));
 }

@@ -2,8 +2,28 @@
 //! during the flash crowd, and two concurrent crowds toward different
 //! prefixes (the controller manages lies per destination).
 
-use fibbing::demo::{self, DemoConfig, A, B, BLUE, C, R1, R2, R3, R4};
+use fibbing::demo::{A, B, BLUE, C, CAPACITY, PAPER_LINKS, R1, R2, R3, R4};
 use fibbing::prelude::*;
+
+/// The Fig. 1a network with the calibrated links, `prefixes` announced
+/// and a controller (optimizer budget 0.5) peering at R3; not started.
+fn paper_sim(prefixes: &[(RouterId, Prefix)]) -> Sim {
+    let mut sim = Sim::new(SimConfig::default());
+    for r in [A, B, R1, R2, R3, R4, C] {
+        sim.add_router(r);
+    }
+    for (a, b, w) in PAPER_LINKS {
+        sim.add_link(LinkSpec::new(a, b, Metric(w), CAPACITY));
+    }
+    for (router, prefix) in prefixes {
+        sim.announce_prefix(*router, *prefix);
+    }
+    sim.add_controller_speaker(RouterId(100), R3);
+    let mut ctl = ControllerConfig::new(RouterId(100));
+    ctl.target_util = 0.5;
+    sim.add_app(Box::new(FibbingController::new(ctl)));
+    sim
+}
 
 /// Allocate an id and schedule a typed flow start (the sequence the
 /// old `schedule_flow` convenience produced).
@@ -13,31 +33,28 @@ fn sched_flow(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
     id
 }
 
-/// During the controlled flash crowd, the B–R2 link dies. The IGP
-/// reconverges, flows reroute, and — crucially — the injected lies do
-/// not trap traffic: everything keeps being delivered loop-free.
+/// During the controlled flash crowd of `paper_demo`, the B–R2 link
+/// dies. The IGP reconverges, flows reroute, and — crucially — the
+/// injected lies do not trap traffic: everything keeps being delivered
+/// loop-free.
 #[test]
 fn link_failure_during_crowd_reroutes() {
-    let cfg = DemoConfig::default();
-    let mut run = demo::build(&cfg);
-    run.sim.schedule(
-        Timestamp::from_secs(45),
-        Event::LinkAdmin {
-            a: B,
-            b: R2,
-            up: false,
-        },
-    );
-    run.sim.start();
-    run.sim.run_until(Timestamp::from_secs(55));
+    let mut spec = load_scenario("paper_demo").expect("shipped spec parses");
+    spec.events.push(EventSpec {
+        at: 45.0,
+        kind: EventKind::FailLink { a: B.0, b: R2.0 },
+    });
+    let mut run = build(&spec, RunOptions::default()).expect("paper_demo builds");
+    run.run_until_secs(55.0);
 
-    // B must have rerouted everything away from the dead link.
+    // B must have rerouted everything away from the dead link (B-R2,
+    // B-R3 and A-R1 are the spec's `r2-r4`, `r2-r5` and `r1-r3`).
     let rec = run.sim.recorder();
-    let b_r2_after = rec.mean_over("B-R2", 50.0, 54.0).unwrap_or(0.0);
+    let b_r2_after = rec.mean_over("r2-r4", 50.0, 54.0).unwrap_or(0.0);
     assert!(b_r2_after < 1.0, "dead link still carries {b_r2_after}");
     // Total delivery continues: remaining egress links carry the load.
-    let b_r3 = rec.mean_over("B-R3", 50.0, 54.0).unwrap_or(0.0);
-    let a_r1 = rec.mean_over("A-R1", 50.0, 54.0).unwrap_or(0.0);
+    let b_r3 = rec.mean_over("r2-r5", 50.0, 54.0).unwrap_or(0.0);
+    let a_r1 = rec.mean_over("r1-r3", 50.0, 54.0).unwrap_or(0.0);
     assert!(
         b_r3 + a_r1 > 4.0e6,
         "surviving paths must carry the crowd: B-R3={b_r3} A-R1={a_r1}"
@@ -52,20 +69,7 @@ fn link_failure_during_crowd_reroutes() {
 #[test]
 fn two_prefixes_are_steered_independently() {
     let green = Prefix::net24(2);
-    let mut sim = Sim::new(SimConfig::default());
-    for r in [A, B, R1, R2, R3, R4, C] {
-        sim.add_router(r);
-    }
-    for (a, b, w) in fibbing::demo::PAPER_LINKS {
-        sim.add_link(LinkSpec::new(a, b, Metric(w), 4.0e6));
-    }
-    sim.announce_prefix(C, BLUE);
-    sim.announce_prefix(R4, green); // second destination, behind R4
-    sim.add_controller_speaker(RouterId(100), R3);
-    let mut ctl = ControllerConfig::new(RouterId(100));
-    ctl.target_util = 0.5;
-    ctl.default_flow_rate = 125_000.0;
-    sim.add_app(Box::new(FibbingController::new(ctl)));
+    let mut sim = paper_sim(&[(C, BLUE), (R4, green)]); // green behind R4
 
     // Crowd 1: 31 videos B → blue (needs the fB lie).
     for i in 0..31u64 {
@@ -111,18 +115,7 @@ fn two_prefixes_are_steered_independently() {
 /// them — the controller is idempotent across cycles.
 #[test]
 fn crowd_cycles_install_and_retract_repeatedly() {
-    let mut sim = Sim::new(SimConfig::default());
-    for r in [A, B, R1, R2, R3, R4, C] {
-        sim.add_router(r);
-    }
-    for (a, b, w) in fibbing::demo::PAPER_LINKS {
-        sim.add_link(LinkSpec::new(a, b, Metric(w), 4.0e6));
-    }
-    sim.announce_prefix(C, BLUE);
-    sim.add_controller_speaker(RouterId(100), R3);
-    let mut ctl = ControllerConfig::new(RouterId(100));
-    ctl.target_util = 0.5;
-    sim.add_app(Box::new(FibbingController::new(ctl)));
+    let mut sim = paper_sim(&[(C, BLUE)]);
 
     // Two crowd waves with a quiet gap.
     let wave = |start: u64, stop: u64, sim: &mut Sim| {
