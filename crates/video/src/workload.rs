@@ -527,6 +527,56 @@ mod tests {
         assert_eq!(reports.reports().len(), 2);
     }
 
+    /// Server pacing, tick by tick, for one constant-bitrate session on
+    /// a link ten times its rate: the flow is capped at the clip's
+    /// rate while the player wants bytes, all but paused once every
+    /// byte has arrived (the last two seconds play from the buffer),
+    /// and gone when playback ends.
+    #[test]
+    fn pacing_follows_the_player_and_the_flow_stops_at_the_end() {
+        let (rate, secs) = (1e5, 10.0);
+        let mut sim = line(1e6);
+        let (driver, handle) = VideoWorkload::new(vec![wave(rate, secs, vec![Timestamp::ZERO])]);
+        sim.add_app(Box::new(driver));
+        sim.start();
+
+        let mut phases = Vec::new();
+        for tick in 1..=150u64 {
+            // Just after a tick: the cap is the one the tick left.
+            sim.run_until(Timestamp::from_millis(100 * tick + 1));
+            let shared = handle.0.lock();
+            let phase = match shared.active.first() {
+                Some(s) => {
+                    let flow = sim.flows().next().expect("a playing session has a flow");
+                    if s.player.wants_download() {
+                        assert_eq!(flow.cap, Some(rate), "tick {tick}");
+                        "paced"
+                    } else {
+                        assert_eq!(flow.cap, Some(1.0), "tick {tick}");
+                        assert!(
+                            s.last_delivered >= rate * secs * (1.0 - 1e-9),
+                            "tick {tick}"
+                        );
+                        "drained"
+                    }
+                }
+                None => {
+                    assert!(sim.flows().next().is_none(), "tick {tick}");
+                    assert!(shared.finished.contains_key(&0), "tick {tick}");
+                    "done"
+                }
+            };
+            if phases.last() != Some(&phase) {
+                phases.push(phase);
+            }
+        }
+        assert_eq!(phases, ["paced", "drained", "done"]);
+        let report = &handle.reports()[0];
+        assert!(report.completed, "{report:?}");
+        assert_eq!(report.stalls, 0);
+        assert_eq!(report.max_bitrate, rate);
+    }
+
     /// The driver's ABR block with a policy that can move. A player
     /// starts on the lowest rung and its server paces at that rung, so
     /// a rate-based policy climbs only if it bets on more than it has
