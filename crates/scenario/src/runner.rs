@@ -449,11 +449,6 @@ impl ScenarioRun {
         self.sim.run_until(at_secs(secs));
     }
 
-    /// Scenario name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Seed in effect (after overrides).
     pub fn seed(&self) -> u64 {
         self.seed
