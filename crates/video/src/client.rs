@@ -3,7 +3,7 @@
 //! The demo's observable is "video playbacks are smooth when the
 //! Fibbing controller is in use and stutter when disabled". The player
 //! model captures exactly that: downloaded bytes become buffered
-//! seconds at the current bitrate; playback drains one second per
+//! seconds at the clip's bitrate; playback drains one second per
 //! second; an empty buffer is a stall (rebuffering until a target
 //! level); QoE counters accumulate along the way.
 
@@ -50,11 +50,6 @@ pub struct Player {
     cfg: PlayerConfig,
     video: Video,
     state: PlayerState,
-    level: usize,
-    /// `video.ladder.rate(level)`, kept beside the level: every tick
-    /// reads it twice, and the ladder is a heap list of the session's
-    /// own.
-    bitrate: f64,
     buffer_secs: f64,
     played_secs: f64,
     downloaded_secs: f64,
@@ -64,7 +59,6 @@ pub struct Player {
     stalls: u32,
     stall_secs: f64,
     bitrate_time: f64, // ∫ bitrate over played time
-    switches: u32,
 }
 
 impl Player {
@@ -72,10 +66,8 @@ impl Player {
     pub fn new(video: Video, cfg: PlayerConfig, now: Timestamp) -> Player {
         Player {
             cfg,
-            bitrate: video.ladder.rate(0),
             video,
             state: PlayerState::Startup,
-            level: 0,
             buffer_secs: 0.0,
             played_secs: 0.0,
             downloaded_secs: 0.0,
@@ -84,7 +76,6 @@ impl Player {
             stalls: 0,
             stall_secs: 0.0,
             bitrate_time: 0.0,
-            switches: 0,
         }
     }
 
@@ -103,24 +94,9 @@ impl Player {
         self.played_secs
     }
 
-    /// Current ABR level.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Current bitrate (bytes/s).
+    /// The clip's bitrate (bytes/s).
     pub fn bitrate(&self) -> f64 {
-        self.bitrate
-    }
-
-    /// Switch the ABR level (QoE counts the switch).
-    pub fn set_level(&mut self, level: usize) {
-        let clamped = level.min(self.video.ladder.levels() - 1);
-        if clamped != self.level {
-            self.level = clamped;
-            self.bitrate = self.video.ladder.rate(clamped);
-            self.switches += 1;
-        }
+        self.video.rate
     }
 
     /// `true` while the player still wants bytes.
@@ -137,9 +113,9 @@ impl Player {
         if self.state == PlayerState::Done || dt <= 0.0 {
             return;
         }
-        // Ingest: bytes become buffered seconds at the current level's
-        // bitrate, bounded by what remains of the clip.
-        let rate = self.bitrate();
+        // Ingest: bytes become buffered seconds at the clip's bitrate,
+        // bounded by what remains of the clip.
+        let rate = self.video.rate;
         if bytes > 0.0 && self.downloaded_secs < self.video.duration {
             let secs = (bytes / rate).min(self.video.duration - self.downloaded_secs);
             self.downloaded_secs += secs;
@@ -198,8 +174,7 @@ impl Player {
             } else {
                 0.0
             },
-            max_bitrate: self.video.ladder.max_rate(),
-            switches: self.switches,
+            max_bitrate: self.video.rate,
             played_secs: self.played_secs,
             duration: self.video.duration,
             completed: self.state == PlayerState::Done,
@@ -276,19 +251,6 @@ mod tests {
         let played = p.played_secs();
         p.advance(t, 1.0, 1000.0);
         assert_eq!(p.played_secs(), played);
-    }
-
-    #[test]
-    fn level_switch_counts() {
-        let mut p = Player::new(
-            Video::adaptive(10.0),
-            PlayerConfig::default(),
-            Timestamp::ZERO,
-        );
-        p.set_level(2);
-        p.set_level(2);
-        p.set_level(0);
-        assert_eq!(p.qoe().switches, 2);
     }
 
     #[test]

@@ -14,10 +14,8 @@ pub struct QoeReport {
     pub stall_secs: f64,
     /// Time-weighted mean bitrate of rendered content (bytes/s).
     pub mean_bitrate: f64,
-    /// Top ladder bitrate (bytes/s), for normalization.
+    /// The clip's encoding bitrate (bytes/s), for normalization.
     pub max_bitrate: f64,
-    /// ABR level switches.
-    pub switches: u32,
     /// Seconds of content rendered.
     pub played_secs: f64,
     /// Clip duration.
@@ -41,7 +39,7 @@ impl QoeReport {
         self.completed && self.stalls == 0 && self.startup_delay.is_finite()
     }
 
-    /// A 1–5 MOS-like score: bitrate utility minus stall and switch
+    /// A 1–5 MOS-like score: bitrate utility minus stall and startup
     /// penalties (simple ITU-P.1203-inspired shape, documented rather
     /// than standardized).
     pub fn score(&self) -> f64 {
@@ -51,9 +49,8 @@ impl QoeReport {
         let bitrate_utility = (self.mean_bitrate / self.max_bitrate).clamp(0.0, 1.0);
         let base = 1.0 + 4.0 * bitrate_utility;
         let stall_penalty = 4.0 * self.stall_ratio() + 0.5 * f64::from(self.stalls.min(4));
-        let switch_penalty = 0.05 * f64::from(self.switches.min(20));
         let startup_penalty = (self.startup_delay / 10.0).min(0.5);
-        (base - stall_penalty - switch_penalty - startup_penalty).clamp(1.0, 5.0)
+        (base - stall_penalty - startup_penalty).clamp(1.0, 5.0)
     }
 }
 
@@ -123,7 +120,6 @@ mod tests {
             stall_secs: 0.0,
             mean_bitrate: 125_000.0,
             max_bitrate: 125_000.0,
-            switches: 0,
             played_secs: 60.0,
             duration: 60.0,
             completed: true,

@@ -5,23 +5,22 @@
 //! the simulator (the server paces at the encoding bitrate, as the
 //! demo's streaming servers do) feeding a [`Player`]'s buffer. The
 //! driver launches sessions on schedule, advances players from
-//! delivered bytes every tick, runs ABR at segment granularity, and
-//! shares its sessions with a [`QoeHandle`] through which the
-//! experiment harness reads every session's QoE report, mid-run or
+//! delivered bytes every tick, pauses a server while its player wants
+//! no bytes, and shares its sessions with a [`QoeHandle`] through which
+//! the experiment harness reads every session's QoE report, mid-run or
 //! after it. A tick pays nothing for that: a report enters the ordered
 //! map once, when its session finishes, and the reports of sessions
 //! still playing are derived from their players when somebody reads.
 //!
 //! A schedule is a list of [`Wave`]s: what every viewer of a wave
-//! shares (server, prefix, asset, ABR policy, player tuning) is stored
-//! once, next to the wave's arrival instants. A pending session costs
-//! one 16-byte `(start, wave, tag)` triple, a player is built when its
-//! session launches, and finished sessions are dropped from the active
-//! set, so memory tracks the number of *concurrent* viewers, not the
-//! length of the schedule. City-scale scenarios (thousands of
-//! sessions) rely on this.
+//! shares (server, prefix, asset) is stored once, next to the wave's
+//! arrival instants. A pending session costs one 16-byte
+//! `(start, wave, tag)` triple, a player is built when its session
+//! launches, and finished sessions are dropped from the active set, so
+//! memory tracks the number of *concurrent* viewers, not the length of
+//! the schedule. City-scale scenarios (thousands of sessions) rely on
+//! this.
 
-use crate::abr::{AbrInput, AbrPolicy};
 use crate::catalog::Video;
 use crate::client::{Player, PlayerConfig, PlayerState};
 use crate::qoe::QoeReport;
@@ -50,10 +49,6 @@ pub struct Wave {
     pub dst: Prefix,
     /// The asset every session of the wave plays.
     pub video: Video,
-    /// ABR policy.
-    pub abr: AbrPolicy,
-    /// Player tuning.
-    pub player: PlayerConfig,
     /// When each client presses play, in *generation* order (the order
     /// a seeded generator drew them, not necessarily ascending).
     pub starts: Vec<Timestamp>,
@@ -73,8 +68,6 @@ impl Wave {
             src,
             dst,
             video: Video::constant(secs, rate),
-            abr: AbrPolicy::Constant(0),
-            player: PlayerConfig::default(),
             starts,
         }
     }
@@ -125,17 +118,13 @@ impl QoeHandle {
     }
 }
 
-/// A launched session. What it shares with the rest of its wave stays
-/// in the [`Wave`].
+/// A launched session: its player holds a copy of the wave's asset.
 struct Session {
-    /// Index of its wave in the driver's list.
-    wave: u32,
     tag: u64,
     flow: FlowId,
     player: Player,
     last_delivered: f64,
     last_advanced: Timestamp,
-    thr_ewma: f64,
     /// A tick has advanced it: readers see its report from then on (a
     /// session launched at start-up is not visible before the first
     /// tick).
@@ -143,26 +132,19 @@ struct Session {
 }
 
 impl Session {
-    /// Start the flow and the player of session `tag` of `waves[index]`.
-    fn launch(waves: &[Wave], index: u32, tag: u64, api: &mut SimContext<'_>) -> Session {
-        let wave = &waves[index as usize];
-        let bitrate = wave.video.ladder.rate(match &wave.abr {
-            AbrPolicy::Constant(l) => *l,
-            _ => 0,
-        });
+    /// Start the flow and the player of session `tag` of `wave`.
+    fn launch(wave: &Wave, tag: u64, api: &mut SimContext<'_>) -> Session {
         let flow = api.start_flow(
             FlowSpec::new(wave.src, wave.dst)
-                .with_cap(bitrate)
+                .with_cap(wave.video.rate)
                 .with_tag(tag),
         );
         Session {
-            wave: index,
             tag,
             flow,
-            player: Player::new(wave.video.clone(), wave.player, api.now()),
+            player: Player::new(wave.video, PlayerConfig::default(), api.now()),
             last_delivered: 0.0,
             last_advanced: api.now(),
-            thr_ewma: 0.0,
             advanced: false,
         }
     }
@@ -209,7 +191,7 @@ impl VideoWorkload {
 impl Shared {
     /// Advance every active session to now; a session whose clip ends
     /// leaves its final report in the map and the active set.
-    fn advance_sessions(&mut self, waves: &[Wave], api: &mut SimContext<'_>) {
+    fn advance_sessions(&mut self, api: &mut SimContext<'_>) {
         let now = api.now();
         let now_secs = now.as_secs_f64();
         for s in self.active.iter_mut() {
@@ -218,26 +200,8 @@ impl Shared {
             s.last_delivered = delivered;
             let dt = (now - s.last_advanced).as_secs_f64();
             s.last_advanced = now;
-            if dt > 0.0 {
-                s.thr_ewma = 0.5 * (bytes / dt) + 0.5 * s.thr_ewma;
-            }
             s.player.advance(now_secs, dt, bytes);
             s.advanced = true;
-
-            // ABR decision (no-op for Constant policies).
-            let wave = &waves[s.wave as usize];
-            let level = wave.abr.decide(
-                &wave.video.ladder,
-                AbrInput {
-                    buffer_secs: s.player.buffer_secs(),
-                    throughput: s.thr_ewma,
-                    current_level: s.player.level(),
-                },
-            );
-            if level != s.player.level() {
-                s.player.set_level(level);
-                api.set_flow_cap(s.flow, Some(s.player.bitrate()));
-            }
 
             // Pause/resume server pacing on buffer bounds.
             if !s.player.wants_download() && s.player.state() != PlayerState::Done {
@@ -279,11 +243,11 @@ impl EventHandler for VideoWorkload {
                 break;
             }
             self.cursor += 1;
-            let session = Session::launch(&self.waves, wave, u64::from(tag), ctx);
+            let session = Session::launch(&self.waves[wave as usize], u64::from(tag), ctx);
             shared.active.push(session);
         }
         if let AppEvent::Tick = ev {
-            shared.advance_sessions(&self.waves, ctx);
+            shared.advance_sessions(ctx);
         }
     }
 }
@@ -575,49 +539,5 @@ mod tests {
         assert!(report.completed, "{report:?}");
         assert_eq!(report.stalls, 0);
         assert_eq!(report.max_bitrate, rate);
-    }
-
-    /// The driver's ABR block with a policy that can move. A player
-    /// starts on the lowest rung and its server paces at that rung, so
-    /// a rate-based policy climbs only if it bets on more than it has
-    /// measured: `safety` 2.2 climbs one rung at a time (50 → 100 →
-    /// 150 kB/s) until the 130 kB/s link stops it below the top one.
-    #[test]
-    fn adaptive_wave_moves_its_level_and_the_flow_cap_follows() {
-        let mut sim = line(130_000.0);
-        let video = Video::adaptive(120.0);
-        let ladder = video.ladder.clone();
-        let waves = vec![Wave {
-            video,
-            abr: AbrPolicy::RateBased { safety: 2.2 },
-            ..wave(1.0, 1.0, vec![Timestamp::ZERO])
-        }];
-        let (driver, handle) = VideoWorkload::new(waves);
-        sim.add_app(Box::new(driver));
-        sim.start();
-
-        let mut levels = Vec::new();
-        for tick in 1..=400u64 {
-            // Just after a tick: the cap is the one the tick left.
-            sim.run_until(Timestamp::from_millis(100 * tick + 1));
-            let shared = handle.0.lock();
-            let s = &shared.active[0];
-            let flow = sim.flows().next().expect("one live flow");
-            assert_eq!(flow.cap, Some(s.player.bitrate()), "tick {tick}");
-            assert_eq!(s.player.bitrate(), ladder.rate(s.player.level()));
-            if levels.last() != Some(&s.player.level()) {
-                levels.push(s.player.level());
-            }
-        }
-        assert_eq!(levels, [0, 1, 2], "climbs, and never reaches rung 3");
-        let report = &handle.reports()[0];
-        assert_eq!(report.switches, 2);
-        assert_eq!(report.max_bitrate, ladder.max_rate());
-        assert!(report.stalls > 0, "150 kB/s does not fit in 130 kB/s");
-        // Past the top rung the level clamps, and the rate with it.
-        let player = &mut handle.0.lock().active[0].player;
-        player.set_level(99);
-        assert_eq!(player.level(), 3);
-        assert_eq!(player.bitrate(), ladder.rate(player.level()));
     }
 }

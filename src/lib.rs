@@ -16,7 +16,7 @@
 //! | [`telemetry`] | SNMP-style monitoring: ifTable counters, a MIB to walk, EWMA rates, hysteresis alarms |
 //! | [`core`] | Fibbing itself: lies, augmentation, uneven splits, optimizer, verification, the controller |
 //! | [`te`] | baselines: RSVP-TE tunnels, Fortz–Thorup weight search, ECMP optimality bounds |
-//! | [`video`] | the workload: playback buffers, ABR, QoE, flash crowds |
+//! | [`video`] | the workload: constant-bitrate sessions, playback buffers, QoE, flash crowds |
 //! | [`scenario`] | declarative what-if harness: topology × workload × fault-script specs, runner, reports |
 //!
 //! ## Quickstart
