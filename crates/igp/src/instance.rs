@@ -1941,6 +1941,57 @@ mod tests {
             .all(|i| i.neighbor.as_ref().unwrap().rxmt.is_empty()));
     }
 
+    /// The largest packets an instance packs: the length computed
+    /// without encoding is the encoding's, and fits the 16-bit length
+    /// field (one more ack header would not).
+    #[test]
+    fn encoded_len_of_a_full_update_and_the_largest_ack() {
+        let lsas: Vec<Lsa> = (0..MAX_UPD_LSAS as u32)
+            .map(|i| match i % 3 {
+                0 => Lsa::router(
+                    RouterId(i),
+                    SeqNum(1),
+                    (0..i)
+                        .map(|to| LsaLink {
+                            to: RouterId(to),
+                            metric: Metric(to),
+                        })
+                        .collect(),
+                ),
+                1 => Lsa::prefix(RouterId(i), i, SeqNum(2), Prefix::net24(i as u8), Metric(0)),
+                _ => Lsa::fake(
+                    RouterId::fake(i),
+                    SeqNum(3),
+                    RouterId(1),
+                    Metric(1),
+                    Prefix::net24(1),
+                    Metric(1),
+                    FwAddr::secondary(RouterId(2), i as u16),
+                ),
+            })
+            .collect();
+        let update = Packet::LsUpdate(LsUpdate { lsas });
+        let bytes = wire::encode(&update, RouterId(9));
+        assert_eq!(wire::encoded_len(&update), bytes.len());
+
+        let header = LsaHeader {
+            key: LsaKey {
+                origin: RouterId(7),
+                kind: LsaKind::Router,
+                id: 0,
+            },
+            seq: SeqNum(1),
+            age: 0,
+        };
+        let ack = Packet::LsAck(LsAck {
+            headers: vec![header; MAX_ACK_HEADERS],
+        });
+        let len = wire::encoded_len(&ack);
+        assert_eq!(len, wire::encode(&ack, RouterId(9)).len());
+        assert!(len <= usize::from(u16::MAX));
+        assert!(len + wire::LSA_HEADER_LEN > usize::from(u16::MAX));
+    }
+
     #[test]
     fn packet_on_unknown_iface_is_error() {
         let mut inst = Instance::new(Config::new(RouterId(1)));

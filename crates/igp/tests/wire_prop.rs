@@ -6,8 +6,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 use fib_igp::lsa::{Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink};
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId, SeqNum};
 use fib_igp::wire::{
-    decode, encode, encode_ls_update, fletcher16, Dbd, Hello, LsAck, LsRequest, LsUpdate, Packet,
-    HEADER_LEN, VERSION,
+    decode, encode, encode_ls_update, encoded_len, fletcher16, Dbd, Hello, LsAck, LsRequest,
+    LsUpdate, Packet, HEADER_LEN, VERSION,
 };
 use proptest::prelude::*;
 
@@ -285,6 +285,13 @@ proptest! {
         if let Packet::LsUpdate(u) = &pkt {
             prop_assert_eq!(&encode_ls_update(u.lsas.iter(), sender)[..], &bytes[..]);
         }
+    }
+
+    /// The length computed without encoding is the encoding's, for
+    /// every packet type and all three LSA kinds.
+    #[test]
+    fn encoded_len_is_the_encoding_length(pkt in arb_packet(), sender in arb_router()) {
+        prop_assert_eq!(encoded_len(&pkt), encode(&pkt, sender).len());
     }
 
     /// Any packet we can construct roundtrips exactly.
