@@ -5,7 +5,9 @@
 //! and fires protocol timers in timestamp order. The full data-plane
 //! simulator in `fib-netsim` supersedes it for real experiments; this
 //! one exists so the protocol can be exercised (and benchmarked)
-//! without any higher layer.
+//! without any higher layer. It drives the protocol at the byte level:
+//! every datagram an instance sends is encoded, and the bytes are what
+//! loss strikes and what the receiver decodes.
 
 use crate::instance::{Config, Instance, Output};
 use crate::rib::RouteTable;
@@ -221,7 +223,9 @@ impl Harness {
             let inst = self.instances.get_mut(&id).unwrap();
             for out in inst.drain_output() {
                 match out {
-                    Output::Send { iface, data } => to_send.push((id, iface, data)),
+                    Output::Send { iface, datagram } => {
+                        to_send.push((id, iface, datagram.encode(id)))
+                    }
                     Output::FibUpdate(table) => {
                         self.fibs.insert(id, table);
                     }

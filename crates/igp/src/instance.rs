@@ -6,11 +6,19 @@
 //! scheduling — but performs no IO and reads no clock. A harness (the
 //! network simulator, or [`crate::harness`] in tests) drives it:
 //!
-//! * deliver received datagrams with [`Instance::handle_packet`],
+//! * deliver received datagrams with [`Instance::receive`] (as another
+//!   instance sent them) or [`Instance::handle_packet`] (as bytes, which
+//!   it decodes first),
 //! * fire due timers with [`Instance::poll_timers`] (next deadline via
 //!   [`Instance::next_timer`]),
-//! * collect emissions (packets to send, FIB downloads, adjacency
+//! * collect emissions (datagrams to send, FIB downloads, adjacency
 //!   events) with [`Instance::drain_output`].
+//!
+//! What an instance sends is a [`Datagram`], not bytes: an LS Update
+//! holds the very `Arc<Lsa>` instances its LSDB and retransmit lists
+//! hold, so a receiver that installs one shares it too. A driver that
+//! needs bytes encodes the datagram ([`Datagram::encode`]);
+//! [`Datagram::encoded_len`] is their number without encoding.
 //!
 //! The Fibbing controller is *just another speaker*: it forms an
 //! adjacency with one real router and floods fake LSAs through the
@@ -42,7 +50,7 @@
 //!   than any instance the neighbor can have acked. So the two orders
 //!   leave the same lists.
 //!
-//! Both are encoded at drain, where `Stats::pkts_sent` counts them.
+//! Both are handed over at drain, where `Stats::pkts_sent` counts them.
 //! Nothing waits: a drain happens once per batch of simultaneous
 //! events, so every LSA still leaves at the instant it was flooded and
 //! only packet and byte counts move. The per-LSA steps of `on_update`
@@ -71,7 +79,7 @@ use crate::rib::RouteTable;
 use crate::spf::SpfEngine;
 use crate::time::{Dur, Timestamp};
 use crate::types::{FwAddr, IfaceId, Metric, Prefix, RouterId, SeqNum};
-use crate::wire::{self, Dbd, Hello, LsAck, LsRequest, LsUpdate, Packet};
+use crate::wire::{self, Datagram, Dbd, Hello, LsAck, LsRequest, Packet};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -142,8 +150,8 @@ pub enum Output {
     Send {
         /// Egress interface.
         iface: IfaceId,
-        /// Encoded packet.
-        data: Bytes,
+        /// The packet, as the receiving instance takes it.
+        datagram: Datagram,
     },
     /// Download a freshly computed route table into the FIB.
     FibUpdate(RouteTable),
@@ -172,7 +180,7 @@ struct NeighborSm {
     next_chunk: usize,
     peer_done: bool,
     self_done: bool,
-    last_dbd: Option<Bytes>,
+    last_dbd: Option<Dbd>,
     last_dbd_at: Timestamp,
     // --- loading ---
     req_list: Vec<LsaKey>,
@@ -221,7 +229,7 @@ struct Iface {
 }
 
 /// One entry of the output queue: ready, or a packet still being
-/// packed for one interface (encoded at drain).
+/// packed for one interface (handed over at drain).
 #[derive(Debug)]
 enum Pending {
     Ready(Output),
@@ -601,10 +609,10 @@ impl Instance {
         }
         // DBD retransmit.
         if matches!(n.state, NbrState::ExStart | NbrState::Exchange) {
-            if let Some(data) = n.last_dbd.clone() {
+            if let Some(dbd) = n.last_dbd.clone() {
                 if now >= n.last_dbd_at + RXMT_INTERVAL {
                     n.last_dbd_at = now;
-                    self.push_send(id, data);
+                    self.send_packet(id, Packet::Dbd(dbd));
                 }
             }
         }
@@ -632,69 +640,94 @@ impl Instance {
             let n = self.ifaces.get_mut(&id).unwrap().neighbor.as_mut().unwrap();
             if now >= n.last_rxmt_at + RXMT_INTERVAL {
                 n.last_rxmt_at = now;
-                let lsas = n.rxmt.values().take(MAX_UPD_LSAS).map(|l| &**l);
-                let data = wire::encode_ls_update(lsas, self.cfg.router_id);
-                self.push_send(id, data);
+                let lsas = n.rxmt.values().take(MAX_UPD_LSAS).cloned().collect();
+                self.push_send(id, Datagram::Update(lsas));
             }
         }
     }
 
-    /// Handle a datagram received on `iface`.
+    /// Handle the bytes of a datagram received on `iface`: decode them,
+    /// then [`Instance::receive`] what they carry.
     pub fn handle_packet(
         &mut self,
         iface: IfaceId,
         data: Bytes,
         now: Timestamp,
     ) -> Result<(), InstanceError> {
-        if !self.ifaces.contains_key(&iface) {
-            return Err(InstanceError::UnknownIface(iface.0));
-        }
-        if !self.ifaces[&iface].enabled {
+        if !self.accepts(iface)? {
             return Ok(()); // silently dropped, interface is down
         }
         self.clock = now;
-        let (sender, packet) = match wire::decode(data) {
-            Ok(x) => x,
+        match wire::decode(data) {
+            Ok((sender, packet)) => self.receive(iface, sender, packet.into(), now),
             Err(e) => {
                 self.stats.decode_errors += 1;
-                return Err(e.into());
+                Err(e.into())
             }
-        };
+        }
+    }
+
+    /// Handle a datagram `sender` sent us on `iface`.
+    pub fn receive(
+        &mut self,
+        iface: IfaceId,
+        sender: RouterId,
+        datagram: Datagram,
+        now: Timestamp,
+    ) -> Result<(), InstanceError> {
+        if !self.accepts(iface)? {
+            return Ok(()); // silently dropped, interface is down
+        }
+        self.clock = now;
         self.stats.pkts_recv += 1;
-        match packet {
-            Packet::Hello(h) => self.on_hello(iface, sender, h, now),
-            Packet::Dbd(d) => self.on_dbd(iface, sender, d, now),
-            Packet::LsRequest(r) => self.on_request(iface, sender, r),
-            Packet::LsUpdate(u) => self.on_update(iface, sender, u, now),
-            Packet::LsAck(a) => self.on_ack(iface, sender, a),
+        match datagram {
+            Datagram::Update(lsas) => self.on_update(iface, sender, lsas, now),
+            Datagram::Other(packet) => match packet {
+                Packet::Hello(h) => self.on_hello(iface, sender, h, now),
+                Packet::Dbd(d) => self.on_dbd(iface, sender, d, now),
+                Packet::LsRequest(r) => self.on_request(iface, sender, r),
+                Packet::LsUpdate(u) => {
+                    let lsas = u.lsas.into_iter().map(Arc::new).collect();
+                    self.on_update(iface, sender, lsas, now);
+                }
+                Packet::LsAck(a) => self.on_ack(iface, sender, a),
+            },
         }
         Ok(())
     }
 
-    /// Drain all pending outputs, oldest first, encoding the packed
+    /// Whether a datagram arriving on `iface` is processed: an error
+    /// for an interface we lack, `false` while it is down.
+    fn accepts(&self, iface: IfaceId) -> Result<bool, InstanceError> {
+        self.ifaces
+            .get(&iface)
+            .map(|i| i.enabled)
+            .ok_or(InstanceError::UnknownIface(iface.0))
+    }
+
+    /// Drain all pending outputs, oldest first, handing over the packed
     /// updates and acks; the next packet on any interface starts anew.
     pub fn drain_output(&mut self) -> impl Iterator<Item = Output> + '_ {
         for iface in self.ifaces.values_mut() {
             iface.open_update = None;
             iface.open_ack = None;
         }
-        let me = self.cfg.router_id;
         let stats = &mut self.stats;
         self.out.drain(..).map(move |p| {
             let out = match p {
                 Pending::Ready(out) => out,
                 Pending::Update(iface, lsas) => Output::Send {
                     iface,
-                    data: wire::encode_ls_update(lsas.iter().map(|l| &**l), me),
+                    datagram: Datagram::Update(lsas),
                 },
                 Pending::Ack(iface, headers) => Output::Send {
                     iface,
-                    data: wire::encode(&Packet::LsAck(LsAck { headers }), me),
+                    datagram: Datagram::Other(Packet::LsAck(LsAck { headers })),
                 },
             };
-            if let Output::Send { data, .. } = &out {
+            if let Output::Send { datagram, .. } = &out {
                 stats.pkts_sent += 1;
-                stats.bytes_sent += data.len() as u64;
+                stats.bytes_sent += datagram.encoded_len() as u64;
             }
             out
         })
@@ -735,17 +768,16 @@ impl Instance {
             n.peer_done = false;
             n.self_done = false;
             if n.master {
-                let pkt = Packet::Dbd(Dbd {
+                let dbd = Dbd {
                     init: true,
                     more: true,
                     master: true,
                     dd_seq: n.dd_seq,
                     headers: vec![],
-                });
-                let data = wire::encode(&pkt, my_id);
-                n.last_dbd = Some(data.clone());
+                };
+                n.last_dbd = Some(dbd.clone());
                 n.last_dbd_at = now;
-                self.push_send(iface_id, data);
+                self.send_packet(iface_id, Packet::Dbd(dbd));
             }
         } else if n.state != NbrState::Init && !sees_us {
             // Neighbor restarted and forgot us: fall back to Init.
@@ -778,8 +810,8 @@ impl Instance {
         // Plan inside a scoped borrow of the neighbor; act afterwards.
         enum Act {
             None,
-            Send(Bytes),
-            SendAndMaybeFinish(Bytes, bool),
+            Send(Dbd),
+            SendAndMaybeFinish(Dbd, bool),
             MasterReply,
         }
         let act = {
@@ -808,17 +840,16 @@ impl Instance {
                         let (headers, more) = Self::chunk(&n.snapshot, 0);
                         n.next_chunk = 1;
                         n.self_done = !more;
-                        let pkt = Packet::Dbd(Dbd {
+                        let reply = Dbd {
                             init: false,
                             more,
                             master: false,
                             dd_seq: d.dd_seq,
                             headers,
-                        });
-                        let data = wire::encode(&pkt, my_id);
-                        n.last_dbd = Some(data.clone());
+                        };
+                        n.last_dbd = Some(reply.clone());
                         n.last_dbd_at = now;
-                        Act::Send(data)
+                        Act::Send(reply)
                     } else if !d.init && n.master && d.dd_seq == n.dd_seq {
                         // Slave's reply to our init: move to Exchange
                         // and process as a normal reply. Snapshot the
@@ -848,9 +879,9 @@ impl Instance {
                             // Duplicate of the chunk we already
                             // answered: resend last response.
                             match n.last_dbd.clone() {
-                                Some(data) => {
+                                Some(last) => {
                                     n.last_dbd_at = now;
-                                    Act::Send(data)
+                                    Act::Send(last)
                                 }
                                 None => Act::None,
                             }
@@ -869,17 +900,16 @@ impl Instance {
                             let (headers, more) = Self::chunk(&n.snapshot, n.next_chunk);
                             n.next_chunk += 1;
                             n.self_done = !more;
-                            let pkt = Packet::Dbd(Dbd {
+                            let reply = Dbd {
                                 init: false,
                                 more,
                                 master: false,
                                 dd_seq: d.dd_seq,
                                 headers,
-                            });
-                            let data = wire::encode(&pkt, my_id);
-                            n.last_dbd = Some(data.clone());
+                            };
+                            n.last_dbd = Some(reply.clone());
                             n.last_dbd_at = now;
-                            Act::SendAndMaybeFinish(data, n.peer_done && n.self_done)
+                            Act::SendAndMaybeFinish(reply, n.peer_done && n.self_done)
                         }
                     }
                 }
@@ -893,9 +923,9 @@ impl Instance {
                     let master_dup = n.master && !d.init && d.dd_seq.wrapping_add(1) == n.dd_seq;
                     if slave_dup || master_dup {
                         match n.last_dbd.clone() {
-                            Some(data) => {
+                            Some(last) => {
                                 n.last_dbd_at = now;
-                                Act::Send(data)
+                                Act::Send(last)
                             }
                             None => Act::None,
                         }
@@ -907,9 +937,9 @@ impl Instance {
         };
         match act {
             Act::None => {}
-            Act::Send(data) => self.push_send(iface_id, data),
-            Act::SendAndMaybeFinish(data, finish) => {
-                self.push_send(iface_id, data);
+            Act::Send(dbd) => self.send_packet(iface_id, Packet::Dbd(dbd)),
+            Act::SendAndMaybeFinish(dbd, finish) => {
+                self.send_packet(iface_id, Packet::Dbd(dbd));
                 if finish {
                     self.finish_exchange(iface_id, now);
                 }
@@ -919,8 +949,7 @@ impl Instance {
     }
 
     fn master_process_reply(&mut self, iface_id: IfaceId, d: Dbd, now: Timestamp) {
-        let my_id = self.cfg.router_id;
-        let wanted = {
+        let (next, done) = {
             let n = self
                 .ifaces
                 .get_mut(&iface_id)
@@ -941,30 +970,23 @@ impl Instance {
             n.self_done = !more;
             n.dd_seq += 1;
             let done = n.peer_done && n.self_done;
-            if !done || !headers.is_empty() || more {
-                let pkt = Packet::Dbd(Dbd {
-                    init: false,
-                    more,
-                    master: true,
-                    dd_seq: n.dd_seq,
-                    headers,
-                });
-                let data = wire::encode(&pkt, my_id);
-                n.last_dbd = Some(data.clone());
+            n.last_dbd = (!done || !headers.is_empty() || more).then_some(Dbd {
+                init: false,
+                more,
+                master: true,
+                dd_seq: n.dd_seq,
+                headers,
+            });
+            if n.last_dbd.is_some() {
                 n.last_dbd_at = now;
-                Some((data, done))
-            } else {
-                n.last_dbd = None;
-                Some((Bytes::new(), done))
             }
+            (n.last_dbd.clone(), done)
         };
-        if let Some((data, done)) = wanted {
-            if !data.is_empty() {
-                self.push_send(iface_id, data);
-            }
-            if done {
-                self.finish_exchange(iface_id, now);
-            }
+        if let Some(dbd) = next {
+            self.send_packet(iface_id, Packet::Dbd(dbd));
+        }
+        if done {
+            self.finish_exchange(iface_id, now);
         }
     }
 
@@ -977,7 +999,6 @@ impl Instance {
     }
 
     fn finish_exchange(&mut self, iface_id: IfaceId, now: Timestamp) {
-        let my_id = self.cfg.router_id;
         let (reached_full, nid, req) = {
             let n = self
                 .ifaces
@@ -1000,9 +1021,7 @@ impl Instance {
         if reached_full {
             self.on_full(iface_id, nid);
         } else {
-            let pkt = Packet::LsRequest(LsRequest { keys: req });
-            let data = wire::encode(&pkt, my_id);
-            self.push_send(iface_id, data);
+            self.send_packet(iface_id, Packet::LsRequest(LsRequest { keys: req }));
         }
     }
 
@@ -1016,7 +1035,6 @@ impl Instance {
     }
 
     fn on_request(&mut self, iface_id: IfaceId, sender: RouterId, r: LsRequest) {
-        let my_id = self.cfg.router_id;
         let known = {
             let Some(n) = self.ifaces.get(&iface_id).and_then(|i| i.neighbor.as_ref()) else {
                 return;
@@ -1026,17 +1044,23 @@ impl Instance {
         if !known {
             return;
         }
-        let lsas: Vec<&Lsa> = r.keys.iter().filter_map(|k| self.lsdb.get(k)).collect();
-        let updates: Vec<Bytes> = lsas
-            .chunks(MAX_UPD_LSAS)
-            .map(|batch| wire::encode_ls_update(batch.iter().copied(), my_id))
+        let lsas: Vec<Arc<Lsa>> = r
+            .keys
+            .iter()
+            .filter_map(|k| self.lsdb.get_shared(k).cloned())
             .collect();
-        for data in updates {
-            self.push_send(iface_id, data);
+        for batch in lsas.chunks(MAX_UPD_LSAS) {
+            self.push_send(iface_id, Datagram::Update(batch.to_vec()));
         }
     }
 
-    fn on_update(&mut self, iface_id: IfaceId, sender: RouterId, u: LsUpdate, now: Timestamp) {
+    fn on_update(
+        &mut self,
+        iface_id: IfaceId,
+        sender: RouterId,
+        lsas: Vec<Arc<Lsa>>,
+        now: Timestamp,
+    ) {
         {
             let Some(n) = self
                 .ifaces
@@ -1051,8 +1075,8 @@ impl Instance {
             n.last_heard = now;
         }
         let mut acks: Vec<LsaHeader> = Vec::new();
-        for lsa in u.lsas {
-            if let Some(hdr) = self.on_update_lsa(iface_id, Arc::new(lsa), now) {
+        for lsa in lsas {
+            if let Some(hdr) = self.on_update_lsa(iface_id, lsa, now) {
                 acks.push(hdr);
             }
             // Loading complete?
@@ -1121,7 +1145,7 @@ impl Instance {
                 // Send our fresher copy straight back, unless the
                 // sender's retransmit list holds that very instance (see
                 // the module docs).
-                let ours = self.lsdb.get(&hdr.key)?;
+                let ours = self.lsdb.get_shared(&hdr.key)?;
                 let pending = self.ifaces[&iface_id]
                     .neighbor
                     .as_ref()
@@ -1129,8 +1153,8 @@ impl Instance {
                 #[cfg(test)]
                 let pending = pending.filter(|_| !self.always_reply_stale);
                 if !pending.is_some_and(|p| p.freshness_vs(ours) == Freshness::Same) {
-                    let data = wire::encode_ls_update(std::iter::once(ours), self.cfg.router_id);
-                    self.push_send(iface_id, data);
+                    let reply = Datagram::Update(vec![Arc::clone(ours)]);
+                    self.push_send(iface_id, reply);
                 }
                 None
             }
@@ -1429,7 +1453,6 @@ impl Instance {
     // ------------------------------------------------------------------
 
     fn send_hellos(&mut self, _now: Timestamp) {
-        let my_id = self.cfg.router_id;
         let hello_interval = (HELLO_INTERVAL.0 / 1_000_000_000) as u16;
         let dead_interval = (DEAD_INTERVAL.0 / 1_000_000_000) as u16;
         let targets: Vec<(IfaceId, Vec<RouterId>)> = self
@@ -1447,22 +1470,20 @@ impl Instance {
                 dead_interval,
                 seen,
             });
-            let data = wire::encode(&pkt, my_id);
-            self.push_send(id, data);
+            self.send_packet(id, pkt);
         }
     }
 
     fn send_packet(&mut self, iface: IfaceId, pkt: Packet) {
-        let data = wire::encode(&pkt, self.cfg.router_id);
-        self.push_send(iface, data);
+        self.push_send(iface, Datagram::Other(pkt));
     }
 
     /// Send a datagram as it is; it closes the interface's open update.
-    fn push_send(&mut self, iface: IfaceId, data: Bytes) {
+    fn push_send(&mut self, iface: IfaceId, datagram: Datagram) {
         if let Some(i) = self.ifaces.get_mut(&iface) {
             i.open_update = None;
         }
-        self.push(Output::Send { iface, data });
+        self.push(Output::Send { iface, datagram });
     }
 
     fn push(&mut self, out: Output) {
@@ -1614,14 +1635,23 @@ mod tests {
         h
     }
 
-    /// Drain `inst`, decoding every datagram it sends.
+    /// Drain `inst`, decoding the bytes of every datagram it sends.
     fn sends(inst: &mut Instance) -> Vec<(IfaceId, Packet)> {
+        let me = inst.router_id();
+        datagrams(inst)
+            .into_iter()
+            .map(|(iface, datagram)| {
+                let (_, pkt) = wire::decode(datagram.encode(me)).expect("own encoding decodes");
+                (iface, pkt)
+            })
+            .collect()
+    }
+
+    /// Drain `inst`, keeping the datagrams it sends.
+    fn datagrams(inst: &mut Instance) -> Vec<(IfaceId, Datagram)> {
         inst.drain_output()
             .filter_map(|o| match o {
-                Output::Send { iface, data } => {
-                    let (_, pkt) = wire::decode(data).expect("own encoding decodes");
-                    Some((iface, pkt))
-                }
+                Output::Send { iface, datagram } => Some((iface, datagram)),
                 _ => None,
             })
             .collect()
@@ -1648,14 +1678,11 @@ mod tests {
             for i in 0..k {
                 lie(inst, i, t).unwrap();
             }
-            // Nothing is encoded or counted before the drain.
+            // Nothing is handed over or counted before the drain.
             assert_eq!(inst.stats.pkts_sent, before.pkts_sent);
-            let drained: Vec<(IfaceId, Bytes)> = inst
-                .drain_output()
-                .filter_map(|o| match o {
-                    Output::Send { iface, data } => Some((iface, data)),
-                    _ => None,
-                })
+            let drained: Vec<(IfaceId, Bytes)> = datagrams(inst)
+                .into_iter()
+                .map(|(i, datagram)| (i, datagram.encode(RouterId(1))))
                 .collect();
             let sent: Vec<(IfaceId, Packet)> = drained
                 .iter()
@@ -1771,16 +1798,13 @@ mod tests {
         let mut updates = Vec::new();
         for k in 0..2 {
             lie(spoke, k, t).unwrap();
-            updates.extend(spoke.drain_output().filter_map(|o| match o {
-                Output::Send { iface, data } => Some((iface, data)),
-                _ => None,
-            }));
+            updates.extend(datagrams(spoke));
         }
         assert_eq!(updates.len(), 2);
         let hub = h.instance_mut(RouterId(1));
         let at = t + Dur::from_millis(1);
-        for (_, data) in updates {
-            hub.handle_packet(IfaceId(0), data, at).unwrap();
+        for (_, datagram) in updates {
+            hub.receive(IfaceId(0), RouterId(2), datagram, at).unwrap();
         }
         let sent = sends(hub);
         let keys = |k: &[u32]| -> Vec<LsaKey> {
@@ -1824,16 +1848,10 @@ mod tests {
         for k in 0..n {
             lie(spoke, k, t).unwrap();
         }
-        let updates: Vec<Bytes> = spoke
-            .drain_output()
-            .filter_map(|o| match o {
-                Output::Send { data, .. } => Some(data),
-                _ => None,
-            })
-            .collect();
+        let updates = datagrams(spoke);
         let hub = h.instance_mut(RouterId(1));
-        for data in updates {
-            hub.handle_packet(IfaceId(0), data, t + Dur::from_millis(1))
+        for (_, datagram) in updates {
+            hub.receive(IfaceId(0), RouterId(2), datagram, t + Dur::from_millis(1))
                 .unwrap();
         }
         let acks: Vec<usize> = sends(hub)
@@ -1857,14 +1875,13 @@ mod tests {
             kind: LsaKind::Fake,
             id: 0,
         };
-        let stale = hub.lsdb().get(&key).unwrap().clone();
+        let stale = Arc::clone(hub.lsdb().get_shared(&key).unwrap());
         lie(hub, 0, t).unwrap();
-        let ours = hub.lsdb().get(&key).unwrap().clone();
-        let from_spoke =
-            |spoke: u32| wire::encode_ls_update(std::iter::once(&stale), RouterId(spoke));
+        let from_spoke = || Datagram::Update(vec![Arc::clone(&stale)]);
         // Spoke 3's retransmit entry is the instance just flooded to it:
         // nothing goes back but that flood.
-        hub.handle_packet(IfaceId(1), from_spoke(3), t).unwrap();
+        hub.receive(IfaceId(1), RouterId(3), from_spoke(), t)
+            .unwrap();
         let to_spoke3: Vec<Vec<u32>> = sends(hub)
             .iter()
             .filter(|(i, _)| *i == IfaceId(1))
@@ -1873,7 +1890,8 @@ mod tests {
         assert_eq!(to_spoke3, [[0, 0]], "the flood alone, both instances");
         // Once every spoke has acked it (the drained flood never left:
         // retransmission delivers it), spoke 2's stale copy is answered
-        // by exactly one LS Update carrying our one instance.
+        // by exactly one LS Update carrying our one instance: the one
+        // our LSDB holds, not a copy.
         assert!(h.run_until_converged(t + Dur::from_secs(30)));
         let now = h.now();
         let hub = h.instance_mut(RouterId(1));
@@ -1881,12 +1899,61 @@ mod tests {
             .ifaces
             .values()
             .all(|i| i.neighbor.as_ref().unwrap().rxmt.is_empty()));
-        hub.handle_packet(IfaceId(0), from_spoke(2), now).unwrap();
-        let sent = sends(hub);
-        let [(IfaceId(0), Packet::LsUpdate(reply))] = &sent[..] else {
+        hub.receive(IfaceId(0), RouterId(2), from_spoke(), now)
+            .unwrap();
+        let sent = datagrams(hub);
+        let [(IfaceId(0), Datagram::Update(reply))] = &sent[..] else {
             panic!("not one update to spoke 2: {sent:?}");
         };
-        assert_eq!(reply.lsas, [ours]);
+        let ours = hub.lsdb().get_shared(&key).unwrap();
+        assert!(ours.seq > stale.seq);
+        assert!(matches!(&reply[..], [lsa] if Arc::ptr_eq(lsa, ours)));
+    }
+
+    /// What a delivered update carries is the sender's instance itself:
+    /// the receiver's LSDB stores that `Arc`, so a network holds one
+    /// copy of each LSA instance. Nothing mutates a stored instance in
+    /// place; `Lsdb::age_all`, the one exception, copies it first, so
+    /// aging one database leaves the other's copy as it was.
+    #[test]
+    fn a_delivered_update_shares_the_senders_instance() {
+        let mut h = converged_hub();
+        let t = h.now();
+        let spoke = h.instance_mut(RouterId(2));
+        lie(spoke, 0, t).unwrap();
+        let updates = datagrams(spoke);
+        let key = LsaKey {
+            origin: RouterId::fake(0),
+            kind: LsaKind::Fake,
+            id: 0,
+        };
+        let sent = Arc::clone(spoke.lsdb().get_shared(&key).unwrap());
+        let hub = h.instance_mut(RouterId(1));
+        for (_, datagram) in updates {
+            hub.receive(IfaceId(0), RouterId(2), datagram, t + Dur::from_millis(1))
+                .unwrap();
+        }
+        let stored = hub.lsdb().get_shared(&key).expect("installed");
+        assert!(Arc::ptr_eq(stored, &sent));
+        // The hub floods that same instance on to the other spokes.
+        let onward: Vec<IfaceId> = datagrams(hub)
+            .into_iter()
+            .filter_map(|(i, datagram)| match datagram {
+                Datagram::Update(lsas) => {
+                    assert!(matches!(&lsas[..], [lsa] if Arc::ptr_eq(lsa, &sent)));
+                    Some(i)
+                }
+                Datagram::Other(_) => None,
+            })
+            .collect();
+        assert_eq!(onward, [IfaceId(1), IfaceId(2)]);
+
+        hub.lsdb.age_all(10);
+        assert_eq!(hub.lsdb().get(&key).unwrap().age, sent.age + 10);
+        let spoke = h.instance(RouterId(2));
+        let theirs = spoke.lsdb().get_shared(&key).unwrap();
+        assert!(Arc::ptr_eq(theirs, &sent));
+        assert_eq!(theirs.age, 0);
     }
 
     #[test]
@@ -1970,7 +2037,7 @@ mod tests {
                 ),
             })
             .collect();
-        let update = Packet::LsUpdate(LsUpdate { lsas });
+        let update = Packet::LsUpdate(wire::LsUpdate { lsas });
         let bytes = wire::encode(&update, RouterId(9));
         assert_eq!(wire::encoded_len(&update), bytes.len());
 

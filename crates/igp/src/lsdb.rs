@@ -41,7 +41,12 @@ pub struct DbVersion(pub u64);
 /// The link-state database.
 ///
 /// Instances are stored behind [`Arc`] so the flooding machinery can
-/// put the stored LSA on retransmit lists without copying its body.
+/// put the stored LSA on retransmit lists, and into the datagrams that
+/// carry it to other instances' databases, without copying its body.
+/// Sharing is safe because nothing mutates a stored LSA in place: a
+/// change installs a new instance. The one exception is
+/// [`Lsdb::age_all`], whose `Arc::make_mut` copies an instance other
+/// holders share before aging it (it has no caller outside tests).
 #[derive(Debug, Clone, Default)]
 pub struct Lsdb {
     entries: BTreeMap<LsaKey, Arc<Lsa>>,
@@ -123,6 +128,12 @@ impl Lsdb {
     /// Look up the stored instance for a key.
     pub fn get(&self, key: &LsaKey) -> Option<&Lsa> {
         self.entries.get(key).map(|l| &**l)
+    }
+
+    /// The stored instance for a key, as the `Arc` the database holds:
+    /// what an instance sends, so the receiver stores the same one.
+    pub fn get_shared(&self, key: &LsaKey) -> Option<&Arc<Lsa>> {
+        self.entries.get(key)
     }
 
     /// `true` when `other` stores exactly the keys this database does,

@@ -9,11 +9,23 @@
 //! The codec is strict: trailing garbage, bad lengths, unknown
 //! discriminants and checksum mismatches are all decode errors — a
 //! router never acts on a packet it cannot fully validate.
+//!
+//! Instances do not run the codec among themselves: they hand each
+//! other [`Datagram`]s, and [`Datagram::encoded_len`] says how many
+//! bytes each would be, which is what the simulator accounts. The codec
+//! runs where bytes exist: in [`crate::harness`], which encodes what
+//! instances send and delivers bytes through
+//! [`Instance::handle_packet`](crate::instance::Instance::handle_packet)
+//! (decode, then [`Instance::receive`](crate::instance::Instance::receive));
+//! in the simulator's debug builds, which encode every datagram queued
+//! and decode it back to what was sent; and in the ledger's `igp.wire_*`
+//! probes.
 
 use crate::error::WireError;
 use crate::lsa::{Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink};
 use crate::types::{FwAddr, Metric, Prefix, RouterId, SeqNum};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// Protocol version carried in every packet header.
 pub const VERSION: u8 = 1;
@@ -87,6 +99,47 @@ pub struct LsUpdate {
 pub struct LsAck {
     /// Headers of the LSAs being acknowledged.
     pub headers: Vec<LsaHeader>,
+}
+
+/// A packet as one instance hands it to another: an LS Update carries
+/// the sender's own LSA instances, shared with its LSDB and retransmit
+/// lists; any other type is its decoded [`Packet`]. Its bytes are
+/// [`Datagram::encode`]'s, and [`Datagram::encoded_len`] their number.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Datagram {
+    /// An LS Update.
+    Update(Vec<Arc<Lsa>>),
+    /// Any other packet type.
+    Other(Packet),
+}
+
+impl Datagram {
+    /// Length of [`Datagram::encode`]'s bytes, without encoding them.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Datagram::Update(lsas) => ls_update_encoded_len(lsas.iter().map(|l| &**l)),
+            Datagram::Other(p) => encoded_len(p),
+        }
+    }
+
+    /// The bytes `sender` puts on the wire for this datagram.
+    pub fn encode(&self, sender: RouterId) -> Bytes {
+        match self {
+            Datagram::Update(lsas) => encode_ls_update(lsas.iter().map(|l| &**l), sender),
+            Datagram::Other(p) => encode(p, sender),
+        }
+    }
+}
+
+/// A decoded packet as a datagram: an LS Update's LSAs each get their
+/// own `Arc`.
+impl From<Packet> for Datagram {
+    fn from(packet: Packet) -> Datagram {
+        match packet {
+            Packet::LsUpdate(u) => Datagram::Update(u.lsas.into_iter().map(Arc::new).collect()),
+            other => Datagram::Other(other),
+        }
+    }
 }
 
 impl Packet {

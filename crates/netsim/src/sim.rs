@@ -6,10 +6,12 @@
 //! * one time-ordered [`EventQueue`] — a FIFO per instant, so ties
 //!   pop in push order — carries every event: protocol packets in
 //!   flight, flow churn, link scripts, component ticks, trace samples;
-//! * an IGP [`Instance`] per router exchanges real (encoded,
-//!   checksummed) protocol packets over the simulated links; their
-//!   internal timer deadlines are tracked in a [`DeadlineHeap`]
-//!   (`O(log n)` per instance touched in a batch, not `O(routers)`);
+//! * an IGP [`Instance`] per router exchanges protocol packets over the
+//!   simulated links as typed [`Datagram`]s, each accounted at its exact
+//!   encoded length (debug builds also encode, checksum and decode
+//!   every one); their internal timer deadlines are tracked in a
+//!   [`DeadlineHeap`] (`O(log n)` per instance touched in a batch, not
+//!   `O(routers)`);
 //! * FIB downloads from converged instances into data-plane [`Fib`]s;
 //! * fluid traffic: flows resolve their paths through the FIBs (per
 //!   hop ECMP hashing) and share link capacity max-min fairly; link
@@ -45,11 +47,11 @@ use crate::fluid::{Allocator, PathTable};
 use crate::handler::{AppEvent, EventHandler};
 use crate::link::{LinkKey, LinkSpec, LinkState};
 use crate::trace::Recorder;
-use bytes::Bytes;
 use fib_igp::instance::{Config as IgpConfig, Instance, Output};
 use fib_igp::rib::find_cycle;
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{IfaceId, Metric, Prefix, RouterId};
+use fib_igp::wire::{self, Datagram};
 pub use fib_sim_kernel::TieBreak;
 use fib_sim_kernel::{ComponentId, DeadlineHeap, EventQueue, Registry};
 use fib_telemetry::counters::{CounterWidth, IfaceCounters};
@@ -213,10 +215,14 @@ pub(crate) struct LinkRec {
 /// Internal queue payload: public [`Event`]s plus the kernel's own
 /// traffic (packets in flight, component ticks, trace samples).
 pub(crate) enum Ev {
+    /// A datagram in flight from router `from` to interface `iface` of
+    /// router slot `to_slot`, with its encoded length.
     Pkt {
         to_slot: u32,
         iface: IfaceId,
-        data: Bytes,
+        from: RouterId,
+        len: u32,
+        datagram: Datagram,
     },
     Tick(ComponentId),
     Sample,
@@ -517,9 +523,11 @@ impl Core {
             Ev::Pkt {
                 to_slot,
                 iface,
-                data,
+                from,
+                len,
+                datagram,
             } => {
-                let len = data.len() as u64;
+                let len = u64::from(len);
                 // Account received control bytes; drop on a down link.
                 if let Some(&ix) = self.iface_links[to_slot as usize].get(usize::from(iface.0)) {
                     let rx = (ix ^ 1) as usize;
@@ -533,7 +541,7 @@ impl Core {
                     }
                 }
                 if self.instances[to_slot as usize]
-                    .handle_packet(iface, data, self.now)
+                    .receive(iface, from, datagram, self.now)
                     .is_err()
                 {
                     self.stats.ctrl_pkt_errors += 1;
@@ -789,7 +797,7 @@ impl Core {
             let id = router_ids[slot as usize];
             for out in instances[slot as usize].drain_output() {
                 match out {
-                    Output::Send { iface, data } => {
+                    Output::Send { iface, datagram } => {
                         let rec = iface_links[slot as usize]
                             .get(usize::from(iface.0))
                             .map(|&ix| &link_recs[ix as usize]);
@@ -797,17 +805,21 @@ impl Core {
                             stats.ctrl_dropped += 1;
                             continue;
                         };
+                        let len = datagram.encoded_len();
+                        debug_round_trip(id, &datagram, len);
                         // Account transmitted control bytes.
                         let idx = u32::from(rec.tx_iface.0) + 1;
                         if let Some(c) = agents[slot as usize].counters_mut(idx) {
-                            c.count_tx(data.len() as u64);
+                            c.count_tx(len as u64);
                         }
                         queue.push(
                             *now + rec.state.delay,
                             Ev::Pkt {
                                 to_slot: rec.to_slot,
                                 iface: rec.rx_iface,
-                                data,
+                                from: id,
+                                len: len as u32,
+                                datagram,
                             },
                         );
                     }
@@ -990,6 +1002,21 @@ impl Core {
             self.stats.fwd_loop_settles += 1;
         }
     }
+}
+
+/// The codec is checked, not run: a debug build encodes every datagram
+/// `sender` queues, holds its length to the `len` accounted, and
+/// decodes it back to the same sender and datagram. Release builds skip
+/// it whole.
+fn debug_round_trip(sender: RouterId, datagram: &Datagram, len: usize) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let bytes = datagram.encode(sender);
+    assert_eq!(bytes.len(), len, "encoded length of {datagram:?}");
+    let (from, packet) = wire::decode(bytes).expect("own encoding decodes");
+    assert_eq!(from, sender);
+    assert_eq!(&Datagram::from(packet), datagram);
 }
 
 /// The flow in a slot the live list names.
@@ -1691,29 +1718,43 @@ mod tests {
         assert!(holds(&sim), "the lie waited for the next event");
     }
 
-    /// A packet the receiving instance rejects is counted, not
-    /// swallowed: still delivered and accounted as control traffic,
-    /// and the run goes on.
+    /// A datagram the receiving instance rejects — here, one on an
+    /// interface it does not have — is counted, not swallowed: still
+    /// delivered and accounted as control traffic, and the run goes on.
+    /// (Undecodable bytes cannot reach an instance here; `handle_packet`
+    /// counts those in `decode_errors`.)
     #[test]
     fn rejected_control_packet_is_counted() {
         let mut sim = line_sim();
         sim.start();
         sim.run_until(Timestamp::from_secs(5));
         assert_eq!(sim.stats().ctrl_pkt_errors, 0, "a healthy run rejects none");
-        let before = sim.stats().ctrl_pkts;
+        let before = sim.stats();
+        let hello = Datagram::Other(wire::Packet::Hello(wire::Hello {
+            hello_interval: 1,
+            dead_interval: 4,
+            seen: vec![r(2)],
+        }));
+        let len = hello.encoded_len();
+        let received = |sim: &Sim| sim.instance(r(2)).unwrap().stats.pkts_recv;
+        let received_before = received(&sim);
+        // r2 has two interfaces, 0 and 1.
         sim.core.queue.push(
             sim.now(),
             Ev::Pkt {
                 to_slot: 1,
-                iface: IfaceId(0),
-                data: Bytes::from_static(b"not a protocol packet"),
+                iface: IfaceId(2),
+                from: r(1),
+                len: len as u32,
+                datagram: hello,
             },
         );
         sim.run_until(sim.now());
         let stats = sim.stats();
         assert_eq!(stats.ctrl_pkt_errors, 1);
-        assert_eq!(stats.ctrl_pkts, before + 1);
-        assert_eq!(sim.instance(r(2)).unwrap().stats.decode_errors, 1);
+        assert_eq!(stats.ctrl_pkts, before.ctrl_pkts + 1);
+        assert_eq!(stats.ctrl_bytes, before.ctrl_bytes + len as u64);
+        assert_eq!(received(&sim), received_before, "not processed");
         assert_eq!(stats.iface_admin_errors, 0);
         // Both fold into sweep totals; neither is a pinned counter.
         let mut total = stats;
