@@ -245,7 +245,7 @@ pub struct Stats {
     pub pkts_sent: u64,
     /// Packets received and accepted.
     pub pkts_recv: u64,
-    /// Bytes sent.
+    /// Bytes sent: each datagram's encoded length.
     pub bytes_sent: u64,
     /// LSAs this instance originated or re-originated.
     pub lsas_originated: u64,

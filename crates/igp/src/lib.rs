@@ -4,7 +4,8 @@
 //! to: an OSPF-like link-state interior gateway protocol with
 //!
 //! * LSAs ([`lsa`]) and a freshness-ruled database ([`lsdb`]),
-//! * a byte-exact wire codec with Fletcher-16 checksums ([`wire`]),
+//! * a byte-exact wire codec with Fletcher-16 checksums, and the typed
+//!   datagrams instances hand each other ([`wire`]),
 //! * a sans-IO protocol speaker per router — neighbor FSM, database
 //!   exchange, reliable flooding with retransmissions, origination,
 //!   and SPF scheduling ([`instance`]),

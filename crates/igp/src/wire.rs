@@ -379,10 +379,11 @@ pub fn encode_ls_update<'a>(
 /// Encoded length of a full LSA (header, body length, body): what
 /// [`encode_lsa`] appends.
 pub fn lsa_encoded_len(lsa: &Lsa) -> usize {
+    const PREFIX_LEN: usize = 5;
     let body = match &lsa.body {
         LsaBody::Router { links } => 2 + 8 * links.len(),
-        LsaBody::Prefix { .. } => 5 + 4,
-        LsaBody::Fake { .. } => 4 + 4 + 5 + 4 + 4 + 2,
+        LsaBody::Prefix { .. } => PREFIX_LEN + 4,
+        LsaBody::Fake { .. } => 4 + 4 + PREFIX_LEN + 4 + 4 + 2,
     };
     LSA_HEADER_LEN + 2 + body
 }
@@ -396,14 +397,14 @@ pub fn ls_update_encoded_len<'a>(lsas: impl IntoIterator<Item = &'a Lsa>) -> usi
 /// Encoded length of `packet`, header included: `encode(packet,
 /// sender).len()` for any sender, without encoding it.
 pub fn encoded_len(packet: &Packet) -> usize {
-    HEADER_LEN
-        + match packet {
-            Packet::Hello(h) => 6 + 4 * h.seen.len(),
-            Packet::Dbd(d) => 7 + LSA_HEADER_LEN * d.headers.len(),
-            Packet::LsRequest(r) => 2 + 9 * r.keys.len(),
-            Packet::LsUpdate(u) => return ls_update_encoded_len(&u.lsas),
-            Packet::LsAck(a) => 2 + LSA_HEADER_LEN * a.headers.len(),
-        }
+    let body = match packet {
+        Packet::Hello(h) => 6 + 4 * h.seen.len(),
+        Packet::Dbd(d) => 7 + LSA_HEADER_LEN * d.headers.len(),
+        Packet::LsRequest(r) => 2 + 9 * r.keys.len(),
+        Packet::LsUpdate(u) => return ls_update_encoded_len(&u.lsas),
+        Packet::LsAck(a) => 2 + LSA_HEADER_LEN * a.headers.len(),
+    };
+    HEADER_LEN + body
 }
 
 /// Encode a packet (header + body + checksum) ready for transmission.

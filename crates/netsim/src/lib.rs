@@ -23,7 +23,8 @@
 //!   every FIB a from-scratch SPF on it);
 //! * [`trace`] — time-series recording and CSV export for figures;
 //! * [`sim`] — the co-simulation world: real IGP instances exchanging
-//!   encoded packets over the links, FIB downloads, SNMP agents fed by
+//!   typed datagrams over the links, each accounted at its encoded
+//!   length, FIB downloads, SNMP agents fed by
 //!   both planes, and pluggable components (the Fibbing controller,
 //!   video drivers, baselines).
 //!

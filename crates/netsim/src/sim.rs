@@ -807,10 +807,11 @@ impl Core {
                         };
                         let len = datagram.encoded_len();
                         debug_round_trip(id, &datagram, len);
+                        let len = u32::try_from(len).expect("a datagram is under 4 GiB");
                         // Account transmitted control bytes.
                         let idx = u32::from(rec.tx_iface.0) + 1;
                         if let Some(c) = agents[slot as usize].counters_mut(idx) {
-                            c.count_tx(len as u64);
+                            c.count_tx(u64::from(len));
                         }
                         queue.push(
                             *now + rec.state.delay,
@@ -818,7 +819,7 @@ impl Core {
                                 to_slot: rec.to_slot,
                                 iface: rec.rx_iface,
                                 from: id,
-                                len: len as u32,
+                                len,
                                 datagram,
                             },
                         );
