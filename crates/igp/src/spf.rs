@@ -820,6 +820,247 @@ mod tests {
         assert_eq!((eng.full_runs, eng.partial_runs), (2, 2));
     }
 
+    /// Sequence differential: one engine per router follows one database
+    /// through seeded mutations — router, prefix and fake LSAs installed,
+    /// re-originated unchanged, purged, swept and removed; one-way links,
+    /// a far end listed twice, a second router LSA under another id, a
+    /// router that never speaks, lies re-added under their own id and
+    /// lies hung on another lie's link. After every step each engine's
+    /// table must equal a from-scratch SPF on the database's topology,
+    /// and each engine must run Dijkstra exactly when the real rows
+    /// (real routers, their real links and metrics) changed.
+    #[test]
+    fn engine_follows_seeded_lsdb_mutations() {
+        use crate::lsa::{Lsa, LsaBody, LsaKey, LsaLink};
+        use crate::lsdb::Lsdb;
+        use crate::topology::TopoLink;
+        use crate::types::SeqNum;
+        const POOL: u32 = 6; // routers 1..=POOL speak, POOL + 1 never does
+        let mut x = 0x5EC0_E4CE_D1FF_u64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) % n
+        };
+        let mut drawn: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut saw = |what: &'static str, yes: bool| {
+            *drawn.entry(what).or_default() += u32::from(yes);
+        };
+        let (mut full_runs, mut partial_runs) = (0u64, 0u64);
+        for case in 0..300 {
+            let mut db = Lsdb::new();
+            let mut seqs: BTreeMap<LsaKey, i32> = BTreeMap::new();
+            let mut next_seq = |key: LsaKey| {
+                let s = seqs.entry(key).or_insert(0);
+                *s += 1;
+                SeqNum(*s)
+            };
+            // Start from a network where every link is reported both ways.
+            let mut base: Vec<Vec<LsaLink>> = vec![Vec::new(); POOL as usize + 1];
+            for a in 1..=POOL {
+                for b in a + 1..=POOL {
+                    if rand(2) == 0 {
+                        for (from, to) in [(a, b), (b, a)] {
+                            let link = LsaLink {
+                                to: RouterId(to),
+                                metric: Metric(1 + rand(4) as u32),
+                            };
+                            base[from as usize].push(link);
+                        }
+                    }
+                }
+            }
+            for (a, links) in base.into_iter().enumerate().skip(1) {
+                let mut lsa = Lsa::router(RouterId(a as u32), SeqNum(0), links);
+                lsa.seq = next_seq(lsa.key);
+                db.install(lsa);
+            }
+            let mut engines: Vec<SpfEngine> = (0..=POOL).map(|_| SpfEngine::new()).collect();
+            let (mut last_rows, mut last_version) = (None, None);
+            for step in 0..40 {
+                let stored: Vec<LsaKey> = db.iter().map(|l| l.key).collect();
+                let any_stored = |pick: u64| stored.get(pick as usize).copied();
+                match rand(12) {
+                    0..=2 => {
+                        let a = 1 + rand(u64::from(POOL)) as u32;
+                        // Does `b`'s live router LSA name `a`?
+                        let back = |b: RouterId| {
+                            let key = Lsa::router(b, SeqNum(1), Vec::new()).key;
+                            db.get(&key).is_some_and(|l| match &l.body {
+                                LsaBody::Router { links } => {
+                                    !l.is_max_age() && links.iter().any(|k| k.to == RouterId(a))
+                                }
+                                _ => false,
+                            })
+                        };
+                        // Mostly answer a neighbour that names us.
+                        let mut links: Vec<LsaLink> = (1..=POOL + 1)
+                            .filter_map(|b| {
+                                let metric = Metric(1 + rand(4) as u32);
+                                let odds = if back(RouterId(b)) { 3 } else { 1 };
+                                (b != a && rand(4) < odds).then_some(LsaLink {
+                                    to: RouterId(b),
+                                    metric,
+                                })
+                            })
+                            .collect();
+                        if !links.is_empty() && rand(6) == 0 {
+                            let again = LsaLink {
+                                to: links[rand(links.len() as u64) as usize].to,
+                                metric: Metric(5 + rand(4) as u32),
+                            };
+                            links.insert(rand(links.len() as u64 + 1) as usize, again);
+                            saw("a far end listed twice", true);
+                        }
+                        saw("a one-way link", links.iter().any(|l| !back(l.to)));
+                        let mut lsa = Lsa::router(RouterId(a), SeqNum(0), links);
+                        if rand(8) == 0 {
+                            lsa.key.id = 1;
+                            saw("a second router LSA", true);
+                        }
+                        lsa.seq = next_seq(lsa.key);
+                        db.install(lsa);
+                    }
+                    3 => {
+                        // The stored instance again under a new sequence
+                        // number: a content-identical re-origination.
+                        if let Some(key) = any_stored(rand(stored.len().max(1) as u64)) {
+                            let mut lsa = db.get(&key).expect("stored").clone();
+                            lsa.age = 0;
+                            lsa.seq = next_seq(key);
+                            db.install(lsa);
+                        }
+                    }
+                    4 => {
+                        if let Some(key) = any_stored(rand(stored.len().max(1) as u64)) {
+                            let purge = db.get(&key).expect("stored").to_purge();
+                            db.install(purge);
+                        }
+                    }
+                    5 => saw("a sweep that drops an LSA", !db.sweep().is_empty()),
+                    6 => {
+                        if let Some(key) = any_stored(rand(stored.len().max(1) as u64)) {
+                            saw("a removed LSA", db.remove(&key).is_some());
+                        }
+                    }
+                    7 | 8 => {
+                        let origin = match rand(12) {
+                            0 => RouterId::fake(rand(4) as u32),
+                            _ => RouterId(1 + rand(u64::from(POOL) + 1) as u32),
+                        };
+                        let p = Prefix::net24(rand(3) as u8);
+                        let m = Metric(rand(4) as u32);
+                        let mut lsa = Lsa::prefix(origin, rand(2) as u32, SeqNum(0), p, m);
+                        lsa.seq = next_seq(lsa.key);
+                        db.install(lsa);
+                    }
+                    _ => {
+                        let fake = RouterId::fake(rand(4) as u32);
+                        let attach = match rand(10) {
+                            0 => RouterId::fake(rand(4) as u32),
+                            _ => RouterId(1 + rand(u64::from(POOL) + 1) as u32),
+                        };
+                        // Mostly a far end the attachment reports, else
+                        // another lie hung off the same router (valid if
+                        // that one comes first in key order), else anyone.
+                        let key = Lsa::router(attach, SeqNum(1), Vec::new()).key;
+                        let reported: Vec<RouterId> = match db.get(&key).map(|l| &l.body) {
+                            Some(LsaBody::Router { links }) => links.iter().map(|l| l.to).collect(),
+                            _ => Vec::new(),
+                        };
+                        let beside: Vec<RouterId> = db
+                            .iter()
+                            .filter(|l| matches!(l.body, LsaBody::Fake { attach: a, .. } if a == attach))
+                            .map(|l| l.key.origin)
+                            .collect();
+                        let fw = match rand(7) {
+                            0 | 1 if !beside.is_empty() => {
+                                beside[rand(beside.len() as u64) as usize]
+                            }
+                            2 => RouterId::fake(rand(4) as u32),
+                            3 => RouterId(1 + rand(u64::from(POOL) + 1) as u32),
+                            _ if !reported.is_empty() => {
+                                reported[rand(reported.len() as u64) as usize]
+                            }
+                            _ => RouterId(1 + rand(u64::from(POOL)) as u32),
+                        };
+                        let mut lsa = Lsa::fake(
+                            fake,
+                            SeqNum(0),
+                            attach,
+                            Metric(rand(3) as u32),
+                            Prefix::net24(rand(3) as u8),
+                            Metric(rand(3) as u32),
+                            FwAddr::secondary(fw, 1 + rand(3) as u16),
+                        );
+                        let moved = db.get(&lsa.key).is_some_and(|old| old.body != lsa.body);
+                        saw("a lie re-added under its own id", moved);
+                        lsa.seq = next_seq(lsa.key);
+                        db.install(lsa);
+                    }
+                }
+
+                let topo = db.to_topology();
+                let rows: Vec<(RouterId, Vec<TopoLink>)> = topo
+                    .routers()
+                    .map(|r| {
+                        let real = topo.links(r).iter().filter(|l| l.to.is_real());
+                        (r, real.copied().collect())
+                    })
+                    .collect();
+                let changed = last_rows.as_ref() != Some(&rows);
+                let bumped = last_version != Some(db.real_version());
+                saw(
+                    "the real version moved, the rows did not",
+                    bumped && !changed,
+                );
+                saw("a lie kept", topo.fake_count() > 0);
+                saw(
+                    "a lie hung on another lie's link",
+                    topo.fake_nodes().any(|(_, a)| a.fw.router.is_fake()),
+                );
+                for (i, eng) in engines.iter_mut().enumerate() {
+                    let source = RouterId(i as u32 + 1);
+                    let before = (eng.full_runs, eng.partial_runs);
+                    let table = eng.compute_versioned(&topo, source, db.real_version());
+                    assert_eq!(
+                        table,
+                        compute_routes(&topo, source),
+                        "case {case} step {step}: {source} on {db:?}"
+                    );
+                    let full = eng.full_runs - before.0;
+                    assert_eq!(
+                        (full, eng.partial_runs - before.1),
+                        (u64::from(changed), u64::from(!changed)),
+                        "case {case} step {step}: {source}'s run on {db:?}"
+                    );
+                    full_runs += full;
+                    partial_runs += 1 - full;
+                }
+                (last_rows, last_version) = (Some(rows), Some(db.real_version()));
+            }
+        }
+        assert!(
+            full_runs > 20_000 && partial_runs > 40_000,
+            "{full_runs} full and {partial_runs} partial runs"
+        );
+        for what in [
+            "a far end listed twice",
+            "a one-way link",
+            "a second router LSA",
+            "a sweep that drops an LSA",
+            "a removed LSA",
+            "a lie re-added under its own id",
+            "the real version moved, the rows did not",
+            "a lie kept",
+            "a lie hung on another lie's link",
+        ] {
+            let times = drawn.get(what).copied().unwrap_or(0);
+            assert!(times >= 20, "the generator drew {what} {times} times");
+        }
+    }
+
     #[test]
     fn path_enumeration_lists_equal_cost_paths() {
         let t = square();
