@@ -43,7 +43,7 @@ use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator};
 use crate::requirements::WeightedDag;
 use crate::verify::{actual_fractions, check_against, fractions_close, VerifyReport};
 use fib_igp::rib::Route;
-use fib_igp::spf::{prefix_route_from, shortest_paths, ShortestPaths};
+use fib_igp::spf::{prefix_route_from, RealGraph, ShortestPaths};
 use fib_igp::topology::{FakeAttrs, Topology};
 use fib_igp::types::{Metric, Prefix, RouterId};
 use std::collections::BTreeMap;
@@ -227,8 +227,10 @@ pub fn augment(
 
     // Baseline fractions for side-effect detection.
     let baseline = actual_fractions(topo, prefix);
-    // Per router, its shortest paths on `topo`, computed on first use:
-    // no lie moves them (see `plan_for_router`).
+    // Per router, its shortest paths on `topo`'s dense graph, built
+    // once, each computed on first use: no lie moves them (see
+    // `plan_for_router`).
+    let graph = RealGraph::of(topo);
     let mut paths: BTreeMap<RouterId, ShortestPaths> = BTreeMap::new();
 
     let max_iter = topo.router_count() + 2;
@@ -243,7 +245,7 @@ pub fn augment(
                 .iter()
                 .filter(|(attach, _)| **attach != *r)
                 .flat_map(|(_, v)| v.iter().map(Lie::attrs));
-            let sp = paths.entry(*r).or_insert_with(|| shortest_paths(topo, *r));
+            let sp = paths.entry(*r).or_insert_with(|| graph.shortest_paths(*r));
             let desired = working.hops(*r).cloned().unwrap_or_default();
             let (new_lies, _override_used) =
                 plan_for_router(topo, sp, others, &desired, prefix, alloc)?;
@@ -266,7 +268,7 @@ pub fn augment(
             let now_fr = actual.get(u).cloned().unwrap_or_default();
             if !fractions_close(base_fr, &now_fr) {
                 // Pin u to its original next-hop routers, one slot each.
-                let sp = paths.entry(*u).or_insert_with(|| shortest_paths(topo, *u));
+                let sp = paths.entry(*u).or_insert_with(|| graph.shortest_paths(*u));
                 let natural = prefix_route_from(topo, sp, prefix, []);
                 let hops = natural.map(hops_of).unwrap_or_default();
                 if hops.is_empty() {
@@ -326,7 +328,7 @@ pub fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
 mod tests {
     use super::*;
     use crate::verify::check_preserving;
-    use fib_igp::spf::{compute_routes, prefix_routes};
+    use fib_igp::spf::{compute_routes, prefix_routes, shortest_paths};
 
     fn r(n: u32) -> RouterId {
         RouterId(n)

@@ -1437,10 +1437,7 @@ impl Instance {
             return;
         }
         self.last_spf_version = Some(version);
-        let topo = self.lsdb.to_topology();
-        let table = self
-            .spf
-            .compute_versioned(&topo, self.cfg.router_id, self.lsdb.real_version());
+        let table = self.spf.compute(&self.lsdb, self.cfg.router_id);
         self.stats.spf_runs += 1;
         if self.last_table.as_ref() != Some(&table) {
             self.last_table = Some(table.clone());

@@ -4,16 +4,19 @@
 //! set of freshest LSA instances it has heard. Installation follows the
 //! freshness rules of [`crate::lsa::compare_freshness`]; MaxAge
 //! instances linger only long enough to be flooded, then fall out via
-//! [`Lsdb::sweep`]. The database can materialize the augmented
-//! [`Topology`] that SPF runs on, applying the two-way connectivity
-//! check to real links and trusting fake-node LSAs as complete
-//! descriptions of lies.
+//! [`Lsdb::sweep`]. SPF reads the database directly: a full run the
+//! dense real graph ([`Lsdb::real_graph`]), the route phase only the
+//! rows it needs ([`Lsdb::route_view`]). [`Lsdb::to_topology`]
+//! materializes the whole augmented [`Topology`] for other readers.
+//! All three apply the two-way connectivity check to real links and
+//! trust fake-node LSAs as complete descriptions of lies.
 
 use crate::lsa::{
     compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE,
 };
+use crate::spf::RealGraph;
 use crate::topology::{FakeAttrs, TopoLink, Topology};
-use crate::types::RouterId;
+use crate::types::{Metric, RouterId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -257,7 +260,9 @@ impl Lsdb {
         self.entries.values().map(|l| l.header()).collect()
     }
 
-    /// Materialize the augmented topology this database describes.
+    /// Materialize the augmented topology this database describes: the
+    /// rows of [`real_graph`](Self::real_graph), with the prefixes and
+    /// lies laid over them.
     ///
     /// Real links pass the two-way check: a directed link `u → v`
     /// appears only if `v`'s router LSA also reports a link back to
@@ -266,71 +271,129 @@ impl Lsdb {
     /// router exists and the forwarding address is one of its
     /// neighbors. MaxAge LSAs are ignored.
     ///
-    /// Built from scratch on every call — every SPF run follows a
-    /// version change, so a kept topology would never be reused — with
-    /// one pass and no map work per link for the real graph.
+    /// Built from scratch on every call, for readers that want the whole
+    /// topology: the controller's view and the convergence oracle. An
+    /// SPF run reads [`real_graph`](Self::real_graph) and
+    /// [`route_view`](Self::route_view) instead.
     pub fn to_topology(&self) -> Topology {
-        // Live router LSAs of real routers. `entries` yields them in
-        // key order — ascending origin, a router's `(Router, 0)` LSA
-        // before any other it has — so a far end's report is a binary
-        // search away and the rows below come out sorted for the map.
-        let reports: Vec<(LsaKey, &[LsaLink])> = self
-            .entries
-            .values()
-            .filter_map(|lsa| match &lsa.body {
-                LsaBody::Router { links } if !lsa.is_max_age() && lsa.key.origin.is_real() => {
-                    Some((lsa.key, links.as_slice()))
-                }
-                _ => None,
+        let graph = self.real_graph();
+        let rows = graph.ids.iter().enumerate().map(|(i, &id)| {
+            let row = graph.row(i).iter().map(|&(to, metric)| TopoLink {
+                to: graph.ids[to],
+                metric,
+            });
+            (id, row.collect())
+        });
+        self.overlay(Topology::from_sorted_rows(rows.collect()))
+    }
+
+    /// The real graph this database describes, in dense form: every
+    /// real router with a live router LSA, and the links that pass the
+    /// two-way check. What a full SPF run reads, fingerprints and runs
+    /// Dijkstra on.
+    pub fn real_graph(&self) -> RealGraph {
+        let reports = self.reports();
+        // A far end comes back as the index of its report; a router's
+        // position is the number of routers before it, and its reports
+        // run from its first to the next router's first.
+        let mut ids = Vec::new();
+        let mut firsts = Vec::new();
+        let mut pos_of = Vec::with_capacity(reports.len());
+        for (i, (key, _)) in reports.iter().enumerate() {
+            if ids.last() != Some(&key.origin) {
+                ids.push(key.origin);
+                firsts.push(i);
+            }
+            pos_of.push(ids.len() - 1);
+        }
+        firsts.push(reports.len());
+        let mut off = Vec::with_capacity(ids.len() + 1);
+        let mut edges = Vec::new();
+        let mut row = Vec::new();
+        off.push(0);
+        for run in firsts.windows(2) {
+            two_way_row(&reports, &reports[run[0]..run[1]], &mut row);
+            edges.extend(row.iter().map(|&(far, metric)| (pos_of[far], metric)));
+            off.push(edges.len());
+        }
+        RealGraph { ids, off, edges }
+    }
+
+    /// What the route phase of an SPF run reads of this database: the
+    /// rows of the routers that announce a prefix or carry a lie, with
+    /// the prefixes and lies laid over them as in
+    /// [`to_topology`](Self::to_topology).
+    ///
+    /// [`route_table_from`](crate::spf::route_table_from) on it equals
+    /// `route_table_from` on `to_topology()`: it holds every live
+    /// router's announcements and, since every lie is judged against
+    /// its attachment router's row, the same lies. The other rows are
+    /// missing, and a far end need not have a row, so it is no graph to
+    /// run a Dijkstra on.
+    pub fn route_view(&self) -> Topology {
+        let reports = self.reports();
+        let mut wanted: Vec<RouterId> = self
+            .live()
+            .filter_map(|lsa| match lsa.body {
+                LsaBody::Prefix { .. } => Some(lsa.key.origin),
+                LsaBody::Fake { attach, .. } => Some(attach),
+                LsaBody::Router { .. } => None,
             })
             .collect();
-        let mut rows: Vec<(RouterId, Vec<TopoLink>)> = Vec::with_capacity(reports.len());
-        for &(key, links) in &reports {
-            let from = key.origin;
-            if rows.last().map(|row| row.0) != Some(from) {
-                rows.push((from, Vec::with_capacity(links.len())));
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut row = Vec::new();
+        let rows = wanted.into_iter().filter_map(|r| {
+            let start = reports.partition_point(|rep| rep.0.origin < r);
+            let len = reports[start..].partition_point(|rep| rep.0.origin == r);
+            if len == 0 {
+                return None; // no live router LSA: not in the topology
             }
-            // Two-way check: the far end's router LSA names us back.
-            let two_way = links.iter().filter(|l| {
-                let far = LsaKey {
-                    origin: l.to,
-                    kind: LsaKind::Router,
-                    id: 0,
-                };
-                reports
-                    .binary_search_by_key(&far, |report| report.0)
-                    .is_ok_and(|i| reports[i].1.iter().any(|back| back.to == from))
+            two_way_row(&reports, &reports[start..start + len], &mut row);
+            let links = row.iter().map(|&(far, metric)| TopoLink {
+                to: reports[far].0.origin,
+                metric,
             });
-            let row = &mut rows.last_mut().expect("pushed above").1;
-            row.extend(two_way.map(|l| TopoLink {
-                to: l.to,
-                metric: l.metric,
-            }));
-        }
-        for (_, row) in &mut rows {
-            // Stable, so of a far end reported twice the first counts.
-            row.sort_by_key(|l| l.to);
-            row.dedup_by_key(|l| l.to);
-        }
-        let mut topo = Topology::from_sorted_rows(rows);
-        // Prefix announcements on live routers.
-        for lsa in self.entries.values() {
-            if lsa.is_max_age() {
-                continue;
+            Some((r, links.collect()))
+        });
+        self.overlay(Topology::from_sorted_rows(rows.collect()))
+    }
+
+    /// The stored LSAs that are not MaxAge, in key order.
+    fn live(&self) -> impl Iterator<Item = &Lsa> {
+        self.iter().filter(|lsa| !lsa.is_max_age())
+    }
+
+    /// Live router LSAs of real routers, with their links. `entries`
+    /// yields them in key order — ascending origin, a router's
+    /// `(Router, 0)` LSA before any other it has — so a far end's
+    /// report is a binary search away.
+    fn reports(&self) -> Vec<Report<'_>> {
+        let reports = self.live().filter_map(|lsa| match &lsa.body {
+            LsaBody::Router { links } if lsa.key.origin.is_real() => {
+                Some((lsa.key, links.as_slice()))
             }
+            _ => None,
+        });
+        reports.collect()
+    }
+
+    /// `topo` with this database's prefixes and lies laid over it, each
+    /// in key order. A prefix counts at a router with a row. A lie goes
+    /// through [`Topology::add_fake_node`], which skips it if its
+    /// attachment has no row or its forwarding address names no link of
+    /// that row (an earlier lie's attachment link counts) — as a router
+    /// ignores a type-5 LSA whose forwarding address is unreachable —
+    /// and replaces an earlier lie of the same id.
+    fn overlay(&self, mut topo: Topology) -> Topology {
+        for lsa in self.live() {
             if let LsaBody::Prefix { prefix, metric } = &lsa.body {
                 if topo.contains(lsa.key.origin) {
                     let _ = topo.announce_prefix(lsa.key.origin, *prefix, *metric);
                 }
             }
         }
-        // Fake nodes (lies). Invalid lies (dangling attachment or
-        // forwarding address) are skipped, mirroring how a router
-        // ignores a type-5 LSA whose forwarding address is unreachable.
-        for lsa in self.entries.values() {
-            if lsa.is_max_age() {
-                continue;
-            }
+        for lsa in self.live() {
             if let LsaBody::Fake {
                 attach,
                 attach_metric,
@@ -351,6 +414,33 @@ impl Lsdb {
         }
         topo
     }
+}
+
+/// A live router LSA of a real router: its key and its links.
+type Report<'a> = (LsaKey, &'a [LsaLink]);
+
+/// The two-way check for the router whose reports are `group`, a run
+/// of `reports`: into `row`, each link whose far end's `(Router, 0)`
+/// LSA names the router back, as (the index of that LSA in `reports`,
+/// metric). Indexes sort like far ends; the row comes out sorted by
+/// far end, and of a far end reported twice the first counts.
+fn two_way_row(reports: &[Report<'_>], group: &[Report<'_>], row: &mut Vec<(usize, Metric)>) {
+    let from = group[0].0.origin;
+    row.clear();
+    for (_, links) in group {
+        row.extend(links.iter().filter_map(|l| {
+            let far = LsaKey {
+                origin: l.to,
+                kind: LsaKind::Router,
+                id: 0,
+            };
+            let i = reports.binary_search_by_key(&far, |rep| rep.0).ok()?;
+            let back = reports[i].1.iter().any(|back| back.to == from);
+            back.then_some((i, l.metric))
+        }));
+    }
+    row.sort_by_key(|e| e.0); // stable
+    row.dedup_by_key(|e| e.0);
 }
 
 #[cfg(test)]

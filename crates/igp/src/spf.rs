@@ -13,12 +13,19 @@
 //!    lies needs only the cheap route phase, not a new Dijkstra. This
 //!    is the *partial SPF* behaviour real routers exhibit for OSPF
 //!    type-5 churn, and it is why Fibbing's control-plane overhead is
-//!    low. [`SpfEngine`] exploits it by fingerprinting the real graph.
+//!    low. [`SpfEngine`] exploits it: while the LSDB's real version
+//!    stands it reads only the rows the route phase needs; when the
+//!    version moves it builds the dense real graph from the router LSAs
+//!    and reruns Dijkstra only if that graph's fingerprint changed.
+//!
+//! Both phases run on a [`RealGraph`], the real part of a topology in
+//! dense form, and there is one Dijkstra ([`RealGraph::shortest_paths`]).
 //!
 //! Next-hop identity is a [`FwAddr`]: routes deduplicate by forwarding
 //! *address*, not by neighbor router, so two lies resolving to distinct
 //! addresses of the same neighbor yield two ECMP slots (uneven splits).
 
+use crate::lsdb::Lsdb;
 use crate::rib::{Route, RouteTable};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::{FwAddr, Metric, Prefix, RouterId};
@@ -26,6 +33,115 @@ use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::hash::{Hash, Hasher};
+
+/// The real part of a topology in dense form: its real routers in
+/// ascending id order, and per router, by position, its links to real
+/// routers as (far end's position, metric), sorted by far end. Row i is
+/// `edges[off[i]..off[i + 1]]`.
+///
+/// [`RealGraph::of`] reads it off a [`Topology`];
+/// [`Lsdb::real_graph`](crate::lsdb::Lsdb::real_graph) builds the same
+/// graph straight from the router LSAs, so an SPF run needs no
+/// topology at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RealGraph {
+    pub(crate) ids: Vec<RouterId>,
+    pub(crate) off: Vec<usize>,
+    pub(crate) edges: Vec<(usize, Metric)>,
+}
+
+impl RealGraph {
+    /// The real routers of `topo` and every link between two of them.
+    pub fn of(topo: &Topology) -> RealGraph {
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let mut off = Vec::with_capacity(ids.len() + 1);
+        let mut edges = Vec::new();
+        off.push(0);
+        for &r in &ids {
+            for l in topo.links(r).iter().filter(|l| l.to.is_real()) {
+                let to = ids.binary_search(&l.to);
+                edges.push((to.expect("a link names a router of the topology"), l.metric));
+            }
+            off.push(edges.len());
+        }
+        RealGraph { ids, off, edges }
+    }
+
+    /// The links of the router at position `i`.
+    pub(crate) fn row(&self, i: usize) -> &[(usize, Metric)] {
+        &self.edges[self.off[i]..self.off[i + 1]]
+    }
+
+    /// Every router's id, then per link its far end's id and metric,
+    /// then a separator, hashed in row order.
+    fn fingerprint(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        for (i, r) in self.ids.iter().enumerate() {
+            r.0.hash(&mut h);
+            for &(to, m) in self.row(i) {
+                self.ids[to].0.hash(&mut h);
+                m.0.hash(&mut h);
+            }
+            0xffff_ffffu32.hash(&mut h); // node separator
+        }
+        h.finish()
+    }
+
+    /// Dijkstra from `source`, computing distances and merged equal-cost
+    /// first-hop sets. Positions sort like ids, so pops, tie-breaks and
+    /// merges run in the order of the ordered-map form this replaced
+    /// (`shortest_paths_reference` in the tests); a first-hop set,
+    /// always sorted, is cloned only for a link that improves or ties a
+    /// distance.
+    pub fn shortest_paths(&self, source: RouterId) -> ShortestPaths {
+        let n = self.ids.len();
+        let mut sp = ShortestPaths {
+            source,
+            ids: self.ids.clone(),
+            dist: vec![Metric::INF; n],
+            first_hops: vec![Vec::new(); n],
+        };
+        let Some(s) = sp.pos(source) else {
+            return sp; // absent or fake: nothing is reachable
+        };
+        sp.dist[s] = Metric::ZERO;
+        let mut heap = BinaryHeap::from([Reverse((Metric::ZERO, s))]);
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if sp.dist[u] != d {
+                continue; // stale heap entry
+            }
+            for &(to, metric) in self.row(u) {
+                if !metric.is_finite() {
+                    continue;
+                }
+                let nd = d.add(metric);
+                if nd > sp.dist[to] {
+                    continue;
+                }
+                // First hops propagated to `to` through u.
+                let inherit = if u == s {
+                    vec![self.ids[to]]
+                } else {
+                    sp.first_hops[u].clone()
+                };
+                if nd < sp.dist[to] {
+                    sp.dist[to] = nd;
+                    sp.first_hops[to] = inherit;
+                    heap.push(Reverse((nd, to)));
+                } else {
+                    let set = &mut sp.first_hops[to];
+                    for h in inherit {
+                        if !set.contains(&h) {
+                            set.push(h);
+                        }
+                    }
+                    set.sort();
+                }
+            }
+        }
+        sp
+    }
+}
 
 /// Distances and ECMP first-hop sets from one source over the real
 /// graph, by dense position: entry i belongs to the topology's i-th
@@ -61,64 +177,12 @@ impl ShortestPaths {
     }
 }
 
-/// Dijkstra over the real part of `topo` from `source`, computing
-/// distances and merged equal-cost first-hop sets. Positions sort like
-/// ids, so pops, tie-breaks and merges run in the order of the
-/// ordered-map form this replaced (`shortest_paths_reference` in the
-/// tests); a first-hop set, always sorted, is cloned only for a link
-/// that improves or ties a distance.
+/// Dijkstra over the real part of `topo` from `source`: the dense
+/// graph of `topo`, then [`RealGraph::shortest_paths`]. Fakes are
+/// handled in the route phase. A caller with several sources on one
+/// topology builds the graph once instead.
 pub fn shortest_paths(topo: &Topology, source: RouterId) -> ShortestPaths {
-    let ids: Vec<RouterId> = topo.routers().collect();
-    let n = ids.len();
-    let mut sp = ShortestPaths {
-        source,
-        ids,
-        dist: vec![Metric::INF; n],
-        first_hops: vec![Vec::new(); n],
-    };
-    let Some(s) = sp.pos(source) else {
-        return sp; // absent or fake: nothing is reachable
-    };
-    sp.dist[s] = Metric::ZERO;
-    let mut heap = BinaryHeap::from([Reverse((Metric::ZERO, s))]);
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if sp.dist[u] != d {
-            continue; // stale heap entry
-        }
-        for link in topo.links(sp.ids[u]) {
-            // Fakes are handled in the route phase.
-            if link.to.is_fake() || !link.metric.is_finite() {
-                continue;
-            }
-            let to = sp
-                .pos(link.to)
-                .expect("a link names a router of the topology");
-            let nd = d.add(link.metric);
-            if nd > sp.dist[to] {
-                continue;
-            }
-            // First hops propagated to link.to through u.
-            let inherit = if u == s {
-                vec![link.to]
-            } else {
-                sp.first_hops[u].clone()
-            };
-            if nd < sp.dist[to] {
-                sp.dist[to] = nd;
-                sp.first_hops[to] = inherit;
-                heap.push(Reverse((nd, to)));
-            } else {
-                let set = &mut sp.first_hops[to];
-                for h in inherit {
-                    if !set.contains(&h) {
-                        set.push(h);
-                    }
-                }
-                set.sort();
-            }
-        }
-    }
-    sp
+    RealGraph::of(topo).shortest_paths(source)
 }
 
 /// Compute the per-prefix route table for `source`, given precomputed
@@ -295,35 +359,28 @@ pub fn compute_all_routes(topo: &Topology) -> BTreeMap<RouterId, RouteTable> {
 /// from the map.
 pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Route> {
     let _span = fib_trace::span(fib_trace::Phase::PrefixRoutes);
-    // Dense positions: `routers()` comes out ascending, and a link
-    // only ever names a node of the topology.
-    let ids: Vec<RouterId> = topo.routers().collect();
+    // The forward rows are the dense graph's. An unusable (INF) link in
+    // them never meets a distance equality below: `add` absorbs INF and
+    // every distance compared there is finite.
+    let graph = RealGraph::of(topo);
+    let ids = &graph.ids;
     let n = ids.len();
     let pos = |r: RouterId| ids.binary_search(&r).expect("a router of the topology");
 
-    // Usable real links, forward (grouped by `from`, as stored) and
-    // reversed, both in CSR form: row i is `[off[i]..off[i + 1]]`.
-    let mut out_off = Vec::with_capacity(n + 1);
-    let mut out_edges: Vec<(usize, Metric)> = Vec::new();
+    // The usable links reversed, in CSR form: row i is
+    // `in_edges[in_off[i]..in_off[i + 1]]`.
+    let usable = |from: usize| graph.row(from).iter().filter(|e| e.1.is_finite());
     let mut in_off = vec![0usize; n + 1];
-    for &r in &ids {
-        out_off.push(out_edges.len());
-        for l in topo.links(r) {
-            if l.to.is_real() && l.metric.is_finite() {
-                let to = pos(l.to);
-                out_edges.push((to, l.metric));
-                in_off[to + 1] += 1;
-            }
-        }
+    for &(to, _) in (0..n).flat_map(usable) {
+        in_off[to + 1] += 1;
     }
-    out_off.push(out_edges.len());
     for i in 0..n {
         in_off[i + 1] += in_off[i];
     }
-    let mut in_edges = vec![(0usize, Metric::ZERO); out_edges.len()];
+    let mut in_edges = vec![(0usize, Metric::ZERO); in_off[n]];
     let mut fill = in_off.clone();
     for from in 0..n {
-        for &(to, m) in &out_edges[out_off[from]..out_off[from + 1]] {
+        for &(to, m) in usable(from) {
             in_edges[fill[to]] = (from, m);
             fill[to] += 1;
         }
@@ -377,9 +434,10 @@ pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Rout
             if x != skip && own[x] == dist[x] {
                 return true;
             }
-            let row = &out_edges[out_off[x]..out_off[x + 1]];
             stack.extend(
-                row.iter()
+                graph
+                    .row(x)
+                    .iter()
                     .filter(|(y, m)| m.add(dist[*y]) == dist[x])
                     .map(|e| e.0),
             );
@@ -398,7 +456,7 @@ pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Rout
         let local = announced[i] == d;
         let mut nexthops: Vec<FwAddr> = Vec::new();
         if !local {
-            for &(to, m) in &out_edges[out_off[i]..out_off[i + 1]] {
+            for &(to, m) in graph.row(i) {
                 if m.add(dist[to]) == d
                     && (m != Metric::ZERO || own[i] != d || reaches_another(to, i))
                 {
@@ -419,103 +477,66 @@ pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Rout
     out
 }
 
-/// Caching SPF engine exploiting partial SPF for lie-only changes.
-///
-/// The engine fingerprints the *real* part of the topology (routers,
-/// links, metrics). When only fake nodes or prefix announcements
-/// changed, the cached Dijkstra result is reused and only the route
-/// phase reruns — this is the ablation point contrasting Fibbing's
+/// Caching SPF engine for one router, exploiting partial SPF for
+/// lie-only changes — the ablation point contrasting Fibbing's
 /// type-5-style churn with full topology churn.
+///
+/// It keeps one slot: the shortest paths of its last full run, with
+/// the fingerprint of the real graph they came from. While the LSDB's
+/// [`real_version`](Lsdb::real_version) stands (lie and prefix churn)
+/// it reads only the rows the route phase needs
+/// ([`Lsdb::route_view`]) and reruns only that phase. When the version
+/// moves it builds the dense real graph from the router LSAs
+/// ([`Lsdb::real_graph`]) and fingerprints it; only a changed graph
+/// reruns Dijkstra, so a content-identical re-origination still takes
+/// the partial path. Those reads happen outside the `spf.full` and
+/// `spf.partial` spans, which cover the Dijkstra and the route phase.
 #[derive(Debug, Default)]
 pub struct SpfEngine {
-    cache: BTreeMap<RouterId, (u64, ShortestPaths)>,
-    /// Last real-graph version seen per source (the O(1) fast path of
-    /// [`SpfEngine::compute_versioned`]).
-    seen_real: BTreeMap<RouterId, u64>,
+    /// The real version of the last call.
+    seen_real: Option<u64>,
+    /// The last full run: the real graph's fingerprint, and its paths.
+    kept: Option<(u64, ShortestPaths)>,
     /// Counts of full Dijkstra runs (for benchmarks/ablation).
     pub full_runs: u64,
-    /// Counts of cache hits where only the route phase ran.
+    /// Counts of runs where only the route phase ran.
     pub partial_runs: u64,
 }
 
-/// Fingerprint of the real graph: routers + real links with metrics.
-pub fn real_graph_fingerprint(topo: &Topology) -> u64 {
-    let mut h = DefaultHasher::new();
-    for r in topo.routers() {
-        r.0.hash(&mut h);
-        for l in topo.links(r) {
-            if l.to.is_real() {
-                l.to.0.hash(&mut h);
-                l.metric.0.hash(&mut h);
-            }
-        }
-        0xffff_ffffu32.hash(&mut h); // node separator
-    }
-    h.finish()
-}
-
 impl SpfEngine {
-    /// A fresh engine with an empty cache.
+    /// A fresh engine with an empty slot.
     pub fn new() -> Self {
         SpfEngine::default()
     }
 
-    /// Compute the route table for `source`, reusing the cached
-    /// Dijkstra result when the real graph is unchanged.
-    pub fn compute(&mut self, topo: &Topology, source: RouterId) -> RouteTable {
-        let fp = real_graph_fingerprint(topo);
-        self.compute_with_fingerprint(topo, source, fp)
-    }
-
-    /// Like [`SpfEngine::compute`], but gated on the caller's
-    /// real-graph version counter (see `Lsdb::real_version`): when the
-    /// version is unchanged since the last call the cached Dijkstra is
-    /// reused *without even hashing the topology* — the common case on
-    /// lie/prefix (type-5-style) churn, where only the cheap route
-    /// phase runs. A bumped version falls back to the fingerprint
-    /// check, so a content-identical re-origination still takes the
-    /// partial path.
-    pub fn compute_versioned(
-        &mut self,
-        topo: &Topology,
-        source: RouterId,
-        real_version: u64,
-    ) -> RouteTable {
-        if self.seen_real.get(&source) == Some(&real_version) {
-            if let Some((_, sp)) = self.cache.get(&source) {
-                self.partial_runs += 1;
-                let _span = fib_trace::span(fib_trace::Phase::SpfPartial);
-                return route_table_from(topo, sp);
+    /// `source`'s route table on `db`: what [`compute_routes`] says on
+    /// `db.to_topology()`.
+    pub fn compute(&mut self, db: &Lsdb, source: RouterId) -> RouteTable {
+        let kept_fp = self.kept.as_ref();
+        let kept_fp = kept_fp.filter(|k| k.1.source == source).map(|k| k.0);
+        let mut full = None;
+        if self.seen_real != Some(db.real_version()) || kept_fp.is_none() {
+            self.seen_real = Some(db.real_version());
+            let graph = db.real_graph();
+            let fp = graph.fingerprint();
+            if kept_fp != Some(fp) {
+                full = Some((fp, graph));
             }
         }
-        self.seen_real.insert(source, real_version);
-        self.compute(topo, source)
-    }
-
-    fn compute_with_fingerprint(
-        &mut self,
-        topo: &Topology,
-        source: RouterId,
-        fp: u64,
-    ) -> RouteTable {
-        let need_full = match self.cache.get(&source) {
-            Some((cached_fp, _)) => *cached_fp != fp,
-            None => true,
-        };
-        let _span = fib_trace::span(if need_full {
+        let view = db.route_view();
+        let _span = fib_trace::span(if full.is_some() {
             fib_trace::Phase::SpfFull
         } else {
             fib_trace::Phase::SpfPartial
         });
-        if need_full {
-            let sp = shortest_paths(topo, source);
-            self.cache.insert(source, (fp, sp));
+        if let Some((fp, graph)) = full {
+            self.kept = Some((fp, graph.shortest_paths(source)));
             self.full_runs += 1;
         } else {
             self.partial_runs += 1;
         }
-        let (_, sp) = self.cache.get(&source).expect("just inserted");
-        route_table_from(topo, sp)
+        let (_, sp) = self.kept.as_ref().expect("a full run fills the slot");
+        route_table_from(&view, sp)
     }
 }
 
@@ -625,7 +646,9 @@ fn dfs_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::FakeAttrs;
+    use crate::lsa::{Lsa, LsaBody, LsaKey, LsaLink};
+    use crate::topology::{FakeAttrs, TopoLink};
+    use crate::types::SeqNum;
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -762,61 +785,73 @@ mod tests {
         );
     }
 
+    fn router_lsa(origin: u32, seq: i32, nbrs: &[(u32, u32)]) -> Lsa {
+        let links = nbrs.iter().map(|&(to, m)| LsaLink {
+            to: r(to),
+            metric: Metric(m),
+        });
+        Lsa::router(r(origin), SeqNum(seq), links.collect())
+    }
+
+    /// `square()` as a database: router LSAs naming each link both
+    /// ways, and r2's prefix.
+    fn square_db() -> Lsdb {
+        let mut db = Lsdb::new();
+        db.install(router_lsa(1, 1, &[(2, 2), (3, 1)]));
+        db.install(router_lsa(2, 1, &[(1, 2), (3, 1)]));
+        db.install(router_lsa(3, 1, &[(1, 1), (2, 1)]));
+        db.install(Lsa::prefix(r(2), 0, SeqNum(1), Prefix::net24(1), Metric(0)));
+        assert_eq!(db.to_topology(), square());
+        db
+    }
+
+    /// A lie at r1 toward r3's secondary address, at r1's natural cost.
+    fn lie_at_r1() -> Lsa {
+        let fw = FwAddr::secondary(r(3), 1);
+        let (m, p) = (Metric(1), Prefix::net24(1));
+        Lsa::fake(RouterId::fake(0), SeqNum(1), r(1), m, p, m, fw)
+    }
+
     #[test]
     fn engine_partial_runs_on_lie_churn() {
-        let mut t = square();
+        let mut db = square_db();
         let mut eng = SpfEngine::new();
-        let _ = eng.compute(&t, r(1));
+        let _ = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (1, 0));
         // Lie-only change: no new Dijkstra.
-        t.add_fake_node(
-            RouterId::fake(0),
-            FakeAttrs {
-                attach: r(1),
-                attach_metric: Metric(1),
-                prefix: Prefix::net24(1),
-                prefix_metric: Metric(1),
-                fw: FwAddr::secondary(r(3), 1),
-            },
-        )
-        .unwrap();
-        let rt = eng.compute(&t, r(1));
+        db.install(lie_at_r1());
+        let rt = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (1, 1));
         assert_eq!(rt.routes[&Prefix::net24(1)].nexthops.len(), 3);
         // Real-graph change: full run.
-        t.set_metric(r(1), r(3), Metric(5)).unwrap();
-        let _ = eng.compute(&t, r(1));
+        db.install(router_lsa(1, 2, &[(2, 2), (3, 5)]));
+        let _ = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (2, 1));
     }
 
     #[test]
     fn versioned_engine_skips_hashing_on_stable_real_graph() {
-        let mut t = square();
+        let mut db = square_db();
         let mut eng = SpfEngine::new();
-        let _ = eng.compute_versioned(&t, r(1), 0);
+        let _ = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (1, 0));
-        // Same version: partial without consulting the fingerprint.
-        t.add_fake_node(
-            RouterId::fake(0),
-            FakeAttrs {
-                attach: r(1),
-                attach_metric: Metric(1),
-                prefix: Prefix::net24(1),
-                prefix_metric: Metric(1),
-                fw: FwAddr::secondary(r(3), 1),
-            },
-        )
-        .unwrap();
-        let rt = eng.compute_versioned(&t, r(1), 0);
+        // Same real version: partial without building the real graph.
+        let version = db.real_version();
+        db.install(lie_at_r1());
+        assert_eq!(db.real_version(), version);
+        let rt = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (1, 1));
         assert_eq!(rt.routes[&Prefix::net24(1)].nexthops.len(), 3);
-        // Bumped version, identical real graph: the fingerprint check
-        // still lands on the partial path.
-        let _ = eng.compute_versioned(&t, r(1), 1);
+        // Bumped version, identical real graph (r1 re-originates its
+        // LSA unchanged): the fingerprint check still lands on the
+        // partial path.
+        db.install(router_lsa(1, 2, &[(2, 2), (3, 1)]));
+        assert!(db.real_version() > version);
+        let _ = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (1, 2));
         // Bumped version, changed real graph: full run.
-        t.set_metric(r(1), r(3), Metric(5)).unwrap();
-        let _ = eng.compute_versioned(&t, r(1), 2);
+        db.install(router_lsa(1, 3, &[(2, 2), (3, 5)]));
+        let _ = eng.compute(&db, r(1));
         assert_eq!((eng.full_runs, eng.partial_runs), (2, 2));
     }
 
@@ -831,10 +866,6 @@ mod tests {
     /// (real routers, their real links and metrics) changed.
     #[test]
     fn engine_follows_seeded_lsdb_mutations() {
-        use crate::lsa::{Lsa, LsaBody, LsaKey, LsaLink};
-        use crate::lsdb::Lsdb;
-        use crate::topology::TopoLink;
-        use crate::types::SeqNum;
         const POOL: u32 = 6; // routers 1..=POOL speak, POOL + 1 never does
         let mut x = 0x5EC0_E4CE_D1FF_u64;
         let mut rand = move |n: u64| {
@@ -1023,7 +1054,7 @@ mod tests {
                 for (i, eng) in engines.iter_mut().enumerate() {
                     let source = RouterId(i as u32 + 1);
                     let before = (eng.full_runs, eng.partial_runs);
-                    let table = eng.compute_versioned(&topo, source, db.real_version());
+                    let table = eng.compute(&db, source);
                     assert_eq!(
                         table,
                         compute_routes(&topo, source),

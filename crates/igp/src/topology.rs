@@ -73,8 +73,9 @@ impl Topology {
     }
 
     /// The real graph in one go: `rows` in ascending router order, each
-    /// row's links sorted by far end, one per far end, every far end a
-    /// router of `rows` — what `add_link` checks and sorts per link.
+    /// row's links sorted by far end, one per far end — what `add_link`
+    /// checks and sorts per link. Every far end is a router of `rows`,
+    /// except in `Lsdb::route_view`, which keeps only the rows it reads.
     pub(crate) fn from_sorted_rows(rows: Vec<(RouterId, Vec<TopoLink>)>) -> Topology {
         debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
         let node = |links| Node {

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use fibbing::demo::{name, paper_topology, A, B, BLUE, R1};
+use fibbing::igp::lsa::LsaLink;
 use fibbing::prelude::*;
 
 fn main() {
@@ -52,10 +53,33 @@ fn main() {
     assert!(report.ok());
 
     // The lie-churn is cheap: fake nodes never affect real distances,
-    // so routers run only the partial SPF route phase.
+    // so when the lies reach A's LSDB it runs only the partial SPF
+    // route phase.
+    let mut lsdb = Lsdb::new();
+    for r in topo.routers() {
+        let links = topo.links(r).iter().map(|l| LsaLink {
+            to: l.to,
+            metric: l.metric,
+        });
+        lsdb.install(Lsa::router(r, SeqNum(1), links.collect()));
+        for (id, &(prefix, metric)) in (0..).zip(topo.prefixes_at(r)) {
+            lsdb.install(Lsa::prefix(r, id, SeqNum(1), prefix, metric));
+        }
+    }
     let mut engine = SpfEngine::new();
-    let _ = engine.compute(&topo, A);
-    let _ = engine.compute(&augmented, A);
+    let _ = engine.compute(&lsdb, A);
+    for l in &plan.lies {
+        lsdb.install(Lsa::fake(
+            l.fake_id,
+            SeqNum(1),
+            l.attach,
+            l.attach_metric,
+            l.prefix,
+            l.prefix_metric,
+            l.fw,
+        ));
+    }
+    assert_eq!(engine.compute(&lsdb, A), table);
     println!(
         "SPF work at A: {} full Dijkstra run(s), {} partial (lie-only) run(s)",
         engine.full_runs, engine.partial_runs
