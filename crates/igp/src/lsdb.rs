@@ -447,6 +447,7 @@ fn two_way_row(reports: &[Report<'_>], group: &[Report<'_>], row: &mut Vec<(usiz
 mod tests {
     use super::*;
     use crate::lsa::LsaLink;
+    use crate::spf::{route_table_from, shortest_paths};
     use crate::types::{FwAddr, Metric, Prefix, SeqNum};
 
     fn router_lsa(origin: u32, seq: i32, neighbors: &[(u32, u32)]) -> Lsa {
@@ -744,7 +745,10 @@ mod tests {
     /// that have no LSA, a far end listed twice, a second router LSA
     /// under another id, a router LSA from the fake range, two prefix
     /// LSAs for one prefix, lies with a dangling attachment or a
-    /// forwarding address that is no neighbour.
+    /// forwarding address that is no neighbour. Each database's dense
+    /// graph must equal the dense graph of its topology, the Dijkstra on
+    /// it `shortest_paths` on the topology from every router, and the
+    /// route phase on `route_view` the route phase on the topology.
     #[test]
     fn to_topology_matches_the_four_pass_reference() {
         let mut x = 0x2545_F491_4F6C_DD1Du64;
@@ -756,6 +760,7 @@ mod tests {
         };
         let metric = |r: u64| Metric(1 + r as u32);
         let (mut links_kept, mut lies_kept, mut lies_planned) = (0, 0, 0);
+        let (mut tables, mut routes) = (0, 0);
         for _ in 0..3000 {
             let pool = 2 + rand(9) as u32; // routers 1..=pool may speak
             let mut adj: Vec<Vec<LsaLink>> = vec![Vec::new(); pool as usize + 1];
@@ -849,12 +854,29 @@ mod tests {
             assert_eq!(topo, to_topology_reference(&db), "{db:?}");
             links_kept += topo.all_links().count();
             lies_kept += topo.fake_count();
+            // What an SPF run reads instead: the dense graph, the one
+            // Dijkstra on it, and the route phase on the lie-only rows.
+            let graph = db.real_graph();
+            assert_eq!(graph, RealGraph::of(&topo), "{db:?}");
+            let view = db.route_view();
+            for r in topo.routers() {
+                let sp = graph.shortest_paths(r);
+                assert_eq!(sp, shortest_paths(&topo, r), "from {r} on {db:?}");
+                let table = route_table_from(&topo, &sp);
+                assert_eq!(route_table_from(&view, &sp), table, "{r} on {db:?}");
+                tables += 1;
+                routes += table.routes.len();
+            }
         }
         // The generator reaches both sides of every decision.
         assert!(links_kept > 10_000, "only {links_kept} links kept");
         assert!(
             lies_kept > 500 && lies_planned - lies_kept > 500,
             "{lies_kept} of {lies_planned} lies kept"
+        );
+        assert!(
+            tables > 14_000 && routes > 12_000,
+            "only {routes} routes in {tables} tables"
         );
     }
 
