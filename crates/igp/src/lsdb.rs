@@ -292,30 +292,18 @@ impl Lsdb {
     /// two-way check. What a full SPF run reads, fingerprints and runs
     /// Dijkstra on.
     pub fn real_graph(&self) -> RealGraph {
-        let reports = self.reports();
-        // A far end comes back as the index of its report; a router's
-        // position is the number of routers before it, and its reports
-        // run from its first to the next router's first.
-        let mut ids = Vec::new();
-        let mut firsts = Vec::new();
-        let mut pos_of = Vec::with_capacity(reports.len());
-        for (i, (key, _)) in reports.iter().enumerate() {
-            if ids.last() != Some(&key.origin) {
-                ids.push(key.origin);
-                firsts.push(i);
-            }
-            pos_of.push(ids.len() - 1);
-        }
-        firsts.push(reports.len());
-        let mut off = Vec::with_capacity(ids.len() + 1);
+        let reports = Reports::of(self);
+        let n = reports.ids.len();
+        let mut off = Vec::with_capacity(n + 1);
         let mut edges = Vec::new();
         let mut row = Vec::new();
         off.push(0);
-        for run in firsts.windows(2) {
-            two_way_row(&reports, &reports[run[0]..run[1]], &mut row);
-            edges.extend(row.iter().map(|&(far, metric)| (pos_of[far], metric)));
+        for i in 0..n {
+            reports.two_way_row(i, &mut row);
+            edges.extend_from_slice(&row);
             off.push(edges.len());
         }
+        let ids = reports.ids;
         RealGraph { ids, off, edges }
     }
 
@@ -331,7 +319,7 @@ impl Lsdb {
     /// missing, and a far end need not have a row, so it is no graph to
     /// run a Dijkstra on.
     pub fn route_view(&self) -> Topology {
-        let reports = self.reports();
+        let reports = Reports::of(self);
         let mut wanted: Vec<RouterId> = self
             .live()
             .filter_map(|lsa| match lsa.body {
@@ -344,14 +332,11 @@ impl Lsdb {
         wanted.dedup();
         let mut row = Vec::new();
         let rows = wanted.into_iter().filter_map(|r| {
-            let start = reports.partition_point(|rep| rep.0.origin < r);
-            let len = reports[start..].partition_point(|rep| rep.0.origin == r);
-            if len == 0 {
-                return None; // no live router LSA: not in the topology
-            }
-            two_way_row(&reports, &reports[start..start + len], &mut row);
+            // Without a live router LSA, `r` is not in the topology.
+            let i = reports.ids.binary_search(&r).ok()?;
+            reports.two_way_row(i, &mut row);
             let links = row.iter().map(|&(far, metric)| TopoLink {
-                to: reports[far].0.origin,
+                to: reports.ids[far],
                 metric,
             });
             Some((r, links.collect()))
@@ -362,20 +347,6 @@ impl Lsdb {
     /// The stored LSAs that are not MaxAge, in key order.
     fn live(&self) -> impl Iterator<Item = &Lsa> {
         self.iter().filter(|lsa| !lsa.is_max_age())
-    }
-
-    /// Live router LSAs of real routers, with their links. `entries`
-    /// yields them in key order — ascending origin, a router's
-    /// `(Router, 0)` LSA before any other it has — so a far end's
-    /// report is a binary search away.
-    fn reports(&self) -> Vec<Report<'_>> {
-        let reports = self.live().filter_map(|lsa| match &lsa.body {
-            LsaBody::Router { links } if lsa.key.origin.is_real() => {
-                Some((lsa.key, links.as_slice()))
-            }
-            _ => None,
-        });
-        reports.collect()
     }
 
     /// `topo` with this database's prefixes and lies laid over it, each
@@ -416,31 +387,57 @@ impl Lsdb {
     }
 }
 
-/// A live router LSA of a real router: its key and its links.
-type Report<'a> = (LsaKey, &'a [LsaLink]);
+/// The live router LSAs of real routers, by router: what the two-way
+/// check reads.
+struct Reports<'a> {
+    /// The routers that have one, ascending: the dense graph's ids.
+    ids: Vec<RouterId>,
+    /// Router i's LSAs are `lsas[firsts[i]..firsts[i + 1]]`, as
+    /// (LSA id, links) in key order, so a live `(Router, 0)` LSA comes
+    /// first.
+    firsts: Vec<usize>,
+    lsas: Vec<(u32, &'a [LsaLink])>,
+}
 
-/// The two-way check for the router whose reports are `group`, a run
-/// of `reports`: into `row`, each link whose far end's `(Router, 0)`
-/// LSA names the router back, as (the index of that LSA in `reports`,
-/// metric). Indexes sort like far ends; the row comes out sorted by
-/// far end, and of a far end reported twice the first counts.
-fn two_way_row(reports: &[Report<'_>], group: &[Report<'_>], row: &mut Vec<(usize, Metric)>) {
-    let from = group[0].0.origin;
-    row.clear();
-    for (_, links) in group {
-        row.extend(links.iter().filter_map(|l| {
-            let far = LsaKey {
-                origin: l.to,
-                kind: LsaKind::Router,
-                id: 0,
+impl<'a> Reports<'a> {
+    fn of(db: &'a Lsdb) -> Reports<'a> {
+        let (mut ids, mut firsts, mut lsas) = (Vec::new(), Vec::new(), Vec::new());
+        for lsa in db.live() {
+            let LsaBody::Router { links } = &lsa.body else {
+                continue;
             };
-            let i = reports.binary_search_by_key(&far, |rep| rep.0).ok()?;
-            let back = reports[i].1.iter().any(|back| back.to == from);
-            back.then_some((i, l.metric))
-        }));
+            let origin = lsa.key.origin;
+            if origin.is_fake() {
+                continue;
+            }
+            if ids.last() != Some(&origin) {
+                ids.push(origin);
+                firsts.push(lsas.len());
+            }
+            lsas.push((lsa.key.id, links.as_slice()));
+        }
+        firsts.push(lsas.len());
+        Reports { ids, firsts, lsas }
     }
-    row.sort_by_key(|e| e.0); // stable
-    row.dedup_by_key(|e| e.0);
+
+    /// The two-way check for the router at position `i`: into `row`,
+    /// each link of its LSAs whose far end's `(Router, 0)` LSA names it
+    /// back, as (far end's position, metric), sorted by far end; of a
+    /// far end reported twice the first counts.
+    fn two_way_row(&self, i: usize, row: &mut Vec<(usize, Metric)>) {
+        let from = self.ids[i];
+        row.clear();
+        for (_, links) in &self.lsas[self.firsts[i]..self.firsts[i + 1]] {
+            row.extend(links.iter().filter_map(|l| {
+                let far = self.ids.binary_search(&l.to).ok()?;
+                let (id, back) = self.lsas[self.firsts[far]];
+                let named = id == 0 && back.iter().any(|b| b.to == from);
+                named.then_some((far, l.metric))
+            }));
+        }
+        row.sort_by_key(|e| e.0); // stable
+        row.dedup_by_key(|e| e.0);
+    }
 }
 
 #[cfg(test)]
