@@ -5,11 +5,11 @@
 //! freshness rules of [`crate::lsa::compare_freshness`]; MaxAge
 //! instances linger only long enough to be flooded, then fall out via
 //! [`Lsdb::sweep`]. SPF reads the database directly: a full run the
-//! dense real graph ([`Lsdb::real_graph`]), the route phase only the
-//! rows it needs ([`Lsdb::route_view`]). [`Lsdb::to_topology`]
-//! materializes the whole augmented [`Topology`] for other readers.
-//! All three apply the two-way connectivity check to real links and
-//! trust fake-node LSAs as complete descriptions of lies.
+//! dense real graph (`Lsdb::real_graph`), the route phase only the rows
+//! it needs (`Lsdb::route_view`). [`Lsdb::to_topology`] materializes
+//! the whole augmented [`Topology`] for other readers. All three apply
+//! the two-way connectivity check to real links and trust fake-node
+//! LSAs as complete descriptions of lies.
 
 use crate::lsa::{
     compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE,
@@ -75,8 +75,8 @@ impl Lsdb {
 
     /// Version of the *real graph* only: bumped when a router LSA
     /// changes, untouched by lie (fake) and prefix churn. The SPF
-    /// engine uses it to decide — in O(1), without hashing the
-    /// topology — that a change cannot have moved any real node and a
+    /// engine uses it to decide — in O(1), without reading the real
+    /// graph — that a change cannot have moved any real node and a
     /// cheap partial run suffices ([`crate::spf::SpfEngine`]).
     pub fn real_version(&self) -> u64 {
         self.real_version
@@ -261,8 +261,8 @@ impl Lsdb {
     }
 
     /// Materialize the augmented topology this database describes: the
-    /// rows of [`real_graph`](Self::real_graph), with the prefixes and
-    /// lies laid over them.
+    /// rows of its dense real graph, with the prefixes and lies laid
+    /// over them.
     ///
     /// Real links pass the two-way check: a directed link `u → v`
     /// appears only if `v`'s router LSA also reports a link back to
@@ -272,9 +272,8 @@ impl Lsdb {
     /// neighbors. MaxAge LSAs are ignored.
     ///
     /// Built from scratch on every call, for readers that want the whole
-    /// topology: the controller's view and the convergence oracle. An
-    /// SPF run reads [`real_graph`](Self::real_graph) and
-    /// [`route_view`](Self::route_view) instead.
+    /// topology (the controller's view, the convergence oracle); an SPF
+    /// run reads only the dense graph or the rows it needs.
     pub fn to_topology(&self) -> Topology {
         let graph = self.real_graph();
         let rows = graph.ids.iter().enumerate().map(|(i, &id)| {
@@ -291,7 +290,7 @@ impl Lsdb {
     /// real router with a live router LSA, and the links that pass the
     /// two-way check. What a full SPF run reads, fingerprints and runs
     /// Dijkstra on.
-    pub fn real_graph(&self) -> RealGraph {
+    pub(crate) fn real_graph(&self) -> RealGraph {
         let reports = Reports::of(self);
         let n = reports.ids.len();
         let mut off = Vec::with_capacity(n + 1);
@@ -303,22 +302,20 @@ impl Lsdb {
             edges.extend_from_slice(&row);
             off.push(edges.len());
         }
-        let ids = reports.ids;
-        RealGraph { ids, off, edges }
+        RealGraph {
+            ids: reports.ids,
+            off,
+            edges,
+        }
     }
 
-    /// What the route phase of an SPF run reads of this database: the
-    /// rows of the routers that announce a prefix or carry a lie, with
-    /// the prefixes and lies laid over them as in
-    /// [`to_topology`](Self::to_topology).
-    ///
-    /// [`route_table_from`](crate::spf::route_table_from) on it equals
-    /// `route_table_from` on `to_topology()`: it holds every live
-    /// router's announcements and, since every lie is judged against
-    /// its attachment router's row, the same lies. The other rows are
-    /// missing, and a far end need not have a row, so it is no graph to
-    /// run a Dijkstra on.
-    pub fn route_view(&self) -> Topology {
+    /// What the route phase of an SPF run reads: the rows of the routers
+    /// that announce a prefix or carry a lie, with the prefixes and lies
+    /// laid over them as in [`to_topology`](Self::to_topology). The
+    /// route phase on it equals the route phase on `to_topology()`,
+    /// since each lie is judged against its attachment's row; a far end
+    /// need not have a row, so it is no graph to run Dijkstra on.
+    pub(crate) fn route_view(&self) -> Topology {
         let reports = Reports::of(self);
         let mut wanted: Vec<RouterId> = self
             .live()

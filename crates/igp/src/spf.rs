@@ -39,10 +39,9 @@ use std::hash::{Hash, Hasher};
 /// routers as (far end's position, metric), sorted by far end. Row i is
 /// `edges[off[i]..off[i + 1]]`.
 ///
-/// [`RealGraph::of`] reads it off a [`Topology`];
-/// [`Lsdb::real_graph`](crate::lsdb::Lsdb::real_graph) builds the same
-/// graph straight from the router LSAs, so an SPF run needs no
-/// topology at all.
+/// [`RealGraph::of`] reads it off a [`Topology`]; `Lsdb::real_graph`
+/// builds the same graph straight from the router LSAs, so an SPF run
+/// needs no topology at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RealGraph {
     pub(crate) ids: Vec<RouterId>,
@@ -484,13 +483,13 @@ pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Rout
 /// It keeps one slot: the shortest paths of its last full run, with
 /// the fingerprint of the real graph they came from. While the LSDB's
 /// [`real_version`](Lsdb::real_version) stands (lie and prefix churn)
-/// it reads only the rows the route phase needs
-/// ([`Lsdb::route_view`]) and reruns only that phase. When the version
-/// moves it builds the dense real graph from the router LSAs
-/// ([`Lsdb::real_graph`]) and fingerprints it; only a changed graph
-/// reruns Dijkstra, so a content-identical re-origination still takes
-/// the partial path. Those reads happen outside the `spf.full` and
-/// `spf.partial` spans, which cover the Dijkstra and the route phase.
+/// it reads only the rows the route phase needs (`Lsdb::route_view`)
+/// and reruns only that phase. When the version moves it builds the
+/// dense real graph from the router LSAs (`Lsdb::real_graph`) and
+/// fingerprints it; only a changed graph reruns Dijkstra, so a
+/// content-identical re-origination still takes the partial path.
+/// Those reads happen outside the `spf.full` and `spf.partial` spans,
+/// which cover the Dijkstra and the route phase.
 #[derive(Debug, Default)]
 pub struct SpfEngine {
     /// The real version of the last call.
