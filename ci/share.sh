@@ -1,16 +1,11 @@
 #!/usr/bin/env bash
 # Separation share of a traced ledger run, next to the floor
 # `bench/src/measure.rs::separation` holds it to (a run under its floor
-# already reports `"correct": false`; this prints the margin), and the
-# IGP packets the run received per LSA it flooded (≈ 2.5 on
-# `metro_core` when every LSA went out in its own LS Update with an ack
-# of its own; ≈ 0.6 once floods and acks were packed per neighbour;
-# ≈ 0.14 since a stale copy is answered only when the neighbour lacks
-# ours),
-# and what one full SPF and one `augment` call cost (`igp.spf_full_us`
-# ≈ 36 µs on `metro_core` and `core.augment_probe_us` ≈ 0.3 ms on
-# `predictive_storm`, since the SPF runs on dense positions and
-# `augment` computes it once per router).
+# already reports `"correct": false`; this prints the margin), the IGP
+# packets the run received per LSA it flooded, and what one full SPF
+# and one `augment` call cost (`igp.spf_full_us`,
+# `core.augment_probe_us`). The values live in the runs' output, not
+# here.
 #
 #   bench/run.sh --workload predictive_storm --seed 2016 --seconds 6 --trace 1 | ci/share.sh
 #
