@@ -1,9 +1,9 @@
-//! A tiny shared flag parser for the figure/table binaries.
+//! A tiny shared flag parser for the bench binaries.
 //!
-//! Every bin takes `--flag value` (or `--flag=value`) pairs; the one
-//! flag they all share is `--seed N`, replacing the hard-coded seeds
-//! the binaries used to carry. Unknown flags are an error so typos
-//! fail loudly instead of silently running the default experiment.
+//! `scenario_suite`, `sweep` and `adversary` take `--flag value` (or
+//! `--flag=value`) pairs, `--seed N` among them; `paper` takes none.
+//! Unknown flags are an error so typos fail loudly instead of silently
+//! running the default experiment.
 
 /// Parsed command-line flags.
 #[derive(Debug, Clone, Default)]

@@ -1,13 +1,16 @@
 //! Shared helpers for the benchmark/figure-regeneration harness.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/`
-//! (see the crate map in docs/ARCHITECTURE.md); they print
-//! human-readable tables and drop CSV files under `results/`.
+//! Every table and figure of the paper is a function of [`paper`], and
+//! the `paper` binary runs them all; the `scenario_suite`, `sweep` and
+//! `adversary` binaries drive the scenario engine (see the crate map in
+//! docs/ARCHITECTURE.md). They print human-readable tables and drop
+//! CSV files under `results/`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 pub mod cli;
+pub mod paper;
 
 /// The directory where regeneration binaries drop CSV artifacts.
 pub fn results_dir() -> PathBuf {

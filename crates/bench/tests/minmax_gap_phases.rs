@@ -5,10 +5,10 @@
 //! microseconds-to-milliseconds (release) but the assert allows 5 s so
 //! debug builds and loaded CI runners never flake. Fine-grained perf
 //! regression tracking lives in `results/BENCH_table_minmax_gap.json`,
-//! which the `table_minmax_gap` bin writes on every run.
+//! which the `paper` bin writes on every run.
 
 use fib_te::prelude::*;
-use fibbing::demo::{paper_capacities, paper_topology, A, B, BLUE};
+use fibbing::demo::{paper_capacities, paper_topology, BLUE, FIG1_CAPACITY, FIG1_DEMAND};
 use fibbing::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -17,11 +17,10 @@ const PHASE_BUDGET: Duration = Duration::from_secs(5);
 #[test]
 fn paper_case_phases_are_fast() {
     let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let demands = vec![(A, 100.0), (B, 100.0)];
+    let caps = paper_capacities(FIG1_CAPACITY);
     let mut tm = TrafficMatrix::new();
-    for (s, r) in &demands {
-        tm.add(*s, BLUE, *r);
+    for (s, r) in FIG1_DEMAND {
+        tm.add(s, BLUE, r);
     }
 
     let t0 = Instant::now();
@@ -35,12 +34,12 @@ fn paper_case_phases_are_fast() {
     eprintln!("best: {best:?} in {best_t:?}");
 
     let t0 = Instant::now();
-    let theta = min_max_theta(&topo, BLUE, &demands, &caps);
+    let theta = min_max_theta(&topo, BLUE, &FIG1_DEMAND, &caps);
     let theta_t = t0.elapsed();
     eprintln!("theta: {theta:?} in {theta_t:?}");
 
     let t0 = Instant::now();
-    let plan = plan_paths(&topo, BLUE, &demands, &caps, 0.01, 8);
+    let plan = plan_paths(&topo, BLUE, &FIG1_DEMAND, &caps, 0.01, 8);
     let plan_t = t0.elapsed();
     eprintln!("plan: ok={} in {plan_t:?}", plan.is_ok());
 

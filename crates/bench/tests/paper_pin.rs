@@ -1,5 +1,5 @@
 //! Byte pin of the paper's figures and tables: every deterministic file
-//! the regeneration binaries write under `results/` — each CSV, and the
+//! the `paper` binary writes under `results/` — each CSV, and the
 //! `.det.json` twin of T3's perf record — folded into one FNV-1a digest
 //! per file. A change to how the artifacts are computed or rendered
 //! must move none of them.
@@ -30,18 +30,10 @@ const PINNED: [(&str, u64); 15] = [
 
 #[test]
 fn paper_artifacts_are_pinned_byte_for_byte() {
-    for bin in [
-        env!("CARGO_BIN_EXE_fig1_paths"),
-        env!("CARGO_BIN_EXE_fig2_timeseries"),
-        env!("CARGO_BIN_EXE_table_qoe"),
-        env!("CARGO_BIN_EXE_table_reaction"),
-        env!("CARGO_BIN_EXE_table_control_overhead"),
-        env!("CARGO_BIN_EXE_table_dataplane_overhead"),
-        env!("CARGO_BIN_EXE_table_minmax_gap"),
-    ] {
-        let out = Command::new(bin).output().expect("binary runs");
-        assert!(out.status.success(), "{bin} failed: {out:?}");
-    }
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .output()
+        .expect("paper runs");
+    assert!(out.status.success(), "paper failed: {out:?}");
     let dir = results_dir();
     let moved: Vec<String> = PINNED
         .iter()

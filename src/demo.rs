@@ -9,7 +9,9 @@
 //! (`fib_scenario::runner::build`); `no_controller_baseline.toml`, or
 //! `RunOptions::disable_controller`, is its controller-off twin. This
 //! module names the routers, links and constants the static figures
-//! and tables read, and its tests hold them to that file.
+//! and tables read, and its tests hold them to that file. It also
+//! defines Fig. 1's offline case once ([`FIG1_DEMAND`],
+//! [`fig1_plan`]) for the `paper` binary and the tests.
 //!
 //! ## Calibration
 //!
@@ -27,6 +29,7 @@
 //! node at B (cost 2 via R3) at t = 15, plus two fake nodes at A
 //! (cost 3 via R1) at t = 35.
 
+use fib_core::prelude::{augment, plan_paths, reduce, Lie, LieAllocator, PathPlan};
 use fib_igp::prelude::*;
 use std::collections::BTreeMap;
 
@@ -95,6 +98,33 @@ pub fn paper_capacities(capacity: f64) -> BTreeMap<(RouterId, RouterId), f64> {
         .all_links()
         .map(|(a, b, _)| ((a, b), capacity))
         .collect()
+}
+
+/// Fig. 1's demand in the figure's relative units: A and B each send
+/// 100 toward blue, over links of [`FIG1_CAPACITY`].
+pub const FIG1_DEMAND: [(RouterId, f64); 2] = [(A, 100.0), (B, 100.0)];
+/// Fig. 1's per-direction link capacity, in the same units.
+pub const FIG1_CAPACITY: f64 = 100.0;
+
+/// [`FIG1_DEMAND`] as the load model's demands.
+pub fn fig1_demands() -> [Demand; 2] {
+    FIG1_DEMAND.map(|(src, rate)| Demand {
+        src,
+        prefix: BLUE,
+        rate,
+    })
+}
+
+/// Fig. 1c: [`FIG1_DEMAND`] planned at a 0.5 utilization budget, and
+/// the lies that realize it, augmented and reduced — the paper's one
+/// fake node at B and two at A.
+pub fn fig1_plan() -> (PathPlan, Vec<Lie>) {
+    let topo = paper_topology();
+    let caps = paper_capacities(FIG1_CAPACITY);
+    let plan = plan_paths(&topo, BLUE, &FIG1_DEMAND, &caps, 0.5, 8).expect("Fig. 1 plans");
+    let aug = augment(&topo, &plan.dag, &mut LieAllocator::new()).expect("Fig. 1 augments");
+    let lies = reduce(&topo, &plan.dag, &aug.lies);
+    (plan, lies)
 }
 
 /// Per-direction link capacity in bytes/s (see Calibration).

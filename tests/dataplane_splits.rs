@@ -5,18 +5,13 @@
 //! realized split converges to the plan (1/3–2/3 at A), i.e. that
 //! replicated forwarding addresses actually bias per-flow hashing.
 
-use fibbing::demo::{paper_capacities, paper_topology, A, B, BLUE, C, R1, R2, R3, R4};
+use fibbing::demo::{fig1_plan, A, B, BLUE, C, R1, R2, R3, R4};
 use fibbing::prelude::*;
 
 #[test]
 fn hashed_flows_realize_uneven_split() {
     // Offline plan for the paper's demand.
-    let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let plan = plan_paths(&topo, BLUE, &[(A, 100.0), (B, 100.0)], &caps, 0.5, 8).unwrap();
-    let mut alloc = LieAllocator::new();
-    let aug = augment(&topo, &plan.dag, &mut alloc).unwrap();
-    let lies = reduce(&topo, &plan.dag, &aug.lies);
+    let (_, lies) = fig1_plan();
 
     // Live network + controller speaker injecting that exact plan.
     let mut sim = Sim::new(SimConfig::default());

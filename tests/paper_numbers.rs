@@ -2,29 +2,20 @@
 //!
 //! These tests use only the analytical layers (SPF, load model,
 //! optimizer, augmentation) — no event simulation — and assert the
-//! paper's exact values.
+//! paper's exact values. The case itself is `fibbing::demo`'s
+//! ([`FIG1_DEMAND`], [`fig1_plan`]), the one the `paper` binary renders.
 
-use fibbing::demo::{paper_capacities, paper_topology, A, B, BLUE, C, R1, R2, R3, R4};
+use fibbing::demo::{
+    fig1_demands, fig1_plan, paper_capacities, paper_topology, A, B, BLUE, C, FIG1_CAPACITY,
+    FIG1_DEMAND, R1, R2, R3, R4,
+};
 use fibbing::prelude::*;
 
 /// Fig. 1b: both sources send 100 units; the overlap on B–R2–C
 /// doubles the load there (the "200" relative load in the figure).
 #[test]
 fn fig1b_overload_on_b_r2_c() {
-    let topo = paper_topology();
-    let demands = [
-        Demand {
-            src: A,
-            prefix: BLUE,
-            rate: 100.0,
-        },
-        Demand {
-            src: B,
-            prefix: BLUE,
-            rate: 100.0,
-        },
-    ];
-    let loads = spread(&topo, &demands).expect("routable");
+    let loads = spread(&paper_topology(), &fig1_demands()).expect("routable");
     assert!((loads[&(A, B)] - 100.0).abs() < 1e-9);
     assert!(
         (loads[&(B, R2)] - 200.0).abs() < 1e-9,
@@ -37,7 +28,7 @@ fn fig1b_overload_on_b_r2_c() {
     assert_eq!(loads.get(&(A, R1)), None, "the long path is unused");
     assert_eq!(loads.get(&(B, R3)), None, "B-R3 is unused");
     // Max relative load = 200 on capacity-100 links.
-    let caps = paper_capacities(100.0);
+    let caps = paper_capacities(FIG1_CAPACITY);
     assert!((max_utilization(&loads, &caps) - 2.0).abs() < 1e-9);
 }
 
@@ -46,13 +37,7 @@ fn fig1b_overload_on_b_r2_c() {
 /// R3, and two fake nodes at A at cost 3 resolving to R1.
 #[test]
 fn fig1c_exact_lies() {
-    let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let plan =
-        plan_paths(&topo, BLUE, &[(A, 100.0), (B, 100.0)], &caps, 0.50, 8).expect("plan exists");
-    let mut alloc = LieAllocator::new();
-    let aug = augment(&topo, &plan.dag, &mut alloc).expect("augmentable");
-    let lies = reduce(&topo, &plan.dag, &aug.lies);
+    let (_, lies) = fig1_plan();
 
     assert_eq!(lies.len(), 3, "the paper injects exactly 3 fake nodes");
     let at_b: Vec<&Lie> = lies.iter().filter(|l| l.attach == B).collect();
@@ -77,13 +62,7 @@ fn fig1c_exact_lies() {
 /// three.
 #[test]
 fn fig1c_path_counts() {
-    let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let plan = plan_paths(&topo, BLUE, &[(A, 100.0), (B, 100.0)], &caps, 0.50, 8).unwrap();
-    let mut alloc = LieAllocator::new();
-    let aug = augment(&topo, &plan.dag, &mut alloc).unwrap();
-    let lies = reduce(&topo, &plan.dag, &aug.lies);
-    let augmented = apply_all(&topo, &lies);
+    let augmented = apply_all(&paper_topology(), &fig1_plan().1);
 
     let rt_b = compute_routes(&augmented, B);
     assert_eq!(rt_b.nexthops(BLUE).len(), 2, "B: 2 equal-cost slots");
@@ -99,27 +78,8 @@ fn fig1c_path_counts() {
 /// link load drops from 200 to ~66.7.
 #[test]
 fn fig1d_balanced_loads() {
-    let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let plan = plan_paths(&topo, BLUE, &[(A, 100.0), (B, 100.0)], &caps, 0.50, 8).unwrap();
-    let mut alloc = LieAllocator::new();
-    let aug = augment(&topo, &plan.dag, &mut alloc).unwrap();
-    let lies = reduce(&topo, &plan.dag, &aug.lies);
-    let augmented = apply_all(&topo, &lies);
-
-    let demands = [
-        Demand {
-            src: A,
-            prefix: BLUE,
-            rate: 100.0,
-        },
-        Demand {
-            src: B,
-            prefix: BLUE,
-            rate: 100.0,
-        },
-    ];
-    let loads = spread(&augmented, &demands).expect("routable");
+    let augmented = apply_all(&paper_topology(), &fig1_plan().1);
+    let loads = spread(&augmented, &fig1_demands()).expect("routable");
     let want = [
         ((A, B), 100.0 / 3.0),  // "33"
         ((A, R1), 200.0 / 3.0), // "66"
@@ -137,6 +97,7 @@ fn fig1d_balanced_loads() {
             "{key:?}: expected {expect:.1}, got {got:.1}"
         );
     }
+    let caps = paper_capacities(FIG1_CAPACITY);
     assert!((max_utilization(&loads, &caps) - 2.0 / 3.0).abs() < 1e-6);
 }
 
@@ -145,9 +106,8 @@ fn fig1d_balanced_loads() {
 /// implement the optimal solution" claim).
 #[test]
 fn fibbing_achieves_min_max_optimum() {
-    let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let theta = min_max_theta(&topo, BLUE, &[(A, 100.0), (B, 100.0)], &caps).unwrap();
+    let caps = paper_capacities(FIG1_CAPACITY);
+    let theta = min_max_theta(&paper_topology(), BLUE, &FIG1_DEMAND, &caps).unwrap();
     assert!((theta - 2.0 / 3.0).abs() < 1e-3, "θ* = {theta}");
 }
 
@@ -156,10 +116,7 @@ fn fibbing_achieves_min_max_optimum() {
 #[test]
 fn plan_verifies_end_to_end() {
     let topo = paper_topology();
-    let caps = paper_capacities(100.0);
-    let plan = plan_paths(&topo, BLUE, &[(A, 100.0), (B, 100.0)], &caps, 0.50, 8).unwrap();
-    let mut alloc = LieAllocator::new();
-    let aug = augment(&topo, &plan.dag, &mut alloc).unwrap();
-    let report = check_preserving(&topo, &apply_all(&topo, &aug.lies), &plan.dag);
+    let (plan, lies) = fig1_plan();
+    let report = check_preserving(&topo, &apply_all(&topo, &lies), &plan.dag);
     assert!(report.ok(), "{report}");
 }
