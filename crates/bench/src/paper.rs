@@ -656,8 +656,11 @@ fn measure(case: &Case) -> Measured {
     let even = even_ecmp_max_util(&case.topo, &tm, &case.caps);
     let secs_even = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
+    // The search covers weights 1..=w alone; the deployed weights are
+    // an even-ECMP setting too, and may lie outside that range.
     let best = if case.exhaustive_w >= 2 {
-        best_ecmp_weights_max_util(&case.topo, &tm, &case.caps, case.exhaustive_w).map(|(u, _)| u)
+        best_ecmp_weights_max_util(&case.topo, &tm, &case.caps, case.exhaustive_w)
+            .map(|(u, _)| even.map_or(u, |e| u.min(e)))
     } else {
         None
     };

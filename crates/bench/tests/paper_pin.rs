@@ -21,8 +21,11 @@ const PINNED: [(&str, u64); 15] = [
     ("table1_control_overhead.csv", 0x0da9_68cd_d6a4_92d5),
     ("table2a_encap.csv", 0x9fc8_8fe0_0d48_80b6),
     ("table2b_state.csv", 0xa91a_e129_7c90_b49d),
-    ("table3_minmax_gap.csv", 0xec45_5111_aec9_163c),
-    ("BENCH_table_minmax_gap.det.json", 0x6783_e18b_496a_1160),
+    // T3's best even-ECMP cell is the better of the weight search and
+    // the deployed weights, which can lie outside the searched range:
+    // random-1 reads 0.600 where the search alone gave 0.800.
+    ("table3_minmax_gap.csv", 0x3eb6_b65e_72f8_92d6),
+    ("BENCH_table_minmax_gap.det.json", 0x79fc_f2ed_8328_c862),
     // The weight row adds the host's search time to a 13.25 s estimate
     // printed to one decimal: it moves only if the search takes 0.1 s.
     ("table4_reaction.csv", 0xd8d3_b169_b091_61ea),
@@ -44,4 +47,14 @@ fn paper_artifacts_are_pinned_byte_for_byte() {
         })
         .collect();
     assert!(moved.is_empty(), "digests moved: {moved:#?}");
+
+    // No weight setting T3 reports as best does worse than the
+    // deployed one.
+    let t3 = std::fs::read_to_string(dir.join("table3_minmax_gap.csv")).unwrap();
+    for row in t3.lines().skip(1) {
+        // The topology name holds a comma: read the numbers from the end.
+        let cells: Vec<&str> = row.rsplitn(6, ',').collect();
+        let [even, best] = [cells[4], cells[3]].map(|c| c.parse::<f64>().unwrap());
+        assert!(best <= even, "best above even ECMP: {row}");
+    }
 }
