@@ -134,6 +134,9 @@ impl std::error::Error for WireError {}
 pub enum InstanceError {
     /// The referenced interface does not exist on this instance.
     UnknownIface(u16),
+    /// No protocol instance runs on this router: a lie was injected or
+    /// retracted through a speaker the network does not have.
+    UnknownSpeaker(RouterId),
     /// A packet failed to decode.
     Wire(WireError),
     /// An LSA purge was requested for an LSA this instance does not
@@ -156,6 +159,7 @@ impl fmt::Display for InstanceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InstanceError::UnknownIface(i) => write!(f, "unknown interface {i}"),
+            InstanceError::UnknownSpeaker(r) => write!(f, "no instance runs on router {r}"),
             InstanceError::Wire(e) => write!(f, "wire error: {e}"),
             InstanceError::NotOriginator { origin } => {
                 write!(f, "not the originator of LSAs from {origin}")

@@ -119,7 +119,7 @@ impl SimContext<'_> {
             .core
             .router_slot
             .get(&speaker)
-            .ok_or(InstanceError::UnknownIface(u16::MAX))?;
+            .ok_or(InstanceError::UnknownSpeaker(speaker))?;
         let r = self.core.instances[slot as usize].inject_fake(
             fake,
             attach,
@@ -139,7 +139,7 @@ impl SimContext<'_> {
             .core
             .router_slot
             .get(&speaker)
-            .ok_or(InstanceError::UnknownIface(u16::MAX))?;
+            .ok_or(InstanceError::UnknownSpeaker(speaker))?;
         let r = self.core.instances[slot as usize].retract_fake(fake, self.core.now);
         self.core.touch(slot);
         r

@@ -1339,6 +1339,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fib_igp::error::InstanceError;
     use fib_igp::types::FwAddr;
     use fib_telemetry::mib::Value;
 
@@ -1643,6 +1644,25 @@ mod tests {
             vec![FwAddr::primary(r(2)), FwAddr::secondary(r(3), 1)],
             "lie should add an ECMP slot at r1"
         );
+    }
+
+    #[test]
+    fn a_lie_through_an_unknown_speaker_names_it() {
+        let mut sim = line_sim();
+        sim.start();
+        let mut ctx = sim.ctx();
+        let err = ctx.inject_fake(
+            r(100),
+            RouterId::fake(0),
+            r(1),
+            Metric(1),
+            Prefix::net24(1),
+            Metric(1),
+            FwAddr::primary(r(2)),
+        );
+        assert_eq!(err, Err(InstanceError::UnknownSpeaker(r(100))));
+        let err = ctx.retract_fake(r(100), RouterId::fake(0));
+        assert_eq!(err, Err(InstanceError::UnknownSpeaker(r(100))));
     }
 
     /// A mutation host code makes between two `run_until` calls counts
