@@ -289,10 +289,10 @@ fn table4_reaction(notified: Vec<String>) {
     println!("flash-crowd timescales, as the paper argues.\n");
 }
 
-/// Capacity of every link of T1's ladder.
+/// Capacity of every link of the ladder T1 and T2 build.
 const CAP: f64 = 1e8;
 
-/// T1's k-path topology: I(1) – M_i(10+i) – S(2); path 0 has cost 2,
+/// T1's and T2's k-path ladder: I(1) – M_i(10+i) – S(2); path 0 costs 2,
 /// paths 1..=k cost 3 (Mi–S weight 2).
 fn ladder_topology(k: u32) -> Topology {
     let mut t = Topology::new();
@@ -491,21 +491,13 @@ pub fn table2_dataplane_overhead() {
         let fib_slots = k;
         let fib_routers = 1;
 
-        // RSVP: k+1 tunnels of 2 hops each on the ladder.
-        let mut topo = Topology::new();
-        let (ingress, sink) = (RouterId(1), RouterId(2));
-        topo.add_router(ingress);
-        topo.add_router(sink);
-        for i in 0..=k {
-            let mid = RouterId(10 + i);
-            topo.add_router(mid);
-            topo.add_link_sym(ingress, mid, Metric(1)).unwrap();
-            topo.add_link_sym(mid, sink, Metric(1)).unwrap();
-        }
-        let caps = topo.all_links().map(|(a, b, _)| ((a, b), 1e8)).collect();
+        // RSVP: k+1 tunnels of 2 hops each on T1's ladder.
+        let topo = ladder_topology(k);
+        let caps = topo.all_links().map(|(a, b, _)| ((a, b), CAP)).collect();
         let mut rsvp = RsvpTe::new(topo, caps);
         for _ in 0..=k {
-            rsvp.establish(ingress, sink, 0.9e8).expect("path free");
+            rsvp.establish(RouterId(1), RouterId(2), CAP * 0.9)
+                .expect("path free");
         }
         t2.row(&[
             k.to_string(),
@@ -528,28 +520,13 @@ const T3_SEED: u64 = 2016;
 /// How many random cases follow T3's paper case.
 const T3_RANDOM_CASES: usize = 4;
 
+/// One row of T3: a topology, its demands toward [`BLUE`] and its link
+/// capacities.
 struct Case {
     name: String,
     topo: Topology,
-    prefix: Prefix,
     demands: Vec<(RouterId, f64)>,
     caps: BTreeMap<(RouterId, RouterId), f64>,
-    /// Weight bound for the best-even-ECMP search (0 = skip).
-    exhaustive_w: u32,
-}
-
-/// Largest weight bound whose search space stays tractable.
-fn exhaustive_bound(sym_links: usize) -> u32 {
-    for w in (2..=3u32).rev() {
-        if (w as u64)
-            .checked_pow(sym_links as u32)
-            .map(|c| c <= 100_000)
-            == Some(true)
-        {
-            return w;
-        }
-    }
-    0
 }
 
 /// T3's cases: the paper's topology and demand, then random connected
@@ -561,10 +538,8 @@ fn t3_cases() -> Vec<Case> {
     let mut cases = vec![Case {
         name: "paper (Fig. 1)".to_string(),
         topo: paper_topology(),
-        prefix: BLUE,
         demands: FIG1_DEMAND.to_vec(),
         caps: paper_capacities(FIG1_CAPACITY),
-        exhaustive_w: 3, // 8 symmetric links → 3^8 = 6561, fine
     }];
     let mut rng = StdRng::seed_from_u64(T3_SEED);
     let mut i = 0;
@@ -574,8 +549,7 @@ fn t3_cases() -> Vec<Case> {
         let Some(sink) = routers.iter().copied().find(|r| topo.links(*r).len() >= 3) else {
             continue;
         };
-        let prefix = Prefix::net24(1);
-        topo.announce_prefix(sink, prefix, Metric::ZERO).unwrap();
+        topo.announce_prefix(sink, BLUE, Metric::ZERO).unwrap();
         // Sources must not neighbor the sink (or the case degenerates
         // to a single-cut bound). Some draws leave fewer than two such
         // routers — seed 2016's very first draw has exactly one, which
@@ -595,97 +569,61 @@ fn t3_cases() -> Vec<Case> {
                 sources.push(s);
             }
         }
-        let caps: BTreeMap<(RouterId, RouterId), f64> =
-            topo.all_links().map(|(a, b, _)| ((a, b), 100.0)).collect();
-        let sym_links = topo.all_links().filter(|(a, b, _)| a < b).count();
+        let caps = topo.all_links().map(|(a, b, _)| ((a, b), 100.0)).collect();
         cases.push(Case {
             name: format!("random-{i} (n=8, seed {T3_SEED})"),
             topo,
-            prefix,
             demands: sources.into_iter().map(|s| (s, 80.0)).collect(),
             caps,
-            exhaustive_w: exhaustive_bound(sym_links),
         });
         i += 1;
     }
     cases
 }
 
+/// The largest weight bound, 3 or 2, whose search space over
+/// `sym_links` links stays within 100 000 combinations.
+fn exhaustive_bound(sym_links: usize) -> Option<u32> {
+    [3u32, 2].into_iter().find(|w| {
+        w.checked_pow(sym_links as u32)
+            .is_some_and(|c| c <= 100_000)
+    })
+}
+
+/// The best even-ECMP weights' max utilization: the better of the
+/// search over weights `1..=w` and the deployed weights (`even`), which
+/// are an even-ECMP setting too and may lie outside that range.
+fn best_even_ecmp(case: &Case, tm: &TrafficMatrix, even: Option<f64>) -> Option<f64> {
+    let sym_links = case.topo.all_links().filter(|(a, b, _)| a < b).count();
+    let (searched, _) =
+        best_ecmp_weights_max_util(&case.topo, tm, &case.caps, exhaustive_bound(sym_links)?)?;
+    Some(even.map_or(searched, |e| searched.min(e)))
+}
+
 fn fibbing_util(case: &Case) -> Option<f64> {
     // Plan at an intentionally infeasible budget so the optimizer
     // falls back to θ*; then realize with lies and measure the loads
     // the rounded slot counts actually produce.
-    let plan = plan_paths(&case.topo, case.prefix, &case.demands, &case.caps, 0.01, 8).ok()?;
-    let mut alloc = LieAllocator::new();
-    let aug = augment(&case.topo, &plan.dag, &mut alloc).ok()?;
+    let plan = plan_paths(&case.topo, BLUE, &case.demands, &case.caps, 0.01, 8).ok()?;
+    let aug = augment(&case.topo, &plan.dag, &mut LieAllocator::new()).ok()?;
     let lies = reduce(&case.topo, &plan.dag, &aug.lies);
-    let augmented = apply_all(&case.topo, &lies);
     let demands: Vec<Demand> = case
         .demands
         .iter()
-        .map(|(src, rate)| Demand {
-            src: *src,
-            prefix: case.prefix,
-            rate: *rate,
+        .map(|&(src, rate)| Demand {
+            src,
+            prefix: BLUE,
+            rate,
         })
         .collect();
-    let loads = spread(&augmented, &demands).ok()?;
+    let loads = spread(&apply_all(&case.topo, &lies), &demands).ok()?;
     Some(max_utilization(&loads, &case.caps))
 }
 
-/// One case's measurements: values for the table, wall times for the
-/// JSON perf record.
-struct Measured {
-    even: Option<f64>,
-    best: Option<f64>,
-    fib: Option<f64>,
-    theta: Option<f64>,
-    gap: Option<f64>,
-    secs_even: f64,
-    secs_best: f64,
-    secs_fib: f64,
-    secs_theta: f64,
-}
-
-fn measure(case: &Case) -> Measured {
-    let mut tm = TrafficMatrix::new();
-    for (s, r) in &case.demands {
-        tm.add(*s, case.prefix, *r);
-    }
+/// `f`'s value and the wall time it took, in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
-    let even = even_ecmp_max_util(&case.topo, &tm, &case.caps);
-    let secs_even = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    // The search covers weights 1..=w alone; the deployed weights are
-    // an even-ECMP setting too, and may lie outside that range.
-    let best = if case.exhaustive_w >= 2 {
-        best_ecmp_weights_max_util(&case.topo, &tm, &case.caps, case.exhaustive_w)
-            .map(|(u, _)| even.map_or(u, |e| u.min(e)))
-    } else {
-        None
-    };
-    let secs_best = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let fib = fibbing_util(case);
-    let secs_fib = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let theta = min_max_theta(&case.topo, case.prefix, &case.demands, &case.caps).ok();
-    let secs_theta = t0.elapsed().as_secs_f64();
-    let gap = match (fib, theta) {
-        (Some(fv), Some(tv)) if tv > 0.0 => Some(100.0 * (fv - tv) / tv),
-        _ => None,
-    };
-    Measured {
-        even,
-        best,
-        fib,
-        theta,
-        gap,
-        secs_even,
-        secs_best,
-        secs_fib,
-        secs_theta,
-    }
+    (f(), t0.elapsed().as_secs_f64())
 }
 
 /// T3 — optimality: max link utilization of even ECMP, the best
@@ -697,7 +635,6 @@ fn measure(case: &Case) -> Measured {
 pub fn table3_minmax_gap() {
     let started = Instant::now();
     println!("== T3: min-max utilization gap across routing schemes ==\n");
-    let cases = t3_cases();
     let mut t = Table::new(&[
         "topology",
         "even ECMP",
@@ -707,22 +644,45 @@ pub fn table3_minmax_gap() {
         "Fibbing gap %",
     ]);
     let cell = |v: Option<f64>| v.map(f).unwrap_or_else(|| "-".to_string());
-    let mut measured = Vec::new();
-    for case in &cases {
-        let m = measure(case);
+    let mut json_cases = Vec::new();
+    for case in t3_cases() {
+        let mut tm = TrafficMatrix::new();
+        for &(s, r) in &case.demands {
+            tm.add(s, BLUE, r);
+        }
+        let (even, even_secs) = timed(|| even_ecmp_max_util(&case.topo, &tm, &case.caps));
+        let (best, best_secs) = timed(|| best_even_ecmp(&case, &tm, even));
+        let (fib, fib_secs) = timed(|| fibbing_util(&case));
+        let (theta, theta_secs) =
+            timed(|| min_max_theta(&case.topo, BLUE, &case.demands, &case.caps).ok());
+        let gap = match (fib, theta) {
+            (Some(fv), Some(tv)) if tv > 0.0 => Some(100.0 * (fv - tv) / tv),
+            _ => None,
+        };
         eprintln!(
-            "[{}: even {:.3}s, best {:.3}s, fibbing {:.3}s, theta {:.3}s]",
-            case.name, m.secs_even, m.secs_best, m.secs_fib, m.secs_theta
+            "[{}: even {even_secs:.3}s, best {best_secs:.3}s, fibbing {fib_secs:.3}s, theta {theta_secs:.3}s]",
+            case.name
         );
         t.row(&[
             case.name.clone(),
-            cell(m.even),
-            cell(m.best),
-            cell(m.fib),
-            cell(m.theta),
-            cell(m.gap),
+            cell(even),
+            cell(best),
+            cell(fib),
+            cell(theta),
+            cell(gap),
         ]);
-        measured.push(m);
+        json_cases.push(Value::Obj(vec![
+            ("name", case.name.into()),
+            ("even", even.into()),
+            ("best", best.into()),
+            ("fibbing", fib.into()),
+            ("theta_star", theta.into()),
+            ("gap_pct", gap.into()),
+            ("even_secs", volatile(even_secs)),
+            ("best_secs", volatile(best_secs)),
+            ("fibbing_secs", volatile(fib_secs)),
+            ("theta_secs", volatile(theta_secs)),
+        ]));
     }
     t.emit("table3_minmax_gap");
     println!("Reading: even ECMP on the deployed weights hotspots badly; even");
@@ -730,24 +690,6 @@ pub fn table3_minmax_gap() {
     println!("to even splits. Fibbing's rounded plans sit within a few percent");
     println!("of the fractional optimum θ*, matching the paper's claim.");
 
-    let json_cases = cases
-        .iter()
-        .zip(&measured)
-        .map(|(case, m)| {
-            Value::Obj(vec![
-                ("name", case.name.clone().into()),
-                ("even", m.even.into()),
-                ("best", m.best.into()),
-                ("fibbing", m.fib.into()),
-                ("theta_star", m.theta.into()),
-                ("gap_pct", m.gap.into()),
-                ("even_secs", volatile(m.secs_even)),
-                ("best_secs", volatile(m.secs_best)),
-                ("fibbing_secs", volatile(m.secs_fib)),
-                ("theta_secs", volatile(m.secs_theta)),
-            ])
-        })
-        .collect();
     let doc = Value::Obj(vec![
         ("bench", "table_minmax_gap".into()),
         ("seed", T3_SEED.into()),
