@@ -145,17 +145,19 @@ pub fn reaction_row(method: &str, run: &mut ScenarioRun) -> Vec<String> {
 
 /// Fig. 2's series CSV, chart and phase table for a run at its
 /// horizon, and the QoE line under them.
-fn fig2(run: &ScenarioRun, tag: &str, controller: bool) {
+fn fig2(run: &ScenarioRun, tag: &str) {
     let secs = run.horizon_secs();
     let rec = run.sim.recorder();
     let path = results_dir().join(format!("fig2_{tag}.csv"));
     std::fs::write(&path, rec.to_csv()).expect("write fig2 csv");
     println!("[saved {}]", path.display());
 
-    println!(
-        "\ncontroller {}:",
-        if controller { "ENABLED" } else { "DISABLED" }
-    );
+    let state = if run.ctrl.is_some() {
+        "ENABLED"
+    } else {
+        "DISABLED"
+    };
+    println!("\ncontroller {state}:");
     print!("{}", rec.ascii_chart(&SERIES, 72, secs, demo::CAPACITY));
 
     let mut t = Table::new(&[
@@ -193,8 +195,8 @@ pub fn paper_demo() {
 
     println!("== Fig. 2: throughput over A-R1 / B-R2 / B-R3 ==");
     println!("(1 flow at t=0, +30 at t=15, +31 from the second source at t=35)");
-    fig2(&on, "fibbing", true);
-    fig2(&off, "baseline", false);
+    fig2(&on, "fibbing");
+    fig2(&off, "baseline");
     println!("\nShape to compare against the paper: as load increases, Fibbing");
     println!("activates B-R3 (t=15) then A-R1 with a 1/3-2/3 split (t=35); the");
     println!("maximum link load stays well below capacity while the baseline");
