@@ -25,7 +25,7 @@
 //! use fibbing::scenario::prelude::*;
 //!
 //! // Run the paper's experiment for 12 simulated seconds with the
-//! // controller enabled (the full run is `fig2_timeseries`).
+//! // controller enabled (the `paper` binary runs all 55 for Fig. 2).
 //! let spec = load_scenario("paper_demo").unwrap();
 //! let mut run = build(&spec, RunOptions::default()).unwrap();
 //! run.run_until_secs(12.0);
