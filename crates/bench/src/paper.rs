@@ -554,8 +554,8 @@ fn t3_cases() -> Vec<Case> {
         topo.announce_prefix(sink, BLUE, Metric::ZERO).unwrap();
         // Sources must not neighbor the sink (or the case degenerates
         // to a single-cut bound). Some draws leave fewer than two such
-        // routers — seed 2016's very first draw has exactly one, which
-        // made the old rejection loop here spin forever; redraw the
+        // routers (seed 2016's very first draw has exactly one), and
+        // drawing sources from those would never end: redraw the
         // topology instead.
         let eligible = routers
             .iter()
