@@ -118,27 +118,15 @@ fn demo_run(disable_controller: bool, predictive: bool) -> ScenarioRun {
     build(&spec, opts).expect("paper_demo builds")
 }
 
-/// T4's row for one Fibbing run of `paper_demo`: the seconds from the
-/// t = 15 s surge until B-R3 (`r2-r5`) first carries traffic, and the
-/// control packets and bytes sent over 14–33 s. Advances `run` from
-/// where it stands to 14 s, then to 33 s.
-pub fn reaction_row(method: &str, run: &mut ScenarioRun) -> Vec<String> {
-    run.run_until_secs(14.0);
-    let before = run.sim.stats();
-    run.run_until_secs(33.0);
-    let after = run.sim.stats();
-    let reaction = run
-        .sim
-        .recorder()
-        .series("r2-r5")
-        .iter()
-        .find(|(t, v)| *t >= 14.9 && *v > 1e4)
-        .map(|(t, _)| f(t - 15.0));
+/// T4's row for one Fibbing run of `paper_demo`: [`demo::surge_reaction`]
+/// rendered, and no device reconfigured.
+fn reaction_row(method: &str, run: &mut ScenarioRun) -> Vec<String> {
+    let (reaction, pkts, bytes) = demo::surge_reaction(run);
     vec![
         method.to_string(),
-        reaction.unwrap_or_else(|| "-".to_string()),
-        (after.ctrl_pkts - before.ctrl_pkts).to_string(),
-        (after.ctrl_bytes - before.ctrl_bytes).to_string(),
+        reaction.map(f).unwrap_or_else(|| "-".to_string()),
+        pkts.to_string(),
+        bytes.to_string(),
         "0".to_string(),
     ]
 }

@@ -11,7 +11,8 @@
 //! module names the routers, links and constants the static figures
 //! and tables read, and its tests hold them to that file. It also
 //! defines Fig. 1's offline case once ([`FIG1_DEMAND`],
-//! [`fig1_plan`]) for the `paper` binary and the tests.
+//! [`fig1_plan`]) and T4's reaction measurement ([`surge_reaction`])
+//! for the `paper` binary and the tests.
 //!
 //! ## Calibration
 //!
@@ -31,6 +32,7 @@
 
 use fib_core::prelude::{augment, plan_paths, reduce, Lie, LieAllocator, PathPlan};
 use fib_igp::prelude::*;
+use fib_scenario::runner::ScenarioRun;
 use std::collections::BTreeMap;
 
 /// Router A (hosts video source S2).
@@ -125,6 +127,29 @@ pub fn fig1_plan() -> (PathPlan, Vec<Lie>) {
     let aug = augment(&topo, &plan.dag, &mut LieAllocator::new()).expect("Fig. 1 augments");
     let lies = reduce(&topo, &plan.dag, &aug.lies);
     (plan, lies)
+}
+
+/// T4's measurement on one Fibbing run of `paper_demo`: the seconds
+/// from the t = 15 s surge until B-R3 (`r2-r5`) first carries traffic,
+/// and the control packets and bytes sent over 14–33 s. Advances `run`
+/// from where it stands to 14 s, then to 33 s.
+pub fn surge_reaction(run: &mut ScenarioRun) -> (Option<f64>, u64, u64) {
+    run.run_until_secs(14.0);
+    let before = run.sim.stats();
+    run.run_until_secs(33.0);
+    let after = run.sim.stats();
+    let reaction = run
+        .sim
+        .recorder()
+        .series("r2-r5")
+        .iter()
+        .find(|(t, v)| *t >= 14.9 && *v > 1e4)
+        .map(|(t, _)| t - 15.0);
+    (
+        reaction,
+        after.ctrl_pkts - before.ctrl_pkts,
+        after.ctrl_bytes - before.ctrl_bytes,
+    )
 }
 
 /// Per-direction link capacity in bytes/s (see Calibration).

@@ -111,12 +111,14 @@ fn fibbing_achieves_min_max_optimum() {
     assert!((theta - 2.0 / 3.0).abs() < 1e-3, "θ* = {theta}");
 }
 
-/// The verifier proves the full plan: constrained routers match the
-/// DAG, everyone else is untouched, and forwarding is loop-free.
+/// The verifier proves the full plan as `augment` computes it, before
+/// any reduction: constrained routers match the DAG, everyone else is
+/// untouched, and forwarding is loop-free.
 #[test]
 fn plan_verifies_end_to_end() {
     let topo = paper_topology();
-    let (plan, lies) = fig1_plan();
-    let report = check_preserving(&topo, &apply_all(&topo, &lies), &plan.dag);
+    let (plan, _) = fig1_plan();
+    let aug = augment(&topo, &plan.dag, &mut LieAllocator::new()).unwrap();
+    let report = check_preserving(&topo, &apply_all(&topo, &aug.lies), &plan.dag);
     assert!(report.ok(), "{report}");
 }
