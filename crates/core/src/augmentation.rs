@@ -324,6 +324,119 @@ pub fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
     groups.into_values().flatten().collect()
 }
 
+/// `augment` and `reduce` checking each candidate lie set on a topology
+/// clone, kept as the oracle the graph form is held to: every check
+/// applies the lies to a copy of the real topology and runs the
+/// checker's clone path on it.
+#[cfg(test)]
+mod clone_reference {
+    use super::*;
+    use crate::verify::clone_reference::{actual_fractions, check_against};
+
+    fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .all(|(k, v)| b.get(k).is_some_and(|w| (v - w).abs() <= 1e-9))
+    }
+
+    pub(super) fn augment(
+        topo: &Topology,
+        dag: &WeightedDag,
+        alloc: &mut LieAllocator,
+    ) -> Result<Plan, AugmentError> {
+        assert_eq!(topo.fake_count(), 0, "augment() expects the real topology");
+        if let Some(cycle) = dag.find_internal_loop() {
+            return Err(AugmentError::RequirementLoop(cycle));
+        }
+        let prefix = dag.prefix;
+        let mut working = dag.clone();
+        let mut pinned: Vec<RouterId> = Vec::new();
+        let mut lies_by_router: BTreeMap<RouterId, Vec<Lie>> = BTreeMap::new();
+        let baseline = actual_fractions(topo, prefix);
+        let graph = RealGraph::of(topo);
+        let mut paths: BTreeMap<RouterId, ShortestPaths> = BTreeMap::new();
+        let max_iter = topo.router_count() + 2;
+        let mut stable = false;
+        for _iter in 0..max_iter {
+            let mut changed = false;
+            let constrained: Vec<RouterId> = working.routers().collect();
+            for r in &constrained {
+                let others = lies_by_router
+                    .iter()
+                    .filter(|(attach, _)| **attach != *r)
+                    .flat_map(|(_, v)| v.iter().map(Lie::attrs));
+                let sp = paths.entry(*r).or_insert_with(|| graph.shortest_paths(*r));
+                let desired = working.hops(*r).cloned().unwrap_or_default();
+                let (new_lies, _override_used) =
+                    plan_for_router(topo, sp, others, &desired, prefix, alloc)?;
+                let old_sig =
+                    plan_signature(lies_by_router.get(r).map(|v| v.as_slice()).unwrap_or(&[]));
+                if plan_signature(&new_lies) != old_sig {
+                    lies_by_router.insert(*r, new_lies);
+                    changed = true;
+                }
+            }
+            let all_lies: Vec<Lie> = lies_by_router.values().flatten().copied().collect();
+            let augmented = apply_all(topo, &all_lies);
+            let actual = actual_fractions(&augmented, prefix);
+            for (u, base_fr) in &baseline {
+                if working.hops(*u).is_some() {
+                    continue;
+                }
+                let now_fr = actual.get(u).cloned().unwrap_or_default();
+                if !fractions_close(base_fr, &now_fr) {
+                    let sp = paths.entry(*u).or_insert_with(|| graph.shortest_paths(*u));
+                    let natural = prefix_route_from(topo, sp, prefix, []);
+                    let hops = natural.map(hops_of).unwrap_or_default();
+                    if hops.is_empty() {
+                        return Err(AugmentError::Unreachable(*u));
+                    }
+                    working.require(*u, &hops);
+                    pinned.push(*u);
+                    changed = true;
+                }
+            }
+            if !changed {
+                stable = true;
+                break;
+            }
+        }
+        if !stable {
+            return Err(AugmentError::NoFixpoint);
+        }
+        let lies: Vec<Lie> = lies_by_router.values().flatten().copied().collect();
+        let augmented = apply_all(topo, &lies);
+        let report = check_against(&baseline, &augmented, &working);
+        if !report.ok() {
+            return Err(AugmentError::VerificationFailed(Box::new(report)));
+        }
+        Ok(Plan {
+            lies,
+            effective_dag: working,
+            pinned,
+        })
+    }
+
+    pub(super) fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
+        let mut groups: BTreeMap<RouterId, Vec<Lie>> = BTreeMap::new();
+        for l in lies {
+            groups.entry(l.attach).or_default().push(*l);
+        }
+        let baseline = actual_fractions(topo, dag.prefix);
+        let attaches: Vec<RouterId> = groups.keys().copied().collect();
+        for attach in attaches {
+            let removed = groups.remove(&attach).expect("group exists");
+            let candidate: Vec<Lie> = groups.values().flatten().copied().collect();
+            let augmented = apply_all(topo, &candidate);
+            let report = check_against(&baseline, &augmented, dag);
+            if !report.ok() {
+                groups.insert(attach, removed);
+            }
+        }
+        groups.into_values().flatten().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,6 +677,152 @@ mod tests {
         ] {
             let times = drawn.get(what).copied().unwrap_or(0);
             assert!(times >= 20, "the generator drew {what} {times} times");
+        }
+    }
+
+    /// Differential: over 320 seeded graphs with random lie sets (at a
+    /// router's natural cost, under it, over it, at a drawn cost, for
+    /// another prefix) and random requirements, the checker, `augment`
+    /// and `reduce` agree to the bit with their clone-based references:
+    /// the same report (mismatches, fraction bits, loop witness), the
+    /// same plan or error, the same surviving lies.
+    #[test]
+    fn lie_sets_checked_without_a_clone_match_the_clone_path() {
+        use crate::verify::clone_reference as checker;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(33);
+        let (prefix, decoy) = (Prefix::net24(1), Prefix::net24(2));
+        let mut drawn: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut tally = |what| *drawn.entry(what).or_default() += 1;
+        for case in 0..320 {
+            let n = rng.gen_range(3..=16);
+            let mut topo = fib_igp::builders::random_connected(&mut rng, n, n, 4);
+            for _ in 0..rng.gen_range(1..=3) {
+                let m = Metric(rng.gen_range(0..3));
+                topo.announce_prefix(r(rng.gen_range(1..=n)), prefix, m)
+                    .unwrap();
+            }
+            topo.announce_prefix(r(rng.gen_range(1..=n)), decoy, Metric::ZERO)
+                .unwrap();
+            let natural = prefix_routes(&topo, prefix);
+            let nbrs =
+                |a: RouterId| -> Vec<RouterId> { topo.links(a).iter().map(|l| l.to).collect() };
+
+            let mut alloc = LieAllocator::new();
+            let mut lies = Vec::new();
+            for a in topo.routers() {
+                if rng.gen_range(0..3) != 0 {
+                    continue;
+                }
+                let d = natural.get(&a).map_or(3, |route| route.dist.0);
+                for _ in 0..rng.gen_range(1..=2) {
+                    let cost = match rng.gen_range(0..4) {
+                        0 => d,
+                        1 if d > 1 => d - 1,
+                        2 => d + 1,
+                        _ => rng.gen_range(1..8),
+                    };
+                    let p = if rng.gen_range(0..6) == 0 {
+                        decoy
+                    } else {
+                        prefix
+                    };
+                    let to = nbrs(a);
+                    let nh = to[rng.gen_range(0..to.len())];
+                    lies.push(alloc.make(a, nh, p, Metric(cost)).unwrap());
+                }
+            }
+            let mut dag = WeightedDag::new(prefix);
+            for _ in 0..rng.gen_range(0..=3) {
+                let a = r(rng.gen_range(1..=n));
+                let to = nbrs(a);
+                let hops: Vec<(RouterId, u32)> = (0..rng.gen_range(1..=2))
+                    .map(|_| (to[rng.gen_range(0..to.len())], rng.gen_range(1..=3)))
+                    .collect();
+                dag.require(a, &hops);
+            }
+
+            let augmented = apply_all(&topo, &lies);
+            let report = check_preserving(&topo, &augmented, &dag);
+            let expected = checker::check_preserving(&topo, &augmented, &dag);
+            assert_eq!(
+                checker::bits(&report),
+                checker::bits(&expected),
+                "case {case}: check of {lies:?} for {dag}"
+            );
+            tally(
+                match (
+                    report.mismatches.is_empty(),
+                    report.forwarding_loop.is_some(),
+                ) {
+                    (true, false) => "a report that holds",
+                    (false, false) => "a report with mismatches only",
+                    (_, true) => "a report with a loop",
+                },
+            );
+
+            let reduced = reduce(&topo, &dag, &lies);
+            assert_eq!(
+                reduced,
+                clone_reference::reduce(&topo, &dag, &lies),
+                "case {case}: reduce of {lies:?} for {dag}"
+            );
+            if reduced.len() < lies.len() {
+                tally("a reduce that drops lies");
+            }
+
+            let got = augment(&topo, &dag, &mut LieAllocator::new());
+            let want = clone_reference::augment(&topo, &dag, &mut LieAllocator::new());
+            match (&got, &want) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.lies, b.lies, "case {case}: lies for {dag}");
+                    assert_eq!(a.effective_dag, b.effective_dag, "case {case}: {dag}");
+                    assert_eq!(a.pinned, b.pinned, "case {case}: pins for {dag}");
+                    tally(if a.pinned.is_empty() {
+                        "a plan without pins"
+                    } else {
+                        "a plan with pins"
+                    });
+                    let reduced = reduce(&topo, &dag, &a.lies);
+                    assert_eq!(
+                        reduced,
+                        clone_reference::reduce(&topo, &dag, &a.lies),
+                        "case {case}: reduce of the plan for {dag}"
+                    );
+                }
+                (
+                    Err(AugmentError::VerificationFailed(a)),
+                    Err(AugmentError::VerificationFailed(b)),
+                ) => {
+                    assert_eq!(
+                        checker::bits(a.as_ref()),
+                        checker::bits(b.as_ref()),
+                        "case {case}: refusal of {dag}"
+                    );
+                    tally("a plan refused by its check");
+                }
+                (a, b) => {
+                    assert_eq!(a.as_ref().err(), b.as_ref().err(), "case {case}: {dag}");
+                    tally("another augment error");
+                }
+            }
+        }
+        for what in [
+            "a report that holds",
+            "a report with mismatches only",
+            "a report with a loop",
+            "a reduce that drops lies",
+            "a plan without pins",
+            "a plan with pins",
+            "a plan refused by its check",
+            "another augment error",
+        ] {
+            let times = drawn.get(what).copied().unwrap_or(0);
+            assert!(
+                times >= 5,
+                "the generator drew {what} {times} times: {drawn:?}"
+            );
         }
     }
 

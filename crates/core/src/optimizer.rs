@@ -802,9 +802,12 @@ mod tests {
     }
 
     /// θ* to the bit: `min_max_theta` and the θ and peak utilization
-    /// `plan_paths` settles on below an infeasible-leaning budget, over
-    /// 400 seeded problems of 4–15 routers, folded into one digest. Any
-    /// change to how probes are answered has to leave it alone.
+    /// `plan_paths` settles on below an infeasible-leaning budget, every
+    /// link load of that plan and every requirement of its DAG (router,
+    /// next hop, weight), over 400 seeded problems of 4–15 routers,
+    /// folded into one digest. Any change to how probes are answered or
+    /// how the min-cost flow picks among equal-cost paths has to leave
+    /// it alone.
     #[test]
     fn theta_star_bits_are_pinned_over_400_seeded_problems() {
         use fib_trace::artifact::{fnv1a, FNV_OFFSET};
@@ -816,8 +819,20 @@ mod tests {
             for x in [theta, plan.theta_used, plan.max_util] {
                 digest = fnv1a(digest, &x.to_bits().to_le_bytes());
             }
+            for (&(u, v), load) in &plan.loads {
+                for x in [u.0 as u64, v.0 as u64, load.to_bits()] {
+                    digest = fnv1a(digest, &x.to_le_bytes());
+                }
+            }
+            for (router, hops) in &plan.dag.entries {
+                for &(nh, w) in hops {
+                    for x in [router.0, nh.0, w] {
+                        digest = fnv1a(digest, &x.to_le_bytes());
+                    }
+                }
+            }
         }
-        assert_eq!(digest, 0x81fd_fdaa_2568_def9, "digest {digest:#018x}");
+        assert_eq!(digest, 0xe757_655a_5ef2_f090, "digest {digest:#018x}");
     }
 
     /// The pre-solver implementation, kept verbatim as the oracle the

@@ -190,6 +190,103 @@ pub fn check(augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
     }
 }
 
+/// The checker on a topology clone, kept as the oracle the graph check is
+/// held to: the lies applied to a copy of the real topology, routes as
+/// ordered maps, fractions per router as maps, and the loop search on
+/// the forwarding DAG built from them.
+#[cfg(test)]
+pub(crate) mod clone_reference {
+    use super::*;
+
+    pub(crate) fn actual_fractions(
+        topo: &Topology,
+        prefix: Prefix,
+    ) -> BTreeMap<RouterId, BTreeMap<RouterId, f64>> {
+        fractions_of(&prefix_routes(topo, prefix))
+    }
+
+    fn fractions_of(
+        routes: &BTreeMap<RouterId, Route>,
+    ) -> BTreeMap<RouterId, BTreeMap<RouterId, f64>> {
+        routes
+            .iter()
+            .filter(|(_, route)| !route.local)
+            .map(|(r, route)| (*r, route.split_by_router()))
+            .collect()
+    }
+
+    fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
+        if a.len() != b.len() {
+            return false;
+        }
+        a.iter()
+            .all(|(k, v)| b.get(k).map(|w| (v - w).abs() <= TOL).unwrap_or(false))
+    }
+
+    pub(crate) fn check_preserving(
+        real: &Topology,
+        augmented: &Topology,
+        dag: &WeightedDag,
+    ) -> VerifyReport {
+        check_against(&actual_fractions(real, dag.prefix), augmented, dag)
+    }
+
+    pub(crate) fn check_against(
+        baseline: &BTreeMap<RouterId, BTreeMap<RouterId, f64>>,
+        augmented: &Topology,
+        dag: &WeightedDag,
+    ) -> VerifyReport {
+        let aug_routes = prefix_routes(augmented, dag.prefix);
+        let actual = fractions_of(&aug_routes);
+        let mut mismatches = Vec::new();
+        for r in dag.routers() {
+            let expected = dag.fractions(r);
+            let got = actual.get(&r).cloned().unwrap_or_default();
+            if !fractions_close(&expected, &got) {
+                mismatches.push(Mismatch {
+                    router: r,
+                    expected,
+                    actual: got,
+                });
+            }
+        }
+        for (r, expected) in baseline {
+            if dag.hops(*r).is_some() {
+                continue;
+            }
+            let got = actual.get(r).cloned().unwrap_or_default();
+            if !fractions_close(expected, &got) {
+                mismatches.push(Mismatch {
+                    router: *r,
+                    expected: expected.clone(),
+                    actual: got,
+                });
+            }
+        }
+        let forwarding_loop =
+            ForwardingDag::from_prefix_routes(dag.prefix, &aug_routes).find_loop();
+        VerifyReport {
+            prefix: dag.prefix,
+            mismatches,
+            forwarding_loop,
+        }
+    }
+
+    /// A report with every fraction as its bits, for comparing two
+    /// reports to the bit.
+    pub(crate) fn bits(report: &VerifyReport) -> impl PartialEq + std::fmt::Debug {
+        let map = |m: &BTreeMap<RouterId, f64>| -> Vec<(RouterId, u64)> {
+            m.iter().map(|(r, x)| (*r, x.to_bits())).collect()
+        };
+        let mismatches: Vec<_> = report
+            .mismatches
+            .iter()
+            .map(|m| (m.router, map(&m.expected), map(&m.actual)))
+            .collect();
+        (report.prefix, mismatches, report.forwarding_loop.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
