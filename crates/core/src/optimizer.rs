@@ -212,23 +212,40 @@ impl Mcmf {
 
     /// Route up to `want` units from s to t at minimum cost; returns
     /// the amount routed.
+    ///
+    /// Each augmenting path comes from a Gauss–Seidel Bellman–Ford
+    /// sweep: passes over the nodes `0..n`, each node's arcs in the
+    /// order they were added, an arc taken only when it beats the far
+    /// end's distance by more than 1e-12. A pass scans only the nodes
+    /// whose distance moved since their last scan. A node scanned at
+    /// distance d left every far end at most 1e-12 above d + cost, and
+    /// distances only fall, so scanning it again at d could take no arc:
+    /// skipping it leaves every improvement, every `prev_edge` and so
+    /// every path where the full sweep put them.
     fn run(&mut self, s: usize, t: usize, want: f64) -> f64 {
         let mut routed = 0.0;
+        let mut dist = vec![f64::INFINITY; self.n];
+        let mut prev_edge = vec![usize::MAX; self.n];
+        let mut moved = vec![false; self.n];
         while routed < want - EPS {
             // Bellman–Ford over the residual network.
-            let mut dist = vec![f64::INFINITY; self.n];
-            let mut prev_edge = vec![usize::MAX; self.n];
+            dist.fill(f64::INFINITY);
+            prev_edge.fill(usize::MAX);
+            moved.fill(false);
             dist[s] = 0.0;
+            moved[s] = true;
             for _ in 0..self.n {
                 let mut improved = false;
                 for u in 0..self.n {
-                    if !dist[u].is_finite() {
+                    if !std::mem::take(&mut moved[u]) {
                         continue;
                     }
                     for &e in &self.head[u] {
-                        if self.cap[e] > EPS && dist[u] + self.cost[e] < dist[self.to[e]] - 1e-12 {
-                            dist[self.to[e]] = dist[u] + self.cost[e];
-                            prev_edge[self.to[e]] = e;
+                        let v = self.to[e];
+                        if self.cap[e] > EPS && dist[u] + self.cost[e] < dist[v] - 1e-12 {
+                            dist[v] = dist[u] + self.cost[e];
+                            prev_edge[v] = e;
+                            moved[v] = true;
                             improved = true;
                         }
                     }
