@@ -31,12 +31,24 @@
 //!   before anyone touches the long A–R1–R4–C path. The fractional
 //!   split is then rounded to ECMP slots ([`crate::splitting`]) and
 //!   expressed as a [`WeightedDag`] for the augmentation engine.
+//!
+//! Both networks are laid out on positions: a router's position is its
+//! index among the topology's real routers in ascending order, found
+//! once per router by binary search, and arcs sit in flat arrays in the
+//! order they were added. Each augmenting path of the min-cost flow
+//! comes from a Gauss–Seidel Bellman–Ford sweep that rescans only the
+//! nodes whose distance moved since their last scan; a node whose
+//! distance stands cannot take an arc, so the sweep picks the path the
+//! full sweep would. Dijkstra with Johnson potentials would find a path
+//! of the same cost, but not always the same one among several of that
+//! cost, and the path chosen decides the loads and the DAG: the plans
+//! would move, so it is not used.
 
 use crate::requirements::WeightedDag;
 use crate::splitting::plan_split;
 use fib_igp::topology::Topology;
 use fib_igp::types::{Metric, Prefix, RouterId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Optimization failures.
@@ -89,46 +101,79 @@ pub struct PathPlan {
 
 const EPS: f64 = 1e-9;
 
-struct Dinic {
+/// A flow network's arcs in flat arrays, built from a list in one go:
+/// the i-th listed arc is arc 2i and its reverse 2i + 1, and the arcs
+/// out of node u are `adj[start[u]..start[u + 1]]`, by increasing id.
+/// That is the order per-node lists filled arc by arc (forward arc at
+/// its tail, reverse arc at its head) would hold them in.
+struct Arcs {
     to: Vec<usize>,
+    start: Vec<usize>,
+    adj: Vec<usize>,
+}
+
+impl Arcs {
+    fn new(n: usize, ends: impl Iterator<Item = (usize, usize)>) -> Arcs {
+        let mut to = Vec::new();
+        for (u, v) in ends {
+            to.push(v);
+            to.push(u);
+        }
+        // Arc e leaves `to[e ^ 1]`.
+        let mut start = vec![0usize; n + 1];
+        for e in 0..to.len() {
+            start[to[e ^ 1] + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0usize; to.len()];
+        for e in 0..to.len() {
+            let u = to[e ^ 1];
+            adj[fill[u]] = e;
+            fill[u] += 1;
+        }
+        Arcs { to, start, adj }
+    }
+
+    fn out(&self, u: usize) -> &[usize] {
+        &self.adj[self.start[u]..self.start[u + 1]]
+    }
+}
+
+struct Dinic {
+    arcs: Arcs,
     cap: Vec<f64>,
-    head: Vec<Vec<usize>>,
     level: Vec<i32>,
+    /// Per node, the position in `arcs.adj` its search resumes from.
     iter: Vec<usize>,
+    queue: VecDeque<usize>,
 }
 
 impl Dinic {
-    fn new(n: usize) -> Dinic {
+    /// A network on `n` nodes with one arc per `(from, to, capacity)`,
+    /// numbered as [`Arcs`] numbers them.
+    fn new(n: usize, arcs: &[(usize, usize, f64)]) -> Dinic {
         Dinic {
-            to: Vec::new(),
-            cap: Vec::new(),
-            head: vec![Vec::new(); n],
+            arcs: Arcs::new(n, arcs.iter().map(|&(u, v, _)| (u, v))),
+            cap: arcs.iter().flat_map(|&(_, _, c)| [c, 0.0]).collect(),
             level: vec![-1; n],
             iter: vec![0; n],
+            queue: VecDeque::with_capacity(n),
         }
-    }
-
-    fn add_edge(&mut self, u: usize, v: usize, c: f64) -> usize {
-        let id = self.to.len();
-        self.to.push(v);
-        self.cap.push(c);
-        self.head[u].push(id);
-        self.to.push(u);
-        self.cap.push(0.0);
-        self.head[v].push(id + 1);
-        id
     }
 
     fn bfs(&mut self, s: usize, t: usize) -> bool {
         self.level.iter_mut().for_each(|l| *l = -1);
-        let mut q = std::collections::VecDeque::new();
         self.level[s] = 0;
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
-            for &e in &self.head[u] {
-                if self.cap[e] > EPS && self.level[self.to[e]] < 0 {
-                    self.level[self.to[e]] = self.level[u] + 1;
-                    q.push_back(self.to[e]);
+        self.queue.push_back(s);
+        while let Some(u) = self.queue.pop_front() {
+            for &e in self.arcs.out(u) {
+                let v = self.arcs.to[e];
+                if self.cap[e] > EPS && self.level[v] < 0 {
+                    self.level[v] = self.level[u] + 1;
+                    self.queue.push_back(v);
                 }
             }
         }
@@ -139,9 +184,9 @@ impl Dinic {
         if u == t {
             return f;
         }
-        while self.iter[u] < self.head[u].len() {
-            let e = self.head[u][self.iter[u]];
-            let v = self.to[e];
+        while self.iter[u] < self.arcs.start[u + 1] {
+            let e = self.arcs.adj[self.iter[u]];
+            let v = self.arcs.to[e];
             if self.cap[e] > EPS && self.level[v] == self.level[u] + 1 {
                 let d = self.dfs(v, t, f.min(self.cap[e]));
                 if d > EPS {
@@ -161,7 +206,8 @@ impl Dinic {
     fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         let mut flow = 0.0;
         while self.bfs(s, t) {
-            self.iter.iter_mut().for_each(|i| *i = 0);
+            let n = self.iter.len();
+            self.iter.copy_from_slice(&self.arcs.start[..n]);
             loop {
                 let f = self.dfs(s, t, f64::INFINITY);
                 if f <= EPS {
@@ -179,35 +225,22 @@ impl Dinic {
 // ---------------------------------------------------------------------
 
 struct Mcmf {
-    to: Vec<usize>,
+    arcs: Arcs,
     cap: Vec<f64>,
     cost: Vec<f64>,
-    head: Vec<Vec<usize>>,
     n: usize,
 }
 
 impl Mcmf {
-    fn new(n: usize) -> Mcmf {
+    /// A network on `n` nodes with one arc per `(from, to, capacity,
+    /// cost)`, numbered as [`Arcs`] numbers them.
+    fn new(n: usize, arcs: &[(usize, usize, f64, f64)]) -> Mcmf {
         Mcmf {
-            to: Vec::new(),
-            cap: Vec::new(),
-            cost: Vec::new(),
-            head: vec![Vec::new(); n],
+            arcs: Arcs::new(n, arcs.iter().map(|&(u, v, _, _)| (u, v))),
+            cap: arcs.iter().flat_map(|&(_, _, c, _)| [c, 0.0]).collect(),
+            cost: arcs.iter().flat_map(|&(_, _, _, w)| [w, -w]).collect(),
             n,
         }
-    }
-
-    fn add_edge(&mut self, u: usize, v: usize, c: f64, w: f64) -> usize {
-        let id = self.to.len();
-        self.to.push(v);
-        self.cap.push(c);
-        self.cost.push(w);
-        self.head[u].push(id);
-        self.to.push(u);
-        self.cap.push(0.0);
-        self.cost.push(-w);
-        self.head[v].push(id + 1);
-        id
     }
 
     /// Route up to `want` units from s to t at minimum cost; returns
@@ -240,8 +273,8 @@ impl Mcmf {
                     if !std::mem::take(&mut moved[u]) {
                         continue;
                     }
-                    for &e in &self.head[u] {
-                        let v = self.to[e];
+                    for &e in self.arcs.out(u) {
+                        let v = self.arcs.to[e];
                         if self.cap[e] > EPS && dist[u] + self.cost[e] < dist[v] - 1e-12 {
                             dist[v] = dist[u] + self.cost[e];
                             prev_edge[v] = e;
@@ -263,7 +296,7 @@ impl Mcmf {
             while v != s {
                 let e = prev_edge[v];
                 push = push.min(self.cap[e]);
-                v = self.to[e ^ 1];
+                v = self.arcs.to[e ^ 1];
             }
             if push <= EPS {
                 break;
@@ -273,7 +306,7 @@ impl Mcmf {
                 let e = prev_edge[v];
                 self.cap[e] -= push;
                 self.cap[e ^ 1] += push;
-                v = self.to[e ^ 1];
+                v = self.arcs.to[e ^ 1];
             }
             routed += push;
         }
@@ -290,12 +323,15 @@ impl Mcmf {
 // Problem assembly
 // ---------------------------------------------------------------------
 
+/// One routing problem with every router at its position: its index in
+/// `nodes`, the topology's real routers in ascending order.
 struct Problem {
     nodes: Vec<RouterId>,
-    index: BTreeMap<RouterId, usize>,
-    links: Vec<((RouterId, RouterId), f64, Metric)>, // key, capacity, metric
-    sinks: Vec<RouterId>,
-    demands: Vec<(RouterId, f64)>,
+    /// `(from, to, capacity, metric)` of every real link with a
+    /// provisioned capacity, in `(from, to)` order.
+    links: Vec<(usize, usize, f64, Metric)>,
+    sinks: Vec<usize>,
+    demands: Vec<(usize, f64)>,
     total: f64,
 }
 
@@ -305,35 +341,43 @@ fn assemble(
     demands: &[(RouterId, f64)],
     capacities: &BTreeMap<(RouterId, RouterId), f64>,
 ) -> Result<Problem, OptError> {
-    let sinks: Vec<RouterId> = topo
+    let nodes: Vec<RouterId> = topo.routers().collect();
+    let pos = |r: RouterId| nodes.binary_search(&r).ok();
+    let sinks: Vec<usize> = topo
         .all_announcements()
         .filter(|(r, p, _)| *p == prefix && r.is_real())
-        .map(|(r, _, _)| r)
+        .filter_map(|(r, _, _)| pos(r))
         .collect();
     if sinks.is_empty() {
         return Err(OptError::NoSink(prefix));
     }
-    let nodes: Vec<RouterId> = topo.routers().collect();
-    let index: BTreeMap<RouterId, usize> = nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+    // `all_links` and `capacities` both run in `(from, to)` order, so
+    // one walk down the capacities finds every link's.
+    let mut caps = capacities.iter().peekable();
     let mut links = Vec::new();
     for (from, to, metric) in topo.all_links() {
         if from.is_fake() || to.is_fake() {
             continue;
         }
-        let Some(cap) = capacities.get(&(from, to)) else {
+        while caps.next_if(|(key, _)| **key < (from, to)).is_some() {}
+        let Some((_, &cap)) = caps.next_if(|(key, _)| **key == (from, to)) else {
             continue; // links without provisioned capacity are unusable
         };
-        links.push(((from, to), *cap, metric));
+        let at = |r| pos(r).expect("a link names a router of the topology");
+        links.push((at(from), at(to), cap, metric));
     }
-    let demands: Vec<(RouterId, f64)> = demands
+    debug_assert!(links
+        .windows(2)
+        .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+    let demands: Vec<(usize, f64)> = demands
         .iter()
-        .filter(|(r, d)| *d > EPS && !sinks.contains(r) && index.contains_key(r))
-        .copied()
+        .filter(|(_, d)| *d > EPS)
+        .filter_map(|&(r, d)| Some((pos(r)?, d)))
+        .filter(|(i, _)| !sinks.contains(i))
         .collect();
     let total: f64 = demands.iter().map(|(_, d)| d).sum();
     Ok(Problem {
         nodes,
-        index,
         links,
         sinks,
         demands,
@@ -348,11 +392,11 @@ const FLOW_TOL: f64 = 1e-6;
 /// A reusable min-max utilization solver for one assembled problem.
 ///
 /// The Dinic network (link arcs, source arcs carrying the demands,
-/// infinite sink arcs) is built **once**. A feasibility probe at a
-/// utilization θ writes θ × capacity onto the link arcs, clears the
-/// flow the previous probe left and runs one max-flow from zero: the
-/// answer is a `bool`, and the value of a maximum flow does not depend
-/// on where the augmentation started.
+/// infinite sink arcs, in that order) is built **once**. A feasibility
+/// probe at a utilization θ writes θ × capacity onto the link arcs,
+/// clears the flow the previous probe left and runs one max-flow from
+/// zero: the answer is a `bool`, and the value of a maximum flow does
+/// not depend on where the augmentation started.
 ///
 /// The min cut of the first max-flow in [`Self::theta_star`] (at
 /// θ = 1) yields the analytic lower bound
@@ -366,12 +410,6 @@ pub struct MinMaxSolver {
     net: Dinic,
     s: usize,
     t: usize,
-    /// `(arc id, unscaled capacity)` of every link arc.
-    link_arcs: Vec<(usize, f64)>,
-    /// `(arc id, demand)` of every source arc.
-    demand_arcs: Vec<(usize, f64)>,
-    /// Arc ids of the sink arcs.
-    sink_arcs: Vec<usize>,
     /// Memoized optimum.
     theta_star: Option<f64>,
 }
@@ -389,29 +427,18 @@ impl MinMaxSolver {
         let p = assemble(topo, prefix, demands, capacities)?;
         let n = p.nodes.len();
         let (s, t) = (n, n + 1);
-        let mut net = Dinic::new(n + 2);
-        let mut link_arcs = Vec::with_capacity(p.links.len());
-        for ((u, v), cap, _) in &p.links {
-            let id = net.add_edge(p.index[u], p.index[v], *cap);
-            link_arcs.push((id, *cap));
-        }
-        let mut demand_arcs = Vec::with_capacity(p.demands.len());
-        for (src, d) in &p.demands {
-            let id = net.add_edge(s, p.index[src], *d);
-            demand_arcs.push((id, *d));
-        }
-        let mut sink_arcs = Vec::with_capacity(p.sinks.len());
-        for sink in &p.sinks {
-            sink_arcs.push(net.add_edge(p.index[sink], t, f64::INFINITY));
-        }
+        let arcs: Vec<(usize, usize, f64)> = p
+            .links
+            .iter()
+            .map(|&(u, v, cap, _)| (u, v, cap))
+            .chain(p.demands.iter().map(|&(src, d)| (s, src, d)))
+            .chain(p.sinks.iter().map(|&sink| (sink, t, f64::INFINITY)))
+            .collect();
         Ok(MinMaxSolver {
+            net: Dinic::new(n + 2, &arcs),
             p,
-            net,
             s,
             t,
-            link_arcs,
-            demand_arcs,
-            sink_arcs,
             theta_star: None,
         })
     }
@@ -438,19 +465,16 @@ impl MinMaxSolver {
     }
 
     /// Drop all routed flow and set every link arc to `theta` × its
-    /// capacity.
+    /// capacity. Link i is arc 2i, demand j arc 2(links + j), and the
+    /// sink arcs follow.
     fn reset_flow(&mut self, theta: f64) {
-        for &(id, cap) in &self.link_arcs {
-            self.net.cap[id] = theta * cap;
-            self.net.cap[id ^ 1] = 0.0;
-        }
-        for &(id, d) in &self.demand_arcs {
-            self.net.cap[id] = d;
-            self.net.cap[id ^ 1] = 0.0;
-        }
-        for &id in &self.sink_arcs {
-            self.net.cap[id] = f64::INFINITY;
-            self.net.cap[id ^ 1] = 0.0;
+        let scaled = self.p.links.iter().map(|l| theta * l.2);
+        let demands = self.p.demands.iter().map(|d| d.1);
+        let sinks = self.p.sinks.iter().map(|_| f64::INFINITY);
+        let caps = self.net.cap.chunks_exact_mut(2);
+        for (pair, c) in caps.zip(scaled.chain(demands).chain(sinks)) {
+            pair[0] = c;
+            pair[1] = 0.0;
         }
     }
 
@@ -459,14 +483,14 @@ impl MinMaxSolver {
     fn min_cut_parts(&self) -> (f64, f64) {
         let reachable = |node: usize| self.net.level[node] >= 0;
         let mut cut_src = 0.0;
-        for &(id, d) in &self.demand_arcs {
-            if !reachable(self.net.to[id]) {
+        for &(src, d) in &self.p.demands {
+            if !reachable(src) {
                 cut_src += d;
             }
         }
         let mut cut_links = 0.0;
-        for &(id, cap) in &self.link_arcs {
-            if reachable(self.net.to[id ^ 1]) && !reachable(self.net.to[id]) {
+        for &(u, v, cap, _) in &self.p.links {
+            if reachable(u) && !reachable(v) {
                 cut_links += cap;
             }
         }
@@ -585,50 +609,45 @@ pub fn plan_paths(
     };
     let p = solver.problem();
 
-    // Min-cost flow at θ.
+    // Min-cost flow at θ, on the solver's arcs in the solver's order:
+    // link i is arc 2i.
     let n = p.nodes.len();
     let (s, t) = (n, n + 1);
-    let mut mcmf = Mcmf::new(n + 2);
-    let mut edge_ids: Vec<((RouterId, RouterId), usize)> = Vec::new();
-    for ((u, v), cap, metric) in &p.links {
-        let id = mcmf.add_edge(p.index[u], p.index[v], theta * cap, metric.0 as f64);
-        edge_ids.push(((*u, *v), id));
-    }
-    for (src, d) in &p.demands {
-        mcmf.add_edge(s, p.index[src], *d, 0.0);
-    }
-    for sink in &p.sinks {
-        mcmf.add_edge(p.index[sink], t, f64::INFINITY, 0.0);
-    }
+    let arcs: Vec<(usize, usize, f64, f64)> = p
+        .links
+        .iter()
+        .map(|&(u, v, cap, metric)| (u, v, theta * cap, metric.0 as f64))
+        .chain(p.demands.iter().map(|&(src, d)| (s, src, d, 0.0)))
+        .chain(p.sinks.iter().map(|&sink| (sink, t, f64::INFINITY, 0.0)))
+        .collect();
+    let mut mcmf = Mcmf::new(n + 2, &arcs);
     let routed = mcmf.run(s, t, p.total);
-    if routed < p.total - 1e-6 {
+    if routed < p.total - FLOW_TOL {
         return Err(OptError::Infeasible {
             needed_theta: theta,
         });
     }
 
-    // Per-link loads and per-router fractions.
-    let mut loads: BTreeMap<(RouterId, RouterId), f64> = BTreeMap::new();
-    for (key, id) in &edge_ids {
-        let f = mcmf.flow_on(*id);
-        if f > 1e-6 {
-            loads.insert(*key, f);
-        }
-    }
-    let mut max_util: f64 = 0.0;
-    for (key, load) in &loads {
-        if let Some(cap) = capacities.get(key) {
-            max_util = max_util.max(load / cap);
-        }
-    }
+    // Per-link loads, in `(from, to)` order like the links.
+    let used: Vec<(usize, usize, f64, f64)> = p
+        .links
+        .iter()
+        .enumerate()
+        .map(|(i, &(u, v, cap, _))| (u, v, mcmf.flow_on(2 * i), cap))
+        .filter(|l| l.2 > 1e-6)
+        .collect();
+    let max_util = used.iter().fold(0.0f64, |m, l| m.max(l.2 / l.3));
+    let loads: BTreeMap<(RouterId, RouterId), f64> = used
+        .iter()
+        .map(|&(u, v, f, _)| ((p.nodes[u], p.nodes[v]), f))
+        .collect();
 
     // Group out-flows per router, prune slivers, round to slots.
-    let mut out: BTreeMap<RouterId, Vec<(RouterId, f64)>> = BTreeMap::new();
-    for ((u, v), f) in &loads {
-        out.entry(*u).or_default().push((*v, *f));
-    }
-    for (router, flows) in out {
-        let total: f64 = flows.iter().map(|(_, f)| f).sum();
+    let mut rest = used.as_slice();
+    while let Some(first) = rest.first() {
+        let (flows, tail) = rest.split_at(rest.iter().take_while(|l| l.0 == first.0).count());
+        rest = tail;
+        let total: f64 = flows.iter().map(|l| l.2).sum();
         if total <= 1e-6 {
             continue;
         }
@@ -636,8 +655,8 @@ pub fn plan_paths(
         // sliver is not worth the FIB slot), then renormalize.
         let kept: Vec<(RouterId, f64)> = flows
             .iter()
-            .filter(|(_, f)| *f / total >= 0.05)
-            .copied()
+            .filter(|l| l.2 / total >= 0.05)
+            .map(|l| (p.nodes[l.1], l.2))
             .collect();
         let kept_total: f64 = kept.iter().map(|(_, f)| f).sum();
         let fractions: Vec<f64> = kept.iter().map(|(_, f)| f / kept_total).collect();
@@ -648,7 +667,7 @@ pub fn plan_paths(
             .zip(plan.weights.iter())
             .map(|((nh, _), w)| (*nh, *w))
             .collect();
-        dag.require(router, &hops);
+        dag.require(p.nodes[flows[0].0], &hops);
     }
 
     Ok(PathPlan {
@@ -864,17 +883,14 @@ mod tests {
             }
             let n = p.nodes.len();
             let (s, t) = (n, n + 1);
-            let mut dinic = Dinic::new(n + 2);
-            for ((u, v), cap, _) in &p.links {
-                dinic.add_edge(p.index[u], p.index[v], theta * cap);
-            }
-            for (src, d) in &p.demands {
-                dinic.add_edge(s, p.index[src], *d);
-            }
-            for sink in &p.sinks {
-                dinic.add_edge(p.index[sink], t, f64::INFINITY);
-            }
-            dinic.max_flow(s, t) >= p.total - 1e-6
+            let arcs: Vec<(usize, usize, f64)> = p
+                .links
+                .iter()
+                .map(|&(u, v, cap, _)| (u, v, theta * cap))
+                .chain(p.demands.iter().map(|&(src, d)| (s, src, d)))
+                .chain(p.sinks.iter().map(|&sink| (sink, t, f64::INFINITY)))
+                .collect();
+            Dinic::new(n + 2, &arcs).max_flow(s, t) >= p.total - 1e-6
         }
 
         pub fn min_max_theta(
