@@ -39,11 +39,11 @@
 //! requirements should prefer downstream next-hops or constrain the
 //! full path as the Simple algorithm does.
 
-use crate::lie::{apply_all, AddrExhausted, Lie, LieAllocator};
+use crate::lie::{AddrExhausted, Lie, LieAllocator};
 use crate::requirements::WeightedDag;
-use crate::verify::{actual_fractions, check_against, fractions_close, VerifyReport};
+use crate::verify::{expected, fractions_close, LieCheck, VerifyReport};
 use fib_igp::rib::Route;
-use fib_igp::spf::{prefix_route_from, RealGraph, ShortestPaths};
+use fib_igp::spf::{prefix_route_from, ShortestPaths};
 use fib_igp::topology::{FakeAttrs, Topology};
 use fib_igp::types::{Metric, Prefix, RouterId};
 use std::collections::BTreeMap;
@@ -225,12 +225,13 @@ pub fn augment(
     let mut pinned: Vec<RouterId> = Vec::new();
     let mut lies_by_router: BTreeMap<RouterId, Vec<Lie>> = BTreeMap::new();
 
-    // Baseline fractions for side-effect detection.
-    let baseline = actual_fractions(topo, prefix);
-    // Per router, its shortest paths on `topo`'s dense graph, built
-    // once, each computed on first use: no lie moves them (see
+    // The prefix's graph on `topo` and the baseline fractions for
+    // side-effect detection, once: every candidate lie set is checked
+    // on them. Per router, its shortest paths on the same dense graph,
+    // each computed on first use: no lie moves them (see
     // `plan_for_router`).
-    let graph = RealGraph::of(topo);
+    let lie_check = LieCheck::new(topo, prefix);
+    let graph = lie_check.graph().real_graph();
     let mut paths: BTreeMap<RouterId, ShortestPaths> = BTreeMap::new();
 
     let max_iter = topo.router_count() + 2;
@@ -259,23 +260,21 @@ pub fn augment(
 
         // Detect disturbed unconstrained routers and pin them.
         let all_lies: Vec<Lie> = lies_by_router.values().flatten().copied().collect();
-        let augmented = apply_all(topo, &all_lies);
-        let actual = actual_fractions(&augmented, prefix);
-        for (u, base_fr) in &baseline {
-            if working.hops(*u).is_some() {
+        let actual = lie_check.fractions(&all_lies);
+        for (i, u, base_fr) in lie_check.baseline() {
+            if working.hops(u).is_some() {
                 continue;
             }
-            let now_fr = actual.get(u).cloned().unwrap_or_default();
-            if !fractions_close(base_fr, &now_fr) {
+            if !fractions_close(base_fr, actual.get(i).unwrap_or(&[])) {
                 // Pin u to its original next-hop routers, one slot each.
-                let sp = paths.entry(*u).or_insert_with(|| graph.shortest_paths(*u));
+                let sp = paths.entry(u).or_insert_with(|| graph.shortest_paths(u));
                 let natural = prefix_route_from(topo, sp, prefix, []);
                 let hops = natural.map(hops_of).unwrap_or_default();
                 if hops.is_empty() {
-                    return Err(AugmentError::Unreachable(*u));
+                    return Err(AugmentError::Unreachable(u));
                 }
-                working.require(*u, &hops);
-                pinned.push(*u);
+                working.require(u, &hops);
+                pinned.push(u);
                 changed = true;
             }
         }
@@ -290,8 +289,7 @@ pub fn augment(
     }
 
     let lies: Vec<Lie> = lies_by_router.values().flatten().copied().collect();
-    let augmented = apply_all(topo, &lies);
-    let report = check_against(&baseline, &augmented, &working);
+    let report = lie_check.check(&lies, &expected(&working));
     if !report.ok() {
         return Err(AugmentError::VerificationFailed(Box::new(report)));
     }
@@ -304,40 +302,34 @@ pub fn augment(
 
 /// Merger-style greedy reduction: drop per-router lie groups whose
 /// removal keeps (a) the original requirement satisfied and (b) every
-/// other router at its real-topology fractions.
+/// other router at its real-topology fractions. Each candidate is
+/// checked as a slice of lies on one graph of `topo`; the lies' fake
+/// ids must be distinct, as `apply_all` needs them.
 pub fn reduce(topo: &Topology, dag: &WeightedDag, lies: &[Lie]) -> Vec<Lie> {
     let mut groups: BTreeMap<RouterId, Vec<Lie>> = BTreeMap::new();
     for l in lies {
         groups.entry(l.attach).or_default().push(*l);
     }
-    let baseline = actual_fractions(topo, dag.prefix);
+    let lie_check = LieCheck::new(topo, dag.prefix);
+    let expected = expected(dag);
     let attaches: Vec<RouterId> = groups.keys().copied().collect();
     for attach in attaches {
         let removed = groups.remove(&attach).expect("group exists");
         let candidate: Vec<Lie> = groups.values().flatten().copied().collect();
-        let augmented = apply_all(topo, &candidate);
-        let report = check_against(&baseline, &augmented, dag);
-        if !report.ok() {
+        if !lie_check.check(&candidate, &expected).ok() {
             groups.insert(attach, removed); // keep the group
         }
     }
     groups.into_values().flatten().collect()
 }
 
-/// `augment` and `reduce` checking each candidate lie set on a topology
-/// clone, kept as the oracle the graph form is held to: every check
-/// applies the lies to a copy of the real topology and runs the
-/// checker's clone path on it.
 #[cfg(test)]
 mod clone_reference {
     use super::*;
-    use crate::verify::clone_reference::{actual_fractions, check_against};
-
-    fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .all(|(k, v)| b.get(k).is_some_and(|w| (v - w).abs() <= 1e-9))
-    }
+    use crate::lie::apply_all;
+    use crate::verify::actual_fractions;
+    use crate::verify::clone_reference::{check_against, fractions_close};
+    use fib_igp::spf::RealGraph;
 
     pub(super) fn augment(
         topo: &Topology,
@@ -440,6 +432,7 @@ mod clone_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lie::apply_all;
     use crate::verify::check_preserving;
     use fib_igp::spf::{compute_routes, prefix_routes, shortest_paths};
 
@@ -744,13 +737,21 @@ mod tests {
             }
 
             let augmented = apply_all(&topo, &lies);
-            let report = check_preserving(&topo, &augmented, &dag);
-            let expected = checker::check_preserving(&topo, &augmented, &dag);
-            assert_eq!(
-                checker::bits(&report),
-                checker::bits(&expected),
-                "case {case}: check of {lies:?} for {dag}"
-            );
+            let report = LieCheck::new(&topo, prefix).check(&lies, &expected(&dag));
+            let reference = checker::check_preserving(&topo, &augmented, &dag);
+            for (how, got) in [
+                ("on one graph", &report),
+                (
+                    "on two topologies",
+                    &check_preserving(&topo, &augmented, &dag),
+                ),
+            ] {
+                assert_eq!(
+                    checker::bits(got),
+                    checker::bits(&reference),
+                    "case {case}: check {how} of {lies:?} for {dag}"
+                );
+            }
             tally(
                 match (
                     report.mismatches.is_empty(),

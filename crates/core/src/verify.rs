@@ -5,11 +5,19 @@
 //! (slot-multiset ratios) against the requirement; unconstrained
 //! routers must keep the fractions they had on the real topology.
 //! It also proves the resulting forwarding state is loop-free.
+//!
+//! Everything runs on positions in one [`PrefixGraph`]: routes come
+//! from its seeded pass, fractions sit in flat per-position arrays, and
+//! the loop search walks positions. Maps are built only for what a
+//! failing check reports. [`LieCheck`] keeps the graph and the real
+//! fractions of one topology, so `augment` and `reduce` check each
+//! candidate lie set as a slice, with no topology clone.
 
+use crate::lie::Lie;
 use crate::requirements::WeightedDag;
-use fib_igp::rib::{ForwardingDag, Route};
-use fib_igp::spf::prefix_routes;
-use fib_igp::topology::Topology;
+use fib_igp::rib::Route;
+use fib_igp::spf::{prefix_routes, PrefixGraph, PrefixRoutes};
+use fib_igp::topology::{FakeAttrs, Topology};
 use fib_igp::types::{Prefix, RouterId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -73,14 +81,131 @@ impl fmt::Display for VerifyReport {
     }
 }
 
+/// Fractions per next-hop router, ascending by router.
+type Split = [(RouterId, f64)];
+
 /// The one "same fractions" rule: the verifier's, and the one
 /// `augment`'s fixpoint uses to decide that a router was disturbed.
-pub(crate) fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
-    if a.len() != b.len() {
-        return false;
+/// Both sides list each next-hop router once, in ascending order.
+pub(crate) fn fractions_close(a: &Split, b: &Split) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && (x.1 - y.1).abs() <= TOL)
+}
+
+/// Every router's fractions toward one prefix, by position: router i's
+/// are `fr[off[i]..off[i + 1]]`, or none when `forwards[i]` is false (no
+/// route, or local delivery). Each is what [`Route::split_by_router`]
+/// gives, summed in the same order.
+pub(crate) struct Fractions {
+    forwards: Vec<bool>,
+    off: Vec<usize>,
+    fr: Vec<(RouterId, f64)>,
+}
+
+impl Fractions {
+    fn of(routes: &PrefixRoutes) -> Fractions {
+        let n = routes.len();
+        let mut out = Fractions {
+            forwards: vec![false; n],
+            off: Vec::with_capacity(n + 1),
+            fr: Vec::new(),
+        };
+        out.off.push(0);
+        for i in 0..n {
+            if let Some(hops) = routes.forwards(i) {
+                out.forwards[i] = true;
+                // Next hops sort by router first: one router's
+                // addresses are adjacent, and add up in route order.
+                let share = 1.0 / hops.len() as f64;
+                let start = out.fr.len();
+                for nh in hops {
+                    match out.fr[start..].last_mut() {
+                        Some(last) if last.0 == nh.router => last.1 += share,
+                        _ => out.fr.push((nh.router, share)),
+                    }
+                }
+            }
+            out.off.push(out.fr.len());
+        }
+        out
     }
-    a.iter()
-        .all(|(k, v)| b.get(k).map(|w| (v - w).abs() <= TOL).unwrap_or(false))
+
+    /// The fractions of the router at position `i`, if it forwards.
+    pub(crate) fn get(&self, i: usize) -> Option<&Split> {
+        self.forwards[i].then(|| &self.fr[self.off[i]..self.off[i + 1]])
+    }
+}
+
+/// A requirement as a check reads it: per constrained router, in
+/// order, [`WeightedDag::fractions`].
+pub(crate) type Expected = Vec<(RouterId, Vec<(RouterId, f64)>)>;
+
+/// The fractions `dag` asks of each router it constrains.
+pub(crate) fn expected(dag: &WeightedDag) -> Expected {
+    let of = |r| dag.fractions(r).into_iter().collect();
+    dag.routers().map(|r| (r, of(r))).collect()
+}
+
+/// Lie sets checked against one real topology: its [`PrefixGraph`]
+/// toward the prefix, its own lies (none on a real topology), and
+/// every router's fractions there, all computed once. A check runs the
+/// seeded pass with a set of lies told and reads fractions off it by
+/// position.
+pub(crate) struct LieCheck {
+    graph: PrefixGraph,
+    own: Vec<FakeAttrs>,
+    baseline: Fractions,
+}
+
+impl LieCheck {
+    pub(crate) fn new(real: &Topology, prefix: Prefix) -> LieCheck {
+        let graph = PrefixGraph::of(real, prefix);
+        let own: Vec<FakeAttrs> = real.fake_nodes().map(|(_, attrs)| *attrs).collect();
+        let baseline = Fractions::of(&graph.routes(own.iter().copied()));
+        LieCheck {
+            graph,
+            own,
+            baseline,
+        }
+    }
+
+    pub(crate) fn graph(&self) -> &PrefixGraph {
+        &self.graph
+    }
+
+    /// Every router with a way out of its own on the real topology, by
+    /// position, with its fractions there.
+    pub(crate) fn baseline(&self) -> impl Iterator<Item = (usize, RouterId, &Split)> + '_ {
+        let ids = self.graph.ids().iter().enumerate();
+        ids.filter_map(|(i, r)| Some((i, *r, self.baseline.get(i)?)))
+    }
+
+    /// The routes with `lies` told, besides the topology's own. The
+    /// lies' fake ids are distinct from each other and from the
+    /// topology's, as `apply_all` needs them.
+    pub(crate) fn routes(&self, lies: &[Lie]) -> PrefixRoutes {
+        let told = self.own.iter().copied().chain(lies.iter().map(Lie::attrs));
+        self.graph.routes(told)
+    }
+
+    /// Every router's fractions with `lies` told.
+    pub(crate) fn fractions(&self, lies: &[Lie]) -> Fractions {
+        Fractions::of(&self.routes(lies))
+    }
+
+    /// [`check_preserving`] of the real topology with `lies` applied.
+    pub(crate) fn check(&self, lies: &[Lie], expected: &Expected) -> VerifyReport {
+        let prefix = self.graph.prefix();
+        report(
+            Some(self),
+            expected,
+            &self.graph,
+            &self.routes(lies),
+            prefix,
+        )
+    }
 }
 
 /// Actual per-next-hop-router fractions of every router toward
@@ -106,88 +231,135 @@ fn fractions_of(routes: &BTreeMap<RouterId, Route>) -> BTreeMap<RouterId, BTreeM
         .collect()
 }
 
-/// The realized forwarding DAG for one prefix (local routes become
-/// empty next-hop sets, i.e. sinks).
-fn dag_of(prefix: Prefix, routes: &BTreeMap<RouterId, Route>) -> ForwardingDag {
-    ForwardingDag::from_prefix_routes(prefix, routes)
+/// The routes of `topo` toward `prefix`, with its own lies, on a graph
+/// of its own.
+fn routes_on(topo: &Topology, prefix: Prefix) -> (PrefixGraph, PrefixRoutes) {
+    let graph = PrefixGraph::of(topo, prefix);
+    let routes = graph.routes(topo.fake_nodes().map(|(_, attrs)| *attrs));
+    (graph, routes)
 }
 
 /// Verify `augmented` realizes `dag`, with every unconstrained router
 /// keeping the fractions it has on `real`.
 pub fn check_preserving(real: &Topology, augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
-    check_against(&actual_fractions(real, dag.prefix), augmented, dag)
-}
-
-/// [`check_preserving`] for a caller that checks several candidates
-/// against one real topology and already holds its fractions
-/// (`baseline = actual_fractions(real, dag.prefix)`).
-pub(crate) fn check_against(
-    baseline: &BTreeMap<RouterId, BTreeMap<RouterId, f64>>,
-    augmented: &Topology,
-    dag: &WeightedDag,
-) -> VerifyReport {
-    let aug_routes = prefix_routes(augmented, dag.prefix);
-    let actual = fractions_of(&aug_routes);
-    let mut mismatches = Vec::new();
-
-    // Constrained routers must match the requirement.
-    for r in dag.routers() {
-        let expected = dag.fractions(r);
-        let got = actual.get(&r).cloned().unwrap_or_default();
-        if !fractions_close(&expected, &got) {
-            mismatches.push(Mismatch {
-                router: r,
-                expected,
-                actual: got,
-            });
-        }
-    }
-    // Unconstrained routers must be undisturbed.
-    for (r, expected) in baseline {
-        if dag.hops(*r).is_some() {
-            continue;
-        }
-        let got = actual.get(r).cloned().unwrap_or_default();
-        if !fractions_close(expected, &got) {
-            mismatches.push(Mismatch {
-                router: *r,
-                expected: expected.clone(),
-                actual: got,
-            });
-        }
-    }
-
-    // Loop freedom of the realized forwarding state.
-    let forwarding_loop = dag_of(dag.prefix, &aug_routes).find_loop();
-
-    VerifyReport {
-        prefix: dag.prefix,
-        mismatches,
-        forwarding_loop,
-    }
+    let base = LieCheck::new(real, dag.prefix);
+    let (graph, routes) = routes_on(augmented, dag.prefix);
+    report(Some(&base), &expected(dag), &graph, &routes, dag.prefix)
 }
 
 /// Verify only that `augmented` realizes `dag` (no preservation check).
 pub fn check(augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
-    let aug_routes = prefix_routes(augmented, dag.prefix);
-    let actual = fractions_of(&aug_routes);
+    let (graph, routes) = routes_on(augmented, dag.prefix);
+    report(None, &expected(dag), &graph, &routes, dag.prefix)
+}
+
+/// The report on `routes`, computed on `graph`: each constrained
+/// router against `expected`, then each router `base` knows of that
+/// `expected` leaves free against its fractions there, then the loop
+/// search. Routers are matched by id, so `base` may come from another
+/// graph than `graph`.
+fn report(
+    base: Option<&LieCheck>,
+    expected: &Expected,
+    graph: &PrefixGraph,
+    routes: &PrefixRoutes,
+    prefix: Prefix,
+) -> VerifyReport {
+    let actual = Fractions::of(routes);
+    let got = |r: RouterId| graph.pos(r).and_then(|i| actual.get(i)).unwrap_or(&[]);
+    let map = |split: &Split| split.iter().copied().collect();
     let mut mismatches = Vec::new();
-    for r in dag.routers() {
-        let expected = dag.fractions(r);
-        let got = actual.get(&r).cloned().unwrap_or_default();
-        if !fractions_close(&expected, &got) {
+
+    // Constrained routers must match the requirement.
+    for (r, want) in expected {
+        let have = got(*r);
+        if !fractions_close(want, have) {
             mismatches.push(Mismatch {
-                router: r,
-                expected,
-                actual: got,
+                router: *r,
+                expected: map(want),
+                actual: map(have),
             });
         }
     }
-    VerifyReport {
-        prefix: dag.prefix,
-        mismatches,
-        forwarding_loop: dag_of(dag.prefix, &aug_routes).find_loop(),
+    // Unconstrained routers must be undisturbed.
+    let mut constrained = expected.iter().map(|e| e.0).peekable();
+    for (_, r, want) in base.into_iter().flat_map(LieCheck::baseline) {
+        while constrained.next_if(|c| *c < r).is_some() {}
+        if constrained.peek() == Some(&r) {
+            continue;
+        }
+        let have = got(r);
+        if !fractions_close(want, have) {
+            mismatches.push(Mismatch {
+                router: r,
+                expected: map(want),
+                actual: map(have),
+            });
+        }
     }
+
+    VerifyReport {
+        prefix,
+        mismatches,
+        forwarding_loop: find_loop(graph, routes),
+    }
+}
+
+/// A forwarding loop in `routes`, as
+/// [`fib_igp::rib::ForwardingDag::find_loop`] finds it on the same
+/// routes: an iterative coloured DFS, roots in position (so id) order,
+/// next hops in route order, a router that does not forward ending the
+/// walk. The witness is the cycle, its first router repeated at the
+/// end.
+fn find_loop(graph: &PrefixGraph, routes: &PrefixRoutes) -> Option<Vec<RouterId>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Gray,
+        Black,
+    }
+    let n = routes.len();
+    let mut color = vec![Color::White; n];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    let mut path: Vec<usize> = Vec::new();
+    for root in 0..n {
+        if color[root] != Color::White || routes.forwards(root).is_none() {
+            continue;
+        }
+        color[root] = Color::Gray;
+        stack.push((root, 0));
+        path.push(root);
+        while let Some((node, idx)) = stack.last_mut() {
+            let hops = routes.forwards(*node).unwrap_or(&[]);
+            if *idx >= hops.len() {
+                color[*node] = Color::Black;
+                stack.pop();
+                path.pop();
+                continue;
+            }
+            let next = hops[*idx].router;
+            *idx += 1;
+            let Some(j) = graph.pos(next).filter(|&j| routes.forwards(j).is_some()) else {
+                continue;
+            };
+            match color[j] {
+                Color::White => {
+                    color[j] = Color::Gray;
+                    stack.push((j, 0));
+                    path.push(j);
+                }
+                Color::Gray => {
+                    let start = path.iter().position(|&x| x == j).expect("gray on path");
+                    let ids = graph.ids();
+                    let mut cycle: Vec<RouterId> = path[start..].iter().map(|&x| ids[x]).collect();
+                    cycle.push(cycle[0]);
+                    return Some(cycle);
+                }
+                Color::Black => {}
+            }
+        }
+    }
+    None
 }
 
 /// The checker on a topology clone, kept as the oracle the graph check is
@@ -197,25 +369,12 @@ pub fn check(augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
 #[cfg(test)]
 pub(crate) mod clone_reference {
     use super::*;
+    use fib_igp::rib::ForwardingDag;
 
-    pub(crate) fn actual_fractions(
-        topo: &Topology,
-        prefix: Prefix,
-    ) -> BTreeMap<RouterId, BTreeMap<RouterId, f64>> {
-        fractions_of(&prefix_routes(topo, prefix))
-    }
-
-    fn fractions_of(
-        routes: &BTreeMap<RouterId, Route>,
-    ) -> BTreeMap<RouterId, BTreeMap<RouterId, f64>> {
-        routes
-            .iter()
-            .filter(|(_, route)| !route.local)
-            .map(|(r, route)| (*r, route.split_by_router()))
-            .collect()
-    }
-
-    fn fractions_close(a: &BTreeMap<RouterId, f64>, b: &BTreeMap<RouterId, f64>) -> bool {
+    pub(crate) fn fractions_close(
+        a: &BTreeMap<RouterId, f64>,
+        b: &BTreeMap<RouterId, f64>,
+    ) -> bool {
         if a.len() != b.len() {
             return false;
         }
@@ -290,7 +449,7 @@ pub(crate) mod clone_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fib_igp::topology::FakeAttrs;
+    use fib_igp::rib::ForwardingDag;
     use fib_igp::types::{FwAddr, Metric};
 
     fn r(n: u32) -> RouterId {

@@ -356,124 +356,245 @@ pub fn compute_all_routes(topo: &Topology) -> BTreeMap<RouterId, RouteTable> {
 /// never floods one). Both are asserted over seeded graphs in this
 /// module's tests. Routers with no route toward `prefix` are absent
 /// from the map.
+///
+/// The work comes in two steps, and a caller that checks many lie sets
+/// on one topology takes them apart: [`PrefixGraph::of`] builds the
+/// graph (the dense real graph, its reversal and the real announcers),
+/// and [`PrefixGraph::routes`] runs the seeded pass for a set of lies.
+/// This function is the two back to back, with the topology's own lies.
 pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Route> {
-    let _span = fib_trace::span(fib_trace::Phase::PrefixRoutes);
-    // The forward rows are the dense graph's. An unusable (INF) link in
-    // them never meets a distance equality below: `add` absorbs INF and
-    // every distance compared there is finite.
-    let graph = RealGraph::of(topo);
-    let ids = &graph.ids;
-    let n = ids.len();
-    let pos = |r: RouterId| ids.binary_search(&r).expect("a router of the topology");
+    let graph = PrefixGraph::of(topo, prefix);
+    let lies = topo.fake_nodes().map(|(_, attrs)| *attrs);
+    graph.routes(lies).into_map(graph.ids())
+}
 
-    // The usable links reversed, in CSR form: row i is
-    // `in_edges[in_off[i]..in_off[i + 1]]`.
-    let usable = |from: usize| graph.row(from).iter().filter(|e| e.1.is_finite());
-    let mut in_off = vec![0usize; n + 1];
-    for &(to, _) in (0..n).flat_map(usable) {
-        in_off[to + 1] += 1;
-    }
-    for i in 0..n {
-        in_off[i + 1] += in_off[i];
-    }
-    let mut in_edges = vec![(0usize, Metric::ZERO); in_off[n]];
-    let mut fill = in_off.clone();
-    for from in 0..n {
-        for &(to, m) in usable(from) {
-            in_edges[fill[to]] = (from, m);
-            fill[to] += 1;
-        }
-    }
+/// What every router's route toward one prefix depends on besides the
+/// lies: the real part of a topology in dense form, its usable links
+/// reversed, and what each router pays through its own real
+/// announcement of the prefix. Lies add announcement points and move no
+/// real distance, so one graph answers [`PrefixGraph::routes`] for any
+/// set of lies on the same real topology.
+#[derive(Debug, Clone)]
+pub struct PrefixGraph {
+    prefix: Prefix,
+    graph: RealGraph,
+    /// The usable links reversed, in CSR form: row i is
+    /// `in_edges[in_off[i]..in_off[i + 1]]`.
+    in_off: Vec<usize>,
+    in_edges: Vec<(usize, Metric)>,
+    /// Per position, the metric of the router's own real announcement
+    /// of the prefix (`INF` if it has none).
+    announced: Vec<Metric>,
+}
 
-    // Announcement points: what a router pays through its own real
-    // announcement, and through the cheapest of all it has.
-    let mut announced = vec![Metric::INF; n];
-    for (node, p, m) in topo.all_announcements() {
-        if p == prefix && node.is_real() {
-            announced[pos(node)] = m;
+impl PrefixGraph {
+    /// The graph of `topo` toward `prefix`. `topo`'s own lies are not in
+    /// it: hand them to [`routes`](Self::routes).
+    pub fn of(topo: &Topology, prefix: Prefix) -> PrefixGraph {
+        // The forward rows are the dense graph's. An unusable (INF) link
+        // in them never meets a distance equality in `routes`: `add`
+        // absorbs INF and every distance compared there is finite.
+        let graph = RealGraph::of(topo);
+        let n = graph.ids.len();
+        let usable = |from: usize| graph.row(from).iter().filter(|e| e.1.is_finite());
+        let mut in_off = vec![0usize; n + 1];
+        for &(to, _) in (0..n).flat_map(usable) {
+            in_off[to + 1] += 1;
         }
-    }
-    let lies: Vec<(usize, Metric, FwAddr)> = topo
-        .fake_nodes()
-        .filter(|(_, attrs)| attrs.prefix == prefix)
-        .map(|(_, attrs)| (pos(attrs.attach), attrs.cost_at_attach(), attrs.fw))
-        .collect();
-    let mut own = announced.clone();
-    for &(at, cost, _) in &lies {
-        own[at] = own[at].min(cost);
-    }
-
-    let mut dist = own.clone();
-    let mut heap: BinaryHeap<Reverse<(Metric, usize)>> = (0..n)
-        .filter(|&i| dist[i].is_finite())
-        .map(|i| Reverse((dist[i], i)))
-        .collect();
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if dist[u] != d {
-            continue; // stale heap entry
+        for i in 0..n {
+            in_off[i + 1] += in_off[i];
         }
-        for &(from, m) in &in_edges[in_off[u]..in_off[u + 1]] {
-            let nd = m.add(d);
-            if nd < dist[from] {
-                dist[from] = nd;
-                heap.push(Reverse((nd, from)));
+        let mut in_edges = vec![(0usize, Metric::ZERO); in_off[n]];
+        let mut fill = in_off.clone();
+        for from in 0..n {
+            for &(to, m) in usable(from) {
+                in_edges[fill[to]] = (from, m);
+                fill[to] += 1;
             }
         }
+        let mut announced = vec![Metric::INF; n];
+        for (node, p, m) in topo.all_announcements() {
+            if p == prefix && node.is_real() {
+                let at = graph.ids.binary_search(&node);
+                announced[at.expect("an announcer is a router of the topology")] = m;
+            }
+        }
+        PrefixGraph {
+            prefix,
+            graph,
+            in_off,
+            in_edges,
+            announced,
+        }
     }
 
-    // Does `from` reach, along distance-consistent links, an
-    // announcement point other than `skip` that wins where it stands?
-    let reaches_another = |from: usize, skip: usize| {
-        let mut seen = vec![false; n];
-        let mut stack = vec![from];
-        while let Some(x) = stack.pop() {
-            if std::mem::replace(&mut seen[x], true) {
-                continue;
-            }
-            if x != skip && own[x] == dist[x] {
-                return true;
-            }
-            stack.extend(
-                graph
-                    .row(x)
-                    .iter()
-                    .filter(|(y, m)| m.add(dist[*y]) == dist[x])
-                    .map(|e| e.0),
-            );
-        }
-        false
-    };
+    /// The prefix the graph was built toward.
+    pub fn prefix(&self) -> Prefix {
+        self.prefix
+    }
 
-    let mut out = BTreeMap::new();
-    for (i, &r) in ids.iter().enumerate() {
-        let d = dist[i];
-        if !d.is_finite() {
-            continue;
+    /// The real routers in ascending id order: a router's position is
+    /// its index here.
+    pub fn ids(&self) -> &[RouterId] {
+        &self.graph.ids
+    }
+
+    /// The position of `router`, if it is a real router of the graph.
+    pub fn pos(&self, router: RouterId) -> Option<usize> {
+        self.graph.ids.binary_search(&router).ok()
+    }
+
+    /// The real graph the reversal was built from.
+    pub fn real_graph(&self) -> &RealGraph {
+        &self.graph
+    }
+
+    /// Every router's route toward the prefix with `lies` told beside
+    /// the real announcers; lies for other prefixes are skipped. Equal
+    /// to [`prefix_routes`] on the topology with `lies` added, as long
+    /// as they are distinct fake nodes: the pass reads them as they
+    /// come, where a topology would keep one lie per fake id.
+    pub fn routes(&self, lies: impl IntoIterator<Item = FakeAttrs>) -> PrefixRoutes {
+        let _span = fib_trace::span(fib_trace::Phase::PrefixRoutes);
+        let (graph, n) = (&self.graph, self.graph.ids.len());
+        let lies: Vec<(usize, Metric, FwAddr)> = lies
+            .into_iter()
+            .filter(|attrs| attrs.prefix == self.prefix)
+            .map(|attrs| {
+                let at = self.pos(attrs.attach);
+                let at = at.expect("a lie hangs off a router of the topology");
+                (at, attrs.cost_at_attach(), attrs.fw)
+            })
+            .collect();
+        // Announcement points: what a router pays through the cheapest
+        // way out of its own.
+        let mut own = self.announced.clone();
+        for &(at, cost, _) in &lies {
+            own[at] = own[at].min(cost);
         }
-        // Local attachment wins within equal cost; a router never
-        // forwards traffic for its own connected prefix.
-        let local = announced[i] == d;
-        let mut nexthops: Vec<FwAddr> = Vec::new();
-        if !local {
-            for &(to, m) in graph.row(i) {
-                if m.add(dist[to]) == d
-                    && (m != Metric::ZERO || own[i] != d || reaches_another(to, i))
-                {
-                    nexthops.push(FwAddr::primary(ids[to]));
+
+        let mut dist = own.clone();
+        let mut heap: BinaryHeap<Reverse<(Metric, usize)>> = (0..n)
+            .filter(|&i| dist[i].is_finite())
+            .map(|i| Reverse((dist[i], i)))
+            .collect();
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if dist[u] != d {
+                continue; // stale heap entry
+            }
+            for &(from, m) in &self.in_edges[self.in_off[u]..self.in_off[u + 1]] {
+                let nd = m.add(d);
+                if nd < dist[from] {
+                    dist[from] = nd;
+                    heap.push(Reverse((nd, from)));
                 }
             }
-            nexthops.extend(lies.iter().filter(|l| l.0 == i && l.1 == d).map(|l| l.2));
-            nexthops.sort();
-            nexthops.dedup();
         }
-        let route = Route {
-            dist: d,
-            nexthops,
-            local,
+
+        // Does `from` reach, along distance-consistent links, an
+        // announcement point other than `skip` that wins where it stands?
+        let reaches_another = |from: usize, skip: usize| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![from];
+            while let Some(x) = stack.pop() {
+                if std::mem::replace(&mut seen[x], true) {
+                    continue;
+                }
+                if x != skip && own[x] == dist[x] {
+                    return true;
+                }
+                stack.extend(
+                    graph
+                        .row(x)
+                        .iter()
+                        .filter(|(y, m)| m.add(dist[*y]) == dist[x])
+                        .map(|e| e.0),
+                );
+            }
+            false
         };
-        out.insert(r, route);
+
+        let mut local = vec![false; n];
+        let mut off = Vec::with_capacity(n + 1);
+        let mut hops = Vec::new();
+        let mut nexthops: Vec<FwAddr> = Vec::new();
+        off.push(0);
+        for i in 0..n {
+            let d = dist[i];
+            // Local attachment wins within equal cost; a router never
+            // forwards traffic for its own connected prefix.
+            local[i] = d.is_finite() && self.announced[i] == d;
+            if d.is_finite() && !local[i] {
+                nexthops.clear();
+                for &(to, m) in graph.row(i) {
+                    if m.add(dist[to]) == d
+                        && (m != Metric::ZERO || own[i] != d || reaches_another(to, i))
+                    {
+                        nexthops.push(FwAddr::primary(graph.ids[to]));
+                    }
+                }
+                nexthops.extend(lies.iter().filter(|l| l.0 == i && l.1 == d).map(|l| l.2));
+                nexthops.sort();
+                nexthops.dedup();
+                hops.extend_from_slice(&nexthops);
+            }
+            off.push(hops.len());
+        }
+        PrefixRoutes {
+            dist,
+            local,
+            off,
+            hops,
+        }
     }
-    out
+}
+
+/// Every router's route toward one prefix, by position in the
+/// [`PrefixGraph`] it was computed on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixRoutes {
+    /// Route cost per position (`INF`: no route).
+    dist: Vec<Metric>,
+    local: Vec<bool>,
+    /// Position i's next hops, sorted and deduplicated, are
+    /// `hops[off[i]..off[i + 1]]`.
+    off: Vec<usize>,
+    hops: Vec<FwAddr>,
+}
+
+impl PrefixRoutes {
+    /// Number of positions.
+    pub fn len(&self) -> usize {
+        self.dist.len()
+    }
+
+    /// `true` for a graph with no routers.
+    pub fn is_empty(&self) -> bool {
+        self.dist.is_empty()
+    }
+
+    /// The next hops of the router at position `i`, or `None` when it
+    /// has no route toward the prefix or delivers it locally.
+    pub fn forwards(&self, i: usize) -> Option<&[FwAddr]> {
+        let routed = self.dist[i].is_finite() && !self.local[i];
+        routed.then(|| &self.hops[self.off[i]..self.off[i + 1]])
+    }
+
+    /// The routes as a map, for the routers that have one.
+    fn into_map(self, ids: &[RouterId]) -> BTreeMap<RouterId, Route> {
+        let mut out = BTreeMap::new();
+        for (i, &r) in ids.iter().enumerate() {
+            if self.dist[i].is_finite() {
+                let route = Route {
+                    dist: self.dist[i],
+                    nexthops: self.hops[self.off[i]..self.off[i + 1]].to_vec(),
+                    local: self.local[i],
+                };
+                out.insert(r, route);
+            }
+        }
+        out
+    }
 }
 
 /// Caching SPF engine for one router, exploiting partial SPF for
