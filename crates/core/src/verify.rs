@@ -8,14 +8,14 @@
 //!
 //! Everything runs on positions in one [`PrefixGraph`]: routes come
 //! from its seeded pass, fractions sit in flat per-position arrays, and
-//! the loop search walks positions. Maps are built only for what a
-//! failing check reports. [`LieCheck`] keeps the graph and the real
+//! whether the routes loop is decided on positions. Maps are built only
+//! for what a failing check reports. `LieCheck` keeps the graph and the real
 //! fractions of one topology, so `augment` and `reduce` check each
 //! candidate lie set as a slice, with no topology clone.
 
 use crate::lie::Lie;
 use crate::requirements::WeightedDag;
-use fib_igp::rib::Route;
+use fib_igp::rib::{ForwardingDag, Route};
 use fib_igp::spf::{prefix_routes, PrefixGraph, PrefixRoutes};
 use fib_igp::topology::{FakeAttrs, Topology};
 use fib_igp::types::{Prefix, RouterId};
@@ -175,16 +175,16 @@ impl LieCheck {
         &self.graph
     }
 
-    /// Every router with a way out of its own on the real topology, by
-    /// position, with its fractions there.
+    /// Every router that forwards toward the prefix on the real
+    /// topology, by position, with its fractions there.
     pub(crate) fn baseline(&self) -> impl Iterator<Item = (usize, RouterId, &Split)> + '_ {
         let ids = self.graph.ids().iter().enumerate();
         ids.filter_map(|(i, r)| Some((i, *r, self.baseline.get(i)?)))
     }
 
-    /// The routes with `lies` told, besides the topology's own. The
-    /// lies' fake ids are distinct from each other and from the
-    /// topology's, as `apply_all` needs them.
+    /// The routes with `lies` told, besides the topology's own: those of
+    /// the topology with `lies` applied, as long as their fake ids are
+    /// distinct from each other and from the topology's.
     pub(crate) fn routes(&self, lies: &[Lie]) -> PrefixRoutes {
         let told = self.own.iter().copied().chain(lies.iter().map(Lie::attrs));
         self.graph.routes(told)
@@ -197,14 +197,7 @@ impl LieCheck {
 
     /// [`check_preserving`] of the real topology with `lies` applied.
     pub(crate) fn check(&self, lies: &[Lie], expected: &Expected) -> VerifyReport {
-        let prefix = self.graph.prefix();
-        report(
-            Some(self),
-            expected,
-            &self.graph,
-            &self.routes(lies),
-            prefix,
-        )
+        report(Some(self), expected, &self.graph, &self.routes(lies))
     }
 }
 
@@ -244,13 +237,13 @@ fn routes_on(topo: &Topology, prefix: Prefix) -> (PrefixGraph, PrefixRoutes) {
 pub fn check_preserving(real: &Topology, augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
     let base = LieCheck::new(real, dag.prefix);
     let (graph, routes) = routes_on(augmented, dag.prefix);
-    report(Some(&base), &expected(dag), &graph, &routes, dag.prefix)
+    report(Some(&base), &expected(dag), &graph, &routes)
 }
 
 /// Verify only that `augmented` realizes `dag` (no preservation check).
 pub fn check(augmented: &Topology, dag: &WeightedDag) -> VerifyReport {
     let (graph, routes) = routes_on(augmented, dag.prefix);
-    report(None, &expected(dag), &graph, &routes, dag.prefix)
+    report(None, &expected(dag), &graph, &routes)
 }
 
 /// The report on `routes`, computed on `graph`: each constrained
@@ -263,7 +256,6 @@ fn report(
     expected: &Expected,
     graph: &PrefixGraph,
     routes: &PrefixRoutes,
-    prefix: Prefix,
 ) -> VerifyReport {
     let actual = Fractions::of(routes);
     let got = |r: RouterId| graph.pos(r).and_then(|i| actual.get(i)).unwrap_or(&[]);
@@ -299,67 +291,43 @@ fn report(
     }
 
     VerifyReport {
-        prefix,
+        prefix: graph.prefix(),
         mismatches,
         forwarding_loop: find_loop(graph, routes),
     }
 }
 
-/// A forwarding loop in `routes`, as
-/// [`fib_igp::rib::ForwardingDag::find_loop`] finds it on the same
-/// routes: an iterative coloured DFS, roots in position (so id) order,
-/// next hops in route order, a router that does not forward ending the
-/// walk. The witness is the cycle, its first router repeated at the
-/// end.
+/// A forwarding loop in `routes`, with the witness
+/// [`ForwardingDag::find_loop`] gives on the same routes. Whether there
+/// is one is decided on positions: peel the forwarding routers nothing
+/// left forwards to, and a loop is what remains. Only then are the
+/// routes laid out as a map for the witness search.
 fn find_loop(graph: &PrefixGraph, routes: &PrefixRoutes) -> Option<Vec<RouterId>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
+    let forwarding = |i: usize| routes.forwards(i).is_some();
+    let next = |i: usize| {
+        let hops = routes.forwards(i).unwrap_or(&[]).iter();
+        hops.filter_map(|h| graph.pos(h.router).filter(|&j| forwarding(j)))
+    };
     let n = routes.len();
-    let mut color = vec![Color::White; n];
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    let mut path: Vec<usize> = Vec::new();
-    for root in 0..n {
-        if color[root] != Color::White || routes.forwards(root).is_none() {
-            continue;
-        }
-        color[root] = Color::Gray;
-        stack.push((root, 0));
-        path.push(root);
-        while let Some((node, idx)) = stack.last_mut() {
-            let hops = routes.forwards(*node).unwrap_or(&[]);
-            if *idx >= hops.len() {
-                color[*node] = Color::Black;
-                stack.pop();
-                path.pop();
-                continue;
-            }
-            let next = hops[*idx].router;
-            *idx += 1;
-            let Some(j) = graph.pos(next).filter(|&j| routes.forwards(j).is_some()) else {
-                continue;
-            };
-            match color[j] {
-                Color::White => {
-                    color[j] = Color::Gray;
-                    stack.push((j, 0));
-                    path.push(j);
-                }
-                Color::Gray => {
-                    let start = path.iter().position(|&x| x == j).expect("gray on path");
-                    let ids = graph.ids();
-                    let mut cycle: Vec<RouterId> = path[start..].iter().map(|&x| ids[x]).collect();
-                    cycle.push(cycle[0]);
-                    return Some(cycle);
-                }
-                Color::Black => {}
+    let mut feeds = vec![0usize; n];
+    for j in (0..n).flat_map(next) {
+        feeds[j] += 1;
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&i| forwarding(i) && feeds[i] == 0).collect();
+    let mut left = (0..n).filter(|&i| forwarding(i)).count();
+    while let Some(i) = ready.pop() {
+        left -= 1;
+        for j in next(i) {
+            feeds[j] -= 1;
+            if feeds[j] == 0 {
+                ready.push(j);
             }
         }
     }
-    None
+    if left == 0 {
+        return None;
+    }
+    ForwardingDag::from_prefix_routes(graph.prefix(), &graph.routes_by_id(routes)).find_loop()
 }
 
 /// The checker on a topology clone, kept as the oracle the graph check is
@@ -369,7 +337,6 @@ fn find_loop(graph: &PrefixGraph, routes: &PrefixRoutes) -> Option<Vec<RouterId>
 #[cfg(test)]
 pub(crate) mod clone_reference {
     use super::*;
-    use fib_igp::rib::ForwardingDag;
 
     pub(crate) fn fractions_close(
         a: &BTreeMap<RouterId, f64>,
@@ -449,7 +416,6 @@ pub(crate) mod clone_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fib_igp::rib::ForwardingDag;
     use fib_igp::types::{FwAddr, Metric};
 
     fn r(n: u32) -> RouterId {

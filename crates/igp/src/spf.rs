@@ -365,7 +365,7 @@ pub fn compute_all_routes(topo: &Topology) -> BTreeMap<RouterId, RouteTable> {
 pub fn prefix_routes(topo: &Topology, prefix: Prefix) -> BTreeMap<RouterId, Route> {
     let graph = PrefixGraph::of(topo, prefix);
     let lies = topo.fake_nodes().map(|(_, attrs)| *attrs);
-    graph.routes(lies).into_map(graph.ids())
+    graph.routes_by_id(&graph.routes(lies))
 }
 
 /// What every router's route toward one prefix depends on besides the
@@ -442,6 +442,23 @@ impl PrefixGraph {
     /// The position of `router`, if it is a real router of the graph.
     pub fn pos(&self, router: RouterId) -> Option<usize> {
         self.graph.ids.binary_search(&router).ok()
+    }
+
+    /// `routes` (computed on this graph) as a map, for the routers that
+    /// have one.
+    pub fn routes_by_id(&self, routes: &PrefixRoutes) -> BTreeMap<RouterId, Route> {
+        let mut out = BTreeMap::new();
+        for (i, &r) in self.graph.ids.iter().enumerate() {
+            if routes.dist[i].is_finite() {
+                let route = Route {
+                    dist: routes.dist[i],
+                    nexthops: routes.hops[routes.off[i]..routes.off[i + 1]].to_vec(),
+                    local: routes.local[i],
+                };
+                out.insert(r, route);
+            }
+        }
+        out
     }
 
     /// The real graph the reversal was built from.
@@ -578,22 +595,6 @@ impl PrefixRoutes {
     pub fn forwards(&self, i: usize) -> Option<&[FwAddr]> {
         let routed = self.dist[i].is_finite() && !self.local[i];
         routed.then(|| &self.hops[self.off[i]..self.off[i + 1]])
-    }
-
-    /// The routes as a map, for the routers that have one.
-    fn into_map(self, ids: &[RouterId]) -> BTreeMap<RouterId, Route> {
-        let mut out = BTreeMap::new();
-        for (i, &r) in ids.iter().enumerate() {
-            if self.dist[i].is_finite() {
-                let route = Route {
-                    dist: self.dist[i],
-                    nexthops: self.hops[self.off[i]..self.off[i + 1]].to_vec(),
-                    local: self.local[i],
-                };
-                out.insert(r, route);
-            }
-        }
-        out
     }
 }
 
