@@ -1011,9 +1011,14 @@ mod tests {
     /// shaped like a crowd — a handful of paths, a handful of caps,
     /// hundreds to thousands of flows, link capacities of the ledger
     /// workloads — through call sequences that move flows, caps,
-    /// capacities and link state, against [`max_min_keyed`] on the up
+    /// capacities and link state, pause and resume batches of viewers
+    /// (125 000 B/s to 1 B/s and back, on the paths they have) and
+    /// return to an earlier input, against [`max_min_keyed`] on the up
     /// links: every rate and every load bit for bit, and the same
-    /// fill/skip decisions as the keyed entry.
+    /// fill/skip decisions as the keyed entry. Those decisions are
+    /// also held to an oracle of the test's own: a call skips iff its
+    /// up-link universe and its per-flow (links, cap bits) sequence
+    /// equal the previous call's.
     ///
     /// At these sizes the reference's "numerical corner" is traffic:
     /// thousands of subtractions from 4e8 leave more than the 1e-9 a
@@ -1029,6 +1034,8 @@ mod tests {
         let mut skips = 0u64;
         let mut widest = 0usize;
         let mut empty_paths = 0usize;
+        let mut pauses = 0usize; // calls after a pause/resume step that moved a cap
+        let mut returns = 0usize; // calls back at an earlier input, unlike the last one
         for case in 0..CASES {
             let mut st = case.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xF1B;
             let st = &mut st;
@@ -1070,30 +1077,65 @@ mod tests {
 
             let mut sim = SimEntry::new();
             let mut keyed: Allocator<usize> = Allocator::new();
-            for step in 0..1 + below(st, 5) {
-                // One call in five repeats its input: a skip on both.
-                if step > 0 && below(st, 5) > 0 {
-                    for _ in 0..1 + below(st, 3) {
-                        let l = below(st, nl);
-                        match below(st, 4) {
-                            0 => up[l] = !up[l],
-                            1 => caps[l] = capacity(st),
-                            2 if !flows.is_empty() => {
-                                // A batch of viewers leaves, another arrives.
-                                let gone = below(st, flows.len().min(40) + 1);
-                                let at = below(st, flows.len() - gone + 1);
-                                flows.drain(at..at + gone);
-                                for _ in 0..below(st, 40) {
-                                    flows.push((below(st, paths.len()), cap(st)));
-                                }
-                            }
-                            _ if !flows.is_empty() => {
-                                let i = below(st, flows.len());
-                                flows[i] = (below(st, paths.len()), cap(st));
-                            }
-                            _ => {}
+            // An earlier input to come back to, and the last call's
+            // input in bits: the memo oracle.
+            type State = (Vec<(usize, Option<f64>)>, Vec<f64>, Vec<bool>);
+            type Input = (Vec<Option<u64>>, Vec<(Vec<u32>, Option<u64>)>);
+            let mut saved: Option<State> = None;
+            let mut last: Option<Input> = None;
+            for step in 0..1 + below(st, 8) {
+                let mut paused = false;
+                let mut restored = false;
+                // One call in eight repeats its input: a skip on both.
+                let kind = if step > 0 { below(st, 8) } else { 0 };
+                match kind {
+                    0 => {}
+                    // A batch of viewers pauses (buffer full: 1 B/s) or
+                    // resumes (125 000 B/s), on the paths it has.
+                    1 if !flows.is_empty() => {
+                        let at = below(st, flows.len());
+                        let end = flows.len().min(at + 1 + below(st, 80));
+                        for (_, cap) in &mut flows[at..end] {
+                            let flipped = match *cap {
+                                Some(1.0) => Some(125_000.0),
+                                Some(125_000.0) => Some(1.0),
+                                other => other,
+                            };
+                            paused |= flipped != *cap;
+                            *cap = flipped;
                         }
                     }
+                    // Back to an earlier input.
+                    2 | 3 if saved.is_some() => {
+                        (flows, caps, up) = saved.clone().expect("saved");
+                        restored = true;
+                    }
+                    _ => {
+                        for _ in 0..1 + below(st, 3) {
+                            let l = below(st, nl);
+                            match below(st, 4) {
+                                0 => up[l] = !up[l],
+                                1 => caps[l] = capacity(st),
+                                2 if !flows.is_empty() => {
+                                    // A batch of viewers leaves, another arrives.
+                                    let gone = below(st, flows.len().min(40) + 1);
+                                    let at = below(st, flows.len() - gone + 1);
+                                    flows.drain(at..at + gone);
+                                    for _ in 0..below(st, 40) {
+                                        flows.push((below(st, paths.len()), cap(st)));
+                                    }
+                                }
+                                _ if !flows.is_empty() => {
+                                    let i = below(st, flows.len());
+                                    flows[i] = (below(st, paths.len()), cap(st));
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+                if saved.is_none() || below(st, 6) == 0 {
+                    saved = Some((flows.clone(), caps.clone(), up.clone()));
                 }
                 // A flow that would cross a down link is not routed.
                 let routed: Vec<(Vec<u32>, Option<f64>)> = flows
@@ -1110,11 +1152,29 @@ mod tests {
                     .map(|(l, c)| (l.iter().map(|l| *l as usize).collect(), *c))
                     .collect();
 
+                let input: Input = (
+                    universe.iter().map(|c| c.map(f64::to_bits)).collect(),
+                    routed
+                        .iter()
+                        .map(|(l, c)| (l.clone(), c.map(f64::to_bits)))
+                        .collect(),
+                );
+                let moved = last.as_ref() != Some(&input);
+                pauses += usize::from(paused && moved);
+                returns += usize::from(restored && moved);
+                last = Some(input);
+
+                let skips_before = sim.alloc.skips;
                 sim.settle(&universe, &routed);
                 keyed.allocate(&up_caps, by_key.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &by_key);
 
                 let at = format!("case {case}, call {step}");
+                assert_eq!(
+                    sim.alloc.skips - skips_before,
+                    u64::from(!moved),
+                    "{at}: skipped iff the input is the last call's"
+                );
                 assert_eq!(
                     (sim.alloc.fills, sim.alloc.skips),
                     (keyed.fills, keyed.skips),
@@ -1161,6 +1221,8 @@ mod tests {
             split_twins >= 100,
             "the forced freeze of a single flow ran on {split_twins} inputs"
         );
+        assert!(pauses >= 100, "{pauses} calls after a pause or resume");
+        assert!(returns >= 100, "{returns} calls back at an earlier input");
     }
 
     /// A capacity: often one of two round values, so that two links
