@@ -237,7 +237,18 @@ impl EventHandler for VideoWorkload {
         }
         // One lock per tick, and no ordered-map operation for a
         // session that is still playing.
-        let mut shared = self.shared.0.lock();
+        let handle = self.shared.clone();
+        let mut shared = handle.0.lock();
+        self.launch_due(&mut shared, ctx);
+        if let AppEvent::Tick = ev {
+            shared.advance_sessions(ctx);
+        }
+    }
+}
+
+impl VideoWorkload {
+    /// Launch every session due by now, in schedule order.
+    fn launch_due(&mut self, shared: &mut Shared, ctx: &mut SimContext<'_>) {
         while let Some(&(start, wave, tag)) = self.order.get(self.cursor) {
             if start > ctx.now() {
                 break;
@@ -245,9 +256,6 @@ impl EventHandler for VideoWorkload {
             self.cursor += 1;
             let session = Session::launch(&self.waves[wave as usize], u64::from(tag), ctx);
             shared.active.push(session);
-        }
-        if let AppEvent::Tick = ev {
-            shared.advance_sessions(ctx);
         }
     }
 }
@@ -476,6 +484,133 @@ mod tests {
         }
         assert!(seen_both, "some read saw finished and playing sessions");
         assert!(handle.reports().iter().any(|q| q.stalls > 0));
+    }
+
+    /// The tick as it was, kept as the reference the driver is held
+    /// to: every session's cap is set again at every tick, and the
+    /// finished sessions leave the active set at every tick.
+    struct ReferenceDriver(VideoWorkload);
+
+    impl Shared {
+        fn advance_sessions_reference(&mut self, api: &mut SimContext<'_>) {
+            let now = api.now();
+            let now_secs = now.as_secs_f64();
+            for s in self.active.iter_mut() {
+                let delivered = api.flow_delivered(s.flow).unwrap_or(s.last_delivered);
+                let bytes = (delivered - s.last_delivered).max(0.0);
+                s.last_delivered = delivered;
+                let dt = (now - s.last_advanced).as_secs_f64();
+                s.last_advanced = now;
+                s.player.advance(now_secs, dt, bytes);
+                s.advanced = true;
+                if !s.player.wants_download() && s.player.state() != PlayerState::Done {
+                    api.set_flow_cap(s.flow, Some(1.0));
+                } else if s.player.state() != PlayerState::Done {
+                    api.set_flow_cap(s.flow, Some(s.player.bitrate()));
+                }
+                if s.player.state() == PlayerState::Done {
+                    api.stop_flow(s.flow);
+                    self.finished.insert(s.tag, s.player.qoe());
+                }
+            }
+            self.active
+                .retain(|s| s.player.state() != PlayerState::Done);
+        }
+    }
+
+    impl EventHandler for ReferenceDriver {
+        fn name(&self) -> &str {
+            "reference-driver"
+        }
+
+        fn tick_interval(&self) -> Option<Dur> {
+            self.0.tick_interval()
+        }
+
+        fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+            if !matches!(ev, AppEvent::Start | AppEvent::Tick) {
+                return;
+            }
+            let handle = self.0.shared.clone();
+            let mut shared = handle.0.lock();
+            self.0.launch_due(&mut shared, ctx);
+            if let AppEvent::Tick = ev {
+                shared.advance_sessions_reference(ctx);
+            }
+        }
+    }
+
+    /// The driver against the reference tick on a saturated line, two
+    /// simulators side by side: after every tick every live flow has
+    /// the same cap, rate and delivered bytes on both, and the readers
+    /// give equal reports at every tenth tick and at the end. Sixty
+    /// sessions of 100 kB/s with clips of 4 to 24 s start over 30 s on
+    /// 2 MB/s, so flows are paced, drained to 1 B/s once their bytes
+    /// are in, and stopped; players stall and resume; and sessions
+    /// finish while dozens of others play.
+    #[test]
+    fn the_driver_caps_and_reports_as_the_reference_tick_does() {
+        let mut st = 0x5EED_u64;
+        let mut draw = |n: u64| {
+            st = st
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (st >> 33) % n
+        };
+        let waves: Vec<Wave> = (0..60)
+            .map(|_| {
+                let secs = 4.0 + draw(21) as f64;
+                wave(1e5, secs, vec![Timestamp::from_millis(draw(30_000))])
+            })
+            .collect();
+        let mut runs: Vec<(Sim, QoeHandle)> = Vec::new();
+        for reference in [false, true] {
+            let mut sim = line(2e6);
+            let (driver, handle) = VideoWorkload::new(waves.clone());
+            if reference {
+                sim.add_app(Box::new(ReferenceDriver(driver)));
+            } else {
+                sim.add_app(Box::new(driver));
+            }
+            sim.start();
+            runs.push((sim, handle));
+        }
+        let flows = |sim: &Sim| -> Vec<(FlowId, u64, Option<u64>, u64, u64)> {
+            sim.flows()
+                .map(|f| {
+                    let cap = f.cap.map(f64::to_bits);
+                    (f.id, f.tag, cap, f.rate.to_bits(), f.delivered.to_bits())
+                })
+                .collect()
+        };
+        let (mut drained, mut stopped, mut busiest) = (0usize, 0usize, 0usize);
+        let mut live_before = 0usize;
+        for tick in 1..=600u64 {
+            for (sim, _) in &mut runs {
+                sim.run_until(Timestamp::from_millis(100 * tick + 1));
+            }
+            let got = flows(&runs[0].0);
+            assert_eq!(got, flows(&runs[1].0), "tick {tick}: flows");
+            drained += got.iter().filter(|f| f.2 == Some(1f64.to_bits())).count();
+            stopped += live_before.saturating_sub(got.len());
+            busiest = busiest.max(got.len());
+            live_before = got.len();
+            if tick % 10 == 0 {
+                assert_eq!(
+                    runs[0].1.reports(),
+                    runs[1].1.reports(),
+                    "tick {tick}: reports"
+                );
+            }
+        }
+        let reports = runs[0].1.reports();
+        assert_eq!(reports.len(), 60);
+        assert!(reports.iter().all(|q| q.completed));
+        let stalled = reports.iter().filter(|q| q.stalls > 0).count();
+        assert!(stalled >= 10, "{stalled} sessions stalled");
+        assert!(drained >= 500, "{drained} flow-ticks drained");
+        assert!(stopped >= 20, "{stopped} flows stopped");
+        assert!(busiest >= 30, "at most {busiest} flows at once");
     }
 
     #[test]
