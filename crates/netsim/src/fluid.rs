@@ -22,11 +22,23 @@
 //! * [`Allocator`] — the version the simulator uses: buffers persist
 //!   across calls, a call whose inputs are unchanged returns the cached
 //!   result without filling at all, and the fill works on *classes* —
-//!   the flows of one input that cross the same links under the same
-//!   cap — because a crowd is thousands of flows over a handful of
-//!   forwarding decisions (36 000 sessions over 7 paths and at most 10
-//!   classes on the ledger's `dataplane_churn`). A settle stages one
-//!   interned path id and one cap per flow and probes no map.
+//!   the flows that cross the same links under the same cap — because
+//!   a crowd is thousands of flows over a handful of forwarding
+//!   decisions (36 000 sessions over 7 paths and at most 10 classes on
+//!   the ledger's `dataplane_churn`).
+//!
+//! # Interning
+//!
+//! Paths and classes are interned by content in grow-only tables, the
+//! way the simulator keeps them: a `PathTable` gives each distinct
+//! list of link positions an id, a `ClassTable` each distinct (path
+//! id, cap bits). The simulator finds a flow's class where it resolves
+//! the flow's path and where the flow's cap changes — a few dozen
+//! flows a settle — and keeps the id with the flow. A settle then
+//! hands over one class id per routed flow: it probes no map and
+//! searches no class, and the members of each class are counted in the
+//! same pass. The fill touches only the classes that have members, so
+//! a table that grows over a run costs nothing per settle.
 //!
 //! # Why classes give the reference's bits
 //!
@@ -60,11 +72,21 @@
 //!   order, of rates that differ from class to class, and f64 addition
 //!   is not associative: that one pass stays per flow.
 //!
-//! The memo is as exact as before: path ids are interned by content
-//! and never reused, classes are numbered by first appearance, so two
-//! inputs have equal (class list, per-flow class) iff they have equal
-//! per-flow (links, cap) — the fill/skip decisions every pinned sweep
-//! CSV carries do not move.
+//! None of the four depends on how classes are numbered, so the ids a
+//! table hands out (in the order pairs were first seen over the whole
+//! run, not within one input) cannot move a bit: a link's subtraction
+//! count is a sum of member counts, a class freezes whole or not at
+//! all, the forced freeze is chosen by walking the flows in order, and
+//! loads are summed in flow order. The caps and residuals a round
+//! compares are `min`s, which do not care in which order the classes
+//! are visited either (the fill visits them in first appearance in the
+//! input, as it always has).
+//!
+//! The memo compares the link universe and the sequence of class ids,
+//! and is exact: ids are interned by content and never reused, so two
+//! inputs have equal id sequences iff they have equal per-flow (links,
+//! cap bits) — the fill/skip decisions every pinned sweep CSV carries
+//! do not move.
 //!
 //! What is still *not* done, for the reason it never was: refilling
 //! only the connected component a change touched. Progressive filling
@@ -293,65 +315,85 @@ impl PathTable {
     }
 }
 
-/// The flows of one input that cross the same links under the same
-/// cap. Progressive filling cannot tell them apart (module docs), so
-/// the fill works on these.
-#[derive(Debug, Clone, Copy)]
-struct Class {
-    path: u32,
-    cap: Option<f64>,
-    members: usize,
-}
-
-/// An input's flows on their way in: its classes in order of first
-/// appearance, and each flow's class. Two inputs stage equal pairs iff
-/// their per-flow (path id, cap) sequences are equal.
+/// (path id, cap) pairs interned by content, as [`PathTable`] interns
+/// paths: the flows that cross the same links under the same cap bits
+/// always get the same id, and an id never changes its meaning. These
+/// are the *classes* progressive filling cannot tell apart (module
+/// docs): the fill works on them, and the memo compares their ids.
+///
+/// Grow-only, like the path table: one entry per distinct pair ever
+/// interned. A flow's class is found where its path or its cap
+/// changes, by a search among the few caps interned on its path — not
+/// at every settle.
 #[derive(Debug, Default)]
-struct Staging {
-    classes: Vec<Class>,
-    flow_class: Vec<u32>,
-    /// Per path id, the cap and number of each class staged on it: a
-    /// flow finds its class among these few (one per distinct cap on
-    /// its path). Empty between calls.
+pub(crate) struct ClassTable {
+    /// Per class id: its path id and cap.
+    classes: Vec<(u32, Option<f64>)>,
+    /// Per path id: each cap interned on it, with its class id.
     by_path: Vec<Vec<(Option<f64>, u32)>>,
 }
 
-impl Staging {
-    /// Stage `flows`, an input's routed flows in order, as (path id,
-    /// cap).
-    fn stage(&mut self, flows: impl Iterator<Item = (u32, Option<f64>)>) {
-        let Staging {
-            classes,
-            flow_class,
-            by_path,
-        } = self;
-        classes.clear();
-        flow_class.clear();
-        flow_class.extend(flows.map(|(path, cap)| {
-            let p = path as usize;
-            if by_path.len() <= p {
-                by_path.resize_with(p + 1, Vec::new);
-            }
-            let on_path = &mut by_path[p];
-            let class = match on_path.iter().find(|(c, _)| same_bits(*c, cap)) {
-                Some((_, class)) => *class,
-                None => {
-                    let class = u32::try_from(classes.len()).expect("fewer than 2^32 classes");
-                    classes.push(Class {
-                        path,
-                        cap,
-                        members: 0,
-                    });
-                    on_path.push((cap, class));
-                    class
-                }
-            };
-            classes[class as usize].members += 1;
-            class
-        }));
-        for c in classes.iter() {
-            by_path[c.path as usize].clear();
+impl ClassTable {
+    /// The id of (`path`, `cap`), a new one iff the table has not seen
+    /// the pair.
+    pub(crate) fn intern(&mut self, path: u32, cap: Option<f64>) -> u32 {
+        let p = path as usize;
+        if self.by_path.len() <= p {
+            self.by_path.resize_with(p + 1, Vec::new);
         }
+        let on_path = &mut self.by_path[p];
+        if let Some((_, id)) = on_path.iter().find(|(c, _)| same_bits(*c, cap)) {
+            return *id;
+        }
+        let id = u32::try_from(self.classes.len()).expect("fewer than 2^32 classes");
+        self.classes.push((path, cap));
+        on_path.push((cap, id));
+        id
+    }
+
+    /// The path id and cap `class` names.
+    pub(crate) fn get(&self, class: u32) -> (u32, Option<f64>) {
+        self.classes[class as usize]
+    }
+
+    /// The path id `class` names.
+    pub(crate) fn path(&self, class: u32) -> u32 {
+        self.classes[class as usize].0
+    }
+}
+
+/// One input's routed flows as class ids, and how many flows each
+/// class has: counted as the ids are read, so the fill never walks the
+/// flows to find its classes.
+#[derive(Debug, Default)]
+struct FlowClasses {
+    /// Per routed flow, in the caller's order: its class id.
+    ids: Vec<u32>,
+    /// Per class id: the flows of `ids` in it (zero for a class not in
+    /// `used`).
+    members: Vec<usize>,
+    /// The classes with members, in order of first appearance.
+    used: Vec<u32>,
+}
+
+impl FlowClasses {
+    /// Read an input's class ids, in flow order.
+    fn read(&mut self, flows: impl Iterator<Item = u32>) {
+        let FlowClasses { ids, members, used } = self;
+        for c in used.drain(..) {
+            members[c as usize] = 0;
+        }
+        ids.clear();
+        ids.extend(flows.inspect(|&c| {
+            let at = c as usize;
+            if members.len() <= at {
+                members.resize(at + 1, 0);
+            }
+            if members[at] == 0 {
+                used.push(c);
+            }
+            members[at] += 1;
+        }));
     }
 }
 
@@ -366,44 +408,44 @@ impl Staging {
 /// [`Allocator::fills`]). Output is bit-identical to
 /// [`max_min_allocation`] on the same input.
 ///
-/// There are two ways in and one staging, memo and fill behind them:
-/// `allocate_paths` for a caller that names links by their position in
-/// a fixed universe and each flow's links by an interned id (the
+/// There are two ways in and one memo and fill behind them:
+/// `allocate_classes` for a caller that names links by their position
+/// in a fixed universe and each flow by its interned class id (the
 /// simulator), and [`Allocator::allocate`] for a caller that names
 /// links by key, which translates keys to positions and interns each
-/// flow's list in a table of its own.
+/// flow's list and class in tables of its own.
 #[derive(Debug, Default)]
 pub struct Allocator<K: Ord + Clone> {
     // --- the keyed entry point's translation (unused by the simulator) ---
     keys: Vec<K>,
     index: BTreeMap<K, u32>,
     key_paths: PathTable,
+    key_classes: ClassTable,
     key_links: Vec<u32>,
     // --- previous input (the memo key) ---
     /// Per link of the universe: its capacity iff it is up. Up/down is
     /// part of the key: a link that fails is a different input even if
     /// no flow crossed it, a capacity change on a down link is not.
     caps: Vec<Option<f64>>,
-    /// The flows, as [`Staging`] left them.
-    classes: Vec<Class>,
-    flow_class: Vec<u32>,
+    /// The flows the kept result was filled from.
+    flows: FlowClasses,
     valid: bool,
     // --- cached output ---
     rates: Vec<f64>,
     loads: Vec<f64>,
-    // --- scratch for input staging ---
-    staged: Staging,
+    // --- the call in progress ---
+    staged: FlowClasses,
     // --- scratch for the fill ---
     residual: Vec<f64>,
     /// Per link: unfrozen flows crossing it.
     link_active: Vec<usize>,
-    /// Per class: members not yet frozen, and the rate the class froze
-    /// at.
+    /// Per class id (written and read for the input's classes only):
+    /// members not yet frozen, and the rate the class froze at.
     unfrozen: Vec<usize>,
     class_rate: Vec<f64>,
     /// Flows frozen alone, ahead of their class, with their rate.
     forced: Vec<(usize, f64)>,
-    active_classes: Vec<usize>,
+    active_classes: Vec<u32>,
     active_links: Vec<usize>,
     /// Fill passes actually executed.
     pub fills: u64,
@@ -437,14 +479,14 @@ impl<K: Ord + Clone> Allocator<K> {
             keys: Vec::new(),
             index: BTreeMap::new(),
             key_paths: PathTable::default(),
+            key_classes: ClassTable::default(),
             key_links: Vec::new(),
             caps: Vec::new(),
-            classes: Vec::new(),
-            flow_class: Vec::new(),
+            flows: FlowClasses::default(),
             valid: false,
             rates: Vec::new(),
             loads: Vec::new(),
-            staged: Staging::default(),
+            staged: FlowClasses::default(),
             residual: Vec::new(),
             link_active: Vec::new(),
             unfrozen: Vec::new(),
@@ -479,43 +521,53 @@ impl<K: Ord + Clone> Allocator<K> {
                 .map(|(i, k)| (k.clone(), i))
                 .collect();
             self.key_paths = PathTable::default();
+            self.key_classes = ClassTable::default();
             self.valid = false;
         }
         let links_unchanged = self.stage_links(capacities.values().map(|c| Some(*c)));
-        let (index, positions, paths) = (&self.index, &mut self.key_links, &mut self.key_paths);
-        self.staged.stage(flows.into_iter().map(|(links, cap)| {
+        let (index, positions) = (&self.index, &mut self.key_links);
+        let (paths, classes) = (&mut self.key_paths, &mut self.key_classes);
+        self.staged.read(flows.into_iter().map(|(links, cap)| {
             positions.clear();
             positions.extend(
                 links
                     .iter()
                     .map(|k| *index.get(k).expect("flow references unknown link key")),
             );
-            (paths.intern(positions), cap)
+            classes.intern(paths.intern(positions), cap)
         }));
-        // The table is lent to the fill, which borrows the rest.
-        let paths = std::mem::take(&mut self.key_paths);
-        self.commit(&paths, links_unchanged);
-        self.key_paths = paths;
+        // The tables are lent to the fill, which borrows the rest.
+        let (paths, classes) = (
+            std::mem::take(&mut self.key_paths),
+            std::mem::take(&mut self.key_classes),
+        );
+        self.commit(&paths, &classes, links_unchanged);
+        (self.key_paths, self.key_classes) = (paths, classes);
     }
 
     /// Compute (or reuse) the max-min allocation over links named by
     /// position: `links` yields the whole universe in a fixed order,
     /// one entry per link, its capacity iff the link is up; `flows`
-    /// yields each routed flow's crossed links as an id of `paths`
-    /// (positions in that order, up links only) and its cap, in a
-    /// stable order. Rates come back via [`Allocator::rates`], loads
-    /// via [`Allocator::loads`].
+    /// yields each routed flow's class id in `classes`, whose path ids
+    /// name links of `paths` (positions in that order, up links only),
+    /// in a stable order. Rates come back via [`Allocator::rates`],
+    /// loads via [`Allocator::loads`].
     ///
-    /// `paths` must be the same table from call to call: the memo
-    /// compares ids.
-    pub(crate) fn allocate_paths<L, I>(&mut self, paths: &PathTable, links: L, flows: I)
-    where
+    /// `paths` and `classes` must be the same tables from call to call:
+    /// the memo compares class ids.
+    pub(crate) fn allocate_classes<L, I>(
+        &mut self,
+        paths: &PathTable,
+        classes: &ClassTable,
+        links: L,
+        flows: I,
+    ) where
         L: IntoIterator<Item = Option<f64>>,
-        I: IntoIterator<Item = (u32, Option<f64>)>,
+        I: IntoIterator<Item = u32>,
     {
         let links_unchanged = self.stage_links(links);
-        self.staged.stage(flows.into_iter());
-        self.commit(paths, links_unchanged);
+        self.staged.read(flows.into_iter());
+        self.commit(paths, classes, links_unchanged);
     }
 
     /// Overwrite the kept link universe with `links`; `true` iff the
@@ -544,33 +596,23 @@ impl<K: Ord + Clone> Allocator<K> {
         unchanged
     }
 
-    /// Skip if the staged input equals the kept one, else keep it and
-    /// fill.
-    fn commit(&mut self, paths: &PathTable, links_unchanged: bool) {
-        // Equal member counts follow from the other two.
-        let flows_unchanged = self.valid
-            && self.staged.flow_class == self.flow_class
-            && self.staged.classes.len() == self.classes.len()
-            && self
-                .staged
-                .classes
-                .iter()
-                .zip(&self.classes)
-                .all(|(a, b)| a.path == b.path && same_bits(a.cap, b.cap));
-        if links_unchanged && flows_unchanged {
+    /// Skip if the staged flows equal the kept ones, else keep them and
+    /// fill. Class ids are interned by content and never reused, so
+    /// equal id sequences are equal per-flow (links, cap bits).
+    fn commit(&mut self, paths: &PathTable, classes: &ClassTable, links_unchanged: bool) {
+        if links_unchanged && self.staged.ids == self.flows.ids {
             self.skips += 1;
             return;
         }
-        std::mem::swap(&mut self.classes, &mut self.staged.classes);
-        std::mem::swap(&mut self.flow_class, &mut self.staged.flow_class);
-        self.fill(paths);
+        std::mem::swap(&mut self.flows, &mut self.staged);
+        self.fill(paths, classes);
         self.valid = true;
         self.fills += 1;
     }
 
     /// How many classes the last call's flows fell into.
     pub(crate) fn classes(&self) -> usize {
-        self.classes.len()
+        self.flows.used.len()
     }
 
     /// Per-flow rates of the last call, in the caller's flow order.
@@ -594,9 +636,9 @@ impl<K: Ord + Clone> Allocator<K> {
 
     /// Take `n` flows of class `c` out of the filling: they stop
     /// counting on every link the class crosses.
-    fn retire(&mut self, paths: &PathTable, c: usize, n: usize) {
-        self.unfrozen[c] -= n;
-        for l in paths.links(self.classes[c].path) {
+    fn retire(&mut self, links: &[u32], c: u32, n: usize) {
+        self.unfrozen[c as usize] -= n;
+        for l in links {
             self.link_active[*l as usize] -= n;
         }
     }
@@ -606,11 +648,11 @@ impl<K: Ord + Clone> Allocator<K> {
     /// bit in the tests): one water level, each link's residual
     /// lowered by the round's `delta` once per unfrozen flow crossing
     /// it, classes frozen whole — and, when nothing froze, the
-    /// lowest-index unfrozen flow frozen alone.
-    fn fill(&mut self, paths: &PathTable) {
+    /// lowest-index unfrozen flow frozen alone. Only the input's
+    /// classes are touched, however many the table holds.
+    fn fill(&mut self, paths: &PathTable, classes: &ClassTable) {
         let nl = self.caps.len();
-        let nf = self.flow_class.len();
-        let nc = self.classes.len();
+        let nf = self.flows.ids.len();
         // A down link carries nothing: no flow crosses it, so it never
         // becomes active and its residual is never read.
         self.residual.clear();
@@ -618,10 +660,13 @@ impl<K: Ord + Clone> Allocator<K> {
             .extend(self.caps.iter().map(|c| c.unwrap_or(0.0)));
         self.link_active.clear();
         self.link_active.resize(nl, 0);
-        self.unfrozen.clear();
-        self.class_rate.clear();
-        for class in &self.classes {
-            let links = paths.links(class.path);
+        // Stale entries of classes not in this input are never read.
+        self.unfrozen.resize(self.flows.members.len(), 0);
+        self.class_rate.resize(self.flows.members.len(), 0.0);
+        for &c in &self.flows.used {
+            let (path, cap) = classes.get(c);
+            let links = paths.links(path);
+            let members = self.flows.members[c as usize];
             debug_assert!(
                 links.iter().all(|l| self.caps[*l as usize].is_some()),
                 "flow crosses a down link"
@@ -629,18 +674,23 @@ impl<K: Ord + Clone> Allocator<K> {
             // Degenerate flows (no links) are limited only by their
             // cap, and fixed from the start.
             let (unfrozen, rate) = match links {
-                [] => (0, class.cap.unwrap_or(0.0)),
-                _ => (class.members, 0.0),
+                [] => (0, cap.unwrap_or(0.0)),
+                _ => (members, 0.0),
             };
-            self.unfrozen.push(unfrozen);
-            self.class_rate.push(rate);
+            self.unfrozen[c as usize] = unfrozen;
+            self.class_rate[c as usize] = rate;
             for l in links {
-                self.link_active[*l as usize] += class.members;
+                self.link_active[*l as usize] += members;
             }
         }
+        let unfrozen = &self.unfrozen;
         self.active_classes.clear();
-        self.active_classes
-            .extend((0..nc).filter(|c| self.unfrozen[*c] > 0));
+        self.active_classes.extend(
+            self.flows
+                .used
+                .iter()
+                .filter(|c| unfrozen[**c as usize] > 0),
+        );
         self.active_links.clear();
         self.active_links
             .extend((0..nl).filter(|l| self.link_active[*l] > 0));
@@ -666,7 +716,7 @@ impl<K: Ord + Clone> Allocator<K> {
             }
             // … and by active classes' caps.
             for &c in &self.active_classes {
-                if let Some(cap) = self.classes[c].cap {
+                if let (_, Some(cap)) = classes.get(c) {
                     delta = delta.min((cap - level).max(0.0));
                 }
             }
@@ -709,12 +759,12 @@ impl<K: Ord + Clone> Allocator<K> {
             let mut froze_any = false;
             for ci in 0..self.active_classes.len() {
                 let c = self.active_classes[ci];
-                let Class { path, cap, .. } = self.classes[c];
+                let (path, cap) = classes.get(c);
+                let links = paths.links(path);
                 let at_cap = cap.is_some_and(|cap| level >= cap - 1e-9);
-                let mut links = paths.links(path).iter();
-                if at_cap || links.any(|l| self.residual[*l as usize] <= EPS) {
-                    self.class_rate[c] = level;
-                    self.retire(paths, c, self.unfrozen[c]);
+                if at_cap || links.iter().any(|l| self.residual[*l as usize] <= EPS) {
+                    self.class_rate[c as usize] = level;
+                    self.retire(links, c, self.unfrozen[c as usize]);
                     froze_any = true;
                 }
             }
@@ -724,27 +774,29 @@ impl<K: Ord + Clone> Allocator<K> {
                 // alone — which splits its class. With thousands of
                 // flows on a 4e8 B/s link this is traffic, not a
                 // corner.
+                let ids = &self.flows.ids;
                 let i = (cursor..nf)
-                    .find(|i| self.unfrozen[self.flow_class[*i] as usize] > 0)
+                    .find(|i| self.unfrozen[ids[*i] as usize] > 0)
                     .expect("an active class has an unfrozen member past the cursor");
                 self.forced.push((i, level));
-                self.retire(paths, self.flow_class[i] as usize, 1);
+                let c = ids[i];
+                self.retire(paths.links(classes.path(c)), c, 1);
                 cursor = i + 1;
             }
             let unfrozen = &self.unfrozen;
-            self.active_classes.retain(|c| unfrozen[*c] > 0);
+            self.active_classes.retain(|c| unfrozen[*c as usize] > 0);
             let link_active = &self.link_active;
             self.active_links.retain(|l| link_active[*l] > 0);
         }
         // Whatever is still unfrozen (only after the guarded break)
         // stays at the level it reached.
         for &c in &self.active_classes {
-            self.class_rate[c] = level;
+            self.class_rate[c as usize] = level;
         }
 
         self.rates.clear();
         self.rates
-            .extend(self.flow_class.iter().map(|c| self.class_rate[*c as usize]));
+            .extend(self.flows.ids.iter().map(|c| self.class_rate[*c as usize]));
         for &(i, rate) in &self.forced {
             self.rates[i] = rate;
         }
@@ -753,8 +805,8 @@ impl<K: Ord + Clone> Allocator<K> {
         // bits depend on the order, so this pass stays per flow.
         self.loads.clear();
         self.loads.resize(nl, 0.0);
-        for (c, rate) in self.flow_class.iter().zip(&self.rates) {
-            for l in paths.links(self.classes[*c as usize].path) {
+        for (c, rate) in self.flows.ids.iter().zip(&self.rates) {
+            for l in paths.links(classes.path(*c)) {
                 self.loads[*l as usize] += rate;
             }
         }
@@ -968,12 +1020,13 @@ mod tests {
 
     /// The simulator's way in, as `Core::reallocate` drives it: links
     /// named by position in a fixed universe, a capacity present iff
-    /// the link is up.
-    /// the link is up, each flow's links an id of the path table the
-    /// simulator keeps (interned here where `reallocate` resolves).
+    /// the link is up, each flow an id of the class table the
+    /// simulator keeps, over the path table it keeps (both interned
+    /// here where `reallocate` resolves).
     struct SimEntry {
         alloc: Allocator<usize>,
         paths: PathTable,
+        classes: ClassTable,
     }
 
     impl SimEntry {
@@ -981,16 +1034,18 @@ mod tests {
             SimEntry {
                 alloc: Allocator::new(),
                 paths: PathTable::default(),
+                classes: ClassTable::default(),
             }
         }
 
         fn settle(&mut self, universe: &[Option<f64>], flows: &[(Vec<u32>, Option<f64>)]) {
-            let staged: Vec<(u32, Option<f64>)> = flows
+            let ids: Vec<u32> = flows
                 .iter()
-                .map(|(l, c)| (self.paths.intern(l), *c))
+                .map(|(l, c)| self.classes.intern(self.paths.intern(l), *c))
                 .collect();
+            let universe = universe.iter().copied();
             self.alloc
-                .allocate_paths(&self.paths, universe.iter().copied(), staged);
+                .allocate_classes(&self.paths, &self.classes, universe, ids);
         }
     }
 
@@ -1232,7 +1287,7 @@ mod tests {
     }
 
     proptest! {
-        /// The entry point that stages path ids over a fixed link
+        /// The entry point that stages class ids over a fixed link
         /// universe — capacity present iff the link is up — is the
         /// keyed allocator fed only the up links: same rates, same
         /// loads and the same fill/skip decisions, call after call,
@@ -1242,7 +1297,7 @@ mod tests {
         /// `alloc_fills` / `alloc_skips` rest on the decisions being
         /// the same.
         #[test]
-        fn prop_path_id_staging_equals_keyed_over_up_links(
+        fn prop_class_id_staging_equals_keyed_over_up_links(
             caps in proptest::collection::vec(capacity(), 1..7),
             steps in proptest::collection::vec(
                 (

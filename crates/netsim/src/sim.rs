@@ -43,7 +43,7 @@ use crate::ecmp::FlowKey;
 use crate::events::Event;
 use crate::fib::{resolve_path, Fib};
 use crate::flow::{Flow, FlowId, FlowInfo, FlowSpec};
-use crate::fluid::{Allocator, PathTable};
+use crate::fluid::{Allocator, ClassTable, PathTable};
 use crate::handler::{AppEvent, EventHandler};
 use crate::link::{LinkKey, LinkSpec, LinkState};
 use crate::trace::Recorder;
@@ -282,6 +282,9 @@ pub(crate) struct Core {
     /// by `Flow::path_id`, read by the allocator. It only grows (see
     /// [`PathTable`]).
     pub(crate) paths: PathTable,
+    /// Every distinct (path id, cap) a routed flow has had, interned
+    /// as a settle stages it. It only grows (see [`ClassTable`]).
+    pub(crate) classes: ClassTable,
     pub(crate) alloc: Allocator<LinkKey>,
     pub(crate) next_flow_id: u64,
     last_accrue: Timestamp,
@@ -337,6 +340,7 @@ impl Core {
             stranded: 0,
             flow_index: FlowIndex::new(),
             paths: PathTable::default(),
+            classes: ClassTable::default(),
             alloc: Allocator::new(),
             next_flow_id: 0,
             last_accrue: Timestamp::ZERO,
@@ -899,20 +903,26 @@ impl Core {
         let Core {
             alloc,
             paths,
+            classes,
             link_recs,
             flow_recs,
             live,
             ..
         } = self;
-        alloc.allocate_paths(
+        let ids: Vec<u32> = live
+            .iter()
+            .filter_map(|&slot| {
+                let f = live_flow(flow_recs, slot);
+                f.path_id.map(|path| classes.intern(path, f.cap))
+            })
+            .collect();
+        alloc.allocate_classes(
             paths,
+            classes,
             link_recs
                 .iter()
                 .map(|r| r.state.up.then_some(r.state.capacity)),
-            live.iter().filter_map(|&slot| {
-                let f = live_flow(flow_recs, slot);
-                f.path_id.map(|path| (path, f.cap))
-            }),
+            ids,
         );
         fib_trace::observe("settle.classes", alloc.classes() as u64);
         let mut next_rate = alloc.rates().iter().copied();
