@@ -80,14 +80,23 @@ pub struct Flow {
     pub rate: f64,
     /// Current path (directed links), `None` while unroutable.
     pub path: Option<Vec<LinkKey>>,
-    /// The same links as positions in the simulator's link arena, by
-    /// their id in its path table (`None` while unroutable), resolved
-    /// with the path and never apart from it: what a settle stages, so
-    /// that it probes no map and copies no list.
-    pub(crate) path_id: Option<u32>,
+    /// The id, in the simulator's class table, of the same links as
+    /// positions in its link arena under this flow's cap (`None` while
+    /// unroutable): resolved with the path, moved with the cap, and
+    /// never apart from either. What a settle stages, so that it
+    /// probes no map, copies no list and searches no class.
+    pub(crate) class: Option<u32>,
     /// Total bytes delivered so far (fluid integration).
     pub delivered: f64,
 }
+
+// The simulator keeps one `Option<Flow>` per flow ever started, and a
+// settle walks the live ones: a wider record is paid per flow of a
+// run's whole history in memory, and per live flow in every settle.
+const _: () = assert!(
+    std::mem::size_of::<Option<Flow>>() <= 112,
+    "a flow record fits in 112 bytes"
+);
 
 /// Summary handed to applications in flow notifications.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +155,7 @@ mod tests {
             started_at: Timestamp::ZERO,
             rate: 0.0,
             path: None,
-            path_id: None,
+            class: None,
             delivered: 0.0,
         };
         let info = f.info();

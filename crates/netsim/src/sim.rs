@@ -278,12 +278,13 @@ pub(crate) struct Core {
     stranded: usize,
     pub(crate) flow_index: FlowIndex,
     /// Every distinct routed path resolved so far, as link arena
-    /// positions: interned where `reallocate` resolves a flow, named
-    /// by `Flow::path_id`, read by the allocator. It only grows (see
-    /// [`PathTable`]).
+    /// positions: interned where `reallocate` resolves a flow, read by
+    /// the allocator. It only grows (see [`PathTable`]).
     pub(crate) paths: PathTable,
-    /// Every distinct (path id, cap) a routed flow has had, interned
-    /// as a settle stages it. It only grows (see [`ClassTable`]).
+    /// Every distinct (path id, cap) a routed flow has had: interned
+    /// where `reallocate` resolves a flow and where its cap changes,
+    /// named by `Flow::class`, staged by the allocator as it is. It
+    /// only grows (see [`ClassTable`]).
     pub(crate) classes: ClassTable,
     pub(crate) alloc: Allocator<LinkKey>,
     pub(crate) next_flow_id: u64,
@@ -357,6 +358,13 @@ impl Core {
 
     pub(crate) fn flow(&self, id: FlowId) -> Option<&Flow> {
         self.flow_recs.get(id.0 as usize).and_then(|o| o.as_ref())
+    }
+
+    /// The path id of a live flow's class (`None` while unroutable).
+    #[cfg(test)]
+    pub(crate) fn path_id(&self, id: FlowId) -> Option<u32> {
+        let class = self.flow(id).expect("live").class;
+        class.map(|c| self.classes.path(c))
     }
 
     /// All live flows in id order.
@@ -621,7 +629,7 @@ impl Core {
             started_at: self.now,
             rate: 0.0,
             path: None,
-            path_id: None,
+            class: None,
             delivered: 0.0,
         };
         let info = flow.info();
@@ -680,7 +688,10 @@ impl Core {
             Some(f) => {
                 if f.cap != cap {
                     f.cap = cap;
-                    // A cap moves rates, never paths: no re-resolution.
+                    // A cap moves rates, never paths: no re-resolution,
+                    // only the class on the path it has.
+                    let classes = &mut self.classes;
+                    f.class = f.class.map(|c| classes.intern(classes.path(c), cap));
                     self.dirty.mark_realloc();
                 }
                 true
@@ -867,21 +878,23 @@ impl Core {
         for id in &dirty_flows {
             // A flow may have been marked and then stopped in the same
             // batch.
-            let Some(key) = self.flow(*id).map(|f| f.key) else {
+            let Some((key, cap)) = self.flow(*id).map(|f| (f.key, f.cap)) else {
                 continue;
             };
             resolved += 1;
             // A path is usable iff every link of it is up; its link
-            // arena positions are interned and their id kept with it,
-            // so staging below (and at every later settle) probes no
-            // map.
+            // arena positions are interned, and the id of its class —
+            // those positions under this cap — is kept with it, so
+            // staging below (and at every later settle) probes no map
+            // and searches no class.
             let routed = resolve_path(&self.fibs, &key).ok().and_then(|path| {
                 ixs.clear();
                 for l in &path {
                     let ix = *self.link_idx.get(l)?;
                     ixs.push(self.link_recs[ix as usize].state.up.then_some(ix)?);
                 }
-                Some((path, self.paths.intern(&ixs)))
+                let path_id = self.paths.intern(&ixs);
+                Some((path, self.classes.intern(path_id, cap)))
             });
             if routed.is_none() {
                 self.stats.unroutable += 1;
@@ -892,14 +905,14 @@ impl Core {
                 (Some(_), None) => self.stranded += 1,
                 _ => {}
             }
-            (f.path, f.path_id) = routed.unzip();
+            (f.path, f.class) = routed.unzip();
         }
         self.stats.paths_resolved += resolved;
         self.stats.paths_skipped += self.live.len() as u64 - resolved;
         self.debug_check_live();
         // The link universe is the arena in creation order, a capacity
         // present iff the link is up (so up/down is part of what the
-        // allocator compares); flows hand over their path's id.
+        // allocator compares); routed flows hand over their class id.
         let Core {
             alloc,
             paths,
@@ -909,26 +922,20 @@ impl Core {
             live,
             ..
         } = self;
-        let ids: Vec<u32> = live
-            .iter()
-            .filter_map(|&slot| {
-                let f = live_flow(flow_recs, slot);
-                f.path_id.map(|path| classes.intern(path, f.cap))
-            })
-            .collect();
         alloc.allocate_classes(
             paths,
             classes,
             link_recs
                 .iter()
                 .map(|r| r.state.up.then_some(r.state.capacity)),
-            ids,
+            live.iter()
+                .filter_map(|&slot| live_flow(flow_recs, slot).class),
         );
         fib_trace::observe("settle.classes", alloc.classes() as u64);
         let mut next_rate = alloc.rates().iter().copied();
         for &slot in live.iter() {
             let f = live_flow_mut(flow_recs, slot);
-            f.rate = if f.path_id.is_some() {
+            f.rate = if f.class.is_some() {
                 next_rate.next().expect("one rate per routed flow")
             } else {
                 0.0
@@ -942,10 +949,11 @@ impl Core {
         }
     }
 
-    /// What every walk over `live` and every staging from `path_id`
+    /// What every walk over `live` and every staging from `class`
     /// relies on, checked at each settle of a debug build: the list is
-    /// the occupied slots, ascending, every routed flow's id names
-    /// exactly its path's links, and every unrouted flow has none.
+    /// the occupied slots, ascending, every routed flow's class names
+    /// exactly its path's links and its cap's bits, and every unrouted
+    /// flow has none.
     fn debug_check_live(&self) {
         // The walk below is not free: release builds skip it whole.
         if !cfg!(debug_assertions) {
@@ -964,16 +972,25 @@ impl Core {
             "live list covers the occupied slots"
         );
         for f in self.flows() {
-            let kept = f.path_id.map(|id| {
-                let ixs = self.paths.links(id).iter();
+            let kept = f.class.map(|c| self.classes.get(c));
+            let links = kept.map(|(path, _)| {
+                let ixs = self.paths.links(path).iter();
                 ixs.map(|ix| self.link_recs[*ix as usize].state.key)
                     .collect::<Vec<_>>()
             });
             debug_assert_eq!(
-                kept, f.path,
-                "{}: the kept id names the path's links, or neither is there",
+                links, f.path,
+                "{}: the kept class names the path's links, or neither is there",
                 f.id
             );
+            if let Some((_, cap)) = kept {
+                debug_assert_eq!(
+                    cap.map(f64::to_bits),
+                    f.cap.map(f64::to_bits),
+                    "{}: the kept class names the flow's cap",
+                    f.id
+                );
+            }
         }
     }
 
@@ -1944,7 +1961,7 @@ mod tests {
         sim.start();
         sim.run_until(Timestamp::from_secs(12));
         let ids = |sim: &Sim| -> Vec<Option<u32>> {
-            let id = |f: &FlowId| sim.core.flow(*f).expect("live").path_id;
+            let id = |f: &FlowId| sim.core.path_id(*f);
             flows.iter().map(id).collect()
         };
         let short = ids(&sim);
@@ -1991,10 +2008,46 @@ mod tests {
         let flow = |f: FlowId| sim.core.flow(f).expect("live");
         assert_ne!(flow(a).key.dst, flow(b).key.dst);
         assert_eq!(flow(a).path, flow(b).path);
-        assert!(flow(a).path_id.is_some());
-        assert_eq!(flow(a).path_id, flow(b).path_id);
-        assert_ne!(flow(c).path_id, flow(a).path_id, "r2 enters one link later");
+        let path_id = |f: FlowId| sim.core.path_id(f);
+        assert!(path_id(a).is_some());
+        assert_eq!(path_id(a), path_id(b));
+        assert_ne!(path_id(c), path_id(a), "r2 enters one link later");
+        assert_ne!(flow(a).class, flow(b).class, "one path, two caps");
         assert_eq!(sim.distinct_paths(), 2);
+    }
+
+    /// A cap change moves a routed flow to the class of its path under
+    /// the new cap, interned once: a flow paused and resumed comes back
+    /// to the class it had, and shares it with the flows that never
+    /// paused — so the allocator sees the same ids as before the pause.
+    #[test]
+    fn a_paused_and_resumed_flow_comes_back_to_its_class() {
+        let mut sim = line_sim();
+        let spec = || FlowSpec::new(r(1), Prefix::net24(1)).with_cap(125_000.0);
+        let (a, b) = (
+            sched_flow(&mut sim, Timestamp::from_secs(10), spec()),
+            sched_flow(&mut sim, Timestamp::from_secs(10), spec()),
+        );
+        sim.start();
+        sim.run_until(Timestamp::from_secs(12));
+        let class = |sim: &Sim, f: FlowId| sim.core.flow(f).expect("live").class;
+        let playing = class(&sim, a);
+        assert!(playing.is_some());
+        assert_eq!(class(&sim, b), playing);
+
+        assert!(sim.ctx().set_flow_cap(a, Some(1.0)));
+        let paused = class(&sim, a);
+        assert!(paused.is_some() && paused != playing);
+        assert_eq!(sim.core.path_id(a), sim.core.path_id(b), "same path");
+        sim.run_until(Timestamp::from_secs(14));
+        assert_eq!(sim.core.flow(a).expect("live").rate, 1.0);
+
+        assert!(sim.ctx().set_flow_cap(a, Some(125_000.0)));
+        assert_eq!(class(&sim, a), playing, "back in its class");
+        assert!(sim.ctx().set_flow_cap(a, Some(1.0)));
+        assert_eq!(class(&sim, a), paused, "nothing new was interned");
+        sim.run_until(Timestamp::from_secs(16));
+        assert_eq!(sim.core.flow(b).expect("live").rate, 125_000.0);
     }
 
     #[test]
