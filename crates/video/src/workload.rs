@@ -20,6 +20,16 @@
 //! memory tracks the number of *concurrent* viewers, not the length of
 //! the schedule. City-scale scenarios (thousands of sessions) rely on
 //! this.
+//!
+//! A tick touches only what changed. A session's server cap is set
+//! only when its pause flag flips (the driver is the only one to cap
+//! its flows, and a clip's bitrate is constant), not re-set every
+//! tick. A finished session is not removed at once: it stays in the
+//! active set, skipped by the tick and by readers, until finished
+//! sessions make up a sixteenth of the set, and then one
+//! order-keeping pass drops them all. Finished sessions sit near the
+//! front of a set in launch order, so removing each as it finishes
+//! would move almost every playing session, tick after tick.
 
 use crate::catalog::Video;
 use crate::client::{Player, PlayerConfig, PlayerState};
@@ -78,8 +88,10 @@ impl Wave {
 struct Shared {
     /// Final reports by tag: one insert per session, when it finishes.
     finished: BTreeMap<u64, QoeReport>,
-    /// The sessions still playing, in launch order.
+    /// The launched sessions, in launch order: those still playing,
+    /// and the `done` that finished since the last compaction.
     active: Vec<Session>,
+    done: usize,
 }
 
 /// Shared live QoE: every launched session's latest report, readable
@@ -101,7 +113,7 @@ impl QoeHandle {
         let mut playing: Vec<(u64, QoeReport)> = shared
             .active
             .iter()
-            .filter(|s| s.advanced)
+            .filter(|s| s.advanced && !s.finished())
             .map(|s| (s.tag, s.player.qoe()))
             .collect();
         playing.sort_by_key(|(tag, _)| *tag);
@@ -129,7 +141,17 @@ struct Session {
     /// session launched at start-up is not visible before the first
     /// tick).
     advanced: bool,
+    /// The server is paused (1 B/s: the player wants no bytes); it
+    /// starts at the clip's rate.
+    paused: bool,
 }
+
+// Every tick walks the active set: a wider session is paid per
+// concurrent viewer per tick.
+const _: () = assert!(
+    std::mem::size_of::<Session>() <= 152,
+    "a session fits in 152 bytes"
+);
 
 impl Session {
     /// Start the flow and the player of session `tag` of `wave`.
@@ -146,7 +168,13 @@ impl Session {
             last_delivered: 0.0,
             last_advanced: api.now(),
             advanced: false,
+            paused: false,
         }
+    }
+
+    /// Its clip has ended: its flow is stopped and its report is final.
+    fn finished(&self) -> bool {
+        self.player.state() == PlayerState::Done
     }
 }
 
@@ -189,12 +217,16 @@ impl VideoWorkload {
 }
 
 impl Shared {
-    /// Advance every active session to now; a session whose clip ends
-    /// leaves its final report in the map and the active set.
+    /// Advance every playing session to now; a session whose clip ends
+    /// stops its flow and leaves its final report in the map. Finished
+    /// sessions leave the active set together (module docs).
     fn advance_sessions(&mut self, api: &mut SimContext<'_>) {
         let now = api.now();
         let now_secs = now.as_secs_f64();
         for s in self.active.iter_mut() {
+            if s.finished() {
+                continue;
+            }
             let delivered = api.flow_delivered(s.flow).unwrap_or(s.last_delivered);
             let bytes = (delivered - s.last_delivered).max(0.0);
             s.last_delivered = delivered;
@@ -203,22 +235,28 @@ impl Shared {
             s.player.advance(now_secs, dt, bytes);
             s.advanced = true;
 
-            // Pause/resume server pacing on buffer bounds.
-            if !s.player.wants_download() && s.player.state() != PlayerState::Done {
-                api.set_flow_cap(s.flow, Some(1.0)); // effectively paused
-            } else if s.player.state() != PlayerState::Done {
-                api.set_flow_cap(s.flow, Some(s.player.bitrate()));
-            }
-
-            if s.player.state() == PlayerState::Done {
+            if s.finished() {
                 api.stop_flow(s.flow);
                 self.finished.insert(s.tag, s.player.qoe());
+                self.done += 1;
+                continue;
+            }
+            // Pause/resume server pacing on buffer bounds: the cap
+            // moves only when the flag flips.
+            let paused = !s.player.wants_download();
+            if paused != s.paused {
+                s.paused = paused;
+                let cap = if paused { 1.0 } else { s.player.bitrate() };
+                api.set_flow_cap(s.flow, Some(cap));
             }
         }
-        // Drop a finished session's player state, so memory follows
-        // concurrency, not history.
-        self.active
-            .retain(|s| s.player.state() != PlayerState::Done);
+        // Drop finished sessions' player state, so memory follows
+        // concurrency, not history: in bulk, once they are a sixteenth
+        // of the set.
+        if self.done > 0 && self.done * 16 >= self.active.len() {
+            self.active.retain(|s| !s.finished());
+            self.done = 0;
+        }
     }
 }
 
@@ -419,7 +457,7 @@ mod tests {
             if tick {
                 let shared = self.driver.shared.0.lock();
                 let mut map = self.map.lock();
-                for s in &shared.active {
+                for s in shared.active.iter().filter(|s| !s.finished()) {
                     map.insert(s.tag, s.player.qoe());
                 }
                 for (tag, report) in &shared.finished {
@@ -471,14 +509,21 @@ mod tests {
                 completed,
                 "at {at_ms} ms the map holds exactly the finished sessions"
             );
-            let playing = shared.active.iter().filter(|s| s.advanced).count();
-            assert_eq!(got.len(), shared.finished.len() + playing);
-            seen_both |= !shared.finished.is_empty() && !shared.active.is_empty();
+            // Playing: launched and not finished. A finished session
+            // may still sit in the active set until the next bulk
+            // compaction; it counts among the finished only.
+            let (playing, advanced) = shared
+                .active
+                .iter()
+                .filter(|s| !s.finished())
+                .fold((0, 0), |(n, a), s| (n + 1, a + usize::from(s.advanced)));
+            assert_eq!(got.len(), shared.finished.len() + advanced);
+            seen_both |= !shared.finished.is_empty() && playing > 0;
             match at_ms {
                 // The session due at 0 launched at start-up; no tick
                 // has advanced it yet.
-                50 => assert!(got.is_empty() && shared.active.len() == 1),
-                60_000 => assert!(got.len() == 8 && shared.active.is_empty()),
+                50 => assert!(got.is_empty() && playing == 1),
+                60_000 => assert!(got.len() == 8 && playing == 0),
                 _ => {}
             }
         }
@@ -584,6 +629,7 @@ mod tests {
                 .collect()
         };
         let (mut drained, mut stopped, mut busiest) = (0usize, 0usize, 0usize);
+        let mut lingered = 0usize; // ticks after which a finished session awaited compaction
         let mut live_before = 0usize;
         for tick in 1..=600u64 {
             for (sim, _) in &mut runs {
@@ -595,6 +641,8 @@ mod tests {
             stopped += live_before.saturating_sub(got.len());
             busiest = busiest.max(got.len());
             live_before = got.len();
+            let kept = runs[0].1 .0.lock().active.iter().any(Session::finished);
+            lingered += usize::from(kept);
             if tick % 10 == 0 {
                 assert_eq!(
                     runs[0].1.reports(),
@@ -611,6 +659,10 @@ mod tests {
         assert!(drained >= 500, "{drained} flow-ticks drained");
         assert!(stopped >= 20, "{stopped} flows stopped");
         assert!(busiest >= 30, "at most {busiest} flows at once");
+        assert!(
+            lingered >= 20,
+            "{lingered} ticks with a finished session kept"
+        );
     }
 
     #[test]
