@@ -7,15 +7,16 @@
 # (`igp.spf_full_us`), and what one call of each step of a controller
 # reaction costs in the outside probes (`core.plan_paths_probe_us`,
 # `core.augment_probe_us`, `core.reduce_probe_us`,
-# `core.verify_probe_us`). The values live in the runs' output, not
-# here.
+# `core.verify_probe_us`), and the run's wall time under no span
+# (`trace.untraced_ms`: the players' tick, for one, lives there). The
+# values live in the runs' output, not here.
 #
 #   bench/run.sh --workload predictive_storm --seed 2016 --seconds 6 --trace 1 | ci/share.sh
 #
 # Reads the stdout of one or more `--trace 1` runs: the header line
 # names the workload, the metric lines carry `igp.rx_pkts`,
-# `igp.lsas_flooded` and the costs, the `detail:` line every phase's
-# span self time.
+# `igp.lsas_flooded`, the costs and the untraced time, the `detail:`
+# line every phase's span self time.
 # `crowd_grid` has no floor and prints its packet ratio and costs only.
 set -euo pipefail
 python3 -c '
@@ -31,7 +32,7 @@ for line in sys.stdin:
     header = re.match(r"(\w+) seed \d+ trace 1:", line)
     if header:
         workload, counts = header.group(1), {}
-    names = r"igp\.rx_pkts|igp\.lsas_flooded|igp\.spf_full_us|core\.\w+_probe_us"
+    names = r"igp\.rx_pkts|igp\.lsas_flooded|igp\.spf_full_us|core\.\w+_probe_us|trace\.untraced_ms"
     metric = re.match(rf"\s+({names})\s+([\d.]+)\s", line)
     if metric:
         counts[metric.group(1)] = float(metric.group(2))
@@ -52,6 +53,9 @@ for line in sys.stdin:
     spf = counts.get("igp.spf_full_us")
     if spf is not None:
         print(f"{workload}: {spf:.1f} us per full SPF")
+    untraced = counts.get("trace.untraced_ms")
+    if untraced is not None:
+        print(f"{workload}: {untraced:.1f} ms of wall time under no span")
     probes = [(s, counts.get(f"core.{s}_probe_us")) for s in steps]
     if all(us is not None for _, us in probes):
         print(f"{workload}: us per probe call: "
