@@ -91,6 +91,7 @@ struct Shared {
     /// The launched sessions, in launch order: those still playing,
     /// and the `done` that finished since the last compaction.
     active: Vec<Session>,
+    /// Finished sessions still in `active`.
     done: usize,
 }
 
@@ -274,7 +275,8 @@ impl EventHandler for VideoWorkload {
             return;
         }
         // One lock per tick, and no ordered-map operation for a
-        // session that is still playing.
+        // session that is still playing. (The guard borrows a clone of
+        // the handle, so that `launch_due` may borrow the driver.)
         let handle = self.shared.clone();
         let mut shared = handle.0.lock();
         self.launch_due(&mut shared, ctx);
