@@ -20,8 +20,7 @@
 //!   call. Retained as the reference the allocator below is tested
 //!   against (bit-for-bit, not just within a tolerance).
 //! * [`Allocator`] — the version the simulator uses: buffers persist
-//!   across calls, a call whose inputs are unchanged returns the cached
-//!   result without filling at all, and the fill works on *classes* —
+//!   across calls, every call fills, and the fill works on *classes* —
 //!   the flows that cross the same links under the same cap — because
 //!   a crowd is thousands of flows over a handful of forwarding
 //!   decisions (36 000 sessions over 7 paths and at most 10 classes on
@@ -66,8 +65,9 @@
 //!   (everything before it is frozen); the forced flow is the first at
 //!   or after the cursor whose class is unfrozen. This is traffic, not
 //!   a corner: thousands of subtractions from a 4e8 B/s link leave more
-//!   than `1e-9`, and 116 of `dataplane_churn`'s 1 174 fills force at
-//!   least once (165 flows in all; 115 of 462 on `predictive_storm`).
+//!   than `1e-9`: 116 of 1 174 distinct-input fills on
+//!   `dataplane_churn` force at least once (165 flows in all; 115 of
+//!   462 on `predictive_storm`).
 //! * **Loads are not order-free.** A link's load is the sum, in flow
 //!   order, of rates that differ from class to class, and f64 addition
 //!   is not associative: that one pass stays per flow.
@@ -82,12 +82,6 @@
 //! are visited either (the fill visits them in first appearance in the
 //! input, as it always has).
 //!
-//! The memo compares the link universe and the sequence of class ids,
-//! and is exact: ids are interned by content and never reused, so two
-//! inputs have equal id sequences iff they have equal per-flow (links,
-//! cap bits) — the fill/skip decisions every pinned sweep CSV carries
-//! do not move.
-//!
 //! What is still *not* done, for the reason it never was: refilling
 //! only the connected component a change touched. Progressive filling
 //! interleaves growth steps *across* components — a freeze in one
@@ -98,8 +92,7 @@
 //! byte-for-byte (determinism tests, CI diffs), and an ulp can amplify
 //! through discrete branches (a player stalling, a controller
 //! threshold), so the allocator only saves work where the result is
-//! provably bit-identical: unchanged inputs, and the order-free part
-//! of one fill.
+//! provably bit-identical: the order-free part of one fill.
 
 use std::collections::BTreeMap;
 
@@ -319,7 +312,7 @@ impl PathTable {
 /// paths: the flows that cross the same links under the same cap bits
 /// always get the same id, and an id never changes its meaning. These
 /// are the *classes* progressive filling cannot tell apart (module
-/// docs): the fill works on them, and the memo compares their ids.
+/// docs): the fill works on them.
 ///
 /// Grow-only, like the path table: one entry per distinct pair ever
 /// interned. A flow's class is found where its path or its cap
@@ -401,14 +394,10 @@ impl FlowClasses {
 ///
 /// Every call hands over the full current input — the link universe
 /// (each link's capacity, present iff the link is up) and the routed
-/// flows. The allocator compares it against the previous call: when
-/// nothing changed it returns the cached result (a *skip*, counted in
-/// [`Allocator::skips`]); when anything changed it re-runs progressive
-/// filling over the input's classes (a *fill*, counted in
-/// [`Allocator::fills`]). Output is bit-identical to
-/// [`max_min_allocation`] on the same input.
+/// flows — and runs progressive filling over the input's classes.
+/// Output is bit-identical to [`max_min_allocation`] on the same input.
 ///
-/// There are two ways in and one memo and fill behind them:
+/// There are two ways in and one fill behind them:
 /// `allocate_classes` for a caller that names links by their position
 /// in a fixed universe and each flow by its interned class id (the
 /// simulator), and [`Allocator::allocate`] for a caller that names
@@ -422,19 +411,14 @@ pub struct Allocator<K: Ord + Clone> {
     key_paths: PathTable,
     key_classes: ClassTable,
     key_links: Vec<u32>,
-    // --- previous input (the memo key) ---
-    /// Per link of the universe: its capacity iff it is up. Up/down is
-    /// part of the key: a link that fails is a different input even if
-    /// no flow crossed it, a capacity change on a down link is not.
+    // --- the last call's input ---
+    /// Per link of the universe: its capacity iff it is up.
     caps: Vec<Option<f64>>,
-    /// The flows the kept result was filled from.
+    /// Its routed flows.
     flows: FlowClasses,
-    valid: bool,
-    // --- cached output ---
+    // --- its output ---
     rates: Vec<f64>,
     loads: Vec<f64>,
-    // --- the call in progress ---
-    staged: FlowClasses,
     // --- scratch for the fill ---
     residual: Vec<f64>,
     /// Per link: unfrozen flows crossing it.
@@ -447,10 +431,6 @@ pub struct Allocator<K: Ord + Clone> {
     forced: Vec<(usize, f64)>,
     active_classes: Vec<u32>,
     active_links: Vec<usize>,
-    /// Fill passes actually executed.
-    pub fills: u64,
-    /// Calls answered from the cache (inputs unchanged).
-    pub skips: u64,
 }
 
 /// Subtract `delta` `times` times from the residual of each of the
@@ -483,10 +463,8 @@ impl<K: Ord + Clone> Allocator<K> {
             key_links: Vec::new(),
             caps: Vec::new(),
             flows: FlowClasses::default(),
-            valid: false,
             rates: Vec::new(),
             loads: Vec::new(),
-            staged: FlowClasses::default(),
             residual: Vec::new(),
             link_active: Vec::new(),
             unfrozen: Vec::new(),
@@ -494,13 +472,11 @@ impl<K: Ord + Clone> Allocator<K> {
             forced: Vec::new(),
             active_classes: Vec::new(),
             active_links: Vec::new(),
-            fills: 0,
-            skips: 0,
         }
     }
 
-    /// Compute (or reuse) the max-min allocation over links named by
-    /// key: `capacities` holds the up links, and is the link universe.
+    /// Compute the max-min allocation over links named by key:
+    /// `capacities` holds the up links, and is the link universe.
     ///
     /// `flows` yields each routed flow's crossed links and cap, in a
     /// stable order (the caller's flow-id order); per-flow rates come
@@ -511,8 +487,8 @@ impl<K: Ord + Clone> Allocator<K> {
         K: 'a,
         I: IntoIterator<Item = (&'a [K], Option<f64>)>,
     {
-        // A key that comes or goes renumbers the universe: nothing
-        // kept from the previous call is comparable.
+        // A key that comes or goes renumbers the universe. The tables
+        // intern positions, so what they hold stays true of them.
         if !self.keys.iter().eq(capacities.keys()) {
             self.keys.clear();
             self.keys.extend(capacities.keys().cloned());
@@ -520,14 +496,12 @@ impl<K: Ord + Clone> Allocator<K> {
                 .zip(&self.keys)
                 .map(|(i, k)| (k.clone(), i))
                 .collect();
-            self.key_paths = PathTable::default();
-            self.key_classes = ClassTable::default();
-            self.valid = false;
         }
-        let links_unchanged = self.stage_links(capacities.values().map(|c| Some(*c)));
+        self.caps.clear();
+        self.caps.extend(capacities.values().map(|c| Some(*c)));
         let (index, positions) = (&self.index, &mut self.key_links);
         let (paths, classes) = (&mut self.key_paths, &mut self.key_classes);
-        self.staged.read(flows.into_iter().map(|(links, cap)| {
+        self.flows.read(flows.into_iter().map(|(links, cap)| {
             positions.clear();
             positions.extend(
                 links
@@ -541,20 +515,17 @@ impl<K: Ord + Clone> Allocator<K> {
             std::mem::take(&mut self.key_paths),
             std::mem::take(&mut self.key_classes),
         );
-        self.commit(&paths, &classes, links_unchanged);
+        self.fill(&paths, &classes);
         (self.key_paths, self.key_classes) = (paths, classes);
     }
 
-    /// Compute (or reuse) the max-min allocation over links named by
-    /// position: `links` yields the whole universe in a fixed order,
-    /// one entry per link, its capacity iff the link is up; `flows`
-    /// yields each routed flow's class id in `classes`, whose path ids
-    /// name links of `paths` (positions in that order, up links only),
-    /// in a stable order. Rates come back via [`Allocator::rates`],
-    /// loads via [`Allocator::loads`].
-    ///
-    /// `paths` and `classes` must be the same tables from call to call:
-    /// the memo compares class ids.
+    /// Compute the max-min allocation over links named by position:
+    /// `links` yields the whole universe in a fixed order, one entry
+    /// per link, its capacity iff the link is up; `flows` yields each
+    /// routed flow's class id in `classes`, whose path ids name links
+    /// of `paths` (positions in that order, up links only), in a stable
+    /// order. Rates come back via [`Allocator::rates`], loads via
+    /// [`Allocator::loads`].
     pub(crate) fn allocate_classes<L, I>(
         &mut self,
         paths: &PathTable,
@@ -565,49 +536,10 @@ impl<K: Ord + Clone> Allocator<K> {
         L: IntoIterator<Item = Option<f64>>,
         I: IntoIterator<Item = u32>,
     {
-        let links_unchanged = self.stage_links(links);
-        self.staged.read(flows.into_iter());
-        self.commit(paths, classes, links_unchanged);
-    }
-
-    /// Overwrite the kept link universe with `links`; `true` iff the
-    /// universe is as it was.
-    fn stage_links(&mut self, links: impl IntoIterator<Item = Option<f64>>) -> bool {
-        let mut unchanged = self.valid;
-        let mut n = 0;
-        for cap in links {
-            match self.caps.get_mut(n) {
-                Some(kept) if same_bits(*kept, cap) => {}
-                Some(kept) => {
-                    *kept = cap;
-                    unchanged = false;
-                }
-                None => {
-                    self.caps.push(cap);
-                    unchanged = false;
-                }
-            }
-            n += 1;
-        }
-        if n < self.caps.len() {
-            self.caps.truncate(n);
-            unchanged = false;
-        }
-        unchanged
-    }
-
-    /// Skip if the staged flows equal the kept ones, else keep them and
-    /// fill. Class ids are interned by content and never reused, so
-    /// equal id sequences are equal per-flow (links, cap bits).
-    fn commit(&mut self, paths: &PathTable, classes: &ClassTable, links_unchanged: bool) {
-        if links_unchanged && self.staged.ids == self.flows.ids {
-            self.skips += 1;
-            return;
-        }
-        std::mem::swap(&mut self.flows, &mut self.staged);
+        self.caps.clear();
+        self.caps.extend(links);
+        self.flows.read(flows.into_iter());
         self.fill(paths, classes);
-        self.valid = true;
-        self.fills += 1;
     }
 
     /// How many classes the last call's flows fell into.
@@ -903,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn allocator_matches_reference_and_skips_unchanged() {
+    fn allocator_matches_reference_call_after_call() {
         let mut caps = BTreeMap::new();
         caps.insert("x", 100.0);
         caps.insert("y", 50.0);
@@ -920,38 +852,33 @@ mod tests {
         assert_eq!(alloc.rates(), ref_rates.as_slice());
         assert_eq!(alloc.load(&"x"), ref_loads["x"]);
         assert_eq!(alloc.load(&"y"), ref_loads["y"]);
-        assert_eq!((alloc.fills, alloc.skips), (1, 0));
 
-        // Same input again: answered from cache.
+        // Same input again.
         alloc.allocate(&caps, input.iter().map(|(l, c)| (l.as_slice(), *c)));
-        assert_eq!((alloc.fills, alloc.skips), (1, 1));
         assert_eq!(alloc.rates(), ref_rates.as_slice());
 
-        // A cap change forces a refill; results track the reference.
+        // A cap change; results track the reference.
         let flows2: Vec<(Vec<&str>, Option<f64>)> =
             vec![(vec!["x", "y"], None), (vec!["x"], Some(30.0))];
         alloc.allocate(&caps, flows2.iter().map(|(l, c)| (l.as_slice(), *c)));
-        assert_eq!((alloc.fills, alloc.skips), (2, 1));
         let (ref2, _) = max_min_keyed(&caps, &flows2);
         assert_eq!(alloc.rates(), ref2.as_slice());
 
-        // A capacity change (same keys) also forces a refill.
+        // A capacity change (same keys).
         caps.insert("y", 60.0);
         alloc.allocate(&caps, flows2.iter().map(|(l, c)| (l.as_slice(), *c)));
-        assert_eq!((alloc.fills, alloc.skips), (3, 1));
         let (ref3, _) = max_min_keyed(&caps, &flows2);
         assert_eq!(alloc.rates(), ref3.as_slice());
 
-        // So does a key that goes while another comes, even when the
-        // capacities coincide position by position and no flow is
-        // routed: the keys are the up links, and which links are up is
-        // part of the input.
-        let no_flows = std::iter::empty::<(&[&str], Option<f64>)>;
-        alloc.allocate(&BTreeMap::from([("x", 7.0), ("y", 7.0)]), no_flows());
-        alloc.allocate(&BTreeMap::from([("y", 7.0), ("z", 7.0)]), no_flows());
-        assert_eq!((alloc.fills, alloc.skips), (5, 1));
-        alloc.allocate(&BTreeMap::from([("y", 7.0), ("z", 7.0)]), no_flows());
-        assert_eq!((alloc.fills, alloc.skips), (5, 2));
+        // A key that goes while another comes renumbers the universe:
+        // the same flows, named by key, land on the new positions.
+        let caps4 = BTreeMap::from([("w", 10.0), ("x", 100.0), ("y", 60.0)]);
+        alloc.allocate(&caps4, flows2.iter().map(|(l, c)| (l.as_slice(), *c)));
+        let (ref4, loads4) = max_min_keyed(&caps4, &flows2);
+        assert_eq!(alloc.rates(), ref4.as_slice());
+        for k in ["w", "x", "y"] {
+            assert_eq!(alloc.load(&k), loads4[k], "link {k}");
+        }
     }
 
     #[test]
@@ -1069,11 +996,8 @@ mod tests {
     /// capacities and link state, pause and resume batches of viewers
     /// (125 000 B/s to 1 B/s and back, on the paths they have) and
     /// return to an earlier input, against [`max_min_keyed`] on the up
-    /// links: every rate and every load bit for bit, and the same
-    /// fill/skip decisions as the keyed entry. Those decisions are
-    /// also held to an oracle of the test's own: a call skips iff its
-    /// up-link universe and its per-flow (links, cap bits) sequence
-    /// equal the previous call's.
+    /// links: every rate and every load bit for bit, from the
+    /// simulator's entry and the keyed one.
     ///
     /// At these sizes the reference's "numerical corner" is traffic:
     /// thousands of subtractions from 4e8 leave more than the 1e-9 a
@@ -1086,7 +1010,6 @@ mod tests {
         const CASES: u64 = 300;
         let mut split_twins = 0usize; // inputs where equal (links, cap) got unequal rates
         let mut calls = 0usize;
-        let mut skips = 0u64;
         let mut widest = 0usize;
         let mut empty_paths = 0usize;
         let mut pauses = 0usize; // calls after a pause/resume step that moved a cap
@@ -1133,7 +1056,8 @@ mod tests {
             let mut sim = SimEntry::new();
             let mut keyed: Allocator<usize> = Allocator::new();
             // An earlier input to come back to, and the last call's
-            // input in bits: the memo oracle.
+            // input in bits: the pause and return floors count only
+            // calls that moved it.
             type State = (Vec<(usize, Option<f64>)>, Vec<f64>, Vec<bool>);
             type Input = (Vec<Option<u64>>, Vec<(Vec<u32>, Option<u64>)>);
             let mut saved: Option<State> = None;
@@ -1141,7 +1065,7 @@ mod tests {
             for step in 0..1 + below(st, 8) {
                 let mut paused = false;
                 let mut restored = false;
-                // One call in eight repeats its input: a skip on both.
+                // One call in eight repeats its input.
                 let kind = if step > 0 { below(st, 8) } else { 0 };
                 match kind {
                     0 => {}
@@ -1219,22 +1143,11 @@ mod tests {
                 returns += usize::from(restored && moved);
                 last = Some(input);
 
-                let skips_before = sim.alloc.skips;
                 sim.settle(&universe, &routed);
                 keyed.allocate(&up_caps, by_key.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &by_key);
 
                 let at = format!("case {case}, call {step}");
-                assert_eq!(
-                    sim.alloc.skips - skips_before,
-                    u64::from(!moved),
-                    "{at}: skipped iff the input is the last call's"
-                );
-                assert_eq!(
-                    (sim.alloc.fills, sim.alloc.skips),
-                    (keyed.fills, keyed.skips),
-                    "{at}: fill/skip decisions"
-                );
                 assert_eq!(sim.alloc.rates().len(), ref_rates.len(), "{at}");
                 for (i, want) in ref_rates.iter().enumerate() {
                     let got = sim.alloc.rates()[i];
@@ -1261,12 +1174,10 @@ mod tests {
                 widest = widest.max(routed.len());
                 empty_paths += usize::from(routed.iter().any(|(l, _)| l.is_empty()));
             }
-            skips += sim.alloc.skips;
         }
         // What the inputs covered, asserted so that a change to the
         // generator cannot quietly stop exercising it.
         assert!(calls >= 900, "{calls} calls");
-        assert!(skips >= 100, "{skips} skipped calls");
         assert!(widest >= 2500, "widest input had {widest} routed flows");
         assert!(
             empty_paths >= 300,
@@ -1289,13 +1200,10 @@ mod tests {
     proptest! {
         /// The entry point that stages class ids over a fixed link
         /// universe — capacity present iff the link is up — is the
-        /// keyed allocator fed only the up links: same rates, same
-        /// loads and the same fill/skip decisions, call after call,
-        /// through capacity changes (on down links too), links going
-        /// down and up, and flow sets that change or stay. Both are
-        /// bit-identical to the reference. The simulator's pinned
-        /// `alloc_fills` / `alloc_skips` rest on the decisions being
-        /// the same.
+        /// keyed allocator fed only the up links: same rates and same
+        /// loads, call after call, through capacity changes (on down
+        /// links too), links going down and up, and flow sets that
+        /// change or stay. Both are bit-identical to the reference.
         #[test]
         fn prop_class_id_staging_equals_keyed_over_up_links(
             caps in proptest::collection::vec(capacity(), 1..7),
@@ -1360,7 +1268,6 @@ mod tests {
                 keyed.allocate(&up_caps, routed.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &routed);
 
-                prop_assert_eq!((indexed.fills, indexed.skips), (keyed.fills, keyed.skips));
                 prop_assert_eq!(indexed.rates().len(), ref_rates.len());
                 prop_assert_eq!(keyed.rates().len(), ref_rates.len());
                 for (i, want) in ref_rates.iter().enumerate() {
@@ -1377,9 +1284,8 @@ mod tests {
 
         /// The reusable allocator is BIT-identical to the reference on
         /// arbitrary inputs, including across a sequence of calls that
-        /// exercises the memo/refill paths (this is what licenses the
-        /// simulator to reuse cached results: the pinned byte-for-byte
-        /// traces cannot tell the two apart).
+        /// reuses its buffers (the pinned byte-for-byte traces cannot
+        /// tell the two apart).
         #[test]
         fn prop_allocator_bitwise_equals_reference(
             caps in proptest::collection::vec(1.0f64..1000.0, 1..8),

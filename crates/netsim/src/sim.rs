@@ -97,14 +97,19 @@ pub struct SimStats {
     /// global recompute would have re-resolved; `paths_resolved +
     /// paths_skipped` is exactly the pre-refactor resolution count).
     pub paths_skipped: u64,
-    /// Allocation fill passes actually executed.
+    /// Allocation fill passes: every settle fills, so this equals
+    /// `reallocs`. Kept only because the ledger benchmark reads it
+    /// (ROADMAP item 1 deletes it); not among [`SimStats::counters`].
     pub alloc_fills: u64,
-    /// Allocations answered from the unchanged-input cache.
+    /// Always 0: the allocator no longer answers from an
+    /// unchanged-input cache. Kept, like `alloc_fills`, for the ledger
+    /// benchmark only.
     pub alloc_skips: u64,
     /// Full Dijkstra runs across all IGP instances.
     pub spf_full_runs: u64,
-    /// Route-phase-only (partial) SPF runs across all IGP instances
-    /// (lie/prefix churn that left the real graph untouched).
+    /// Route-phase-only (partial) SPF runs across all IGP instances:
+    /// runs at which the LSDB's real version stood (lie and prefix
+    /// churn).
     pub spf_partial_runs: u64,
     /// SNMP operations served.
     pub snmp_ops: u64,
@@ -144,16 +149,15 @@ pub struct LoopViolation {
 }
 
 impl SimStats {
-    /// The thirteen integer machinery counters by name, in key order —
+    /// The eleven integer machinery counters by name, in key order —
     /// the one list the sweep's CSV and JSON writers print from.
     /// `unroutable_flow_secs` is a float metric, not a counter,
-    /// `fwd_loop_settles` is a probe result, and `ctrl_pkt_errors` and
-    /// `iface_admin_errors` count errors; none is listed, because
+    /// `fwd_loop_settles` is a probe result, `ctrl_pkt_errors` and
+    /// `iface_admin_errors` count errors, and `alloc_fills` and
+    /// `alloc_skips` repeat `reallocs` and 0; none is listed, because
     /// pinned sweep artifacts embed this key set.
-    pub fn counters(&self) -> [(&'static str, u64); 13] {
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
         [
-            ("alloc_fills", self.alloc_fills),
-            ("alloc_skips", self.alloc_skips),
             ("ctrl_bytes", self.ctrl_bytes),
             ("ctrl_dropped", self.ctrl_dropped),
             ("ctrl_pkts", self.ctrl_pkts),
@@ -866,8 +870,7 @@ impl Core {
     }
 
     /// Settle the data plane: re-resolve exactly the dirty flows'
-    /// paths, then hand the full routed set to the reusable allocator
-    /// (which itself skips when nothing moved).
+    /// paths, then hand the full routed set to the reusable allocator.
     fn reallocate(&mut self) {
         self.stats.reallocs += 1;
         let _span = fib_trace::span(fib_trace::Phase::Settle);
@@ -911,8 +914,8 @@ impl Core {
         self.stats.paths_skipped += self.live.len() as u64 - resolved;
         self.debug_check_live();
         // The link universe is the arena in creation order, a capacity
-        // present iff the link is up (so up/down is part of what the
-        // allocator compares); routed flows hand over their class id.
+        // present iff the link is up; routed flows hand over their
+        // class id.
         let Core {
             alloc,
             paths,
@@ -1312,12 +1315,11 @@ impl Sim {
         &self.core.recorder
     }
 
-    /// World statistics (allocator and per-instance SPF counters are
-    /// folded in at read time).
+    /// World statistics (per-instance SPF counters are folded in at
+    /// read time).
     pub fn stats(&self) -> SimStats {
         let mut s = self.core.stats;
-        s.alloc_fills = self.core.alloc.fills;
-        s.alloc_skips = self.core.alloc.skips;
+        s.alloc_fills = s.reallocs;
         for inst in &self.core.instances {
             let (full, partial) = inst.spf_run_counts();
             s.spf_full_runs += full;
@@ -1885,58 +1887,9 @@ mod tests {
         assert_eq!(sim.flow_count(), 3);
     }
 
-    /// Whether a link is up is part of what the allocator compares. A
-    /// link failing is new input even when no flow crossed it (a
-    /// fill); a capacity change on a link that is down is not (a
-    /// skip). Both counts are in [`SimStats::counters`] and so in
-    /// every pinned sweep artifact.
-    #[test]
-    fn link_state_is_part_of_the_allocation_memo() {
-        // Square: the flow takes 1-2-4; 1-3-4 carries nothing.
-        let mut sim = Sim::new(SimConfig::default());
-        for i in 1..=4 {
-            sim.add_router(r(i));
-        }
-        sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
-        sim.add_link(LinkSpec::new(r(2), r(4), Metric(1), 1e6));
-        sim.add_link(LinkSpec::new(r(1), r(3), Metric(10), 1e6));
-        sim.add_link(LinkSpec::new(r(3), r(4), Metric(10), 1e6));
-        sim.announce_prefix(r(4), Prefix::net24(1));
-        let f = sched_flow(
-            &mut sim,
-            Timestamp::from_secs(10),
-            FlowSpec::new(r(1), Prefix::net24(1)),
-        );
-        sim.start();
-        sim.run_until(Timestamp::from_secs(12));
-        let decisions = |sim: &Sim| (sim.stats().alloc_fills, sim.stats().alloc_skips);
-        let (fills, skips) = decisions(&sim);
-
-        // The idle link fails: a fill, though no rate moves.
-        assert!(sim.ctx().fail_link(r(3), r(4)));
-        sim.run_until(Timestamp::from_millis(12_001));
-        assert_eq!(decisions(&sim), (fills + 1, skips));
-        assert!((sim.ctx().flow_rate(f).unwrap() - 1e6).abs() < 1.0);
-
-        // Its capacity changes while it is down: a skip.
-        sim.run_until(Timestamp::from_secs(20));
-        let (fills, skips) = decisions(&sim);
-        assert!(sim.ctx().set_link_capacity(r(3), r(4), 5e5));
-        sim.run_until(Timestamp::from_millis(20_001));
-        assert_eq!(decisions(&sim), (fills, skips + 1));
-
-        // It comes back with the new capacity: a fill.
-        sim.run_until(Timestamp::from_secs(30));
-        let (fills, skips) = decisions(&sim);
-        assert!(sim.ctx().restore_link(r(3), r(4)));
-        sim.run_until(Timestamp::from_millis(30_001));
-        assert_eq!(decisions(&sim), (fills + 1, skips));
-    }
-
-    /// Path ids are interned by content — what lets the allocator's
-    /// memo compare ids: flows that a failure moved away and a restore
-    /// brought back carry the id they had, and the table grows by the
-    /// detour only.
+    /// Path ids are interned by content: flows that a failure moved
+    /// away and a restore brought back carry the id they had, and the
+    /// table grows by the detour only.
     #[test]
     fn a_restored_link_brings_its_flows_back_to_the_same_path_id() {
         // Square: 1-2-4 is the short way, 1-3-4 the detour.

@@ -296,7 +296,7 @@ pub fn cells_csv(run: &SweepRun) -> String {
     let mut out = String::from(
         "cell,label,scenario,seed,variant,status,sessions,max_util,mean_util,peak_lies,\
          reaction_secs,unroutable_flow_secs,stalls,qoe_score,\
-         events,spf_full_runs,spf_partial_runs,paths_resolved,alloc_fills,error\n",
+         events,spf_full_runs,spf_partial_runs,paths_resolved,reallocs,error\n",
     );
     for (i, o) in run.outcomes.iter().enumerate() {
         let variant = if o.cell.baseline { "base" } else { "on" };
@@ -321,7 +321,7 @@ pub fn cells_csv(run: &SweepRun) -> String {
                     m.stats.spf_full_runs,
                     m.stats.spf_partial_runs,
                     m.stats.paths_resolved,
-                    m.stats.alloc_fills,
+                    m.stats.reallocs,
                 );
             }
             Err(e) => {
@@ -462,11 +462,11 @@ mod tests {
         let Value::Obj(fields) = rollup_value(&total, 2) else {
             panic!("rollup is an object");
         };
-        assert_eq!(fields.len(), 13);
-        assert_eq!(fields[0], ("alloc_fills", Value::Int(0)));
+        assert_eq!(fields.len(), 11);
+        assert_eq!(fields[0], ("ctrl_bytes", Value::Int(0)));
         assert!(fields.contains(&("events", Value::Int(u64::MAX))));
         assert!(fields.contains(&("reallocs", Value::Int(5))));
-        assert_eq!(fields[12], ("unroutable_resolutions", Value::Int(0)));
+        assert_eq!(fields[10], ("unroutable_resolutions", Value::Int(0)));
         assert_eq!(rollup_value(&total, 0), Value::Obj(Vec::new()));
     }
 

@@ -103,10 +103,11 @@ fn merged_output_is_byte_identical_at_any_jobs() {
         );
     }
     // The deterministic view carries every per-cell counter, the ones
-    // no CSV column prints included: one realloc more in one cell and
-    // the comparison fails.
+    // no CSV column prints included: one skipped path more in one cell
+    // and the comparison fails.
     let mut drifted = reference.clone();
-    drifted.outcomes[0].result.as_mut().unwrap().stats.reallocs += 1;
+    let cell = drifted.outcomes[0].result.as_mut().unwrap();
+    cell.stats.paths_skipped += 1;
     assert_eq!(cells_csv(&drifted), ref_cells);
     assert_ne!(
         to_doc(&drifted, &SweepSummary::from_run(&drifted)).render(View::Deterministic),
