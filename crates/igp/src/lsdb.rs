@@ -288,8 +288,7 @@ impl Lsdb {
 
     /// The real graph this database describes, in dense form: every
     /// real router with a live router LSA, and the links that pass the
-    /// two-way check. What a full SPF run reads, fingerprints and runs
-    /// Dijkstra on.
+    /// two-way check. What a full SPF run reads and runs Dijkstra on.
     pub(crate) fn real_graph(&self) -> RealGraph {
         let reports = Reports::of(self);
         let n = reports.ids.len();

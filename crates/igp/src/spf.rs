@@ -16,7 +16,7 @@
 //!    low. [`SpfEngine`] exploits it: while the LSDB's real version
 //!    stands it reads only the rows the route phase needs; when the
 //!    version moves it builds the dense real graph from the router LSAs
-//!    and reruns Dijkstra only if that graph's fingerprint changed.
+//!    and reruns Dijkstra.
 //!
 //! Both phases run on a [`RealGraph`], the real part of a topology in
 //! dense form, and there is one Dijkstra ([`RealGraph::shortest_paths`]).
@@ -30,9 +30,7 @@ use crate::rib::{Route, RouteTable};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::{FwAddr, Metric, Prefix, RouterId};
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::hash::{Hash, Hasher};
 
 /// The real part of a topology in dense form: its real routers in
 /// ascending id order, and per router, by position, its links to real
@@ -69,21 +67,6 @@ impl RealGraph {
     /// The links of the router at position `i`.
     pub(crate) fn row(&self, i: usize) -> &[(usize, Metric)] {
         &self.edges[self.off[i]..self.off[i + 1]]
-    }
-
-    /// Every router's id, then per link its far end's id and metric,
-    /// then a separator, hashed in row order.
-    fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for (i, r) in self.ids.iter().enumerate() {
-            r.0.hash(&mut h);
-            for &(to, m) in self.row(i) {
-                self.ids[to].0.hash(&mut h);
-                m.0.hash(&mut h);
-            }
-            0xffff_ffffu32.hash(&mut h); // node separator
-        }
-        h.finish()
     }
 
     /// Dijkstra from `source`, computing distances and merged equal-cost
@@ -602,22 +585,21 @@ impl PrefixRoutes {
 /// lie-only changes — the ablation point contrasting Fibbing's
 /// type-5-style churn with full topology churn.
 ///
-/// It keeps one slot: the shortest paths of its last full run, with
-/// the fingerprint of the real graph they came from. While the LSDB's
-/// [`real_version`](Lsdb::real_version) stands (lie and prefix churn)
-/// it reads only the rows the route phase needs (`Lsdb::route_view`)
-/// and reruns only that phase. When the version moves it builds the
-/// dense real graph from the router LSAs (`Lsdb::real_graph`) and
-/// fingerprints it; only a changed graph reruns Dijkstra, so a
-/// content-identical re-origination still takes the partial path.
-/// Those reads happen outside the `spf.full` and `spf.partial` spans,
-/// which cover the Dijkstra and the route phase.
+/// It keeps one slot: the shortest paths of its last full run. While
+/// the LSDB's [`real_version`](Lsdb::real_version) stands (lie and
+/// prefix churn) it reads only the rows the route phase needs
+/// (`Lsdb::route_view`) and reruns only that phase. When the version
+/// moves it builds the dense real graph from the router LSAs
+/// (`Lsdb::real_graph`) and reruns Dijkstra, even when a
+/// content-identical re-origination left the graph as it was. Those
+/// reads happen outside the `spf.full` and `spf.partial` spans, which
+/// cover the Dijkstra and the route phase.
 #[derive(Debug, Default)]
 pub struct SpfEngine {
-    /// The real version of the last call.
+    /// The real version of the last full run.
     seen_real: Option<u64>,
-    /// The last full run: the real graph's fingerprint, and its paths.
-    kept: Option<(u64, ShortestPaths)>,
+    /// The last full run's paths.
+    kept: Option<ShortestPaths>,
     /// Counts of full Dijkstra runs (for benchmarks/ablation).
     pub full_runs: u64,
     /// Counts of runs where only the route phase ran.
@@ -633,30 +615,23 @@ impl SpfEngine {
     /// `source`'s route table on `db`: what [`compute_routes`] says on
     /// `db.to_topology()`.
     pub fn compute(&mut self, db: &Lsdb, source: RouterId) -> RouteTable {
-        let kept_fp = self.kept.as_ref();
-        let kept_fp = kept_fp.filter(|k| k.1.source == source).map(|k| k.0);
-        let mut full = None;
-        if self.seen_real != Some(db.real_version()) || kept_fp.is_none() {
-            self.seen_real = Some(db.real_version());
-            let graph = db.real_graph();
-            let fp = graph.fingerprint();
-            if kept_fp != Some(fp) {
-                full = Some((fp, graph));
-            }
-        }
+        let stale = self.seen_real != Some(db.real_version())
+            || !self.kept.as_ref().is_some_and(|sp| sp.source == source);
+        let graph = stale.then(|| db.real_graph());
         let view = db.route_view();
-        let _span = fib_trace::span(if full.is_some() {
+        let _span = fib_trace::span(if graph.is_some() {
             fib_trace::Phase::SpfFull
         } else {
             fib_trace::Phase::SpfPartial
         });
-        if let Some((fp, graph)) = full {
-            self.kept = Some((fp, graph.shortest_paths(source)));
+        if let Some(graph) = graph {
+            self.seen_real = Some(db.real_version());
+            self.kept = Some(graph.shortest_paths(source));
             self.full_runs += 1;
         } else {
             self.partial_runs += 1;
         }
-        let (_, sp) = self.kept.as_ref().expect("a full run fills the slot");
+        let sp = self.kept.as_ref().expect("a full run fills the slot");
         route_table_from(&view, sp)
     }
 }
@@ -951,7 +926,7 @@ mod tests {
     }
 
     #[test]
-    fn versioned_engine_skips_hashing_on_stable_real_graph() {
+    fn engine_reruns_dijkstra_exactly_when_the_real_version_moves() {
         let mut db = square_db();
         let mut eng = SpfEngine::new();
         let _ = eng.compute(&db, r(1));
@@ -964,16 +939,15 @@ mod tests {
         assert_eq!((eng.full_runs, eng.partial_runs), (1, 1));
         assert_eq!(rt.routes[&Prefix::net24(1)].nexthops.len(), 3);
         // Bumped version, identical real graph (r1 re-originates its
-        // LSA unchanged): the fingerprint check still lands on the
-        // partial path.
+        // LSA unchanged): a full run, which gives the same table.
         db.install(router_lsa(1, 2, &[(2, 2), (3, 1)]));
         assert!(db.real_version() > version);
-        let _ = eng.compute(&db, r(1));
-        assert_eq!((eng.full_runs, eng.partial_runs), (1, 2));
+        assert_eq!(eng.compute(&db, r(1)), rt);
+        assert_eq!((eng.full_runs, eng.partial_runs), (2, 1));
         // Bumped version, changed real graph: full run.
         db.install(router_lsa(1, 3, &[(2, 2), (3, 5)]));
         let _ = eng.compute(&db, r(1));
-        assert_eq!((eng.full_runs, eng.partial_runs), (2, 2));
+        assert_eq!((eng.full_runs, eng.partial_runs), (3, 1));
     }
 
     /// Sequence differential: one engine per router follows one database
@@ -983,8 +957,10 @@ mod tests {
     /// router that never speaks, lies re-added under their own id and
     /// lies hung on another lie's link. After every step each engine's
     /// table must equal a from-scratch SPF on the database's topology,
-    /// and each engine must run Dijkstra exactly when the real rows
-    /// (real routers, their real links and metrics) changed.
+    /// and each engine must run Dijkstra exactly when the real version
+    /// moved, which it must whenever the real rows (real routers, their
+    /// real links and metrics) changed. Where the version moved and the
+    /// rows did not, the full run must find the paths it had.
     #[test]
     fn engine_follows_seeded_lsdb_mutations() {
         const POOL: u32 = 6; // routers 1..=POOL speak, POOL + 1 never does
@@ -1000,6 +976,7 @@ mod tests {
             *drawn.entry(what).or_default() += u32::from(yes);
         };
         let (mut full_runs, mut partial_runs) = (0u64, 0u64);
+        let mut same_rows_full_runs = 0u64;
         for case in 0..300 {
             let mut db = Lsdb::new();
             let mut seqs: BTreeMap<LsaKey, i32> = BTreeMap::new();
@@ -1163,6 +1140,10 @@ mod tests {
                     .collect();
                 let changed = last_rows.as_ref() != Some(&rows);
                 let bumped = last_version != Some(db.real_version());
+                assert!(
+                    bumped || !changed,
+                    "case {case} step {step}: the real rows changed under one real version"
+                );
                 saw(
                     "the real version moved, the rows did not",
                     bumped && !changed,
@@ -1175,6 +1156,7 @@ mod tests {
                 for (i, eng) in engines.iter_mut().enumerate() {
                     let source = RouterId(i as u32 + 1);
                     let before = (eng.full_runs, eng.partial_runs);
+                    let kept = eng.kept.clone();
                     let table = eng.compute(&db, source);
                     assert_eq!(
                         table,
@@ -1184,9 +1166,13 @@ mod tests {
                     let full = eng.full_runs - before.0;
                     assert_eq!(
                         (full, eng.partial_runs - before.1),
-                        (u64::from(changed), u64::from(!changed)),
+                        (u64::from(bumped), u64::from(!bumped)),
                         "case {case} step {step}: {source}'s run on {db:?}"
                     );
+                    if bumped && !changed {
+                        assert_eq!(eng.kept, kept, "case {case} step {step}: {source}'s paths");
+                        same_rows_full_runs += 1;
+                    }
                     full_runs += full;
                     partial_runs += 1 - full;
                 }
@@ -1196,6 +1182,10 @@ mod tests {
         assert!(
             full_runs > 20_000 && partial_runs > 40_000,
             "{full_runs} full and {partial_runs} partial runs"
+        );
+        assert!(
+            same_rows_full_runs >= 5_000,
+            "{same_rows_full_runs} full runs on unchanged rows"
         );
         for what in [
             "a far end listed twice",

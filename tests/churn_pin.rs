@@ -200,7 +200,7 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
     ];
     assert_eq!(
         with_control,
-        [0xa6ef_b149_e32a_9e9d, 0x4d53_f472_a484_aefc],
+        [0xa6ef_b149_e32a_9e9d, 0xf071_76f2_e721_92a3],
         "summary / counters digests moved: {with_control:#018x?}\n{counters}"
     );
 }
