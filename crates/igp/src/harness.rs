@@ -229,7 +229,6 @@ impl Harness {
                     Output::FibUpdate(table) => {
                         self.fibs.insert(id, table);
                     }
-                    Output::NeighborChange { .. } => {}
                 }
             }
         }

@@ -155,15 +155,6 @@ pub enum Output {
     },
     /// Download a freshly computed route table into the FIB.
     FibUpdate(RouteTable),
-    /// An adjacency changed state (up = reached Full / down = lost).
-    NeighborChange {
-        /// Interface of the adjacency.
-        iface: IfaceId,
-        /// Neighbor router id.
-        neighbor: RouterId,
-        /// `true` when the adjacency reached Full.
-        up: bool,
-    },
 }
 
 #[derive(Debug)]
@@ -407,11 +398,6 @@ impl Instance {
         if !enabled {
             if let Some(n) = iface.neighbor.take() {
                 if n.state == NbrState::Full {
-                    self.push(Output::NeighborChange {
-                        iface: id,
-                        neighbor: n.id,
-                        up: false,
-                    });
                     self.originate_router_lsa();
                 }
             }
@@ -595,14 +581,8 @@ impl Instance {
         // Dead timer.
         if now >= n.last_heard + DEAD_INTERVAL {
             let was_full = n.state == NbrState::Full;
-            let nid = n.id;
             iface.neighbor = None;
             if was_full {
-                self.push(Output::NeighborChange {
-                    iface: id,
-                    neighbor: nid,
-                    up: false,
-                });
                 self.originate_router_lsa();
             }
             return;
@@ -782,14 +762,8 @@ impl Instance {
         } else if n.state != NbrState::Init && !sees_us {
             // Neighbor restarted and forgot us: fall back to Init.
             let was_full = n.state == NbrState::Full;
-            let nid = n.id;
             *n = NeighborSm::new(sender, now);
             if was_full {
-                self.push(Output::NeighborChange {
-                    iface: iface_id,
-                    neighbor: nid,
-                    up: false,
-                });
                 self.originate_router_lsa();
             }
         }
@@ -999,7 +973,7 @@ impl Instance {
     }
 
     fn finish_exchange(&mut self, iface_id: IfaceId, now: Timestamp) {
-        let (reached_full, nid, req) = {
+        let (reached_full, req) = {
             let n = self
                 .ifaces
                 .get_mut(&iface_id)
@@ -1010,28 +984,19 @@ impl Instance {
             // leave Exchange (RFC 2328 §10.8's lingering behaviour).
             if n.req_list.is_empty() {
                 n.state = NbrState::Full;
-                (true, n.id, Vec::new())
+                (true, Vec::new())
             } else {
                 n.state = NbrState::Loading;
                 n.last_req_at = now;
                 let keys: Vec<LsaKey> = n.req_list.iter().take(MAX_REQ_KEYS).copied().collect();
-                (false, n.id, keys)
+                (false, keys)
             }
         };
         if reached_full {
-            self.on_full(iface_id, nid);
+            self.originate_router_lsa();
         } else {
             self.send_packet(iface_id, Packet::LsRequest(LsRequest { keys: req }));
         }
-    }
-
-    fn on_full(&mut self, iface_id: IfaceId, neighbor: RouterId) {
-        self.push(Output::NeighborChange {
-            iface: iface_id,
-            neighbor,
-            up: true,
-        });
-        self.originate_router_lsa();
     }
 
     fn on_request(&mut self, iface_id: IfaceId, sender: RouterId, r: LsRequest) {
@@ -1085,12 +1050,10 @@ impl Instance {
                 .get_mut(&iface_id)
                 .and_then(|i| i.neighbor.as_mut())
                 .filter(|n| n.state == NbrState::Loading && n.req_list.is_empty())
-                .map(|n| {
-                    n.state = NbrState::Full;
-                    n.id
-                });
-            if let Some(nid) = became_full {
-                self.on_full(iface_id, nid);
+                .map(|n| n.state = NbrState::Full)
+                .is_some();
+            if became_full {
+                self.originate_router_lsa();
             }
             self.try_sweep();
         }

@@ -853,7 +853,6 @@ impl Core {
                         dirty.mark_realloc();
                         invalidate_fib_change(dirty, flow_index, flow_recs, id, &changed);
                     }
-                    Output::NeighborChange { .. } => {}
                 }
             }
         }
