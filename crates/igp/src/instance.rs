@@ -1873,8 +1873,7 @@ mod tests {
     /// What a delivered update carries is the sender's instance itself:
     /// the receiver's LSDB stores that `Arc`, so a network holds one
     /// copy of each LSA instance. Nothing mutates a stored instance in
-    /// place; `Lsdb::age_all`, the one exception, copies it first, so
-    /// aging one database leaves the other's copy as it was.
+    /// place.
     #[test]
     fn a_delivered_update_shares_the_senders_instance() {
         let mut h = converged_hub();
@@ -1907,13 +1906,6 @@ mod tests {
             })
             .collect();
         assert_eq!(onward, [IfaceId(1), IfaceId(2)]);
-
-        hub.lsdb.age_all(10);
-        assert_eq!(hub.lsdb().get(&key).unwrap().age, sent.age + 10);
-        let spoke = h.instance(RouterId(2));
-        let theirs = spoke.lsdb().get_shared(&key).unwrap();
-        assert!(Arc::ptr_eq(theirs, &sent));
-        assert_eq!(theirs.age, 0);
     }
 
     #[test]

@@ -3,17 +3,15 @@
 //! Every router (and the Fibbing controller) maintains an [`Lsdb`]: the
 //! set of freshest LSA instances it has heard. Installation follows the
 //! freshness rules of [`crate::lsa::compare_freshness`]; MaxAge
-//! instances linger only long enough to be flooded, then fall out via
-//! [`Lsdb::sweep`]. SPF reads the database directly: a full run the
+//! instances linger only long enough to be flooded, then the instance
+//! removes them ([`Lsdb::max_age_keys`], [`Lsdb::remove`]). SPF reads the database directly: a full run the
 //! dense real graph (`Lsdb::real_graph`), the route phase only the rows
 //! it needs (`Lsdb::route_view`). [`Lsdb::to_topology`] materializes
 //! the whole augmented [`Topology`] for other readers. All three apply
 //! the two-way connectivity check to real links and trust fake-node
 //! LSAs as complete descriptions of lies.
 
-use crate::lsa::{
-    compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE,
-};
+use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink};
 use crate::spf::RealGraph;
 use crate::topology::{FakeAttrs, TopoLink, Topology};
 use crate::types::{Metric, RouterId};
@@ -47,9 +45,7 @@ pub struct DbVersion(pub u64);
 /// put the stored LSA on retransmit lists, and into the datagrams that
 /// carry it to other instances' databases, without copying its body.
 /// Sharing is safe because nothing mutates a stored LSA in place: a
-/// change installs a new instance. The one exception is
-/// [`Lsdb::age_all`], whose `Arc::make_mut` copies an instance other
-/// holders share before aging it (it has no caller outside tests).
+/// change installs a new instance.
 #[derive(Debug, Clone, Default)]
 pub struct Lsdb {
     entries: BTreeMap<LsaKey, Arc<Lsa>>,
@@ -199,21 +195,6 @@ impl Lsdb {
         }
     }
 
-    /// Remove MaxAge LSAs. Returns the purged headers. A real router
-    /// does this once the purge has been acked everywhere; the instance
-    /// layer calls it when retransmit lists drain.
-    pub fn sweep(&mut self) -> Vec<LsaHeader> {
-        let dead = std::mem::take(&mut self.max_age);
-        let mut headers = Vec::with_capacity(dead.len());
-        for k in dead {
-            if let Some(l) = self.entries.remove(&k) {
-                headers.push(l.header());
-                self.bump(&k);
-            }
-        }
-        headers
-    }
-
     /// Remove one LSA by key regardless of age (used when the
     /// originator re-learns a self-originated LSA it no longer wants).
     pub fn remove(&mut self, key: &LsaKey) -> Option<Arc<Lsa>> {
@@ -223,31 +204,6 @@ impl Lsdb {
             self.bump(key);
         }
         removed
-    }
-
-    /// Advance every LSA's age by `secs`, clamping at MaxAge. Returns
-    /// keys of self-expired LSAs that just hit MaxAge (so the caller can
-    /// flood the purge).
-    pub fn age_all(&mut self, secs: u16) -> Vec<LsaKey> {
-        let mut expired = Vec::new();
-        for (k, l) in self.entries.iter_mut() {
-            if l.age >= MAX_AGE {
-                continue;
-            }
-            let new_age = l.age.saturating_add(secs).min(MAX_AGE);
-            if new_age == MAX_AGE {
-                expired.push(*k);
-            }
-            Arc::make_mut(l).age = new_age;
-        }
-        self.max_age.extend(expired.iter().copied());
-        if !expired.is_empty() {
-            self.bump_versions(
-                expired.iter().any(|k| k.kind == LsaKind::Router),
-                expired.iter().any(|k| k.kind != LsaKind::Fake),
-            );
-        }
-        expired
     }
 
     /// Iterate over all stored LSAs in key order.
@@ -439,7 +395,7 @@ impl<'a> Reports<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsa::LsaLink;
+    use crate::lsa::{LsaLink, MAX_AGE};
     use crate::spf::{route_table_from, shortest_paths};
     use crate::types::{FwAddr, Metric, Prefix, SeqNum};
 
@@ -479,39 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_removes_max_age() {
-        let mut db = Lsdb::new();
-        db.install(router_lsa(1, 1, &[]));
-        db.install(router_lsa(2, 1, &[]));
-        let purge = db
-            .get(&LsaKey {
-                origin: RouterId(1),
-                kind: LsaKind::Router,
-                id: 0,
-            })
-            .unwrap()
-            .to_purge();
-        assert_eq!(db.install(purge), Install::Updated);
-        let swept = db.sweep();
-        assert_eq!(swept.len(), 1);
-        assert_eq!(swept[0].key.origin, RouterId(1));
-        assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn aging_expires_lsas() {
-        let mut db = Lsdb::new();
-        db.install(router_lsa(1, 1, &[]));
-        let expired = db.age_all(MAX_AGE - 1);
-        assert!(expired.is_empty());
-        let expired = db.age_all(5);
-        assert_eq!(expired.len(), 1);
-        assert!(db.get(&expired[0]).unwrap().is_max_age());
-        // Aging an already-MaxAge LSA does not re-report it.
-        assert!(db.age_all(5).is_empty());
-    }
-
-    #[test]
     fn lie_free_version_follows_everything_but_lies() {
         let mut db = Lsdb::new();
         let p = Prefix::net24(7);
@@ -524,7 +447,7 @@ mod tests {
         db.install(Lsa::prefix(RouterId(2), 0, SeqNum(1), p, Metric(0)));
         assert_eq!(versions(&db), (3, 2, 3));
         let without_lie = db.to_topology();
-        // A lie, its purge and its sweep touch neither.
+        // A lie and its purge touch neither.
         let lie = Lsa::fake(
             RouterId::fake(0),
             SeqNum(1),
@@ -541,10 +464,9 @@ mod tests {
             without_lie.all_announcements().count()
         );
         db.install(lie.to_purge());
-        db.sweep();
-        assert_eq!(versions(&db), (6, 2, 3));
-        // The prefix aging out moves it again, still without a router
-        // LSA changing; so does sweeping the aged-out instance.
+        assert_eq!(versions(&db), (5, 2, 3));
+        // The prefix withdrawn moves it again, still without a router
+        // LSA changing.
         let prefix_key = LsaKey {
             origin: RouterId(2),
             kind: LsaKind::Prefix,
@@ -552,16 +474,7 @@ mod tests {
         };
         let withdrawn = db.get(&prefix_key).unwrap().to_purge();
         db.install(withdrawn);
-        assert_eq!(versions(&db), (7, 2, 4));
-        db.sweep();
-        assert_eq!(versions(&db), (8, 2, 5));
-        // Aging: only an expiry counts, and it counts by kind.
-        db.install(Lsa::prefix(RouterId(2), 0, SeqNum(3), p, Metric(0)));
-        assert_eq!(versions(&db), (9, 2, 6));
-        assert!(db.age_all(MAX_AGE - 1).is_empty());
-        assert_eq!(versions(&db), (9, 2, 6));
-        assert_eq!(db.age_all(1).len(), 3);
-        assert_eq!(versions(&db), (10, 3, 7));
+        assert_eq!(versions(&db), (6, 2, 4));
     }
 
     #[test]
@@ -885,7 +798,6 @@ mod tests {
             Install { k: u32, seq: i32, purge: bool },
             Remove { k: u32 },
             Sweep,
-            Age { secs: u16 },
         }
 
         fn arb_op() -> impl Strategy<Value = Op> {
@@ -902,8 +814,6 @@ mod tests {
                 }),
                 (0u32..8).prop_map(|k| Op::Remove { k }),
                 Just(Op::Sweep),
-                prop_oneof![Just(1u16), Just(MAX_AGE / 2), Just(MAX_AGE)]
-                    .prop_map(|secs| Op::Age { secs }),
             ]
         }
 
@@ -939,11 +849,12 @@ mod tests {
                             db.remove(&lsa_of(k, 1, false).key);
                         }
                         Op::Sweep => {
-                            let swept = db.sweep();
-                            prop_assert!(swept.iter().all(|h| h.age >= MAX_AGE));
-                        }
-                        Op::Age { secs } => {
-                            db.age_all(secs);
+                            // As an instance sweeps.
+                            let dead: Vec<LsaKey> = db.max_age_keys().collect();
+                            for k in dead {
+                                let removed = db.remove(&k);
+                                prop_assert!(removed.is_some_and(|l| l.is_max_age()));
+                            }
                         }
                     }
                     let scanned: Vec<LsaKey> =
