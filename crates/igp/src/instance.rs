@@ -242,8 +242,6 @@ pub struct Stats {
     pub lsas_originated: u64,
     /// LSA instances flooded onward (per neighbor enqueue).
     pub lsas_flooded: u64,
-    /// SPF route computations performed.
-    pub spf_runs: u64,
     /// Packets dropped due to decode errors.
     pub decode_errors: u64,
 }
@@ -1401,7 +1399,6 @@ impl Instance {
         }
         self.last_spf_version = Some(version);
         let table = self.spf.compute(&self.lsdb, self.cfg.router_id);
-        self.stats.spf_runs += 1;
         if self.last_table.as_ref() != Some(&table) {
             self.last_table = Some(table.clone());
             self.push(Output::FibUpdate(table));

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::loadmodel::{max_utilization, spread, Demand, LoadModelError};
     pub use crate::lsa::{Lsa, LsaBody, LsaHeader, LsaKey, LsaKind};
     pub use crate::lsdb::{Install, Lsdb};
-    pub use crate::rib::{diff, ForwardingDag, Route, RouteChange, RouteTable};
+    pub use crate::rib::{ForwardingDag, Route, RouteTable};
     pub use crate::spf::{
         compute_all_routes, compute_routes, enumerate_paths, prefix_routes, shortest_paths,
         SpfEngine,

@@ -19,9 +19,6 @@ use std::fmt;
 /// Maximum LSA age, in seconds. An LSA at `MAX_AGE` is being purged.
 pub const MAX_AGE: u16 = 3600;
 
-/// Age at which the originator re-floods a fresh copy.
-pub const REFRESH_AGE: u16 = 1800;
-
 /// Discriminant for LSA kinds (also the wire encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]

@@ -1,4 +1,4 @@
-//! Routing tables, FIB diffs, and forwarding DAGs.
+//! Routing tables and forwarding DAGs.
 //!
 //! [`RouteTable`] is what SPF produces for one router and what gets
 //! downloaded into the data-plane FIB. [`ForwardingDag`] is the
@@ -73,57 +73,6 @@ impl RouteTable {
     }
 }
 
-/// A single difference between two route tables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteChange {
-    /// A prefix gained a route.
-    Added(Prefix, Route),
-    /// A prefix's route changed (cost or next-hop set).
-    Modified {
-        /// Affected prefix.
-        prefix: Prefix,
-        /// Previous route.
-        old: Route,
-        /// New route.
-        new: Route,
-    },
-    /// A prefix lost its route.
-    Removed(Prefix, Route),
-}
-
-impl RouteChange {
-    /// The prefix this change concerns.
-    pub fn prefix(&self) -> Prefix {
-        match self {
-            RouteChange::Added(p, _) => *p,
-            RouteChange::Modified { prefix, .. } => *prefix,
-            RouteChange::Removed(p, _) => *p,
-        }
-    }
-}
-
-/// Compute the ordered diff `old → new`.
-pub fn diff(old: &RouteTable, new: &RouteTable) -> Vec<RouteChange> {
-    let mut changes = Vec::new();
-    for (p, r) in &new.routes {
-        match old.routes.get(p) {
-            None => changes.push(RouteChange::Added(*p, r.clone())),
-            Some(prev) if prev != r => changes.push(RouteChange::Modified {
-                prefix: *p,
-                old: prev.clone(),
-                new: r.clone(),
-            }),
-            Some(_) => {}
-        }
-    }
-    for (p, r) in &old.routes {
-        if !new.routes.contains_key(p) {
-            changes.push(RouteChange::Removed(*p, r.clone()));
-        }
-    }
-    changes
-}
-
 /// Network-wide forwarding state for one prefix: every router's ECMP
 /// next-hop addresses. Routers where the prefix is local map to an
 /// empty set.
@@ -136,25 +85,10 @@ pub struct ForwardingDag {
 }
 
 impl ForwardingDag {
-    /// Build the DAG for `prefix` from a set of route tables.
-    pub fn from_tables<'a>(
-        prefix: Prefix,
-        tables: impl IntoIterator<Item = &'a RouteTable>,
-    ) -> ForwardingDag {
-        let mut nexthops = BTreeMap::new();
-        for t in tables {
-            if let Some(route) = t.routes.get(&prefix) {
-                nexthops.insert(t.source, route.nexthops.clone());
-            }
-        }
-        ForwardingDag { prefix, nexthops }
-    }
-
     /// Build the DAG for `prefix` from single-prefix routes (the
     /// output of [`crate::spf::prefix_routes`]). Local routes become
-    /// empty next-hop sets, i.e. sinks. Identical to
-    /// [`ForwardingDag::from_tables`] over full tables, without paying
-    /// a per-router SPF.
+    /// empty next-hop sets, i.e. sinks. The DAG every router's full
+    /// route table gives, without paying a per-router SPF.
     pub fn from_prefix_routes(prefix: Prefix, routes: &BTreeMap<RouterId, Route>) -> ForwardingDag {
         ForwardingDag {
             prefix,
@@ -304,30 +238,6 @@ mod tests {
         let split = rt.split_by_router();
         assert!((split[&r(2)] - 1.0 / 3.0).abs() < 1e-12);
         assert!((split[&r(5)] - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diff_reports_add_modify_remove() {
-        let p1 = Prefix::net24(1);
-        let p2 = Prefix::net24(2);
-        let p3 = Prefix::net24(3);
-        let mut old = RouteTable::empty(r(1));
-        old.routes.insert(p1, route(2, &[(2, 0)]));
-        old.routes.insert(p2, route(4, &[(3, 0)]));
-        let mut new = RouteTable::empty(r(1));
-        new.routes.insert(p1, route(2, &[(2, 0), (3, 0)]));
-        new.routes.insert(p3, route(9, &[(2, 0)]));
-        let d = diff(&old, &new);
-        assert_eq!(d.len(), 3);
-        assert!(d
-            .iter()
-            .any(|c| matches!(c, RouteChange::Modified { prefix, .. } if *prefix == p1)));
-        assert!(d
-            .iter()
-            .any(|c| matches!(c, RouteChange::Added(p, _) if *p == p3)));
-        assert!(d
-            .iter()
-            .any(|c| matches!(c, RouteChange::Removed(p, _) if *p == p2)));
     }
 
     #[test]
