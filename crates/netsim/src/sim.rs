@@ -402,8 +402,7 @@ impl Core {
         }
     }
 
-    /// The interface on router `slot` that faces `peer`, if any (the
-    /// lowest-numbered one when links are parallel).
+    /// The interface on router `slot` that faces `peer`, if any.
     pub(crate) fn iface_facing(&self, slot: u32, peer: RouterId) -> Option<IfaceId> {
         self.iface_links[slot as usize]
             .iter()
@@ -444,6 +443,12 @@ impl Core {
         let b_slot = *self.router_slot.get(&spec.b).expect("add routers first");
         let kab = LinkKey::new(spec.a, spec.b);
         let kba = LinkKey::new(spec.b, spec.a);
+        assert!(
+            !self.link_idx.contains_key(&kab),
+            "link {}-{} added twice",
+            spec.a,
+            spec.b
+        );
         let ix_ab = self.link_recs.len() as u32;
         let ia = self.add_iface(a_slot, ix_ab);
         let ib = self.add_iface(b_slot, ix_ab + 1);
@@ -1392,6 +1397,16 @@ mod tests {
         let id = sim.new_flow_id();
         sim.schedule(at, Event::FlowStart { id, spec });
         id
+    }
+
+    /// A second link between the same two routers, in either
+    /// direction, would leave the first one unreachable by key:
+    /// refused, as `Topology::add_link` refuses it.
+    #[test]
+    #[should_panic(expected = "link r3-r2 added twice")]
+    fn a_second_link_between_two_routers_is_refused() {
+        let mut sim = line_sim();
+        sim.add_link(LinkSpec::new(r(3), r(2), Metric(5), 1e6));
     }
 
     #[test]
