@@ -101,9 +101,8 @@ pub struct SimStats {
     /// `reallocs`. Kept only because the ledger benchmark reads it
     /// (ROADMAP item 1 deletes it); not among [`SimStats::counters`].
     pub alloc_fills: u64,
-    /// Always 0: the allocator no longer answers from an
-    /// unchanged-input cache. Kept, like `alloc_fills`, for the ledger
-    /// benchmark only.
+    /// Always 0: no allocation is skipped. Kept, like `alloc_fills`,
+    /// only because the ledger benchmark reads it.
     pub alloc_skips: u64,
     /// Full Dijkstra runs across all IGP instances.
     pub spf_full_runs: u64,
