@@ -174,12 +174,14 @@ impl SimContext<'_> {
 
     /// Current allocated rate of a flow (bytes/s).
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.core.flow(id).map(|f| f.rate)
+        let (hot, slot) = (&self.core.hot, id.0 as usize);
+        hot.live(slot).then(|| hot.rate[slot])
     }
 
     /// Total bytes delivered by a flow so far.
     pub fn flow_delivered(&self, id: FlowId) -> Option<f64> {
-        self.core.flow(id).map(|f| f.delivered)
+        let (hot, slot) = (&self.core.hot, id.0 as usize);
+        hot.live(slot).then(|| hot.delivered[slot])
     }
 
     /// Current path of a flow (directed links), if routed.

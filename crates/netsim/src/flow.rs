@@ -1,6 +1,7 @@
 //! Traffic flows.
 
 use crate::ecmp::FlowKey;
+use crate::fluid::STOPPED;
 use crate::link::LinkKey;
 use fib_igp::time::Timestamp;
 use fib_igp::types::{Prefix, RouterId};
@@ -63,7 +64,9 @@ impl FlowSpec {
     }
 }
 
-/// Live state of a flow.
+/// Live state of a flow: what is read where it is resolved, capped,
+/// indexed and reported. What a settle, an accrual step and a player
+/// tick read and write of it is kept apart, in `FlowColumns`.
 #[derive(Debug, Clone)]
 pub struct Flow {
     /// Identifier.
@@ -76,27 +79,56 @@ pub struct Flow {
     pub tag: u64,
     /// Start time.
     pub started_at: Timestamp,
-    /// Current allocated rate (bytes/s).
-    pub rate: f64,
     /// Current path (directed links), `None` while unroutable.
     pub path: Option<Vec<LinkKey>>,
-    /// The id, in the simulator's class table, of the same links as
-    /// positions in its link arena under this flow's cap (`None` while
-    /// unroutable): resolved with the path, moved with the cap, and
-    /// never apart from either. What a settle stages, so that it
-    /// probes no map, copies no list and searches no class.
-    pub(crate) class: Option<u32>,
-    /// Total bytes delivered so far (fluid integration).
-    pub delivered: f64,
 }
 
-// The simulator keeps one `Option<Flow>` per flow ever started, and a
-// settle walks the live ones: a wider record is paid per flow of a
-// run's whole history in memory, and per live flow in every settle.
+// The simulator keeps one `Option<Flow>` per flow ever started: a
+// wider record is paid per flow of a run's whole history in memory.
 const _: () = assert!(
-    std::mem::size_of::<Option<Flow>>() <= 112,
-    "a flow record fits in 112 bytes"
+    std::mem::size_of::<Option<Flow>>() <= 88,
+    "a flow record fits in 88 bytes"
 );
+
+/// Every flow's hot state, one entry per slot of the simulator's flow
+/// arena (indexed like it, by `FlowId`): what a settle, an accrual step
+/// and a player tick read and write. Kept apart from the [`Flow`]
+/// records, so that those passes stream a few bytes a flow, not a
+/// record.
+#[derive(Debug, Default)]
+pub(crate) struct FlowColumns {
+    /// The flow's class id in the simulator's class table — its path's
+    /// links under its cap —, resolved with the path and moved with the
+    /// cap; [`UNROUTED`](crate::fluid::UNROUTED) while it has no usable path, [`STOPPED`] for a
+    /// slot that holds no live flow.
+    pub(crate) class: Vec<u32>,
+    /// Current allocated rate (bytes/s): 0.0 while unrouted.
+    pub(crate) rate: Vec<f64>,
+    /// Total bytes delivered so far (fluid integration).
+    pub(crate) delivered: Vec<f64>,
+}
+
+// What one slot costs across the three columns: paid per flow ever
+// started, and streamed per live flow by every settle, accrual step and
+// player tick.
+const _: () = assert!(
+    std::mem::size_of::<u32>() + 2 * std::mem::size_of::<f64>() <= 24,
+    "a flow's hot row fits in 24 bytes"
+);
+
+impl FlowColumns {
+    /// One entry per slot up to `slots`, new ones empty.
+    pub(crate) fn grow(&mut self, slots: usize) {
+        self.class.resize(slots, STOPPED);
+        self.rate.resize(slots, 0.0);
+        self.delivered.resize(slots, 0.0);
+    }
+
+    /// Whether `slot` holds a live flow.
+    pub(crate) fn live(&self, slot: usize) -> bool {
+        self.class.get(slot).is_some_and(|c| *c != STOPPED)
+    }
+}
 
 /// Summary handed to applications in flow notifications.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,10 +185,7 @@ mod tests {
             cap: None,
             tag: 5,
             started_at: Timestamp::ZERO,
-            rate: 0.0,
             path: None,
-            class: None,
-            delivered: 0.0,
         };
         let info = f.info();
         assert_eq!(info.id, FlowId(3));

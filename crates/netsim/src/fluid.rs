@@ -19,12 +19,13 @@
 //!   full recompute, one flow at a time, allocating fresh buffers per
 //!   call. Retained as the reference the allocator below is tested
 //!   against (bit-for-bit, not just within a tolerance).
-//! * [`Allocator`] — the version the simulator uses: buffers persist
-//!   across calls, every call fills, and the fill works on *classes* —
-//!   the flows that cross the same links under the same cap — because
-//!   a crowd is thousands of flows over a handful of forwarding
-//!   decisions (36 000 sessions over 7 paths and at most 10 classes on
-//!   the ledger's `dataplane_churn`).
+//! * The class fill (`ClassFill`) — the version the simulator uses,
+//!   and the one [`Allocator`] runs for a caller that names links by
+//!   key: buffers persist across calls, every call fills, and the fill
+//!   works on *classes* — the flows that cross the same links under
+//!   the same cap — because a crowd is thousands of flows over a
+//!   handful of forwarding decisions (36 000 sessions over 7 paths and
+//!   at most 10 classes on the ledger's `dataplane_churn`).
 //!
 //! # Interning
 //!
@@ -33,11 +34,14 @@
 //! list of link positions an id, a `ClassTable` each distinct (path
 //! id, cap bits). The simulator finds a flow's class where it resolves
 //! the flow's path and where the flow's cap changes — a few dozen
-//! flows a settle — and keeps the id with the flow. A settle then
-//! hands over one class id per routed flow: it probes no map and
-//! searches no class, and the members of each class are counted in the
-//! same pass. The fill touches only the classes that have members, so
-//! a table that grows over a run costs nothing per settle.
+//! flows a settle — and keeps the id in a dense per-flow column, with
+//! `UNROUTED` for a flow without a usable path. It counts each
+//! class's members (`Members`) where a flow gains or loses a class, so
+//! a settle stages nothing per flow: the fill starts from the member
+//! counts, reads the column only to find a forced freeze's flow, and
+//! one pass after it writes every flow's rate and sums the link loads
+//! in flow order. The fill touches only the classes that have members,
+//! so a table that grows over a run costs nothing per settle.
 //!
 //! # Why classes give the reference's bits
 //!
@@ -79,8 +83,8 @@
 //! all, the forced freeze is chosen by walking the flows in order, and
 //! loads are summed in flow order. The caps and residuals a round
 //! compares are `min`s, which do not care in which order the classes
-//! are visited either (the fill visits them in first appearance in the
-//! input, as it always has).
+//! are visited either — so the fill visits them in whatever order the
+//! member counts list them, which is not the order of the input.
 //!
 //! What is still *not* done, for the reason it never was: refilling
 //! only the connected component a change touched. Progressive filling
@@ -308,6 +312,15 @@ impl PathTable {
     }
 }
 
+/// The class id of a flow without a usable path: it is in no class,
+/// gets a rate of 0.0 and loads no link. Above every id a
+/// [`ClassTable`] hands out.
+pub(crate) const UNROUTED: u32 = u32::MAX - 1;
+
+/// The class id of a slot that holds no live flow, in the simulator's
+/// per-slot column. A fill never sees it.
+pub(crate) const STOPPED: u32 = u32::MAX;
+
 /// (path id, cap) pairs interned by content, as [`PathTable`] interns
 /// paths: the flows that cross the same links under the same cap bits
 /// always get the same id, and an id never changes its meaning. These
@@ -338,7 +351,10 @@ impl ClassTable {
         if let Some((_, id)) = on_path.iter().find(|(c, _)| same_bits(*c, cap)) {
             return *id;
         }
-        let id = u32::try_from(self.classes.len()).expect("fewer than 2^32 classes");
+        let id = u32::try_from(self.classes.len())
+            .ok()
+            .filter(|id| *id < UNROUTED)
+            .expect("fewer classes than the sentinel ids");
         self.classes.push((path, cap));
         on_path.push((cap, id));
         id
@@ -355,71 +371,86 @@ impl ClassTable {
     }
 }
 
-/// One input's routed flows as class ids, and how many flows each
-/// class has: counted as the ids are read, so the fill never walks the
-/// flows to find its classes.
+/// How many flows each class has, and which classes have any: what a
+/// fill starts from. The simulator keeps one up to date where a flow
+/// gains or loses a class (start, stop, resolve, cap change), so a
+/// settle counts nothing per flow; the keyed entry counts each call's
+/// input into one of its own.
 #[derive(Debug, Default)]
-struct FlowClasses {
-    /// Per routed flow, in the caller's order: its class id.
-    ids: Vec<u32>,
-    /// Per class id: the flows of `ids` in it (zero for a class not in
-    /// `used`).
-    members: Vec<usize>,
-    /// The classes with members, in order of first appearance.
+pub(crate) struct Members {
+    /// Per class id: its flows (0 for a class not in `used`).
+    count: Vec<usize>,
+    /// The classes with members, in no order the fill depends on
+    /// (module docs).
     used: Vec<u32>,
+    /// Per class id in `used`: its position there.
+    at: Vec<u32>,
 }
 
-impl FlowClasses {
-    /// Read an input's class ids, in flow order.
-    fn read(&mut self, flows: impl Iterator<Item = u32>) {
-        let FlowClasses { ids, members, used } = self;
-        for c in used.drain(..) {
-            members[c as usize] = 0;
+impl Members {
+    /// One more flow in class `c`.
+    pub(crate) fn join(&mut self, c: u32) {
+        let i = c as usize;
+        if self.count.len() <= i {
+            self.count.resize(i + 1, 0);
+            self.at.resize(i + 1, 0);
         }
-        ids.clear();
-        ids.extend(flows.inspect(|&c| {
-            let at = c as usize;
-            if members.len() <= at {
-                members.resize(at + 1, 0);
+        if self.count[i] == 0 {
+            self.at[i] = self.used.len() as u32;
+            self.used.push(c);
+        }
+        self.count[i] += 1;
+    }
+
+    /// One flow fewer in class `c`, which has one.
+    pub(crate) fn leave(&mut self, c: u32) {
+        let i = c as usize;
+        self.count[i] -= 1;
+        if self.count[i] == 0 {
+            let at = self.at[i] as usize;
+            self.used.swap_remove(at);
+            if let Some(&moved) = self.used.get(at) {
+                self.at[moved as usize] = at as u32;
             }
-            if members[at] == 0 {
-                used.push(c);
-            }
-            members[at] += 1;
-        }));
+        }
+    }
+
+    /// No flow in any class.
+    fn clear(&mut self) {
+        for c in self.used.drain(..) {
+            self.count[c as usize] = 0;
+        }
+    }
+
+    /// The flows in class `c`.
+    pub(crate) fn count(&self, c: u32) -> usize {
+        self.count.get(c as usize).copied().unwrap_or(0)
+    }
+
+    /// How many classes have members.
+    pub(crate) fn classes(&self) -> usize {
+        self.used.len()
     }
 }
 
-/// The simulator's reusable max-min allocator (see module docs).
+/// The max-min allocator over classes (see module docs), with its
+/// buffers kept across calls: every call hands over the full current
+/// input — the link universe (each link's capacity, present iff the
+/// link is up) and the flows with their class ids and each class's
+/// member count — and runs progressive filling over the input's
+/// classes. Output is bit-identical to [`max_min_allocation`] on the
+/// same input.
 ///
-/// Every call hands over the full current input — the link universe
-/// (each link's capacity, present iff the link is up) and the routed
-/// flows — and runs progressive filling over the input's classes.
-/// Output is bit-identical to [`max_min_allocation`] on the same input.
-///
-/// There are two ways in and one fill behind them:
-/// `allocate_classes` for a caller that names links by their position
-/// in a fixed universe and each flow by its interned class id (the
-/// simulator), and [`Allocator::allocate`] for a caller that names
-/// links by key, which translates keys to positions and interns each
-/// flow's list and class in tables of its own.
+/// The simulator drives it directly: it names links by their position
+/// in a fixed universe, keeps each flow's interned class id and counts
+/// each class's members itself. [`Allocator`] drives it for a caller
+/// that names links by key.
 #[derive(Debug, Default)]
-pub struct Allocator<K: Ord + Clone> {
-    // --- the keyed entry point's translation (unused by the simulator) ---
-    keys: Vec<K>,
-    index: BTreeMap<K, u32>,
-    key_paths: PathTable,
-    key_classes: ClassTable,
-    key_links: Vec<u32>,
-    // --- the last call's input ---
+pub(crate) struct ClassFill {
     /// Per link of the universe: its capacity iff it is up.
     caps: Vec<Option<f64>>,
-    /// Its routed flows.
-    flows: FlowClasses,
-    // --- its output ---
-    rates: Vec<f64>,
+    /// Per link: its load, as the last spread summed it.
     loads: Vec<f64>,
-    // --- scratch for the fill ---
     residual: Vec<f64>,
     /// Per link: unfrozen flows crossing it.
     link_active: Vec<usize>,
@@ -427,10 +458,33 @@ pub struct Allocator<K: Ord + Clone> {
     /// members not yet frozen, and the rate the class froze at.
     unfrozen: Vec<usize>,
     class_rate: Vec<f64>,
-    /// Flows frozen alone, ahead of their class, with their rate.
+    /// Flows frozen alone, ahead of their class, with their rate: by
+    /// position in the caller's order, ascending.
     forced: Vec<(usize, f64)>,
     active_classes: Vec<u32>,
     active_links: Vec<usize>,
+}
+
+/// The max-min allocator for a caller that names links by key: it
+/// translates keys to positions, interns each flow's list and class in
+/// tables of its own, counts each class's members, and runs the fill
+/// the simulator runs. Output is bit-identical to
+/// [`max_min_allocation`] on the same input.
+#[derive(Debug, Default)]
+pub struct Allocator<K: Ord + Clone> {
+    keys: Vec<K>,
+    index: BTreeMap<K, u32>,
+    paths: PathTable,
+    classes: ClassTable,
+    /// Scratch: one flow's links as positions.
+    links: Vec<u32>,
+    /// The last call's flows as class ids, in its order, and their
+    /// classes' member counts.
+    ids: Vec<u32>,
+    members: Members,
+    /// The last call's per-flow rates.
+    rates: Vec<f64>,
+    fill: ClassFill,
 }
 
 /// Subtract `delta` `times` times from the residual of each of the
@@ -458,20 +512,13 @@ impl<K: Ord + Clone> Allocator<K> {
         Allocator {
             keys: Vec::new(),
             index: BTreeMap::new(),
-            key_paths: PathTable::default(),
-            key_classes: ClassTable::default(),
-            key_links: Vec::new(),
-            caps: Vec::new(),
-            flows: FlowClasses::default(),
+            paths: PathTable::default(),
+            classes: ClassTable::default(),
+            links: Vec::new(),
+            ids: Vec::new(),
+            members: Members::default(),
             rates: Vec::new(),
-            loads: Vec::new(),
-            residual: Vec::new(),
-            link_active: Vec::new(),
-            unfrozen: Vec::new(),
-            class_rate: Vec::new(),
-            forced: Vec::new(),
-            active_classes: Vec::new(),
-            active_links: Vec::new(),
+            fill: ClassFill::default(),
         }
     }
 
@@ -497,54 +544,35 @@ impl<K: Ord + Clone> Allocator<K> {
                 .map(|(i, k)| (k.clone(), i))
                 .collect();
         }
-        self.caps.clear();
-        self.caps.extend(capacities.values().map(|c| Some(*c)));
-        let (index, positions) = (&self.index, &mut self.key_links);
-        let (paths, classes) = (&mut self.key_paths, &mut self.key_classes);
-        self.flows.read(flows.into_iter().map(|(links, cap)| {
+        let Allocator {
+            index,
+            paths,
+            classes,
+            links: positions,
+            ids,
+            members,
+            rates,
+            fill,
+            ..
+        } = self;
+        ids.clear();
+        members.clear();
+        for (links, cap) in flows {
             positions.clear();
             positions.extend(
                 links
                     .iter()
                     .map(|k| *index.get(k).expect("flow references unknown link key")),
             );
-            classes.intern(paths.intern(positions), cap)
-        }));
-        // The tables are lent to the fill, which borrows the rest.
-        let (paths, classes) = (
-            std::mem::take(&mut self.key_paths),
-            std::mem::take(&mut self.key_classes),
-        );
-        self.fill(&paths, &classes);
-        (self.key_paths, self.key_classes) = (paths, classes);
-    }
-
-    /// Compute the max-min allocation over links named by position:
-    /// `links` yields the whole universe in a fixed order, one entry
-    /// per link, its capacity iff the link is up; `flows` yields each
-    /// routed flow's class id in `classes`, whose path ids name links
-    /// of `paths` (positions in that order, up links only), in a stable
-    /// order. Rates come back via [`Allocator::rates`], loads via
-    /// [`Allocator::loads`].
-    pub(crate) fn allocate_classes<L, I>(
-        &mut self,
-        paths: &PathTable,
-        classes: &ClassTable,
-        links: L,
-        flows: I,
-    ) where
-        L: IntoIterator<Item = Option<f64>>,
-        I: IntoIterator<Item = u32>,
-    {
-        self.caps.clear();
-        self.caps.extend(links);
-        self.flows.read(flows.into_iter());
-        self.fill(paths, classes);
-    }
-
-    /// How many classes the last call's flows fell into.
-    pub(crate) fn classes(&self) -> usize {
-        self.flows.used.len()
+            let c = classes.intern(paths.intern(positions), cap);
+            members.join(c);
+            ids.push(c);
+        }
+        let up = capacities.values().map(|c| Some(*c));
+        fill.allocate(paths, classes, up, members, ids.len(), |i| ids[i]);
+        rates.clear();
+        let flows = ids.iter().map(|c| ((), *c));
+        fill.spread(paths, classes, flows, |(), rate| rates.push(rate));
     }
 
     /// Per-flow rates of the last call, in the caller's flow order.
@@ -552,20 +580,21 @@ impl<K: Ord + Clone> Allocator<K> {
         &self.rates
     }
 
-    /// Per-link loads after the last call, in universe order (0.0 on a
-    /// down link).
+    /// Per-link loads after the last call, in universe order.
     pub fn loads(&self) -> &[f64] {
-        &self.loads
+        self.fill.loads()
     }
 
     /// Load of one link after the last call (0.0 for unknown keys).
     pub fn load(&self, key: &K) -> f64 {
         self.index
             .get(key)
-            .map(|i| self.loads[*i as usize])
+            .map(|i| self.fill.loads()[*i as usize])
             .unwrap_or(0.0)
     }
+}
 
+impl ClassFill {
     /// Take `n` flows of class `c` out of the filling: they stop
     /// counting on every link the class crosses.
     fn retire(&mut self, links: &[u32], c: u32, n: usize) {
@@ -580,11 +609,29 @@ impl<K: Ord + Clone> Allocator<K> {
     /// bit in the tests): one water level, each link's residual
     /// lowered by the round's `delta` once per unfrozen flow crossing
     /// it, classes frozen whole — and, when nothing froze, the
-    /// lowest-index unfrozen flow frozen alone. Only the input's
-    /// classes are touched, however many the table holds.
-    fn fill(&mut self, paths: &PathTable, classes: &ClassTable) {
+    /// lowest-position unfrozen flow frozen alone. Only the classes
+    /// `members` lists are touched, however many the table holds.
+    ///
+    /// `links` yields the whole universe in a fixed order, one entry
+    /// per link, its capacity iff the link is up; `members` counts the
+    /// flows of each class of `classes`, whose path ids name links of
+    /// `paths` (positions in that order, up links only); `class_at(i)`
+    /// is the class id of the flow at position `i` of the caller's `n`,
+    /// in a stable order, or [`UNROUTED`]. [`ClassFill::spread`],
+    /// handed the same flows in the same order, gives out the rates and
+    /// sums the loads.
+    pub(crate) fn allocate(
+        &mut self,
+        paths: &PathTable,
+        classes: &ClassTable,
+        links: impl IntoIterator<Item = Option<f64>>,
+        members: &Members,
+        n: usize,
+        class_at: impl Fn(usize) -> u32,
+    ) {
+        self.caps.clear();
+        self.caps.extend(links);
         let nl = self.caps.len();
-        let nf = self.flows.ids.len();
         // A down link carries nothing: no flow crosses it, so it never
         // becomes active and its residual is never read.
         self.residual.clear();
@@ -593,12 +640,14 @@ impl<K: Ord + Clone> Allocator<K> {
         self.link_active.clear();
         self.link_active.resize(nl, 0);
         // Stale entries of classes not in this input are never read.
-        self.unfrozen.resize(self.flows.members.len(), 0);
-        self.class_rate.resize(self.flows.members.len(), 0.0);
-        for &c in &self.flows.used {
+        self.unfrozen.resize(members.count.len(), 0);
+        self.class_rate.resize(members.count.len(), 0.0);
+        let mut nf = 0;
+        for &c in &members.used {
             let (path, cap) = classes.get(c);
             let links = paths.links(path);
-            let members = self.flows.members[c as usize];
+            let count = members.count[c as usize];
+            nf += count;
             debug_assert!(
                 links.iter().all(|l| self.caps[*l as usize].is_some()),
                 "flow crosses a down link"
@@ -607,22 +656,18 @@ impl<K: Ord + Clone> Allocator<K> {
             // cap, and fixed from the start.
             let (unfrozen, rate) = match links {
                 [] => (0, cap.unwrap_or(0.0)),
-                _ => (members, 0.0),
+                _ => (count, 0.0),
             };
             self.unfrozen[c as usize] = unfrozen;
             self.class_rate[c as usize] = rate;
             for l in links {
-                self.link_active[*l as usize] += members;
+                self.link_active[*l as usize] += count;
             }
         }
         let unfrozen = &self.unfrozen;
         self.active_classes.clear();
-        self.active_classes.extend(
-            self.flows
-                .used
-                .iter()
-                .filter(|c| unfrozen[**c as usize] > 0),
-        );
+        self.active_classes
+            .extend(members.used.iter().filter(|c| unfrozen[**c as usize] > 0));
         self.active_links.clear();
         self.active_links
             .extend((0..nl).filter(|l| self.link_active[*l] > 0));
@@ -632,7 +677,7 @@ impl<K: Ord + Clone> Allocator<K> {
         // the same order: one number.
         let mut level = 0.0f64;
         // Flows before the cursor are frozen, with their class or
-        // alone.
+        // alone (or unrouted).
         let mut cursor = 0usize;
         let mut guard = 0usize;
         while !self.active_classes.is_empty() {
@@ -706,12 +751,15 @@ impl<K: Ord + Clone> Allocator<K> {
                 // alone — which splits its class. With thousands of
                 // flows on a 4e8 B/s link this is traffic, not a
                 // corner.
-                let ids = &self.flows.ids;
-                let i = (cursor..nf)
-                    .find(|i| self.unfrozen[ids[*i] as usize] > 0)
+                let unfrozen = &self.unfrozen;
+                let i = (cursor..n)
+                    .find(|i| {
+                        let c = class_at(*i);
+                        c < UNROUTED && unfrozen[c as usize] > 0
+                    })
                     .expect("an active class has an unfrozen member past the cursor");
                 self.forced.push((i, level));
-                let c = ids[i];
+                let c = class_at(i);
                 self.retire(paths.links(classes.path(c)), c, 1);
                 cursor = i + 1;
             }
@@ -725,23 +773,47 @@ impl<K: Ord + Clone> Allocator<K> {
         for &c in &self.active_classes {
             self.class_rate[c as usize] = level;
         }
+    }
 
-        self.rates.clear();
-        self.rates
-            .extend(self.flows.ids.iter().map(|c| self.class_rate[*c as usize]));
-        for &(i, rate) in &self.forced {
-            self.rates[i] = rate;
-        }
-        // Link loads, in the reference's flow-major accumulation
-        // order: a sum of unequal rates is the one thing here whose
-        // bits depend on the order, so this pass stays per flow.
+    /// The last fill's outcome, in one pass over its flows: `flows`
+    /// yields each of them in the order [`ClassFill::allocate`] was
+    /// given them, as a handle of the caller's and a class id; `put`
+    /// receives each handle with its rate — its class's, its own if it
+    /// was frozen alone, 0.0 if [`UNROUTED`] — and the link loads come
+    /// back via [`ClassFill::loads`], summed in that order: a sum of
+    /// unequal rates is the one thing here whose bits depend on the
+    /// order, so this pass stays per flow.
+    pub(crate) fn spread<T>(
+        &mut self,
+        paths: &PathTable,
+        classes: &ClassTable,
+        flows: impl IntoIterator<Item = (T, u32)>,
+        mut put: impl FnMut(T, f64),
+    ) {
         self.loads.clear();
-        self.loads.resize(nl, 0.0);
-        for (c, rate) in self.flows.ids.iter().zip(&self.rates) {
-            for l in paths.links(classes.path(*c)) {
+        self.loads.resize(self.caps.len(), 0.0);
+        let mut forced = self.forced.iter().peekable();
+        for (i, (flow, c)) in flows.into_iter().enumerate() {
+            if c >= UNROUTED {
+                put(flow, 0.0);
+                continue;
+            }
+            let rate = match forced.next_if(|(at, _)| *at == i) {
+                Some(&(_, rate)) => rate,
+                None => self.class_rate[c as usize],
+            };
+            put(flow, rate);
+            for l in paths.links(classes.path(c)) {
                 self.loads[*l as usize] += rate;
             }
         }
+        debug_assert!(forced.next().is_none(), "the flows the fill was given");
+    }
+
+    /// Per-link loads after the last spread, in universe order (0.0 on
+    /// a down link).
+    pub(crate) fn loads(&self) -> &[f64] {
+        &self.loads
     }
 }
 
@@ -937,7 +1009,7 @@ mod tests {
         sim.settle(&universe, &positions);
         for (i, want) in ref_rates.iter().enumerate() {
             assert_eq!(keyed.rates()[i].to_bits(), want.to_bits(), "flow {i}");
-            assert_eq!(sim.alloc.rates()[i].to_bits(), want.to_bits(), "flow {i}");
+            assert_eq!(sim.rates[i].to_bits(), want.to_bits(), "flow {i}");
         }
         for (l, want) in &ref_loads {
             assert_eq!(keyed.load(l).to_bits(), want.to_bits(), "link {l}");
@@ -949,30 +1021,84 @@ mod tests {
     /// named by position in a fixed universe, a capacity present iff
     /// the link is up, each flow an id of the class table the
     /// simulator keeps, over the path table it keeps (both interned
-    /// here where `reallocate` resolves).
+    /// here where `reallocate` resolves), or [`UNROUTED`] for a flow
+    /// that crosses a down link; the member counts kept as flows leave
+    /// and join classes, and the rates handed out by one pass over the
+    /// flows after the fill.
     struct SimEntry {
-        alloc: Allocator<usize>,
+        alloc: ClassFill,
         paths: PathTable,
         classes: ClassTable,
+        members: Members,
+        /// Per flow of the last call: its class id.
+        ids: Vec<u32>,
+        /// Per flow of the last call: its rate.
+        rates: Vec<f64>,
     }
 
     impl SimEntry {
         fn new() -> SimEntry {
             SimEntry {
-                alloc: Allocator::new(),
+                alloc: ClassFill::default(),
                 paths: PathTable::default(),
                 classes: ClassTable::default(),
+                members: Members::default(),
+                ids: Vec::new(),
+                rates: Vec::new(),
             }
         }
 
+        /// Every flow of `flows`, routed iff each of its links is up:
+        /// the last call's flows leave their classes and these join
+        /// theirs, so the counts go through the same joins and leaves
+        /// as the simulator's.
         fn settle(&mut self, universe: &[Option<f64>], flows: &[(Vec<u32>, Option<f64>)]) {
-            let ids: Vec<u32> = flows
-                .iter()
-                .map(|(l, c)| self.classes.intern(self.paths.intern(l), *c))
-                .collect();
-            let universe = universe.iter().copied();
-            self.alloc
-                .allocate_classes(&self.paths, &self.classes, universe, ids);
+            for c in self.ids.drain(..) {
+                if c < UNROUTED {
+                    self.members.leave(c);
+                }
+            }
+            for (links, cap) in flows {
+                let c = if links.iter().all(|l| universe[*l as usize].is_some()) {
+                    let c = self.classes.intern(self.paths.intern(links), *cap);
+                    self.members.join(c);
+                    c
+                } else {
+                    UNROUTED
+                };
+                self.ids.push(c);
+            }
+            let ids = &self.ids;
+            self.alloc.allocate(
+                &self.paths,
+                &self.classes,
+                universe.iter().copied(),
+                &self.members,
+                ids.len(),
+                |i| ids[i],
+            );
+            let rates = &mut self.rates;
+            rates.clear();
+            self.alloc.spread(
+                &self.paths,
+                &self.classes,
+                ids.iter().map(|c| ((), *c)),
+                |(), rate| rates.push(rate),
+            );
+        }
+
+        /// The last call's rates of its routed flows, in its order:
+        /// what the reference is given. Every unrouted flow's is 0.0.
+        fn routed_rates(&self) -> Vec<f64> {
+            let mut routed = Vec::new();
+            for (c, rate) in self.ids.iter().zip(&self.rates) {
+                if *c < UNROUTED {
+                    routed.push(*rate);
+                } else {
+                    assert_eq!(rate.to_bits(), 0.0f64.to_bits(), "an unrouted flow's rate");
+                }
+            }
+            routed
         }
     }
 
@@ -997,7 +1123,10 @@ mod tests {
     /// (125 000 B/s to 1 B/s and back, on the paths they have) and
     /// return to an earlier input, against [`max_min_keyed`] on the up
     /// links: every rate and every load bit for bit, from the
-    /// simulator's entry and the keyed one.
+    /// simulator's entry and the keyed one. The simulator's entry is
+    /// handed the flows over down links too, as unrouted ones among the
+    /// rest, as the simulator hands them: they must get 0.0 and move
+    /// no other flow's forced freeze.
     ///
     /// At these sizes the reference's "numerical corner" is traffic:
     /// thousands of subtractions from 4e8 leave more than the 1e-9 a
@@ -1009,6 +1138,7 @@ mod tests {
     fn simulator_entry_is_the_keyed_reference_bit_for_bit_on_crowd_shaped_inputs() {
         const CASES: u64 = 300;
         let mut split_twins = 0usize; // inputs where equal (links, cap) got unequal rates
+        let mut unrouted = 0usize; // flows the simulator's entry was given as unrouted
         let mut calls = 0usize;
         let mut widest = 0usize;
         let mut empty_paths = 0usize;
@@ -1116,11 +1246,14 @@ mod tests {
                 if saved.is_none() || below(st, 6) == 0 {
                     saved = Some((flows.clone(), caps.clone(), up.clone()));
                 }
-                // A flow that would cross a down link is not routed.
-                let routed: Vec<(Vec<u32>, Option<f64>)> = flows
+                // A flow that would cross a down link is not routed:
+                // the simulator's entry is given it, the others are not.
+                let all: Vec<(Vec<u32>, Option<f64>)> =
+                    flows.iter().map(|(p, c)| (paths[*p].clone(), *c)).collect();
+                let routed: Vec<(Vec<u32>, Option<f64>)> = all
                     .iter()
-                    .filter(|(p, _)| paths[*p].iter().all(|l| up[*l as usize]))
-                    .map(|(p, c)| (paths[*p].clone(), *c))
+                    .filter(|(l, _)| l.iter().all(|l| up[*l as usize]))
+                    .cloned()
                     .collect();
                 let universe: Vec<Option<f64>> =
                     (0..nl).map(|l| up[l].then_some(caps[l])).collect();
@@ -1143,14 +1276,16 @@ mod tests {
                 returns += usize::from(restored && moved);
                 last = Some(input);
 
-                sim.settle(&universe, &routed);
+                sim.settle(&universe, &all);
                 keyed.allocate(&up_caps, by_key.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &by_key);
 
                 let at = format!("case {case}, call {step}");
-                assert_eq!(sim.alloc.rates().len(), ref_rates.len(), "{at}");
+                let sim_rates = sim.routed_rates();
+                assert_eq!(sim_rates.len(), ref_rates.len(), "{at}");
+                unrouted += all.len() - routed.len();
                 for (i, want) in ref_rates.iter().enumerate() {
-                    let got = sim.alloc.rates()[i];
+                    let got = sim_rates[i];
                     assert_eq!(got.to_bits(), want.to_bits(), "{at}: rate of flow {i}");
                     assert_eq!(keyed.rates()[i].to_bits(), want.to_bits(), "{at}: flow {i}");
                 }
@@ -1188,6 +1323,7 @@ mod tests {
             "the forced freeze of a single flow ran on {split_twins} inputs"
         );
         assert!(pauses >= 100, "{pauses} calls after a pause or resume");
+        assert!(unrouted >= 50_000, "{unrouted} unrouted flows handed over");
         assert!(returns >= 100, "{returns} calls back at an earlier input");
     }
 
@@ -1248,13 +1384,14 @@ mod tests {
                         })
                         .collect();
                 }
-                // A flow that would cross a down link is not routed.
+                // A flow that would cross a down link is not routed:
+                // the simulator's entry is given it, the others are not.
                 let routed: Vec<(Vec<usize>, Option<f64>)> = flows
                     .iter()
                     .filter(|(links, _)| links.iter().all(|l| up[*l]))
                     .cloned()
                     .collect();
-                let positions: Vec<(Vec<u32>, Option<f64>)> = routed
+                let positions: Vec<(Vec<u32>, Option<f64>)> = flows
                     .iter()
                     .map(|(links, c)| (links.iter().map(|l| *l as u32).collect(), *c))
                     .collect();
@@ -1265,13 +1402,14 @@ mod tests {
 
                 sim.settle(&universe, &positions);
                 let indexed = &sim.alloc;
+                let sim_rates = sim.routed_rates();
                 keyed.allocate(&up_caps, routed.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &routed);
 
-                prop_assert_eq!(indexed.rates().len(), ref_rates.len());
+                prop_assert_eq!(sim_rates.len(), ref_rates.len());
                 prop_assert_eq!(keyed.rates().len(), ref_rates.len());
                 for (i, want) in ref_rates.iter().enumerate() {
-                    prop_assert_eq!(indexed.rates()[i].to_bits(), want.to_bits());
+                    prop_assert_eq!(sim_rates[i].to_bits(), want.to_bits());
                     prop_assert_eq!(keyed.rates()[i].to_bits(), want.to_bits());
                 }
                 for l in 0..nl {

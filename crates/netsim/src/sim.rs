@@ -42,8 +42,8 @@ use crate::dirty::{DirtySet, FlowIndex};
 use crate::ecmp::FlowKey;
 use crate::events::Event;
 use crate::fib::{resolve_path, Fib};
-use crate::flow::{Flow, FlowId, FlowInfo, FlowSpec};
-use crate::fluid::{Allocator, ClassTable, PathTable};
+use crate::flow::{Flow, FlowColumns, FlowId, FlowInfo, FlowSpec};
+use crate::fluid::{ClassFill, ClassTable, Members, PathTable, STOPPED, UNROUTED};
 use crate::handler::{AppEvent, EventHandler};
 use crate::link::{LinkKey, LinkSpec, LinkState};
 use crate::trace::Recorder;
@@ -270,6 +270,9 @@ pub(crate) struct Core {
     // Flow arena indexed by `FlowId.0` (ids are dense, counter-issued):
     // one slot per flow ever started, empty once it stops.
     pub(crate) flow_recs: Vec<Option<Flow>>,
+    /// Each slot's class, rate and delivered bytes, indexed like
+    /// `flow_recs`: what the hot passes read instead of a record.
+    pub(crate) hot: FlowColumns,
     /// The occupied slots of `flow_recs`, ascending — what every walk
     /// over the live flows iterates, so its cost follows concurrency
     /// and not history. A deque, because flows mostly start at its
@@ -277,7 +280,9 @@ pub(crate) struct Core {
     /// side.
     pub(crate) live: VecDeque<usize>,
     /// Live flows currently without a usable path (incremental form of
-    /// the per-batch stranded scan; feeds `unroutable_flow_secs`).
+    /// the per-batch stranded scan; feeds `unroutable_flow_secs`): the
+    /// [`UNROUTED`] entries of the class column, counted where it is
+    /// written.
     stranded: usize,
     pub(crate) flow_index: FlowIndex,
     /// Every distinct routed path resolved so far, as link arena
@@ -286,10 +291,12 @@ pub(crate) struct Core {
     pub(crate) paths: PathTable,
     /// Every distinct (path id, cap) a routed flow has had: interned
     /// where `reallocate` resolves a flow and where its cap changes,
-    /// named by `Flow::class`, staged by the allocator as it is. It
-    /// only grows (see [`ClassTable`]).
+    /// named by the class column. It only grows (see [`ClassTable`]).
     pub(crate) classes: ClassTable,
-    pub(crate) alloc: Allocator<LinkKey>,
+    /// How many live flows each class has, counted where the class
+    /// column is written: what a fill starts from.
+    pub(crate) members: Members,
+    pub(crate) alloc: ClassFill,
     pub(crate) next_flow_id: u64,
     last_accrue: Timestamp,
     pub(crate) dirty: DirtySet,
@@ -340,12 +347,14 @@ impl Core {
             iface_links: Vec::new(),
             prefix_owners: Vec::new(),
             flow_recs: Vec::new(),
+            hot: FlowColumns::default(),
             live: VecDeque::new(),
             stranded: 0,
             flow_index: FlowIndex::new(),
             paths: PathTable::default(),
             classes: ClassTable::default(),
-            alloc: Allocator::new(),
+            members: Members::default(),
+            alloc: ClassFill::default(),
             next_flow_id: 0,
             last_accrue: Timestamp::ZERO,
             dirty: DirtySet::new(),
@@ -363,11 +372,36 @@ impl Core {
         self.flow_recs.get(id.0 as usize).and_then(|o| o.as_ref())
     }
 
+    /// A live flow's class id (`None` while unroutable).
+    #[cfg(test)]
+    pub(crate) fn class(&self, id: FlowId) -> Option<u32> {
+        let slot = id.0 as usize;
+        assert!(self.hot.live(slot), "{id} is live");
+        Some(self.hot.class[slot]).filter(|c| *c != UNROUTED)
+    }
+
     /// The path id of a live flow's class (`None` while unroutable).
     #[cfg(test)]
     pub(crate) fn path_id(&self, id: FlowId) -> Option<u32> {
-        let class = self.flow(id).expect("live").class;
-        class.map(|c| self.classes.path(c))
+        self.class(id).map(|c| self.classes.path(c))
+    }
+
+    /// Move the flow in `slot` to `class` — or to [`UNROUTED`], or out
+    /// of the arena with [`STOPPED`] — and keep in step what counts
+    /// the column: each class's members and the stranded flows. Every
+    /// write of the class column goes through here.
+    fn set_class(&mut self, slot: usize, class: u32) {
+        let old = std::mem::replace(&mut self.hot.class[slot], class);
+        match old {
+            STOPPED => {}
+            UNROUTED => self.stranded -= 1,
+            c => self.members.leave(c),
+        }
+        match class {
+            STOPPED => {}
+            UNROUTED => self.stranded += 1,
+            c => self.members.join(c),
+        }
     }
 
     /// All live flows in id order.
@@ -526,10 +560,12 @@ impl Core {
             }
         }
         // Flow deliveries.
+        let FlowColumns {
+            rate, delivered, ..
+        } = &mut self.hot;
         for &slot in &self.live {
-            let f = live_flow_mut(&mut self.flow_recs, slot);
-            if f.rate > 0.0 {
-                f.delivered += f.rate * dt;
+            if rate[slot] > 0.0 {
+                delivered[slot] += rate[slot] * dt;
             }
         }
         self.stats.unroutable_flow_secs += self.stranded as f64 * dt;
@@ -635,26 +671,21 @@ impl Core {
             cap: spec.cap,
             tag: spec.tag,
             started_at: self.now,
-            rate: 0.0,
             path: None,
-            class: None,
-            delivered: 0.0,
         };
         let info = flow.info();
         let slot = id.0 as usize;
         if self.flow_recs.len() <= slot {
             self.flow_recs.resize_with(slot + 1, || None);
+            self.hot.grow(slot + 1);
         }
         match self.flow_recs[slot].replace(flow) {
             Some(old) => {
                 // Same replace-silently semantics as the old map
                 // insert (reachable only by rescheduling a live id):
                 // the slot is listed already, the old flow's index
-                // entry and stranded count go.
+                // entry goes, and its class with `set_class` below.
                 self.flow_index.remove(old.key.dst, id);
-                if old.path.is_none() {
-                    self.stranded -= 1;
-                }
             }
             // Ids are issued at schedule time and start in any order.
             None => {
@@ -662,8 +693,10 @@ impl Core {
                 self.live.insert(at, slot);
             }
         }
+        self.set_class(slot, UNROUTED);
+        self.hot.rate[slot] = 0.0;
+        self.hot.delivered[slot] = 0.0;
         self.flow_index.insert(key.dst, id);
-        self.stranded += 1;
         self.dirty.mark_flow(id);
         self.pending_flow_events.push((true, info));
     }
@@ -677,9 +710,7 @@ impl Core {
             .binary_search(&(id.0 as usize))
             .expect("a live flow is listed");
         self.live.remove(at);
-        if f.path.is_none() {
-            self.stranded -= 1;
-        }
+        self.set_class(id.0 as usize, STOPPED);
         self.flow_index.remove(f.key.dst, id);
         self.dirty.forget_flow(id);
         self.dirty.mark_realloc();
@@ -688,24 +719,22 @@ impl Core {
     }
 
     pub(crate) fn set_flow_cap_inner(&mut self, id: FlowId, cap: Option<f64>) -> bool {
-        match self
-            .flow_recs
-            .get_mut(id.0 as usize)
-            .and_then(|o| o.as_mut())
-        {
-            Some(f) => {
-                if f.cap != cap {
-                    f.cap = cap;
-                    // A cap moves rates, never paths: no re-resolution,
-                    // only the class on the path it has.
-                    let classes = &mut self.classes;
-                    f.class = f.class.map(|c| classes.intern(classes.path(c), cap));
-                    self.dirty.mark_realloc();
-                }
-                true
+        let slot = id.0 as usize;
+        let Some(f) = self.flow_recs.get_mut(slot).and_then(|o| o.as_mut()) else {
+            return false;
+        };
+        if f.cap != cap {
+            f.cap = cap;
+            // A cap moves rates, never paths: no re-resolution, only
+            // the class on the path it has.
+            let class = self.hot.class[slot];
+            if class != UNROUTED {
+                let moved = self.classes.intern(self.classes.path(class), cap);
+                self.set_class(slot, moved);
             }
-            None => false,
+            self.dirty.mark_realloc();
         }
+        true
     }
 
     pub(crate) fn set_link_up(&mut self, a: RouterId, b: RouterId, up: bool) -> bool {
@@ -905,63 +934,68 @@ impl Core {
             if routed.is_none() {
                 self.stats.unroutable += 1;
             }
-            let f = self.flow_recs[id.0 as usize].as_mut().expect("known flow");
-            match (&f.path, &routed) {
-                (None, Some(_)) => self.stranded -= 1,
-                (Some(_), None) => self.stranded += 1,
-                _ => {}
-            }
-            (f.path, f.class) = routed.unzip();
+            let (path, class) = routed.unzip();
+            self.flow_recs[id.0 as usize]
+                .as_mut()
+                .expect("known flow")
+                .path = path;
+            self.set_class(id.0 as usize, class.unwrap_or(UNROUTED));
         }
         self.stats.paths_resolved += resolved;
         self.stats.paths_skipped += self.live.len() as u64 - resolved;
-        self.debug_check_live();
         // The link universe is the arena in creation order, a capacity
-        // present iff the link is up; routed flows hand over their
-        // class id.
+        // present iff the link is up; the fill starts from the member
+        // counts, and reads the class column only where it freezes a
+        // flow alone.
         let Core {
             alloc,
             paths,
             classes,
+            members,
             link_recs,
-            flow_recs,
+            hot,
             live,
             ..
         } = self;
-        alloc.allocate_classes(
+        let FlowColumns { class, rate, .. } = hot;
+        alloc.allocate(
             paths,
             classes,
             link_recs
                 .iter()
                 .map(|r| r.state.up.then_some(r.state.capacity)),
-            live.iter()
-                .filter_map(|&slot| live_flow(flow_recs, slot).class),
+            members,
+            live.len(),
+            |i| class[live[i]],
         );
-        fib_trace::observe("settle.classes", alloc.classes() as u64);
-        let mut next_rate = alloc.rates().iter().copied();
-        for &slot in live.iter() {
-            let f = live_flow_mut(flow_recs, slot);
-            f.rate = if f.class.is_some() {
-                next_rate.next().expect("one rate per routed flow")
-            } else {
-                0.0
-            };
-        }
+        fib_trace::observe("settle.classes", members.classes() as u64);
+        // The one walk over the live flows after the fill: each one's
+        // rate into its column, and into the link loads in flow order.
+        alloc.spread(
+            paths,
+            classes,
+            live.iter().map(|&slot| (slot, class[slot])),
+            |slot, r| rate[slot] = r,
+        );
         for (rec, load) in link_recs.iter_mut().zip(alloc.loads()) {
             rec.state.rate = *load;
         }
+        self.debug_check_live();
         if self.cfg.check_loops {
             self.check_forwarding_loops();
         }
     }
 
-    /// What every walk over `live` and every staging from `class`
-    /// relies on, checked at each settle of a debug build: the list is
-    /// the occupied slots, ascending, every routed flow's class names
+    /// What every walk over `live` and every read of the class column
+    /// relies on, checked at the end of each settle of a debug build:
+    /// the list is the occupied slots, ascending; a slot holds
+    /// [`STOPPED`] iff it holds no flow; every routed flow's class names
     /// exactly its path's links and its cap's bits, and every unrouted
-    /// flow has none.
+    /// flow has [`UNROUTED`] and a rate of 0.0; and the member counts
+    /// and the stranded count are what a recount over the live list
+    /// finds.
     fn debug_check_live(&self) {
-        // The walk below is not free: release builds skip it whole.
+        // The walks below are not free: release builds skip them whole.
         if !cfg!(debug_assertions) {
             return;
         }
@@ -977,26 +1011,57 @@ impl Core {
             self.flow_recs.iter().flatten().count(),
             "live list covers the occupied slots"
         );
-        for f in self.flows() {
-            let kept = f.class.map(|c| self.classes.get(c));
-            let links = kept.map(|(path, _)| {
-                let ixs = self.paths.links(path).iter();
-                ixs.map(|ix| self.link_recs[*ix as usize].state.key)
-                    .collect::<Vec<_>>()
-            });
+        debug_assert_eq!(self.hot.class.len(), self.flow_recs.len());
+        for (slot, rec) in self.flow_recs.iter().enumerate() {
             debug_assert_eq!(
-                links, f.path,
-                "{}: the kept class names the path's links, or neither is there",
-                f.id
+                rec.is_none(),
+                self.hot.class[slot] == STOPPED,
+                "slot {slot}: stopped iff empty"
             );
-            if let Some((_, cap)) = kept {
+        }
+        let mut recount: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut stranded = 0;
+        for f in self.flows() {
+            let slot = f.id.0 as usize;
+            let class = self.hot.class[slot];
+            if class == UNROUTED {
+                stranded += 1;
+                debug_assert_eq!(f.path, None, "{}: unrouted, and has a path", f.id);
                 debug_assert_eq!(
-                    cap.map(f64::to_bits),
-                    f.cap.map(f64::to_bits),
-                    "{}: the kept class names the flow's cap",
+                    self.hot.rate[slot].to_bits(),
+                    0.0f64.to_bits(),
+                    "{}: unrouted, and has a rate",
                     f.id
                 );
+                continue;
             }
+            *recount.entry(class).or_default() += 1;
+            let (path, cap) = self.classes.get(class);
+            let ixs = self.paths.links(path).iter();
+            let links: Vec<LinkKey> = ixs
+                .map(|ix| self.link_recs[*ix as usize].state.key)
+                .collect();
+            debug_assert_eq!(
+                Some(links),
+                f.path,
+                "{}: the kept class names the path's links",
+                f.id
+            );
+            debug_assert_eq!(
+                cap.map(f64::to_bits),
+                f.cap.map(f64::to_bits),
+                "{}: the kept class names the flow's cap",
+                f.id
+            );
+        }
+        debug_assert_eq!(self.stranded, stranded, "stranded flows");
+        debug_assert_eq!(
+            self.members.classes(),
+            recount.len(),
+            "classes with members"
+        );
+        for (class, n) in recount {
+            debug_assert_eq!(self.members.count(class), n, "members of class {class}");
         }
     }
 
@@ -1056,10 +1121,6 @@ fn debug_round_trip(sender: RouterId, datagram: &Datagram, len: usize) {
 /// The flow in a slot the live list names.
 fn live_flow(flow_recs: &[Option<Flow>], slot: usize) -> &Flow {
     flow_recs[slot].as_ref().expect("listed slot is occupied")
-}
-
-fn live_flow_mut(flow_recs: &mut [Option<Flow>], slot: usize) -> &mut Flow {
-    flow_recs[slot].as_mut().expect("listed slot is occupied")
 }
 
 /// Mark the flows a FIB download at `router` can actually reroute:
@@ -1828,7 +1889,8 @@ mod tests {
 
     /// Two starts scheduled under one id: the second replaces the
     /// first in the arena, and every structure derived from it — the
-    /// live list, the prefix index, the stranded count — follows.
+    /// live list, the prefix index, the stranded count, the class
+    /// column and the class's member count — follows.
     #[test]
     fn rescheduling_a_live_flow_id_replaces_it_everywhere() {
         let mut sim = line_sim();
@@ -1841,8 +1903,17 @@ mod tests {
         sim.schedule(Timestamp::from_secs(10), start(1));
         sim.schedule(Timestamp::from_secs(11), start(2));
         sim.start();
+        sim.run_until(Timestamp::from_millis(10_500));
+        let first = sim.core.class(id).expect("routed toward r3");
+        assert_eq!(sim.core.members.count(first), 1);
         sim.run_until(Timestamp::from_secs(12));
 
+        // The replaced flow's class membership went with it.
+        let second = sim.core.class(id).expect("routed toward r2");
+        assert_ne!(first, second);
+        assert_eq!(sim.core.members.count(first), 0, "released");
+        assert_eq!(sim.core.members.count(second), 1);
+        assert_eq!(sim.core.members.classes(), 1);
         assert_eq!(sim.flow_count(), 1);
         assert_eq!(sim.core.live, [id.0 as usize]);
         let flows: Vec<&Flow> = sim.flows().collect();
@@ -1866,6 +1937,10 @@ mod tests {
 
         // Stopping it leaves nothing behind either.
         assert!(sim.ctx().stop_flow(id));
+        assert_eq!(sim.core.members.classes(), 0);
+        assert_eq!(sim.core.hot.class[id.0 as usize], STOPPED);
+        assert_eq!(sim.ctx().flow_rate(id), None);
+        assert_eq!(sim.ctx().flow_delivered(id), None);
         assert_eq!(sim.flow_count(), 0);
         assert!(sim.core.live.is_empty());
         assert_eq!(sim.core.flow_index.affected_by(Prefix::net24(2)).count(), 0);
@@ -1978,7 +2053,7 @@ mod tests {
         assert!(path_id(a).is_some());
         assert_eq!(path_id(a), path_id(b));
         assert_ne!(path_id(c), path_id(a), "r2 enters one link later");
-        assert_ne!(flow(a).class, flow(b).class, "one path, two caps");
+        assert_ne!(sim.core.class(a), sim.core.class(b), "one path, two caps");
         assert_eq!(sim.distinct_paths(), 2);
     }
 
@@ -1996,7 +2071,7 @@ mod tests {
         );
         sim.start();
         sim.run_until(Timestamp::from_secs(12));
-        let class = |sim: &Sim, f: FlowId| sim.core.flow(f).expect("live").class;
+        let class = |sim: &Sim, f: FlowId| sim.core.class(f);
         let playing = class(&sim, a);
         assert!(playing.is_some());
         assert_eq!(class(&sim, b), playing);
@@ -2006,14 +2081,18 @@ mod tests {
         assert!(paused.is_some() && paused != playing);
         assert_eq!(sim.core.path_id(a), sim.core.path_id(b), "same path");
         sim.run_until(Timestamp::from_secs(14));
-        assert_eq!(sim.core.flow(a).expect("live").rate, 1.0);
+        assert_eq!(
+            sim.ctx().flow_rate(a).map(f64::to_bits),
+            Some(1f64.to_bits())
+        );
 
         assert!(sim.ctx().set_flow_cap(a, Some(125_000.0)));
         assert_eq!(class(&sim, a), playing, "back in its class");
         assert!(sim.ctx().set_flow_cap(a, Some(1.0)));
         assert_eq!(class(&sim, a), paused, "nothing new was interned");
         sim.run_until(Timestamp::from_secs(16));
-        assert_eq!(sim.core.flow(b).expect("live").rate, 125_000.0);
+        let rate = sim.ctx().flow_rate(b).map(f64::to_bits);
+        assert_eq!(rate, Some(125_000f64.to_bits()));
     }
 
     #[test]

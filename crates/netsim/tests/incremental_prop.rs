@@ -178,12 +178,14 @@ fn run_and_verify(n: u32, chords: &[(u32, u32, u32)], caps: &[f64], ops: &[Op]) 
     for at_ms in [11_000u64, 14_000, 17_000, 20_000, 26_000] {
         sim.run_until(Timestamp::from_millis(at_ms));
         verify_against_reference(&mut sim);
-        for f in sim.flows() {
+        let flows: Vec<_> = sim.flows().cloned().collect();
+        let ctx = sim.ctx();
+        for f in &flows {
             fingerprint.push_str(&format!(
                 "{}:{}:{:x};",
                 f.id,
                 f.path.as_ref().map(|p| p.len()).unwrap_or(0),
-                f.rate.to_bits()
+                ctx.flow_rate(f.id).expect("live").to_bits()
             ));
         }
         fingerprint.push('|');
@@ -212,6 +214,7 @@ fn verify_against_reference(sim: &mut Sim) {
         .collect();
 
     let flows: Vec<_> = sim.flows().cloned().collect();
+    let ctx = sim.ctx();
     let mut routed: Vec<(Vec<LinkKey>, Option<f64>)> = Vec::new();
     let mut routed_rates: Vec<f64> = Vec::new();
     for f in &flows {
@@ -224,11 +227,17 @@ fn verify_against_reference(sim: &mut Sim) {
             "cached path of {} diverges from full recompute",
             f.id
         );
+        let rate = ctx.flow_rate(f.id).expect("live");
         if let Some(p) = reference {
             routed.push((p, f.cap));
-            routed_rates.push(f.rate);
+            routed_rates.push(rate);
         } else {
-            assert_eq!(f.rate, 0.0, "pathless flow {} has a rate", f.id);
+            assert_eq!(
+                rate.to_bits(),
+                0.0f64.to_bits(),
+                "pathless flow {} has a rate",
+                f.id
+            );
         }
     }
     let (ref_rates, ref_loads) = max_min_keyed(&capacities, &routed);
@@ -240,7 +249,7 @@ fn verify_against_reference(sim: &mut Sim) {
         );
     }
     for (key, want) in &ref_loads {
-        let got = sim.ctx().link_rate(*key).unwrap_or(0.0);
+        let got = ctx.link_rate(*key).unwrap_or(0.0);
         assert_eq!(
             got.to_bits(),
             want.to_bits(),

@@ -622,11 +622,17 @@ mod tests {
             sim.start();
             runs.push((sim, handle));
         }
-        let flows = |sim: &Sim| -> Vec<(FlowId, u64, Option<u64>, u64, u64)> {
-            sim.flows()
-                .map(|f| {
-                    let cap = f.cap.map(f64::to_bits);
-                    (f.id, f.tag, cap, f.rate.to_bits(), f.delivered.to_bits())
+        let flows = |sim: &mut Sim| -> Vec<(FlowId, u64, Option<u64>, u64, u64)> {
+            let live: Vec<(FlowId, u64, Option<u64>)> = sim
+                .flows()
+                .map(|f| (f.id, f.tag, f.cap.map(f64::to_bits)))
+                .collect();
+            let ctx = sim.ctx();
+            live.into_iter()
+                .map(|(id, tag, cap)| {
+                    let rate = ctx.flow_rate(id).expect("live").to_bits();
+                    let delivered = ctx.flow_delivered(id).expect("live").to_bits();
+                    (id, tag, cap, rate, delivered)
                 })
                 .collect()
         };
@@ -637,8 +643,8 @@ mod tests {
             for (sim, _) in &mut runs {
                 sim.run_until(Timestamp::from_millis(100 * tick + 1));
             }
-            let got = flows(&runs[0].0);
-            assert_eq!(got, flows(&runs[1].0), "tick {tick}: flows");
+            let got = flows(&mut runs[0].0);
+            assert_eq!(got, flows(&mut runs[1].0), "tick {tick}: flows");
             drained += got.iter().filter(|f| f.2 == Some(1f64.to_bits())).count();
             stopped += live_before.saturating_sub(got.len());
             busiest = busiest.max(got.len());

@@ -101,12 +101,13 @@ fn two_prefixes_are_steered_independently() {
     );
     assert_eq!(a_green[0].router, R1, "green's natural path is via R1");
     // And green flows deliver at full rate.
-    for f in sim.flows() {
+    let ids: Vec<_> = sim.flows().map(|f| f.id).collect();
+    let ctx = sim.ctx();
+    for id in ids {
+        let rate = ctx.flow_rate(id).expect("live");
         assert!(
-            (f.rate - 125_000.0).abs() < 1.0,
-            "flow {} starved at {}",
-            f.id,
-            f.rate
+            (rate - 125_000.0).abs() < 1.0,
+            "flow {id} starved at {rate}"
         );
     }
 }
