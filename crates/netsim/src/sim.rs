@@ -64,6 +64,9 @@ pub use crate::context::SimContext;
 const SAMPLE_INTERVAL: Dur = Dur::from_millis(100);
 /// SNMP counter width exposed by agents.
 const COUNTER_WIDTH: CounterWidth = CounterWidth::C64;
+/// Bytes per data-plane packet in the ifTable's packet counters: a
+/// link's fluid traffic counts one packet per whole 1 500 octets.
+const DATA_PKT_BYTES: u64 = 1500;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Default)]
@@ -215,6 +218,13 @@ pub(crate) struct LinkRec {
     pub(crate) to_slot: u32,
 }
 
+// `accrue_to` sweeps every record at every instant that advances time:
+// a record stays within one cache line.
+const _: () = assert!(
+    std::mem::size_of::<LinkRec>() <= 64,
+    "a link record fits in 64 bytes"
+);
+
 /// Internal queue payload: public [`Event`]s plus the kernel's own
 /// traffic (packets in flight, component ticks, trace samples).
 pub(crate) enum Ev {
@@ -261,6 +271,10 @@ pub(crate) struct Core {
     // directions of one symmetric link are adjacent: sibling = ix ^ 1)
     // plus the key-ordered index for lookups and stable iteration.
     pub(crate) link_recs: Vec<LinkRec>,
+    /// Per link record: the whole data bytes integrated so far, what
+    /// its packet counters are derived from (apart from the record,
+    /// which the accrual sweep reads whole).
+    link_octets: Vec<u64>,
     pub(crate) link_idx: BTreeMap<LinkKey, u32>,
     /// Per router slot, indexed by `IfaceId` (interfaces are issued
     /// densely per router): the link record the interface transmits
@@ -343,6 +357,7 @@ impl Core {
             stale: Vec::new(),
             is_stale: Vec::new(),
             link_recs: Vec::new(),
+            link_octets: Vec::new(),
             link_idx: BTreeMap::new(),
             iface_links: Vec::new(),
             prefix_owners: Vec::new(),
@@ -514,6 +529,7 @@ impl Core {
             from_slot: b_slot,
             to_slot: a_slot,
         });
+        self.link_octets.extend([0, 0]);
         self.link_idx.insert(kab, ix_ab);
         self.link_idx.insert(kba, ix_ab + 1);
 
@@ -536,9 +552,12 @@ impl Core {
         // Link counters: dense sweep, direct agent-slot indexing, no
         // intermediate allocation.
         let Core {
-            link_recs, agents, ..
+            link_recs,
+            link_octets,
+            agents,
+            ..
         } = self;
-        for rec in link_recs.iter_mut() {
+        for (rec, octets) in link_recs.iter_mut().zip(link_octets.iter_mut()) {
             if rec.state.rate <= 0.0 {
                 continue;
             }
@@ -547,15 +566,21 @@ impl Core {
             rec.carry -= whole;
             if whole > 0.0 {
                 let bytes = whole as u64;
+                // Packets follow the link's cumulative octets, so the
+                // same bytes count the same packets however many
+                // instants they were integrated over.
+                let before = *octets;
+                *octets += bytes;
+                let pkts = *octets / DATA_PKT_BYTES - before / DATA_PKT_BYTES;
                 let tx_idx = u32::from(rec.tx_iface.0) + 1;
                 let rx_idx = u32::from(rec.rx_iface.0) + 1;
                 if let Some(c) = agents[rec.from_slot as usize].counters_mut(tx_idx) {
                     c.out_octets.add(bytes);
-                    c.out_pkts.add(bytes / 1500 + 1);
+                    c.out_pkts.add(pkts);
                 }
                 if let Some(c) = agents[rec.to_slot as usize].counters_mut(rx_idx) {
                     c.in_octets.add(bytes);
-                    c.in_pkts.add(bytes / 1500 + 1);
+                    c.in_pkts.add(pkts);
                 }
             }
         }
@@ -1434,7 +1459,7 @@ mod tests {
     use super::*;
     use fib_igp::error::InstanceError;
     use fib_igp::types::FwAddr;
-    use fib_telemetry::mib::Value;
+    use fib_telemetry::mib::{oids, Oid, Value};
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -2093,6 +2118,49 @@ mod tests {
         sim.run_until(Timestamp::from_secs(16));
         let rate = sim.ctx().flow_rate(b).map(f64::to_bits);
         assert_eq!(rate, Some(125_000f64.to_bits()));
+    }
+
+    /// The ifTable's data packets follow a link's cumulative octets:
+    /// the same traffic integrated over extra idle instants — instants
+    /// at which nothing changed, or too short for a whole packet —
+    /// counts the same octets and the same packets at both ends.
+    #[test]
+    fn data_packets_do_not_depend_on_how_many_instants_the_bytes_took() {
+        // 1e5 B/s for 10 s, in steps whose lengths are exact in
+        // binary, so that both runs integrate the same 1 000 000 bytes.
+        let counters = |steps_ns: &[u64]| {
+            let mut sim = line_sim();
+            let ix = sim.core.link_idx[&LinkKey::new(r(1), r(2))] as usize;
+            sim.core.link_recs[ix].state.rate = 1e5;
+            for &ns in steps_ns {
+                sim.core.accrue_to(Timestamp(ns));
+            }
+            let mut ctx = sim.ctx();
+            let out = ctx.ifindex_for(r(1), r(2)).unwrap();
+            let inn = ctx.ifindex_for(r(2), r(1)).unwrap();
+            let mut read =
+                |router, column: Oid, idx: u32| match ctx.snmp_get(router, &column.child(idx)) {
+                    Some(Value::Counter(c)) => c,
+                    other => panic!("unexpected SNMP value {other:?}"),
+                };
+            [
+                read(r(1), oids::if_out_octets(), out),
+                read(r(1), oids::if_out_pkts(), out),
+                read(r(2), oids::if_in_octets(), inn),
+                read(r(2), oids::if_in_pkts(), inn),
+            ]
+        };
+        const SEC: u64 = 1_000_000_000;
+        let once = counters(&[10 * SEC]);
+        assert_eq!(once, [1_000_000, 666, 1_000_000, 666]);
+        // Quarter seconds up to 5 s (25 000 bytes each), then 1/64 s
+        // (1 562.5 bytes: the carry at work) up to 7.5 s, then 1/512 s
+        // (195.3125 bytes: no whole packet in any one step) up to 10 s.
+        let mut steps: Vec<u64> = (1..=20).map(|k| k * SEC / 4).collect();
+        steps.extend((1..=160).map(|k| 5 * SEC + k * SEC / 64));
+        steps.extend((1..=1280).map(|k| 7 * SEC + SEC / 2 + k * SEC / 512));
+        assert_eq!(steps.last(), Some(&(10 * SEC)));
+        assert_eq!(counters(&steps), once);
     }
 
     #[test]
