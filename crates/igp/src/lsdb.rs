@@ -4,17 +4,18 @@
 //! set of freshest LSA instances it has heard. Installation follows the
 //! freshness rules of [`crate::lsa::compare_freshness`]; MaxAge
 //! instances linger only long enough to be flooded, then the instance
-//! removes them ([`Lsdb::max_age_keys`], [`Lsdb::remove`]). SPF reads the database directly: a full run the
-//! dense real graph (`Lsdb::real_graph`), the route phase only the rows
-//! it needs (`Lsdb::route_view`). [`Lsdb::to_topology`] materializes
-//! the whole augmented [`Topology`] for other readers. All three apply
-//! the two-way connectivity check to real links and trust fake-node
-//! LSAs as complete descriptions of lies.
+//! removes them ([`Lsdb::max_age_keys`], [`Lsdb::remove`]). SPF reads the
+//! database directly: a full run the dense real graph
+//! (`Lsdb::real_graph`), the route phase the prefixes and lies laid over
+//! it (`Lsdb::read_overlay`, two short lists). [`Lsdb::to_topology`]
+//! materializes the whole augmented [`Topology`] from the same two for
+//! other readers. Both apply the two-way connectivity check to real
+//! links and trust fake-node LSAs as complete descriptions of lies.
 
 use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink};
 use crate::spf::RealGraph;
 use crate::topology::{FakeAttrs, TopoLink, Topology};
-use crate::types::{Metric, RouterId};
+use crate::types::{Metric, Prefix, RouterId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -218,7 +219,7 @@ impl Lsdb {
 
     /// Materialize the augmented topology this database describes: the
     /// rows of its dense real graph, with the prefixes and lies laid
-    /// over them.
+    /// over them (`Lsdb::read_overlay`).
     ///
     /// Real links pass the two-way check: a directed link `u → v`
     /// appears only if `v`'s router LSA also reports a link back to
@@ -229,7 +230,7 @@ impl Lsdb {
     ///
     /// Built from scratch on every call, for readers that want the whole
     /// topology (the controller's view, the convergence oracle); an SPF
-    /// run reads only the dense graph or the rows it needs.
+    /// run reads only the dense graph and the overlay.
     pub fn to_topology(&self) -> Topology {
         let graph = self.real_graph();
         let rows = graph.ids.iter().enumerate().map(|(i, &id)| {
@@ -239,7 +240,17 @@ impl Lsdb {
             });
             (id, row.collect())
         });
-        self.overlay(Topology::from_sorted_rows(rows.collect()))
+        let mut topo = Topology::from_sorted_rows(rows.collect());
+        let mut overlay = Overlay::default();
+        self.read_overlay(&graph.ids, &mut overlay);
+        for (router, prefix, metric) in overlay.prefixes {
+            let announced = topo.announce_prefix(router, prefix, metric);
+            announced.expect("an announcer has a row");
+        }
+        for (id, attrs) in overlay.lies {
+            topo.hang_fake_node(id, attrs);
+        }
+        topo
     }
 
     /// The real graph this database describes, in dense form: every
@@ -264,79 +275,110 @@ impl Lsdb {
         }
     }
 
-    /// What the route phase of an SPF run reads: the rows of the routers
-    /// that announce a prefix or carry a lie, with the prefixes and lies
-    /// laid over them as in [`to_topology`](Self::to_topology). The
-    /// route phase on it equals the route phase on `to_topology()`,
-    /// since each lie is judged against its attachment's row; a far end
-    /// need not have a row, so it is no graph to run Dijkstra on.
-    pub(crate) fn route_view(&self) -> Topology {
-        let reports = Reports::of(self);
-        let mut wanted: Vec<RouterId> = self
-            .live()
-            .filter_map(|lsa| match lsa.body {
-                LsaBody::Prefix { .. } => Some(lsa.key.origin),
-                LsaBody::Fake { attach, .. } => Some(attach),
-                LsaBody::Router { .. } => None,
-            })
-            .collect();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut row = Vec::new();
-        let rows = wanted.into_iter().filter_map(|r| {
-            // Without a live router LSA, `r` is not in the topology.
-            let i = reports.ids.binary_search(&r).ok()?;
-            reports.two_way_row(i, &mut row);
-            let links = row.iter().map(|&(far, metric)| TopoLink {
-                to: reports.ids[far],
-                metric,
-            });
-            Some((r, links.collect()))
-        });
-        self.overlay(Topology::from_sorted_rows(rows.collect()))
+    /// Into `out`, what this database lays over its real graph, read
+    /// straight off the live LSAs in key order. `rows` are the routers
+    /// that have a row, ascending: the real graph's ids, which an SPF
+    /// run's kept [`ShortestPaths`](crate::spf::ShortestPaths) carries
+    /// while the real version stands.
+    ///
+    /// A prefix counts at a router with a row; of one router's
+    /// announcements of one prefix the last counts. A lie counts as
+    /// [`Topology::add_fake_node`] would take it in key order: its
+    /// attachment has a row, and its forwarding address names a two-way
+    /// link of that row or an earlier lie's fake node hung off the same
+    /// router — as a router ignores a type-5 LSA whose forwarding
+    /// address is unreachable. One that counts replaces an earlier lie
+    /// of the same fake id; one that does not leaves it standing.
+    pub(crate) fn read_overlay(&self, rows: &[RouterId], out: &mut Overlay) {
+        out.prefixes.clear();
+        out.lies.clear();
+        for lsa in self.live() {
+            let origin = lsa.key.origin;
+            match lsa.body {
+                LsaBody::Router { .. } => {}
+                LsaBody::Prefix { prefix, metric } => {
+                    if rows.binary_search(&origin).is_err() {
+                        continue;
+                    }
+                    // One router's prefixes are adjacent in key order.
+                    let mut mine = out.prefixes.iter_mut().rev().take_while(|a| a.0 == origin);
+                    match mine.find(|a| a.1 == prefix) {
+                        Some(a) => a.2 = metric,
+                        None => out.prefixes.push((origin, prefix, metric)),
+                    }
+                }
+                LsaBody::Fake {
+                    attach,
+                    attach_metric,
+                    prefix,
+                    prefix_metric,
+                    fw,
+                } => {
+                    if origin.is_real() || rows.binary_search(&attach).is_err() {
+                        continue;
+                    }
+                    let linked = if fw.router.is_fake() {
+                        let lie = out.lies.binary_search_by_key(&fw.router, |l| l.0);
+                        lie.is_ok_and(|i| out.lies[i].1.attach == attach)
+                    } else {
+                        self.two_way(attach, fw.router)
+                    };
+                    if !linked {
+                        continue;
+                    }
+                    let attrs = FakeAttrs {
+                        attach,
+                        attach_metric,
+                        prefix,
+                        prefix_metric,
+                        fw,
+                    };
+                    // One fake id's LSAs are adjacent in key order.
+                    match out.lies.last_mut() {
+                        Some(last) if last.0 == origin => last.1 = attrs,
+                        _ => out.lies.push((origin, attrs)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The two-way check for one link, as [`Reports::two_way_row`]
+    /// makes it: a live router LSA of `from` names `to`, and `to`'s live
+    /// `(Router, 0)` LSA names `from` back.
+    fn two_way(&self, from: RouterId, to: RouterId) -> bool {
+        let key = |origin, id| LsaKey {
+            origin,
+            kind: LsaKind::Router,
+            id,
+        };
+        let names = |lsa: &Lsa, far: RouterId| {
+            !lsa.is_max_age()
+                && matches!(&lsa.body, LsaBody::Router { links } if links.iter().any(|l| l.to == far))
+        };
+        self.entries
+            .get(&key(to, 0))
+            .is_some_and(|l| names(l, from))
+            && self
+                .entries
+                .range(key(from, 0)..=key(from, u32::MAX))
+                .any(|(_, l)| names(l, to))
     }
 
     /// The stored LSAs that are not MaxAge, in key order.
     fn live(&self) -> impl Iterator<Item = &Lsa> {
         self.iter().filter(|lsa| !lsa.is_max_age())
     }
+}
 
-    /// `topo` with this database's prefixes and lies laid over it, each
-    /// in key order. A prefix counts at a router with a row. A lie goes
-    /// through [`Topology::add_fake_node`], which skips it if its
-    /// attachment has no row or its forwarding address names no link of
-    /// that row (an earlier lie's attachment link counts) — as a router
-    /// ignores a type-5 LSA whose forwarding address is unreachable —
-    /// and replaces an earlier lie of the same id.
-    fn overlay(&self, mut topo: Topology) -> Topology {
-        for lsa in self.live() {
-            if let LsaBody::Prefix { prefix, metric } = &lsa.body {
-                if topo.contains(lsa.key.origin) {
-                    let _ = topo.announce_prefix(lsa.key.origin, *prefix, *metric);
-                }
-            }
-        }
-        for lsa in self.live() {
-            if let LsaBody::Fake {
-                attach,
-                attach_metric,
-                prefix,
-                prefix_metric,
-                fw,
-            } = &lsa.body
-            {
-                let attrs = FakeAttrs {
-                    attach: *attach,
-                    attach_metric: *attach_metric,
-                    prefix: *prefix,
-                    prefix_metric: *prefix_metric,
-                    fw: *fw,
-                };
-                let _ = topo.add_fake_node(lsa.key.origin, attrs);
-            }
-        }
-        topo
-    }
+/// What a database lays over its real graph ([`Lsdb::read_overlay`]):
+/// the route phase's inputs besides the shortest paths.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Overlay {
+    /// (router, prefix, metric), one per router and prefix, by router.
+    pub(crate) prefixes: Vec<(RouterId, Prefix, Metric)>,
+    /// The lies that stand, one per fake id, by fake id.
+    pub(crate) lies: Vec<(RouterId, FakeAttrs)>,
 }
 
 /// The live router LSAs of real routers, by router: what the two-way
@@ -396,7 +438,7 @@ impl<'a> Reports<'a> {
 mod tests {
     use super::*;
     use crate::lsa::{LsaLink, MAX_AGE};
-    use crate::spf::{route_table_from, shortest_paths};
+    use crate::spf::{route_table, route_table_from, shortest_paths};
     use crate::types::{FwAddr, Metric, Prefix, SeqNum};
 
     fn router_lsa(origin: u32, seq: i32, neighbors: &[(u32, u32)]) -> Lsa {
@@ -651,10 +693,12 @@ mod tests {
     /// that have no LSA, a far end listed twice, a second router LSA
     /// under another id, a router LSA from the fake range, two prefix
     /// LSAs for one prefix, lies with a dangling attachment or a
-    /// forwarding address that is no neighbour. Each database's dense
-    /// graph must equal the dense graph of its topology, the Dijkstra on
-    /// it `shortest_paths` on the topology from every router, and the
-    /// route phase on `route_view` the route phase on the topology.
+    /// forwarding address that is no neighbour, lies hung on an earlier
+    /// lie's fake node, a second LSA of one fake id. Each database's
+    /// `to_topology` must equal the reference, its dense graph the
+    /// dense graph of the reference, the Dijkstra on it `shortest_paths`
+    /// on the reference from every router, and the route phase on its
+    /// overlay (what an SPF run reads) the route phase on the reference.
     #[test]
     fn to_topology_matches_the_four_pass_reference() {
         let mut x = 0x2545_F491_4F6C_DD1Du64;
@@ -666,6 +710,7 @@ mod tests {
         };
         let metric = |r: u64| Metric(1 + r as u32);
         let (mut links_kept, mut lies_kept, mut lies_planned) = (0, 0, 0);
+        let mut lies_on_lies = 0;
         let (mut tables, mut routes) = (0, 0);
         for _ in 0..3000 {
             let pool = 2 + rand(9) as u32; // routers 1..=pool may speak
@@ -733,43 +778,65 @@ mod tests {
                 let lsa = Lsa::prefix(origin, id, SeqNum(1), p, metric(rand(4)));
                 install(&mut db, lsa, rand(8) == 0);
             }
+            // (fake id, attachment) of every lie installed so far.
+            let mut hung: Vec<(RouterId, usize)> = Vec::new();
             for k in 0..rand(4) as u32 {
-                let at = 1 + rand(u64::from(pool) + 1) as usize;
-                let attach = match rand(10) {
-                    0 => RouterId::fake(0),
-                    _ => RouterId(at as u32),
-                };
-                // Mostly a far end the attachment reports, else anyone.
-                let fw = match adj.get(at).filter(|l| !l.is_empty()) {
-                    Some(l) if rand(4) != 0 => l[rand(l.len() as u64) as usize].to,
-                    _ => RouterId(1 + rand(u64::from(pool) + 1) as u32),
-                };
-                let lie = Lsa::fake(
-                    RouterId::fake(k),
-                    SeqNum(1),
-                    attach,
-                    metric(rand(3)),
-                    Prefix::net24(rand(3) as u8),
-                    metric(rand(3)),
-                    FwAddr::secondary(fw, 1 + rand(3) as u16),
-                );
-                install(&mut db, lie, rand(8) == 0);
-                lies_planned += 1;
+                // Sometimes a second LSA of the same fake id, which
+                // replaces the first if it counts.
+                for id in 0..1 + u32::from(rand(4) == 0) {
+                    let mut at = 1 + rand(u64::from(pool) + 1) as usize;
+                    // Sometimes hung on an earlier lie's fake node (or
+                    // this one's) at its attachment, else mostly a far
+                    // end the attachment reports, else anyone.
+                    let fw = match adj.get(at).filter(|l| !l.is_empty()) {
+                        _ if !hung.is_empty() && rand(4) == 0 => {
+                            let (fake, under) = hung[rand(hung.len() as u64) as usize];
+                            at = under;
+                            fake
+                        }
+                        Some(l) if rand(4) != 0 => l[rand(l.len() as u64) as usize].to,
+                        _ => RouterId(1 + rand(u64::from(pool) + 1) as u32),
+                    };
+                    let attach = match rand(10) {
+                        0 => RouterId::fake(0),
+                        _ => RouterId(at as u32),
+                    };
+                    hung.push((RouterId::fake(k), at));
+                    let mut lie = Lsa::fake(
+                        RouterId::fake(k),
+                        SeqNum(1),
+                        attach,
+                        metric(rand(3)),
+                        Prefix::net24(rand(3) as u8),
+                        metric(rand(3)),
+                        FwAddr::secondary(fw, 1 + rand(3) as u16),
+                    );
+                    lie.key.id = id;
+                    install(&mut db, lie, rand(8) == 0);
+                    lies_planned += 1;
+                }
             }
-            let topo = db.to_topology();
-            assert_eq!(topo, to_topology_reference(&db), "{db:?}");
+            let topo = to_topology_reference(&db);
+            assert_eq!(db.to_topology(), topo, "{db:?}");
             links_kept += topo.all_links().count();
             lies_kept += topo.fake_count();
+            lies_on_lies += topo
+                .fake_nodes()
+                .filter(|(_, a)| a.fw.router.is_fake())
+                .count();
             // What an SPF run reads instead: the dense graph, the one
-            // Dijkstra on it, and the route phase on the lie-only rows.
+            // Dijkstra on it, and the route phase on the overlay.
             let graph = db.real_graph();
             assert_eq!(graph, RealGraph::of(&topo), "{db:?}");
-            let view = db.route_view();
+            let mut overlay = Overlay::default();
+            db.read_overlay(&graph.ids, &mut overlay);
             for r in topo.routers() {
                 let sp = graph.shortest_paths(r);
                 assert_eq!(sp, shortest_paths(&topo, r), "from {r} on {db:?}");
                 let table = route_table_from(&topo, &sp);
-                assert_eq!(route_table_from(&view, &sp), table, "{r} on {db:?}");
+                let lies = overlay.lies.iter().map(|&(_, attrs)| attrs);
+                let direct = route_table(&sp, overlay.prefixes.iter().copied(), lies);
+                assert_eq!(direct, table, "{r} on {db:?}");
                 tables += 1;
                 routes += table.routes.len();
             }
@@ -779,6 +846,10 @@ mod tests {
         assert!(
             lies_kept > 500 && lies_planned - lies_kept > 500,
             "{lies_kept} of {lies_planned} lies kept"
+        );
+        assert!(
+            lies_on_lies > 100,
+            "only {lies_on_lies} lies kept on a lie's link"
         );
         assert!(
             tables > 14_000 && routes > 12_000,

@@ -14,9 +14,9 @@
 //!    is the *partial SPF* behaviour real routers exhibit for OSPF
 //!    type-5 churn, and it is why Fibbing's control-plane overhead is
 //!    low. [`SpfEngine`] exploits it: while the LSDB's real version
-//!    stands it reads only the rows the route phase needs; when the
-//!    version moves it builds the dense real graph from the router LSAs
-//!    and reruns Dijkstra.
+//!    stands it reruns only the route phase, on the prefixes and lies it
+//!    reads straight off the LSDB; when the version moves it builds the
+//!    dense real graph from the router LSAs and reruns Dijkstra.
 //!
 //! Both phases run on a [`RealGraph`], the real part of a topology in
 //! dense form, and there is one Dijkstra ([`RealGraph::shortest_paths`]).
@@ -25,7 +25,7 @@
 //! *address*, not by neighbor router, so two lies resolving to distinct
 //! addresses of the same neighbor yield two ECMP slots (uneven splits).
 
-use crate::lsdb::Lsdb;
+use crate::lsdb::{Lsdb, Overlay};
 use crate::rib::{Route, RouteTable};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::{FwAddr, Metric, Prefix, RouterId};
@@ -171,9 +171,20 @@ pub fn shortest_paths(topo: &Topology, source: RouterId) -> ShortestPaths {
 /// real-graph shortest paths (the cheap "partial SPF" phase).
 pub fn route_table_from(topo: &Topology, sp: &ShortestPaths) -> RouteTable {
     let lies = topo.fake_nodes().map(|(_, attrs)| *attrs);
+    route_table(sp, topo.all_announcements(), lies)
+}
+
+/// `sp.source`'s route table with `announcements` (router, prefix,
+/// metric) and `lies` told: the route phase, fed off a topology by
+/// [`route_table_from`] and off an LSDB's overlay by [`SpfEngine`].
+pub(crate) fn route_table(
+    sp: &ShortestPaths,
+    announcements: impl IntoIterator<Item = (RouterId, Prefix, Metric)>,
+    lies: impl IntoIterator<Item = FakeAttrs>,
+) -> RouteTable {
     RouteTable {
         source: sp.source,
-        routes: best_routes(topo, sp, lies, |_| true),
+        routes: best_routes(sp, announcements, lies, |_| true),
     }
 }
 
@@ -187,18 +198,19 @@ pub fn prefix_route_from(
     prefix: Prefix,
     lies: impl IntoIterator<Item = FakeAttrs>,
 ) -> Option<Route> {
-    best_routes(topo, sp, lies, |p| p == prefix).remove(&prefix)
+    best_routes(sp, topo.all_announcements(), lies, |p| p == prefix).remove(&prefix)
 }
 
-/// The fold behind both route reads: per prefix `want` accepts, every
-/// way out `sp.source` has — a real announcement in `topo` (local, or
-/// through the first hops toward its router) and each of `lies` (its
-/// forwarding address at its own attachment router, the first hops
-/// toward that router elsewhere) — merged into the cheapest, equal
-/// costs pooling their next hops. The merge is order-free.
+/// The fold behind every route read: per prefix `want` accepts, every
+/// way out `sp.source` has — each real announcement of `announcements`
+/// (local, or through the first hops toward its router; those of fake
+/// nodes are skipped) and each of `lies` (its forwarding address at its
+/// own attachment router, the first hops toward that router elsewhere)
+/// — merged into the cheapest, equal costs pooling their next hops. The
+/// merge is order-free.
 fn best_routes(
-    topo: &Topology,
     sp: &ShortestPaths,
+    announcements: impl IntoIterator<Item = (RouterId, Prefix, Metric)>,
     lies: impl IntoIterator<Item = FakeAttrs>,
     want: impl Fn(Prefix) -> bool,
 ) -> BTreeMap<Prefix, Route> {
@@ -235,7 +247,7 @@ fn best_routes(
     };
 
     // Real announcements.
-    for (node, prefix, m) in topo.all_announcements() {
+    for (node, prefix, m) in announcements {
         if node.is_fake() || !want(prefix) {
             continue;
         }
@@ -587,19 +599,22 @@ impl PrefixRoutes {
 ///
 /// It keeps one slot: the shortest paths of its last full run. While
 /// the LSDB's [`real_version`](Lsdb::real_version) stands (lie and
-/// prefix churn) it reads only the rows the route phase needs
-/// (`Lsdb::route_view`) and reruns only that phase. When the version
+/// prefix churn) it reruns only the route phase. When the version
 /// moves it builds the dense real graph from the router LSAs
 /// (`Lsdb::real_graph`) and reruns Dijkstra, even when a
-/// content-identical re-origination left the graph as it was. Those
-/// reads happen outside the `spf.full` and `spf.partial` spans, which
-/// cover the Dijkstra and the route phase.
+/// content-identical re-origination left the graph as it was. Either
+/// way the route phase reads the prefixes and lies straight off the
+/// LSDB (`Lsdb::read_overlay`), into buffers the engine keeps; no run
+/// builds a [`Topology`]. Those reads happen outside the `spf.full` and
+/// `spf.partial` spans, which cover the Dijkstra and the route phase.
 #[derive(Debug, Default)]
 pub struct SpfEngine {
     /// The real version of the last full run.
     seen_real: Option<u64>,
     /// The last full run's paths.
     kept: Option<ShortestPaths>,
+    /// The last run's overlay, kept for its buffers.
+    overlay: Overlay,
     /// Counts of full Dijkstra runs (for benchmarks/ablation).
     pub full_runs: u64,
     /// Counts of runs where only the route phase ran.
@@ -618,7 +633,12 @@ impl SpfEngine {
         let stale = self.seen_real != Some(db.real_version())
             || !self.kept.as_ref().is_some_and(|sp| sp.source == source);
         let graph = stale.then(|| db.real_graph());
-        let view = db.route_view();
+        let rows = match (&graph, &self.kept) {
+            (Some(graph), _) => &graph.ids,
+            (None, Some(sp)) => &sp.ids,
+            (None, None) => unreachable!("a run without paths is stale"),
+        };
+        db.read_overlay(rows, &mut self.overlay);
         let _span = fib_trace::span(if graph.is_some() {
             fib_trace::Phase::SpfFull
         } else {
@@ -632,7 +652,8 @@ impl SpfEngine {
             self.partial_runs += 1;
         }
         let sp = self.kept.as_ref().expect("a full run fills the slot");
-        route_table_from(&view, sp)
+        let lies = self.overlay.lies.iter().map(|&(_, attrs)| attrs);
+        route_table(sp, self.overlay.prefixes.iter().copied(), lies)
     }
 }
 
@@ -742,7 +763,7 @@ fn dfs_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsa::{Lsa, LsaBody, LsaKey, LsaLink};
+    use crate::lsa::{Lsa, LsaBody, LsaKey, LsaKind, LsaLink};
     use crate::topology::{FakeAttrs, TopoLink};
     use crate::types::SeqNum;
 
@@ -954,8 +975,11 @@ mod tests {
     /// through seeded mutations — router, prefix and fake LSAs installed,
     /// re-originated unchanged, purged, swept and removed; one-way links,
     /// a far end listed twice, a second router LSA under another id, a
-    /// router that never speaks, lies re-added under their own id and
-    /// lies hung on another lie's link. After every step each engine's
+    /// router that never speaks, lies re-added under their own id, a
+    /// second LSA of one fake id elsewhere, lies hung on another lie's
+    /// link, lies at a router without a live router LSA, MaxAge lies and
+    /// two prefix LSAs of one router for one prefix — each rule of
+    /// `Lsdb::read_overlay` drawn and counted. After every step each engine's
     /// table must equal a from-scratch SPF on the database's topology,
     /// and each engine must run Dijkstra exactly when the real version
     /// moved, which it must whenever the real rows (real routers, their
@@ -1006,6 +1030,7 @@ mod tests {
                 db.install(lsa);
             }
             let mut engines: Vec<SpfEngine> = (0..=POOL).map(|_| SpfEngine::new()).collect();
+            let mut last_full = vec![false; engines.len()];
             let (mut last_rows, mut last_version) = (None, None);
             for step in 0..40 {
                 let stored: Vec<LsaKey> = db.iter().map(|l| l.key).collect();
@@ -1130,8 +1155,19 @@ mod tests {
                             Metric(rand(3) as u32),
                             FwAddr::secondary(fw, 1 + rand(3) as u16),
                         );
+                        if rand(6) == 0 {
+                            lsa.key.id = 1; // a second LSA of the same fake id
+                        }
                         let moved = db.get(&lsa.key).is_some_and(|old| old.body != lsa.body);
                         saw("a lie re-added under its own id", moved);
+                        // The fake id's other LSA, live and elsewhere.
+                        let elsewhere = db.iter().any(|old| {
+                            old.key.origin == fake
+                                && old.key.id != lsa.key.id
+                                && !old.is_max_age()
+                                && matches!(old.body, LsaBody::Fake { attach: a, .. } if a != attach)
+                        });
+                        saw("a fake id re-originated at another attachment", elsewhere);
                         lsa.seq = next_seq(lsa.key);
                         db.install(lsa);
                     }
@@ -1156,6 +1192,33 @@ mod tests {
                     bumped && !changed,
                 );
                 saw("a lie kept", topo.fake_count() > 0);
+                let live = || db.iter().filter(|l| !l.is_max_age());
+                let mut announced: Vec<(RouterId, Prefix)> = live()
+                    .filter_map(|l| match l.body {
+                        LsaBody::Prefix { prefix, .. } if topo.contains(l.key.origin) => {
+                            Some((l.key.origin, prefix))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let announcements = announced.len();
+                announced.dedup();
+                saw(
+                    "two prefix LSAs of one router for one prefix",
+                    announced.len() < announcements,
+                );
+                saw(
+                    "a lie at a router without a live router LSA",
+                    live().any(|l| match l.body {
+                        LsaBody::Fake { attach, .. } => attach.is_real() && !topo.contains(attach),
+                        _ => false,
+                    }),
+                );
+                saw(
+                    "a MaxAge lie",
+                    db.iter()
+                        .any(|l| l.key.kind == LsaKind::Fake && l.is_max_age()),
+                );
                 saw(
                     "a lie hung on another lie's link",
                     topo.fake_nodes().any(|(_, a)| a.fw.router.is_fake()),
@@ -1180,6 +1243,11 @@ mod tests {
                         assert_eq!(eng.kept, kept, "case {case} step {step}: {source}'s paths");
                         same_rows_full_runs += 1;
                     }
+                    saw(
+                        "a partial run right after a full one",
+                        full == 0 && last_full[i],
+                    );
+                    last_full[i] = full == 1;
                     full_runs += full;
                     partial_runs += 1 - full;
                 }
@@ -1204,6 +1272,11 @@ mod tests {
             "the real version moved, the rows did not",
             "a lie kept",
             "a lie hung on another lie's link",
+            "two prefix LSAs of one router for one prefix",
+            "a fake id re-originated at another attachment",
+            "a lie at a router without a live router LSA",
+            "a MaxAge lie",
+            "a partial run right after a full one",
         ] {
             let times = drawn.get(what).copied().unwrap_or(0);
             assert!(times >= 20, "the generator drew {what} {times} times");

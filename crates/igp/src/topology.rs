@@ -73,9 +73,8 @@ impl Topology {
     }
 
     /// The real graph in one go: `rows` in ascending router order, each
-    /// row's links sorted by far end, one per far end — what `add_link`
-    /// checks and sorts per link. Every far end is a router of `rows`,
-    /// except in `Lsdb::route_view`, which keeps only the rows it reads.
+    /// row's links sorted by far end, one per far end, every far end a
+    /// router of `rows` — what `add_link` checks and sorts per link.
     pub(crate) fn from_sorted_rows(rows: Vec<(RouterId, Vec<TopoLink>)>) -> Topology {
         debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
         let node = |links| Node {
@@ -297,20 +296,35 @@ impl Topology {
                 attach: attrs.attach,
             });
         }
-        let node = self.nodes.entry(id).or_default();
-        node.prefixes = vec![(attrs.prefix, attrs.prefix_metric)];
-        // The attach → fake link lives on the attachment router, flagged
-        // by the far end being in the fake range.
-        if let Some(previous) = node.fake.replace(attrs) {
+        if let Some(previous) = self.fake_attrs(id).copied() {
             self.remove_link(previous.attach, id);
         }
-        let attach_node = self.nodes.get_mut(&attrs.attach).expect("checked above");
+        self.hang_fake_node(id, attrs);
+        Ok(())
+    }
+
+    /// Put in the fake node `id` unchecked: a lie already judged as
+    /// [`add_fake_node`](Self::add_fake_node) judges it (as
+    /// `Lsdb::read_overlay` does), replacing any earlier node of that id
+    /// whose attachment link is gone.
+    pub(crate) fn hang_fake_node(&mut self, id: RouterId, attrs: FakeAttrs) {
+        let fake = Node {
+            links: Vec::new(),
+            prefixes: vec![(attrs.prefix, attrs.prefix_metric)],
+            fake: Some(attrs),
+        };
+        self.nodes.insert(id, fake);
+        // The attach → fake link lives on the attachment router, flagged
+        // by the far end being in the fake range.
+        let attach_node = self
+            .nodes
+            .get_mut(&attrs.attach)
+            .expect("a lie hangs off a router");
         attach_node.links.push(TopoLink {
             to: id,
             metric: attrs.attach_metric,
         });
         attach_node.links.sort_by_key(|l| l.to);
-        Ok(())
     }
 
     /// Attributes of a fake node, if `id` is one.
