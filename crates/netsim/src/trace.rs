@@ -20,12 +20,16 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Append a point to a series (created on first use).
+    /// Append a point to a series (created on first use; only then is
+    /// its name copied).
     pub fn record(&mut self, series: &str, at: Timestamp, value: f64) {
-        self.series
-            .entry(series.to_string())
-            .or_default()
-            .push((at.as_secs_f64(), value));
+        let point = (at.as_secs_f64(), value);
+        match self.series.get_mut(series) {
+            Some(points) => points.push(point),
+            None => {
+                self.series.insert(series.to_string(), vec![point]);
+            }
+        }
     }
 
     /// The points of one series.

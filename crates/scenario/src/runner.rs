@@ -460,7 +460,17 @@ impl ScenarioRun {
     }
 
     /// Run to the horizon and condense the outcome.
-    pub fn finish(mut self) -> ScenarioReport {
+    pub fn finish(self) -> ScenarioReport {
+        self.condense(true)
+    }
+
+    /// [`finish`](Self::finish) with an empty `trace_csv`: what a sweep
+    /// cell keeps, without rendering the recorder it would drop.
+    pub(crate) fn finish_without_trace(self) -> ScenarioReport {
+        self.condense(false)
+    }
+
+    fn condense(mut self, with_trace: bool) -> ScenarioReport {
         self.run_until_secs(self.horizon_secs);
         let stats = self.sim.stats();
         let rec = self.sim.recorder();
@@ -509,7 +519,11 @@ impl ScenarioRun {
             ctrl_pkts: stats.ctrl_pkts,
             ctrl_bytes: stats.ctrl_bytes,
             qoe,
-            trace_csv: rec.to_csv(),
+            trace_csv: if with_trace {
+                rec.to_csv()
+            } else {
+                String::new()
+            },
         }
     }
 }

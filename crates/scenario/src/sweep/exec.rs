@@ -136,8 +136,7 @@ fn run_one(spec: &ScenarioSpec, opts: RunOptions) -> Result<CellMetrics, CellFai
         let horizon = run.horizon_secs();
         run.run_until_secs(horizon);
         let stats = run.sim.stats();
-        let mut report = run.finish();
-        report.trace_csv = String::new();
+        let report = run.finish_without_trace();
         Ok(CellMetrics {
             report,
             stats,
