@@ -3,8 +3,9 @@
 # `bench/src/measure.rs::separation` holds it to and the margin over it
 # (a run under its floor already reports `"correct": false`; a change
 # that makes the floored layer cheaper narrows the margin), the IGP
-# packets the run received per LSA it flooded, what one full SPF costs
-# (`igp.spf_full_us`), and what one call of each step of a controller
+# packets the run received per LSA it flooded, what one full and one
+# partial SPF cost (`igp.spf_full_us`, `igp.spf_partial_us`: the
+# Dijkstra plus the route phase, and the route phase alone), and what one call of each step of a controller
 # reaction costs in the outside probes (`core.plan_paths_probe_us`,
 # `core.augment_probe_us`, `core.reduce_probe_us`,
 # `core.verify_probe_us`), and the run's wall time under no span
@@ -32,7 +33,7 @@ for line in sys.stdin:
     header = re.match(r"(\w+) seed \d+ trace 1:", line)
     if header:
         workload, counts = header.group(1), {}
-    names = r"igp\.rx_pkts|igp\.lsas_flooded|igp\.spf_full_us|core\.\w+_probe_us|trace\.untraced_ms"
+    names = r"igp\.rx_pkts|igp\.lsas_flooded|igp\.spf_\w+_us|core\.\w+_probe_us|trace\.untraced_ms"
     metric = re.match(rf"\s+({names})\s+([\d.]+)\s", line)
     if metric:
         counts[metric.group(1)] = float(metric.group(2))
@@ -50,9 +51,9 @@ for line in sys.stdin:
     if pkts is not None and flooded:
         print(f"{workload}: {pkts:.0f} IGP packets received for {flooded:.0f} flooded LSAs "
               f"= {pkts / flooded:.2f} per flooded LSA")
-    spf = counts.get("igp.spf_full_us")
-    if spf is not None:
-        print(f"{workload}: {spf:.1f} us per full SPF")
+    spf, partial = counts.get("igp.spf_full_us"), counts.get("igp.spf_partial_us")
+    if spf is not None and partial is not None:
+        print(f"{workload}: {spf:.1f} us per full SPF, {partial:.2f} us per partial SPF")
     untraced = counts.get("trace.untraced_ms")
     if untraced is not None:
         print(f"{workload}: {untraced:.1f} ms of wall time under no span")
