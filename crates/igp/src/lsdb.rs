@@ -435,7 +435,7 @@ impl<'a> Reports<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::lsa::{LsaLink, MAX_AGE};
     use crate::spf::{route_table, route_table_from, shortest_paths};
@@ -594,10 +594,12 @@ mod tests {
     }
 
     /// `to_topology` as it stood before it was rewritten to build the
-    /// real graph in one pass: one map operation per router, per link
-    /// and per reverse-link lookup. Kept as the oracle of
-    /// `to_topology_matches_the_four_pass_reference`.
-    fn to_topology_reference(db: &Lsdb) -> Topology {
+    /// real graph in one pass and lay the overlay over it: one map
+    /// operation per router, per link and per reverse-link lookup, and
+    /// every lie through `Topology::add_fake_node`. Kept as the oracle
+    /// of `to_topology_matches_the_four_pass_reference` and
+    /// `spf::tests::engine_follows_seeded_lsdb_mutations`.
+    pub(crate) fn to_topology_reference(db: &Lsdb) -> Topology {
         let mut topo = Topology::new();
         // Pass 1: create all real routers that have a live router LSA.
         for lsa in db.entries.values() {

@@ -764,6 +764,7 @@ fn dfs_paths(
 mod tests {
     use super::*;
     use crate::lsa::{Lsa, LsaBody, LsaKey, LsaKind, LsaLink};
+    use crate::lsdb::tests::to_topology_reference;
     use crate::topology::{FakeAttrs, TopoLink};
     use crate::types::SeqNum;
 
@@ -979,9 +980,11 @@ mod tests {
     /// second LSA of one fake id elsewhere, lies hung on another lie's
     /// link, lies at a router without a live router LSA, MaxAge lies and
     /// two prefix LSAs of one router for one prefix — each rule of
-    /// `Lsdb::read_overlay` drawn and counted. After every step each engine's
-    /// table must equal a from-scratch SPF on the database's topology,
-    /// and each engine must run Dijkstra exactly when the real version
+    /// `Lsdb::read_overlay` drawn and counted. After every step
+    /// `to_topology` must equal the four-pass reference (every lie
+    /// through `Topology::add_fake_node`), each engine's table a
+    /// from-scratch SPF on that reference, and each engine must run
+    /// Dijkstra exactly when the real version
     /// moved, which it must whenever the real rows (real routers, their
     /// real links and metrics) changed. Where the version moved and the
     /// rows did not, the full run must find the paths it had.
@@ -1173,7 +1176,8 @@ mod tests {
                     }
                 }
 
-                let topo = db.to_topology();
+                let topo = to_topology_reference(&db);
+                assert_eq!(db.to_topology(), topo, "case {case} step {step}: {db:?}");
                 let rows: Vec<(RouterId, Vec<TopoLink>)> = topo
                     .routers()
                     .map(|r| {
