@@ -7,7 +7,7 @@
 //! removes them ([`Lsdb::max_age_keys`], [`Lsdb::remove`]). SPF reads the
 //! database directly: a full run the dense real graph
 //! (`Lsdb::real_graph`), the route phase the prefixes and lies laid over
-//! it (`Lsdb::read_overlay`, two short lists). [`Lsdb::to_topology`]
+//! it (`Lsdb::overlay`, two short lists). [`Lsdb::to_topology`]
 //! materializes the whole augmented [`Topology`] from the same two for
 //! other readers. Both apply the two-way connectivity check to real
 //! links and trust fake-node LSAs as complete descriptions of lies.
@@ -219,7 +219,7 @@ impl Lsdb {
 
     /// Materialize the augmented topology this database describes: the
     /// rows of its dense real graph, with the prefixes and lies laid
-    /// over them (`Lsdb::read_overlay`).
+    /// over them (`Lsdb::overlay`).
     ///
     /// Real links pass the two-way check: a directed link `u → v`
     /// appears only if `v`'s router LSA also reports a link back to
@@ -241,8 +241,7 @@ impl Lsdb {
             (id, row.collect())
         });
         let mut topo = Topology::from_sorted_rows(rows.collect());
-        let mut overlay = Overlay::default();
-        self.read_overlay(&graph.ids, &mut overlay);
+        let overlay = self.overlay(&graph.ids);
         for (router, prefix, metric) in overlay.prefixes {
             let announced = topo.announce_prefix(router, prefix, metric);
             announced.expect("an announcer has a row");
@@ -275,8 +274,8 @@ impl Lsdb {
         }
     }
 
-    /// Into `out`, what this database lays over its real graph, read
-    /// straight off the live LSAs in key order. `rows` are the routers
+    /// What this database lays over its real graph, read straight off
+    /// the live LSAs in key order. `rows` are the routers
     /// that have a row, ascending: the real graph's ids, which an SPF
     /// run's kept [`ShortestPaths`](crate::spf::ShortestPaths) carries
     /// while the real version stands.
@@ -289,9 +288,8 @@ impl Lsdb {
     /// router — as a router ignores a type-5 LSA whose forwarding
     /// address is unreachable. One that counts replaces an earlier lie
     /// of the same fake id; one that does not leaves it standing.
-    pub(crate) fn read_overlay(&self, rows: &[RouterId], out: &mut Overlay) {
-        out.prefixes.clear();
-        out.lies.clear();
+    pub(crate) fn overlay(&self, rows: &[RouterId]) -> Overlay {
+        let mut out = Overlay::default();
         for lsa in self.live() {
             let origin = lsa.key.origin;
             match lsa.body {
@@ -341,6 +339,7 @@ impl Lsdb {
                 }
             }
         }
+        out
     }
 
     /// The two-way check for one link, as [`Reports::two_way_row`]
@@ -371,7 +370,7 @@ impl Lsdb {
     }
 }
 
-/// What a database lays over its real graph ([`Lsdb::read_overlay`]):
+/// What a database lays over its real graph ([`Lsdb::overlay`]):
 /// the route phase's inputs besides the shortest paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Overlay {
@@ -830,8 +829,7 @@ pub(crate) mod tests {
             // Dijkstra on it, and the route phase on the overlay.
             let graph = db.real_graph();
             assert_eq!(graph, RealGraph::of(&topo), "{db:?}");
-            let mut overlay = Overlay::default();
-            db.read_overlay(&graph.ids, &mut overlay);
+            let overlay = db.overlay(&graph.ids);
             for r in topo.routers() {
                 let sp = graph.shortest_paths(r);
                 assert_eq!(sp, shortest_paths(&topo, r), "from {r} on {db:?}");

@@ -25,7 +25,7 @@
 //! *address*, not by neighbor router, so two lies resolving to distinct
 //! addresses of the same neighbor yield two ECMP slots (uneven splits).
 
-use crate::lsdb::{Lsdb, Overlay};
+use crate::lsdb::Lsdb;
 use crate::rib::{Route, RouteTable};
 use crate::topology::{FakeAttrs, Topology};
 use crate::types::{FwAddr, Metric, Prefix, RouterId};
@@ -604,8 +604,8 @@ impl PrefixRoutes {
 /// (`Lsdb::real_graph`) and reruns Dijkstra, even when a
 /// content-identical re-origination left the graph as it was. Either
 /// way the route phase reads the prefixes and lies straight off the
-/// LSDB (`Lsdb::read_overlay`), into buffers the engine keeps; no run
-/// builds a [`Topology`]. Those reads happen outside the `spf.full` and
+/// LSDB (`Lsdb::overlay`, two short lists); no run builds a
+/// [`Topology`]. Those reads happen outside the `spf.full` and
 /// `spf.partial` spans, which cover the Dijkstra and the route phase.
 #[derive(Debug, Default)]
 pub struct SpfEngine {
@@ -613,8 +613,6 @@ pub struct SpfEngine {
     seen_real: Option<u64>,
     /// The last full run's paths.
     kept: Option<ShortestPaths>,
-    /// The last run's overlay, kept for its buffers.
-    overlay: Overlay,
     /// Counts of full Dijkstra runs (for benchmarks/ablation).
     pub full_runs: u64,
     /// Counts of runs where only the route phase ran.
@@ -638,7 +636,7 @@ impl SpfEngine {
             (None, Some(sp)) => &sp.ids,
             (None, None) => unreachable!("a run without paths is stale"),
         };
-        db.read_overlay(rows, &mut self.overlay);
+        let overlay = db.overlay(rows);
         let _span = fib_trace::span(if graph.is_some() {
             fib_trace::Phase::SpfFull
         } else {
@@ -652,8 +650,8 @@ impl SpfEngine {
             self.partial_runs += 1;
         }
         let sp = self.kept.as_ref().expect("a full run fills the slot");
-        let lies = self.overlay.lies.iter().map(|&(_, attrs)| attrs);
-        route_table(sp, self.overlay.prefixes.iter().copied(), lies)
+        let lies = overlay.lies.iter().map(|&(_, attrs)| attrs);
+        route_table(sp, overlay.prefixes.iter().copied(), lies)
     }
 }
 
@@ -980,7 +978,7 @@ mod tests {
     /// second LSA of one fake id elsewhere, lies hung on another lie's
     /// link, lies at a router without a live router LSA, MaxAge lies and
     /// two prefix LSAs of one router for one prefix — each rule of
-    /// `Lsdb::read_overlay` drawn and counted. After every step
+    /// `Lsdb::overlay` drawn and counted. After every step
     /// `to_topology` must equal the four-pass reference (every lie
     /// through `Topology::add_fake_node`), each engine's table a
     /// from-scratch SPF on that reference, and each engine must run

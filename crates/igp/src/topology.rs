@@ -305,7 +305,7 @@ impl Topology {
 
     /// Put in the fake node `id` unchecked: a lie already judged as
     /// [`add_fake_node`](Self::add_fake_node) judges it (as
-    /// `Lsdb::read_overlay` does), replacing any earlier node of that id
+    /// `Lsdb::overlay` does), replacing any earlier node of that id
     /// whose attachment link is gone.
     pub(crate) fn hang_fake_node(&mut self, id: RouterId, attrs: FakeAttrs) {
         let fake = Node {
