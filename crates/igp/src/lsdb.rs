@@ -275,10 +275,10 @@ impl Lsdb {
     }
 
     /// What this database lays over its real graph, read straight off
-    /// the live LSAs in key order. `rows` are the routers
-    /// that have a row, ascending: the real graph's ids, which an SPF
-    /// run's kept [`ShortestPaths`](crate::spf::ShortestPaths) carries
-    /// while the real version stands.
+    /// the live LSAs in key order. `rows` are the routers that have a
+    /// row, ascending: the real graph's ids, which an SPF run's kept
+    /// [`ShortestPaths`](crate::spf::ShortestPaths) carries while the
+    /// real version stands.
     ///
     /// A prefix counts at a router with a row; of one router's
     /// announcements of one prefix the last counts. A lie counts as
