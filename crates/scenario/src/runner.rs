@@ -464,13 +464,10 @@ impl ScenarioRun {
         self.condense(true)
     }
 
-    /// [`finish`](Self::finish) with an empty `trace_csv`: what a sweep
-    /// cell keeps, without rendering the recorder it would drop.
-    pub(crate) fn finish_without_trace(self) -> ScenarioReport {
-        self.condense(false)
-    }
-
-    fn condense(mut self, with_trace: bool) -> ScenarioReport {
+    /// [`finish`](Self::finish), rendering the recorder into `trace_csv`
+    /// only `with_trace` (a sweep cell keeps no trace, so it renders
+    /// none).
+    pub(crate) fn condense(mut self, with_trace: bool) -> ScenarioReport {
         self.run_until_secs(self.horizon_secs);
         let stats = self.sim.stats();
         let rec = self.sim.recorder();

@@ -136,7 +136,7 @@ fn run_one(spec: &ScenarioSpec, opts: RunOptions) -> Result<CellMetrics, CellFai
         let horizon = run.horizon_secs();
         run.run_until_secs(horizon);
         let stats = run.sim.stats();
-        let report = run.finish_without_trace();
+        let report = run.condense(false);
         Ok(CellMetrics {
             report,
             stats,
