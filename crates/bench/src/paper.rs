@@ -585,7 +585,7 @@ fn exhaustive_bound(sym_links: usize) -> Option<u32> {
 /// are an even-ECMP setting too and may lie outside that range.
 fn best_even_ecmp(case: &Case, tm: &TrafficMatrix, even: Option<f64>) -> Option<f64> {
     let sym_links = case.topo.all_links().filter(|(a, b, _)| a < b).count();
-    let (searched, _) =
+    let searched =
         best_ecmp_weights_max_util(&case.topo, tm, &case.caps, exhaustive_bound(sym_links)?)?;
     Some(even.map_or(searched, |e| searched.min(e)))
 }

@@ -29,7 +29,7 @@ fn paper_case_phases_are_fast() {
     eprintln!("even: {even:?} in {even_t:?}");
 
     let t0 = Instant::now();
-    let best = best_ecmp_weights_max_util(&topo, &tm, &caps, 3).map(|(u, _)| u);
+    let best = best_ecmp_weights_max_util(&topo, &tm, &caps, 3);
     let best_t = t0.elapsed();
     eprintln!("best: {best:?} in {best_t:?}");
 

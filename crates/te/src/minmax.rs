@@ -5,17 +5,9 @@
 //! * [`best_ecmp_weights_max_util`] — the best *any* even-ECMP weight
 //!   setting can do (finding it is NP-hard in general — Chiesa et al.,
 //!   INFOCOM'14 — which is exactly why the paper dismisses weight
-//!   tuning). Implemented as a branch-and-bound search over symmetric
-//!   weight assignments that returns exactly the exhaustive optimum:
-//!   leaves are evaluated by a compact single-Dijkstra-per-prefix load
-//!   model with the per-prefix spread memoized on the induced ECMP
-//!   DAG (many weight vectors route identically), scalar-multiple
-//!   assignments are skipped via a gcd canonicalization when every
-//!   cost scales with the assignment (no fixed-metric edges, zero
-//!   announce metrics), partial assignments are pruned when the load they
-//!   already force onto some link exceeds the incumbent, and the
-//!   search exits early once the incumbent meets the weight-free cut
-//!   bound no routing can beat;
+//!   tuning). It tries every symmetric weight assignment and spreads
+//!   the demands over each with the load model `even_ecmp_max_util`
+//!   uses; T3's cases hold at most 6 561 assignments each;
 //! * Fibbing's achievable point and the fractional optimum θ* come
 //!   from `fib-core::optimizer` and are combined with these in the
 //!   benchmark harness.
@@ -23,8 +15,8 @@
 use crate::demand::TrafficMatrix;
 use fib_igp::loadmodel::{max_utilization, spread};
 use fib_igp::topology::Topology;
-use fib_igp::types::{Metric, Prefix, RouterId};
-use std::collections::{BTreeMap, HashMap};
+use fib_igp::types::{Metric, RouterId};
+use std::collections::BTreeMap;
 
 /// Max link utilization of plain ECMP routing on the given weights.
 /// `None` if some demand is unroutable.
@@ -37,608 +29,18 @@ pub fn even_ecmp_max_util(
     Some(max_utilization(&loads, capacities))
 }
 
-const UNREACH: u64 = u64::MAX;
-
-/// A directed edge of the compact search graph.
-struct CEdge {
-    from: u32,
-    to: u32,
-    /// Index into the symmetric-link assignment, or `NOT_SYM` when the
-    /// edge keeps its original metric.
-    sym: u32,
-    /// Original metric (used when `sym == NOT_SYM`).
-    fixed: u64,
-    /// Capacity, `None` when absent from the capacity map (such links
-    /// carry traffic but are excluded from the utilization, mirroring
-    /// [`max_utilization`]).
-    cap: Option<f64>,
-}
-
-const NOT_SYM: u32 = u32::MAX;
-
-/// Demands and announcers of one destination prefix.
-struct Group {
-    /// `(node, announce metric)` per announcing router.
-    announcers: Vec<(u32, u64)>,
-    /// `(node, rate)` per demand source.
-    demands: Vec<(u32, f64)>,
-}
-
-/// The per-problem state shared by every branch-and-bound node: the
-/// compact graph, the per-prefix demand groups, and the memoized
-/// per-DAG spreads.
-struct Evaluator {
-    n: usize,
-    edges: Vec<CEdge>,
-    /// Incoming edge ids per node (reverse adjacency for the
-    /// to-destination Dijkstra).
-    in_edges: Vec<Vec<u32>>,
-    out_edges: Vec<Vec<u32>>,
-    groups: Vec<Group>,
-    max_weight: u64,
-    /// Per-group cache: ECMP-DAG structure (hop lists + sink
-    /// sentinels, node-separated) → per-edge loads.
-    memo: Vec<HashMap<Vec<u32>, Vec<f64>>>,
-    /// Scalar-multiple weight vectors route identically only when
-    /// every cost scales with the assignment: no usable fixed-metric
-    /// edge, no nonzero announce metric (neither scales with link
-    /// weights).
-    gcd_safe: bool,
-    // Scratch buffers reused across evaluations and pruning probes.
-    dist: Vec<u64>,
-    hops: Vec<Vec<u32>>,
-    inflow: Vec<f64>,
-    order: Vec<u32>,
-    dmin: Vec<u64>,
-    dmax: Vec<u64>,
-    forced: Vec<f64>,
-}
-
-/// Multi-source reverse Dijkstra toward a group's announcers: fills
-/// `dist` with the cost of the best route from every node, under the
-/// given per-edge weight function (`None` = unusable edge).
-fn dijkstra_into(
-    edges: &[CEdge],
-    in_edges: &[Vec<u32>],
-    announcers: &[(u32, u64)],
-    weight_of: impl Fn(&CEdge) -> Option<u64>,
-    dist: &mut [u64],
-) {
-    dist.iter_mut().for_each(|d| *d = UNREACH);
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-        std::collections::BinaryHeap::new();
-    for &(node, m) in announcers {
-        if m < dist[node as usize] {
-            dist[node as usize] = m;
-            heap.push(std::cmp::Reverse((m, node)));
-        }
-    }
-    while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-        if dist[v as usize] != d {
-            continue;
-        }
-        for &eid in &in_edges[v as usize] {
-            let e = &edges[eid as usize];
-            let Some(w) = weight_of(e) else { continue };
-            let nd = d.saturating_add(w);
-            if nd < dist[e.from as usize] {
-                dist[e.from as usize] = nd;
-                heap.push(std::cmp::Reverse((nd, e.from)));
-            }
-        }
-    }
-}
-
-/// How an edge's weight is constrained at a search node.
-#[derive(Clone, Copy)]
-enum WeightRange {
-    /// Assigned or original-metric edge.
-    Exact(u64),
-    /// Unassigned symmetric link: anywhere in `1..=max_weight`.
-    Free,
-    /// Original metric is infinite: the edge never carries traffic.
-    Unusable,
-}
-
-impl Evaluator {
-    fn build(
-        topo: &Topology,
-        tm: &TrafficMatrix,
-        capacities: &BTreeMap<(RouterId, RouterId), f64>,
-        sym_links: &[(RouterId, RouterId)],
-        max_weight: u32,
-    ) -> Evaluator {
-        let nodes: Vec<RouterId> = topo.routers().collect();
-        let index: BTreeMap<RouterId, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (*r, i as u32))
-            .collect();
-        let sym_index: BTreeMap<(RouterId, RouterId), u32> = sym_links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (*l, i as u32))
-            .collect();
-        let n = nodes.len();
-        let mut edges = Vec::new();
-        let mut in_edges = vec![Vec::new(); n];
-        let mut out_edges = vec![Vec::new(); n];
-        for (u, v, m) in topo.all_links() {
-            let (fu, fv) = (index[&u], index[&v]);
-            let key = if u < v { (u, v) } else { (v, u) };
-            let id = edges.len() as u32;
-            edges.push(CEdge {
-                from: fu,
-                to: fv,
-                sym: sym_index.get(&key).copied().unwrap_or(NOT_SYM),
-                fixed: if m.is_finite() {
-                    u64::from(m.0)
-                } else {
-                    UNREACH
-                },
-                cap: capacities.get(&(u, v)).copied(),
-            });
-            out_edges[fu as usize].push(id);
-            in_edges[fv as usize].push(id);
-        }
-        // Demands grouped by prefix, announcers resolved per group.
-        let mut by_prefix: BTreeMap<Prefix, Vec<(u32, f64)>> = BTreeMap::new();
-        for (src, prefix, rate) in tm.iter() {
-            if let Some(i) = index.get(&src) {
-                by_prefix.entry(prefix).or_default().push((*i, rate));
-            }
-        }
-        // Scaling every assigned weight by a constant preserves the
-        // routing only if *all* costs scale with it: any usable edge
-        // outside the symmetric assignment keeps a fixed metric, and
-        // any nonzero announce metric stays fixed too — either one
-        // breaks the equivalence, so it disables the gcd prune.
-        let mut gcd_safe = edges
-            .iter()
-            .all(|e: &CEdge| e.sym != NOT_SYM || e.fixed == UNREACH);
-        let mut groups = Vec::new();
-        for (prefix, demands) in by_prefix {
-            let mut announcers: BTreeMap<u32, u64> = BTreeMap::new();
-            for (node, p, m) in topo.all_announcements() {
-                if p != prefix || node.is_fake() {
-                    continue;
-                }
-                let m = if m.is_finite() {
-                    u64::from(m.0)
-                } else {
-                    continue;
-                };
-                if m != 0 {
-                    gcd_safe = false;
-                }
-                let e = announcers.entry(index[&node]).or_insert(m);
-                *e = (*e).min(m);
-            }
-            groups.push(Group {
-                announcers: announcers.into_iter().collect(),
-                demands,
-            });
-        }
-        let memo = groups.iter().map(|_| HashMap::new()).collect();
-        let n_edges = edges.len();
-        Evaluator {
-            n,
-            edges,
-            in_edges,
-            out_edges,
-            groups,
-            max_weight: u64::from(max_weight.max(1)),
-            memo,
-            gcd_safe,
-            dist: vec![UNREACH; n],
-            hops: vec![Vec::new(); n],
-            inflow: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            dmin: vec![UNREACH; n],
-            dmax: vec![UNREACH; n],
-            forced: vec![0.0; n_edges],
-        }
-    }
-
-    /// Weight of edge `e` under a (possibly partial) assignment:
-    /// symmetric links beyond `assigned.len()` are [`WeightRange::Free`].
-    fn range(&self, e: &CEdge, assigned: &[u32]) -> WeightRange {
-        if e.sym != NOT_SYM {
-            match assigned.get(e.sym as usize) {
-                Some(w) => WeightRange::Exact(u64::from(*w)),
-                None => WeightRange::Free,
-            }
-        } else if e.fixed == UNREACH {
-            WeightRange::Unusable
-        } else {
-            WeightRange::Exact(e.fixed)
-        }
-    }
-
-    /// Evaluate a complete assignment: max utilization of the even-ECMP
-    /// routing it induces, or `None` when some demand is unroutable.
-    fn eval(&mut self, assigned: &[u32]) -> Option<f64> {
-        let mut total_loads: Vec<f64> = vec![0.0; self.edges.len()];
-        for g in 0..self.groups.len() {
-            let mut dist = std::mem::take(&mut self.dist);
-            dijkstra_into(
-                &self.edges,
-                &self.in_edges,
-                &self.groups[g].announcers,
-                |e| self.range_full(e, assigned),
-                &mut dist,
-            );
-            self.dist = dist;
-            for &(src, _) in &self.groups[g].demands {
-                if self.dist[src as usize] == UNREACH {
-                    return None;
-                }
-            }
-            // ECMP next-hops and sinks induced by the distances. A
-            // router announcing at its own distance delivers locally
-            // (the rib's local-wins rule) and forwards nothing.
-            for h in &mut self.hops {
-                h.clear();
-            }
-            let mut is_sink = vec![false; self.n];
-            for &(node, m) in &self.groups[g].announcers {
-                if m == self.dist[node as usize] {
-                    is_sink[node as usize] = true;
-                }
-            }
-            for (eid, e) in self.edges.iter().enumerate() {
-                if is_sink[e.from as usize] {
-                    continue;
-                }
-                let Some(w) = self.range_full(e, assigned) else {
-                    continue;
-                };
-                let (du, dv) = (self.dist[e.from as usize], self.dist[e.to as usize]);
-                if dv != UNREACH && du == dv.saturating_add(w) && du != UNREACH {
-                    self.hops[e.from as usize].push(eid as u32);
-                }
-            }
-            // The memo key is the DAG structure itself (per-node hop
-            // lists, sinks marked with a sentinel no edge id can take)
-            // so a hash collision can never resurrect the wrong
-            // spread; the HashMap's equality check settles it.
-            let mut sig: Vec<u32> = Vec::with_capacity(self.n + self.edges.len());
-            for (u, h) in self.hops.iter().enumerate() {
-                if is_sink[u] {
-                    sig.push(u32::MAX);
-                } else {
-                    sig.extend_from_slice(h);
-                }
-                sig.push(u32::MAX - 1); // node separator
-            }
-            if let Some(loads) = self.memo[g].get(&sig) {
-                for (t, l) in total_loads.iter_mut().zip(loads) {
-                    *t += l;
-                }
-                continue;
-            }
-            // Spread this group's demands over the DAG in a Kahn
-            // topological order. Distance alone is NOT a valid order:
-            // a fixed Metric(0) edge puts equal-distance nodes on the
-            // DAG. A hop cycle (possible only through zero-metric
-            // fixed edges) mirrors `spread`'s ForwardingLoop error:
-            // the assignment is skipped.
-            let mut loads = vec![0.0; self.edges.len()];
-            self.inflow.iter_mut().for_each(|f| *f = 0.0);
-            for &(src, rate) in &self.groups[g].demands {
-                self.inflow[src as usize] += rate;
-            }
-            let mut indeg = vec![0u32; self.n];
-            for (u, sink) in is_sink.iter().enumerate() {
-                if *sink {
-                    continue;
-                }
-                for &eid in &self.hops[u] {
-                    indeg[self.edges[eid as usize].to as usize] += 1;
-                }
-            }
-            self.order.clear();
-            for (u, d) in indeg.iter().enumerate() {
-                if *d == 0 {
-                    self.order.push(u as u32);
-                }
-            }
-            let mut done = 0usize;
-            while done < self.order.len() {
-                let u = self.order[done] as usize;
-                done += 1;
-                let flow = self.inflow[u];
-                if !is_sink[u] {
-                    for &eid in &self.hops[u] {
-                        let to = self.edges[eid as usize].to as usize;
-                        indeg[to] -= 1;
-                        if indeg[to] == 0 {
-                            self.order.push(to as u32);
-                        }
-                    }
-                    if flow > 0.0 && !self.hops[u].is_empty() {
-                        let share = flow / self.hops[u].len() as f64;
-                        for &eid in &self.hops[u] {
-                            loads[eid as usize] += share;
-                            self.inflow[self.edges[eid as usize].to as usize] += share;
-                        }
-                    }
-                }
-            }
-            if done < self.n {
-                return None; // forwarding loop via zero-metric edges
-            }
-            for (t, l) in total_loads.iter_mut().zip(&loads) {
-                *t += l;
-            }
-            self.memo[g].insert(sig, loads);
-        }
-        let mut util = 0.0f64;
-        for (e, load) in self.edges.iter().zip(&total_loads) {
-            if let Some(cap) = e.cap {
-                util = util.max(load / cap);
-            }
-        }
-        Some(util)
-    }
-
-    /// Weight under a complete assignment (`None` = unusable edge).
-    fn range_full(&self, e: &CEdge, assigned: &[u32]) -> Option<u64> {
-        match self.range(e, assigned) {
-            WeightRange::Exact(w) => Some(w),
-            WeightRange::Free => Some(1), // complete assignments never hit this
-            WeightRange::Unusable => None,
-        }
-    }
-
-    /// Lower bound on the max utilization of *any* completion of a
-    /// partial assignment: interval distances (free links at 1 and at
-    /// `max_weight`) identify routers whose next hop is already forced,
-    /// and the demand walked along forced chains is load no completion
-    /// can avoid.
-    fn forced_bound(&mut self, assigned: &[u32]) -> f64 {
-        let w_max = self.max_weight;
-        // Reuse the scratch buffers: this runs once per pruning probe
-        // in the search hot loop.
-        let mut forced = std::mem::take(&mut self.forced);
-        let mut dmin = std::mem::take(&mut self.dmin);
-        let mut dmax = std::mem::take(&mut self.dmax);
-        forced.iter_mut().for_each(|f| *f = 0.0);
-        for g in 0..self.groups.len() {
-            dijkstra_into(
-                &self.edges,
-                &self.in_edges,
-                &self.groups[g].announcers,
-                |e| match self.range(e, assigned) {
-                    WeightRange::Exact(w) => Some(w),
-                    WeightRange::Free => Some(1),
-                    WeightRange::Unusable => None,
-                },
-                &mut dmin,
-            );
-            dijkstra_into(
-                &self.edges,
-                &self.in_edges,
-                &self.groups[g].announcers,
-                |e| match self.range(e, assigned) {
-                    WeightRange::Exact(w) => Some(w),
-                    WeightRange::Free => Some(w_max),
-                    WeightRange::Unusable => None,
-                },
-                &mut dmax,
-            );
-            let announces: Vec<bool> = {
-                let mut a = vec![false; self.n];
-                for &(node, _) in &self.groups[g].announcers {
-                    a[node as usize] = true;
-                }
-                a
-            };
-            // The unique possible next hop of `u`, if any: the only
-            // edge whose optimistic cost beats every alternative's
-            // pessimistic cost.
-            let unique_hop = |u: usize, ev: &Evaluator| -> Option<u32> {
-                // Pessimistic bound on dist(u) in any completion.
-                let mut ub = UNREACH;
-                for &eid in &ev.out_edges[u] {
-                    let e = &ev.edges[eid as usize];
-                    let w = match ev.range(e, assigned) {
-                        WeightRange::Exact(w) => w,
-                        WeightRange::Free => w_max,
-                        WeightRange::Unusable => continue,
-                    };
-                    if dmax[e.to as usize] != UNREACH {
-                        ub = ub.min(dmax[e.to as usize].saturating_add(w));
-                    }
-                }
-                let mut only: Option<u32> = None;
-                for &eid in &ev.out_edges[u] {
-                    let e = &ev.edges[eid as usize];
-                    let w = match ev.range(e, assigned) {
-                        WeightRange::Exact(w) => w,
-                        WeightRange::Free => 1,
-                        WeightRange::Unusable => continue,
-                    };
-                    if dmin[e.to as usize] == UNREACH {
-                        continue;
-                    }
-                    if dmin[e.to as usize].saturating_add(w) <= ub {
-                        if only.is_some() {
-                            return None; // two candidates: not forced
-                        }
-                        only = Some(eid);
-                    }
-                }
-                only
-            };
-            for di in 0..self.groups[g].demands.len() {
-                let (src, rate) = self.groups[g].demands[di];
-                let mut u = src as usize;
-                let mut steps = 0;
-                // Follow the chain of forced hops; any node that might
-                // absorb or split ends the certainty.
-                while !announces[u] && steps <= self.n {
-                    let Some(eid) = unique_hop(u, self) else {
-                        break;
-                    };
-                    forced[eid as usize] += rate;
-                    u = self.edges[eid as usize].to as usize;
-                    steps += 1;
-                }
-            }
-        }
-        let mut bound = 0.0f64;
-        for (e, load) in self.edges.iter().zip(&forced) {
-            if let Some(cap) = e.cap {
-                bound = bound.max(load / cap);
-            }
-        }
-        self.forced = forced;
-        self.dmin = dmin;
-        self.dmax = dmax;
-        bound
-    }
-
-    /// A weight-independent lower bound on the max utilization of any
-    /// routing: demand must leave its source and enter the announcer
-    /// set, so those cuts' capacities bound every scheme. Links absent
-    /// from the capacity map make a cut unbounded (they are free).
-    fn cut_bound(&self) -> f64 {
-        let usable = |e: &CEdge| e.sym != NOT_SYM || e.fixed != UNREACH;
-        let mut bound = 0.0f64;
-        for g in &self.groups {
-            let mut announces = vec![false; self.n];
-            for &(node, _) in &g.announcers {
-                announces[node as usize] = true;
-            }
-            for &(src, rate) in &g.demands {
-                if announces[src as usize] {
-                    continue; // might be absorbed locally
-                }
-                let mut cap_sum = 0.0;
-                let mut unbounded = false;
-                for &eid in &self.out_edges[src as usize] {
-                    let e = &self.edges[eid as usize];
-                    if !usable(e) {
-                        continue;
-                    }
-                    match e.cap {
-                        Some(c) => cap_sum += c,
-                        None => unbounded = true,
-                    }
-                }
-                if !unbounded && cap_sum > 0.0 {
-                    bound = bound.max(rate / cap_sum);
-                }
-            }
-            let total: f64 = g
-                .demands
-                .iter()
-                .filter(|(s, _)| !announces[*s as usize])
-                .map(|(_, r)| r)
-                .sum();
-            if total > 0.0 {
-                let mut cap_in = 0.0;
-                let mut unbounded = false;
-                for e in &self.edges {
-                    if usable(e) && announces[e.to as usize] && !announces[e.from as usize] {
-                        match e.cap {
-                            Some(c) => cap_in += c,
-                            None => unbounded = true,
-                        }
-                    }
-                }
-                if !unbounded && cap_in > 0.0 {
-                    bound = bound.max(total / cap_in);
-                }
-            }
-        }
-        bound
-    }
-}
-
-/// Branch-and-bound state.
-struct Search {
-    ev: Evaluator,
-    assignment: Vec<u32>,
-    max_weight: u32,
-    best: Option<(f64, Vec<u32>)>,
-    cut_bound: f64,
-    done: bool,
-}
-
-fn gcd(a: u32, b: u32) -> u32 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-impl Search {
-    fn dfs(&mut self, depth: usize) {
-        if self.done {
-            return;
-        }
-        let links = self.assignment.len();
-        if depth == links {
-            if self.ev.gcd_safe && links > 0 {
-                let g = self.assignment.iter().copied().fold(0, gcd);
-                if g > 1 {
-                    // A scalar multiple of an earlier assignment with
-                    // identical routing: already evaluated.
-                    return;
-                }
-            }
-            let Some(util) = self.ev.eval(&self.assignment) else {
-                return;
-            };
-            let better = self
-                .best
-                .as_ref()
-                .map(|(b, _)| util < *b - 1e-12)
-                .unwrap_or(true);
-            if better {
-                self.best = Some((util, self.assignment.clone()));
-                if util <= self.cut_bound + 1e-12 {
-                    self.done = true; // nothing can beat the cut bound
-                }
-            }
-            return;
-        }
-        for w in 1..=self.max_weight {
-            self.assignment[depth] = w;
-            // The bound costs two Dijkstras per prefix: only worth it
-            // while the subtree it can cut is substantially larger.
-            if links - depth > 3 {
-                if let Some((incumbent, _)) = &self.best {
-                    let bound = self.ev.forced_bound(&self.assignment[..=depth]);
-                    if bound > incumbent + 1e-9 {
-                        continue;
-                    }
-                }
-            }
-            self.dfs(depth + 1);
-            if self.done {
-                return;
-            }
-        }
-    }
-}
-
-/// The best symmetric weight assignment in `1..=max_weight` minimizing
-/// max utilization under even ECMP, with the utilization it achieves.
-/// `None` if some demand is unroutable (a property of the graph, not
-/// of the weights). Exact — a branch-and-bound over the
-/// `max_weight ^ links` space that provably returns the exhaustive
-/// optimum; the space is still asserted below ~2 million combinations
-/// as a guard against calls no search could make tractable.
+/// The lowest max utilization any symmetric weight assignment in
+/// `1..=max_weight` reaches under even ECMP. `None` if some demand is
+/// unroutable (a property of the graph, not of the weights). Exact:
+/// every one of the `max_weight ^ links` assignments is spread, and
+/// the space is asserted below ~2 million as a guard against calls no
+/// search could make tractable.
 pub fn best_ecmp_weights_max_util(
     topo: &Topology,
     tm: &TrafficMatrix,
     capacities: &BTreeMap<(RouterId, RouterId), f64>,
     max_weight: u32,
-) -> Option<(f64, Topology)> {
+) -> Option<f64> {
     assert_eq!(
         topo.fake_count(),
         0,
@@ -657,33 +59,32 @@ pub fn best_ecmp_weights_max_util(
         "search space too large: {combos} combinations"
     );
 
-    let ev = Evaluator::build(topo, tm, capacities, &sym_links, max_weight);
-    let cut_bound = ev.cut_bound();
-    let mut search = Search {
-        ev,
-        assignment: vec![1; sym_links.len()],
-        max_weight: max_weight.max(1),
-        best: None,
-        cut_bound,
-        done: false,
-    };
-    search.dfs(0);
-    let (_, assignment) = search.best?;
-
-    // Materialize the winner and report its utilization through the
-    // same load model `even_ecmp_max_util` uses.
-    let mut best_topo = topo.clone();
-    for ((a, b), w) in sym_links.iter().zip(&assignment) {
-        // Directed-only links have just one direction to set.
-        if best_topo.has_link(*a, *b) {
-            best_topo.set_metric(*a, *b, Metric(*w)).unwrap();
+    let demands = tm.demands();
+    let mut cand = topo.clone();
+    let mut assignment = vec![1u32; sym_links.len()];
+    let mut best: Option<f64> = None;
+    loop {
+        for (&(a, b), &w) in sym_links.iter().zip(&assignment) {
+            // Directed-only links have just one direction to set.
+            for (from, to) in [(a, b), (b, a)] {
+                if cand.has_link(from, to) {
+                    cand.set_metric(from, to, Metric(w)).unwrap();
+                }
+            }
         }
-        if best_topo.has_link(*b, *a) {
-            best_topo.set_metric(*b, *a, Metric(*w)).unwrap();
+        if let Ok(loads) = spread(&cand, &demands) {
+            let util = max_utilization(&loads, capacities);
+            if best.map_or(true, |b| util < b - 1e-12) {
+                best = Some(util);
+            }
         }
+        // Advance the odometer, the first link turning fastest.
+        let Some(i) = assignment.iter().position(|&w| w < max_weight) else {
+            return best;
+        };
+        assignment[..i].fill(1);
+        assignment[i] += 1;
     }
-    let loads = spread(&best_topo, &tm.demands()).ok()?;
-    Some((max_utilization(&loads, capacities), best_topo))
 }
 
 #[cfg(test)]
@@ -726,11 +127,9 @@ mod tests {
         let (t, caps, p) = square(true);
         let mut tm = TrafficMatrix::new();
         tm.add(r(1), p, 160.0);
-        let (u, best_topo) = best_ecmp_weights_max_util(&t, &tm, &caps, 3).unwrap();
+        let u = best_ecmp_weights_max_util(&t, &tm, &caps, 3).unwrap();
         // Even ECMP can reach 0.8 by making both paths equal cost.
         assert!((u - 0.8).abs() < 1e-9, "best even ECMP: {u}");
-        let loads = spread(&best_topo, &tm.demands()).unwrap();
-        assert!((loads[&(r(1), r(2))] - 80.0).abs() < 1e-6);
     }
 
     #[test]
@@ -750,51 +149,6 @@ mod tests {
         let mut tm = TrafficMatrix::new();
         tm.add(r(1), p, 10.0);
         let _ = best_ecmp_weights_max_util(&t, &tm, &caps, 64);
-    }
-
-    /// The original odometer implementation, kept verbatim as the
-    /// oracle the branch-and-bound is pinned against.
-    fn exhaustive_reference(
-        topo: &Topology,
-        tm: &TrafficMatrix,
-        capacities: &BTreeMap<(RouterId, RouterId), f64>,
-        max_weight: u32,
-    ) -> Option<(f64, Topology)> {
-        let mut sym_links: Vec<(RouterId, RouterId)> = topo
-            .all_links()
-            .filter(|(a, b, _)| a < b)
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        sym_links.sort();
-        sym_links.dedup();
-        let mut best: Option<(f64, Topology)> = None;
-        let mut assignment = vec![1u32; sym_links.len()];
-        loop {
-            let mut cand = topo.clone();
-            for ((a, b), w) in sym_links.iter().zip(&assignment) {
-                cand.set_metric(*a, *b, Metric(*w)).unwrap();
-                cand.set_metric(*b, *a, Metric(*w)).unwrap();
-            }
-            if let Ok(loads) = spread(&cand, &tm.demands()) {
-                let u = max_utilization(&loads, capacities);
-                let better = best.as_ref().map(|(bu, _)| u < *bu - 1e-12).unwrap_or(true);
-                if better {
-                    best = Some((u, cand));
-                }
-            }
-            let mut i = 0;
-            loop {
-                if i == assignment.len() {
-                    return best;
-                }
-                if assignment[i] < max_weight {
-                    assignment[i] += 1;
-                    break;
-                }
-                assignment[i] = 1;
-                i += 1;
-            }
-        }
     }
 
     #[test]
@@ -819,7 +173,7 @@ mod tests {
         let mut caps: BTreeMap<(RouterId, RouterId), f64> =
             t.all_links().map(|(a, b, _)| ((a, b), 10.0)).collect();
         caps.insert((r(3), r(1)), 100.0);
-        let (u, _) = best_ecmp_weights_max_util(&t, &tm, &caps, 2).unwrap();
+        let u = best_ecmp_weights_max_util(&t, &tm, &caps, 2).unwrap();
         assert!((u - 1.0).abs() <= 1e-9, "optimum routes directly: {u}");
     }
 
@@ -843,7 +197,7 @@ mod tests {
             t.all_links().map(|(a, b, _)| ((a, b), 10.0)).collect();
         caps.insert((r(1), r(3)), 100.0);
         for w in 2..=3u32 {
-            let (u, _) = best_ecmp_weights_max_util(&t, &tm, &caps, w).unwrap();
+            let u = best_ecmp_weights_max_util(&t, &tm, &caps, w).unwrap();
             assert!(
                 (u - 1.0).abs() <= 1e-9,
                 "w={w}: optimum routes directly: {u}"
@@ -873,7 +227,7 @@ mod tests {
         caps.insert((r(3), r(2)), 1000.0);
         caps.insert((r(2), r(1)), 10.0);
         for w in 2..=3u32 {
-            let (u, _) = best_ecmp_weights_max_util(&t, &tm, &caps, w).unwrap();
+            let u = best_ecmp_weights_max_util(&t, &tm, &caps, w).unwrap();
             assert!((u - 2.0).abs() <= 1e-9, "w={w}: {u}");
         }
     }
@@ -888,79 +242,7 @@ mod tests {
         let mut tm = TrafficMatrix::new();
         tm.add(r(1), Prefix::net24(1), 100.0);
         tm.add(r(2), Prefix::net24(1), 100.0);
-        let (u, _) = best_ecmp_weights_max_util(&topo, &tm, &caps, 3).unwrap();
+        let u = best_ecmp_weights_max_util(&topo, &tm, &caps, 3).unwrap();
         assert!((u - 0.75).abs() <= 1e-9, "best even ECMP: {u}");
-    }
-
-    mod bnb_equivalence {
-        use super::*;
-        use proptest::prelude::*;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        /// A random connected topology with at most `max_links`
-        /// symmetric links (n chosen so the tree alone fits), plus a
-        /// sink and 1–2 demands.
-        fn scenario(seed: u64) -> (Topology, TrafficMatrix, BTreeMap<(RouterId, RouterId), f64>) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(3..=5u32);
-            let extra = rng.gen_range(0..=(6 - (n - 1)));
-            let mut topo = fib_igp::builders::random_connected(&mut rng, n, extra, 4);
-            let routers: Vec<RouterId> = topo.routers().collect();
-            let sink = routers[rng.gen_range(0..routers.len())];
-            let prefix = Prefix::net24(1);
-            // Nonzero announce metrics sometimes, to exercise the
-            // gcd-unsafe path.
-            let m = if rng.gen_range(0..4u32) == 0 {
-                Metric(rng.gen_range(1..3))
-            } else {
-                Metric::ZERO
-            };
-            topo.announce_prefix(sink, prefix, m).unwrap();
-            let mut tm = TrafficMatrix::new();
-            let n_dem = rng.gen_range(1..=2usize);
-            let mut used = Vec::new();
-            while used.len() < n_dem.min(routers.len() - 1) {
-                let s = routers[rng.gen_range(0..routers.len())];
-                if s != sink && !used.contains(&s) {
-                    used.push(s);
-                    tm.add(s, prefix, rng.gen_range(20.0..200.0));
-                }
-            }
-            let caps: BTreeMap<(RouterId, RouterId), f64> = topo
-                .all_links()
-                .map(|(a, b, _)| ((a, b), rng.gen_range(50.0..150.0)))
-                .collect();
-            (topo, tm, caps)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// Branch-and-bound returns exactly the exhaustive-search
-            /// optimum on every ≤6-link topology with max_weight ≤ 3.
-            #[test]
-            fn bnb_matches_exhaustive_optimum(seed in 0u64..4000, w in 2u32..=3) {
-                let (topo, tm, caps) = scenario(seed);
-                let fast = best_ecmp_weights_max_util(&topo, &tm, &caps, w);
-                let slow = exhaustive_reference(&topo, &tm, &caps, w);
-                match (fast, slow) {
-                    (Some((uf, tf)), Some((us, _))) => {
-                        prop_assert!((uf - us).abs() <= 1e-9,
-                            "bnb {uf} vs exhaustive {us}");
-                        // The returned topology really achieves it.
-                        let loads = spread(&tf, &tm.demands()).unwrap();
-                        let real = max_utilization(&loads, &caps);
-                        prop_assert!((real - uf).abs() <= 1e-9);
-                    }
-                    (None, None) => {}
-                    (a, b) => prop_assert!(
-                        false,
-                        "diverged: bnb {:?} vs exhaustive {:?}",
-                        a.map(|x| x.0), b.map(|x| x.0)
-                    ),
-                }
-            }
-        }
     }
 }
