@@ -9,8 +9,8 @@
 //! quantify those claims:
 //!
 //! * **CSPF** — constrained shortest path over residual bandwidth;
-//! * **signalling** — Path/Resv messages per hop at setup, PathTear at
-//!   teardown, periodic soft-state refreshes;
+//! * **signalling** — Path/Resv messages per hop at setup, periodic
+//!   soft-state refreshes;
 //! * **state** — per-hop path+reservation soft state and one label per
 //!   hop per tunnel;
 //! * **data plane** — label stack encapsulation bytes per packet and
@@ -58,8 +58,6 @@ pub struct RsvpStats {
     pub path_msgs: u64,
     /// Resv messages sent (setup, one per hop per tunnel).
     pub resv_msgs: u64,
-    /// Tear messages sent.
-    pub tear_msgs: u64,
     /// Labels allocated (one per hop per tunnel).
     pub labels: u64,
     /// CSPF runs performed.
@@ -78,8 +76,6 @@ pub enum RsvpError {
         /// Requested bandwidth.
         bw: f64,
     },
-    /// Unknown tunnel id.
-    UnknownTunnel(TunnelId),
 }
 
 impl fmt::Display for RsvpError {
@@ -90,7 +86,6 @@ impl fmt::Display for RsvpError {
                 egress,
                 bw,
             } => write!(f, "no path {ingress}->{egress} with {bw} B/s residual"),
-            RsvpError::UnknownTunnel(id) => write!(f, "unknown tunnel {id:?}"),
         }
     }
 }
@@ -220,21 +215,6 @@ impl RsvpTe {
         Ok(id)
     }
 
-    /// Tear a tunnel down (PathTear per hop, reservations released).
-    pub fn teardown(&mut self, id: TunnelId) -> Result<(), RsvpError> {
-        let t = self
-            .tunnels
-            .remove(&id)
-            .ok_or(RsvpError::UnknownTunnel(id))?;
-        for key in &t.path {
-            if let Some(r) = self.reserved.get_mut(key) {
-                *r = (*r - t.bw).max(0.0);
-            }
-        }
-        self.stats.tear_msgs += t.path.len() as u64;
-        Ok(())
-    }
-
     /// Soft-state entries per router (path + resv state per tunnel
     /// traversing it, head and tail included).
     pub fn state_per_router(&self) -> BTreeMap<RouterId, usize> {
@@ -314,17 +294,6 @@ mod tests {
         assert_eq!(te.stats.resv_msgs, 2);
         assert_eq!(te.stats.labels, 2);
         assert_eq!(te.total_state(), 6); // 3 routers × 2 blocks
-    }
-
-    #[test]
-    fn teardown_releases_bandwidth() {
-        let mut te = square();
-        let id = te.establish(r(1), r(4), 80.0).unwrap();
-        assert!(te.residual(r(1), r(2)) < 30.0);
-        te.teardown(id).unwrap();
-        assert!((te.residual(r(1), r(2)) - 100.0).abs() < 1e-9);
-        assert_eq!(te.stats.tear_msgs, 2);
-        assert!(matches!(te.teardown(id), Err(RsvpError::UnknownTunnel(_))));
     }
 
     #[test]
