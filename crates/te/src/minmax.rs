@@ -152,56 +152,38 @@ mod tests {
     }
 
     #[test]
-    fn directed_only_fixed_metric_link_keeps_its_metric() {
-        // A one-directional link from r3 to r1 (from > to, so it is
-        // outside the symmetric assignment) keeps its original metric,
-        // which does NOT scale with the weight vector — so (2,2) is
-        // not equivalent to (1,1). Here the true optimum needs weight
-        // 2 on both symmetric links to make the fixed-cost direct link
-        // (the only high-capacity one) shortest.
-        let mut t = Topology::new();
-        for i in 1..=3 {
-            t.add_router(r(i));
-        }
-        t.add_link_sym(r(3), r(2), Metric(1)).unwrap();
-        t.add_link_sym(r(2), r(1), Metric(1)).unwrap();
-        t.add_link(r(3), r(1), Metric(3)).unwrap(); // directed only
-        let p = Prefix::net24(1);
-        t.announce_prefix(r(1), p, Metric::ZERO).unwrap();
-        let mut tm = TrafficMatrix::new();
-        tm.add(r(3), p, 100.0);
-        let mut caps: BTreeMap<(RouterId, RouterId), f64> =
-            t.all_links().map(|(a, b, _)| ((a, b), 10.0)).collect();
-        caps.insert((r(3), r(1)), 100.0);
-        let u = best_ecmp_weights_max_util(&t, &tm, &caps, 2).unwrap();
-        assert!((u - 1.0).abs() <= 1e-9, "optimum routes directly: {u}");
-    }
-
-    #[test]
-    fn directed_only_link_inside_the_symmetric_set_gets_one_direction() {
-        // The mirror image: the one-directional link runs from r1 to
-        // r3 (from < to), so it is one of the searched links, and the
-        // search may set only the direction that exists.
-        let mut t = Topology::new();
-        for i in 1..=3 {
-            t.add_router(r(i));
-        }
-        t.add_link_sym(r(1), r(2), Metric(1)).unwrap();
-        t.add_link_sym(r(2), r(3), Metric(1)).unwrap();
-        t.add_link(r(1), r(3), Metric(3)).unwrap(); // directed only
-        let p = Prefix::net24(1);
-        t.announce_prefix(r(3), p, Metric::ZERO).unwrap();
-        let mut tm = TrafficMatrix::new();
-        tm.add(r(1), p, 100.0);
-        let mut caps: BTreeMap<(RouterId, RouterId), f64> =
-            t.all_links().map(|(a, b, _)| ((a, b), 10.0)).collect();
-        caps.insert((r(1), r(3)), 100.0);
-        for w in 2..=3u32 {
-            let u = best_ecmp_weights_max_util(&t, &tm, &caps, w).unwrap();
-            assert!(
-                (u - 1.0).abs() <= 1e-9,
-                "w={w}: optimum routes directly: {u}"
-            );
+    fn directed_only_link_keeps_its_metric_or_gets_one_direction() {
+        // A two-hop path of symmetric links and a direct one-directional
+        // link, the only high-capacity one, from `src` to `dst`.
+        // * r3 → r1 runs from > to, outside the symmetric assignment,
+        //   and keeps its Metric(3), which does NOT scale with the
+        //   weight vector — so (2,2) is not equivalent to (1,1): the
+        //   optimum needs weight 2 on both symmetric links to make the
+        //   direct link shortest.
+        // * r1 → r3 runs from < to, so it is one of the searched links,
+        //   and the search may set only the direction that exists.
+        for (src, dst) in [(r(3), r(1)), (r(1), r(3))] {
+            let mut t = Topology::new();
+            for i in 1..=3 {
+                t.add_router(r(i));
+            }
+            t.add_link_sym(src, r(2), Metric(1)).unwrap();
+            t.add_link_sym(r(2), dst, Metric(1)).unwrap();
+            t.add_link(src, dst, Metric(3)).unwrap(); // directed only
+            let p = Prefix::net24(1);
+            t.announce_prefix(dst, p, Metric::ZERO).unwrap();
+            let mut tm = TrafficMatrix::new();
+            tm.add(src, p, 100.0);
+            let mut caps: BTreeMap<(RouterId, RouterId), f64> =
+                t.all_links().map(|(a, b, _)| ((a, b), 10.0)).collect();
+            caps.insert((src, dst), 100.0);
+            for w in 2..=3u32 {
+                let u = best_ecmp_weights_max_util(&t, &tm, &caps, w).unwrap();
+                assert!(
+                    (u - 1.0).abs() <= 1e-9,
+                    "{src}->{dst}, w={w}: optimum routes directly: {u}"
+                );
+            }
         }
     }
 
