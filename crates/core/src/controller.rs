@@ -757,11 +757,10 @@ mod tests {
     use fib_netsim::link::LinkSpec;
     use fib_netsim::sim::{Sim, SimConfig};
 
-    /// Schedule a flow start through the typed event path.
-    fn sched_flow(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> fib_netsim::flow::FlowId {
-        let id = sim.new_flow_id();
-        sim.schedule(at, Event::FlowStart { id, spec });
-        id
+    /// Run to `at`, then start a flow there from host code.
+    fn start_at(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> fib_netsim::flow::FlowId {
+        sim.run_until(at);
+        sim.ctx().start_flow(spec)
     }
 
     fn r(n: u32) -> RouterId {
@@ -790,14 +789,14 @@ mod tests {
         let cfg = ControllerConfig::new(r(100));
         let mut sim = sim_with_controller(cfg);
         // 12 video flows of 100 kB/s from r1: 1.2 MB/s > 1 MB/s link.
+        sim.start();
         for i in 0..12 {
-            sched_flow(
+            start_at(
                 &mut sim,
                 Timestamp::from_secs(10) + Dur::from_millis(i * 10),
                 FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
             );
         }
-        sim.start();
         sim.run_until(Timestamp::from_secs(30));
         // r1 must have gained an extra ECMP slot toward r3.
         let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
@@ -820,24 +819,25 @@ mod tests {
     fn controller_retracts_when_demand_subsides() {
         let cfg = ControllerConfig::new(r(100));
         let mut sim = sim_with_controller(cfg);
+        sim.start();
         let mut ids = Vec::new();
         for i in 0..12 {
-            ids.push(sched_flow(
+            ids.push(start_at(
                 &mut sim,
                 Timestamp::from_secs(10) + Dur::from_millis(i * 10),
                 FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
             ));
         }
-        // Stop all flows at t=40.
-        for id in &ids {
-            sim.schedule(Timestamp::from_secs(40), Event::FlowStop { id: *id });
-        }
-        sim.start();
         sim.run_until(Timestamp::from_secs(35));
         assert!(
             sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len() >= 2,
             "lies installed during the crowd"
         );
+        // Stop all flows at t=40.
+        sim.run_until(Timestamp::from_secs(40));
+        for id in &ids {
+            assert!(sim.ctx().stop_flow(*id));
+        }
         sim.run_until(Timestamp::from_secs(60));
         // After retraction, r1 falls back to the single natural hop.
         let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
@@ -860,16 +860,16 @@ mod tests {
         sim.announce_prefix(r(3), Prefix::net24(1));
         sim.add_controller_speaker(r(100), r(2));
         sim.add_app(Box::new(ctl));
+        sim.start();
+        sim.run_until(Timestamp::from_secs(9));
+        assert_eq!(watch.lock().installed_lies, 0);
         for i in 0..12 {
-            sched_flow(
+            start_at(
                 &mut sim,
                 Timestamp::from_secs(10) + Dur::from_millis(i * 10),
                 FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
             );
         }
-        sim.start();
-        sim.run_until(Timestamp::from_secs(9));
-        assert_eq!(watch.lock().installed_lies, 0);
         sim.run_until(Timestamp::from_secs(30));
         let snap = *watch.lock();
         assert!(snap.installed_lies >= 1, "lies visible through the watch");
@@ -889,13 +889,6 @@ mod tests {
         // predicted utilization crosses the threshold.
         let cfg = ControllerConfig::new(r(100));
         let mut sim = sim_with_controller(cfg);
-        for i in 0..5 {
-            sched_flow(
-                &mut sim,
-                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
-                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-            );
-        }
         sim.schedule(
             Timestamp::from_secs(20),
             Event::LinkCapacity {
@@ -905,6 +898,13 @@ mod tests {
             },
         );
         sim.start();
+        for i in 0..5 {
+            start_at(
+                &mut sim,
+                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
+                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
+            );
+        }
         sim.run_until(Timestamp::from_secs(18));
         assert_eq!(
             sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len(),
@@ -922,12 +922,12 @@ mod tests {
     fn small_demand_triggers_no_reaction() {
         let cfg = ControllerConfig::new(r(100));
         let mut sim = sim_with_controller(cfg);
-        sched_flow(
+        sim.start();
+        start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(30));
         let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
         assert_eq!(hops.len(), 1, "no lies expected, got {hops:?}");
@@ -938,14 +938,14 @@ mod tests {
         let mut cfg = ControllerConfig::new(r(100));
         cfg.predictive = false; // only the SNMP path
         let mut sim = sim_with_controller(cfg);
+        sim.start();
         for i in 0..12 {
-            sched_flow(
+            start_at(
                 &mut sim,
                 Timestamp::from_secs(10) + Dur::from_millis(i * 10),
                 FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
             );
         }
-        sim.start();
         sim.run_until(Timestamp::from_secs(13));
         // Too early: counters haven't shown sustained overload yet.
         assert_eq!(sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len(), 1);

@@ -7,10 +7,9 @@
 //! [`crate::sim::Sim::ctx`]. Reads that used to return snapshot
 //! `Vec`s ([`routers`](SimContext::routers),
 //! [`links`](SimContext::links), [`flows`](SimContext::flows)) are
-//! iterators over the arenas; scheduling goes through the single typed
-//! [`schedule`](SimContext::schedule) path.
+//! iterators over the arenas. A flow starts, stops or changes its cap
+//! at the instant it is asked for, and its id is issued when it starts.
 
-use crate::events::Event;
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::link::{LinkInfo, LinkKey};
 use crate::sim::Core;
@@ -145,11 +144,9 @@ impl SimContext<'_> {
         r
     }
 
-    /// Start a flow now; returns its id.
+    /// Start a flow now; returns its id, the next one issued.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
-        let id = self.core.alloc_flow_id();
-        self.core.start_flow_with_id(id, spec);
-        id
+        self.core.start_flow(spec)
     }
 
     /// Stop a flow; `false` if unknown.
@@ -238,15 +235,5 @@ impl SimContext<'_> {
     pub fn record(&mut self, series: &str, value: f64) {
         let now = self.core.now;
         self.core.recorder.record(series, now, value);
-    }
-
-    /// Allocate a fresh flow id for an [`Event::FlowStart`] schedule.
-    pub fn new_flow_id(&mut self) -> FlowId {
-        self.core.alloc_flow_id()
-    }
-
-    /// Schedule a typed event. It will fire: there is no unscheduling.
-    pub fn schedule(&mut self, at: Timestamp, ev: Event) {
-        self.core.schedule_event(at, ev);
     }
 }

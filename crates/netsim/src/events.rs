@@ -1,11 +1,11 @@
-//! The typed event vocabulary of the simulator.
+//! The typed link script of the simulator.
 //!
-//! The old surface had one `schedule_*` method per event kind; the
-//! redesigned API has exactly one scheduling path —
-//! [`crate::sim::Sim::schedule`] / `SimContext::schedule` — over this
-//! enum.
+//! Scripted link faults go through one scheduling path,
+//! [`crate::sim::Sim::schedule`], over this enum. Flows are started,
+//! stopped and capped at the instant they are asked for, through
+//! [`crate::context::SimContext`]: a component does it while it runs,
+//! host code between two `run_until` calls.
 
-use crate::flow::{FlowId, FlowSpec};
 use fib_igp::types::RouterId;
 
 /// A schedulable world event.
@@ -15,26 +15,6 @@ use fib_igp::types::RouterId;
 /// loop itself.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// Start a flow under a pre-allocated id (see
-    /// [`crate::sim::Sim::new_flow_id`]).
-    FlowStart {
-        /// The id the flow will carry.
-        id: FlowId,
-        /// What to start.
-        spec: FlowSpec,
-    },
-    /// Stop a flow (no-op if unknown by then).
-    FlowStop {
-        /// The flow to stop.
-        id: FlowId,
-    },
-    /// Change a flow's application rate cap (`None` = uncapped).
-    FlowCap {
-        /// The flow to change.
-        id: FlowId,
-        /// New cap in bytes/s.
-        cap: Option<f64>,
-    },
     /// Administratively fail (`up = false`) or restore (`up = true`)
     /// the symmetric link `a – b`.
     LinkAdmin {

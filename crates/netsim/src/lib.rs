@@ -5,12 +5,12 @@
 //! `fib-sim-kernel` primitives (event queue, deadline heap, component
 //! registry):
 //!
-//! * [`events`] — the typed event vocabulary and the one scheduling
-//!   path over it;
+//! * [`events`] — the typed link script ([`sim::Sim::schedule`]);
 //! * [`handler`] — the component trait ([`handler::EventHandler`])
 //!   applications implement, and the [`handler::AppEvent`]s they
 //!   receive;
-//! * [`context`] — the typed [`context::SimContext`] world handle;
+//! * [`context`] — the typed [`context::SimContext`] world handle,
+//!   through which flows start, stop and change cap at their instant;
 //! * [`link`] — capacitated, delayed, directed links;
 //! * [`fib`] — downloaded forwarding tables and hop-by-hop path
 //!   resolution with per-router ECMP hashing ([`ecmp`]);

@@ -5,7 +5,7 @@
 //!
 //! * one time-ordered [`EventQueue`] — a FIFO per instant, so ties
 //!   pop in push order — carries every event: protocol packets in
-//!   flight, flow churn, link scripts, component ticks, trace samples;
+//!   flight, link scripts, component ticks, trace samples;
 //! * an IGP [`Instance`] per router exchanges protocol packets over the
 //!   simulated links as typed [`Datagram`]s, each accounted at its exact
 //!   encoded length (debug builds also encode, checksum and decode
@@ -33,10 +33,13 @@
 //! Settling is *incremental* (see [`crate::dirty`]) and follows one
 //! rule: nobody observes unsettled state. Dirt is settled at the next
 //! observation point — time about to advance (rate integration reads
-//! the rates), components about to run in a batch, or the end of
-//! `start`/`run_until` (host code reads next). A mutation therefore
-//! takes effect from its own instant, whether an event, a component
-//! or host code between two `run_until` calls made it.
+//! the rates), components about to run (in a batch, or at the start
+//! of `run_until` to hear of the flows host code started or stopped),
+//! or the end of `start`/`run_until` (host code reads next). A
+//! mutation therefore takes effect from its own instant, whether an
+//! event, a component or host code between two `run_until` calls made
+//! it, and the components hear of a flow at the instant it started or
+//! stopped.
 
 use crate::dirty::{DirtySet, FlowIndex};
 use crate::ecmp::FlowKey;
@@ -91,8 +94,8 @@ pub struct SimStats {
     pub ctrl_dropped: u64,
     /// Fluid re-allocations performed.
     pub reallocs: u64,
-    /// Simulation events dispatched (packets, flow churn, ticks,
-    /// samples, link scripts).
+    /// Simulation events dispatched (packets, ticks, samples, link
+    /// scripts).
     pub events: u64,
     /// Flow paths re-resolved because the dirty set named them.
     pub paths_resolved: u64,
@@ -225,7 +228,7 @@ const _: () = assert!(
     "a link record fits in 64 bytes"
 );
 
-/// Internal queue payload: public [`Event`]s plus the kernel's own
+/// Internal queue payload: the link script's [`Event`]s plus the kernel's own
 /// traffic (packets in flight, component ticks, trace samples).
 pub(crate) enum Ev {
     /// A datagram in flight from router `from` to interface `iface` of
@@ -239,9 +242,9 @@ pub(crate) enum Ev {
     },
     Tick(ComponentId),
     Sample,
-    /// Boxed: public events are rare and larger than a packet event,
-    /// and the largest variant sets the size of every queued event.
-    User(Box<Event>),
+    /// A scripted link event (no larger than a packet event, which
+    /// sets the size of every queued one).
+    User(Event),
 }
 
 /// Everything except the components (so components can borrow the
@@ -281,17 +284,17 @@ pub(crate) struct Core {
     /// on; its receive direction is the sibling record.
     pub(crate) iface_links: Vec<Vec<u32>>,
     pub(crate) prefix_owners: Vec<(Prefix, RouterId)>,
-    // Flow arena indexed by `FlowId.0` (ids are dense, counter-issued):
-    // one slot per flow ever started, empty once it stops.
+    // Flow arena indexed by `FlowId.0` (ids are dense, issued as flows
+    // start, from 1): one slot per flow ever started, empty once it
+    // stops.
     pub(crate) flow_recs: Vec<Option<Flow>>,
     /// Each slot's class, rate and delivered bytes, indexed like
     /// `flow_recs`: what the hot passes read instead of a record.
     pub(crate) hot: FlowColumns,
     /// The occupied slots of `flow_recs`, ascending — what every walk
     /// over the live flows iterates, so its cost follows concurrency
-    /// and not history. A deque, because flows mostly start at its
-    /// high end and stop near its low end: both shift the shorter
-    /// side.
+    /// and not history. A deque, because flows start at its high end
+    /// and mostly stop near its low end: both shift the shorter side.
     pub(crate) live: VecDeque<usize>,
     /// Live flows currently without a usable path (incremental form of
     /// the per-batch stranded scan; feeds `unroutable_flow_secs`): the
@@ -311,7 +314,6 @@ pub(crate) struct Core {
     /// column is written: what a fill starts from.
     pub(crate) members: Members,
     pub(crate) alloc: ClassFill,
-    pub(crate) next_flow_id: u64,
     last_accrue: Timestamp,
     pub(crate) dirty: DirtySet,
     pub(crate) started: bool,
@@ -370,7 +372,6 @@ impl Core {
             classes: ClassTable::default(),
             members: Members::default(),
             alloc: ClassFill::default(),
-            next_flow_id: 0,
             last_accrue: Timestamp::ZERO,
             dirty: DirtySet::new(),
             started: false,
@@ -649,21 +650,13 @@ impl Core {
                 }
                 self.queue.push(self.now + SAMPLE_INTERVAL, Ev::Sample);
             }
-            Ev::User(ev) => self.apply_event(*ev),
+            Ev::User(ev) => self.apply_event(ev),
         }
     }
 
-    /// Apply a public [`Event`] now (shared by queue dispatch and the
-    /// immediate-action context methods).
+    /// Apply a scripted link [`Event`] now.
     fn apply_event(&mut self, ev: Event) {
         match ev {
-            Event::FlowStart { id, spec } => self.start_flow_with_id(id, spec),
-            Event::FlowStop { id } => {
-                self.stop_flow_inner(id);
-            }
-            Event::FlowCap { id, cap } => {
-                self.set_flow_cap_inner(id, cap);
-            }
             Event::LinkAdmin { a, b, up } => {
                 self.set_link_up(a, b, up);
             }
@@ -673,18 +666,12 @@ impl Core {
         }
     }
 
-    /// Allocate the next flow id (the dense index into the flow arena).
-    pub(crate) fn alloc_flow_id(&mut self) -> FlowId {
-        self.next_flow_id += 1;
-        FlowId(self.next_flow_id)
-    }
-
-    /// Schedule a public event; one path for every kind.
-    pub(crate) fn schedule_event(&mut self, at: Timestamp, ev: Event) {
-        self.queue.push(at, Ev::User(Box::new(ev)));
-    }
-
-    pub(crate) fn start_flow_with_id(&mut self, id: FlowId, spec: FlowSpec) {
+    /// Start a flow now under the next id, which is its slot: one past
+    /// the arena's last (slot 0 is never issued), so it joins the live
+    /// list at the back.
+    pub(crate) fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        let slot = self.flow_recs.len().max(1);
+        let id = FlowId(slot as u64);
         let key = FlowKey {
             src: spec.src,
             dst: spec.dst,
@@ -699,31 +686,15 @@ impl Core {
             path: None,
         };
         let info = flow.info();
-        let slot = id.0 as usize;
-        if self.flow_recs.len() <= slot {
-            self.flow_recs.resize_with(slot + 1, || None);
-            self.hot.grow(slot + 1);
-        }
-        match self.flow_recs[slot].replace(flow) {
-            Some(old) => {
-                // Same replace-silently semantics as the old map
-                // insert (reachable only by rescheduling a live id):
-                // the slot is listed already, the old flow's index
-                // entry goes, and its class with `set_class` below.
-                self.flow_index.remove(old.key.dst, id);
-            }
-            // Ids are issued at schedule time and start in any order.
-            None => {
-                let at = self.live.partition_point(|s| *s < slot);
-                self.live.insert(at, slot);
-            }
-        }
+        self.flow_recs.resize_with(slot, || None);
+        self.flow_recs.push(Some(flow));
+        self.hot.grow(slot + 1);
+        self.live.push_back(slot);
         self.set_class(slot, UNROUTED);
-        self.hot.rate[slot] = 0.0;
-        self.hot.delivered[slot] = 0.0;
         self.flow_index.insert(key.dst, id);
         self.dirty.mark_flow(id);
         self.pending_flow_events.push((true, info));
+        id
     }
 
     pub(crate) fn stop_flow_inner(&mut self, id: FlowId) -> bool {
@@ -1236,14 +1207,9 @@ impl Sim {
         }
     }
 
-    /// Allocate a fresh flow id for a [`Event::FlowStart`] schedule.
-    pub fn new_flow_id(&mut self) -> FlowId {
-        self.core.alloc_flow_id()
-    }
-
-    /// Schedule a typed event. It will fire: there is no unscheduling.
+    /// Schedule a link event. It will fire: there is no unscheduling.
     pub fn schedule(&mut self, at: Timestamp, ev: Event) {
-        self.core.schedule_event(at, ev);
+        self.core.queue.push(at, Ev::User(ev));
     }
 
     /// Arm (or disarm with `None`) the kernel queue's same-time
@@ -1298,8 +1264,13 @@ impl Sim {
         assert!(self.core.started, "call start() first");
         // What host code made an instance emit between two runs (a lie
         // injected through `ctx()`, a failed link) leaves at the instant
-        // it was made, not with the next event.
+        // it was made, not with the next event; and the components hear
+        // of a flow it started or stopped at that instant too.
         self.core.collect_outputs();
+        if !self.core.pending_flow_events.is_empty() {
+            self.core.settle();
+            self.dispatch_apps();
+        }
         loop {
             let next_pkt = self.core.queue.peek_time();
             // Polls, components and host code touch between two reads.
@@ -1460,6 +1431,8 @@ mod tests {
     use fib_igp::error::InstanceError;
     use fib_igp::types::FwAddr;
     use fib_telemetry::mib::{oids, Oid, Value};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -1477,11 +1450,10 @@ mod tests {
         sim
     }
 
-    /// Schedule a flow start through the typed event path.
-    fn sched_flow(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
-        let id = sim.new_flow_id();
-        sim.schedule(at, Event::FlowStart { id, spec });
-        id
+    /// Run to `at`, then start a flow there from host code.
+    fn start_at(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
+        sim.run_until(at);
+        sim.ctx().start_flow(spec)
     }
 
     /// A second link between the same two routers, in either
@@ -1497,12 +1469,12 @@ mod tests {
     #[test]
     fn igp_converges_and_flow_routes() {
         let mut sim = line_sim();
-        let fid = sched_flow(
+        sim.start();
+        let fid = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(12));
         // Flow should be at full capacity over both links.
         let ctx = sim.ctx();
@@ -1516,17 +1488,17 @@ mod tests {
     #[test]
     fn two_flows_share_bottleneck() {
         let mut sim = line_sim();
-        let f1 = sched_flow(
+        sim.start();
+        let f1 = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)),
         );
-        let f2 = sched_flow(
+        let f2 = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(2), Prefix::net24(1)),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(12));
         let ctx = sim.ctx();
         let r1 = ctx.flow_rate(f1).unwrap();
@@ -1538,12 +1510,12 @@ mod tests {
     #[test]
     fn capped_flow_stays_capped() {
         let mut sim = line_sim();
-        let f = sched_flow(
+        sim.start();
+        let f = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(15));
         let ctx = sim.ctx();
         assert!((ctx.flow_rate(f).unwrap() - 1e5).abs() < 1.0);
@@ -1558,12 +1530,12 @@ mod tests {
     #[test]
     fn counters_reflect_data_traffic() {
         let mut sim = line_sim();
-        sched_flow(
+        sim.start();
+        start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(20));
         // r1's interface toward r2 should show ~1e6 bytes out.
         let mut ctx = sim.ctx();
@@ -1577,16 +1549,28 @@ mod tests {
         }
     }
 
+    /// A stopped flow leaves nothing behind: its slot holds
+    /// [`STOPPED`], its class membership and its prefix-index entry go,
+    /// and the accessors no longer know it.
     #[test]
     fn flow_stops_and_link_drains() {
         let mut sim = line_sim();
-        let f = sched_flow(
+        sim.start();
+        let f = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)),
         );
-        sim.schedule(Timestamp::from_secs(20), Event::FlowStop { id: f });
-        sim.start();
+        sim.run_until(Timestamp::from_secs(20));
+        let class = sim.core.class(f).expect("routed toward r3");
+        assert_eq!(sim.core.members.count(class), 1);
+        assert!(sim.ctx().stop_flow(f));
+        assert_eq!(sim.core.hot.class[f.0 as usize], STOPPED);
+        assert_eq!(sim.core.members.count(class), 0, "released");
+        assert_eq!(sim.core.members.classes(), 0);
+        assert_eq!(sim.core.flow_index.affected_by(Prefix::net24(1)).count(), 0);
+        assert_eq!(sim.ctx().flow_rate(f), None);
+        assert_eq!(sim.ctx().flow_delivered(f), None);
         sim.run_until(Timestamp::from_secs(25));
         assert_eq!(sim.link_rate(r(1), r(2)), Some(0.0));
         assert!(sim.flows().next().is_none());
@@ -1605,11 +1589,6 @@ mod tests {
         sim.add_link(LinkSpec::new(r(1), r(3), Metric(10), 1e6));
         sim.add_link(LinkSpec::new(r(3), r(4), Metric(10), 1e6));
         sim.announce_prefix(r(4), Prefix::net24(1));
-        let f = sched_flow(
-            &mut sim,
-            Timestamp::from_secs(10),
-            FlowSpec::new(r(1), Prefix::net24(1)),
-        );
         sim.schedule(
             Timestamp::from_secs(20),
             Event::LinkAdmin {
@@ -1619,6 +1598,11 @@ mod tests {
             },
         );
         sim.start();
+        let f = start_at(
+            &mut sim,
+            Timestamp::from_secs(10),
+            FlowSpec::new(r(1), Prefix::net24(1)),
+        );
         sim.run_until(Timestamp::from_secs(15));
         assert_eq!(
             sim.ctx().flow_path(f).unwrap()[0],
@@ -1635,12 +1619,12 @@ mod tests {
     #[test]
     fn ctx_fail_and_restore_link() {
         let mut sim = line_sim();
-        let f = sched_flow(
+        sim.start();
+        let f = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(12));
         assert!(sim.ctx().flow_path(f).is_some());
         // Fail the only link out of r1: the flow strands and the
@@ -1665,11 +1649,6 @@ mod tests {
     #[test]
     fn capacity_change_rescales_allocation() {
         let mut sim = line_sim();
-        let f = sched_flow(
-            &mut sim,
-            Timestamp::from_secs(10),
-            FlowSpec::new(r(1), Prefix::net24(1)),
-        );
         sim.schedule(
             Timestamp::from_secs(20),
             Event::LinkCapacity {
@@ -1679,6 +1658,11 @@ mod tests {
             },
         );
         sim.start();
+        let f = start_at(
+            &mut sim,
+            Timestamp::from_secs(10),
+            FlowSpec::new(r(1), Prefix::net24(1)),
+        );
         sim.run_until(Timestamp::from_secs(15));
         assert!((sim.ctx().flow_rate(f).unwrap() - 1e6).abs() < 1.0);
         sim.run_until(Timestamp::from_secs(25));
@@ -1696,12 +1680,12 @@ mod tests {
     fn sampling_records_series() {
         let mut sim = line_sim();
         sim.sample_link("r1-r2", r(1), r(2));
-        sched_flow(
+        sim.start();
+        start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)).with_cap(2e5),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(15));
         let series = sim.recorder().series("r1-r2");
         assert!(!series.is_empty());
@@ -1716,14 +1700,14 @@ mod tests {
         let run = || {
             let mut sim = line_sim();
             sim.sample_link("r1-r2", r(1), r(2));
+            sim.start();
             for i in 0..10 {
-                sched_flow(
+                start_at(
                     &mut sim,
                     Timestamp::from_secs(10 + i),
                     FlowSpec::new(r(1), Prefix::net24(1)).with_cap(5e4),
                 );
             }
-            sim.start();
             sim.run_until(Timestamp::from_secs(30));
             sim.recorder().to_csv()
         };
@@ -1803,12 +1787,12 @@ mod tests {
         let after = Timestamp::from_millis(13_060);
         let run_to_mutation = || {
             let mut sim = line_sim();
-            let f = sched_flow(
+            sim.start();
+            let f = start_at(
                 &mut sim,
                 Timestamp::from_secs(10),
                 FlowSpec::new(r(1), Prefix::net24(1)),
             );
-            sim.start();
             sim.run_until(before);
             assert!((sim.ctx().flow_rate(f).unwrap() - 1e6).abs() < 1.0);
             let delivered = sim.ctx().flow_delivered(f).unwrap();
@@ -1867,6 +1851,39 @@ mod tests {
         assert!(holds(&sim), "the lie waited for the next event");
     }
 
+    /// And so do the components: a flow host code starts or stops
+    /// between two runs is notified at its own instant, not with the
+    /// next event batch (here the trace sample 50 ms later).
+    #[test]
+    fn components_hear_a_host_started_flow_at_its_instant() {
+        struct Listener(Rc<RefCell<Vec<(bool, Timestamp)>>>);
+        impl EventHandler for Listener {
+            fn name(&self) -> &str {
+                "listener"
+            }
+            fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+                match ev {
+                    AppEvent::FlowStarted(_) => self.0.borrow_mut().push((true, ctx.now())),
+                    AppEvent::FlowStopped(_) => self.0.borrow_mut().push((false, ctx.now())),
+                    _ => {}
+                }
+            }
+        }
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = line_sim();
+        sim.add_app(Box::new(Listener(heard.clone())));
+        sim.start();
+        let (start, stop) = (
+            Timestamp::from_millis(10_250),
+            Timestamp::from_millis(10_750),
+        );
+        let f = start_at(&mut sim, start, FlowSpec::new(r(1), Prefix::net24(1)));
+        sim.run_until(stop);
+        assert!(sim.ctx().stop_flow(f));
+        sim.run_until(Timestamp::from_secs(11));
+        assert_eq!(*heard.borrow(), [(true, start), (false, stop)]);
+    }
+
     /// A datagram the receiving instance rejects — here, one on an
     /// interface it does not have — is counted, not swallowed: still
     /// delivered and accounted as control traffic, and the run goes on.
@@ -1912,94 +1929,6 @@ mod tests {
         assert!(stats.counters().iter().all(|(k, _)| !k.contains("error")));
     }
 
-    /// Two starts scheduled under one id: the second replaces the
-    /// first in the arena, and every structure derived from it — the
-    /// live list, the prefix index, the stranded count, the class
-    /// column and the class's member count — follows.
-    #[test]
-    fn rescheduling_a_live_flow_id_replaces_it_everywhere() {
-        let mut sim = line_sim();
-        sim.announce_prefix(r(2), Prefix::net24(2));
-        let id = sim.new_flow_id();
-        let start = |dst| Event::FlowStart {
-            id,
-            spec: FlowSpec::new(r(1), Prefix::net24(dst)),
-        };
-        sim.schedule(Timestamp::from_secs(10), start(1));
-        sim.schedule(Timestamp::from_secs(11), start(2));
-        sim.start();
-        sim.run_until(Timestamp::from_millis(10_500));
-        let first = sim.core.class(id).expect("routed toward r3");
-        assert_eq!(sim.core.members.count(first), 1);
-        sim.run_until(Timestamp::from_secs(12));
-
-        // The replaced flow's class membership went with it.
-        let second = sim.core.class(id).expect("routed toward r2");
-        assert_ne!(first, second);
-        assert_eq!(sim.core.members.count(first), 0, "released");
-        assert_eq!(sim.core.members.count(second), 1);
-        assert_eq!(sim.core.members.classes(), 1);
-        assert_eq!(sim.flow_count(), 1);
-        assert_eq!(sim.core.live, [id.0 as usize]);
-        let flows: Vec<&Flow> = sim.flows().collect();
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].key.dst, Prefix::net24(2));
-        assert_eq!(
-            flows[0].path.as_deref(),
-            Some(&[LinkKey::new(r(1), r(2))][..])
-        );
-        let index = &sim.core.flow_index;
-        assert_eq!(
-            index.affected_by(Prefix::net24(1)).count(),
-            0,
-            "stale entry"
-        );
-        assert_eq!(
-            index.affected_by(Prefix::net24(2)).collect::<Vec<_>>(),
-            [id]
-        );
-        assert_eq!(sim.core.stranded, 0);
-
-        // Stopping it leaves nothing behind either.
-        assert!(sim.ctx().stop_flow(id));
-        assert_eq!(sim.core.members.classes(), 0);
-        assert_eq!(sim.core.hot.class[id.0 as usize], STOPPED);
-        assert_eq!(sim.ctx().flow_rate(id), None);
-        assert_eq!(sim.ctx().flow_delivered(id), None);
-        assert_eq!(sim.flow_count(), 0);
-        assert!(sim.core.live.is_empty());
-        assert_eq!(sim.core.flow_index.affected_by(Prefix::net24(2)).count(), 0);
-        sim.run_until(Timestamp::from_secs(13));
-        assert_eq!(sim.stats().unroutable_flow_secs, 0.0);
-    }
-
-    /// Ids are handed out when a start is scheduled, so flows start in
-    /// any order: the live list stays ascending whatever the order.
-    #[test]
-    fn flows_started_out_of_id_order_are_walked_in_id_order() {
-        let mut sim = line_sim();
-        let ids: Vec<FlowId> = [14u64, 12, 13, 11]
-            .into_iter()
-            .map(|at| {
-                sched_flow(
-                    &mut sim,
-                    Timestamp::from_secs(at),
-                    FlowSpec::new(r(1), Prefix::net24(1)),
-                )
-            })
-            .collect();
-        sim.schedule(Timestamp::from_secs(15), Event::FlowStop { id: ids[2] });
-        sim.start();
-        sim.run_until(Timestamp::from_millis(12_500));
-        let live = |sim: &Sim| sim.flows().map(|f| f.id).collect::<Vec<_>>();
-        assert_eq!(live(&sim), [ids[1], ids[3]]);
-        sim.run_until(Timestamp::from_secs(14));
-        assert_eq!(live(&sim), ids);
-        sim.run_until(Timestamp::from_secs(16));
-        assert_eq!(live(&sim), [ids[0], ids[1], ids[3]]);
-        assert_eq!(sim.flow_count(), 3);
-    }
-
     /// Path ids are interned by content: flows that a failure moved
     /// away and a restore brought back carry the id they had, and the
     /// table grows by the detour only.
@@ -2015,16 +1944,16 @@ mod tests {
         sim.add_link(LinkSpec::new(r(1), r(3), Metric(10), 1e6));
         sim.add_link(LinkSpec::new(r(3), r(4), Metric(10), 1e6));
         sim.announce_prefix(r(4), Prefix::net24(1));
+        sim.start();
         let flows: Vec<FlowId> = (0..3)
             .map(|_| {
-                sched_flow(
+                start_at(
                     &mut sim,
                     Timestamp::from_secs(10),
                     FlowSpec::new(r(1), Prefix::net24(1)),
                 )
             })
             .collect();
-        sim.start();
         sim.run_until(Timestamp::from_secs(12));
         let ids = |sim: &Sim| -> Vec<Option<u32>> {
             let id = |f: &FlowId| sim.core.path_id(*f);
@@ -2054,22 +1983,22 @@ mod tests {
     fn flows_of_different_keys_over_the_same_links_share_a_path_id() {
         let mut sim = line_sim();
         sim.announce_prefix(r(3), Prefix::net24(2));
-        let a = sched_flow(
+        sim.start();
+        let a = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(1)),
         );
-        let b = sched_flow(
+        let b = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(1), Prefix::net24(2)).with_cap(1e5),
         );
-        let c = sched_flow(
+        let c = start_at(
             &mut sim,
             Timestamp::from_secs(10),
             FlowSpec::new(r(2), Prefix::net24(2)),
         );
-        sim.start();
         sim.run_until(Timestamp::from_secs(12));
         let flow = |f: FlowId| sim.core.flow(f).expect("live");
         assert_ne!(flow(a).key.dst, flow(b).key.dst);
@@ -2090,11 +2019,11 @@ mod tests {
     fn a_paused_and_resumed_flow_comes_back_to_its_class() {
         let mut sim = line_sim();
         let spec = || FlowSpec::new(r(1), Prefix::net24(1)).with_cap(125_000.0);
-        let (a, b) = (
-            sched_flow(&mut sim, Timestamp::from_secs(10), spec()),
-            sched_flow(&mut sim, Timestamp::from_secs(10), spec()),
-        );
         sim.start();
+        let (a, b) = (
+            start_at(&mut sim, Timestamp::from_secs(10), spec()),
+            start_at(&mut sim, Timestamp::from_secs(10), spec()),
+        );
         sim.run_until(Timestamp::from_secs(12));
         let class = |sim: &Sim, f: FlowId| sim.core.class(f);
         let playing = class(&sim, a);
@@ -2173,12 +2102,12 @@ mod tests {
             sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
             sim.add_link(LinkSpec::new(r(2), r(3), Metric(1), 1e6));
             sim.announce_prefix(r(3), Prefix::net24(1));
-            sched_flow(
+            sim.start();
+            start_at(
                 &mut sim,
                 Timestamp::from_secs(10),
                 FlowSpec::new(r(1), Prefix::net24(1)),
             );
-            sim.start();
             sim.run_until(Timestamp::from_secs(15));
             assert_eq!(sim.loop_violations(), &[] as &[LoopViolation]);
             (sim.recorder().to_csv(), sim.stats().events)
@@ -2197,14 +2126,14 @@ mod tests {
             if armed {
                 sim.set_tie_break(Some(Box::new(Identity)));
             }
+            sim.start();
             for i in 0..4 {
-                sched_flow(
+                start_at(
                     &mut sim,
                     Timestamp::from_secs(10),
                     FlowSpec::new(r(1 + i % 2), Prefix::net24(1)),
                 );
             }
-            sim.start();
             sim.run_until(Timestamp::from_secs(20));
             let stats = sim.stats();
             (sim.recorder().to_csv(), stats.events, stats.ctrl_pkts)

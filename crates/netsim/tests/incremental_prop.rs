@@ -13,7 +13,6 @@
 
 use fib_igp::time::Timestamp;
 use fib_igp::types::{Metric, Prefix, RouterId};
-use fib_netsim::events::Event;
 use fib_netsim::fib::{resolve_path, Fib};
 use fib_netsim::flow::{FlowId, FlowSpec};
 use fib_netsim::fluid::max_min_keyed;
@@ -24,14 +23,6 @@ use std::collections::BTreeMap;
 
 fn r(n: u32) -> RouterId {
     RouterId(n)
-}
-
-/// Allocate an id and schedule a typed flow start (the sequence the
-/// old `schedule_flow` convenience produced).
-fn sched_flow(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
-    let id = sim.new_flow_id();
-    sim.schedule(at, Event::FlowStart { id, spec });
-    id
 }
 
 /// One scripted action of a random scenario.
@@ -67,6 +58,20 @@ enum Op {
         b: u32,
         cap: f64,
     },
+}
+
+impl Op {
+    /// When the action is taken, in ms after the script's base.
+    fn at_ms(&self) -> u64 {
+        match *self {
+            Op::Start { at_ms, .. }
+            | Op::StopNth { at_ms, .. }
+            | Op::CapNth { at_ms, .. }
+            | Op::FailLink { at_ms, .. }
+            | Op::RestoreLink { at_ms, .. }
+            | Op::SetCapacity { at_ms, .. } => at_ms,
+        }
+    }
 }
 
 /// A random but always-connected world: a line backbone `1..=n` plus
@@ -105,77 +110,59 @@ fn build_sim(n: u32, chords: &[(u32, u32, u32)], caps: &[f64]) -> Sim {
     sim
 }
 
-/// Schedule the ops, run to each checkpoint, and verify the live
-/// incremental state against the from-scratch reference.
+/// Take one action from host code, now; stops and caps name a flow
+/// among those started so far.
+fn apply(sim: &mut Sim, n: u32, op: &Op, flow_ids: &mut Vec<FlowId>) {
+    let mut ctx = sim.ctx();
+    match *op {
+        Op::Start { src, cap, .. } => {
+            let mut spec = FlowSpec::new(r(src % n + 1), Prefix::net24(1));
+            spec.cap = cap;
+            flow_ids.push(ctx.start_flow(spec));
+        }
+        Op::StopNth { nth, .. } => {
+            if !flow_ids.is_empty() {
+                ctx.stop_flow(flow_ids[nth % flow_ids.len()]);
+            }
+        }
+        Op::CapNth { nth, cap, .. } => {
+            if !flow_ids.is_empty() {
+                ctx.set_flow_cap(flow_ids[nth % flow_ids.len()], cap);
+            }
+        }
+        Op::FailLink { a, b, .. } => {
+            ctx.fail_link(r(a % n + 1), r(b % n + 1));
+        }
+        Op::RestoreLink { a, b, .. } => {
+            ctx.restore_link(r(a % n + 1), r(b % n + 1));
+        }
+        Op::SetCapacity { a, b, cap, .. } => {
+            ctx.set_link_capacity(r(a % n + 1), r(b % n + 1), cap);
+        }
+    }
+}
+
+/// Take the ops in time order (script order on ties), run to each
+/// checkpoint, and verify the live incremental state against the
+/// from-scratch reference.
 fn run_and_verify(n: u32, chords: &[(u32, u32, u32)], caps: &[f64], ops: &[Op]) -> String {
     let mut sim = build_sim(n, chords, caps);
     let mut flow_ids = Vec::new();
     let base = 12_000u64; // after IGP convergence
-    for op in ops {
-        match *op {
-            Op::Start { at_ms, src, cap } => {
-                let mut spec = FlowSpec::new(r(src % n + 1), Prefix::net24(1));
-                spec.cap = cap;
-                flow_ids.push(sched_flow(
-                    &mut sim,
-                    Timestamp::from_millis(base + at_ms),
-                    spec,
-                ));
-            }
-            Op::StopNth { at_ms, nth } => {
-                if !flow_ids.is_empty() {
-                    let id = flow_ids[nth % flow_ids.len()];
-                    sim.schedule(Timestamp::from_millis(base + at_ms), Event::FlowStop { id });
-                }
-            }
-            Op::CapNth { at_ms, nth, cap } => {
-                if !flow_ids.is_empty() {
-                    let id = flow_ids[nth % flow_ids.len()];
-                    sim.schedule(
-                        Timestamp::from_millis(base + at_ms),
-                        Event::FlowCap { id, cap },
-                    );
-                }
-            }
-            Op::FailLink { at_ms, a, b } => {
-                sim.schedule(
-                    Timestamp::from_millis(base + at_ms),
-                    Event::LinkAdmin {
-                        a: r(a % n + 1),
-                        b: r(b % n + 1),
-                        up: false,
-                    },
-                );
-            }
-            Op::RestoreLink { at_ms, a, b } => {
-                sim.schedule(
-                    Timestamp::from_millis(base + at_ms),
-                    Event::LinkAdmin {
-                        a: r(a % n + 1),
-                        b: r(b % n + 1),
-                        up: true,
-                    },
-                );
-            }
-            Op::SetCapacity { at_ms, a, b, cap } => {
-                sim.schedule(
-                    Timestamp::from_millis(base + at_ms),
-                    Event::LinkCapacity {
-                        a: r(a % n + 1),
-                        b: r(b % n + 1),
-                        capacity: cap,
-                    },
-                );
-            }
-        }
-    }
+    let mut script: Vec<&Op> = ops.iter().collect();
+    script.sort_by_key(|op| op.at_ms());
+    let mut script = script.into_iter().peekable();
     sim.sample_link("probe", r(1), r(2));
     sim.start();
 
     let mut fingerprint = String::new();
-    // Checkpoints: before the script, mid-script, after every event
-    // has fired, and after extra convergence time.
+    // Checkpoints: before the script, mid-script, after every action
+    // has been taken, and after extra convergence time.
     for at_ms in [11_000u64, 14_000, 17_000, 20_000, 26_000] {
+        while let Some(op) = script.next_if(|op| base + op.at_ms() <= at_ms) {
+            sim.run_until(Timestamp::from_millis(base + op.at_ms()));
+            apply(&mut sim, n, op, &mut flow_ids);
+        }
         sim.run_until(Timestamp::from_millis(at_ms));
         verify_against_reference(&mut sim);
         let flows: Vec<_> = sim.flows().cloned().collect();

@@ -8,12 +8,21 @@
 //! event kind) running the exact script below. Seed 0's output is kept
 //! in full, readable, as `tests/data/pin_0.csv`; seeds 1–7 are kept as
 //! a digest of their data plane and their `stats,` line verbatim.
+//!
+//! That simulator scheduled the flow script as queue events, issuing
+//! each flow's id when its start was scheduled: in script order. Flows
+//! now start from host code at their instants and are issued ids in
+//! start order, so the run prints each flow under its script index and
+//! hashes it with that index, its old id. Its scripted flow actions are
+//! no longer events: the `events` count the references hold is the
+//! run's count plus those actions.
 
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
 use fib_netsim::oracle;
 use fib_netsim::prelude::*;
 use fib_trace::artifact::{fnv1a, FNV_OFFSET};
+use std::iter::Peekable;
 
 /// Seed 0's reference output, in full.
 const PIN_0: &str = include_str!("data/pin_0.csv");
@@ -63,6 +72,34 @@ fn r(n: u32) -> RouterId {
     RouterId(n)
 }
 
+/// A scripted flow action, on the flow of a script index.
+enum Action {
+    Start(FlowSpec),
+    Stop,
+    Cap(Option<f64>),
+}
+
+/// Run to `until`, taking each scripted action due by then from host
+/// code at its instant; `flows` holds the id each script index was
+/// issued when it started.
+fn run_to(
+    sim: &mut Sim,
+    script: &mut Peekable<impl Iterator<Item = (Timestamp, usize, Action)>>,
+    flows: &mut [Option<FlowId>],
+    until: Timestamp,
+) {
+    while let Some((at, k, action)) = script.next_if(|(at, ..)| *at <= until) {
+        sim.run_until(at);
+        let mut ctx = sim.ctx();
+        match action {
+            Action::Start(spec) => flows[k] = Some(ctx.start_flow(spec)),
+            Action::Stop => assert!(ctx.stop_flow(flows[k].expect("started"))),
+            Action::Cap(cap) => assert!(ctx.set_flow_cap(flows[k].expect("started"), cap)),
+        }
+    }
+    sim.run_until(until);
+}
+
 /// Run the pin scenario; returns the fixture-format output.
 fn run_pin(seed: u64) -> String {
     let mut st = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xD1B5;
@@ -92,10 +129,10 @@ fn run_pin(seed: u64) -> String {
     sim.sample_link("l3", r(5), r(6));
     sim.sample_link("l4", r(8), r(1));
 
-    // Flow script: starts, stops, caps, all seed-derived, all through
-    // the single typed scheduling path.
-    let mut flows = Vec::new();
-    for k in 0..12u64 {
+    // Flow script: starts, stops, caps, all seed-derived, each under
+    // its flow's script index, in the order they are drawn.
+    let mut script = Vec::new();
+    for k in 0..12usize {
         let src = r(1 + (splitmix(&mut st) % 8) as u32);
         let dst = if splitmix(&mut st) % 2 == 0 {
             Prefix::net24(1)
@@ -103,23 +140,24 @@ fn run_pin(seed: u64) -> String {
             Prefix::net24(2)
         };
         let start = Timestamp::from_millis(5_000 + (splitmix(&mut st) % 15_000));
-        let mut spec = FlowSpec::new(src, dst);
+        let mut spec = FlowSpec::new(src, dst).with_hash_id(k as u64 + 1);
         if splitmix(&mut st) % 3 == 0 {
             spec = spec.with_cap(1e5 + (splitmix(&mut st) % 3) as f64 * 5e4);
         }
-        let id = sim.new_flow_id();
-        sim.schedule(start, Event::FlowStart { id, spec });
-        flows.push(id);
+        script.push((start, k, Action::Start(spec)));
         if splitmix(&mut st) % 4 == 0 {
-            sim.schedule(start + Dur::from_secs(8 + (k % 5)), Event::FlowStop { id });
+            let stop = start + Dur::from_secs(8 + (k as u64 % 5));
+            script.push((stop, k, Action::Stop));
         }
         if splitmix(&mut st) % 5 == 0 {
-            sim.schedule(
-                start + Dur::from_secs(3),
-                Event::FlowCap { id, cap: Some(2e5) },
-            );
+            script.push((start + Dur::from_secs(3), k, Action::Cap(Some(2e5))));
         }
     }
+    // Taken in time order, in draw order on ties.
+    script.sort_by_key(|(at, ..)| *at);
+    let actions = script.len() as u64;
+    let mut script = script.into_iter().peekable();
+    let mut flows = [None; 12];
     // Link fault script.
     sim.schedule(
         Timestamp::from_secs(18),
@@ -147,16 +185,16 @@ fn run_pin(seed: u64) -> String {
     );
 
     sim.start();
-    sim.run_until(Timestamp::from_secs(12));
+    run_to(&mut sim, &mut script, &mut flows, Timestamp::from_secs(12));
     let mut out = String::new();
     {
         let mut ctx = sim.ctx();
-        for id in &flows {
+        for (k, id) in flows.iter().enumerate() {
             out.push_str(&format!(
                 "mid,{},{:?},{:?}\n",
-                id.0,
-                ctx.flow_rate(*id),
-                ctx.flow_delivered(*id)
+                k + 1,
+                id.and_then(|id| ctx.flow_rate(id)),
+                id.and_then(|id| ctx.flow_delivered(id))
             ));
         }
         // A lie injected between runs, through the speaker.
@@ -171,11 +209,12 @@ fn run_pin(seed: u64) -> String {
         )
         .unwrap();
     }
-    sim.run_until(Timestamp::from_secs(25));
+    run_to(&mut sim, &mut script, &mut flows, Timestamp::from_secs(25));
     sim.ctx().retract_fake(r(100), RouterId::fake(0)).unwrap();
     // An unscheduled (between-runs) mutation.
     sim.ctx().set_link_capacity(r(5), r(6), 4e5);
-    sim.run_until(Timestamp::from_secs(40));
+    run_to(&mut sim, &mut script, &mut flows, Timestamp::from_secs(40));
+    assert!(script.next().is_none(), "every scripted action was taken");
     // Twelve seconds after the last fault the IGP is at rest, every
     // LSDB agrees and every FIB is a from-scratch SPF on it.
     assert!(
@@ -186,20 +225,21 @@ fn run_pin(seed: u64) -> String {
         panic!("seed {seed}: not converged at the horizon: {fault}");
     }
 
-    for id in &flows {
+    for (k, id) in flows.iter().enumerate() {
+        let id = id.expect("every flow started");
         let ctx = sim.ctx();
         out.push_str(&format!(
             "end,{},{:?},{:?},{:?}\n",
-            id.0,
-            ctx.flow_rate(*id),
-            ctx.flow_delivered(*id),
-            ctx.flow_path(*id)
+            k + 1,
+            ctx.flow_rate(id),
+            ctx.flow_delivered(id),
+            ctx.flow_path(id)
         ));
     }
     let s = sim.stats();
     format!(
         "{out}stats,{},{},{},{},{},{},{},{},{:.6}\n{}",
-        s.events,
+        s.events + actions,
         s.ctrl_pkts,
         s.ctrl_bytes,
         s.ctrl_dropped,

@@ -25,12 +25,10 @@ fn paper_sim(prefixes: &[(RouterId, Prefix)]) -> Sim {
     sim
 }
 
-/// Allocate an id and schedule a typed flow start (the sequence the
-/// old `schedule_flow` convenience produced).
-fn sched_flow(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
-    let id = sim.new_flow_id();
-    sim.schedule(at, Event::FlowStart { id, spec });
-    id
+/// Run to `at`, then start a flow there from host code.
+fn start_at(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
+    sim.run_until(at);
+    sim.ctx().start_flow(spec)
 }
 
 /// During the controlled flash crowd of `paper_demo`, the B–R2 link
@@ -70,10 +68,11 @@ fn link_failure_during_crowd_reroutes() {
 fn two_prefixes_are_steered_independently() {
     let green = Prefix::net24(2);
     let mut sim = paper_sim(&[(C, BLUE), (R4, green)]); // green behind R4
+    sim.start();
 
     // Crowd 1: 31 videos B → blue (needs the fB lie).
     for i in 0..31u64 {
-        sched_flow(
+        start_at(
             &mut sim,
             Timestamp::from_secs(10) + Dur::from_millis(i * 20),
             FlowSpec::new(B, BLUE).with_cap(125_000.0),
@@ -81,13 +80,12 @@ fn two_prefixes_are_steered_independently() {
     }
     // Light traffic A → green (no congestion there).
     for i in 0..4u64 {
-        sched_flow(
+        start_at(
             &mut sim,
             Timestamp::from_secs(12) + Dur::from_millis(i * 20),
             FlowSpec::new(A, green).with_cap(125_000.0),
         );
     }
-    sim.start();
     sim.run_until(Timestamp::from_secs(40));
 
     // Blue got its extra slot at B; green kept its natural single path.
@@ -117,36 +115,41 @@ fn two_prefixes_are_steered_independently() {
 #[test]
 fn crowd_cycles_install_and_retract_repeatedly() {
     let mut sim = paper_sim(&[(C, BLUE)]);
-
-    // Two crowd waves with a quiet gap.
-    let wave = |start: u64, stop: u64, sim: &mut Sim| {
-        let mut ids = Vec::new();
-        for i in 0..31u64 {
-            let id = sched_flow(
-                sim,
-                Timestamp::from_secs(start) + Dur::from_millis(i * 10),
-                FlowSpec::new(B, BLUE).with_cap(125_000.0),
-            );
-            ids.push(id);
-        }
-        for id in ids {
-            sim.schedule(Timestamp::from_secs(stop), Event::FlowStop { id });
-        }
-    };
-    wave(10, 30, &mut sim);
-    wave(60, 80, &mut sim);
     sim.start();
 
+    // Two crowd waves with a quiet gap.
+    let wave = |start: u64, sim: &mut Sim| -> Vec<FlowId> {
+        (0..31u64)
+            .map(|i| {
+                start_at(
+                    sim,
+                    Timestamp::from_secs(start) + Dur::from_millis(i * 10),
+                    FlowSpec::new(B, BLUE).with_cap(125_000.0),
+                )
+            })
+            .collect()
+    };
+    let stop = |at: u64, ids: Vec<FlowId>, sim: &mut Sim| {
+        sim.run_until(Timestamp::from_secs(at));
+        for id in ids {
+            sim.ctx().stop_flow(id);
+        }
+    };
+
+    let ids = wave(10, &mut sim);
     sim.run_until(Timestamp::from_secs(25));
     assert!(sim.ctx().fib_nexthops(B, BLUE).len() >= 2, "wave 1 spread");
+    stop(30, ids, &mut sim);
     sim.run_until(Timestamp::from_secs(50));
     assert_eq!(
         sim.ctx().fib_nexthops(B, BLUE).len(),
         1,
         "quiet gap: lies retracted"
     );
+    let ids = wave(60, &mut sim);
     sim.run_until(Timestamp::from_secs(75));
     assert!(sim.ctx().fib_nexthops(B, BLUE).len() >= 2, "wave 2 spread");
+    stop(80, ids, &mut sim);
     sim.run_until(Timestamp::from_secs(100));
     assert_eq!(
         sim.ctx().fib_nexthops(B, BLUE).len(),
