@@ -126,10 +126,13 @@ impl Field for String {
 }
 
 impl Field for f64 {
-    /// Integers are accepted where a float is expected.
+    /// Integers are accepted where a float is expected; an infinity
+    /// (what an out-of-range literal such as `1e400` reads as) is not,
+    /// under any key.
     fn read(v: &Value, ctx: &str, key: &str) -> Result<Self, SpecError> {
         match v.as_f64() {
-            Some(f) => Ok(f),
+            Some(f) if f.is_finite() => Ok(f),
+            Some(f) => fail(format!("`{ctx}.{key}` must be a finite number, got {f}")),
             None => mismatch(v, ctx, key, "a number"),
         }
     }

@@ -827,22 +827,33 @@ impl ScenarioSpec {
                 }
             }
         }
+        let within_horizon = |t: f64| (0.0..=self.horizon_secs).contains(&t);
         for (i, w) in self.workloads.iter().enumerate() {
-            if let WorkloadSpec::Diurnal {
-                period_secs,
-                peak_per_sec,
-                trough_per_sec,
-                ..
-            } = w
-            {
-                if *period_secs <= 0.0 {
-                    return fail(format!("`workload[{i}].period_secs` must be positive"));
-                }
-                if *trough_per_sec < 0.0 || peak_per_sec < trough_per_sec {
+            match w {
+                WorkloadSpec::Constant { at: t, .. } | WorkloadSpec::Poisson { start: t, .. }
+                    if !within_horizon(*t) =>
+                {
                     return fail(format!(
-                        "`workload[{i}]` needs peak_per_sec >= trough_per_sec >= 0"
+                        "`workload[{i}]` starts at t={t}, outside the horizon 0..{}",
+                        self.horizon_secs
                     ));
                 }
+                WorkloadSpec::Diurnal {
+                    period_secs,
+                    peak_per_sec,
+                    trough_per_sec,
+                    ..
+                } => {
+                    if *period_secs <= 0.0 {
+                        return fail(format!("`workload[{i}].period_secs` must be positive"));
+                    }
+                    if *trough_per_sec < 0.0 || peak_per_sec < trough_per_sec {
+                        return fail(format!(
+                            "`workload[{i}]` needs peak_per_sec >= trough_per_sec >= 0"
+                        ));
+                    }
+                }
+                _ => {}
             }
         }
         if self.workloads.is_empty()
@@ -856,7 +867,7 @@ impl ScenarioSpec {
             return fail("scenario has no workload and no demand events — nothing to simulate");
         }
         for e in &self.events {
-            if e.at < 0.0 || e.at > self.horizon_secs {
+            if !within_horizon(e.at) {
                 return fail(format!(
                     "event at t={} lies outside the horizon 0..{}",
                     e.at, self.horizon_secs

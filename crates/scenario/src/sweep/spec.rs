@@ -151,9 +151,7 @@ impl Field for Vec<f64> {
     fn read(v: &Value, ctx: &str, key: &str) -> Result<Self, SpecError> {
         let array_of = format!("positive numbers, got {}", v.type_name());
         let entries = "positive finite numbers";
-        distinct(v, ctx, key, &array_of, entries, |s: &f64| {
-            s.is_finite() && *s > 0.0
-        })
+        distinct(v, ctx, key, &array_of, entries, |s: &f64| *s > 0.0)
     }
 
     fn write(&self, out: &mut String) {
@@ -163,9 +161,7 @@ impl Field for Vec<f64> {
 
 fn positive_horizon(horizon_secs: Option<f64>, ctx: &str) -> Done {
     match horizon_secs {
-        Some(h) if !(h.is_finite() && h > 0.0) => {
-            fail(format!("`{ctx}.horizon_secs` must be positive"))
-        }
+        Some(h) if h <= 0.0 => fail(format!("`{ctx}.horizon_secs` must be positive")),
         _ => Ok(()),
     }
 }

@@ -205,3 +205,45 @@ fn sweep_specs_reject_bad_shapes_with_context() {
         assert!(e.contains(needle), "`{src}` should mention `{needle}`: {e}");
     }
 }
+
+/// An out-of-range literal reads as an infinity: refused where it is
+/// read, under its own key, in a scenario and in a sweep alike.
+#[test]
+fn non_finite_numbers_are_refused_under_their_key() {
+    let src = "name = \"t\"\nhorizon_secs = 1e400\ncapacity = 1e6\n\
+               [topology]\nkind = \"line\"\nn = 3\n\
+               [[workload]]\nkind = \"constant\"\nat = 1.0\nsrc = 1\nn = 1\n\
+               rate = 1e5\nvideo_secs = 5.0\n";
+    let e = ScenarioSpec::from_toml_str(src).unwrap_err().to_string();
+    assert!(
+        e.contains("`scenario.horizon_secs` must be a finite number, got inf"),
+        "{e}"
+    );
+    let src = "name = \"s\"\n[[grid]]\nscenario = \"x\"\nseeds = [1]\nhorizon_secs = -1e400";
+    let e = SweepSpec::from_toml_str(src).unwrap_err().to_string();
+    assert!(
+        e.contains("horizon_secs` must be a finite number, got -inf"),
+        "{e}"
+    );
+}
+
+/// A workload starts inside the horizon, as an event fires inside it.
+#[test]
+fn workload_instants_lie_inside_the_horizon() {
+    for (workload, t) in [
+        ("kind = \"constant\"\nat = -5.0\nsrc = 1\nn = 1", "-5"),
+        (
+            "kind = \"poisson\"\nstart = 12.5\nmean_gap_secs = 0.1\nn = 1\nsrc = 1",
+            "12.5",
+        ),
+    ] {
+        let src = format!(
+            "name = \"t\"\nhorizon_secs = 10.0\ncapacity = 1e6\n\
+             [topology]\nkind = \"line\"\nn = 3\n\
+             [[workload]]\n{workload}\nrate = 1e5\nvideo_secs = 5.0\n"
+        );
+        let e = ScenarioSpec::from_toml_str(&src).unwrap_err().to_string();
+        let want = format!("`workload[0]` starts at t={t}, outside the horizon 0..10");
+        assert!(e.contains(&want), "{e}");
+    }
+}
