@@ -80,13 +80,6 @@ pub enum WireError {
         /// Checksum carried by the packet.
         got: u16,
     },
-    /// The LSA body checksum did not verify.
-    BadLsaChecksum {
-        /// Computed checksum.
-        expect: u16,
-        /// Checksum carried by the LSA.
-        got: u16,
-    },
     /// A declared length field is inconsistent with the buffer.
     BadLength {
         /// Length the header declared.
@@ -111,12 +104,6 @@ impl fmt::Display for WireError {
                 write!(
                     f,
                     "packet checksum mismatch: expected {expect:#06x}, got {got:#06x}"
-                )
-            }
-            WireError::BadLsaChecksum { expect, got } => {
-                write!(
-                    f,
-                    "LSA checksum mismatch: expected {expect:#06x}, got {got:#06x}"
                 )
             }
             WireError::BadLength { declared, actual } => {
