@@ -129,8 +129,6 @@ impl Config {
 /// Adjacency state (condensed OSPF neighbor FSM for p2p links).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NbrState {
-    /// Nothing heard recently.
-    Down,
     /// Heard the neighbor, not yet seen ourselves in its hellos.
     Init,
     /// Bidirectional; negotiating exchange roles.
