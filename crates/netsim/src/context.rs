@@ -49,7 +49,6 @@ impl SimContext<'_> {
                 key: *k,
                 capacity: r.state.capacity,
                 cost: r.cost,
-                delay: r.state.delay,
                 up: r.state.up,
                 rate: r.state.rate,
             }

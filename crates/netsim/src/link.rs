@@ -1,8 +1,14 @@
 //! Physical links: capacity, delay, and identification.
+//!
+//! Every link has the same one-way delay, [`LINK_DELAY`].
 
 use fib_igp::time::Dur;
 use fib_igp::types::{Metric, RouterId};
 use std::fmt;
+
+/// The one-way propagation delay of every link: 1 ms, the common case
+/// in the demo testbed.
+pub const LINK_DELAY: Dur = Dur::from_millis(1);
 
 /// A *directed* link identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,26 +51,17 @@ pub struct LinkSpec {
     pub cost: Metric,
     /// Capacity in bytes/s (each direction).
     pub capacity: f64,
-    /// One-way propagation delay.
-    pub delay: Dur,
 }
 
 impl LinkSpec {
-    /// A link with 1 ms delay — the common case in the demo testbed.
+    /// A link.
     pub fn new(a: RouterId, b: RouterId, cost: Metric, capacity: f64) -> LinkSpec {
         LinkSpec {
             a,
             b,
             cost,
             capacity,
-            delay: Dur::from_millis(1),
         }
-    }
-
-    /// Override the propagation delay.
-    pub fn with_delay(mut self, delay: Dur) -> LinkSpec {
-        self.delay = delay;
-        self
     }
 }
 
@@ -75,8 +72,6 @@ pub struct LinkState {
     pub key: LinkKey,
     /// Capacity in bytes/s.
     pub capacity: f64,
-    /// One-way delay.
-    pub delay: Dur,
     /// Administrative/carrier state.
     pub up: bool,
     /// Current offered data rate (bytes/s) from the fluid allocation.
@@ -104,8 +99,6 @@ pub struct LinkInfo {
     pub capacity: f64,
     /// IGP cost.
     pub cost: Metric,
-    /// One-way delay.
-    pub delay: Dur,
     /// Whether the direction is up.
     pub up: bool,
     /// Current offered data rate (bytes/s) as of the last settlement —
@@ -142,7 +135,6 @@ mod tests {
         let mut s = LinkState {
             key: LinkKey::new(RouterId(1), RouterId(2)),
             capacity: 1000.0,
-            delay: Dur::from_millis(1),
             up: true,
             rate: 250.0,
         };
@@ -153,9 +145,8 @@ mod tests {
 
     #[test]
     fn spec_builder() {
-        let s =
-            LinkSpec::new(RouterId(1), RouterId(2), Metric(5), 4e6).with_delay(Dur::from_millis(7));
-        assert_eq!(s.delay, Dur::from_millis(7));
+        let s = LinkSpec::new(RouterId(1), RouterId(2), Metric(5), 4e6);
         assert_eq!(s.cost, Metric(5));
+        assert_eq!(s.capacity, 4e6);
     }
 }

@@ -48,7 +48,7 @@ use crate::fib::{resolve_path, Fib};
 use crate::flow::{Flow, FlowColumns, FlowId, FlowInfo, FlowSpec};
 use crate::fluid::{ClassFill, ClassTable, Members, PathTable, STOPPED, UNROUTED};
 use crate::handler::{AppEvent, EventHandler};
-use crate::link::{LinkKey, LinkSpec, LinkState};
+use crate::link::{LinkKey, LinkSpec, LinkState, LINK_DELAY};
 use crate::trace::Recorder;
 use fib_igp::instance::{Config as IgpConfig, Instance, Output};
 use fib_igp::rib::find_cycle;
@@ -508,7 +508,6 @@ impl Core {
         let mk = |key: LinkKey| LinkState {
             key,
             capacity: spec.capacity,
-            delay: spec.delay,
             up: true,
             rate: 0.0,
         };
@@ -862,7 +861,7 @@ impl Core {
                             c.count_tx(u64::from(len));
                         }
                         queue.push(
-                            *now + rec.state.delay,
+                            *now + LINK_DELAY,
                             Ev::Pkt {
                                 to_slot: rec.to_slot,
                                 iface: rec.rx_iface,
@@ -1166,9 +1165,8 @@ impl Sim {
     /// deliberately high cost so it never carries transit traffic.
     pub fn add_controller_speaker(&mut self, id: RouterId, attach: RouterId) {
         self.core.add_router_inner(id, false);
-        self.core.add_link_inner(
-            LinkSpec::new(id, attach, Metric(10_000), 1e7).with_delay(Dur::from_millis(1)),
-        );
+        self.core
+            .add_link_inner(LinkSpec::new(id, attach, Metric(10_000), 1e7));
     }
 
     /// Add a symmetric link.
