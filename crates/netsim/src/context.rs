@@ -150,12 +150,12 @@ impl SimContext<'_> {
 
     /// Stop a flow; `false` if unknown.
     pub fn stop_flow(&mut self, id: FlowId) -> bool {
-        self.core.stop_flow_inner(id)
+        self.core.stop_flow(id)
     }
 
     /// Change a flow's application rate cap; `false` if unknown.
     pub fn set_flow_cap(&mut self, id: FlowId, cap: Option<f64>) -> bool {
-        self.core.set_flow_cap_inner(id, cap)
+        self.core.set_flow_cap(id, cap)
     }
 
     /// A live flow by id.

@@ -1,6 +1,4 @@
 //! Physical links: capacity, delay, and identification.
-//!
-//! Every link has the same one-way delay, [`LINK_DELAY`].
 
 use fib_igp::time::Dur;
 use fib_igp::types::{Metric, RouterId};
@@ -54,7 +52,7 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// A link.
+    /// A link between `a` and `b`, both directions alike.
     pub fn new(a: RouterId, b: RouterId, cost: Metric, capacity: f64) -> LinkSpec {
         LinkSpec {
             a,

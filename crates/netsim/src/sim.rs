@@ -228,8 +228,9 @@ const _: () = assert!(
     "a link record fits in 64 bytes"
 );
 
-/// Internal queue payload: the link script's [`Event`]s plus the kernel's own
-/// traffic (packets in flight, component ticks, trace samples).
+/// Internal queue payload: the link script's [`Event`]s plus the
+/// kernel's own traffic (packets in flight, component ticks, trace
+/// samples).
 pub(crate) enum Ev {
     /// A datagram in flight from router `from` to interface `iface` of
     /// router slot `to_slot`, with its encoded length.
@@ -696,7 +697,7 @@ impl Core {
         id
     }
 
-    pub(crate) fn stop_flow_inner(&mut self, id: FlowId) -> bool {
+    pub(crate) fn stop_flow(&mut self, id: FlowId) -> bool {
         let Some(f) = self.flow_recs.get_mut(id.0 as usize).and_then(|o| o.take()) else {
             return false;
         };
@@ -713,7 +714,7 @@ impl Core {
         true
     }
 
-    pub(crate) fn set_flow_cap_inner(&mut self, id: FlowId, cap: Option<f64>) -> bool {
+    pub(crate) fn set_flow_cap(&mut self, id: FlowId, cap: Option<f64>) -> bool {
         let slot = id.0 as usize;
         let Some(f) = self.flow_recs.get_mut(slot).and_then(|o| o.as_mut()) else {
             return false;
