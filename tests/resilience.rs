@@ -132,7 +132,7 @@ fn crowd_cycles_install_and_retract_repeatedly() {
     let stop = |at: u64, ids: Vec<FlowId>, sim: &mut Sim| {
         sim.run_until(Timestamp::from_secs(at));
         for id in ids {
-            sim.ctx().stop_flow(id);
+            assert!(sim.ctx().stop_flow(id));
         }
     };
 
