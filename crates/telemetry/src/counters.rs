@@ -46,9 +46,10 @@ impl Counter {
         self.total += u128::from(n);
     }
 
-    /// The value a poller reads: the true total modulo the width.
+    /// The value a poller reads: the true total modulo the width (a
+    /// power of two, so a mask).
     pub fn read(&self) -> u64 {
-        (self.total % self.width.modulus()) as u64
+        (self.total & (self.width.modulus() - 1)) as u64
     }
 
     /// The unwrapped total (not observable via SNMP; used by tests and
@@ -136,6 +137,34 @@ mod tests {
         c.add(3);
         assert_eq!(c.read(), 2); // wrapped
         assert_eq!(c.total(), u32::MAX as u128 + 3);
+    }
+
+    #[test]
+    fn read_masks_as_the_modulus_does() {
+        let c32 = [(1u128 << 32) - 1, 1 << 32, (1 << 33) + 5];
+        let c64 = [u128::from(u64::MAX), 1 << 64, (1 << 64) + 7];
+        let cases = c32
+            .map(|t| (CounterWidth::C32, t))
+            .into_iter()
+            .chain(c64.map(|t| (CounterWidth::C64, t)));
+        let mut reads = Vec::new();
+        for (width, total) in cases {
+            let mut c = Counter::new(width);
+            let mut left = total;
+            while left > 0 {
+                let step = left.min(u128::from(u64::MAX));
+                c.add(step as u64);
+                left -= step;
+            }
+            assert_eq!(c.total(), total);
+            assert_eq!(
+                c.read(),
+                (total % width.modulus()) as u64,
+                "{width:?} {total}"
+            );
+            reads.push(c.read());
+        }
+        assert_eq!(reads, [u64::from(u32::MAX), 0, 5, u64::MAX, 0, 7]);
     }
 
     #[test]
