@@ -151,7 +151,10 @@ pub type ControllerHandle = Arc<Mutex<ControllerSnapshot>>;
 pub struct FibbingController {
     cfg: ControllerConfig,
     monitor: LoadMonitor<LinkKey>,
-    iface_map: BTreeMap<(RouterId, u32), LinkKey>,
+    /// What one SNMP sweep reads, worked out at start: every router a
+    /// data link leaves, ascending, with its `(ifIndex, link)` pairs in
+    /// ifIndex order.
+    poll_plan: Vec<(RouterId, Vec<(u32, LinkKey)>)>,
     caps: BTreeMap<(RouterId, RouterId), f64>,
     book: BTreeMap<FlowId, FlowInfo>,
     installed: BTreeMap<Prefix, Vec<Lie>>,
@@ -248,7 +251,7 @@ impl FibbingController {
         FibbingController {
             cfg,
             monitor,
-            iface_map: BTreeMap::new(),
+            poll_plan: Vec::new(),
             caps: BTreeMap::new(),
             book: BTreeMap::new(),
             installed: BTreeMap::new(),
@@ -315,21 +318,19 @@ impl FibbingController {
         self.stats.snmp_sweeps += 1;
         let _span = fib_trace::span(fib_trace::Phase::CtrlPoll);
         let now = api.now();
-        let routers: Vec<RouterId> = {
-            let mut v: Vec<RouterId> = self.caps.keys().map(|(f, _)| *f).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        for r in routers {
-            let column = api.snmp_walk(r, &oids::if_out_octets());
-            for (oid, value) in column {
+        let if_out_octets = oids::if_out_octets();
+        for (r, pairs) in &self.poll_plan {
+            // The column comes back in ifIndex order, as the pairs are:
+            // one merge pairs each monitored row with its link.
+            let mut pairs = pairs.iter().peekable();
+            for (oid, value) in api.snmp_walk(*r, &if_out_octets) {
                 let Some(&idx) = oid.0.last() else { continue };
-                let Some(key) = self.iface_map.get(&(r, idx)).copied() else {
+                while pairs.next_if(|&&(i, _)| i < idx).is_some() {}
+                let Some(&(_, key)) = pairs.next_if(|&&(i, _)| i == idx) else {
                     continue;
                 };
                 if let Value::Counter(c) = value {
-                    // Besides feeding is_alarmed()/alarmed_keys(),
+                    // Besides feeding is_alarmed()/any_alarmed(),
                     // every edge lands in the run's trace (the
                     // `alarm.<from>-<to>` series steps to the edge
                     // utilization on raise, back to 0 on clear) and is
@@ -580,7 +581,7 @@ impl FibbingController {
         } else {
             0.0
         };
-        let alarmed = self.cfg.use_snmp && !self.monitor.alarmed_keys().is_empty();
+        let alarmed = self.cfg.use_snmp && self.monitor.any_alarmed();
         let congested = (self.cfg.predictive && predicted >= self.cfg.util_hi)
             || alarmed
             || measured >= self.cfg.util_hi;
@@ -690,8 +691,10 @@ impl FibbingController {
 impl FibbingController {
     fn on_start(&mut self, api: &mut SimContext<'_>) {
         // Learn the provisioning: every data link's capacity and its
-        // SNMP interface index. Management links (touching the
-        // speaker) are excluded from optimization and monitoring.
+        // SNMP interface index, which make the poll plan. Management
+        // links (touching the speaker) are excluded from optimization
+        // and monitoring.
+        let mut plan: BTreeMap<RouterId, Vec<(u32, LinkKey)>> = BTreeMap::new();
         for info in api.links() {
             if info.key.from == self.cfg.speaker || info.key.to == self.cfg.speaker {
                 continue;
@@ -699,10 +702,18 @@ impl FibbingController {
             self.caps
                 .insert((info.key.from, info.key.to), info.capacity);
             self.monitor.add(info.key, info.capacity);
+            let pairs = plan.entry(info.key.from).or_default();
             if let Some(idx) = api.ifindex_for(info.key.from, info.key.to) {
-                self.iface_map.insert((info.key.from, idx), info.key);
+                pairs.push((idx, info.key));
             }
         }
+        self.poll_plan = plan
+            .into_iter()
+            .map(|(r, mut pairs)| {
+                pairs.sort_unstable_by_key(|&(idx, _)| idx);
+                (r, pairs)
+            })
+            .collect();
     }
 
     fn on_tick(&mut self, api: &mut SimContext<'_>) {
