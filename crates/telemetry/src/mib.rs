@@ -50,7 +50,7 @@ impl Oid {
 
     /// `true` if `self` is a prefix of `other`.
     pub fn is_prefix_of(&self, other: &Oid) -> bool {
-        other.0.starts_with(&self.0)
+        other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
     }
 }
 
@@ -112,7 +112,7 @@ pub enum Value {
 
 /// The ifTable columns an agent serves; each discriminant is the
 /// column's sub-identifier under `ifEntry`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Column {
     Index = 1,
     InOctets = 10,
@@ -153,7 +153,6 @@ impl Column {
 }
 
 /// One object an agent serves: `sysName.0`, or one ifTable cell.
-#[derive(Clone, Copy)]
 enum Object<'a> {
     SysName,
     Cell {
