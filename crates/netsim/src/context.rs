@@ -10,7 +10,7 @@
 //! iterators over the arenas. A flow starts, stops or changes its cap
 //! at the instant it is asked for, and its id is issued when it starts.
 
-use crate::flow::{Flow, FlowId, FlowSpec};
+use crate::flow::{Flow, FlowId, FlowSpec, RateChange};
 use crate::link::{LinkInfo, LinkKey};
 use crate::sim::Core;
 use fib_igp::error::InstanceError;
@@ -178,6 +178,26 @@ impl SimContext<'_> {
     pub fn flow_delivered(&self, id: FlowId) -> Option<f64> {
         let (hot, slot) = (&self.core.hot, id.0 as usize);
         hot.live(slot).then(|| hot.delivered[slot])
+    }
+
+    /// Start logging every live flow's rate change (a no-op once
+    /// started): from the next settle on, each flow whose rate moves
+    /// in any bit is logged with its new rate and the instant it takes
+    /// effect, for [`take_rate_changes`](Self::take_rate_changes). The
+    /// log has one reader: whoever drains it takes every entry.
+    pub fn watch_rates(&mut self) {
+        self.core.rate_changes.get_or_insert_with(Vec::new);
+    }
+
+    /// Move the rate changes logged since the last call into `into`
+    /// (cleared first), in the order the settles made them: ascending
+    /// instants, and flow order within one settle. Empty unless
+    /// [`watch_rates`](Self::watch_rates) was called.
+    pub fn take_rate_changes(&mut self, into: &mut Vec<RateChange>) {
+        into.clear();
+        if let Some(log) = &mut self.core.rate_changes {
+            std::mem::swap(log, into);
+        }
     }
 
     /// Current path of a flow (directed links), if routed.

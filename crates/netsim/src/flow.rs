@@ -65,8 +65,8 @@ impl FlowSpec {
 }
 
 /// Live state of a flow: what is read where it is resolved, capped,
-/// indexed and reported. What a settle, an accrual step and a player
-/// tick read and write of it is kept apart, in `FlowColumns`.
+/// indexed and reported. What a settle and an accrual step read and
+/// write of it is kept apart, in `FlowColumns`.
 #[derive(Debug, Clone)]
 pub struct Flow {
     /// Identifier.
@@ -91,8 +91,8 @@ const _: () = assert!(
 );
 
 /// Every flow's hot state, one entry per slot of the simulator's flow
-/// arena (indexed like it, by `FlowId`): what a settle, an accrual step
-/// and a player tick read and write. Kept apart from the [`Flow`]
+/// arena (indexed like it, by `FlowId`): what a settle and an accrual
+/// step read and write. Kept apart from the [`Flow`]
 /// records, so that those passes stream a few bytes a flow, not a
 /// record.
 #[derive(Debug, Default)]
@@ -109,8 +109,7 @@ pub(crate) struct FlowColumns {
 }
 
 // What one slot costs across the three columns: paid per flow ever
-// started, and streamed per live flow by every settle, accrual step and
-// player tick.
+// started, and streamed per live flow by every settle and accrual step.
 const _: () = assert!(
     std::mem::size_of::<u32>() + 2 * std::mem::size_of::<f64>() <= 24,
     "a flow's hot row fits in 24 bytes"
@@ -128,6 +127,21 @@ impl FlowColumns {
     pub(crate) fn live(&self, slot: usize) -> bool {
         self.class.get(slot).is_some_and(|c| *c != STOPPED)
     }
+}
+
+/// A live flow's rate as a settle left it, where it differs in any bit
+/// from the rate before: the new rate holds from `at` until the flow's
+/// next change (see [`SimContext::watch_rates`]).
+///
+/// [`SimContext::watch_rates`]: crate::context::SimContext::watch_rates
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RateChange {
+    /// The flow.
+    pub flow: FlowId,
+    /// The instant the new rate takes effect: the settle's.
+    pub at: Timestamp,
+    /// The new rate (bytes/s).
+    pub rate: f64,
 }
 
 /// Summary handed to applications in flow notifications.

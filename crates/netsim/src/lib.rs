@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::ecmp::{slot_for, FlowKey};
     pub use crate::events::Event;
     pub use crate::fib::{resolve_path, Fib, FibEntry, PathError};
-    pub use crate::flow::{Flow, FlowId, FlowInfo, FlowSpec};
+    pub use crate::flow::{Flow, FlowId, FlowInfo, FlowSpec, RateChange};
     pub use crate::fluid::{max_min_allocation, max_min_keyed, Allocation, Allocator, FluidFlow};
     pub use crate::handler::{AppEvent, EventHandler};
     pub use crate::link::{LinkInfo, LinkKey, LinkSpec, LinkState};

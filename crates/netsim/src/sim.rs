@@ -45,7 +45,7 @@ use crate::dirty::{DirtySet, FlowIndex};
 use crate::ecmp::FlowKey;
 use crate::events::Event;
 use crate::fib::{resolve_path, Fib};
-use crate::flow::{Flow, FlowColumns, FlowId, FlowInfo, FlowSpec};
+use crate::flow::{Flow, FlowColumns, FlowId, FlowInfo, FlowSpec, RateChange};
 use crate::fluid::{ClassFill, ClassTable, Members, PathTable, STOPPED, UNROUTED};
 use crate::handler::{AppEvent, EventHandler};
 use crate::link::{LinkKey, LinkSpec, LinkState, LINK_DELAY};
@@ -315,6 +315,9 @@ pub(crate) struct Core {
     /// column is written: what a fill starts from.
     pub(crate) members: Members,
     pub(crate) alloc: ClassFill,
+    /// Every rate change since the last drain, in settle order, once a
+    /// component watches rates (`None` until then).
+    pub(crate) rate_changes: Option<Vec<RateChange>>,
     last_accrue: Timestamp,
     pub(crate) dirty: DirtySet,
     pub(crate) started: bool,
@@ -373,6 +376,7 @@ impl Core {
             classes: ClassTable::default(),
             members: Members::default(),
             alloc: ClassFill::default(),
+            rate_changes: None,
             last_accrue: Timestamp::ZERO,
             dirty: DirtySet::new(),
             started: false,
@@ -939,6 +943,10 @@ impl Core {
         }
         self.stats.paths_resolved += resolved;
         self.stats.paths_skipped += self.live.len() as u64 - resolved;
+        // The new rates hold from the instant integration last reached,
+        // which is the settle's own.
+        debug_assert_eq!(self.now, self.last_accrue);
+        let at = self.now;
         // The link universe is the arena in creation order, a capacity
         // present iff the link is up; the fill starts from the member
         // counts, and reads the class column only where it freezes a
@@ -951,6 +959,7 @@ impl Core {
             link_recs,
             hot,
             live,
+            rate_changes,
             ..
         } = self;
         let FlowColumns { class, rate, .. } = hot;
@@ -966,13 +975,21 @@ impl Core {
         );
         fib_trace::observe("settle.classes", members.classes() as u64);
         // The one walk over the live flows after the fill: each one's
-        // rate into its column, and into the link loads in flow order.
-        alloc.spread(
-            paths,
-            classes,
-            live.iter().map(|&slot| (slot, class[slot])),
-            |slot, r| rate[slot] = r,
-        );
+        // rate into its column, and into the link loads in flow order;
+        // and, if watched, into the log where its bits change.
+        let flows = live.iter().map(|&slot| (slot, class[slot]));
+        match rate_changes {
+            Some(log) => alloc.spread(paths, classes, flows, |slot, r| {
+                if std::mem::replace(&mut rate[slot], r).to_bits() != r.to_bits() {
+                    log.push(RateChange {
+                        flow: FlowId(slot as u64),
+                        at,
+                        rate: r,
+                    });
+                }
+            }),
+            None => alloc.spread(paths, classes, flows, |slot, r| rate[slot] = r),
+        }
         for (rec, load) in link_recs.iter_mut().zip(alloc.loads()) {
             rec.state.rate = *load;
         }
@@ -1482,6 +1499,62 @@ mod tests {
         let path = ctx.flow_path(fid).unwrap();
         assert_eq!(path, &[LinkKey::new(r(1), r(2)), LinkKey::new(r(2), r(3))]);
         assert!((sim.link_rate(r(1), r(2)).unwrap() - 1e6).abs() < 1.0);
+    }
+
+    /// Watched rates are logged where their bits change, each with the
+    /// instant its settle took effect: a flow's start, a second flow on
+    /// its links, a cap, and a failure that strands both. A cap that
+    /// leaves a rate where it was logs nothing, nor does a settle after
+    /// the failure that leaves both at 0; and nothing is logged before
+    /// somebody watches.
+    #[test]
+    fn watched_rate_changes_are_logged_at_their_settles_instant() {
+        let at = Timestamp::from_millis;
+        let mut log = Vec::new();
+        let mut unwatched = line_sim();
+        unwatched.start();
+        start_at(
+            &mut unwatched,
+            at(10_000),
+            FlowSpec::new(r(1), Prefix::net24(1)),
+        );
+        unwatched.run_until(at(11_000));
+        unwatched.ctx().take_rate_changes(&mut log);
+        assert!(log.is_empty());
+
+        let mut sim = line_sim();
+        sim.start();
+        sim.run_until(at(10_000));
+        sim.ctx().watch_rates();
+        let f1 = start_at(&mut sim, at(10_000), FlowSpec::new(r(1), Prefix::net24(1)));
+        let f2 = start_at(&mut sim, at(10_250), FlowSpec::new(r(2), Prefix::net24(1)));
+        sim.run_until(at(10_500));
+        sim.ctx().set_flow_cap(f2, Some(1e5));
+        sim.run_until(at(10_700));
+        sim.ctx().set_flow_cap(f1, Some(9e5));
+        sim.run_until(at(10_900));
+        sim.ctx().fail_link(r(2), r(3));
+        sim.run_until(at(12_000));
+        sim.ctx().take_rate_changes(&mut log);
+        let got: Vec<(FlowId, u64, f64)> = log
+            .iter()
+            .map(|c| (c.flow, c.at.0 / 1_000_000, c.rate))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (f1, 10_000, 1e6),
+                (f1, 10_250, 5e5),
+                (f2, 10_250, 5e5),
+                (f1, 10_500, 9e5),
+                (f2, 10_500, 1e5),
+                (f1, 10_900, 0.0),
+                (f2, 10_900, 0.0),
+            ]
+        );
+        sim.run_until(at(13_000));
+        sim.ctx().take_rate_changes(&mut log);
+        assert!(log.is_empty(), "drained, and nothing moved since: {log:?}");
     }
 
     #[test]
