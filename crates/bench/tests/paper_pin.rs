@@ -17,7 +17,7 @@ const PINNED: [(&str, u64); 15] = [
     ("fig2_fibbing_phases.csv", 0x2fee_59da_d7ae_ff08),
     ("fig2_baseline.csv", 0x8fbd_df1a_6261_fecd),
     ("fig2_baseline_phases.csv", 0x51bf_6429_e1bb_d089),
-    ("table_qoe.csv", 0x0c57_bf80_7a55_8887),
+    ("table_qoe.csv", 0x4dfc_f57f_a878_96b3),
     ("table1_control_overhead.csv", 0x0da9_68cd_d6a4_92d5),
     ("table2a_encap.csv", 0x9fc8_8fe0_0d48_80b6),
     ("table2b_state.csv", 0xa91a_e129_7c90_b49d),

@@ -25,6 +25,13 @@
 //! must leave them alone, while the other four (and the anchors' last
 //! field) may move with the control plane's byte count.
 //!
+//! The trace digests were re-pinned once when players began to start
+//! and resume at exact instants instead of at the next 100 ms tick:
+//! clips end earlier, so some flows stop a tick earlier, and the
+//! utilization rows and the measured loads move. The audit without its
+//! measured values held: the same lies at the same instants for the
+//! same reasons.
+//!
 //! [`LieAllocator`]: fibbing::core::lie::LieAllocator
 
 use fib_trace::artifact::{fnv1a, FNV_OFFSET};
@@ -161,7 +168,7 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     );
     assert_eq!(
         data_plane,
-        (0x8806_a45c_cb28_b879, 0xd943_8169_02e6_ea93),
+        (0xdee5_f3ab_7461_5047, 0xd943_8169_02e6_ea93),
         "trace without alarms / audit without measured digests moved: {data_plane:#018x?}"
     );
 
@@ -174,10 +181,10 @@ fn three_prefix_predictive_run_is_pinned_byte_for_byte() {
     assert_eq!(
         digests,
         (
-            0x1220_f93e_0e95_3a67,
-            0xb04d_e643_464f_7bfe,
-            0x292d_0e9d_3789_f274,
-            0x9086_e0c0_e0cf_a146
+            0x80c6_df56_b149_b59a,
+            0x7299_48f0_8ad7_cdcb,
+            0xc5f6_97c3_5c39_231f,
+            0x7706_4e3f_e242_bab7
         ),
         "summary / trace / audit / masked audit digests moved: {digests:#018x?}\nfirst audit lines:\n{}",
         audit.lines().take(12).collect::<Vec<_>>().join("\n")
