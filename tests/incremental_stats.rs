@@ -5,7 +5,10 @@
 //! traces, just O(flows × events) slower. These tests pin the
 //! *counters*: across a controller-on scenario with flow churn, lie
 //! churn, and a link failure, most path resolutions must be skipped
-//! and lie-only SPF runs must stay partial.
+//! and lie-only SPF runs must stay partial. The video players get the
+//! same kind of guard: a driver that walked every session at every tick
+//! would still give every report, and only its count of player updates
+//! shows it.
 
 use fibbing::netsim::sim::SimStats;
 use fibbing::scenario::runner::{build, RunOptions};
@@ -140,5 +143,33 @@ fn dirty_set_counters_prove_incrementality() {
             again.spf_partial_runs,
         ),
         "incrementality counters are not deterministic"
+    );
+}
+
+/// `churn_pin`'s spec: 1 200 viewers over 22 simulated seconds, without
+/// a controller, through a failure and a brown-out.
+const CHURN: &str = include_str!("common/churn_pin.toml");
+
+/// The players sleep: a session is touched where its flow's rate
+/// changes and at the tick its cap flip or stop falls due, not at every
+/// tick. On `churn_pin`'s run the driver makes 87 135 player updates,
+/// 0.33 of sessions × ticks (1 200 × 220); the walk over every playing
+/// session at every tick that it replaced made 0.55 (145 000), and
+/// fails the bound of 0.40 here. (Saturated links make this the
+/// players' worst case: nearly every settle moves the fair share of
+/// every flow on them, and each such change is an update.)
+#[test]
+fn players_are_touched_only_where_rates_change_or_actions_fall_due() {
+    let spec = ScenarioSpec::from_toml_str(CHURN).expect("churn_pin's spec parses");
+    let mut run = build(&spec, RunOptions::default()).expect("churn_pin builds");
+    run.run_until_secs(spec.horizon_secs);
+    let updates = run.qoe.player_updates();
+    let sessions = run.qoe.reports().len() as u64;
+    let ticks = (spec.horizon_secs * 10.0).round() as u64;
+    assert_eq!((sessions, ticks), (1200, 220));
+    assert!(
+        updates * 5 < sessions * ticks * 2,
+        "{updates} player updates for {sessions} sessions over {ticks} ticks: \
+         more than 0.40 of them, so players are walked per tick again"
     );
 }
