@@ -194,9 +194,7 @@ impl Player {
         }
         self.set_rate(now_secs - dt, bytes / dt);
         self.run_to(now_secs);
-        if self.state != PlayerState::Done {
-            self.slide_to(now_secs);
-        }
+        self.slide_to(now_secs);
     }
 
     /// The next transition from the anchor: when it falls, and the
@@ -287,9 +285,7 @@ impl Player {
     pub fn qoe_at(&self, t: f64) -> crate::qoe::QoeReport {
         let mut p = self.clone();
         p.run_to(t);
-        if p.state != PlayerState::Done {
-            p.slide_to(t);
-        }
+        p.slide_to(t);
         p.qoe()
     }
 

@@ -169,7 +169,7 @@ impl QoeHandle {
                 shared
                     .active
                     .iter()
-                    .filter(|s| !s.finished)
+                    .filter(|s| !s.finished())
                     .map(|s| (s.tag, s.player.qoe_at(now)))
                     .collect()
             }
@@ -205,8 +205,6 @@ struct Session {
     /// The server is all but paused (1 B/s): the whole clip is in. It
     /// starts at the clip's rate.
     paused: bool,
-    /// Its clip has ended: its flow is stopped and its report final.
-    finished: bool,
 }
 
 // The active set is what memory tracks: a wider session is paid per
@@ -229,8 +227,14 @@ impl Session {
             flow,
             player: Player::new(wave.video, PlayerConfig::default(), api.now()),
             paused: false,
-            finished: false,
         }
+    }
+
+    /// Its clip has ended: its flow is stopped and its report is final.
+    /// (A player reaches its end only where the driver brings it to a
+    /// tick, and the driver stops the flow there.)
+    fn finished(&self) -> bool {
+        self.player.state() == PlayerState::Done
     }
 
     /// The earliest its next action can fall due, seen from `now`: the
@@ -337,7 +341,7 @@ impl VideoWorkload {
                 continue;
             };
             let s = &mut shared.active[i];
-            if s.finished || s.paused {
+            if s.finished() || s.paused {
                 continue;
             }
             s.player.set_rate(change.at.as_secs_f64(), change.rate);
@@ -407,10 +411,9 @@ impl Shared {
         let now = api.now().as_secs_f64();
         let s = &mut self.active[i];
         s.player.run_to(now);
-        if s.player.state() == PlayerState::Done {
+        if s.finished() {
             api.stop_flow(s.flow);
             self.finished.insert(s.tag, s.player.qoe());
-            s.finished = true;
             self.done += 1;
             return true;
         }
@@ -426,10 +429,10 @@ impl Shared {
     /// the set.
     fn compact(&mut self) {
         if self.done > 0 && self.done * 16 >= self.active.len() {
-            let mut kept = self.active.iter().map(|s| !s.finished);
+            let mut kept = self.active.iter().map(|s| !s.finished());
             self.flows
                 .retain(|_| kept.next().expect("one flow a session"));
-            self.active.retain(|s| !s.finished);
+            self.active.retain(|s| !s.finished());
             self.done = 0;
         }
     }
@@ -623,7 +626,7 @@ mod tests {
                 let shared = self.driver.shared.0.lock();
                 let mut map = self.map.lock();
                 let now = ctx.now().as_secs_f64();
-                for s in shared.active.iter().filter(|s| !s.finished) {
+                for s in shared.active.iter().filter(|s| !s.finished()) {
                     map.insert(s.tag, s.player.qoe_at(now));
                 }
                 for (tag, report) in &shared.finished {
@@ -678,7 +681,7 @@ mod tests {
             // Playing: launched and not finished. A finished session
             // may still sit in the active set until the next bulk
             // compaction; it counts among the finished only.
-            let playing = shared.active.iter().filter(|s| !s.finished).count();
+            let playing = shared.active.iter().filter(|s| !s.finished()).count();
             let visible = if shared.now.is_some() { playing } else { 0 };
             assert_eq!(got.len(), shared.finished.len() + visible);
             seen_both |= !shared.finished.is_empty() && playing > 0;
@@ -772,7 +775,7 @@ mod tests {
             self.0.launch_due(&mut shared, ctx);
             self.0.apply_rate_changes(&mut shared, ctx);
             for i in 0..shared.active.len() {
-                if !shared.active[i].finished {
+                if !shared.active[i].finished() {
                     shared.updates += 1;
                     shared.act(i, ctx);
                 }
@@ -839,7 +842,7 @@ mod tests {
             stopped += live_before.saturating_sub(got.len());
             busiest = busiest.max(got.len());
             live_before = got.len();
-            let kept = runs[0].1 .0.lock().active.iter().any(|s| s.finished);
+            let kept = runs[0].1 .0.lock().active.iter().any(Session::finished);
             lingered += usize::from(kept);
         }
         let reports = runs[0].1.reports();
