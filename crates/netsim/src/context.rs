@@ -174,17 +174,13 @@ impl SimContext<'_> {
         hot.live(slot).then(|| hot.rate[slot])
     }
 
-    /// Total bytes delivered by a flow so far.
-    pub fn flow_delivered(&self, id: FlowId) -> Option<f64> {
-        let (hot, slot) = (&self.core.hot, id.0 as usize);
-        hot.live(slot).then(|| hot.delivered[slot])
-    }
-
     /// Start logging every live flow's rate change (a no-op once
     /// started): from the next settle on, each flow whose rate moves
     /// in any bit is logged with its new rate and the instant it takes
     /// effect, for [`take_rate_changes`](Self::take_rate_changes). The
-    /// log has one reader: whoever drains it takes every entry.
+    /// log has one reader: whoever drains it takes every entry. A
+    /// flow's bytes delivered are the integral of its entries (its rate
+    /// is 0 until its first); the simulator keeps no such sum itself.
     pub fn watch_rates(&mut self) {
         self.core.rate_changes.get_or_insert_with(Vec::new);
     }

@@ -80,15 +80,12 @@ impl DirtySet {
         DirtySet::default()
     }
 
-    /// Mark one flow's path stale (implies a reallocation).
+    /// Mark one flow's path stale (implies a reallocation). A flow that
+    /// stops after it was marked stays in the set: ids are never
+    /// reused, and the settle skips a flow that is gone.
     pub fn mark_flow(&mut self, id: FlowId) {
         self.paths.insert(id);
         self.realloc = true;
-    }
-
-    /// Drop a flow from the set (it stopped; nothing to re-resolve).
-    pub fn forget_flow(&mut self, id: FlowId) {
-        self.paths.remove(&id);
     }
 
     /// Mark that rates must be recomputed without touching any path.
@@ -155,10 +152,9 @@ mod tests {
         assert!(!d.needs_realloc());
         d.mark_flow(id(4));
         d.mark_flow(id(5));
-        d.forget_flow(id(4));
         assert!(d.needs_realloc());
         let taken = d.take();
-        assert_eq!(taken.into_iter().collect::<Vec<_>>(), vec![id(5)]);
+        assert_eq!(taken.into_iter().collect::<Vec<_>>(), vec![id(4), id(5)]);
         assert!(!d.needs_realloc());
     }
 }

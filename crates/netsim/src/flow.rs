@@ -65,8 +65,12 @@ impl FlowSpec {
 }
 
 /// Live state of a flow: what is read where it is resolved, capped,
-/// indexed and reported. What a settle and an accrual step read and
-/// write of it is kept apart, in `FlowColumns`.
+/// indexed and reported. What a settle reads and writes of it is kept
+/// apart, in `FlowColumns`. No byte count is kept: what a flow has
+/// delivered is the integral of its rate changes, which a component
+/// logs with [`SimContext::watch_rates`].
+///
+/// [`SimContext::watch_rates`]: crate::context::SimContext::watch_rates
 #[derive(Debug, Clone)]
 pub struct Flow {
     /// Identifier.
@@ -91,10 +95,10 @@ const _: () = assert!(
 );
 
 /// Every flow's hot state, one entry per slot of the simulator's flow
-/// arena (indexed like it, by `FlowId`): what a settle and an accrual
-/// step read and write. Kept apart from the [`Flow`]
-/// records, so that those passes stream a few bytes a flow, not a
-/// record.
+/// arena (indexed like it, by `FlowId`): what a settle reads and
+/// writes. Kept apart from the [`Flow`] records, so that its passes
+/// stream a few bytes a flow, not a record. Time advancing visits no
+/// flow: the accrual step integrates link rates only.
 #[derive(Debug, Default)]
 pub(crate) struct FlowColumns {
     /// The flow's class id in the simulator's class table — its path's
@@ -104,15 +108,14 @@ pub(crate) struct FlowColumns {
     pub(crate) class: Vec<u32>,
     /// Current allocated rate (bytes/s): 0.0 while unrouted.
     pub(crate) rate: Vec<f64>,
-    /// Total bytes delivered so far (fluid integration).
-    pub(crate) delivered: Vec<f64>,
 }
 
-// What one slot costs across the three columns: paid per flow ever
-// started, and streamed per live flow by every settle and accrual step.
+// What one slot costs across the two columns: paid per flow ever
+// started, and streamed per live flow by every settle. A third column
+// needs a reason to be paid for at that rate.
 const _: () = assert!(
-    std::mem::size_of::<u32>() + 2 * std::mem::size_of::<f64>() <= 24,
-    "a flow's hot row fits in 24 bytes"
+    std::mem::size_of::<u32>() + std::mem::size_of::<f64>() <= 12,
+    "a flow's hot row fits in 12 bytes"
 );
 
 impl FlowColumns {
@@ -120,7 +123,6 @@ impl FlowColumns {
     pub(crate) fn grow(&mut self, slots: usize) {
         self.class.resize(slots, STOPPED);
         self.rate.resize(slots, 0.0);
-        self.delivered.resize(slots, 0.0);
     }
 
     /// Whether `slot` holds a live flow.

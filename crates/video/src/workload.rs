@@ -48,6 +48,13 @@
 //! all. Finished sessions sit near the front of a set in launch order,
 //! so removing each as it finishes would move almost every playing
 //! session.
+//!
+//! A rate change or a booking names a flow, and its session is found
+//! in one step: a table from flow id to active-set position, offset by
+//! the oldest active session's flow id. It covers the ids from there to
+//! the newest session's (a flow another component started in between
+//! has no position), so it follows the active set, not the run's
+//! history, and the compaction pass rebuilds it as it walks the set.
 
 use crate::catalog::Video;
 use crate::client::{Player, PlayerConfig, PlayerState};
@@ -125,6 +132,9 @@ impl Wave {
     }
 }
 
+/// A flow id no active session has, in [`Shared::positions`].
+const NOT_ACTIVE: u32 = u32::MAX;
+
 /// What the driver shares with its readers.
 #[derive(Default)]
 struct Shared {
@@ -134,9 +144,13 @@ struct Shared {
     /// those still playing, and the `done` that finished since the
     /// last compaction.
     active: Vec<Session>,
-    /// Each active session's flow, position for position: what a rate
-    /// change or a booking is looked up in, eight bytes a session.
-    flows: Vec<FlowId>,
+    /// Per flow id from `base` to the newest session's, the position in
+    /// `active` of the session whose flow it is ([`NOT_ACTIVE`] for
+    /// none): what a rate change or a booking is looked up in, four
+    /// bytes an id. Rebuilt where `active` is compacted.
+    positions: Vec<u32>,
+    /// The flow id `positions` starts at: the oldest active session's.
+    base: u64,
     /// Finished sessions still in `active`.
     done: usize,
     /// The last tick's instant, which the reports of playing sessions
@@ -310,8 +324,7 @@ impl VideoWorkload {
             self.cursor += 1;
             let session = Session::launch(&self.waves[wave as usize], u64::from(tag), ctx);
             self.book(&session, ctx.now());
-            shared.flows.push(session.flow);
-            shared.active.push(session);
+            shared.push(session);
         }
     }
 
@@ -335,9 +348,8 @@ impl VideoWorkload {
     /// player, in the order the settles made them.
     fn apply_rate_changes(&mut self, shared: &mut Shared, ctx: &mut SimContext<'_>) {
         ctx.take_rate_changes(&mut self.changes);
-        let mut at = 0;
         for change in &self.changes {
-            let Some(i) = shared.find(&mut at, change.flow) else {
+            let Some(i) = shared.find(change.flow) else {
                 continue;
             };
             let s = &mut shared.active[i];
@@ -361,11 +373,8 @@ impl VideoWorkload {
             return;
         };
         due.sort_unstable();
-        let mut at = 0;
         for flow in due {
-            let i = shared
-                .find(&mut at, flow)
-                .expect("a booked session is playing");
+            let i = shared.find(flow).expect("a booked session is playing");
             shared.updates += 1;
             if !shared.act(i, ctx) {
                 self.book(&shared.active[i], now);
@@ -384,23 +393,30 @@ impl VideoWorkload {
 
 impl Shared {
     /// The position of the session whose flow is `flow`, if still in
-    /// the active set. Lookups in ascending flow order (those of one
-    /// settle's changes, of one tick's bookings) each gallop forward
-    /// from where the last one ended, `at`; a smaller flow starts over.
-    fn find(&self, at: &mut usize, flow: FlowId) -> Option<usize> {
-        if self.flows.get(*at).map_or(true, |f| *f > flow) {
-            *at = 0;
+    /// the active set.
+    fn find(&self, flow: FlowId) -> Option<usize> {
+        let at = usize::try_from(flow.0.checked_sub(self.base)?).ok()?;
+        let i = *self.positions.get(at)?;
+        (i != NOT_ACTIVE).then_some(i as usize)
+    }
+
+    /// Add a session just launched, whose flow is the newest.
+    fn push(&mut self, s: Session) {
+        if self.active.is_empty() {
+            self.base = s.flow.0;
         }
-        let rest = &self.flows[*at..];
-        let (mut lo, mut step) = (0, 1);
-        while lo + step < rest.len() && rest[lo + step] <= flow {
-            lo += step;
-            step *= 2;
-        }
-        let hi = (lo + step + 1).min(rest.len());
-        *at += lo;
-        let i = rest[lo..hi].binary_search(&flow).ok()?;
-        Some(*at + i)
+        self.place(s.flow, self.active.len());
+        self.active.push(s);
+    }
+
+    /// Give `flow`, newer than every flow placed since `positions` was
+    /// last cleared, position `i`.
+    fn place(&mut self, flow: FlowId, i: usize) {
+        let at = usize::try_from(flow.0 - self.base).expect("the table fits in memory");
+        debug_assert!(self.positions.len() <= at, "flows are placed in id order");
+        self.positions.resize(at, NOT_ACTIVE);
+        self.positions
+            .push(u32::try_from(i).expect("fewer than 2^32 sessions at once"));
     }
 
     /// Bring session `i` to now and take the action due there, if any:
@@ -426,13 +442,25 @@ impl Shared {
 
     /// Drop finished sessions' player state, so memory follows
     /// concurrency, not history: in bulk, once they are a sixteenth of
-    /// the set.
+    /// the set. The flow table is rebuilt from the oldest session kept.
     fn compact(&mut self) {
         if self.done > 0 && self.done * 16 >= self.active.len() {
-            let mut kept = self.active.iter().map(|s| !s.finished());
-            self.flows
-                .retain(|_| kept.next().expect("one flow a session"));
-            self.active.retain(|s| !s.finished());
+            // One pass: each session kept is placed at its new position.
+            let mut active = std::mem::take(&mut self.active);
+            self.positions.clear();
+            let mut kept = 0;
+            active.retain(|s| {
+                if s.finished() {
+                    return false;
+                }
+                if kept == 0 {
+                    self.base = s.flow.0;
+                }
+                self.place(s.flow, kept);
+                kept += 1;
+                true
+            });
+            self.active = active;
             self.done = 0;
         }
     }
@@ -472,6 +500,7 @@ mod tests {
     use fib_netsim::events::Event;
     use fib_netsim::link::LinkSpec;
     use fib_netsim::sim::{Sim, SimConfig};
+    use fib_telemetry::mib::oids;
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -786,8 +815,8 @@ mod tests {
         }
     }
 
-    /// Each live flow's id, tag, cap, rate and delivered bytes, as bits.
-    fn flow_bits(sim: &mut Sim) -> Vec<(FlowId, u64, Option<u64>, u64, u64)> {
+    /// Each live flow's id, tag, cap and rate, as bits.
+    fn flow_bits(sim: &mut Sim) -> Vec<(FlowId, u64, Option<u64>, u64)> {
         let live: Vec<(FlowId, u64, Option<u64>)> = sim
             .flows()
             .map(|f| (f.id, f.tag, f.cap.map(f64::to_bits)))
@@ -796,20 +825,34 @@ mod tests {
         live.into_iter()
             .map(|(id, tag, cap)| {
                 let rate = ctx.flow_rate(id).expect("live").to_bits();
-                let delivered = ctx.flow_delivered(id).expect("live").to_bits();
-                (id, tag, cap, rate, delivered)
+                (id, tag, cap, rate)
             })
             .collect()
+    }
+
+    /// Every interface's octet counters, in and out, router by router:
+    /// the bytes the rates have moved so far, integrated at every
+    /// instant.
+    fn octets(sim: &mut Sim) -> String {
+        let routers: Vec<RouterId> = sim.ctx().routers().collect();
+        let mut ctx = sim.ctx();
+        let mut out = String::new();
+        for router in routers {
+            for column in [oids::if_in_octets(), oids::if_out_octets()] {
+                out.push_str(&format!("{router} {:?}\n", ctx.snmp_walk(router, &column)));
+            }
+        }
+        out
     }
 
     /// Lazy ≡ eager: the driver, which touches a session only where its
     /// rate changes or its action falls due, against one that brings
     /// every session to every tick, two simulators side by side on the
-    /// faulted crowd. After every tick every live flow has the same cap,
-    /// rate and delivered bytes on both, and the readers give the same
-    /// reports, bit for bit: evaluating a player at extra instants
-    /// changes nothing. The lazy driver makes a small share of the
-    /// eager one's player updates.
+    /// faulted crowd. After every tick every live flow has the same cap
+    /// and rate on both, every interface has counted the same octets,
+    /// and the readers give the same reports, bit for bit: evaluating a
+    /// player at extra instants changes nothing. The lazy driver makes
+    /// a small share of the eager one's player updates.
     #[test]
     fn the_lazy_driver_caps_stops_and_reports_as_the_eager_one_does() {
         let mut runs: Vec<(Sim, QoeHandle)> = Vec::new();
@@ -833,6 +876,11 @@ mod tests {
             }
             let got = flow_bits(&mut runs[0].0);
             assert_eq!(got, flow_bits(&mut runs[1].0), "tick {tick}: flows");
+            assert_eq!(
+                octets(&mut runs[0].0),
+                octets(&mut runs[1].0),
+                "tick {tick}: octets"
+            );
             assert_eq!(
                 render(runs[0].1.reports()),
                 render(runs[1].1.reports()),
@@ -942,14 +990,48 @@ mod tests {
     /// by tag.
     type Outcomes = Arc<Mutex<BTreeMap<u64, (f64, u32, f64)>>>;
 
+    /// A flow's bytes delivered, as the integral of its logged rate
+    /// changes: the rate in force, since when, and the bytes up to then.
+    #[derive(Clone, Copy)]
+    struct Integral {
+        rate: f64,
+        since: Timestamp,
+        bytes: f64,
+    }
+
+    impl Integral {
+        /// A flow before its first change: at rate 0.
+        const ZERO: Integral = Integral {
+            rate: 0.0,
+            since: Timestamp::ZERO,
+            bytes: 0.0,
+        };
+
+        /// Fold in the flow's next change.
+        fn change(&mut self, c: &RateChange) {
+            self.bytes = self.at(c.at);
+            (self.rate, self.since) = (c.rate, c.at);
+        }
+
+        /// The bytes delivered up to `t`, no earlier than the last change.
+        fn at(&self, t: Timestamp) -> f64 {
+            self.bytes + self.rate * (t - self.since).as_secs_f64()
+        }
+    }
+
     /// The tick model with 1 ms accounting: every player advances from
     /// its flow's delivered bytes every millisecond, while launches, cap
-    /// flips and stops stay on the 100 ms grid, as the driver's do.
+    /// flips and stops stay on the 100 ms grid, as the driver's do. It
+    /// drains the rate-change log itself and integrates it per flow, so
+    /// no lookup of the driver's is on its path.
     struct MillisecondReference {
         order: Vec<(Timestamp, Wave, u64)>,
         cursor: usize,
         /// Tag, flow, player, bytes seen, paused.
         active: Vec<(u64, FlowId, TickPlayer, f64, bool)>,
+        /// Every flow's bytes delivered, from the log.
+        delivered: BTreeMap<FlowId, Integral>,
+        log: Vec<RateChange>,
         done: Outcomes,
     }
 
@@ -965,6 +1047,9 @@ mod tests {
         fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
             let now = ctx.now();
             let on_grid = now.0 % TICK.0 == 0;
+            if matches!(ev, AppEvent::Start) {
+                ctx.watch_rates();
+            }
             if matches!(ev, AppEvent::Start) || (on_grid && matches!(ev, AppEvent::Tick)) {
                 while let Some((start, wave, tag)) = self.order.get(self.cursor) {
                     if *start > now {
@@ -983,10 +1068,17 @@ mod tests {
             if !matches!(ev, AppEvent::Tick) {
                 return;
             }
+            ctx.take_rate_changes(&mut self.log);
+            for c in &self.log {
+                self.delivered
+                    .entry(c.flow)
+                    .or_insert(Integral::ZERO)
+                    .change(c);
+            }
             let secs = now.as_secs_f64();
             let mut done = self.done.lock();
             for (tag, flow, player, seen, paused) in &mut self.active {
-                let delivered = ctx.flow_delivered(*flow).unwrap_or(*seen);
+                let delivered = self.delivered.get(flow).map_or(0.0, |d| d.at(now));
                 player.advance(secs, 0.001, delivered - *seen);
                 *seen = delivered;
                 if !on_grid {
@@ -1040,6 +1132,8 @@ mod tests {
             order,
             cursor: 0,
             active: Vec::new(),
+            delivered: BTreeMap::new(),
+            log: Vec::new(),
             done: Arc::clone(&done),
         }));
         sim.start();
@@ -1100,6 +1194,77 @@ mod tests {
         assert_eq!(handle.player_updates(), 5);
     }
 
+    /// Starts a flow of its own every 70 ms and never stops one: ids
+    /// the driver's sessions do not have, between theirs.
+    struct Interloper;
+
+    impl EventHandler for Interloper {
+        fn name(&self) -> &str {
+            "interloper"
+        }
+
+        fn tick_interval(&self) -> Option<Dur> {
+            Some(Dur::from_millis(70))
+        }
+
+        fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+            if matches!(ev, AppEvent::Tick) {
+                ctx.start_flow(FlowSpec::new(r(1), Prefix::net24(1)).with_cap(100.0));
+            }
+        }
+    }
+
+    /// The flow table against a scan of the active set, after every
+    /// tick, for every id up to one past the newest: two bursts of
+    /// sessions with clips of several lengths, so that sessions leave
+    /// from the front and from the middle, each burst emptying the set
+    /// at its end, with another component's flows in between.
+    #[test]
+    fn the_flow_table_resolves_every_id_as_a_scan_of_the_active_set() {
+        let at = Timestamp::from_millis;
+        let waves = vec![
+            wave(1e5, 3.0, vec![at(1_000), at(1_300), at(5_000)]),
+            wave(1e5, 6.0, vec![at(1_100), at(2_000)]),
+            wave(
+                1e5,
+                4.0,
+                vec![at(20_000), at(20_250), at(21_000), at(23_000)],
+            ),
+            wave(1e5, 9.0, vec![at(20_100), at(22_000)]),
+        ];
+        let mut sim = line(1e7);
+        let (driver, handle) = VideoWorkload::new(waves);
+        sim.add_app(Box::new(driver));
+        sim.add_app(Box::new(Interloper));
+        sim.start();
+        let (mut compactions, mut emptied, mut gaps, mut finished) = (0, 0, 0, 0);
+        for tick in 1..=400u64 {
+            sim.run_until(at(100 * tick + 1));
+            let newest = sim.flows().map(|f| f.id.0).max().expect("interloper flows");
+            let shared = handle.0.lock();
+            for id in 0..=newest + 1 {
+                let scan = shared.active.iter().position(|s| s.flow == FlowId(id));
+                assert_eq!(shared.find(FlowId(id)), scan, "tick {tick}: flow {id}");
+            }
+            // A session finished at this tick, and none awaits
+            // compaction: the set was compacted.
+            if shared.finished.len() > finished && shared.done == 0 {
+                compactions += 1;
+                emptied += usize::from(shared.active.is_empty());
+            }
+            finished = shared.finished.len();
+            gaps += shared
+                .positions
+                .iter()
+                .filter(|p| **p == NOT_ACTIVE)
+                .count();
+        }
+        assert_eq!(finished, 11, "every session finished");
+        assert!(compactions >= 4, "{compactions} compactions");
+        assert_eq!(emptied, 2, "each burst empties the set");
+        assert!(gaps > 0, "other flows sit between sessions");
+    }
+
     #[test]
     fn a_tick_index_is_the_first_tick_at_or_after_an_instant() {
         let secs = |k: u64| Timestamp(k * TICK.0).as_secs_f64();
@@ -1130,17 +1295,40 @@ mod tests {
         assert_eq!(reports.reports().len(), 2);
     }
 
+    /// The driver, and every rate change it drains, in order.
+    struct Drains(VideoWorkload, Arc<Mutex<Vec<RateChange>>>);
+
+    impl EventHandler for Drains {
+        fn name(&self) -> &str {
+            "drains"
+        }
+
+        fn tick_interval(&self) -> Option<Dur> {
+            self.0.tick_interval()
+        }
+
+        fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+            let tick = matches!(ev, AppEvent::Tick);
+            self.0.on_event(ctx, ev);
+            if tick {
+                self.1.lock().extend_from_slice(&self.0.changes);
+            }
+        }
+    }
+
     /// Server pacing, tick by tick, for one constant-bitrate session on
     /// a link ten times its rate: the flow is capped at the clip's
     /// rate while the player wants bytes, all but paused once every
     /// byte has arrived (the last two seconds play from the buffer),
-    /// and gone when playback ends.
+    /// and gone when playback ends. What has arrived is the integral of
+    /// the rate changes the driver drained.
     #[test]
     fn pacing_follows_the_player_and_the_flow_stops_at_the_end() {
         let (rate, secs) = (1e5, 10.0);
         let mut sim = line(1e6);
         let (driver, handle) = VideoWorkload::new(vec![wave(rate, secs, vec![Timestamp::ZERO])]);
-        sim.add_app(Box::new(driver));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        sim.add_app(Box::new(Drains(driver, Arc::clone(&log))));
         sim.start();
 
         let mut phases = Vec::new();
@@ -1148,7 +1336,8 @@ mod tests {
             // Just after a tick: the cap is the one the tick left.
             sim.run_until(Timestamp::from_millis(100 * tick + 1));
             let shared = handle.0.lock();
-            let now = sim.now().as_secs_f64() - 0.001;
+            let at = Timestamp::from_millis(100 * tick);
+            let now = at.as_secs_f64();
             let phase = match shared.active.first() {
                 Some(s) => {
                     let flow = sim.flows().next().expect("a playing session has a flow");
@@ -1158,7 +1347,12 @@ mod tests {
                         "paced"
                     } else {
                         assert_eq!(cap, Some(1.0), "tick {tick}");
-                        let delivered = sim.ctx().flow_delivered(id).expect("live");
+                        // Every change before the tick was drained at it.
+                        let mut delivered = Integral::ZERO;
+                        for c in log.lock().iter().filter(|c| c.flow == id) {
+                            delivered.change(c);
+                        }
+                        let delivered = delivered.at(at);
                         assert!(delivered >= rate * secs * (1.0 - 1e-9), "tick {tick}");
                         "drained"
                     }
