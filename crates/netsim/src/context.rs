@@ -179,8 +179,7 @@ impl SimContext<'_> {
     /// in any bit is logged with its new rate and the instant it takes
     /// effect, for [`take_rate_changes`](Self::take_rate_changes). The
     /// log has one reader: whoever drains it takes every entry. A
-    /// flow's bytes delivered are the integral of its entries (its rate
-    /// is 0 until its first); the simulator keeps no such sum itself.
+    /// flow's bytes delivered are the integral of its entries.
     pub fn watch_rates(&mut self) {
         self.core.rate_changes.get_or_insert_with(Vec::new);
     }

@@ -80,9 +80,8 @@ impl DirtySet {
         DirtySet::default()
     }
 
-    /// Mark one flow's path stale (implies a reallocation). A flow that
-    /// stops after it was marked stays in the set: ids are never
-    /// reused, and the settle skips a flow that is gone.
+    /// Mark one flow's path stale (implies a reallocation). It stays
+    /// marked if it stops: the settle skips a flow that is gone.
     pub fn mark_flow(&mut self, id: FlowId) {
         self.paths.insert(id);
         self.realloc = true;

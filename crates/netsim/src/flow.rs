@@ -66,11 +66,7 @@ impl FlowSpec {
 
 /// Live state of a flow: what is read where it is resolved, capped,
 /// indexed and reported. What a settle reads and writes of it is kept
-/// apart, in `FlowColumns`. No byte count is kept: what a flow has
-/// delivered is the integral of its rate changes, which a component
-/// logs with [`SimContext::watch_rates`].
-///
-/// [`SimContext::watch_rates`]: crate::context::SimContext::watch_rates
+/// apart, in `FlowColumns`; no byte count is kept.
 #[derive(Debug, Clone)]
 pub struct Flow {
     /// Identifier.
@@ -97,8 +93,7 @@ const _: () = assert!(
 /// Every flow's hot state, one entry per slot of the simulator's flow
 /// arena (indexed like it, by `FlowId`): what a settle reads and
 /// writes. Kept apart from the [`Flow`] records, so that its passes
-/// stream a few bytes a flow, not a record. Time advancing visits no
-/// flow: the accrual step integrates link rates only.
+/// stream a few bytes a flow, not a record.
 #[derive(Debug, Default)]
 pub(crate) struct FlowColumns {
     /// The flow's class id in the simulator's class table — its path's
@@ -111,8 +106,7 @@ pub(crate) struct FlowColumns {
 }
 
 // What one slot costs across the two columns: paid per flow ever
-// started, and streamed per live flow by every settle. A third column
-// needs a reason to be paid for at that rate.
+// started, and streamed per live flow by every settle.
 const _: () = assert!(
     std::mem::size_of::<u32>() + std::mem::size_of::<f64>() <= 12,
     "a flow's hot row fits in 12 bytes"

@@ -544,10 +544,8 @@ impl Core {
         self.agents[b_slot as usize].add_iface(u32::from(ib.0) + 1, counters());
     }
 
-    /// Integrate the link rates into the interface counters from
-    /// `last_accrue` to `t`. No flow is visited: a flow's bytes are the
-    /// integral of its rate changes (see [`SimContext::watch_rates`]),
-    /// for whoever logs them.
+    /// Integrate link rates into the interface counters from
+    /// `last_accrue` to `t`; no flow is visited.
     fn accrue_to(&mut self, t: Timestamp) {
         if t <= self.last_accrue {
             return;
@@ -904,8 +902,7 @@ impl Core {
         let mut ixs: Vec<u32> = Vec::new();
         for id in &dirty_flows {
             // A flow may have been marked and then stopped in the same
-            // batch: it stays in the set (ids are never reused) and is
-            // skipped here, so the count observed is the count resolved.
+            // batch (ids are never reused): it is not counted.
             let Some((key, cap)) = self.flow(*id).map(|f| (f.key, f.cap)) else {
                 continue;
             };

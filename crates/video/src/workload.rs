@@ -49,12 +49,9 @@
 //! so removing each as it finishes would move almost every playing
 //! session.
 //!
-//! A rate change or a booking names a flow, and its session is found
-//! in one step: a table from flow id to active-set position, offset by
-//! the oldest active session's flow id. It covers the ids from there to
-//! the newest session's (a flow another component started in between
-//! has no position), so it follows the active set, not the run's
-//! history, and the compaction pass rebuilds it as it walks the set.
+//! A rate change or a booking finds its session in one step: a table
+//! from flow id, less the oldest active session's, to active-set
+//! position, which the compaction pass rebuilds as it walks the set.
 
 use crate::catalog::Video;
 use crate::client::{Player, PlayerConfig, PlayerState};
@@ -324,7 +321,8 @@ impl VideoWorkload {
             self.cursor += 1;
             let session = Session::launch(&self.waves[wave as usize], u64::from(tag), ctx);
             self.book(&session, ctx.now());
-            shared.push(session);
+            shared.place(session.flow, shared.active.len());
+            shared.active.push(session);
         }
     }
 
@@ -400,23 +398,15 @@ impl Shared {
         (i != NOT_ACTIVE).then_some(i as usize)
     }
 
-    /// Add a session just launched, whose flow is the newest.
-    fn push(&mut self, s: Session) {
-        if self.active.is_empty() {
-            self.base = s.flow.0;
-        }
-        self.place(s.flow, self.active.len());
-        self.active.push(s);
-    }
-
-    /// Give `flow`, newer than every flow placed since `positions` was
-    /// last cleared, position `i`.
+    /// Give `flow`, newer than every flow in the table, position `i`;
+    /// the first flow of an empty table is its base.
     fn place(&mut self, flow: FlowId, i: usize) {
+        if self.positions.is_empty() {
+            self.base = flow.0;
+        }
         let at = usize::try_from(flow.0 - self.base).expect("the table fits in memory");
-        debug_assert!(self.positions.len() <= at, "flows are placed in id order");
         self.positions.resize(at, NOT_ACTIVE);
-        self.positions
-            .push(u32::try_from(i).expect("fewer than 2^32 sessions at once"));
+        self.positions.push(i as u32); // fewer than 2^32 sessions
     }
 
     /// Bring session `i` to now and take the action due there, if any:
@@ -445,20 +435,16 @@ impl Shared {
     /// the set. The flow table is rebuilt from the oldest session kept.
     fn compact(&mut self) {
         if self.done > 0 && self.done * 16 >= self.active.len() {
-            // One pass: each session kept is placed at its new position.
             let mut active = std::mem::take(&mut self.active);
             self.positions.clear();
             let mut kept = 0;
             active.retain(|s| {
-                if s.finished() {
-                    return false;
+                let keep = !s.finished();
+                if keep {
+                    self.place(s.flow, kept);
+                    kept += 1;
                 }
-                if kept == 0 {
-                    self.base = s.flow.0;
-                }
-                self.place(s.flow, kept);
-                kept += 1;
-                true
+                keep
             });
             self.active = active;
             self.done = 0;
