@@ -9,7 +9,8 @@
 # reaction costs in the outside probes (`core.plan_paths_probe_us`,
 # `core.augment_probe_us`, `core.reduce_probe_us`,
 # `core.verify_probe_us`), and the run's wall time under no span
-# (`trace.untraced_ms`: the players' tick, for one, lives there). The
+# (`trace.untraced_ms`: the video driver's rate changes and wake-ups,
+# for one, live there). The
 # values live in the runs' output, not here.
 #
 #   bench/run.sh --workload predictive_storm --seed 2016 --seconds 6 --trace 1 | ci/share.sh

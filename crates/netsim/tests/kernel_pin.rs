@@ -8,7 +8,7 @@
 //! per-flow byte count. The references hold the sums the pre-port
 //! simulator integrated at every instant, re-pinned once to the log's
 //! integral, which sums the same rates over the same spans grouped by
-//! rate change (each value moved by at most 1e-9 of itself).
+//! rate change (each value moved by less than 1e-14 of itself).
 //!
 //! The references were generated by the pre-kernel simulator
 //! (map-based arenas, `SimApi` object, one `schedule_*` method per
