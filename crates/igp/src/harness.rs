@@ -991,3 +991,46 @@ mod stale_reply_equivalence {
         assert!(saved.get() > 100, "{} packets saved", saved.get());
     }
 }
+
+/// Retransmit lists name keys, and what a listed key names is the
+/// instance the LSDB stores. Each instance keeps, beside its lists, the
+/// ordered maps of flooded instances they were before, under the rules
+/// those maps were kept by (`Instance::rxmt_matches_reference`).
+#[cfg(test)]
+mod rxmt_invariant {
+    use super::lockstep::{apply, arb_op, build};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRunner;
+    use std::cell::Cell;
+
+    /// Lies injected and retracted (two routers may fight over one fake
+    /// id), prefixes announced and withdrawn, wires flapped, on lossy
+    /// and lossless wires: after every step, every neighbor's list holds
+    /// the keys the reference map holds, and the LSDB stores, for each,
+    /// the instance the reference map would have retransmitted.
+    #[test]
+    fn listed_keys_name_the_instances_the_old_lists_held() {
+        let script = (
+            3usize..=6,
+            prop_oneof![Just(0.0), Just(0.15), Just(0.3)],
+            any::<u64>(),
+            proptest::collection::vec(arb_op(), 1..40),
+        );
+        let checked = Cell::new(0);
+        TestRunner::new(ProptestConfig::with_cases(200)).run(&script, |(n, loss, seed, ops)| {
+            let mut h = build(n, loss, seed, |_| {});
+            for (step, op) in ops.iter().enumerate() {
+                apply(&mut h, op);
+                for inst in h.instances.values() {
+                    match inst.rxmt_matches_reference() {
+                        Ok(entries) => checked.set(checked.get() + entries),
+                        Err(e) => prop_assert!(false, "step {step} ({op:?}): {e}"),
+                    }
+                }
+            }
+            Ok(())
+        });
+        // The scripts must have left entries on the lists between steps.
+        assert!(checked.get() > 10_000, "{} entries checked", checked.get());
+    }
+}

@@ -15,10 +15,10 @@
 //!   events) with [`Instance::drain_output`].
 //!
 //! What an instance sends is a [`Datagram`], not bytes: an LS Update
-//! holds the very `Arc<Lsa>` instances its LSDB and retransmit lists
-//! hold, so a receiver that installs one shares it too. A driver that
-//! needs bytes encodes the datagram ([`Datagram::encode`]);
-//! [`Datagram::encoded_len`] is their number without encoding.
+//! holds the very `Arc<Lsa>` instances its LSDB holds, so a receiver
+//! that installs one shares it too. A driver that needs bytes encodes
+//! the datagram ([`Datagram::encode`]); [`Datagram::encoded_len`] is
+//! their number without encoding.
 //!
 //! The Fibbing controller is *just another speaker*: it forms an
 //! adjacency with one real router and floods fake LSAs through the
@@ -62,18 +62,26 @@
 //! An LSA older than the instance we hold is not acked, and our copy is
 //! sent back to the neighbor it came from (RFC 2328 §13 step (8), which
 //! rate-limits that reply by MinLSArrival) — unless the neighbor's
-//! retransmit list already holds that very instance. Then the flood
-//! that put it there left earlier on the same FIFO link, ahead of any
-//! reply, or, if it was lost, the retransmit timer sends it again within
-//! `RXMT_INTERVAL`; a reply would land as a duplicate, and holding it
-//! back also leaves the interface's open update open. A neighbor whose
-//! list lacks our instance (it is still loading, or it acked and then
-//! swept a purge) still gets exactly one one-LSA LS Update. On a cold
-//! start nearly every stale copy crosses our flood of the fresher one:
-//! they were three quarters of `metro_core`'s IGP packets.
+//! retransmit list already holds its key. A retransmit list holds keys,
+//! and a listed key always names the instance the LSDB stores: a flood
+//! lists the key of an instance the LSDB stores (`install_and_flood`
+//! asserts it in debug builds), and the LSDB takes a fresher one only
+//! by installing it, which floods it onto the list too or, from that
+//! very neighbor, acks the listed one implicitly. So a listed key means
+//! our instance: the flood that listed it left earlier on the same FIFO
+//! link, ahead of any reply, or, if it was lost, the retransmit timer
+//! sends it again within `RXMT_INTERVAL`; a reply would land as a
+//! duplicate, and holding it back also leaves the interface's open
+//! update open. A neighbor whose list lacks our instance (it is still
+//! loading, or it acked and then swept a purge) still gets exactly one
+//! one-LSA LS Update. On a cold start nearly every stale copy crosses
+//! our flood of the fresher one: they were three quarters of
+//! `metro_core`'s IGP packets.
 
 use crate::error::InstanceError;
-use crate::lsa::{Freshness, Lsa, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE};
+use crate::lsa::{
+    compare_freshness, Freshness, KeyHash, Lsa, LsaHeader, LsaKey, LsaKind, LsaLink, MAX_AGE,
+};
 use crate::lsdb::{Install, Lsdb};
 use crate::rib::RouteTable;
 use crate::spf::SpfEngine;
@@ -81,7 +89,7 @@ use crate::time::{Dur, Timestamp};
 use crate::types::{FwAddr, IfaceId, Metric, Prefix, RouterId, SeqNum};
 use crate::wire::{self, Datagram, Dbd, Hello, LsAck, LsRequest, Packet};
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
@@ -175,9 +183,18 @@ struct NeighborSm {
     req_list: Vec<LsaKey>,
     last_req_at: Timestamp,
     // --- flooding ---
-    /// Unacked LSAs, sharing the flooded instance with the LSDB.
-    rxmt: BTreeMap<LsaKey, Arc<Lsa>>,
+    /// Keys of the unacked LSAs. What each names is the instance the
+    /// LSDB stores for it: a flood lists the key of an instance just
+    /// installed, and the LSDB takes a fresher one only by installing
+    /// it, which floods it here or (if it came from this neighbor)
+    /// acks the listed one implicitly.
+    rxmt: HashSet<LsaKey, KeyHash>,
     last_rxmt_at: Timestamp,
+    /// The retransmit list as it was kept before it named keys: each
+    /// flooded instance itself, in key order. `rxmt_matches_reference`
+    /// holds `rxmt` and the LSDB to it.
+    #[cfg(test)]
+    rxmt_reference: BTreeMap<LsaKey, Arc<Lsa>>,
 }
 
 impl NeighborSm {
@@ -197,8 +214,10 @@ impl NeighborSm {
             last_dbd_at: Timestamp::ZERO,
             req_list: Vec::new(),
             last_req_at: Timestamp::ZERO,
-            rxmt: BTreeMap::new(),
+            rxmt: HashSet::default(),
             last_rxmt_at: Timestamp::ZERO,
+            #[cfg(test)]
+            rxmt_reference: BTreeMap::new(),
         }
     }
 }
@@ -249,7 +268,7 @@ pub struct Instance {
     cfg: Config,
     ifaces: BTreeMap<IfaceId, Iface>,
     lsdb: Lsdb,
-    originated: BTreeMap<LsaKey, SeqNum>,
+    originated: HashMap<LsaKey, SeqNum, KeyHash>,
     announced: BTreeMap<Prefix, (u32, Metric)>,
     next_prefix_id: u32,
     spf: SpfEngine,
@@ -294,7 +313,7 @@ impl Instance {
             cfg,
             ifaces: BTreeMap::new(),
             lsdb: Lsdb::new(),
-            originated: BTreeMap::new(),
+            originated: HashMap::default(),
             announced: BTreeMap::new(),
             next_prefix_id: 0,
             spf: SpfEngine::new(),
@@ -606,7 +625,8 @@ impl Instance {
                 self.send_packet(id, Packet::LsRequest(LsRequest { keys }));
             }
         }
-        // LSA retransmit.
+        // LSA retransmit: the lowest listed keys, in key order, each
+        // as the LSDB stores it.
         if self.ifaces[&id]
             .neighbor
             .as_ref()
@@ -616,7 +636,11 @@ impl Instance {
             let n = self.ifaces.get_mut(&id).unwrap().neighbor.as_mut().unwrap();
             if now >= n.last_rxmt_at + RXMT_INTERVAL {
                 n.last_rxmt_at = now;
-                let lsas = n.rxmt.values().take(MAX_UPD_LSAS).cloned().collect();
+                let mut keys: Vec<LsaKey> = n.rxmt.iter().copied().collect();
+                keys.sort_unstable();
+                let lsdb = &self.lsdb;
+                let stored = |k| Arc::clone(lsdb.get_shared(k).expect("a listed key is stored"));
+                let lsas = keys.iter().take(MAX_UPD_LSAS).map(stored).collect();
                 self.push_send(id, Datagram::Update(lsas));
             }
         }
@@ -1066,15 +1090,21 @@ impl Instance {
     ) -> Option<LsaHeader> {
         let hdr = lsa.header();
         // Implicit ack: if this instance (or newer) sits on the
-        // sender's retransmit list, it is now acknowledged.
+        // sender's retransmit list, it is now acknowledged. What the
+        // list holds is the instance the LSDB stores.
         if let Some(n) = self
             .ifaces
             .get_mut(&iface_id)
             .and_then(|i| i.neighbor.as_mut())
         {
-            if let Some(pending) = n.rxmt.get(&hdr.key) {
+            let stored = self.lsdb.get(&hdr.key);
+            if stored.is_some_and(|s| lsa.freshness_vs(s) != Freshness::Older) {
+                n.rxmt.remove(&hdr.key);
+            }
+            #[cfg(test)]
+            if let Some(pending) = n.rxmt_reference.get(&hdr.key) {
                 if !matches!(lsa.freshness_vs(pending), Freshness::Older) {
-                    n.rxmt.remove(&hdr.key);
+                    n.rxmt_reference.remove(&hdr.key);
                 }
             }
             // Loading: strike from request list.
@@ -1102,16 +1132,16 @@ impl Instance {
             Install::Duplicate | Install::PurgeUnknown => Some(hdr),
             Install::Stale => {
                 // Send our fresher copy straight back, unless the
-                // sender's retransmit list holds that very instance (see
-                // the module docs).
+                // sender's retransmit list holds its key, and so that
+                // very instance (see the module docs).
                 let ours = self.lsdb.get_shared(&hdr.key)?;
-                let pending = self.ifaces[&iface_id]
+                let listed = self.ifaces[&iface_id]
                     .neighbor
                     .as_ref()
-                    .and_then(|n| n.rxmt.get(&hdr.key));
+                    .is_some_and(|n| n.rxmt.contains(&hdr.key));
                 #[cfg(test)]
-                let pending = pending.filter(|_| !self.always_reply_stale);
-                if !pending.is_some_and(|p| p.freshness_vs(ours) == Freshness::Same) {
+                let listed = listed && !self.always_reply_stale;
+                if !listed {
                     let reply = Datagram::Update(vec![Arc::clone(ours)]);
                     self.push_send(iface_id, reply);
                 }
@@ -1132,12 +1162,17 @@ impl Instance {
             return;
         }
         for h in a.headers {
-            if let Some(pending) = n.rxmt.get(&h.key) {
-                let pend_hdr = pending.header();
-                if crate::lsa::compare_freshness(h.seq, h.age, pend_hdr.seq, pend_hdr.age)
-                    != Freshness::Older
-                {
-                    n.rxmt.remove(&h.key);
+            // A listed key names the instance the LSDB stores.
+            let stored = self.lsdb.get(&h.key);
+            if stored
+                .is_some_and(|s| compare_freshness(h.seq, h.age, s.seq, s.age) != Freshness::Older)
+            {
+                n.rxmt.remove(&h.key);
+            }
+            #[cfg(test)]
+            if let Some(pending) = n.rxmt_reference.get(&h.key) {
+                if compare_freshness(h.seq, h.age, pending.seq, pending.age) != Freshness::Older {
+                    n.rxmt_reference.remove(&h.key);
                 }
             }
         }
@@ -1259,6 +1294,16 @@ impl Instance {
     fn install_and_flood(&mut self, lsa: Lsa) {
         let lsa = Arc::new(lsa);
         let outcome = self.lsdb.install(Arc::clone(&lsa));
+        // What a retransmit list names is the instance the LSDB stores,
+        // so that is what this flood must send. An install the LSDB
+        // refused (a purge repeated while the first is still listed is
+        // a `Duplicate`) leaves an equal instance stored, or the flood
+        // would list a key whose stored instance is not the one sent.
+        debug_assert!(
+            self.lsdb.get(&lsa.key) == Some(&*lsa),
+            "flooding {:?} after a {outcome:?} install",
+            lsa.header()
+        );
         if matches!(outcome, Install::New | Install::Updated) {
             self.schedule_spf_now();
         }
@@ -1266,12 +1311,13 @@ impl Instance {
         self.try_sweep();
     }
 
-    /// Flood an LSA to every sufficiently adjacent neighbor except the
-    /// one it came from, placing it on retransmit lists and into the
-    /// interface's open update (see the module docs). Every neighbor's
-    /// update and retransmit entry share the LSA. A list it starts
-    /// times its retransmit from the present: one interval after this
-    /// flood, never at once.
+    /// Flood an LSA the LSDB stores (that instance, or one equal to
+    /// it) to every sufficiently adjacent neighbor except the one it
+    /// came from, listing its key
+    /// for retransmission and putting it into the interface's open
+    /// update (see the module docs). Every neighbor's update shares the
+    /// LSA. A list it starts times its retransmit from the present: one
+    /// interval after this flood, never at once.
     fn flood(&mut self, lsa: &Arc<Lsa>, except: Option<IfaceId>) {
         let now = self.clock;
         for iface in self.ifaces.values_mut() {
@@ -1288,7 +1334,9 @@ impl Instance {
             if n.rxmt.is_empty() {
                 n.last_rxmt_at = now;
             }
-            n.rxmt.insert(lsa.key, Arc::clone(lsa));
+            n.rxmt.insert(lsa.key);
+            #[cfg(test)]
+            n.rxmt_reference.insert(lsa.key, Arc::clone(lsa));
             self.stats.lsas_flooded += 1;
             let at = *iface.open_update.get_or_insert_with(|| {
                 self.out.push(Pending::Update(iface.id, Vec::new()));
@@ -1331,7 +1379,7 @@ impl Instance {
         self.ifaces
             .values()
             .filter_map(|i| i.neighbor.as_ref())
-            .any(|n| n.rxmt.contains_key(key))
+            .any(|n| n.rxmt.contains(key))
     }
 
     /// Sweep MaxAge LSAs once no neighbor still owes an ack for them.
@@ -1468,12 +1516,49 @@ impl Instance {
         self.spf_at
     }
 
+    /// Checks every neighbor's retransmit list against the ordered map
+    /// of flooded instances it replaced, kept beside it under the rules
+    /// that map was kept by: the same keys, and each one's instance in
+    /// that map equal to the one the LSDB stores, which is what a
+    /// retransmission now sends. Returns the number of entries checked.
+    pub(crate) fn rxmt_matches_reference(&self) -> Result<usize, String> {
+        let mut checked = 0;
+        for iface in self.ifaces.values() {
+            let Some(n) = iface.neighbor.as_ref() else {
+                continue;
+            };
+            let mut keys: Vec<LsaKey> = n.rxmt.iter().copied().collect();
+            keys.sort_unstable();
+            if !keys.iter().eq(n.rxmt_reference.keys()) {
+                return Err(format!(
+                    "{} toward {}: lists {keys:?}, the reference {:?}",
+                    self.cfg.router_id,
+                    n.id,
+                    n.rxmt_reference.keys().collect::<Vec<_>>()
+                ));
+            }
+            for (key, sent) in &n.rxmt_reference {
+                if self.lsdb.get(key) != Some(&**sent) {
+                    return Err(format!(
+                        "{} toward {}: {key} was flooded as {:?}, the LSDB holds {:?}",
+                        self.cfg.router_id,
+                        n.id,
+                        sent.header(),
+                        self.lsdb.get(key).map(Lsa::header)
+                    ));
+                }
+                checked += 1;
+            }
+        }
+        Ok(checked)
+    }
+
     fn try_sweep_full_scan(&mut self) {
         let pending: Vec<LsaKey> = self
             .ifaces
             .values()
             .filter_map(|i| i.neighbor.as_ref())
-            .flat_map(|n| n.rxmt.keys().copied())
+            .flat_map(|n| n.rxmt.iter().copied())
             .collect();
         let dead: Vec<LsaKey> = self
             .lsdb
@@ -1665,17 +1750,15 @@ mod tests {
             let bytes: usize = drained.iter().map(|(_, d)| d.len()).sum();
             assert_eq!(stats.bytes_sent - before.bytes_sent, bytes as u64);
             assert_eq!(stats.lsas_flooded - before.lsas_flooded, 3 * u64::from(k));
-            // Retransmit lists share the LSDB's instance, not copies.
+            // Every neighbor's retransmit list names every lie.
             for i in 0..k {
                 let key = LsaKey {
                     origin: RouterId::fake(i),
                     kind: LsaKind::Fake,
                     id: 0,
                 };
-                let stored = inst.lsdb.get(&key).unwrap();
                 for iface in inst.ifaces.values() {
-                    let pending = &iface.neighbor.as_ref().unwrap().rxmt[&key];
-                    assert!(std::ptr::eq(&**pending, stored));
+                    assert!(iface.neighbor.as_ref().unwrap().rxmt.contains(&key));
                 }
             }
         }
@@ -1742,6 +1825,45 @@ mod tests {
                 update(1, &[4]),
             ]
         );
+    }
+
+    /// A retransmission sends the lowest listed keys, sixteen at most,
+    /// in key order, whatever order they were flooded in: what the
+    /// ordered map of flooded instances sent before the lists held keys.
+    #[test]
+    fn a_retransmission_sends_the_sixteen_lowest_keys_in_key_order() {
+        let mut h = converged_hub();
+        let t = h.now();
+        let inst = h.instance_mut(RouterId(1));
+        // Forty lies, flooded in the order 0, 17, 34, 11, 28, …; the
+        // floods are drained and never delivered, so nothing is acked.
+        let flooded: Vec<u32> = (0..40).map(|i| i * 17 % 40).collect();
+        for &k in &flooded {
+            lie(inst, k, t).unwrap();
+        }
+        let floods = sends(inst);
+        assert_eq!(lies_in(&floods[0].1), flooded[..MAX_UPD_LSAS]);
+        let later = t + RXMT_INTERVAL;
+        for iface in inst.ifaces.values_mut() {
+            iface.neighbor.as_mut().unwrap().last_heard = later;
+        }
+        inst.next_hello = later + HELLO_INTERVAL;
+        inst.poll_timers(later);
+        let lowest: Vec<u32> = (0..MAX_UPD_LSAS as u32).collect();
+        let mut resent = Vec::new();
+        for (iface, datagram) in datagrams(inst) {
+            let Datagram::Update(lsas) = datagram else {
+                panic!("not an update: {datagram:?}");
+            };
+            // Each is the instance the LSDB stores.
+            for lsa in &lsas {
+                assert!(Arc::ptr_eq(lsa, inst.lsdb.get_shared(&lsa.key).unwrap()));
+            }
+            let lies = lsas.iter().map(|l| l.key.origin.fake_index().unwrap());
+            resent.push((iface, lies.collect::<Vec<u32>>()));
+        }
+        let want: Vec<(IfaceId, Vec<u32>)> = (0..3).map(|i| (IfaceId(i), lowest.clone())).collect();
+        assert_eq!(resent, want);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::types::{FwAddr, Metric, Prefix, RouterId, SeqNum};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum LSA age, in seconds. An LSA at `MAX_AGE` is being purged.
 pub const MAX_AGE: u16 = 3600;
@@ -54,6 +55,39 @@ pub struct LsaKey {
     /// Originator-scoped identifier (e.g. one per announced prefix).
     pub id: u32,
 }
+
+/// The hasher of every map and set keyed by [`LsaKey`] in this crate:
+/// a fixed, unseeded multiplicative fold of the key's three fields, so
+/// a lookup costs a few multiplies and two runs lay a map out alike.
+/// Keys come from the protocol, not from outside the program; nothing
+/// iterates such a map in its hash order where it could reach a packet,
+/// an output or an SPF run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`KeyHasher`]s: the `S` of a `HashMap<LsaKey, _, KeyHash>`.
+pub(crate) type KeyHash = BuildHasherDefault<KeyHasher>;
 
 impl fmt::Display for LsaKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

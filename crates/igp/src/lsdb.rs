@@ -12,11 +12,15 @@
 //! other readers. Both apply the two-way connectivity check to real
 //! links and trust fake-node LSAs as complete descriptions of lies.
 
-use crate::lsa::{compare_freshness, Freshness, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink};
+use crate::lsa::{
+    compare_freshness, Freshness, KeyHash, Lsa, LsaBody, LsaHeader, LsaKey, LsaKind, LsaLink,
+};
 use crate::spf::RealGraph;
 use crate::topology::{FakeAttrs, TopoLink, Topology};
 use crate::types::{Metric, Prefix, RouterId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::sync::Arc;
 
 /// Outcome of trying to install an LSA instance.
@@ -43,13 +47,27 @@ pub struct DbVersion(pub u64);
 /// The link-state database.
 ///
 /// Instances are stored behind [`Arc`] so the flooding machinery can
-/// put the stored LSA on retransmit lists, and into the datagrams that
-/// carry it to other instances' databases, without copying its body.
+/// put the stored LSA into the datagrams that carry it to other
+/// instances' databases without copying its body; a retransmit list
+/// names only the key, and what it resends is the instance stored here.
 /// Sharing is safe because nothing mutates a stored LSA in place: a
 /// change installs a new instance.
-#[derive(Debug, Clone, Default)]
+///
+/// A lookup by key ([`get`](Self::get), [`install`](Self::install),
+/// [`remove`](Self::remove), [`freshness_of`](Self::freshness_of)) is
+/// one hash probe; every reader that walks the database ([`iter`],
+/// [`headers`], the SPF inputs, [`same_instances`]) walks it in key
+/// order, which a sorted list of the keys keeps. That list changes only
+/// when a key comes or goes, not when an instance replaces another.
+///
+/// [`iter`]: Self::iter
+/// [`headers`]: Self::headers
+/// [`same_instances`]: Self::same_instances
+#[derive(Clone, Default)]
 pub struct Lsdb {
-    entries: BTreeMap<LsaKey, Arc<Lsa>>,
+    entries: HashMap<LsaKey, Arc<Lsa>, KeyHash>,
+    /// The keys of `entries`, ascending.
+    order: Vec<LsaKey>,
     /// Keys of the stored MaxAge instances: exactly
     /// `entries.values().filter(|l| l.is_max_age())`, kept in step by
     /// every mutation so purge sweeps never scan the live entries.
@@ -140,24 +158,11 @@ impl Lsdb {
     /// each at the same sequence number (ages aside): what every LSDB
     /// of a converged network agrees on.
     pub fn same_instances(&self, other: &Lsdb) -> bool {
-        self.entries.len() == other.entries.len()
+        self.order == other.order
             && self
-                .entries
+                .order
                 .iter()
-                .zip(&other.entries)
-                .all(|((k, a), (l, b))| k == l && a.seq == b.seq)
-    }
-
-    /// Store `lsa`, keeping the MaxAge index in step.
-    fn store(&mut self, lsa: Arc<Lsa>) {
-        let key = lsa.key;
-        if lsa.is_max_age() {
-            self.max_age.insert(key);
-        } else {
-            self.max_age.remove(&key);
-        }
-        self.entries.insert(key, lsa);
-        self.bump(&key);
+                .all(|k| self.entries[k].seq == other.entries[k].seq)
     }
 
     /// Freshness of a candidate header against the stored instance.
@@ -175,25 +180,35 @@ impl Lsdb {
     /// owned [`Lsa`] or an already shared `Arc<Lsa>`.
     pub fn install(&mut self, lsa: impl Into<Arc<Lsa>>) -> Install {
         let lsa: Arc<Lsa> = lsa.into();
-        match self.entries.get(&lsa.key) {
-            None => {
-                if lsa.is_max_age() {
+        let (key, max_age) = (lsa.key, lsa.is_max_age());
+        let outcome = match self.entries.entry(key) {
+            Entry::Vacant(slot) => {
+                if max_age {
                     // Purge for something we never heard of: ack it but
                     // do not create state (RFC 2328 §13 step 5 nuance).
                     return Install::PurgeUnknown;
                 }
-                self.store(lsa);
+                slot.insert(lsa);
+                let at = self.order.partition_point(|k| *k < key);
+                self.order.insert(at, key);
                 Install::New
             }
-            Some(stored) => match lsa.freshness_vs(stored) {
+            Entry::Occupied(mut slot) => match lsa.freshness_vs(slot.get()) {
                 Freshness::Newer => {
-                    self.store(lsa);
+                    slot.insert(lsa);
                     Install::Updated
                 }
-                Freshness::Same => Install::Duplicate,
-                Freshness::Older => Install::Stale,
+                Freshness::Same => return Install::Duplicate,
+                Freshness::Older => return Install::Stale,
             },
+        };
+        if max_age {
+            self.max_age.insert(key);
+        } else {
+            self.max_age.remove(&key);
         }
+        self.bump(&key);
+        outcome
     }
 
     /// Remove one LSA by key regardless of age (used when the
@@ -201,6 +216,11 @@ impl Lsdb {
     pub fn remove(&mut self, key: &LsaKey) -> Option<Arc<Lsa>> {
         let removed = self.entries.remove(key);
         if removed.is_some() {
+            let at = self
+                .order
+                .binary_search(key)
+                .expect("a stored key is listed");
+            self.order.remove(at);
             self.max_age.remove(key);
             self.bump(key);
         }
@@ -209,12 +229,13 @@ impl Lsdb {
 
     /// Iterate over all stored LSAs in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Lsa> {
-        self.entries.values().map(|l| &**l)
+        self.order.iter().map(|k| &*self.entries[k])
     }
 
-    /// Headers of all stored LSAs (for database description packets).
+    /// Headers of all stored LSAs, in key order (for database
+    /// description packets).
     pub fn headers(&self) -> Vec<LsaHeader> {
-        self.entries.values().map(|l| l.header()).collect()
+        self.iter().map(Lsa::header).collect()
     }
 
     /// Materialize the augmented topology this database describes: the
@@ -355,18 +376,28 @@ impl Lsdb {
             !lsa.is_max_age()
                 && matches!(&lsa.body, LsaBody::Router { links } if links.iter().any(|l| l.to == far))
         };
+        let from_first = self.order.partition_point(|k| *k < key(from, 0));
+        let from_end = self.order.partition_point(|k| *k <= key(from, u32::MAX));
         self.entries
             .get(&key(to, 0))
             .is_some_and(|l| names(l, from))
-            && self
-                .entries
-                .range(key(from, 0)..=key(from, u32::MAX))
-                .any(|(_, l)| names(l, to))
+            && self.order[from_first..from_end]
+                .iter()
+                .any(|k| names(&self.entries[k], to))
     }
 
     /// The stored LSAs that are not MaxAge, in key order.
     fn live(&self) -> impl Iterator<Item = &Lsa> {
         self.iter().filter(|lsa| !lsa.is_max_age())
+    }
+}
+
+/// In key order, as the ordered map it replaced printed.
+impl fmt::Debug for Lsdb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lsdb")
+            .field("entries", &self.iter().collect::<Vec<_>>())
+            .finish_non_exhaustive()
     }
 }
 
@@ -439,6 +470,7 @@ pub(crate) mod tests {
     use crate::lsa::{LsaLink, MAX_AGE};
     use crate::spf::{route_table, route_table_from, shortest_paths};
     use crate::types::{FwAddr, Metric, Prefix, SeqNum};
+    use std::collections::BTreeMap;
 
     fn router_lsa(origin: u32, seq: i32, neighbors: &[(u32, u32)]) -> Lsa {
         Lsa::router(
@@ -601,7 +633,7 @@ pub(crate) mod tests {
     pub(crate) fn to_topology_reference(db: &Lsdb) -> Topology {
         let mut topo = Topology::new();
         // Pass 1: create all real routers that have a live router LSA.
-        for lsa in db.entries.values() {
+        for lsa in db.iter() {
             if lsa.is_max_age() {
                 continue;
             }
@@ -618,7 +650,7 @@ pub(crate) mod tests {
                 kind: LsaKind::Router,
                 id: 0,
             };
-            let lsa = db.entries.get(&key)?;
+            let lsa = db.get(&key)?;
             if lsa.is_max_age() {
                 return None;
             }
@@ -628,7 +660,7 @@ pub(crate) mod tests {
                 None
             }
         };
-        for lsa in db.entries.values() {
+        for lsa in db.iter() {
             if lsa.is_max_age() {
                 continue;
             }
@@ -651,7 +683,7 @@ pub(crate) mod tests {
             }
         }
         // Pass 3: prefix announcements on live routers.
-        for lsa in db.entries.values() {
+        for lsa in db.iter() {
             if lsa.is_max_age() {
                 continue;
             }
@@ -664,7 +696,7 @@ pub(crate) mod tests {
         // Pass 4: fake nodes (lies). Invalid lies (dangling attachment
         // or forwarding address) are skipped, mirroring how a router
         // ignores a type-5 LSA whose forwarding address is unreachable.
-        for lsa in db.entries.values() {
+        for lsa in db.iter() {
             if lsa.is_max_age() {
                 continue;
             }
@@ -855,6 +887,186 @@ pub(crate) mod tests {
             tables > 14_000 && routes > 12_000,
             "only {routes} routes in {tables} tables"
         );
+    }
+
+    /// The ordered map the database was before it indexed by hash, as
+    /// `install`, `remove` and `two_way` used it.
+    #[derive(Default)]
+    struct Reference(BTreeMap<LsaKey, Arc<Lsa>>);
+
+    impl Reference {
+        fn install(&mut self, lsa: &Arc<Lsa>) -> Install {
+            let outcome = match self.0.get(&lsa.key) {
+                None if lsa.is_max_age() => Install::PurgeUnknown,
+                None => Install::New,
+                Some(stored) => match lsa.freshness_vs(stored) {
+                    Freshness::Newer => Install::Updated,
+                    Freshness::Same => Install::Duplicate,
+                    Freshness::Older => Install::Stale,
+                },
+            };
+            if matches!(outcome, Install::New | Install::Updated) {
+                self.0.insert(lsa.key, Arc::clone(lsa));
+            }
+            outcome
+        }
+
+        fn two_way(&self, from: RouterId, to: RouterId) -> bool {
+            let key = |origin, id| LsaKey {
+                origin,
+                kind: LsaKind::Router,
+                id,
+            };
+            let names = |lsa: &Lsa, far: RouterId| {
+                !lsa.is_max_age()
+                    && matches!(&lsa.body, LsaBody::Router { links } if links.iter().any(|l| l.to == far))
+            };
+            self.0.get(&key(to, 0)).is_some_and(|l| names(l, from))
+                && self
+                    .0
+                    .range(key(from, 0)..=key(from, u32::MAX))
+                    .any(|(_, l)| names(l, to))
+        }
+    }
+
+    /// Seeded sequences of installs (new, fresher, duplicate and stale
+    /// instances, purges, purges of unknown keys), removals and MaxAge
+    /// sweeps, over router LSAs of several ids per router, prefix LSAs
+    /// and lies: after every operation the hash-indexed database answers
+    /// every lookup, walk and check as the ordered map does.
+    #[test]
+    fn lookups_and_ordered_walks_match_the_ordered_map() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) % n
+        };
+        let routers: Vec<RouterId> = (1..=5).map(RouterId).collect();
+        let keys: Vec<LsaKey> = routers
+            .iter()
+            .flat_map(|&r| {
+                [
+                    (r, LsaKind::Router, 0),
+                    (r, LsaKind::Router, 1),
+                    (r, LsaKind::Prefix, 0),
+                    (r, LsaKind::Prefix, 1),
+                ]
+            })
+            .chain((0..3).map(|k| (RouterId::fake(k), LsaKind::Fake, 0)))
+            .map(|(origin, kind, id)| LsaKey { origin, kind, id })
+            .collect();
+        let mut outcomes = [0usize; 5];
+        let (mut two_ways, mut same, mut sweeps) = (0, 0, 0);
+        for _ in 0..3000 {
+            let mut db = Lsdb::new();
+            let mut reference = Reference::default();
+            let mut before = (db.clone(), Vec::new());
+            for _ in 0..1 + rand(40) {
+                match rand(10) {
+                    0..=6 => {
+                        let key = keys[rand(keys.len() as u64) as usize];
+                        let seq = SeqNum(1 + rand(4) as i32);
+                        let mut lsa = match key.kind {
+                            LsaKind::Router => {
+                                let mut links = Vec::new();
+                                for &to in &routers {
+                                    if rand(2) == 0 {
+                                        let metric = Metric(1 + rand(3) as u32);
+                                        links.push(LsaLink { to, metric });
+                                    }
+                                }
+                                Lsa::router(key.origin, seq, links)
+                            }
+                            LsaKind::Prefix => {
+                                Lsa::prefix(key.origin, 0, seq, Prefix::net24(1), Metric(0))
+                            }
+                            LsaKind::Fake => Lsa::fake(
+                                key.origin,
+                                seq,
+                                RouterId(1),
+                                Metric(1),
+                                Prefix::net24(1),
+                                Metric(1),
+                                FwAddr::primary(RouterId(2)),
+                            ),
+                        };
+                        lsa.key = key;
+                        if rand(4) == 0 {
+                            lsa.age = MAX_AGE;
+                        }
+                        let lsa = Arc::new(lsa);
+                        let outcome = db.install(Arc::clone(&lsa));
+                        assert_eq!(outcome, reference.install(&lsa), "{lsa:?} into {db:?}");
+                        outcomes[outcome as usize] += 1;
+                    }
+                    7 | 8 => {
+                        let key = keys[rand(keys.len() as u64) as usize];
+                        let removed = db.remove(&key);
+                        assert_eq!(removed, reference.0.remove(&key));
+                    }
+                    _ => {
+                        // As an instance sweeps.
+                        for key in db.max_age_keys().collect::<Vec<_>>() {
+                            assert!(db.remove(&key).is_some_and(|l| l.is_max_age()));
+                            reference.0.remove(&key);
+                            sweeps += 1;
+                        }
+                    }
+                }
+                for key in &keys {
+                    assert_eq!(db.get(key), reference.0.get(key).map(|l| &**l));
+                }
+                assert!(db.iter().eq(reference.0.values().map(|l| &**l)));
+                let headers: Vec<LsaHeader> = reference.0.values().map(|l| l.header()).collect();
+                assert_eq!(db.headers(), headers);
+                assert_eq!(db.len(), reference.0.len());
+                let dead = reference
+                    .0
+                    .values()
+                    .filter(|l| l.is_max_age())
+                    .map(|l| l.key);
+                assert!(db.max_age_keys().eq(dead));
+                for &from in &routers {
+                    for &to in &routers {
+                        assert_eq!(
+                            db.two_way(from, to),
+                            reference.two_way(from, to),
+                            "{from} → {to} on {db:?}"
+                        );
+                        two_ways += usize::from(reference.two_way(from, to));
+                    }
+                }
+                // The same instances as a database built afresh from
+                // the reference, last key first (a purge after its live
+                // instance); the same as before this operation exactly
+                // when the reference says so.
+                let mut rebuilt = Lsdb::new();
+                for lsa in reference.0.values().rev() {
+                    if lsa.is_max_age() {
+                        rebuilt.install(Lsa {
+                            age: 0,
+                            ..Lsa::clone(lsa)
+                        });
+                    }
+                    rebuilt.install(Arc::clone(lsa));
+                }
+                assert!(db.same_instances(&rebuilt) && rebuilt.same_instances(&db));
+                let seqs: Vec<(LsaKey, SeqNum)> =
+                    reference.0.values().map(|l| (l.key, l.seq)).collect();
+                assert_eq!(db.same_instances(&before.0), seqs == before.1);
+                same += usize::from(seqs == before.1);
+                before = (db.clone(), seqs);
+            }
+        }
+        // Every outcome, sweeps and both sides of every check occur.
+        assert!(outcomes.iter().all(|&n| n > 1_000), "outcomes {outcomes:?}");
+        assert!(
+            sweeps > 500 && two_ways > 10_000,
+            "{sweeps} sweeps, {two_ways} two-way links"
+        );
+        assert!(same > 1_000, "{same} unchanged steps");
     }
 
     mod max_age_index {
