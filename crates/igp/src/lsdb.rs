@@ -53,24 +53,29 @@ pub struct DbVersion(pub u64);
 /// Sharing is safe because nothing mutates a stored LSA in place: a
 /// change installs a new instance.
 ///
-/// A lookup by key ([`get`](Self::get), [`install`](Self::install),
+/// The instances sit in slots, in no order. A lookup by key
+/// ([`get`](Self::get), [`install`](Self::install),
 /// [`remove`](Self::remove), [`freshness_of`](Self::freshness_of)) is
-/// one hash probe; every reader that walks the database ([`iter`],
-/// [`headers`], the SPF inputs, [`same_instances`]) walks it in key
-/// order, which a sorted list of the keys keeps. That list changes only
-/// when a key comes or goes, not when an instance replaces another.
+/// one hash probe for the slot; every reader that walks the database
+/// ([`iter`], [`headers`], the SPF inputs, [`same_instances`]) walks
+/// the slots in key order, which a sorted list of slot numbers keeps.
+/// That list changes only when a key comes or goes, not when an
+/// instance replaces another in its slot.
 ///
 /// [`iter`]: Self::iter
 /// [`headers`]: Self::headers
 /// [`same_instances`]: Self::same_instances
 #[derive(Clone, Default)]
 pub struct Lsdb {
-    entries: HashMap<LsaKey, Arc<Lsa>, KeyHash>,
-    /// The keys of `entries`, ascending.
-    order: Vec<LsaKey>,
+    /// The slot of each stored key.
+    index: HashMap<LsaKey, u32, KeyHash>,
+    /// The stored instances, one per key.
+    slots: Vec<Arc<Lsa>>,
+    /// Every slot once, in key order of the instance it holds.
+    order: Vec<u32>,
     /// Keys of the stored MaxAge instances: exactly
-    /// `entries.values().filter(|l| l.is_max_age())`, kept in step by
-    /// every mutation so purge sweeps never scan the live entries.
+    /// `iter().filter(|l| l.is_max_age())`, kept in step by every
+    /// mutation so purge sweeps never scan the live entries.
     max_age: BTreeSet<LsaKey>,
     version: u64,
     real_version: u64,
@@ -125,12 +130,12 @@ impl Lsdb {
 
     /// Number of stored LSAs (including MaxAge ones not yet swept).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` if the database holds no LSAs.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of stored MaxAge LSAs (purges not yet swept).
@@ -145,30 +150,30 @@ impl Lsdb {
 
     /// Look up the stored instance for a key.
     pub fn get(&self, key: &LsaKey) -> Option<&Lsa> {
-        self.entries.get(key).map(|l| &**l)
+        self.get_shared(key).map(|l| &**l)
     }
 
     /// The stored instance for a key, as the `Arc` the database holds:
     /// what an instance sends, so the receiver stores the same one.
     pub fn get_shared(&self, key: &LsaKey) -> Option<&Arc<Lsa>> {
-        self.entries.get(key)
+        self.index.get(key).map(|&slot| &self.slots[slot as usize])
     }
 
     /// `true` when `other` stores exactly the keys this database does,
     /// each at the same sequence number (ages aside): what every LSDB
     /// of a converged network agrees on.
     pub fn same_instances(&self, other: &Lsdb) -> bool {
-        self.order == other.order
+        self.len() == other.len()
             && self
-                .order
                 .iter()
-                .all(|k| self.entries[k].seq == other.entries[k].seq)
+                .zip(other.iter())
+                .all(|(a, b)| a.key == b.key && a.seq == b.seq)
     }
 
     /// Freshness of a candidate header against the stored instance.
     /// `Newer` if we have nothing stored.
     pub fn freshness_of(&self, hdr: &LsaHeader) -> Freshness {
-        match self.entries.get(&hdr.key) {
+        match self.get(&hdr.key) {
             None => Freshness::Newer,
             Some(stored) => compare_freshness(hdr.seq, hdr.age, stored.seq, stored.age),
         }
@@ -181,21 +186,23 @@ impl Lsdb {
     pub fn install(&mut self, lsa: impl Into<Arc<Lsa>>) -> Install {
         let lsa: Arc<Lsa> = lsa.into();
         let (key, max_age) = (lsa.key, lsa.is_max_age());
-        let outcome = match self.entries.entry(key) {
-            Entry::Vacant(slot) => {
+        let outcome = match self.index.entry(key) {
+            Entry::Vacant(entry) => {
                 if max_age {
                     // Purge for something we never heard of: ack it but
                     // do not create state (RFC 2328 §13 step 5 nuance).
                     return Install::PurgeUnknown;
                 }
-                slot.insert(lsa);
-                let at = self.order.partition_point(|k| *k < key);
-                self.order.insert(at, key);
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 LSAs");
+                entry.insert(slot);
+                let at = self.position(&key).expect_err("a new key");
+                self.order.insert(at, slot);
+                self.slots.push(lsa);
                 Install::New
             }
-            Entry::Occupied(mut slot) => match lsa.freshness_vs(slot.get()) {
+            Entry::Occupied(entry) => match lsa.freshness_vs(&self.slots[*entry.get() as usize]) {
                 Freshness::Newer => {
-                    slot.insert(lsa);
+                    self.slots[*entry.get() as usize] = lsa;
                     Install::Updated
                 }
                 Freshness::Same => return Install::Duplicate,
@@ -214,22 +221,33 @@ impl Lsdb {
     /// Remove one LSA by key regardless of age (used when the
     /// originator re-learns a self-originated LSA it no longer wants).
     pub fn remove(&mut self, key: &LsaKey) -> Option<Arc<Lsa>> {
-        let removed = self.entries.remove(key);
-        if removed.is_some() {
-            let at = self
-                .order
-                .binary_search(key)
-                .expect("a stored key is listed");
-            self.order.remove(at);
-            self.max_age.remove(key);
-            self.bump(key);
+        let slot = self.index.remove(key)?;
+        let at = self.position(key).expect("a stored key is in order");
+        self.order.remove(at);
+        // The last slot moves into the one freed.
+        let last = self.slots.len() - 1;
+        if slot as usize != last {
+            let moved = self.slots[last].key;
+            let at = self.position(&moved).expect("a stored key is in order");
+            self.order[at] = slot;
+            self.index.insert(moved, slot);
         }
-        removed
+        let removed = self.slots.swap_remove(slot as usize);
+        self.max_age.remove(key);
+        self.bump(key);
+        Some(removed)
+    }
+
+    /// Where `key` is in key order (`Ok`), or would go (`Err`).
+    fn position(&self, key: &LsaKey) -> Result<usize, usize> {
+        let slots = &self.slots;
+        self.order
+            .binary_search_by(|&slot| slots[slot as usize].key.cmp(key))
     }
 
     /// Iterate over all stored LSAs in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Lsa> {
-        self.order.iter().map(|k| &*self.entries[k])
+        self.order.iter().map(|&slot| &*self.slots[slot as usize])
     }
 
     /// Headers of all stored LSAs, in key order (for database
@@ -376,14 +394,13 @@ impl Lsdb {
             !lsa.is_max_age()
                 && matches!(&lsa.body, LsaBody::Router { links } if links.iter().any(|l| l.to == far))
         };
-        let from_first = self.order.partition_point(|k| *k < key(from, 0));
-        let from_end = self.order.partition_point(|k| *k <= key(from, u32::MAX));
-        self.entries
-            .get(&key(to, 0))
-            .is_some_and(|l| names(l, from))
-            && self.order[from_first..from_end]
+        let first = self.position(&key(from, 0)).unwrap_or_else(|at| at);
+        self.get(&key(to, 0)).is_some_and(|l| names(l, from))
+            && self.order[first..]
                 .iter()
-                .any(|k| names(&self.entries[k], to))
+                .map(|&slot| &*self.slots[slot as usize])
+                .take_while(|l| l.key <= key(from, u32::MAX))
+                .any(|l| names(l, to))
     }
 
     /// The stored LSAs that are not MaxAge, in key order.
@@ -392,7 +409,7 @@ impl Lsdb {
     }
 }
 
-/// In key order, as the ordered map it replaced printed.
+/// The stored instances, in key order.
 impl fmt::Debug for Lsdb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Lsdb")
