@@ -1494,8 +1494,8 @@ impl Instance {
     }
 }
 
-/// Two earlier rules, kept as the references the harness's lockstep
-/// differentials drive the current ones against.
+/// Two earlier rules and the retransmit list's earlier form, kept as
+/// the references the harness's differentials hold the current ones to.
 #[cfg(test)]
 impl Instance {
     /// The sweep as it was before the LSDB indexed its MaxAge entries:

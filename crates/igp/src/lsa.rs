@@ -69,17 +69,11 @@ impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
         bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
     }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
     fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
     fn write_u64(&mut self, v: u64) {
         self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
     }
     fn finish(&self) -> u64 {
         self.0
