@@ -1286,6 +1286,12 @@ impl Instance {
             self.originated.remove(&key);
             return;
         };
+        // The purge is stored already (a retraction repeated before it
+        // was swept): it went to every neighbour and is listed until
+        // acked, and RFC 2328 floods no instance the database holds.
+        if current.is_max_age() {
+            return;
+        }
         let purge = current.to_purge();
         self.originated.insert(key, purge.seq);
         self.install_and_flood(purge);
@@ -1295,10 +1301,10 @@ impl Instance {
         let lsa = Arc::new(lsa);
         let outcome = self.lsdb.install(Arc::clone(&lsa));
         // What a retransmit list names is the instance the LSDB stores,
-        // so that is what this flood must send. An install the LSDB
-        // refused (a purge repeated while the first is still listed is
-        // a `Duplicate`) leaves an equal instance stored, or the flood
-        // would list a key whose stored instance is not the one sent.
+        // so that is what this flood must send: every instance flooded
+        // from here is fresher than the one stored (`purge_own` floods
+        // no purge the LSDB already holds), or the flood would list a
+        // key whose stored instance is not the one sent.
         debug_assert!(
             self.lsdb.get(&lsa.key) == Some(&*lsa),
             "flooding {:?} after a {outcome:?} install",
@@ -1662,6 +1668,39 @@ mod tests {
     /// Router 1, the hub, with spokes 2, 3 and 4 on its interfaces 0, 1
     /// and 2 (each spoke's interface 0 faces the hub), converged, with
     /// nothing left to drain.
+    /// A lie retracted twice, the second time while its purge is
+    /// still stored and listed, floods once: the second retraction
+    /// sends nothing and lists nothing, and the purge still reaches
+    /// the neighbour and is swept on both sides.
+    #[test]
+    fn a_second_retraction_while_the_purge_is_stored_floods_nothing() {
+        let mut h = crate::harness::Harness::new();
+        h.add_router(RouterId(1));
+        h.add_router(RouterId(2));
+        h.connect(RouterId(1), RouterId(2), Metric(1), Dur::from_millis(1));
+        h.start_all();
+        assert!(h.run_until_converged(Timestamp::from_secs(30)));
+        let t = h.now();
+        lie(h.instance_mut(RouterId(1)), 0, t).unwrap();
+        assert!(h.run_until_converged(t + Dur::from_secs(30)));
+        let t = h.now();
+        let inst = h.instance_mut(RouterId(1));
+        let before = inst.stats.lsas_flooded;
+        inst.retract_fake(RouterId::fake(0), t).unwrap();
+        assert_eq!(inst.stats.lsas_flooded - before, 1, "the purge floods");
+        inst.retract_fake(RouterId::fake(0), t).unwrap();
+        assert_eq!(inst.stats.lsas_flooded - before, 1, "and only once");
+        assert!(h.run_until_converged(t + Dur::from_secs(30)));
+        for r in [RouterId(1), RouterId(2)] {
+            let lies = h
+                .instance(r)
+                .lsdb()
+                .iter()
+                .filter(|l| l.key.origin.is_fake());
+            assert_eq!(lies.count(), 0, "{r} swept the purge");
+        }
+    }
+
     fn converged_hub() -> crate::harness::Harness {
         let mut h = crate::harness::Harness::new();
         for i in 1..=4 {
