@@ -178,6 +178,8 @@ impl SimContext<'_> {
     /// started): from the next settle on, each flow whose rate moves
     /// in any bit is logged with its new rate and the instant it takes
     /// effect, for [`take_rate_changes`](Self::take_rate_changes). The
+    /// settle finds those flows by class, not by a walk over the live
+    /// ones, so a batch is in member-list order, not flow order. The
     /// log has one reader: whoever drains it takes every entry. A
     /// flow's bytes delivered are the integral of its entries.
     pub fn watch_rates(&mut self) {
@@ -186,7 +188,12 @@ impl SimContext<'_> {
 
     /// Move the rate changes logged since the last call into `into`
     /// (cleared first), in the order the settles made them: ascending
-    /// instants, and flow order within one settle. Empty unless
+    /// instants, and within one settle the order the settle met its
+    /// flows in — class by class along its member lists, then the
+    /// flows whose class changed or that the fill froze alone, by id —
+    /// not flow order. One settle logs a flow at most once, so a
+    /// reader that keys on the flow, as the video driver does, sees
+    /// the same thing in any order. Empty unless
     /// [`watch_rates`](Self::watch_rates) was called.
     pub fn take_rate_changes(&mut self, into: &mut Vec<RateChange>) {
         into.clear();

@@ -18,7 +18,7 @@
 //! * [`max_min_allocation`] / [`max_min_keyed`] — the straightforward
 //!   full recompute, one flow at a time, allocating fresh buffers per
 //!   call. Retained as the reference the allocator below is tested
-//!   against (bit-for-bit, not just within a tolerance).
+//!   against: its rates bit for bit, its link loads within `n` ulps.
 //! * The class fill (`ClassFill`) — the version the simulator uses,
 //!   and the one [`Allocator`] runs for a caller that names links by
 //!   key: buffers persist across calls, every call fills, and the fill
@@ -35,19 +35,22 @@
 //! id, cap bits). The simulator finds a flow's class where it resolves
 //! the flow's path and where the flow's cap changes — a few dozen
 //! flows a settle — and keeps the id in a dense per-flow column, with
-//! `UNROUTED` for a flow without a usable path. It counts each
-//! class's members (`Members`) where a flow gains or loses a class, so
-//! a settle stages nothing per flow: the fill starts from the member
-//! counts, reads the column only to find a forced freeze's flow, and
-//! one pass after it writes every flow's rate and sums the link loads
-//! in flow order. The fill touches only the classes that have members,
-//! so a table that grows over a run costs nothing per settle.
+//! `UNROUTED` for a flow without a usable path. It lists each class's
+//! members (`Members`) where a flow gains or loses a class, and marks
+//! that flow, so a settle stages nothing per flow: the fill starts from
+//! the member counts and reads the column only to find a forced
+//! freeze's flow; after it, the loads are summed per class, and a rate
+//! is written only where it may have moved — the members of a class
+//! whose rate bits changed, a marked flow, a flow frozen alone at this
+//! fill or the one before. The fill touches only the classes that have
+//! members, so a table that grows over a run costs nothing per settle.
 //!
 //! # Why classes give the reference's bits
 //!
-//! Three of the four things a round of progressive filling does are
-//! order-free, so they can be done per class and per link; the fourth
-//! is not, and stays per flow.
+//! The three things a round of progressive filling does are
+//! order-free, so they can be done per class and per link, and every
+//! rate comes out with the reference's bits. The link loads summed
+//! after the fill are not order-free, and come out within a few ulps.
 //!
 //! * **One level.** Every unfrozen flow's rate is `0.0` plus the same
 //!   `delta`s in the same order, so all unfrozen flows share one
@@ -72,16 +75,20 @@
 //!   than `1e-9`: 116 of 1 174 distinct-input fills on
 //!   `dataplane_churn` force at least once (165 flows in all; 115 of
 //!   462 on `predictive_storm`).
-//! * **Loads are not order-free.** A link's load is the sum, in flow
+//! * **Loads.** The reference's load of a link is the sum, in flow
 //!   order, of rates that differ from class to class, and f64 addition
-//!   is not associative: that one pass stays per flow.
+//!   is not associative. The spread sums `n × rate` per class instead,
+//!   in ascending class id, then adds each flow frozen alone: within
+//!   `n` ulps of the flow-order sum for `n` flows on the link, not its
+//!   bits. No rate reads a load; the interface counters integrate
+//!   them, and a controller polls those.
 //!
-//! None of the four depends on how classes are numbered, so the ids a
+//! None of the three depends on how classes are numbered, so the ids a
 //! table hands out (in the order pairs were first seen over the whole
-//! run, not within one input) cannot move a bit: a link's subtraction
-//! count is a sum of member counts, a class freezes whole or not at
-//! all, the forced freeze is chosen by walking the flows in order, and
-//! loads are summed in flow order. The caps and residuals a round
+//! run, not within one input) cannot move a rate bit: a link's
+//! subtraction count is a sum of member counts, a class freezes whole
+//! or not at all, and the forced freeze is chosen by walking the flows
+//! in order. The caps and residuals a round
 //! compares are `min`s, which do not care in which order the classes
 //! are visited either — so the fill visits them in whatever order the
 //! member counts list them, which is not the order of the input.
@@ -371,42 +378,59 @@ impl ClassTable {
     }
 }
 
-/// How many flows each class has, and which classes have any: what a
-/// fill starts from. The simulator keeps one up to date where a flow
-/// gains or loses a class (start, stop, resolve, cap change), so a
-/// settle counts nothing per flow; the keyed entry counts each call's
-/// input into one of its own.
+/// Each class's flows, and which classes have any: what a fill starts
+/// from, and what a settle walks where a class's rate moves. The
+/// simulator keeps one up to date where a flow gains or loses a class
+/// (start, stop, resolve, cap change) and marks every such flow, so a
+/// settle counts nothing per flow and finds the flows whose class
+/// changed without a walk; the keyed entry fills one of its own with
+/// each call's input.
 #[derive(Debug, Default)]
 pub(crate) struct Members {
-    /// Per class id: its flows (0 for a class not in `used`).
-    count: Vec<usize>,
+    /// Per class id: its flows' slots, in no order (empty for a class
+    /// not in `used`).
+    slots: Vec<Vec<u32>>,
     /// The classes with members, in no order the fill depends on
     /// (module docs).
     used: Vec<u32>,
     /// Per class id in `used`: its position there.
     at: Vec<u32>,
+    /// Per slot in a class: its position in the class's `slots`.
+    pos: Vec<u32>,
+    /// Slots whose class changed since the last settle, with repeats.
+    moved: Vec<u32>,
 }
 
 impl Members {
-    /// One more flow in class `c`.
-    pub(crate) fn join(&mut self, c: u32) {
+    /// The flow in `slot` joins class `c`.
+    pub(crate) fn join(&mut self, c: u32, slot: usize) {
         let i = c as usize;
-        if self.count.len() <= i {
-            self.count.resize(i + 1, 0);
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, Vec::new);
             self.at.resize(i + 1, 0);
         }
-        if self.count[i] == 0 {
+        if self.pos.len() <= slot {
+            self.pos.resize(slot + 1, 0);
+        }
+        let slots = &mut self.slots[i];
+        if slots.is_empty() {
             self.at[i] = self.used.len() as u32;
             self.used.push(c);
         }
-        self.count[i] += 1;
+        self.pos[slot] = slots.len() as u32;
+        slots.push(slot as u32);
     }
 
-    /// One flow fewer in class `c`, which has one.
-    pub(crate) fn leave(&mut self, c: u32) {
+    /// The flow in `slot` leaves class `c`, which it is in.
+    pub(crate) fn leave(&mut self, c: u32, slot: usize) {
         let i = c as usize;
-        self.count[i] -= 1;
-        if self.count[i] == 0 {
+        let slots = &mut self.slots[i];
+        let p = self.pos[slot] as usize;
+        slots.swap_remove(p);
+        if let Some(&moved) = slots.get(p) {
+            self.pos[moved as usize] = p as u32;
+        }
+        if slots.is_empty() {
             let at = self.at[i] as usize;
             self.used.swap_remove(at);
             if let Some(&moved) = self.used.get(at) {
@@ -415,21 +439,39 @@ impl Members {
         }
     }
 
-    /// No flow in any class.
+    /// The flow in `slot` changed its class (into or out of one, or
+    /// between [`UNROUTED`] and [`STOPPED`]): the next settle looks at
+    /// it.
+    pub(crate) fn mark(&mut self, slot: usize) {
+        self.moved.push(slot as u32);
+    }
+
+    /// No flow in any class, and none marked.
     fn clear(&mut self) {
         for c in self.used.drain(..) {
-            self.count[c as usize] = 0;
+            self.slots[c as usize].clear();
         }
+        self.moved.clear();
+    }
+
+    /// The slots of the flows in class `c`, in no order.
+    pub(crate) fn slots(&self, c: u32) -> &[u32] {
+        self.slots.get(c as usize).map_or(&[], Vec::as_slice)
     }
 
     /// The flows in class `c`.
     pub(crate) fn count(&self, c: u32) -> usize {
-        self.count.get(c as usize).copied().unwrap_or(0)
+        self.slots(c).len()
     }
 
     /// How many classes have members.
     pub(crate) fn classes(&self) -> usize {
         self.used.len()
+    }
+
+    /// Whether a flow changed its class since the last settle.
+    pub(crate) fn any_marked(&self) -> bool {
+        !self.moved.is_empty()
     }
 }
 
@@ -438,13 +480,15 @@ impl Members {
 /// input — the link universe (each link's capacity, present iff the
 /// link is up) and the flows with their class ids and each class's
 /// member count — and runs progressive filling over the input's
-/// classes. Output is bit-identical to [`max_min_allocation`] on the
-/// same input.
+/// classes. Its rates are bit-identical to [`max_min_allocation`] on
+/// the same input, and its loads within `n` ulps (module docs).
 ///
 /// The simulator drives it directly: it names links by their position
-/// in a fixed universe, keeps each flow's interned class id and counts
+/// in a fixed universe, keeps each flow's interned class id and lists
 /// each class's members itself. [`Allocator`] drives it for a caller
-/// that names links by key.
+/// that names links by key. After each fill, [`ClassFill::spread`]
+/// gives the rates out class by class: its work follows the classes
+/// and the flows whose rate may have moved, not the live flows.
 #[derive(Debug, Default)]
 pub(crate) struct ClassFill {
     /// Per link of the universe: its capacity iff it is up.
@@ -458,18 +502,29 @@ pub(crate) struct ClassFill {
     /// members not yet frozen, and the rate the class froze at.
     unfrozen: Vec<usize>,
     class_rate: Vec<f64>,
-    /// Flows frozen alone, ahead of their class, with their rate: by
-    /// position in the caller's order, ascending.
-    forced: Vec<(usize, f64)>,
+    /// Per class id (read for classes with members only): the rate its
+    /// members hold, unless frozen alone, as the last spread left them.
+    held: Vec<f64>,
+    /// Flows frozen alone, ahead of their class, with their class and
+    /// rate, ascending: by position in the caller's order from the
+    /// fill, by slot from the spread on.
+    forced: Vec<(usize, u32, f64)>,
+    /// The slots the fill before the last froze alone, until a spread.
+    was_alone: Vec<usize>,
     active_classes: Vec<u32>,
     active_links: Vec<usize>,
+    /// Scratch for a spread: the classes with members, by id, and the
+    /// slots it looks at apart from a class's members.
+    by_id: Vec<u32>,
+    look: Vec<usize>,
 }
 
 /// The max-min allocator for a caller that names links by key: it
 /// translates keys to positions, interns each flow's list and class in
-/// tables of its own, counts each class's members, and runs the fill
-/// the simulator runs. Output is bit-identical to
-/// [`max_min_allocation`] on the same input.
+/// tables of its own, lists each class's members, and runs the fill
+/// and the spread the simulator runs. Its rates are bit-identical to
+/// [`max_min_allocation`] on the same input, and its loads within `n`
+/// ulps (module docs).
 #[derive(Debug, Default)]
 pub struct Allocator<K: Ord + Clone> {
     keys: Vec<K>,
@@ -555,9 +610,11 @@ impl<K: Ord + Clone> Allocator<K> {
             fill,
             ..
         } = self;
+        // Every call's input is new: each flow, its position its slot,
+        // joins its class marked, so the spread gives every one out.
         ids.clear();
         members.clear();
-        for (links, cap) in flows {
+        for (i, (links, cap)) in flows.into_iter().enumerate() {
             positions.clear();
             positions.extend(
                 links
@@ -565,14 +622,26 @@ impl<K: Ord + Clone> Allocator<K> {
                     .map(|k| *index.get(k).expect("flow references unknown link key")),
             );
             let c = classes.intern(paths.intern(positions), cap);
-            members.join(c);
+            members.join(c, i);
+            members.mark(i);
             ids.push(c);
         }
         let up = capacities.values().map(|c| Some(*c));
         fill.allocate(paths, classes, up, members, ids.len(), |i| ids[i]);
-        rates.clear();
-        let flows = ids.iter().map(|c| ((), *c));
-        fill.spread(paths, classes, flows, |(), rate| rates.push(rate));
+        rates.resize(ids.len(), 0.0);
+        // A position past this input (frozen alone by a longer one)
+        // holds no flow.
+        let class_of = |i: usize| ids.get(i).copied().unwrap_or(STOPPED);
+        fill.spread(
+            paths,
+            classes,
+            members,
+            |i| i,
+            class_of,
+            |i, r| {
+                rates[i] = r;
+            },
+        );
     }
 
     /// Per-flow rates of the last call, in the caller's flow order.
@@ -617,9 +686,8 @@ impl ClassFill {
     /// flows of each class of `classes`, whose path ids name links of
     /// `paths` (positions in that order, up links only); `class_at(i)`
     /// is the class id of the flow at position `i` of the caller's `n`,
-    /// in a stable order, or [`UNROUTED`]. [`ClassFill::spread`],
-    /// handed the same flows in the same order, gives out the rates and
-    /// sums the loads.
+    /// in a stable order, or [`UNROUTED`]. [`ClassFill::spread`] gives
+    /// out the rates and sums the loads.
     pub(crate) fn allocate(
         &mut self,
         paths: &PathTable,
@@ -640,13 +708,13 @@ impl ClassFill {
         self.link_active.clear();
         self.link_active.resize(nl, 0);
         // Stale entries of classes not in this input are never read.
-        self.unfrozen.resize(members.count.len(), 0);
-        self.class_rate.resize(members.count.len(), 0.0);
+        self.unfrozen.resize(members.slots.len(), 0);
+        self.class_rate.resize(members.slots.len(), 0.0);
         let mut nf = 0;
         for &c in &members.used {
             let (path, cap) = classes.get(c);
             let links = paths.links(path);
-            let count = members.count[c as usize];
+            let count = members.count(c);
             nf += count;
             debug_assert!(
                 links.iter().all(|l| self.caps[*l as usize].is_some()),
@@ -758,8 +826,8 @@ impl ClassFill {
                         c < UNROUTED && unfrozen[c as usize] > 0
                     })
                     .expect("an active class has an unfrozen member past the cursor");
-                self.forced.push((i, level));
                 let c = class_at(i);
+                self.forced.push((i, c, level));
                 self.retire(paths.links(classes.path(c)), c, 1);
                 cursor = i + 1;
             }
@@ -775,39 +843,113 @@ impl ClassFill {
         }
     }
 
-    /// The last fill's outcome, in one pass over its flows: `flows`
-    /// yields each of them in the order [`ClassFill::allocate`] was
-    /// given them, as a handle of the caller's and a class id; `put`
-    /// receives each handle with its rate — its class's, its own if it
-    /// was frozen alone, 0.0 if [`UNROUTED`] — and the link loads come
-    /// back via [`ClassFill::loads`], summed in that order: a sum of
-    /// unequal rates is the one thing here whose bits depend on the
-    /// order, so this pass stays per flow.
-    pub(crate) fn spread<T>(
+    /// The last fill's outcome, in work that follows the classes and
+    /// the flows whose rate may have moved, not the flows.
+    ///
+    /// `slot_at(i)` is the slot of the flow at position `i` of the
+    /// fill's order, and `class_of(slot)` a slot's class id now:
+    /// [`UNROUTED`], or [`STOPPED`] for a slot that holds no flow.
+    /// `put` receives, once each and with its rate (its class's, its
+    /// own if the fill froze it alone, 0.0 if unrouted), every flow
+    /// whose rate can differ from what the last spread gave it: the
+    /// members of each class whose rate bits moved, each flow
+    /// `members` marked (whose marks this clears), and each flow
+    /// frozen alone at this fill or at the one before. Any other flow
+    /// is in a class whose rate bits stood, and holds them. Returns
+    /// how many flows `put` received; they reach it in the order of
+    /// the member lists, then of slots.
+    ///
+    /// A link's load, via [`ClassFill::loads`], is the sum over the
+    /// classes crossing it, in ascending class id, of their members
+    /// not frozen alone times the class's rate, then plus each flow
+    /// frozen alone, in slot order. It is within `n` ulps of the sum
+    /// of its `n` flows' rates in flow order, not that sum's bits
+    /// (asserted in the tests).
+    pub(crate) fn spread(
         &mut self,
         paths: &PathTable,
         classes: &ClassTable,
-        flows: impl IntoIterator<Item = (T, u32)>,
-        mut put: impl FnMut(T, f64),
-    ) {
+        members: &mut Members,
+        slot_at: impl Fn(usize) -> usize,
+        class_of: impl Fn(usize) -> u32,
+        mut put: impl FnMut(usize, f64),
+    ) -> usize {
+        for f in &mut self.forced {
+            f.0 = slot_at(f.0);
+        }
         self.loads.clear();
         self.loads.resize(self.caps.len(), 0.0);
-        let mut forced = self.forced.iter().peekable();
-        for (i, (flow, c)) in flows.into_iter().enumerate() {
-            if c >= UNROUTED {
-                put(flow, 0.0);
-                continue;
+        self.by_id.clear();
+        self.by_id.extend(&members.used);
+        self.by_id.sort_unstable();
+        for &c in &self.by_id {
+            let alone = self.forced.iter().filter(|f| f.1 == c).count();
+            let n = members.count(c) - alone;
+            let load = n as f64 * self.class_rate[c as usize];
+            for l in paths.links(classes.path(c)) {
+                self.loads[*l as usize] += load;
             }
-            let rate = match forced.next_if(|(at, _)| *at == i) {
-                Some(&(_, rate)) => rate,
-                None => self.class_rate[c as usize],
-            };
-            put(flow, rate);
+        }
+        for &(_, c, rate) in &self.forced {
             for l in paths.links(classes.path(c)) {
                 self.loads[*l as usize] += rate;
             }
         }
-        debug_assert!(forced.next().is_none(), "the flows the fill was given");
+
+        self.held.resize(self.class_rate.len(), 0.0);
+        let (class_rate, held) = (&self.class_rate, &self.held);
+        let moved = |c: u32| class_rate[c as usize].to_bits() != held[c as usize].to_bits();
+        let mut visits = 0;
+        for &c in &members.used {
+            if moved(c) {
+                for &slot in members.slots(c) {
+                    put(slot as usize, self.rate(slot as usize, c));
+                }
+                visits += members.count(c);
+            }
+        }
+        let mut look = std::mem::take(&mut self.look);
+        look.clear();
+        look.extend(members.moved.drain(..).map(|s| s as usize));
+        look.append(&mut self.was_alone);
+        look.extend(self.forced.iter().map(|f| f.0));
+        look.sort_unstable();
+        look.dedup();
+        for &slot in &look {
+            let rate = match class_of(slot) {
+                STOPPED => continue,
+                UNROUTED => 0.0,
+                c if moved(c) => continue,
+                c => self.rate(slot, c),
+            };
+            put(slot, rate);
+            visits += 1;
+        }
+        self.look = look;
+        for &c in &members.used {
+            self.held[c as usize] = self.class_rate[c as usize];
+        }
+        self.was_alone.extend(self.forced.iter().map(|f| f.0));
+        visits
+    }
+
+    /// The rate the last spread gave the flow in `slot`, of class
+    /// `c` — its own if the fill froze it alone, its class's if not.
+    pub(crate) fn rate(&self, slot: usize, c: u32) -> f64 {
+        self.alone(slot).unwrap_or(self.class_rate[c as usize])
+    }
+
+    /// The rate of the flow in `slot` if the last fill froze it alone,
+    /// ahead of its class (read after a spread).
+    pub(crate) fn alone(&self, slot: usize) -> Option<f64> {
+        let at = self.forced.binary_search_by_key(&slot, |f| f.0).ok()?;
+        Some(self.forced[at].2)
+    }
+
+    /// The rate the last fill gave class `c`'s members, apart from any
+    /// it froze alone.
+    pub(crate) fn class_rate(&self, c: u32) -> f64 {
+        self.class_rate[c as usize]
     }
 
     /// Per-link loads after the last spread, in universe order (0.0 on
@@ -821,6 +963,7 @@ impl ClassFill {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn flow(links: &[usize], cap: Option<f64>) -> FluidFlow {
         FluidFlow {
@@ -1006,34 +1149,103 @@ mod tests {
             .collect();
         let universe: Vec<Option<f64>> = caps.values().map(|c| Some(*c)).collect();
         let mut sim = SimEntry::new();
-        sim.settle(&universe, &positions);
+        sim.settle_all(&universe, &positions);
+        let sim_rates = sim.routed_rates();
         for (i, want) in ref_rates.iter().enumerate() {
             assert_eq!(keyed.rates()[i].to_bits(), want.to_bits(), "flow {i}");
-            assert_eq!(sim.rates[i].to_bits(), want.to_bits(), "flow {i}");
+            assert_eq!(sim_rates[i].to_bits(), want.to_bits(), "flow {i}");
         }
         for (l, want) in &ref_loads {
-            assert_eq!(keyed.load(l).to_bits(), want.to_bits(), "link {l}");
-            assert_eq!(sim.alloc.loads()[*l].to_bits(), want.to_bits(), "link {l}");
+            let n = crossing(&flows, *l);
+            assert!(near(keyed.load(l), *want, n), "link {l}");
+            assert!(near(sim.alloc.loads()[*l], *want, n), "link {l}");
         }
     }
 
-    /// The simulator's way in, as `Core::reallocate` drives it: links
-    /// named by position in a fixed universe, a capacity present iff
-    /// the link is up, each flow an id of the class table the
-    /// simulator keeps, over the path table it keeps (both interned
-    /// here where `reallocate` resolves), or [`UNROUTED`] for a flow
-    /// that crosses a down link; the member counts kept as flows leave
-    /// and join classes, and the rates handed out by one pass over the
-    /// flows after the fill.
+    /// The simulator's way in, as `Core` drives it: flows in slots
+    /// that a start appends and a stop empties, a class column written
+    /// only where a flow's class changes (start, stop, resolve, cap
+    /// change: `set_class` joins, leaves and marks as the simulator's
+    /// does), links named by position in a fixed universe, a capacity
+    /// present iff the link is up, and [`UNROUTED`] for a flow that
+    /// crosses a down link. Each settle resolves every live flow,
+    /// fills, and gives the rates out class-wise; beside it, the
+    /// per-flow walk the spread replaced (`per_flow_walk`) keeps a rate
+    /// column and link loads of its own, and every settle asserts the
+    /// two agree: the rate columns bit for bit, the same batch of rate
+    /// changes, and every link load within `n` ulps of the flow-order
+    /// sum of its `n` flows.
     struct SimEntry {
         alloc: ClassFill,
         paths: PathTable,
         classes: ClassTable,
         members: Members,
-        /// Per flow of the last call: its class id.
-        ids: Vec<u32>,
-        /// Per flow of the last call: its rate.
-        rates: Vec<f64>,
+        /// Per slot: its flow's links and cap, `None` once stopped.
+        flows: Vec<Option<(Vec<u32>, Option<f64>)>>,
+        /// Per slot: class id and rate, as the simulator's columns.
+        class: Vec<u32>,
+        rate: Vec<f64>,
+        /// The occupied slots, ascending.
+        live: Vec<usize>,
+        /// The per-flow walk's rate column.
+        walked: Vec<f64>,
+    }
+
+    /// What one settle did, for the tests' coverage floors.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Settled {
+        /// Flows the class-wise spread gave out, and live flows.
+        visits: usize,
+        live: usize,
+        /// Rate changes in the batch.
+        changes: usize,
+        /// Flows the fill froze alone.
+        alone: usize,
+    }
+
+    /// The spread's pass before classes: one walk over the live flows
+    /// in slot order, each flow's rate (its class's, its own if the
+    /// fill froze it alone, 0.0 if unrouted) into `rate`, logged as a
+    /// change where its bits move, and added to its links' loads in
+    /// that order.
+    fn per_flow_walk(
+        fill: &ClassFill,
+        paths: &PathTable,
+        classes: &ClassTable,
+        live: &[usize],
+        class: &[u32],
+        rate: &mut [f64],
+    ) -> (BTreeSet<(usize, u64)>, Vec<f64>) {
+        let mut changes = BTreeSet::new();
+        let mut loads = vec![0.0; fill.loads().len()];
+        for &slot in live {
+            let c = class[slot];
+            let r = if c == UNROUTED {
+                0.0
+            } else {
+                fill.rate(slot, c)
+            };
+            if std::mem::replace(&mut rate[slot], r).to_bits() != r.to_bits() {
+                changes.insert((slot, r.to_bits()));
+            }
+            if c != UNROUTED {
+                for l in paths.links(classes.path(c)) {
+                    loads[*l as usize] += r;
+                }
+            }
+        }
+        (changes, loads)
+    }
+
+    /// `got` is within `n` ulps of `want`, the flow-order sum of the
+    /// rates of the `n` flows crossing a link.
+    fn near(got: f64, want: f64, n: usize) -> bool {
+        (got - want).abs() <= n as f64 * f64::EPSILON * want.abs()
+    }
+
+    /// How many of `flows` cross link `l`.
+    fn crossing(flows: &[(Vec<usize>, Option<f64>)], l: usize) -> usize {
+        flows.iter().filter(|(links, _)| links.contains(&l)).count()
     }
 
     impl SimEntry {
@@ -1043,57 +1255,157 @@ mod tests {
                 paths: PathTable::default(),
                 classes: ClassTable::default(),
                 members: Members::default(),
-                ids: Vec::new(),
-                rates: Vec::new(),
+                flows: Vec::new(),
+                class: Vec::new(),
+                rate: Vec::new(),
+                live: Vec::new(),
+                walked: Vec::new(),
             }
         }
 
-        /// Every flow of `flows`, routed iff each of its links is up:
-        /// the last call's flows leave their classes and these join
-        /// theirs, so the counts go through the same joins and leaves
-        /// as the simulator's.
-        fn settle(&mut self, universe: &[Option<f64>], flows: &[(Vec<u32>, Option<f64>)]) {
-            for c in self.ids.drain(..) {
-                if c < UNROUTED {
-                    self.members.leave(c);
-                }
+        /// `Core::set_class`: the column, the member lists and the mark.
+        fn set_class(&mut self, slot: usize, c: u32) {
+            let old = std::mem::replace(&mut self.class[slot], c);
+            if old == c {
+                return;
             }
-            for (links, cap) in flows {
+            if old < UNROUTED {
+                self.members.leave(old, slot);
+            }
+            if c < UNROUTED {
+                self.members.join(c, slot);
+            }
+            self.members.mark(slot);
+        }
+
+        /// A flow starts in the next slot, unrouted until a settle.
+        fn start(&mut self, links: Vec<u32>, cap: Option<f64>) -> usize {
+            let slot = self.flows.len();
+            self.flows.push(Some((links, cap)));
+            self.class.push(STOPPED);
+            self.rate.push(0.0);
+            self.walked.push(0.0);
+            self.live.push(slot);
+            self.set_class(slot, UNROUTED);
+            slot
+        }
+
+        fn stop(&mut self, slot: usize) {
+            self.flows[slot] = None;
+            self.live.retain(|s| *s != slot);
+            self.set_class(slot, STOPPED);
+        }
+
+        /// A new cap, on the class of the path the flow has.
+        fn set_cap(&mut self, slot: usize, cap: Option<f64>) {
+            let flow = self.flows[slot].as_mut().expect("a live flow");
+            flow.1 = cap;
+            let c = self.class[slot];
+            if c != UNROUTED {
+                let moved = self.classes.intern(self.classes.path(c), cap);
+                self.set_class(slot, moved);
+            }
+        }
+
+        /// Resolve every live flow, fill, and give the rates out both
+        /// ways, asserting they agree.
+        fn settle(&mut self, universe: &[Option<f64>]) -> Settled {
+            for &slot in &self.live.clone() {
+                let (links, cap) = self.flows[slot].clone().expect("a live flow");
                 let c = if links.iter().all(|l| universe[*l as usize].is_some()) {
-                    let c = self.classes.intern(self.paths.intern(links), *cap);
-                    self.members.join(c);
-                    c
+                    self.classes.intern(self.paths.intern(&links), cap)
                 } else {
                     UNROUTED
                 };
-                self.ids.push(c);
+                self.set_class(slot, c);
             }
-            let ids = &self.ids;
-            self.alloc.allocate(
-                &self.paths,
-                &self.classes,
-                universe.iter().copied(),
-                &self.members,
-                ids.len(),
-                |i| ids[i],
+            let SimEntry {
+                alloc,
+                paths,
+                classes,
+                members,
+                class,
+                rate,
+                live,
+                walked,
+                ..
+            } = self;
+            let links = universe.iter().copied();
+            alloc.allocate(paths, classes, links, members, live.len(), |i| {
+                class[live[i]]
+            });
+            let mut changes = BTreeSet::new();
+            let visits = alloc.spread(
+                paths,
+                classes,
+                members,
+                |i| live[i],
+                |slot| class[slot],
+                |slot, r| {
+                    if std::mem::replace(&mut rate[slot], r).to_bits() != r.to_bits() {
+                        assert!(changes.insert((slot, r.to_bits())), "slot {slot} twice");
+                    }
+                },
             );
-            let rates = &mut self.rates;
-            rates.clear();
-            self.alloc.spread(
-                &self.paths,
-                &self.classes,
-                ids.iter().map(|c| ((), *c)),
-                |(), rate| rates.push(rate),
-            );
+            let (walk_changes, walk_loads) =
+                per_flow_walk(alloc, paths, classes, live, class, walked);
+            for &slot in live.iter() {
+                assert_eq!(rate[slot].to_bits(), walked[slot].to_bits(), "slot {slot}");
+            }
+            assert_eq!(changes, walk_changes, "the batch of rate changes");
+            let mut crossing = vec![0; universe.len()];
+            for &slot in live.iter().filter(|s| class[**s] != UNROUTED) {
+                for l in paths.links(classes.path(class[slot])) {
+                    crossing[*l as usize] += 1;
+                }
+            }
+            for (l, want) in walk_loads.iter().enumerate() {
+                let got = alloc.loads()[l];
+                assert!(
+                    near(got, *want, crossing[l]),
+                    "link {l}: {got} is not within {} ulps of {want}",
+                    crossing[l]
+                );
+            }
+            Settled {
+                visits,
+                live: live.len(),
+                changes: changes.len(),
+                alone: alloc.forced.len(),
+            }
         }
 
-        /// The last call's rates of its routed flows, in its order:
+        /// Make the live flows `flows`, slot for position: a flow whose
+        /// links or cap moved is resolved again, one past the last
+        /// starts, one past the new last stops; then settle.
+        fn settle_all(
+            &mut self,
+            universe: &[Option<f64>],
+            flows: &[(Vec<u32>, Option<f64>)],
+        ) -> Settled {
+            while self.live.len() > flows.len() {
+                let last = *self.live.last().expect("a live flow");
+                self.stop(last);
+            }
+            for (i, flow) in flows.iter().enumerate() {
+                match self.live.get(i) {
+                    Some(&slot) => self.flows[slot] = Some(flow.clone()),
+                    None => {
+                        self.start(flow.0.clone(), flow.1);
+                    }
+                }
+            }
+            self.settle(universe)
+        }
+
+        /// The live flows' rates of the routed ones, in slot order:
         /// what the reference is given. Every unrouted flow's is 0.0.
         fn routed_rates(&self) -> Vec<f64> {
             let mut routed = Vec::new();
-            for (c, rate) in self.ids.iter().zip(&self.rates) {
-                if *c < UNROUTED {
-                    routed.push(*rate);
+            for &slot in &self.live {
+                let rate = self.rate[slot];
+                if self.class[slot] < UNROUTED {
+                    routed.push(rate);
                 } else {
                     assert_eq!(rate.to_bits(), 0.0f64.to_bits(), "an unrouted flow's rate");
                 }
@@ -1276,7 +1588,7 @@ mod tests {
                 returns += usize::from(restored && moved);
                 last = Some(input);
 
-                sim.settle(&universe, &all);
+                sim.settle_all(&universe, &all);
                 keyed.allocate(&up_caps, by_key.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &by_key);
 
@@ -1291,9 +1603,10 @@ mod tests {
                 }
                 for l in 0..nl {
                     let want = ref_loads.get(&l).copied().unwrap_or(0.0);
+                    let n = crossing(&by_key, l);
                     let got = sim.alloc.loads()[l];
-                    assert_eq!(got.to_bits(), want.to_bits(), "{at}: load of link {l}");
-                    assert_eq!(keyed.load(&l).to_bits(), want.to_bits(), "{at}: link {l}");
+                    assert!(near(got, want, n), "{at}: load of link {l}");
+                    assert!(near(keyed.load(&l), want, n), "{at}: link {l}");
                 }
 
                 let mut seen: BTreeMap<(&[u32], Option<u64>), u64> = BTreeMap::new();
@@ -1325,6 +1638,122 @@ mod tests {
         assert!(pauses >= 100, "{pauses} calls after a pause or resume");
         assert!(unrouted >= 50_000, "{unrouted} unrouted flows handed over");
         assert!(returns >= 100, "{returns} calls back at an earlier input");
+    }
+
+    /// The settle differential: seeded, crowd-shaped settle sequences
+    /// — batches of viewers that start (at the high end of the slots)
+    /// and stop (anywhere), pause and resume (caps of 1 and 125 000
+    /// B/s), links that fail and come back, capacities that move —
+    /// through the class-wise spread and the per-flow walk it replaced,
+    /// which `SimEntry::settle` holds to each other at every settle:
+    /// the rate columns bit for bit, each batch of rate changes as a
+    /// set, each link load within `n` ulps. The floors say the
+    /// sequences exercised what the spread skips and what it must not:
+    /// settles that left most flows alone, fills that froze flows
+    /// alone, flows stranded by a down link, and rate changes.
+    #[test]
+    fn class_wise_settle_is_the_per_flow_walk_through_crowd_churn() {
+        const CASES: u64 = 120;
+        let mut total = Settled::default();
+        let mut settles = 0usize;
+        let mut sparse = 0usize; // settles that gave out under a tenth of the live flows
+        let mut forcing = 0usize; // settles whose fill froze a flow alone
+        let mut stranding = 0usize; // settles with a flow over a down link
+        for case in 0..CASES {
+            let mut st = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5E77;
+            let st = &mut st;
+            let nl = 2 + below(st, 7);
+            let capacity = |st: &mut u64| match below(st, 4) {
+                0 | 1 => 4e8,
+                2 => 1.25e7 / 3.0,
+                _ => 1e6 + below(st, 1000) as f64 * 0.37,
+            };
+            let mut caps: Vec<f64> = (0..nl).map(|_| capacity(st)).collect();
+            let mut up = vec![true; nl];
+            let paths: Vec<Vec<u32>> = (0..1 + below(st, 6))
+                .map(|_| {
+                    let mut links: Vec<u32> = Vec::new();
+                    for _ in 0..1 + below(st, 3) {
+                        let l = below(st, nl) as u32;
+                        if !links.contains(&l) {
+                            links.push(l);
+                        }
+                    }
+                    links
+                })
+                .collect();
+            let cap = |st: &mut u64| match below(st, 4) {
+                0 => None,
+                1 => Some(1.0),
+                _ => Some(125_000.0),
+            };
+            let mut sim = SimEntry::new();
+            for _ in 0..below(st, 3000) {
+                let p = below(st, paths.len());
+                sim.start(paths[p].clone(), cap(st));
+            }
+            for _ in 0..4 + below(st, 12) {
+                let n = sim.live.len();
+                match below(st, 6) {
+                    0 => {
+                        for _ in 0..1 + below(st, 60) {
+                            let p = below(st, paths.len());
+                            sim.start(paths[p].clone(), cap(st));
+                        }
+                    }
+                    1 if n > 0 => {
+                        for _ in 0..1 + below(st, 60.min(n)) {
+                            let slot = sim.live[below(st, sim.live.len())];
+                            sim.stop(slot);
+                        }
+                    }
+                    2 if n > 0 => {
+                        let at = below(st, n);
+                        for i in at..n.min(at + 1 + below(st, 80)) {
+                            let slot = sim.live[i];
+                            let flipped = match sim.flows[slot].as_ref().expect("live").1 {
+                                Some(1.0) => Some(125_000.0),
+                                Some(125_000.0) => Some(1.0),
+                                other => other,
+                            };
+                            sim.set_cap(slot, flipped);
+                        }
+                    }
+                    3 => {
+                        let l = below(st, nl);
+                        up[l] = !up[l];
+                    }
+                    4 => caps[below(st, nl)] = capacity(st),
+                    _ => {}
+                }
+                let universe: Vec<Option<f64>> =
+                    (0..nl).map(|l| up[l].then_some(caps[l])).collect();
+                let s = sim.settle(&universe);
+                settles += 1;
+                sparse += usize::from(s.visits * 10 < s.live);
+                forcing += usize::from(s.alone > 0);
+                stranding += usize::from(sim.live.iter().any(|s| sim.class[*s] == UNROUTED));
+                total.visits += s.visits;
+                total.live += s.live;
+                total.changes += s.changes;
+                total.alone += s.alone;
+            }
+        }
+        assert!(settles >= 1000, "{settles} settles");
+        assert!(
+            sparse >= 200,
+            "{sparse} settles gave out under a tenth of the flows"
+        );
+        assert!(forcing >= 250, "{forcing} fills froze a flow alone");
+        assert!(total.alone >= 300, "{} flows frozen alone", total.alone);
+        assert!(stranding >= 200, "{stranding} settles with a stranded flow");
+        assert!(total.changes >= 250_000, "{} rate changes", total.changes);
+        assert!(
+            total.visits * 2 < total.live,
+            "{} flows given out of {} live",
+            total.visits,
+            total.live
+        );
     }
 
     /// A capacity: often one of two round values, so that two links
@@ -1400,7 +1829,7 @@ mod tests {
                 let up_caps: BTreeMap<usize, f64> =
                     (0..nl).filter(|l| up[*l]).map(|l| (l, caps[l])).collect();
 
-                sim.settle(&universe, &positions);
+                sim.settle_all(&universe, &positions);
                 let indexed = &sim.alloc;
                 let sim_rates = sim.routed_rates();
                 keyed.allocate(&up_caps, routed.iter().map(|(l, c)| (l.as_slice(), *c)));
@@ -1414,8 +1843,9 @@ mod tests {
                 }
                 for l in 0..nl {
                     let want = ref_loads.get(&l).copied().unwrap_or(0.0);
-                    prop_assert_eq!(indexed.loads()[l].to_bits(), want.to_bits());
-                    prop_assert_eq!(keyed.load(&l).to_bits(), want.to_bits());
+                    let n = crossing(&routed, l);
+                    prop_assert!(near(indexed.loads()[l], want, n));
+                    prop_assert!(near(keyed.load(&l), want, n));
                 }
             }
         }
@@ -1456,7 +1886,7 @@ mod tests {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
                 for (k, load) in &ref_loads {
-                    prop_assert_eq!(alloc.load(k).to_bits(), load.to_bits());
+                    prop_assert!(near(alloc.load(k), *load, crossing(&flows, *k)));
                 }
             }
         }

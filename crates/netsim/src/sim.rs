@@ -110,6 +110,13 @@ pub struct SimStats {
     /// Always 0: no allocation is skipped. Kept, like `alloc_fills`,
     /// only because the ledger benchmark reads it.
     pub alloc_skips: u64,
+    /// Flows whose rate a settle wrote or compared after the fill,
+    /// summed over the settles: the members of classes whose rate
+    /// moved, the flows whose class changed, and the flows frozen
+    /// alone. A walk over the live flows would make it `paths_resolved
+    /// + paths_skipped`. Outside [`SimStats::counters`], like
+    /// `alloc_fills`: pinned sweep artifacts embed that key set.
+    pub settle_visits: u64,
     /// Full Dijkstra runs across all IGP instances.
     pub spf_full_runs: u64,
     /// Route-phase-only (partial) SPF runs across all IGP instances:
@@ -192,6 +199,7 @@ impl std::ops::AddAssign for SimStats {
         self.paths_skipped = self.paths_skipped.saturating_add(o.paths_skipped);
         self.alloc_fills = self.alloc_fills.saturating_add(o.alloc_fills);
         self.alloc_skips = self.alloc_skips.saturating_add(o.alloc_skips);
+        self.settle_visits = self.settle_visits.saturating_add(o.settle_visits);
         self.spf_full_runs = self.spf_full_runs.saturating_add(o.spf_full_runs);
         self.spf_partial_runs = self.spf_partial_runs.saturating_add(o.spf_partial_runs);
         self.snmp_ops = self.snmp_ops.saturating_add(o.snmp_ops);
@@ -409,20 +417,25 @@ impl Core {
 
     /// Move the flow in `slot` to `class` — or to [`UNROUTED`], or out
     /// of the arena with [`STOPPED`] — and keep in step what counts
-    /// the column: each class's members and the stranded flows. Every
-    /// write of the class column goes through here.
+    /// the column: each class's members and the stranded flows, and the
+    /// mark that sends the next settle to a flow whose class changed.
+    /// Every write of the class column goes through here.
     fn set_class(&mut self, slot: usize, class: u32) {
         let old = std::mem::replace(&mut self.hot.class[slot], class);
+        if old == class {
+            return;
+        }
         match old {
             STOPPED => {}
             UNROUTED => self.stranded -= 1,
-            c => self.members.leave(c),
+            c => self.members.leave(c, slot),
         }
         match class {
             STOPPED => {}
             UNROUTED => self.stranded += 1,
-            c => self.members.join(c),
+            c => self.members.join(c, slot),
         }
+        self.members.mark(slot);
     }
 
     /// All live flows in id order.
@@ -965,22 +978,31 @@ impl Core {
             |i| class[live[i]],
         );
         fib_trace::observe("settle.classes", members.classes() as u64);
-        // The one walk over the live flows after the fill: each one's
-        // rate into its column, and into the link loads in flow order;
-        // and, if watched, into the log where its bits change.
-        let flows = live.iter().map(|&slot| (slot, class[slot]));
-        match rate_changes {
-            Some(log) => alloc.spread(paths, classes, flows, |slot, r| {
-                if std::mem::replace(&mut rate[slot], r).to_bits() != r.to_bits() {
+        // No walk over the live flows after the fill: the loads are
+        // summed per class, and a rate goes into its column, and, if
+        // watched, into the log where its bits change, only for the
+        // flows whose rate may have moved.
+        let visits = alloc.spread(
+            paths,
+            classes,
+            members,
+            |i| live[i],
+            |slot| class[slot],
+            |slot, r| {
+                let old = std::mem::replace(&mut rate[slot], r);
+                if let Some(log) = rate_changes
+                    .as_mut()
+                    .filter(|_| old.to_bits() != r.to_bits())
+                {
                     log.push(RateChange {
                         flow: FlowId(slot as u64),
                         at,
                         rate: r,
                     });
                 }
-            }),
-            None => alloc.spread(paths, classes, flows, |slot, r| rate[slot] = r),
-        }
+            },
+        );
+        self.stats.settle_visits += visits as u64;
         for (rec, load) in link_recs.iter_mut().zip(alloc.loads()) {
             rec.state.rate = *load;
         }
@@ -995,9 +1017,11 @@ impl Core {
     /// the list is the occupied slots, ascending; a slot holds
     /// [`STOPPED`] iff it holds no flow; every routed flow's class names
     /// exactly its path's links and its cap's bits, and every unrouted
-    /// flow has [`UNROUTED`] and a rate of 0.0; and the member counts
-    /// and the stranded count are what a recount over the live list
-    /// finds.
+    /// flow has [`UNROUTED`] and a rate of 0.0; every routed flow holds
+    /// its class's rate bits unless the last fill froze it alone, and
+    /// then its own; each class's member list and the stranded count
+    /// are what a recount over the live list finds; and no flow is
+    /// left marked for the next settle.
     fn debug_check_live(&self) {
         // The walks below are not free: release builds skip them whole.
         if !cfg!(debug_assertions) {
@@ -1023,7 +1047,7 @@ impl Core {
                 "slot {slot}: stopped iff empty"
             );
         }
-        let mut recount: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut recount: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         let mut stranded = 0;
         for f in self.flows() {
             let slot = f.id.0 as usize;
@@ -1039,7 +1063,14 @@ impl Core {
                 );
                 continue;
             }
-            *recount.entry(class).or_default() += 1;
+            recount.entry(class).or_default().push(slot as u32);
+            let held = self.alloc.alone(slot);
+            debug_assert_eq!(
+                self.hot.rate[slot].to_bits(),
+                held.unwrap_or(self.alloc.class_rate(class)).to_bits(),
+                "{}: holds the rate of class {class} (frozen alone: {held:?})",
+                f.id
+            );
             let (path, cap) = self.classes.get(class);
             let ixs = self.paths.links(path).iter();
             let links: Vec<LinkKey> = ixs
@@ -1064,9 +1095,12 @@ impl Core {
             recount.len(),
             "classes with members"
         );
-        for (class, n) in recount {
-            debug_assert_eq!(self.members.count(class), n, "members of class {class}");
+        for (class, slots) in recount {
+            let mut listed = self.members.slots(class).to_vec();
+            listed.sort_unstable();
+            debug_assert_eq!(listed, slots, "members of class {class}");
         }
+        debug_assert!(!self.members.any_marked(), "a mark outlived its settle");
     }
 
     /// The loop-freedom probe: walk every announced prefix's live

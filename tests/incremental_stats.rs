@@ -173,3 +173,25 @@ fn players_are_touched_only_where_rates_change_or_actions_fall_due() {
          more than 0.40 of them, so players are walked per tick again"
     );
 }
+
+/// After the fill, a settle looks only at the flows whose rate may
+/// have moved: the members of the classes whose rate bits changed, the
+/// flows whose class changed, and the flows frozen alone at that fill
+/// or the one before. On `churn_pin`'s run that is 87 040 flows over
+/// its settles, where a walk over the live flows at every settle — what
+/// the spread did before it went by class — makes `paths_resolved +
+/// paths_skipped`.
+#[test]
+fn a_settle_looks_at_the_flows_whose_rate_may_move_not_at_every_live_one() {
+    let spec = ScenarioSpec::from_toml_str(CHURN).expect("churn_pin's spec parses");
+    let mut run = build(&spec, RunOptions::default()).expect("churn_pin builds");
+    run.run_until_secs(spec.horizon_secs);
+    let stats = run.sim.stats();
+    let walked = stats.paths_resolved + stats.paths_skipped;
+    assert!(
+        stats.settle_visits < walked,
+        "{} flows looked at, against {walked} live over the settles",
+        stats.settle_visits
+    );
+    assert_eq!((stats.settle_visits, walked), (87_040, 151_520));
+}
