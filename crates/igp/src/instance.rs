@@ -1665,9 +1665,6 @@ mod tests {
         assert!(s2 > s1);
     }
 
-    /// Router 1, the hub, with spokes 2, 3 and 4 on its interfaces 0, 1
-    /// and 2 (each spoke's interface 0 faces the hub), converged, with
-    /// nothing left to drain.
     /// A lie retracted twice, the second time while its purge is
     /// still stored and listed, floods once: the second retraction
     /// sends nothing and lists nothing, and the purge still reaches
@@ -1701,6 +1698,9 @@ mod tests {
         }
     }
 
+    /// Router 1, the hub, with spokes 2, 3 and 4 on its interfaces 0, 1
+    /// and 2 (each spoke's interface 0 faces the hub), converged, with
+    /// nothing left to drain.
     fn converged_hub() -> crate::harness::Harness {
         let mut h = crate::harness::Harness::new();
         for i in 1..=4 {

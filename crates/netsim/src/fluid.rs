@@ -632,16 +632,8 @@ impl<K: Ord + Clone> Allocator<K> {
         // A position past this input (frozen alone by a longer one)
         // holds no flow.
         let class_of = |i: usize| ids.get(i).copied().unwrap_or(STOPPED);
-        fill.spread(
-            paths,
-            classes,
-            members,
-            |i| i,
-            class_of,
-            |i, r| {
-                rates[i] = r;
-            },
-        );
+        let put = |i: usize, r: f64| rates[i] = r;
+        fill.spread(paths, classes, members, |i| i, class_of, put);
     }
 
     /// Per-flow rates of the last call, in the caller's flow order.
@@ -844,27 +836,20 @@ impl ClassFill {
     }
 
     /// The last fill's outcome, in work that follows the classes and
-    /// the flows whose rate may have moved, not the flows.
-    ///
+    /// the flows whose rate may have moved, not the live flows.
     /// `slot_at(i)` is the slot of the flow at position `i` of the
-    /// fill's order, and `class_of(slot)` a slot's class id now:
-    /// [`UNROUTED`], or [`STOPPED`] for a slot that holds no flow.
-    /// `put` receives, once each and with its rate (its class's, its
-    /// own if the fill froze it alone, 0.0 if unrouted), every flow
-    /// whose rate can differ from what the last spread gave it: the
-    /// members of each class whose rate bits moved, each flow
-    /// `members` marked (whose marks this clears), and each flow
-    /// frozen alone at this fill or at the one before. Any other flow
-    /// is in a class whose rate bits stood, and holds them. Returns
-    /// how many flows `put` received; they reach it in the order of
-    /// the member lists, then of slots.
-    ///
-    /// A link's load, via [`ClassFill::loads`], is the sum over the
-    /// classes crossing it, in ascending class id, of their members
-    /// not frozen alone times the class's rate, then plus each flow
-    /// frozen alone, in slot order. It is within `n` ulps of the sum
-    /// of its `n` flows' rates in flow order, not that sum's bits
-    /// (asserted in the tests).
+    /// fill's order, `class_of(slot)` a slot's class id now
+    /// ([`STOPPED`] once it holds no flow). `put` receives once each,
+    /// with its rate (its class's, its own if frozen alone, 0.0 if
+    /// [`UNROUTED`]), the members of each class whose rate bits moved,
+    /// each flow `members` marked (the marks are cleared), and each
+    /// flow frozen alone at this fill or the one before: any other
+    /// flow's class rate bits stood, and it holds them. Returns how
+    /// many it received, in member-list order, then by slot. A link's
+    /// load ([`ClassFill::loads`]) sums `n × rate` over the classes
+    /// crossing it, in ascending id, for the `n` members not frozen
+    /// alone, then each flow frozen alone: within `n` ulps of its flows'
+    /// sum in flow order (module docs).
     pub(crate) fn spread(
         &mut self,
         paths: &PathTable,
@@ -941,15 +926,9 @@ impl ClassFill {
 
     /// The rate of the flow in `slot` if the last fill froze it alone,
     /// ahead of its class (read after a spread).
-    pub(crate) fn alone(&self, slot: usize) -> Option<f64> {
+    fn alone(&self, slot: usize) -> Option<f64> {
         let at = self.forced.binary_search_by_key(&slot, |f| f.0).ok()?;
         Some(self.forced[at].2)
-    }
-
-    /// The rate the last fill gave class `c`'s members, apart from any
-    /// it froze alone.
-    pub(crate) fn class_rate(&self, c: u32) -> f64 {
-        self.class_rate[c as usize]
     }
 
     /// Per-link loads after the last spread, in universe order (0.0 on

@@ -982,26 +982,14 @@ impl Core {
         // summed per class, and a rate goes into its column, and, if
         // watched, into the log where its bits change, only for the
         // flows whose rate may have moved.
-        let visits = alloc.spread(
-            paths,
-            classes,
-            members,
-            |i| live[i],
-            |slot| class[slot],
-            |slot, r| {
-                let old = std::mem::replace(&mut rate[slot], r);
-                if let Some(log) = rate_changes
-                    .as_mut()
-                    .filter(|_| old.to_bits() != r.to_bits())
-                {
-                    log.push(RateChange {
-                        flow: FlowId(slot as u64),
-                        at,
-                        rate: r,
-                    });
-                }
-            },
-        );
+        let put = |slot: usize, r: f64| {
+            let moved = std::mem::replace(&mut rate[slot], r).to_bits() != r.to_bits();
+            if let (true, Some(log)) = (moved, &mut *rate_changes) {
+                let flow = FlowId(slot as u64);
+                log.push(RateChange { flow, at, rate: r });
+            }
+        };
+        let visits = alloc.spread(paths, classes, members, |i| live[i], |s| class[s], put);
         self.stats.settle_visits += visits as u64;
         for (rec, load) in link_recs.iter_mut().zip(alloc.loads()) {
             rec.state.rate = *load;
@@ -1064,11 +1052,10 @@ impl Core {
                 continue;
             }
             recount.entry(class).or_default().push(slot as u32);
-            let held = self.alloc.alone(slot);
             debug_assert_eq!(
                 self.hot.rate[slot].to_bits(),
-                held.unwrap_or(self.alloc.class_rate(class)).to_bits(),
-                "{}: holds the rate of class {class} (frozen alone: {held:?})",
+                self.alloc.rate(slot, class).to_bits(),
+                "{}: holds the rate of class {class}, or its own if frozen alone",
                 f.id
             );
             let (path, cap) = self.classes.get(class);
