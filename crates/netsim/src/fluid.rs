@@ -379,12 +379,9 @@ impl ClassTable {
 }
 
 /// Each class's flows, and which classes have any: what a fill starts
-/// from, and what a settle walks where a class's rate moves. The
-/// simulator keeps one up to date where a flow gains or loses a class
-/// (start, stop, resolve, cap change) and marks every such flow, so a
-/// settle counts nothing per flow and finds the flows whose class
-/// changed without a walk; the keyed entry fills one of its own with
-/// each call's input.
+/// from. The simulator keeps one up to date where a flow gains or loses
+/// a class (start, stop, resolve, cap change), and marks that flow for
+/// the next settle; the keyed entry fills one with each call's input.
 #[derive(Debug, Default)]
 pub(crate) struct Members {
     /// Per class id: its flows' slots, in no order (empty for a class
@@ -439,9 +436,7 @@ impl Members {
         }
     }
 
-    /// The flow in `slot` changed its class (into or out of one, or
-    /// between [`UNROUTED`] and [`STOPPED`]): the next settle looks at
-    /// it.
+    /// The flow in `slot` changed its class: the next settle looks at it.
     pub(crate) fn mark(&mut self, slot: usize) {
         self.moved.push(slot as u32);
     }

@@ -111,11 +111,9 @@ pub struct SimStats {
     /// only because the ledger benchmark reads it.
     pub alloc_skips: u64,
     /// Flows whose rate a settle wrote or compared after the fill,
-    /// summed over the settles: the members of classes whose rate
-    /// moved, the flows whose class changed, and the flows frozen
-    /// alone. A walk over the live flows would make it `paths_resolved
-    /// + paths_skipped`. Outside [`SimStats::counters`], like
-    /// `alloc_fills`: pinned sweep artifacts embed that key set.
+    /// summed over the settles; a walk over the live flows would make
+    /// it `paths_resolved + paths_skipped`. Outside
+    /// [`SimStats::counters`]: pinned sweep artifacts embed that key set.
     pub settle_visits: u64,
     /// Full Dijkstra runs across all IGP instances.
     pub spf_full_runs: u64,
