@@ -1408,8 +1408,11 @@ mod tests {
     /// capacities and link state, pause and resume batches of viewers
     /// (125 000 B/s to 1 B/s and back, on the paths they have) and
     /// return to an earlier input, against [`max_min_keyed`] on the up
-    /// links: every rate and every load bit for bit, from the
-    /// simulator's entry and the keyed one. The simulator's entry is
+    /// links: every rate bit for bit and every load within `n` ulps,
+    /// from the simulator's entry and the keyed one. The simulator's
+    /// entry keeps each flow in the slot of its position, so a flow
+    /// whose links or cap moved changes class and is marked, as in the
+    /// simulator, and each settle is held to the per-flow walk. It is
     /// handed the flows over down links too, as unrouted ones among the
     /// rest, as the simulator hands them: they must get 0.0 and move
     /// no other flow's forced freeze.
@@ -1742,7 +1745,8 @@ mod tests {
         /// keyed allocator fed only the up links: same rates and same
         /// loads, call after call, through capacity changes (on down
         /// links too), links going down and up, and flow sets that
-        /// change or stay. Both are bit-identical to the reference.
+        /// change or stay. Both give the reference's rate bits, and its
+        /// loads within `n` ulps.
         #[test]
         fn prop_class_id_staging_equals_keyed_over_up_links(
             caps in proptest::collection::vec(capacity(), 1..7),
@@ -1824,10 +1828,10 @@ mod tests {
             }
         }
 
-        /// The reusable allocator is BIT-identical to the reference on
+        /// The reusable allocator gives the reference's rate bits on
         /// arbitrary inputs, including across a sequence of calls that
         /// reuses its buffers (the pinned byte-for-byte traces cannot
-        /// tell the two apart).
+        /// tell the two apart), and its loads within `n` ulps.
         #[test]
         fn prop_allocator_bitwise_equals_reference(
             caps in proptest::collection::vec(1.0f64..1000.0, 1..8),
