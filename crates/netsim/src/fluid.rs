@@ -1166,7 +1166,7 @@ mod tests {
     }
 
     /// What one settle did, for the tests' coverage floors.
-    #[derive(Debug, Default, Clone, Copy)]
+    #[derive(Default)]
     struct Settled {
         /// Flows the class-wise spread gave out, and live flows.
         visits: usize,
@@ -1253,7 +1253,7 @@ mod tests {
         }
 
         /// A flow starts in the next slot, unrouted until a settle.
-        fn start(&mut self, links: Vec<u32>, cap: Option<f64>) -> usize {
+        fn start(&mut self, links: Vec<u32>, cap: Option<f64>) {
             let slot = self.flows.len();
             self.flows.push(Some((links, cap)));
             self.class.push(STOPPED);
@@ -1261,7 +1261,6 @@ mod tests {
             self.walked.push(0.0);
             self.live.push(slot);
             self.set_class(slot, UNROUTED);
-            slot
         }
 
         fn stop(&mut self, slot: usize) {
@@ -1364,9 +1363,7 @@ mod tests {
             for (i, flow) in flows.iter().enumerate() {
                 match self.live.get(i) {
                     Some(&slot) => self.flows[slot] = Some(flow.clone()),
-                    None => {
-                        self.start(flow.0.clone(), flow.1);
-                    }
+                    None => self.start(flow.0.clone(), flow.1),
                 }
             }
             self.settle(universe)
