@@ -13,32 +13,30 @@
 //!    utilization crosses the threshold, typically before queues
 //!    build.
 //!
-//! Reaction: compute a path plan (min-cost flow at the utilization
-//! budget, [`crate::optimizer::plan_paths`]), realize it with lies
-//! ([`crate::augmentation::augment`]), reduce the lie set, and reconcile
-//! with what is already installed (inject new lies, retract obsolete
-//! ones). A lie gets its name — fake id and gateway address — there,
-//! when it is injected; planning is a function of the real topology
-//! and the DAG alone and spends none. When demand subsides so the
+//! An evaluation gathers, decides and applies. The component gathers
+//! the speaker's view, the demand book and the SNMP readings;
+//! `plan::react` decides, as a function of those alone: per prefix, a
+//! path plan (min-cost flow at the utilization budget,
+//! [`crate::optimizer::plan_paths`]) realized with lies
+//! ([`crate::augmentation::augment`]) and reduced, or, when the
 //! *natural* (lie-free) routing would stay below the low watermark,
-//! every lie is retracted and the network falls back to its original
-//! state.
+//! every lie retracted. The component applies: it reconciles each plan
+//! with what is installed (naming and injecting new lies, retracting
+//! obsolete ones), audits and publishes. Planning spends no name.
 //!
 //! The loop runs once per viewer start and stop, and nine reactions in
 //! ten ask for the plan that is already installed, so an evaluation is
 //! made to cost what changed since the last one: the two topologies it
 //! reads and their per-prefix forwarding state are kept until the
-//! speaker's LSDB version moves (`Derived`), and a reaction whose
-//! planned DAG and real topology equal the previous one's is answered
-//! from a memo (`Reaction`). Neither changes a decision: the code a
-//! miss runs is the whole computation.
+//! speaker's LSDB version moves, and a reaction whose planned DAG and
+//! real topology equal the previous one's is answered from a memo (all
+//! in `plan::Kept`). Neither changes a decision: the code a miss runs
+//! is the whole computation.
 
-use crate::augmentation::{augment, reduce, AugmentError};
 use crate::lie::{Lie, LieAllocator};
-use crate::requirements::WeightedDag;
-use fib_igp::loadmodel::{max_utilization, Forwarding, LinkLoads, LoadModelError};
+use crate::plan::{self, Caps, Decision, DemandBook, Derived, Kept, Pass, Snmp, Trigger};
+use fib_igp::loadmodel::max_utilization;
 use fib_igp::time::Dur;
-use fib_igp::topology::Topology;
 use fib_igp::types::{Prefix, RouterId};
 use fib_netsim::flow::{FlowId, FlowInfo};
 use fib_netsim::handler::{AppEvent, EventHandler};
@@ -155,89 +153,22 @@ pub struct FibbingController {
     /// data link leaves, ascending, with its `(ifIndex, link)` pairs in
     /// ifIndex order.
     poll_plan: Vec<(RouterId, Vec<(u32, LinkKey)>)>,
-    caps: BTreeMap<(RouterId, RouterId), f64>,
+    caps: Caps,
     book: BTreeMap<FlowId, FlowInfo>,
     installed: BTreeMap<Prefix, Vec<Lie>>,
     alloc: LieAllocator,
-    /// The speaker's view of the network, lies included.
-    view: Option<Derived>,
-    /// The view without the lies: what planning works on.
-    real: Option<Derived>,
-    /// The last reaction per prefix, all computed on `real`.
-    memo: BTreeMap<Prefix, Reaction>,
+    /// The topologies and reactions kept from one pass to the next.
+    kept: Kept,
     watch: Option<ControllerHandle>,
-    /// Most recent alarm edge seen this run, rendered for the audit
-    /// log (cross-reference into the `alarm.*` trace series).
-    last_alarm: Option<String>,
+    /// Most recent alarm edge seen this run, for the audit log
+    /// (cross-reference into the `alarm.*` trace series).
+    last_alarm: Option<(LinkKey, Edge, f64)>,
     /// The most recent plan failure not yet reported: the next audited
     /// action names it in its trigger text. Only rendered when a trace
     /// sink is installed.
     last_failure: Option<String>,
     /// Observable counters.
     pub stats: ControllerStats,
-}
-
-/// Demands as the controller books them: per prefix, `(ingress, rate)`
-/// in ingress order.
-type DemandBook = BTreeMap<Prefix, Vec<(RouterId, f64)>>;
-
-/// A topology derived from the speaker's LSDB, with the per-prefix
-/// forwarding state worked out on it so far. Good for as long as the
-/// LSDB version it was derived at stands.
-struct Derived {
-    version: u64,
-    topo: Topology,
-    forwarding: BTreeMap<Prefix, Forwarding>,
-}
-
-impl Derived {
-    fn new(version: u64, topo: Topology) -> Derived {
-        Derived {
-            version,
-            topo,
-            forwarding: BTreeMap::new(),
-        }
-    }
-
-    /// [`fib_igp::loadmodel::spread`] of `book` over the topology,
-    /// working out only the forwarding state no earlier call has.
-    fn spread(&mut self, book: &DemandBook) -> Result<LinkLoads, LoadModelError> {
-        let mut loads = LinkLoads::new();
-        for (prefix, demands) in book {
-            self.forwarding
-                .entry(*prefix)
-                .or_insert_with(|| Forwarding::new(&self.topo, *prefix))
-                .push(demands, &mut loads)?;
-        }
-        Ok(loads)
-    }
-}
-
-/// What realizing a DAG came to: the size of the candidate lie set the
-/// reducer chose from, and the lies to install, in injection order and
-/// under plan-local names (`reconcile` gives the real ones).
-type Realized = Result<(usize, Vec<Lie>), AugmentError>;
-
-/// [`augment`] then the Merger-style [`reduce`]: a function of the real
-/// topology and the DAG alone.
-fn realize_from_scratch(real: &Topology, dag: &WeightedDag) -> Realized {
-    let aug = augment(real, dag, &mut LieAllocator::new())?;
-    Ok((aug.lies.len(), reduce(real, dag, &aug.lies)))
-}
-
-/// One run of [`realize_from_scratch`], remembered.
-struct Reaction {
-    dag: WeightedDag,
-    realized: Realized,
-}
-
-/// Decision context threaded into reconcile/retract so every audited
-/// injection/retraction carries its trigger provenance.
-struct AuditCtx {
-    trigger: String,
-    candidates: usize,
-    predicted_max_util: f64,
-    measured_max_util: f64,
 }
 
 impl FibbingController {
@@ -256,9 +187,7 @@ impl FibbingController {
             book: BTreeMap::new(),
             installed: BTreeMap::new(),
             alloc: LieAllocator::new(),
-            view: None,
-            real: None,
-            memo: BTreeMap::new(),
+            kept: Kept::default(),
             watch: None,
             last_alarm: None,
             last_failure: None,
@@ -336,37 +265,50 @@ impl FibbingController {
                     // utilization on raise, back to 0 on clear) and is
                     // remembered for audit-log cross-referencing.
                     if let Some(ev) = self.monitor.on_sample(&key, now, c) {
-                        let (verb, level) = match ev.edge {
-                            Edge::Raised => ("raised", ev.utilization),
-                            Edge::Cleared => ("cleared", 0.0),
+                        let level = match ev.edge {
+                            Edge::Raised => ev.utilization,
+                            Edge::Cleared => 0.0,
                         };
                         api.record(&format!("alarm.{}-{}", key.from, key.to), level);
-                        self.last_alarm = Some(format!(
-                            "{}->{} {verb} @{:.3}",
-                            key.from, key.to, ev.utilization
-                        ));
+                        self.last_alarm = Some((key, ev.edge, ev.utilization));
                     }
                 }
             }
         }
     }
 
-    /// Emit one lie-lifecycle audit record (free when tracing is off;
-    /// the formatting only happens with a sink installed).
+    /// Emit one lie-lifecycle audit record for `decision` of `pass`
+    /// (free when tracing is off; the formatting only happens with a
+    /// sink installed).
     fn audit(
         &mut self,
         api: &SimContext<'_>,
         action: AuditAction,
         prefix: Prefix,
         lie: &Lie,
-        ctx: &AuditCtx,
+        pass: &Pass,
+        decision: &Decision,
     ) {
         if !fib_trace::enabled() {
             return;
         }
+        let (trigger, candidates, predicted_max_util) = match decision {
+            Decision::Install {
+                candidates, loads, ..
+            } => (
+                pass.trigger,
+                *candidates,
+                max_utilization(loads, &self.caps),
+            ),
+            _ => (
+                Trigger::Natural(pass.natural, self.cfg.util_lo),
+                0,
+                pass.natural,
+            ),
+        };
         let trigger = match self.last_failure.take() {
-            Some(failure) => format!("{}; after {failure}", ctx.trigger),
-            None => ctx.trigger.clone(),
+            Some(failure) => format!("{trigger}; after {failure}"),
+            None => trigger.to_string(),
         };
         fib_trace::audit(AuditRecord {
             sim_ns: api.now().0,
@@ -374,9 +316,9 @@ impl FibbingController {
             prefix: prefix.to_string(),
             lie: lie.to_string(),
             trigger,
-            candidates: ctx.candidates,
-            predicted_max_util: ctx.predicted_max_util,
-            measured_max_util: ctx.measured_max_util,
+            candidates,
+            predicted_max_util,
+            measured_max_util: pass.measured,
         });
     }
 
@@ -389,25 +331,79 @@ impl FibbingController {
         }
     }
 
-    fn reconcile(
-        &mut self,
-        api: &mut SimContext<'_>,
-        prefix: Prefix,
-        new_lies: Vec<Lie>,
-        actx: &AuditCtx,
-    ) {
-        let old = self.installed.remove(&prefix).unwrap_or_default();
+    /// Carry out a decided pass, prefix by prefix. A lie is in
+    /// `installed` from the moment the speaker took it until the
+    /// speaker took it back: one it refuses to take back stays, so the
+    /// next pass tries again.
+    fn apply(&mut self, api: &mut SimContext<'_>, pass: &Pass) {
+        self.stats.replayed += pass.replayed;
+        for &(prefix, ref decision) in &pass.decisions {
+            let (mut kept, obsolete, to_inject) = match decision {
+                Decision::RetractAll => {
+                    let lies = self.installed.remove(&prefix).unwrap_or_default();
+                    (Vec::new(), lies, Vec::new())
+                }
+                Decision::Install { lies, .. } => {
+                    self.stats.reactions += 1;
+                    self.reconcile(prefix, lies)
+                }
+                Decision::Failed(e) => {
+                    self.stats.reactions += 1;
+                    self.plan_failed(prefix, e);
+                    continue;
+                }
+            };
+            for l in obsolete {
+                match api.retract_fake(self.cfg.speaker, l.fake_id) {
+                    Ok(()) => {
+                        self.stats.retractions += 1;
+                        self.audit(api, AuditAction::Retract, prefix, &l, pass, decision);
+                    }
+                    Err(e) => {
+                        self.plan_failed(prefix, &format_args!("retract of {l}: {e}"));
+                        kept.push(l);
+                    }
+                }
+            }
+            for l in &to_inject {
+                match api.inject_fake(
+                    self.cfg.speaker,
+                    l.fake_id,
+                    l.attach,
+                    l.attach_metric,
+                    l.prefix,
+                    l.prefix_metric,
+                    l.fw,
+                ) {
+                    Ok(()) => {
+                        self.stats.injections += 1;
+                        self.audit(api, AuditAction::Inject, prefix, l, pass, decision);
+                    }
+                    Err(e) => {
+                        self.plan_failed(prefix, &format_args!("inject of {l}: {e}"));
+                        kept.retain(|k| k.fake_id != l.fake_id);
+                    }
+                }
+            }
+            if !kept.is_empty() {
+                self.installed.insert(prefix, kept);
+            }
+        }
+    }
+
+    /// Match `planned` against the lies `prefix` has installed, by
+    /// signature. Returns the set to keep (installed lies the plan
+    /// still wants, and new ones), the installed lies it no longer
+    /// wants (in signature order), and the new lies, to inject.
+    fn reconcile(&mut self, prefix: Prefix, planned: &[Lie]) -> (Vec<Lie>, Vec<Lie>, Vec<Lie>) {
         let mut old_by_sig: BTreeMap<_, Vec<Lie>> = BTreeMap::new();
-        for l in old {
+        for l in self.installed.remove(&prefix).unwrap_or_default() {
             old_by_sig.entry(l.sig()).or_default().push(l);
         }
-        // What `installed` will hold: a lie is in it from the moment
-        // the speaker took it until the speaker took it back.
-        let mut final_set: Vec<Lie> = Vec::new();
-        let mut to_inject: Vec<Lie> = Vec::new();
-        for l in new_lies {
+        let (mut kept, mut to_inject) = (Vec::new(), Vec::new());
+        for &l in planned {
             match old_by_sig.get_mut(&l.sig()).and_then(|v| v.pop()) {
-                Some(kept) => final_set.push(kept), // already installed
+                Some(old) => kept.push(old), // already installed
                 // A planned lie becomes one to install: only here is a
                 // name spent. Without an address there is no slot to
                 // buy, so the lie is left out and the next pass asks
@@ -417,255 +413,69 @@ impl FibbingController {
                         let fake_id = self.alloc.fake_id();
                         let named = Lie { fake_id, fw, ..l };
                         to_inject.push(named);
-                        final_set.push(named);
+                        kept.push(named);
                     }
                     Err(e) => self.plan_failed(prefix, &e),
                 },
             }
         }
-        // Whatever remains in old_by_sig is obsolete.
-        for (_, leftovers) in old_by_sig {
-            for l in leftovers {
-                if !self.retract(api, prefix, &l, actx) {
-                    final_set.push(l);
-                }
-            }
-        }
-        for l in &to_inject {
-            match api.inject_fake(
-                self.cfg.speaker,
-                l.fake_id,
-                l.attach,
-                l.attach_metric,
-                l.prefix,
-                l.prefix_metric,
-                l.fw,
-            ) {
-                Ok(()) => {
-                    self.stats.injections += 1;
-                    self.audit(api, AuditAction::Inject, prefix, l, actx);
-                }
-                Err(e) => {
-                    self.plan_failed(prefix, &format_args!("inject of {l}: {e}"));
-                    final_set.retain(|kept| kept.fake_id != l.fake_id);
-                }
-            }
-        }
-        if !final_set.is_empty() {
-            self.installed.insert(prefix, final_set);
-        }
+        let obsolete = old_by_sig.into_values().flatten().collect();
+        (kept, obsolete, to_inject)
     }
 
-    /// Retract one installed lie. `false` if the speaker refused: the
-    /// lie is then still installed, and the refusal is counted and
-    /// named by the next audit record.
-    fn retract(
-        &mut self,
-        api: &mut SimContext<'_>,
-        prefix: Prefix,
-        l: &Lie,
-        actx: &AuditCtx,
-    ) -> bool {
-        match api.retract_fake(self.cfg.speaker, l.fake_id) {
-            Ok(()) => {
-                self.stats.retractions += 1;
-                self.audit(api, AuditAction::Retract, prefix, l, actx);
-                true
-            }
-            Err(e) => {
-                self.plan_failed(prefix, &format_args!("retract of {l}: {e}"));
-                false
-            }
-        }
-    }
-
-    /// Retract every lie of `prefix`; one the speaker refuses to take
-    /// back stays installed, so the next pass tries again.
-    fn retract_all(&mut self, api: &mut SimContext<'_>, prefix: Prefix, actx: &AuditCtx) {
-        let mut lies = self.installed.remove(&prefix).unwrap_or_default();
-        lies.retain(|l| !self.retract(api, prefix, l, actx));
-        if !lies.is_empty() {
-            self.installed.insert(prefix, lies);
-        }
-    }
-
-    /// One evaluation pass, ending with a publish even when a
-    /// transient makes the pass bail early — the watch snapshot and
-    /// the `ctrl.lies` trace must not skip exactly the disrupted
-    /// ticks a scenario wants to measure.
+    /// One evaluation pass: gather, [`plan::react`], apply. It ends
+    /// with a publish even when a transient makes the pass bail early —
+    /// the watch snapshot and the `ctrl.lies` trace must not skip
+    /// exactly the disrupted ticks a scenario wants to measure.
     fn evaluate(&mut self, api: &mut SimContext<'_>) {
         let _span = fib_trace::span(fib_trace::Phase::CtrlOptimize);
-        self.evaluate_inner(api);
+        self.stats.evaluations += 1;
+        if self.refresh_topologies(api) {
+            let snmp = if self.cfg.use_snmp {
+                Snmp {
+                    measured: self.monitor.max_utilization(),
+                    alarmed: self.monitor.any_alarmed(),
+                    last_edge: self.last_alarm,
+                }
+            } else {
+                Snmp::default()
+            };
+            let book = self.demands_by_prefix();
+            let FibbingController {
+                caps,
+                installed,
+                cfg,
+                kept,
+                ..
+            } = self;
+            match plan::react(&book, caps, installed, snmp, cfg, kept) {
+                Ok(pass) => self.apply(api, &pass),
+                Err(_) => self.stats.spread_failures += 1,
+            }
+        }
         self.publish(api);
     }
 
-    /// Bring `view` and `real` up to the speaker's LSDB. `false` if
-    /// the speaker is gone.
+    /// Bring the kept `view` and `real` up to the speaker's LSDB.
+    /// `false` if the speaker is gone.
     fn refresh_topologies(&mut self, api: &SimContext<'_>) -> bool {
         let Some((all, lie_free)) = api.lsdb_versions(self.cfg.speaker) else {
             return false;
         };
-        if self.view.as_ref().is_some_and(|v| v.version == all.0) {
+        let kept = &mut self.kept;
+        if kept.view.as_ref().is_some_and(|v| v.version == all.0) {
             // The lie-free version cannot move without this one.
             return true;
         }
         let Some(view) = api.topology_view(self.cfg.speaker) else {
             return false;
         };
-        if !self.real.as_ref().is_some_and(|r| r.version == lie_free) {
-            self.real = Some(Derived::new(lie_free, view.without_fakes()));
-            self.memo.clear();
+        if !kept.real.as_ref().is_some_and(|r| r.version == lie_free) {
+            kept.real = Some(Derived::new(lie_free, view.without_fakes()));
+            kept.memo.clear();
         }
-        self.view = Some(Derived::new(all.0, view));
+        kept.view = Some(Derived::new(all.0, view));
         true
-    }
-
-    /// The lies realizing `dag` on the real topology: from the memo
-    /// when the prefix's previous reaction was for this DAG (the memo
-    /// never outlives the real topology it was computed on), else
-    /// computed and remembered.
-    fn realize(&mut self, dag: &WeightedDag) -> Realized {
-        let real = &self.real.as_ref().expect("refreshed by the caller").topo;
-        if let Some(reaction) = self.memo.get(&dag.prefix).filter(|m| m.dag == *dag) {
-            self.stats.replayed += 1;
-            // Debug builds check every hit against the computation it
-            // stands for. Not under a trace sink: a trace shows, span
-            // for span, what a release build does.
-            if cfg!(debug_assertions) && !fib_trace::enabled() {
-                let expected = realize_from_scratch(real, dag);
-                assert_eq!(reaction.realized, expected, "memoised reaction for {dag}");
-            }
-            return reaction.realized.clone();
-        }
-        let realized = realize_from_scratch(real, dag);
-        let reaction = Reaction {
-            dag: dag.clone(),
-            realized: realized.clone(),
-        };
-        self.memo.insert(dag.prefix, reaction);
-        realized
-    }
-
-    fn evaluate_inner(&mut self, api: &mut SimContext<'_>) {
-        self.stats.evaluations += 1;
-        if !self.refresh_topologies(api) {
-            return;
-        }
-        let by_prefix = self.demands_by_prefix();
-        let (Some(view), Some(real)) = (&mut self.view, &mut self.real) else {
-            return;
-        };
-
-        // Predicted utilization on the *current* forwarding state (the
-        // controller's LSDB already contains its own lies).
-        let predicted = match view.spread(&by_prefix) {
-            Ok(loads) => max_utilization(&loads, &self.caps),
-            Err(_) => {
-                // Transient (convergence in progress).
-                self.stats.spread_failures += 1;
-                return;
-            }
-        };
-        // Natural (lie-free) utilization decides retraction. It does
-        // not depend on the prefix under consideration, so compute it
-        // once per pass, not once per prefix.
-        let natural = match real.spread(&by_prefix) {
-            Ok(loads) => max_utilization(&loads, &self.caps),
-            Err(_) => {
-                self.stats.spread_failures += 1;
-                return;
-            }
-        };
-        let measured = if self.cfg.use_snmp {
-            self.monitor.max_utilization()
-        } else {
-            0.0
-        };
-        let alarmed = self.cfg.use_snmp && self.monitor.any_alarmed();
-        let congested = (self.cfg.predictive && predicted >= self.cfg.util_hi)
-            || alarmed
-            || measured >= self.cfg.util_hi;
-        // Trigger provenance for the audit log: which condition made
-        // this pass act, in precedence order. Only rendered when a
-        // trace sink is installed.
-        let trigger = if congested && fib_trace::enabled() {
-            if self.cfg.predictive && predicted >= self.cfg.util_hi {
-                format!("predicted {predicted:.3} >= hi {:.3}", self.cfg.util_hi)
-            } else if alarmed {
-                format!(
-                    "alarm {}",
-                    self.last_alarm.as_deref().unwrap_or("(edge before start)")
-                )
-            } else {
-                format!("measured {measured:.3} >= hi {:.3}", self.cfg.util_hi)
-            }
-        } else {
-            String::new()
-        };
-
-        let prefixes: Vec<Prefix> = {
-            let mut v: Vec<Prefix> = by_prefix.keys().copied().collect();
-            for p in self.installed.keys() {
-                if !v.contains(p) {
-                    v.push(*p);
-                }
-            }
-            v.sort();
-            v
-        };
-
-        for prefix in prefixes {
-            if self.installed.contains_key(&prefix) && natural <= self.cfg.util_lo {
-                let actx = AuditCtx {
-                    trigger: if fib_trace::enabled() {
-                        format!("natural {natural:.3} <= lo {:.3}", self.cfg.util_lo)
-                    } else {
-                        String::new()
-                    },
-                    candidates: 0,
-                    predicted_max_util: natural,
-                    measured_max_util: measured,
-                };
-                self.retract_all(api, prefix, &actx);
-                continue;
-            }
-            let Some(dem) = by_prefix.get(&prefix).filter(|_| congested) else {
-                continue;
-            };
-            self.stats.reactions += 1;
-            let real = &self.real.as_ref().expect("refreshed above").topo;
-            let plan = match crate::optimizer::plan_paths(
-                real,
-                prefix,
-                dem,
-                &self.caps,
-                self.cfg.target_util,
-                self.cfg.slot_budget,
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.plan_failed(prefix, &e);
-                    continue;
-                }
-            };
-            // The augmentation's full lie set is the candidate set the
-            // reducer chooses from; the plan's own load map gives the
-            // predicted post-action max-utilization.
-            let (candidates, lies) = match self.realize(&plan.dag) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.plan_failed(prefix, &e);
-                    continue;
-                }
-            };
-            let actx = AuditCtx {
-                trigger: trigger.clone(),
-                candidates,
-                predicted_max_util: max_utilization(&plan.loads, &self.caps),
-                measured_max_util: measured,
-            };
-            self.reconcile(api, prefix, lies, &actx);
-        }
     }
 
     /// Pick up scripted capacity changes on links learned at start.
@@ -1055,8 +865,8 @@ mod tests {
         /// `(view, real)` versions the kept topologies were derived at.
         fn versions(&self) -> (u64, u64) {
             (
-                self.ctl.view.as_ref().expect("evaluated").version,
-                self.ctl.real.as_ref().expect("evaluated").version,
+                self.ctl.kept.view.as_ref().expect("evaluated").version,
+                self.ctl.kept.real.as_ref().expect("evaluated").version,
             )
         }
     }
@@ -1077,7 +887,7 @@ mod tests {
         let (view1, real1) = h.versions();
         assert_ne!(view1, view0, "injecting moved the LSDB version");
         assert_eq!(real1, real0, "lies are not part of the lie-free topology");
-        assert!(!h.ctl.real.as_ref().unwrap().forwarding.is_empty());
+        assert!(!h.ctl.kept.real.as_ref().unwrap().forwarding.is_empty());
         // Nothing was injected this time: nothing at all is rebuilt.
         assert_eq!(h.evaluate(), (0, 2));
         assert_eq!(h.versions(), (view1, real1));
@@ -1211,24 +1021,30 @@ mod tests {
 
     #[test]
     fn a_refused_injection_is_counted_and_kept_out_of_the_books() {
-        let mut h = ByHand::crowded();
+        let mut h = ByHand::new();
+        h.book(12, P1);
         // An evaluation stops at the LSDB it cannot read long before it
-        // injects, so plan P1 the way a pass would and hand the lies to
-        // `reconcile` under a speaker id the simulator does not know.
-        let real = h.sim.ctx().topology_view(r(100)).expect("speaker");
-        let dem = [(r(1), 1.2e6)];
-        let plan = crate::optimizer::plan_paths(&real, P1, &dem, &h.ctl.caps, 0.7, 8).unwrap();
-        let (candidates, lies) = realize_from_scratch(&real, &plan.dag).unwrap();
+        // injects, so decide a pass the way an evaluation does and apply
+        // it under a speaker id the simulator does not know.
+        assert!(h.ctl.refresh_topologies(&h.sim.ctx()));
+        let book = h.ctl.demands_by_prefix();
+        let ctl = &mut h.ctl;
+        let pass = plan::react(
+            &book,
+            &ctl.caps,
+            &ctl.installed,
+            Snmp::default(),
+            &ctl.cfg,
+            &mut ctl.kept,
+        );
+        let pass = pass.expect("the crowd spreads");
+        let [(P1, Decision::Install { lies, .. })] = &pass.decisions[..] else {
+            panic!("{pass:?}");
+        };
         let planned = lies.len() as u64;
         assert!(planned > 0);
         h.ctl.cfg.speaker = r(101);
-        let actx = AuditCtx {
-            trigger: String::new(),
-            candidates,
-            predicted_max_util: 0.0,
-            measured_max_util: 0.0,
-        };
-        h.ctl.reconcile(&mut h.sim.ctx(), P1, lies, &actx);
+        h.ctl.apply(&mut h.sim.ctx(), &pass);
         assert_eq!(h.ctl.installed_count(), 0, "no lie was told");
         assert_eq!(h.ctl.stats.failures, planned);
         assert_eq!(h.ctl.stats.injections, 0);
@@ -1298,7 +1114,8 @@ mod tests {
         assert_eq!(h.ctl.last_failure, None);
 
         fib_trace::install(Box::new(fib_trace::AggSink::new()));
-        h.ctl.plan_failed(P2, &AugmentError::NoFixpoint);
+        h.ctl
+            .plan_failed(P2, &crate::augmentation::AugmentError::NoFixpoint);
         h.evaluate();
         let sink = fib_trace::take()
             .expect("installed above")
@@ -1314,94 +1131,5 @@ mod tests {
         );
         assert_eq!(triggers[1], "predicted 1.500 >= hi 0.800");
         assert_eq!(h.ctl.stats.failures, 2);
-    }
-
-    #[test]
-    fn a_memoised_failure_is_answered_from_the_memo_and_spends_nothing() {
-        // Line 1 - 2 - 3 - 4, prefix at 4; r2 is also to use r1, whose
-        // own path returns through r2. The augmentation makes r2's lies
-        // and only then finds the composed loop.
-        let mut topo = Topology::new();
-        for i in 1..=4 {
-            topo.add_router(r(i));
-        }
-        for i in 1..=3 {
-            topo.add_link_sym(r(i), r(i + 1), Metric(1)).unwrap();
-        }
-        topo.announce_prefix(r(4), P1, Metric::ZERO).unwrap();
-        let mut dag = WeightedDag::new(P1);
-        dag.require(r(2), &[(r(3), 1), (r(1), 1)]);
-
-        let mut ctl = FibbingController::new(ControllerConfig::new(r(100)));
-        ctl.real = Some(Derived::new(0, topo));
-        let computed = ctl.realize(&dag);
-        assert!(matches!(computed, Err(AugmentError::VerificationFailed(_))));
-        let replayed = ctl.realize(&dag);
-        assert_eq!(replayed, computed);
-        assert_eq!(ctl.stats.replayed, 1);
-        assert_eq!(ctl.alloc, LieAllocator::new());
-    }
-
-    #[test]
-    fn memoised_reactions_match_the_computation_on_random_graphs() {
-        // Random Waxman graphs, two prefixes, viewers starting and
-        // stopping at random ingresses; after each the controller
-        // re-plans every prefix with demand, as a congested pass does.
-        // Whatever `realize` answers — computed or replayed, plan or
-        // failure — must equal augment + reduce run from scratch, and
-        // must not touch the controller's allocator. (Debug builds
-        // repeat the comparison inside `realize`, for every test that
-        // drives a controller.)
-        use fib_igp::builders::waxman;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(2016);
-        let (mut reactions, mut replayed, mut failed) = (0u64, 0u64, 0u64);
-        for _case in 0..10 {
-            let n = rng.gen_range(10..=16u32);
-            let mut topo = waxman(&mut rng, n, 0.5, 0.3, 6);
-            let prefixes = [P1, P2];
-            for p in prefixes {
-                let sink = RouterId(rng.gen_range(1..=n));
-                topo.announce_prefix(sink, p, Metric::ZERO).unwrap();
-            }
-            let caps: BTreeMap<(RouterId, RouterId), f64> =
-                topo.all_links().map(|(a, b, _)| ((a, b), 1e6)).collect();
-            let mut ctl = FibbingController::new(ControllerConfig::new(r(100)));
-            ctl.real = Some(Derived::new(0, topo.clone()));
-            let mut viewers: Vec<(Prefix, RouterId)> = Vec::new();
-            for _step in 0..40 {
-                if viewers.is_empty() || rng.gen_bool(0.6) {
-                    let dst = prefixes[rng.gen_range(0..2usize)];
-                    viewers.push((dst, RouterId(rng.gen_range(1..=n))));
-                } else {
-                    viewers.swap_remove(rng.gen_range(0..viewers.len()));
-                }
-                for prefix in prefixes {
-                    let mut dem: BTreeMap<RouterId, f64> = BTreeMap::new();
-                    for (_, src) in viewers.iter().filter(|(dst, _)| *dst == prefix) {
-                        *dem.entry(*src).or_insert(0.0) += 2.5e5;
-                    }
-                    let dem: Vec<(RouterId, f64)> = dem.into_iter().collect();
-                    let Ok(plan) = crate::optimizer::plan_paths(&topo, prefix, &dem, &caps, 0.6, 8)
-                    else {
-                        continue;
-                    };
-                    let expected = realize_from_scratch(&topo, &plan.dag);
-                    let got = ctl.realize(&plan.dag);
-                    assert_eq!(got, expected, "{}", plan.dag);
-                    assert_eq!(ctl.alloc, LieAllocator::new(), "after {}", plan.dag);
-                    reactions += 1;
-                    failed += u64::from(got.is_err());
-                }
-            }
-            replayed += ctl.stats.replayed;
-        }
-        println!("{reactions} reactions, {replayed} replayed, {failed} failed");
-        assert!(reactions >= 400, "{reactions} reactions");
-        assert!(
-            replayed * 4 >= reactions && replayed < reactions,
-            "{replayed} of {reactions} replayed: both paths must be exercised"
-        );
     }
 }

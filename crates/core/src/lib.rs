@@ -57,6 +57,7 @@ pub mod augmentation;
 pub mod controller;
 pub mod lie;
 pub mod optimizer;
+mod plan;
 pub mod requirements;
 pub mod splitting;
 pub mod verify;
