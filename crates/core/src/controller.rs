@@ -34,7 +34,7 @@
 //! is the whole computation.
 
 use crate::lie::{Lie, LieAllocator};
-use crate::plan::{self, Caps, Decision, DemandBook, Derived, Kept, Pass, Snmp, Trigger};
+use crate::plan::{self, Caps, Decision, DemandBook, Derived, Kept, Pass, Trigger};
 use fib_igp::loadmodel::max_utilization;
 use fib_igp::time::Dur;
 use fib_igp::types::{Prefix, RouterId};
@@ -160,9 +160,6 @@ pub struct FibbingController {
     /// The topologies and reactions kept from one pass to the next.
     kept: Kept,
     watch: Option<ControllerHandle>,
-    /// Most recent alarm edge seen this run, for the audit log
-    /// (cross-reference into the `alarm.*` trace series).
-    last_alarm: Option<(LinkKey, Edge, f64)>,
     /// The most recent plan failure not yet reported: the next audited
     /// action names it in its trigger text. Only rendered when a trace
     /// sink is installed.
@@ -189,7 +186,6 @@ impl FibbingController {
             alloc: LieAllocator::new(),
             kept: Kept::default(),
             watch: None,
-            last_alarm: None,
             last_failure: None,
             stats: ControllerStats::default(),
         }
@@ -259,18 +255,16 @@ impl FibbingController {
                     continue;
                 };
                 if let Value::Counter(c) = value {
-                    // Besides feeding is_alarmed()/any_alarmed(),
-                    // every edge lands in the run's trace (the
-                    // `alarm.<from>-<to>` series steps to the edge
-                    // utilization on raise, back to 0 on clear) and is
-                    // remembered for audit-log cross-referencing.
+                    // Besides feeding the monitor's alarms, every edge
+                    // lands in the run's trace: the `alarm.<from>-<to>`
+                    // series steps to the edge utilization on raise,
+                    // back to 0 on clear.
                     if let Some(ev) = self.monitor.on_sample(&key, now, c) {
                         let level = match ev.edge {
                             Edge::Raised => ev.utilization,
                             Edge::Cleared => 0.0,
                         };
                         api.record(&format!("alarm.{}-{}", key.from, key.to), level);
-                        self.last_alarm = Some((key, ev.edge, ev.utilization));
                     }
                 }
             }
@@ -431,24 +425,10 @@ impl FibbingController {
         let _span = fib_trace::span(fib_trace::Phase::CtrlOptimize);
         self.stats.evaluations += 1;
         if self.refresh_topologies(api) {
-            let snmp = if self.cfg.use_snmp {
-                Snmp {
-                    measured: self.monitor.max_utilization(),
-                    alarmed: self.monitor.any_alarmed(),
-                    last_edge: self.last_alarm,
-                }
-            } else {
-                Snmp::default()
-            };
             let book = self.demands_by_prefix();
-            let FibbingController {
-                caps,
-                installed,
-                cfg,
-                kept,
-                ..
-            } = self;
-            match plan::react(&book, caps, installed, snmp, cfg, kept) {
+            let snmp = self.cfg.use_snmp.then_some(&self.monitor);
+            let (caps, cfg) = (&self.caps, &self.cfg);
+            match plan::react(&book, caps, &self.installed, snmp, cfg, &mut self.kept) {
                 Ok(pass) => self.apply(api, &pass),
                 Err(_) => self.stats.spread_failures += 1,
             }
@@ -1033,7 +1013,7 @@ mod tests {
             &book,
             &ctl.caps,
             &ctl.installed,
-            Snmp::default(),
+            None,
             &ctl.cfg,
             &mut ctl.kept,
         );

@@ -11,7 +11,7 @@ use fib_igp::loadmodel::{max_utilization, Forwarding, LinkLoads, LoadModelError}
 use fib_igp::topology::Topology;
 use fib_igp::types::{Prefix, RouterId};
 use fib_netsim::link::LinkKey;
-use fib_telemetry::alarm::Edge;
+use fib_telemetry::monitor::LoadMonitor;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -85,25 +85,14 @@ pub(crate) struct Kept {
     pub(crate) memo: BTreeMap<Prefix, Reaction>,
 }
 
-/// What SNMP has seen, as a pass reads it (nothing when SNMP is off).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Snmp {
-    /// Highest measured utilization of any data link.
-    pub(crate) measured: f64,
-    /// Whether any link's alarm stands.
-    pub(crate) alarmed: bool,
-    /// The latest alarm edge of any link, with its utilization.
-    pub(crate) last_edge: Option<(LinkKey, Edge, f64)>,
-}
-
 /// Why a pass acts: the first of these that holds, in this order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Trigger {
     /// The demands spread over the speaker's view load a link to a
     /// utilization at or above `util_hi` (predictive mode only).
     Predicted(f64, f64),
-    /// An SNMP alarm stands; the latest alarm edge, if one was seen.
-    Alarm(Option<(LinkKey, Edge, f64)>),
+    /// An SNMP alarm stands on this link, raised at this utilization.
+    Alarm(LinkKey, f64),
     /// SNMP measured a link at or above `util_hi`.
     Measured(f64, f64),
     /// Nothing is hot. Lie-free routing loads no link above this; at or
@@ -116,15 +105,9 @@ impl fmt::Display for Trigger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Trigger::Predicted(util, hi) => write!(f, "predicted {util:.3} >= hi {hi:.3}"),
-            Trigger::Alarm(Some((link, edge, util))) => {
-                let verb = if edge == Edge::Raised {
-                    "raised"
-                } else {
-                    "cleared"
-                };
-                write!(f, "alarm {}->{} {verb} @{util:.3}", link.from, link.to)
+            Trigger::Alarm(link, util) => {
+                write!(f, "alarm {}->{} raised @{util:.3}", link.from, link.to)
             }
-            Trigger::Alarm(None) => f.write_str("alarm (edge before start)"),
             Trigger::Measured(util, hi) => write!(f, "measured {util:.3} >= hi {hi:.3}"),
             Trigger::Natural(util, lo) => write!(f, "natural {util:.3} <= lo {lo:.3}"),
         }
@@ -162,15 +145,16 @@ pub(crate) struct Pass {
     pub(crate) replayed: u64,
 }
 
-/// Decide one pass. `kept.view` and `kept.real` must hold the speaker's
-/// current view and its lie-free part. Fails, deciding nothing, when
+/// Decide one pass. `snmp` is the link monitor, if SNMP is on;
+/// `kept.view` and `kept.real` must hold the speaker's current view and
+/// its lie-free part. Fails, deciding nothing, when
 /// the demand cannot be spread over either (a demand's ingress without
 /// a route, or a forwarding loop: convergence in progress).
 pub(crate) fn react(
     book: &DemandBook,
     caps: &Caps,
     installed: &BTreeMap<Prefix, Vec<Lie>>,
-    snmp: Snmp,
+    snmp: Option<&LoadMonitor<LinkKey>>,
     cfg: &ControllerConfig,
     kept: &mut Kept,
 ) -> Result<Pass, LoadModelError> {
@@ -183,13 +167,14 @@ pub(crate) fn react(
     // depend on the prefix under consideration, so it is computed once
     // per pass, not once per prefix.
     let natural = max_utilization(&real.spread(book)?, caps);
+    let measured = snmp.map_or(0.0, LoadMonitor::max_utilization);
     let (hi, lo) = (cfg.util_hi, cfg.util_lo);
     let trigger = if cfg.predictive && predicted >= hi {
         Trigger::Predicted(predicted, hi)
-    } else if snmp.alarmed {
-        Trigger::Alarm(snmp.last_edge)
-    } else if snmp.measured >= hi {
-        Trigger::Measured(snmp.measured, hi)
+    } else if let Some((&link, util)) = snmp.and_then(LoadMonitor::alarmed) {
+        Trigger::Alarm(link, util)
+    } else if measured >= hi {
+        Trigger::Measured(measured, hi)
     } else {
         Trigger::Natural(natural, lo)
     };
@@ -225,7 +210,7 @@ pub(crate) fn react(
     Ok(Pass {
         trigger,
         natural,
-        measured: snmp.measured,
+        measured,
         decisions,
         replayed,
     })
@@ -264,7 +249,10 @@ pub(crate) fn realize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fib_igp::time::{Dur, Timestamp};
     use fib_igp::types::Metric;
+    use fib_telemetry::alarm::Threshold;
+    use fib_telemetry::counters::CounterWidth;
 
     const P1: Prefix = Prefix::net24(1);
     const P2: Prefix = Prefix::net24(2);
@@ -305,14 +293,7 @@ mod tests {
         let (caps, mut kept) = triangle();
         let cfg = ControllerConfig::new(r(100));
         let book = book(&[(P1, 1.2e6), (P2, 0.6e6)]);
-        let pass = react(
-            &book,
-            &caps,
-            &BTreeMap::new(),
-            Snmp::default(),
-            &cfg,
-            &mut kept,
-        );
+        let pass = react(&book, &caps, &BTreeMap::new(), None, &cfg, &mut kept);
         let pass = pass.expect("both demands spread");
         assert_eq!(pass.trigger.to_string(), "predicted 1.800 >= hi 0.800");
         let mut maxima = Vec::new();
@@ -338,38 +319,41 @@ mod tests {
     fn a_pass_replays_retracts_and_fails_as_data() {
         let (mut caps, mut kept) = triangle();
         let mut cfg = ControllerConfig::new(r(100));
-        let crowd = book(&[(P1, 1.2e6)]);
-        let none = BTreeMap::new();
-        let mut pass = |book: &DemandBook, caps: &Caps, installed, snmp, cfg: &ControllerConfig| {
-            react(book, caps, installed, snmp, cfg, &mut kept).expect("spread")
-        };
-        let first = pass(&crowd, &caps, &none, Snmp::default(), &cfg);
+        let (crowd, none) = (book(&[(P1, 1.2e6)]), BTreeMap::new());
+        let first = react(&crowd, &caps, &none, None, &cfg, &mut kept).unwrap();
         let [(P1, Decision::Install { lies, .. })] = &first.decisions[..] else {
             panic!("{first:?}");
         };
         assert!(!lies.is_empty());
         assert_eq!(first.replayed, 0);
         // The same crowd again: the memo answers, with the same lies.
-        let again = pass(&crowd, &caps, &none, Snmp::default(), &cfg);
+        let again = react(&crowd, &caps, &none, None, &cfg, &mut kept).unwrap();
         assert_eq!(again.replayed, 1);
         assert!(
             matches!(&again.decisions[..], [(P1, Decision::Install { lies: l, .. })] if l == lies)
         );
+        // A viewer too few to load any link: nothing to do.
+        let small = react(&book(&[(P1, 1e5)]), &caps, &none, None, &cfg, &mut kept).unwrap();
+        assert!(small.decisions.is_empty(), "{small:?}");
         // Everyone left: the prefix with lies gets them all retracted.
         let installed = BTreeMap::from([(P1, lies.clone())]);
-        let gone = pass(&DemandBook::new(), &caps, &installed, Snmp::default(), &cfg);
+        let gone = react(&DemandBook::new(), &caps, &installed, None, &cfg, &mut kept).unwrap();
         assert_eq!(gone.trigger, Trigger::Natural(0.0, 0.3));
         assert!(matches!(&gone.decisions[..], [(P1, Decision::RetractAll)]));
-        // SNMP alone wakes a non-predictive pass; with r1's links
-        // unprovisioned there is no plan, and the failure is data.
+        // An alarm alone wakes a non-predictive pass, named by the link
+        // it stands on. With r1's links unprovisioned there is no plan,
+        // and the failure is data.
+        let threshold = Threshold::new(0.8, 0.3, Dur::ZERO);
+        let mut snmp = LoadMonitor::new(CounterWidth::C64, 1.0, threshold);
+        let link = LinkKey::new(r(2), r(3));
+        snmp.add(link, 1e6);
+        snmp.on_sample(&link, Timestamp::ZERO, 0);
+        snmp.on_sample(&link, Timestamp::from_secs(1), 900_000)
+            .expect("raised");
         cfg.predictive = false;
         caps.retain(|&(from, _), _| from != r(1));
-        let snmp = Snmp {
-            measured: 0.9,
-            ..Snmp::default()
-        };
-        let failed = pass(&crowd, &caps, &none, snmp, &cfg);
-        assert_eq!(failed.trigger.to_string(), "measured 0.900 >= hi 0.800");
+        let failed = react(&crowd, &caps, &none, Some(&snmp), &cfg, &mut kept).unwrap();
+        assert_eq!(failed.trigger.to_string(), "alarm r2->r3 raised @0.900");
         let [(P1, Decision::Failed(e))] = &failed.decisions[..] else {
             panic!("{failed:?}");
         };

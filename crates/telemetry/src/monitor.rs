@@ -31,6 +31,8 @@ struct Entry {
     est: RateEstimator,
     alarm: Alarm,
     last_util: f64,
+    /// Utilization at the last raise edge.
+    raised_util: f64,
 }
 
 /// Composed monitoring pipeline for a set of keys.
@@ -64,6 +66,7 @@ impl<K: Ord + Clone> LoadMonitor<K> {
                 est: RateEstimator::new(self.width, self.alpha),
                 alarm: Alarm::new(self.threshold),
                 last_util: 0.0,
+                raised_util: 0.0,
             },
         );
     }
@@ -80,7 +83,11 @@ impl<K: Ord + Clone> LoadMonitor<K> {
         let rate = e.est.observe(at, counter)?;
         let util = rate / e.capacity;
         e.last_util = util;
-        e.alarm.observe(at, util).map(|edge| LoadEvent {
+        let edge = e.alarm.observe(at, util)?;
+        if edge == Edge::Raised {
+            e.raised_util = util;
+        }
+        Some(LoadEvent {
             key: key.clone(),
             edge,
             utilization: util,
@@ -106,9 +113,13 @@ impl<K: Ord + Clone> LoadMonitor<K> {
             .unwrap_or(false)
     }
 
-    /// Whether any key's alarm is currently raised.
-    pub fn any_alarmed(&self) -> bool {
-        self.entries.values().any(|e| e.alarm.is_active())
+    /// The first key, in key order, whose alarm is currently raised,
+    /// with the utilization it was raised at.
+    pub fn alarmed(&self) -> Option<(&K, f64)> {
+        self.entries
+            .iter()
+            .find(|(_, e)| e.alarm.is_active())
+            .map(|(k, e)| (k, e.raised_util))
     }
 
     /// All tracked keys.
@@ -149,22 +160,27 @@ mod tests {
         assert_eq!(ev.edge, Edge::Raised);
         assert!((ev.utilization - 0.9).abs() < 1e-9);
         assert!(m.is_alarmed(&"a-b"));
-        assert!(m.any_alarmed());
+        assert_eq!(m.alarmed(), Some((&"a-b", 0.9)));
     }
 
     #[test]
     fn pipeline_clears_with_hysteresis() {
         let mut m = monitor();
+        m.add("c-d", 1000.0);
         m.on_sample(&"a-b", t(0), 0);
         m.on_sample(&"a-b", t(1), 900);
-        // util 0.5: inside hysteresis band → still raised.
+        m.on_sample(&"c-d", t(1), 0);
+        // util 0.5: inside hysteresis band → still raised, at 0.9.
         assert_eq!(m.on_sample(&"a-b", t(2), 1400), None);
         assert!(m.is_alarmed(&"a-b"));
-        // util 0.1 ≤ 0.4 → clear.
+        assert_eq!(m.alarmed(), Some((&"a-b", 0.9)));
+        // c-d raises at 0.95; then a-b's util 0.1 ≤ 0.4 → clear, and
+        // the alarm that stands is c-d's.
+        m.on_sample(&"c-d", t(2), 950).expect("raise");
         let ev = m.on_sample(&"a-b", t(3), 1500).expect("clear");
         assert_eq!(ev.edge, Edge::Cleared);
         assert!(!m.is_alarmed(&"a-b"));
-        assert!(!m.any_alarmed());
+        assert_eq!(m.alarmed(), Some((&"c-d", 0.95)));
     }
 
     #[test]
