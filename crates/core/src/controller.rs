@@ -286,19 +286,14 @@ impl FibbingController {
         if !fib_trace::enabled() {
             return;
         }
+        let natural = Trigger::Natural(pass.natural, self.cfg.util_lo);
         let (trigger, candidates, predicted_max_util) = match decision {
             Decision::Install {
-                candidates, loads, ..
-            } => (
-                pass.trigger,
-                *candidates,
-                max_utilization(loads, &self.caps),
-            ),
-            _ => (
-                Trigger::Natural(pass.natural, self.cfg.util_lo),
-                0,
-                pass.natural,
-            ),
+                candidates: n,
+                loads,
+                ..
+            } => (pass.trigger, *n, max_utilization(loads, &self.caps)),
+            _ => (natural, 0, pass.natural),
         };
         let trigger = match self.last_failure.take() {
             Some(failure) => format!("{trigger}; after {failure}"),
@@ -570,8 +565,10 @@ mod tests {
 
     /// Triangle with a slow alternative: 1-2 (1), 2-3 (1), 1-3 (5).
     /// Prefix at r3; capacity 1 MB/s per link. Controller at r100 on
-    /// r2.
-    fn sim_with_controller(cfg: ControllerConfig) -> Sim {
+    /// r2, and a watch on it.
+    fn sim_with_controller(cfg: ControllerConfig) -> (Sim, ControllerHandle) {
+        let mut ctl = FibbingController::new(cfg);
+        let watch = ctl.watch();
         let mut sim = Sim::new(SimConfig::default());
         for i in 1..=3 {
             sim.add_router(r(i));
@@ -581,16 +578,17 @@ mod tests {
         sim.add_link(LinkSpec::new(r(1), r(3), Metric(5), 1e6));
         sim.announce_prefix(r(3), Prefix::net24(1));
         sim.add_controller_speaker(r(100), r(2));
-        sim.add_app(Box::new(FibbingController::new(cfg)));
-        sim
+        sim.add_app(Box::new(ctl));
+        (sim, watch)
     }
 
     #[test]
     fn controller_reacts_to_predicted_congestion() {
-        let cfg = ControllerConfig::new(r(100));
-        let mut sim = sim_with_controller(cfg);
+        let (mut sim, watch) = sim_with_controller(ControllerConfig::new(r(100)));
         // 12 video flows of 100 kB/s from r1: 1.2 MB/s > 1 MB/s link.
         sim.start();
+        sim.run_until(Timestamp::from_secs(9));
+        assert_eq!(watch.lock().installed_lies, 0);
         for i in 0..12 {
             start_at(
                 &mut sim,
@@ -614,71 +612,12 @@ mod tests {
             (l12 + l13 - 1.2e6).abs() < 1.0,
             "all traffic must be delivered: {l12} + {l13}"
         );
-    }
-
-    #[test]
-    fn controller_retracts_when_demand_subsides() {
-        let cfg = ControllerConfig::new(r(100));
-        let mut sim = sim_with_controller(cfg);
-        sim.start();
-        let mut ids = Vec::new();
-        for i in 0..12 {
-            ids.push(start_at(
-                &mut sim,
-                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
-                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-            ));
-        }
-        sim.run_until(Timestamp::from_secs(35));
-        assert!(
-            sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len() >= 2,
-            "lies installed during the crowd"
-        );
-        // Stop all flows at t=40.
-        sim.run_until(Timestamp::from_secs(40));
-        for id in &ids {
-            assert!(sim.ctx().stop_flow(*id));
-        }
-        sim.run_until(Timestamp::from_secs(60));
-        // After retraction, r1 falls back to the single natural hop.
-        let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
-        assert_eq!(hops.len(), 1, "lies must be retracted, got {hops:?}");
-        assert_eq!(hops[0].router, r(2));
-    }
-
-    #[test]
-    fn watch_handle_tracks_reactions_and_lies() {
-        let cfg = ControllerConfig::new(r(100));
-        let mut ctl = FibbingController::new(cfg.clone());
-        let watch = ctl.watch();
-        let mut sim = Sim::new(SimConfig::default());
-        for i in 1..=3 {
-            sim.add_router(r(i));
-        }
-        sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
-        sim.add_link(LinkSpec::new(r(2), r(3), Metric(1), 1e6));
-        sim.add_link(LinkSpec::new(r(1), r(3), Metric(5), 1e6));
-        sim.announce_prefix(r(3), Prefix::net24(1));
-        sim.add_controller_speaker(r(100), r(2));
-        sim.add_app(Box::new(ctl));
-        sim.start();
-        sim.run_until(Timestamp::from_secs(9));
-        assert_eq!(watch.lock().installed_lies, 0);
-        for i in 0..12 {
-            start_at(
-                &mut sim,
-                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
-                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-            );
-        }
-        sim.run_until(Timestamp::from_secs(30));
+        // The watch sees it, and the traced series steps from 0 to the
+        // installed count.
         let snap = *watch.lock();
         assert!(snap.installed_lies >= 1, "lies visible through the watch");
-        assert!(snap.stats.injections >= 1);
-        assert!(snap.stats.evaluations > 0);
-        // The traced series steps from 0 to the installed count.
+        assert!(snap.stats.injections >= 1 && snap.stats.evaluations > 0);
         let series = sim.recorder().series("ctrl.lies");
-        assert!(!series.is_empty());
         assert_eq!(series.first().map(|(_, v)| *v), Some(0.0));
         assert!(series.iter().any(|(_, v)| *v >= 1.0));
     }
@@ -688,8 +627,7 @@ mod tests {
         // One flow of 500 kB/s over a 1 MB/s shortest path: fine —
         // until the path's capacity is scripted down to 600 kB/s and
         // predicted utilization crosses the threshold.
-        let cfg = ControllerConfig::new(r(100));
-        let mut sim = sim_with_controller(cfg);
+        let (mut sim, _) = sim_with_controller(ControllerConfig::new(r(100)));
         sim.schedule(
             Timestamp::from_secs(20),
             Event::LinkCapacity {
@@ -720,25 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn small_demand_triggers_no_reaction() {
-        let cfg = ControllerConfig::new(r(100));
-        let mut sim = sim_with_controller(cfg);
-        sim.start();
-        start_at(
-            &mut sim,
-            Timestamp::from_secs(10),
-            FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-        );
-        sim.run_until(Timestamp::from_secs(30));
-        let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
-        assert_eq!(hops.len(), 1, "no lies expected, got {hops:?}");
-    }
-
-    #[test]
     fn snmp_only_controller_reacts_later_but_reacts() {
         let mut cfg = ControllerConfig::new(r(100));
         cfg.predictive = false; // only the SNMP path
-        let mut sim = sim_with_controller(cfg);
+        let (mut sim, _) = sim_with_controller(cfg);
         sim.start();
         for i in 0..12 {
             start_at(
@@ -755,6 +678,15 @@ mod tests {
             sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len() >= 2,
             "SNMP path must eventually react"
         );
+    }
+
+    /// The audit triggers written while `f` runs under a trace sink.
+    fn triggers(f: impl FnOnce()) -> Vec<String> {
+        fib_trace::install(Box::new(fib_trace::AggSink::new()));
+        f();
+        let sink = fib_trace::take().expect("installed above").into_any();
+        let sink = sink.downcast::<fib_trace::AggSink>().expect("the sink");
+        sink.audits().iter().map(|a| a.trigger.clone()).collect()
     }
 
     // ---- the caches: what is kept, and what drops it ----
@@ -973,18 +905,13 @@ mod tests {
         for _ in 0..u16::MAX - 2 {
             h.ctl.alloc.fw_addr(r(1), r(3)).expect("address left");
         }
-        fib_trace::install(Box::new(fib_trace::AggSink::new()));
-        h.evaluate();
-        let sink = fib_trace::take()
-            .expect("installed above")
-            .into_any()
-            .downcast::<fib_trace::AggSink>()
-            .expect("the sink that was installed");
+        let triggers = triggers(|| {
+            h.evaluate();
+        });
         assert_eq!((h.ctl.stats.injections, h.ctl.stats.failures), (5, 1));
         assert_eq!(h.ctl.installed_count(), 5, "no phantom in the books");
         let via_r3 = |l: &&Lie| l.fw.router == r(3);
         assert_eq!(h.ctl.installed_lies(P1).iter().filter(via_r3).count(), 2);
-        let triggers: Vec<&str> = sink.audits().iter().map(|a| a.trigger.as_str()).collect();
         assert_eq!(triggers.len(), 5, "{triggers:?}");
         assert_eq!(
             triggers[0],
@@ -1043,16 +970,9 @@ mod tests {
         };
         h.ctl.installed.get_mut(&P1).unwrap().insert(0, phantom);
         h.ctl.book.clear();
-        fib_trace::install(Box::new(fib_trace::AggSink::new()));
-        assert_eq!(h.evaluate(), (0, 0));
-        let sink = fib_trace::take()
-            .expect("installed above")
-            .into_any()
-            .downcast::<fib_trace::AggSink>()
-            .expect("the sink that was installed");
+        let triggers = triggers(|| assert_eq!(h.evaluate(), (0, 0)));
         assert_eq!(h.ctl.installed_lies(P1), [phantom], "still in the books");
         assert_eq!((h.ctl.stats.retractions, h.ctl.stats.failures), (told, 1));
-        let triggers: Vec<&str> = sink.audits().iter().map(|a| a.trigger.as_str()).collect();
         assert_eq!(
             triggers[0],
             format!(
@@ -1093,16 +1013,11 @@ mod tests {
         assert_eq!(h.ctl.stats.failures, 1);
         assert_eq!(h.ctl.last_failure, None);
 
-        fib_trace::install(Box::new(fib_trace::AggSink::new()));
-        h.ctl
-            .plan_failed(P2, &crate::augmentation::AugmentError::NoFixpoint);
-        h.evaluate();
-        let sink = fib_trace::take()
-            .expect("installed above")
-            .into_any()
-            .downcast::<fib_trace::AggSink>()
-            .expect("the sink that was installed");
-        let triggers: Vec<&str> = sink.audits().iter().map(|a| a.trigger.as_str()).collect();
+        let triggers = triggers(|| {
+            h.ctl
+                .plan_failed(P2, &crate::augmentation::AugmentError::NoFixpoint);
+            h.evaluate();
+        });
         assert!(triggers.len() >= 2, "{triggers:?}");
         assert_eq!(
             triggers[0],

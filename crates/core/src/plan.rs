@@ -66,11 +66,9 @@ pub(crate) fn realize_from_scratch(real: &Topology, dag: &WeightedDag) -> Realiz
     Ok((aug.lies.len(), reduce(real, dag, &aug.lies)))
 }
 
-/// One run of [`realize_from_scratch`], remembered.
-pub(crate) struct Reaction {
-    dag: WeightedDag,
-    realized: Realized,
-}
+/// The last reaction per prefix: the DAG it was for, and what
+/// [`realize_from_scratch`] made of it.
+pub(crate) type Memo = BTreeMap<Prefix, (WeightedDag, Realized)>;
 
 /// What a pass keeps for the next one. The component brings `view` and
 /// `real` up to the speaker's LSDB before each [`react`], and drops
@@ -82,7 +80,7 @@ pub(crate) struct Kept {
     /// The view without the lies: what planning works on.
     pub(crate) real: Option<Derived>,
     /// The last reaction per prefix, all computed on `real`.
-    pub(crate) memo: BTreeMap<Prefix, Reaction>,
+    pub(crate) memo: Memo,
 }
 
 /// Why a pass acts: the first of these that holds, in this order.
@@ -222,27 +220,23 @@ pub(crate) fn react(
 /// computed and remembered.
 pub(crate) fn realize(
     real: &Topology,
-    memo: &mut BTreeMap<Prefix, Reaction>,
+    memo: &mut Memo,
     dag: &WeightedDag,
     replayed: &mut u64,
 ) -> Realized {
-    if let Some(reaction) = memo.get(&dag.prefix).filter(|m| m.dag == *dag) {
+    if let Some((_, realized)) = memo.get(&dag.prefix).filter(|(d, _)| d == dag) {
         *replayed += 1;
         // Debug builds check every hit against the computation it
         // stands for. Not under a trace sink: a trace shows, span for
         // span, what a release build does.
         if cfg!(debug_assertions) && !fib_trace::enabled() {
             let expected = realize_from_scratch(real, dag);
-            assert_eq!(reaction.realized, expected, "memoised reaction for {dag}");
+            assert_eq!(*realized, expected, "memoised reaction for {dag}");
         }
-        return reaction.realized.clone();
+        return realized.clone();
     }
     let realized = realize_from_scratch(real, dag);
-    let reaction = Reaction {
-        dag: dag.clone(),
-        realized: realized.clone(),
-    };
-    memo.insert(dag.prefix, reaction);
+    memo.insert(dag.prefix, (dag.clone(), realized.clone()));
     realized
 }
 
