@@ -286,14 +286,15 @@ impl FibbingController {
         if !fib_trace::enabled() {
             return;
         }
-        let natural = Trigger::Natural(pass.natural, self.cfg.util_lo);
+        let lo = self.cfg.util_lo;
         let (trigger, candidates, predicted_max_util) = match decision {
             Decision::Install {
-                candidates: n,
-                loads,
-                ..
-            } => (pass.trigger, *n, max_utilization(loads, &self.caps)),
-            _ => (natural, 0, pass.natural),
+                candidates, loads, ..
+            } => {
+                let predicted = max_utilization(loads, &self.caps);
+                (pass.trigger, *candidates, predicted)
+            }
+            _ => (Trigger::Natural(pass.natural, lo), 0, pass.natural),
         };
         let trigger = match self.last_failure.take() {
             Some(failure) => format!("{trigger}; after {failure}"),
