@@ -105,14 +105,6 @@ impl<K: Ord + Clone> LoadMonitor<K> {
         self.entries.get(key).and_then(|e| e.est.rate())
     }
 
-    /// Whether the alarm for a key is currently raised.
-    pub fn is_alarmed(&self, key: &K) -> bool {
-        self.entries
-            .get(key)
-            .map(|e| e.alarm.is_active())
-            .unwrap_or(false)
-    }
-
     /// The first key, in key order, whose alarm is currently raised,
     /// with the utilization it was raised at.
     pub fn alarmed(&self) -> Option<(&K, f64)> {
@@ -159,7 +151,6 @@ mod tests {
         let ev = m.on_sample(&"a-b", t(1), 900).expect("raise");
         assert_eq!(ev.edge, Edge::Raised);
         assert!((ev.utilization - 0.9).abs() < 1e-9);
-        assert!(m.is_alarmed(&"a-b"));
         assert_eq!(m.alarmed(), Some((&"a-b", 0.9)));
     }
 
@@ -172,14 +163,12 @@ mod tests {
         m.on_sample(&"c-d", t(1), 0);
         // util 0.5: inside hysteresis band → still raised, at 0.9.
         assert_eq!(m.on_sample(&"a-b", t(2), 1400), None);
-        assert!(m.is_alarmed(&"a-b"));
         assert_eq!(m.alarmed(), Some((&"a-b", 0.9)));
         // c-d raises at 0.95; then a-b's util 0.1 ≤ 0.4 → clear, and
         // the alarm that stands is c-d's.
         m.on_sample(&"c-d", t(2), 950).expect("raise");
         let ev = m.on_sample(&"a-b", t(3), 1500).expect("clear");
         assert_eq!(ev.edge, Edge::Cleared);
-        assert!(!m.is_alarmed(&"a-b"));
         assert_eq!(m.alarmed(), Some((&"c-d", 0.95)));
     }
 
@@ -188,7 +177,7 @@ mod tests {
         let mut m = monitor();
         assert_eq!(m.on_sample(&"nope", t(0), 0), None);
         assert_eq!(m.utilization(&"nope"), None);
-        assert!(!m.is_alarmed(&"nope"));
+        assert_eq!(m.alarmed(), None);
     }
 
     #[test]
