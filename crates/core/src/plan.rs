@@ -57,11 +57,11 @@ impl Derived {
 /// What realizing a DAG came to: the size of the candidate lie set the
 /// reducer chose from, and the lies to install, in injection order and
 /// under plan-local names (the component gives the real ones).
-pub(crate) type Realized = Result<(usize, Vec<Lie>), AugmentError>;
+type Realized = Result<(usize, Vec<Lie>), AugmentError>;
 
 /// [`augment`] then the Merger-style [`reduce`]: a function of the real
 /// topology and the DAG alone.
-pub(crate) fn realize_from_scratch(real: &Topology, dag: &WeightedDag) -> Realized {
+fn realize_from_scratch(real: &Topology, dag: &WeightedDag) -> Realized {
     let aug = augment(real, dag, &mut LieAllocator::new())?;
     Ok((aug.lies.len(), reduce(real, dag, &aug.lies)))
 }
@@ -86,15 +86,16 @@ pub(crate) struct Kept {
 /// Why a pass acts: the first of these that holds, in this order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Trigger {
-    /// The demands spread over the speaker's view load a link to a
-    /// utilization at or above `util_hi` (predictive mode only).
+    /// `(utilization, util_hi)`: the demands spread over the speaker's
+    /// view load a link at or above `util_hi` (predictive mode only).
     Predicted(f64, f64),
     /// An SNMP alarm stands on this link, raised at this utilization.
     Alarm(LinkKey, f64),
-    /// SNMP measured a link at or above `util_hi`.
+    /// `(utilization, util_hi)`: SNMP measured a link at or above it.
     Measured(f64, f64),
-    /// Nothing is hot. Lie-free routing loads no link above this; at or
-    /// below `util_lo`, every lie is retracted.
+    /// `(utilization, util_lo)`: nothing is hot, and lie-free routing
+    /// loads no link above this utilization; at or below `util_lo`,
+    /// every lie is retracted.
     Natural(f64, f64),
 }
 
@@ -145,9 +146,9 @@ pub(crate) struct Pass {
 
 /// Decide one pass. `snmp` is the link monitor, if SNMP is on;
 /// `kept.view` and `kept.real` must hold the speaker's current view and
-/// its lie-free part. Fails, deciding nothing, when
-/// the demand cannot be spread over either (a demand's ingress without
-/// a route, or a forwarding loop: convergence in progress).
+/// its lie-free part. Fails, deciding nothing, when the demand cannot
+/// be spread over either (a demand's ingress without a route, or a
+/// forwarding loop: convergence in progress).
 pub(crate) fn react(
     book: &DemandBook,
     caps: &Caps,
@@ -218,12 +219,7 @@ pub(crate) fn react(
 /// previous reaction was for this DAG (a hit counts in `replayed`; the
 /// memo never outlives the real topology it was computed on), else
 /// computed and remembered.
-pub(crate) fn realize(
-    real: &Topology,
-    memo: &mut Memo,
-    dag: &WeightedDag,
-    replayed: &mut u64,
-) -> Realized {
+fn realize(real: &Topology, memo: &mut Memo, dag: &WeightedDag, replayed: &mut u64) -> Realized {
     if let Some((_, realized)) = memo.get(&dag.prefix).filter(|(d, _)| d == dag) {
         *replayed += 1;
         // Debug builds check every hit against the computation it
