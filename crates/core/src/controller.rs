@@ -554,10 +554,16 @@ mod tests {
     use fib_netsim::link::LinkSpec;
     use fib_netsim::sim::{Sim, SimConfig};
 
-    /// Run to `at`, then start a flow there from host code.
-    fn start_at(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> fib_netsim::flow::FlowId {
-        sim.run_until(at);
-        sim.ctx().start_flow(spec)
+    /// Start `n` viewers of 100 kB/s at r1 for the prefix, from host
+    /// code, 10 ms apart from t = 10 s.
+    fn crowd(sim: &mut Sim, n: u64) -> Vec<FlowId> {
+        let spec = FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5);
+        (0..n)
+            .map(|i| {
+                sim.run_until(Timestamp::from_secs(10) + Dur::from_millis(i * 10));
+                sim.ctx().start_flow(spec.clone())
+            })
+            .collect()
     }
 
     fn r(n: u32) -> RouterId {
@@ -590,13 +596,7 @@ mod tests {
         sim.start();
         sim.run_until(Timestamp::from_secs(9));
         assert_eq!(watch.lock().installed_lies, 0);
-        for i in 0..12 {
-            start_at(
-                &mut sim,
-                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
-                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-            );
-        }
+        crowd(&mut sim, 12);
         sim.run_until(Timestamp::from_secs(30));
         // r1 must have gained an extra ECMP slot toward r3.
         let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
@@ -624,6 +624,28 @@ mod tests {
     }
 
     #[test]
+    fn controller_retracts_when_demand_subsides() {
+        let (mut sim, _) = sim_with_controller(ControllerConfig::new(r(100)));
+        sim.start();
+        let ids = crowd(&mut sim, 12);
+        sim.run_until(Timestamp::from_secs(35));
+        assert!(
+            sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len() >= 2,
+            "lies installed during the crowd"
+        );
+        // Stop all flows at t=40.
+        sim.run_until(Timestamp::from_secs(40));
+        for id in &ids {
+            assert!(sim.ctx().stop_flow(*id));
+        }
+        sim.run_until(Timestamp::from_secs(60));
+        // After retraction, r1 falls back to the single natural hop.
+        let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
+        assert_eq!(hops.len(), 1, "lies must be retracted, got {hops:?}");
+        assert_eq!(hops[0].router, r(2));
+    }
+
+    #[test]
     fn capacity_degradation_is_noticed_on_refresh() {
         // One flow of 500 kB/s over a 1 MB/s shortest path: fine —
         // until the path's capacity is scripted down to 600 kB/s and
@@ -638,13 +660,7 @@ mod tests {
             },
         );
         sim.start();
-        for i in 0..5 {
-            start_at(
-                &mut sim,
-                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
-                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-            );
-        }
+        crowd(&mut sim, 5);
         sim.run_until(Timestamp::from_secs(18));
         assert_eq!(
             sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len(),
@@ -659,18 +675,22 @@ mod tests {
     }
 
     #[test]
+    fn small_demand_triggers_no_reaction() {
+        let (mut sim, _) = sim_with_controller(ControllerConfig::new(r(100)));
+        sim.start();
+        crowd(&mut sim, 1);
+        sim.run_until(Timestamp::from_secs(30));
+        let hops = sim.ctx().fib_nexthops(r(1), Prefix::net24(1));
+        assert_eq!(hops.len(), 1, "no lies expected, got {hops:?}");
+    }
+
+    #[test]
     fn snmp_only_controller_reacts_later_but_reacts() {
         let mut cfg = ControllerConfig::new(r(100));
         cfg.predictive = false; // only the SNMP path
         let (mut sim, _) = sim_with_controller(cfg);
         sim.start();
-        for i in 0..12 {
-            start_at(
-                &mut sim,
-                Timestamp::from_secs(10) + Dur::from_millis(i * 10),
-                FlowSpec::new(r(1), Prefix::net24(1)).with_cap(1e5),
-            );
-        }
+        crowd(&mut sim, 12);
         sim.run_until(Timestamp::from_secs(13));
         // Too early: counters haven't shown sustained overload yet.
         assert_eq!(sim.ctx().fib_nexthops(r(1), Prefix::net24(1)).len(), 1);
