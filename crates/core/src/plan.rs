@@ -12,7 +12,7 @@ use fib_igp::topology::Topology;
 use fib_igp::types::{Prefix, RouterId};
 use fib_netsim::link::LinkKey;
 use fib_telemetry::monitor::LoadMonitor;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Demands as the controller books them: per prefix, `(ingress, rate)`
@@ -89,10 +89,9 @@ pub(crate) enum Trigger {
     /// `(utilization, util_hi)`: the demands spread over the speaker's
     /// view load a link at or above `util_hi` (predictive mode only).
     Predicted(f64, f64),
-    /// An SNMP alarm stands on this link, raised at this utilization.
+    /// An SNMP alarm stands on this link, raised at this utilization
+    /// (the monitor raises at `util_hi`, with no hold-down).
     Alarm(LinkKey, f64),
-    /// `(utilization, util_hi)`: SNMP measured a link at or above it.
-    Measured(f64, f64),
     /// `(utilization, util_lo)`: nothing is hot, and lie-free routing
     /// loads no link above this utilization; at or below `util_lo`,
     /// every lie is retracted.
@@ -107,7 +106,6 @@ impl fmt::Display for Trigger {
             Trigger::Alarm(link, util) => {
                 write!(f, "alarm {}->{} raised @{util:.3}", link.from, link.to)
             }
-            Trigger::Measured(util, hi) => write!(f, "measured {util:.3} >= hi {hi:.3}"),
             Trigger::Natural(util, lo) => write!(f, "natural {util:.3} <= lo {lo:.3}"),
         }
     }
@@ -167,25 +165,20 @@ pub(crate) fn react(
     // per pass, not once per prefix.
     let natural = max_utilization(&real.spread(book)?, caps);
     let measured = snmp.map_or(0.0, LoadMonitor::max_utilization);
-    let (hi, lo) = (cfg.util_hi, cfg.util_lo);
-    let trigger = if cfg.predictive && predicted >= hi {
-        Trigger::Predicted(predicted, hi)
+    let trigger = if cfg.predictive && predicted >= cfg.util_hi {
+        Trigger::Predicted(predicted, cfg.util_hi)
     } else if let Some((&link, util)) = snmp.and_then(LoadMonitor::alarmed) {
         Trigger::Alarm(link, util)
-    } else if measured >= hi {
-        Trigger::Measured(measured, hi)
     } else {
-        Trigger::Natural(natural, lo)
+        Trigger::Natural(natural, cfg.util_lo)
     };
     let congested = !matches!(trigger, Trigger::Natural(..));
     let real = &real.topo;
 
-    let mut prefixes: Vec<Prefix> = book.keys().chain(installed.keys()).copied().collect();
-    prefixes.sort();
-    prefixes.dedup();
+    let prefixes: BTreeSet<Prefix> = book.keys().chain(installed.keys()).copied().collect();
     let (mut decisions, mut replayed) = (Vec::new(), 0);
     for prefix in prefixes {
-        if installed.contains_key(&prefix) && natural <= lo {
+        if installed.contains_key(&prefix) && natural <= cfg.util_lo {
             decisions.push((prefix, Decision::RetractAll));
             continue;
         }
@@ -306,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn a_pass_replays_retracts_and_fails_as_data() {
+    fn a_pass_retracts_and_fails_as_data() {
         let (mut caps, mut kept) = triangle();
         let mut cfg = ControllerConfig::new(r(100));
         let (crowd, none) = (book(&[(P1, 1.2e6)]), BTreeMap::new());
@@ -314,17 +307,6 @@ mod tests {
         let [(P1, Decision::Install { lies, .. })] = &first.decisions[..] else {
             panic!("{first:?}");
         };
-        assert!(!lies.is_empty());
-        assert_eq!(first.replayed, 0);
-        // The same crowd again: the memo answers, with the same lies.
-        let again = react(&crowd, &caps, &none, None, &cfg, &mut kept).unwrap();
-        assert_eq!(again.replayed, 1);
-        assert!(
-            matches!(&again.decisions[..], [(P1, Decision::Install { lies: l, .. })] if l == lies)
-        );
-        // A viewer too few to load any link: nothing to do.
-        let small = react(&book(&[(P1, 1e5)]), &caps, &none, None, &cfg, &mut kept).unwrap();
-        assert!(small.decisions.is_empty(), "{small:?}");
         // Everyone left: the prefix with lies gets them all retracted.
         let installed = BTreeMap::from([(P1, lies.clone())]);
         let gone = react(&DemandBook::new(), &caps, &installed, None, &cfg, &mut kept).unwrap();
