@@ -71,11 +71,6 @@ impl<K: Ord + Clone> LoadMonitor<K> {
         );
     }
 
-    /// Stop tracking a key.
-    pub fn remove(&mut self, key: &K) {
-        self.entries.remove(key);
-    }
-
     /// Feed one polled counter value; returns an alarm event if the
     /// utilization crossed a threshold (with hold-down).
     pub fn on_sample(&mut self, key: &K, at: Timestamp, counter: u64) -> Option<LoadEvent<K>> {
@@ -95,16 +90,6 @@ impl<K: Ord + Clone> LoadMonitor<K> {
         })
     }
 
-    /// Most recent utilization of a key (0 before the first interval).
-    pub fn utilization(&self, key: &K) -> Option<f64> {
-        self.entries.get(key).map(|e| e.last_util)
-    }
-
-    /// Most recent smoothed rate of a key.
-    pub fn rate(&self, key: &K) -> Option<f64> {
-        self.entries.get(key).and_then(|e| e.est.rate())
-    }
-
     /// The first key, in key order, whose alarm is currently raised,
     /// with the utilization it was raised at.
     pub fn alarmed(&self) -> Option<(&K, f64)> {
@@ -112,11 +97,6 @@ impl<K: Ord + Clone> LoadMonitor<K> {
             .iter()
             .find(|(_, e)| e.alarm.is_active())
             .map(|(k, e)| (k, e.raised_util))
-    }
-
-    /// All tracked keys.
-    pub fn keys(&self) -> Vec<K> {
-        self.entries.keys().cloned().collect()
     }
 
     /// Highest current utilization across all keys (0 if none).
@@ -176,7 +156,6 @@ mod tests {
     fn unknown_key_is_none() {
         let mut m = monitor();
         assert_eq!(m.on_sample(&"nope", t(0), 0), None);
-        assert_eq!(m.utilization(&"nope"), None);
         assert_eq!(m.alarmed(), None);
     }
 
