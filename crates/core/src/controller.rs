@@ -286,16 +286,13 @@ impl FibbingController {
         if !fib_trace::enabled() {
             return;
         }
-        let lo = self.cfg.util_lo;
-        let (trigger, candidates, predicted_max_util) = match decision {
+        let (trigger, candidates, loads) = match decision {
             Decision::Install {
                 candidates, loads, ..
-            } => {
-                let predicted = max_utilization(loads, &self.caps);
-                (pass.trigger, *candidates, predicted)
-            }
-            _ => (Trigger::Natural(pass.natural, lo), 0, pass.natural),
+            } => (pass.trigger, *candidates, Some(loads)),
+            _ => (Trigger::Natural(pass.natural, self.cfg.util_lo), 0, None),
         };
+        let predicted_max_util = loads.map_or(pass.natural, |l| max_utilization(l, &self.caps));
         let trigger = match self.last_failure.take() {
             Some(failure) => format!("{trigger}; after {failure}"),
             None => trigger.to_string(),
@@ -328,17 +325,14 @@ impl FibbingController {
     fn apply(&mut self, api: &mut SimContext<'_>, pass: &Pass) {
         self.stats.replayed += pass.replayed;
         for &(prefix, ref decision) in &pass.decisions {
+            self.stats.reactions += u64::from(!matches!(decision, Decision::RetractAll));
             let (mut kept, obsolete, to_inject) = match decision {
                 Decision::RetractAll => {
                     let lies = self.installed.remove(&prefix).unwrap_or_default();
                     (Vec::new(), lies, Vec::new())
                 }
-                Decision::Install { lies, .. } => {
-                    self.stats.reactions += 1;
-                    self.reconcile(prefix, lies)
-                }
+                Decision::Install { lies, .. } => self.reconcile(prefix, lies),
                 Decision::Failed(e) => {
-                    self.stats.reactions += 1;
                     self.plan_failed(prefix, e);
                     continue;
                 }
@@ -956,16 +950,8 @@ mod tests {
         // it under a speaker id the simulator does not know.
         assert!(h.ctl.refresh_topologies(&h.sim.ctx()));
         let book = h.ctl.demands_by_prefix();
-        let ctl = &mut h.ctl;
-        let pass = plan::react(
-            &book,
-            &ctl.caps,
-            &ctl.installed,
-            None,
-            &ctl.cfg,
-            &mut ctl.kept,
-        );
-        let pass = pass.expect("the crowd spreads");
+        let c = &mut h.ctl;
+        let pass = plan::react(&book, &c.caps, &c.installed, None, &c.cfg, &mut c.kept).unwrap();
         let [(P1, Decision::Install { lies, .. })] = &pass.decisions[..] else {
             panic!("{pass:?}");
         };

@@ -32,12 +32,10 @@
 //! measured values held: the same lies at the same instants for the
 //! same reasons.
 //!
-//! The three audit digests were re-pinned once when an SNMP trigger
-//! began to name a link whose alarm stands, at its raise utilization.
-//! It used to name the latest alarm edge of any link: seven records at
-//! t = 51.5–51.8 s read `alarm r4->r20 cleared @0.299`, though r4→r20
-//! had cleared at 51 s; they now read `alarm r8->r16 raised @0.893`.
-//! Nothing else in the log moved.
+//! The audit digests were re-pinned once when an SNMP trigger began to
+//! name a standing alarm: seven records at t = 51.5–51.8 s read `alarm
+//! r4->r20 cleared @0.299` (r4→r20 had cleared at 51 s), and now read
+//! `alarm r8->r16 raised @0.893`. Nothing else in the log moved.
 //!
 //! [`LieAllocator`]: fibbing::core::lie::LieAllocator
 
