@@ -259,9 +259,9 @@ impl FibbingController {
                     // lands in the run's trace: the `alarm.<from>-<to>`
                     // series steps to the edge utilization on raise,
                     // back to 0 on clear.
-                    if let Some(ev) = self.monitor.on_sample(&key, now, c) {
-                        let level = match ev.edge {
-                            Edge::Raised => ev.utilization,
+                    if let Some((edge, util)) = self.monitor.on_sample(&key, now, c) {
+                        let level = match edge {
+                            Edge::Raised => util,
                             Edge::Cleared => 0.0,
                         };
                         api.record(&format!("alarm.{}-{}", key.from, key.to), level);

@@ -63,11 +63,6 @@ impl Alarm {
         self.active
     }
 
-    /// The configuration.
-    pub fn threshold(&self) -> Threshold {
-        self.cfg
-    }
-
     /// Feed a sample; returns an [`Edge`] when the alarm transitions.
     pub fn observe(&mut self, at: Timestamp, value: f64) -> Option<Edge> {
         if !self.active {

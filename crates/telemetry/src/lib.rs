@@ -30,6 +30,6 @@ pub mod prelude {
     pub use crate::alarm::{Alarm, Edge, Threshold};
     pub use crate::counters::{counter_delta, Counter, CounterWidth, IfaceCounters};
     pub use crate::mib::{oids, Agent, Oid, Value};
-    pub use crate::monitor::{LoadEvent, LoadMonitor};
+    pub use crate::monitor::LoadMonitor;
     pub use crate::rate::RateEstimator;
 }

@@ -12,19 +12,6 @@ use crate::rate::RateEstimator;
 use fib_igp::time::Timestamp;
 use std::collections::BTreeMap;
 
-/// A utilization alarm event for one monitored key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadEvent<K> {
-    /// The monitored key (e.g. a directed link).
-    pub key: K,
-    /// Raised or cleared.
-    pub edge: Edge,
-    /// Utilization at the edge (fraction of capacity).
-    pub utilization: f64,
-    /// Estimated rate in bytes/s at the edge.
-    pub rate: f64,
-}
-
 #[derive(Debug)]
 struct Entry {
     capacity: f64,
@@ -71,23 +58,18 @@ impl<K: Ord + Clone> LoadMonitor<K> {
         );
     }
 
-    /// Feed one polled counter value; returns an alarm event if the
-    /// utilization crossed a threshold (with hold-down).
-    pub fn on_sample(&mut self, key: &K, at: Timestamp, counter: u64) -> Option<LoadEvent<K>> {
+    /// Feed one polled counter value; returns the alarm's edge and the
+    /// utilization (fraction of capacity) at it if the utilization
+    /// crossed a threshold (with hold-down).
+    pub fn on_sample(&mut self, key: &K, at: Timestamp, counter: u64) -> Option<(Edge, f64)> {
         let e = self.entries.get_mut(key)?;
-        let rate = e.est.observe(at, counter)?;
-        let util = rate / e.capacity;
+        let util = e.est.observe(at, counter)? / e.capacity;
         e.last_util = util;
         let edge = e.alarm.observe(at, util)?;
         if edge == Edge::Raised {
             e.raised_util = util;
         }
-        Some(LoadEvent {
-            key: key.clone(),
-            edge,
-            utilization: util,
-            rate,
-        })
+        Some((edge, util))
     }
 
     /// The first key, in key order, whose alarm is currently raised,
@@ -128,9 +110,9 @@ mod tests {
         let mut m = monitor();
         assert_eq!(m.on_sample(&"a-b", t(0), 0), None);
         // 900 B over 1 s → util 0.9 ≥ 0.8 → raise.
-        let ev = m.on_sample(&"a-b", t(1), 900).expect("raise");
-        assert_eq!(ev.edge, Edge::Raised);
-        assert!((ev.utilization - 0.9).abs() < 1e-9);
+        let (edge, util) = m.on_sample(&"a-b", t(1), 900).expect("raise");
+        assert_eq!(edge, Edge::Raised);
+        assert!((util - 0.9).abs() < 1e-9);
         assert_eq!(m.alarmed(), Some((&"a-b", 0.9)));
     }
 
@@ -147,8 +129,8 @@ mod tests {
         // c-d raises at 0.95; then a-b's util 0.1 ≤ 0.4 → clear, and
         // the alarm that stands is c-d's.
         m.on_sample(&"c-d", t(2), 950).expect("raise");
-        let ev = m.on_sample(&"a-b", t(3), 1500).expect("clear");
-        assert_eq!(ev.edge, Edge::Cleared);
+        let (edge, _) = m.on_sample(&"a-b", t(3), 1500).expect("clear");
+        assert_eq!(edge, Edge::Cleared);
         assert_eq!(m.alarmed(), Some((&"c-d", 0.95)));
     }
 

@@ -48,17 +48,6 @@ impl RateEstimator {
         });
         self.ewma
     }
-
-    /// The current smoothed rate, if at least two samples were seen.
-    pub fn rate(&self) -> Option<f64> {
-        self.ewma
-    }
-
-    /// Forget all history (e.g. after an agent restart is detected).
-    pub fn reset(&mut self) {
-        self.last = None;
-        self.ewma = None;
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +63,6 @@ mod tests {
     fn needs_two_samples() {
         let mut e = RateEstimator::new(CounterWidth::C64, 1.0);
         assert_eq!(e.observe(t(0), 0), None);
-        assert_eq!(e.rate(), None);
         let r = e.observe(t(1), 1000).unwrap();
         assert!((r - 1000.0).abs() < 1e-9);
     }
@@ -108,20 +96,9 @@ mod tests {
     fn duplicate_poll_is_ignored() {
         let mut e = RateEstimator::new(CounterWidth::C64, 1.0);
         e.observe(t(0), 0);
-        e.observe(t(1), 100);
-        let before = e.rate();
+        let before = e.observe(t(1), 100);
         let after = e.observe(t(1), 100);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn reset_forgets() {
-        let mut e = RateEstimator::new(CounterWidth::C64, 1.0);
-        e.observe(t(0), 0);
-        e.observe(t(1), 100);
-        e.reset();
-        assert_eq!(e.rate(), None);
-        assert_eq!(e.observe(t(2), 500), None);
     }
 
     proptest! {
