@@ -349,6 +349,11 @@ pub struct Sim {
     pub(crate) core: Core,
     apps: Registry<dyn EventHandler>,
     tick_intervals: Vec<Option<Dur>>,
+    /// The ticks and flow events a dispatch round is handing out, kept
+    /// for their allocations: each round swaps them with the core's
+    /// pending lists, which components fill again meanwhile.
+    round_ticks: Vec<ComponentId>,
+    round_events: Vec<(bool, FlowInfo)>,
 }
 
 impl Core {
@@ -1180,6 +1185,8 @@ impl Sim {
             core: Core::new(cfg),
             apps: Registry::new(),
             tick_intervals: Vec::new(),
+            round_ticks: Vec::new(),
+            round_events: Vec::new(),
         }
     }
 
@@ -1344,12 +1351,12 @@ impl Sim {
         // Bounded ping-pong: components reacting to notifications may
         // create flows, which notify again within the same instant.
         for _round in 0..8 {
-            let ticks: Vec<ComponentId> = std::mem::take(&mut self.core.pending_ticks);
-            let events: Vec<(bool, FlowInfo)> = std::mem::take(&mut self.core.pending_flow_events);
-            if ticks.is_empty() && events.is_empty() {
+            std::mem::swap(&mut self.round_ticks, &mut self.core.pending_ticks);
+            std::mem::swap(&mut self.round_events, &mut self.core.pending_flow_events);
+            if self.round_ticks.is_empty() && self.round_events.is_empty() {
                 break;
             }
-            for cid in ticks {
+            for cid in self.round_ticks.drain(..) {
                 let mut ctx = SimContext {
                     core: &mut self.core,
                 };
@@ -1362,7 +1369,7 @@ impl Sim {
                     self.core.queue.push(at, Ev::Tick(cid));
                 }
             }
-            for (started, info) in events {
+            for (started, info) in self.round_events.drain(..) {
                 for i in 0..self.apps.len() {
                     let cid = ComponentId(i as u32);
                     let mut ctx = SimContext {
