@@ -8,18 +8,20 @@
 //! its player holds the whole clip, stops it when the clip ends, and
 //! shares its sessions with a [`QoeHandle`] through which the
 //! experiment harness reads every session's QoE report, mid-run or
-//! after it. A report enters the ordered map once, when its session
+//! after it. A report is stored once, under its tag, when its session
 //! finishes; the reports of sessions still playing are derived from
 //! their players when somebody reads.
 //!
 //! A schedule is a list of [`Wave`]s: what every viewer of a wave
 //! shares (server, prefix, asset) is stored once, next to the wave's
 //! arrival instants. A pending session costs one 16-byte
-//! `(start, wave, tag)` triple, a player is built when its session
-//! launches, and finished sessions are dropped from the active set, so
-//! memory tracks the number of *concurrent* viewers, not the length of
-//! the schedule. City-scale scenarios (thousands of sessions) rely on
-//! this.
+//! `(start, wave, tag)` triple, and a player is built when its session
+//! launches. The playing sessions sit in a slab: a launch takes a free
+//! slot if there is one, and a session frees its slot when it
+//! finishes, so the slab has as many slots as the most sessions ever
+//! playing at once, and memory tracks the number of *concurrent*
+//! viewers, not the length of the schedule. City-scale scenarios
+//! (thousands of sessions) rely on this.
 //!
 //! Players sleep. A player's state is values at an anchor plus slopes
 //! that hold until its flow's rate changes (see [`crate::client`]), so
@@ -42,16 +44,11 @@
 //! instants would cost one settle per session event instead of one
 //! per tick.
 //!
-//! A finished session is not removed at once: it stays in the active
-//! set, skipped by readers, until finished sessions make up a
-//! sixteenth of the set, and then one order-keeping pass drops them
-//! all. Finished sessions sit near the front of a set in launch order,
-//! so removing each as it finishes would move almost every playing
-//! session.
-//!
 //! A rate change or a booking finds its session in one step: a table
-//! from flow id, less the oldest active session's, to active-set
-//! position, which the compaction pass rebuilds as it walks the set.
+//! from flow id, less the oldest playing session's, to slot. A
+//! session's entry is cleared when it finishes, and the entries before
+//! the oldest playing session's are dropped, so the table spans the
+//! flows started since that session launched.
 
 use crate::catalog::Video;
 use crate::client::{Player, PlayerConfig, PlayerState};
@@ -62,7 +59,7 @@ use fib_netsim::flow::{FlowId, FlowSpec, RateChange};
 use fib_netsim::handler::{AppEvent, EventHandler};
 use fib_netsim::sim::SimContext;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The grid the driver's data-plane actions fall on.
@@ -129,27 +126,26 @@ impl Wave {
     }
 }
 
-/// A flow id no active session has, in [`Shared::positions`].
+/// A flow id no playing session has, in [`Shared::positions`].
 const NOT_ACTIVE: u32 = u32::MAX;
 
 /// What the driver shares with its readers.
 #[derive(Default)]
 struct Shared {
-    /// Final reports by tag: one insert per session, when it finishes.
-    finished: BTreeMap<u64, QoeReport>,
-    /// The launched sessions, in launch order (so in flow id order):
-    /// those still playing, and the `done` that finished since the
-    /// last compaction.
-    active: Vec<Session>,
-    /// Per flow id from `base` to the newest session's, the position in
-    /// `active` of the session whose flow it is ([`NOT_ACTIVE`] for
-    /// none): what a rate change or a booking is looked up in, four
-    /// bytes an id. Rebuilt where `active` is compacted.
-    positions: Vec<u32>,
-    /// The flow id `positions` starts at: the oldest active session's.
+    /// Final reports by tag (tags are dense from 0): `Some` once the
+    /// session has finished, written once.
+    finished: Vec<Option<QoeReport>>,
+    /// The slab of playing sessions, in no order: a slot is `None`
+    /// while free.
+    slots: Vec<Option<Session>>,
+    /// The free slots, the last freed on top.
+    free: Vec<u32>,
+    /// Per flow id from `base` to the newest session's, the slot of the
+    /// session whose flow it is ([`NOT_ACTIVE`] for none): what a rate
+    /// change or a booking is looked up in, four bytes an id.
+    positions: VecDeque<u32>,
+    /// The flow id `positions` starts at: the oldest playing session's.
     base: u64,
-    /// Finished sessions still in `active`.
-    done: usize,
     /// The last tick's instant, which the reports of playing sessions
     /// are derived at (`None` before the first tick).
     now: Option<Timestamp>,
@@ -178,9 +174,7 @@ impl QoeHandle {
             Some(now) => {
                 let now = now.as_secs_f64();
                 shared
-                    .active
-                    .iter()
-                    .filter(|s| !s.finished())
+                    .playing()
                     .map(|s| (s.tag, s.player.qoe_at(now)))
                     .collect()
             }
@@ -189,8 +183,11 @@ impl QoeHandle {
         playing.sort_by_key(|(tag, _)| *tag);
         let mut out = Vec::with_capacity(shared.finished.len() + playing.len());
         let mut playing = playing.into_iter().peekable();
-        for (tag, report) in &shared.finished {
-            while let Some((_, earlier)) = playing.next_if(|(t, _)| t < tag) {
+        for (tag, report) in (0u64..).zip(&shared.finished) {
+            let Some(report) = report else {
+                continue;
+            };
+            while let Some((_, earlier)) = playing.next_if(|(t, _)| *t < tag) {
                 out.push(earlier);
             }
             out.push(report.clone());
@@ -208,7 +205,7 @@ impl QoeHandle {
     }
 }
 
-/// A launched session: its player holds a copy of the wave's asset.
+/// A playing session: its player holds a copy of the wave's asset.
 struct Session {
     tag: u64,
     flow: FlowId,
@@ -218,11 +215,11 @@ struct Session {
     paused: bool,
 }
 
-// The active set is what memory tracks: a wider session is paid per
+// The slab is what memory tracks: a wider session is paid per
 // concurrent viewer.
 const _: () = assert!(
-    std::mem::size_of::<Session>() <= 152,
-    "a session fits in 152 bytes"
+    std::mem::size_of::<Option<Session>>() <= 152,
+    "a slot fits in 152 bytes"
 );
 
 impl Session {
@@ -321,8 +318,7 @@ impl VideoWorkload {
             self.cursor += 1;
             let session = Session::launch(&self.waves[wave as usize], u64::from(tag), ctx);
             self.book(&session, ctx.now());
-            shared.place(session.flow, shared.active.len());
-            shared.active.push(session);
+            shared.place(session);
         }
     }
 
@@ -350,8 +346,8 @@ impl VideoWorkload {
             let Some(i) = shared.find(change.flow) else {
                 continue;
             };
-            let s = &mut shared.active[i];
-            if s.finished() || s.paused {
+            let s = shared.slots[i].as_mut().expect("a listed slot is taken");
+            if s.paused {
                 continue;
             }
             s.player.set_rate(change.at.as_secs_f64(), change.rate);
@@ -375,52 +371,78 @@ impl VideoWorkload {
             let i = shared.find(flow).expect("a booked session is playing");
             shared.updates += 1;
             if !shared.act(i, ctx) {
-                self.book(&shared.active[i], now);
+                self.book(shared.slots[i].as_ref().expect("plays on"), now);
             }
         }
     }
 
-    /// One tick: rate changes, the actions due, and the bulk compaction.
+    /// One tick: rate changes, then the actions due.
     fn tick(&mut self, shared: &mut Shared, ctx: &mut SimContext<'_>) {
         self.apply_rate_changes(shared, ctx);
         self.wake_due(shared, ctx);
-        shared.compact();
         shared.now = Some(ctx.now());
     }
 }
 
 impl Shared {
-    /// The position of the session whose flow is `flow`, if still in
-    /// the active set.
+    /// The playing sessions, in slot order.
+    fn playing(&self) -> impl Iterator<Item = &Session> {
+        self.slots.iter().flatten()
+    }
+
+    /// The slot of the session whose flow is `flow`, if it is playing.
     fn find(&self, flow: FlowId) -> Option<usize> {
         let at = usize::try_from(flow.0.checked_sub(self.base)?).ok()?;
         let i = *self.positions.get(at)?;
         (i != NOT_ACTIVE).then_some(i as usize)
     }
 
-    /// Give `flow`, newer than every flow in the table, position `i`;
-    /// the first flow of an empty table is its base.
-    fn place(&mut self, flow: FlowId, i: usize) {
+    /// Put a launched session, whose flow is newer than every flow in
+    /// the table, in a free slot, or in a new one if none is free; the
+    /// first flow of an empty table is its base.
+    fn place(&mut self, s: Session) {
+        let flow = s.flow;
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(s);
+                i
+            }
+            None => {
+                self.slots.push(Some(s));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 sessions")
+            }
+        };
         if self.positions.is_empty() {
             self.base = flow.0;
         }
         let at = usize::try_from(flow.0 - self.base).expect("the table fits in memory");
         self.positions.resize(at, NOT_ACTIVE);
-        self.positions.push(i as u32); // fewer than 2^32 sessions
+        self.positions.push_back(i);
     }
 
-    /// Bring session `i` to now and take the action due there, if any:
-    /// a clip that has ended stops its flow and leaves its final report
-    /// in the map; a download that has completed all but pauses its
-    /// server. Returns whether the session finished.
+    /// Bring the session in slot `i` to now and take the action due
+    /// there, if any: a clip that has ended stops its flow, stores its
+    /// final report and frees the slot; a download that has completed
+    /// all but pauses its server. Returns whether the session finished.
     fn act(&mut self, i: usize, api: &mut SimContext<'_>) -> bool {
         let now = api.now().as_secs_f64();
-        let s = &mut self.active[i];
+        let s = self.slots[i].as_mut().expect("a listed slot is taken");
         s.player.run_to(now);
         if s.finished() {
+            let s = self.slots[i].take().expect("a listed slot is taken");
             api.stop_flow(s.flow);
-            self.finished.insert(s.tag, s.player.qoe());
-            self.done += 1;
+            let tag = usize::try_from(s.tag).expect("tags fit in memory");
+            if self.finished.len() <= tag {
+                self.finished.resize_with(tag + 1, || None);
+            }
+            self.finished[tag] = Some(s.player.qoe());
+            self.free.push(i as u32);
+            let at = (s.flow.0 - self.base) as usize;
+            self.positions[at] = NOT_ACTIVE;
+            while self.positions.front() == Some(&NOT_ACTIVE) {
+                self.positions.pop_front();
+                self.base += 1;
+            }
             return true;
         }
         if !s.paused && !s.player.wants_download_at(now) {
@@ -428,27 +450,6 @@ impl Shared {
             api.set_flow_cap(s.flow, Some(1.0));
         }
         false
-    }
-
-    /// Drop finished sessions' player state, so memory follows
-    /// concurrency, not history: in bulk, once they are a sixteenth of
-    /// the set. The flow table is rebuilt from the oldest session kept.
-    fn compact(&mut self) {
-        if self.done > 0 && self.done * 16 >= self.active.len() {
-            let mut active = std::mem::take(&mut self.active);
-            self.positions.clear();
-            let mut kept = 0;
-            active.retain(|s| {
-                let keep = !s.finished();
-                if keep {
-                    self.place(s.flow, kept);
-                    kept += 1;
-                }
-                keep
-            });
-            self.active = active;
-            self.done = 0;
-        }
     }
 }
 
@@ -487,6 +488,7 @@ mod tests {
     use fib_netsim::link::LinkSpec;
     use fib_netsim::sim::{Sim, SimConfig};
     use fib_telemetry::mib::oids;
+    use std::collections::BTreeMap;
 
     fn r(n: u32) -> RouterId {
         RouterId(n)
@@ -613,7 +615,22 @@ mod tests {
         let all = reports.reports();
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|q| q.completed));
-        assert!(reports.0.lock().active.is_empty());
+        let shared = reports.0.lock();
+        assert!(shared.slots.iter().all(Option::is_none), "a slot plays");
+        assert_eq!(shared.finished.len(), 3);
+        assert!(
+            shared.finished.iter().all(Option::is_some),
+            "a report is not final"
+        );
+    }
+
+    /// The tags of the final reports, ascending.
+    fn final_tags(shared: &Shared) -> Vec<u64> {
+        (0u64..)
+            .zip(&shared.finished)
+            .filter(|(_, q)| q.is_some())
+            .map(|(tag, _)| tag)
+            .collect()
     }
 
     /// What the handle used to be, kept beside the driver: an ordered
@@ -641,11 +658,13 @@ mod tests {
                 let shared = self.driver.shared.0.lock();
                 let mut map = self.map.lock();
                 let now = ctx.now().as_secs_f64();
-                for s in shared.active.iter().filter(|s| !s.finished()) {
+                for s in shared.playing() {
                     map.insert(s.tag, s.player.qoe_at(now));
                 }
-                for (tag, report) in &shared.finished {
-                    map.insert(*tag, report.clone());
+                for (tag, report) in (0u64..).zip(&shared.finished) {
+                    if let Some(report) = report {
+                        map.insert(tag, report.clone());
+                    }
                 }
             }
         }
@@ -653,7 +672,7 @@ mod tests {
 
     /// The handle's contract, read mid-run between ticks: the reader
     /// yields, tag for tag, what a per-tick publisher would hold — and
-    /// the ordered map holds the finished sessions and nothing else,
+    /// the stored reports are the finished sessions' and nothing else,
     /// which is what fails if per-tick publishing ever comes back.
     #[test]
     fn reader_equals_a_per_tick_publisher_and_only_finished_sessions_are_in_the_map() {
@@ -688,18 +707,16 @@ mod tests {
                 .filter(|(_, q)| q.completed)
                 .map(|(tag, _)| *tag)
                 .collect();
+            let finished = final_tags(&shared);
             assert_eq!(
-                shared.finished.keys().copied().collect::<Vec<_>>(),
-                completed,
-                "at {at_ms} ms the map holds exactly the finished sessions"
+                finished, completed,
+                "at {at_ms} ms exactly the finished sessions have final reports"
             );
-            // Playing: launched and not finished. A finished session
-            // may still sit in the active set until the next bulk
-            // compaction; it counts among the finished only.
-            let playing = shared.active.iter().filter(|s| !s.finished()).count();
+            // Playing: launched and not finished.
+            let playing = shared.playing().count();
             let visible = if shared.now.is_some() { playing } else { 0 };
-            assert_eq!(got.len(), shared.finished.len() + visible);
-            seen_both |= !shared.finished.is_empty() && playing > 0;
+            assert_eq!(got.len(), finished.len() + visible);
+            seen_both |= !finished.is_empty() && playing > 0;
             match at_ms {
                 // The session due at 0 launched at start-up; no tick
                 // has run yet.
@@ -789,14 +806,16 @@ mod tests {
             let mut shared = handle.0.lock();
             self.0.launch_due(&mut shared, ctx);
             self.0.apply_rate_changes(&mut shared, ctx);
-            for i in 0..shared.active.len() {
-                if !shared.active[i].finished() {
-                    shared.updates += 1;
-                    shared.act(i, ctx);
-                }
+            // In flow order, as the lazy driver wakes its sessions.
+            let mut playing: Vec<(FlowId, usize)> = (0..shared.slots.len())
+                .filter_map(|i| Some((shared.slots[i].as_ref()?.flow, i)))
+                .collect();
+            playing.sort_unstable();
+            for (_, i) in playing {
+                shared.updates += 1;
+                shared.act(i, ctx);
             }
             self.0.calendar.clear();
-            shared.compact();
             shared.now = Some(ctx.now());
         }
     }
@@ -855,7 +874,6 @@ mod tests {
         }
         let render = |reports: Vec<QoeReport>| format!("{reports:?}");
         let (mut drained, mut stopped, mut busiest, mut live_before) = (0, 0, 0, 0usize);
-        let mut lingered = 0usize; // ticks after which a finished session awaited compaction
         for tick in 1..=700u64 {
             for (sim, _) in &mut runs {
                 sim.run_until(Timestamp::from_millis(100 * tick + 1));
@@ -876,8 +894,6 @@ mod tests {
             stopped += live_before.saturating_sub(got.len());
             busiest = busiest.max(got.len());
             live_before = got.len();
-            let kept = runs[0].1 .0.lock().active.iter().any(Session::finished);
-            lingered += usize::from(kept);
         }
         let reports = runs[0].1.reports();
         assert_eq!(reports.len(), 80);
@@ -887,15 +903,39 @@ mod tests {
         assert!(drained >= 500, "{drained} flow-ticks drained");
         assert!(stopped >= 20, "{stopped} flows stopped");
         assert!(busiest >= 30, "at most {busiest} flows at once");
-        assert!(
-            lingered >= 20,
-            "{lingered} ticks with a finished session kept"
-        );
         let (lazy, eager) = (runs[0].1.player_updates(), runs[1].1.player_updates());
         assert!(
             lazy * 4 < eager,
             "{lazy} lazy against {eager} eager updates"
         );
+    }
+
+    /// Memory follows concurrency: on the faulted crowd, after every
+    /// tick, the slab has exactly as many slots as the most sessions
+    /// that have played at once. At a tick, the sessions due launch
+    /// before the finished ones leave, so those that finish at a tick
+    /// played together with those still playing after it.
+    #[test]
+    fn the_slab_has_as_many_slots_as_sessions_ever_played_at_once() {
+        let (mut sim, waves) = faulted_crowd(80);
+        let (driver, handle) = VideoWorkload::new(waves);
+        sim.add_app(Box::new(driver));
+        sim.start();
+        let (mut peak, mut finished, mut reused) = (0, 0, 0);
+        for tick in 1..=700u64 {
+            sim.run_until(Timestamp::from_millis(100 * tick + 1));
+            let shared = handle.0.lock();
+            let now_finished = final_tags(&shared).len();
+            let playing = shared.playing().count();
+            peak = peak.max(playing + now_finished - finished);
+            finished = now_finished;
+            assert_eq!(shared.slots.len(), peak, "tick {tick}");
+            assert_eq!(shared.free.len(), peak - playing, "tick {tick}");
+            reused = reused.max(finished.saturating_sub(peak));
+        }
+        assert_eq!(finished, 80, "every session finished");
+        assert!((30..60).contains(&peak), "{peak} slots");
+        assert!(reused > 0, "no slot was reused");
     }
 
     /// The tick model the players replaced, kept as a reference: bytes
@@ -1200,11 +1240,13 @@ mod tests {
         }
     }
 
-    /// The flow table against a scan of the active set, after every
+    /// The flow table against a scan of the playing slots, after every
     /// tick, for every id up to one past the newest: two bursts of
     /// sessions with clips of several lengths, so that sessions leave
-    /// from the front and from the middle, each burst emptying the set
-    /// at its end, with another component's flows in between.
+    /// from the front and from the middle, each burst emptying the slab
+    /// at its end, with another component's flows in between. The table
+    /// starts at the oldest playing session's flow, and the second
+    /// burst plays in the first one's slots.
     #[test]
     fn the_flow_table_resolves_every_id_as_a_scan_of_the_active_set() {
         let at = Timestamp::from_millis;
@@ -1223,31 +1265,35 @@ mod tests {
         sim.add_app(Box::new(driver));
         sim.add_app(Box::new(Interloper));
         sim.start();
-        let (mut compactions, mut emptied, mut gaps, mut finished) = (0, 0, 0, 0);
+        let (mut emptied, mut gaps, mut finished) = (0, 0, 0);
         for tick in 1..=400u64 {
             sim.run_until(at(100 * tick + 1));
             let newest = sim.flows().map(|f| f.id.0).max().expect("interloper flows");
             let shared = handle.0.lock();
             for id in 0..=newest + 1 {
-                let scan = shared.active.iter().position(|s| s.flow == FlowId(id));
+                let scan = (shared.slots.iter())
+                    .position(|s| s.as_ref().is_some_and(|s| s.flow == FlowId(id)));
                 assert_eq!(shared.find(FlowId(id)), scan, "tick {tick}: flow {id}");
             }
-            // A session finished at this tick, and none awaits
-            // compaction: the set was compacted.
-            if shared.finished.len() > finished && shared.done == 0 {
-                compactions += 1;
-                emptied += usize::from(shared.active.is_empty());
+            let oldest = shared.playing().map(|s| s.flow.0).min();
+            if oldest.is_some() {
+                assert_eq!(oldest, Some(shared.base), "tick {tick}: the base");
             }
-            finished = shared.finished.len();
+            assert_eq!(shared.positions.is_empty(), oldest.is_none(), "tick {tick}");
+            let now_finished = final_tags(&shared).len();
+            if now_finished > finished {
+                emptied += usize::from(oldest.is_none());
+            }
+            finished = now_finished;
             gaps += shared
                 .positions
                 .iter()
                 .filter(|p| **p == NOT_ACTIVE)
                 .count();
+            assert!(shared.slots.len() <= 6, "tick {tick}: slots are reused");
         }
         assert_eq!(finished, 11, "every session finished");
-        assert!(compactions >= 4, "{compactions} compactions");
-        assert_eq!(emptied, 2, "each burst empties the set");
+        assert_eq!(emptied, 2, "each burst empties the slab");
         assert!(gaps > 0, "other flows sit between sessions");
     }
 
@@ -1324,7 +1370,7 @@ mod tests {
             let shared = handle.0.lock();
             let at = Timestamp::from_millis(100 * tick);
             let now = at.as_secs_f64();
-            let phase = match shared.active.first() {
+            let phase = match shared.playing().next() {
                 Some(s) => {
                     let flow = sim.flows().next().expect("a playing session has a flow");
                     let (id, cap) = (flow.id, flow.cap);
@@ -1345,7 +1391,7 @@ mod tests {
                 }
                 None => {
                     assert!(sim.flows().next().is_none(), "tick {tick}");
-                    assert!(shared.finished.contains_key(&0), "tick {tick}");
+                    assert!(shared.finished[0].is_some(), "tick {tick}");
                     "done"
                 }
             };
