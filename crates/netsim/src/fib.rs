@@ -61,9 +61,13 @@ impl Fib {
         }
         changed.extend(old.map(|(gone, _)| *gone));
         for p in &changed {
-            match table.routes.get(p).and_then(wanted) {
-                Some(e) => self.entries.insert(*p, e),
-                None => self.entries.remove(p),
+            match table.routes.get(p) {
+                Some(route) if route.local => self.entries.insert(*p, FibEntry::Local),
+                Some(route) if !route.nexthops.is_empty() => {
+                    let hops = FibEntry::Via(route.nexthops.clone());
+                    self.entries.insert(*p, hops)
+                }
+                _ => self.entries.remove(p),
             };
         }
         changed
@@ -100,19 +104,8 @@ impl Fib {
     }
 }
 
-/// The entry a route downloads as: nothing for a route that is neither
-/// local nor has a next hop.
-fn wanted(route: &Route) -> Option<FibEntry> {
-    if route.local {
-        Some(FibEntry::Local)
-    } else if route.nexthops.is_empty() {
-        None
-    } else {
-        Some(FibEntry::Via(route.nexthops.clone()))
-    }
-}
-
-/// Does `route` download as `entry`? [`wanted`], without the copy.
+/// Does `route` download as `entry`? A route that is neither local nor
+/// has a next hop downloads as no entry.
 fn downloads_as(route: &Route, entry: Option<&FibEntry>) -> bool {
     match entry {
         Some(FibEntry::Local) => route.local,
