@@ -163,9 +163,9 @@ pub struct QoeHandle(Arc<Mutex<Shared>>);
 impl QoeHandle {
     /// Every visible session's latest report in ascending tag order
     /// (the order [`summarize`] adds in), sessions still playing
-    /// included: their players report as of the last tick. The map of
-    /// finished sessions and the tag-sorted playing ones merge straight
-    /// into the `Vec` returned; the map is not copied.
+    /// included: their players report as of the last tick. The stored
+    /// reports of finished sessions and the tag-sorted playing ones
+    /// merge straight into the `Vec` returned; the store is not copied.
     ///
     /// [`summarize`]: crate::qoe::summarize
     pub fn reports(&self) -> Vec<QoeReport> {
