@@ -44,7 +44,7 @@ use fib_netsim::link::LinkKey;
 use fib_netsim::sim::SimContext;
 use fib_telemetry::alarm::{Edge, Threshold};
 use fib_telemetry::counters::CounterWidth;
-use fib_telemetry::mib::{oids, Value};
+use fib_telemetry::mib::oids;
 use fib_telemetry::monitor::LoadMonitor;
 use fib_trace::{AuditAction, AuditRecord};
 use parking_lot::Mutex;
@@ -248,24 +248,22 @@ impl FibbingController {
             // The column comes back in ifIndex order, as the pairs are:
             // one merge pairs each monitored row with its link.
             let mut pairs = pairs.iter().peekable();
-            for (oid, value) in api.snmp_walk(*r, &if_out_octets) {
+            for (oid, octets) in api.snmp_walk(*r, &if_out_octets) {
                 let Some(&idx) = oid.0.last() else { continue };
                 while pairs.next_if(|&&(i, _)| i < idx).is_some() {}
                 let Some(&(_, key)) = pairs.next_if(|&&(i, _)| i == idx) else {
                     continue;
                 };
-                if let Value::Counter(c) = value {
-                    // Besides feeding the monitor's alarms, every edge
-                    // lands in the run's trace: the `alarm.<from>-<to>`
-                    // series steps to the edge utilization on raise,
-                    // back to 0 on clear.
-                    if let Some((edge, util)) = self.monitor.on_sample(&key, now, c) {
-                        let level = match edge {
-                            Edge::Raised => util,
-                            Edge::Cleared => 0.0,
-                        };
-                        api.record(&format!("alarm.{}-{}", key.from, key.to), level);
-                    }
+                // Besides feeding the monitor's alarms, every edge lands
+                // in the run's trace: the `alarm.<from>-<to>` series
+                // steps to the edge utilization on raise, back to 0 on
+                // clear.
+                if let Some((edge, util)) = self.monitor.on_sample(&key, now, octets) {
+                    let level = match edge {
+                        Edge::Raised => util,
+                        Edge::Cleared => 0.0,
+                    };
+                    api.record(&format!("alarm.{}-{}", key.from, key.to), level);
                 }
             }
         }
@@ -600,8 +598,8 @@ mod tests {
         );
         assert!(hops.iter().any(|h| h.router == r(3)));
         // No link should be overloaded any more.
-        let l12 = sim.link_rate(r(1), r(2)).unwrap();
-        let l13 = sim.link_rate(r(1), r(3)).unwrap();
+        let l12 = sim.ctx().link_rate(LinkKey::new(r(1), r(2))).unwrap();
+        let l13 = sim.ctx().link_rate(LinkKey::new(r(1), r(3))).unwrap();
         assert!(l12 <= 1e6 + 1.0 && l13 <= 1e6 + 1.0);
         assert!(
             (l12 + l13 - 1.2e6).abs() < 1.0,

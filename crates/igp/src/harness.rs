@@ -14,6 +14,7 @@ use crate::rib::RouteTable;
 use crate::time::{Dur, Timestamp};
 use crate::types::{IfaceId, Metric, RouterId};
 use bytes::Bytes;
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 use std::collections::{BTreeMap, BinaryHeap};
 
 #[derive(Debug)]
@@ -104,13 +105,10 @@ impl Harness {
             u64::from(iface.0),
             self.now.0,
         ];
-        let mut h = who
+        let h = who
             .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .chain(data.iter().copied())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
+            .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
+        let mut h = fnv1a(h, data);
         h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;

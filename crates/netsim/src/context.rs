@@ -18,7 +18,7 @@ use fib_igp::lsdb::DbVersion;
 use fib_igp::time::Timestamp;
 use fib_igp::topology::Topology;
 use fib_igp::types::{FwAddr, Metric, Prefix, RouterId};
-use fib_telemetry::mib::{Oid, Value};
+use fib_telemetry::mib::Oid;
 
 /// Everything a component (or host code between runs) may do to the
 /// simulated world.
@@ -78,16 +78,10 @@ impl SimContext<'_> {
         Some((lsdb.version(), lsdb.lie_free_version()))
     }
 
-    /// SNMP GET against a router's agent (counts as management
-    /// traffic).
-    pub fn snmp_get(&mut self, router: RouterId, oid: &Oid) -> Option<Value> {
-        self.core.stats.snmp_ops += 1;
-        let slot = *self.core.router_slot.get(&router)?;
-        self.core.agents[slot as usize].get(oid)
-    }
-
-    /// SNMP WALK under an OID prefix.
-    pub fn snmp_walk(&mut self, router: RouterId, prefix: &Oid) -> Vec<(Oid, Value)> {
+    /// SNMP WALK under an OID prefix against a router's agent (counts
+    /// as management traffic): the `ifOutOctets` rows in ifIndex order
+    /// if `prefix` is that column or above it, nothing otherwise.
+    pub fn snmp_walk(&mut self, router: RouterId, prefix: &Oid) -> Vec<(Oid, u64)> {
         self.core.stats.snmp_ops += 1;
         match self.core.router_slot.get(&router) {
             Some(&slot) => self.core.agents[slot as usize].walk(prefix),

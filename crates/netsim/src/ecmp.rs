@@ -11,6 +11,7 @@
 //!   addresses). The hash picks a *slot*; the slot maps to a gateway.
 
 use fib_igp::types::{Prefix, RouterId};
+use fib_trace::artifact::{fnv1a, FNV_OFFSET};
 
 /// Identity of one transport flow (the simulator's 5-tuple stand-in).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,20 +24,8 @@ pub struct FlowKey {
     pub id: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice.
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Hash a flow at a router into one of `slots` ECMP slots.
+/// Hash a flow at a router into one of `slots` ECMP slots: FNV-1a over
+/// the router id and the flow key.
 ///
 /// Panics if `slots == 0` (a router never hashes over an empty
 /// next-hop set — that is a forwarding bug upstream).

@@ -16,8 +16,8 @@
 //! * fluid traffic: flows resolve their paths through the FIBs (per
 //!   hop ECMP hashing) and share link capacity max-min fairly; link
 //!   and flow counters integrate rates between events;
-//! * SNMP agents per router whose ifTable counters are fed by the data
-//!   and control planes alike;
+//! * SNMP agents per router whose `ifOutOctets` counters are fed by the
+//!   data and control planes alike;
 //! * pluggable components (the Fibbing controller, workload drivers,
 //!   probes) behind the [`EventHandler`] trait, registered into a flat
 //!   arena and addressed by [`ComponentId`].
@@ -57,7 +57,7 @@ use fib_igp::types::{IfaceId, Metric, Prefix, RouterId};
 use fib_igp::wire::{self, Datagram};
 pub use fib_sim_kernel::TieBreak;
 use fib_sim_kernel::{ComponentId, DeadlineHeap, EventQueue, Registry};
-use fib_telemetry::counters::{CounterWidth, IfaceCounters};
+use fib_telemetry::counters::{Counter, CounterWidth};
 use fib_telemetry::mib::Agent;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -67,9 +67,6 @@ pub use crate::context::SimContext;
 const SAMPLE_INTERVAL: Dur = Dur::from_millis(100);
 /// SNMP counter width exposed by agents.
 const COUNTER_WIDTH: CounterWidth = CounterWidth::C64;
-/// Bytes per data-plane packet in the ifTable's packet counters: a
-/// link's fluid traffic counts one packet per whole 1 500 octets.
-const DATA_PKT_BYTES: u64 = 1500;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Default)]
@@ -281,10 +278,6 @@ pub(crate) struct Core {
     // directions of one symmetric link are adjacent: sibling = ix ^ 1)
     // plus the key-ordered index for lookups and stable iteration.
     pub(crate) link_recs: Vec<LinkRec>,
-    /// Per link record: the whole data bytes integrated so far, what
-    /// its packet counters are derived from (apart from the record,
-    /// which the accrual sweep reads whole).
-    link_octets: Vec<u64>,
     pub(crate) link_idx: BTreeMap<LinkKey, u32>,
     /// Per router slot, indexed by `IfaceId` (interfaces are issued
     /// densely per router): the link record the interface transmits
@@ -374,7 +367,6 @@ impl Core {
             stale: Vec::new(),
             is_stale: Vec::new(),
             link_recs: Vec::new(),
-            link_octets: Vec::new(),
             link_idx: BTreeMap::new(),
             iface_links: Vec::new(),
             prefix_owners: Vec::new(),
@@ -498,7 +490,7 @@ impl Core {
         );
         self.router_ids.push(id);
         self.instances.push(Instance::new(cfg));
-        self.agents.push(Agent::new(format!("{id}")));
+        self.agents.push(Agent::default());
         self.iface_links.push(Vec::new());
         self.is_touched.push(false);
         self.is_stale.push(false);
@@ -550,18 +542,17 @@ impl Core {
             from_slot: b_slot,
             to_slot: a_slot,
         });
-        self.link_octets.extend([0, 0]);
         self.link_idx.insert(kab, ix_ab);
         self.link_idx.insert(kba, ix_ab + 1);
 
-        // SNMP: one ifTable row per interface (ifIndex = iface + 1).
-        let counters = || IfaceCounters::new(COUNTER_WIDTH);
-        self.agents[a_slot as usize].add_iface(u32::from(ia.0) + 1, counters());
-        self.agents[b_slot as usize].add_iface(u32::from(ib.0) + 1, counters());
+        // SNMP: one ifOutOctets row per interface (ifIndex = iface + 1).
+        let counter = || Counter::new(COUNTER_WIDTH);
+        self.agents[a_slot as usize].add_iface(u32::from(ia.0) + 1, counter());
+        self.agents[b_slot as usize].add_iface(u32::from(ib.0) + 1, counter());
     }
 
-    /// Integrate link rates into the interface counters from
-    /// `last_accrue` to `t`; no flow is visited.
+    /// Integrate link rates into the transmitting interfaces'
+    /// `ifOutOctets` from `last_accrue` to `t`; no flow is visited.
     fn accrue_to(&mut self, t: Timestamp) {
         if t <= self.last_accrue {
             return;
@@ -574,12 +565,9 @@ impl Core {
         // Link counters: dense sweep, direct agent-slot indexing, no
         // intermediate allocation.
         let Core {
-            link_recs,
-            link_octets,
-            agents,
-            ..
+            link_recs, agents, ..
         } = self;
-        for (rec, octets) in link_recs.iter_mut().zip(link_octets.iter_mut()) {
+        for rec in link_recs.iter_mut() {
             if rec.state.rate <= 0.0 {
                 continue;
             }
@@ -587,22 +575,9 @@ impl Core {
             let whole = rec.carry.floor();
             rec.carry -= whole;
             if whole > 0.0 {
-                let bytes = whole as u64;
-                // Packets follow the link's cumulative octets, so the
-                // same bytes count the same packets however many
-                // instants they were integrated over.
-                let before = *octets;
-                *octets += bytes;
-                let pkts = *octets / DATA_PKT_BYTES - before / DATA_PKT_BYTES;
                 let tx_idx = u32::from(rec.tx_iface.0) + 1;
-                let rx_idx = u32::from(rec.rx_iface.0) + 1;
-                if let Some(c) = agents[rec.from_slot as usize].counters_mut(tx_idx) {
-                    c.out_octets.add(bytes);
-                    c.out_pkts.add(pkts);
-                }
-                if let Some(c) = agents[rec.to_slot as usize].counters_mut(rx_idx) {
-                    c.in_octets.add(bytes);
-                    c.in_pkts.add(pkts);
+                if let Some(c) = agents[rec.from_slot as usize].out_octets_mut(tx_idx) {
+                    c.add(whole as u64);
                 }
             }
         }
@@ -621,17 +596,11 @@ impl Core {
                 len,
                 datagram,
             } => {
-                let len = u64::from(len);
-                // Account received control bytes; drop on a down link.
+                // Drop on a down link.
                 if let Some(&ix) = self.iface_links[to_slot as usize].get(usize::from(iface.0)) {
-                    let rx = (ix ^ 1) as usize;
-                    if !self.link_recs[rx].state.up {
+                    if !self.link_recs[(ix ^ 1) as usize].state.up {
                         self.stats.ctrl_dropped += 1;
                         return;
-                    }
-                    let idx = u32::from(iface.0) + 1;
-                    if let Some(c) = self.agents[to_slot as usize].counters_mut(idx) {
-                        c.count_rx(len);
                     }
                 }
                 if self.instances[to_slot as usize]
@@ -641,7 +610,7 @@ impl Core {
                     self.stats.ctrl_pkt_errors += 1;
                 }
                 self.stats.ctrl_pkts += 1;
-                self.stats.ctrl_bytes += len;
+                self.stats.ctrl_bytes += u64::from(len);
                 self.touch(to_slot);
             }
             Ev::Tick(cid) => {
@@ -869,8 +838,8 @@ impl Core {
                         let len = u32::try_from(len).expect("a datagram is under 4 GiB");
                         // Account transmitted control bytes.
                         let idx = u32::from(rec.tx_iface.0) + 1;
-                        if let Some(c) = agents[slot as usize].counters_mut(idx) {
-                            c.count_tx(u64::from(len));
+                        if let Some(c) = agents[slot as usize].out_octets_mut(idx) {
+                            c.add(u64::from(len));
                         }
                         queue.push(
                             *now + LINK_DELAY,
@@ -1448,14 +1417,6 @@ impl Sim {
     pub fn distinct_paths(&self) -> usize {
         self.core.paths.len()
     }
-
-    /// Current rate of a directed link.
-    pub fn link_rate(&self, from: RouterId, to: RouterId) -> Option<f64> {
-        self.core
-            .link_idx
-            .get(&LinkKey::new(from, to))
-            .map(|&ix| self.core.link_recs[ix as usize].state.rate)
-    }
 }
 
 #[cfg(test)]
@@ -1463,7 +1424,7 @@ mod tests {
     use super::*;
     use fib_igp::error::InstanceError;
     use fib_igp::types::FwAddr;
-    use fib_telemetry::mib::{oids, Oid, Value};
+    use fib_telemetry::mib::oids;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1487,6 +1448,16 @@ mod tests {
     fn start_at(sim: &mut Sim, at: Timestamp, spec: FlowSpec) -> FlowId {
         sim.run_until(at);
         sim.ctx().start_flow(spec)
+    }
+
+    /// The `ifOutOctets` of `from`'s interface toward `to`, as a walk
+    /// of the column reads it.
+    fn out_octets(sim: &mut Sim, from: RouterId, to: RouterId) -> u64 {
+        let mut ctx = sim.ctx();
+        let column = oids::if_out_octets();
+        let cell = column.child(ctx.ifindex_for(from, to).unwrap());
+        let rows = ctx.snmp_walk(from, &column);
+        rows.into_iter().find(|(oid, _)| *oid == cell).unwrap().1
     }
 
     /// A second link between the same two routers, in either
@@ -1515,7 +1486,8 @@ mod tests {
         assert!((rate - 1e6).abs() < 1.0, "rate {rate}");
         let path = ctx.flow_path(fid).unwrap();
         assert_eq!(path, &[LinkKey::new(r(1), r(2)), LinkKey::new(r(2), r(3))]);
-        assert!((sim.link_rate(r(1), r(2)).unwrap() - 1e6).abs() < 1.0);
+        let link = ctx.link_rate(LinkKey::new(r(1), r(2))).unwrap();
+        assert!((link - 1e6).abs() < 1.0, "link rate {link}");
     }
 
     /// Watched rates are logged where their bits change, each with the
@@ -1633,15 +1605,57 @@ mod tests {
         );
         sim.run_until(Timestamp::from_secs(20));
         // r1's interface toward r2 should show ~1e6 bytes out.
-        let mut ctx = sim.ctx();
-        let idx = ctx.ifindex_for(r(1), r(2)).unwrap();
-        let v = ctx.snmp_get(r(1), &fib_telemetry::mib::oids::if_out_octets().child(idx));
-        match v {
-            Some(Value::Counter(c)) => {
-                assert!((9e5..1.2e6).contains(&(c as f64)), "unexpected counter {c}");
-            }
-            other => panic!("unexpected SNMP value {other:?}"),
+        let c = out_octets(&mut sim, r(1), r(2));
+        assert!((9e5..1.2e6).contains(&(c as f64)), "unexpected counter {c}");
+    }
+
+    /// With no flow, `ifOutOctets` counts control datagrams alone, each
+    /// at its transmitting interface at its encoded length — what the
+    /// instance counts as it drains it. With every link up none is
+    /// dropped at send, so at every checkpoint each router's column
+    /// sums to its instance's `bytes_sent`, through a cold start and a
+    /// lie injected and retracted.
+    #[test]
+    fn out_octets_sum_to_the_bytes_each_instance_sent() {
+        let mut sim = Sim::new(SimConfig::default());
+        for i in 1..=3 {
+            sim.add_router(r(i));
         }
+        sim.add_link(LinkSpec::new(r(1), r(2), Metric(1), 1e6));
+        sim.add_link(LinkSpec::new(r(2), r(3), Metric(1), 1e6));
+        sim.add_link(LinkSpec::new(r(1), r(3), Metric(5), 1e6));
+        sim.announce_prefix(r(3), Prefix::net24(1));
+        sim.add_controller_speaker(r(100), r(2));
+        sim.start();
+        let routers: Vec<RouterId> = sim.ctx().routers().collect();
+        let fake = RouterId::fake(0);
+        let mut checked = 0;
+        for ms in (0..=40_000).step_by(100) {
+            sim.run_until(Timestamp::from_millis(ms));
+            for &router in &routers {
+                let rows = sim.ctx().snmp_walk(router, &oids::if_out_octets());
+                let out: u64 = rows.iter().map(|&(_, octets)| octets).sum();
+                let sent = sim.instance(router).unwrap().stats.bytes_sent;
+                assert_eq!(out, sent, "{router} at {ms} ms");
+                checked += u64::from(sent > 0);
+            }
+            let mut ctx = sim.ctx();
+            match ms {
+                10_000 => {
+                    let fw = FwAddr::secondary(r(3), 1);
+                    let metric = Metric(1);
+                    let net = Prefix::net24(1);
+                    let lie = ctx.inject_fake(r(100), fake, r(1), metric, net, metric, fw);
+                    lie.unwrap();
+                }
+                20_000 => ctx.retract_fake(r(100), fake).unwrap(),
+                _ => {}
+            }
+        }
+        assert!(
+            checked >= 1_000,
+            "{checked} router-checkpoints with bytes sent"
+        );
     }
 
     /// A stopped flow leaves nothing behind: its slot holds
@@ -1666,7 +1680,7 @@ mod tests {
         assert_eq!(sim.core.flow_index.affected_by(Prefix::net24(1)).count(), 0);
         assert_eq!(sim.ctx().flow_rate(f), None);
         sim.run_until(Timestamp::from_secs(25));
-        assert_eq!(sim.link_rate(r(1), r(2)), Some(0.0));
+        assert_eq!(sim.ctx().link_rate(LinkKey::new(r(1), r(2))), Some(0.0));
         assert!(sim.flows().next().is_none());
         assert_eq!(sim.flow_count(), 0);
     }
@@ -1786,7 +1800,12 @@ mod tests {
         let max = sim.recorder().max("r1-r2").unwrap();
         assert!((max - 2e5).abs() < 1.0, "max {max}");
         // Before the flow: zero.
-        assert_eq!(sim.recorder().value_at("r1-r2", 5.0), Some(0.0));
+        let before: Vec<f64> = series
+            .iter()
+            .take_while(|&&(t, _)| t <= 5.0)
+            .map(|&(_, v)| v)
+            .collect();
+        assert!(!before.is_empty() && before.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -1880,14 +1899,7 @@ mod tests {
         let before = Timestamp::from_millis(13_010);
         let after = Timestamp::from_millis(13_060);
         // The octets r2 has sent toward r3.
-        let octets = |sim: &mut Sim| {
-            let mut ctx = sim.ctx();
-            let idx = ctx.ifindex_for(r(2), r(3)).unwrap();
-            match ctx.snmp_get(r(2), &oids::if_out_octets().child(idx)) {
-                Some(Value::Counter(c)) => c,
-                other => panic!("unexpected SNMP value {other:?}"),
-            }
-        };
+        let octets = |sim: &mut Sim| out_octets(sim, r(2), r(3));
         let run_to_mutation = || {
             let mut sim = line_sim();
             sim.start();
@@ -1908,7 +1920,7 @@ mod tests {
         sim.run_until(after);
         let credited = octets(&mut sim) - sent;
         assert!(credited.abs_diff(20_000) <= 1, "credited {credited}");
-        let rate = sim.link_rate(r(2), r(3)).unwrap();
+        let rate = sim.ctx().link_rate(LinkKey::new(r(2), r(3))).unwrap();
         assert!(rate <= 4e5, "link rate {rate} exceeds its capacity");
 
         // Failure: nothing crosses a link that is down.
@@ -1916,7 +1928,7 @@ mod tests {
         assert!(sim.ctx().fail_link(r(2), r(3)));
         sim.run_until(after);
         assert_eq!(octets(&mut sim), sent);
-        assert_eq!(sim.link_rate(r(2), r(3)), Some(0.0));
+        assert_eq!(sim.ctx().link_rate(LinkKey::new(r(2), r(3))), Some(0.0));
     }
 
     /// So does what host code makes a protocol instance emit: a lie
@@ -2152,12 +2164,12 @@ mod tests {
         assert_eq!(rate, Some(125_000f64.to_bits()));
     }
 
-    /// The ifTable's data packets follow a link's cumulative octets:
-    /// the same traffic integrated over extra idle instants — instants
-    /// at which nothing changed, or too short for a whole packet —
-    /// counts the same octets and the same packets at both ends.
+    /// A link's fluid bytes reach `ifOutOctets` through its carry: the
+    /// same traffic integrated over more, shorter instants — some too
+    /// short for whole bytes, so the carry keeps the fraction — counts
+    /// the same octets.
     #[test]
-    fn data_packets_do_not_depend_on_how_many_instants_the_bytes_took() {
+    fn data_octets_do_not_depend_on_how_many_instants_the_bytes_took() {
         // 1e5 B/s for 10 s, in steps whose lengths are exact in
         // binary, so that both runs integrate the same 1 000 000 bytes.
         let counters = |steps_ns: &[u64]| {
@@ -2167,27 +2179,14 @@ mod tests {
             for &ns in steps_ns {
                 sim.core.accrue_to(Timestamp(ns));
             }
-            let mut ctx = sim.ctx();
-            let out = ctx.ifindex_for(r(1), r(2)).unwrap();
-            let inn = ctx.ifindex_for(r(2), r(1)).unwrap();
-            let mut read =
-                |router, column: Oid, idx: u32| match ctx.snmp_get(router, &column.child(idx)) {
-                    Some(Value::Counter(c)) => c,
-                    other => panic!("unexpected SNMP value {other:?}"),
-                };
-            [
-                read(r(1), oids::if_out_octets(), out),
-                read(r(1), oids::if_out_pkts(), out),
-                read(r(2), oids::if_in_octets(), inn),
-                read(r(2), oids::if_in_pkts(), inn),
-            ]
+            out_octets(&mut sim, r(1), r(2))
         };
         const SEC: u64 = 1_000_000_000;
         let once = counters(&[10 * SEC]);
-        assert_eq!(once, [1_000_000, 666, 1_000_000, 666]);
+        assert_eq!(once, 1_000_000);
         // Quarter seconds up to 5 s (25 000 bytes each), then 1/64 s
         // (1 562.5 bytes: the carry at work) up to 7.5 s, then 1/512 s
-        // (195.3125 bytes: no whole packet in any one step) up to 10 s.
+        // (195.3125 bytes) up to 10 s.
         let mut steps: Vec<u64> = (1..=20).map(|k| k * SEC / 4).collect();
         steps.extend((1..=160).map(|k| 5 * SEC + k * SEC / 64));
         steps.extend((1..=1280).map(|k| 7 * SEC + SEC / 2 + k * SEC / 512));

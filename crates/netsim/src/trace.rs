@@ -67,16 +67,6 @@ impl Recorder {
         }
     }
 
-    /// Value at the latest point not after `at_secs`.
-    pub fn value_at(&self, name: &str, at_secs: f64) -> Option<f64> {
-        self.series
-            .get(name)?
-            .iter()
-            .take_while(|(t, _)| *t <= at_secs)
-            .last()
-            .map(|(_, v)| *v)
-    }
-
     /// Long-format CSV export (`series,time,value`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("series,time,value\n");
@@ -125,12 +115,10 @@ mod tests {
         r.record("a", t(500), 3.0);
         r.record("a", t(1000), 2.0);
         r.record("b", t(0), 9.0);
-        assert_eq!(r.series("a").len(), 3);
+        assert_eq!(r.series("a"), [(0.0, 1.0), (0.5, 3.0), (1.0, 2.0)]);
         assert_eq!(r.max("a"), Some(3.0));
         assert_eq!(r.max("zzz"), None);
         assert_eq!(r.names(), vec!["a", "b"]);
-        assert_eq!(r.value_at("a", 0.7), Some(3.0));
-        assert_eq!(r.value_at("a", 0.1), Some(1.0));
         let m = r.mean_over("a", 0.0, 1.1).unwrap();
         assert!((m - 2.0).abs() < 1e-9);
     }

@@ -1,13 +1,12 @@
-//! Interface octet/packet counters with SNMP wrap semantics.
+//! Interface octet counters with SNMP wrap semantics.
 //!
-//! Real SNMP agents expose `ifInOctets`/`ifOutOctets` as 32-bit
-//! counters (ifTable) and 64-bit ones (ifXTable). Pollers must handle
+//! Real SNMP agents expose `ifOutOctets` as a 32-bit counter (ifTable)
+//! and a 64-bit one (ifXTable's `ifHCOutOctets`). Pollers must handle
 //! wraps; we reproduce both widths so the rate-estimation pipeline is
 //! exercised the way a real NMS exercises it — on a 10 Mb/s-class link
 //! a 32-bit octet counter wraps in under an hour, well within demo
-//! timescales once polling is slow.
-
-use std::fmt;
+//! timescales once polling is slow. An agent keeps one [`Counter`] per
+//! interface ([`crate::mib::Agent`]).
 
 /// Width of an SNMP counter object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,56 +74,6 @@ pub fn counter_delta(width: CounterWidth, prev: u64, cur: u64) -> u64 {
     }
 }
 
-/// Per-interface counter set (the ifTable row subset we model).
-#[derive(Debug, Clone)]
-pub struct IfaceCounters {
-    /// Octets received by the interface.
-    pub in_octets: Counter,
-    /// Octets transmitted by the interface.
-    pub out_octets: Counter,
-    /// Packets received.
-    pub in_pkts: Counter,
-    /// Packets transmitted.
-    pub out_pkts: Counter,
-}
-
-impl IfaceCounters {
-    /// Fresh counters of uniform width.
-    pub fn new(width: CounterWidth) -> IfaceCounters {
-        IfaceCounters {
-            in_octets: Counter::new(width),
-            out_octets: Counter::new(width),
-            in_pkts: Counter::new(width),
-            out_pkts: Counter::new(width),
-        }
-    }
-
-    /// Record a transmitted packet of `bytes` octets.
-    pub fn count_tx(&mut self, bytes: u64) {
-        self.out_octets.add(bytes);
-        self.out_pkts.add(1);
-    }
-
-    /// Record a received packet of `bytes` octets.
-    pub fn count_rx(&mut self, bytes: u64) {
-        self.in_octets.add(bytes);
-        self.in_pkts.add(1);
-    }
-}
-
-impl fmt::Display for IfaceCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "in={}B/{}p out={}B/{}p",
-            self.in_octets.read(),
-            self.in_pkts.read(),
-            self.out_octets.read(),
-            self.out_pkts.read()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,18 +131,5 @@ mod tests {
         let prev = u32::MAX as u64 - 10;
         assert_eq!(counter_delta(CounterWidth::C32, prev, 20), 31);
         assert_eq!(counter_delta(CounterWidth::C64, u64::MAX - 1, 1), 3);
-    }
-
-    #[test]
-    fn iface_counters_track_directions() {
-        let mut ic = IfaceCounters::new(CounterWidth::C64);
-        ic.count_tx(1500);
-        ic.count_tx(40);
-        ic.count_rx(9000);
-        assert_eq!(ic.out_octets.read(), 1540);
-        assert_eq!(ic.out_pkts.read(), 2);
-        assert_eq!(ic.in_octets.read(), 9000);
-        assert_eq!(ic.in_pkts.read(), 1);
-        assert!(format!("{ic}").contains("out=1540B/2p"));
     }
 }

@@ -4,9 +4,10 @@
 //! crate reproduces the part of that pipeline that shapes controller
 //! behaviour:
 //!
-//! * [`counters`] — ifTable-style octet/packet counters with 32/64-bit
-//!   wrap semantics;
-//! * [`mib`] — a minimal OID tree per agent with GET / GETNEXT / WALK;
+//! * [`counters`] — interface octet counters with 32/64-bit wrap
+//!   semantics;
+//! * [`mib`] — an agent per router serving the one object the
+//!   controller polls, the `ifOutOctets` column, to SNMP walks;
 //! * [`rate`] — counter-delta rate estimation with EWMA smoothing
 //!   (wrap-transparent);
 //! * [`alarm`] — utilization thresholds with hysteresis and hold-down;
@@ -28,8 +29,8 @@ pub mod rate;
 /// Convenient re-exports of the most used items.
 pub mod prelude {
     pub use crate::alarm::{Alarm, Edge, Threshold};
-    pub use crate::counters::{counter_delta, Counter, CounterWidth, IfaceCounters};
-    pub use crate::mib::{oids, Agent, Oid, Value};
+    pub use crate::counters::{counter_delta, Counter, CounterWidth};
+    pub use crate::mib::{oids, Agent, Oid};
     pub use crate::monitor::LoadMonitor;
     pub use crate::rate::RateEstimator;
 }

@@ -7,7 +7,7 @@
 //! deterministic view of two exports of the same seeded run is
 //! byte-identical (asserted in the workspace tests, `cmp`-ed in CI).
 
-use crate::artifact::{volatile, Value, View};
+use crate::artifact::{volatile, Value};
 use crate::audit::{AuditRecord, OrderRecord};
 use crate::sink::{SpanWall, TraceSink};
 use crate::Phase;
@@ -213,11 +213,6 @@ impl ChromeSink {
             .collect();
         trace_doc(self.dropped, events)
     }
-
-    /// Render the document in `view`.
-    pub fn to_json(&self, view: View) -> String {
-        self.doc().render(view)
-    }
 }
 
 impl TraceSink for ChromeSink {
@@ -281,6 +276,7 @@ impl TraceSink for ChromeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::View;
     use crate::AuditAction;
 
     fn wall(ns: u64) -> SpanWall {
@@ -311,7 +307,7 @@ mod tests {
         sink.counter("queue.depth", 100, 3.0);
         sink.observe("settle.dirty_flows", 100, 9);
         sink.audit(&inject());
-        let json = sink.to_json(View::Full);
+        let json = sink.doc().render(View::Full);
         assert!(json.contains("\"name\": \"spf.full\", \"ph\": \"X\""));
         assert!(json.contains("\"name\": \"queue.depth\", \"ph\": \"C\""));
         assert!(json.contains("\"name\": \"settle.dirty_flows\", \"ph\": \"C\""));
@@ -330,7 +326,7 @@ mod tests {
         sink.audit(&inject());
         assert_eq!(sink.event_count(), 2);
         assert_eq!(sink.dropped(), 4);
-        assert!(sink.to_json(View::Full).contains("\"dropped\": 4"));
+        assert!(sink.doc().render(View::Full).contains("\"dropped\": 4"));
         assert_eq!(sink.audits().len(), 1, "the audit log is not capped");
     }
 
@@ -338,8 +334,8 @@ mod tests {
     fn deterministic_view_blanks_exactly_ts_and_dur() {
         let mut sink = ChromeSink::new(16);
         sink.span(Phase::FibInstall, 42, wall(1_234_000));
-        assert!(sink.to_json(View::Full).contains("\"dur\": 1234, "));
-        assert!(sink.to_json(View::Deterministic).contains(
+        assert!(sink.doc().render(View::Full).contains("\"dur\": 1234, "));
+        assert!(sink.doc().render(View::Deterministic).contains(
             "{\"name\": \"fib.install\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \
              \"ts\": null, \"dur\": null, \"args\": {\"sim_ns\": 42}}"
         ));

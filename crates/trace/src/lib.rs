@@ -435,7 +435,8 @@ mod tests {
         let sink = take().unwrap();
         let chrome = sink.as_any().downcast_ref::<ChromeSink>().unwrap();
         assert!(chrome
-            .to_json(artifact::View::Full)
+            .doc()
+            .render(artifact::View::Full)
             .contains("\"sim_ns\": 1500"));
     }
 

@@ -148,19 +148,9 @@ impl AggSink {
             .collect()
     }
 
-    /// Spans closed for one phase.
-    pub fn span_count(&self, phase: Phase) -> u64 {
-        self.spans[phase.index()]
-    }
-
     /// Total (inclusive) wall nanoseconds for one phase.
     pub fn total_ns(&self, phase: Phase) -> u64 {
         self.total_ns[phase.index()]
-    }
-
-    /// Summary of one observation series, if any was recorded.
-    pub fn hist(&self, name: &str) -> Option<&HistSummary> {
-        self.hists.get(name)
     }
 
     /// All observation series, in name order.
@@ -273,19 +263,26 @@ mod tests {
         b.span(Phase::CtrlOptimize, 0, wall(50, 50));
         b.observe("settle.dirty_flows", 0, 10);
         a.merge(&b);
-        assert_eq!(a.span_count(Phase::SpfFull), 2);
-        let h = a.hist("settle.dirty_flows").unwrap();
+        let spans = |sink: &AggSink| {
+            let attr = sink.attribution();
+            attr.iter().find(|p| p.phase == "spf.full").map(|p| p.spans)
+        };
+        assert_eq!(spans(&a), Some(2));
+        let hists: Vec<_> = a.hists().collect();
+        let [(&"settle.dirty_flows", h)] = hists[..] else {
+            panic!("one series, got {hists:?}")
+        };
         assert_eq!((h.count, h.min, h.max, h.sum), (2, 4, 10, 14));
         assert!((h.mean() - 7.0).abs() < 1e-9);
 
         let rebuilt = AggSink::from_attribution(&a.attribution());
-        assert_eq!(rebuilt.span_count(Phase::SpfFull), 2);
+        assert_eq!(spans(&rebuilt), Some(2));
         assert_eq!(rebuilt.attribution(), a.attribution());
     }
 
     #[test]
     fn empty_sink_attributes_nothing() {
         assert!(AggSink::new().attribution().is_empty());
-        assert_eq!(AggSink::new().hist("x"), None);
+        assert_eq!(AggSink::new().hists().count(), 0);
     }
 }

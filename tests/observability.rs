@@ -61,13 +61,13 @@ fn chrome_export_is_deterministic_modulo_wall_time() {
     let (a, _) = traced_metro_edge(15.0, ChromeSink::new(500_000));
     let (b, _) = traced_metro_edge(15.0, ChromeSink::new(500_000));
     assert_eq!(
-        a.to_json(View::Deterministic),
-        b.to_json(View::Deterministic),
+        a.doc().render(View::Deterministic),
+        b.doc().render(View::Deterministic),
         "same seed must export the same deterministic view"
     );
     assert_ne!(
-        a.to_json(View::Full),
-        b.to_json(View::Full),
+        a.doc().render(View::Full),
+        b.doc().render(View::Full),
         "the full views carry two different wall clocks"
     );
     // Audit records carry no wall-clock fields, so they must be equal
@@ -82,7 +82,7 @@ fn chrome_export_is_deterministic_modulo_wall_time() {
 #[test]
 fn trace_covers_every_layer_of_the_stack() {
     let (sink, _) = traced_metro_edge(15.0, ChromeSink::new(500_000));
-    let json = sink.to_json(View::Full);
+    let json = sink.doc().render(View::Full);
     for phase in [
         Phase::KernelDispatch,
         Phase::SpfFull,
