@@ -15,7 +15,7 @@
 //! * FIB downloads from converged instances into data-plane [`Fib`]s;
 //! * fluid traffic: flows resolve their paths through the FIBs (per
 //!   hop ECMP hashing) and share link capacity max-min fairly; link
-//!   and flow counters integrate rates between events;
+//!   octet counters integrate rates between events;
 //! * SNMP agents per router whose `ifOutOctets` counters are fed by the
 //!   data and control planes alike;
 //! * pluggable components (the Fibbing controller, workload drivers,
