@@ -19,15 +19,17 @@
 //! in-window batch from seed `seed ⊕ w·φ64`, so each walk is
 //! individually replayable.
 //!
-//! Every run is checked against the [`crate::invariants`]; every
-//! schedule trace is fingerprinted, and the sorted set of distinct
-//! fingerprints is folded into a digest CI byte-compares across
-//! double runs.
+//! The identity run's report gives the `[expect]` stanza every other
+//! schedule is judged against with [`ExpectSpec::check`] (no new
+//! forwarding loop, a bounded blackout, every lie retracted; see
+//! `docs/ADVERSARY.md`); every schedule trace is fingerprinted, and
+//! the sorted set of distinct fingerprints is folded into a digest CI
+//! byte-compares across double runs.
 //!
 //! [`TieBreak`]: fib_sim_kernel::TieBreak
 
-use crate::hook::{factorial, fingerprint, new_log, PlanHook, RandomHook};
-use crate::invariants::{check, Baseline, InvariantConfig};
+use crate::hook::{factorial, fingerprint, new_log, PlanHook, RandomHook, ScheduleLog};
+use crate::{run_checked, safety_stanza};
 use fib_igp::time::Timestamp;
 use fib_scenario::prelude::*;
 use fib_sim_kernel::TieBreak;
@@ -55,8 +57,6 @@ pub struct ExploreConfig {
     /// Horizon override (seconds) — shrink it to the window plus
     /// settle margin to afford more runs.
     pub horizon_secs: Option<f64>,
-    /// Safety-invariant bounds.
-    pub invariants: InvariantConfig,
 }
 
 impl Default for ExploreConfig {
@@ -69,7 +69,6 @@ impl Default for ExploreConfig {
             walks: 64,
             seed: 0xF1B,
             horizon_secs: None,
-            invariants: InvariantConfig::default(),
         }
     }
 }
@@ -79,8 +78,6 @@ impl Default for ExploreConfig {
 pub struct ExploreOutcome {
     /// Scenario explored.
     pub scenario: String,
-    /// Seed the scenario ran with.
-    pub scenario_seed: u64,
     /// The permutation window (seconds).
     pub window: (f64, f64),
     /// Total runs (identity + exhaustive + walks).
@@ -95,44 +92,13 @@ pub struct ExploreOutcome {
     pub max_decisions: usize,
     /// Largest same-timestamp batch any in-window decision had.
     pub max_batch: usize,
-    /// Invariant violations, one string each (empty = all safe).
+    /// Violated bounds, one string each (empty = all safe).
     pub violations: Vec<String>,
     /// FNV fold of the sorted distinct fingerprints (deterministic;
     /// CI byte-compares it across double runs).
     pub digest: u64,
-    /// The identity run's baseline the relative invariants used.
-    pub baseline: Baseline,
-}
-
-/// One run of `spec` with `hook` armed; returns the report, the
-/// schedule trace, and rendered loop cycles (if any).
-fn run_with_hook(
-    spec: &ScenarioSpec,
-    opts: RunOptions,
-    hook: Box<dyn TieBreak<Timestamp>>,
-    log: &crate::hook::ScheduleLog,
-) -> Result<(ScenarioReport, Vec<OrderRecord>, Vec<String>), SpecError> {
-    let mut run = build(spec, opts)?;
-    run.sim.set_tie_break(Some(hook));
-    let horizon = run.horizon_secs();
-    run.run_until_secs(horizon);
-    let cycles: Vec<String> = run
-        .sim
-        .loop_violations()
-        .iter()
-        .map(|v| {
-            let path: Vec<String> = v.cycle.iter().map(|r| r.0.to_string()).collect();
-            format!(
-                "t={:.3}s prefix={:?} cycle={}",
-                v.at.as_secs_f64(),
-                v.prefix,
-                path.join("->")
-            )
-        })
-        .collect();
-    let report = run.finish();
-    let trace = log.lock().clone();
-    Ok((report, trace, cycles))
+    /// The identity run, whose report the judging stanza came from.
+    pub identity: ScenarioReport,
 }
 
 fn plan_label(plan: &[u64]) -> String {
@@ -158,108 +124,111 @@ fn expand(stack: &mut Vec<Vec<u64>>, plan: &[u64], trace: &[OrderRecord], cfg: &
     }
 }
 
+/// What the schedules run so far have shown.
+struct Tally<'a> {
+    spec: &'a ScenarioSpec,
+    horizon_secs: Option<f64>,
+    /// The stanza every schedule is judged against (empty, so judging
+    /// nothing, until the identity run has given it).
+    expect: ExpectSpec,
+    distinct: BTreeSet<u64>,
+    max_decisions: usize,
+    max_batch: usize,
+    violations: Vec<String>,
+}
+
+impl Tally<'_> {
+    /// Run one schedule, `hook` on a fresh log breaking its ties: fold
+    /// its trace into the tally, judge its report, and return both.
+    /// Each violation carries `label`; a loop violation also carries
+    /// the probe's rendered cycles.
+    fn visit<H: TieBreak<Timestamp> + 'static>(
+        &mut self,
+        label: &str,
+        hook: impl FnOnce(ScheduleLog) -> H,
+    ) -> Result<(ScenarioReport, Vec<OrderRecord>), SpecError> {
+        let log = new_log();
+        let (report, cycles) = run_checked(
+            self.spec,
+            self.horizon_secs,
+            Some(Box::new(hook(log.clone()))),
+        )?;
+        let trace = std::mem::take(&mut *log.lock());
+        self.distinct.insert(fingerprint(&trace));
+        self.max_decisions = self.max_decisions.max(trace.len());
+        let batch = trace.iter().map(|r| r.batch as usize).max().unwrap_or(0);
+        self.max_batch = self.max_batch.max(batch);
+        for v in self.expect.check(&report) {
+            let cycles = if v.starts_with("expect: fwd_loops") && !cycles.is_empty() {
+                format!(" ({})", cycles.join("; "))
+            } else {
+                String::new()
+            };
+            self.violations.push(format!("{label}: {v}{cycles}"));
+        }
+        Ok((report, trace))
+    }
+}
+
 /// Explore `spec`'s same-timestamp interleavings per `cfg`.
 pub fn explore(spec: &ScenarioSpec, cfg: &ExploreConfig) -> Result<ExploreOutcome, SpecError> {
-    let opts = RunOptions {
-        horizon_secs: cfg.horizon_secs,
-        check_loops: true,
-        ..RunOptions::default()
-    };
-
-    // Identity run: the baseline every relative invariant compares to.
-    let log = new_log();
-    let (base_report, base_trace, _base_cycles) = run_with_hook(
+    let mut tally = Tally {
         spec,
-        opts,
-        Box::new(PlanHook::new(cfg.window, Vec::new(), log.clone())),
-        &log,
-    )?;
-    // All three invariants are relative to this baseline: an identity
-    // run that micro-loops during reconvergence legitimizes loops for
-    // the whole exploration (the outcome's baseline records it).
-    let baseline = Baseline::from_report(&base_report);
-    let mut violations = Vec::new();
-    let mut distinct: BTreeSet<u64> = BTreeSet::new();
-    distinct.insert(fingerprint(&base_trace));
-    let mut max_decisions = base_trace.len();
-    let mut max_batch = base_trace
-        .iter()
-        .map(|r| r.batch as usize)
-        .max()
-        .unwrap_or(0);
+        horizon_secs: cfg.horizon_secs,
+        expect: ExpectSpec::default(),
+        distinct: BTreeSet::new(),
+        max_decisions: 0,
+        max_batch: 0,
+        violations: Vec::new(),
+    };
+    // The identity run gives the stanza; an identity run that
+    // micro-loops during reconvergence leaves loops unbounded for the
+    // whole exploration (the outcome's identity report records it).
+    let (identity, identity_trace) =
+        tally.visit("identity", |log| PlanHook::new(cfg.window, Vec::new(), log))?;
+    tally.expect = safety_stanza(&identity);
     let mut exhaustive_runs = 1usize;
 
     // Bounded-exhaustive DFS over canonical plans.
     let mut stack: Vec<Vec<u64>> = Vec::new();
-    expand(&mut stack, &[], &base_trace, cfg);
+    expand(&mut stack, &[], &identity_trace, cfg);
     while let Some(plan) = stack.pop() {
         if exhaustive_runs >= cfg.max_runs {
             break;
         }
-        let log = new_log();
-        let (report, trace, cycles) = run_with_hook(
-            spec,
-            opts,
-            Box::new(PlanHook::new(cfg.window, plan.clone(), log.clone())),
-            &log,
-        )?;
+        let (_, trace) = tally.visit(&plan_label(&plan), |log| {
+            PlanHook::new(cfg.window, plan.clone(), log)
+        })?;
         exhaustive_runs += 1;
-        distinct.insert(fingerprint(&trace));
-        max_decisions = max_decisions.max(trace.len());
-        max_batch = max_batch.max(trace.iter().map(|r| r.batch as usize).max().unwrap_or(0));
-        violations.extend(check(
-            &plan_label(&plan),
-            &report,
-            &cycles,
-            &baseline,
-            &cfg.invariants,
-        ));
         expand(&mut stack, &plan, &trace, cfg);
     }
 
     // Seeded random walks into the deeper space.
-    let mut walk_runs = 0usize;
     for w in 0..cfg.walks {
         let walk_seed = cfg.seed ^ (w as u64).wrapping_mul(GOLDEN);
-        let log = new_log();
-        let (report, trace, cycles) = run_with_hook(
-            spec,
-            opts,
-            Box::new(RandomHook::new(cfg.window, walk_seed, log.clone())),
-            &log,
-        )?;
-        walk_runs += 1;
-        distinct.insert(fingerprint(&trace));
-        max_decisions = max_decisions.max(trace.len());
-        max_batch = max_batch.max(trace.iter().map(|r| r.batch as usize).max().unwrap_or(0));
-        violations.extend(check(
-            &format!("walk={w}"),
-            &report,
-            &cycles,
-            &baseline,
-            &cfg.invariants,
-        ));
+        tally.visit(&format!("walk={w}"), |log| {
+            RandomHook::new(cfg.window, walk_seed, log)
+        })?;
     }
 
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for fp in &distinct {
+    for fp in &tally.distinct {
         digest ^= *fp;
         digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     Ok(ExploreOutcome {
         scenario: spec.name.clone(),
-        scenario_seed: base_report.seed,
         window: cfg.window,
-        runs: exhaustive_runs + walk_runs,
+        runs: exhaustive_runs + cfg.walks,
         exhaustive_runs,
-        walk_runs,
-        distinct: distinct.len(),
-        max_decisions,
-        max_batch,
-        violations,
+        walk_runs: cfg.walks,
+        distinct: tally.distinct.len(),
+        max_decisions: tally.max_decisions,
+        max_batch: tally.max_batch,
+        violations: tally.violations,
         digest,
-        baseline,
+        identity,
     })
 }
 

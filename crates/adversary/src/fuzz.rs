@@ -2,20 +2,22 @@
 //!
 //! Each iteration derives a mutation sequence from the seed, applies
 //! it to the base scenario, runs the result (loop probe armed), and
-//! scores the report against the unmutated baseline for three signal
-//! classes:
+//! scores the report against one-bound `[expect]` stanzas derived
+//! from the unmutated identity run, checked in this order:
 //!
-//! * `fwd-loop` — the loop probe fired where the baseline run was
-//!   loop-free (fault scripts that micro-loop during reconvergence
-//!   under the stock schedule don't count their loops as finds);
-//! * `unroutable-spike` — blackout flow-seconds beyond the invariant
-//!   bound (`factor × baseline + slack`);
-//! * `qoe-cliff` — mean QoE fell more than the cliff threshold below
-//!   the baseline (a mutation that *gradually* degrades QoE is
-//!   uninteresting; a cliff hints at a routing or retraction race).
+//! * `fwd-loop` — `max_fwd_loops = 0`, set only where the identity
+//!   run was loop-free (fault scripts that micro-loop during
+//!   reconvergence under the stock schedule don't count their loops
+//!   as finds);
+//! * `unroutable-spike` — the explorer's blackout bound
+//!   (`10 × identity + 5` flow-seconds);
+//! * `qoe-cliff` — `min_mean_qoe = identity − cliff` (a mutation that
+//!   *gradually* degrades QoE is uninteresting; a cliff hints at a
+//!   routing or retraction race). A run with no sessions has no QoE
+//!   to fall off a cliff.
 //!
-//! A scoring find is [`minimize`]d by greedy mutation-reversal (each
-//! probe is a full deterministic sim run) and can then be
+//! Every scoring find is [`minimize`]d by greedy mutation-reversal
+//! (each probe is a full deterministic sim run) and can then be
 //! [`archive_find`]-ed: serialized under `scenarios/found/` with
 //! `pin_seed = true` and an `[expect]` stanza recording the bad
 //! behaviour, so `scenario_suite --suite found` fails loudly the day
@@ -23,9 +25,9 @@
 //! it witnesses comes back, depending on which side of the bound the
 //! stanza pins.
 
-use crate::invariants::{Baseline, InvariantConfig};
 use crate::minimize::minimize;
 use crate::mutate::{apply_all, gen_mutations, Mutation};
+use crate::{run_checked, safety_stanza};
 use fib_scenario::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,10 +46,6 @@ pub struct FuzzConfig {
     pub qoe_cliff: f64,
     /// Horizon override (seconds) for faster campaigns.
     pub horizon_secs: Option<f64>,
-    /// Bounds for the unroutable-spike signal.
-    pub invariants: InvariantConfig,
-    /// Minimize finds (every probe is one more sim run).
-    pub minimize: bool,
 }
 
 impl Default for FuzzConfig {
@@ -58,31 +56,23 @@ impl Default for FuzzConfig {
             max_mutations: 4,
             qoe_cliff: 0.3,
             horizon_secs: None,
-            invariants: InvariantConfig::default(),
-            minimize: true,
         }
     }
 }
 
-/// A scoring mutated scenario, minimized if the campaign asked for it.
+/// A scoring mutated scenario, minimized.
 #[derive(Debug, Clone)]
 pub struct Find {
     /// Iteration that produced it.
     pub iter: usize,
     /// Signal class: `fwd-loop`, `unroutable-spike`, or `qoe-cliff`.
     pub signal: String,
-    /// The (minimized) mutation sequence from the base spec.
+    /// The minimized mutation sequence from the base spec.
     pub mutations: Vec<Mutation>,
     /// The mutated spec the signal reproduces on.
     pub spec: ScenarioSpec,
-    /// Mean QoE score of the find's run.
-    pub mean_qoe: f64,
-    /// Unroutable flow-seconds of the find's run.
-    pub unroutable_flow_secs: f64,
-    /// Settle points with a forwarding loop in the find's run.
-    pub fwd_loop_settles: u64,
-    /// Lies still installed at the find's horizon.
-    pub final_lies: u64,
+    /// The run of `spec`.
+    pub report: ScenarioReport,
 }
 
 /// What a fuzzing campaign produced.
@@ -94,98 +84,90 @@ pub struct FuzzOutcome {
     pub seed: u64,
     /// Iterations executed.
     pub iters: usize,
-    /// Total sim runs (baseline + iterations + minimization probes).
+    /// Total sim runs (identity + iterations + minimization probes).
     pub runs: usize,
     /// The finds, in iteration order.
     pub finds: Vec<Find>,
-    /// Baseline mean QoE the cliff signal compared against.
-    pub baseline_qoe: f64,
-    /// Baseline for the unroutable-spike signal.
-    pub baseline: Baseline,
+    /// The unmutated identity run the signals were derived from.
+    pub identity: ScenarioReport,
 }
 
-fn run_once(spec: &ScenarioSpec, horizon: Option<f64>) -> Result<ScenarioReport, SpecError> {
-    run(
-        spec,
-        RunOptions {
-            horizon_secs: horizon,
-            check_loops: true,
-            ..RunOptions::default()
-        },
-    )
+/// The signals' one-bound stanzas, in the order they are checked.
+fn signals(identity: &ScenarioReport, qoe_cliff: f64) -> [(&'static str, ExpectSpec); 3] {
+    let safety = safety_stanza(identity);
+    [
+        (
+            "fwd-loop",
+            ExpectSpec {
+                max_fwd_loops: safety.max_fwd_loops,
+                ..ExpectSpec::default()
+            },
+        ),
+        (
+            "unroutable-spike",
+            ExpectSpec {
+                max_unroutable_flow_secs: safety.max_unroutable_flow_secs,
+                ..ExpectSpec::default()
+            },
+        ),
+        (
+            "qoe-cliff",
+            ExpectSpec {
+                min_mean_qoe: Some(identity.qoe.mean_score - qoe_cliff),
+                ..ExpectSpec::default()
+            },
+        ),
+    ]
 }
 
-/// Which signal (if any) `report` raises against the baseline.
+/// The first signal whose stanza `report` breaks, if any.
 fn signal_of(
     report: &ScenarioReport,
-    baseline: &Baseline,
-    baseline_qoe: f64,
-    cfg: &FuzzConfig,
+    signals: &[(&'static str, ExpectSpec)],
 ) -> Option<&'static str> {
-    if baseline.fwd_loop_settles == 0 && report.fwd_loop_settles > 0 {
-        return Some("fwd-loop");
-    }
-    let bound = cfg.invariants.unroutable_factor * baseline.unroutable_flow_secs
-        + cfg.invariants.unroutable_slack_secs;
-    if report.unroutable_flow_secs > bound {
-        return Some("unroutable-spike");
-    }
-    if report.qoe.sessions > 0 && baseline_qoe - report.qoe.mean_score > cfg.qoe_cliff {
-        return Some("qoe-cliff");
-    }
-    None
+    signals
+        .iter()
+        .filter(|(name, _)| *name != "qoe-cliff" || report.qoe.sessions > 0)
+        .find(|(_, stanza)| !stanza.check(report).is_empty())
+        .map(|(name, _)| *name)
 }
 
 /// Fuzz `base` per `cfg`. Deterministic: the same base spec and
 /// config reproduce the same finds (and the same minimizations).
 pub fn fuzz(base: &ScenarioSpec, cfg: &FuzzConfig) -> Result<FuzzOutcome, SpecError> {
-    let base_report = run_once(base, cfg.horizon_secs)?;
-    let baseline = Baseline::from_report(&base_report);
-    let baseline_qoe = base_report.qoe.mean_score;
+    let run_once = |spec: &ScenarioSpec| run_checked(spec, cfg.horizon_secs, None).map(|r| r.0);
+    let identity = run_once(base)?;
+    let signals = signals(&identity, cfg.qoe_cliff);
     let mut runs = 1usize;
     let mut finds = Vec::new();
 
     for iter in 0..cfg.iters {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ (iter as u64).wrapping_mul(0x9E37_79B9));
         let mutations = gen_mutations(base, &mut rng, cfg.max_mutations);
-        let mutated = apply_all(base, &mutations);
-        let Ok(report) = run_once(&mutated, cfg.horizon_secs) else {
+        let Ok(report) = run_once(&apply_all(base, &mutations)) else {
             // A mutation produced an unrunnable spec (e.g. a retarget
             // raced a structural edit); skip, the draw was still spent.
             continue;
         };
         runs += 1;
-        let Some(signal) = signal_of(&report, &baseline, baseline_qoe, cfg) else {
+        let Some(signal) = signal_of(&report, &signals) else {
             continue;
         };
 
-        let (mutations, report) = if cfg.minimize {
-            let mut probes = 0usize;
-            let minimal = minimize(base, &mutations, |candidate| {
-                probes += 1;
-                match run_once(candidate, cfg.horizon_secs) {
-                    Ok(r) => signal_of(&r, &baseline, baseline_qoe, cfg) == Some(signal),
-                    Err(_) => false,
-                }
-            });
-            runs += probes;
-            let minimal_spec = apply_all(base, &minimal);
-            let report = run_once(&minimal_spec, cfg.horizon_secs)?;
-            runs += 1;
-            (minimal, report)
-        } else {
-            (mutations, report)
-        };
-
+        let mut probes = 0usize;
+        let mutations = minimize(base, &mutations, |candidate| {
+            probes += 1;
+            run_once(candidate).is_ok_and(|r| signal_of(&r, &signals) == Some(signal))
+        });
+        runs += probes + 1;
+        let spec = apply_all(base, &mutations);
+        let report = run_once(&spec)?;
         finds.push(Find {
             iter,
             signal: signal.to_string(),
-            mutations: mutations.clone(),
-            spec: apply_all(base, &mutations),
-            mean_qoe: report.qoe.mean_score,
-            unroutable_flow_secs: report.unroutable_flow_secs,
-            fwd_loop_settles: report.fwd_loop_settles,
-            final_lies: report.final_lies,
+            mutations,
+            spec,
+            report,
         });
     }
 
@@ -195,8 +177,7 @@ pub fn fuzz(base: &ScenarioSpec, cfg: &FuzzConfig) -> Result<FuzzOutcome, SpecEr
         iters: cfg.iters,
         runs,
         finds,
-        baseline_qoe,
-        baseline,
+        identity,
     })
 }
 
@@ -210,12 +191,12 @@ fn expect_for(find: &Find) -> ExpectSpec {
             x.min_fwd_loops = Some(1);
         }
         "unroutable-spike" => {
-            x.min_unroutable_flow_secs = Some(find.unroutable_flow_secs * 0.5);
+            x.min_unroutable_flow_secs = Some(find.report.unroutable_flow_secs * 0.5);
         }
         _ => {
             // qoe-cliff: the find's mean QoE plus margin stays below
             // where the baseline was.
-            x.max_mean_qoe = Some(find.mean_qoe + 0.1);
+            x.max_mean_qoe = Some(find.report.qoe.mean_score + 0.1);
         }
     }
     x
@@ -320,6 +301,44 @@ b = 3
         for f in &a.finds {
             assert!(!f.mutations.is_empty());
         }
+    }
+
+    #[test]
+    fn signals_rank_loops_over_blackouts_over_cliffs() {
+        let mut identity = crate::tests::report();
+        identity.unroutable_flow_secs = 1.0;
+        let judged = signals(&identity, 0.2);
+        assert_eq!(signal_of(&identity, &judged), None);
+
+        // Trip all three bounds, then take them back one at a time.
+        let mut bad = crate::tests::report();
+        bad.fwd_loop_settles = 3;
+        bad.unroutable_flow_secs = 20.0;
+        bad.qoe.mean_score = 0.5;
+        assert_eq!(signal_of(&bad, &judged), Some("fwd-loop"));
+        bad.fwd_loop_settles = 0;
+        assert_eq!(signal_of(&bad, &judged), Some("unroutable-spike"));
+        bad.unroutable_flow_secs = 15.0;
+        assert_eq!(signal_of(&bad, &judged), Some("qoe-cliff"));
+        bad.qoe.mean_score = 0.75;
+        assert_eq!(signal_of(&bad, &judged), None, "a 0.15 drop is no cliff");
+
+        // A looping identity run suppresses `fwd-loop`.
+        let mut loopy = identity.clone();
+        loopy.fwd_loop_settles = 1;
+        let loopy = signals(&loopy, 0.2);
+        let mut looping = crate::tests::report();
+        looping.fwd_loop_settles = 9;
+        assert_eq!(signal_of(&looping, &judged), Some("fwd-loop"));
+        assert_eq!(signal_of(&looping, &loopy), None);
+        looping.unroutable_flow_secs = 20.0;
+        assert_eq!(signal_of(&looping, &loopy), Some("unroutable-spike"));
+
+        // A report with no sessions has no QoE to fall off a cliff.
+        let mut empty = crate::tests::report();
+        empty.qoe = Default::default();
+        assert_eq!(empty.qoe.mean_score, 0.0);
+        assert_eq!(signal_of(&empty, &judged), None);
     }
 
     #[test]

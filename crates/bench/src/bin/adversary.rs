@@ -9,8 +9,9 @@
 //!   bounded-exhaustive permutation plans up to `--depth` decision
 //!   points (at most `--perm-cap` permutations each, `--max-runs`
 //!   total), then `--walks` seeded random walks. Every interleaving
-//!   is checked for forwarding loops, blackout spikes, and stuck
-//!   lies; **any violation exits nonzero**. The distinct-schedule
+//!   is judged against the `[expect]` stanza derived from the
+//!   identity run (forwarding loops, blackout spikes, stuck lies);
+//!   **any violation exits nonzero**. The distinct-schedule
 //!   digest is deterministic for a seed — CI double-runs the binary
 //!   and `cmp`s the JSON's deterministic view.
 //! * `adversary fuzz --scenario paper_demo --iters 32` — seeded
@@ -126,12 +127,12 @@ fn run_explore(cli: &Cli) {
         ("digest", format!("{:016x}", out.digest).into()),
         (
             "baseline_unroutable_flow_secs",
-            out.baseline.unroutable_flow_secs.into(),
+            out.identity.unroutable_flow_secs.into(),
         ),
-        ("baseline_final_lies", out.baseline.final_lies.into()),
+        ("baseline_final_lies", out.identity.final_lies.into()),
         (
             "baseline_fwd_loop_settles",
-            out.baseline.fwd_loop_settles.into(),
+            out.identity.fwd_loop_settles.into(),
         ),
         (
             "violations",
@@ -182,7 +183,7 @@ fn run_fuzz(cli: &Cli) {
         out.iters,
         out.runs,
         out.finds.len(),
-        out.baseline_qoe
+        out.identity.qoe.mean_score
     );
     for f in &out.finds {
         eprintln!(
@@ -191,10 +192,10 @@ fn run_fuzz(cli: &Cli) {
             f.iter,
             f.signal,
             f.mutations.len(),
-            f.mean_qoe,
-            f.unroutable_flow_secs,
-            f.fwd_loop_settles,
-            f.final_lies
+            f.report.qoe.mean_score,
+            f.report.unroutable_flow_secs,
+            f.report.fwd_loop_settles,
+            f.report.final_lies
         );
     }
 
@@ -223,10 +224,10 @@ fn run_fuzz(cli: &Cli) {
                 ("iter", f.iter.into()),
                 ("signal", f.signal.clone().into()),
                 ("mutations", f.mutations.len().into()),
-                ("mean_qoe", f.mean_qoe.into()),
-                ("unroutable_flow_secs", f.unroutable_flow_secs.into()),
-                ("fwd_loop_settles", f.fwd_loop_settles.into()),
-                ("final_lies", f.final_lies.into()),
+                ("mean_qoe", f.report.qoe.mean_score.into()),
+                ("unroutable_flow_secs", f.report.unroutable_flow_secs.into()),
+                ("fwd_loop_settles", f.report.fwd_loop_settles.into()),
+                ("final_lies", f.report.final_lies.into()),
             ])
         })
         .collect();
@@ -237,7 +238,7 @@ fn run_fuzz(cli: &Cli) {
         ("seed", out.seed.into()),
         ("iters", out.iters.into()),
         ("runs", out.runs.into()),
-        ("baseline_qoe", out.baseline_qoe.into()),
+        ("baseline_qoe", out.identity.qoe.mean_score.into()),
         ("finds", Value::Arr(finds)),
         ("archived", archived.len().into()),
     ];
