@@ -18,8 +18,6 @@ pub struct Dur(pub u64);
 impl Timestamp {
     /// The simulation epoch.
     pub const ZERO: Timestamp = Timestamp(0);
-    /// The far future (used as "no deadline").
-    pub const NEVER: Timestamp = Timestamp(u64::MAX);
 
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Timestamp {
@@ -125,14 +123,14 @@ mod tests {
         assert_eq!(t + Dur::from_secs(5), Timestamp::from_secs(15));
         assert_eq!(t - Timestamp::from_secs(4), Dur::from_secs(6));
         assert_eq!(Timestamp::from_secs(4) - t, Dur::ZERO);
-        assert_eq!(Timestamp::NEVER + Dur::from_secs(1), Timestamp::NEVER);
+        assert_eq!(Timestamp(u64::MAX) + Dur::from_secs(1), Timestamp(u64::MAX));
         assert_eq!(t.since(Timestamp::ZERO), Dur::from_secs(10));
     }
 
     #[test]
     fn ordering_and_display() {
         assert!(Timestamp::from_secs(1) < Timestamp::from_secs(2));
-        assert!(Timestamp::NEVER > Timestamp::from_secs(u32::MAX as u64));
+        assert!(Timestamp(u64::MAX) > Timestamp::from_secs(u32::MAX as u64));
         assert_eq!(format!("{}", Timestamp::from_millis(1500)), "t=1.500000s");
         assert_eq!(format!("{}", Dur::from_millis(250)), "0.250000s");
     }

@@ -173,10 +173,11 @@ mod tests {
     }
 
     /// The agent as it was first served, kept as the reference: the
-    /// interfaces in an ordered map, and every walk answered from the
+    /// interfaces in an ordered map, each counter beside the unwrapped
+    /// total the test added to it, and every walk answered from the
     /// full view, materialised and sorted.
     struct Reference {
-        ifaces: BTreeMap<u32, Counter>,
+        ifaces: BTreeMap<u32, (Counter, u128)>,
     }
 
     impl Reference {
@@ -184,7 +185,7 @@ mod tests {
             let mut v: Vec<(Oid, u64)> = self
                 .ifaces
                 .iter()
-                .map(|(&idx, c)| (oids::if_out_octets().child(idx), c.read()))
+                .map(|(&idx, (c, _))| (oids::if_out_octets().child(idx), c.read()))
                 .collect();
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
@@ -215,12 +216,14 @@ mod tests {
             } else {
                 CounterWidth::C64
             };
-            let mut c = Counter::new(width);
+            let (mut c, mut total) = (Counter::new(width), 0u128);
             for _ in 0..rng.gen_range(0..4) {
-                c.add(rng.gen_range(0..1u64 << 33));
+                let bytes = rng.gen_range(0..1u64 << 33);
+                c.add(bytes);
+                total += u128::from(bytes);
             }
             agent.add_iface(idx, c);
-            reference.ifaces.insert(idx, c);
+            reference.ifaces.insert(idx, (c, total));
         }
         // Traffic after registration, through `out_octets_mut`.
         for _ in 0..rng.gen_range(0..24) {
@@ -229,8 +232,9 @@ mod tests {
             if let Some(c) = agent.out_octets_mut(idx) {
                 c.add(bytes);
             }
-            if let Some(c) = reference.ifaces.get_mut(&idx) {
+            if let Some((c, total)) = reference.ifaces.get_mut(&idx) {
                 c.add(bytes);
+                *total += u128::from(bytes);
             }
         }
         (agent, reference)
@@ -290,13 +294,13 @@ mod tests {
             for idx in 0..=reference.ifaces.keys().max().map_or(1, |&k| k + 1) {
                 let a = agent.out_octets_mut(idx).map(|c| c.read());
                 let r = reference.ifaces.get(&idx);
-                assert_eq!(a, r.map(Counter::read), "seed {seed}: ifIndex {idx}");
+                assert_eq!(a, r.map(|(c, _)| c.read()), "seed {seed}: ifIndex {idx}");
             }
             rows += reference.ifaces.len();
             wrapped += reference
                 .ifaces
                 .values()
-                .filter(|c| c.total() != u128::from(c.read()))
+                .filter(|(c, total)| *total != u128::from(c.read()))
                 .count();
         }
         assert!(rows >= 500, "{rows} rows");
