@@ -8,11 +8,12 @@
 //! SNMP only (`controller.predictive = false`, read at 14 and 33 s).
 
 use crate::{f, results_dir, Table};
+use fib_igp::builders::paper_fig1;
 use fib_te::prelude::*;
 use fib_trace::artifact::{save, volatile, Value};
 use fibbing::demo::{
-    self, fig1_demands, fig1_plan, link_name, name, paper_capacities, paper_topology, A, B, BLUE,
-    FIG1_CAPACITY, FIG1_DEMAND,
+    self, fig1_demands, fig1_plan, link_name, name, paper_capacities, A, B, BLUE, FIG1_CAPACITY,
+    FIG1_DEMAND,
 };
 use fibbing::prelude::*;
 use rand::rngs::StdRng;
@@ -22,7 +23,7 @@ use std::time::Instant;
 
 /// Fig. 1 (panels a–d): paths, overload, lies, balance.
 pub fn fig1() {
-    let topo = paper_topology();
+    let topo = paper_fig1();
     let demands = fig1_demands();
     let caps = paper_capacities(FIG1_CAPACITY);
     let load_table = |title: &str, loads: &BTreeMap<(RouterId, RouterId), f64>| {
@@ -247,7 +248,7 @@ fn table4_reaction(notified: Vec<String>) {
     // Weight reconfiguration: detection (1 s SNMP poll + 2 s hold) +
     // local search compute + serial per-device configuration (5 s per
     // device, a conservative CLI/agent latency) + flooding/SPF.
-    let topo = paper_topology();
+    let topo = paper_fig1();
     let caps_map = paper_capacities(demo::CAPACITY);
     let mut tm = TrafficMatrix::new();
     tm.add(B, BLUE, 31.0 * demo::VIDEO_RATE);
@@ -527,7 +528,7 @@ struct Case {
 fn t3_cases() -> Vec<Case> {
     let mut cases = vec![Case {
         name: "paper (Fig. 1)".to_string(),
-        topo: paper_topology(),
+        topo: paper_fig1(),
         demands: FIG1_DEMAND.to_vec(),
         caps: paper_capacities(FIG1_CAPACITY),
     }];

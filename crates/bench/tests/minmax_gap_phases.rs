@@ -9,8 +9,9 @@
 //! `results/BENCH_table_minmax_gap.json`, which the `paper` bin writes
 //! on every run.
 
+use fib_igp::builders::paper_fig1;
 use fib_te::prelude::*;
-use fibbing::demo::{paper_capacities, paper_topology, BLUE, FIG1_CAPACITY, FIG1_DEMAND};
+use fibbing::demo::{paper_capacities, BLUE, FIG1_CAPACITY, FIG1_DEMAND};
 use fibbing::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -18,7 +19,7 @@ const PHASE_BUDGET: Duration = Duration::from_secs(5);
 
 #[test]
 fn paper_case_phases_are_fast() {
-    let topo = paper_topology();
+    let topo = paper_fig1();
     let caps = paper_capacities(FIG1_CAPACITY);
     let mut tm = TrafficMatrix::new();
     for (s, r) in FIG1_DEMAND {

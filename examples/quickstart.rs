@@ -6,12 +6,13 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use fibbing::demo::{name, paper_topology, A, B, BLUE, R1};
+use fibbing::demo::{name, A, B, BLUE, R1};
+use fibbing::igp::builders::paper_fig1;
 use fibbing::igp::lsa::LsaLink;
 use fibbing::prelude::*;
 
 fn main() {
-    let topo = paper_topology();
+    let topo = paper_fig1();
     println!("== the real topology (Fig. 1a) ==");
     for (from, to, m) in topo.all_links() {
         if from < to {

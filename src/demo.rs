@@ -31,6 +31,7 @@
 //! (cost 3 via R1) at t = 35.
 
 use fib_core::prelude::{augment, plan_paths, reduce, Lie, LieAllocator, PathPlan};
+use fib_igp::builders::paper_fig1;
 use fib_igp::prelude::*;
 use fib_scenario::runner::ScenarioRun;
 use std::collections::BTreeMap;
@@ -73,7 +74,10 @@ pub fn link_name(from: RouterId, to: RouterId) -> String {
 }
 
 /// The symmetric links of Fig. 1a: `(a, b, igp_weight)`. Unlabeled
-/// weights in the figure are 1.
+/// weights in the figure are 1. They name, for capacity maps and
+/// `LinkSpec` construction, the links of [`paper_fig1`], the one
+/// definition of the topology (blue announced at C), which the
+/// scenario engine builds too.
 pub const PAPER_LINKS: [(RouterId, RouterId, u32); 8] = [
     (A, B, 1),
     (B, R2, 1),
@@ -85,18 +89,9 @@ pub const PAPER_LINKS: [(RouterId, RouterId, u32); 8] = [
     (R4, C, 2),
 ];
 
-/// The Fig. 1a topology with the blue prefix announced at C.
-///
-/// Delegates to [`fib_igp::builders::paper_fig1`], the canonical
-/// definition shared with the scenario engine; [`PAPER_LINKS`] names
-/// the same links for capacity maps and `LinkSpec` construction.
-pub fn paper_topology() -> Topology {
-    fib_igp::builders::paper_fig1()
-}
-
 /// Uniform per-direction capacities for the paper topology.
 pub fn paper_capacities(capacity: f64) -> BTreeMap<(RouterId, RouterId), f64> {
-    paper_topology()
+    paper_fig1()
         .all_links()
         .map(|(a, b, _)| ((a, b), capacity))
         .collect()
@@ -121,7 +116,7 @@ pub fn fig1_demands() -> [Demand; 2] {
 /// the lies that realize it, augmented and reduced — the paper's one
 /// fake node at B and two at A.
 pub fn fig1_plan() -> (PathPlan, Vec<Lie>) {
-    let topo = paper_topology();
+    let topo = paper_fig1();
     let caps = paper_capacities(FIG1_CAPACITY);
     let plan = plan_paths(&topo, BLUE, &FIG1_DEMAND, &caps, 0.5, 8).expect("Fig. 1 plans");
     let aug = augment(&topo, &plan.dag, &mut LieAllocator::new()).expect("Fig. 1 augments");
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn paper_topology_matches_fig_1a() {
-        let t = paper_topology();
+        let t = paper_fig1();
         assert_eq!(t.router_count(), 7);
         assert_eq!(t.all_links().count(), 16);
         // Fig. 1a path costs: B reaches blue at 2 via R2; the B–R3–C
@@ -183,7 +178,7 @@ mod tests {
     fn shortest_paths_overlap_on_b_r2_c() {
         // "The IGP shortest paths starting at A and B overlap along
         // B–R2–C" (Fig. 1a caption).
-        let t = paper_topology();
+        let t = paper_fig1();
         let from_a = enumerate_paths(&t, A, BLUE, 8);
         let from_b = enumerate_paths(&t, B, BLUE, 8);
         assert_eq!(from_a, vec![vec![A, B, R2, C]]);
@@ -194,7 +189,7 @@ mod tests {
     fn paper_links_match_the_canonical_builder() {
         // PAPER_LINKS (used for LinkSpecs and capacity maps) and the
         // igp builder must describe the same graph.
-        let t = paper_topology();
+        let t = paper_fig1();
         assert_eq!(t.all_links().count(), PAPER_LINKS.len() * 2);
         for (a, b, w) in PAPER_LINKS {
             assert_eq!(t.link_metric(a, b), Some(Metric(w)), "{a}-{b}");

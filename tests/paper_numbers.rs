@@ -6,16 +6,17 @@
 //! ([`FIG1_DEMAND`], [`fig1_plan`]), the one the `paper` binary renders.
 
 use fibbing::demo::{
-    fig1_demands, fig1_plan, paper_capacities, paper_topology, A, B, BLUE, C, FIG1_CAPACITY,
-    FIG1_DEMAND, R1, R2, R3, R4,
+    fig1_demands, fig1_plan, paper_capacities, A, B, BLUE, C, FIG1_CAPACITY, FIG1_DEMAND, R1, R2,
+    R3, R4,
 };
+use fibbing::igp::builders::paper_fig1;
 use fibbing::prelude::*;
 
 /// Fig. 1b: both sources send 100 units; the overlap on B–R2–C
 /// doubles the load there (the "200" relative load in the figure).
 #[test]
 fn fig1b_overload_on_b_r2_c() {
-    let loads = spread(&paper_topology(), &fig1_demands()).expect("routable");
+    let loads = spread(&paper_fig1(), &fig1_demands()).expect("routable");
     assert!((loads[&(A, B)] - 100.0).abs() < 1e-9);
     assert!(
         (loads[&(B, R2)] - 200.0).abs() < 1e-9,
@@ -62,7 +63,7 @@ fn fig1c_exact_lies() {
 /// three.
 #[test]
 fn fig1c_path_counts() {
-    let augmented = apply_all(&paper_topology(), &fig1_plan().1);
+    let augmented = apply_all(&paper_fig1(), &fig1_plan().1);
 
     let rt_b = compute_routes(&augmented, B);
     assert_eq!(rt_b.nexthops(BLUE).len(), 2, "B: 2 equal-cost slots");
@@ -78,7 +79,7 @@ fn fig1c_path_counts() {
 /// link load drops from 200 to ~66.7.
 #[test]
 fn fig1d_balanced_loads() {
-    let augmented = apply_all(&paper_topology(), &fig1_plan().1);
+    let augmented = apply_all(&paper_fig1(), &fig1_plan().1);
     let loads = spread(&augmented, &fig1_demands()).expect("routable");
     let want = [
         ((A, B), 100.0 / 3.0),  // "33"
@@ -107,7 +108,7 @@ fn fig1d_balanced_loads() {
 #[test]
 fn fibbing_achieves_min_max_optimum() {
     let caps = paper_capacities(FIG1_CAPACITY);
-    let theta = min_max_theta(&paper_topology(), BLUE, &FIG1_DEMAND, &caps).unwrap();
+    let theta = min_max_theta(&paper_fig1(), BLUE, &FIG1_DEMAND, &caps).unwrap();
     assert!((theta - 2.0 / 3.0).abs() < 1e-3, "θ* = {theta}");
 }
 
@@ -116,7 +117,7 @@ fn fibbing_achieves_min_max_optimum() {
 /// untouched, and forwarding is loop-free.
 #[test]
 fn plan_verifies_end_to_end() {
-    let topo = paper_topology();
+    let topo = paper_fig1();
     let (plan, _) = fig1_plan();
     let aug = augment(&topo, &plan.dag, &mut LieAllocator::new()).unwrap();
     let report = check_preserving(&topo, &apply_all(&topo, &aug.lies), &plan.dag);
