@@ -52,13 +52,9 @@ impl Cli {
         }
     }
 
-    /// Parse an argument iterator (testable core of [`Cli::from_env`]).
-    pub fn parse(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Cli, String> {
-        Cli::parse_full(args, known, 0)
-    }
-
-    /// Parse allowing up to `max_positionals` non-flag arguments
-    /// (testable core of [`Cli::from_env_with_positionals`]).
+    /// Parse an argument iterator allowing up to `max_positionals`
+    /// non-flag arguments (testable core of [`Cli::from_env`] and
+    /// [`Cli::from_env_with_positionals`]).
     pub fn parse_full(
         args: impl IntoIterator<Item = String>,
         known: &[&str],
@@ -138,7 +134,12 @@ mod tests {
 
     #[test]
     fn parses_both_flag_shapes() {
-        let cli = Cli::parse(args(&["--seed", "9", "--suite=smoke"]), &["seed", "suite"]).unwrap();
+        let cli = Cli::parse_full(
+            args(&["--seed", "9", "--suite=smoke"]),
+            &["seed", "suite"],
+            0,
+        )
+        .unwrap();
         assert_eq!(cli.seed(7), 9);
         assert_eq!(cli.get("suite"), Some("smoke"));
         assert_eq!(cli.get("horizon"), None);
@@ -146,16 +147,16 @@ mod tests {
 
     #[test]
     fn default_seed_applies() {
-        let cli = Cli::parse(args(&[]), &["seed"]).unwrap();
+        let cli = Cli::parse_full(args(&[]), &["seed"], 0).unwrap();
         assert_eq!(cli.seed(2016), 2016);
     }
 
     #[test]
     fn rejects_unknown_and_malformed() {
-        assert!(Cli::parse(args(&["--nope", "1"]), &["seed"]).is_err());
-        assert!(Cli::parse(args(&["positional"]), &["seed"]).is_err());
-        assert!(Cli::parse(args(&["--seed"]), &["seed"]).is_err());
-        assert!(Cli::parse(args(&["--seed", "1", "--seed", "2"]), &["seed"]).is_err());
+        assert!(Cli::parse_full(args(&["--nope", "1"]), &["seed"], 0).is_err());
+        assert!(Cli::parse_full(args(&["positional"]), &["seed"], 0).is_err());
+        assert!(Cli::parse_full(args(&["--seed"]), &["seed"], 0).is_err());
+        assert!(Cli::parse_full(args(&["--seed", "1", "--seed", "2"]), &["seed"], 0).is_err());
     }
 
     #[test]
@@ -166,13 +167,13 @@ mod tests {
         assert_eq!(cli.u64_flag("jobs"), Some(4));
         // A second positional still errors.
         assert!(Cli::parse_full(args(&["a.toml", "b.toml"]), &[], 1).is_err());
-        // And `parse` keeps rejecting them entirely.
-        assert!(Cli::parse(args(&["a.toml"]), &[]).is_err());
+        // And none is allowed where none is asked for.
+        assert!(Cli::parse_full(args(&["a.toml"]), &[], 0).is_err());
     }
 
     #[test]
     fn numeric_accessors() {
-        let cli = Cli::parse(args(&["--horizon", "12.5"]), &["horizon"]).unwrap();
+        let cli = Cli::parse_full(args(&["--horizon", "12.5"]), &["horizon"], 0).unwrap();
         assert_eq!(cli.f64_flag("horizon"), Some(12.5));
         assert_eq!(cli.u64_flag("missing"), None);
     }
