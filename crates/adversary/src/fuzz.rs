@@ -120,7 +120,8 @@ fn signals(identity: &ScenarioReport, qoe_cliff: f64) -> [(&'static str, ExpectS
     ]
 }
 
-/// The first signal whose stanza `report` breaks, if any.
+/// The first signal whose stanza `report` breaks, if any. A run with
+/// no sessions reads a mean QoE of 0, which is no cliff.
 fn signal_of(
     report: &ScenarioReport,
     signals: &[(&'static str, ExpectSpec)],
