@@ -29,7 +29,7 @@
 //! [`TieBreak`]: fib_sim_kernel::TieBreak
 
 use crate::hook::{factorial, fingerprint, new_log, PlanHook, RandomHook, ScheduleLog};
-use crate::{run_checked, safety_stanza};
+use crate::{judge, run_checked, safety_stanza};
 use fib_igp::time::Timestamp;
 use fib_scenario::prelude::*;
 use fib_sim_kernel::TieBreak;
@@ -139,9 +139,8 @@ struct Tally<'a> {
 
 impl Tally<'_> {
     /// Run one schedule, `hook` on a fresh log breaking its ties: fold
-    /// its trace into the tally, judge its report, and return both.
-    /// Each violation carries `label`; a loop violation also carries
-    /// the probe's rendered cycles.
+    /// its trace into the tally, [`judge`] its report under `label`,
+    /// and return both.
     fn visit<H: TieBreak<Timestamp> + 'static>(
         &mut self,
         label: &str,
@@ -158,14 +157,8 @@ impl Tally<'_> {
         self.max_decisions = self.max_decisions.max(trace.len());
         let batch = trace.iter().map(|r| r.batch as usize).max().unwrap_or(0);
         self.max_batch = self.max_batch.max(batch);
-        for v in self.expect.check(&report) {
-            let cycles = if v.starts_with("expect: fwd_loops") && !cycles.is_empty() {
-                format!(" ({})", cycles.join("; "))
-            } else {
-                String::new()
-            };
-            self.violations.push(format!("{label}: {v}{cycles}"));
-        }
+        self.violations
+            .extend(judge(label, &self.expect, &report, &cycles));
         Ok((report, trace))
     }
 }

@@ -86,6 +86,33 @@ pub(crate) fn safety_stanza(identity: &ScenarioReport) -> ExpectSpec {
     }
 }
 
+/// Judge one schedule's `report` against `expect`: one line per
+/// violated bound in the suite's `expect:` form, prefixed with the
+/// schedule's `label`. A broken loop bound also carries the probe's
+/// rendered `cycles`; the other bounds are checked without them.
+pub(crate) fn judge(
+    label: &str,
+    expect: &ExpectSpec,
+    report: &ScenarioReport,
+    cycles: &[String],
+) -> Vec<String> {
+    let loops = ExpectSpec {
+        max_fwd_loops: expect.max_fwd_loops,
+        ..ExpectSpec::default()
+    };
+    let rest = ExpectSpec {
+        max_fwd_loops: None,
+        ..expect.clone()
+    };
+    let detail = match cycles {
+        [] => String::new(),
+        _ => format!(" ({})", cycles.join("; ")),
+    };
+    let mut out = rest.check(report);
+    out.extend(loops.check(report).into_iter().map(|v| v + &detail));
+    out.into_iter().map(|v| format!("{label}: {v}")).collect()
+}
+
 /// One run of `spec` to its horizon (or `horizon_secs`) with the loop
 /// probe armed and `hook`, if any, breaking same-timestamp ties.
 /// Returns the report and the cycles the probe logged, rendered (the
@@ -203,5 +230,23 @@ pub(crate) mod tests {
         assert!(calm.check(&blackout).is_empty());
         blackout.unroutable_flow_secs = 5.001;
         assert_eq!(calm.check(&blackout).len(), 1);
+
+        // Judging labels every violation; only the loop line carries
+        // the probe's cycles, also when the same run breaks a second
+        // bound.
+        let cycles = ["cycle 1->2->1".to_string()];
+        let v = judge("plan=[0,1]", &stanza, &loops, &cycles);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("plan=[0,1]: expect: fwd_loops = 2 > max 0"));
+        assert!(v[0].ends_with(" (cycle 1->2->1)"), "{v:?}");
+        let mut both = loops.clone();
+        both.unroutable_flow_secs = 15.5;
+        let v = judge("walk=3", &stanza, &both, &cycles);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("walk=3: expect: unroutable_flow_secs"));
+        assert!(!v[0].contains("cycle"), "{v:?}");
+        assert!(v[1].starts_with("walk=3: expect: fwd_loops = 2 > max 0"));
+        assert!(v[1].contains("cycle 1->2->1"), "{v:?}");
+        assert!(judge("walk=3", &stanza, &clean, &cycles).is_empty());
     }
 }
