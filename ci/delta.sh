@@ -5,7 +5,11 @@
 # tests/ and examples/ as `+A −D = N`, then the same files' line
 # counts at both commits, split into library and test lines. Test
 # lines are every line of a file under a `tests/` directory, and every
-# line at or after a file's first top-level `#[cfg(test)]`.
+# line at or after a file's first top-level `#[cfg(test)]`. A `vendor`
+# row counts the `*.rs` lines of the offline shims under vendor/, and
+# `all` adds them to the total, so a shim's removal shows in the
+# figure while the library, tests and total rows stay comparable with
+# figures reported before the row existed.
 #
 #   ci/delta.sh 5366faa
 #
@@ -54,8 +58,28 @@ def split(rev):
         test += len(lines) - cut
     return lib, test
 
+def vendored(rev):
+    """Lines of the tracked `*.rs` files under vendor/ at `rev`."""
+    files = subprocess.run(
+        ["git", "ls-tree", "-r", "--name-only", rev, "--", "vendor"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    return sum(
+        len(subprocess.run(
+            ["git", "cat-file", "blob", f"{rev}:{path}"], check=True, capture_output=True,
+        ).stdout.splitlines())
+        for path in files if path.endswith(".rs")
+    )
+
 (bl, bt), (hl, ht) = split(base), split("HEAD")
+bv, hv = vendored(base), vendored("HEAD")
 print(f"{'':8} {name[:12]:>12} → {'HEAD':>8} {'delta':>7}")
-for label, b, h in (("library", bl, hl), ("tests", bt, ht), ("total", bl + bt, hl + ht)):
+for label, b, h in (
+    ("library", bl, hl),
+    ("tests", bt, ht),
+    ("total", bl + bt, hl + ht),
+    ("vendor", bv, hv),
+    ("all", bl + bt + bv, hl + ht + hv),
+):
     print(f"{label:8} {b:>12} → {h:>8} {sign(h - b):>7}")
 PY

@@ -928,9 +928,9 @@ mod tests {
     mod equivalence {
         use super::*;
         use fib_igp::builders::random_connected;
-        use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
 
         pub(super) type Scenario = (
             Topology,
@@ -963,45 +963,66 @@ mod tests {
             (topo, prefix, demands, caps)
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Runs `check` on `n` cases, each on its own seeded generator,
+        /// and names the case and seed that fail.
+        fn cases(n: u64, mut check: impl FnMut(&mut StdRng)) {
+            for case in 0..n {
+                let seed = 0x5EED_F1BB_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let run =
+                    catch_unwind(AssertUnwindSafe(|| check(&mut StdRng::seed_from_u64(seed))));
+                assert!(run.is_ok(), "case {case}/{n} failed (seed {seed:#x})");
+            }
+        }
 
-            /// The solver's θ* matches the fresh-bisection oracle
-            /// within 1e-6 on seeded random topologies.
-            #[test]
-            fn solver_matches_fresh_bisection(seed in 0u64..4000, n in 4u32..16) {
+        /// The solver's θ* matches the fresh-bisection oracle within
+        /// 1e-6 on seeded random topologies.
+        #[test]
+        fn solver_matches_fresh_bisection() {
+            cases(64, |rng| {
+                let (seed, n) = (rng.gen_range(0..4000), rng.gen_range(4..16));
                 let (topo, prefix, demands, caps) = scenario(seed, n);
                 let fresh = fresh_reference::min_max_theta(&topo, prefix, &demands, &caps);
                 let fast = min_max_theta(&topo, prefix, &demands, &caps);
                 match (fresh, fast) {
                     (Ok(a), Ok(b)) => {
-                        prop_assert!((a - b).abs() <= 1e-6 * a.max(1.0),
-                            "fresh {a} vs solver {b}");
+                        assert!(
+                            (a - b).abs() <= 1e-6 * a.max(1.0),
+                            "fresh {a} vs solver {b}"
+                        );
                     }
-                    (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-                    (a, b) => prop_assert!(false, "diverged: fresh {a:?} vs solver {b:?}"),
+                    (Err(ea), Err(eb)) => assert_eq!(ea, eb),
+                    (a, b) => panic!("diverged: fresh {a:?} vs solver {b:?}"),
                 }
-            }
+            });
+        }
 
-            /// Probes on the kept network, in any order of θ, agree
-            /// with fresh feasibility at unambiguous θ values around θ*.
-            #[test]
-            fn probes_in_any_order_match_known_optimum(seed in 0u64..4000, n in 4u32..12) {
+        /// Probes on the kept network, in any order of θ, agree with
+        /// fresh feasibility at unambiguous θ values around θ*.
+        #[test]
+        fn probes_in_any_order_match_known_optimum() {
+            cases(64, |rng| {
+                let (seed, n) = (rng.gen_range(0..4000), rng.gen_range(4..12));
                 let (topo, prefix, demands, caps) = scenario(seed, n);
                 let Ok(star) = fresh_reference::min_max_theta(&topo, prefix, &demands, &caps)
-                else { return Ok(()); };
+                else {
+                    return;
+                };
                 let mut solver = MinMaxSolver::new(&topo, prefix, &demands, &caps).unwrap();
                 // Zig-zag: each probe must forget the flow of the last.
                 for (k, expect) in [
-                    (2.0, true), (0.5, false), (1.5, true),
-                    (0.8, false), (1.1, true), (0.9, false),
+                    (2.0, true),
+                    (0.5, false),
+                    (1.5, true),
+                    (0.8, false),
+                    (1.1, true),
+                    (0.9, false),
                 ] {
                     let got = solver.is_feasible(k * star);
-                    prop_assert!(got == expect, "probe at {k}·θ* (θ* = {star}): {got}");
+                    assert!(got == expect, "probe at {k}·θ* (θ* = {star}): {got}");
                 }
                 let solved = solver.theta_star().unwrap();
-                prop_assert!((solved - star).abs() <= 1e-6 * star.max(1.0));
-            }
+                assert!((solved - star).abs() <= 1e-6 * star.max(1.0));
+            });
         }
     }
 }

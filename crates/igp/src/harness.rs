@@ -666,7 +666,19 @@ mod tests {
 mod lockstep {
     use super::*;
     use crate::types::{FwAddr, Prefix};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Runs `check` on `n` cases, each on its own seeded generator, and
+    /// names the case and seed that fail.
+    pub(super) fn cases(n: u64, mut check: impl FnMut(&mut StdRng)) {
+        for case in 0..n {
+            let seed = 0x5EED_F1BB_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let run = catch_unwind(AssertUnwindSafe(|| check(&mut StdRng::seed_from_u64(seed))));
+            assert!(run.is_ok(), "case {case}/{n} failed (seed {seed:#x})");
+        }
+    }
 
     /// One step of a script. Router and wire indices wrap around the
     /// harness's size; injecting an installed lie re-injects it, and
@@ -682,16 +694,44 @@ mod lockstep {
         Run { ms: u64 },
     }
 
-    pub(super) fn arb_op() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0usize..6, 0u32..3).prop_map(|(at, fake)| Op::Inject { at, fake }),
-            (0usize..6, 0u32..3).prop_map(|(at, fake)| Op::Retract { at, fake }),
-            (0usize..6, 1u8..4).prop_map(|(at, net)| Op::Announce { at, net }),
-            (0usize..6, 1u8..4).prop_map(|(at, net)| Op::Withdraw { at, net }),
-            (0usize..8, any::<bool>()).prop_map(|(i, up)| Op::Wire { i, up }),
-            (1u64..1500).prop_map(|ms| Op::Run { ms }),
-            (1u64..1500).prop_map(|ms| Op::Run { ms }),
-        ]
+    /// One to 39 steps; a step runs the network twice as often as it
+    /// does any one other thing.
+    pub(super) fn arb_ops(rng: &mut StdRng) -> Vec<Op> {
+        let op = |rng: &mut StdRng| match rng.gen_range(0..7) {
+            0 => Op::Inject {
+                at: rng.gen_range(0..6),
+                fake: rng.gen_range(0..3),
+            },
+            1 => Op::Retract {
+                at: rng.gen_range(0..6),
+                fake: rng.gen_range(0..3),
+            },
+            2 => Op::Announce {
+                at: rng.gen_range(0..6),
+                net: rng.gen_range(1..4),
+            },
+            3 => Op::Withdraw {
+                at: rng.gen_range(0..6),
+                net: rng.gen_range(1..4),
+            },
+            4 => Op::Wire {
+                i: rng.gen_range(0..8),
+                up: rng.gen_bool(0.5),
+            },
+            _ => Op::Run {
+                ms: rng.gen_range(1..1500),
+            },
+        };
+        (0..rng.gen_range(1..40)).map(|_| op(rng)).collect()
+    }
+
+    /// A loss seed: 0 or `u64::MAX` one time in eight, else any.
+    pub(super) fn arb_seed(rng: &mut StdRng) -> u64 {
+        if rng.gen_range(0..8) == 0 {
+            [0, u64::MAX][rng.gen_range(0..2usize)]
+        } else {
+            rng.next_u64()
+        }
     }
 
     /// A ring of `n` routers with one chord, each instance set up by
@@ -762,13 +802,11 @@ mod lockstep {
 /// flight.
 #[cfg(test)]
 mod sweep_equivalence {
-    use super::lockstep::{apply, arb_op, build};
+    use super::lockstep::{apply, arb_ops, arb_seed, build, cases};
     use super::*;
     use crate::instance::Stats;
     use crate::lsa::Lsa;
-    use proptest::prelude::*;
-    use proptest::test_runner::TestRunner;
-    use std::cell::Cell;
+    use rand::Rng;
 
     /// Everything an observer can see of one harness.
     #[derive(Debug, PartialEq)]
@@ -805,21 +843,18 @@ mod sweep_equivalence {
 
     #[test]
     fn indexed_sweep_matches_full_scan() {
-        let script = (
-            3usize..=6,
-            prop_oneof![Just(0.0), Just(0.15), Just(0.3)],
-            any::<u64>(),
-            proptest::collection::vec(arb_op(), 1..40),
-        );
-        let sweep_visits = Cell::new(0);
-        TestRunner::new(ProptestConfig::with_cases(48)).run(&script, |(n, loss, seed, ops)| {
+        let mut sweep_visits = 0;
+        cases(48, |rng| {
+            let n = rng.gen_range(3..=6);
+            let loss = [0.0, 0.15, 0.3][rng.gen_range(0..3usize)];
+            let (seed, ops) = (arb_seed(rng), arb_ops(rng));
             let mut indexed = build(n, loss, seed, |_| {});
             let mut reference = build(n, loss, seed, Instance::use_full_scan_sweep);
-            prop_assert_eq!(observe(&indexed), observe(&reference));
+            assert_eq!(observe(&indexed), observe(&reference));
             for (step, op) in ops.iter().enumerate() {
                 apply(&mut indexed, op);
                 apply(&mut reference, op);
-                prop_assert!(
+                assert!(
                     observe(&indexed) == observe(&reference),
                     "diverged at step {step} ({op:?}):\n indexed: {:?}\n full scan: {:?}",
                     observe(&indexed),
@@ -827,12 +862,11 @@ mod sweep_equivalence {
                 );
             }
             let visits: u64 = indexed.instances.values().map(|i| i.sweep_visits()).sum();
-            sweep_visits.set(sweep_visits.get() + visits);
-            Ok(())
+            sweep_visits += visits;
         });
         // The scripts must have put purges through the sweep, not
         // skirted it.
-        assert!(sweep_visits.get() > 100, "{} visits", sweep_visits.get());
+        assert!(sweep_visits > 100, "{sweep_visits} visits");
     }
 }
 
@@ -840,12 +874,11 @@ mod sweep_equivalence {
 /// ours, against the rule that answered every one.
 #[cfg(test)]
 mod stale_reply_equivalence {
-    use super::lockstep::{apply, arb_op, build, Op};
+    use super::lockstep::{apply, arb_ops, arb_seed, build, cases, Op};
     use super::*;
     use crate::lsa::{Lsa, LsaBody, LsaKey};
-    use proptest::prelude::*;
-    use proptest::test_runner::TestRunner;
-    use std::cell::Cell;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     /// What the data plane sees of one harness: per instance its LSDB
     /// and pending SPF deadline, and every FIB download. Packets in
@@ -875,14 +908,8 @@ mod stale_reply_equivalence {
         sent(always) - sent(held)
     }
 
-    fn script(
-        routers: std::ops::RangeInclusive<usize>,
-    ) -> impl Strategy<Value = (usize, u64, Vec<Op>)> {
-        (
-            routers,
-            any::<u64>(),
-            proptest::collection::vec(arb_op(), 1..40),
-        )
+    fn script(rng: &mut StdRng, routers: std::ops::RangeInclusive<usize>) -> (usize, u64, Vec<Op>) {
+        (rng.gen_range(routers), arb_seed(rng), arb_ops(rng))
     }
 
     /// On lossless wires the copy held back was already ahead of the
@@ -899,26 +926,26 @@ mod stale_reply_equivalence {
     /// neighbor after it swept a purge and installs the older lie again.
     #[test]
     fn held_back_replies_change_no_lsdb_spf_or_fib_on_lossless_wires() {
-        let saved = Cell::new(0);
-        TestRunner::new(ProptestConfig::with_cases(200)).run(&script(3..=6), |(n, seed, ops)| {
+        let mut saved = 0;
+        cases(200, |rng| {
+            let (n, seed, ops) = script(rng, 3..=6);
             let mut held = build(n, 0.0, seed, |_| {});
             let mut always = build(n, 0.0, seed, Instance::use_always_reply_rule);
             for (step, op) in ops.iter().enumerate() {
                 apply(&mut held, op);
                 apply(&mut always, op);
-                prop_assert!(
+                assert!(
                     observe(&held) == observe(&always),
                     "diverged at step {step} ({op:?}):\n held back: {:?}\n always: {:?}",
                     observe(&held),
                     observe(&always)
                 );
             }
-            saved.set(saved.get() + saved_pkts(&held, &always));
-            Ok(())
+            saved += saved_pkts(&held, &always);
         });
         // The scripts must have made stale copies cross fresher ones,
         // and the rule held replies back.
-        assert!(saved.get() > 1_000, "{} packets saved", saved.get());
+        assert!(saved > 1_000, "{saved} packets saved");
     }
 
     /// Run `h` with every wire up and no loss for ten seconds (past a
@@ -957,9 +984,10 @@ mod stale_reply_equivalence {
     /// the adjacency in Loading.
     #[test]
     fn with_loss_both_rules_settle_to_the_same_lsas() {
-        let script = (prop_oneof![Just(0.15), Just(0.3)], script(4..=6));
-        let saved = Cell::new(0);
-        TestRunner::new(ProptestConfig::with_cases(48)).run(&script, |(loss, (n, seed, ops))| {
+        let mut saved = 0;
+        cases(48, |rng| {
+            let loss = [0.15, 0.3][rng.gen_range(0..2usize)];
+            let (n, seed, ops) = script(rng, 4..=6);
             let ops: Vec<Op> = ops
                 .into_iter()
                 .filter(|op| {
@@ -969,24 +997,23 @@ mod stale_reply_equivalence {
             let mut held = build(n, 0.0, seed, |_| {});
             let mut always = build(n, 0.0, seed, Instance::use_always_reply_rule);
             for h in [&mut held, &mut always] {
-                prop_assert!(h.run_until_converged(Timestamp::from_secs(30)));
+                assert!(h.run_until_converged(Timestamp::from_secs(30)));
                 h.set_loss(loss, seed);
                 for op in &ops {
                     apply(h, op);
                 }
-                prop_assert!(heal(h), "never at rest");
-                prop_assert!(h.lsdbs_agree());
+                assert!(heal(h), "never at rest");
+                assert!(h.lsdbs_agree());
             }
             let lsas = |h: &Harness| -> Vec<(LsaKey, LsaBody)> {
                 let lsdb = h.instance(RouterId(1)).lsdb();
                 lsdb.iter().map(|l| (l.key, l.body.clone())).collect()
             };
-            prop_assert_eq!(lsas(&held), lsas(&always));
-            prop_assert_eq!(&held.fibs, &always.fibs);
-            saved.set(saved.get() + saved_pkts(&held, &always));
-            Ok(())
+            assert_eq!(lsas(&held), lsas(&always));
+            assert_eq!(&held.fibs, &always.fibs);
+            saved += saved_pkts(&held, &always);
         });
-        assert!(saved.get() > 100, "{} packets saved", saved.get());
+        assert!(saved > 100, "{saved} packets saved");
     }
 }
 
@@ -996,10 +1023,8 @@ mod stale_reply_equivalence {
 /// those maps were kept by (`Instance::rxmt_matches_reference`).
 #[cfg(test)]
 mod rxmt_invariant {
-    use super::lockstep::{apply, arb_op, build};
-    use proptest::prelude::*;
-    use proptest::test_runner::TestRunner;
-    use std::cell::Cell;
+    use super::lockstep::{apply, arb_ops, arb_seed, build, cases};
+    use rand::Rng;
 
     /// Lies injected and retracted (two routers may fight over one fake
     /// id), prefixes announced and withdrawn, wires flapped, on lossy
@@ -1008,27 +1033,23 @@ mod rxmt_invariant {
     /// the instance the reference map would have retransmitted.
     #[test]
     fn listed_keys_name_the_instances_the_old_lists_held() {
-        let script = (
-            3usize..=6,
-            prop_oneof![Just(0.0), Just(0.15), Just(0.3)],
-            any::<u64>(),
-            proptest::collection::vec(arb_op(), 1..40),
-        );
-        let checked = Cell::new(0);
-        TestRunner::new(ProptestConfig::with_cases(200)).run(&script, |(n, loss, seed, ops)| {
+        let mut checked = 0;
+        cases(200, |rng| {
+            let n = rng.gen_range(3..=6);
+            let loss = [0.0, 0.15, 0.3][rng.gen_range(0..3usize)];
+            let (seed, ops) = (arb_seed(rng), arb_ops(rng));
             let mut h = build(n, loss, seed, |_| {});
             for (step, op) in ops.iter().enumerate() {
                 apply(&mut h, op);
                 for inst in h.instances.values() {
                     match inst.rxmt_matches_reference() {
-                        Ok(entries) => checked.set(checked.get() + entries),
-                        Err(e) => prop_assert!(false, "step {step} ({op:?}): {e}"),
+                        Ok(entries) => checked += entries,
+                        Err(e) => panic!("step {step} ({op:?}): {e}"),
                     }
                 }
             }
-            Ok(())
         });
         // The scripts must have left entries on the lists between steps.
-        assert!(checked.get() > 10_000, "{} entries checked", checked.get());
+        assert!(checked > 10_000, "{checked} entries checked");
     }
 }

@@ -1088,7 +1088,9 @@ pub(crate) mod tests {
 
     mod max_age_index {
         use super::*;
-        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
 
         /// `Install` puts in an instance of key `k`, MaxAge if `purge`
         /// (so a purge of an unknown key, MaxAge replacing MaxAge and a
@@ -1100,21 +1102,19 @@ pub(crate) mod tests {
             Sweep,
         }
 
-        fn arb_op() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                (0u32..6, 1i32..8, any::<bool>()).prop_map(|(k, seq, purge)| Op::Install {
-                    k,
-                    seq,
-                    purge
-                }),
-                (0u32..6, 1i32..8, any::<bool>()).prop_map(|(k, seq, purge)| Op::Install {
-                    k,
-                    seq,
-                    purge
-                }),
-                (0u32..8).prop_map(|k| Op::Remove { k }),
-                Just(Op::Sweep),
-            ]
+        /// Installs twice as often as removes or sweeps.
+        fn arb_op(rng: &mut StdRng) -> Op {
+            match rng.gen_range(0..4) {
+                0 | 1 => Op::Install {
+                    k: rng.gen_range(0..6),
+                    seq: rng.gen_range(1..8),
+                    purge: rng.gen_bool(0.5),
+                },
+                2 => Op::Remove {
+                    k: rng.gen_range(0..8),
+                },
+                _ => Op::Sweep,
+            }
         }
 
         /// Keys 0..3 are router LSAs, 3..6 prefix LSAs of router 9.
@@ -1136,9 +1136,21 @@ pub(crate) mod tests {
             l
         }
 
-        proptest! {
-            #[test]
-            fn count_and_keys_match_a_scan(ops in proptest::collection::vec(arb_op(), 0..60)) {
+        /// Runs `check` on `n` cases, each on its own seeded generator,
+        /// and names the case and seed that fail.
+        fn cases(n: u64, mut check: impl FnMut(&mut StdRng)) {
+            for case in 0..n {
+                let seed = 0x5EED_F1BB_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let run =
+                    catch_unwind(AssertUnwindSafe(|| check(&mut StdRng::seed_from_u64(seed))));
+                assert!(run.is_ok(), "case {case}/{n} failed (seed {seed:#x})");
+            }
+        }
+
+        #[test]
+        fn count_and_keys_match_a_scan() {
+            cases(64, |rng| {
+                let ops: Vec<Op> = (0..rng.gen_range(0..60)).map(|_| arb_op(rng)).collect();
                 let mut db = Lsdb::new();
                 for op in ops {
                     match op {
@@ -1153,16 +1165,19 @@ pub(crate) mod tests {
                             let dead: Vec<LsaKey> = db.max_age_keys().collect();
                             for k in dead {
                                 let removed = db.remove(&k);
-                                prop_assert!(removed.is_some_and(|l| l.is_max_age()));
+                                assert!(removed.is_some_and(|l| l.is_max_age()));
                             }
                         }
                     }
-                    let scanned: Vec<LsaKey> =
-                        db.iter().filter(|l| l.is_max_age()).map(|l| l.key).collect();
-                    prop_assert_eq!(db.max_age_count(), scanned.len());
-                    prop_assert_eq!(db.max_age_keys().collect::<Vec<_>>(), scanned);
+                    let scanned: Vec<LsaKey> = db
+                        .iter()
+                        .filter(|l| l.is_max_age())
+                        .map(|l| l.key)
+                        .collect();
+                    assert_eq!(db.max_age_count(), scanned.len());
+                    assert_eq!(db.max_age_keys().collect::<Vec<_>>(), scanned);
                 }
-            }
+            });
         }
     }
 }

@@ -7,9 +7,19 @@ use fib_igp::builders::{fat_tree, random_connected, waxman};
 use fib_igp::spf::shortest_paths;
 use fib_igp::topology::Topology;
 use fib_igp::types::RouterId;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Runs `check` on `n` cases, each on its own seeded generator, and
+/// names the case and seed that fail.
+fn cases(n: u64, mut check: impl FnMut(&mut StdRng)) {
+    for case in 0..n {
+        let seed = 0x5EED_F1BB_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let run = catch_unwind(AssertUnwindSafe(|| check(&mut StdRng::seed_from_u64(seed))));
+        assert!(run.is_ok(), "case {case}/{n} failed (seed {seed:#x})");
+    }
+}
 
 /// Every router reachable from the lowest-id router.
 fn assert_connected(t: &Topology) {
@@ -25,53 +35,44 @@ fn links_of(t: &Topology) -> Vec<(RouterId, RouterId, u32)> {
     t.all_links().map(|(a, b, m)| (a, b, m.0)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn random_connected_is_connected_and_deterministic(
-        seed in 0u64..10_000,
-        n in 2u32..40,
-        extra in 0u32..20,
-        max_metric in 1u32..10,
-    ) {
-        let build = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            random_connected(&mut rng, n, extra, max_metric)
-        };
+#[test]
+fn random_connected_is_connected_and_deterministic() {
+    cases(32, |rng| {
+        let (seed, n) = (rng.gen_range(0..10_000), rng.gen_range(2..40));
+        let (extra, max_metric) = (rng.gen_range(0..20), rng.gen_range(1..10));
+        let build = || random_connected(&mut StdRng::seed_from_u64(seed), n, extra, max_metric);
         let t = build();
         t.validate().expect("structurally valid");
         assert_connected(&t);
-        prop_assert_eq!(links_of(&t), links_of(&build()));
-    }
+        assert_eq!(links_of(&t), links_of(&build()));
+    });
+}
 
-    #[test]
-    fn waxman_is_connected_and_deterministic(
-        seed in 0u64..10_000,
-        n in 2u32..32,
-        alpha in 0.05f64..1.0,
-        beta in 0.05f64..1.0,
-        max_metric in 1u32..8,
-    ) {
-        let build = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            waxman(&mut rng, n, alpha, beta, max_metric)
-        };
+#[test]
+fn waxman_is_connected_and_deterministic() {
+    cases(32, |rng| {
+        let (seed, n) = (rng.gen_range(0..10_000), rng.gen_range(2..32));
+        let (alpha, beta) = (rng.gen_range(0.05..1.0), rng.gen_range(0.05..1.0));
+        let max_metric = rng.gen_range(1..8);
+        let build = || waxman(&mut StdRng::seed_from_u64(seed), n, alpha, beta, max_metric);
         let t = build();
         t.validate().expect("structurally valid");
         assert_connected(&t);
-        prop_assert_eq!(links_of(&t), links_of(&build()));
-    }
+        assert_eq!(links_of(&t), links_of(&build()));
+    });
+}
 
-    #[test]
-    fn fat_tree_is_connected_with_expected_shape(half in 1u32..4) {
+#[test]
+fn fat_tree_is_connected_with_expected_shape() {
+    cases(32, |rng| {
+        let half: u32 = rng.gen_range(1..4);
         let k = half * 2;
         let t = fat_tree(k);
         t.validate().expect("structurally valid");
         assert_connected(&t);
         let routers = (half * half) + k * k;
-        prop_assert_eq!(t.router_count(), routers as usize);
+        assert_eq!(t.router_count(), routers as usize);
         // Seed-independent builder: rebuilding gives the same graph.
-        prop_assert_eq!(links_of(&t), links_of(&fat_tree(k)));
-    }
+        assert_eq!(links_of(&t), links_of(&fat_tree(k)));
+    });
 }

@@ -27,7 +27,7 @@
 //!
 //! Invalidation triggers (who marks what) live in `sim.rs`; the
 //! correctness contract — a flow not marked dirty resolves to exactly
-//! the path it is caching — is proptested against a full recompute in
+//! the path it is caching — is property-tested against a full recompute in
 //! `tests/incremental_prop.rs`.
 
 use crate::flow::FlowId;

@@ -936,8 +936,11 @@ impl ClassFill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
+    use std::ops::Range;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn flow(links: &[usize], cap: Option<f64>) -> FluidFlow {
         FluidFlow {
@@ -1730,39 +1733,75 @@ mod tests {
         );
     }
 
-    /// A capacity: often one of two round values, so that two links
-    /// (or one link before and after a change) coincide.
-    fn capacity() -> impl Strategy<Value = f64> {
-        prop_oneof![Just(100.0), Just(250.0), 1.0f64..1000.0]
+    /// Runs `check` on `n` cases, each on its own seeded generator, and
+    /// names the case and seed that fail.
+    fn cases(n: u64, mut check: impl FnMut(&mut StdRng)) {
+        for case in 0..n {
+            let seed = 0x5EED_F1BB_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let run = catch_unwind(AssertUnwindSafe(|| check(&mut StdRng::seed_from_u64(seed))));
+            assert!(run.is_ok(), "case {case}/{n} failed (seed {seed:#x})");
+        }
     }
 
-    proptest! {
-        /// The entry point that stages class ids over a fixed link
-        /// universe — capacity present iff the link is up — is the
-        /// keyed allocator fed only the up links: same rates and same
-        /// loads, call after call, through capacity changes (on down
-        /// links too), links going down and up, and flow sets that
-        /// change or stay. Both give the reference's rate bits, and its
-        /// loads within `n` ulps.
-        #[test]
-        fn prop_class_id_staging_equals_keyed_over_up_links(
-            caps in proptest::collection::vec(capacity(), 1..7),
-            steps in proptest::collection::vec(
-                (
-                    // (link, what, capacity): 0 = down, 1 = up, else set capacity.
-                    proptest::collection::vec((0usize..8, 0u8..4, capacity()), 0..3),
-                    // `None` keeps the previous step's flows.
-                    proptest::option::of(proptest::collection::vec(
-                        (
-                            proptest::collection::vec(0usize..8, 0..4),
-                            proptest::option::of(prop_oneof![Just(50.0), 1.0f64..500.0]),
-                        ),
-                        0..12,
-                    )),
-                ),
-                1..10
-            )
-        ) {
+    /// Draws of `draw`, as many as a first draw from `len` says.
+    fn vec_of<T>(
+        rng: &mut StdRng,
+        len: Range<usize>,
+        mut draw: impl FnMut(&mut StdRng) -> T,
+    ) -> Vec<T> {
+        (0..rng.gen_range(len)).map(|_| draw(rng)).collect()
+    }
+
+    /// `None` one time in four, else a draw of `draw`.
+    fn option_of<T>(rng: &mut StdRng, draw: impl FnOnce(&mut StdRng) -> T) -> Option<T> {
+        (rng.gen_range(0..4) != 0).then(|| draw(rng))
+    }
+
+    /// A capacity: often one of two round values, so that two links
+    /// (or one link before and after a change) coincide.
+    fn capacity(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..3) {
+            0 => 100.0,
+            1 => 250.0,
+            _ => rng.gen_range(1.0..1000.0),
+        }
+    }
+
+    /// A flow as drawn: `len` links below `links`, and a rate cap
+    /// under 500 three times in four.
+    fn raw_flow(rng: &mut StdRng, links: usize, len: Range<usize>) -> (Vec<usize>, Option<f64>) {
+        let path = vec_of(rng, len, |rng| rng.gen_range(0..links));
+        (path, option_of(rng, |rng| rng.gen_range(1.0..500.0)))
+    }
+
+    /// The entry point that stages class ids over a fixed link universe
+    /// — capacity present iff the link is up — is the keyed allocator
+    /// fed only the up links: same rates and same loads, call after
+    /// call, through capacity changes (on down links too), links going
+    /// down and up, and flow sets that change or stay. Both give the
+    /// reference's rate bits, and its loads within `n` ulps.
+    #[test]
+    fn prop_class_id_staging_equals_keyed_over_up_links() {
+        cases(64, |rng| {
+            let caps = vec_of(rng, 1..7, capacity);
+            let steps = vec_of(rng, 1..10, |rng| {
+                // (link, what, capacity): 0 = down, 1 = up, else set capacity.
+                let link_ops: Vec<(usize, u8, f64)> = vec_of(rng, 0..3, |rng| {
+                    (rng.gen_range(0..8), rng.gen_range(0..4), capacity(rng))
+                });
+                // `None` keeps the previous step's flows.
+                let flows = option_of(rng, |rng| {
+                    vec_of(rng, 0..12, |rng| {
+                        let path: Vec<usize> = vec_of(rng, 0..4, |rng| rng.gen_range(0..8));
+                        let cap = option_of(rng, |rng| match rng.gen_range(0..2) {
+                            0 => 50.0,
+                            _ => rng.gen_range(1.0..500.0),
+                        });
+                        (path, cap)
+                    })
+                });
+                (link_ops, flows)
+            });
             let nl = caps.len();
             let mut caps = caps;
             let mut up = vec![true; nl];
@@ -1810,39 +1849,35 @@ mod tests {
                 keyed.allocate(&up_caps, routed.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&up_caps, &routed);
 
-                prop_assert_eq!(sim_rates.len(), ref_rates.len());
-                prop_assert_eq!(keyed.rates().len(), ref_rates.len());
+                assert_eq!(sim_rates.len(), ref_rates.len());
+                assert_eq!(keyed.rates().len(), ref_rates.len());
                 for (i, want) in ref_rates.iter().enumerate() {
-                    prop_assert_eq!(sim_rates[i].to_bits(), want.to_bits());
-                    prop_assert_eq!(keyed.rates()[i].to_bits(), want.to_bits());
+                    assert_eq!(sim_rates[i].to_bits(), want.to_bits());
+                    assert_eq!(keyed.rates()[i].to_bits(), want.to_bits());
                 }
                 for l in 0..nl {
                     let want = ref_loads.get(&l).copied().unwrap_or(0.0);
                     let n = crossing(&routed, l);
-                    prop_assert!(near(indexed.loads()[l], want, n));
-                    prop_assert!(near(keyed.load(&l), want, n));
+                    assert!(near(indexed.loads()[l], want, n));
+                    assert!(near(keyed.load(&l), want, n));
                 }
             }
-        }
+        });
+    }
 
-        /// The reusable allocator gives the reference's rate bits on
-        /// arbitrary inputs, including across a sequence of calls that
-        /// reuses its buffers (the pinned byte-for-byte traces cannot
-        /// tell the two apart), and its loads within `n` ulps.
-        #[test]
-        fn prop_allocator_bitwise_equals_reference(
-            caps in proptest::collection::vec(1.0f64..1000.0, 1..8),
-            steps in proptest::collection::vec(
-                proptest::collection::vec(
-                    (proptest::collection::vec(0usize..8, 0..4), proptest::option::of(1.0f64..500.0)),
-                    0..16
-                ),
-                1..5
-            )
-        ) {
+    /// The reusable allocator gives the reference's rate bits on
+    /// arbitrary inputs, including across a sequence of calls that
+    /// reuses its buffers (the pinned byte-for-byte traces cannot tell
+    /// the two apart), and its loads within `n` ulps.
+    #[test]
+    fn prop_allocator_bitwise_equals_reference() {
+        cases(64, |rng| {
+            let caps = vec_of(rng, 1..8, |rng| rng.gen_range(1.0..1000.0));
+            let steps = vec_of(rng, 1..5, |rng| {
+                vec_of(rng, 0..16, |rng| raw_flow(rng, 8, 0..4))
+            });
             let nl = caps.len();
-            let keyed: BTreeMap<usize, f64> =
-                caps.iter().copied().enumerate().collect();
+            let keyed: BTreeMap<usize, f64> = caps.iter().copied().enumerate().collect();
             let mut alloc: Allocator<usize> = Allocator::new();
             for flows_raw in &steps {
                 let flows: Vec<(Vec<usize>, Option<f64>)> = flows_raw
@@ -1856,25 +1891,23 @@ mod tests {
                     .collect();
                 alloc.allocate(&keyed, flows.iter().map(|(l, c)| (l.as_slice(), *c)));
                 let (ref_rates, ref_loads) = max_min_keyed(&keyed, &flows);
-                prop_assert_eq!(alloc.rates().len(), ref_rates.len());
+                assert_eq!(alloc.rates().len(), ref_rates.len());
                 for (a, b) in alloc.rates().iter().zip(ref_rates.iter()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                    assert_eq!(a.to_bits(), b.to_bits());
                 }
                 for (k, load) in &ref_loads {
-                    prop_assert!(near(alloc.load(k), *load, crossing(&flows, *k)));
+                    assert!(near(alloc.load(k), *load, crossing(&flows, *k)));
                 }
             }
-        }
+        });
+    }
 
-        /// No link is ever overloaded and no flow exceeds its cap.
-        #[test]
-        fn prop_feasibility(
-            caps in proptest::collection::vec(1.0f64..1000.0, 1..8),
-            flows_raw in proptest::collection::vec(
-                (proptest::collection::vec(0usize..8, 1..4), proptest::option::of(1.0f64..500.0)),
-                1..20
-            )
-        ) {
+    /// No link is ever overloaded and no flow exceeds its cap.
+    #[test]
+    fn prop_feasibility() {
+        cases(64, |rng| {
+            let caps = vec_of(rng, 1..8, |rng| rng.gen_range(1.0..1000.0));
+            let flows_raw = vec_of(rng, 1..20, |rng| raw_flow(rng, 8, 1..4));
             let nl = caps.len();
             let flows: Vec<FluidFlow> = flows_raw
                 .iter()
@@ -1887,26 +1920,28 @@ mod tests {
                 .collect();
             let a = max_min_allocation(&caps, &flows);
             for (l, load) in a.link_loads.iter().enumerate() {
-                prop_assert!(*load <= caps[l] + 1e-6, "link {l} overloaded: {load} > {}", caps[l]);
+                assert!(
+                    *load <= caps[l] + 1e-6,
+                    "link {l} overloaded: {load} > {}",
+                    caps[l]
+                );
             }
             for (i, f) in flows.iter().enumerate() {
                 if let Some(cap) = f.cap {
-                    prop_assert!(a.rates[i] <= cap + 1e-6);
+                    assert!(a.rates[i] <= cap + 1e-6);
                 }
-                prop_assert!(a.rates[i] >= -1e-9);
+                assert!(a.rates[i] >= -1e-9);
             }
-        }
+        });
+    }
 
-        /// Max-min property (bottleneck justification): every flow is
-        /// either at its cap or crosses at least one saturated link.
-        #[test]
-        fn prop_maxmin_justified(
-            caps in proptest::collection::vec(1.0f64..1000.0, 1..6),
-            flows_raw in proptest::collection::vec(
-                (proptest::collection::vec(0usize..6, 1..3), proptest::option::of(1.0f64..500.0)),
-                1..12
-            )
-        ) {
+    /// Max-min property (bottleneck justification): every flow is
+    /// either at its cap or crosses at least one saturated link.
+    #[test]
+    fn prop_maxmin_justified() {
+        cases(64, |rng| {
+            let caps = vec_of(rng, 1..6, |rng| rng.gen_range(1.0..1000.0));
+            let flows_raw = vec_of(rng, 1..12, |rng| raw_flow(rng, 6, 1..3));
             let nl = caps.len();
             let flows: Vec<FluidFlow> = flows_raw
                 .iter()
@@ -1920,16 +1955,13 @@ mod tests {
             let a = max_min_allocation(&caps, &flows);
             for (i, f) in flows.iter().enumerate() {
                 let at_cap = f.cap.map(|c| a.rates[i] >= c - 1e-6).unwrap_or(false);
-                let bottlenecked = f
-                    .links
-                    .iter()
-                    .any(|&l| a.link_loads[l] >= caps[l] - 1e-6);
-                prop_assert!(
+                let bottlenecked = f.links.iter().any(|&l| a.link_loads[l] >= caps[l] - 1e-6);
+                assert!(
                     at_cap || bottlenecked,
                     "flow {i} (rate {}) neither capped nor bottlenecked",
                     a.rates[i]
                 );
             }
-        }
+        });
     }
 }

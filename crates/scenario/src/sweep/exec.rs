@@ -31,7 +31,7 @@
 //! the other few hundred — and the `sweep` binary can end with a
 //! readable one-line summary instead of a mid-sweep abort.
 
-use super::spec::{resolve_cell, SweepCell, SweepSpec};
+use super::spec::{resolve_cell, scales_crowd, SweepCell, SweepSpec};
 use crate::report::ScenarioReport;
 use crate::runner::{build, RunOptions};
 use crate::spec::{ScenarioSpec, SpecError};
@@ -220,6 +220,32 @@ where
         .collect()
 }
 
+/// Load each distinct scenario of `spec` exactly once, before any worker
+/// starts: a missing file fails the whole sweep up front, loudly,
+/// instead of failing every cell of one entry. So does a grid entry
+/// whose `crowd_scale` points would all be the same unscaled run, each
+/// labelled with a crowd it does not have.
+fn load_bases<'a>(
+    spec: &'a SweepSpec,
+    loader: &dyn Fn(&str) -> Result<ScenarioSpec, SpecError>,
+) -> Result<BTreeMap<&'a str, ScenarioSpec>, SpecError> {
+    let mut bases: BTreeMap<&str, ScenarioSpec> = BTreeMap::new();
+    for (i, entry) in spec.grid.iter().enumerate() {
+        let name = entry.scenario.as_str();
+        if !bases.contains_key(name) {
+            bases.insert(name, loader(name)?);
+        }
+        if entry.crowd_scale.iter().any(|&s| s != 1.0) && !scales_crowd(&bases[name]) {
+            return Err(SpecError(format!(
+                "grid entry {i} (`{name}`) sets crowd_scale {:?}, but `{name}` has no \
+                 sessions it scales",
+                entry.crowd_scale
+            )));
+        }
+    }
+    Ok(bases)
+}
+
 /// Run a sweep with a custom scenario loader (tests inject in-memory
 /// specs; [`run_sweep`] uses the shipped `scenarios/` files).
 pub fn run_sweep_with(
@@ -232,15 +258,7 @@ pub fn run_sweep_with(
         return Err(SpecError("--jobs must be at least 1".into()));
     }
     let started = Instant::now();
-    // Load each distinct scenario exactly once, before any worker
-    // starts: a missing file fails the whole sweep up front, loudly,
-    // instead of failing every cell of one entry.
-    let mut bases: BTreeMap<&str, ScenarioSpec> = BTreeMap::new();
-    for entry in &spec.grid {
-        if !bases.contains_key(entry.scenario.as_str()) {
-            bases.insert(entry.scenario.as_str(), loader(&entry.scenario)?);
-        }
-    }
+    let bases = load_bases(spec, loader)?;
     let cells = spec.expand();
     // Resolve every cell's (scaled spec, options) pair up front; the
     // workers then only simulate.
@@ -340,5 +358,40 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i);
             }
         }
+    }
+
+    /// A one-entry grid on `paper_demo` over the crowd scales listed.
+    fn paper_grid(crowd_scale: &str) -> SweepSpec {
+        let toml = format!(
+            "name = \"t\"\n[[grid]]\nscenario = \"paper_demo\"\nseeds = [1]\n\
+             crowd_scale = {crowd_scale}\n"
+        );
+        SweepSpec::from_toml_str(&toml).unwrap()
+    }
+
+    #[test]
+    fn a_crowd_scale_on_a_scenario_without_a_crowd_is_rejected() {
+        let err = load_bases(&paper_grid("[1.0, 1.2]"), &load_scenario).unwrap_err();
+        assert!(
+            err.to_string().contains("grid entry 0 (`paper_demo`)"),
+            "{err}"
+        );
+        // The unscaled point is the paper run, as the ledger's grid has it.
+        assert!(load_bases(&paper_grid("[1.0]"), &load_scenario).is_ok());
+    }
+
+    #[test]
+    fn every_shipped_grid_loads() {
+        let mut grids = 0;
+        for file in std::fs::read_dir(crate::sweep::sweeps_dir()).unwrap() {
+            let path = file.unwrap().path();
+            let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
+                continue;
+            };
+            let sweep = crate::sweep::load_sweep(name).unwrap();
+            load_bases(&sweep, &load_scenario).unwrap_or_else(|e| panic!("{name}: {e}"));
+            grids += 1;
+        }
+        assert!(grids >= 2, "{grids} grids");
     }
 }

@@ -336,6 +336,16 @@ pub fn apply_scales(spec: &ScenarioSpec, capacity_scale: f64, crowd_scale: f64) 
     out
 }
 
+/// Whether `spec` holds anything `crowd_scale` multiplies in
+/// [`apply_scales`]: a workload other than the paper's, or a surge or
+/// flash-crowd event. A grid cell of any other spec is the unscaled
+/// scenario, whatever crowd scale it is labelled with.
+pub(crate) fn scales_crowd(spec: &ScenarioSpec) -> bool {
+    let workload = |w: &WorkloadSpec| !matches!(w, WorkloadSpec::Paper { .. });
+    let crowd = |k: &EventKind| matches!(k, EventKind::Surge { .. } | EventKind::FlashCrowd { .. });
+    spec.workloads.iter().any(workload) || spec.events.iter().any(|e| crowd(&e.kind))
+}
+
 /// Apply the full override chain for one cell: the scenario spec's own
 /// values, overridden by the sweep grid (scales, seed, grid horizon),
 /// overridden by the CLI horizon. Returns the scaled spec plus the

@@ -53,10 +53,29 @@ impl RateEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn t(secs: u64) -> Timestamp {
         Timestamp::from_secs(secs)
+    }
+
+    /// Runs `check` on `n` cases, each on its own seeded generator, and
+    /// names the case and seed that fail.
+    fn cases(n: u64, mut check: impl FnMut(&mut StdRng)) {
+        for case in 0..n {
+            let seed = 0x5EED_F1BB_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let run = catch_unwind(AssertUnwindSafe(|| check(&mut StdRng::seed_from_u64(seed))));
+            assert!(run.is_ok(), "case {case}/{n} failed (seed {seed:#x})");
+        }
+    }
+
+    /// Per-second counter deltas under 2 MB, `len` of them.
+    fn deltas(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<u64> {
+        (0..rng.gen_range(len))
+            .map(|_| rng.gen_range(0..2_000_000))
+            .collect()
     }
 
     #[test]
@@ -101,27 +120,30 @@ mod tests {
         assert_eq!(before, after);
     }
 
-    proptest! {
-        /// For any monotone counter trace sampled at 1 Hz with
-        /// alpha = 1, every reported rate equals the per-second delta
-        /// and is never negative.
-        #[test]
-        fn prop_rates_match_deltas(deltas in proptest::collection::vec(0u64..2_000_000, 1..50)) {
+    /// For any monotone counter trace sampled at 1 Hz with alpha = 1,
+    /// every reported rate equals the per-second delta and is never
+    /// negative.
+    #[test]
+    fn prop_rates_match_deltas() {
+        cases(64, |rng| {
+            let deltas = deltas(rng, 1..50);
             let mut e = RateEstimator::new(CounterWidth::C64, 1.0);
             let mut counter = 0u64;
             e.observe(t(0), counter);
             for (i, d) in deltas.iter().enumerate() {
                 counter += d;
                 let r = e.observe(t(i as u64 + 1), counter).unwrap();
-                prop_assert!((r - *d as f64).abs() < 1e-6);
-                prop_assert!(r >= 0.0);
+                assert!((r - *d as f64).abs() < 1e-6);
+                assert!(r >= 0.0);
             }
-        }
+        });
+    }
 
-        /// EWMA output always lies within [min, max] of instant rates.
-        #[test]
-        fn prop_ewma_bounded(deltas in proptest::collection::vec(0u64..2_000_000, 2..50),
-                             alpha in 0.05f64..1.0) {
+    /// EWMA output always lies within [min, max] of instant rates.
+    #[test]
+    fn prop_ewma_bounded() {
+        cases(64, |rng| {
+            let (deltas, alpha) = (deltas(rng, 2..50), rng.gen_range(0.05..1.0));
             let mut e = RateEstimator::new(CounterWidth::C64, alpha);
             let mut counter = 0u64;
             e.observe(t(0), counter);
@@ -132,9 +154,11 @@ mod tests {
                 let r = e.observe(t(i as u64 + 1), counter).unwrap();
                 lo = lo.min(*d as f64);
                 hi = hi.max(*d as f64);
-                prop_assert!(r >= lo - 1e-6 && r <= hi + 1e-6,
-                    "ewma {r} escaped [{lo}, {hi}]");
+                assert!(
+                    r >= lo - 1e-6 && r <= hi + 1e-6,
+                    "ewma {r} escaped [{lo}, {hi}]"
+                );
             }
-        }
+        });
     }
 }
