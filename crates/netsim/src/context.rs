@@ -10,7 +10,7 @@
 //! iterators over the arenas. A flow starts, stops or changes its cap
 //! at the instant it is asked for, and its id is issued when it starts.
 
-use crate::flow::{Flow, FlowId, FlowSpec, RateChange};
+use crate::flow::{ClassChange, Flow, FlowId, FlowSpec, RateChange};
 use crate::link::{LinkInfo, LinkKey};
 use crate::sim::Core;
 use fib_igp::error::InstanceError;
@@ -192,6 +192,29 @@ impl SimContext<'_> {
     pub fn take_rate_changes(&mut self, into: &mut Vec<RateChange>) {
         into.clear();
         if let Some(log) = &mut self.core.rate_changes {
+            std::mem::swap(log, into);
+        }
+    }
+
+    /// Start the class-level rate-change log (a no-op once started):
+    /// from the next settle on, one [`ClassChange::Rate`] per class
+    /// whose rate bits moved, then, by flow id, one entry per flow that
+    /// changed class (an unrouted one runs at 0.0 of its own) or was
+    /// frozen alone at this settle or the one before. Expanded over the
+    /// classes' members, it gives the rates
+    /// [`take_rate_changes`](Self::take_rate_changes) gives, at the
+    /// same instants; but a class's rate change is one entry, however
+    /// many members it has. Start it before the flows it is to cover.
+    pub fn watch_classes(&mut self) {
+        self.core.class_changes.get_or_insert_with(Vec::new);
+    }
+
+    /// Move the class-level entries logged since the last call, each
+    /// with its settle's instant, into `into` (cleared first), in the
+    /// order the settles made them.
+    pub fn take_class_changes(&mut self, into: &mut Vec<(Timestamp, ClassChange)>) {
+        into.clear();
+        if let Some(log) = &mut self.core.class_changes {
             std::mem::swap(log, into);
         }
     }

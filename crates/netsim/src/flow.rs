@@ -140,6 +140,31 @@ pub struct RateChange {
     pub rate: f64,
 }
 
+/// A class of flows: the live flows that cross the same links under
+/// the same cap bits, which a settle gives one rate unless its fill
+/// freezes a flow alone. An id keeps its meaning and is never reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ClassId(pub u32);
+
+/// An entry of the class-level rate-change log
+/// ([`SimContext::watch_classes`]): a flow runs at its class's rate
+/// while it follows one, at its own otherwise. An entry holds from its
+/// settle's instant until the next that names the same class or flow;
+/// a class runs at 0.0 until its first.
+///
+/// [`SimContext::watch_classes`]: crate::context::SimContext::watch_classes
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ClassChange {
+    /// Every flow that follows the class runs at the rate (bytes/s);
+    /// the class's flows' cap rides along.
+    Rate(ClassId, f64, Option<f64>),
+    /// The flow follows the class.
+    Follow(FlowId, ClassId),
+    /// The flow runs at a rate of its own (bytes/s): the fill froze it
+    /// alone, or it is unrouted (0.0).
+    Own(FlowId, f64),
+}
+
 /// Summary handed to applications in flow notifications.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowInfo {

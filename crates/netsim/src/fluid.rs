@@ -105,6 +105,7 @@
 //! threshold), so the allocator only saves work where the result is
 //! provably bit-identical: the order-free part of one fill.
 
+use crate::flow::{ClassChange, ClassId, FlowId};
 use std::collections::BTreeMap;
 
 /// Input flow: the links it crosses (indexes into the capacity slice)
@@ -628,7 +629,7 @@ impl<K: Ord + Clone> Allocator<K> {
         // holds no flow.
         let class_of = |i: usize| ids.get(i).copied().unwrap_or(STOPPED);
         let put = |i: usize, r: f64| rates[i] = r;
-        fill.spread(paths, classes, members, |i| i, class_of, put);
+        fill.spread(paths, classes, members, |i| i, class_of, put, |_| {});
     }
 
     /// Per-flow rates of the last call, in the caller's flow order.
@@ -840,7 +841,10 @@ impl ClassFill {
     /// each flow `members` marked (the marks are cleared), and each
     /// flow frozen alone at this fill or the one before: any other
     /// flow's class rate bits stood, and it holds them. Returns how
-    /// many it received, in member-list order, then by slot. A link's
+    /// many it received, in member-list order, then by slot. `note`
+    /// receives it by class, a slot as a flow id: each class whose rate
+    /// bits moved, then, by slot, each flow looked at apart from the
+    /// members (marked, or frozen alone now or the fill before). A link's
     /// load ([`ClassFill::loads`]) sums `n × rate` over the classes
     /// crossing it, in ascending id, for the `n` members not frozen
     /// alone, then each flow frozen alone: within `n` ulps of its flows'
@@ -853,6 +857,7 @@ impl ClassFill {
         slot_at: impl Fn(usize) -> usize,
         class_of: impl Fn(usize) -> u32,
         mut put: impl FnMut(usize, f64),
+        mut note: impl FnMut(ClassChange),
     ) -> usize {
         for f in &mut self.forced {
             f.0 = slot_at(f.0);
@@ -882,6 +887,8 @@ impl ClassFill {
         let mut visits = 0;
         for &c in &members.used {
             if moved(c) {
+                let cap = classes.get(c).1;
+                note(ClassChange::Rate(ClassId(c), class_rate[c as usize], cap));
                 for &slot in members.slots(c) {
                     put(slot as usize, self.rate(slot as usize, c));
                 }
@@ -896,8 +903,15 @@ impl ClassFill {
         look.sort_unstable();
         look.dedup();
         for &slot in &look {
-            let rate = match class_of(slot) {
-                STOPPED => continue,
+            let c = class_of(slot);
+            let flow = FlowId(slot as u64);
+            note(match (c, self.alone(slot)) {
+                (STOPPED, _) => continue,
+                (UNROUTED, _) => ClassChange::Own(flow, 0.0),
+                (_, Some(r)) => ClassChange::Own(flow, r),
+                (c, None) => ClassChange::Follow(flow, ClassId(c)),
+            });
+            let rate = match c {
                 UNROUTED => 0.0,
                 c if moved(c) => continue,
                 c => self.rate(slot, c),
@@ -1166,6 +1180,13 @@ mod tests {
         live: Vec<usize>,
         /// The per-flow walk's rate column.
         walked: Vec<f64>,
+        /// The class log expanded over the member lists: per slot, the
+        /// class it follows (`None`: its own rate) and the rate that
+        /// gives it; per class id, the rate logged last.
+        follows: Vec<Option<u32>>,
+        own: Vec<f64>,
+        expanded: Vec<f64>,
+        logged: Vec<f64>,
     }
 
     /// What one settle did, for the tests' coverage floors.
@@ -1178,6 +1199,11 @@ mod tests {
         changes: usize,
         /// Flows the fill froze alone.
         alone: usize,
+        /// Class log entries: classes whose rate moved, flows that
+        /// follow a class, flows on a rate of their own.
+        class_notes: usize,
+        follows: usize,
+        owns: usize,
     }
 
     /// The spread's pass before classes: one walk over the live flows
@@ -1237,6 +1263,10 @@ mod tests {
                 rate: Vec::new(),
                 live: Vec::new(),
                 walked: Vec::new(),
+                follows: Vec::new(),
+                own: Vec::new(),
+                expanded: Vec::new(),
+                logged: Vec::new(),
             }
         }
 
@@ -1262,6 +1292,9 @@ mod tests {
             self.class.push(STOPPED);
             self.rate.push(0.0);
             self.walked.push(0.0);
+            self.follows.push(None);
+            self.own.push(0.0);
+            self.expanded.push(0.0);
             self.live.push(slot);
             self.set_class(slot, UNROUTED);
         }
@@ -1303,7 +1336,6 @@ mod tests {
                 class,
                 rate,
                 live,
-                walked,
                 ..
             } = self;
             let links = universe.iter().copied();
@@ -1311,6 +1343,7 @@ mod tests {
                 class[live[i]]
             });
             let mut changes = BTreeSet::new();
+            let mut notes = Vec::new();
             let visits = alloc.spread(
                 paths,
                 classes,
@@ -1322,7 +1355,19 @@ mod tests {
                         assert!(changes.insert((slot, r.to_bits())), "slot {slot} twice");
                     }
                 },
+                |note| notes.push(note),
             );
+            let (class_notes, follows, owns) = self.expand(&notes, &changes);
+            let SimEntry {
+                alloc,
+                paths,
+                classes,
+                class,
+                rate,
+                live,
+                walked,
+                ..
+            } = self;
             let (walk_changes, walk_loads) =
                 per_flow_walk(alloc, paths, classes, live, class, walked);
             for &slot in live.iter() {
@@ -1348,7 +1393,70 @@ mod tests {
                 live: live.len(),
                 changes: changes.len(),
                 alone: alloc.forced.len(),
+                class_notes,
+                follows,
+                owns,
             }
+        }
+
+        /// Expand one spread's class log over the member lists — a
+        /// class's rate is every member's that follows it, a flow that
+        /// follows a class has the class's rate, a flow on its own rate
+        /// has that — and hold what it gives to the per-flow log: the
+        /// same batch of (slot, rate bits), and, for every live flow,
+        /// the rate column's bits. Returns how many entries of each
+        /// kind the log had.
+        fn expand(
+            &mut self,
+            notes: &[ClassChange],
+            changes: &BTreeSet<(usize, u64)>,
+        ) -> (usize, usize, usize) {
+            let mut counts = (0, 0, 0);
+            let mut touched = Vec::new();
+            for note in notes {
+                match *note {
+                    ClassChange::Rate(ClassId(c), r, _) => {
+                        let c = c as usize;
+                        if self.logged.len() <= c {
+                            self.logged.resize(c + 1, 0.0);
+                        }
+                        self.logged[c] = r;
+                        touched.extend(self.members.slots(c as u32).iter().map(|s| *s as usize));
+                        counts.0 += 1;
+                    }
+                    ClassChange::Follow(FlowId(slot), ClassId(c)) => {
+                        let slot = slot as usize;
+                        self.follows[slot] = Some(c);
+                        touched.push(slot);
+                        counts.1 += 1;
+                    }
+                    ClassChange::Own(FlowId(slot), r) => {
+                        let slot = slot as usize;
+                        (self.follows[slot], self.own[slot]) = (None, r);
+                        touched.push(slot);
+                        counts.2 += 1;
+                    }
+                }
+            }
+            let mut expanded = BTreeSet::new();
+            for slot in touched {
+                let r = match self.follows[slot] {
+                    Some(c) => {
+                        assert_eq!(c, self.class[slot], "slot {slot} follows its class");
+                        self.logged.get(c as usize).copied().unwrap_or(0.0)
+                    }
+                    None => self.own[slot],
+                };
+                if std::mem::replace(&mut self.expanded[slot], r).to_bits() != r.to_bits() {
+                    expanded.insert((slot, r.to_bits()));
+                }
+            }
+            assert_eq!(&expanded, changes, "the class log, expanded");
+            for &slot in &self.live {
+                let (got, want) = (self.expanded[slot], self.rate[slot]);
+                assert_eq!(got.to_bits(), want.to_bits(), "slot {slot}: expanded rate");
+            }
+            counts
         }
 
         /// Make the live flows `flows`, slot for position: a flow whose
@@ -1730,6 +1838,129 @@ mod tests {
             "{} flows given out of {} live",
             total.visits,
             total.live
+        );
+    }
+
+    /// The class log against the per-flow log, on the settle
+    /// differential's inputs (the same seeds, so the same crowd-shaped
+    /// sequences of starts, stops, pauses and resumes, link failures and
+    /// restores, and capacity changes): at every settle,
+    /// `SimEntry::settle` expands the class log over the member lists
+    /// and holds it to the per-flow log's batch and to the rate column,
+    /// bit for bit. The floors say each kind of entry was exercised —
+    /// class rates, flows that moved class, flows frozen alone and flows
+    /// stranded — and that the class log is far shorter than the
+    /// per-flow log it expands to.
+    #[test]
+    fn the_class_log_expands_to_the_per_flow_log_through_crowd_churn() {
+        const CASES: u64 = 120;
+        let mut total = Settled::default();
+        let (mut stops, mut flips, mut failures, mut forcing) = (0usize, 0usize, 0usize, 0usize);
+        for case in 0..CASES {
+            let mut st = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5E77;
+            let st = &mut st;
+            let nl = 2 + below(st, 7);
+            let capacity = |st: &mut u64| match below(st, 4) {
+                0 | 1 => 4e8,
+                2 => 1.25e7 / 3.0,
+                _ => 1e6 + below(st, 1000) as f64 * 0.37,
+            };
+            let mut caps: Vec<f64> = (0..nl).map(|_| capacity(st)).collect();
+            let mut up = vec![true; nl];
+            let paths: Vec<Vec<u32>> = (0..1 + below(st, 6))
+                .map(|_| {
+                    let mut links: Vec<u32> = Vec::new();
+                    for _ in 0..1 + below(st, 3) {
+                        let l = below(st, nl) as u32;
+                        if !links.contains(&l) {
+                            links.push(l);
+                        }
+                    }
+                    links
+                })
+                .collect();
+            let cap = |st: &mut u64| match below(st, 4) {
+                0 => None,
+                1 => Some(1.0),
+                _ => Some(125_000.0),
+            };
+            let mut sim = SimEntry::new();
+            for _ in 0..below(st, 3000) {
+                let p = below(st, paths.len());
+                sim.start(paths[p].clone(), cap(st));
+            }
+            for _ in 0..4 + below(st, 12) {
+                let n = sim.live.len();
+                match below(st, 6) {
+                    0 => {
+                        for _ in 0..1 + below(st, 60) {
+                            let p = below(st, paths.len());
+                            sim.start(paths[p].clone(), cap(st));
+                        }
+                    }
+                    1 if n > 0 => {
+                        for _ in 0..1 + below(st, 60.min(n)) {
+                            let slot = sim.live[below(st, sim.live.len())];
+                            sim.stop(slot);
+                            stops += 1;
+                        }
+                    }
+                    2 if n > 0 => {
+                        let at = below(st, n);
+                        for i in at..n.min(at + 1 + below(st, 80)) {
+                            let slot = sim.live[i];
+                            let flipped = match sim.flows[slot].as_ref().expect("live").1 {
+                                Some(1.0) => Some(125_000.0),
+                                Some(125_000.0) => Some(1.0),
+                                other => other,
+                            };
+                            flips +=
+                                usize::from(flipped != sim.flows[slot].as_ref().expect("live").1);
+                            sim.set_cap(slot, flipped);
+                        }
+                    }
+                    3 => {
+                        let l = below(st, nl);
+                        failures += usize::from(up[l]);
+                        up[l] = !up[l];
+                    }
+                    4 => caps[below(st, nl)] = capacity(st),
+                    _ => {}
+                }
+                let universe: Vec<Option<f64>> =
+                    (0..nl).map(|l| up[l].then_some(caps[l])).collect();
+                let s = sim.settle(&universe);
+                forcing += usize::from(s.alone > 0);
+                total.changes += s.changes;
+                total.class_notes += s.class_notes;
+                total.follows += s.follows;
+                total.owns += s.owns;
+            }
+        }
+        assert!(stops >= 5_000, "{stops} flows stopped");
+        assert!(flips >= 4_500, "{flips} caps flipped");
+        assert!(failures >= 150, "{failures} links failed");
+        assert!(forcing >= 500, "{forcing} fills froze a flow alone");
+        assert!(
+            total.class_notes >= 3_000,
+            "{} class rates",
+            total.class_notes
+        );
+        assert!(
+            total.follows >= 150_000,
+            "{} flows followed a class",
+            total.follows
+        );
+        assert!(
+            total.owns >= 75_000,
+            "{} flows on their own rate",
+            total.owns
+        );
+        assert!(
+            total.class_notes * 100 < total.changes,
+            "{} class rates against {} per-flow changes",
+            total.class_notes,
+            total.changes
         );
     }
 

@@ -45,7 +45,7 @@ use crate::dirty::{DirtySet, FlowIndex};
 use crate::ecmp::FlowKey;
 use crate::events::Event;
 use crate::fib::{resolve_path, Fib};
-use crate::flow::{Flow, FlowColumns, FlowId, FlowInfo, FlowSpec, RateChange};
+use crate::flow::{ClassChange, Flow, FlowColumns, FlowId, FlowInfo, FlowSpec, RateChange};
 use crate::fluid::{ClassFill, ClassTable, Members, PathTable, STOPPED, UNROUTED};
 use crate::handler::{AppEvent, EventHandler};
 use crate::link::{LinkKey, LinkSpec, LinkState, LINK_DELAY};
@@ -310,6 +310,9 @@ pub(crate) struct Core {
     /// where `reallocate` resolves a flow and where its cap changes,
     /// named by the class column. It only grows (see [`ClassTable`]).
     pub(crate) classes: ClassTable,
+    /// Per class id, whether its path passes the router of the FIB
+    /// download whose number it bears; the last download's number.
+    reach: (Vec<(u64, bool)>, u64),
     /// How many live flows each class has, counted where the class
     /// column is written: what a fill starts from.
     pub(crate) members: Members,
@@ -317,6 +320,8 @@ pub(crate) struct Core {
     /// Every rate change since the last drain, in settle order, once a
     /// component watches rates (`None` until then).
     pub(crate) rate_changes: Option<Vec<RateChange>>,
+    /// The same changes by class, once a component watches classes.
+    pub(crate) class_changes: Option<Vec<(Timestamp, ClassChange)>>,
     last_accrue: Timestamp,
     pub(crate) dirty: DirtySet,
     pub(crate) started: bool,
@@ -377,9 +382,11 @@ impl Core {
             flow_index: FlowIndex::new(),
             paths: PathTable::default(),
             classes: ClassTable::default(),
+            reach: (Vec::new(), 0),
             members: Members::default(),
             alloc: ClassFill::default(),
             rate_changes: None,
+            class_changes: None,
             last_accrue: Timestamp::ZERO,
             dirty: DirtySet::new(),
             started: false,
@@ -815,7 +822,9 @@ impl Core {
             link_recs,
             iface_links,
             flow_recs,
+            hot,
             flow_index,
+            reach,
             dirty,
             stats,
             ..
@@ -860,7 +869,9 @@ impl Core {
                         // realloc instants); re-resolve exactly the
                         // flows this download can reroute.
                         dirty.mark_realloc();
-                        invalidate_fib_change(dirty, flow_index, flow_recs, id, &changed);
+                        invalidate_fib_change(
+                            dirty, reach, flow_index, flow_recs, &hot.class, id, &changed,
+                        );
                     }
                 }
             }
@@ -936,6 +947,7 @@ impl Core {
             hot,
             live,
             rate_changes,
+            class_changes,
             ..
         } = self;
         let FlowColumns { class, rate, .. } = hot;
@@ -953,7 +965,8 @@ impl Core {
         // No walk over the live flows after the fill: the loads are
         // summed per class, and a rate goes into its column, and, if
         // watched, into the log where its bits change, only for the
-        // flows whose rate may have moved.
+        // flows whose rate may have moved; the class log, if watched,
+        // takes the moved classes and those flows.
         let put = |slot: usize, r: f64| {
             let moved = std::mem::replace(&mut rate[slot], r).to_bits() != r.to_bits();
             if let (true, Some(log)) = (moved, &mut *rate_changes) {
@@ -961,7 +974,20 @@ impl Core {
                 log.push(RateChange { flow, at, rate: r });
             }
         };
-        let visits = alloc.spread(paths, classes, members, |i| live[i], |s| class[s], put);
+        let note = |change| {
+            if let Some(log) = class_changes {
+                log.push((at, change));
+            }
+        };
+        let visits = alloc.spread(
+            paths,
+            classes,
+            members,
+            |i| live[i],
+            |s| class[s],
+            put,
+            note,
+        );
         self.stats.settle_visits += visits as u64;
         for (rec, load) in link_recs.iter_mut().zip(alloc.loads()) {
             rec.state.rate = *load;
@@ -1124,21 +1150,39 @@ fn live_flow(flow_recs: &[Option<Flow>], slot: usize) -> &Flow {
 /// destined to a changed prefix (via the reverse index) *and* either
 /// currently stranded or passing through `router` — a walk that never
 /// visits the router cannot change when only that router's table did.
+/// A class's members share their path, so the first member's path
+/// decides for the class, once per download (`reach`); only a flow on
+/// a linkless path is asked for itself whether it starts there.
 fn invalidate_fib_change(
     dirty: &mut DirtySet,
+    reach: &mut (Vec<(u64, bool)>, u64),
     flow_index: &FlowIndex,
     flow_recs: &[Option<Flow>],
+    class: &[u32],
     router: RouterId,
     changed: &[Prefix],
 ) {
+    let (memo, download) = reach;
+    *download += 1;
     for p in changed {
         for id in flow_index.affected_by(*p) {
-            let Some(f) = flow_recs.get(id.0 as usize).and_then(|o| o.as_ref()) else {
-                continue;
-            };
-            let touched = match &f.path {
-                None => true,
-                Some(path) => f.key.src == router || path.iter().any(|l| l.to == router),
+            let (slot, c) = (id.0 as usize, class[id.0 as usize] as usize);
+            let touched = match class[slot] {
+                STOPPED => continue,
+                UNROUTED => true,
+                _ if memo.get(c).is_some_and(|m| m.0 == *download) => memo[c].1,
+                _ => {
+                    let f = live_flow(flow_recs, slot);
+                    let path = f.path.as_deref().unwrap_or_default();
+                    let crosses = f.key.src == router || path.iter().any(|l| l.to == router);
+                    if !path.is_empty() {
+                        if memo.len() <= c {
+                            memo.resize(c + 1, (0, false));
+                        }
+                        memo[c] = (*download, crosses);
+                    }
+                    crosses
+                }
             };
             if touched {
                 dirty.mark_flow(id);
@@ -1426,6 +1470,7 @@ mod tests {
     use fib_igp::types::FwAddr;
     use fib_telemetry::mib::oids;
     use std::cell::RefCell;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
 
     fn r(n: u32) -> RouterId {
@@ -2042,6 +2087,159 @@ mod tests {
         total += stats;
         assert_eq!(total.ctrl_pkt_errors, 2);
         assert!(stats.counters().iter().all(|(k, _)| !k.contains("error")));
+    }
+
+    /// The per-flow walk `invalidate_fib_change` replaced: each flow
+    /// destined to a changed prefix that is stranded, starts at
+    /// `router`, or has a link into it, by its own path.
+    fn marked_by_walk(core: &Core, router: RouterId, changed: &[Prefix]) -> BTreeSet<FlowId> {
+        let mut marked = BTreeSet::new();
+        for p in changed {
+            for id in core.flow_index.affected_by(*p) {
+                let f = core.flow(id).expect("an indexed flow is live");
+                let touched = match &f.path {
+                    None => true,
+                    Some(path) => f.key.src == router || path.iter().any(|l| l.to == router),
+                };
+                if touched {
+                    marked.insert(id);
+                }
+            }
+        }
+        marked
+    }
+
+    /// What `invalidate_fib_change` marks, in a dirty set of its own.
+    fn marked_by_class(core: &mut Core, router: RouterId, changed: &[Prefix]) -> BTreeSet<FlowId> {
+        let mut dirty = DirtySet::new();
+        let Core {
+            reach,
+            flow_index,
+            flow_recs,
+            hot,
+            ..
+        } = core;
+        let class = &hot.class;
+        invalidate_fib_change(
+            &mut dirty, reach, flow_index, flow_recs, class, router, changed,
+        );
+        dirty.take().into_iter().collect()
+    }
+
+    /// A FIB download marks, class by class, the flows the per-flow
+    /// walk marks: seeded rings with chords, up to three prefixes
+    /// (some announced where flows start, so their paths have no
+    /// links), batches of flows under a few caps that start, stop and
+    /// change cap, links that fail and come back. After each step,
+    /// before the settle and after it, every router is asked as if it
+    /// had installed a change to each prefix alone and to all of them,
+    /// and both ways must mark the same flows.
+    #[test]
+    fn a_fib_download_marks_by_class_what_the_per_flow_walk_marks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut asked, mut marked, mut stranded, mut linkless) = (0usize, 0usize, 0usize, 0usize);
+        for case in 0..60u64 {
+            let seed = 0xF1B_1A57 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 4 + rng.gen_range(0..6u32);
+            let mut sim = Sim::new(SimConfig::default());
+            for i in 1..=n {
+                sim.add_router(r(i));
+            }
+            let mut links = Vec::new();
+            for i in 1..=n {
+                links.push((i, i % n + 1));
+            }
+            for _ in 0..rng.gen_range(0..n) {
+                let (a, b) = (rng.gen_range(1..=n), rng.gen_range(1..=n));
+                if a != b && !links.iter().any(|l| *l == (a, b) || *l == (b, a)) {
+                    links.push((a, b));
+                }
+            }
+            for &(a, b) in &links {
+                let cost = Metric(rng.gen_range(1..4u32));
+                sim.add_link(LinkSpec::new(r(a), r(b), cost, 1e6));
+            }
+            let prefixes: Vec<Prefix> =
+                (1..=1 + rng.gen_range(0..3u8)).map(Prefix::net24).collect();
+            for p in &prefixes {
+                sim.announce_prefix(r(rng.gen_range(1..=n)), *p);
+            }
+            sim.start();
+            let caps = [None, Some(1.0), Some(125_000.0)];
+            let mut at = 5_000u64;
+            for _ in 0..10 {
+                at += rng.gen_range(100..3_000u64);
+                sim.run_until(Timestamp::from_millis(at));
+                let mut ctx = sim.ctx();
+                match rng.gen_range(0..5u32) {
+                    0 | 1 => {
+                        for _ in 0..rng.gen_range(1..40u32) {
+                            let src = r(rng.gen_range(1..=n));
+                            let dst = prefixes[rng.gen_range(0..prefixes.len())];
+                            let cap = caps[rng.gen_range(0..caps.len())];
+                            let spec = FlowSpec::new(src, dst);
+                            ctx.start_flow(match cap {
+                                Some(cap) => spec.with_cap(cap),
+                                None => spec,
+                            });
+                        }
+                    }
+                    2 => {
+                        let live: Vec<FlowId> = ctx.flows().map(|f| f.id).collect();
+                        for id in live {
+                            let cap = caps[rng.gen_range(0..caps.len())];
+                            if rng.gen_bool(0.7) {
+                                continue;
+                            } else if rng.gen_bool(0.5) {
+                                ctx.stop_flow(id);
+                            } else {
+                                ctx.set_flow_cap(id, cap);
+                            }
+                        }
+                    }
+                    3 => {
+                        let (a, b) = links[rng.gen_range(0..links.len())];
+                        ctx.fail_link(r(a), r(b));
+                    }
+                    _ => {
+                        let (a, b) = links[rng.gen_range(0..links.len())];
+                        ctx.restore_link(r(a), r(b));
+                    }
+                }
+                for settled in [false, true] {
+                    if settled {
+                        sim.core.settle();
+                    }
+                    let mut asks: Vec<Vec<Prefix>> = prefixes.iter().map(|p| vec![*p]).collect();
+                    asks.push(prefixes.clone());
+                    for router in 1..=n {
+                        for changed in &asks {
+                            let want = marked_by_walk(&sim.core, r(router), changed);
+                            let got = marked_by_class(&mut sim.core, r(router), changed);
+                            assert_eq!(
+                                got, want,
+                                "case {case} (seed {seed:#x}), r{router}, {changed:?}"
+                            );
+                            asked += 1;
+                            marked += got.len();
+                        }
+                    }
+                    for f in sim.core.flows() {
+                        match &f.path {
+                            None => stranded += 1,
+                            Some(path) if path.is_empty() => linkless += 1,
+                            Some(_) => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(asked >= 20_000, "{asked} downloads asked about");
+        assert!(marked >= 250_000, "{marked} flows marked");
+        assert!(stranded >= 5_000, "{stranded} stranded flows seen");
+        assert!(linkless >= 5_000, "{linkless} flows on linkless paths seen");
     }
 
     /// Path ids are interned by content: flows that a failure moved

@@ -23,13 +23,17 @@
 //! viewers, not the length of the schedule. City-scale scenarios
 //! (thousands of sessions) rely on this.
 //!
-//! Players sleep. A player's state is values at an anchor plus slopes
-//! that hold until its flow's rate changes (see [`crate::client`]), so
-//! the driver touches a session only where that rate changes or where
-//! a data-plane action falls due, never per tick. It watches the
-//! simulator's rate-change log ([`SimContext::watch_rates`]) and, at
-//! each tick, hands every change to its session's player, which
-//! re-anchors at the change's own instant. Each session is booked in a
+//! Players sleep. A player's state is values at an anchor plus what
+//! its feed delivers: its class's content clock, or a rate of its own
+//! (see [`crate::client`]). So the driver touches a session only where
+//! its flow changes class or rate of its own, or where a data-plane
+//! action falls due, never per tick, and a class's rate change costs
+//! the class's clock one segment, not one update per member. It watches
+//! the simulator's class-level rate-change log
+//! ([`SimContext::watch_classes`]) and, at each tick, extends the
+//! clocks with the class entries and hands every flow's entry to its
+//! session's player, which re-anchors at the entry's own instant.
+//! Each session is booked in a
 //! per-tick calendar no later than its next action can fall due: the
 //! cap flip at the first tick at or after its download completes, the
 //! stop at the first tick at or after its clip ends. While its server
@@ -44,18 +48,19 @@
 //! instants would cost one settle per session event instead of one
 //! per tick.
 //!
-//! A rate change or a booking finds its session in one step: a table
+//! A flow's entry or a booking finds its session in one step: a table
 //! from flow id, less the oldest playing session's, to slot. A
 //! session's entry is cleared when it finishes, and the entries before
 //! the oldest playing session's are dropped, so the table spans the
 //! flows started since that session launched.
 
 use crate::catalog::Video;
+use crate::client::Clocks;
 use crate::client::{Player, PlayerConfig, PlayerState};
 use crate::qoe::QoeReport;
 use fib_igp::time::{Dur, Timestamp};
 use fib_igp::types::{Prefix, RouterId};
-use fib_netsim::flow::{FlowId, FlowSpec, RateChange};
+use fib_netsim::flow::{ClassChange, FlowId, FlowSpec};
 use fib_netsim::handler::{AppEvent, EventHandler};
 use fib_netsim::sim::SimContext;
 use parking_lot::Mutex;
@@ -141,17 +146,20 @@ struct Shared {
     /// The free slots, the last freed on top.
     free: Vec<u32>,
     /// Per flow id from `base` to the newest session's, the slot of the
-    /// session whose flow it is ([`NOT_ACTIVE`] for none): what a rate
-    /// change or a booking is looked up in, four bytes an id.
+    /// session whose flow it is ([`NOT_ACTIVE`] for none): what a flow's
+    /// entry or a booking is looked up in, four bytes an id.
     positions: VecDeque<u32>,
     /// The flow id `positions` starts at: the oldest playing session's.
     base: u64,
     /// The last tick's instant, which the reports of playing sessions
     /// are derived at (`None` before the first tick).
     now: Option<Timestamp>,
-    /// Player updates so far: rate changes handed to a player, and
+    /// Player updates so far: flows' entries handed to a player, and
     /// sessions woken at the tick their action fell due at.
     updates: u64,
+    /// Every class's content clock, which the players that follow a
+    /// class read.
+    clocks: Clocks,
 }
 
 /// Shared live QoE: every launched session's latest report, readable
@@ -175,7 +183,7 @@ impl QoeHandle {
                 let now = now.as_secs_f64();
                 shared
                     .playing()
-                    .map(|s| (s.tag, s.player.qoe_at(now)))
+                    .map(|s| (s.tag, s.player.qoe_at(now, &shared.clocks)))
                     .collect()
             }
             None => Vec::new(),
@@ -196,10 +204,12 @@ impl QoeHandle {
         out
     }
 
-    /// How many player updates the driver has made: one per rate change
-    /// handed to a playing session's player, and one per session woken
-    /// at a tick. A driver that walked every session at every tick would
-    /// make about as many as sessions times the ticks they play.
+    /// How many player updates the driver has made: one per flow's
+    /// entry of the class log (it follows a class, or runs at a rate of
+    /// its own) handed to a playing session's player, and one per
+    /// session woken at a tick; a class's rate change is none. A driver
+    /// that walked every session at every tick would make about as many
+    /// as sessions times the ticks they play.
     pub fn player_updates(&self) -> u64 {
         self.0.lock().updates
     }
@@ -252,11 +262,11 @@ impl Session {
     /// where the rates to come put it, whatever they are (less a
     /// microsecond, against rounding), so a session booked there needs
     /// no new booking when its rate changes.
-    fn earliest_due(&self, now: f64) -> f64 {
+    fn earliest_due(&self, now: f64, clocks: &Clocks) -> f64 {
         if self.paused {
-            self.player.clip_end()
+            self.player.clip_end(clocks)
         } else {
-            self.player.earliest_download_end(now) - 1e-6
+            self.player.earliest_download_end(now, clocks) - 1e-6
         }
     }
 }
@@ -278,8 +288,8 @@ pub struct VideoWorkload {
     calendar: VecDeque<Vec<FlowId>>,
     /// The next tick to serve: the one `calendar` starts at.
     next_tick: u64,
-    /// The rate changes drained at a tick (kept for its allocation).
-    changes: Vec<RateChange>,
+    /// The class log drained at a tick (kept for its allocation).
+    changes: Vec<(Timestamp, ClassChange)>,
 }
 
 impl VideoWorkload {
@@ -317,7 +327,7 @@ impl VideoWorkload {
             }
             self.cursor += 1;
             let session = Session::launch(&self.waves[wave as usize], u64::from(tag), ctx);
-            self.book(&session, ctx.now());
+            self.book(&session, ctx.now(), &shared.clocks);
             shared.place(session);
         }
     }
@@ -326,8 +336,8 @@ impl VideoWorkload {
     /// action can fall due, seen from `now`, and after `now` itself; but
     /// no further ahead than the calendar reaches (an early wake-up only
     /// books again).
-    fn book(&mut self, s: &Session, now: Timestamp) {
-        if let Some(k) = tick_at_or_after(s.earliest_due(now.as_secs_f64())) {
+    fn book(&mut self, s: &Session, now: Timestamp, clocks: &Clocks) {
+        if let Some(k) = tick_at_or_after(s.earliest_due(now.as_secs_f64(), clocks)) {
             let ahead = k.max(now.0 / TICK.0 + 1) - self.next_tick;
             let last = CALENDAR_TICKS - 1;
             let j = usize::try_from(ahead).map_or(last, |j| j.min(last));
@@ -338,20 +348,40 @@ impl VideoWorkload {
         }
     }
 
-    /// Hand every rate change since the last tick to its session's
-    /// player, in the order the settles made them.
+    /// Take the class log since the last tick, in the order the
+    /// settles made it: a class's rate change extends its clock, and a
+    /// flow's entry goes to its session's player unless its server is
+    /// paused (the whole clip is in, so what arrives no longer matters).
     fn apply_rate_changes(&mut self, shared: &mut Shared, ctx: &mut SimContext<'_>) {
-        ctx.take_rate_changes(&mut self.changes);
-        for change in &self.changes {
-            let Some(i) = shared.find(change.flow) else {
+        ctx.take_class_changes(&mut self.changes);
+        for &(at, change) in &self.changes {
+            let at = at.as_secs_f64();
+            let flow = match change {
+                ClassChange::Rate(class, rate, cap) => {
+                    shared.clocks.set_rate(class.0, at, rate, cap);
+                    continue;
+                }
+                ClassChange::Follow(flow, _) | ClassChange::Own(flow, _) => flow,
+            };
+            let Some(i) = shared.find(flow) else {
                 continue;
             };
-            let s = shared.slots[i].as_mut().expect("a listed slot is taken");
+            let Shared {
+                slots,
+                clocks,
+                updates,
+                ..
+            } = &mut *shared;
+            let s = slots[i].as_mut().expect("a listed slot is taken");
             if s.paused {
                 continue;
             }
-            s.player.set_rate(change.at.as_secs_f64(), change.rate);
-            shared.updates += 1;
+            match change {
+                ClassChange::Follow(_, class) => s.player.follow(at, class.0, clocks),
+                ClassChange::Own(_, rate) => s.player.set_rate(at, rate, clocks),
+                ClassChange::Rate(..) => unreachable!("a class's entry names no flow"),
+            }
+            *updates += 1;
         }
     }
 
@@ -371,7 +401,8 @@ impl VideoWorkload {
             let i = shared.find(flow).expect("a booked session is playing");
             shared.updates += 1;
             if !shared.act(i, ctx) {
-                self.book(shared.slots[i].as_ref().expect("plays on"), now);
+                let s = shared.slots[i].as_ref().expect("plays on");
+                self.book(s, now, &shared.clocks);
             }
         }
     }
@@ -427,7 +458,7 @@ impl Shared {
     fn act(&mut self, i: usize, api: &mut SimContext<'_>) -> bool {
         let now = api.now().as_secs_f64();
         let s = self.slots[i].as_mut().expect("a listed slot is taken");
-        s.player.run_to(now);
+        s.player.run_to(now, &self.clocks);
         if s.finished() {
             let s = self.slots[i].take().expect("a listed slot is taken");
             api.stop_flow(s.flow);
@@ -445,7 +476,7 @@ impl Shared {
             }
             return true;
         }
-        if !s.paused && !s.player.wants_download_at(now) {
+        if !s.paused && !s.player.wants_download_at(now, &self.clocks) {
             s.paused = true;
             api.set_flow_cap(s.flow, Some(1.0));
         }
@@ -471,7 +502,7 @@ impl EventHandler for VideoWorkload {
         let handle = self.shared.clone();
         let mut shared = handle.0.lock();
         if let AppEvent::Start = ev {
-            ctx.watch_rates();
+            ctx.watch_classes();
         }
         self.launch_due(&mut shared, ctx);
         if let AppEvent::Tick = ev {
@@ -483,8 +514,10 @@ impl EventHandler for VideoWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Player, NO_CLOCKS};
     use fib_igp::types::Metric;
     use fib_netsim::events::Event;
+    use fib_netsim::flow::RateChange;
     use fib_netsim::link::LinkSpec;
     use fib_netsim::sim::{Sim, SimConfig};
     use fib_telemetry::mib::oids;
@@ -659,7 +692,7 @@ mod tests {
                 let mut map = self.map.lock();
                 let now = ctx.now().as_secs_f64();
                 for s in shared.playing() {
-                    map.insert(s.tag, s.player.qoe_at(now));
+                    map.insert(s.tag, s.player.qoe_at(now, &shared.clocks));
                 }
                 for (tag, report) in (0u64..).zip(&shared.finished) {
                     if let Some(report) = report {
@@ -907,6 +940,94 @@ mod tests {
             lazy * 4 < eager,
             "{lazy} lazy against {eager} eager updates"
         );
+    }
+
+    /// The driver, and beside it the players it had before the class
+    /// clocks: a copy of each session's player as launched, by tag, on
+    /// a rate of its own, handed every rate change of its flow from the
+    /// per-flow log until the driver pauses its server. The copies are
+    /// fed before the driver's tick, so that the changes a tick drains
+    /// reach them exactly when they reached the players then.
+    struct Shadowed(VideoWorkload, Arc<Mutex<BTreeMap<u64, Player>>>);
+
+    impl EventHandler for Shadowed {
+        fn name(&self) -> &str {
+            "shadowed"
+        }
+
+        fn tick_interval(&self) -> Option<Dur> {
+            self.0.tick_interval()
+        }
+
+        fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+            let mut players = self.1.lock();
+            match ev {
+                AppEvent::Start => ctx.watch_rates(),
+                AppEvent::Tick => {
+                    let shared = self.0.shared.0.lock();
+                    let mut log = Vec::new();
+                    ctx.take_rate_changes(&mut log);
+                    for change in &log {
+                        let Some(i) = shared.find(change.flow) else {
+                            continue;
+                        };
+                        let s = shared.slots[i].as_ref().expect("a listed slot is taken");
+                        if !s.paused {
+                            let player = players.get_mut(&s.tag).expect("launched");
+                            player.set_rate(change.at.as_secs_f64(), change.rate, NO_CLOCKS);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            self.0.on_event(ctx, ev);
+            for s in self.0.shared.0.lock().playing() {
+                players.entry(s.tag).or_insert_with(|| s.player.clone());
+            }
+        }
+    }
+
+    /// The class clocks against the players they replaced, on the
+    /// faulted crowd's rates: the driver plays every session on its
+    /// class's clock, and beside it a player per session on a rate of
+    /// its own is handed every change of its flow's rate, as the
+    /// players were before. Every session stalls as often on both, and
+    /// its startup delay and stall seconds agree within a nanosecond:
+    /// the two reckon the same transitions along different sums, and
+    /// differ in the last bits only. (They share one simulator, so
+    /// that both see the same rates: run on two, session 40's player
+    /// on a rate of its own, re-anchored at 8.6 s, ends its clip at
+    /// 10.600000000000001 s where its clock puts 3.6 + 7 = 10.6 s, the
+    /// two flows stop a tick apart, and the rates of the sessions
+    /// playing on differ after that.)
+    #[test]
+    fn the_class_clocks_play_as_the_per_member_players_did() {
+        let (mut sim, waves) = faulted_crowd(80);
+        let (driver, handle) = VideoWorkload::new(waves);
+        let shadow = Arc::new(Mutex::new(BTreeMap::new()));
+        sim.add_app(Box::new(Shadowed(driver, Arc::clone(&shadow))));
+        sim.start();
+        let horizon = 70.0;
+        sim.run_until(Timestamp::from_secs(70));
+        let clocked = handle.reports();
+        let shadow = shadow.lock();
+        assert_eq!((clocked.len(), shadow.len()), (80, 80));
+        let (mut stalls, mut apart) = (0, 0.0f64);
+        for (a, (tag, player)) in clocked.iter().zip(shadow.iter()) {
+            let b = player.qoe_at(horizon, NO_CLOCKS);
+            assert!(a.completed && b.completed, "session {tag}");
+            assert_eq!(a.stalls, b.stalls, "session {tag}: {a:?} against {b:?}");
+            let startup = (a.startup_delay - b.startup_delay).abs();
+            let stalled = (a.stall_secs - b.stall_secs).abs();
+            assert!(
+                startup <= 1e-9 && stalled <= 1e-9,
+                "session {tag}: {a:?} against {b:?}"
+            );
+            stalls += a.stalls;
+            apart = apart.max(startup).max(stalled);
+        }
+        assert!(stalls >= 20, "{stalls} stalls");
+        assert!(apart < 1e-12, "{apart} s apart at most");
     }
 
     /// Memory follows concurrency: on the faulted crowd, after every
@@ -1326,7 +1447,8 @@ mod tests {
         assert_eq!(reports.reports().len(), 2);
     }
 
-    /// The driver, and every rate change it drains, in order.
+    /// The driver, and every rate change of the per-flow log, in
+    /// order, drained at each of its ticks.
     struct Drains(VideoWorkload, Arc<Mutex<Vec<RateChange>>>);
 
     impl EventHandler for Drains {
@@ -1339,10 +1461,15 @@ mod tests {
         }
 
         fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: AppEvent<'_>) {
+            if matches!(ev, AppEvent::Start) {
+                ctx.watch_rates();
+            }
             let tick = matches!(ev, AppEvent::Tick);
             self.0.on_event(ctx, ev);
             if tick {
-                self.1.lock().extend_from_slice(&self.0.changes);
+                let mut log = Vec::new();
+                ctx.take_rate_changes(&mut log);
+                self.1.lock().extend_from_slice(&log);
             }
         }
     }
@@ -1373,7 +1500,7 @@ mod tests {
                 Some(s) => {
                     let flow = sim.flows().next().expect("a playing session has a flow");
                     let (id, cap) = (flow.id, flow.cap);
-                    if s.player.wants_download_at(now) {
+                    if s.player.wants_download_at(now, &shared.clocks) {
                         assert_eq!(cap, Some(rate), "tick {tick}");
                         "paced"
                     } else {

@@ -10,7 +10,7 @@
 //! read twice — mid-run at an instant between two ticks, and at the
 //! horizon, both with sessions still playing. A change that only makes
 //! a tick or a settle cheaper must move none of the digests below.
-//! They hold the players that sleep between their flow's rate changes:
+//! They hold the players that sleep on their classes' content clocks:
 //! every startup, stall and resume at its exact instant, and the cap
 //! flips and stops on the 100 ms tick.
 
@@ -79,8 +79,8 @@ fn no_controller_churn_run_is_pinned_byte_for_byte() {
         data_plane,
         [
             0x0e09_a36c_9e85_9540,
-            0x4da4_a6fa_67f9_4da2,
-            0xf39b_0673_4e47_10ec
+            0x8825_7751_be0e_b114,
+            0x9e3c_b86c_5827_a0e8
         ],
         "trace / mid-run QoE / horizon QoE digests moved: {data_plane:#018x?}"
     );

@@ -6,10 +6,9 @@
 //! — and the `diurnal` generator were only ever compared run against
 //! run. A change to how a schedule is described, ordered, tagged or
 //! launched, or one that only makes a tick cheaper, must move none of
-//! the digests below. The QoE digests hold the players that sleep
-//! between their flow's rate changes, with every startup, stall and
-//! resume at its exact instant; the trace digests did not move with
-//! them.
+//! the digests below. The QoE digests hold the players that sleep on
+//! their classes' content clocks, with every startup, stall and resume
+//! at its exact instant; the trace digests did not move with them.
 
 mod common;
 
@@ -59,7 +58,7 @@ fn no_controller_baseline_is_pinned_byte_for_byte() {
     let (summary, data_plane) = scenario_digests("no_controller_baseline", None, 62);
     assert_eq!(
         data_plane,
-        [0x8fbd_df1a_6261_fecd, 0xc12c_8d7c_858a_8dc8],
+        [0x8fbd_df1a_6261_fecd, 0x4d88_599e_47c6_ae37],
         "trace / QoE digests moved: {data_plane:#018x?}"
     );
     assert_eq!(
