@@ -849,6 +849,7 @@ impl ClassFill {
     /// crossing it, in ascending id, for the `n` members not frozen
     /// alone, then each flow frozen alone: within `n` ulps of its flows'
     /// sum in flow order (module docs).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn spread(
         &mut self,
         paths: &PathTable,
