@@ -32,9 +32,10 @@
 //! the simulator's class-level rate-change log
 //! ([`SimContext::watch_classes`]) and, at each tick, extends the
 //! clocks with the class entries and hands every flow's entry to its
-//! session's player, which re-anchors at the entry's own instant.
-//! Each session is booked in a
-//! per-tick calendar no later than its next action can fall due: the
+//! session's player, which re-anchors at the entry's own instant
+//! unless its content arrives there as fast as before. Each session is
+//! booked in a per-tick calendar no later than its next action can
+//! fall due: the
 //! cap flip at the first tick at or after its download completes, the
 //! stop at the first tick at or after its clip ends. While its server
 //! paces, a session is booked where its download would end were the
